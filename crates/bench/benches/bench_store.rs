@@ -5,9 +5,10 @@
 //! staging experiments set out to avoid — but unlike the raw per-file
 //! read it also CRC-checks every sample it serves. On a warm page
 //! cache (the only thing a local microbench can measure) that
-//! integrity check dominates, so the snapshot records the standalone
-//! CRC cost per sample alongside both fetch distributions to keep the
-//! layout and integrity components separable.
+//! integrity check dominated while it ran slicing-by-8 (21 of 24 µs),
+//! so the snapshot records the standalone CRC cost per sample, and the
+//! kernel that produced it, alongside both fetch distributions to keep
+//! the layout and integrity components separable.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sciml_bench::snapshot::{histogram_entries, write_snapshot};
@@ -106,6 +107,13 @@ fn bench(c: &mut Criterion) {
         "crc32_per_sample_ns",
         t0.elapsed().as_nanos() as f64 / crc_iters as f64,
         "ns",
+    ));
+    // Which kernel produced that number (the snapshot holds scalars, so
+    // the name rides in the metric).
+    entries.push(BenchEntry::new(
+        format!("crc32_kernel/{}", sciml_compress::crc32::kernel_name()),
+        1.0,
+        "selected",
     ));
     match write_snapshot("store_pack_vs_dir", &entries) {
         Ok(path) => println!("store snapshot: {}", path.display()),

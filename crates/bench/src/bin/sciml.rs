@@ -891,6 +891,7 @@ fn cpu_features(args: &[String]) -> Result<(), String> {
         },
     }
     println!("active tier:     {}", cpu::active_level().name());
+    println!("crc32 kernel:    {}", sciml_compress::crc32::kernel_name());
     println!("kernel paths:");
     for p in cpu::kernel_plan() {
         println!(

@@ -39,7 +39,10 @@ pub struct PipelineConfig {
     pub reader_threads: usize,
     /// Decoder threads running the plugin.
     pub decode_threads: usize,
-    /// Bounded queue depth between stages (prefetch window).
+    /// Prefetch window: depth of the index queue ahead of the readers
+    /// and of the decoded-batch queue ahead of the consumer. The
+    /// fetched-bytes queue between readers and decoders is
+    /// `min(prefetch, decode_threads)` deep.
     pub prefetch: usize,
     /// Epochs to run.
     pub epochs: usize,
@@ -302,9 +305,15 @@ impl Pipeline {
         // fixed at generation time, so downstream stages can run fully
         // out of order and the batch composition is still deterministic.
         let (idx_tx, idx_rx) = channel::bounded::<(usize, usize, usize)>(cfg.prefetch.max(1));
-        // Stage 2: fetched bytes in recycled pool buffers.
+        // Stage 2: fetched bytes in recycled pool buffers. One parked
+        // sample per decoder keeps every decoder fed (each reader also
+        // holds the sample it is about to send); a deeper queue moved no
+        // workload's rate, and once readers outpace decoders it parks
+        // `prefetch` undecoded samples and lets decoders run batches
+        // ahead of a stalled reader, opening extra batch tensors. The
+        // prefetch window proper is the decoded-batch queue below.
         let (raw_tx, raw_rx) = channel::bounded::<(usize, usize, usize, crate::pool::PooledBytes)>(
-            cfg.prefetch.max(1),
+            cfg.prefetch.min(cfg.decode_threads).max(1),
         );
         // Stage 3: assembled batches to the consumer. There is no
         // batcher thread: decode workers write samples into their batch

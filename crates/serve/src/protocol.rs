@@ -398,7 +398,23 @@ fn read_latency(r: &mut Reader<'_>) -> Result<HistogramSnapshot, ProtocolError> 
 impl Message {
     /// Serializes the payload (tag + body, no frame envelope).
     pub fn to_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(self.payload_size_hint());
+        self.write_payload(&mut out);
+        out
+    }
+
+    /// Capacity to reserve before [`Message::write_payload`]: exact for
+    /// the bulk `Samples` reply, a small constant for control messages.
+    fn payload_size_hint(&self) -> usize {
+        match self {
+            Message::Samples(payloads) => 5 + payloads.iter().map(|p| 4 + p.len()).sum::<usize>(),
+            _ => 16,
+        }
+    }
+
+    /// Appends the payload (tag + body, no frame envelope) to `out`, so
+    /// a frame or an enclosing message is built in one buffer.
+    pub fn write_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { version } => {
                 out.push(tags::HELLO);
@@ -413,13 +429,13 @@ impl Message {
                 out.push(tags::DATASET_LIST);
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
                 for e in entries {
-                    put_str(&mut out, &e.name);
+                    put_str(out, &e.name);
                     out.extend_from_slice(&e.len.to_le_bytes());
                 }
             }
             Message::Manifest { name } => {
                 out.push(tags::MANIFEST);
-                put_str(&mut out, name);
+                put_str(out, name);
             }
             Message::ManifestReply { len } => {
                 out.push(tags::MANIFEST_REPLY);
@@ -427,7 +443,7 @@ impl Message {
             }
             Message::FetchSamples { name, indices } => {
                 out.push(tags::FETCH_SAMPLES);
-                put_str(&mut out, name);
+                put_str(out, name);
                 out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
                 for idx in indices {
                     out.extend_from_slice(&idx.to_le_bytes());
@@ -444,20 +460,20 @@ impl Message {
             Message::Stats => out.push(tags::STATS),
             Message::StatsReply(s) => {
                 out.push(tags::STATS_REPLY);
-                put_stats_counters(&mut out, s);
+                put_stats_counters(out, s);
             }
             Message::StatsReplyV2(s) => {
                 out.push(tags::STATS_REPLY_V2);
-                put_stats_counters(&mut out, s);
-                put_latency(&mut out, s);
+                put_stats_counters(out, s);
+                put_latency(out, s);
             }
             Message::StatsReplyV3(s) => {
                 out.push(tags::STATS_REPLY_V3);
-                put_stats_counters(&mut out, s);
+                put_stats_counters(out, s);
                 for field in [s.decoded_raw, s.decoded_gzip, s.decoded_pack] {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
-                put_latency(&mut out, s);
+                put_latency(out, s);
             }
             Message::Traced {
                 trace_id,
@@ -467,11 +483,11 @@ impl Message {
                 out.push(tags::TRACED);
                 out.extend_from_slice(&trace_id.to_le_bytes());
                 out.extend_from_slice(&parent_span.to_le_bytes());
-                out.extend_from_slice(&inner.to_payload());
+                inner.write_payload(out);
             }
             Message::ShardManifest { name, per_shard } => {
                 out.push(tags::SHARD_MANIFEST);
-                put_str(&mut out, name);
+                put_str(out, name);
                 out.extend_from_slice(&per_shard.to_le_bytes());
             }
             Message::ShardManifestReply(plans) => {
@@ -497,13 +513,13 @@ impl Message {
             }
             Message::ClusterManifest { name } => {
                 out.push(tags::CLUSTER_MANIFEST);
-                put_str(&mut out, name);
+                put_str(out, name);
             }
             Message::ClusterManifestReply(plan) => {
                 out.push(tags::CLUSTER_MANIFEST_REPLY);
                 out.extend_from_slice(&(plan.nodes.len() as u16).to_le_bytes());
                 for node in &plan.nodes {
-                    put_str(&mut out, node);
+                    put_str(out, node);
                 }
                 out.extend_from_slice(&plan.replication.to_le_bytes());
                 out.extend_from_slice(&(plan.shards.len() as u32).to_le_bytes());
@@ -523,10 +539,9 @@ impl Message {
             Message::Error { code, detail } => {
                 out.push(tags::ERROR);
                 out.extend_from_slice(&(*code as u16).to_le_bytes());
-                put_str(&mut out, detail);
+                put_str(out, detail);
             }
         }
-        out
     }
 
     /// Parses a payload produced by [`Message::to_payload`].
@@ -771,11 +786,15 @@ impl<'a> Reader<'a> {
 
 /// Serializes a message into a complete frame (length + payload + CRC).
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let payload = msg.to_payload();
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    // Built in place — length placeholder, payload, CRC — so a bulk
+    // `Samples` reply is serialised and allocated once.
+    let mut frame = Vec::with_capacity(msg.payload_size_hint() + 8);
+    frame.extend_from_slice(&[0u8; 4]);
+    msg.write_payload(&mut frame);
+    let (head, payload) = frame.split_at_mut(4);
+    head.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = crc32(payload);
+    frame.extend_from_slice(&crc.to_le_bytes());
     frame
 }
 
@@ -1001,6 +1020,23 @@ mod tests {
             let (decoded, consumed) = decode_frame(&frame).expect("roundtrip");
             assert_eq!(decoded, msg);
             assert_eq!(consumed, frame.len());
+        }
+    }
+
+    #[test]
+    fn in_place_frame_equals_length_payload_crc_concatenation() {
+        let mut msgs = all_messages();
+        msgs.push(Message::Samples(vec![vec![0xA5; 70_000], Vec::new()]));
+        for msg in msgs {
+            let payload = msg.to_payload();
+            let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&payload);
+            want.extend_from_slice(&crc32(&payload).to_le_bytes());
+            let frame = encode_frame(&msg);
+            assert_eq!(frame, want, "{msg:?}");
+            if matches!(msg, Message::Samples(_)) {
+                assert_eq!(frame.capacity(), frame.len(), "bulk reply sized up front");
+            }
         }
     }
 

@@ -622,24 +622,48 @@ impl ShardReader {
         self.index_offset + (self.index.len() * self.entry_len + TRAILER_LEN) as u64
     }
 
-    /// Fetches local sample `idx`, verifying its CRC (and
-    /// decompressing when the shard is gzip-packed).
+    /// Fetches local sample `idx`, verifying its CRC (and decoding
+    /// gzip- or pack-stored entries).
     pub fn fetch(&self, idx: usize) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.fetch_into(idx, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`ShardReader::fetch`] into a caller-provided buffer, replacing
+    /// its contents. A raw entry is read and CRC-checked in `buf`
+    /// itself, so a recycled buffer makes the fetch allocation-free. On
+    /// error the contents of `buf` are unspecified.
+    pub fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         let entry = self.index.get(idx).ok_or(StoreError::OutOfRange {
             idx,
             len: self.index.len(),
         })?;
-        let mut stored = vec![0u8; entry.stored_len as usize];
-        self.file
-            .read_exact_at(&mut stored, entry.offset)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    StoreError::Truncated("shard body")
-                } else {
-                    StoreError::Io(e)
-                }
-            })?;
-        let computed = crc32(&stored);
+        buf.resize(entry.stored_len as usize, 0);
+        self.read_stored(idx, entry, buf)?;
+        let raw = match entry.encoding {
+            PayloadEncoding::Raw => return Ok(()),
+            PayloadEncoding::Gzip => sciml_compress::gzip_decompress(buf)?,
+            PayloadEncoding::Pack => sciml_pack::unpack(buf)?,
+        };
+        if raw.len() != entry.raw_len as usize {
+            return Err(StoreError::Malformed("decompressed length mismatch"));
+        }
+        *buf = raw;
+        Ok(())
+    }
+
+    /// Reads `entry`'s stored bytes into `stored` (already sized to
+    /// `stored_len`) and checks them against the index CRC.
+    fn read_stored(&self, idx: usize, entry: &IndexEntry, stored: &mut [u8]) -> Result<()> {
+        self.file.read_exact_at(stored, entry.offset).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                StoreError::Truncated("shard body")
+            } else {
+                StoreError::Io(e)
+            }
+        })?;
+        let computed = crc32(stored);
         if computed != entry.crc32 {
             return Err(StoreError::SampleCorrupt {
                 sample: idx,
@@ -647,40 +671,15 @@ impl ShardReader {
                 stored: entry.crc32,
             });
         }
-        match entry.encoding {
-            PayloadEncoding::Raw => Ok(stored),
-            PayloadEncoding::Gzip => {
-                let raw = sciml_compress::gzip_decompress(&stored)?;
-                if raw.len() != entry.raw_len as usize {
-                    return Err(StoreError::Malformed("decompressed length mismatch"));
-                }
-                Ok(raw)
-            }
-            PayloadEncoding::Pack => {
-                let raw = sciml_pack::unpack(&stored)?;
-                if raw.len() != entry.raw_len as usize {
-                    return Err(StoreError::Malformed("decompressed length mismatch"));
-                }
-                Ok(raw)
-            }
-        }
+        Ok(())
     }
 
     /// Verifies every sample payload's CRC without decompressing.
     pub fn verify(&self) -> Result<()> {
+        let mut stored = Vec::new();
         for (idx, entry) in self.index.iter().enumerate() {
-            let mut stored = vec![0u8; entry.stored_len as usize];
-            self.file
-                .read_exact_at(&mut stored, entry.offset)
-                .map_err(|_| StoreError::Truncated("shard body"))?;
-            let computed = crc32(&stored);
-            if computed != entry.crc32 {
-                return Err(StoreError::SampleCorrupt {
-                    sample: idx,
-                    computed,
-                    stored: entry.crc32,
-                });
-            }
+            stored.resize(entry.stored_len as usize, 0);
+            self.read_stored(idx, entry, &mut stored)?;
         }
         Ok(())
     }
@@ -747,8 +746,12 @@ mod tests {
         assert_eq!(r.count(), 4);
         assert_eq!(r.base(), 7);
         assert!(!r.is_gzip());
+        // A recycled buffer, longer and then shorter than the entry.
+        let mut buf = vec![0xEE; 1000];
         for (i, want) in samples().iter().enumerate() {
             assert_eq!(&r.fetch(i).unwrap(), want, "sample {i}");
+            r.fetch_into(i, &mut buf).unwrap();
+            assert_eq!(&buf, want, "fetch_into sample {i}");
         }
         r.verify().unwrap();
         assert_eq!(r.file_bytes(), meta.bytes);
@@ -783,8 +786,11 @@ mod tests {
             let meta = write_shard(&dir, tag, &samples(), 0, choice, Level::Fast).unwrap();
             assert_eq!(meta.encoding, choice);
             let r = ShardReader::open(dir.join(&meta.file)).unwrap();
+            let mut buf = vec![0xEE; 4096];
             for (i, want) in samples().iter().enumerate() {
                 assert_eq!(&r.fetch(i).unwrap(), want, "{choice} sample {i}");
+                r.fetch_into(i, &mut buf).unwrap();
+                assert_eq!(&buf, want, "{choice} fetch_into sample {i}");
             }
             r.verify().unwrap();
             let counts = r.encoding_counts();

@@ -92,6 +92,14 @@ impl ShardSource {
 
     /// Fetches global sample `idx` with full typed-error reporting.
     pub fn fetch_verified(&self, idx: usize) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.fetch_verified_into(idx, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`ShardSource::fetch_verified`] into a caller-provided buffer,
+    /// replacing its contents.
+    fn fetch_verified_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         let started = Instant::now();
         let (meta, local) = self
             .manifest
@@ -101,8 +109,8 @@ impl ShardSource {
                 len: self.manifest.total_samples() as usize,
             })?;
         let reader = &self.readers[meta.id as usize];
-        let bytes = reader.fetch(local as usize)?;
-        self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        reader.fetch_into(local as usize, buf)?;
+        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         if let Some(h) = &self.fetch_us {
             h.record(started.elapsed().as_micros() as u64);
         }
@@ -117,7 +125,7 @@ impl ShardSource {
             };
             slot.inc();
         }
-        Ok(bytes)
+        Ok(())
     }
 
     /// Verifies the whole store: each shard file's CRC against the
@@ -147,6 +155,10 @@ impl SampleSource for ShardSource {
 
     fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
         Ok(self.fetch_verified(idx)?)
+    }
+
+    fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
+        Ok(self.fetch_verified_into(idx, buf)?)
     }
 
     fn bytes_read(&self) -> u64 {
@@ -185,28 +197,37 @@ impl StagingSource {
 
     /// Fetches global sample `idx` with full typed-error reporting.
     pub fn fetch_verified(&self, idx: usize) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.fetch_verified_into(idx, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`StagingSource::fetch_verified`] into a caller-provided buffer,
+    /// replacing its contents.
+    fn fetch_verified_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         let total = self.shared.total_samples() as usize;
         let shard = self
             .shared
             .shard_for(idx as u64)
             .ok_or(StoreError::OutOfRange { idx, len: total })?;
-        let bytes = if self.shared.is_staged(shard) {
+        if self.shared.is_staged(shard) {
             let started = Instant::now();
             let reader = self.shared.reader(shard)?;
             let local = idx as u64 - self.shared.plans[shard].first;
-            let bytes = reader.fetch(local as usize)?;
+            reader.fetch_into(local as usize, buf)?;
             self.shared
                 .metrics
                 .fetch_us
                 .record(started.elapsed().as_micros() as u64);
             self.shared.metrics.local_hits.inc();
-            bytes
         } else {
             self.shared.metrics.fallthrough.inc();
-            self.backing.fetch(idx).map_err(StoreError::Backing)?
-        };
-        self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(bytes)
+            self.backing
+                .fetch_into(idx, buf)
+                .map_err(StoreError::Backing)?;
+        }
+        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -217,6 +238,10 @@ impl SampleSource for StagingSource {
 
     fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
         Ok(self.fetch_verified(idx)?)
+    }
+
+    fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
+        Ok(self.fetch_verified_into(idx, buf)?)
     }
 
     fn bytes_read(&self) -> u64 {
@@ -269,8 +294,12 @@ mod tests {
         assert!(manifest.shards.len() > 1, "packing must split shards");
         let store = ShardSource::open(&dir).unwrap();
         assert_eq!(store.len(), 20);
+        // One recycled buffer across fetches of different sizes.
+        let mut buf = vec![0xEE; 4096];
         for (i, want) in samples.iter().enumerate() {
             assert_eq!(&SampleSource::fetch(&store, i).unwrap(), want);
+            store.fetch_into(i, &mut buf).unwrap();
+            assert_eq!(&buf, want, "fetch_into sample {i}");
         }
         assert_eq!(store.verify().unwrap(), 20);
         assert!(store.fetch_verified(20).is_err());
@@ -286,6 +315,8 @@ mod tests {
         SampleSource::fetch(&store, 0).unwrap();
         SampleSource::fetch(&store, 1).unwrap();
         assert_eq!(store.bytes_read(), 150);
+        store.fetch_into(0, &mut Vec::new()).unwrap();
+        assert_eq!(store.bytes_read(), 250);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -329,6 +360,17 @@ mod tests {
         }
         assert_eq!(src.local_hits(), 4);
         assert_eq!(src.fallthroughs(), 8);
+        // The buffer-reusing path takes the same routes and counts the
+        // same bytes.
+        let before = src.bytes_read();
+        let mut buf = vec![0xEE; 4096];
+        for (i, want) in samples.iter().enumerate() {
+            src.fetch_into(i, &mut buf).unwrap();
+            assert_eq!(&buf, want, "fetch_into sample {i}");
+        }
+        assert_eq!(src.local_hits(), 8);
+        assert_eq!(src.fallthroughs(), 16);
+        assert_eq!(src.bytes_read(), 2 * before);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

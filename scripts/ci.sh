@@ -72,6 +72,14 @@ fi
 stage "cargo test"
 cargo test --workspace -q
 
+stage "crc32 kernel (no silent fall-back where PCLMULQDQ is detected)"
+# A release-mode timing test inside crc32.rs, the one place both
+# kernels can be called directly: prints kernel_name() and both rates,
+# and fails when PCLMULQDQ is detected but one-shot crc32 over 2 MiB is
+# not at least 4x the slicing-by-8 kernel (measured: ~15x).
+cargo test --release -q -p sciml-compress --lib -- \
+    --ignored --exact crc32::tests::crc32_kernel_speed --nocapture
+
 stage "lockcheck-test (lock-order inversion detector enabled)"
 # Rebuilds the parking_lot shim with the dynamic ABBA detector compiled
 # in (panic-on-inversion under test) and re-runs the lock-heavy crates.
