@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    engine_ab_at_high_concurrency();
+    reactor_at_high_concurrency();
 }
 
 /// Client-observed fetch latencies with `conns` connections held open
@@ -158,13 +158,10 @@ fn pct(sorted: &[u64], p: f64) -> f64 {
     sorted[i.min(sorted.len() - 1)] as f64
 }
 
-/// Reactor vs thread-per-connection A/B at 1024 concurrent loopback
-/// connections. The legacy engine gets one worker thread per
-/// connection (its concurrency model demands it — that thread count
-/// *is* the cost being measured against the reactor's fixed pool);
-/// client-observed and server-side tails for both engines land in
+/// 1024 concurrent loopback connections against the reactor's default
+/// worker pool; client-observed and server-side tails land in
 /// `BENCH_serve_reactor.json`.
-fn engine_ab_at_high_concurrency() {
+fn reactor_at_high_concurrency() {
     let conns = 1024usize;
     let fetches = 4usize;
     let mut gen_cfg = CosmoFlowConfig::test_small();
@@ -172,74 +169,49 @@ fn engine_ab_at_high_concurrency() {
     let n = 16usize;
     let blobs = DatasetBuilder::cosmoflow(gen_cfg).build(n, EncodedFormat::Custom);
 
-    let mut entries = vec![BenchEntry::new("connections", conns as f64, "conns")];
-    for (label, legacy) in [("reactor", false), ("legacy_threads", true)] {
-        let registry = MetricsRegistry::new();
-        let server = ServeBuilder::new()
-            .config(ServerConfig {
-                // The legacy engine parks one thread per held-open
-                // connection; the reactor serves them all from its
-                // default worker pool.
-                workers: if legacy {
-                    conns
-                } else {
-                    ServerConfig::default().workers
-                },
-                max_connections: conns + 64,
-                cache_bytes: 1 << 30,
-                read_timeout: Duration::from_secs(120),
-                legacy_threads: legacy,
-                ..ServerConfig::default()
-            })
-            .registry(Arc::clone(&registry))
-            .dataset(
-                "bench",
-                Arc::new(VecSource::new(blobs.clone())) as Arc<dyn SampleSource>,
-            )
-            .bind("127.0.0.1:0")
-            .expect("bind loopback");
-        let t0 = Instant::now();
-        let lat = concurrent_fetch_latency(server.local_addr(), conns, fetches, n as u64);
-        let elapsed = t0.elapsed();
-        server.shutdown();
-        assert_eq!(lat.len(), conns * fetches);
-        println!(
-            "{label}: {conns} conns x {fetches} fetches in {:.2} s — client p50 {:.0} ns / p99 {:.0} ns",
-            elapsed.as_secs_f64(),
-            pct(&lat, 0.50),
-            pct(&lat, 0.99),
-        );
+    let registry = MetricsRegistry::new();
+    let server = ServeBuilder::new()
+        .config(ServerConfig {
+            max_connections: conns + 64,
+            cache_bytes: 1 << 30,
+            read_timeout: Duration::from_secs(120),
+            ..ServerConfig::default()
+        })
+        .registry(Arc::clone(&registry))
+        .dataset(
+            "bench",
+            Arc::new(VecSource::new(blobs)) as Arc<dyn SampleSource>,
+        )
+        .bind("127.0.0.1:0")
+        .expect("bind loopback");
+    let t0 = Instant::now();
+    let lat = concurrent_fetch_latency(server.local_addr(), conns, fetches, n as u64);
+    let elapsed = t0.elapsed();
+    server.shutdown();
+    assert_eq!(lat.len(), conns * fetches);
+    println!(
+        "reactor: {conns} conns x {fetches} fetches in {:.2} s — client p50 {:.0} ns / p99 {:.0} ns",
+        elapsed.as_secs_f64(),
+        pct(&lat, 0.50),
+        pct(&lat, 0.99),
+    );
+    let mut entries = vec![
+        BenchEntry::new("connections", conns as f64, "conns"),
+        BenchEntry::new("reactor_p50_ns", pct(&lat, 0.50), "ns"),
+        BenchEntry::new("reactor_p95_ns", pct(&lat, 0.95), "ns"),
+        BenchEntry::new("reactor_p99_ns", pct(&lat, 0.99), "ns"),
+        BenchEntry::new("reactor_wall_ns", elapsed.as_nanos() as f64, "ns"),
+    ];
+    if let Some(h) = registry.snapshot().histogram("serve.request_ns") {
         entries.push(BenchEntry::new(
-            format!("{label}_p50_ns"),
-            pct(&lat, 0.50),
+            "reactor_server_request_p99_ns",
+            h.percentile(0.99) as f64,
             "ns",
         ));
-        entries.push(BenchEntry::new(
-            format!("{label}_p95_ns"),
-            pct(&lat, 0.95),
-            "ns",
-        ));
-        entries.push(BenchEntry::new(
-            format!("{label}_p99_ns"),
-            pct(&lat, 0.99),
-            "ns",
-        ));
-        entries.push(BenchEntry::new(
-            format!("{label}_wall_ns"),
-            elapsed.as_nanos() as f64,
-            "ns",
-        ));
-        if let Some(h) = registry.snapshot().histogram("serve.request_ns") {
-            entries.push(BenchEntry::new(
-                format!("{label}_server_request_p99_ns"),
-                h.percentile(0.99) as f64,
-                "ns",
-            ));
-        }
     }
     match write_snapshot("serve_reactor", &entries) {
-        Ok(path) => println!("engine A/B snapshot: {}", path.display()),
-        Err(e) => eprintln!("engine A/B snapshot not written: {e}"),
+        Ok(path) => println!("reactor snapshot: {}", path.display()),
+        Err(e) => eprintln!("reactor snapshot not written: {e}"),
     }
 }
 

@@ -8,7 +8,7 @@
 //! sciml transcode FILE --out FILE  # baseline payload -> custom encoding
 //! sciml bench-decode FILE [--iters K]
 //! sciml serve (--dir DIR --n N | --store DIR) [--addr HOST:PORT] [--name NAME] [--cache-mb M]
-//!             [--max-conns N] [--legacy-threads] [--cluster-nodes A,B,C [--replication R]]
+//!             [--max-conns N] [--cluster-nodes A,B,C [--replication R]]
 //!             [--metrics-out F] [--metrics-addr HOST:PORT] [--trace-out FILE]
 //! sciml fetch --addr HOST:PORT [--name NAME] [--indices I,J,K | --all] [--stats] [--shutdown]
 //!             [--decode cosmo|deepcam [--batch B] [--epochs E] [--pool-capacity N]]
@@ -458,7 +458,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let workers: usize = flag_parse(args, "--workers", 4)?;
     let max_conns: usize =
         flag_parse(args, "--max-conns", ServerConfig::default().max_connections)?;
-    let legacy_threads = args.iter().any(|a| a == "--legacy-threads");
 
     let metrics_out = flag(args, "--metrics-out");
     let metrics_addr = flag(args, "--metrics-addr");
@@ -476,7 +475,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             workers,
             cache_bytes: cache_mb << 20,
             max_connections: max_conns,
-            legacy_threads,
             ..ServerConfig::default()
         })
         .telemetry(&telemetry);
@@ -499,7 +497,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 
     let desc = if let Some(store_dir) = flag(args, "--store") {
         // Opening with telemetry registers the store.decode.* counters
-        // in the shared registry, which the server lifts into v5 stats
+        // in the shared registry, which the server lifts into stats
         // replies and the scrape endpoint exposes.
         let store = ShardSource::open_with_telemetry(&store_dir, &telemetry)
             .map_err(|e| format!("open store {store_dir}: {e}"))?;
@@ -523,13 +521,8 @@ fn serve(args: &[String]) -> Result<(), String> {
     };
 
     let handle = builder.bind(addr).map_err(|e| format!("bind: {e}"))?;
-    let engine = if legacy_threads {
-        "legacy thread-per-connection"
-    } else {
-        "reactor"
-    };
     println!(
-        "serving '{name}' ({desc}) on {} — {engine} engine, {workers} workers, \
+        "serving '{name}' ({desc}) on {} — {workers} workers, \
          {max_conns} max connections, {cache_mb} MiB hot cache{cluster_desc}",
         handle.local_addr()
     );
@@ -716,27 +709,14 @@ fn fetch(args: &[String]) -> Result<(), String> {
     }
     if args.iter().any(|a| a == "--stats") {
         let s = src.server_stats().map_err(|e| e.to_string())?;
-        if s.latency.is_empty() {
-            // v1 server: only the cumulative sum is on the wire.
-            let mean_us = if s.requests > 0 {
-                s.request_ns as f64 / s.requests as f64 / 1e3
-            } else {
-                0.0
-            };
-            println!(
-                "server stats: {} requests (mean {mean_us:.1} µs)",
-                s.requests
-            );
-        } else {
-            println!(
-                "server stats: {} requests — latency p50 {:.1} µs / p95 {:.1} µs / p99 {:.1} µs / max {:.1} µs",
-                s.requests,
-                s.latency.percentile(0.50) as f64 / 1e3,
-                s.latency.percentile(0.95) as f64 / 1e3,
-                s.latency.percentile(0.99) as f64 / 1e3,
-                s.latency.max as f64 / 1e3,
-            );
-        }
+        println!(
+            "server stats: {} requests — latency p50 {:.1} µs / p95 {:.1} µs / p99 {:.1} µs / max {:.1} µs",
+            s.requests,
+            s.latency.percentile(0.50) as f64 / 1e3,
+            s.latency.percentile(0.95) as f64 / 1e3,
+            s.latency.percentile(0.99) as f64 / 1e3,
+            s.latency.max as f64 / 1e3,
+        );
         println!(
             "  {} samples, {} bytes sent, hot cache {} hits / {} misses / {} evictions, {} rejected connections",
             s.samples_served,
@@ -753,8 +733,8 @@ fn fetch(args: &[String]) -> Result<(), String> {
                 100.0 * s.cache_hits as f64 / lookups as f64
             );
         }
-        // Per-entry payload-encoding decode counters (v5 servers; older
-        // replies predate the field and report all zeros).
+        // Per-entry payload-encoding decode counters (zero unless the
+        // server reads a packed store).
         let decoded = s.decoded_raw + s.decoded_gzip + s.decoded_pack;
         if decoded > 0 {
             println!(
@@ -984,7 +964,7 @@ fn stage(args: &[String]) -> Result<(), String> {
     let out = flag(args, "--out").ok_or("--out DIR required")?;
     let workers: usize = flag_parse(args, "--workers", 2)?;
     let per_shard: u64 = flag_parse(args, "--per-shard", 0)?;
-    // No flag = None: mirror each plan's own encoding (a v4 server
+    // No flag = None: mirror each plan's own encoding (the server
     // reports its store's real per-shard choice).
     let encoding = if flag(args, "--encoding").is_some() || args.iter().any(|a| a == "--gzip") {
         Some(encoding_flag(args)?)

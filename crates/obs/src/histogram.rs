@@ -210,11 +210,13 @@ impl HistogramSnapshot {
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
         for (idx, &n) in self.counts.iter().enumerate() {
-            cum += n;
+            cum = cum.saturating_add(n);
             if cum >= target {
                 let (lo, hi) = bucket_bounds(idx);
                 let mid = lo + (hi - lo) / 2;
-                return mid.clamp(self.min, self.max);
+                // Not `clamp`: a snapshot off the wire may carry
+                // min > max, which `clamp` panics on.
+                return mid.max(self.min).min(self.max);
             }
         }
         self.max
@@ -231,15 +233,17 @@ impl HistogramSnapshot {
     }
 
     /// Rebuilds a snapshot from [`HistogramSnapshot::sparse`] pairs
-    /// plus the scalar fields. Out-of-range indices are ignored.
+    /// plus the scalar fields. Out-of-range indices are ignored; the
+    /// pairs may come off the wire, so repeated indices and the total
+    /// saturate instead of overflowing.
     pub fn from_sparse(pairs: &[(u16, u64)], sum: u64, min: u64, max: u64) -> Self {
         let mut counts = vec![0u64; NUM_BUCKETS];
         for &(idx, n) in pairs {
-            if (idx as usize) < NUM_BUCKETS {
-                counts[idx as usize] += n;
+            if let Some(slot) = counts.get_mut(idx as usize) {
+                *slot = slot.saturating_add(n);
             }
         }
-        let count = counts.iter().sum();
+        let count = counts.iter().fold(0u64, |acc, &n| acc.saturating_add(n));
         Self {
             counts,
             count,
@@ -334,6 +338,19 @@ mod tests {
         let s = h.snapshot();
         let back = HistogramSnapshot::from_sparse(&s.sparse(), s.sum, s.min, s.max);
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn hostile_sparse_pairs_saturate_and_query_without_panic() {
+        // Repeated index, a total past u64::MAX, and min > max.
+        let pairs = [(0u16, u64::MAX), (0, 1), (3, 5), (4, u64::MAX)];
+        let s = HistogramSnapshot::from_sparse(&pairs, 0, 10, 5);
+        assert_eq!(s.counts[0], u64::MAX);
+        assert_eq!(s.count, u64::MAX);
+        assert_eq!(s.percentile(0.5), 5);
+        let tail = HistogramSnapshot::from_sparse(&pairs[2..], 0, 0, u64::MAX);
+        assert_eq!(tail.count, u64::MAX);
+        assert!(tail.percentile(0.99) >= 4);
     }
 
     #[test]

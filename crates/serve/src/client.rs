@@ -11,7 +11,7 @@
 
 use crate::protocol::{
     read_message, write_message, DatasetEntry, ErrorCode, Message, ProtocolError, StatsSnapshot,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use sciml_obs::{Counter, MetricsRegistry, TraceContext};
@@ -52,34 +52,16 @@ impl Default for ClientConfig {
     }
 }
 
-/// One pooled, version-negotiated connection.
+/// One pooled connection, past its `Hello` exchange.
 struct Conn {
     stream: TcpStream,
-    /// Version both ends agreed to speak.
-    negotiated: u16,
 }
 
 impl Conn {
-    /// Opens a connection at the newest protocol version, walking the
-    /// offer down one version at a time whenever the server rejects it
-    /// with `VersionMismatch` — so a new client keeps working against
-    /// any older server (it just loses the newer-version features, e.g.
-    /// latency histograms below v2 or trace propagation below v5).
-    /// Servers that ack `min(offered, theirs)` settle in one dial; only
-    /// strict single-version peers make the ladder descend.
+    /// Dials `addr` and greets with [`PROTOCOL_VERSION`]. A server on
+    /// any other version answers with a typed `VersionMismatch`, which
+    /// is returned as is: there is no negotiation.
     fn open(addr: &str, cfg: &ClientConfig) -> Result<Self, PipelineError> {
-        let mut version = PROTOCOL_VERSION;
-        loop {
-            match Self::open_at(addr, cfg, version) {
-                Err(e) if version > MIN_PROTOCOL_VERSION && is_version_mismatch(&e) => {
-                    version -= 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn open_at(addr: &str, cfg: &ClientConfig, version: u16) -> Result<Self, PipelineError> {
         let stream = TcpStream::connect(addr).map_err(io_to_pipeline)?;
         stream
             .set_read_timeout(Some(cfg.read_timeout))
@@ -88,16 +70,18 @@ impl Conn {
             .set_write_timeout(Some(cfg.write_timeout))
             .map_err(io_to_pipeline)?;
         let _ = stream.set_nodelay(true);
-        let mut conn = Self {
-            stream,
-            negotiated: version,
-        };
-        conn.send(&Message::Hello { version })?;
+        let mut conn = Self { stream };
+        conn.send(&Message::Hello {
+            version: PROTOCOL_VERSION,
+        })?;
         match conn.recv()? {
-            Message::HelloAck { version } => {
-                conn.negotiated = version;
-                Ok(conn)
-            }
+            Message::HelloAck {
+                version: PROTOCOL_VERSION,
+            } => Ok(conn),
+            Message::HelloAck { version } => Err(server_error(
+                ErrorCode::VersionMismatch,
+                format!("server acked v{version}, client speaks v{PROTOCOL_VERSION}"),
+            )),
             Message::Error { code, detail } => Err(server_error(code, detail)),
             other => Err(unexpected_reply(&other)),
         }
@@ -111,24 +95,18 @@ impl Conn {
         read_message(&mut self.stream).map_err(protocol_to_pipeline)
     }
 
-    /// One request/response exchange. On a v5+ connection, a request
-    /// issued under an active trace context is wrapped in
-    /// [`Message::Traced`] so the server's child spans join the
-    /// caller's trace; on older connections the request goes out
-    /// unwrapped — byte-identical to an untraced client — and the
-    /// trace simply ends at the client span.
+    /// One request/response exchange. A request issued under an active
+    /// trace context is wrapped in [`Message::Traced`] so the server's
+    /// child spans join the caller's trace.
     fn call(&mut self, msg: &Message) -> Result<Message, PipelineError> {
-        if self.negotiated >= 5 {
-            if let Some(ctx) = TraceContext::current() {
-                self.send(&Message::Traced {
-                    trace_id: ctx.trace_id,
-                    parent_span: ctx.span_id,
-                    inner: Box::new(msg.clone()),
-                })?;
-                return self.recv();
-            }
+        match TraceContext::current() {
+            Some(ctx) => self.send(&Message::Traced {
+                trace_id: ctx.trace_id,
+                parent_span: ctx.span_id,
+                inner: Box::new(msg.clone()),
+            })?,
+            None => self.send(msg)?,
         }
-        self.send(msg)?;
         self.recv()
     }
 }
@@ -149,30 +127,58 @@ fn protocol_to_pipeline(e: ProtocolError) -> PipelineError {
     }
 }
 
+/// A failure the server reported in a [`Message::Error`] frame, boxed
+/// inside [`PipelineError::Remote`] so callers can `downcast_ref` it and
+/// act on the code instead of on the message text.
+#[derive(Debug)]
+pub struct ServerError {
+    /// Machine-readable code off the wire.
+    pub code: ErrorCode,
+    /// Human-readable detail off the wire.
+    pub detail: String,
+}
+
+impl std::fmt::Display for ServerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "server error ({:?}): {}", self.code, self.detail)
+    }
+}
+
+impl std::error::Error for ServerError {}
+
 fn server_error(code: ErrorCode, detail: String) -> PipelineError {
-    PipelineError::Remote(format!("server error ({code:?}): {detail}").into())
+    PipelineError::Remote(Box::new(ServerError { code, detail }))
 }
 
 fn unexpected_reply(msg: &Message) -> PipelineError {
     PipelineError::Remote(format!("unexpected server reply: {msg:?}").into())
 }
 
-/// Did the server reject our protocol version offer?
-fn is_version_mismatch(e: &PipelineError) -> bool {
-    matches!(e, PipelineError::Remote(inner)
-        if inner.to_string().contains("VersionMismatch"))
+/// The snapshot out of a reply to `Stats` or `Shutdown`.
+fn stats_of(reply: Message) -> Result<StatsSnapshot, PipelineError> {
+    match reply {
+        Message::StatsReply(s) => Ok(s),
+        Message::Error { code, detail } => Err(server_error(code, detail)),
+        other => Err(unexpected_reply(&other)),
+    }
 }
 
-/// Is this failure worth a retry on a fresh connection?
+/// The code of a server-reported failure, `None` for anything else.
+fn server_code(e: &PipelineError) -> Option<ErrorCode> {
+    match e {
+        PipelineError::Remote(inner) => inner.downcast_ref::<ServerError>().map(|s| s.code),
+        _ => None,
+    }
+}
+
+/// Is this failure worth a retry on a fresh connection? `Busy`
+/// rejections clear once in-flight connections finish and wire-level
+/// failures may be a dropped or poisoned connection; every other
+/// server-reported error would repeat.
 fn is_transient(e: &PipelineError) -> bool {
     match e {
         PipelineError::Timeout(_) => true,
-        PipelineError::Remote(inner) => {
-            let text = inner.to_string();
-            // Busy rejections clear once in-flight connections finish;
-            // wire-level failures may be a dropped/poisoned connection.
-            text.contains("Busy") || !text.starts_with("server error")
-        }
+        PipelineError::Remote(_) => matches!(server_code(e), None | Some(ErrorCode::Busy)),
         _ => false,
     }
 }
@@ -271,27 +277,26 @@ impl RemoteSource {
         }
     }
 
-    /// Fetches this dataset's shard partitioning for staging (v3+).
+    /// Fetches this dataset's shard partitioning for staging.
     ///
     /// A store-backed dataset returns its real on-disk shard
     /// boundaries; any other dataset gets a plan synthesized from
     /// `per_shard` samples per shard (0 = server's choice). Feed the
     /// result to a `sciml_store::Stager` so whole shards are fetched
-    /// in server-aligned ranges. A v4 server's reply carries each
-    /// shard's payload encoding; a v3 reply decodes with
-    /// `EncodingChoice::Auto`, so the stager trial-selects locally.
+    /// in server-aligned ranges; each plan carries the shard's payload
+    /// encoding.
     pub fn shard_manifest(&self, per_shard: u64) -> Result<Vec<ShardPlan>, PipelineError> {
         match self.call(&Message::ShardManifest {
             name: self.name.clone(),
             per_shard,
         })? {
-            Message::ShardManifestReply(plans) | Message::ShardManifestReplyV2(plans) => Ok(plans),
+            Message::ShardManifestReply(plans) => Ok(plans),
             Message::Error { code, detail } => Err(server_error(code, detail)),
             other => Err(unexpected_reply(&other)),
         }
     }
 
-    /// Fetches the cluster placement for this dataset (v6+): the node
+    /// Fetches the cluster placement for this dataset: the node
     /// list and each shard's replica set, primary first. A server not
     /// running in cluster mode answers with a single-node plan naming
     /// itself, so callers can treat every server uniformly. Feed the
@@ -307,25 +312,14 @@ impl RemoteSource {
         }
     }
 
-    /// Fetches the server-side stats snapshot. A v2+ server includes
-    /// the request-latency histogram; a v1 server's snapshot has an
-    /// empty `latency` (callers fall back to the `request_ns` mean). A
-    /// v5 server additionally fills the per-encoding decode counters.
+    /// Fetches the server-side stats snapshot.
     pub fn server_stats(&self) -> Result<StatsSnapshot, PipelineError> {
-        match self.call(&Message::Stats)? {
-            Message::StatsReply(s) | Message::StatsReplyV2(s) | Message::StatsReplyV3(s) => Ok(s),
-            Message::Error { code, detail } => Err(server_error(code, detail)),
-            other => Err(unexpected_reply(&other)),
-        }
+        stats_of(self.call(&Message::Stats)?)
     }
 
     /// Asks the server to shut down; returns its final stats.
     pub fn shutdown_server(&self) -> Result<StatsSnapshot, PipelineError> {
-        match self.call(&Message::Shutdown)? {
-            Message::StatsReply(s) | Message::StatsReplyV2(s) | Message::StatsReplyV3(s) => Ok(s),
-            Message::Error { code, detail } => Err(server_error(code, detail)),
-            other => Err(unexpected_reply(&other)),
-        }
+        stats_of(self.call(&Message::Shutdown)?)
     }
 
     /// Shuts down the server at `addr` without binding to any dataset
@@ -333,11 +327,7 @@ impl RemoteSource {
     /// dataset name is unknown, which a shutdown caller may not know).
     pub fn shutdown_at(addr: &str) -> Result<StatsSnapshot, PipelineError> {
         let mut conn = Conn::open(addr, &ClientConfig::default())?;
-        match conn.call(&Message::Shutdown)? {
-            Message::StatsReply(s) | Message::StatsReplyV2(s) | Message::StatsReplyV3(s) => Ok(s),
-            Message::Error { code, detail } => Err(server_error(code, detail)),
-            other => Err(unexpected_reply(&other)),
-        }
+        stats_of(conn.call(&Message::Shutdown)?)
     }
 
     /// Fetches a batch of samples in one round trip, in request order.
@@ -421,9 +411,7 @@ impl RemoteSource {
     fn classify_failure(&self, e: &PipelineError) {
         match e {
             PipelineError::Timeout(_) => self.timeout_count.inc(),
-            PipelineError::Remote(inner) if inner.to_string().contains("Busy") => {
-                self.busy_count.inc()
-            }
+            _ if server_code(e) == Some(ErrorCode::Busy) => self.busy_count.inc(),
             _ => {}
         }
     }
@@ -512,142 +500,80 @@ mod tests {
         server.join();
     }
 
-    /// A minimal server that only speaks protocol v1: rejects any other
-    /// Hello with `VersionMismatch`, then answers one Stats request.
-    /// The descending ladder dials once per version, so the accept loop
-    /// runs until the v1 offer finally lands.
-    fn spawn_strict_v1_server() -> (String, std::thread::JoinHandle<()>) {
-        use crate::protocol::{read_message, write_message};
+    /// A peer that answers every `Hello` with `Error{code, detail}` and
+    /// closes. The returned closure ends it with a silent dial and
+    /// yields how many greetings it refused.
+    fn spawn_refusing_server(
+        code: ErrorCode,
+        detail: &'static str,
+    ) -> (String, impl FnOnce() -> usize) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
-            // One rejected connection per version above v1, then the
-            // accepted v1 dial.
-            for _ in 0..PROTOCOL_VERSION {
-                let (mut stream, _) = listener.accept().unwrap();
-                match read_message(&mut stream).unwrap() {
-                    Message::Hello { version: 1 } => {
-                        write_message(&mut stream, &Message::HelloAck { version: 1 }).unwrap();
-                        if let Ok(Message::Stats) = read_message(&mut stream) {
-                            write_message(
-                                &mut stream,
-                                &Message::StatsReply(StatsSnapshot {
-                                    requests: 7,
-                                    ..StatsSnapshot::default()
-                                }),
-                            )
-                            .unwrap();
-                        }
-                        return;
-                    }
-                    Message::Hello { .. } => {
-                        write_message(
-                            &mut stream,
-                            &Message::Error {
-                                code: ErrorCode::VersionMismatch,
-                                detail: "only v1 spoken here".into(),
-                            },
-                        )
-                        .unwrap();
-                    }
-                    other => panic!("expected Hello, got {other:?}"),
-                }
+            let mut refused = 0;
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                let Ok(Message::Hello { .. }) = read_message(&mut stream) else {
+                    break;
+                };
+                let detail = detail.into();
+                write_message(&mut stream, &Message::Error { code, detail }).unwrap();
+                refused += 1;
             }
+            refused
         });
-        (addr, handle)
+        let stop_addr = addr.clone();
+        (addr, move || {
+            drop(TcpStream::connect(stop_addr).unwrap());
+            handle.join().unwrap()
+        })
+    }
+
+    /// Connects to a refusing server with a three-attempt budget;
+    /// returns the error, `client.retries`, `client.busy_rejections`
+    /// and the dials the server saw.
+    fn connect_refused(code: ErrorCode, detail: &'static str) -> (PipelineError, u64, u64, usize) {
+        let (addr, refused) = spawn_refusing_server(code, detail);
+        let cfg = ClientConfig {
+            max_attempts: 3,
+            initial_backoff: Duration::from_millis(1),
+            ..ClientConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let err = RemoteSource::connect_with_registry(addr, "demo", cfg, Arc::clone(&registry))
+            .expect_err("refused");
+        let snap = registry.snapshot();
+        (
+            err,
+            snap.counter("client.retries"),
+            snap.counter("client.busy_rejections"),
+            refused(),
+        )
     }
 
     #[test]
-    fn falls_back_to_v1_against_old_server() {
-        let (addr, handle) = spawn_strict_v1_server();
-        let mut conn = Conn::open(&addr, &ClientConfig::default()).expect("v1 fallback");
-        assert_eq!(conn.negotiated, 1);
-        let reply = conn.call(&Message::Stats).unwrap();
-        match reply {
-            Message::StatsReply(s) => {
-                assert_eq!(s.requests, 7);
-                assert!(s.latency.is_empty(), "v1 reply carries no histogram");
-            }
-            other => panic!("expected v1 StatsReply, got {other:?}"),
-        }
-        handle.join().unwrap();
-    }
-
-    /// A server pinned at protocol v4: acks `min(offered, 4)` like a
-    /// real pre-v5 build, then relays one raw request frame back for
-    /// byte-level inspection before answering it.
-    fn spawn_strict_v4_server(
-        frame_tx: std::sync::mpsc::Sender<Vec<u8>>,
-    ) -> (String, std::thread::JoinHandle<()>) {
-        use crate::protocol::{read_message, write_message};
-        use std::io::Read;
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            match read_message(&mut stream).unwrap() {
-                Message::Hello { version } => {
-                    write_message(
-                        &mut stream,
-                        &Message::HelloAck {
-                            version: version.min(4),
-                        },
-                    )
-                    .unwrap();
-                }
-                other => panic!("expected Hello, got {other:?}"),
-            }
-            // Capture the next request frame raw: length prefix,
-            // payload, CRC trailer.
-            let mut len_buf = [0u8; 4];
-            stream.read_exact(&mut len_buf).unwrap();
-            let payload_len = u32::from_le_bytes(len_buf) as usize;
-            let mut rest = vec![0u8; payload_len + 4];
-            stream.read_exact(&mut rest).unwrap();
-            let mut frame = len_buf.to_vec();
-            frame.extend_from_slice(&rest);
-            frame_tx.send(frame.clone()).unwrap();
-            let request = crate::protocol::Message::from_payload(&frame[4..4 + payload_len])
-                .expect("captured frame parses");
-            assert!(matches!(request, Message::Stats), "expected Stats");
-            write_message(
-                &mut stream,
-                &Message::StatsReplyV2(StatsSnapshot {
-                    requests: 9,
-                    ..StatsSnapshot::default()
-                }),
-            )
-            .unwrap();
-        });
-        (addr, handle)
+    fn version_mismatch_is_typed_and_dialed_once() {
+        let (err, retries, _, dials) =
+            connect_refused(ErrorCode::VersionMismatch, "only v7 spoken here");
+        assert_eq!(server_code(&err), Some(ErrorCode::VersionMismatch));
+        assert!(!is_transient(&err));
+        assert_eq!((retries, dials), (0, 1), "no second dial, no ladder");
     }
 
     #[test]
-    fn v5_client_degrades_to_untraced_requests_against_v4_server() {
-        use crate::protocol::write_message;
-        let (frame_tx, frame_rx) = std::sync::mpsc::channel();
-        let (addr, handle) = spawn_strict_v4_server(frame_tx);
-        let mut conn = Conn::open(&addr, &ClientConfig::default()).expect("v4 downgrade");
-        assert_eq!(conn.negotiated, 4);
-        // An active trace context would wrap the request on a v5
-        // connection; on this v4 connection it must not.
-        let _guard = TraceContext::install(TraceContext::root());
-        let reply = conn.call(&Message::Stats).unwrap();
-        match reply {
-            Message::StatsReplyV2(s) => {
-                assert_eq!(s.requests, 9);
-                assert_eq!(s.decoded_raw, 0, "pre-v5 reply has no decode counters");
-            }
-            other => panic!("expected StatsReplyV2, got {other:?}"),
-        }
-        // The frame that crossed the wire is byte-identical to what an
-        // untraced client writes: no Traced envelope, same tag, same
-        // CRC.
-        let sent = frame_rx.recv().unwrap();
-        let mut untraced = Vec::new();
-        write_message(&mut untraced, &Message::Stats).unwrap();
-        assert_eq!(sent, untraced);
-        handle.join().unwrap();
+    fn busy_frame_is_retried_and_counted() {
+        let (err, retries, busy, dials) = connect_refused(ErrorCode::Busy, "admission limit");
+        assert_eq!(server_code(&err), Some(ErrorCode::Busy));
+        assert_eq!((retries, busy, dials), (2, 3, 3));
+    }
+
+    #[test]
+    fn error_detail_naming_busy_is_not_a_busy_rejection() {
+        // Only the code may decide: this detail contains "Busy".
+        let (err, retries, busy, dials) =
+            connect_refused(ErrorCode::UnknownDataset, "no dataset named 'Busy'");
+        assert_eq!(server_code(&err), Some(ErrorCode::UnknownDataset));
+        assert_eq!((retries, busy, dials), (0, 0, 1));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Layout:
 //! * [`protocol`] — wire frames (`[len][payload][crc32]`), message
 //!   codec, typed [`protocol::ProtocolError`]s for every corruption;
-//! * [`server`] — acceptor + bounded worker pool, admission control,
+//! * [`server`] — `sciml-net` reactor glue, admission control,
 //!   per-dataset DRAM LRU hot cache, counters;
 //! * [`client`] — pooled, retrying `RemoteSource`;
 //! * [`metrics`] — server-side latency/throughput counters;
@@ -27,7 +27,7 @@ pub mod scrape;
 pub mod server;
 mod session;
 
-pub use client::{ClientConfig, RemoteSource};
+pub use client::{ClientConfig, RemoteSource, ServerError};
 pub use cluster::ClusterSource;
 pub use protocol::{Message, ProtocolError, StatsSnapshot, PROTOCOL_VERSION};
 pub use scrape::{scrape_once, spawn_scrape_listener, ScrapeHandle};

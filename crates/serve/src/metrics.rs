@@ -2,9 +2,8 @@
 //! into the wire [`StatsSnapshot`] on demand.
 //!
 //! Request handling time is a full latency histogram
-//! (`serve.request_ns`), so v2 stats replies carry p50/p95/p99 tails
-//! instead of only a cumulative mean; the old `request_ns` sum stays in
-//! the wire snapshot for v1 peers.
+//! (`serve.request_ns`), so stats replies carry p50/p95/p99 tails
+//! beside the cumulative `request_ns` sum.
 
 use crate::protocol::StatsSnapshot;
 use sciml_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -19,10 +18,9 @@ pub struct ServerMetrics {
     requests: Arc<Counter>,
     samples_served: Arc<Counter>,
     bytes_sent: Arc<Counter>,
-    rejected_connections: Arc<Counter>,
     /// Per-encoding store decode counters (`store.decode.*`) — bumped
     /// by the shard source when it shares this registry, surfaced in
-    /// v5 stats replies.
+    /// stats replies.
     decoded_raw: Arc<Counter>,
     decoded_gzip: Arc<Counter>,
     decoded_pack: Arc<Counter>,
@@ -34,7 +32,8 @@ pub struct ServerMetrics {
     /// (`serve.conn.accepted`).
     pub conn_accepted: Arc<Counter>,
     /// Connections turned away with a typed busy/draining frame
-    /// (`serve.conn.rejected_busy`).
+    /// (`serve.conn.rejected_busy`); the wire snapshot's
+    /// `rejected_connections` reads it.
     pub conn_rejected_busy: Arc<Counter>,
     /// Connections closed by graceful drain after their in-flight
     /// replies completed (`serve.conn.drained`).
@@ -55,7 +54,6 @@ impl ServerMetrics {
             requests: registry.counter("serve.requests"),
             samples_served: registry.counter("serve.samples_served"),
             bytes_sent: registry.counter("serve.bytes_sent"),
-            rejected_connections: registry.counter("serve.rejected_connections"),
             decoded_raw: registry.counter("store.decode.raw"),
             decoded_gzip: registry.counter("store.decode.gzip"),
             decoded_pack: registry.counter("store.decode.pack"),
@@ -84,19 +82,6 @@ impl ServerMetrics {
         self.bytes_sent.add(bytes);
     }
 
-    /// Records a connection turned away at the admission limit.
-    pub fn record_rejected(&self) {
-        self.rejected_connections.inc();
-        self.conn_rejected_busy.inc();
-    }
-
-    /// Bumps only the legacy `serve.rejected_connections` aggregate —
-    /// for the reactor engine, which counts `serve.conn.rejected_busy`
-    /// itself.
-    pub fn record_rejected_aggregate(&self) {
-        self.rejected_connections.inc();
-    }
-
     /// Requests handled so far.
     pub fn requests(&self) -> u64 {
         self.requests.get()
@@ -104,7 +89,7 @@ impl ServerMetrics {
 
     /// Connections rejected so far.
     pub fn rejected_connections(&self) -> u64 {
-        self.rejected_connections.get()
+        self.conn_rejected_busy.get()
     }
 
     /// Builds the wire snapshot; cache counters come from the caller
@@ -123,7 +108,7 @@ impl ServerMetrics {
             cache_hits,
             cache_misses,
             cache_evictions,
-            rejected_connections: self.rejected_connections.get(),
+            rejected_connections: self.conn_rejected_busy.get(),
             request_ns: latency.sum,
             decoded_raw: self.decoded_raw.get(),
             decoded_gzip: self.decoded_gzip.get(),
@@ -143,7 +128,7 @@ mod tests {
         m.record_request(Duration::from_nanos(500));
         m.record_request(Duration::from_nanos(700));
         m.record_samples(4, 4096);
-        m.record_rejected();
+        m.conn_rejected_busy.inc();
         let s = m.snapshot(10, 2, 1);
         assert_eq!(s.requests, 2);
         assert_eq!(s.request_ns, 1200);
@@ -175,13 +160,12 @@ mod tests {
         m.conn_accepted.inc();
         m.conn_active.add(1);
         m.conn_drained.inc();
-        m.record_rejected();
+        m.conn_rejected_busy.inc();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.conn.accepted"), 1);
         assert_eq!(snap.gauge("serve.conn.active"), 1);
         assert_eq!(snap.counter("serve.conn.drained"), 1);
         assert_eq!(snap.counter("serve.conn.rejected_busy"), 1);
-        // The legacy aggregate stays in lockstep with the typed counter.
-        assert_eq!(snap.counter("serve.rejected_connections"), 1);
+        assert_eq!(m.rejected_connections(), 1);
     }
 }

@@ -14,6 +14,13 @@
 //! oversized allocation; the CRC is validated before the payload is
 //! parsed. All integers are little-endian. Strings are UTF-8 with a
 //! `u16` length prefix.
+//!
+//! There is one protocol version, [`PROTOCOL_VERSION`]. A connection
+//! opens with `Hello` carrying exactly that number; any other number is
+//! answered with an `Error{VersionMismatch}` frame and a close. Any
+//! change to a tag or a body bumps the number; there is no negotiation.
+//! Tags 0x0A, 0x0C and 0x0E belonged to retired replies and stay
+//! unassigned.
 
 use sciml_compress::crc32::crc32;
 use sciml_obs::HistogramSnapshot;
@@ -21,27 +28,10 @@ use sciml_store::{ClusterPlan, EncodingChoice, ShardAssignment, ShardPlan};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Protocol version spoken by this build. Bumped on incompatible frame
-/// or message changes; [`Message::Hello`] negotiates it. Version 2
-/// added [`Message::StatsReplyV2`] carrying the request-latency
-/// histogram; version 3 added the [`Message::ShardManifest`] exchange
-/// so clients can stage whole shards instead of issuing per-sample
-/// fetches; version 4 added [`Message::ShardManifestReplyV2`], whose
-/// entries carry each shard's payload-encoding byte so stagers can
-/// mirror the server store's raw/gzip/pack choice; version 5 added the
-/// [`Message::Traced`] request wrapper carrying a distributed-trace
-/// context (trace id + parent span id) so server-side spans join the
-/// client's trace, and [`Message::StatsReplyV3`] with per-encoding
-/// decode counters; version 6 added the [`Message::ClusterManifest`]
-/// exchange, which extends the shard-manifest reply with the cluster's
-/// node list and each shard's consistent-hash replica set so clients
-/// can route fetches and fail over between replicas. Everything else is
-/// unchanged, so servers still accept [`MIN_PROTOCOL_VERSION`] clients
-/// and reply with v1 messages.
+/// The one protocol version. Both ends must carry exactly this number
+/// in [`Message::Hello`] / [`Message::HelloAck`]; any change to a tag
+/// or a message body bumps it.
 pub const PROTOCOL_VERSION: u16 = 6;
-
-/// Oldest client version the server still accepts.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Hard ceiling on a frame payload (64 MiB). Large enough for a batch
 /// of encoded samples, small enough to bound per-connection memory.
@@ -127,7 +117,7 @@ pub enum ErrorCode {
     IndexOutOfRange = 2,
     /// Server at its concurrent-connection admission limit.
     Busy = 3,
-    /// Version negotiation failed.
+    /// The peer's `Hello` carried a version other than ours.
     VersionMismatch = 4,
     /// The server failed reading the sample from its backing source.
     SourceError = 5,
@@ -149,8 +139,7 @@ impl ErrorCode {
     }
 }
 
-/// Server-side counters shipped in a [`Message::StatsReply`] /
-/// [`Message::StatsReplyV2`].
+/// Server-side counters shipped in a [`Message::StatsReply`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests served (all message kinds after `Hello`).
@@ -169,16 +158,13 @@ pub struct StatsSnapshot {
     pub rejected_connections: u64,
     /// Cumulative request handling time, nanoseconds.
     pub request_ns: u64,
-    /// Store payloads decoded from raw entries. Zero when the snapshot
-    /// crossed the wire as a pre-v5 reply, which predates the field.
+    /// Store payloads decoded from raw entries.
     pub decoded_raw: u64,
-    /// Store payloads decoded from gzip entries (pre-v5 replies: 0).
+    /// Store payloads decoded from gzip entries.
     pub decoded_gzip: u64,
-    /// Store payloads decoded from pack entries (pre-v5 replies: 0).
+    /// Store payloads decoded from pack entries.
     pub decoded_pack: u64,
-    /// Request-latency distribution (nanoseconds). Empty when the
-    /// snapshot crossed the wire as a v1 [`Message::StatsReply`], which
-    /// predates the field.
+    /// Request-latency distribution (nanoseconds).
     pub latency: HistogramSnapshot,
 }
 
@@ -199,9 +185,9 @@ pub enum Message {
         /// Client protocol version.
         version: u16,
     },
-    /// Server acceptance of the negotiated version.
+    /// Server acceptance of a `Hello` carrying [`PROTOCOL_VERSION`].
     HelloAck {
-        /// Version the server will speak.
+        /// The server's protocol version.
         version: u16,
     },
     /// Client request for the dataset table.
@@ -229,13 +215,11 @@ pub enum Message {
     Samples(Vec<Vec<u8>>),
     /// Client request for server counters.
     Stats,
-    /// Server reply to [`Message::Stats`] on v1 connections: counters
-    /// only, the latency histogram is dropped at encode time.
+    /// Server reply to [`Message::Stats`] and [`Message::Shutdown`]:
+    /// counters, per-encoding store decode counters and the sparse
+    /// request-latency histogram.
     StatsReply(StatsSnapshot),
-    /// Server reply to [`Message::Stats`] on v2 connections: counters
-    /// plus the sparse request-latency histogram.
-    StatsReplyV2(StatsSnapshot),
-    /// Client request (v3) for a dataset's shard partitioning, so a
+    /// Client request for a dataset's shard partitioning, so a
     /// stager can copy shard-sized sample ranges instead of issuing
     /// per-sample fetches. `per_shard` is the client's preferred
     /// samples-per-shard for datasets the server has to partition on
@@ -247,21 +231,13 @@ pub enum Message {
         /// Preferred samples per synthesized shard (0 = server default).
         per_shard: u64,
     },
-    /// Server reply to [`Message::ShardManifest`] on v3 connections:
-    /// the staging plan, without encoding metadata. Decoded plans get
-    /// [`EncodingChoice::Auto`] so the stager trial-selects locally.
+    /// Server reply to [`Message::ShardManifest`]: the staging plan
+    /// with each shard's payload-encoding byte, so a stager reproduces
+    /// the server store's raw/gzip/pack choice.
     ShardManifestReply(Vec<ShardPlan>),
-    /// Server reply to [`Message::ShardManifest`] on v4 connections:
-    /// the staging plan with each shard's payload-encoding byte, so a
-    /// stager reproduces the server store's raw/gzip/pack choice.
-    ShardManifestReplyV2(Vec<ShardPlan>),
-    /// Server reply to [`Message::Stats`] on v5 connections: the v2
-    /// body plus per-encoding store decode counters.
-    StatsReplyV3(StatsSnapshot),
-    /// Request wrapper (v5): carries the client's distributed-trace
-    /// context so the server records its spans into the same trace.
-    /// Wraps exactly one non-`Traced` request message; v≤4 peers never
-    /// see it.
+    /// Request wrapper: carries the client's distributed-trace context
+    /// so the server records its spans into the same trace. Wraps
+    /// exactly one non-`Traced` request message.
     Traced {
         /// Trace the request belongs to.
         trace_id: u64,
@@ -270,7 +246,7 @@ pub enum Message {
         /// The wrapped request.
         inner: Box<Message>,
     },
-    /// Client request (v6) for a dataset's cluster placement: the node
+    /// Client request for a dataset's cluster placement: the node
     /// list and each shard's consistent-hash replica set. A server not
     /// running in cluster mode answers with a single-node plan naming
     /// itself, so clients can treat every server uniformly.
@@ -278,9 +254,9 @@ pub enum Message {
         /// Dataset name.
         name: String,
     },
-    /// Server reply to [`Message::ClusterManifest`] on v6 connections:
-    /// the full placement, replica indices referring into the node
-    /// list (primary first). The placement is also recomputable from
+    /// Server reply to [`Message::ClusterManifest`]: the full placement,
+    /// replica indices referring into the node list (primary first).
+    /// The placement is also recomputable from
     /// the node list alone (the hash ring is deterministic); the wire
     /// copy spares clients a dependency on ring parameters.
     ClusterManifestReply(ClusterPlan),
@@ -305,15 +281,12 @@ mod tags {
     pub const FETCH_SAMPLES: u8 = 0x07;
     pub const SAMPLES: u8 = 0x08;
     pub const STATS: u8 = 0x09;
-    pub const STATS_REPLY: u8 = 0x0A;
     pub const SHUTDOWN: u8 = 0x0B;
-    pub const STATS_REPLY_V2: u8 = 0x0C;
     pub const SHARD_MANIFEST: u8 = 0x0D;
-    pub const SHARD_MANIFEST_REPLY: u8 = 0x0E;
     pub const ERROR: u8 = 0x0F;
-    pub const SHARD_MANIFEST_REPLY_V2: u8 = 0x10;
+    pub const SHARD_MANIFEST_REPLY: u8 = 0x10;
     pub const TRACED: u8 = 0x11;
-    pub const STATS_REPLY_V3: u8 = 0x12;
+    pub const STATS_REPLY: u8 = 0x12;
     pub const CLUSTER_MANIFEST: u8 = 0x13;
     pub const CLUSTER_MANIFEST_REPLY: u8 = 0x14;
 }
@@ -326,49 +299,13 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_stats_counters(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    for field in [
-        s.requests,
-        s.samples_served,
-        s.bytes_sent,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_evictions,
-        s.rejected_connections,
-        s.request_ns,
-    ] {
-        out.extend_from_slice(&field.to_le_bytes());
-    }
-}
-
-fn read_stats_counters(r: &mut Reader<'_>) -> Result<StatsSnapshot, ProtocolError> {
-    let mut fields = [0u64; 8];
-    for f in &mut fields {
-        *f = r.u64()?;
-    }
-    Ok(StatsSnapshot {
-        requests: fields[0],
-        samples_served: fields[1],
-        bytes_sent: fields[2],
-        cache_hits: fields[3],
-        cache_misses: fields[4],
-        cache_evictions: fields[5],
-        rejected_connections: fields[6],
-        request_ns: fields[7],
-        decoded_raw: 0,
-        decoded_gzip: 0,
-        decoded_pack: 0,
-        latency: HistogramSnapshot::default(),
-    })
-}
-
 /// Sparse latency histogram: scalar fields then (bucket index, count)
-/// pairs. Shared by the v2 and v3 stats replies.
-fn put_latency(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    let pairs = s.latency.sparse();
-    out.extend_from_slice(&s.latency.sum.to_le_bytes());
-    out.extend_from_slice(&s.latency.min.to_le_bytes());
-    out.extend_from_slice(&s.latency.max.to_le_bytes());
+/// pairs.
+fn put_latency(out: &mut Vec<u8>, latency: &HistogramSnapshot) {
+    let pairs = latency.sparse();
+    out.extend_from_slice(&latency.sum.to_le_bytes());
+    out.extend_from_slice(&latency.min.to_le_bytes());
+    out.extend_from_slice(&latency.max.to_le_bytes());
     out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
     for (idx, n) in pairs {
         out.extend_from_slice(&idx.to_le_bytes());
@@ -381,7 +318,9 @@ fn read_latency(r: &mut Reader<'_>) -> Result<HistogramSnapshot, ProtocolError> 
     let min = r.u64()?;
     let max = r.u64()?;
     let count = r.u32()? as usize;
-    if count * 10 > r.remaining() {
+    // Each pair is 2 + 8 bytes. Division form: `count * 10` could
+    // overflow usize on 32-bit targets (count is attacker-controlled).
+    if count > r.remaining() / 10 {
         return Err(ProtocolError::Malformed(
             "bucket count exceeds payload length",
         ));
@@ -393,6 +332,28 @@ fn read_latency(r: &mut Reader<'_>) -> Result<HistogramSnapshot, ProtocolError> 
         pairs.push((idx, n));
     }
     Ok(HistogramSnapshot::from_sparse(&pairs, sum, min, max))
+}
+
+/// Wire size of one [`ShardPlan`]: 4 + 8 + 8 + 8 + 1.
+const SHARD_PLAN_BYTES: usize = 29;
+
+fn put_shard_plan(out: &mut Vec<u8>, p: &ShardPlan) {
+    out.extend_from_slice(&p.id.to_le_bytes());
+    out.extend_from_slice(&p.first.to_le_bytes());
+    out.extend_from_slice(&p.count.to_le_bytes());
+    out.extend_from_slice(&p.bytes.to_le_bytes());
+    out.push(p.encoding.as_byte());
+}
+
+fn read_shard_plan(r: &mut Reader<'_>) -> Result<ShardPlan, ProtocolError> {
+    Ok(ShardPlan {
+        id: r.u32()?,
+        first: r.u64()?,
+        count: r.u64()?,
+        bytes: r.u64()?,
+        encoding: EncodingChoice::from_byte(r.u8()?)
+            .ok_or(ProtocolError::Malformed("unknown shard encoding byte"))?,
+    })
 }
 
 impl Message {
@@ -460,20 +421,22 @@ impl Message {
             Message::Stats => out.push(tags::STATS),
             Message::StatsReply(s) => {
                 out.push(tags::STATS_REPLY);
-                put_stats_counters(out, s);
-            }
-            Message::StatsReplyV2(s) => {
-                out.push(tags::STATS_REPLY_V2);
-                put_stats_counters(out, s);
-                put_latency(out, s);
-            }
-            Message::StatsReplyV3(s) => {
-                out.push(tags::STATS_REPLY_V3);
-                put_stats_counters(out, s);
-                for field in [s.decoded_raw, s.decoded_gzip, s.decoded_pack] {
+                for field in [
+                    s.requests,
+                    s.samples_served,
+                    s.bytes_sent,
+                    s.cache_hits,
+                    s.cache_misses,
+                    s.cache_evictions,
+                    s.rejected_connections,
+                    s.request_ns,
+                    s.decoded_raw,
+                    s.decoded_gzip,
+                    s.decoded_pack,
+                ] {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
-                put_latency(out, s);
+                put_latency(out, &s.latency);
             }
             Message::Traced {
                 trace_id,
@@ -494,21 +457,7 @@ impl Message {
                 out.push(tags::SHARD_MANIFEST_REPLY);
                 out.extend_from_slice(&(plans.len() as u32).to_le_bytes());
                 for p in plans {
-                    out.extend_from_slice(&p.id.to_le_bytes());
-                    out.extend_from_slice(&p.first.to_le_bytes());
-                    out.extend_from_slice(&p.count.to_le_bytes());
-                    out.extend_from_slice(&p.bytes.to_le_bytes());
-                }
-            }
-            Message::ShardManifestReplyV2(plans) => {
-                out.push(tags::SHARD_MANIFEST_REPLY_V2);
-                out.extend_from_slice(&(plans.len() as u32).to_le_bytes());
-                for p in plans {
-                    out.extend_from_slice(&p.id.to_le_bytes());
-                    out.extend_from_slice(&p.first.to_le_bytes());
-                    out.extend_from_slice(&p.count.to_le_bytes());
-                    out.extend_from_slice(&p.bytes.to_le_bytes());
-                    out.push(p.encoding.as_byte());
+                    put_shard_plan(out, p);
                 }
             }
             Message::ClusterManifest { name } => {
@@ -524,11 +473,7 @@ impl Message {
                 out.extend_from_slice(&plan.replication.to_le_bytes());
                 out.extend_from_slice(&(plan.shards.len() as u32).to_le_bytes());
                 for a in &plan.shards {
-                    out.extend_from_slice(&a.plan.id.to_le_bytes());
-                    out.extend_from_slice(&a.plan.first.to_le_bytes());
-                    out.extend_from_slice(&a.plan.count.to_le_bytes());
-                    out.extend_from_slice(&a.plan.bytes.to_le_bytes());
-                    out.push(a.plan.encoding.as_byte());
+                    put_shard_plan(out, &a.plan);
                     out.extend_from_slice(&(a.replicas.len() as u16).to_le_bytes());
                     for idx in &a.replicas {
                         out.extend_from_slice(&idx.to_le_bytes());
@@ -567,7 +512,8 @@ impl Message {
             tags::FETCH_SAMPLES => {
                 let name = r.string()?;
                 let count = r.u32()? as usize;
-                if count * 8 > r.remaining() {
+                // Division form, as in `read_latency`.
+                if count > r.remaining() / 8 {
                     return Err(ProtocolError::Malformed(
                         "index count exceeds payload length",
                     ));
@@ -588,20 +534,20 @@ impl Message {
                 Message::Samples(payloads)
             }
             tags::STATS => Message::Stats,
-            tags::STATS_REPLY => Message::StatsReply(read_stats_counters(&mut r)?),
-            tags::STATS_REPLY_V2 => {
-                let mut s = read_stats_counters(&mut r)?;
-                s.latency = read_latency(&mut r)?;
-                Message::StatsReplyV2(s)
-            }
-            tags::STATS_REPLY_V3 => {
-                let mut s = read_stats_counters(&mut r)?;
-                s.decoded_raw = r.u64()?;
-                s.decoded_gzip = r.u64()?;
-                s.decoded_pack = r.u64()?;
-                s.latency = read_latency(&mut r)?;
-                Message::StatsReplyV3(s)
-            }
+            tags::STATS_REPLY => Message::StatsReply(StatsSnapshot {
+                requests: r.u64()?,
+                samples_served: r.u64()?,
+                bytes_sent: r.u64()?,
+                cache_hits: r.u64()?,
+                cache_misses: r.u64()?,
+                cache_evictions: r.u64()?,
+                rejected_connections: r.u64()?,
+                request_ns: r.u64()?,
+                decoded_raw: r.u64()?,
+                decoded_gzip: r.u64()?,
+                decoded_pack: r.u64()?,
+                latency: read_latency(&mut r)?,
+            }),
             tags::TRACED => {
                 let trace_id = r.u64()?;
                 let parent_span = r.u64()?;
@@ -629,49 +575,17 @@ impl Message {
             }
             tags::SHARD_MANIFEST_REPLY => {
                 let count = r.u32()? as usize;
-                // Each entry is 4 + 8 + 8 + 8 = 28 bytes on the wire.
-                // Division form: `count * 28` could overflow usize on
-                // 32-bit targets (count is attacker-controlled).
-                if count > r.remaining() / 28 {
+                // Division form, as in `read_latency`.
+                if count > r.remaining() / SHARD_PLAN_BYTES {
                     return Err(ProtocolError::Malformed(
                         "shard plan count exceeds payload length",
                     ));
                 }
                 let mut plans = Vec::with_capacity(count);
                 for _ in 0..count {
-                    plans.push(ShardPlan {
-                        id: r.u32()?,
-                        first: r.u64()?,
-                        count: r.u64()?,
-                        bytes: r.u64()?,
-                        // Pre-v4 replies carry no encoding metadata; the
-                        // stager trial-selects per payload.
-                        encoding: EncodingChoice::Auto,
-                    });
+                    plans.push(read_shard_plan(&mut r)?);
                 }
                 Message::ShardManifestReply(plans)
-            }
-            tags::SHARD_MANIFEST_REPLY_V2 => {
-                let count = r.u32()? as usize;
-                // Each entry is 4 + 8 + 8 + 8 + 1 = 29 bytes on the wire.
-                // Division form avoids usize overflow on 32-bit targets.
-                if count > r.remaining() / 29 {
-                    return Err(ProtocolError::Malformed(
-                        "shard plan count exceeds payload length",
-                    ));
-                }
-                let mut plans = Vec::with_capacity(count);
-                for _ in 0..count {
-                    plans.push(ShardPlan {
-                        id: r.u32()?,
-                        first: r.u64()?,
-                        count: r.u64()?,
-                        bytes: r.u64()?,
-                        encoding: EncodingChoice::from_byte(r.u8()?)
-                            .ok_or(ProtocolError::Malformed("unknown shard encoding byte"))?,
-                    });
-                }
-                Message::ShardManifestReplyV2(plans)
             }
             tags::CLUSTER_MANIFEST => Message::ClusterManifest { name: r.string()? },
             tags::CLUSTER_MANIFEST_REPLY => {
@@ -682,24 +596,16 @@ impl Message {
                 }
                 let replication = r.u16()?;
                 let shard_count = r.u32()? as usize;
-                // Each shard is at least a 29-byte plan plus a u16
-                // replica count. Division form avoids usize overflow on
-                // 32-bit targets (shard_count is attacker-controlled).
-                if shard_count > r.remaining() / 31 {
+                // Each shard is at least a plan plus a u16 replica
+                // count. Division form, as in `read_latency`.
+                if shard_count > r.remaining() / (SHARD_PLAN_BYTES + 2) {
                     return Err(ProtocolError::Malformed(
                         "shard assignment count exceeds payload length",
                     ));
                 }
                 let mut shards = Vec::with_capacity(shard_count);
                 for _ in 0..shard_count {
-                    let plan = ShardPlan {
-                        id: r.u32()?,
-                        first: r.u64()?,
-                        count: r.u64()?,
-                        bytes: r.u64()?,
-                        encoding: EncodingChoice::from_byte(r.u8()?)
-                            .ok_or(ProtocolError::Malformed("unknown shard encoding byte"))?,
-                    };
+                    let plan = read_shard_plan(&mut r)?;
                     let replica_count = r.u16()? as usize;
                     let mut replicas = Vec::with_capacity(replica_count.min(64));
                     for _ in 0..replica_count {
@@ -860,10 +766,18 @@ pub fn read_message(r: &mut impl Read) -> Result<Message, ProtocolError> {
 mod tests {
     use super::*;
 
+    /// A frame with a valid envelope around an arbitrary payload.
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame
+    }
+
     fn all_messages() -> Vec<Message> {
         vec![
-            Message::Hello { version: 1 },
-            Message::HelloAck { version: 1 },
+            Message::Hello { version: 6 },
+            Message::HelloAck { version: 6 },
             Message::ListDatasets,
             Message::DatasetList(vec![
                 DatasetEntry {
@@ -894,41 +808,14 @@ mod tests {
                 cache_evictions: 6,
                 rejected_connections: 7,
                 request_ns: 8,
-                ..Default::default()
-            }),
-            Message::StatsReplyV2(StatsSnapshot {
-                requests: 1,
-                samples_served: 2,
-                bytes_sent: 3,
-                cache_hits: 4,
-                cache_misses: 5,
-                cache_evictions: 6,
-                rejected_connections: 7,
-                request_ns: 8,
-                latency: {
-                    let h = sciml_obs::Histogram::new();
-                    for v in [100u64, 250, 1_000_000, 1_000_001] {
-                        h.record(v);
-                    }
-                    h.snapshot()
-                },
-                ..Default::default()
-            }),
-            Message::StatsReplyV3(StatsSnapshot {
-                requests: 1,
-                samples_served: 2,
-                bytes_sent: 3,
-                cache_hits: 4,
-                cache_misses: 5,
-                cache_evictions: 6,
-                rejected_connections: 7,
-                request_ns: 8,
                 decoded_raw: 9,
                 decoded_gzip: 10,
                 decoded_pack: 11,
                 latency: {
                     let h = sciml_obs::Histogram::new();
-                    h.record(4200);
+                    for v in [100u64, 250, 1_000_000, 1_000_001] {
+                        h.record(v);
+                    }
                     h.snapshot()
                 },
             }),
@@ -945,22 +832,6 @@ mod tests {
                 per_shard: 128,
             },
             Message::ShardManifestReply(vec![
-                ShardPlan {
-                    id: 0,
-                    first: 0,
-                    count: 128,
-                    bytes: 1 << 20,
-                    encoding: EncodingChoice::Auto,
-                },
-                ShardPlan {
-                    id: 1,
-                    first: 128,
-                    count: 100,
-                    bytes: 0,
-                    encoding: EncodingChoice::Auto,
-                },
-            ]),
-            Message::ShardManifestReplyV2(vec![
                 ShardPlan {
                     id: 0,
                     first: 0,
@@ -1091,16 +962,16 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_rejected() {
-        let payload = vec![0xEEu8, 0, 0];
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        assert!(matches!(
-            decode_frame(&frame),
-            Err(ProtocolError::UnknownTag(0xEE))
-        ));
+    fn unknown_and_retired_tags_rejected() {
+        // 0x0A, 0x0C and 0x0E carried the retired v1/v2 stats replies
+        // and the v3 shard-manifest reply; a valid CRC does not revive
+        // them.
+        for tag in [0xEEu8, 0x0A, 0x0C, 0x0E] {
+            assert!(matches!(
+                decode_frame(&raw_frame(&[tag, 0, 0])),
+                Err(ProtocolError::UnknownTag(t)) if t == tag
+            ));
+        }
     }
 
     #[test]
@@ -1111,12 +982,8 @@ mod tests {
         payload.extend_from_slice(b"ds");
         payload.extend_from_slice(&1000u32.to_le_bytes());
         payload.extend_from_slice(&[0u8; 16]);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed(_))
         ));
     }
@@ -1137,12 +1004,8 @@ mod tests {
         payload.push(EncodingChoice::Raw.as_byte());
         payload.extend_from_slice(&1u16.to_le_bytes()); // replica count
         payload.extend_from_slice(&5u16.to_le_bytes()); // out of range
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed("replica index out of node range"))
         ));
     }
@@ -1156,12 +1019,8 @@ mod tests {
         payload.extend_from_slice(&1u16.to_le_bytes());
         payload.extend_from_slice(&100_000u32.to_le_bytes()); // absurd shard count
         payload.extend_from_slice(&[0u8; 32]);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed(_))
         ));
     }
@@ -1178,109 +1037,31 @@ mod tests {
         payload.extend_from_slice(&1u16.to_le_bytes());
         payload.extend_from_slice(&u32::MAX.to_le_bytes());
         payload.extend_from_slice(&[0u8; 32]);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed(_))
         ));
     }
 
     #[test]
-    fn v1_stats_reply_drops_latency_histogram() {
-        let h = sciml_obs::Histogram::new();
-        h.record(5000);
-        let snap = StatsSnapshot {
-            requests: 9,
-            latency: h.snapshot(),
-            ..Default::default()
-        };
-        let frame = encode_frame(&Message::StatsReply(snap.clone()));
-        let (decoded, _) = decode_frame(&frame).unwrap();
-        match decoded {
-            Message::StatsReply(s) => {
-                assert_eq!(s.requests, 9);
-                assert!(s.latency.is_empty(), "v1 reply must not carry latency");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The v2 variant keeps it.
-        let frame = encode_frame(&Message::StatsReplyV2(snap));
-        let (decoded, _) = decode_frame(&frame).unwrap();
-        match decoded {
-            Message::StatsReplyV2(s) => {
-                assert_eq!(s.latency.count, 1);
-                assert_eq!(s.latency.percentile(0.5), 5000);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn shard_plan_count_beyond_payload_rejected() {
-        for (tag, entry_len) in [
-            (tags::SHARD_MANIFEST_REPLY, 28),
-            (tags::SHARD_MANIFEST_REPLY_V2, 29),
-        ] {
-            let mut payload = vec![tag];
-            payload.extend_from_slice(&50_000u32.to_le_bytes());
-            payload.extend_from_slice(&vec![0u8; entry_len]); // room for one entry only
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-            assert!(matches!(
-                decode_frame(&frame),
-                Err(ProtocolError::Malformed(_))
-            ));
-        }
+        let mut payload = vec![tags::SHARD_MANIFEST_REPLY];
+        payload.extend_from_slice(&50_000u32.to_le_bytes());
+        payload.extend_from_slice(&[0u8; SHARD_PLAN_BYTES]); // room for one entry only
+        assert!(matches!(
+            decode_frame(&raw_frame(&payload)),
+            Err(ProtocolError::Malformed(_))
+        ));
     }
 
     #[test]
-    fn v1_shard_reply_decodes_encoding_as_auto_and_v2_keeps_it() {
-        let plan = ShardPlan {
-            id: 7,
-            first: 100,
-            count: 50,
-            bytes: 4096,
-            encoding: EncodingChoice::Pack,
-        };
-        // The v1 reply drops the encoding on the wire; it comes back
-        // as Auto so the stager trial-selects locally.
-        let frame = encode_frame(&Message::ShardManifestReply(vec![plan]));
-        let (decoded, _) = decode_frame(&frame).unwrap();
-        match decoded {
-            Message::ShardManifestReply(plans) => {
-                assert_eq!(plans[0].id, 7);
-                assert_eq!(plans[0].encoding, EncodingChoice::Auto);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The v2 reply round-trips it.
-        let frame = encode_frame(&Message::ShardManifestReplyV2(vec![plan]));
-        let (decoded, _) = decode_frame(&frame).unwrap();
-        match decoded {
-            Message::ShardManifestReplyV2(plans) => {
-                assert_eq!(plans[0].encoding, EncodingChoice::Pack);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v2_shard_reply_unknown_encoding_byte_rejected() {
-        let mut payload = vec![tags::SHARD_MANIFEST_REPLY_V2];
+    fn shard_reply_unknown_encoding_byte_rejected() {
+        let mut payload = vec![tags::SHARD_MANIFEST_REPLY];
         payload.extend_from_slice(&1u32.to_le_bytes());
         payload.extend_from_slice(&[0u8; 28]);
         payload.push(0xEE); // not a valid EncodingChoice byte
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed("unknown shard encoding byte"))
         ));
     }
@@ -1309,12 +1090,8 @@ mod tests {
             payload.extend_from_slice(&[0u8; 16]);
         }
         payload.push(tags::STATS);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed("nested trace context"))
         ));
     }
@@ -1323,61 +1100,92 @@ mod tests {
     fn empty_traced_rejected() {
         let mut payload = vec![tags::TRACED];
         payload.extend_from_slice(&[0u8; 16]);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed("empty traced request"))
         ));
     }
 
     #[test]
-    fn v2_stats_reply_zeroes_decode_counters_and_v3_keeps_them() {
-        let snap = StatsSnapshot {
-            requests: 5,
-            decoded_raw: 11,
-            decoded_gzip: 22,
-            decoded_pack: 33,
-            ..Default::default()
-        };
-        let (decoded, _) =
-            decode_frame(&encode_frame(&Message::StatsReplyV2(snap.clone()))).unwrap();
-        match decoded {
-            Message::StatsReplyV2(s) => {
-                assert_eq!(s.requests, 5);
-                assert_eq!((s.decoded_raw, s.decoded_gzip, s.decoded_pack), (0, 0, 0));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let (decoded, _) = decode_frame(&encode_frame(&Message::StatsReplyV3(snap))).unwrap();
-        match decoded {
-            Message::StatsReplyV3(s) => {
-                assert_eq!(
-                    (s.decoded_raw, s.decoded_gzip, s.decoded_pack),
-                    (11, 22, 33)
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v2_bucket_count_beyond_payload_rejected() {
-        let mut payload = vec![tags::STATS_REPLY_V2];
-        payload.extend_from_slice(&[0u8; 64]); // 8 counters
+    fn bucket_count_beyond_payload_rejected() {
+        let mut payload = vec![tags::STATS_REPLY];
+        payload.extend_from_slice(&[0u8; 88]); // 11 counters
         payload.extend_from_slice(&[0u8; 24]); // sum/min/max
         payload.extend_from_slice(&100_000u32.to_le_bytes());
         payload.extend_from_slice(&[0u8; 20]);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         assert!(matches!(
-            decode_frame(&frame),
+            decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn hostile_bucket_counts_saturate() {
+        // Two pairs for bucket 0 whose counts sum past u64::MAX, plus a
+        // second full bucket so the total overflows too.
+        let mut payload = vec![tags::STATS_REPLY];
+        payload.extend_from_slice(&[0u8; 88]);
+        payload.extend_from_slice(&[0u8; 24]);
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        for (idx, n) in [(0u16, u64::MAX), (0, 1), (1, u64::MAX)] {
+            payload.extend_from_slice(&idx.to_le_bytes());
+            payload.extend_from_slice(&n.to_le_bytes());
+        }
+        let (msg, _) = decode_frame(&raw_frame(&payload)).expect("decodes");
+        let Message::StatsReply(s) = msg else {
+            panic!("unexpected {msg:?}");
+        };
+        assert_eq!(s.latency.counts[0], u64::MAX);
+        assert_eq!(s.latency.count, u64::MAX);
+    }
+
+    /// Frames captured at the last six-version commit (hex of
+    /// `encode_frame`): the single version is that commit's v6 byte for
+    /// byte. Each must still be what some entry of `all_messages()`
+    /// encodes to; the tag byte ties it to its message.
+    #[test]
+    fn golden_wire_vectors() {
+        let frames: Vec<String> = all_messages()
+            .iter()
+            .map(|m| encode_frame(m).iter().map(|b| format!("{b:02x}")).collect())
+            .collect();
+        let golden = [
+            ("Hello{6}", "03000000010600a314d9a8"),
+            ("Stats", "01000000092957deab"),
+            (
+                "Traced{FetchSamples}",
+                "35000000110df0ad0befbeaddef0debc9a78563412070500636f736d6f\
+                 030000000700000000000000080000000000000009000000000000001322bfa7",
+            ),
+            (
+                "StatsReply, every field set",
+                "930000001201000000000000000200000000000000030000000000000004\
+                 000000000000000500000000000000060000000000000007000000000000\
+                 00080000000000000009000000000000000a000000000000000b00000000\
+                 000000df851e0000000000640000000000000041420f0000000000030000\
+                 00240001000000000000002f0001000000000000008f0002000000000000\
+                 0065e38efd",
+            ),
+            (
+                "ShardManifestReply, two shards",
+                "3f0000001002000000000000000000000000000000800000000000000000\
+                 001000000000000201000000800000000000000064000000000000000000\
+                 00000000000001e8ba0125",
+            ),
+            (
+                "ClusterManifestReply",
+                "6f0000001402000e003132372e302e302e313a373430310e003132372e30\
+                 2e302e313a37343032020002000000000000000000000000000000800000\
+                 000000000000001000000000000202000100000001000000800000000000\
+                 00004000000000000000000200000000000000020000000100d112dddd",
+            ),
+        ];
+        for (name, hex) in golden {
+            assert!(
+                frames.iter().any(|f| f == hex),
+                "{name} changed on the wire"
+            );
+        }
     }
 
     #[test]

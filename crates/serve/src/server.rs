@@ -1,28 +1,19 @@
-//! Dataset server with two interchangeable engines.
+//! Dataset server on the `sciml-net` readiness reactor.
 //!
-//! The default engine is the `sciml-net` readiness reactor: one event
-//! loop multiplexes every connection over epoll (`poll(2)` elsewhere),
-//! a small worker pool runs request handling, and graceful drain
+//! One event loop multiplexes every connection over epoll (`poll(2)`
+//! elsewhere), a small worker pool runs request handling through the
+//! session state machine (`crate::session`), connections beyond the
+//! admission limit get a typed `Busy` frame, and graceful drain
 //! finishes in-flight replies before closing. Connection count scales
 //! independently of thread count, which is what a training fleet
 //! holding thousands of mostly-idle sockets needs.
-//!
-//! The legacy engine ([`ServerConfig::legacy_threads`]) keeps the
-//! original acceptor + bounded worker pool, where each worker owns one
-//! connection at a time. It exists for A/B benchmarking and as a
-//! fallback; both engines share the same session state machine
-//! (`crate::session`), admission control with typed `Busy` frames,
-//! and `serve.*` metrics.
 //!
 //! Each registered dataset is wrapped in a [`MemoryCacheSource`] hot
 //! cache, so repeat fetches (second epochs, overlapping shards across
 //! clients) are served from DRAM without touching the backing tier.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{
-    decode_frame, encode_frame, read_message, write_message, ErrorCode, Message, ProtocolError,
-    MAX_FRAME_BYTES,
-};
+use crate::protocol::{decode_frame, encode_frame, ErrorCode, Message, MAX_FRAME_BYTES};
 use crate::session::{process_message, Disposition, SessionState};
 use sciml_net::reactor::{ConnId, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply};
 use sciml_net::FrameError;
@@ -32,50 +23,36 @@ use sciml_pipeline::SampleSource;
 use sciml_store::{ShardPlan, ShardSource};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads handling requests (connections, in legacy mode).
+    /// Worker threads handling requests.
     pub workers: usize,
-    /// Accepted-but-unclaimed connections allowed to queue (legacy
-    /// engine only; the reactor admits up to `max_connections`).
-    pub accept_backlog: usize,
-    /// Hard cap on connections being handled at once; beyond it new
-    /// connections get a `Busy` error frame. Defaults to
-    /// `workers + accept_backlog`.
+    /// Hard cap on connections held at once; beyond it new connections
+    /// get a `Busy` error frame.
     pub max_connections: usize,
     /// Per-dataset DRAM hot-cache capacity in bytes.
     pub cache_bytes: u64,
-    /// Socket read timeout for client requests (legacy engine) and
-    /// idle-connection timeout (reactor engine). Keeps a dead client
-    /// from pinning a worker or a connection slot forever.
+    /// Idle-connection timeout. Keeps a dead client from pinning a
+    /// connection slot forever.
     pub read_timeout: Duration,
-    /// Reactor engine: hard bound on graceful drain before remaining
-    /// connections are force-closed.
+    /// Hard bound on graceful drain before remaining connections are
+    /// force-closed.
     pub drain_timeout: Duration,
-    /// Use the legacy thread-per-connection engine instead of the
-    /// reactor (A/B benchmarking, fallback).
-    pub legacy_threads: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let workers = 4;
-        let accept_backlog = 16;
         Self {
-            workers,
-            accept_backlog,
-            max_connections: workers + accept_backlog,
+            workers: 4,
+            max_connections: 20,
             cache_bytes: 256 << 20,
             read_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
-            legacy_threads: false,
         }
     }
 }
@@ -112,55 +89,16 @@ pub(crate) struct Inner {
     cache_evictions: Arc<Counter>,
     pub(crate) metrics: ServerMetrics,
     /// Span tracer; disabled unless the builder received a telemetry
-    /// handle with an enabled one. Traced (v5) requests open a
+    /// handle with an enabled one. Traced requests open a
     /// `serve/request` span linked to the client's trace.
     pub(crate) tracer: Arc<Tracer>,
     /// Cluster placement config; `None` means single-node answers to
     /// `ClusterManifest`.
     pub(crate) cluster: Option<ClusterConfig>,
-    shutting_down: AtomicBool,
-    active_connections: AtomicUsize,
-    pub(crate) config: ServerConfig,
     pub(crate) local_addr: SocketAddr,
-    /// Sockets currently served by the legacy engine, keyed by
-    /// connection id, so shutdown can force-close them instead of
-    /// waiting out their read timeouts.
-    live: parking_lot::Mutex<BTreeMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
 }
 
 impl Inner {
-    /// Flags shutdown, force-closes legacy in-flight connections, and
-    /// pokes the listener so a legacy acceptor (blocked in `accept`,
-    /// which has no timeout) observes the flag.
-    fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for stream in self.live.lock().values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        if let Ok(s) = TcpStream::connect(self.local_addr) {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Registers a connection for forced close; returns its id, or
-    /// `None` when the socket handle cannot be duplicated (the
-    /// connection is still served, just not force-closable).
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        self.live.lock().insert(id, clone);
-        Some(id)
-    }
-
-    fn deregister(&self, id: Option<u64>) {
-        if let Some(id) = id {
-            self.live.lock().remove(&id);
-        }
-    }
-
     pub(crate) fn cache_totals(&self) -> (u64, u64, u64) {
         (
             self.cache_hits.get(),
@@ -216,7 +154,7 @@ impl ServeBuilder {
     }
 
     /// Uses `telemetry`'s registry *and* tracer. With an enabled
-    /// tracer, Traced (v5) requests record `serve/request` spans linked
+    /// tracer, Traced requests record `serve/request` spans linked
     /// into the requesting client's trace, and per-sample `serve/fetch`
     /// child spans under them.
     pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
@@ -261,7 +199,7 @@ impl ServeBuilder {
         self.dataset_with_plans(name, store, plans)
     }
 
-    /// Binds `addr` and spawns the serving engine. Pass port 0 to let
+    /// Binds `addr` and spawns the reactor. Pass port 0 to let
     /// the OS pick; the bound address is on the handle.
     pub fn bind(self, addr: impl Into<String>) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr.into())?;
@@ -284,110 +222,32 @@ impl ServeBuilder {
             metrics: ServerMetrics::with_registry(&registry),
             tracer: self.tracer.unwrap_or_else(Tracer::disabled),
             cluster: self.cluster,
-            shutting_down: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
-            config: self.config,
             local_addr,
-            live: parking_lot::Mutex::new(BTreeMap::new()),
-            next_conn_id: AtomicU64::new(0),
         });
 
-        let engine = if inner.config.legacy_threads {
-            spawn_legacy_engine(&inner, listener)?
-        } else {
-            spawn_reactor_engine(&inner, listener)?
+        let cfg = ReactorConfig {
+            workers: self.config.workers.max(1),
+            max_connections: self.config.max_connections,
+            idle_timeout: self.config.read_timeout,
+            drain_timeout: self.config.drain_timeout,
+            max_frame_bytes: MAX_FRAME_BYTES,
+            ..ReactorConfig::default()
         };
-
-        Ok(ServerHandle {
-            inner,
-            local_addr,
-            engine,
-        })
+        // The reactor bumps the same Arc'd instruments ServerMetrics
+        // registered, so they show up as the `serve.conn.*` families.
+        let metrics = ReactorMetrics {
+            accepted: Arc::clone(&inner.metrics.conn_accepted),
+            rejected_busy: Arc::clone(&inner.metrics.conn_rejected_busy),
+            drained: Arc::clone(&inner.metrics.conn_drained),
+            active: Arc::clone(&inner.metrics.conn_active),
+        };
+        let service = Arc::new(ScimlService {
+            inner: Arc::clone(&inner),
+            sessions: parking_lot::Mutex::new(HashMap::new()),
+        });
+        let reactor = Reactor::spawn(listener, service, cfg, metrics)?;
+        Ok(ServerHandle { inner, reactor })
     }
-}
-
-/// Starts the acceptor + bounded worker pool (legacy engine).
-fn spawn_legacy_engine(inner: &Arc<Inner>, listener: TcpListener) -> io::Result<Engine> {
-    let (conn_tx, conn_rx) =
-        crossbeam_channel::bounded::<TcpStream>(inner.config.accept_backlog.max(1));
-
-    let mut workers = Vec::with_capacity(inner.config.workers);
-    for worker_id in 0..inner.config.workers.max(1) {
-        let rx = conn_rx.clone();
-        let inner = Arc::clone(inner);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("sciml-serve-worker-{worker_id}"))
-                .spawn(move || {
-                    while let Ok(stream) = rx.recv() {
-                        let id = inner.register(&stream);
-                        inner.metrics.conn_accepted.inc();
-                        inner.metrics.conn_active.add(1);
-                        handle_connection(&inner, stream);
-                        inner.metrics.conn_active.add(-1);
-                        inner.deregister(id);
-                        inner.active_connections.fetch_sub(1, Ordering::AcqRel);
-                    }
-                })?,
-        );
-    }
-    drop(conn_rx);
-
-    let acceptor = {
-        let inner = Arc::clone(inner);
-        std::thread::Builder::new()
-            .name("sciml-serve-acceptor".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.shutting_down.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let active = inner.active_connections.fetch_add(1, Ordering::AcqRel) + 1;
-                    if active > inner.config.max_connections {
-                        inner.active_connections.fetch_sub(1, Ordering::AcqRel);
-                        reject_busy(&inner, stream);
-                        continue;
-                    }
-                    if conn_tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                // Dropping conn_tx disconnects the workers' recv loop.
-            })?
-    };
-
-    Ok(Engine::Legacy {
-        acceptor: Some(acceptor),
-        workers,
-    })
-}
-
-/// Starts the `sciml-net` readiness reactor (default engine).
-fn spawn_reactor_engine(inner: &Arc<Inner>, listener: TcpListener) -> io::Result<Engine> {
-    let cfg = ReactorConfig {
-        workers: inner.config.workers.max(1),
-        max_connections: inner.config.max_connections,
-        idle_timeout: inner.config.read_timeout,
-        drain_timeout: inner.config.drain_timeout,
-        max_frame_bytes: MAX_FRAME_BYTES,
-        ..ReactorConfig::default()
-    };
-    // The reactor bumps the same Arc'd instruments ServerMetrics
-    // registered, so both engines expose identical `serve.conn.*`
-    // families.
-    let metrics = ReactorMetrics {
-        accepted: Arc::clone(&inner.metrics.conn_accepted),
-        rejected_busy: Arc::clone(&inner.metrics.conn_rejected_busy),
-        drained: Arc::clone(&inner.metrics.conn_drained),
-        active: Arc::clone(&inner.metrics.conn_active),
-    };
-    let service = Arc::new(ScimlService {
-        inner: Arc::clone(inner),
-        sessions: parking_lot::Mutex::new(HashMap::new()),
-    });
-    let handle = Reactor::spawn(listener, service, cfg, metrics)?;
-    Ok(Engine::Reactor(Some(handle)))
 }
 
 /// Glue between the reactor and the protocol session state machine:
@@ -395,7 +255,7 @@ fn spawn_reactor_engine(inner: &Arc<Inner>, listener: TcpListener) -> io::Result
 /// maps [`Disposition`] onto the reactor's [`Reply`] actions.
 struct ScimlService {
     inner: Arc<Inner>,
-    /// Per-connection negotiation state. The reactor dispatches at most
+    /// Per-connection session state. The reactor dispatches at most
     /// one frame per connection at a time, so each entry's lock is
     /// uncontended; the map lock is held only for lookup/insert.
     sessions: parking_lot::Mutex<HashMap<ConnId, Arc<parking_lot::Mutex<SessionState>>>>,
@@ -422,22 +282,15 @@ impl sciml_net::Service for ScimlService {
         match process_message(&self.inner, &mut state, request) {
             Disposition::Reply(reply) => Reply::send(encode_frame(&reply)),
             Disposition::ReplyThenClose(reply) => Reply::send_close(encode_frame(&reply)),
-            Disposition::ReplyThenShutdown(reply) => {
-                self.inner.shutting_down.store(true, Ordering::Release);
-                Reply {
-                    frame: Some(encode_frame(&reply)),
-                    close: false,
-                    shutdown: true,
-                }
-            }
+            Disposition::ReplyThenShutdown(reply) => Reply {
+                frame: Some(encode_frame(&reply)),
+                close: false,
+                shutdown: true,
+            },
         }
     }
 
     fn reject_frame(&self, draining: bool) -> Option<Vec<u8>> {
-        // The reactor already counted `serve.conn.rejected_busy`; keep
-        // the legacy `serve.rejected_connections` aggregate in lockstep
-        // for stats replies.
-        self.inner.metrics.record_rejected_aggregate();
         let detail = if draining {
             "server is draining"
         } else {
@@ -468,48 +321,16 @@ impl sciml_net::Service for ScimlService {
     }
 }
 
-/// Sends a `Busy` error frame through the same framed-write path as
-/// normal replies, records the rejection, and closes the socket.
-/// Best-effort: the client may already be gone.
-fn reject_busy(inner: &Inner, mut stream: TcpStream) {
-    inner.metrics.record_rejected();
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let reply = Message::Error {
-        code: ErrorCode::Busy,
-        detail: "server at its connection admission limit".into(),
-    };
-    // Same write-error handling as the request loop: a failed write
-    // just ends the connection.
-    let _ = write_reply(&mut stream, &reply);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// The single framed-write path for the legacy engine; returns `false`
-/// when the client is gone.
-fn write_reply(stream: &mut TcpStream, msg: &Message) -> bool {
-    write_message(stream, msg).is_ok()
-}
-
-/// The two serving engines behind a [`ServerHandle`].
-enum Engine {
-    Legacy {
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    Reactor(Option<ReactorHandle>),
-}
-
-/// Running server. Dropping the handle shuts the server down.
+/// Running server. Dropping the handle drains and joins the reactor.
 pub struct ServerHandle {
     inner: Arc<Inner>,
-    local_addr: SocketAddr,
-    engine: Engine,
+    reactor: ReactorHandle,
 }
 
 impl ServerHandle {
     /// Address the server is listening on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.inner.local_addr
     }
 
     /// Requests handled so far (all datasets).
@@ -538,127 +359,30 @@ impl ServerHandle {
     /// connections get a typed draining/busy frame), let in-flight
     /// requests finish and their replies flush, then close. Call
     /// [`ServerHandle::shutdown`] or drop the handle to wait for
-    /// completion. On the legacy engine — whose workers block in
-    /// `read` — this falls back to the hard shutdown path.
+    /// completion.
     pub fn begin_drain(&self) {
-        match &self.engine {
-            Engine::Reactor(Some(handle)) => handle.begin_drain(),
-            Engine::Reactor(None) => {}
-            Engine::Legacy { .. } => self.inner.begin_shutdown(),
-        }
+        self.reactor.begin_drain();
     }
 
     /// Stops accepting, drains in-flight work, and joins all threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
     }
 
     /// Blocks until the server stops — i.e. until a client sends a wire
     /// `Shutdown` (or the handle is shut down from another thread).
     /// Used by `sciml serve`.
-    pub fn join(mut self) {
-        match &mut self.engine {
-            Engine::Legacy { acceptor, workers } => {
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            Engine::Reactor(handle) => {
-                if let Some(handle) = handle.take() {
-                    handle.join();
-                }
-            }
-        }
-    }
-
-    fn shutdown_impl(&mut self) {
-        match &mut self.engine {
-            Engine::Legacy { acceptor, workers } => {
-                self.inner.begin_shutdown();
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            Engine::Reactor(handle) => {
-                self.inner.shutting_down.store(true, Ordering::Release);
-                if let Some(handle) = handle.take() {
-                    handle.shutdown();
-                }
-            }
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
-    }
-}
-
-/// Serves one connection until the client disconnects, errors, or asks
-/// for shutdown (legacy engine). Protocol errors are answered with a
-/// typed error frame where the socket still works, then the connection
-/// is dropped — corruption never takes down the worker.
-fn handle_connection(inner: &Inner, mut stream: TcpStream) {
-    if inner.shutting_down.load(Ordering::Acquire) {
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(inner.config.read_timeout));
-    let _ = stream.set_nodelay(true);
-
-    let mut state = SessionState::default();
-    loop {
-        let request = match read_message(&mut stream) {
-            Ok(msg) => msg,
-            // Clean disconnect or wire corruption: answer corruption
-            // with a typed frame if possible, then drop the connection
-            // (framing may be unrecoverable after garbage).
-            Err(ProtocolError::Io(_)) => return,
-            Err(e) => {
-                let _ = write_reply(
-                    &mut stream,
-                    &Message::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: format!("protocol error: {e}"),
-                    },
-                );
-                return;
-            }
-        };
-        match process_message(inner, &mut state, request) {
-            Disposition::Reply(reply) => {
-                if !write_reply(&mut stream, &reply) {
-                    return;
-                }
-            }
-            Disposition::ReplyThenClose(reply) => {
-                let _ = write_reply(&mut stream, &reply);
-                return;
-            }
-            Disposition::ReplyThenShutdown(reply) => {
-                // Shutdown must be acknowledged before begin_shutdown()
-                // force-closes the live sockets — the requester's
-                // included.
-                let _ = write_reply(&mut stream, &reply);
-                inner.begin_shutdown();
-                return;
-            }
-        }
+    pub fn join(self) {
+        self.reactor.join();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::PROTOCOL_VERSION;
+    use crate::protocol::{read_message, write_message, PROTOCOL_VERSION};
     use sciml_pipeline::source::VecSource;
+    use std::net::TcpStream;
 
     fn demo_source() -> Arc<dyn SampleSource> {
         Arc::new(VecSource::new((0..8u8).map(|i| vec![i; 16]).collect()))
@@ -716,32 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_engine_serves_identically() {
-        let server = ServeBuilder::new()
-            .config(ServerConfig {
-                legacy_threads: true,
-                ..ServerConfig::default()
-            })
-            .dataset("demo", demo_source())
-            .bind("127.0.0.1:0")
-            .unwrap();
-        let mut c = client(server.local_addr());
-        write_message(
-            &mut c,
-            &Message::FetchSamples {
-                name: "demo".into(),
-                indices: vec![1, 2],
-            },
-        )
-        .unwrap();
-        let Message::Samples(samples) = read_message(&mut c).unwrap() else {
-            panic!("expected samples");
-        };
-        assert_eq!(samples, vec![vec![1u8; 16], vec![2u8; 16]]);
-        server.shutdown();
-    }
-
-    #[test]
     fn unknown_dataset_and_bad_index_get_typed_errors() {
         let server = ServeBuilder::new()
             .dataset("demo", demo_source())
@@ -789,42 +487,19 @@ mod tests {
             .dataset("demo", demo_source())
             .bind("127.0.0.1:0")
             .unwrap();
-        // Pre-MIN relics are turned away.
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_message(&mut s, &Message::Hello { version: 0 }).unwrap();
-        assert!(matches!(
-            read_message(&mut s).unwrap(),
-            Message::Error {
-                code: ErrorCode::VersionMismatch,
-                ..
-            }
-        ));
-        server.shutdown();
-    }
-
-    #[test]
-    fn newer_client_downgraded_to_server_version() {
-        let server = ServeBuilder::new()
-            .dataset("demo", demo_source())
-            .bind("127.0.0.1:0")
-            .unwrap();
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // A hypothetical future client offers v999; the server answers
-        // with the highest version it speaks and the connection works.
-        write_message(&mut s, &Message::Hello { version: 999 }).unwrap();
-        assert_eq!(
-            read_message(&mut s).unwrap(),
-            Message::HelloAck {
-                version: PROTOCOL_VERSION
-            }
-        );
-        write_message(&mut s, &Message::ListDatasets).unwrap();
-        assert!(matches!(
-            read_message(&mut s).unwrap(),
-            Message::DatasetList(_)
-        ));
+        // Either side of ours: there is no negotiation.
+        for version in [0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 999] {
+            let mut s = TcpStream::connect(server.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            write_message(&mut s, &Message::Hello { version }).unwrap();
+            assert!(matches!(
+                read_message(&mut s).unwrap(),
+                Message::Error {
+                    code: ErrorCode::VersionMismatch,
+                    ..
+                }
+            ));
+        }
         server.shutdown();
     }
 
@@ -870,44 +545,6 @@ mod tests {
             assert_eq!(ids.trace_id, 0xAAAA);
             assert_eq!(ids.parent_id, req_ids.span_id);
         }
-    }
-
-    #[test]
-    fn traced_request_on_old_connection_gets_bad_request() {
-        let server = ServeBuilder::new()
-            .dataset("demo", demo_source())
-            .bind("127.0.0.1:0")
-            .unwrap();
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_message(&mut s, &Message::Hello { version: 4 }).unwrap();
-        assert_eq!(
-            read_message(&mut s).unwrap(),
-            Message::HelloAck { version: 4 }
-        );
-        write_message(
-            &mut s,
-            &Message::Traced {
-                trace_id: 1,
-                parent_span: 2,
-                inner: Box::new(Message::Stats),
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_message(&mut s).unwrap(),
-            Message::Error {
-                code: ErrorCode::BadRequest,
-                ..
-            }
-        ));
-        // The connection survives the rejected envelope.
-        write_message(&mut s, &Message::Stats).unwrap();
-        assert!(matches!(
-            read_message(&mut s).unwrap(),
-            Message::StatsReplyV2(_)
-        ));
-        server.shutdown();
     }
 
     #[test]
@@ -957,8 +594,8 @@ mod tests {
             assert_eq!(s.len(), 8);
         }
         write_message(&mut c, &Message::Stats).unwrap();
-        let Message::StatsReplyV3(stats) = read_message(&mut c).unwrap() else {
-            panic!("expected v3 stats on a v5+ connection");
+        let Message::StatsReply(stats) = read_message(&mut c).unwrap() else {
+            panic!("expected a stats reply");
         };
         assert_eq!(stats.cache_misses, 8);
         assert_eq!(stats.cache_hits, 8);
@@ -967,56 +604,6 @@ mod tests {
             stats.latency.count >= 2,
             "request latency histogram populated"
         );
-        server.shutdown();
-    }
-
-    #[test]
-    fn v1_client_negotiates_and_gets_v1_stats() {
-        let server = ServeBuilder::new()
-            .dataset("demo", demo_source())
-            .bind("127.0.0.1:0")
-            .unwrap();
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_message(&mut s, &Message::Hello { version: 1 }).unwrap();
-        assert_eq!(
-            read_message(&mut s).unwrap(),
-            Message::HelloAck { version: 1 },
-            "server must ack the old version, not its own"
-        );
-        write_message(&mut s, &Message::Stats).unwrap();
-        let Message::StatsReply(stats) = read_message(&mut s).unwrap() else {
-            panic!("v1 connection must get a v1 stats reply");
-        };
-        assert!(stats.latency.is_empty());
-        server.shutdown();
-    }
-
-    #[test]
-    fn v3_client_gets_v1_shard_manifest_reply() {
-        let server = ServeBuilder::new()
-            .dataset("demo", demo_source())
-            .bind("127.0.0.1:0")
-            .unwrap();
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_message(&mut s, &Message::Hello { version: 3 }).unwrap();
-        assert_eq!(
-            read_message(&mut s).unwrap(),
-            Message::HelloAck { version: 3 }
-        );
-        write_message(
-            &mut s,
-            &Message::ShardManifest {
-                name: "demo".into(),
-                per_shard: 3,
-            },
-        )
-        .unwrap();
-        let Message::ShardManifestReply(plans) = read_message(&mut s).unwrap() else {
-            panic!("v3 connection must get the v1 shard manifest reply");
-        };
-        assert_eq!(plans.len(), 3);
         server.shutdown();
     }
 
@@ -1035,8 +622,8 @@ mod tests {
             },
         )
         .unwrap();
-        let Message::ShardManifestReplyV2(plans) = read_message(&mut c).unwrap() else {
-            panic!("expected v2 shard manifest reply on a v4+ connection");
+        let Message::ShardManifestReply(plans) = read_message(&mut c).unwrap() else {
+            panic!("expected a shard manifest reply");
         };
         assert_eq!(plans.len(), 3);
         assert_eq!(plans.iter().map(|p| p.count).sum::<u64>(), 8);
@@ -1053,8 +640,8 @@ mod tests {
             },
         )
         .unwrap();
-        let Message::ShardManifestReplyV2(plans) = read_message(&mut c).unwrap() else {
-            panic!("expected v2 shard manifest reply on a v4+ connection");
+        let Message::ShardManifestReply(plans) = read_message(&mut c).unwrap() else {
+            panic!("expected a shard manifest reply");
         };
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].count, 8);
@@ -1116,8 +703,8 @@ mod tests {
             },
         )
         .unwrap();
-        let Message::ShardManifestReplyV2(plans) = read_message(&mut c).unwrap() else {
-            panic!("expected v2 shard manifest reply on a v4+ connection");
+        let Message::ShardManifestReply(plans) = read_message(&mut c).unwrap() else {
+            panic!("expected a shard manifest reply");
         };
         assert_eq!(plans, expected);
         server.shutdown();
@@ -1211,42 +798,6 @@ mod tests {
         let plans: Vec<ShardPlan> = plan.shards.iter().map(|a| a.plan).collect();
         let local = sciml_store::ClusterPlan::assign(&plans, &nodes, 2);
         assert_eq!(plan, local);
-        server.shutdown();
-    }
-
-    #[test]
-    fn cluster_manifest_needs_v6() {
-        let server = ServeBuilder::new()
-            .dataset("demo", demo_source())
-            .bind("127.0.0.1:0")
-            .unwrap();
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_message(&mut s, &Message::Hello { version: 5 }).unwrap();
-        assert_eq!(
-            read_message(&mut s).unwrap(),
-            Message::HelloAck { version: 5 }
-        );
-        write_message(
-            &mut s,
-            &Message::ClusterManifest {
-                name: "demo".into(),
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_message(&mut s).unwrap(),
-            Message::Error {
-                code: ErrorCode::BadRequest,
-                ..
-            }
-        ));
-        // The connection survives the premature request.
-        write_message(&mut s, &Message::Stats).unwrap();
-        assert!(matches!(
-            read_message(&mut s).unwrap(),
-            Message::StatsReplyV3(_)
-        ));
         server.shutdown();
     }
 }

@@ -1,14 +1,11 @@
-//! Per-connection protocol state machine, shared by both serving
-//! engines.
+//! Per-connection protocol state machine.
 //!
-//! The legacy thread-per-connection loop and the reactor's
-//! [`Service`](sciml_net::Service) callback both funnel every decoded
-//! request through [`process_message`]: version negotiation, the v5
-//! trace-context unwrap, request dispatch, and request accounting live
-//! here exactly once. The engines only differ in how bytes reach the
-//! decoder and how the returned [`Disposition`] is written back.
+//! The reactor's [`Service`](sciml_net::Service) callback funnels every
+//! decoded request through [`process_message`]: the `Hello` version
+//! check, the trace-context unwrap, request dispatch, and request
+//! accounting live here.
 
-use crate::protocol::{DatasetEntry, ErrorCode, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::protocol::{DatasetEntry, ErrorCode, Message, PROTOCOL_VERSION};
 use crate::server::Inner;
 use sciml_pipeline::SampleSource;
 use sciml_store::manifest::plan_by_count;
@@ -19,15 +16,15 @@ use std::time::Instant;
 /// without a preference and the dataset has no packed-store manifest.
 const DEFAULT_PLAN_PER_SHARD: u64 = 64;
 
-/// Negotiation state of one connection. Fresh connections start with no
-/// agreed version; the first message must be a `Hello`.
+/// State of one connection: the first message must be a `Hello`
+/// carrying [`PROTOCOL_VERSION`].
 #[derive(Debug, Default)]
 pub(crate) struct SessionState {
-    /// Protocol version agreed at negotiation, `None` before `Hello`.
-    pub(crate) negotiated: Option<u16>,
+    /// Whether that `Hello` has been received and acknowledged.
+    pub(crate) greeted: bool,
 }
 
-/// What the engine must do with the computed reply.
+/// What the reactor glue must do with the computed reply.
 #[derive(Debug)]
 pub(crate) enum Disposition {
     /// Write the reply, keep the connection open.
@@ -39,25 +36,19 @@ pub(crate) enum Disposition {
 }
 
 /// Runs one request through the session state machine and returns the
-/// reply plus what to do with the connection. Negotiation messages are
-/// not counted as requests; everything after `Hello` records into
+/// reply plus what to do with the connection. The greeting is not
+/// counted as a request; everything after `Hello` records into
 /// `serve.requests` / `serve.request_ns`.
 pub(crate) fn process_message(
     inner: &Inner,
     state: &mut SessionState,
     request: Message,
 ) -> Disposition {
-    // Version negotiation first: anything else is a protocol error.
-    // The server speaks every version in MIN..=PROTOCOL_VERSION and
-    // acks the highest one both sides understand — a client offering a
-    // *newer* version than ours gets ours back and proceeds with the
-    // shared subset, so only pre-MIN relics are turned away.
-    let Some(negotiated) = state.negotiated else {
+    if !state.greeted {
         return match request {
-            Message::Hello { version } if version >= MIN_PROTOCOL_VERSION => {
-                let agreed = version.min(PROTOCOL_VERSION);
-                state.negotiated = Some(agreed);
-                Disposition::Reply(Message::HelloAck { version: agreed })
+            Message::Hello { version } if version == PROTOCOL_VERSION => {
+                state.greeted = true;
+                Disposition::Reply(Message::HelloAck { version })
             }
             Message::Hello { version } => Disposition::ReplyThenClose(Message::Error {
                 code: ErrorCode::VersionMismatch,
@@ -68,10 +59,10 @@ pub(crate) fn process_message(
                 detail: "first message must be Hello".into(),
             }),
         };
-    };
+    }
 
     let started = Instant::now();
-    // Unwrap the v5 trace-context envelope. The linked span stays open
+    // Unwrap the trace-context envelope. The linked span stays open
     // across respond(), so per-sample child spans nest under it and it
     // records the request's full handling time.
     let (request, _request_span) = match request {
@@ -80,14 +71,6 @@ pub(crate) fn process_message(
             parent_span,
             inner: boxed,
         } => {
-            if negotiated < 5 {
-                let reply = Message::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: format!("Traced requests need v5, connection is v{negotiated}"),
-                };
-                inner.metrics.record_request(started.elapsed());
-                return Disposition::Reply(reply);
-            }
             let span = inner
                 .tracer
                 .span_linked("serve", "request", trace_id, parent_span);
@@ -95,7 +78,7 @@ pub(crate) fn process_message(
         }
         other => (other, None),
     };
-    let (reply, stop) = respond(inner, request, negotiated);
+    let (reply, stop) = respond(inner, request);
     inner.metrics.record_request(started.elapsed());
     if stop {
         Disposition::ReplyThenShutdown(reply)
@@ -105,19 +88,11 @@ pub(crate) fn process_message(
 }
 
 /// Computes the reply for one request; `true` means "begin shutdown
-/// after the reply is on the wire". `negotiated` is the connection's
-/// protocol version — it selects the stats-reply flavour (v2 carries
-/// the latency histogram, v3 the decode counters) and gates the v6
-/// cluster manifest.
-fn respond(inner: &Inner, request: Message, negotiated: u16) -> (Message, bool) {
-    let stats_reply = |snapshot| {
-        if negotiated >= 5 {
-            Message::StatsReplyV3(snapshot)
-        } else if negotiated >= 2 {
-            Message::StatsReplyV2(snapshot)
-        } else {
-            Message::StatsReply(snapshot)
-        }
+/// after the reply is on the wire".
+fn respond(inner: &Inner, request: Message) -> (Message, bool) {
+    let stats_reply = || {
+        let (h, m, e) = inner.cache_totals();
+        Message::StatsReply(inner.metrics.snapshot(h, m, e))
     };
     match request {
         Message::ListDatasets => {
@@ -183,21 +158,11 @@ fn respond(inner: &Inner, request: Message, negotiated: u16) -> (Message, bool) 
         }
         Message::ShardManifest { name, per_shard } => {
             match dataset_plans(inner, &name, per_shard) {
-                Some(plans) if negotiated >= 4 => (Message::ShardManifestReplyV2(plans), false),
                 Some(plans) => (Message::ShardManifestReply(plans), false),
                 None => (unknown_dataset(&name), false),
             }
         }
         Message::ClusterManifest { name } => {
-            if negotiated < 6 {
-                return (
-                    Message::Error {
-                        code: ErrorCode::BadRequest,
-                        detail: format!("ClusterManifest needs v6, connection is v{negotiated}"),
-                    },
-                    false,
-                );
-            }
             let Some(plans) = dataset_plans(inner, &name, 0) else {
                 return (unknown_dataset(&name), false);
             };
@@ -213,16 +178,10 @@ fn respond(inner: &Inner, request: Message, negotiated: u16) -> (Message, bool) 
                 false,
             )
         }
-        Message::Stats => {
-            let (h, m, e) = inner.cache_totals();
-            (stats_reply(inner.metrics.snapshot(h, m, e)), false)
-        }
-        Message::Shutdown => {
-            // Acknowledge with the final counters; the engine triggers
-            // shutdown after the reply is on the wire.
-            let (h, m, e) = inner.cache_totals();
-            (stats_reply(inner.metrics.snapshot(h, m, e)), true)
-        }
+        Message::Stats => (stats_reply(), false),
+        // Acknowledge with the final counters; the reactor begins its
+        // drain after the reply is on the wire.
+        Message::Shutdown => (stats_reply(), true),
         // Client-bound messages arriving at the server.
         other => (
             Message::Error {

@@ -29,7 +29,7 @@ pub struct ShardSource {
     /// Per-encoding decode counters (`store.decode.{raw,gzip,pack}`),
     /// indexed by [`PayloadEncoding`] discriminant order. On a serving
     /// node these share the registry with `ServerMetrics`, which lifts
-    /// them into v5 stats replies.
+    /// them into stats replies.
     decoded: Option<[Arc<Counter>; 3]>,
 }
 

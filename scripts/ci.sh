@@ -151,7 +151,7 @@ for _ in $(seq 50); do
     if sciml fetch --addr 127.0.0.1:7981 --indices 0 >/dev/null 2>&1; then break; fi
     sleep 0.2
 done
-# Traced decode run: protocol v5 carries the client's trace context in
+# Traced decode run: the client's trace context rides in
 # every request, so the server's spans join the client's trace; the
 # sampler writes the final bottleneck-attribution report.
 sciml fetch --addr 127.0.0.1:7981 --all --decode cosmo \

@@ -203,8 +203,8 @@ mod wire {
     /// so it reaches the parser) is `UnknownTag`.
     #[test]
     fn unknown_tags_rejected() {
-        // 0x15 is the first tag past the protocol-v6 range (0x13/0x14
-        // became the ClusterManifest request/reply pair).
+        // 0x15 is the first tag past the assigned range (0x13/0x14 are
+        // the ClusterManifest request/reply pair).
         for tag in [0x00u8, 0x15, 0x42, 0xEE, 0xFF] {
             let payload = vec![tag];
             let mut frame = Vec::new();
@@ -296,10 +296,9 @@ mod wire {
             Message::HelloAck { .. }
         ));
         write_message(&mut c2, &Message::Stats).unwrap();
-        // v5 was negotiated, so the per-encoding reply comes back.
         assert!(matches!(
             read_message(&mut c2).unwrap(),
-            Message::StatsReplyV3(_)
+            Message::StatsReply(_)
         ));
         server.shutdown();
     }

@@ -1,5 +1,5 @@
-//! Reactor-engine integration tests: graceful drain with requests in
-//! flight on a real loopback TCP server.
+//! Reactor integration tests on a real loopback TCP server: graceful
+//! drain with requests in flight, and the one-version greeting.
 
 use sciml_pipeline::SampleSource;
 use sciml_serve::protocol::{self, ErrorCode, Message};
@@ -69,7 +69,7 @@ fn drain_completes_inflight_replies_and_refuses_new_connections() {
     let addr = server.local_addr();
     let registry = server.metrics_registry();
 
-    // Raw-protocol clients: each negotiates, then (after the barrier)
+    // Raw-protocol clients: each greets, then (after the barrier)
     // puts one slow fetch in flight.
     let barrier = Arc::new(Barrier::new(inflight + 1));
     let clients: Vec<_> = (0..inflight)
@@ -195,4 +195,79 @@ fn drain_of_idle_server_returns_quickly() {
         t0.elapsed() < Duration::from_secs(10),
         "idle drain must not wait out the drain timeout"
     );
+}
+
+/// One protocol version: a `Hello` on either side of it gets the typed
+/// `VersionMismatch` frame and a close, and every admitted connection
+/// can use the whole protocol, trace envelope and cluster manifest
+/// included.
+#[test]
+fn other_versions_are_refused_and_admitted_connections_speak_everything() {
+    let server = ServeBuilder::new()
+        .dataset(
+            "cosmo",
+            Arc::new(SlowSource {
+                blobs: blobs(2),
+                delay: Duration::ZERO,
+            }) as Arc<dyn SampleSource>,
+        )
+        .bind("127.0.0.1:0")
+        .expect("bind loopback");
+    let dial = |version: u16| {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        protocol::write_message(&mut stream, &Message::Hello { version }).expect("hello");
+        let reply = protocol::read_message(&mut stream).expect("hello reply");
+        (stream, reply)
+    };
+
+    for version in [
+        protocol::PROTOCOL_VERSION - 1,
+        protocol::PROTOCOL_VERSION + 1,
+    ] {
+        let (mut stream, reply) = dial(version);
+        assert!(
+            matches!(
+                reply,
+                Message::Error {
+                    code: ErrorCode::VersionMismatch,
+                    ..
+                }
+            ),
+            "v{version}: {reply:?}"
+        );
+        assert!(
+            matches!(
+                protocol::read_message(&mut stream),
+                Err(protocol::ProtocolError::Io(ref e))
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof
+            ),
+            "v{version}: the refused connection must be closed"
+        );
+    }
+
+    let (mut stream, reply) = dial(protocol::PROTOCOL_VERSION);
+    assert_eq!(
+        reply,
+        Message::HelloAck {
+            version: protocol::PROTOCOL_VERSION
+        }
+    );
+    let request = Message::Traced {
+        trace_id: 1,
+        parent_span: 2,
+        inner: Box::new(Message::ClusterManifest {
+            name: "cosmo".into(),
+        }),
+    };
+    protocol::write_message(&mut stream, &request).expect("traced cluster manifest");
+    match protocol::read_message(&mut stream).expect("cluster reply") {
+        Message::ClusterManifestReply(plan) => {
+            assert_eq!(plan.nodes, vec![server.local_addr().to_string()]);
+        }
+        other => panic!("expected the cluster manifest, got {other:?}"),
+    }
+    server.shutdown();
 }
