@@ -2,9 +2,10 @@
 //! Huffman, or dynamic-Huffman blocks, whichever is cheapest per block.
 
 use crate::bitstream::BitWriter;
-use crate::huffman::{canonical_codes, code_lengths};
-use crate::lz77::{self, Token};
+use crate::huffman::{canonical_codes, code_lengths, stream_codes};
+use crate::lz77::{Matcher, Token, MAX_MATCH};
 use crate::Level;
+use std::sync::OnceLock;
 
 /// (base length, extra bits) for length codes 257..=285.
 pub(crate) const LENGTH_CODES: [(u16, u8); 29] = [
@@ -81,23 +82,57 @@ pub(crate) const CLC_ORDER: [usize; 19] = [
 /// End-of-block symbol.
 pub(crate) const EOB: usize = 256;
 
+/// Length code index (0..=28) of every match length; entries below 3
+/// are unused.
+const LENGTH_SYMBOL: [u8; MAX_MATCH + 1] = {
+    let mut table = [0u8; MAX_MATCH + 1];
+    let mut code = 0;
+    // In code order, so that 258 ends up with code 28, not as the last
+    // value of code 27.
+    while code < LENGTH_CODES.len() {
+        let (base, extra) = LENGTH_CODES[code];
+        let mut len = base as usize;
+        while len < base as usize + (1 << extra) && len <= MAX_MATCH {
+            table[len] = code as u8;
+            len += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
+/// Where [`DIST_SYMBOL`] keeps the code of distance `d + 1`: `d` itself
+/// indexes the first half, `256 + d / 128` the second (from code 16 on,
+/// every code covers whole runs of 128 distances).
+const fn dist_slot(d: usize) -> usize {
+    if d < 256 {
+        d
+    } else {
+        256 + (d >> 7)
+    }
+}
+
+/// Distance code (0..=29) by [`dist_slot`].
+const DIST_SYMBOL: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut code = 0;
+    while code < DIST_CODES.len() {
+        let (base, extra) = DIST_CODES[code];
+        let mut d = base as usize - 1;
+        while d < base as usize - 1 + (1 << extra) {
+            table[dist_slot(d)] = code as u8;
+            d += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
 /// Maps a match length (3..=258) to (code index 0..=28, extra bits, extra value).
 #[inline]
 pub(crate) fn length_symbol(len: u16) -> (usize, u8, u16) {
     debug_assert!((3..=258).contains(&len));
-    // Linear scan over 29 entries is fine at block-build frequency; find
-    // the last code whose base <= len (code 285 takes exactly 258).
-    if len == 258 {
-        return (28, 0, 0);
-    }
-    let mut idx = 0;
-    for (i, &(base, _)) in LENGTH_CODES.iter().enumerate() {
-        if base <= len {
-            idx = i;
-        } else {
-            break;
-        }
-    }
+    let idx = LENGTH_SYMBOL[len as usize] as usize;
     let (base, extra) = LENGTH_CODES[idx];
     (idx, extra, len - base)
 }
@@ -106,101 +141,134 @@ pub(crate) fn length_symbol(len: u16) -> (usize, u8, u16) {
 #[inline]
 pub(crate) fn dist_symbol(dist: u16) -> (usize, u8, u16) {
     debug_assert!(dist >= 1);
-    let mut idx = 0;
-    for (i, &(base, _)) in DIST_CODES.iter().enumerate() {
-        if base <= dist {
-            idx = i;
-        } else {
-            break;
-        }
-    }
+    let idx = DIST_SYMBOL[dist_slot(dist as usize - 1)] as usize;
     let (base, extra) = DIST_CODES[idx];
     (idx, extra, dist - base)
 }
 
 /// Fixed lit/len code lengths (RFC 1951 §3.2.6).
-pub(crate) fn fixed_litlen_lengths() -> Vec<u8> {
-    let mut l = vec![8u8; 288];
-    l[144..256].fill(9);
-    l[256..280].fill(7);
+pub(crate) const FIXED_LITLEN_LENGTHS: [u8; 288] = {
+    let mut l = [8u8; 288];
+    let mut s = 144;
+    while s < 280 {
+        l[s] = if s < 256 { 9 } else { 7 };
+        s += 1;
+    }
     l
-}
+};
 
 /// Fixed distance code lengths: thirty 5-bit codes.
-pub(crate) fn fixed_dist_lengths() -> Vec<u8> {
-    vec![5u8; 30]
+pub(crate) const FIXED_DIST_LENGTHS: [u8; 30] = [5; 30];
+
+/// Extra bits that follow each lit/len symbol (none below 257).
+const LITLEN_EXTRA: [u8; 288] = {
+    let mut e = [0u8; 288];
+    let mut code = 0;
+    while code < LENGTH_CODES.len() {
+        e[257 + code] = LENGTH_CODES[code].1;
+        code += 1;
+    }
+    e
+};
+
+/// The fixed lit/len and distance codes as the writer takes them
+/// ([`stream_codes`]), built on first use.
+fn fixed_codes() -> &'static (Vec<u32>, Vec<u32>) {
+    static CODES: OnceLock<(Vec<u32>, Vec<u32>)> = OnceLock::new();
+    CODES.get_or_init(|| {
+        (
+            stream_codes(&FIXED_LITLEN_LENGTHS),
+            stream_codes(&FIXED_DIST_LENGTHS),
+        )
+    })
 }
 
 /// Compresses `data` into a raw DEFLATE stream.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    let tokens = lz77::tokenize(data, level.max_chain(), level.good_enough(), level.lazy());
-    let mut w = BitWriter::new();
-
-    // Split the token stream into blocks so each gets its own adaptive
-    // code. 32Ki tokens per block keeps header overhead negligible.
-    const TOKENS_PER_BLOCK: usize = 32 * 1024;
-    if tokens.is_empty() {
-        write_stored_block(&mut w, &[], true);
-        return w.finish();
-    }
-    let nblocks = tokens.len().div_ceil(TOKENS_PER_BLOCK);
-    let mut data_pos = 0usize;
-    for (bi, chunk) in tokens.chunks(TOKENS_PER_BLOCK).enumerate() {
-        let final_block = bi == nblocks - 1;
-        let raw_len: usize = chunk
-            .iter()
-            .map(|t| match t {
-                Token::Literal(_) => 1,
-                Token::Match { len, .. } => *len as usize,
-            })
-            .sum();
-        let raw = &data[data_pos..data_pos + raw_len];
-        data_pos += raw_len;
-        write_best_block(&mut w, chunk, raw, final_block);
-    }
+    let mut w = BitWriter::with_capacity(data.len() / 2 + 32);
+    compress_into(&mut w, data, level);
     w.finish()
 }
 
-/// Frequency tables for a token chunk (including the EOB symbol).
-fn frequencies(tokens: &[Token]) -> (Vec<u32>, Vec<u32>) {
-    let mut lit = vec![0u32; 288];
-    let mut dist = vec![0u32; 30];
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => lit[b as usize] += 1,
-            Token::Match { len, dist: d } => {
-                lit[257 + length_symbol(len).0] += 1;
-                dist[dist_symbol(d).0] += 1;
-            }
-        }
+/// Appends `data` as a raw DEFLATE stream to `w`, which is left
+/// wherever the final block ends (not byte-aligned).
+pub(crate) fn compress_into(w: &mut BitWriter, data: &[u8], level: Level) {
+    if data.is_empty() {
+        write_stored_block(w, &[], true);
+        return;
     }
-    lit[EOB] += 1;
-    (lit, dist)
+    // Split the token stream into blocks so each gets its own adaptive
+    // code. 32Ki tokens per block keeps header overhead negligible.
+    const TOKENS_PER_BLOCK: usize = 32 * 1024;
+    let mut matcher = Matcher::new(data, level.max_chain(), level.good_enough(), level.lazy());
+    let mut tokens = Vec::with_capacity(TOKENS_PER_BLOCK);
+    let mut rest = data;
+    while !matcher.is_done() {
+        matcher.next_tokens(&mut tokens, TOKENS_PER_BLOCK);
+        let freq = Frequencies::count(&tokens);
+        let (raw, after) = rest.split_at(freq.raw_len);
+        rest = after;
+        write_best_block(w, &tokens, &freq, raw, matcher.is_done());
+    }
 }
 
-/// Cost in bits of coding `tokens` with the given lengths.
-fn body_cost(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> usize {
-    let mut bits = lit_lens[EOB] as usize;
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => bits += lit_lens[b as usize] as usize,
-            Token::Match { len, dist } => {
-                let (lc, le, _) = length_symbol(len);
-                let (dc, de, _) = dist_symbol(dist);
-                bits += lit_lens[257 + lc] as usize + le as usize;
-                bits += dist_lens[dc] as usize + de as usize;
+/// Symbol counts of a token chunk (including the EOB symbol) and the
+/// number of input bytes it stands for.
+struct Frequencies {
+    lit: [u32; 288],
+    dist: [u32; 30],
+    raw_len: usize,
+}
+
+impl Frequencies {
+    fn count(tokens: &[Token]) -> Self {
+        let mut f = Frequencies {
+            lit: [0; 288],
+            dist: [0; 30],
+            raw_len: 0,
+        };
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => {
+                    f.lit[b as usize] += 1;
+                    f.raw_len += 1;
+                }
+                Token::Match { len, dist } => {
+                    f.lit[257 + length_symbol(len).0] += 1;
+                    f.dist[dist_symbol(dist).0] += 1;
+                    f.raw_len += len as usize;
+                }
             }
         }
+        f.lit[EOB] += 1;
+        f
     }
-    bits
+
+    /// Cost in bits of coding the chunk with the given lengths: every
+    /// symbol's count times its code length plus the extra bits that
+    /// follow it.
+    fn body_cost(&self, lit_lens: &[u8], dist_lens: &[u8]) -> usize {
+        let lit = (0..self.lit.len())
+            .map(|s| self.lit[s] as usize * (lit_lens[s] + LITLEN_EXTRA[s]) as usize)
+            .sum::<usize>();
+        let dist = (0..self.dist.len())
+            .map(|d| self.dist[d] as usize * (dist_lens[d] + DIST_CODES[d].1) as usize)
+            .sum::<usize>();
+        lit + dist
+    }
 }
 
 /// Writes whichever of stored / fixed / dynamic encodes this chunk in the
 /// fewest bits.
-fn write_best_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], final_block: bool) {
-    let (lit_freq, dist_freq) = frequencies(tokens);
-    let dyn_lit_lens = code_lengths(&lit_freq, 15);
-    let dyn_dist_lens = code_lengths(&dist_freq, 15);
+fn write_best_block(
+    w: &mut BitWriter,
+    tokens: &[Token],
+    freq: &Frequencies,
+    raw: &[u8],
+    final_block: bool,
+) {
+    let dyn_lit_lens = code_lengths(&freq.lit, 15);
+    let dyn_dist_lens = code_lengths(&freq.dist, 15);
     let (clc_stream, clc_lens, hlit, hdist) = build_header(&dyn_lit_lens, &dyn_dist_lens);
 
     let header_bits = 14
@@ -209,11 +277,9 @@ fn write_best_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], final_block
             .iter()
             .map(|&(sym, _len_of_extra, extra_bits)| clc_lens[sym] as usize + extra_bits as usize)
             .sum::<usize>();
-    let dynamic_bits = 3 + header_bits + body_cost(tokens, &dyn_lit_lens, &dyn_dist_lens);
+    let dynamic_bits = 3 + header_bits + freq.body_cost(&dyn_lit_lens, &dyn_dist_lens);
 
-    let fixed_lit = fixed_litlen_lengths();
-    let fixed_dist = fixed_dist_lengths();
-    let fixed_bits = 3 + body_cost(tokens, &fixed_lit, &fixed_dist);
+    let fixed_bits = 3 + freq.body_cost(&FIXED_LITLEN_LENGTHS, &FIXED_DIST_LENGTHS);
 
     // Stored blocks carry at most 65535 bytes each.
     let stored_bits = raw
@@ -229,12 +295,18 @@ fn write_best_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], final_block
     } else if fixed_bits <= dynamic_bits {
         w.write_bits(final_block as u32, 1);
         w.write_bits(0b01, 2);
-        write_body(w, tokens, &fixed_lit, &fixed_dist);
+        let (lit_codes, dist_codes) = fixed_codes();
+        write_body(w, tokens, lit_codes, dist_codes);
     } else {
         w.write_bits(final_block as u32, 1);
         w.write_bits(0b10, 2);
         write_dynamic_header(w, &clc_stream, &clc_lens, hlit, hdist);
-        write_body(w, tokens, &dyn_lit_lens, &dyn_dist_lens);
+        write_body(
+            w,
+            tokens,
+            &stream_codes(&dyn_lit_lens),
+            &stream_codes(&dyn_dist_lens),
+        );
     }
 }
 
@@ -340,29 +412,29 @@ fn write_dynamic_header(
     }
 }
 
-fn write_body(w: &mut BitWriter, tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) {
-    let lit_codes = canonical_codes(lit_lens);
-    let dist_codes = canonical_codes(dist_lens);
+/// Writes the tokens and the end-of-block symbol through the block's
+/// [`stream_codes`]: one write per symbol, the code with its extra bits
+/// folded in above it (at most 15 + 13 bits).
+fn write_body(w: &mut BitWriter, tokens: &[Token], lit_codes: &[u32], dist_codes: &[u32]) {
+    let put = |w: &mut BitWriter, code: u32, extra: u16, extra_bits: u8| {
+        let len = code >> 16;
+        w.write_bits(
+            (extra as u32) << len | (code & 0xFFFF),
+            len + extra_bits as u32,
+        );
+    };
     for t in tokens {
         match *t {
-            Token::Literal(b) => {
-                w.write_code(lit_codes[b as usize], lit_lens[b as usize] as u32);
-            }
+            Token::Literal(b) => put(w, lit_codes[b as usize], 0, 0),
             Token::Match { len, dist } => {
-                let (lc, le, lv) = length_symbol(len);
-                w.write_code(lit_codes[257 + lc], lit_lens[257 + lc] as u32);
-                if le > 0 {
-                    w.write_bits(lv as u32, le as u32);
-                }
-                let (dc, de, dv) = dist_symbol(dist);
-                w.write_code(dist_codes[dc], dist_lens[dc] as u32);
-                if de > 0 {
-                    w.write_bits(dv as u32, de as u32);
-                }
+                let (sym, extra_bits, extra) = length_symbol(len);
+                put(w, lit_codes[257 + sym], extra, extra_bits);
+                let (sym, extra_bits, extra) = dist_symbol(dist);
+                put(w, dist_codes[sym], extra, extra_bits);
             }
         }
     }
-    w.write_code(lit_codes[EOB], lit_lens[EOB] as u32);
+    put(w, lit_codes[EOB], 0, 0);
 }
 
 fn write_stored_chunks(w: &mut BitWriter, raw: &[u8], final_block: bool) {
@@ -422,13 +494,32 @@ mod tests {
 
     #[test]
     fn fixed_tables_shape() {
-        let l = fixed_litlen_lengths();
-        assert_eq!(l.len(), 288);
+        let l = FIXED_LITLEN_LENGTHS;
         assert_eq!(l[0], 8);
+        assert_eq!(l[143], 8);
         assert_eq!(l[144], 9);
+        assert_eq!(l[255], 9);
         assert_eq!(l[256], 7);
+        assert_eq!(l[279], 7);
         assert_eq!(l[280], 8);
-        assert_eq!(fixed_dist_lengths(), vec![5u8; 30]);
+        assert_eq!(l[287], 8);
+    }
+
+    #[test]
+    fn symbol_tables_agree_with_the_code_ranges() {
+        for len in 3..=258u16 {
+            let (idx, extra, value) = length_symbol(len);
+            assert_eq!(LENGTH_CODES[idx], (len - value, extra), "len {len}");
+            assert!(value < 1 << extra || extra == 0 && value == 0);
+            // The first code that fits: 258 is code 28, not 27 + 31.
+            assert!(idx == 28 || LENGTH_CODES[idx + 1].0 > len);
+        }
+        for dist in 1..=32768u32 {
+            let (idx, extra, value) = dist_symbol(dist as u16);
+            assert_eq!(DIST_CODES[idx].0 as u32 + value as u32, dist);
+            assert_eq!(DIST_CODES[idx].1, extra);
+            assert!((value as u32) < 1 << extra, "dist {dist}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! gzip (RFC 1952) member framing around raw DEFLATE.
 
+use crate::bitstream::BitWriter;
 use crate::crc32::{crc32, Crc32};
 use crate::{deflate, inflate, Error, Level};
 
@@ -12,22 +13,24 @@ const FEXTRA: u8 = 1 << 2;
 const FNAME: u8 = 1 << 3;
 const FCOMMENT: u8 = 1 << 4;
 
+/// The most a DEFLATE stream can expand: a 258-byte match costs at
+/// least two bits.
+const MAX_EXPANSION: usize = 1032;
+
 /// Compresses `data` into a single gzip member (no name, zero mtime,
 /// "unknown" OS — deterministic output for a given input and level).
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 3 + 32);
-    out.extend_from_slice(&MAGIC);
-    out.push(CM_DEFLATE);
-    out.push(0); // FLG: no optional fields
-    out.extend_from_slice(&0u32.to_le_bytes()); // MTIME
+    let mut w = BitWriter::with_capacity(data.len() / 2 + 32);
+    w.write_bytes(&MAGIC);
     let xfl = match level {
         Level::Best => 2,
         Level::Fastest => 4,
         _ => 0,
     };
-    out.push(xfl);
-    out.push(255); // OS: unknown
-    out.extend_from_slice(&deflate::compress(data, level));
+    // CM, FLG (no optional fields), MTIME x 4, XFL, OS (unknown).
+    w.write_bytes(&[CM_DEFLATE, 0, 0, 0, 0, 0, xfl, 255]);
+    deflate::compress_into(&mut w, data, level);
+    let mut out = w.finish();
     out.extend_from_slice(&crc32(data).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out
@@ -40,8 +43,7 @@ pub fn decompress_multi(data: &[u8]) -> Result<Vec<u8>, Error> {
     let mut out = Vec::new();
     let mut rest = data;
     loop {
-        let (member_out, consumed) = decompress_member(rest)?;
-        out.extend_from_slice(&member_out);
+        let consumed = decompress_member(rest, &mut out, usize::MAX)?;
         rest = &rest[consumed..];
         if rest.is_empty() {
             return Ok(out);
@@ -49,24 +51,35 @@ pub fn decompress_multi(data: &[u8]) -> Result<Vec<u8>, Error> {
     }
 }
 
-/// Decompresses one member, returning its output and total bytes
-/// consumed (header + deflate stream + trailer).
-fn decompress_member(data: &[u8]) -> Result<(Vec<u8>, usize), Error> {
+/// Decompresses one member, appending its output to `out` (never
+/// beyond `limit` bytes in all), and returns the bytes consumed
+/// (header + deflate stream + trailer).
+fn decompress_member(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<usize, Error> {
     let body_start = parse_header(data)?;
-    let (out, body_consumed) = inflate::inflate_with_consumed(&data[body_start..])?;
-    let trailer_start = body_start + body_consumed;
-    if data.len() < trailer_start + 8 {
-        return Err(Error::UnexpectedEof);
+    // The length field at the very end is this member's own when the
+    // member is alone, as it nearly always is. It is a capacity hint
+    // and no more: capped by what the input could possibly expand to,
+    // and the output grows past it if the stream does.
+    if let Some(&isize_field) = data.last_chunk::<4>() {
+        let hint = (u32::from_le_bytes(isize_field) as usize)
+            .min(data.len().saturating_mul(MAX_EXPANSION))
+            .min(limit.saturating_sub(out.len()));
+        out.reserve(hint);
     }
-    let trailer = &data[trailer_start..trailer_start + 8];
-    // Length is checked above; plain indexing keeps this panic-free
-    // under the repo's no_panics lint.
-    let want_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let want_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
-    if crc32(&out) != want_crc || (out.len() as u32) != want_len {
+    let start = out.len();
+    let body_consumed = inflate::inflate_into(&data[body_start..], out, limit)?;
+    let trailer_start = body_start + body_consumed;
+    let &[c0, c1, c2, c3, l0, l1, l2, l3] = data
+        .get(trailer_start..)
+        .and_then(|t| t.first_chunk::<8>())
+        .ok_or(Error::UnexpectedEof)?;
+    let want_crc = u32::from_le_bytes([c0, c1, c2, c3]);
+    let want_len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let member = &out[start..];
+    if crc32(member) != want_crc || member.len() as u32 != want_len {
         return Err(Error::ChecksumMismatch);
     }
-    Ok((out, trailer_start + 8))
+    Ok(trailer_start + 8)
 }
 
 /// Parses a member header, returning the offset of the deflate body.
@@ -125,11 +138,23 @@ fn parse_header(data: &[u8]) -> Result<usize, Error> {
 
 /// Decompresses a single-member gzip file, verifying the trailer.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
-    let (out, consumed) = decompress_member(data)?;
+    let mut out = Vec::new();
+    decompress_into(data, &mut out, usize::MAX)?;
+    Ok(out)
+}
+
+/// [`decompress`] into a caller's buffer, replacing its contents, with
+/// a hard limit on the output: a member that inflates to more than
+/// `limit` bytes is [`Error::OutputLimit`], found before `out` has grown
+/// past `limit`. A buffer with `limit` bytes of capacity is never
+/// reallocated. On error the contents of `out` are unspecified.
+pub fn decompress_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), Error> {
+    out.clear();
+    let consumed = decompress_member(data, out, limit)?;
     if consumed != data.len() {
         return Err(Error::Corrupt("trailing bytes after gzip member"));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

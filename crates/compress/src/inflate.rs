@@ -1,36 +1,78 @@
 //! DEFLATE decompressor (full RFC 1951: stored, fixed, dynamic blocks).
+//!
+//! A block's symbols are decoded by two loops over the same
+//! [`DecodeTable`]s. The **fast loop** runs while at least 8 input bytes
+//! and 274 (`MAX_MATCH + 16`) output bytes remain: under those margins a
+//! refill is one eight-byte load, no symbol can run out of input, and a
+//! match may be copied in eight-byte steps that overshoot its end. The
+//! **careful loop** decodes one symbol at a time with every check, and
+//! takes over for the tail of the input and of a sized output.
 
 use crate::bitstream::BitReader;
 use crate::deflate::{
-    fixed_dist_lengths, fixed_litlen_lengths, CLC_ORDER, DIST_CODES, LENGTH_CODES,
+    CLC_ORDER, DIST_CODES, FIXED_DIST_LENGTHS, FIXED_LITLEN_LENGTHS, LENGTH_CODES,
 };
-use crate::huffman::Decoder;
+use crate::huffman::{code_bits, entry, extra_bits, kind, value, DecodeTable, Kind};
+use crate::lz77::MAX_MATCH;
 use crate::Error;
+
+/// Primary-level sizes of the three decode tables (11, 8 and 7 index
+/// bits). 2048 + 256 four-byte entries stay in L1 beside the window
+/// being copied from; no code-length code is longer than 7 bits.
+type LitLenTable = DecodeTable<{ 1 << 11 }>;
+type DistTable = DecodeTable<{ 1 << 8 }>;
+type CodeLenTable = DecodeTable<{ 1 << 7 }>;
+
+/// Output bytes the fast loop wants ahead of it: one iteration writes
+/// at most three literals or one match, and the wide copy of a match
+/// may write up to fifteen bytes past its end.
+const FAST_OUT_MARGIN: usize = MAX_MATCH + 16;
 
 /// Decompresses a raw DEFLATE stream into bytes.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, Error> {
-    inflate_with_consumed(data).map(|(out, _)| out)
+    let mut out = Vec::with_capacity(data.len().saturating_mul(3));
+    inflate_into(data, &mut out, usize::MAX)?;
+    Ok(out)
 }
 
-/// Decompresses one DEFLATE stream and reports how many input bytes it
-/// consumed (the stream ends at a byte boundary after the final block) —
-/// needed to walk concatenated members in multi-member gzip files.
-pub fn inflate_with_consumed(data: &[u8]) -> Result<(Vec<u8>, usize), Error> {
+/// Decompresses one DEFLATE stream, appending to `out`, and reports how
+/// many input bytes it consumed (the stream ends at a byte boundary
+/// after the final block) — needed to walk concatenated members in
+/// multi-member gzip files.
+///
+/// `out` never grows beyond `limit` bytes: a stream that would is
+/// [`Error::OutputLimit`]. Its capacity on entry is taken as the
+/// expected size, so a caller that reserved the right amount sees no
+/// reallocation. On error `out` holds what was decoded so far.
+pub(crate) fn inflate_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<usize, Error> {
+    let mut sink = Sink {
+        start: out.len(),
+        len: out.len(),
+        buf: out,
+        limit,
+    };
+    let result = inflate_blocks(data, &mut sink);
+    sink.buf.truncate(sink.len);
+    result
+}
+
+fn inflate_blocks(data: &[u8], sink: &mut Sink<'_>) -> Result<usize, Error> {
     let mut r = BitReader::new(data);
-    let mut out = Vec::with_capacity(data.len().saturating_mul(3));
+    let mut lit = LitLenTable::new();
+    let mut dist = DistTable::new();
     loop {
         let final_block = r.read_bit()? == 1;
         let btype = r.read_bits(2)?;
         match btype {
-            0b00 => inflate_stored(&mut r, &mut out)?,
+            0b00 => inflate_stored(&mut r, sink)?,
             0b01 => {
-                let lit = Decoder::new(&fixed_litlen_lengths())?;
-                let dist = Decoder::new(&fixed_dist_lengths())?;
-                inflate_body(&mut r, &lit, &dist, &mut out)?;
+                lit.build(&FIXED_LITLEN_LENGTHS, litlen_entry)?;
+                dist.build(&FIXED_DIST_LENGTHS, dist_entry)?;
+                inflate_body(&mut r, &lit, &dist, sink)?;
             }
             0b10 => {
-                let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_body(&mut r, &lit, &dist, &mut out)?;
+                read_dynamic_tables(&mut r, &mut lit, &mut dist)?;
+                inflate_body(&mut r, &lit, &dist, sink)?;
             }
             _ => return Err(Error::Corrupt("reserved block type 11")),
         }
@@ -39,22 +81,154 @@ pub fn inflate_with_consumed(data: &[u8]) -> Result<(Vec<u8>, usize), Error> {
         }
     }
     r.align_to_byte();
-    let consumed = data.len() - r.bits_remaining() / 8;
-    Ok((out, consumed))
+    Ok(data.len() - r.bits_remaining() / 8)
 }
 
-fn inflate_stored(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), Error> {
+/// The output under construction: `buf[start..len]` is this stream's
+/// output so far, `buf[len..]` is room already zero-filled for the fast
+/// loop to write into (cut off again when the stream ends).
+struct Sink<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Where this stream's output begins; distances reach no further.
+    start: usize,
+    len: usize,
+    limit: usize,
+}
+
+impl Sink<'_> {
+    /// Makes room for `n` more bytes, or fails if that passes the limit.
+    /// The first growth takes the capacity the caller reserved; later
+    /// ones double, and leave the fast loop its margin where the limit
+    /// allows.
+    #[inline]
+    fn reserve(&mut self, n: usize) -> Result<(), Error> {
+        let need = self
+            .len
+            .checked_add(n)
+            .filter(|&need| need <= self.limit)
+            .ok_or(Error::OutputLimit)?;
+        if need > self.buf.len() {
+            let target = need
+                .saturating_add(FAST_OUT_MARGIN)
+                .max(self.buf.capacity())
+                .max(self.buf.len().saturating_mul(2))
+                .min(self.limit);
+            self.buf.resize(target, 0);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn push(&mut self, byte: u8) -> Result<(), Error> {
+        self.reserve(1)?;
+        self.buf[self.len] = byte;
+        self.len += 1;
+        Ok(())
+    }
+
+    fn extend(&mut self, bytes: &[u8]) -> Result<(), Error> {
+        self.reserve(bytes.len())?;
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        Ok(())
+    }
+
+    /// Appends `len` bytes copied from `dist` bytes back, byte by byte:
+    /// an overlapping copy repeats what it has just written.
+    fn copy_match(&mut self, dist: usize, len: usize) -> Result<(), Error> {
+        if dist > self.len - self.start {
+            return Err(Error::Corrupt("distance beyond output start"));
+        }
+        self.reserve(len)?;
+        for at in self.len..self.len + len {
+            self.buf[at] = self.buf[at - dist];
+        }
+        self.len += len;
+        Ok(())
+    }
+}
+
+#[inline]
+fn load8(buf: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&buf[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+#[inline]
+fn store8(buf: &mut [u8], at: usize, word: u64) {
+    buf[at..at + 8].copy_from_slice(&word.to_le_bytes());
+}
+
+/// How far to advance after stamping an eight-byte pattern of period
+/// `dist`: the most whole periods eight bytes hold, so the phase never
+/// shifts.
+const PATTERN_STEP: [usize; 8] = [0, 8, 8, 6, 8, 5, 6, 7];
+
+/// Appends a match to `buf` at `at` in eight-byte steps: sixteen bytes
+/// straight away (most matches are no longer), then the rest. Writes
+/// up to fifteen bytes past the end of the match; the caller guarantees
+/// `1 <= dist <= at` and `at + len + 15 <= buf.len()`.
+#[inline]
+fn copy_match_wide(buf: &mut [u8], at: usize, dist: usize, len: usize) {
+    let from = at - dist;
+    if dist >= 8 {
+        // Each step reads eight bytes that lie wholly before the eight
+        // it writes, overlapping match or not.
+        store8(buf, at, load8(buf, from));
+        store8(buf, at + 8, load8(buf, from + 8));
+        for k in (16..len).step_by(8) {
+            store8(buf, at + k, load8(buf, from + k));
+        }
+    } else {
+        // The match repeats the last `dist` bytes: lay that pattern
+        // out over eight bytes, doubling it, and stamp it.
+        let period = 8 * dist as u32;
+        let mut pattern = load8(buf, from) & (u64::MAX >> (64 - period));
+        pattern |= pattern << period;
+        pattern |= pattern.checked_shl(2 * period).unwrap_or(0);
+        pattern |= pattern.checked_shl(4 * period).unwrap_or(0);
+        for k in (0..len).step_by(PATTERN_STEP[dist]) {
+            store8(buf, at + k, pattern);
+        }
+    }
+}
+
+fn inflate_stored(r: &mut BitReader<'_>, sink: &mut Sink<'_>) -> Result<(), Error> {
     r.align_to_byte();
     let len = r.read_bits(16)? as u16;
     let nlen = r.read_bits(16)? as u16;
     if len != !nlen {
         return Err(Error::Corrupt("stored block LEN/NLEN mismatch"));
     }
-    out.extend(r.read_bytes(len as usize)?);
-    Ok(())
+    sink.extend(r.read_bytes(len as usize)?)
 }
 
-fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), Error> {
+/// What a literal/length symbol decodes to.
+fn litlen_entry(sym: usize) -> u32 {
+    match sym {
+        0..=255 => entry(Kind::Literal, sym as u16, 0),
+        256 => entry(Kind::EndOfBlock, 0, 0),
+        _ => match LENGTH_CODES.get(sym - 257) {
+            Some(&(base, extra)) => entry(Kind::Base, base, extra),
+            None => entry(Kind::Invalid, 0, 0),
+        },
+    }
+}
+
+/// What a distance symbol decodes to.
+fn dist_entry(sym: usize) -> u32 {
+    match DIST_CODES.get(sym) {
+        Some(&(base, extra)) => entry(Kind::Base, base, extra),
+        None => entry(Kind::Invalid, 0, 0),
+    }
+}
+
+fn read_dynamic_tables(
+    r: &mut BitReader<'_>,
+    lit: &mut LitLenTable,
+    dist: &mut DistTable,
+) -> Result<(), Error> {
     let hlit = r.read_bits(5)? as usize + 257;
     let hdist = r.read_bits(5)? as usize + 1;
     let hclen = r.read_bits(4)? as usize + 4;
@@ -66,76 +240,180 @@ fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), Erro
     for &pos in CLC_ORDER.iter().take(hclen) {
         clc_lens[pos] = r.read_bits(3)? as u8;
     }
-    let clc = Decoder::new(&clc_lens)?;
+    let mut clc = CodeLenTable::new();
+    clc.build(&clc_lens, |sym| entry(Kind::Literal, sym as u16, 0))?;
 
     // Decode the concatenated lit + dist code lengths.
-    let mut all = Vec::with_capacity(hlit + hdist);
-    while all.len() < hlit + hdist {
-        let sym = clc.decode(r)?;
-        match sym {
-            0..=15 => all.push(sym as u8),
-            16 => {
-                let &last = all
-                    .last()
-                    .ok_or(Error::Corrupt("repeat with no prior length"))?;
-                let n = 3 + r.read_bits(2)? as usize;
-                all.extend(std::iter::repeat_n(last, n));
-            }
-            17 => {
-                let n = 3 + r.read_bits(3)? as usize;
-                all.extend(std::iter::repeat_n(0u8, n));
-            }
-            18 => {
-                let n = 11 + r.read_bits(7)? as usize;
-                all.extend(std::iter::repeat_n(0u8, n));
-            }
-            _ => return Err(Error::Corrupt("bad code-length symbol")),
+    let mut lens = [0u8; 286 + 30];
+    let lens = &mut lens[..hlit + hdist];
+    let mut filled = 0;
+    while filled < lens.len() {
+        let e = clc.lookup(r.peek_bits(7) as u64);
+        if code_bits(e) == 0 {
+            return Err(Error::Corrupt("unassigned huffman pattern"));
         }
+        r.consume(code_bits(e))?;
+        let (repeated, n) = match value(e) {
+            sym @ 0..=15 => (sym as u8, 1),
+            16 => {
+                let last = *filled
+                    .checked_sub(1)
+                    .and_then(|i| lens.get(i))
+                    .ok_or(Error::Corrupt("repeat with no prior length"))?;
+                (last, 3 + r.read_bits(2)? as usize)
+            }
+            17 => (0, 3 + r.read_bits(3)? as usize),
+            _ => (0, 11 + r.read_bits(7)? as usize),
+        };
+        lens.get_mut(filled..filled + n)
+            .ok_or(Error::Corrupt("code length overflow"))?
+            .fill(repeated);
+        filled += n;
     }
-    if all.len() != hlit + hdist {
-        return Err(Error::Corrupt("code length overflow"));
-    }
-    if all[256] == 0 {
+    if lens[256] == 0 {
         return Err(Error::Corrupt("missing end-of-block code"));
     }
-    let lit = Decoder::new(&all[..hlit])?;
-    let dist = Decoder::new(&all[hlit..])?;
-    Ok((lit, dist))
+    lit.build(&lens[..hlit], litlen_entry)?;
+    dist.build(&lens[hlit..], dist_entry)
 }
 
 fn inflate_body(
     r: &mut BitReader<'_>,
-    lit: &Decoder,
-    dist: &Decoder,
-    out: &mut Vec<u8>,
+    lit: &LitLenTable,
+    dist: &DistTable,
+    sink: &mut Sink<'_>,
 ) -> Result<(), Error> {
     loop {
-        let sym = lit.decode(r)?;
-        match sym {
-            0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            257..=285 => {
-                let (base, extra) = LENGTH_CODES[sym as usize - 257];
-                let len = base as usize + r.read_bits(extra as u32)? as usize;
-                let dsym = dist.decode(r)? as usize;
-                if dsym >= 30 {
-                    return Err(Error::Corrupt("distance code out of range"));
-                }
-                let (dbase, dextra) = DIST_CODES[dsym];
-                let d = dbase as usize + r.read_bits(dextra as u32)? as usize;
-                if d > out.len() {
-                    return Err(Error::Corrupt("distance beyond output start"));
-                }
-                let start = out.len() - d;
-                // Overlapping copies are the RLE mechanism: byte-by-byte.
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            }
-            _ => return Err(Error::Corrupt("literal/length symbol out of range")),
+        if fast_loop(r, lit, dist, sink)? || careful_symbol(r, lit, dist, sink)? {
+            return Ok(());
         }
     }
+}
+
+const UNASSIGNED: Error = Error::Corrupt("unassigned huffman pattern");
+const BAD_LITLEN: Error = Error::Corrupt("literal/length symbol out of range");
+const BAD_DIST: Error = Error::Corrupt("distance code out of range");
+
+/// Decodes symbols while the margins hold: returns `Ok(true)` at the
+/// end of the block, `Ok(false)` when fewer than eight input bytes or
+/// [`FAST_OUT_MARGIN`] output bytes are left.
+///
+/// A word refill leaves at least 56 bits buffered, and the longest
+/// symbol — a 15-bit length code with 5 extra bits and a 15-bit
+/// distance code with 13 — takes 48, so nothing in here can run out of
+/// input and nothing checks for it.
+#[inline]
+fn fast_loop(
+    r: &mut BitReader<'_>,
+    lit: &LitLenTable,
+    dist: &DistTable,
+    sink: &mut Sink<'_>,
+) -> Result<bool, Error> {
+    let buf = sink.buf.as_mut_slice();
+    let mut at = sink.len;
+    let done = loop {
+        if buf.len() - at < FAST_OUT_MARGIN || !r.refill_word() {
+            break Ok(false);
+        }
+        let mut e = lit.lookup(r.buffer());
+        if kind(e) == Kind::Literal {
+            // Up to three literals on one refill (3 x 15 bits), each
+            // next entry loaded before the byte is stored.
+            let mut run = 0;
+            loop {
+                r.skip(code_bits(e));
+                let byte = value(e) as u8;
+                run += 1;
+                if run < 3 {
+                    e = lit.lookup(r.buffer());
+                }
+                buf[at] = byte;
+                at += 1;
+                if run == 3 || kind(e) != Kind::Literal {
+                    break;
+                }
+            }
+            if run == 3 {
+                continue;
+            }
+            // `e` is what follows the literals, and needs more bits
+            // than they may have left.
+            if !r.refill_word() {
+                break Ok(false);
+            }
+        }
+        match kind(e) {
+            Kind::Base => {}
+            Kind::EndOfBlock => {
+                r.skip(code_bits(e));
+                break Ok(true);
+            }
+            _ if code_bits(e) == 0 => break Err(UNASSIGNED),
+            _ => break Err(BAD_LITLEN),
+        }
+        r.skip(code_bits(e));
+        let len = (value(e) + take_extra(r, e)) as usize;
+        let d = dist.lookup(r.buffer());
+        if kind(d) != Kind::Base {
+            break Err(if code_bits(d) == 0 {
+                UNASSIGNED
+            } else {
+                BAD_DIST
+            });
+        }
+        r.skip(code_bits(d));
+        let distance = (value(d) + take_extra(r, d)) as usize;
+        if distance > at - sink.start {
+            break Err(Error::Corrupt("distance beyond output start"));
+        }
+        copy_match_wide(buf, at, distance, len);
+        at += len;
+    };
+    sink.len = at;
+    done
+}
+
+/// Takes the extra bits of a length or distance entry off the buffer.
+#[inline]
+fn take_extra(r: &mut BitReader<'_>, e: u32) -> u32 {
+    let n = extra_bits(e);
+    let extra = r.buffer() as u32 & ((1 << n) - 1);
+    r.skip(n);
+    extra
+}
+
+/// Decodes one symbol with every check; `Ok(true)` at the end of the
+/// block.
+fn careful_symbol(
+    r: &mut BitReader<'_>,
+    lit: &LitLenTable,
+    dist: &DistTable,
+    sink: &mut Sink<'_>,
+) -> Result<bool, Error> {
+    let e = lit.lookup(r.peek_bits(15) as u64);
+    if code_bits(e) == 0 {
+        return Err(UNASSIGNED);
+    }
+    r.consume(code_bits(e))?;
+    match kind(e) {
+        Kind::Literal => sink.push(value(e) as u8)?,
+        Kind::EndOfBlock => return Ok(true),
+        Kind::Invalid => return Err(BAD_LITLEN),
+        Kind::Base => {
+            let len = (value(e) + r.read_bits(extra_bits(e))?) as usize;
+            let d = dist.lookup(r.peek_bits(15) as u64);
+            if code_bits(d) == 0 {
+                return Err(UNASSIGNED);
+            }
+            r.consume(code_bits(d))?;
+            if kind(d) != Kind::Base {
+                return Err(BAD_DIST);
+            }
+            let distance = (value(d) + r.read_bits(extra_bits(d))?) as usize;
+            sink.copy_match(distance, len)?;
+        }
+    }
+    Ok(false)
 }
 
 #[cfg(test)]

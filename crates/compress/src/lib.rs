@@ -31,6 +31,16 @@ pub mod lz77;
 pub mod stream;
 pub mod zlib;
 
+// Test-only: the implementation the hot loops replaced, and the tests
+// that hold the new ones to its output. In `tests/` so that tools that
+// go by path (sciml-lint) see them for what they are.
+#[cfg(test)]
+#[path = "tests/differential.rs"]
+mod differential;
+#[cfg(test)]
+#[path = "tests/reference.rs"]
+mod reference;
+
 use std::fmt;
 
 /// Compression effort. Maps to LZ77 search depth, mirroring zlib levels.
@@ -87,6 +97,8 @@ pub enum Error {
     ChecksumMismatch,
     /// Huffman code description was invalid (over/under-subscribed).
     BadHuffmanTable,
+    /// The stream inflates to more than the caller's output limit.
+    OutputLimit,
 }
 
 impl fmt::Display for Error {
@@ -97,6 +109,7 @@ impl fmt::Display for Error {
             Error::BadHeader(what) => write!(f, "bad gzip header: {what}"),
             Error::ChecksumMismatch => write!(f, "gzip checksum mismatch"),
             Error::BadHuffmanTable => write!(f, "invalid huffman code lengths"),
+            Error::OutputLimit => write!(f, "inflated output exceeds the caller's limit"),
         }
     }
 }
@@ -131,6 +144,16 @@ pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
 /// Decompresses a single-member gzip file, verifying CRC-32 and length.
 pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
     gzip::decompress(data)
+}
+
+/// [`gzip_decompress`] into a caller's buffer, replacing its contents,
+/// with a hard limit on the output size: a member that inflates to more
+/// than `limit` bytes is [`Error::OutputLimit`], returned before `out`
+/// has grown past `limit`. Callers that know the size (a shard index's
+/// `raw_len`) pass it as both the buffer's capacity and the limit and
+/// see no reallocation.
+pub fn gzip_decompress_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), Error> {
+    gzip::decompress_into(data, out, limit)
 }
 
 /// Decompresses a gzip file with one or more concatenated members.

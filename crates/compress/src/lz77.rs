@@ -21,131 +21,278 @@ const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
 #[inline]
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = (data[i] as u32) | ((data[i + 1] as u32) << 8) | ((data[i + 2] as u32) << 16);
+fn hash3(b: &[u8; 3]) -> usize {
+    let v = (b[0] as u32) | ((b[1] as u32) << 8) | ((b[2] as u32) << 16);
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
-/// `MAX_MATCH` and the end of `data`.
+/// Length of the common prefix of two equally long slices, eight bytes
+/// at a time.
 #[inline]
-fn match_len(data: &[u8], a: usize, b: usize) -> usize {
-    let max = MAX_MATCH.min(data.len() - b);
-    let mut l = 0;
-    while l < max && data[a + l] == data[b + l] {
-        l += 1;
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let (a_words, a_tail) = a.as_chunks::<8>();
+    let (b_words, b_tail) = b.as_chunks::<8>();
+    for (k, (x, y)) in a_words.iter().zip(b_words).enumerate() {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return k * 8 + (diff.trailing_zeros() / 8) as usize;
+        }
     }
-    l
+    let tail = a_tail
+        .iter()
+        .zip(b_tail)
+        .take_while(|(x, y)| x == y)
+        .count();
+    a_words.len() * 8 + tail
 }
 
-/// Tokenizes `data` with hash-chain matching.
+/// A zeroed table, allocated on the heap directly.
+fn zeroed<T: Copy + Default, const N: usize>() -> Box<[T; N]> {
+    // The conversion cannot fail: the slice has N elements.
+    vec![T::default(); N]
+        .into_boxed_slice()
+        .try_into()
+        .unwrap_or_else(|_| Box::new([T::default(); N]))
+}
+
+/// Hash-chain matcher over one input, handing out its tokens a block
+/// at a time so that no caller has to hold them all.
 ///
-/// `max_chain` bounds positions examined per attempt (0 disables matching
-/// entirely), `good_enough` stops the search once a match of that length
-/// is found, and `lazy` enables one-byte deferral when the next position
-/// has a longer match.
-pub fn tokenize(data: &[u8], max_chain: usize, good_enough: usize, lazy: bool) -> Vec<Token> {
-    let n = data.len();
-    let mut tokens = Vec::with_capacity(n / 2 + 16);
-    if n < MIN_MATCH || max_chain == 0 {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+/// `head[h]` is the most recent position with hash `h`, stored +1 so 0
+/// means "none". `prev` links a position to the previous one with the
+/// same hash, as the distance back to it (saturated: anything from
+/// `WINDOW` up, "none" included, ends a search). A search only follows
+/// links of positions inside the window, so `prev` is a ring of
+/// `WINDOW` slots: the slot of position `c` is not reused before
+/// position `c + WINDOW` is entered, by which time `c` is out of every
+/// window. Both tables together are 192 KiB whatever the input size.
+pub struct Matcher<'a> {
+    data: &'a [u8],
+    head: Box<[u32; HASH_SIZE]>,
+    prev: Box<[u16; WINDOW]>,
+    max_chain: usize,
+    good_enough: usize,
+    lazy: bool,
+    /// Next position to tokenize.
+    pos: usize,
+    /// The second token of a lazy step that did not fit the last block.
+    held: Option<Token>,
+}
+
+impl<'a> Matcher<'a> {
+    /// Starts tokenizing `data`.
+    ///
+    /// `max_chain` bounds positions examined per attempt (0 disables
+    /// matching entirely), `good_enough` stops the search once a match
+    /// of that length is found, and `lazy` enables one-byte deferral
+    /// when the next position has a longer match.
+    pub fn new(data: &'a [u8], max_chain: usize, good_enough: usize, lazy: bool) -> Self {
+        Matcher {
+            data,
+            head: zeroed(),
+            prev: zeroed(),
+            max_chain,
+            good_enough,
+            lazy,
+            pos: 0,
+            held: None,
+        }
     }
 
-    // head[h] = most recent position with hash h; prev[i] = previous
-    // position with the same hash as i. Positions offset by +1 so 0 means
-    // "none".
-    let mut head = vec![0u32; HASH_SIZE];
-    let mut prev = vec![0u32; n];
+    /// Whether every token has been handed out.
+    pub fn is_done(&self) -> bool {
+        self.pos >= self.data.len() && self.held.is_none()
+    }
 
-    let insert = |head: &mut [u32], prev: &mut [u32], data: &[u8], i: usize| {
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
-            prev[i] = head[h];
-            head[h] = (i + 1) as u32;
+    /// The hash of position `i` and the head of its chain, or `None`
+    /// with fewer than three bytes left to hash.
+    #[inline]
+    fn chain_of(&self, i: usize) -> Option<(usize, u32)> {
+        let hash = hash3(self.data.get(i..)?.first_chunk()?);
+        Some((hash, self.head[hash]))
+    }
+
+    /// Makes position `i`, whose hash is `hash`, the head of its chain.
+    #[inline]
+    fn link(&mut self, i: usize, hash: usize) {
+        let head = &mut self.head[hash];
+        // An empty head reads as position -1: out of every window.
+        self.prev[i % WINDOW] = (i + 1 - *head as usize).min(u16::MAX as usize) as u16;
+        *head = (i + 1) as u32;
+    }
+
+    /// Enters positions `from..to` into the chains (those with three
+    /// bytes left to hash).
+    #[inline]
+    fn insert(&mut self, from: usize, to: usize) {
+        let to = to.min(self.data.len().saturating_sub(MIN_MATCH - 1));
+        if from >= to {
+            return;
         }
-    };
+        let windows = self.data[from..to + (MIN_MATCH - 1)].array_windows::<3>();
+        for (i, w) in (from..to).zip(windows) {
+            self.link(i, hash3(w));
+        }
+    }
 
-    let best_match = |head: &[u32], prev: &[u32], i: usize| -> (usize, usize) {
-        if i + MIN_MATCH > n {
+    /// The longest match for position `i` that is longer than `floor`,
+    /// as `(len, dist)`, or `(0, 0)`: the first such in chain order from
+    /// `head` (the head of `i`'s chain), searching at most `max_chain`
+    /// candidates and stopping at one `good_enough` long.
+    ///
+    /// This is the matcher's identity rule: a candidate replaces the
+    /// best so far only when strictly longer, so which candidate wins a
+    /// tie, and where the search stops, depend only on chain order and
+    /// on each candidate's exact match length. A speed change may skip
+    /// work whose outcome is known — a candidate that differs anywhere
+    /// in its first `best_len + 1` bytes cannot be strictly longer —
+    /// but may not change a token. `floor` is such a skip: the caller
+    /// promises that no candidate of length `<= floor` would have
+    /// stopped the search (`floor < good_enough`, or 0) and that it
+    /// ignores results that short.
+    #[inline]
+    fn best_match(&self, i: usize, head: u32, floor: usize) -> (usize, usize) {
+        let data = self.data;
+        let max = MAX_MATCH.min(data.len() - i);
+        if head == 0 || max < MIN_MATCH || floor >= max {
             return (0, 0);
         }
-        let h = hash3(data, i);
-        let mut cand = head[h] as usize;
-        let mut best_len = 0;
+        debug_assert!(floor < self.good_enough.max(1));
+        let here = &data[i..i + max];
+        let mut c = head as usize - 1;
+        let mut best_len = floor;
         let mut best_dist = 0;
-        let mut chain = max_chain;
         let window_floor = i.saturating_sub(WINDOW);
-        while cand > 0 && chain > 0 {
-            let c = cand - 1;
+        for _ in 0..self.max_chain {
             if c < window_floor || c >= i {
                 break;
             }
-            let l = match_len(data, c, i);
-            if l > best_len {
-                best_len = l;
-                best_dist = i - c;
-                if l >= good_enough || l == MAX_MATCH {
-                    break;
+            // c < i, so c + max <= i + max <= data.len().
+            let there = &data[c..c + max];
+            // To be longer than the best so far a candidate has to
+            // agree on byte `best_len` and all before it: look at the
+            // eight that end there first, where long near-misses differ.
+            let worth_measuring = match best_len.checked_sub(7) {
+                Some(from) => there[from..=best_len] == here[from..=best_len],
+                None => there[best_len] == here[best_len],
+            };
+            if worth_measuring {
+                let l = common_prefix(there, here);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l >= self.good_enough || l == max {
+                        break;
+                    }
                 }
             }
-            cand = prev[c] as usize;
-            chain -= 1;
+            let back = self.prev[c % WINDOW] as usize;
+            if back > c - window_floor {
+                break;
+            }
+            c -= back;
         }
-        if best_len >= MIN_MATCH {
-            (best_len, best_dist)
-        } else {
+        if best_dist == 0 || best_len < MIN_MATCH {
             (0, 0)
-        }
-    };
-
-    let mut i = 0;
-    while i < n {
-        let (len, dist) = best_match(&head, &prev, i);
-        if len == 0 {
-            tokens.push(Token::Literal(data[i]));
-            insert(&mut head, &mut prev, data, i);
-            i += 1;
-            continue;
-        }
-        if lazy && i + 1 < n {
-            // Peek at the next position: if it has a strictly longer
-            // match, emit this byte as a literal instead.
-            insert(&mut head, &mut prev, data, i);
-            let (next_len, next_dist) = best_match(&head, &prev, i + 1);
-            if next_len > len {
-                tokens.push(Token::Literal(data[i]));
-                i += 1;
-                // Emit the deferred match now.
-                tokens.push(Token::Match {
-                    len: next_len as u16,
-                    dist: next_dist as u16,
-                });
-                for k in i..(i + next_len).min(n) {
-                    insert(&mut head, &mut prev, data, k);
-                }
-                i += next_len;
-                continue;
-            }
-            tokens.push(Token::Match {
-                len: len as u16,
-                dist: dist as u16,
-            });
-            for k in (i + 1)..(i + len).min(n) {
-                insert(&mut head, &mut prev, data, k);
-            }
-            i += len;
         } else {
-            tokens.push(Token::Match {
-                len: len as u16,
-                dist: dist as u16,
-            });
-            for k in i..(i + len).min(n) {
-                insert(&mut head, &mut prev, data, k);
-            }
-            i += len;
+            (best_len, best_dist)
         }
     }
+
+    /// Replaces the contents of `tokens` with the next `max` tokens
+    /// (fewer at the end of the input).
+    pub fn next_tokens(&mut self, tokens: &mut Vec<Token>, max: usize) {
+        tokens.clear();
+        tokens.extend(self.held.take());
+        let (data, n) = (self.data, self.data.len());
+        if n < MIN_MATCH || self.max_chain == 0 {
+            let end = n.min(self.pos.saturating_add(max - tokens.len()));
+            tokens.extend(data[self.pos..end].iter().map(|&b| Token::Literal(b)));
+            self.pos = end;
+            return;
+        }
+        // Matches shorter than MIN_MATCH are never emitted, so the
+        // search may ignore them where they could not have ended it.
+        let shortest = (MIN_MATCH - 1).min(self.good_enough.saturating_sub(1));
+        let matched = |len: usize, dist: usize| Token::Match {
+            len: len as u16,
+            dist: dist as u16,
+        };
+
+        let mut i = self.pos;
+        let mut chain = self.chain_of(i);
+        while i < n && tokens.len() < max {
+            let Some((hash, head)) = chain else {
+                // Too close to the end to hash, let alone match.
+                tokens.push(Token::Literal(data[i]));
+                i += 1;
+                continue;
+            };
+            // The next position's chain head is loaded before this
+            // position is searched: the search ends on branches no
+            // predictor gets right, and a load issued after them waits
+            // out the whole miss. Linking `i` below is the only write
+            // in between, and it changes the entry of `hash` alone.
+            let next_chain = self
+                .chain_of(i + 1)
+                .map(|(h, head)| (h, if h == hash { (i + 1) as u32 } else { head }));
+
+            let (len, dist) = self.best_match(i, head, shortest);
+            if len == 0 {
+                tokens.push(Token::Literal(data[i]));
+                self.link(i, hash);
+                chain = next_chain;
+                i += 1;
+                continue;
+            }
+            if self.lazy && i + 1 < n {
+                // Peek at the next position: if it has a strictly
+                // longer match, emit this byte as a literal instead.
+                // Only a longer one matters, so the search may skip
+                // what cannot beat `len` — unless a match that short
+                // could end it early.
+                self.link(i, hash);
+                let floor = if len < self.good_enough {
+                    len
+                } else {
+                    shortest
+                };
+                let (next_len, next_dist) = match next_chain {
+                    Some((_, head)) => self.best_match(i + 1, head, floor),
+                    None => (0, 0),
+                };
+                if next_len > len {
+                    tokens.push(Token::Literal(data[i]));
+                    if tokens.len() < max {
+                        tokens.push(matched(next_len, next_dist));
+                    } else {
+                        self.held = Some(matched(next_len, next_dist));
+                    }
+                    self.insert(i + 1, i + 1 + next_len);
+                    i += 1 + next_len;
+                } else {
+                    tokens.push(matched(len, dist));
+                    self.insert(i + 1, i + len);
+                    i += len;
+                }
+            } else {
+                tokens.push(matched(len, dist));
+                self.insert(i, i + len);
+                i += len;
+            }
+            chain = self.chain_of(i);
+        }
+        self.pos = i;
+    }
+}
+
+/// Tokenizes all of `data` at once; see [`Matcher::new`] for the
+/// parameters.
+pub fn tokenize(data: &[u8], max_chain: usize, good_enough: usize, lazy: bool) -> Vec<Token> {
+    let mut matcher = Matcher::new(data, max_chain, good_enough, lazy);
+    let mut tokens = Vec::new();
+    matcher.next_tokens(&mut tokens, usize::MAX);
     tokens
 }
 
@@ -243,8 +390,27 @@ mod tests {
     }
 
     #[test]
-    fn match_len_caps_at_max() {
+    fn common_prefix_counts_across_words_and_tail() {
+        let a: Vec<u8> = (0..40u8).collect();
+        for cut in 0..=40 {
+            let mut b = a.clone();
+            if cut < 40 {
+                b[cut] ^= 0x80;
+            }
+            assert_eq!(common_prefix(&a, &b), cut);
+        }
+    }
+
+    #[test]
+    fn match_length_caps_at_max() {
         let data = vec![b'x'; 1000];
-        assert_eq!(match_len(&data, 0, 1), MAX_MATCH);
+        let toks = tokenize(&data, 16, 258, false);
+        assert_eq!(
+            toks[1],
+            Token::Match {
+                len: MAX_MATCH as u16,
+                dist: 1
+            }
+        );
     }
 }

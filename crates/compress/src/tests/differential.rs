@@ -1,0 +1,543 @@
+//! Differential, golden and hostile-input tests: the rewritten hot loops
+//! against [`crate::reference`], the implementation they replaced.
+//!
+//! The rule they enforce is the one the rewrite was made under: a speed
+//! change may not change a token. Every `Level` must emit the stream the
+//! reference emits, byte for byte, and every stream the reference
+//! accepts must inflate to the same bytes.
+
+use crate::{deflate_compress, gzip_compress, huffman, inflate, lz77, reference, Error, Level};
+use proptest::prelude::*;
+
+const LEVELS: [Level; 4] = [Level::Fastest, Level::Fast, Level::Default, Level::Best];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// `n` bytes of a 64-bit LCG, the top `bits` bits of each step.
+fn lcg(n: usize, seed: u64, bits: u32) -> Vec<u8> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> (64 - bits)) as u8
+        })
+        .collect()
+}
+
+fn text() -> Vec<u8> {
+    let words = [
+        "the",
+        "paper",
+        "gzip",
+        "baseline",
+        "decode",
+        "pipeline",
+        "sample",
+        "of",
+        "and",
+        "host",
+        "plugin",
+        "storage",
+        "tensor",
+        "batch",
+        "throughput",
+        "a",
+    ];
+    let picks = lcg(6000, 17, 8);
+    let mut out = Vec::new();
+    for p in picks {
+        out.extend_from_slice(words[(p & 15) as usize].as_bytes());
+        out.push(if p & 0xE0 == 0 { b'\n' } else { b' ' });
+    }
+    out
+}
+
+/// One DeepCAM sample in the codec's differential encoding: what
+/// `EncodingChoice::Auto` deflates at `Level::Fast` on ingest. The
+/// benchmark's ingest shape (574 533 B).
+fn deepcam_blob() -> Vec<u8> {
+    use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
+    let sample = ClimateGenerator::new(DeepCamConfig {
+        width: 288,
+        height: 192,
+        channels: 8,
+        seed: 20220530,
+        ..DeepCamConfig::default()
+    })
+    .generate(0);
+    let cfg = sciml_codec::deepcam::EncoderConfig::default();
+    sciml_codec::deepcam::encode(&sample, &cfg).0.to_bytes()
+}
+
+/// One CosmoFlow FP32 baseline payload: what `CosmoGzip` stores at
+/// `Level::Default`. The benchmark's `cosmo_gzip_dir` shape (1.77 MB).
+fn cosmo_payload() -> Vec<u8> {
+    use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
+    let sample = UniverseGenerator::new(CosmoFlowConfig {
+        grid: 48,
+        seed: 20220530,
+        ..CosmoFlowConfig::default()
+    })
+    .generate(0);
+    sciml_data::serialize::cosmo_to_payload(&sample)
+}
+
+/// Full-entropy bytes: every block is cheapest stored, and 70 KB needs
+/// two stored chunks (65 535 B each at most).
+fn stored_forcing() -> Vec<u8> {
+    lcg(70_000, 99, 8)
+}
+
+fn small_inputs() -> Vec<(&'static str, Vec<u8>)> {
+    vec![
+        ("empty", Vec::new()),
+        ("1 byte", b"x".to_vec()),
+        ("2 bytes", b"xy".to_vec()),
+        ("3 bytes", b"xyz".to_vec()),
+        ("300 x a", vec![b'a'; 300]),
+        ("text", text()),
+        // Six-bit symbols: Huffman-compressible, no matches to speak
+        // of, and more than 32 Ki tokens, so several blocks.
+        ("lcg noise 200 KB", lcg(200_000, 5, 6)),
+        ("stored 70 KB", stored_forcing()),
+    ]
+}
+
+/// The benchmark-shaped inputs are generated once per test binary.
+fn large_inputs() -> &'static [(&'static str, Vec<u8>)] {
+    static INPUTS: std::sync::OnceLock<Vec<(&'static str, Vec<u8>)>> = std::sync::OnceLock::new();
+    INPUTS.get_or_init(|| {
+        vec![
+            ("deepcam blob", deepcam_blob()),
+            ("cosmo payload", cosmo_payload()),
+        ]
+    })
+}
+
+fn input(name: &str) -> Vec<u8> {
+    small_inputs()
+        .into_iter()
+        .chain(large_inputs().iter().cloned())
+        .find(|(n, _)| *n == name)
+        .map(|(_, data)| data)
+        .expect("a known input name")
+}
+
+// ------------------------------------------------------- (a) byte identity
+
+#[test]
+fn every_level_emits_the_reference_stream() {
+    for (name, data) in small_inputs() {
+        for level in LEVELS {
+            assert!(
+                deflate_compress(&data, level) == reference::compress(&data, level),
+                "{name} at {level:?}"
+            );
+        }
+    }
+}
+
+/// The two benchmark payloads, at every level. The reference's deep
+/// searches over 1.8 MB are slow without optimisation, so a debug build
+/// checks the levels the benchmark stores them at and `scripts/ci.sh`
+/// runs this test again in release mode, where it checks all four.
+#[test]
+fn every_level_emits_the_reference_stream_for_benchmark_payloads() {
+    for (name, data) in large_inputs() {
+        for level in LEVELS {
+            if cfg!(debug_assertions) && matches!(level, Level::Default | Level::Best) {
+                continue;
+            }
+            assert!(
+                deflate_compress(data, level) == reference::compress(data, level),
+                "{name} at {level:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tokens_are_the_reference_tokens() {
+    // Search limits no `Level` uses, including the ones where a match
+    // shorter than MIN_MATCH could end a search.
+    let data = [text(), lcg(20_000, 3, 2), vec![7u8; 700]].concat();
+    for max_chain in [0, 1, 2, 16, 4096] {
+        for good_enough in [0, 1, 2, 3, 4, 8, 258, 1000] {
+            for lazy in [false, true] {
+                assert!(
+                    lz77::tokenize(&data, max_chain, good_enough, lazy)
+                        == reference::tokenize(&data, max_chain, good_enough, lazy),
+                    "chain {max_chain} good {good_enough} lazy {lazy}"
+                );
+            }
+        }
+    }
+}
+
+/// Random bytes with random run structure: literal stretches over an
+/// alphabet of random size, runs of one byte, and copies of earlier
+/// output at random distances.
+fn structured_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let piece = (0u8..3, any::<u8>(), 1usize..400, 1usize..40_000, 1u32..=8);
+    prop::collection::vec(piece, 0..24).prop_map(|pieces| {
+        let mut out: Vec<u8> = Vec::new();
+        for (which, byte, len, back, bits) in pieces {
+            match which {
+                0 => out.extend(lcg(len, byte as u64, bits)),
+                1 => out.extend(std::iter::repeat_n(byte, len)),
+                _ if out.is_empty() => out.push(byte),
+                _ => {
+                    let from = out.len() - 1 - (back - 1) % out.len();
+                    for k in 0..len {
+                        out.push(out[from + k]);
+                    }
+                }
+            }
+        }
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn random_structured_input_compresses_to_the_reference_stream(
+        data in structured_bytes(),
+        level in prop_oneof![
+            Just(Level::Fastest), Just(Level::Fast), Just(Level::Default), Just(Level::Best)
+        ],
+    ) {
+        let new = deflate_compress(&data, level);
+        prop_assert!(new == reference::compress(&data, level));
+        prop_assert!(inflate(&new).as_deref() == Ok(&data[..]));
+    }
+}
+
+// ------------------------------------------------------ (b) golden digests
+
+/// Lengths and FNV-1a digests of six streams, recorded from the
+/// implementation that is now `reference` before anything was changed.
+#[test]
+fn golden_digests_of_six_streams() {
+    let golden: [(&str, Level, usize, u64); 6] = [
+        ("300 x a", Level::Best, 6, 0x29D0B3A644AC5410),
+        ("text", Level::Default, 6490, 0xFE9CF5F4E4EF8742),
+        ("lcg noise 200 KB", Level::Fast, 154562, 0xA094822A34AF7E5A),
+        ("stored 70 KB", Level::Default, 70015, 0x7D0050D45197D02C),
+        ("deepcam blob", Level::Fast, 485166, 0x7FB903A76234A6DF),
+        ("cosmo payload", Level::Default, 180768, 0x9FBF28D1BC51C8EC),
+    ];
+    for (name, level, len, digest) in golden {
+        let out = deflate_compress(&input(name), level);
+        assert_eq!((out.len(), fnv1a(&out)), (len, digest), "{name}");
+    }
+}
+
+#[test]
+fn gzip_framing_is_unchanged() {
+    let data = text();
+    for (level, xfl) in LEVELS.into_iter().zip([4, 0, 0, 2]) {
+        let mut want = vec![0x1F, 0x8B, 8, 0, 0, 0, 0, 0, xfl, 255];
+        want.extend(reference::compress(&data, level));
+        want.extend(crate::crc32::crc32(&data).to_le_bytes());
+        want.extend((data.len() as u32).to_le_bytes());
+        assert!(gzip_compress(&data, level) == want, "{level:?}");
+    }
+}
+
+// ------------------------------------------------------- (c) code lengths
+
+#[test]
+fn code_lengths_are_the_reference_lengths() {
+    let check = |freqs: &[u32], max_len: u8| {
+        assert_eq!(
+            huffman::code_lengths(freqs, max_len),
+            reference::code_lengths(freqs, max_len),
+            "{freqs:?} at {max_len}"
+        );
+    };
+    // n = 0, 1, 2 and the full literal/length alphabet.
+    check(&[0, 0, 0], 15);
+    check(&[0, 9, 0], 7);
+    check(&[4, 0, 4], 7);
+    check(&[1, 2], 1);
+    check(&[1u32; 286], 15);
+    check(&(1..=286).collect::<Vec<u32>>(), 15);
+    check(&(0..286).map(|i| 1 << (i % 30)).collect::<Vec<u32>>(), 15);
+    // Fibonacci weights want a code deeper than either limit.
+    let mut fib = vec![1u32, 1];
+    for i in 2..40 {
+        fib.push(fib[i - 1] + fib[i - 2]);
+    }
+    check(&fib, 15);
+    check(&fib[..19], 7);
+    // All weights equal, and all ties between leaves and packages.
+    check(&[5; 19], 7);
+    check(&[1, 1, 2, 2, 4, 4, 8, 8, 16, 16], 7);
+    check(&[2, 2, 2, 2, 4, 4, 8], 15);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_code_lengths_are_the_reference_lengths(
+        // Small weights, so that ties are the rule; mostly-zero tails.
+        freqs in prop::collection::vec(prop_oneof![Just(0u32), 0u32..6, 0u32..100_000], 0..286),
+        deep in any::<bool>(),
+    ) {
+        let used = freqs.iter().filter(|&&f| f > 0).count();
+        let max_len = if deep || used > 128 { 15 } else { 7 };
+        prop_assert_eq!(
+            huffman::code_lengths(&freqs, max_len),
+            reference::code_lengths(&freqs, max_len)
+        );
+    }
+}
+
+// ------------------------------------------------------------ (d) inflate
+
+/// A fixed-Huffman stream written symbol by symbol.
+struct FixedBlock(reference::BitWriter);
+
+impl FixedBlock {
+    fn new() -> Self {
+        let mut w = reference::BitWriter::new();
+        w.write_bits(1, 1);
+        w.write_bits(0b01, 2);
+        FixedBlock(w)
+    }
+
+    fn litlen(&mut self, sym: u16) {
+        match sym {
+            0..=143 => self.0.write_code(0x30 + sym, 8),
+            144..=255 => self.0.write_code(0x190 + sym - 144, 9),
+            256..=279 => self.0.write_code(sym - 256, 7),
+            _ => self.0.write_code(0xC0 + sym - 280, 8),
+        }
+    }
+
+    fn copy(&mut self, dist: u16, len: u16) {
+        let (sym, extra_bits, extra) = reference::length_symbol(len);
+        self.litlen(257 + sym as u16);
+        self.0.write_bits(extra as u32, extra_bits as u32);
+        let (sym, extra_bits, extra) = reference::dist_symbol(dist);
+        self.0.write_code(sym as u16, 5);
+        self.0.write_bits(extra as u32, extra_bits as u32);
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.litlen(256);
+        self.0.finish()
+    }
+}
+
+/// Every overlapping copy, at every place relative to the end of the
+/// output that the fast loop's margin cares about: 40 distinct bytes,
+/// a copy of `len` from `dist` back, then `after` more literals, for
+/// every `dist` 1..=40, `len` 3..=258 and `after` 0..=300 — decoded
+/// both unsized and into a buffer of exactly the right size, where the
+/// copy is `after` bytes from the end of the buffer and so falls to the
+/// fast loop (`len + after >= 258 + 8`) or to the tail.
+///
+/// A debug build thins this to the distances around the eight-byte
+/// step and, for every `len`, both ends and both sides of the margin;
+/// the release run in `scripts/ci.sh` covers all 3.1 million streams.
+#[test]
+fn overlapping_copies_at_every_distance_from_the_end() {
+    let thin = cfg!(debug_assertions);
+    let prefix: Vec<u8> = (0..40).map(|i| 100 + i as u8).collect();
+    let dists = (1..=40usize).filter(|d| !thin || *d <= 9 || [15, 16, 17, 32, 40].contains(d));
+    let afters = |len: usize| {
+        let margin = 258 + 8 - len;
+        (0..=300usize).filter(move |&a| !thin || a == 0 || a == 300 || a.abs_diff(margin) <= 1)
+    };
+    let mut out = Vec::new();
+    for dist in dists {
+        for len in 3..=258usize {
+            let mut want = prefix.clone();
+            for k in 0..len {
+                want.push(want[40 - dist + k]);
+            }
+            for after in afters(len) {
+                let mut block = FixedBlock::new();
+                prefix.iter().for_each(|&b| block.litlen(b as u16));
+                block.copy(dist as u16, len as u16);
+                (0..after).for_each(|k| block.litlen((k % 251) as u16));
+                let stream = block.finish();
+                want.truncate(40 + len);
+                want.extend((0..after).map(|k| (k % 251) as u8));
+
+                assert!(
+                    inflate(&stream).as_deref() == Ok(&want[..]),
+                    "dist {dist} len {len} after {after}"
+                );
+                out.clear();
+                out.reserve_exact(want.len());
+                let sized = crate::inflate::inflate_into(&stream, &mut out, want.len());
+                assert!(
+                    sized == Ok(stream.len()) && out == want,
+                    "sized: dist {dist} len {len} after {after}"
+                );
+            }
+        }
+    }
+}
+
+/// Streams small enough to corrupt exhaustively, between them holding
+/// all three block types, second-level table entries and long copies.
+fn hostile_subjects() -> Vec<Vec<u8>> {
+    let mixed = [
+        &b"hostile "[..],
+        &text()[..600],
+        &lcg(300, 8, 8),
+        &[0u8; 600],
+    ]
+    .concat();
+    let skewed: Vec<u8> = lcg(1500, 21, 8)
+        .iter()
+        .map(|&b| b.trailing_zeros() as u8 * 17)
+        .collect();
+    vec![
+        reference::compress(&mixed, Level::Default),
+        reference::compress(&skewed, Level::Fast),
+        reference::compress(&text()[..200], Level::Fastest),
+    ]
+}
+
+/// A damaged stream gives the reference's answer: the same bytes or,
+/// where the reference fails, an error; and with a limit, never more
+/// than the limit.
+fn assert_same_outcome(stream: &[u8], limit: usize, what: &str) {
+    let want = reference::inflate(stream);
+    let got = inflate(stream);
+    match (&want, &got) {
+        (Ok(w), Ok(g)) => assert!(w == g, "{what}: different bytes"),
+        (Err(_), Err(_)) => {}
+        _ => panic!(
+            "{what}: reference {:?}, new {:?}",
+            want.as_ref().map(Vec::len),
+            got.as_ref().map(Vec::len)
+        ),
+    }
+    let mut out = Vec::new();
+    let bounded = crate::inflate::inflate_into(stream, &mut out, limit);
+    assert!(out.len() <= limit, "{what}: {} > limit {limit}", out.len());
+    match want {
+        Ok(w) if w.len() <= limit => assert!(bounded.is_ok() && out == w, "{what}: bounded"),
+        Ok(_) => assert_eq!(bounded, Err(Error::OutputLimit), "{what}"),
+        Err(_) => assert!(bounded.is_err(), "{what}: bounded"),
+    }
+}
+
+#[test]
+fn every_truncation_and_bit_flip_gives_the_reference_outcome() {
+    for (n, stream) in hostile_subjects().into_iter().enumerate() {
+        let len = reference::inflate(&stream).expect("a valid stream").len();
+        assert_same_outcome(&stream, len, "intact");
+        assert_same_outcome(&stream, len - 1, "intact, limit one short");
+        for cut in 0..stream.len() {
+            assert_same_outcome(&stream[..cut], len, &format!("stream {n} cut at {cut}"));
+        }
+        let mut damaged = stream.clone();
+        for bit in 0..stream.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert_same_outcome(&damaged, len + 64, &format!("stream {n} bit {bit}"));
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+#[test]
+fn output_limit_is_exact_and_typed() {
+    // 1 KB of "dist 1, len 258" expands about a thousandfold.
+    let mut block = FixedBlock::new();
+    block.litlen(0);
+    (0..600).for_each(|_| block.copy(1, 258));
+    let stream = block.finish();
+    let full = 1 + 600 * 258;
+    assert_eq!(reference::inflate(&stream).map(|v| v.len()), Ok(full));
+    for limit in [0, 1, 2, 258, 259, 4096, full - 1] {
+        let mut out = Vec::new();
+        let r = crate::gzip::decompress_into(&gzip_member(&stream, full), &mut out, limit);
+        assert_eq!(r, Err(Error::OutputLimit), "limit {limit}");
+        assert!(
+            out.capacity() <= limit.max(8),
+            "limit {limit}: {}",
+            out.capacity()
+        );
+    }
+    let mut out = Vec::new();
+    crate::gzip::decompress_into(&gzip_member(&stream, full), &mut out, full).unwrap();
+    assert_eq!(out, vec![0u8; full]);
+    assert_eq!(out.capacity(), full, "sized once from the trailer");
+}
+
+/// Wraps a raw stream that inflates to `len` zero bytes as a gzip member.
+fn gzip_member(stream: &[u8], len: usize) -> Vec<u8> {
+    let mut gz = vec![0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255];
+    gz.extend_from_slice(stream);
+    gz.extend_from_slice(&crate::crc32::crc32(&vec![0u8; len]).to_le_bytes());
+    gz.extend_from_slice(&(len as u32).to_le_bytes());
+    gz
+}
+
+// -------------------------------------------------------------- (e) speed
+
+/// Guards the point of the rewrite: on the two payloads the benchmark
+/// deflates and inflates, at the levels it uses, the hot loops must stay
+/// at least 2x (deflate) and 1.5x (inflate) faster than the loops they
+/// replaced (measured on the reference host: see CHANGES.md). Timing
+/// test, so `scripts/ci.sh` runs it alone, in release mode:
+/// `cargo test --release -p sciml-compress --lib -- --ignored deflate_inflate_speed`.
+#[test]
+#[ignore = "timing; run by scripts/ci.sh in release mode"]
+fn deflate_inflate_speed() {
+    use std::hint::black_box;
+    use std::time::Instant;
+    fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
+        (0..runs)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(f());
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+    for (name, level) in [
+        ("deepcam blob", Level::Fast),
+        ("cosmo payload", Level::Default),
+    ] {
+        let data = input(name);
+        let mb = data.len() as f64 / 1e6;
+        let stream = deflate_compress(&data, level);
+        assert!(stream == reference::compress(&data, level));
+        let deflate_new = best_of(5, || deflate_compress(black_box(&data), level));
+        let deflate_ref = best_of(3, || reference::compress(black_box(&data), level));
+        let inflate_new = best_of(9, || inflate(black_box(&stream)));
+        let inflate_ref = best_of(9, || reference::inflate(black_box(&stream)));
+        println!(
+            "{name} ({} B, {level:?}): deflate {:.1} MB/s, reference {:.1} MB/s, ratio {:.2}x; \
+             inflate {:.0} MB/s, reference {:.0} MB/s, ratio {:.2}x",
+            data.len(),
+            mb / deflate_new,
+            mb / deflate_ref,
+            deflate_ref / deflate_new,
+            mb / inflate_new,
+            mb / inflate_ref,
+            inflate_ref / inflate_new,
+        );
+        assert!(deflate_ref / deflate_new >= 2.0, "{name}: deflate below 2x");
+        assert!(
+            inflate_ref / inflate_new >= 1.5,
+            "{name}: inflate below 1.5x"
+        );
+    }
+}

@@ -227,15 +227,14 @@ impl Default for PackConfig {
     }
 }
 
-/// Packs `raw` with the element width (1 or 2) that trial-encodes
-/// smaller. Packing only fails on an invalid width, which cannot happen
-/// here; any error degrades to raw.
-fn pack_payload(raw: &[u8]) -> Option<Vec<u8>> {
+/// Trial-packs the sample slice of `raw` at element widths 1 and 2 and
+/// returns the width that packs smaller, with the size it reached.
+/// Packing only fails on an invalid width, which cannot happen here.
+fn pack_trial(raw: &[u8]) -> Option<(u8, usize)> {
     let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
     let w1 = sciml_pack::packed_len(sample, 1).ok()?;
     let w2 = sciml_pack::packed_len(sample, 2).ok()?;
-    let width = if w2 < w1 { 2 } else { 1 };
-    sciml_pack::pack(raw, width).ok()
+    Some(if w2 < w1 { (2, w2) } else { (1, w1) })
 }
 
 /// Resolves the configured choice for one payload and encodes it.
@@ -243,40 +242,35 @@ fn pack_payload(raw: &[u8]) -> Option<Vec<u8>> {
 /// winner, and falls back to raw when nothing actually shrinks the
 /// payload.
 fn encode_payload(raw: &[u8], choice: EncodingChoice, level: Level) -> (PayloadEncoding, Vec<u8>) {
-    match choice {
-        EncodingChoice::Raw => (PayloadEncoding::Raw, raw.to_vec()),
-        EncodingChoice::Gzip => (
+    let pack_at = |width: u8| sciml_pack::pack(raw, width).ok();
+    let encoded = match choice {
+        EncodingChoice::Raw => None,
+        EncodingChoice::Gzip => Some((
             PayloadEncoding::Gzip,
             sciml_compress::gzip_compress(raw, level),
-        ),
-        EncodingChoice::Pack => match pack_payload(raw) {
-            Some(p) => (PayloadEncoding::Pack, p),
-            None => (PayloadEncoding::Raw, raw.to_vec()),
-        },
+        )),
+        EncodingChoice::Pack => pack_trial(raw)
+            .and_then(|(width, _)| pack_at(width))
+            .map(|p| (PayloadEncoding::Pack, p)),
         EncodingChoice::Auto => {
             let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
             let gz_trial = sciml_compress::gzip_compress(sample, level).len();
-            let pk_trial = sciml_pack::packed_len(sample, 1)
-                .unwrap_or(usize::MAX)
-                .min(sciml_pack::packed_len(sample, 2).unwrap_or(usize::MAX));
-            let winner = if pk_trial < gz_trial.min(sample.len()) {
-                pack_payload(raw).map(|p| (PayloadEncoding::Pack, p))
-            } else if gz_trial < sample.len() {
-                Some((
+            let winner = match pack_trial(raw) {
+                Some((width, pk_trial)) if pk_trial < gz_trial.min(sample.len()) => {
+                    pack_at(width).map(|p| (PayloadEncoding::Pack, p))
+                }
+                _ if gz_trial < sample.len() => Some((
                     PayloadEncoding::Gzip,
                     sciml_compress::gzip_compress(raw, level),
-                ))
-            } else {
-                None
+                )),
+                _ => None,
             };
-            match winner {
-                // The trial slice can flatter an encoding the full
-                // payload defeats; keep the entry raw in that case.
-                Some((enc, stored)) if stored.len() < raw.len() => (enc, stored),
-                _ => (PayloadEncoding::Raw, raw.to_vec()),
-            }
+            // The trial slice can flatter an encoding the full payload
+            // defeats; keep the entry raw in that case.
+            winner.filter(|(_, stored)| stored.len() < raw.len())
         }
-    }
+    };
+    encoded.unwrap_or_else(|| (PayloadEncoding::Raw, raw.to_vec()))
 }
 
 /// Encodes one shard holding `samples`, whose global indices start at
@@ -632,24 +626,39 @@ impl ShardReader {
 
     /// [`ShardReader::fetch`] into a caller-provided buffer, replacing
     /// its contents. A raw entry is read and CRC-checked in `buf`
-    /// itself, so a recycled buffer makes the fetch allocation-free. On
-    /// error the contents of `buf` are unspecified.
+    /// itself, and a gzip entry is inflated straight into it with the
+    /// index's `raw_len` as both its capacity and a hard limit, so a
+    /// recycled buffer is never reallocated and an entry that lies
+    /// about its size is a typed error, not an allocation. On error the
+    /// contents of `buf` are unspecified.
     pub fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         let entry = self.index.get(idx).ok_or(StoreError::OutOfRange {
             idx,
             len: self.index.len(),
         })?;
-        buf.resize(entry.stored_len as usize, 0);
-        self.read_stored(idx, entry, buf)?;
-        let raw = match entry.encoding {
-            PayloadEncoding::Raw => return Ok(()),
-            PayloadEncoding::Gzip => sciml_compress::gzip_decompress(buf)?,
-            PayloadEncoding::Pack => sciml_pack::unpack(buf)?,
-        };
-        if raw.len() != entry.raw_len as usize {
+        let raw_len = entry.raw_len as usize;
+        let stored_len = entry.stored_len as usize;
+        match entry.encoding {
+            PayloadEncoding::Raw => {
+                buf.resize(stored_len, 0);
+                return self.read_stored(idx, entry, buf);
+            }
+            PayloadEncoding::Gzip => {
+                let mut stored = vec![0u8; stored_len];
+                self.read_stored(idx, entry, &mut stored)?;
+                buf.clear();
+                buf.reserve(raw_len);
+                sciml_compress::gzip_decompress_into(&stored, buf, raw_len)?;
+            }
+            PayloadEncoding::Pack => {
+                buf.resize(stored_len, 0);
+                self.read_stored(idx, entry, buf)?;
+                *buf = sciml_pack::unpack(buf)?;
+            }
+        }
+        if buf.len() != raw_len {
             return Err(StoreError::Malformed("decompressed length mismatch"));
         }
-        *buf = raw;
         Ok(())
     }
 

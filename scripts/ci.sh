@@ -80,6 +80,19 @@ stage "crc32 kernel (no silent fall-back where PCLMULQDQ is detected)"
 cargo test --release -q -p sciml-compress --lib -- \
     --ignored --exact crc32::tests::crc32_kernel_speed --nocapture
 
+stage "deflate/inflate speed (and the full differential matrix, release mode)"
+# The differential tests against the frozen reference implementation
+# thin their input matrix in debug builds; here they run in full: byte
+# identity of both benchmark payloads at all four levels, and every
+# overlapping copy at every distance from the end of the output. Then
+# the timing test beside them: prints both implementations' MB/s on a
+# DeepCAM blob (Fast) and a CosmoFlow payload (Default) and fails below
+# 2x deflate / 1.5x inflate over the reference (measured in this
+# harness: 2.8x and 2.6x deflate, 1.8x and 1.7x inflate).
+cargo test --release -q -p sciml-compress --lib -- differential::
+cargo test --release -q -p sciml-compress --lib -- \
+    --ignored --exact differential::deflate_inflate_speed --nocapture
+
 stage "lockcheck-test (lock-order inversion detector enabled)"
 # Rebuilds the parking_lot shim with the dynamic ABBA detector compiled
 # in (panic-on-inversion under test) and re-runs the lock-heavy crates.
