@@ -718,13 +718,8 @@ fn fetch(args: &[String]) -> Result<(), String> {
             s.latency.max as f64 / 1e3,
         );
         println!(
-            "  {} samples, {} bytes sent, hot cache {} hits / {} misses / {} evictions, {} rejected connections",
-            s.samples_served,
-            s.bytes_sent,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_evictions,
-            s.rejected_connections
+            "  {} samples, {} bytes sent, hot cache {} hits / {} misses, {} rejected connections",
+            s.samples_served, s.bytes_sent, s.cache_hits, s.cache_misses, s.rejected_connections
         );
         let lookups = s.cache_hits + s.cache_misses;
         if lookups > 0 {
@@ -922,7 +917,7 @@ fn pack(args: &[String]) -> Result<(), String> {
     }
     let out = flag(args, "--out").ok_or("--out DIR required")?;
     let shard_mb: u64 = flag_parse(args, "--shard-mb", 64)?;
-    let encoding = encoding_flag(args)?;
+    let encoding = encoding_flag(args)?.unwrap_or(EncodingChoice::Raw);
 
     let source = DirSource::open(&dir, n);
     let t0 = Instant::now();
@@ -946,18 +941,14 @@ fn pack(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the payload-encoding choice: `--encoding raw|gzip|pack|auto`,
-/// with `--gzip` kept as a backward-compatible alias for
-/// `--encoding gzip`.
-fn encoding_flag(args: &[String]) -> Result<EncodingChoice, String> {
-    if let Some(name) = flag(args, "--encoding") {
-        name.parse()
-            .map_err(|_| format!("--encoding {name}: expected raw, gzip, pack, or auto"))
-    } else if args.iter().any(|a| a == "--gzip") {
-        Ok(EncodingChoice::Gzip)
-    } else {
-        Ok(EncodingChoice::Raw)
-    }
+/// Parses `--encoding raw|gzip|pack|auto`; `None` when the flag is absent.
+fn encoding_flag(args: &[String]) -> Result<Option<EncodingChoice>, String> {
+    flag(args, "--encoding")
+        .map(|name| {
+            name.parse()
+                .map_err(|_| format!("--encoding {name}: expected raw, gzip, pack, or auto"))
+        })
+        .transpose()
 }
 
 fn stage(args: &[String]) -> Result<(), String> {
@@ -966,11 +957,7 @@ fn stage(args: &[String]) -> Result<(), String> {
     let per_shard: u64 = flag_parse(args, "--per-shard", 0)?;
     // No flag = None: mirror each plan's own encoding (the server
     // reports its store's real per-shard choice).
-    let encoding = if flag(args, "--encoding").is_some() || args.iter().any(|a| a == "--gzip") {
-        Some(encoding_flag(args)?)
-    } else {
-        None
-    };
+    let encoding = encoding_flag(args)?;
 
     let (backing, plans): (Arc<dyn SampleSource>, Vec<sciml_store::ShardPlan>) =
         if let Some(list) = flag(args, "--addrs") {

@@ -159,39 +159,6 @@ pub fn build_pipeline_observed(
     Pipeline::launch_with(Arc::new(VecSource::new(samples)), plugin, cfg, telemetry)
 }
 
-/// [`build_pipeline_observed`] plus a background
-/// [`PipelineSampler`](sciml_obs::PipelineSampler) attributing pipeline
-/// time to its bottleneck stage. The sampler's stage table is derived
-/// from the pipeline config's thread counts; call
-/// [`PipelineSampler::stop`](sciml_obs::PipelineSampler::stop) after
-/// draining the pipeline for the final
-/// [`AttributionReport`](sciml_obs::AttributionReport).
-pub fn build_attributed_pipeline(
-    samples: Vec<Vec<u8>>,
-    plugin: Arc<dyn DecoderPlugin>,
-    cfg: PipelineConfig,
-    telemetry: sciml_obs::Telemetry,
-    sample_interval: std::time::Duration,
-) -> sciml_pipeline::Result<(Pipeline, sciml_obs::PipelineSampler)> {
-    // Sampler first: its baseline snapshot must predate any pipeline
-    // work, or the first window's deltas are lost to the baseline.
-    let sampler = sciml_obs::PipelineSampler::spawn(
-        Arc::clone(&telemetry.registry),
-        Arc::clone(&telemetry.tracer),
-        sciml_obs::SamplerConfig {
-            interval: sample_interval,
-            stages: sciml_obs::pipeline_stages(
-                cfg.reader_threads as u64,
-                cfg.decode_threads as u64,
-            ),
-            live: false,
-        },
-    );
-    let pipeline =
-        Pipeline::launch_with(Arc::new(VecSource::new(samples)), plugin, cfg, telemetry)?;
-    Ok((pipeline, sampler))
-}
-
 /// Launches a pipeline over a backing source while a background worker
 /// pool stages it into `staging_dir` in shard-sized units.
 ///

@@ -6,8 +6,7 @@
 //! loader with pluggable per-sample decoders:
 //!
 //! * [`source`] — where encoded bytes come from: in-memory, a directory
-//!   of files, or a staged (copy-to-local) wrapper mirroring NVMe
-//!   staging;
+//!   of files, or a fill-once host-memory cache over either;
 //! * [`decoder`] — the plugin interface plus the eight concrete plugins
 //!   the evaluation uses (baseline / gzip / CPU-plugin / GPU-plugin, for
 //!   each of CosmoFlow and DeepCAM);

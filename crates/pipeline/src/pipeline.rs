@@ -659,11 +659,11 @@ mod tests {
             self.inner.len()
         }
 
-        fn fetch(&self, idx: usize) -> crate::Result<Vec<u8>> {
+        fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> crate::Result<()> {
             if idx == self.bad_idx {
                 return Err(sciml_data::DataError::Format("injected fetch failure").into());
             }
-            self.inner.fetch(idx)
+            self.inner.fetch_into(idx, buf)
         }
 
         fn bytes_read(&self) -> u64 {
@@ -749,6 +749,37 @@ mod tests {
         assert!(stats.byte_count() > 0);
         assert!(stats.decode_seconds() >= 0.0);
         assert!(stats.batch_count() >= 2);
+    }
+
+    #[test]
+    fn fill_once_cache_hits_its_share_of_every_shuffled_epoch() {
+        use crate::source::MemoryCacheSource;
+        // 16 equal samples, room for 4: epoch-shuffled exactly-once
+        // traffic, which is what every reader of the cache generates.
+        let blob = tiny_dataset(1).fetch(0).unwrap();
+        let capacity = 4 * blob.len() as u64;
+        let cache = Arc::new(MemoryCacheSource::new(
+            VecSource::new(vec![blob; 16]),
+            capacity,
+        ));
+        // One launch per epoch (same order as `epochs: 6`, which seeds
+        // epoch e with seed + e) so each epoch's hits can be read off.
+        for epoch in 0..6u64 {
+            let before = cache.hits();
+            let p = Pipeline::launch(
+                Arc::clone(&cache) as Arc<dyn SampleSource>,
+                Arc::new(CosmoPluginCpu { op: Op::Log1p }),
+                PipelineConfig {
+                    seed: 20220530 + epoch,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            p.collect_all().unwrap();
+            let want = if epoch == 0 { 0 } else { 4 };
+            assert_eq!(cache.hits() - before, want, "epoch {epoch}");
+        }
+        assert_eq!(cache.resident_bytes(), capacity);
     }
 
     #[test]

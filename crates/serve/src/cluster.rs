@@ -158,49 +158,6 @@ impl ClusterSource {
             *slot.lock() = None;
         }
     }
-
-    /// Fetches `idx` from its shard's replicas, failing over in order.
-    fn fetch_routed(&self, idx: u64) -> Result<Vec<u8>, PipelineError> {
-        let Some(assignment) = self.plan.locate(idx) else {
-            return Err(PipelineError::Remote(
-                format!("no shard in the cluster plan covers index {idx}").into(),
-            ));
-        };
-        let replicas = &assignment.replicas;
-        let start = if self.spread_reads {
-            idx as usize % replicas.len().max(1)
-        } else {
-            0
-        };
-        let mut last_err = None;
-        for k in 0..replicas.len() {
-            let r = replicas[(start + k) % replicas.len()];
-            match self.fetch_from(r, idx) {
-                Ok(payload) => {
-                    self.read.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                    return Ok(payload);
-                }
-                Err(e) => {
-                    self.invalidate(r);
-                    if k + 1 < replicas.len() {
-                        self.failover_count.inc();
-                    }
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or(PipelineError::Remote(
-            "shard has an empty replica set".into(),
-        )))
-    }
-
-    fn fetch_from(&self, r: u16, idx: u64) -> Result<Vec<u8>, PipelineError> {
-        let src = self.node_source(r)?;
-        let mut batch = src.fetch_batch(&[idx])?;
-        batch
-            .pop()
-            .ok_or_else(|| PipelineError::Remote("server returned an empty batch".into()))
-    }
 }
 
 impl std::fmt::Debug for ClusterSource {
@@ -219,8 +176,39 @@ impl SampleSource for ClusterSource {
         self.len
     }
 
-    fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
-        self.fetch_routed(idx as u64)
+    /// Fetches `idx` from its shard's replicas, failing over in order.
+    fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
+        let Some(assignment) = self.plan.locate(idx as u64) else {
+            return Err(PipelineError::Remote(
+                format!("no shard in the cluster plan covers index {idx}").into(),
+            ));
+        };
+        let replicas = &assignment.replicas;
+        let start = if self.spread_reads {
+            idx % replicas.len().max(1)
+        } else {
+            0
+        };
+        let mut last_err = None;
+        for k in 0..replicas.len() {
+            let r = replicas[(start + k) % replicas.len()];
+            match self.node_source(r).and_then(|src| src.fetch_into(idx, buf)) {
+                Ok(()) => {
+                    self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+                    return Ok(());
+                }
+                Err(e) => {
+                    self.invalidate(r);
+                    if k + 1 < replicas.len() {
+                        self.failover_count.inc();
+                    }
+                    last_err = Some(e);
+                }
+            }
+        }
+        Err(last_err.unwrap_or(PipelineError::Remote(
+            "shard has an empty replica set".into(),
+        )))
     }
 
     fn bytes_read(&self) -> u64 {

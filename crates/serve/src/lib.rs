@@ -14,7 +14,7 @@
 //! * [`protocol`] — wire frames (`[len][payload][crc32]`), message
 //!   codec, typed [`protocol::ProtocolError`]s for every corruption;
 //! * [`server`] — `sciml-net` reactor glue, admission control,
-//!   per-dataset DRAM LRU hot cache, counters;
+//!   per-dataset fill-once DRAM hot cache, counters;
 //! * [`client`] — pooled, retrying `RemoteSource`;
 //! * [`metrics`] — server-side latency/throughput counters;
 //! * [`scrape`] — Prometheus-text metrics exposition endpoint.

@@ -94,12 +94,7 @@ impl ServerMetrics {
 
     /// Builds the wire snapshot; cache counters come from the caller
     /// because they live on the per-dataset caches.
-    pub fn snapshot(
-        &self,
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_evictions: u64,
-    ) -> StatsSnapshot {
+    pub fn snapshot(&self, cache_hits: u64, cache_misses: u64) -> StatsSnapshot {
         let latency = self.request_latency.snapshot();
         StatsSnapshot {
             requests: self.requests.get(),
@@ -107,7 +102,6 @@ impl ServerMetrics {
             bytes_sent: self.bytes_sent.get(),
             cache_hits,
             cache_misses,
-            cache_evictions,
             rejected_connections: self.conn_rejected_busy.get(),
             request_ns: latency.sum,
             decoded_raw: self.decoded_raw.get(),
@@ -129,14 +123,13 @@ mod tests {
         m.record_request(Duration::from_nanos(700));
         m.record_samples(4, 4096);
         m.conn_rejected_busy.inc();
-        let s = m.snapshot(10, 2, 1);
+        let s = m.snapshot(10, 2);
         assert_eq!(s.requests, 2);
         assert_eq!(s.request_ns, 1200);
         assert_eq!(s.samples_served, 4);
         assert_eq!(s.bytes_sent, 4096);
         assert_eq!(s.cache_hits, 10);
         assert_eq!(s.cache_misses, 2);
-        assert_eq!(s.cache_evictions, 1);
         assert_eq!(s.rejected_connections, 1);
         assert_eq!(s.latency.count, 2);
         assert_eq!(s.latency.min, 500);

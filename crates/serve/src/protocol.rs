@@ -31,7 +31,7 @@ use std::io::{self, Read, Write};
 /// The one protocol version. Both ends must carry exactly this number
 /// in [`Message::Hello`] / [`Message::HelloAck`]; any change to a tag
 /// or a message body bumps it.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Hard ceiling on a frame payload (64 MiB). Large enough for a batch
 /// of encoded samples, small enough to bound per-connection memory.
@@ -152,8 +152,6 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     /// Hot-cache misses (fetches that went to the backing source).
     pub cache_misses: u64,
-    /// Hot-cache evictions.
-    pub cache_evictions: u64,
     /// Connections rejected at the admission limit.
     pub rejected_connections: u64,
     /// Cumulative request handling time, nanoseconds.
@@ -427,7 +425,6 @@ impl Message {
                     s.bytes_sent,
                     s.cache_hits,
                     s.cache_misses,
-                    s.cache_evictions,
                     s.rejected_connections,
                     s.request_ns,
                     s.decoded_raw,
@@ -540,7 +537,6 @@ impl Message {
                 bytes_sent: r.u64()?,
                 cache_hits: r.u64()?,
                 cache_misses: r.u64()?,
-                cache_evictions: r.u64()?,
                 rejected_connections: r.u64()?,
                 request_ns: r.u64()?,
                 decoded_raw: r.u64()?,
@@ -776,8 +772,8 @@ mod tests {
 
     fn all_messages() -> Vec<Message> {
         vec![
-            Message::Hello { version: 6 },
-            Message::HelloAck { version: 6 },
+            Message::Hello { version: 7 },
+            Message::HelloAck { version: 7 },
             Message::ListDatasets,
             Message::DatasetList(vec![
                 DatasetEntry {
@@ -805,12 +801,11 @@ mod tests {
                 bytes_sent: 3,
                 cache_hits: 4,
                 cache_misses: 5,
-                cache_evictions: 6,
-                rejected_connections: 7,
-                request_ns: 8,
-                decoded_raw: 9,
-                decoded_gzip: 10,
-                decoded_pack: 11,
+                rejected_connections: 6,
+                request_ns: 7,
+                decoded_raw: 8,
+                decoded_gzip: 9,
+                decoded_pack: 10,
                 latency: {
                     let h = sciml_obs::Histogram::new();
                     for v in [100u64, 250, 1_000_000, 1_000_001] {
@@ -1109,7 +1104,7 @@ mod tests {
     #[test]
     fn bucket_count_beyond_payload_rejected() {
         let mut payload = vec![tags::STATS_REPLY];
-        payload.extend_from_slice(&[0u8; 88]); // 11 counters
+        payload.extend_from_slice(&[0u8; 80]); // 10 counters
         payload.extend_from_slice(&[0u8; 24]); // sum/min/max
         payload.extend_from_slice(&100_000u32.to_le_bytes());
         payload.extend_from_slice(&[0u8; 20]);
@@ -1124,7 +1119,7 @@ mod tests {
         // Two pairs for bucket 0 whose counts sum past u64::MAX, plus a
         // second full bucket so the total overflows too.
         let mut payload = vec![tags::STATS_REPLY];
-        payload.extend_from_slice(&[0u8; 88]);
+        payload.extend_from_slice(&[0u8; 80]);
         payload.extend_from_slice(&[0u8; 24]);
         payload.extend_from_slice(&3u32.to_le_bytes());
         for (idx, n) in [(0u16, u64::MAX), (0, 1), (1, u64::MAX)] {
@@ -1139,8 +1134,10 @@ mod tests {
         assert_eq!(s.latency.count, u64::MAX);
     }
 
-    /// Frames captured at the last six-version commit (hex of
-    /// `encode_frame`): the single version is that commit's v6 byte for
+    /// Hex of `encode_frame`. `Hello` and `StatsReply` were captured at
+    /// v7 (the number itself, and the eviction counter leaving the
+    /// body); the other four are the capture from the last six-version
+    /// commit, so everything v7 did not change is that v6 byte for
     /// byte. Each must still be what some entry of `all_messages()`
     /// encodes to; the tag byte ties it to its message.
     #[test]
@@ -1150,7 +1147,7 @@ mod tests {
             .map(|m| encode_frame(m).iter().map(|b| format!("{b:02x}")).collect())
             .collect();
         let golden = [
-            ("Hello{6}", "03000000010600a314d9a8"),
+            ("Hello{7}", "03000000010700e225c2b1"),
             ("Stats", "01000000092957deab"),
             (
                 "Traced{FetchSamples}",
@@ -1159,12 +1156,11 @@ mod tests {
             ),
             (
                 "StatsReply, every field set",
-                "930000001201000000000000000200000000000000030000000000000004\
+                "8b0000001201000000000000000200000000000000030000000000000004\
                  000000000000000500000000000000060000000000000007000000000000\
-                 00080000000000000009000000000000000a000000000000000b00000000\
-                 000000df851e0000000000640000000000000041420f0000000000030000\
-                 00240001000000000000002f0001000000000000008f0002000000000000\
-                 0065e38efd",
+                 00080000000000000009000000000000000a00000000000000df851e0000\
+                 000000640000000000000041420f00000000000300000024000100000000\
+                 0000002f0001000000000000008f00020000000000000030cc36d0",
             ),
             (
                 "ShardManifestReply, two shards",

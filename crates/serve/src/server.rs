@@ -13,7 +13,9 @@
 //! clients) are served from DRAM without touching the backing tier.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{decode_frame, encode_frame, ErrorCode, Message, MAX_FRAME_BYTES};
+use crate::protocol::{
+    decode_frame, encode_frame, ErrorCode, Message, StatsSnapshot, MAX_FRAME_BYTES,
+};
 use crate::session::{process_message, Disposition, SessionState};
 use sciml_net::reactor::{ConnId, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply};
 use sciml_net::FrameError;
@@ -86,7 +88,6 @@ pub(crate) struct Inner {
     /// views of the same shared counters would multiply-count).
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
     pub(crate) metrics: ServerMetrics,
     /// Span tracer; disabled unless the builder received a telemetry
     /// handle with an enabled one. Traced requests open a
@@ -99,12 +100,10 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    pub(crate) fn cache_totals(&self) -> (u64, u64, u64) {
-        (
-            self.cache_hits.get(),
-            self.cache_misses.get(),
-            self.cache_evictions.get(),
-        )
+    /// The wire snapshot: server counters plus the shared cache totals.
+    pub(crate) fn stats(&self) -> StatsSnapshot {
+        self.metrics
+            .snapshot(self.cache_hits.get(), self.cache_misses.get())
     }
 }
 
@@ -218,7 +217,6 @@ impl ServeBuilder {
             datasets,
             cache_hits: registry.counter("pipeline.cache.memory.hits"),
             cache_misses: registry.counter("pipeline.cache.memory.misses"),
-            cache_evictions: registry.counter("pipeline.cache.memory.evictions"),
             metrics: ServerMetrics::with_registry(&registry),
             tracer: self.tracer.unwrap_or_else(Tracer::disabled),
             cluster: self.cluster,
@@ -344,9 +342,8 @@ impl ServerHandle {
     }
 
     /// Current stats snapshot, identical to a wire `Stats` request.
-    pub fn stats(&self) -> crate::protocol::StatsSnapshot {
-        let (h, m, e) = self.inner.cache_totals();
-        self.inner.metrics.snapshot(h, m, e)
+    pub fn stats(&self) -> StatsSnapshot {
+        self.inner.stats()
     }
 
     /// The registry holding this server's `serve.*` instruments (the

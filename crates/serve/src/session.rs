@@ -90,10 +90,7 @@ pub(crate) fn process_message(
 /// Computes the reply for one request; `true` means "begin shutdown
 /// after the reply is on the wire".
 fn respond(inner: &Inner, request: Message) -> (Message, bool) {
-    let stats_reply = || {
-        let (h, m, e) = inner.cache_totals();
-        Message::StatsReply(inner.metrics.snapshot(h, m, e))
-    };
+    let stats_reply = || Message::StatsReply(inner.stats());
     match request {
         Message::ListDatasets => {
             let entries = inner

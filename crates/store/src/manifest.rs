@@ -54,8 +54,7 @@ pub struct ShardMeta {
     pub crc32: u32,
     /// Encoding policy the shard was packed with (the per-entry truth
     /// lives in the shard's footer index; this is what a stager should
-    /// mirror). Legacy 7-field manifest lines parse as
-    /// [`EncodingChoice::Auto`].
+    /// mirror).
     pub encoding: EncodingChoice,
 }
 
@@ -89,8 +88,7 @@ pub struct ShardPlan {
     /// bound in-flight staging bytes, not for integrity.
     pub bytes: u64,
     /// Encoding policy of the exporting store, so a staging node can
-    /// mirror it. [`EncodingChoice::Auto`] when unknown (legacy
-    /// manifests, synthesized plans, pre-v4 serve protocol).
+    /// mirror it. [`EncodingChoice::Auto`] for a synthesized plan.
     pub encoding: EncodingChoice,
 }
 
@@ -190,9 +188,9 @@ impl StoreManifest {
             let fields: Vec<&str> = line.split_whitespace().collect();
             let err =
                 |what: &str| StoreError::Manifest(format!("line {}: {what}: {line:?}", lineno + 2));
-            if !(7..=8).contains(&fields.len()) || fields[0] != "shard" {
+            if fields.len() != 8 || fields[0] != "shard" {
                 return Err(err(
-                    "expected `shard ID FILE FIRST COUNT BYTES CRC [ENCODING]`",
+                    "expected `shard ID FILE FIRST COUNT BYTES CRC ENCODING`",
                 ));
             }
             let id: u32 = fields[1].parse().map_err(|_| err("bad shard id"))?;
@@ -201,12 +199,7 @@ impl StoreManifest {
             let count: u64 = fields[4].parse().map_err(|_| err("bad sample count"))?;
             let bytes: u64 = fields[5].parse().map_err(|_| err("bad byte size"))?;
             let crc32 = u32::from_str_radix(fields[6], 16).map_err(|_| err("bad crc"))?;
-            // 7-field lines predate per-entry encodings; `auto` is the
-            // conservative mirror target for such stores.
-            let encoding = match fields.get(7) {
-                Some(word) => word.parse().map_err(|_| err("bad encoding"))?,
-                None => EncodingChoice::Auto,
-            };
+            let encoding = fields[7].parse().map_err(|_| err("bad encoding"))?;
             if id as usize != shards.len() {
                 return Err(err("shard ids must be dense and ascending"));
             }
@@ -404,12 +397,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_seven_field_lines_parse_as_auto() {
-        let legacy = "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000\n";
-        let m = StoreManifest::parse(legacy).unwrap();
-        assert_eq!(m.shards[0].encoding, EncodingChoice::Auto);
-        let bad = "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000 zstd\n";
-        assert!(StoreManifest::parse(bad).is_err());
+    fn seven_field_and_unknown_encoding_lines_are_errors() {
+        for bad in [
+            "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000\n",
+            "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000 zstd\n",
+        ] {
+            assert!(matches!(
+                StoreManifest::parse(bad),
+                Err(StoreError::Manifest(_))
+            ));
+        }
     }
 
     #[test]

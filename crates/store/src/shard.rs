@@ -17,13 +17,13 @@
 //! └─────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! All integers are little-endian. Format version 2 (current) carries a
-//! per-entry encoding byte in the footer index — raw, gzip, or pack
-//! ([`sciml_pack`]) — so a single shard can mix encodings: the
-//! [`EncodingChoice::Auto`] policy trial-encodes a sample slice of each
-//! payload and keeps whichever encoding wins. Version 1 files (20-byte
-//! entries, header flag bit 0 = every payload gzipped) are still read.
-//! Compression is per-sample (not whole-shard) so positioned reads stay
+//! All integers are little-endian. There is one format version, 2 (any
+//! other number in the header is a typed `BadVersion`); the header
+//! flags are written as zero and not read. Each footer-index entry
+//! carries an encoding byte — raw, gzip, or pack ([`sciml_pack`]) — so a
+//! single shard can mix encodings: the [`EncodingChoice::Auto`] policy
+//! trial-encodes a sample slice of each payload and keeps whichever
+//! encoding wins. Compression is per-sample (not whole-shard) so positioned reads stay
 //! valid, and each entry's CRC-32 covers the *stored* bytes, so
 //! integrity checks never need to decompress.
 
@@ -41,11 +41,8 @@ pub const SHARD_EXT: &str = "sshard";
 
 const HEADER_MAGIC: &[u8; 4] = b"SSHD";
 const TRAILER_MAGIC: &[u8; 4] = b"SSFT";
-const VERSION_V1: u16 = 1;
 const VERSION: u16 = 2;
-const FLAG_GZIP: u16 = 1 << 0;
 const HEADER_LEN: usize = 16;
-const ENTRY_LEN_V1: usize = 20;
 const ENTRY_LEN: usize = 21;
 const TRAILER_LEN: usize = 24;
 
@@ -53,7 +50,7 @@ const TRAILER_LEN: usize = 24;
 const TRIAL_SAMPLE_BYTES: usize = 8192;
 
 /// How one stored payload is encoded, as recorded in its footer-index
-/// entry (format v2) or implied by the header gzip flag (v1).
+/// entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PayloadEncoding {
     /// Stored bytes are the raw sample bytes.
@@ -459,7 +456,6 @@ pub struct ShardReader {
     base: u64,
     index: Vec<IndexEntry>,
     index_offset: u64,
-    entry_len: usize,
 }
 
 /// Little-endian u64 at the start of `b` (panic-free: copies exactly
@@ -500,22 +496,9 @@ impl ShardReader {
             return Err(StoreError::BadMagic("shard header"));
         }
         let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != VERSION && version != VERSION_V1 {
+        if version != VERSION {
             return Err(StoreError::BadVersion(version));
         }
-        let entry_len = if version == VERSION_V1 {
-            ENTRY_LEN_V1
-        } else {
-            ENTRY_LEN
-        };
-        let flags = u16::from_le_bytes([header[6], header[7]]);
-        // v1 has no per-entry encoding byte: flag bit 0 applies to
-        // every payload in the shard.
-        let v1_encoding = if flags & FLAG_GZIP != 0 {
-            PayloadEncoding::Gzip
-        } else {
-            PayloadEncoding::Raw
-        };
         let base = le_u64(&header[8..16]);
 
         let mut trailer = [0u8; TRAILER_LEN];
@@ -528,7 +511,7 @@ impl ShardReader {
         let index_crc = le_u32(&trailer[16..20]);
 
         let index_len = (count as usize)
-            .checked_mul(entry_len)
+            .checked_mul(ENTRY_LEN)
             .ok_or(StoreError::Malformed("index size overflow"))?;
         let index_end = index_offset
             .checked_add(index_len as u64)
@@ -546,19 +529,14 @@ impl ShardReader {
             });
         }
         let mut index = Vec::with_capacity(count as usize);
-        for entry in index_bytes.chunks_exact(entry_len) {
-            let encoding = if version == VERSION_V1 {
-                v1_encoding
-            } else {
-                PayloadEncoding::from_byte(entry[20])
-                    .ok_or(StoreError::Malformed("unknown payload encoding byte"))?
-            };
+        for entry in index_bytes.chunks_exact(ENTRY_LEN) {
             let e = IndexEntry {
                 offset: le_u64(&entry[0..8]),
                 stored_len: le_u32(&entry[8..12]),
                 raw_len: le_u32(&entry[12..16]),
                 crc32: le_u32(&entry[16..20]),
-                encoding,
+                encoding: PayloadEncoding::from_byte(entry[20])
+                    .ok_or(StoreError::Malformed("unknown payload encoding byte"))?,
             };
             if e.offset < HEADER_LEN as u64 || e.offset + e.stored_len as u64 > index_offset {
                 return Err(StoreError::Malformed("sample extent outside shard body"));
@@ -571,7 +549,6 @@ impl ShardReader {
             base,
             index,
             index_offset,
-            entry_len,
         })
     }
 
@@ -613,7 +590,7 @@ impl ShardReader {
 
     /// Bytes the shard file occupies on disk.
     pub fn file_bytes(&self) -> u64 {
-        self.index_offset + (self.index.len() * self.entry_len + TRAILER_LEN) as u64
+        self.index_offset + (self.index.len() * ENTRY_LEN + TRAILER_LEN) as u64
     }
 
     /// Fetches local sample `idx`, verifying its CRC (and decoding
@@ -816,47 +793,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_shard_files_still_read() {
-        // Hand-build a version-1 shard (20-byte entries, gzip flag).
-        let dir = tmp_dir("v1");
-        for gzip in [false, true] {
-            let mut out = Vec::new();
-            out.extend_from_slice(HEADER_MAGIC);
-            out.extend_from_slice(&VERSION_V1.to_le_bytes());
-            out.extend_from_slice(&if gzip { FLAG_GZIP } else { 0 }.to_le_bytes());
-            out.extend_from_slice(&0u64.to_le_bytes());
-            let mut index = Vec::new();
-            for raw in samples() {
-                let stored = if gzip {
-                    sciml_compress::gzip_compress(&raw, Level::Fast)
-                } else {
-                    raw.clone()
-                };
-                index.extend_from_slice(&(out.len() as u64).to_le_bytes());
-                index.extend_from_slice(&(stored.len() as u32).to_le_bytes());
-                index.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-                index.extend_from_slice(&crc32(&stored).to_le_bytes());
-                out.extend_from_slice(&stored);
-            }
-            let index_offset = out.len() as u64;
-            let index_crc = crc32(&index);
-            out.extend_from_slice(&index);
-            out.extend_from_slice(&index_offset.to_le_bytes());
-            out.extend_from_slice(&(samples().len() as u64).to_le_bytes());
-            out.extend_from_slice(&index_crc.to_le_bytes());
-            out.extend_from_slice(TRAILER_MAGIC);
-            let path = dir.join(format!("v1_{gzip}.sshard"));
-            std::fs::write(&path, &out).unwrap();
-
-            let r = ShardReader::open(&path).unwrap();
-            assert_eq!(r.is_gzip(), gzip);
-            for (i, want) in samples().iter().enumerate() {
-                assert_eq!(&r.fetch(i).unwrap(), want, "v1 gzip={gzip} sample {i}");
-            }
-            r.verify().unwrap();
-            assert_eq!(r.file_bytes(), out.len() as u64);
-        }
-        std::fs::remove_dir_all(&dir).ok();
+    fn v1_header_is_bad_version() {
+        // Nothing has written version 1 since the per-entry encoding
+        // byte arrived: a v1 header is refused, not guessed at.
+        let mut bytes = encode_shard(&samples(), 0, EncodingChoice::Raw, Level::Fast);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let path = tmp_dir("v1").join("v1.sshard");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            ShardReader::open(&path),
+            Err(StoreError::BadVersion(1))
+        ));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]

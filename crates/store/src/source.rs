@@ -153,10 +153,6 @@ impl SampleSource for ShardSource {
         self.manifest.total_samples() as usize
     }
 
-    fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
-        Ok(self.fetch_verified(idx)?)
-    }
-
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
         Ok(self.fetch_verified_into(idx, buf)?)
     }
@@ -236,10 +232,6 @@ impl SampleSource for StagingSource {
         self.shared.total_samples() as usize
     }
 
-    fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
-        Ok(self.fetch_verified(idx)?)
-    }
-
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
         Ok(self.fetch_verified_into(idx, buf)?)
     }
@@ -294,29 +286,11 @@ mod tests {
         assert!(manifest.shards.len() > 1, "packing must split shards");
         let store = ShardSource::open(&dir).unwrap();
         assert_eq!(store.len(), 20);
-        // One recycled buffer across fetches of different sizes.
-        let mut buf = vec![0xEE; 4096];
         for (i, want) in samples.iter().enumerate() {
             assert_eq!(&SampleSource::fetch(&store, i).unwrap(), want);
-            store.fetch_into(i, &mut buf).unwrap();
-            assert_eq!(&buf, want, "fetch_into sample {i}");
         }
         assert_eq!(store.verify().unwrap(), 20);
         assert!(store.fetch_verified(20).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_source_counts_bytes_read() {
-        let dir = tmp_dir("bytes");
-        let samples = vec![vec![9u8; 100], vec![8u8; 50]];
-        pack_store(&VecSource::new(samples), &dir, PackConfig::default()).unwrap();
-        let store = ShardSource::open(&dir).unwrap();
-        SampleSource::fetch(&store, 0).unwrap();
-        SampleSource::fetch(&store, 1).unwrap();
-        assert_eq!(store.bytes_read(), 150);
-        store.fetch_into(0, &mut Vec::new()).unwrap();
-        assert_eq!(store.bytes_read(), 250);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -360,17 +334,6 @@ mod tests {
         }
         assert_eq!(src.local_hits(), 4);
         assert_eq!(src.fallthroughs(), 8);
-        // The buffer-reusing path takes the same routes and counts the
-        // same bytes.
-        let before = src.bytes_read();
-        let mut buf = vec![0xEE; 4096];
-        for (i, want) in samples.iter().enumerate() {
-            src.fetch_into(i, &mut buf).unwrap();
-            assert_eq!(&buf, want, "fetch_into sample {i}");
-        }
-        assert_eq!(src.local_hits(), 8);
-        assert_eq!(src.fallthroughs(), 16);
-        assert_eq!(src.bytes_read(), 2 * before);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -128,14 +128,10 @@ impl Shared {
         let opened = Arc::new(ShardReader::open(
             self.dir.join(shard_file_name(self.plans[shard].id)),
         )?);
-        // Another thread may have won the race; either way the cell now
-        // holds a valid reader for this shard.
+        // Another thread may have won the race and its reader stays in
+        // the cell; this one reads the same file and serves this fetch.
         let _ = self.readers[shard].set(Arc::clone(&opened));
-        Ok(Arc::clone(
-            // lint:allow(no_panics): the OnceLock was set on the line
-            // above (or by a racing thread); get() cannot be empty.
-            self.readers[shard].get().expect("reader just set"),
-        ))
+        Ok(opened)
     }
 }
 

@@ -47,9 +47,10 @@ impl SampleSource for SlowSource {
         self.blobs.len()
     }
 
-    fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
+    fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
         std::thread::sleep(self.delay);
-        Ok(self.blobs[idx].clone())
+        buf.clone_from(&self.blobs[idx]);
+        Ok(())
     }
 
     fn bytes_read(&self) -> u64 {

@@ -9,6 +9,11 @@ use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
 use sciml_data::tfrecord::{Compression, TfRecordReader, TfRecordWriter};
 use sciml_gpusim::{decode_cosmo, decode_deepcam, Gpu, GpuSpec};
+use sciml_pipeline::source::{DirSource, MemoryCacheSource, VecSource};
+use sciml_pipeline::{PipelineError, SampleSource};
+use sciml_serve::{ClusterSource, RemoteSource, ServeBuilder};
+use sciml_store::{pack_store, EncodingChoice, PackConfig, ShardSource, Stager, StagerConfig};
+use std::sync::Arc;
 
 /// The central functional invariant of the GPU offload: simulated-device
 /// decode output is bit-identical to the CPU decoder for both codecs and
@@ -123,4 +128,117 @@ fn platform_profile_sizes_match_real_sample_shapes() {
     assert_eq!(cam.raw_bytes as usize, 1152 * 768 * 16 * 4);
     let full = DeepCamConfig::default();
     assert_eq!(cam.raw_bytes as usize, full.values() * 4);
+}
+
+/// The `SampleSource` contract, checked on one source: `fetch_into`
+/// replaces the contents of a dirty, longer, recycled buffer with
+/// exactly what `fetch` returns; each call advances `bytes_read()` by
+/// the sample's length, once; an out-of-range index is a typed error.
+fn check_source_contract(name: &str, src: &dyn SampleSource, want: &[Vec<u8>]) {
+    assert_eq!(src.len(), want.len(), "{name}");
+    let mut buf = Vec::new();
+    for (i, sample) in want.iter().enumerate() {
+        buf.clear();
+        buf.resize(4096, 0xEE);
+        let before = src.bytes_read();
+        src.fetch_into(i, &mut buf)
+            .unwrap_or_else(|e| panic!("{name}: fetch_into({i}): {e}"));
+        assert_eq!(&buf, sample, "{name}: fetch_into({i})");
+        assert_eq!(
+            src.bytes_read() - before,
+            sample.len() as u64,
+            "{name}: {i}"
+        );
+        let before = src.bytes_read();
+        assert_eq!(&src.fetch(i).unwrap(), sample, "{name}: fetch({i})");
+        assert_eq!(
+            src.bytes_read() - before,
+            sample.len() as u64,
+            "{name}: {i}"
+        );
+    }
+    let before = src.bytes_read();
+    let err = src
+        .fetch_into(want.len(), &mut buf)
+        .expect_err("index == len must be refused");
+    assert!(
+        matches!(
+            err,
+            PipelineError::Source(_) | PipelineError::Storage(_) | PipelineError::Remote(_)
+        ),
+        "{name}: {err:?}"
+    );
+    assert_eq!(
+        src.bytes_read(),
+        before,
+        "{name}: a refused fetch reads nothing"
+    );
+}
+
+/// Every source implements the one data method the same way.
+#[test]
+fn every_source_honours_the_fetch_into_contract() {
+    // Mixed lengths, one of them empty, all shorter than the dirty buffer.
+    let samples: Vec<Vec<u8>> = (0..12usize)
+        .map(|i| {
+            (0..(i * 61) % 700)
+                .map(|j| (i * 31 + j * 7) as u8)
+                .collect()
+        })
+        .collect();
+    let vec_source = || Arc::new(VecSource::new(samples.clone())) as Arc<dyn SampleSource>;
+    let root = std::env::temp_dir().join(format!("sciml_contract_{}", std::process::id()));
+
+    check_source_contract("VecSource", &VecSource::new(samples.clone()), &samples);
+
+    let dir = DirSource::write_all(root.join("dir"), &samples).unwrap();
+    check_source_contract("DirSource", &dir, &samples);
+
+    let cache = MemoryCacheSource::new(vec_source(), u64::MAX);
+    let n = samples.len() as u64;
+    check_source_contract("MemoryCacheSource, cold", &cache, &samples);
+    // Per index one miss then one hit; the refused index is a miss.
+    assert_eq!((cache.hits(), cache.misses()), (n, n + 1));
+    check_source_contract("MemoryCacheSource, warm", &cache, &samples);
+    assert_eq!((cache.hits(), cache.misses()), (3 * n, n + 2));
+
+    let pack = PackConfig {
+        target_shard_bytes: 1500,
+        encoding: EncodingChoice::Auto,
+        ..PackConfig::default()
+    };
+    let manifest = pack_store(&VecSource::new(samples.clone()), &root.join("store"), pack).unwrap();
+    assert!(manifest.shards.len() > 1);
+    let store = ShardSource::open(root.join("store")).unwrap();
+    check_source_contract("ShardSource", &store, &samples);
+
+    for (name, stage_all) in [
+        ("StagingSource, falling through", false),
+        ("StagingSource, staged", true),
+    ] {
+        let stager = Stager::new(
+            vec_source(),
+            manifest.plans(),
+            root.join(format!("staged_{stage_all}")),
+            StagerConfig::default(),
+        )
+        .unwrap();
+        while stage_all && stager.stage_one().unwrap().is_some() {}
+        let src = stager.source();
+        check_source_contract(name, &src, &samples);
+        let (local, fell) = (src.local_hits(), src.fallthroughs());
+        assert_eq!((local == 0, fell == 0), (!stage_all, stage_all), "{name}");
+    }
+
+    let server = ServeBuilder::new()
+        .dataset("demo", vec_source())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let addr = server.local_addr().to_string();
+    let remote = RemoteSource::connect(addr.clone(), "demo").unwrap();
+    check_source_contract("RemoteSource", &remote, &samples);
+    let cluster = ClusterSource::connect(addr, "demo").unwrap();
+    check_source_contract("ClusterSource", &cluster, &samples);
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -7,7 +7,7 @@ use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_data::deepcam::DeepCamConfig;
 use sciml_gpusim::GpuSpec;
 use sciml_pipeline::batch::Label;
-use sciml_pipeline::source::{DirSource, StagedSource, VecSource};
+use sciml_pipeline::source::{DirSource, MemoryCacheSource, VecSource};
 use sciml_pipeline::{Pipeline, PipelineConfig};
 use std::sync::Arc;
 
@@ -119,7 +119,7 @@ fn pipeline_reads_from_disk_directory_source() {
 fn staged_source_serves_second_epoch_from_cache() {
     let b = cosmo_builder();
     let blobs = b.build(4, EncodedFormat::Custom);
-    let staged = Arc::new(StagedSource::new(VecSource::new(blobs), u64::MAX));
+    let staged = Arc::new(MemoryCacheSource::new(VecSource::new(blobs), u64::MAX));
     let staged_ref = Arc::clone(&staged);
     let p = Pipeline::launch(
         staged,
@@ -133,8 +133,8 @@ fn staged_source_serves_second_epoch_from_cache() {
     .unwrap();
     let (batches, _) = p.collect_all().unwrap();
     assert_eq!(batches.iter().map(|x| x.len()).sum::<usize>(), 12);
-    assert_eq!(staged_ref.misses(), 4, "first epoch stages");
-    assert_eq!(staged_ref.hits(), 8, "later epochs hit the stage cache");
+    assert_eq!(staged_ref.misses(), 4, "first epoch fills the cache");
+    assert_eq!(staged_ref.hits(), 8, "later epochs hit it");
 }
 
 #[test]

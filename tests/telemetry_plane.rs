@@ -180,9 +180,9 @@ impl SampleSource for SleepySource {
         self.inner.len()
     }
 
-    fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
+    fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
         std::thread::sleep(self.delay);
-        self.inner.fetch(idx)
+        self.inner.fetch_into(idx, buf)
     }
 
     fn bytes_read(&self) -> u64 {
