@@ -15,8 +15,9 @@
 //!             [--metrics-out FILE] [--trace-out FILE] [--metrics-text FILE|-]
 //!             [--watch SECS] [--watch-iters N] [--attribution-out FILE]
 //! sciml pack --dir DIR --n N --out DIR [--shard-mb M] [--encoding raw|gzip|pack|auto]
-//! sciml stage (--addr HOST:PORT [--name D] | --addrs A,B,C [--name D] | --dir DIR --n N)
+//! sciml stage (--addr HOST:PORT [--name D] | --addrs A,B,C [--name D] | --dir DIR [--n N])
 //!             --out DIR [--per-shard K] [--workers W] [--encoding raw|gzip|pack|auto]
+//!             # --dir: a packed store (it holds a store.manifest) or N per-sample files
 //! sciml cluster-plan (--nodes A,B,C --n N [--per-shard K] [--replication R] | --addr HOST:PORT [--name D])
 //! sciml soak --addr HOST:PORT [--name D] [--conns N] [--fetches K]
 //! sciml verify-store DIR           # CRC-check every shard + sample of a packed store
@@ -102,7 +103,7 @@ fn print_usage() {
          fetch --addr A [--name D] [--indices I,J]     fetch samples / stats from a server\n  \
          ..... --decode cosmo|deepcam [--pool-capacity N]  run a pooled decode pipeline over it\n  \
          pack --dir DIR --n N --out DIR                pack per-file samples into .sshard shards\n  \
-         stage (--addr A | --addrs A,B,C | --dir DIR --n N) --out DIR  stage a dataset into a local packed copy\n  \
+         stage (--addr A | --addrs A,B,C | --dir DIR [--n N]) --out DIR  stage a dataset (server, packed store, or N files) into a local packed copy\n  \
          verify-store DIR                              CRC-check every shard of a packed store\n  \
          cluster-plan (--nodes A,B,C --n N | --addr A) print consistent-hash shard placement + balance\n  \
          soak --addr A [--conns N] [--fetches K]       hold N concurrent connections, fetch, report tails\n  \
@@ -1008,16 +1009,29 @@ fn stage(args: &[String]) -> Result<(), String> {
         } else {
             let dir = flag(args, "--dir")
                 .ok_or("--addr HOST:PORT, --addrs A,B,C, or --dir DIR required")?;
-            let n: usize = flag_parse(args, "--n", 0)?;
-            if n == 0 {
-                return Err("--n N (number of samples in DIR) required".into());
+            if Path::new(&dir).join(sciml_store::MANIFEST_FILE).exists() {
+                // A packed store: stage it shard for shard, by its own
+                // manifest.
+                let store = ShardSource::open(&dir).map_err(|e| format!("{dir}: {e}"))?;
+                let plans = store.manifest().plans();
+                println!(
+                    "staging packed store {dir}: {} samples in {} shard(s)",
+                    store.len(),
+                    plans.len()
+                );
+                (Arc::new(store), plans)
+            } else {
+                let n: usize = flag_parse(args, "--n", 0)?;
+                if n == 0 {
+                    return Err("--n N (number of samples in DIR) required".into());
+                }
+                let src = DirSource::open(&dir, n);
+                src.fetch(0)
+                    .map_err(|e| format!("cannot read sample 0 from {dir}: {e}"))?;
+                let per = if per_shard == 0 { 64 } else { per_shard };
+                println!("staging {n} samples from {dir} in shards of {per}");
+                (Arc::new(src), plan_by_count(n as u64, per))
             }
-            let src = DirSource::open(&dir, n);
-            src.fetch(0)
-                .map_err(|e| format!("cannot read sample 0 from {dir}: {e}"))?;
-            let per = if per_shard == 0 { 64 } else { per_shard };
-            println!("staging {n} samples from {dir} in shards of {per}");
-            (Arc::new(src), plan_by_count(n as u64, per))
         };
 
     let stager = Stager::new(
@@ -1039,10 +1053,12 @@ fn stage(args: &[String]) -> Result<(), String> {
     stager.spawn_workers();
     let p = stager.join().map_err(|e| e.to_string())?;
     println!(
-        "staged {}/{} shard(s) ({} bytes) in {:.2} s -> {out}",
+        "staged {}/{} shard(s) ({} bytes; {} entries copied as stored, {} re-encoded) in {:.2} s -> {out}",
         p.staged_shards,
         p.total_shards,
         p.staged_bytes,
+        p.verbatim_entries,
+        p.reencoded_entries,
         t0.elapsed().as_secs_f64()
     );
     if p.failed_shards > 0 {

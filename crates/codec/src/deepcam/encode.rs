@@ -50,71 +50,40 @@ pub struct EncodeStats {
     pub zero_codes: usize,
 }
 
-/// Encodes a sample, returning the encoded form and statistics.
-pub fn encode(sample: &DeepCamSample, cfg: &EncoderConfig) -> (EncodedDeepCam, EncodeStats) {
-    let width = sample.width;
-    let mut lines = Vec::with_capacity(sample.channels * sample.height);
-    let mut payload = Vec::new();
-    let mut stats = EncodeStats::default();
-
-    for c in 0..sample.channels {
-        for y in 0..sample.height {
-            let line = sample.line(c, y);
-            let offset = payload.len() as u32;
-            let mode = encode_line(line, cfg, &mut payload, &mut stats);
-            lines.push(LineMeta {
-                mode,
-                offset,
-                len: payload.len() as u32 - offset,
-            });
-        }
-    }
-
-    (
-        EncodedDeepCam {
-            width: width as u32,
-            height: sample.height as u32,
-            channels: sample.channels as u32,
-            lines,
-            payload,
-            mask: sample.mask.clone(),
-        },
-        stats,
-    )
+/// Working storage of one channel's encode, reused by every line: the
+/// current line's segments, codes and escaped literals.
+#[derive(Default)]
+struct Scratch {
+    segments: Vec<Segment>,
+    /// One code per non-head value, segment-concatenated.
+    codes: Vec<u8>,
+    literals: Vec<f32>,
 }
 
-/// Encodes a sample with one rayon task per line. Lines are independent
-/// for encoding just as for decoding; per-line payloads are stitched
-/// together afterwards, so output is byte-identical to [`encode`].
-pub fn encode_parallel(
-    sample: &DeepCamSample,
-    cfg: &EncoderConfig,
-) -> (EncodedDeepCam, EncodeStats) {
-    let n_lines = sample.channels * sample.height;
-    let per_line: Vec<(Vec<u8>, LineMode, EncodeStats)> = (0..n_lines)
+/// Encodes a sample, returning the encoded form and statistics.
+///
+/// Lines are independent, so the channels are encoded on the worker
+/// pool, one task each, and stitched in channel order: the output is
+/// the same bytes whatever the number of threads.
+pub fn encode(sample: &DeepCamSample, cfg: &EncoderConfig) -> (EncodedDeepCam, EncodeStats) {
+    let channels: Vec<(Vec<LineMeta>, Vec<u8>, EncodeStats)> = (0..sample.channels)
         .into_par_iter()
-        .map(|idx| {
-            let (c, y) = (idx / sample.height, idx % sample.height);
-            let mut payload = Vec::new();
-            let mut stats = EncodeStats::default();
-            let mode = encode_line(sample.line(c, y), cfg, &mut payload, &mut stats);
-            (payload, mode, stats)
-        })
+        .map(|c| encode_channel(sample, c, cfg))
         .collect();
 
-    let total: usize = per_line.iter().map(|(p, _, _)| p.len()).sum();
-    let mut payload = Vec::with_capacity(total);
-    let mut lines = Vec::with_capacity(n_lines);
+    let mut lines = Vec::with_capacity(sample.channels * sample.height);
+    let mut payload = Vec::with_capacity(channels.iter().map(|(_, p, _)| p.len()).sum());
     let mut stats = EncodeStats::default();
-    for (line_payload, mode, line_stats) in per_line {
-        lines.push(LineMeta {
-            mode,
-            offset: payload.len() as u32,
-            len: line_payload.len() as u32,
-        });
-        payload.extend_from_slice(&line_payload);
-        stats.merge(&line_stats);
+    for (channel_lines, channel_payload, channel_stats) in channels {
+        let shift = payload.len() as u32;
+        lines.extend(channel_lines.into_iter().map(|l| LineMeta {
+            offset: l.offset + shift,
+            ..l
+        }));
+        payload.extend_from_slice(&channel_payload);
+        stats.merge(&channel_stats);
     }
+
     (
         EncodedDeepCam {
             width: sample.width as u32,
@@ -128,8 +97,39 @@ pub fn encode_parallel(
     )
 }
 
+/// Encodes the lines of channel `c`: their directory entries (offsets
+/// from the channel's own first byte), payload and statistics.
+fn encode_channel(
+    sample: &DeepCamSample,
+    c: usize,
+    cfg: &EncoderConfig,
+) -> (Vec<LineMeta>, Vec<u8>, EncodeStats) {
+    let mut lines = Vec::with_capacity(sample.height);
+    // A delta line costs at least a byte per value.
+    let mut payload = Vec::with_capacity(sample.height * sample.width);
+    let mut stats = EncodeStats::default();
+    let mut scratch = Scratch::default();
+    for y in 0..sample.height {
+        let offset = payload.len() as u32;
+        let mode = encode_line(
+            sample.line(c, y),
+            cfg,
+            &mut payload,
+            &mut stats,
+            &mut scratch,
+        );
+        lines.push(LineMeta {
+            mode,
+            offset,
+            len: payload.len() as u32 - offset,
+        });
+    }
+    (lines, payload, stats)
+}
+
 impl EncodeStats {
-    /// Accumulates another run's counters (per-line parallel encoding).
+    /// Accumulates another run's counters (one channel's into the
+    /// sample's).
     pub fn merge(&mut self, other: &EncodeStats) {
         self.constant_lines += other.constant_lines;
         self.raw_lines += other.raw_lines;
@@ -146,6 +146,7 @@ fn encode_line(
     cfg: &EncoderConfig,
     payload: &mut Vec<u8>,
     stats: &mut EncodeStats,
+    scratch: &mut Scratch,
 ) -> LineMode {
     debug_assert!(!line.is_empty());
     // Constant line: bitwise-identical values.
@@ -155,16 +156,17 @@ fn encode_line(
         return LineMode::Constant;
     }
 
-    match try_delta_encode(line, cfg) {
-        Some(enc) if enc.encoded_len() < line.len() * 4 => {
+    match delta_encode(line, cfg, scratch) {
+        Some(zero_codes) if scratch.encoded_len() < line.len() * 4 => {
             stats.delta_lines += 1;
-            stats.segments += enc.segments.len();
-            stats.literals += enc.literals.len();
-            stats.zero_codes += enc.codes.iter().filter(|&&c| c == CODE_ZERO).count();
-            enc.write(payload);
+            stats.segments += scratch.segments.len();
+            stats.literals += scratch.literals.len();
+            stats.zero_codes += zero_codes;
+            scratch.write(payload);
             LineMode::Delta
         }
         _ => {
+            payload.reserve(line.len() * 4);
             for v in line {
                 payload.extend_from_slice(&v.to_le_bytes());
             }
@@ -174,15 +176,8 @@ fn encode_line(
     }
 }
 
-/// In-memory delta encoding of one line before serialization.
-struct DeltaLine {
-    segments: Vec<Segment>,
-    /// One code per non-head value, segment-concatenated.
-    codes: Vec<u8>,
-    literals: Vec<f32>,
-}
-
-impl DeltaLine {
+impl Scratch {
+    /// Bytes [`Scratch::write`] appends for the line it holds.
     fn encoded_len(&self) -> usize {
         4 + self.segments.len() * 8 + self.codes.len() + self.literals.len() * 4
     }
@@ -190,6 +185,7 @@ impl DeltaLine {
     /// Wire layout: `u16 n_segments | u16 n_literals | segment headers
     /// (f32 head, u16 count, i8 base_exp, u8 pad) | codes | literal f32s`.
     fn write(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
         out.extend_from_slice(&(self.segments.len() as u16).to_le_bytes());
         out.extend_from_slice(&(self.literals.len() as u16).to_le_bytes());
         for s in &self.segments {
@@ -223,129 +219,144 @@ fn exponent_of(v: f32) -> Option<i32> {
     }
 }
 
-/// Two-pass delta encoding. Pass 1 segments the line on true-delta
-/// exponent windows; pass 2 quantizes against the *reconstructed*
-/// previous value (mirroring the decoder) and escapes when drift or
-/// range force it. Returns `None` if the line produces too many
-/// segments (abrupt-transition fallback).
-fn try_delta_encode(line: &[f32], cfg: &EncoderConfig) -> Option<DeltaLine> {
-    // Pass 1: segmentation on true deltas.
-    let mut boundaries: Vec<(usize, usize, i8)> = Vec::new(); // (start, count, base_exp)
+/// Two-pass delta encoding of `line` into `scratch`. Pass 1 segments
+/// the line on true-delta exponent windows; pass 2 quantizes against
+/// the *reconstructed* previous value (mirroring the decoder) and
+/// escapes when drift or range force it. Returns the number of
+/// zero-delta codes, or `None` if the line produces too many segments
+/// or literals (abrupt-transition fallback).
+fn delta_encode(line: &[f32], cfg: &EncoderConfig, scratch: &mut Scratch) -> Option<usize> {
+    let Scratch {
+        segments,
+        codes,
+        literals,
+    } = scratch;
+    segments.clear();
+    codes.clear();
+    literals.clear();
+    let max_segments = (line.len() / cfg.min_values_per_segment).max(1);
+
+    // Pass 1: segmentation on true deltas. `lo > hi` is the window of a
+    // segment that has seen no non-zero delta yet.
     let mut start = 0usize;
-    let mut min_e: Option<i32> = None;
-    let mut max_e: Option<i32> = None;
+    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+    let base_exp = |lo: i32| (if lo == i32::MAX { 0 } else { lo }).clamp(-128, 127) as i8;
     for j in 1..line.len() {
         if !line[j].is_finite() {
             // Non-finite data: bail to raw.
             return None;
         }
-        let d = line[j] - line[j - 1];
-        let e = exponent_of(d);
-        let (new_min, new_max) = match e {
-            None => (min_e, max_e),
-            Some(e) => (
-                Some(min_e.map_or(e, |m| m.min(e))),
-                Some(max_e.map_or(e, |m| m.max(e))),
-            ),
+        let (new_lo, new_hi) = match exponent_of(line[j] - line[j - 1]) {
+            None => (lo, hi),
+            Some(e) => (lo.min(e), hi.max(e)),
         };
-        let fits = match (new_min, new_max) {
-            (Some(lo), Some(hi)) => hi - lo <= EXP_WINDOW && (-128..=127).contains(&lo),
-            _ => true,
-        };
-        let count = j - start + 1;
-        if fits && count <= u16::MAX as usize {
-            min_e = new_min;
-            max_e = new_max;
+        let fits =
+            new_lo > new_hi || (new_hi - new_lo <= EXP_WINDOW && (-128..=127).contains(&new_lo));
+        if fits && j - start < u16::MAX as usize {
+            (lo, hi) = (new_lo, new_hi);
         } else {
-            boundaries.push((start, j - start, min_e.unwrap_or(0).clamp(-128, 127) as i8));
-            start = j;
-            min_e = None;
-            max_e = None;
             // The new segment's head is line[j]; its deltas start at j+1.
+            if segments.len() == max_segments {
+                return None;
+            }
+            segments.push(Segment {
+                head: line[start],
+                count: (j - start) as u16,
+                base_exp: base_exp(lo),
+            });
+            start = j;
+            (lo, hi) = (i32::MAX, i32::MIN);
         }
     }
-    boundaries.push((
-        start,
-        line.len() - start,
-        min_e.unwrap_or(0).clamp(-128, 127) as i8,
-    ));
-
-    let max_segments = (line.len() / cfg.min_values_per_segment).max(1);
-    if boundaries.len() > max_segments {
+    if segments.len() == max_segments {
         return None;
     }
+    segments.push(Segment {
+        head: line[start],
+        count: (line.len() - start) as u16,
+        base_exp: base_exp(lo),
+    });
 
     // Pass 2: quantize with reconstruction mirror.
-    let mut segments = Vec::with_capacity(boundaries.len());
-    let mut codes = Vec::with_capacity(line.len());
-    let mut literals = Vec::new();
-    for &(s, count, base_exp) in &boundaries {
-        segments.push(Segment {
-            head: line[s],
-            count: count as u16,
-            base_exp,
-        });
-        let mut prev = line[s];
-        for &x in &line[s + 1..s + count] {
-            let d = x - prev;
-            let (code, recon) = quantize(d, prev, x, base_exp, cfg);
+    let mut zero_codes = 0usize;
+    let mut rest = line;
+    for seg in segments.iter() {
+        let (values, tail) = rest.split_at(seg.count as usize);
+        rest = tail;
+        let mut prev = seg.head;
+        for &x in &values[1..] {
+            let (code, recon) = quantize(x - prev, prev, x, seg.base_exp, cfg);
             if code == CODE_ESCAPE {
-                literals.push(x);
-                if literals.len() > u16::MAX as usize {
+                if literals.len() == u16::MAX as usize {
                     return None;
                 }
+                literals.push(x);
             }
+            zero_codes += usize::from(code == CODE_ZERO);
             codes.push(code);
             prev = recon;
         }
     }
-    Some(DeltaLine {
-        segments,
-        codes,
-        literals,
-    })
+    Some(zero_codes)
 }
 
 /// Quantizes delta `d` (from reconstructed `prev` toward true `x`)
 /// against `base_exp`. Returns the code byte and the reconstructed value
 /// the decoder will produce.
+#[inline]
 fn quantize(d: f32, prev: f32, x: f32, base_exp: i8, cfg: &EncoderConfig) -> (u8, f32) {
-    let code = quantize_code(d, base_exp);
-    // `quantize_code` never yields the escape code, so `decode_code`
-    // always succeeds; degrade to a literal escape instead of panicking
-    // if that invariant ever breaks.
-    match code.and_then(|c| decode_code(c, base_exp).map(|d| (c, d))) {
-        Some((c, delta_hat)) => {
-            let recon = prev + delta_hat;
-            let denom = x.abs().max(cfg.abs_floor);
-            if ((recon - x) / denom).abs() > cfg.escape_rel_tol {
-                (CODE_ESCAPE, x)
-            } else {
-                (c, recon)
-            }
-        }
-        None => (CODE_ESCAPE, x),
+    let Some(code) = quantize_code(d, base_exp) else {
+        return (CODE_ESCAPE, x);
+    };
+    let recon = prev + code_delta(code, base_exp);
+    let denom = x.abs().max(cfg.abs_floor);
+    if ((recon - x) / denom).abs() > cfg.escape_rel_tol {
+        (CODE_ESCAPE, x)
+    } else {
+        (code, recon)
     }
 }
 
+/// The delta a code of [`quantize_code`] stands for — what
+/// [`decode_code`] computes, read off the code's own bits: sign, then
+/// `base_exp + e_off` as the exponent field, then the four mantissa
+/// bits, which is exact wherever that exponent is a normal one.
+#[inline]
+pub(super) fn code_delta(code: u8, base_exp: i8) -> f32 {
+    if code == CODE_ZERO {
+        return 0.0;
+    }
+    let k = base_exp as i32 + ((code >> 4) & 0x7) as i32;
+    if !(-126..=127).contains(&k) {
+        // `quantize_code` never yields the escape code, so this is a
+        // value: subnormal below the range, infinite above it (which
+        // the caller's tolerance check then escapes).
+        return decode_code(code, base_exp).unwrap_or(f32::INFINITY);
+    }
+    let sign = (code as u32 & 0x80) << 24;
+    let mantissa = (code as u32 & 0x0F) << 19;
+    f32::from_bits(sign | (((k + 127) as u32) << 23) | mantissa)
+}
+
 /// Maps a delta to its 8-bit code, or `None` when out of range.
-fn quantize_code(d: f32, base_exp: i8) -> Option<u8> {
-    if d == 0.0 {
-        return Some(CODE_ZERO);
-    }
-    if !d.is_finite() {
-        return None;
-    }
-    let sign: u8 = if d < 0.0 { 0x80 } else { 0 };
-    let a = d.abs();
+#[inline]
+pub(super) fn quantize_code(d: f32, base_exp: i8) -> Option<u8> {
+    let Some(mut e) = exponent_of(d) else {
+        // A zero delta has its own code; infinities and NaNs escape.
+        return (d == 0.0).then_some(CODE_ZERO);
+    };
+    let bits = d.to_bits();
+    let sign = ((bits >> 24) & 0x80) as u8;
+    let magnitude = bits & 0x7FFF_FFFF;
     let base = base_exp as i32;
-    let mut e = exponent_of(a)?;
     if e < base {
         // Below representable range: round to zero or the smallest
-        // representable magnitude, whichever is nearer. The positive
+        // representable magnitude, whichever is nearer. `e >= -126`, so
+        // half the smallest magnitude, 2^(base-1), is a normal number
+        // and positive floats order as their bits do. The positive
         // (s=0, e_off=0, m=0) pattern collides with the zero code, so it
         // carries the same mantissa nudge as the in-range path below.
-        return if a < exp2i(base) * 0.5 {
+        return if magnitude < ((base - 1 + 127) as u32) << 23 {
             Some(CODE_ZERO)
         } else if sign == 0 {
             Some(0x01)
@@ -353,7 +364,15 @@ fn quantize_code(d: f32, base_exp: i8) -> Option<u8> {
             Some(0x80)
         };
     }
-    let mut m = ((a / exp2i(e) - 1.0) * 16.0).round() as i32;
+    // Mantissa to four bits, ties away from zero. `|d| / 2^e` is
+    // `1.mantissa` exactly, so `((|d| / 2^e - 1) * 16).round()` is the
+    // 23-bit mantissa rounded at bit 19; a carry out of the four bits
+    // moves up one exponent.
+    let mut m = if magnitude < 1 << 23 {
+        subnormal_mantissa(d.abs())
+    } else {
+        (((magnitude & 0x007F_FFFF) + (1 << 18)) >> 19) as i32
+    };
     if m == 16 {
         e += 1;
         m = 0;
@@ -373,6 +392,16 @@ fn quantize_code(d: f32, base_exp: i8) -> Option<u8> {
         code = 0xFE;
     }
     Some(code)
+}
+
+/// Mantissa step of a subnormal magnitude at the base exponent -126,
+/// the one place it is in range. There is no implicit leading one, so
+/// the float form goes negative and wraps into the code's high bits;
+/// the blobs on disk were written that way, and the value is far below
+/// any tolerance either way.
+#[cold]
+fn subnormal_mantissa(a: f32) -> i32 {
+    ((a / exp2i(-126) - 1.0) * 16.0).round() as i32
 }
 
 #[cfg(test)]
@@ -515,16 +544,6 @@ mod tests {
         // Sanity: decodable.
         let out = decode(&enc, crate::Op::Identity).unwrap();
         assert_eq!(out.len(), sample.data.len());
-    }
-
-    #[test]
-    fn parallel_encode_is_byte_identical_to_sequential() {
-        let sample = ClimateGenerator::new(DeepCamConfig::test_small()).generate(3);
-        let cfg = EncoderConfig::default();
-        let (seq, seq_stats) = encode(&sample, &cfg);
-        let (par, par_stats) = encode_parallel(&sample, &cfg);
-        assert_eq!(seq, par);
-        assert_eq!(seq_stats, par_stats);
     }
 
     #[test]

@@ -26,8 +26,15 @@ mod decode;
 mod encode;
 mod simd;
 
+#[cfg(test)]
+#[path = "tests/differential.rs"]
+mod differential;
+#[cfg(test)]
+#[path = "tests/reference.rs"]
+mod reference;
+
 pub use decode::{decode, decode_into, decode_line_into, decode_parallel, decode_parallel_into};
-pub use encode::{encode, encode_parallel, EncodeStats, EncoderConfig};
+pub use encode::{encode, EncodeStats, EncoderConfig};
 
 use crate::CodecError;
 

@@ -36,8 +36,31 @@ pub trait SampleSource: Send + Sync {
     /// source that receives an owned sample may move it in instead.
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()>;
 
+    /// Sample `idx` in the form the source holds it on disk, integrity
+    /// already checked, or `None` when the source has no stored form
+    /// (the default). A copy that keeps the encoding — staging a packed
+    /// store — takes these bytes as they are instead of decoding and
+    /// encoding them again.
+    fn fetch_stored(&self, _idx: usize) -> Result<Option<StoredSample>> {
+        Ok(None)
+    }
+
     /// Total bytes read so far (for data-movement accounting).
     fn bytes_read(&self) -> u64;
+}
+
+/// One sample as a packed store holds it: the stored bytes and what the
+/// shard's footer index records about them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoredSample {
+    /// Payload-encoding byte of the `.sshard` footer index.
+    pub encoding: u8,
+    /// Length of the sample once decoded.
+    pub raw_len: u32,
+    /// CRC-32 of `stored`.
+    pub crc32: u32,
+    /// The bytes as stored.
+    pub stored: Vec<u8>,
 }
 
 /// Shared handles forward to the underlying source, so an
@@ -54,6 +77,10 @@ impl<S: SampleSource + ?Sized> SampleSource for Arc<S> {
 
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         (**self).fetch_into(idx, buf)
+    }
+
+    fn fetch_stored(&self, idx: usize) -> Result<Option<StoredSample>> {
+        (**self).fetch_stored(idx)
     }
 
     fn bytes_read(&self) -> u64 {

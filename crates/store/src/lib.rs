@@ -12,7 +12,9 @@
 //!   sample's offset / length / CRC-32 (the same CRC as
 //!   `sciml_compress::crc32`). Readers use positioned reads, so
 //!   concurrent fetches share one file descriptor without a seek lock.
-//!   Optional per-shard gzip compresses every payload in the shard.
+//!   The writer is two halves: `encode_entry` (one sample → one stored
+//!   entry, per-entry raw / gzip / pack) and `assemble_shard` (entries →
+//!   file image); packing and staging both end in the second.
 //! * [`manifest`] — the store manifest (`store.manifest`, one line per
 //!   shard: sample range, byte size, whole-file CRC) and the staging
 //!   journal (`staging.journal`, append-only record of completed
@@ -42,9 +44,10 @@ pub mod stager;
 
 pub use cluster::{ClusterPlan, HashRing, NodeLoad, ShardAssignment};
 pub use manifest::{ShardMeta, ShardPlan, StagingJournal, StoreManifest, MANIFEST_FILE};
+pub use sciml_pipeline::source::StoredSample;
 pub use shard::{
-    pack_store, write_shard, EncodingChoice, EncodingCounts, PackConfig, PayloadEncoding,
-    ShardReader, SHARD_EXT,
+    assemble_shard, encode_entry, pack_store, write_shard, EncodingChoice, EncodingCounts,
+    PackConfig, PayloadEncoding, ShardReader, SHARD_EXT,
 };
 pub use source::{ShardSource, StagingSource};
 pub use stager::{Stager, StagerConfig, StagingProgress};
@@ -90,6 +93,12 @@ pub enum StoreError {
         /// Number of samples in the store.
         len: usize,
     },
+    /// An entry, raw or stored, is longer than the footer index's
+    /// 32-bit length fields can record.
+    EntryTooLarge {
+        /// Length of the entry in bytes.
+        len: u64,
+    },
     /// A gzip-compressed payload failed to decompress.
     Compression(sciml_compress::Error),
     /// A pack-compressed payload failed to decode.
@@ -126,6 +135,10 @@ impl fmt::Display for StoreError {
             StoreError::OutOfRange { idx, len } => {
                 write!(f, "sample index {idx} out of range (store has {len})")
             }
+            StoreError::EntryTooLarge { len } => write!(
+                f,
+                "entry of {len} bytes exceeds the shard index's 32-bit length field"
+            ),
             StoreError::Compression(e) => write!(f, "shard decompression failed: {e}"),
             StoreError::Pack(e) => write!(f, "shard pack decode failed: {e}"),
             StoreError::MissingShard(p) => write!(f, "shard file missing: {}", p.display()),

@@ -29,9 +29,10 @@
 
 use crate::manifest::{ShardMeta, StoreManifest};
 use crate::{Result, StoreError};
+use rayon::prelude::*;
 use sciml_compress::crc32::{crc32, Crc32};
 use sciml_compress::Level;
-use sciml_pipeline::source::SampleSource;
+use sciml_pipeline::source::{SampleSource, StoredSample};
 use std::fs::{self, File};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -115,6 +116,18 @@ impl EncodingChoice {
             EncodingChoice::Pack => "pack",
             EncodingChoice::Auto => "auto",
         }
+    }
+
+    /// Whether this policy can produce an entry stored as `stored`
+    /// (`Auto` resolves per entry, to any of them).
+    pub fn admits(self, stored: PayloadEncoding) -> bool {
+        matches!(
+            (self, stored),
+            (EncodingChoice::Auto, _)
+                | (EncodingChoice::Raw, PayloadEncoding::Raw)
+                | (EncodingChoice::Gzip, PayloadEncoding::Gzip)
+                | (EncodingChoice::Pack, PayloadEncoding::Pack)
+        )
     }
 
     /// Wire byte used by the serve protocol's shard-manifest reply.
@@ -238,27 +251,31 @@ fn pack_trial(raw: &[u8]) -> Option<(u8, usize)> {
 /// `Auto` trial-encodes a sample slice with gzip and pack, keeps the
 /// winner, and falls back to raw when nothing actually shrinks the
 /// payload.
-fn encode_payload(raw: &[u8], choice: EncodingChoice, level: Level) -> (PayloadEncoding, Vec<u8>) {
-    let pack_at = |width: u8| sciml_pack::pack(raw, width).ok();
+fn encode_payload(
+    raw: Vec<u8>,
+    choice: EncodingChoice,
+    level: Level,
+) -> (PayloadEncoding, Vec<u8>) {
+    let pack_at = |width: u8| sciml_pack::pack(&raw, width).ok();
     let encoded = match choice {
         EncodingChoice::Raw => None,
         EncodingChoice::Gzip => Some((
             PayloadEncoding::Gzip,
-            sciml_compress::gzip_compress(raw, level),
+            sciml_compress::gzip_compress(&raw, level),
         )),
-        EncodingChoice::Pack => pack_trial(raw)
+        EncodingChoice::Pack => pack_trial(&raw)
             .and_then(|(width, _)| pack_at(width))
             .map(|p| (PayloadEncoding::Pack, p)),
         EncodingChoice::Auto => {
             let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
             let gz_trial = sciml_compress::gzip_compress(sample, level).len();
-            let winner = match pack_trial(raw) {
+            let winner = match pack_trial(&raw) {
                 Some((width, pk_trial)) if pk_trial < gz_trial.min(sample.len()) => {
                     pack_at(width).map(|p| (PayloadEncoding::Pack, p))
                 }
                 _ if gz_trial < sample.len() => Some((
                     PayloadEncoding::Gzip,
-                    sciml_compress::gzip_compress(raw, level),
+                    sciml_compress::gzip_compress(&raw, level),
                 )),
                 _ => None,
             };
@@ -267,56 +284,79 @@ fn encode_payload(raw: &[u8], choice: EncodingChoice, level: Level) -> (PayloadE
             winner.filter(|(_, stored)| stored.len() < raw.len())
         }
     };
-    encoded.unwrap_or_else(|| (PayloadEncoding::Raw, raw.to_vec()))
+    encoded.unwrap_or((PayloadEncoding::Raw, raw))
 }
 
-/// Encodes one shard holding `samples`, whose global indices start at
-/// `base`. Returns the complete file image (format version 2).
-pub fn encode_shard(
-    samples: &[Vec<u8>],
-    base: u64,
-    encoding: EncodingChoice,
-    level: Level,
-) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(HEADER_LEN + TRAILER_LEN + samples.iter().map(Vec::len).sum::<usize>());
+/// A length as the footer index stores it. The index has 32 bits for
+/// each of an entry's two lengths; a longer entry is refused rather
+/// than written with a length that lies.
+fn entry_len(len: u64) -> Result<u32> {
+    u32::try_from(len).map_err(|_| StoreError::EntryTooLarge { len })
+}
+
+/// The first half of the shard writer: encodes one sample under
+/// `choice` into the entry a shard stores for it. Entries are
+/// independent of each other and of the shard they end up in, so
+/// callers encode them on as many threads as they have.
+pub fn encode_entry(raw: Vec<u8>, choice: EncodingChoice, level: Level) -> Result<StoredSample> {
+    let raw_len = entry_len(raw.len() as u64)?;
+    let (encoding, stored) = encode_payload(raw, choice, level);
+    entry_len(stored.len() as u64)?;
+    Ok(StoredSample {
+        encoding: encoding.as_byte(),
+        raw_len,
+        crc32: crc32(&stored),
+        stored,
+    })
+}
+
+/// The second half: lays `entries`, whose global indices start at
+/// `base`, out as one complete shard file image. Every shard on disk —
+/// packed or staged, its entries just encoded or copied from another
+/// store — is assembled here.
+pub fn assemble_shard(entries: &[StoredSample], base: u64) -> Result<Vec<u8>> {
+    let body: usize = entries.iter().map(|e| e.stored.len()).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + body + entries.len() * ENTRY_LEN + TRAILER_LEN);
     out.extend_from_slice(HEADER_MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(&base.to_le_bytes());
-
-    let mut index = Vec::with_capacity(samples.len() * ENTRY_LEN);
-    for raw in samples {
-        let (enc, stored) = encode_payload(raw, encoding, level);
-        let offset = out.len() as u64;
-        index.extend_from_slice(&offset.to_le_bytes());
-        index.extend_from_slice(&(stored.len() as u32).to_le_bytes());
-        index.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        index.extend_from_slice(&crc32(&stored).to_le_bytes());
-        index.push(enc.as_byte());
-        out.extend_from_slice(&stored);
+    for e in entries {
+        out.extend_from_slice(&e.stored);
     }
 
-    let index_offset = out.len() as u64;
-    let index_crc = crc32(&index);
-    out.extend_from_slice(&index);
-    out.extend_from_slice(&index_offset.to_le_bytes());
-    out.extend_from_slice(&(samples.len() as u64).to_le_bytes());
+    let index_offset = out.len();
+    let mut offset = HEADER_LEN as u64;
+    for e in entries {
+        if PayloadEncoding::from_byte(e.encoding).is_none() {
+            return Err(StoreError::Malformed("unknown payload encoding byte"));
+        }
+        let stored_len = entry_len(e.stored.len() as u64)?;
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&stored_len.to_le_bytes());
+        out.extend_from_slice(&e.raw_len.to_le_bytes());
+        out.extend_from_slice(&e.crc32.to_le_bytes());
+        out.push(e.encoding);
+        offset += u64::from(stored_len);
+    }
+    let index_crc = crc32(&out[index_offset..]);
+    out.extend_from_slice(&(index_offset as u64).to_le_bytes());
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     out.extend_from_slice(&index_crc.to_le_bytes());
     out.extend_from_slice(TRAILER_MAGIC);
-    out
+    Ok(out)
 }
 
-/// Writes one shard file and returns its manifest record.
+/// Assembles `entries` into shard file `id` under `dir` and returns its
+/// manifest record; `encoding` is the policy the record names.
 pub fn write_shard(
     dir: &Path,
     id: u32,
-    samples: &[Vec<u8>],
+    entries: &[StoredSample],
     base: u64,
     encoding: EncodingChoice,
-    level: Level,
 ) -> Result<ShardMeta> {
-    let bytes = encode_shard(samples, base, encoding, level);
+    let bytes = assemble_shard(entries, base)?;
     let file = shard_file_name(id);
     // Write to a temp name then rename, so a crash never leaves a
     // half-written file under the canonical name.
@@ -327,7 +367,7 @@ pub fn write_shard(
         id,
         file,
         first: base,
-        count: samples.len() as u64,
+        count: entries.len() as u64,
         bytes: bytes.len() as u64,
         crc32: crc32(&bytes),
         encoding,
@@ -336,6 +376,10 @@ pub fn write_shard(
 
 /// Packs every sample of `source` into `.sshard` files under `dir` and
 /// writes the store manifest. Returns the manifest.
+///
+/// The deflate inside [`encode_entry`] is the cost, so a shard's entries
+/// are encoded on the worker pool, one task per entry, and stitched in
+/// index order; one shard of samples is in flight at a time.
 pub fn pack_store(
     source: &dyn SampleSource,
     dir: &Path,
@@ -343,52 +387,36 @@ pub fn pack_store(
 ) -> Result<StoreManifest> {
     fs::create_dir_all(dir)?;
     let total = source.len();
-    let mut shards = Vec::new();
+    let mut shards: Vec<ShardMeta> = Vec::new();
     let mut pending: Vec<Vec<u8>> = Vec::new();
     let mut pending_bytes = 0u64;
     let mut base = 0u64;
-    let mut id = 0u32;
-    let flush = |pending: &mut Vec<Vec<u8>>,
-                 pending_bytes: &mut u64,
-                 base: &mut u64,
-                 id: &mut u32,
-                 shards: &mut Vec<ShardMeta>|
-     -> Result<()> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let meta = write_shard(dir, *id, pending, *base, config.encoding, config.level)?;
-        *base += pending.len() as u64;
-        *id += 1;
-        pending.clear();
-        *pending_bytes = 0;
-        shards.push(meta);
-        Ok(())
-    };
     for idx in 0..total {
         let raw = source.fetch(idx).map_err(StoreError::Backing)?;
         pending_bytes += raw.len() as u64;
         pending.push(raw);
-        if pending_bytes >= config.target_shard_bytes {
-            flush(
-                &mut pending,
-                &mut pending_bytes,
-                &mut base,
-                &mut id,
-                &mut shards,
-            )?;
+        if pending_bytes >= config.target_shard_bytes || idx + 1 == total {
+            let entries = std::mem::take(&mut pending)
+                .into_par_iter()
+                .map(|raw| encode_entry(raw, config.encoding, config.level))
+                .collect::<Result<Vec<_>>>()?;
+            let meta = write_shard(dir, shards.len() as u32, &entries, base, config.encoding)?;
+            base += meta.count;
+            pending_bytes = 0;
+            shards.push(meta);
         }
     }
-    flush(
-        &mut pending,
-        &mut pending_bytes,
-        &mut base,
-        &mut id,
-        &mut shards,
-    )?;
     let manifest = StoreManifest { shards };
     manifest.write_to(dir)?;
     Ok(manifest)
+}
+
+thread_local! {
+    /// Stored bytes of the gzip entry a fetch is inflating. Fetching
+    /// threads are long-lived readers, so each keeps one buffer the
+    /// size of its largest entry instead of allocating and zeroing one
+    /// per fetch.
+    static STORED_SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// One footer-index entry, decoded.
@@ -603,16 +631,14 @@ impl ShardReader {
 
     /// [`ShardReader::fetch`] into a caller-provided buffer, replacing
     /// its contents. A raw entry is read and CRC-checked in `buf`
-    /// itself, and a gzip entry is inflated straight into it with the
-    /// index's `raw_len` as both its capacity and a hard limit, so a
-    /// recycled buffer is never reallocated and an entry that lies
-    /// about its size is a typed error, not an allocation. On error the
-    /// contents of `buf` are unspecified.
+    /// itself, and a gzip entry is read into the calling thread's
+    /// scratch and inflated straight into `buf` with the index's
+    /// `raw_len` as both its capacity and a hard limit, so a recycled
+    /// buffer is never reallocated and an entry that lies about its
+    /// size is a typed error, not an allocation. On error the contents
+    /// of `buf` are unspecified.
     pub fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
-        let entry = self.index.get(idx).ok_or(StoreError::OutOfRange {
-            idx,
-            len: self.index.len(),
-        })?;
+        let entry = self.entry(idx)?;
         let raw_len = entry.raw_len as usize;
         let stored_len = entry.stored_len as usize;
         match entry.encoding {
@@ -620,13 +646,15 @@ impl ShardReader {
                 buf.resize(stored_len, 0);
                 return self.read_stored(idx, entry, buf);
             }
-            PayloadEncoding::Gzip => {
-                let mut stored = vec![0u8; stored_len];
+            PayloadEncoding::Gzip => STORED_SCRATCH.with(|scratch| {
+                let mut stored = scratch.borrow_mut();
+                stored.resize(stored_len, 0);
                 self.read_stored(idx, entry, &mut stored)?;
                 buf.clear();
                 buf.reserve(raw_len);
                 sciml_compress::gzip_decompress_into(&stored, buf, raw_len)?;
-            }
+                Ok::<(), StoreError>(())
+            })?,
             PayloadEncoding::Pack => {
                 buf.resize(stored_len, 0);
                 self.read_stored(idx, entry, buf)?;
@@ -637,6 +665,30 @@ impl ShardReader {
             return Err(StoreError::Malformed("decompressed length mismatch"));
         }
         Ok(())
+    }
+
+    /// Local sample `idx` as the shard stores it — the bytes, checked
+    /// against the index CRC but not decoded, with the encoding, raw
+    /// length and CRC the index records for them. [`assemble_shard`]
+    /// takes such entries as they are.
+    pub fn read_entry(&self, idx: usize) -> Result<StoredSample> {
+        let entry = self.entry(idx)?;
+        let mut stored = vec![0u8; entry.stored_len as usize];
+        self.read_stored(idx, entry, &mut stored)?;
+        Ok(StoredSample {
+            encoding: entry.encoding.as_byte(),
+            raw_len: entry.raw_len,
+            crc32: entry.crc32,
+            stored,
+        })
+    }
+
+    /// The index entry of local sample `idx`.
+    fn entry(&self, idx: usize) -> Result<&IndexEntry> {
+        self.index.get(idx).ok_or(StoreError::OutOfRange {
+            idx,
+            len: self.index.len(),
+        })
     }
 
     /// Reads `entry`'s stored bytes into `stored` (already sized to
@@ -722,10 +774,24 @@ mod tests {
         ]
     }
 
+    fn entries(samples: &[Vec<u8>], choice: EncodingChoice) -> Vec<StoredSample> {
+        samples
+            .iter()
+            .map(|s| encode_entry(s.clone(), choice, Level::Fast).unwrap())
+            .collect()
+    }
+
     #[test]
     fn shard_roundtrip_plain() {
         let dir = tmp_dir("plain");
-        let meta = write_shard(&dir, 0, &samples(), 7, EncodingChoice::Raw, Level::Fast).unwrap();
+        let meta = write_shard(
+            &dir,
+            0,
+            &entries(&samples(), EncodingChoice::Raw),
+            7,
+            EncodingChoice::Raw,
+        )
+        .unwrap();
         assert_eq!(meta.count, 4);
         assert_eq!(meta.first, 7);
         let r = ShardReader::open(dir.join(&meta.file)).unwrap();
@@ -751,7 +817,14 @@ mod tests {
     #[test]
     fn shard_roundtrip_gzip() {
         let dir = tmp_dir("gzip");
-        let meta = write_shard(&dir, 0, &samples(), 0, EncodingChoice::Gzip, Level::Fast).unwrap();
+        let meta = write_shard(
+            &dir,
+            0,
+            &entries(&samples(), EncodingChoice::Gzip),
+            0,
+            EncodingChoice::Gzip,
+        )
+        .unwrap();
         let r = ShardReader::open(dir.join(&meta.file)).unwrap();
         assert!(r.is_gzip());
         for (i, want) in samples().iter().enumerate() {
@@ -760,7 +833,7 @@ mod tests {
             assert_eq!(r.encoding(i), Some(PayloadEncoding::Gzip));
         }
         // Highly repetitive payloads must actually compress.
-        let plain = encode_shard(&samples(), 0, EncodingChoice::Raw, Level::Fast);
+        let plain = assemble_shard(&entries(&samples(), EncodingChoice::Raw), 0).unwrap();
         assert!(meta.bytes < plain.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -769,7 +842,7 @@ mod tests {
     fn shard_roundtrip_pack_and_auto() {
         let dir = tmp_dir("pack");
         for (tag, choice) in [(0u32, EncodingChoice::Pack), (1, EncodingChoice::Auto)] {
-            let meta = write_shard(&dir, tag, &samples(), 0, choice, Level::Fast).unwrap();
+            let meta = write_shard(&dir, tag, &entries(&samples(), choice), 0, choice).unwrap();
             assert_eq!(meta.encoding, choice);
             let r = ShardReader::open(dir.join(&meta.file)).unwrap();
             let mut buf = vec![0xEE; 4096];
@@ -786,9 +859,53 @@ mod tests {
         // pick raw for the incompressible 0..=255 ramp... which pack's
         // delta stage actually squeezes too — so just check auto never
         // stores a payload larger than raw would.
-        let auto = encode_shard(&samples(), 0, EncodingChoice::Auto, Level::Fast);
-        let plain = encode_shard(&samples(), 0, EncodingChoice::Raw, Level::Fast);
+        let auto = assemble_shard(&entries(&samples(), EncodingChoice::Auto), 0).unwrap();
+        let plain = assemble_shard(&entries(&samples(), EncodingChoice::Raw), 0).unwrap();
         assert!(auto.len() <= plain.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn entry_longer_than_the_index_can_say_is_refused() {
+        // The check alone, on lengths: no 4 GiB buffer is built.
+        assert_eq!(entry_len(0).unwrap(), 0);
+        assert_eq!(entry_len(u64::from(u32::MAX)).unwrap(), u32::MAX);
+        for len in [1u64 << 32, (1 << 32) + 1, u64::MAX] {
+            match entry_len(len) {
+                Err(StoreError::EntryTooLarge { len: got }) => assert_eq!(got, len),
+                other => panic!("{len}: {other:?}"),
+            }
+        }
+        // An entry that claims an encoding the format has no byte for
+        // is refused by the assembler, not written.
+        let mut entry = encode_entry(vec![1, 2, 3], EncodingChoice::Raw, Level::Fast).unwrap();
+        entry.encoding = 9;
+        assert!(matches!(
+            assemble_shard(&[entry], 0),
+            Err(StoreError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn read_entry_returns_the_stored_bytes_the_writer_was_given() {
+        let dir = tmp_dir("entry");
+        for choice in [
+            EncodingChoice::Raw,
+            EncodingChoice::Gzip,
+            EncodingChoice::Pack,
+            EncodingChoice::Auto,
+        ] {
+            let written = entries(&samples(), choice);
+            let meta = write_shard(&dir, 0, &written, 0, choice).unwrap();
+            let r = ShardReader::open(dir.join(&meta.file)).unwrap();
+            for (i, want) in written.iter().enumerate() {
+                assert_eq!(&r.read_entry(i).unwrap(), want, "{choice} entry {i}");
+            }
+            assert!(matches!(
+                r.read_entry(written.len()),
+                Err(StoreError::OutOfRange { .. })
+            ));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -796,7 +913,7 @@ mod tests {
     fn v1_header_is_bad_version() {
         // Nothing has written version 1 since the per-entry encoding
         // byte arrived: a v1 header is refused, not guessed at.
-        let mut bytes = encode_shard(&samples(), 0, EncodingChoice::Raw, Level::Fast);
+        let mut bytes = assemble_shard(&entries(&samples(), EncodingChoice::Raw), 0).unwrap();
         bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
         let path = tmp_dir("v1").join("v1.sshard");
         std::fs::write(&path, &bytes).unwrap();
@@ -810,7 +927,7 @@ mod tests {
     #[test]
     fn empty_shard_roundtrips() {
         let dir = tmp_dir("empty");
-        let meta = write_shard(&dir, 0, &[], 0, EncodingChoice::Raw, Level::Fast).unwrap();
+        let meta = write_shard(&dir, 0, &[], 0, EncodingChoice::Raw).unwrap();
         let r = ShardReader::open(dir.join(&meta.file)).unwrap();
         assert_eq!(r.count(), 0);
         r.verify().unwrap();
@@ -821,7 +938,14 @@ mod tests {
     fn concurrent_fetches_share_one_reader() {
         let dir = tmp_dir("conc");
         let many: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 512]).collect();
-        let meta = write_shard(&dir, 0, &many, 0, EncodingChoice::Raw, Level::Fast).unwrap();
+        let meta = write_shard(
+            &dir,
+            0,
+            &entries(&many, EncodingChoice::Raw),
+            0,
+            EncodingChoice::Raw,
+        )
+        .unwrap();
         let r = std::sync::Arc::new(ShardReader::open(dir.join(&meta.file)).unwrap());
         std::thread::scope(|scope| {
             for t in 0..8 {
@@ -840,7 +964,14 @@ mod tests {
     #[test]
     fn file_crc_matches_manifest_crc() {
         let dir = tmp_dir("crc");
-        let meta = write_shard(&dir, 3, &samples(), 0, EncodingChoice::Raw, Level::Fast).unwrap();
+        let meta = write_shard(
+            &dir,
+            3,
+            &entries(&samples(), EncodingChoice::Raw),
+            0,
+            EncodingChoice::Raw,
+        )
+        .unwrap();
         assert_eq!(file_crc32(&dir.join(&meta.file)).unwrap(), meta.crc32);
         assert!(matches!(
             file_crc32(&dir.join("nope.sshard")),

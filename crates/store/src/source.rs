@@ -7,7 +7,7 @@ use crate::shard::{file_crc32, PayloadEncoding, ShardReader};
 use crate::stager::Shared;
 use crate::{Result, StoreError};
 use sciml_obs::{Counter, Histogram, Telemetry};
-use sciml_pipeline::source::SampleSource;
+use sciml_pipeline::source::{SampleSource, StoredSample};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,10 +97,9 @@ impl ShardSource {
         Ok(buf)
     }
 
-    /// [`ShardSource::fetch_verified`] into a caller-provided buffer,
-    /// replacing its contents.
-    fn fetch_verified_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
-        let started = Instant::now();
+    /// The shard holding global sample `idx`, and the sample's index
+    /// within it.
+    fn locate(&self, idx: usize) -> Result<(&ShardReader, usize)> {
         let (meta, local) = self
             .manifest
             .locate(idx as u64)
@@ -108,8 +107,15 @@ impl ShardSource {
                 idx,
                 len: self.manifest.total_samples() as usize,
             })?;
-        let reader = &self.readers[meta.id as usize];
-        reader.fetch_into(local as usize, buf)?;
+        Ok((&self.readers[meta.id as usize], local as usize))
+    }
+
+    /// [`ShardSource::fetch_verified`] into a caller-provided buffer,
+    /// replacing its contents.
+    fn fetch_verified_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
+        let started = Instant::now();
+        let (reader, local) = self.locate(idx)?;
+        reader.fetch_into(local, buf)?;
         self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         if let Some(h) = &self.fetch_us {
             h.record(started.elapsed().as_micros() as u64);
@@ -117,7 +123,7 @@ impl ShardSource {
         if let Some(c) = &self.fetches {
             c.inc();
         }
-        if let (Some(decoded), Some(enc)) = (&self.decoded, reader.encoding(local as usize)) {
+        if let (Some(decoded), Some(enc)) = (&self.decoded, reader.encoding(local)) {
             let slot = match enc {
                 PayloadEncoding::Raw => &decoded[0],
                 PayloadEncoding::Gzip => &decoded[1],
@@ -155,6 +161,14 @@ impl SampleSource for ShardSource {
 
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
         Ok(self.fetch_verified_into(idx, buf)?)
+    }
+
+    fn fetch_stored(&self, idx: usize) -> sciml_pipeline::Result<Option<StoredSample>> {
+        let (reader, local) = self.locate(idx)?;
+        let entry = reader.read_entry(local)?;
+        self.read
+            .fetch_add(entry.stored.len() as u64, Ordering::Relaxed);
+        Ok(Some(entry))
     }
 
     fn bytes_read(&self) -> u64 {

@@ -20,12 +20,14 @@
 //! memory while the local disk keeps up.
 
 use crate::manifest::{JournalEntry, ShardMeta, ShardPlan, StagingJournal, StoreManifest};
-use crate::shard::{shard_file_name, write_shard, EncodingChoice, ShardReader};
+use crate::shard::{
+    encode_entry, shard_file_name, write_shard, EncodingChoice, PayloadEncoding, ShardReader,
+};
 use crate::{Result, StoreError};
 use parking_lot::{Condvar, Mutex};
 use sciml_compress::Level;
 use sciml_obs::{Counter, Gauge, Histogram, MetricsRegistry, Telemetry};
-use sciml_pipeline::source::SampleSource;
+use sciml_pipeline::source::{SampleSource, StoredSample};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -44,6 +46,10 @@ const ST_FAILED: u8 = 3;
 pub(crate) struct StagingMetrics {
     pub(crate) shards_staged: Arc<Counter>,
     pub(crate) bytes_staged: Arc<Counter>,
+    /// Entries copied as the backing stored them, and entries fetched
+    /// decoded and encoded again: which route the stager took.
+    pub(crate) entries_verbatim: Arc<Counter>,
+    pub(crate) entries_reencoded: Arc<Counter>,
     pub(crate) shards_resumed: Arc<Counter>,
     pub(crate) retries: Arc<Counter>,
     pub(crate) shards_failed: Arc<Counter>,
@@ -59,6 +65,8 @@ impl StagingMetrics {
         Self {
             shards_staged: reg.counter("store.staging.shards_staged"),
             bytes_staged: reg.counter("store.staging.bytes_staged"),
+            entries_verbatim: reg.counter("store.staging.entries_verbatim"),
+            entries_reencoded: reg.counter("store.staging.entries_reencoded"),
             shards_resumed: reg.counter("store.staging.shards_resumed"),
             retries: reg.counter("store.staging.retries"),
             shards_failed: reg.counter("store.staging.shards_failed"),
@@ -149,10 +157,16 @@ pub struct StagerConfig {
     /// Base backoff after a failed attempt; doubles per retry.
     pub retry_backoff: Duration,
     /// Payload encoding for staged shards. `None` mirrors each plan's
-    /// encoding (what the exporting store was packed with); `Some`
-    /// overrides it for every shard.
+    /// encoding (what the exporting store was packed with): a backing
+    /// that offers its stored entries
+    /// ([`SampleSource::fetch_stored`]) has them copied as they are,
+    /// any other is fetched and encoded under the plan's policy. `Some`
+    /// overrides the policy for every shard, so every entry is fetched
+    /// and encoded again.
     pub encoding: Option<EncodingChoice>,
-    /// Compression effort for gzip-encoded payloads.
+    /// Compression effort for gzip-encoded payloads. Applies only to
+    /// entries the stager encodes itself; an entry copied as stored
+    /// keeps the effort it was packed with.
     pub level: Level,
 }
 
@@ -180,6 +194,10 @@ pub struct StagingProgress {
     pub failed_shards: usize,
     /// Bytes of staged shard files on local disk.
     pub staged_bytes: u64,
+    /// Entries this run copied as the backing stored them.
+    pub verbatim_entries: u64,
+    /// Entries this run fetched decoded and encoded again.
+    pub reencoded_entries: u64,
 }
 
 impl StagingProgress {
@@ -376,6 +394,8 @@ impl Stager {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .sum(),
+            verbatim_entries: shared.metrics.entries_verbatim.get(),
+            reencoded_entries: shared.metrics.entries_reencoded.get(),
         }
     }
 
@@ -506,16 +526,17 @@ impl Stager {
         self.inner.budget_cv.notify_all();
     }
 
-    /// Copies one claimed shard: fetch its samples from the backing
+    /// Copies one claimed shard: collect its entries from the backing
     /// source (retrying transient failures with doubling backoff),
     /// write the local `.sshard`, then journal completion.
     fn stage_claimed(&self, pos: usize, plan: ShardPlan) -> Result<()> {
         let inner = &self.inner;
         let _span = inner.telemetry.tracer.span("staging", "stage_shard");
         let started = Instant::now();
+        let encoding = inner.config.encoding.unwrap_or(plan.encoding);
         let mut attempt = 0u32;
-        let samples = loop {
-            match self.fetch_shard_samples(&plan) {
+        let (entries, verbatim) = loop {
+            match self.shard_entries(&plan, encoding) {
                 Ok(s) => break s,
                 Err(e) => {
                     if attempt >= inner.config.max_retries {
@@ -527,26 +548,20 @@ impl Stager {
                 }
             }
         };
-        let meta = write_shard(
-            &inner.shared.dir,
-            plan.id,
-            &samples,
-            plan.first,
-            inner.config.encoding.unwrap_or(plan.encoding),
-            inner.config.level,
-        )?;
+        let meta = write_shard(&inner.shared.dir, plan.id, &entries, plan.first, encoding)?;
         inner.journal.lock().append(JournalEntry {
             id: plan.id,
             crc32: meta.crc32,
         })?;
+        let metrics = &inner.shared.metrics;
         inner.shared.staged_file_bytes[pos].store(meta.bytes, Ordering::Relaxed);
         inner.shared.staged_crcs[pos].store(meta.crc32, Ordering::Relaxed);
         inner.shared.mark(pos, ST_STAGED);
-        inner.shared.metrics.shards_staged.inc();
-        inner.shared.metrics.bytes_staged.add(meta.bytes);
-        inner
-            .shared
-            .metrics
+        metrics.shards_staged.inc();
+        metrics.bytes_staged.add(meta.bytes);
+        metrics.entries_verbatim.add(verbatim);
+        metrics.entries_reencoded.add(meta.count - verbatim);
+        metrics
             .shard_us
             .record(started.elapsed().as_micros() as u64);
         inner.shared.update_progress_gauge();
@@ -554,17 +569,44 @@ impl Stager {
         Ok(())
     }
 
-    fn fetch_shard_samples(&self, plan: &ShardPlan) -> Result<Vec<Vec<u8>>> {
-        let mut samples = Vec::with_capacity(plan.count as usize);
+    /// The entries of one planned shard, and how many of them are the
+    /// backing's own stored bytes. Mirroring (no configured override) a
+    /// backing that has a stored form takes each entry as it is — no
+    /// inflate, no trial, no deflate — provided `encoding` could have
+    /// produced it; everything else is fetched decoded and encoded
+    /// here.
+    fn shard_entries(
+        &self,
+        plan: &ShardPlan,
+        encoding: EncodingChoice,
+    ) -> Result<(Vec<StoredSample>, u64)> {
+        let config = &self.inner.config;
+        let backing = &self.inner.backing;
+        let mut entries = Vec::with_capacity(plan.count as usize);
+        let mut verbatim = 0u64;
         for idx in plan.first..plan.first + plan.count {
-            samples.push(
-                self.inner
-                    .backing
-                    .fetch(idx as usize)
-                    .map_err(StoreError::Backing)?,
-            );
+            let idx = idx as usize;
+            let stored = if config.encoding.is_none() {
+                let entry = backing.fetch_stored(idx).map_err(StoreError::Backing)?;
+                entry.filter(|e| {
+                    PayloadEncoding::from_byte(e.encoding)
+                        .is_some_and(|stored| encoding.admits(stored))
+                })
+            } else {
+                None
+            };
+            entries.push(match stored {
+                Some(entry) => {
+                    verbatim += 1;
+                    entry
+                }
+                None => {
+                    let raw = backing.fetch(idx).map_err(StoreError::Backing)?;
+                    encode_entry(raw, encoding, config.level)?
+                }
+            });
         }
-        Ok(samples)
+        Ok((entries, verbatim))
     }
 }
 

@@ -2,12 +2,15 @@
 //! error, not the memory it would inflate to: `ShardReader::fetch_into`
 //! inflates gzip entries with the index's `raw_len` as a hard limit.
 //!
-//! Alone in this file because it measures allocation with a global
-//! allocator of its own.
+//! And a fetch must not pay for a stored-size buffer each call: the
+//! stored bytes of a gzip entry go through a per-thread scratch.
+//!
+//! Alone in this file because they measure allocation with a global
+//! allocator of its own; the two tests take turns at it.
 
 use sciml_compress::crc32::crc32;
 use sciml_compress::Level;
-use sciml_store::{write_shard, EncodingChoice, ShardReader, StoreError};
+use sciml_store::{encode_entry, write_shard, EncodingChoice, ShardReader, StoreError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,6 +44,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Serialises the tests: they read one counter.
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 const TRAILER_LEN: usize = 24;
 const ENTRY_LEN: usize = 21;
 
@@ -48,6 +54,7 @@ const ENTRY_LEN: usize = 21;
 fn entry_inflating_past_its_declared_size_is_a_typed_error_not_an_allocation() {
     const DECLARED: u32 = 1024;
     const ACTUAL: usize = 64 << 20;
+    let _turn = TURN.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("sciml_bounded_inflate_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -55,15 +62,8 @@ fn entry_inflating_past_its_declared_size_is_a_typed_error_not_an_allocation() {
     // An honest one-entry gzip shard of 64 MiB of zeros (about 64 KiB
     // stored), then the entry's raw_len rewritten to 1 KiB and the
     // index CRC with it: every integrity check still passes.
-    let meta = write_shard(
-        &dir,
-        0,
-        &[vec![0u8; ACTUAL]],
-        0,
-        EncodingChoice::Gzip,
-        Level::Fast,
-    )
-    .unwrap();
+    let entry = encode_entry(vec![0u8; ACTUAL], EncodingChoice::Gzip, Level::Fast).unwrap();
+    let meta = write_shard(&dir, 0, &[entry], 0, EncodingChoice::Gzip).unwrap();
     let path = dir.join(&meta.file);
     let mut bytes = std::fs::read(&path).unwrap();
     assert!(bytes.len() < 128 << 10, "stored size {}", bytes.len());
@@ -92,5 +92,45 @@ fn entry_inflating_past_its_declared_size_is_a_typed_error_not_an_allocation() {
         "{result:?}"
     );
     assert!(requested < 1 << 20, "fetch requested {requested} bytes");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repeat_gzip_fetches_reuse_one_stored_buffer() {
+    let _turn = TURN.lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("sciml_stored_scratch_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // Incompressible, so the stored form is as long as the sample.
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let raw: Vec<u8> = (0..256 << 10)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        })
+        .collect();
+    let entry = encode_entry(raw.clone(), EncodingChoice::Gzip, Level::Fast).unwrap();
+    let stored_len = entry.stored.len();
+    assert!(stored_len >= raw.len());
+    let meta = write_shard(&dir, 0, &[entry], 0, EncodingChoice::Gzip).unwrap();
+    let reader = ShardReader::open(dir.join(&meta.file)).unwrap();
+
+    let mut buf = Vec::new();
+    reader.fetch_into(0, &mut buf).unwrap();
+    assert_eq!(buf, raw);
+    const REPEATS: usize = 8;
+    let before = REQUESTED.load(Ordering::Relaxed);
+    for _ in 0..REPEATS {
+        reader.fetch_into(0, &mut buf).unwrap();
+    }
+    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    assert_eq!(buf, raw);
+    assert!(
+        requested < stored_len,
+        "{REPEATS} fetches of a {stored_len}-byte entry requested {requested} bytes"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -184,6 +184,114 @@ fn staging_with_vanished_backing_dir_is_typed() {
     std::fs::remove_dir_all(&staging).ok();
 }
 
+/// The `StoreError` at the bottom of a staging failure: what the last
+/// attempt's backing fetch hit.
+fn root_store_error(err: &StoreError) -> &StoreError {
+    let mut found = err;
+    let mut next: Option<&(dyn std::error::Error + 'static)> = Some(err);
+    while let Some(e) = next {
+        if let Some(store) = e.downcast_ref::<StoreError>() {
+            found = store;
+        }
+        next = e.source();
+    }
+    found
+}
+
+/// Faults on the verbatim route — the stager copying the origin's
+/// stored entries — are the reader's typed errors, and a shard that hit
+/// one is never staged: nothing under its canonical name, nothing in
+/// the journal. Once the origin is repaired a new stager picks up where
+/// this one stopped.
+#[test]
+fn verbatim_staging_faults_are_typed_and_never_staged() {
+    type Damage = fn(&mut Vec<u8>);
+    let flip_payload: Damage = |bytes| bytes[20] ^= 0x01;
+    // The first entry's CRC field, with the index CRC in the trailer
+    // made to agree: the shard opens, the entry lies.
+    let flip_index_entry: Damage = |bytes| {
+        let trailer = bytes.len() - 24;
+        let index = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+        bytes[index + 16] ^= 0x04;
+        let crc = sciml_compress::crc32::crc32(&bytes[index..trailer]);
+        bytes[trailer + 16..trailer + 20].copy_from_slice(&crc.to_le_bytes());
+    };
+    let truncate_mid_entry: Damage = |bytes| bytes.truncate(16 + 60);
+    let cases: [(&str, Damage, bool); 3] = [
+        ("payload", flip_payload, false),
+        ("index", flip_index_entry, false),
+        ("truncated", truncate_mid_entry, true),
+    ];
+    for (tag, damage, truncated) in cases {
+        let (origin_dir, samples) = packed_store(&format!("verbatim_{tag}"), 6);
+        let staging = tmp_dir(&format!("verbatim_{tag}_staging"));
+        // Damage the second shard; the first stages clean.
+        let victim = origin_dir.join("shard_000001.sshard");
+        let intact = std::fs::read(&victim).unwrap();
+        let mut damaged = intact.clone();
+        damage(&mut damaged);
+        if !truncated {
+            std::fs::write(&victim, &damaged).unwrap();
+        }
+        let origin = Arc::new(ShardSource::open(&origin_dir).unwrap());
+        if truncated {
+            // Cut after open: the footer was there when the index was
+            // read, the body is gone when the entry is.
+            std::fs::write(&victim, &damaged).unwrap();
+        }
+        let plans = origin.manifest().plans();
+        assert!(plans.len() >= 2, "{tag}: the origin must span shards");
+        let config = StagerConfig {
+            max_retries: 1,
+            retry_backoff: Duration::from_millis(1),
+            ..StagerConfig::default()
+        };
+        let stager = Stager::new(origin, plans.clone(), &staging, config).unwrap();
+        assert_eq!(stager.stage_one().unwrap(), Some(0), "{tag}");
+        let err = stager.stage_one().unwrap_err();
+        assert!(
+            matches!(err, StoreError::RetriesExhausted(_)),
+            "{tag}: {err}"
+        );
+        let root = root_store_error(&err);
+        if truncated {
+            assert!(matches!(root, StoreError::Truncated(_)), "{tag}: {root}");
+        } else {
+            assert!(
+                matches!(root, StoreError::SampleCorrupt { sample: 0, .. }),
+                "{tag}: {root}"
+            );
+        }
+        let progress = stager.progress();
+        assert_eq!((progress.staged_shards, progress.failed_shards), (1, 1));
+        assert!(!staging.join("shard_000001.sshard").exists(), "{tag}");
+        let journal = sciml_store::StagingJournal::open(&staging).unwrap();
+        let journaled: Vec<u32> = journal.entries().iter().map(|e| e.id).collect();
+        assert_eq!(journaled, [0], "{tag}: only the clean shard is journaled");
+        drop(stager);
+
+        // Repaired origin, same staging directory: resume and finish.
+        std::fs::write(&victim, &intact).unwrap();
+        let origin = Arc::new(ShardSource::open(&origin_dir).unwrap());
+        let stager = Stager::new(origin.clone(), plans, &staging, config).unwrap();
+        assert_eq!(stager.progress().staged_shards, 1, "{tag}: resumed");
+        let progress = stager.run().unwrap();
+        assert!(progress.complete(), "{tag}");
+        let staged = ShardSource::open(&staging).unwrap();
+        assert_eq!(staged.verify().unwrap(), samples.len() as u64);
+        for meta in &origin.manifest().shards {
+            assert_eq!(
+                std::fs::read(staging.join(&meta.file)).unwrap(),
+                std::fs::read(origin_dir.join(&meta.file)).unwrap(),
+                "{tag}: {}",
+                meta.file
+            );
+        }
+        std::fs::remove_dir_all(&origin_dir).ok();
+        std::fs::remove_dir_all(&staging).ok();
+    }
+}
+
 /// Garbage bytes under the shard extension: opening is an error, not a
 /// panic, whatever the content.
 #[test]

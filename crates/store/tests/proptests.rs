@@ -76,9 +76,11 @@ proptest! {
     ) {
         let dir = tmp_dir("shard");
         std::fs::create_dir_all(&dir).unwrap();
-        let meta = sciml_store::write_shard(
-            &dir, 0, &samples, base, encoding, sciml_compress::Level::Fast,
-        ).unwrap();
+        let entries: Vec<_> = samples
+            .iter()
+            .map(|s| sciml_store::encode_entry(s.clone(), encoding, sciml_compress::Level::Fast).unwrap())
+            .collect();
+        let meta = sciml_store::write_shard(&dir, 0, &entries, base, encoding).unwrap();
         prop_assert_eq!(meta.first, base);
         let reader = ShardReader::open(dir.join(&meta.file)).unwrap();
         prop_assert_eq!(reader.count(), samples.len());

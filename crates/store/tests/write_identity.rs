@@ -1,0 +1,289 @@
+//! Byte identity of the write path against the sequential writer it
+//! replaced (`reference/`): a store packed on the worker pool, and a
+//! store staged from stored entries or re-encoded, are the files the
+//! one-thread, decode-and-encode-again writer produced. Plus the
+//! contract of the read that makes verbatim staging possible:
+//! `SampleSource::fetch_stored`.
+
+mod reference;
+
+use sciml_codec::{cosmoflow as cf, deepcam as dc};
+use sciml_compress::Level;
+use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
+use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
+use sciml_pipeline::source::{DirSource, VecSource};
+use sciml_pipeline::SampleSource;
+use sciml_store::manifest::plan_by_count;
+use sciml_store::{
+    pack_store, EncodingChoice, PackConfig, PayloadEncoding, ShardSource, Stager, StagerConfig,
+    MANIFEST_FILE,
+};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+const CHOICES: [EncodingChoice; 4] = [
+    EncodingChoice::Raw,
+    EncodingChoice::Gzip,
+    EncodingChoice::Pack,
+    EncodingChoice::Auto,
+];
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "sciml_write_identity_{tag}_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Encoded DeepCAM samples, a little over two `Auto` trial slices each.
+fn deepcam_blobs(n: u64) -> Vec<Vec<u8>> {
+    let generator = ClimateGenerator::new(DeepCamConfig {
+        width: 96,
+        height: 48,
+        channels: 3,
+        ..DeepCamConfig::test_small()
+    });
+    (0..n)
+        .map(|i| {
+            dc::encode(&generator.generate(i), &dc::EncoderConfig::default())
+                .0
+                .to_bytes()
+        })
+        .collect()
+}
+
+fn cosmo_blobs(n: u64) -> Vec<Vec<u8>> {
+    let generator = UniverseGenerator::new(CosmoFlowConfig {
+        grid: 16,
+        ..CosmoFlowConfig::test_small()
+    });
+    (0..n)
+        .map(|i| cf::encode(&generator.generate(i)).to_bytes())
+        .collect()
+}
+
+/// Every shard file and the manifest of `dir` against `want`.
+#[track_caller]
+fn assert_store_is(dir: &Path, want: &reference::Store, what: &str) {
+    for (meta, image) in want.manifest.shards.iter().zip(&want.images) {
+        let got = std::fs::read(dir.join(&meta.file)).unwrap();
+        assert!(got == *image, "{what}: {} differs", meta.file);
+    }
+    let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+    assert_eq!(manifest, want.manifest.to_text(), "{what}: manifest");
+}
+
+#[test]
+fn packed_stores_are_the_sequential_writers_bytes() {
+    for (set, blobs) in [("deepcam", deepcam_blobs(10)), ("cosmo", cosmo_blobs(10))] {
+        for per_shard in [1usize, 2, 5] {
+            // A shard closes on the entry that brings it to the target.
+            let target: u64 = blobs[..per_shard].iter().map(|b| b.len() as u64).sum();
+            let groups = reference::groups_by_bytes(&blobs, target);
+            assert_eq!(groups[0], per_shard);
+            for encoding in CHOICES {
+                let what = format!("{set}, {per_shard} per shard, {encoding}");
+                let dir = tmp_dir("pack");
+                let manifest = pack_store(
+                    &VecSource::new(blobs.clone()),
+                    &dir,
+                    PackConfig {
+                        target_shard_bytes: target,
+                        encoding,
+                        level: Level::Fast,
+                    },
+                )
+                .unwrap();
+                let want = reference::store_of(&blobs, &groups, encoding, Level::Fast);
+                assert_eq!(manifest, want.manifest, "{what}");
+                assert_store_is(&dir, &want, &what);
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+}
+
+/// Packs `blobs` three to a shard and opens the store.
+fn origin(tag: &str, blobs: &[Vec<u8>], encoding: EncodingChoice) -> (PathBuf, Arc<ShardSource>) {
+    let dir = tmp_dir(tag);
+    let target: u64 = blobs[..3].iter().map(|b| b.len() as u64).sum();
+    pack_store(
+        &VecSource::new(blobs.to_vec()),
+        &dir,
+        PackConfig {
+            target_shard_bytes: target,
+            encoding,
+            level: Level::Fast,
+        },
+    )
+    .unwrap();
+    let store = Arc::new(ShardSource::open(&dir).unwrap());
+    (dir, store)
+}
+
+#[test]
+fn mirroring_a_store_copies_its_shard_files_byte_for_byte() {
+    let blobs = deepcam_blobs(8);
+    for encoding in CHOICES {
+        let (origin_dir, store) = origin("mirror_origin", &blobs, encoding);
+        let staged_dir = tmp_dir("mirror_staged");
+        let stager = Stager::new(
+            store.clone(),
+            store.manifest().plans(),
+            &staged_dir,
+            StagerConfig::default(),
+        )
+        .unwrap();
+        let progress = stager.run().unwrap();
+        assert!(progress.complete());
+        // Which route it took: every entry as stored, none re-encoded.
+        assert_eq!(
+            (progress.verbatim_entries, progress.reencoded_entries),
+            (8, 0),
+            "{encoding}"
+        );
+        for meta in &store.manifest().shards {
+            let want = std::fs::read(origin_dir.join(&meta.file)).unwrap();
+            let got = std::fs::read(staged_dir.join(&meta.file)).unwrap();
+            assert!(got == want, "{encoding}: {} differs", meta.file);
+        }
+        let staged = ShardSource::open(&staged_dir).unwrap();
+        assert_eq!(staged.manifest(), store.manifest(), "{encoding}");
+        assert_eq!(staged.verify().unwrap(), 8);
+        std::fs::remove_dir_all(&origin_dir).ok();
+        std::fs::remove_dir_all(&staged_dir).ok();
+    }
+}
+
+#[test]
+fn replanned_and_overridden_staging_is_what_the_sequential_writer_staged() {
+    let blobs = deepcam_blobs(8);
+    let run = |backing: Arc<dyn SampleSource>, plans, encoding, tag: &str| {
+        let dir = tmp_dir(tag);
+        let config = StagerConfig {
+            encoding,
+            ..StagerConfig::default()
+        };
+        let stager = Stager::new(backing, plans, &dir, config).unwrap();
+        let progress = stager.run().unwrap();
+        assert!(progress.complete());
+        (dir, progress)
+    };
+
+    // A new layout over an `Auto` store: entries keep the encoding the
+    // origin's policy chose for them, in shards cut elsewhere.
+    let (origin_dir, store) = origin("replan_origin", &blobs, EncodingChoice::Auto);
+    let (dir, progress) = run(store.clone(), plan_by_count(8, 5), None, "replan");
+    assert_eq!(
+        (progress.verbatim_entries, progress.reencoded_entries),
+        (8, 0)
+    );
+    let want = reference::store_of(&blobs, &[5, 3], EncodingChoice::Auto, Level::Fast);
+    assert_store_is(&dir, &want, "re-planned");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&origin_dir).ok();
+
+    // An override re-encodes everything, stored form or not.
+    let (origin_dir, store) = origin("override_origin", &blobs, EncodingChoice::Raw);
+    let plans = store.manifest().plans();
+    let groups: Vec<usize> = plans.iter().map(|p| p.count as usize).collect();
+    let (dir, progress) = run(store, plans, Some(EncodingChoice::Gzip), "override");
+    assert_eq!(
+        (progress.verbatim_entries, progress.reencoded_entries),
+        (0, 8)
+    );
+    let want = reference::store_of(&blobs, &groups, EncodingChoice::Gzip, Level::Fast);
+    assert_store_is(&dir, &want, "gzip over raw");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A plan whose policy could not have produced the stored entries
+    // (gzip plan, raw store) is not mirrored verbatim either.
+    let store = Arc::new(ShardSource::open(&origin_dir).unwrap());
+    let plans: Vec<_> = plan_by_count(8, 4)
+        .into_iter()
+        .map(|p| sciml_store::ShardPlan {
+            encoding: EncodingChoice::Gzip,
+            ..p
+        })
+        .collect();
+    let (dir, progress) = run(store, plans, None, "disagree");
+    assert_eq!(
+        (progress.verbatim_entries, progress.reencoded_entries),
+        (0, 8)
+    );
+    let want = reference::store_of(&blobs, &[4, 4], EncodingChoice::Gzip, Level::Fast);
+    assert_store_is(&dir, &want, "gzip plan over raw store");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&origin_dir).ok();
+
+    // A backing with no stored form takes the same assembler through
+    // the encode route.
+    let backing = Arc::new(VecSource::new(blobs.clone()));
+    let (dir, progress) = run(backing, plan_by_count(8, 3), None, "vec");
+    assert_eq!(
+        (progress.verbatim_entries, progress.reencoded_entries),
+        (0, 8)
+    );
+    let want = reference::store_of(&blobs, &[3, 3, 2], EncodingChoice::Auto, Level::Fast);
+    assert_store_is(&dir, &want, "vec backing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn only_a_packed_store_offers_stored_entries() {
+    let blobs = deepcam_blobs(4);
+    let (origin_dir, store) = origin("contract", &blobs, EncodingChoice::Auto);
+
+    // Through the concrete type, the `Arc<S>` forwarder and a trait
+    // object: the same entry, which decodes to the sample.
+    let as_arc: Arc<ShardSource> = store.clone();
+    let as_dyn: Arc<dyn SampleSource> = store.clone();
+    for (i, blob) in blobs.iter().enumerate() {
+        let direct = ShardSource::fetch_stored(&store, i).unwrap().unwrap();
+        assert_eq!(
+            SampleSource::fetch_stored(&as_arc, i).unwrap().as_ref(),
+            Some(&direct)
+        );
+        assert_eq!(as_dyn.fetch_stored(i).unwrap().as_ref(), Some(&direct));
+        assert_eq!(
+            Arc::new(as_dyn.clone()).fetch_stored(i).unwrap(),
+            Some(direct.clone())
+        );
+
+        assert_eq!(direct.raw_len as usize, blob.len());
+        assert_eq!(direct.crc32, sciml_compress::crc32::crc32(&direct.stored));
+        let decoded = match PayloadEncoding::from_byte(direct.encoding).unwrap() {
+            PayloadEncoding::Raw => direct.stored,
+            PayloadEncoding::Gzip => sciml_compress::gzip_decompress(&direct.stored).unwrap(),
+            PayloadEncoding::Pack => sciml_pack::unpack(&direct.stored).unwrap(),
+        };
+        assert_eq!(&decoded, blob);
+    }
+    assert!(store.fetch_stored(blobs.len()).is_err(), "out of range");
+
+    // Sources with no stored form say so.
+    let vec = VecSource::new(blobs.clone());
+    let files_dir = tmp_dir("contract_files");
+    let files = DirSource::write_all(&files_dir, &blobs).unwrap();
+    let staging_dir = tmp_dir("contract_staging");
+    let stager = Stager::new(
+        store.clone(),
+        store.manifest().plans(),
+        &staging_dir,
+        StagerConfig::default(),
+    )
+    .unwrap();
+    stager.run().unwrap();
+    let staging = stager.source();
+    for i in 0..blobs.len() {
+        assert_eq!(vec.fetch_stored(i).unwrap(), None);
+        assert_eq!(files.fetch_stored(i).unwrap(), None);
+        assert_eq!(staging.fetch_stored(i).unwrap(), None);
+    }
+    for dir in [origin_dir, files_dir, staging_dir] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -153,6 +153,19 @@ for f in "$store_dir"/data/sample_*.bin; do
 done
 sciml verify "$store_dir/fetched/sample_000000.bin"
 
+stage "ingest smoke (gen -> pack auto -> stage the packed store -> verify, shard files identical)"
+# The write side end to end through the CLI: a packed store staged by
+# its own manifest is mirrored, so every staged shard file must be the
+# origin's file byte for byte (the stager copies stored entries as they
+# are) and the copy must verify as a store of its own.
+sciml gen deepcam --out "$store_dir/dc" --n 8 --width 288 --height 192 --channels 4
+sciml pack --dir "$store_dir/dc" --n 8 --out "$store_dir/dc_packed" --shard-mb 1 --encoding auto
+sciml stage --dir "$store_dir/dc_packed" --out "$store_dir/dc_staged" --workers 2
+sciml verify-store "$store_dir/dc_staged"
+for f in "$store_dir"/dc_packed/shard_*.sshard "$store_dir/dc_packed/store.manifest"; do
+    cmp "$f" "$store_dir/dc_staged/$(basename "$f")"
+done
+
 stage "telemetry plane smoke (traced fetch, scrape, merged trace, attribution)"
 tel_dir="$(mktemp -d)"
 # Serve the packed store with server-side tracing and a Prometheus
