@@ -96,7 +96,7 @@ fn fusion_ablation(c: &mut Criterion) {
         b.iter(|| {
             let raw = cf::decode(&enc, Op::Identity).unwrap();
             raw.iter()
-                .map(|h| sciml_half::F16::from_f32(h.to_f32().ln_1p()))
+                .map(|h| sciml_half::F16::from_f32(sciml_codec::ops::log1p(h.to_f32())))
                 .collect::<Vec<_>>()
         })
     });

@@ -198,6 +198,23 @@ fn main() {
         &mut entries,
     );
 
+    // The baseline's per-voxel pass: widen counts, bulk `log1p`, narrow.
+    let sample = bench_cosmo_sample();
+    sweep(
+        "baseline_op",
+        sample.counts.len(),
+        || {
+            let sample = &sample;
+            let mut out = vec![F16::ZERO; sample.counts.len()];
+            move || {
+                cosmoflow::baseline_preprocess_into(sample, Op::Log1p, &mut out)
+                    .expect("baseline preprocess");
+                std::hint::black_box(&mut out);
+            }
+        },
+        &mut entries,
+    );
+
     let path = write_snapshot("decode_scaling", &entries).expect("write snapshot");
     println!("snapshot written to {}", path.display());
 }

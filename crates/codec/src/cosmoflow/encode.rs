@@ -1,10 +1,11 @@
 //! CosmoFlow encoder: per-sample (or per-chunk) localized lookup tables.
 
 use super::{CosmoChunk, EncodedCosmo, KeyWidth};
-use crate::ops::{Op, OpCounter};
+use crate::ops::{Op, OpCounter, CHUNK};
 use sciml_data::cosmoflow::{CosmoSample, N_REDSHIFTS};
 use sciml_half::F16;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Maximum groups a single chunk's table may hold (16-bit key space).
 const MAX_GROUPS: usize = 65536;
@@ -85,15 +86,44 @@ fn encode_chunk(sample: &CosmoSample, start: usize, remaining: usize) -> (CosmoC
     )
 }
 
+/// The baseline's per-voxel pass over any source of counts: `fill(start,
+/// vals)` widens the counts from index `start` on into `vals` (4 096 of
+/// them at most, a chunk on the stack), and the operator and the FP16
+/// cast run over each chunk through [`Op::narrow_into`]. Every
+/// slot of `out` is written unless `fill` fails, whose error is
+/// returned as it is.
+pub fn baseline_preprocess_with<E>(
+    op: Op,
+    out: &mut [F16],
+    mut fill: impl FnMut(usize, &mut [f32]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut vals = [0f32; CHUNK];
+    for (i, dst) in out.chunks_mut(CHUNK).enumerate() {
+        let vals = &mut vals[..dst.len()];
+        fill(i * CHUNK, vals)?;
+        op.narrow_into(vals, dst);
+    }
+    Ok(())
+}
+
+/// [`baseline_preprocess_with`] over a sample's counts; `out` is as
+/// long as they are.
+fn preprocess_counts(counts: &[u16], op: Op, out: &mut [F16]) {
+    let Ok(()) = baseline_preprocess_with(op, out, |start, vals| {
+        for (v, &c) in vals.iter_mut().zip(&counts[start..]) {
+            *v = c as f32;
+        }
+        Ok::<(), Infallible>(())
+    });
+}
+
 /// The baseline preprocessing path: widen every count to f32, apply the
 /// operator **per voxel value**, cast to FP16. Output layout is
 /// channel-major, identical to the fused decoder's.
 pub fn baseline_preprocess(sample: &CosmoSample, op: Op) -> Vec<F16> {
-    sample
-        .counts
-        .iter()
-        .map(|&c| F16::from_f32(op.apply(c as f32)))
-        .collect()
+    let mut out = vec![F16::ZERO; sample.counts.len()];
+    preprocess_counts(&sample.counts, op, &mut out);
+    out
 }
 
 /// [`baseline_preprocess`] into a caller-provided slice, which must be
@@ -109,9 +139,7 @@ pub fn baseline_preprocess_into(
             "output slice length mismatch",
         ));
     }
-    for (o, &c) in out.iter_mut().zip(&sample.counts) {
-        *o = F16::from_f32(op.apply(c as f32));
-    }
+    preprocess_counts(&sample.counts, op, out);
     Ok(())
 }
 
@@ -122,11 +150,8 @@ pub fn baseline_preprocess_with_counter(
     op: Op,
     counter: &OpCounter,
 ) -> Vec<F16> {
-    sample
-        .counts
-        .iter()
-        .map(|&c| F16::from_f32(counter.apply(op, c as f32)))
-        .collect()
+    counter.add(sample.counts.len() as u64);
+    baseline_preprocess(sample, op)
 }
 
 #[cfg(test)]

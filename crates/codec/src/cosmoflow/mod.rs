@@ -29,7 +29,8 @@ pub use decode::{
     decode, decode_counts, decode_into, decode_parallel, decode_parallel_into, decode_with_counter,
 };
 pub use encode::{
-    baseline_preprocess, baseline_preprocess_into, baseline_preprocess_with_counter, encode,
+    baseline_preprocess, baseline_preprocess_into, baseline_preprocess_with,
+    baseline_preprocess_with_counter, encode,
 };
 
 use crate::CodecError;
@@ -170,14 +171,7 @@ impl EncodedCosmo {
     /// Parses the wire format, validating chunk coverage and key ranges.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], CodecError> {
-            if *pos + n > data.len() {
-                return Err(CodecError::Truncated);
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
+        let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
         if take(&mut pos, 4)? != MAGIC {
             return Err(CodecError::Corrupt("bad magic"));
         }
@@ -217,7 +211,10 @@ impl EncodedCosmo {
                     arr
                 })
                 .collect();
-            let keys = take(&mut pos, n_voxels as usize * key_width.bytes())?.to_vec();
+            let key_bytes = (n_voxels as usize)
+                .checked_mul(key_width.bytes())
+                .ok_or(CodecError::Truncated)?;
+            let keys = take(&mut pos, key_bytes)?.to_vec();
             let chunk = CosmoChunk {
                 n_voxels,
                 key_width,

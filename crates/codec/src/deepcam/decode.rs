@@ -5,14 +5,14 @@ use super::simd::decode_codes_into;
 use super::{EncodedDeepCam, LineMode, CODE_ESCAPE};
 use crate::{CodecError, Op};
 use rayon::prelude::*;
-use sciml_half::slice::{narrow_affine_into, narrow_into};
 use sciml_half::F16;
 use sciml_simd::{arch_level, record, Kernel};
 use std::cell::Cell;
 
 thread_local! {
-    /// Per-thread f32 line buffer: reconstruction runs in FP32, then a
-    /// single bulk narrowing pass emits FP16 — no per-line allocation.
+    /// Per-thread f32 line buffer: reconstruction runs in FP32, then
+    /// [`Op::narrow_into`] applies the fused operator and emits FP16 in
+    /// bulk — no per-line allocation.
     static LINE_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
@@ -26,31 +26,6 @@ fn with_scratch<R>(width: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
         slot.set(buf);
         r
     })
-}
-
-/// Applies `op` to the reconstructed f32 line and narrows it to FP16.
-///
-/// The affine stages go through the runtime-dispatched bulk kernels in
-/// `sciml-half`; the logarithmic ops keep a scalar `ln_1p` pre-pass
-/// (bit-exact by construction — the per-element float op sequence is
-/// identical to `F16::from_f32(op.apply(v))`).
-fn finish_into(vals: &mut [f32], op: Op, dst: &mut [F16]) {
-    match op {
-        Op::Identity => narrow_into(vals, dst),
-        Op::Normalize { scale, offset } => narrow_affine_into(vals, scale, offset, dst),
-        Op::Log1p => {
-            for v in vals.iter_mut() {
-                *v = v.ln_1p();
-            }
-            narrow_into(vals, dst);
-        }
-        Op::Log1pNormalize { scale, offset } => {
-            for v in vals.iter_mut() {
-                *v = v.ln_1p();
-            }
-            narrow_affine_into(vals, scale, offset, dst);
-        }
-    }
 }
 
 /// Decodes a full sample sequentially into channel-major FP16.
@@ -135,7 +110,7 @@ pub fn decode_line_into(
                 for (v, chunk) in vals.iter_mut().zip(payload.chunks_exact(4)) {
                     *v = crate::wire::le_f32(chunk);
                 }
-                finish_into(vals, op, dst);
+                op.narrow_into(vals, dst);
             });
             Ok(())
         }
@@ -226,7 +201,7 @@ fn decode_delta_line(
         if li != n_literals {
             return Err(CodecError::Inconsistent("unused literals"));
         }
-        finish_into(vals, op, dst);
+        op.narrow_into(vals, dst);
         Ok(())
     })
 }

@@ -125,14 +125,16 @@ const VERSION: u32 = 1;
 const VERSION_PACKED: u32 = 2;
 
 impl EncodedDeepCam {
-    /// Total number of lines.
+    /// Total number of lines. Saturates where the header's dimensions
+    /// overflow `usize`: a count no directory or buffer can match.
     pub fn n_lines(&self) -> usize {
-        (self.channels * self.height) as usize
+        (self.channels as usize).saturating_mul(self.height as usize)
     }
 
-    /// Total values the decoded sample holds.
+    /// Total values the decoded sample holds (saturating, like
+    /// [`EncodedDeepCam::n_lines`]).
     pub fn n_values(&self) -> usize {
-        (self.channels * self.height * self.width) as usize
+        self.n_lines().saturating_mul(self.width as usize)
     }
 
     /// Size of the encoded representation (directory + payload), i.e.
@@ -197,14 +199,7 @@ impl EncodedDeepCam {
     /// Parses the wire format, validating the directory.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], CodecError> {
-            if *pos + n > data.len() {
-                return Err(CodecError::Truncated);
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
+        let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
         if take(&mut pos, 4)? != MAGIC {
             return Err(CodecError::Corrupt("bad magic"));
         }
@@ -221,6 +216,21 @@ impl EncodedDeepCam {
         if n_lines > 1 << 28 {
             return Err(CodecError::Corrupt("implausible line count"));
         }
+        // The decoders size their output from the product, so it must
+        // not wrap: 2³⁰ values is 4 GiB of f32, seventy times the
+        // paper's 1152 × 768 × 16 sample.
+        match (n_lines as u64).checked_mul(width as u64) {
+            Some(n) if n <= 1 << 30 => {}
+            _ => return Err(CodecError::Corrupt("implausible element count")),
+        }
+        if width == 0 && n_lines != 0 {
+            return Err(CodecError::Corrupt("zero-width lines"));
+        }
+        // Nine directory bytes a line must follow: checked before the
+        // directory is allocated for.
+        if n_lines > (data.len() - pos) / 9 {
+            return Err(CodecError::Truncated);
+        }
         let mut lines = Vec::with_capacity(n_lines);
         for _ in 0..n_lines {
             let mode = LineMode::from_code(take(&mut pos, 1)?[0])?;
@@ -228,7 +238,7 @@ impl EncodedDeepCam {
             let len = crate::wire::le_u32(take(&mut pos, 4)?);
             lines.push(LineMeta { mode, offset, len });
         }
-        let payload_len = crate::wire::le_u64(take(&mut pos, 8)?) as usize;
+        let payload_len = crate::wire::wire_len(take(&mut pos, 8)?)?;
         let section = take(&mut pos, payload_len)?;
         let payload = if version == VERSION_PACKED {
             sciml_pack::unpack(section).map_err(|e| match e {
@@ -238,7 +248,7 @@ impl EncodedDeepCam {
         } else {
             section.to_vec()
         };
-        let mask_len = crate::wire::le_u64(take(&mut pos, 8)?) as usize;
+        let mask_len = crate::wire::wire_len(take(&mut pos, 8)?)?;
         let mask = take(&mut pos, mask_len)?.to_vec();
         for l in &lines {
             let end = (l.offset as usize)
@@ -363,6 +373,102 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(EncodedDeepCam::from_bytes(&bad).is_err());
+    }
+
+    /// Header + a one-line directory + `payload_len`, then 20 bytes.
+    fn one_line_blob(payload_len: u64) -> Vec<u8> {
+        let mut blob = Vec::new();
+        blob.extend_from_slice(MAGIC);
+        for field in [VERSION, 4, 1, 1] {
+            blob.extend_from_slice(&field.to_le_bytes());
+        }
+        blob.push(LineMode::Constant.code());
+        blob.extend_from_slice(&0u32.to_le_bytes());
+        blob.extend_from_slice(&4u32.to_le_bytes());
+        blob.extend_from_slice(&payload_len.to_le_bytes());
+        blob.extend_from_slice(&[0u8; 20]);
+        blob
+    }
+
+    #[test]
+    fn wire_length_fields_near_u64_max_are_truncation_not_a_panic() {
+        // 57 bytes whose payload length wraps `pos + n` back inside the
+        // buffer: a release build used to pass the bounds check and die
+        // slicing 37..26, a debug build on the add.
+        let blob = one_line_blob(u64::MAX - 10);
+        assert_eq!(blob.len(), 57);
+        assert_eq!(
+            EncodedDeepCam::from_bytes(&blob),
+            Err(CodecError::Truncated)
+        );
+        // The mask length after an honest payload has the same shape.
+        let mut blob = one_line_blob(4);
+        blob.truncate(37 + 4);
+        blob.extend_from_slice(&(u64::MAX - 10).to_le_bytes());
+        blob.extend_from_slice(&[0u8; 20]);
+        assert_eq!(
+            EncodedDeepCam::from_bytes(&blob),
+            Err(CodecError::Truncated)
+        );
+        for len in [u64::MAX, u64::MAX - 36, 1 << 63, (1 << 32) + 1, 21] {
+            assert_eq!(
+                EncodedDeepCam::from_bytes(&one_line_blob(len)),
+                Err(CodecError::Truncated),
+                "payload_len {len:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn dimensions_that_overflow_u32_are_rejected_not_decoded_to_nothing() {
+        // 2³¹ × 2 × 1 with two constant lines: `n_values()` used to be
+        // 0 in release (a multiply-overflow panic in debug) and the
+        // decode of an empty output "succeeded".
+        let lines = vec![
+            LineMeta {
+                mode: LineMode::Constant,
+                offset: 0,
+                len: 4,
+            },
+            LineMeta {
+                mode: LineMode::Constant,
+                offset: 4,
+                len: 4,
+            },
+        ];
+        let e = EncodedDeepCam {
+            width: 1 << 31,
+            height: 2,
+            channels: 1,
+            lines,
+            payload: vec![0u8; 8],
+            mask: vec![],
+        };
+        assert_eq!(e.n_lines(), 2);
+        assert_eq!(e.n_values(), (1usize << 31).saturating_mul(2));
+        assert!(matches!(
+            decode_into(&e, crate::Op::Identity, &mut []),
+            Err(CodecError::Inconsistent(_))
+        ));
+        assert_eq!(
+            EncodedDeepCam::from_bytes(&e.to_bytes()),
+            Err(CodecError::Corrupt("implausible element count"))
+        );
+        // Dimensions whose product overflows even 64 bits saturate.
+        let huge = EncodedDeepCam {
+            width: u32::MAX,
+            height: u32::MAX,
+            channels: u32::MAX,
+            ..e.clone()
+        };
+        assert_eq!(huge.n_values(), usize::MAX);
+        assert!(EncodedDeepCam::from_bytes(&huge.to_bytes()).is_err());
+        // Lines of no width are no sample either.
+        let flat = EncodedDeepCam { width: 0, ..e };
+        assert_eq!(
+            EncodedDeepCam::from_bytes(&flat.to_bytes()),
+            Err(CodecError::Corrupt("zero-width lines"))
+        );
     }
 
     #[test]

@@ -6,6 +6,29 @@
 //! under the repo's `no_panics` lint and its call-graph big brother
 //! `no_panics_transitive`.
 
+use crate::CodecError;
+
+/// The next `n` bytes of `data` at `*pos`, advancing `*pos` past them;
+/// [`CodecError::Truncated`] when fewer remain. `n` is usually a length
+/// field read from the wire, so the check subtracts rather than adds: a
+/// hostile `n` near `usize::MAX` must not wrap `*pos + n` past it.
+#[inline]
+pub(crate) fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CodecError> {
+    let rest = data.get(*pos..).ok_or(CodecError::Truncated)?;
+    if n > rest.len() {
+        return Err(CodecError::Truncated);
+    }
+    *pos += n;
+    Ok(&rest[..n])
+}
+
+/// A 64-bit wire length as a `usize`. One that does not fit cannot be
+/// present in an in-memory buffer, so it reads as a truncation.
+#[inline]
+pub(crate) fn wire_len(b: &[u8]) -> Result<usize, CodecError> {
+    usize::try_from(le_u64(b)).map_err(|_| CodecError::Truncated)
+}
+
 /// Little-endian u16 from the first 2 bytes.
 #[inline]
 pub(crate) fn le_u16(b: &[u8]) -> u16 {
@@ -41,6 +64,24 @@ mod tests {
         assert_eq!(le_u32(&b), u32::from_le_bytes([1, 2, 3, 4]));
         assert_eq!(le_u64(&b), u64::from_le_bytes(b));
         assert_eq!(le_f32(&b).to_le_bytes(), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn take_advances_and_never_wraps() {
+        let data = [1u8, 2, 3, 4, 5];
+        let mut pos = 0;
+        assert_eq!(take(&data, &mut pos, 2), Ok(&data[..2]));
+        assert_eq!(take(&data, &mut pos, 0), Ok(&data[2..2]));
+        assert_eq!(take(&data, &mut pos, 3), Ok(&data[2..]));
+        assert_eq!(take(&data, &mut pos, 0), Ok(&data[5..]));
+        assert_eq!(take(&data, &mut pos, 1), Err(CodecError::Truncated));
+        for n in [usize::MAX, usize::MAX - 2, usize::MAX - 10] {
+            let mut pos = 3;
+            assert_eq!(take(&data, &mut pos, n), Err(CodecError::Truncated));
+            assert_eq!(pos, 3);
+        }
+        let mut past = 6;
+        assert_eq!(take(&data, &mut past, 0), Err(CodecError::Truncated));
     }
 
     #[test]

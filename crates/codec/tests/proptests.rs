@@ -36,6 +36,29 @@ fn deepcam_hostile_sample() -> impl Strategy<Value = DeepCamSample> {
     })
 }
 
+/// Header words that probe overflow: small, arbitrary, and near the
+/// top of the range.
+fn hostile_u32() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        0u32..6,
+        (0u32..4).prop_map(|d| u32::MAX - d),
+        (0u32..4).prop_map(|d| (1 << 31) + d),
+        (0u32..4).prop_map(|d| (1 << 16) + d),
+    ]
+}
+
+/// Wire length fields that probe `pos + n`: arbitrary, short, and
+/// within a blob's length of wrapping.
+fn hostile_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        0u64..4096,
+        (0u64..4096).prop_map(|d| u64::MAX - d),
+        (0u64..4096).prop_map(|d| (1 << 32) + d),
+    ]
+}
+
 /// One of the four fused preprocessing ops.
 fn any_op() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -236,6 +259,60 @@ proptest! {
             let mut out = vec![F16::ONE; want_d.len()];
             dc::decode_parallel_into(&ed, op, &mut out).unwrap();
             prop_assert_eq!(&out, &want_d, "deepcam parallel tier {:?}", lvl);
+        }
+    }
+
+    /// Header dimensions and wire length fields overwritten with
+    /// arbitrary values — these bytes arrive from a server — parse to a
+    /// typed error or to a sample whose size the decoder agrees with,
+    /// never to a panic or a wrapped size.
+    #[test]
+    fn from_bytes_survives_arbitrary_header_fields(
+        s in cosmo_sample(),
+        d in deepcam_sample(),
+        dims in prop::collection::vec(hostile_u32(), 3..=3),
+        lens in prop::collection::vec(hostile_u64(), 2..=2),
+        fields in prop::collection::vec(hostile_u32(), 4..=4),
+        which in 0usize..8,
+    ) {
+        let (ed, _) = dc::encode(&d, &dc::EncoderConfig::default());
+        let mut blob = ed.to_bytes();
+        let payload_len_at = 20 + 9 * ed.lines.len();
+        let mask_len_at = payload_len_at + 8 + ed.payload.len();
+        if which & 1 != 0 {
+            for (i, v) in dims.iter().enumerate() {
+                blob[8 + 4 * i..12 + 4 * i].copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        if which & 2 != 0 {
+            blob[payload_len_at..payload_len_at + 8].copy_from_slice(&lens[0].to_le_bytes());
+        }
+        if which & 4 != 0 {
+            blob[mask_len_at..mask_len_at + 8].copy_from_slice(&lens[1].to_le_bytes());
+        }
+        match dc::EncodedDeepCam::from_bytes(&blob) {
+            Ok(parsed) => {
+                prop_assert!(parsed.n_values() <= 1 << 30);
+                prop_assert_eq!(parsed.n_values(), parsed.n_lines() * parsed.width as usize);
+                if parsed.n_values() != 0 {
+                    prop_assert!(dc::decode_into(&parsed, Op::Identity, &mut []).is_err());
+                }
+            }
+            Err(e) => prop_assert!(which != 0, "untouched blob rejected: {}", e),
+        }
+
+        // CosmoFlow: grid, chunk count, and the first chunk's voxel and
+        // group counts (offsets 8, 28, 32, 37).
+        let mut blob = cf::encode(&s).to_bytes();
+        for (j, (at, v)) in [8usize, 28, 32, 37].into_iter().zip(&fields).enumerate() {
+            if which & (1 << (j % 3)) != 0 {
+                blob[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        if let Ok(parsed) = cf::EncodedCosmo::from_bytes(&blob) {
+            if parsed.voxels() != 0 {
+                prop_assert!(cf::decode_into(&parsed, Op::Log1p, &mut []).is_err());
+            }
         }
     }
 

@@ -113,7 +113,7 @@ pub fn cosmoflow_convergence(cfg: &ConvergenceConfig, seed: u64) -> ConvergenceR
         base_inputs.push(
             s.counts
                 .iter()
-                .map(|&c| (c as f32).ln_1p())
+                .map(|&c| Op::Log1p.apply(c as f32))
                 .collect::<Vec<f32>>(),
         );
         // Decoded: the real fused FP16 path.

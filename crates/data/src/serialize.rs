@@ -28,43 +28,103 @@ pub fn cosmo_to_payload(sample: &CosmoSample) -> Vec<u8> {
     out
 }
 
+/// A baseline CosmoFlow payload with its header parsed and its body
+/// left where it is: the baseline decoders preprocess straight from
+/// these bytes, a chunk at a time, without a `Vec` of counts between.
+#[derive(Debug, Clone, Copy)]
+pub struct CosmoPayload<'a> {
+    /// Grid edge length.
+    pub grid: usize,
+    /// Regression label.
+    pub label: CosmoParams,
+    /// `grid³ × N_REDSHIFTS` little-endian f32, channel-major.
+    body: &'a [u8],
+}
+
+/// The count a payload value stands for, as the f32 the preprocessing
+/// operator sees, and whether the value was one: a u16 integer (`−0.0`
+/// counts as `0` and comes back `+0.0`). The saturating casts send
+/// everything else — fractions, negatives, 65 536 and up, ±∞, NaN — to a
+/// count that does not compare equal to it.
+#[inline]
+fn canonical_count(v: f32) -> (f32, bool) {
+    let c = v as u16 as f32;
+    (c, c == v)
+}
+
+impl<'a> CosmoPayload<'a> {
+    /// Parses the header and checks the body's length against the grid.
+    /// The values themselves are checked when they are read.
+    pub fn parse(data: &'a [u8]) -> Result<Self> {
+        if data.len() < 24 || &data[0..4] != COSMO_MAGIC {
+            return Err(DataError::Format("bad cosmoflow payload header"));
+        }
+        let word = |i: usize| [data[i], data[i + 1], data[i + 2], data[i + 3]];
+        let grid = u32::from_le_bytes(word(4)) as usize;
+        let label = [8, 12, 16, 20].map(|i| f32::from_le_bytes(word(i)));
+        let expected = grid
+            .checked_pow(3)
+            .and_then(|v| v.checked_mul(N_REDSHIFTS * 4))
+            .ok_or(DataError::Format("grid size overflow"))?;
+        let body = &data[24..];
+        if body.len() != expected {
+            return Err(DataError::Format("cosmoflow payload length mismatch"));
+        }
+        Ok(Self {
+            grid,
+            label: CosmoParams {
+                omega_m: label[0],
+                sigma8: label[1],
+                n_s: label[2],
+                h: label[3],
+            },
+            body,
+        })
+    }
+
+    /// Values in the body (`grid³ × N_REDSHIFTS`).
+    pub fn n_values(&self) -> usize {
+        self.body.len() / 4
+    }
+
+    /// Widens the counts from value `start` on into `vals`, checking
+    /// that each is a u16 integer. A range past the body's end is a
+    /// format error like a bad value, never a panic.
+    pub fn counts_into(&self, start: usize, vals: &mut [f32]) -> Result<()> {
+        let bytes = start
+            .checked_mul(4)
+            .and_then(|from| self.body.get(from..)?.get(..vals.len().checked_mul(4)?))
+            .ok_or(DataError::Format("count range outside payload"))?;
+        // One flag for the chunk instead of a branch per value, so the
+        // loop vectorises.
+        let mut all_counts = true;
+        for (o, b) in vals.iter_mut().zip(bytes.chunks_exact(4)) {
+            let (c, ok) = canonical_count(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+            *o = c;
+            all_counts &= ok;
+        }
+        if !all_counts {
+            return Err(DataError::Format("count not a u16 integer"));
+        }
+        Ok(())
+    }
+}
+
 /// Parses the baseline CosmoFlow payload back into a sample.
 pub fn cosmo_from_payload(data: &[u8]) -> Result<CosmoSample> {
-    if data.len() < 24 || &data[0..4] != COSMO_MAGIC {
-        return Err(DataError::Format("bad cosmoflow payload header"));
+    let payload = CosmoPayload::parse(data)?;
+    let mut counts = Vec::with_capacity(payload.n_values());
+    let mut vals = [0f32; 4096];
+    while counts.len() < payload.n_values() {
+        let left = payload.n_values() - counts.len();
+        let vals = &mut vals[..left.min(4096)];
+        payload.counts_into(counts.len(), vals)?;
+        counts.extend(vals.iter().map(|&c| c as u16));
     }
-    let grid = u32::from_le_bytes(data[4..8].try_into().unwrap()) as usize;
-    let mut label = [0f32; 4];
-    for (i, l) in label.iter_mut().enumerate() {
-        *l = f32::from_le_bytes(data[8 + 4 * i..12 + 4 * i].try_into().unwrap());
-    }
-    let expected = grid
-        .checked_pow(3)
-        .and_then(|v| v.checked_mul(N_REDSHIFTS * 4))
-        .ok_or(DataError::Format("grid size overflow"))?;
-    let body = &data[24..];
-    if body.len() != expected {
-        return Err(DataError::Format("cosmoflow payload length mismatch"));
-    }
-    let counts = body
-        .chunks_exact(4)
-        .map(|c| {
-            let v = f32::from_le_bytes(c.try_into().unwrap());
-            if !(0.0..=u16::MAX as f32).contains(&v) || v.fract() != 0.0 {
-                return Err(DataError::Format("count not a u16 integer"));
-            }
-            Ok(v as u16)
-        })
-        .collect::<Result<Vec<u16>>>()?;
     Ok(CosmoSample {
-        grid,
+        grid: payload.grid,
         counts,
-        label: CosmoParams {
-            omega_m: label[0],
-            sigma8: label[1],
-            n_s: label[2],
-            h: label[3],
-        },
+        label: payload.label,
     })
 }
 
@@ -145,6 +205,87 @@ mod tests {
         // Overwrite the first count with 0.5.
         payload[24..28].copy_from_slice(&0.5f32.to_le_bytes());
         assert!(cosmo_from_payload(&payload).is_err());
+    }
+
+    /// A grid-1 payload (four values) with `v` as its second value.
+    fn payload_with(v: f32) -> Vec<u8> {
+        let mut payload = cosmo_to_payload(&CosmoSample {
+            grid: 1,
+            counts: vec![7, 0, 65535, 1],
+            label: CosmoParams::MEANS,
+        });
+        payload[28..32].copy_from_slice(&v.to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn both_payload_paths_accept_and_reject_the_same_values() {
+        for (v, count) in [(-0.0f32, 0u16), (0.0, 0), (65535.0, 65535), (3.0, 3)] {
+            let payload = payload_with(v);
+            let s = cosmo_from_payload(&payload).unwrap();
+            assert_eq!(s.counts, [7, count, 65535, 1]);
+            let mut vals = [f32::NAN; 4];
+            let view = CosmoPayload::parse(&payload).unwrap();
+            view.counts_into(0, &mut vals).unwrap();
+            // −0.0 reads as the count 0, whose f32 is +0.0.
+            assert_eq!(
+                vals.map(f32::to_bits),
+                [7.0, count as f32, 65535.0, 1.0].map(f32::to_bits)
+            );
+            let mut tail = [f32::NAN; 2];
+            view.counts_into(2, &mut tail).unwrap();
+            assert_eq!(tail, [65535.0, 1.0]);
+        }
+        let not_counts = [
+            65536.0f32,
+            0.5,
+            -1.0,
+            -0.5,
+            65535.5,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ];
+        for v in not_counts {
+            let payload = payload_with(v);
+            let is_count_error =
+                |e: DataError| matches!(e, DataError::Format("count not a u16 integer"));
+            assert!(is_count_error(cosmo_from_payload(&payload).unwrap_err()));
+            let view = CosmoPayload::parse(&payload).unwrap();
+            let mut vals = [0f32; 4];
+            assert!(is_count_error(view.counts_into(0, &mut vals).unwrap_err()));
+            // A chunk that does not hold the bad value is still good.
+            view.counts_into(2, &mut vals[..2]).unwrap();
+        }
+    }
+
+    #[test]
+    fn counts_into_outside_the_payload_is_an_error() {
+        let payload = payload_with(1.0);
+        let view = CosmoPayload::parse(&payload).unwrap();
+        assert_eq!(view.n_values(), 4);
+        let mut vals = [0f32; 4];
+        assert!(view.counts_into(1, &mut vals).is_err());
+        assert!(view.counts_into(5, &mut vals[..0]).is_err());
+        assert!(view.counts_into(usize::MAX, &mut vals[..1]).is_err());
+        view.counts_into(4, &mut vals[..0]).unwrap();
+    }
+
+    /// The check `cosmo_from_payload` made through libm's `truncf`
+    /// until PR 17, kept to hold its replacement against.
+    fn count_by_fract(v: f32) -> Option<u16> {
+        ((0.0..=u16::MAX as f32).contains(&v) && v.fract() == 0.0).then_some(v as u16)
+    }
+
+    #[test]
+    #[ignore = "2^32 values: release mode"]
+    fn count_predicate_is_the_old_one_on_every_bit_pattern() {
+        for bits in 0..=u32::MAX {
+            let v = f32::from_bits(bits);
+            let (c, ok) = canonical_count(v);
+            assert_eq!(ok.then_some(c as u16), count_by_fract(v), "{bits:#010x}");
+        }
     }
 
     #[test]

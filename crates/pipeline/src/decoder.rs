@@ -10,6 +10,7 @@ use sciml_compress::Level;
 use sciml_data::serialize;
 use sciml_gpusim::{decode_cosmo, decode_deepcam, Gpu};
 use sciml_half::F16;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A decoded, preprocessed, FP16 sample ready for batching.
@@ -56,6 +57,52 @@ pub trait DecoderPlugin: Send + Sync {
 // CosmoFlow plugins
 // ---------------------------------------------------------------------
 
+/// The baselines' path from an uncompressed payload to a tensor: the
+/// operator runs over the body a stack chunk at a time, each value
+/// checked as it is widened, with no `Vec` of counts between. `out`
+/// must be exactly the payload's value count.
+fn cosmo_payload_into(
+    payload: &serialize::CosmoPayload<'_>,
+    op: Op,
+    out: &mut [F16],
+) -> Result<Label> {
+    if out.len() != payload.n_values() {
+        return Err(sciml_codec::CodecError::Inconsistent("output slice length mismatch").into());
+    }
+    cf::baseline_preprocess_with(op, out, |start, vals| payload.counts_into(start, vals))?;
+    Ok(Label::Cosmo(payload.label.as_array()))
+}
+
+/// [`cosmo_payload_into`] a tensor of its own.
+fn cosmo_payload(bytes: &[u8], op: Op) -> Result<DecodedSample> {
+    let payload = serialize::CosmoPayload::parse(bytes)?;
+    let mut data = vec![F16::ZERO; payload.n_values()];
+    let label = cosmo_payload_into(&payload, op, &mut data)?;
+    Ok(DecodedSample { data, label })
+}
+
+thread_local! {
+    /// The inflated payload of the gzip sample this thread is decoding.
+    /// Decode threads are long-lived, so each keeps one buffer the size
+    /// of its largest payload instead of allocating one per sample.
+    static INFLATED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Inflates `bytes` into the calling thread's scratch and runs `f` on
+/// the payload. `limit` is the largest payload that could fill the
+/// caller's output: a stream that inflates past it is
+/// [`sciml_compress::Error::OutputLimit`] before the scratch has grown
+/// past it, so a gzip bomb costs an error and not its inflated size.
+fn with_inflated<R>(bytes: &[u8], limit: usize, f: impl FnOnce(&[u8]) -> Result<R>) -> Result<R> {
+    INFLATED.with(|scratch| {
+        let mut payload = scratch.borrow_mut();
+        payload.clear();
+        payload.reserve(limit);
+        sciml_compress::gzip_decompress_into(bytes, &mut payload, limit)?;
+        f(&payload)
+    })
+}
+
 /// Baseline: uncompressed f32 TFRecord payload, per-voxel op on the CPU.
 pub struct CosmoBaseline {
     /// Preprocessing operator (the benchmark uses `Log1p`).
@@ -64,18 +111,11 @@ pub struct CosmoBaseline {
 
 impl DecoderPlugin for CosmoBaseline {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let sample = serialize::cosmo_from_payload(bytes)?;
-        let data = cf::baseline_preprocess(&sample, self.op);
-        Ok(DecodedSample {
-            data,
-            label: Label::Cosmo(sample.label.as_array()),
-        })
+        cosmo_payload(bytes, self.op)
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let sample = serialize::cosmo_from_payload(bytes)?;
-        cf::baseline_preprocess_into(&sample, self.op, out)?;
-        Ok(Label::Cosmo(sample.label.as_array()))
+        cosmo_payload_into(&serialize::CosmoPayload::parse(bytes)?, self.op, out)
     }
 
     fn name(&self) -> &'static str {
@@ -99,22 +139,15 @@ impl CosmoGzip {
 
 impl DecoderPlugin for CosmoGzip {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let payload = sciml_compress::gzip_decompress(bytes)?;
-        let sample = serialize::cosmo_from_payload(&payload)?;
-        let data = cf::baseline_preprocess(&sample, self.op);
-        Ok(DecodedSample {
-            data,
-            label: Label::Cosmo(sample.label.as_array()),
-        })
+        cosmo_payload(&sciml_compress::gzip_decompress(bytes)?, self.op)
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        // The decompressed payload is still an allocation (there is no
-        // streaming gunzip), but the tensor itself decodes in place.
-        let payload = sciml_compress::gzip_decompress(bytes)?;
-        let sample = serialize::cosmo_from_payload(&payload)?;
-        cf::baseline_preprocess_into(&sample, self.op, out)?;
-        Ok(Label::Cosmo(sample.label.as_array()))
+        // A payload that fills `out` is its header and one f32 a value.
+        let limit = out.len().saturating_mul(4).saturating_add(24);
+        with_inflated(bytes, limit, |payload| {
+            cosmo_payload_into(&serialize::CosmoPayload::parse(payload)?, self.op, out)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -214,12 +247,9 @@ pub struct DeepCamBaseline {
 
 impl DecoderPlugin for DeepCamBaseline {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let sample = serialize::deepcam_from_h5(bytes)?;
-        let data = sample
-            .data
-            .iter()
-            .map(|&v| F16::from_f32(self.op.apply(v)))
-            .collect();
+        let mut sample = serialize::deepcam_from_h5(bytes)?;
+        let mut data = vec![F16::ZERO; sample.data.len()];
+        self.op.narrow_into(&mut sample.data, &mut data);
         Ok(DecodedSample {
             data,
             label: Label::Mask(sample.mask),
@@ -227,15 +257,13 @@ impl DecoderPlugin for DeepCamBaseline {
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let sample = serialize::deepcam_from_h5(bytes)?;
+        let mut sample = serialize::deepcam_from_h5(bytes)?;
         if sample.data.len() != out.len() {
             return Err(
                 sciml_codec::CodecError::Inconsistent("output slice length mismatch").into(),
             );
         }
-        for (o, &v) in out.iter_mut().zip(&sample.data) {
-            *o = F16::from_f32(self.op.apply(v));
-        }
+        self.op.narrow_into(&mut sample.data, out);
         Ok(Label::Mask(sample.mask))
     }
 
@@ -250,6 +278,10 @@ pub struct DeepCamGzip {
     pub op: Op,
 }
 
+/// Room for an h5lite image's dataset directory and CRC (about 100
+/// bytes for `data` + `label`) in [`DeepCamGzip`]'s inflate limit.
+const H5_HEADER_ALLOWANCE: usize = 4096;
+
 impl DecoderPlugin for DeepCamGzip {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
         let payload = sciml_compress::gzip_decompress(bytes)?;
@@ -257,8 +289,15 @@ impl DecoderPlugin for DeepCamGzip {
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let payload = sciml_compress::gzip_decompress(bytes)?;
-        DeepCamBaseline { op: self.op }.decode_into(&payload, out)
+        // An image that fills `out` is one f32 a value, a mask of at
+        // most one byte a value (one channel), and the header.
+        let limit = out
+            .len()
+            .saturating_mul(5)
+            .saturating_add(H5_HEADER_ALLOWANCE);
+        with_inflated(bytes, limit, |payload| {
+            DeepCamBaseline { op: self.op }.decode_into(payload, out)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -362,32 +401,107 @@ mod tests {
     use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
     use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
     use sciml_gpusim::GpuSpec;
+    use sciml_simd::{force, supported_levels};
 
-    fn cosmo_payloads() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-        let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
+    /// One sample as the three CosmoFlow formats: raw payload, gzip,
+    /// plugin encoding.
+    fn cosmo_payloads_of(cfg: CosmoFlowConfig) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let s = UniverseGenerator::new(cfg).generate(0);
         let raw = serialize::cosmo_to_payload(&s);
         let gz = CosmoGzip::compress_payload(&raw);
         let enc = cf::encode(&s).to_bytes();
         (raw, gz, enc)
     }
 
+    fn cosmo_payloads() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        cosmo_payloads_of(CosmoFlowConfig::test_small())
+    }
+
     #[test]
     fn cosmo_plugins_agree_bitwise() {
-        let (raw, gz, enc) = cosmo_payloads();
+        // Grids whose value counts leave every kind of tail: 500 and
+        // 2048 values, and the benchmark's 48³ × 4 (108 operator
+        // chunks). Each family is also held to its own scalar output.
         let op = Op::Log1p;
-        let base = CosmoBaseline { op }.decode(&raw).unwrap();
-        let gzip = CosmoGzip { op }.decode(&gz).unwrap();
-        let cpu = CosmoPluginCpu { op }.decode(&enc).unwrap();
-        let gpu = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), op)
-            .decode(&enc)
-            .unwrap();
-        assert_eq!(base, gzip);
-        assert_eq!(
-            base.data, cpu.data,
-            "fused CPU plugin must be bit-identical"
-        );
-        assert_eq!(base.data, gpu.data, "GPU plugin must be bit-identical");
-        assert_eq!(base.label, cpu.label);
+        for grid in [5, 8, 48] {
+            let (raw, gz, enc) = cosmo_payloads_of(CosmoFlowConfig {
+                grid,
+                halos: 6,
+                ..CosmoFlowConfig::test_small()
+            });
+            let mut scalar: Option<DecodedSample> = None;
+            for lvl in supported_levels() {
+                let _g = force(Some(lvl));
+                let base = CosmoBaseline { op }.decode(&raw).unwrap();
+                let gzip = CosmoGzip { op }.decode(&gz).unwrap();
+                let cpu = CosmoPluginCpu { op }.decode(&enc).unwrap();
+                let gpu = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), op)
+                    .decode(&enc)
+                    .unwrap();
+                assert_eq!(base.data.len(), grid * grid * grid * 4);
+                assert_eq!(base, gzip, "grid {grid} at {lvl:?}");
+                assert_eq!(
+                    base.data, cpu.data,
+                    "fused CPU plugin must be bit-identical (grid {grid} at {lvl:?})"
+                );
+                assert_eq!(
+                    base.data, gpu.data,
+                    "GPU plugin must be bit-identical (grid {grid} at {lvl:?})"
+                );
+                assert_eq!(base.label, cpu.label);
+                let scalar = scalar.get_or_insert(base);
+                assert_eq!(scalar.data, cpu.data, "grid {grid}: {lvl:?} vs scalar");
+            }
+        }
+    }
+
+    #[test]
+    fn baseline_paths_reject_what_cosmo_from_payload_rejects() {
+        // The in-place path reads the same header and the same values
+        // as `serialize::cosmo_from_payload`, and says the same thing
+        // about each.
+        let (raw, _, _) = cosmo_payloads();
+        let n = (raw.len() - 24) / 4;
+        let mut out = vec![F16::ONE; n];
+        let plugin = CosmoBaseline { op: Op::Log1p };
+        let both = |bytes: &[u8], out: &mut [F16]| {
+            let ours = plugin.decode_into(bytes, out).map(|_| ());
+            let theirs = serialize::cosmo_from_payload(bytes).map(|_| ());
+            (ours, theirs)
+        };
+        assert!(matches!(both(&raw, &mut out), (Ok(()), Ok(()))));
+        // A bad value in the first chunk, the last chunk, the last slot.
+        for slot in [0, 1, n / 2, n - 4097, n - 1] {
+            for v in [0.5f32, -1.0, 65536.0, f32::NAN, f32::INFINITY] {
+                let mut bad = raw.clone();
+                bad[24 + 4 * slot..28 + 4 * slot].copy_from_slice(&v.to_le_bytes());
+                let (ours, theirs) = both(&bad, &mut out);
+                match (ours, theirs) {
+                    (
+                        Err(PipelineError::Source(sciml_data::DataError::Format(a))),
+                        Err(sciml_data::DataError::Format(b)),
+                    ) => assert_eq!(
+                        (a, b),
+                        ("count not a u16 integer", "count not a u16 integer")
+                    ),
+                    other => panic!("slot {slot} value {v}: {other:?}"),
+                }
+            }
+        }
+        // −0.0 is the count 0 on both, and decodes as +0.0 does.
+        let mut zeroed = raw.clone();
+        zeroed[24..28].copy_from_slice(&0.0f32.to_le_bytes());
+        let want = plugin.decode(&zeroed).unwrap();
+        zeroed[24..28].copy_from_slice(&(-0.0f32).to_le_bytes());
+        assert_eq!(plugin.decode(&zeroed).unwrap(), want);
+        assert_eq!(want.data[0], F16::ZERO);
+        // Header damage and a wrong-sized output are typed errors too.
+        let (ours, theirs) = both(&raw[..raw.len() - 4], &mut out);
+        assert!(ours.is_err() && theirs.is_err());
+        assert!(matches!(
+            plugin.decode_into(&raw, &mut out[1..]),
+            Err(PipelineError::Decode(_))
+        ));
     }
 
     #[test]

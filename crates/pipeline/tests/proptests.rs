@@ -4,12 +4,33 @@
 
 use proptest::prelude::*;
 use sciml_codec::cosmoflow as cf;
+use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
-use sciml_pipeline::decoder::CosmoPluginCpu;
+use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
+use sciml_data::serialize;
+use sciml_gpusim::{Gpu, GpuSpec};
+use sciml_half::F16;
+use sciml_pipeline::decoder::{
+    CosmoBaseline, CosmoGzip, CosmoPluginCpu, CosmoPluginGpu, DeepCamBaseline, DeepCamGzip,
+    DeepCamPluginCpu, DeepCamPluginGpu,
+};
 use sciml_pipeline::source::VecSource;
-use sciml_pipeline::{Pipeline, PipelineConfig};
+use sciml_pipeline::{DecoderPlugin, Pipeline, PipelineConfig};
 use std::sync::Arc;
+
+/// `decode_into` over a recycled (dirty) slot must leave exactly what
+/// `decode` returns: every element written, same label.
+fn assert_decode_into_is_decode(plugin: &dyn DecoderPlugin, blob: &[u8]) -> Vec<F16> {
+    let want = plugin.decode(blob).unwrap();
+    let mut out = vec![F16::ONE; want.data.len()];
+    let label = plugin.decode_into(blob, &mut out).unwrap();
+    // Bits, not `==`: planted NaNs must land where `decode` puts them.
+    let bits = |d: &[F16]| d.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out), bits(&want.data), "{}", plugin.name());
+    assert_eq!(label, want.label, "{}", plugin.name());
+    want.data
+}
 
 fn tiny_blobs(n: usize) -> Vec<Vec<u8>> {
     let cfg = CosmoFlowConfig {
@@ -27,6 +48,79 @@ fn tiny_blobs(n: usize) -> Vec<Vec<u8>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// All eight plugins, arbitrary generator seeds, sample shapes that
+    /// leave vector tails. The two DeepCAM baselines run every operator
+    /// over data with NaN and ±∞ planted in it, so every arm of
+    /// `Op::narrow_into` is reached through a plugin and held to the
+    /// per-element definition.
+    #[test]
+    fn every_plugin_decodes_into_a_dirty_slot_what_decode_returns(
+        seed in any::<u64>(),
+        index in 0u64..1000,
+        grid in 3usize..9,
+        width in 5usize..70,
+        scale in 0.01f32..4.0,
+        offset in -10f32..300.0,
+        planted in prop::collection::vec((any::<usize>(), 0usize..4), 0..6),
+    ) {
+        let op = Op::Log1p;
+        let s = UniverseGenerator::new(CosmoFlowConfig {
+            grid,
+            halos: 4,
+            mass_scale: 60.0,
+            background: 1,
+            seed,
+        })
+        .generate(index);
+        let raw = serialize::cosmo_to_payload(&s);
+        let enc = cf::encode(&s).to_bytes();
+        let base = assert_decode_into_is_decode(&CosmoBaseline { op }, &raw);
+        let gz = CosmoGzip::compress_payload(&raw);
+        prop_assert_eq!(&assert_decode_into_is_decode(&CosmoGzip { op }, &gz), &base);
+        prop_assert_eq!(&assert_decode_into_is_decode(&CosmoPluginCpu { op }, &enc), &base);
+        let gpu = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), op);
+        prop_assert_eq!(&assert_decode_into_is_decode(&gpu, &enc), &base);
+
+        let mut d = ClimateGenerator::new(DeepCamConfig {
+            width,
+            height: 3,
+            channels: 2,
+            seed,
+            ..DeepCamConfig::test_small()
+        })
+        .generate(index);
+        let (enc, _) = dc::encode(&d, &dc::EncoderConfig::default());
+        let enc = enc.to_bytes();
+        for op in [Op::Identity, Op::Normalize { scale, offset }] {
+            let cpu = assert_decode_into_is_decode(&DeepCamPluginCpu { op }, &enc);
+            let gpu = DeepCamPluginGpu::new(Gpu::new(GpuSpec::A100), op);
+            prop_assert_eq!(&assert_decode_into_is_decode(&gpu, &enc), &cpu);
+        }
+        for (at, what) in planted {
+            let at = at % d.data.len();
+            d.data[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0][what];
+        }
+        let h5 = serialize::deepcam_to_h5(&d).unwrap();
+        let h5_gz = sciml_compress::gzip_compress(&h5, sciml_compress::Level::Fast);
+        for op in [
+            Op::Identity,
+            Op::Normalize { scale, offset },
+            Op::Log1p,
+            Op::Log1pNormalize { scale, offset },
+        ] {
+            let base = assert_decode_into_is_decode(&DeepCamBaseline { op }, &h5);
+            let gzip = assert_decode_into_is_decode(&DeepCamGzip { op }, &h5_gz);
+            for ((b, g), &v) in base.iter().zip(&gzip).zip(&d.data) {
+                let want = F16::from_f32(op.apply(v));
+                prop_assert!(
+                    b.to_bits() == g.to_bits()
+                        && (b.to_bits() == want.to_bits() || (b.is_nan() && want.is_nan())),
+                    "{:?} of {:e}: baseline {:?}, gzip {:?}, want {:?}", op, v, b, g, want
+                );
+            }
+        }
+    }
 
     #[test]
     fn exactly_once_under_arbitrary_configs(

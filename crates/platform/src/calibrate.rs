@@ -116,12 +116,9 @@ pub fn measure_deepcam_rates(width: usize, height: usize, channels: usize) -> Ho
     let t_pre = {
         let h5 = h5.clone();
         time(Box::new(move || {
-            let s = serialize::deepcam_from_h5(&h5).expect("parse");
-            let _: Vec<sciml_half::F16> = s
-                .data
-                .iter()
-                .map(|&v| sciml_half::F16::from_f32(op.apply(v)))
-                .collect();
+            let mut s = serialize::deepcam_from_h5(&h5).expect("parse");
+            let mut out = vec![sciml_half::F16::ZERO; s.data.len()];
+            op.narrow_into(&mut s.data, &mut out);
         }))
     };
     let t_inf = {

@@ -41,6 +41,7 @@ pub fn kernel_plan() -> Vec<KernelPath> {
                 Kernel::DeepcamLine => "DeepCAM delta decode",
                 Kernel::HalfNarrow => "F32\u{2192}F16 emission",
                 Kernel::HalfWiden => "F16\u{2192}F32 load",
+                Kernel::OpLog1p => "per-element log1p",
             },
             level: lvl,
             strategy: strategy(kernel, lvl),
@@ -65,6 +66,10 @@ fn strategy(kernel: Kernel, level: SimdLevel) -> &'static str {
         (Kernel::HalfWiden, SimdLevel::Avx2) => "F16C vcvtph2ps, 8 lanes",
         (Kernel::HalfWiden, SimdLevel::Sse42 | SimdLevel::Neon) => {
             "integer exponent rebias widen, 4 lanes"
+        }
+        (Kernel::OpLog1p, SimdLevel::Avx2) => "scalar source auto-vectorised, 8 lanes",
+        (Kernel::OpLog1p, SimdLevel::Sse42 | SimdLevel::Neon) => {
+            "scalar source auto-vectorised, 4 lanes"
         }
     }
 }

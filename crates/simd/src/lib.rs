@@ -2,7 +2,8 @@
 //!
 //! The decode hot loops (CosmoFlow LUT gather, DeepCAM differential
 //! decode, bulk F32↔F16 conversion) each carry hand-written intrinsics
-//! paths plus a canonical scalar fallback. This crate is the shared,
+//! paths plus a canonical scalar fallback; the per-element `log1p` is
+//! one safe loop compiled once per tier. This crate is the shared,
 //! dependency-free substrate they dispatch through:
 //!
 //! * [`detected_level`] — a cached, one-time probe of what the host CPU
@@ -252,14 +253,18 @@ pub enum Kernel {
     HalfNarrow,
     /// Bulk F16→F32 widening (per slice call).
     HalfWiden,
+    /// Bulk in-place `log1p` of the per-element operator (per slice
+    /// call).
+    OpLog1p,
 }
 
 /// All kernel families, in counter-table order.
-pub const ALL_KERNELS: [Kernel; 4] = [
+pub const ALL_KERNELS: [Kernel; 5] = [
     Kernel::CosmoGather,
     Kernel::DeepcamLine,
     Kernel::HalfNarrow,
     Kernel::HalfWiden,
+    Kernel::OpLog1p,
 ];
 
 impl Kernel {
@@ -270,6 +275,7 @@ impl Kernel {
             Kernel::DeepcamLine => "deepcam_line",
             Kernel::HalfNarrow => "half_narrow",
             Kernel::HalfWiden => "half_widen",
+            Kernel::OpLog1p => "op_log1p",
         }
     }
 
@@ -279,13 +285,14 @@ impl Kernel {
             Kernel::DeepcamLine => 1,
             Kernel::HalfNarrow => 2,
             Kernel::HalfWiden => 3,
+            Kernel::OpLog1p => 4,
         }
     }
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static DISPATCH: [[AtomicU64; 4]; 4] = [[ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4]];
+static DISPATCH: [[AtomicU64; 4]; 5] = [[ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4]];
 
 /// Records one dispatch of `kernel` through the `level` path. Relaxed;
 /// a few nanoseconds against kernels that run for microseconds.
@@ -296,7 +303,7 @@ pub fn record(kernel: Kernel, level: SimdLevel) {
 
 /// Snapshot of every (kernel, level) dispatch count since process start.
 pub fn dispatch_counts() -> Vec<(Kernel, SimdLevel, u64)> {
-    let mut out = Vec::with_capacity(16);
+    let mut out = Vec::with_capacity(ALL_KERNELS.len() * ALL_LEVELS.len());
     for &k in &ALL_KERNELS {
         for &l in &ALL_LEVELS {
             out.push((k, l, DISPATCH[k.index()][l.index()].load(Ordering::Relaxed)));
@@ -364,6 +371,6 @@ mod tests {
         record(Kernel::CosmoGather, SimdLevel::Scalar);
         assert!(level_total(SimdLevel::Scalar) >= before + 2);
         let counts = dispatch_counts();
-        assert_eq!(counts.len(), 16);
+        assert_eq!(counts.len(), ALL_KERNELS.len() * ALL_LEVELS.len());
     }
 }

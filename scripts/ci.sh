@@ -57,6 +57,22 @@ stage "sciml-lint (token rules + call-graph effects + unsafe inventory)"
 # any unsafe site missing from — or edited since — the generated
 # inventory in lint.toml.
 cargo run --release -q -p sciml-analyze --bin sciml-lint -- --path .
+# One definition of the logarithm: `sciml_codec::ops::log1p`. A libm
+# `ln_1p` in product code would be a second one that differs from it by
+# an ulp on some hosts — test code (a `tests/` or `benches/` path, or a
+# file's `#[cfg(test)] mod` onward: sciml-lint's rule) may call it as
+# the reference.
+libm_log1p="$(find crates/*/src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' -print0 |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0; cfg_test = 0 }
+        cfg_test && /^[[:space:]]*mod [a-z_]+ \{/ { in_tests = 1 }
+        { cfg_test = /^[[:space:]]*#\[cfg\(test\)\]/ }
+        !in_tests && !/^[[:space:]]*\/\// && /ln_1p\(/ { print FILENAME ":" FNR ": " $0 }')"
+if [[ -n "$libm_log1p" ]]; then
+    echo "$libm_log1p" >&2
+    echo "ERROR: libm ln_1p( in non-test code; use sciml_codec::ops::log1p" >&2
+    exit 1
+fi
 
 stage "lint self-test (planted fixture must FAIL the gate)"
 # The fixture plants a 3-deep transitive panic chain and an unsafe
@@ -92,6 +108,19 @@ stage "deflate/inflate speed (and the full differential matrix, release mode)"
 cargo test --release -q -p sciml-compress --lib -- differential::
 cargo test --release -q -p sciml-compress --lib -- \
     --ignored --exact differential::deflate_inflate_speed --nocapture
+
+stage "baseline op speed (and all 2^32 arguments of the bulk log1p at every tier)"
+# `Op::Log1p.narrow_into` is one safe loop the compiler vectorises once
+# per tier; nothing but this stage notices if it stops. The timing test
+# prints ns/value for the bulk kernel and for the per-element loop it
+# replaced on 2^20 counts and fails below 5x where sse4.2 or better is
+# detected (measured: ~12x at avx2, ~6x compiled at the SSE2 baseline).
+# Then every f32 bit pattern through the kernel under every supported
+# tier against `F16::from_f32(ops::log1p(x))`, on both cores (~55 s).
+cargo test --release -q -p sciml-codec --test op_kernel -- \
+    --ignored --exact bulk_log1p_speed --nocapture
+cargo test --release -q -p sciml-codec --test op_kernel -- \
+    --ignored --exact all_f32_bit_patterns_at_every_tier
 
 stage "lockcheck-test (lock-order inversion detector enabled)"
 # Rebuilds the parking_lot shim with the dynamic ABBA detector compiled
