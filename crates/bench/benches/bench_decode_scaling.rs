@@ -70,17 +70,21 @@ where
     (t as f64 * ITERS as f64 * elems_per_iter as f64) / secs
 }
 
-/// Sweeps one kernel across tiers × thread counts, appending entries
+/// Sweeps one kernel across `tiers` × thread counts, appending entries
 /// and printing a compact table.
-fn sweep<W, F>(name: &str, elems_per_iter: usize, make: F, entries: &mut Vec<BenchEntry>)
-where
+fn sweep<W, F>(
+    name: &str,
+    tiers: &[SimdLevel],
+    elems_per_iter: usize,
+    make: F,
+    entries: &mut Vec<BenchEntry>,
+) where
     W: FnMut() + Send,
     F: Fn() -> W + Sync,
 {
-    let tiers = supported_levels();
     let threads = max_threads();
     let mut scalar_t1 = 0.0f64;
-    for &lvl in &tiers {
+    for &lvl in tiers {
         let _guard = force(Some(lvl));
         let mut t1 = 0.0f64;
         for t in 1..=threads {
@@ -148,8 +152,10 @@ fn main() {
     let cosmo_elems = cosmoflow::decode(&cosmo, Op::Identity)
         .expect("cosmo decode")
         .len();
+    let tiers = supported_levels();
     sweep(
         "cosmo_decode",
+        &tiers,
         cosmo_elems,
         || {
             let enc = &cosmo;
@@ -162,11 +168,14 @@ fn main() {
         &mut entries,
     );
 
-    // DeepCAM: per-line differential decode (codes -> prefix sums -> F16).
+    // DeepCAM: per-line differential decode (codes -> prefix sums ->
+    // F16). The line loop has one source and no dispatch, so one tier:
+    // the detected one, which its narrowing runs at.
     let (dcam, _) = deepcam::encode(&bench_deepcam_sample(), &deepcam::EncoderConfig::default());
     let dcam_elems = dcam.n_values();
     sweep(
         "deepcam_decode",
+        &[chosen],
         dcam_elems,
         || {
             let enc = &dcam;
@@ -184,6 +193,7 @@ fn main() {
     let src: Vec<f32> = (0..half_elems).map(|i| (i as f32).sin() * 1000.0).collect();
     sweep(
         "half_convert",
+        &tiers,
         2 * half_elems,
         || {
             let src = &src;
@@ -202,6 +212,7 @@ fn main() {
     let sample = bench_cosmo_sample();
     sweep(
         "baseline_op",
+        &tiers,
         sample.counts.len(),
         || {
             let sample = &sample;

@@ -1,11 +1,13 @@
-//! DeepCAM differential codec benchmarks: encode, sequential vs
-//! line-parallel decode, raw-fallback cost. Ground truth behind Figs.
-//! 8–9's host decode costs.
+//! DeepCAM differential codec benchmarks: encode, decode of an owned
+//! sample, decode straight from wire bytes (parse + decode + mask, the
+//! plugin's work per sample), fused normalisation. Ground truth behind
+//! Figs. 8–9's host decode costs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sciml_bench::bench_deepcam_sample;
 use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
+use sciml_half::F16;
 
 fn bench(c: &mut Criterion) {
     let sample = bench_deepcam_sample();
@@ -21,12 +23,18 @@ fn bench(c: &mut Criterion) {
     g.bench_function("decode_sequential", |b| {
         b.iter(|| dc::decode(&encoded, Op::Identity).unwrap())
     });
-    g.bench_function("decode_line_parallel", |b| {
-        b.iter(|| dc::decode_parallel(&encoded, Op::Identity).unwrap())
+    let wire = encoded.to_bytes();
+    let mut out = vec![F16::ZERO; encoded.n_values()];
+    g.bench_function("decode_from_wire", |b| {
+        b.iter(|| {
+            let view = dc::DeepCamView::parse(&wire).unwrap().expect("wire v1");
+            dc::decode_view_into(&view, Op::Identity, &mut out).unwrap();
+            view.mask.to_vec()
+        })
     });
     g.bench_function("decode_fused_normalize", |b| {
         b.iter(|| {
-            dc::decode_parallel(
+            dc::decode(
                 &encoded,
                 Op::Normalize {
                     scale: 0.05,

@@ -332,7 +332,7 @@ fn verify(path: &Path) -> Result<(), String> {
         }
         Kind::DeepCamCustom => {
             let enc = dc::EncodedDeepCam::from_bytes(&bytes).map_err(|e| e.to_string())?;
-            let decoded = dc::decode_parallel(&enc, Op::Identity).map_err(|e| e.to_string())?;
+            let decoded = dc::decode(&enc, Op::Identity).map_err(|e| e.to_string())?;
             let finite = decoded.iter().filter(|h| h.is_finite()).count();
             println!(
                 "{}: OK — {} FP16 values decoded, {} finite, mask {} bytes",
@@ -425,10 +425,10 @@ fn bench_decode(args: &[String]) -> Result<(), String> {
             let enc = dc::EncodedDeepCam::from_bytes(&bytes).map_err(|e| e.to_string())?;
             let n = enc.n_values();
             (
-                "deepcam line-parallel decode",
+                "deepcam decode",
                 n,
                 Box::new(move || {
-                    dc::decode_parallel(&enc, Op::Identity).expect("decode");
+                    dc::decode(&enc, Op::Identity).expect("decode");
                 }),
             )
         }

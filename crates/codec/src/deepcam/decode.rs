@@ -1,12 +1,15 @@
 //! DeepCAM decoder: per-line independent reconstruction, FP32 compute,
 //! FP16 emission, optional fused affine preprocessing.
+//!
+//! One implementation, over a [`DeepCamView`], and one level of
+//! parallelism: a caller that wants both cores busy decodes two samples
+//! at once (the pipeline's decode pool does), it never forks inside
+//! one. A sample is 2–3 ms of work; two thread spawns a sample cost
+//! more than the second core returns.
 
-use super::simd::decode_codes_into;
-use super::{EncodedDeepCam, LineMode, CODE_ESCAPE};
+use super::{decode_code, DeepCamView, EncodedDeepCam, LineMode, CODE_ESCAPE, CODE_ZERO};
 use crate::{CodecError, Op};
-use rayon::prelude::*;
 use sciml_half::F16;
-use sciml_simd::{arch_level, record, Kernel};
 use std::cell::Cell;
 
 thread_local! {
@@ -16,11 +19,11 @@ thread_local! {
     static LINE_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `f` with a zeroed f32 scratch slice of `width` values.
+/// Runs `f` with an f32 scratch slice of `width` values, which `f`
+/// must overwrite whole before reading: it holds the last line's.
 fn with_scratch<R>(width: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     LINE_SCRATCH.with(|slot| {
         let mut buf = slot.take();
-        buf.clear();
         buf.resize(width, 0.0);
         let r = f(&mut buf);
         slot.set(buf);
@@ -28,71 +31,62 @@ fn with_scratch<R>(width: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     })
 }
 
-/// Decodes a full sample sequentially into channel-major FP16.
+/// Decodes a full sample into channel-major FP16.
 pub fn decode(enc: &EncodedDeepCam, op: Op) -> Result<Vec<F16>, CodecError> {
     let mut out = vec![F16::ZERO; enc.n_values()];
     decode_into(enc, op, &mut out)?;
     Ok(out)
 }
 
-/// [`decode`] into a caller-provided slice, which must be exactly
-/// [`EncodedDeepCam::n_values`] long (a typed error otherwise, never a
-/// panic). Every slot is written; callers may pass recycled buffers.
+/// [`decode_view_into`] over an owned sample.
 pub fn decode_into(enc: &EncodedDeepCam, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
-    let width = enc.width as usize;
-    if out.len() != enc.n_values() {
-        return Err(CodecError::Inconsistent("output slice length mismatch"));
-    }
-    for (idx, chunk) in out.chunks_mut(width).enumerate() {
-        decode_line_into(enc, idx, op, chunk)?;
-    }
-    Ok(())
+    decode_view_into(&enc.view(), op, out)
 }
 
-/// Decodes a full sample with one rayon task per line — the CPU plugin's
-/// execution model ("on the CPU we assign different samples/lines to
-/// different threads"; lines are the intra-sample unit).
-pub fn decode_parallel(enc: &EncodedDeepCam, op: Op) -> Result<Vec<F16>, CodecError> {
-    let mut out = vec![F16::ZERO; enc.n_values()];
-    decode_parallel_into(enc, op, &mut out)?;
-    Ok(out)
-}
-
-/// [`decode_parallel`] into a caller-provided slice (same length
-/// contract as [`decode_into`]).
-pub fn decode_parallel_into(
-    enc: &EncodedDeepCam,
-    op: Op,
-    out: &mut [F16],
-) -> Result<(), CodecError> {
-    let width = enc.width as usize;
-    if out.len() != enc.n_values() {
-        return Err(CodecError::Inconsistent("output slice length mismatch"));
-    }
-    out.par_chunks_mut(width)
-        .enumerate()
-        .try_for_each(|(idx, chunk)| decode_line_into(enc, idx, op, chunk))?;
-    Ok(())
-}
-
-/// Decodes line `idx` into `dst` (length = width). This is the unit of
-/// independence the per-line directory exists for; the GPU simulator
-/// calls it one warp-task at a time.
+/// Decodes line `idx` of an owned sample into `dst` (length = width).
+/// This is the unit of independence the per-line directory exists for;
+/// the GPU simulator calls it one warp-task at a time.
 pub fn decode_line_into(
     enc: &EncodedDeepCam,
     idx: usize,
     op: Op,
     dst: &mut [F16],
 ) -> Result<(), CodecError> {
-    let width = enc.width as usize;
+    decode_view_line_into(&enc.view(), idx, op, dst)
+}
+
+/// Decodes a full sample into a caller-provided slice, which must be
+/// exactly [`DeepCamView::n_values`] long (a typed error otherwise,
+/// never a panic). Every slot is written; callers may pass recycled
+/// buffers.
+pub fn decode_view_into(view: &DeepCamView<'_>, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
+    let width = view.width as usize;
+    if out.len() != view.n_values() {
+        return Err(CodecError::Inconsistent("output slice length mismatch"));
+    }
+    // No parser lets one through, but the fields of an owned sample
+    // are public.
+    if width == 0 {
+        return Err(CodecError::Corrupt("zero-width lines"));
+    }
+    for (idx, chunk) in out.chunks_mut(width).enumerate() {
+        decode_view_line_into(view, idx, op, chunk)?;
+    }
+    Ok(())
+}
+
+fn decode_view_line_into(
+    view: &DeepCamView<'_>,
+    idx: usize,
+    op: Op,
+    dst: &mut [F16],
+) -> Result<(), CodecError> {
+    let width = view.width as usize;
     if dst.len() != width {
         return Err(CodecError::Inconsistent("destination width mismatch"));
     }
-    if idx >= enc.lines.len() {
-        return Err(CodecError::Inconsistent("line index out of range"));
-    }
-    let payload = enc.line_payload(idx);
-    match enc.lines[idx].mode {
+    let (mode, payload) = view.line(idx)?;
+    match mode {
         LineMode::Constant => {
             if payload.len() != 4 {
                 return Err(CodecError::Corrupt("constant line payload size"));
@@ -114,18 +108,46 @@ pub fn decode_line_into(
             });
             Ok(())
         }
-        LineMode::Delta => decode_delta_line(payload, width, op, dst),
+        LineMode::Delta => with_scratch(width, |vals| {
+            reconstruct_delta_line(payload, vals)?;
+            op.narrow_into(vals, dst);
+            Ok(())
+        }),
     }
 }
 
-/// Walks a delta line payload: segment headers, then codes, then the
-/// literal side array.
-fn decode_delta_line(
-    payload: &[u8],
-    width: usize,
-    op: Op,
-    dst: &mut [F16],
-) -> Result<(), CodecError> {
+/// Bit pattern of every code's delta at base exponent 0:
+/// `sign << 31 | (e_off + 127) << 23 | m << 19`. The mantissa `m/16`
+/// is the top four mantissa bits and a scale by `2^e` only moves the
+/// exponent field, so at base exponent `e` the delta's bits are this
+/// plus `e << 23` — exactly [`decode_code`]'s value while the
+/// segment's window `[e, e + 7]` stays inside the normal range.
+/// [`CODE_ZERO`] and [`CODE_ESCAPE`] hold 0: the first *is* `+0.0`
+/// (and takes no bias), the second is never read as a delta.
+const CODE_BITS: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut code = CODE_ZERO as usize + 1;
+    while code < CODE_ESCAPE as usize {
+        let c = code as u32;
+        t[code] = (c & 0x80) << 24 | (((c >> 4) & 7) + 127) << 23 | (c & 0x0F) << 19;
+        code += 1;
+    }
+    t
+};
+
+/// Reconstructs a delta line in FP32 into `vals` (one slot a value of
+/// the line), walking its payload: segment headers, then codes, then
+/// the literal side array. The one loop that decodes delta lines.
+///
+/// The prefix sum is a chain of dependent FP adds and nothing in it
+/// can be skipped, so it is the floor (two thirds of this function's
+/// time); a code becomes its delta inside the same loop by one table
+/// load and one integer add, which overlap with the adds as long as
+/// they stay off the chain and free of data-dependent branches (zero
+/// codes are common and unordered: the bias is masked off for them,
+/// not branched around).
+pub(super) fn reconstruct_delta_line(payload: &[u8], vals: &mut [f32]) -> Result<(), CodecError> {
+    let width = vals.len();
     if payload.len() < 4 {
         return Err(CodecError::Corrupt("delta line header"));
     }
@@ -135,14 +157,14 @@ fn decode_delta_line(
     if payload.len() < headers_end {
         return Err(CodecError::Corrupt("segment headers truncated"));
     }
+    let headers = &payload[4..headers_end];
 
     // Validation pass over the headers: total values covered must equal
     // the width (codes = width - n_segments). Headers are re-read in the
     // decode pass below rather than staged in a scratch vector — this
     // runs once per line of every sample, so it must not allocate.
     let mut total = 0usize;
-    for si in 0..n_segments {
-        let h = &payload[4 + si * 8..4 + si * 8 + 8];
+    for h in headers.chunks_exact(8) {
         let count = crate::wire::le_u16(&h[4..6]) as usize;
         if count == 0 {
             return Err(CodecError::Corrupt("empty segment"));
@@ -158,52 +180,47 @@ fn decode_delta_line(
     if payload.len() != literals_end {
         return Err(CodecError::Corrupt("delta line payload size"));
     }
-    let codes = &payload[headers_end..codes_end];
-    let literal_bytes = &payload[codes_end..literals_end];
+    let mut codes = &payload[headers_end..codes_end];
+    let mut literals = payload[codes_end..literals_end].chunks_exact(4);
 
-    record(Kernel::DeepcamLine, arch_level());
-    with_scratch(width, |vals| {
-        let mut ci = 0usize; // code cursor
-        let mut li = 0usize; // literal cursor
-        let mut di = 0usize; // destination cursor
-        for si in 0..n_segments {
-            let h = &payload[4 + si * 8..4 + si * 8 + 8];
-            let head = crate::wire::le_f32(&h[0..4]);
-            let count = crate::wire::le_u16(&h[4..6]) as usize;
-            let base_exp = h[6] as i8;
-            // Vector pass: code bytes → f32 deltas. Escapes land as 0.0
-            // and are patched from the literal array below.
-            let seg_codes = &codes[ci..ci + count - 1];
-            decode_codes_into(seg_codes, base_exp, &mut vals[di + 1..di + count]);
-            // Sequential pass: prefix-accumulate in FP32 (the paper's
-            // software-emulated path; FP16 emission happens in bulk at
-            // the end of the line).
-            let mut prev = head;
-            vals[di] = head;
-            for (j, &code) in seg_codes.iter().enumerate() {
-                let slot = di + 1 + j;
-                let v = if code == CODE_ESCAPE {
-                    if li >= n_literals {
-                        return Err(CodecError::Corrupt("literal index out of range"));
-                    }
-                    let l = crate::wire::le_f32(&literal_bytes[li * 4..li * 4 + 4]);
-                    li += 1;
-                    l
-                } else {
-                    prev + vals[slot]
-                };
-                vals[slot] = v;
-                prev = v;
-            }
-            ci += count - 1;
-            di += count;
+    let mut rest = vals;
+    for h in headers.chunks_exact(8) {
+        let head = crate::wire::le_f32(&h[0..4]);
+        let count = crate::wire::le_u16(&h[4..6]) as usize;
+        let base_exp = h[6] as i8;
+        let (seg_codes, later_codes) = codes.split_at(count - 1);
+        let (seg, later) = rest.split_at_mut(count);
+        codes = later_codes;
+        rest = later;
+        // Outside this window the bit identity does not hold
+        // (subnormal or overflowing deltas: never encoded for real
+        // data, reachable by a hostile payload).
+        let in_window = (-126..=120).contains(&base_exp);
+        let bias = ((base_exp as i32) << 23) as u32;
+        let mut prev = head;
+        seg[0] = head;
+        for (slot, &code) in seg[1..].iter_mut().zip(seg_codes) {
+            let v = if code == CODE_ESCAPE {
+                match literals.next() {
+                    Some(l) => crate::wire::le_f32(l),
+                    None => return Err(CodecError::Corrupt("literal index out of range")),
+                }
+            } else if in_window {
+                // A zero code still adds: `-0.0 + 0.0` is `+0.0`.
+                let not_zero = ((code != CODE_ZERO) as u32).wrapping_neg();
+                let bits = CODE_BITS[code as usize].wrapping_add(bias & not_zero);
+                prev + f32::from_bits(bits)
+            } else {
+                prev + decode_code(code, base_exp).unwrap_or(0.0)
+            };
+            *slot = v;
+            prev = v;
         }
-        if li != n_literals {
-            return Err(CodecError::Inconsistent("unused literals"));
-        }
-        op.narrow_into(vals, dst);
-        Ok(())
-    })
+    }
+    if literals.next().is_some() {
+        return Err(CodecError::Inconsistent("unused literals"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -218,14 +235,6 @@ mod tests {
         let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
         let (e, _) = encode(&s, &EncoderConfig::default());
         (s, e)
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let (_, e) = roundtrip_sample();
-        let a = decode(&e, Op::Identity).unwrap();
-        let b = decode_parallel(&e, Op::Identity).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -358,16 +367,10 @@ mod tests {
         let mut out = vec![F16::ONE; want.len()];
         decode_into(&e, Op::Identity, &mut out).unwrap();
         assert_eq!(out, want);
-        decode_parallel_into(&e, Op::Identity, &mut out).unwrap();
-        assert_eq!(out, want);
         for bad in [want.len() - 1, want.len() + 1, 0] {
             let mut wrong = vec![F16::ZERO; bad];
             assert!(matches!(
                 decode_into(&e, Op::Identity, &mut wrong),
-                Err(CodecError::Inconsistent(_))
-            ));
-            assert!(matches!(
-                decode_parallel_into(&e, Op::Identity, &mut wrong),
                 Err(CodecError::Inconsistent(_))
             ));
         }

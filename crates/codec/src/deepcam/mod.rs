@@ -24,16 +24,21 @@
 
 mod decode;
 mod encode;
-mod simd;
 
+#[cfg(test)]
+#[path = "tests/decode_differential.rs"]
+mod decode_differential;
 #[cfg(test)]
 #[path = "tests/differential.rs"]
 mod differential;
 #[cfg(test)]
 #[path = "tests/reference.rs"]
 mod reference;
+#[cfg(test)]
+#[path = "tests/reference_decode.rs"]
+mod reference_decode;
 
-pub use decode::{decode, decode_into, decode_line_into, decode_parallel, decode_parallel_into};
+pub use decode::{decode, decode_into, decode_line_into, decode_view_into};
 pub use encode::{encode, EncodeStats, EncoderConfig};
 
 use crate::CodecError;
@@ -123,18 +128,20 @@ const VERSION: u32 = 1;
 /// magnitudes, which the pack entropy stage exploits). The directory
 /// and mask are unchanged.
 const VERSION_PACKED: u32 = 2;
+/// Wire bytes of one directory entry: mode, offset, length.
+const DIR_ENTRY_BYTES: usize = 9;
 
 impl EncodedDeepCam {
     /// Total number of lines. Saturates where the header's dimensions
     /// overflow `usize`: a count no directory or buffer can match.
     pub fn n_lines(&self) -> usize {
-        (self.channels as usize).saturating_mul(self.height as usize)
+        self.view().n_lines()
     }
 
     /// Total values the decoded sample holds (saturating, like
     /// [`EncodedDeepCam::n_lines`]).
     pub fn n_values(&self) -> usize {
-        self.n_lines().saturating_mul(self.width as usize)
+        self.view().n_values()
     }
 
     /// Size of the encoded representation (directory + payload), i.e.
@@ -142,7 +149,7 @@ impl EncodedDeepCam {
     /// excluded: labels ship separately and losslessly in both the
     /// baseline and the optimized path.
     pub fn encoded_bytes(&self) -> usize {
-        self.lines.len() * 9 + self.payload.len() + 16
+        self.lines.len() * DIR_ENTRY_BYTES + self.payload.len() + 16
     }
 
     /// Size of the raw FP32 baseline representation.
@@ -196,20 +203,85 @@ impl EncodedDeepCam {
         out
     }
 
-    /// Parses the wire format, validating the directory.
+    /// Parses the wire format into an owned sample, validating the
+    /// directory. Wire version 2 needs this form: its payload section
+    /// is unpacked into a buffer of its own. A version-1 blob that is
+    /// only decoded can stay borrowed: [`DeepCamView::parse`].
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
+        let header = WireHeader::parse(data, &mut pos)?;
+        let section = wire_section(data, &mut pos)?;
+        let payload = if header.version == VERSION_PACKED {
+            sciml_pack::unpack(section).map_err(|e| match e {
+                sciml_pack::PackError::Truncated => CodecError::Truncated,
+                _ => CodecError::Corrupt("packed payload section corrupt"),
+            })?
+        } else {
+            section.to_vec()
+        };
+        let mask = wire_section(data, &mut pos)?.to_vec();
+        check_line_ranges(header.directory, payload.len())?;
+        let lines = header
+            .directory
+            .chunks_exact(DIR_ENTRY_BYTES)
+            .map(dir_entry)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            width: header.width,
+            height: header.height,
+            channels: header.channels,
+            lines,
+            payload,
+            mask,
+        })
+    }
+
+    /// The sample as the decoder reads it, borrowed.
+    pub fn view(&self) -> DeepCamView<'_> {
+        DeepCamView {
+            width: self.width,
+            height: self.height,
+            channels: self.channels,
+            directory: Directory::Lines(&self.lines),
+            payload: &self.payload,
+            mask: &self.mask,
+        }
+    }
+}
+
+/// One wire directory entry (caller passes [`DIR_ENTRY_BYTES`] bytes).
+fn dir_entry(e: &[u8]) -> Result<LineMeta, CodecError> {
+    Ok(LineMeta {
+        mode: LineMode::from_code(e[0])?,
+        offset: crate::wire::le_u32(&e[1..5]),
+        len: crate::wire::le_u32(&e[5..9]),
+    })
+}
+
+/// The fixed fields and the directory of a wire blob, checked in the
+/// order every parser reports them: magic, version, dimension limits,
+/// room for the directory, then each entry's mode.
+struct WireHeader<'a> {
+    version: u32,
+    width: u32,
+    height: u32,
+    channels: u32,
+    directory: &'a [u8],
+}
+
+impl<'a> WireHeader<'a> {
+    fn parse(data: &'a [u8], pos: &mut usize) -> Result<Self, CodecError> {
         let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
-        if take(&mut pos, 4)? != MAGIC {
+        if take(pos, 4)? != MAGIC {
             return Err(CodecError::Corrupt("bad magic"));
         }
-        let version = crate::wire::le_u32(take(&mut pos, 4)?);
+        let version = crate::wire::le_u32(take(pos, 4)?);
         if version != VERSION && version != VERSION_PACKED {
             return Err(CodecError::Corrupt("unsupported version"));
         }
-        let width = crate::wire::le_u32(take(&mut pos, 4)?);
-        let height = crate::wire::le_u32(take(&mut pos, 4)?);
-        let channels = crate::wire::le_u32(take(&mut pos, 4)?);
+        let width = crate::wire::le_u32(take(pos, 4)?);
+        let height = crate::wire::le_u32(take(pos, 4)?);
+        let channels = crate::wire::le_u32(take(pos, 4)?);
         let n_lines = (channels as usize)
             .checked_mul(height as usize)
             .ok_or(CodecError::Corrupt("line count overflow"))?;
@@ -223,55 +295,136 @@ impl EncodedDeepCam {
             Some(n) if n <= 1 << 30 => {}
             _ => return Err(CodecError::Corrupt("implausible element count")),
         }
-        if width == 0 && n_lines != 0 {
+        // Whatever the line count: the decoders walk the output in
+        // steps of `width`.
+        if width == 0 {
             return Err(CodecError::Corrupt("zero-width lines"));
         }
-        // Nine directory bytes a line must follow: checked before the
-        // directory is allocated for.
-        if n_lines > (data.len() - pos) / 9 {
+        // The directory must follow: checked before anything is sized
+        // from the line count.
+        if n_lines > (data.len() - *pos) / DIR_ENTRY_BYTES {
             return Err(CodecError::Truncated);
         }
-        let mut lines = Vec::with_capacity(n_lines);
-        for _ in 0..n_lines {
-            let mode = LineMode::from_code(take(&mut pos, 1)?[0])?;
-            let offset = crate::wire::le_u32(take(&mut pos, 4)?);
-            let len = crate::wire::le_u32(take(&mut pos, 4)?);
-            lines.push(LineMeta { mode, offset, len });
-        }
-        let payload_len = crate::wire::wire_len(take(&mut pos, 8)?)?;
-        let section = take(&mut pos, payload_len)?;
-        let payload = if version == VERSION_PACKED {
-            sciml_pack::unpack(section).map_err(|e| match e {
-                sciml_pack::PackError::Truncated => CodecError::Truncated,
-                _ => CodecError::Corrupt("packed payload section corrupt"),
-            })?
-        } else {
-            section.to_vec()
-        };
-        let mask_len = crate::wire::wire_len(take(&mut pos, 8)?)?;
-        let mask = take(&mut pos, mask_len)?.to_vec();
-        for l in &lines {
-            let end = (l.offset as usize)
-                .checked_add(l.len as usize)
-                .ok_or(CodecError::Corrupt("line range overflow"))?;
-            if end > payload.len() {
-                return Err(CodecError::Inconsistent("line payload out of range"));
-            }
+        let directory = take(pos, n_lines * DIR_ENTRY_BYTES)?;
+        for e in directory.chunks_exact(DIR_ENTRY_BYTES) {
+            dir_entry(e)?;
         }
         Ok(Self {
+            version,
             width,
             height,
             channels,
-            lines,
-            payload,
-            mask,
+            directory,
         })
     }
+}
 
-    /// The payload slice of one line.
-    pub(crate) fn line_payload(&self, idx: usize) -> &[u8] {
-        let l = &self.lines[idx];
-        &self.payload[l.offset as usize..(l.offset + l.len) as usize]
+/// A length-prefixed wire section (payload or mask).
+fn wire_section<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
+    let len = crate::wire::wire_len(crate::wire::take(data, pos, 8)?)?;
+    crate::wire::take(data, pos, len)
+}
+
+/// Every directory entry's range against the payload it indexes: the
+/// whole directory before any line is decoded.
+fn check_line_ranges(directory: &[u8], payload_len: usize) -> Result<(), CodecError> {
+    for e in directory.chunks_exact(DIR_ENTRY_BYTES) {
+        let l = dir_entry(e)?;
+        let end = (l.offset as usize)
+            .checked_add(l.len as usize)
+            .ok_or(CodecError::Corrupt("line range overflow"))?;
+        if end > payload_len {
+            return Err(CodecError::Inconsistent("line payload out of range"));
+        }
+    }
+    Ok(())
+}
+
+/// A view's line directory: the wire's nine bytes a line, or an
+/// [`EncodedDeepCam`]'s parsed entries.
+#[derive(Debug, Clone, Copy)]
+enum Directory<'a> {
+    /// Wire form; every mode byte was checked by [`WireHeader::parse`].
+    Wire(&'a [u8]),
+    Lines(&'a [LineMeta]),
+}
+
+/// An encoded DeepCAM sample borrowed from the bytes that hold it: what
+/// the decoder reads, whether those are a wire blob as it arrived
+/// ([`DeepCamView::parse`]) or an [`EncodedDeepCam`]
+/// ([`EncodedDeepCam::view`]). Nothing is copied and nothing allocated.
+#[derive(Debug, Clone, Copy)]
+pub struct DeepCamView<'a> {
+    /// Image width (values per line).
+    pub width: u32,
+    /// Image height (lines per channel).
+    pub height: u32,
+    /// Channel count.
+    pub channels: u32,
+    directory: Directory<'a>,
+    payload: &'a [u8],
+    /// Losslessly carried label mask (may be empty).
+    pub mask: &'a [u8],
+}
+
+impl<'a> DeepCamView<'a> {
+    /// Parses a wire blob in place, with [`EncodedDeepCam::from_bytes`]'s
+    /// checks in its order and the same errors. `Ok(None)` is wire
+    /// version 2: its payload is packed and only `from_bytes` can hold
+    /// the unpacked form.
+    pub fn parse(data: &'a [u8]) -> Result<Option<Self>, CodecError> {
+        let mut pos = 0usize;
+        let header = WireHeader::parse(data, &mut pos)?;
+        if header.version == VERSION_PACKED {
+            return Ok(None);
+        }
+        let payload = wire_section(data, &mut pos)?;
+        let mask = wire_section(data, &mut pos)?;
+        check_line_ranges(header.directory, payload.len())?;
+        Ok(Some(Self {
+            width: header.width,
+            height: header.height,
+            channels: header.channels,
+            directory: Directory::Wire(header.directory),
+            payload,
+            mask,
+        }))
+    }
+
+    /// Total number of lines. Saturates where the dimensions overflow
+    /// `usize`: a count no directory or buffer can match.
+    pub fn n_lines(&self) -> usize {
+        (self.channels as usize).saturating_mul(self.height as usize)
+    }
+
+    /// Total values the decoded sample holds (saturating, like
+    /// [`DeepCamView::n_lines`]).
+    pub fn n_values(&self) -> usize {
+        self.n_lines().saturating_mul(self.width as usize)
+    }
+
+    /// Mode and payload bytes of line `idx`. A parsed view's ranges
+    /// were validated whole; an [`EncodedDeepCam`]'s fields are public,
+    /// so the range is checked here, where it is used.
+    pub fn line(&self, idx: usize) -> Result<(LineMode, &'a [u8]), CodecError> {
+        let (entries, entry) = match self.directory {
+            Directory::Wire(d) => {
+                let mut entries = d.chunks_exact(DIR_ENTRY_BYTES);
+                (entries.len(), entries.nth(idx).map(dir_entry))
+            }
+            Directory::Lines(l) => (l.len(), l.get(idx).copied().map(Ok)),
+        };
+        if entries != self.n_lines() {
+            return Err(CodecError::Inconsistent(
+                "directory length != channels × height",
+            ));
+        }
+        let l = entry.ok_or(CodecError::Inconsistent("line index out of range"))??;
+        (l.offset as usize)
+            .checked_add(l.len as usize)
+            .and_then(|end| self.payload.get(l.offset as usize..end))
+            .map(|bytes| (l.mode, bytes))
+            .ok_or(CodecError::Inconsistent("line payload out of range"))
     }
 }
 
@@ -336,9 +489,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip_empty() {
+    fn wire_roundtrip_of_no_lines() {
         let e = EncodedDeepCam {
-            width: 0,
+            width: 4,
             height: 0,
             channels: 0,
             lines: vec![],

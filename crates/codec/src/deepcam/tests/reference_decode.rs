@@ -1,0 +1,183 @@
+//! The DeepCAM decoder as it stood before the code→delta step moved
+//! inside the prefix chain, frozen as the oracle the differential tests
+//! compare against: a zeroed scratch per line, one pass turning a
+//! segment's codes into deltas (`decode_code` per value — the canonical
+//! scalar form the vector kernels were held to), then the prefix chain
+//! re-reading them. One edit: the delta line is split where the scratch
+//! is handed over, so the tests compare the FP32 line itself and not
+//! only its FP16 rounding.
+//!
+//! Test-only (`#[cfg(test)]` in `mod.rs`): nothing outside the tests may
+//! call into it. Do not "fix" or speed up anything here — a change to
+//! this file changes what "the same bits" means.
+
+use super::{decode_code, EncodedDeepCam, LineMode, CODE_ESCAPE};
+use crate::{CodecError, Op};
+use sciml_half::F16;
+use std::cell::Cell;
+
+thread_local! {
+    /// Per-thread f32 line buffer, as the decoder kept it.
+    static LINE_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` with a zeroed f32 scratch slice of `width` values.
+fn with_scratch<R>(width: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    LINE_SCRATCH.with(|slot| {
+        let mut buf = slot.take();
+        buf.clear();
+        buf.resize(width, 0.0);
+        let r = f(&mut buf);
+        slot.set(buf);
+        r
+    })
+}
+
+/// Decodes a sample into `out`, exactly [`EncodedDeepCam::n_values`]
+/// long.
+pub(super) fn decode_into(enc: &EncodedDeepCam, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
+    let width = enc.width as usize;
+    if out.len() != enc.n_values() {
+        return Err(CodecError::Inconsistent("output slice length mismatch"));
+    }
+    for (idx, chunk) in out.chunks_mut(width).enumerate() {
+        decode_line_into(enc, idx, op, chunk)?;
+    }
+    Ok(())
+}
+
+/// Decodes line `idx` into `dst` (length = width). This is the unit of
+/// independence the per-line directory exists for; the GPU simulator
+/// calls it one warp-task at a time.
+pub(super) fn decode_line_into(
+    enc: &EncodedDeepCam,
+    idx: usize,
+    op: Op,
+    dst: &mut [F16],
+) -> Result<(), CodecError> {
+    let width = enc.width as usize;
+    if dst.len() != width {
+        return Err(CodecError::Inconsistent("destination width mismatch"));
+    }
+    if idx >= enc.lines.len() {
+        return Err(CodecError::Inconsistent("line index out of range"));
+    }
+    let l = &enc.lines[idx];
+    let payload = &enc.payload[l.offset as usize..(l.offset + l.len) as usize];
+    match enc.lines[idx].mode {
+        LineMode::Constant => {
+            if payload.len() != 4 {
+                return Err(CodecError::Corrupt("constant line payload size"));
+            }
+            let v = crate::wire::le_f32(payload);
+            let h = F16::from_f32(op.apply(v));
+            dst.fill(h);
+            Ok(())
+        }
+        LineMode::RawF32 => {
+            if payload.len() != width * 4 {
+                return Err(CodecError::Corrupt("raw line payload size"));
+            }
+            with_scratch(width, |vals| {
+                for (v, chunk) in vals.iter_mut().zip(payload.chunks_exact(4)) {
+                    *v = crate::wire::le_f32(chunk);
+                }
+                op.narrow_into(vals, dst);
+            });
+            Ok(())
+        }
+        LineMode::Delta => with_scratch(width, |vals| {
+            reconstruct_delta_line(payload, vals)?;
+            op.narrow_into(vals, dst);
+            Ok(())
+        }),
+    }
+}
+
+/// Walks a delta line payload: segment headers, then codes, then the
+/// literal side array, into the line's FP32 values.
+pub(super) fn reconstruct_delta_line(payload: &[u8], vals: &mut [f32]) -> Result<(), CodecError> {
+    let width = vals.len();
+    if payload.len() < 4 {
+        return Err(CodecError::Corrupt("delta line header"));
+    }
+    let n_segments = crate::wire::le_u16(&payload[0..2]) as usize;
+    let n_literals = crate::wire::le_u16(&payload[2..4]) as usize;
+    let headers_end = 4 + n_segments * 8;
+    if payload.len() < headers_end {
+        return Err(CodecError::Corrupt("segment headers truncated"));
+    }
+
+    // Validation pass over the headers: total values covered must equal
+    // the width (codes = width - n_segments). Headers are re-read in the
+    // decode pass below rather than staged in a scratch vector — this
+    // runs once per line of every sample, so it must not allocate.
+    let mut total = 0usize;
+    for si in 0..n_segments {
+        let h = &payload[4 + si * 8..4 + si * 8 + 8];
+        let count = crate::wire::le_u16(&h[4..6]) as usize;
+        if count == 0 {
+            return Err(CodecError::Corrupt("empty segment"));
+        }
+        total += count;
+    }
+    if total != width {
+        return Err(CodecError::Inconsistent("segment counts != width"));
+    }
+    let n_codes = width - n_segments;
+    let codes_end = headers_end + n_codes;
+    let literals_end = codes_end + n_literals * 4;
+    if payload.len() != literals_end {
+        return Err(CodecError::Corrupt("delta line payload size"));
+    }
+    let codes = &payload[headers_end..codes_end];
+    let literal_bytes = &payload[codes_end..literals_end];
+
+    let mut ci = 0usize; // code cursor
+    let mut li = 0usize; // literal cursor
+    let mut di = 0usize; // destination cursor
+    for si in 0..n_segments {
+        let h = &payload[4 + si * 8..4 + si * 8 + 8];
+        let head = crate::wire::le_f32(&h[0..4]);
+        let count = crate::wire::le_u16(&h[4..6]) as usize;
+        let base_exp = h[6] as i8;
+        // Vector pass: code bytes → f32 deltas. Escapes land as 0.0
+        // and are patched from the literal array below.
+        let seg_codes = &codes[ci..ci + count - 1];
+        decode_codes_into(seg_codes, base_exp, &mut vals[di + 1..di + count]);
+        // Sequential pass: prefix-accumulate in FP32 (the paper's
+        // software-emulated path; FP16 emission happens in bulk at
+        // the end of the line).
+        let mut prev = head;
+        vals[di] = head;
+        for (j, &code) in seg_codes.iter().enumerate() {
+            let slot = di + 1 + j;
+            let v = if code == CODE_ESCAPE {
+                if li >= n_literals {
+                    return Err(CodecError::Corrupt("literal index out of range"));
+                }
+                let l = crate::wire::le_f32(&literal_bytes[li * 4..li * 4 + 4]);
+                li += 1;
+                l
+            } else {
+                prev + vals[slot]
+            };
+            vals[slot] = v;
+            prev = v;
+        }
+        ci += count - 1;
+        di += count;
+    }
+    if li != n_literals {
+        return Err(CodecError::Inconsistent("unused literals"));
+    }
+    Ok(())
+}
+
+/// Code bytes sharing one `base_exp` → f32 deltas; escapes (and zero
+/// codes) produce `0.0`.
+fn decode_codes_into(codes: &[u8], base_exp: i8, out: &mut [f32]) {
+    for (o, &c) in out.iter_mut().zip(codes) {
+        *o = decode_code(c, base_exp).unwrap_or(0.0);
+    }
+}

@@ -150,7 +150,9 @@ proptest! {
         );
     }
 
-    /// Parallel decode always equals sequential decode (both codecs).
+    /// CosmoFlow's parallel decode always equals its sequential decode;
+    /// a DeepCAM sample decodes the same owned and as a view parsed
+    /// from its wire bytes.
     #[test]
     fn parallel_equals_sequential(s in cosmo_sample(), d in deepcam_sample()) {
         let e = cf::encode(&s);
@@ -159,10 +161,13 @@ proptest! {
             cf::decode_parallel(&e, Op::Log1p).unwrap()
         );
         let (ed, _) = dc::encode(&d, &dc::EncoderConfig::default());
-        prop_assert_eq!(
-            dc::decode(&ed, Op::Identity).unwrap(),
-            dc::decode_parallel(&ed, Op::Identity).unwrap()
-        );
+        let want = dc::decode(&ed, Op::Identity).unwrap();
+        let bytes = ed.to_bytes();
+        let view = dc::DeepCamView::parse(&bytes).unwrap().expect("wire v1");
+        let mut out = vec![F16::ONE; want.len()];
+        dc::decode_view_into(&view, Op::Identity, &mut out).unwrap();
+        prop_assert_eq!(&out, &want);
+        prop_assert_eq!(view.mask, &ed.mask[..]);
     }
 
     /// Parsing arbitrary garbage must never panic.
@@ -170,11 +175,12 @@ proptest! {
     fn from_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = cf::EncodedCosmo::from_bytes(&bytes);
         let _ = dc::EncodedDeepCam::from_bytes(&bytes);
+        let _ = dc::DeepCamView::parse(&bytes);
     }
 
     /// In-place decode into a dirty recycled buffer is byte-identical
-    /// to the allocating decode, for both codecs and both the serial
-    /// and parallel paths.
+    /// to the allocating decode, for both codecs (and both of
+    /// CosmoFlow's paths).
     #[test]
     fn decode_into_equals_decode(s in cosmo_sample(), d in deepcam_sample()) {
         let e = cf::encode(&s);
@@ -190,9 +196,6 @@ proptest! {
         let want = dc::decode(&ed, Op::Identity).unwrap();
         let mut out = vec![F16::ONE; want.len()];
         dc::decode_into(&ed, Op::Identity, &mut out).unwrap();
-        prop_assert_eq!(&out, &want);
-        out.fill(F16::ONE);
-        dc::decode_parallel_into(&ed, Op::Identity, &mut out).unwrap();
         prop_assert_eq!(&out, &want);
     }
 
@@ -225,15 +228,11 @@ proptest! {
             dc::decode_into(&ed, Op::Identity, &mut out),
             Err(CodecError::Inconsistent(_))
         ));
-        prop_assert!(matches!(
-            dc::decode_parallel_into(&ed, Op::Identity, &mut out),
-            Err(CodecError::Inconsistent(_))
-        ));
     }
 
     /// Every forced SIMD tier decodes byte-identically to the forced
-    /// scalar tier — both codecs, arbitrary fused op, serial and
-    /// parallel paths, hostile values (NaN payloads, subnormals,
+    /// scalar tier — both codecs, arbitrary fused op, CosmoFlow's serial
+    /// and parallel paths, hostile values (NaN payloads, subnormals,
     /// infinities) and tail-leaving widths. This is the dispatch
     /// layer's core contract: `SCIML_SIMD=scalar` output is the
     /// reference, and no vector tier may deviate from it by a bit.
@@ -256,9 +255,6 @@ proptest! {
             let mut out = vec![F16::ONE; want_c.len()];
             cf::decode_parallel_into(&e, op, &mut out).unwrap();
             prop_assert_eq!(&out, &want_c, "cosmo parallel tier {:?}", lvl);
-            let mut out = vec![F16::ONE; want_d.len()];
-            dc::decode_parallel_into(&ed, op, &mut out).unwrap();
-            prop_assert_eq!(&out, &want_d, "deepcam parallel tier {:?}", lvl);
         }
     }
 
@@ -290,7 +286,18 @@ proptest! {
         if which & 4 != 0 {
             blob[mask_len_at..mask_len_at + 8].copy_from_slice(&lens[1].to_le_bytes());
         }
-        match dc::EncodedDeepCam::from_bytes(&blob) {
+        // The borrowed parser gives the owned one's answer.
+        let owned = dc::EncodedDeepCam::from_bytes(&blob);
+        match dc::DeepCamView::parse(&blob) {
+            Ok(view) => {
+                let view = view.expect("wire v1");
+                let parsed = owned.as_ref().expect("view parsed");
+                prop_assert_eq!(view.n_values(), parsed.n_values());
+                prop_assert_eq!(view.mask, &parsed.mask[..]);
+            }
+            Err(e) => prop_assert_eq!(owned.as_ref().err(), Some(&e)),
+        }
+        match owned {
             Ok(parsed) => {
                 prop_assert!(parsed.n_values() <= 1 << 30);
                 prop_assert_eq!(parsed.n_values(), parsed.n_lines() * parsed.width as usize);

@@ -493,23 +493,36 @@ fn gzip_member(stream: &[u8], len: usize) -> Vec<u8> {
 
 /// Guards the point of the rewrite: on the two payloads the benchmark
 /// deflates and inflates, at the levels it uses, the hot loops must stay
-/// at least 2x (deflate) and 1.5x (inflate) faster than the loops they
-/// replaced (measured on the reference host: see CHANGES.md). Timing
-/// test, so `scripts/ci.sh` runs it alone, in release mode:
+/// at least 1.7x (deflate) and 1.3x (inflate) faster than the loops they
+/// replaced. The two sides are timed turn and turn about, best of each:
+/// this host's second vCPU comes and goes, and a gate that times one
+/// side and then the other measures that as well. The floors sit under
+/// the spread recorded on untouched code (1.90–2.8x and 1.46–1.8x: see
+/// CHANGES.md, PRs 14, 17 and 18), not on it. Timing test, so
+/// `scripts/ci.sh` runs it alone, in release mode:
 /// `cargo test --release -p sciml-compress --lib -- --ignored deflate_inflate_speed`.
 #[test]
 #[ignore = "timing; run by scripts/ci.sh in release mode"]
 fn deflate_inflate_speed() {
     use std::hint::black_box;
     use std::time::Instant;
-    fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-        (0..runs)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(f());
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+    /// Best time of `new` and of `reference` over `rounds` alternating
+    /// runs.
+    fn best_of_each<A, B>(
+        rounds: usize,
+        mut new: impl FnMut() -> A,
+        mut reference: impl FnMut() -> B,
+    ) -> (f64, f64) {
+        let mut best = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..rounds {
+            let t0 = Instant::now();
+            black_box(new());
+            best.0 = best.0.min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            black_box(reference());
+            best.1 = best.1.min(t0.elapsed().as_secs_f64());
+        }
+        best
     }
     for (name, level) in [
         ("deepcam blob", Level::Fast),
@@ -519,10 +532,16 @@ fn deflate_inflate_speed() {
         let mb = data.len() as f64 / 1e6;
         let stream = deflate_compress(&data, level);
         assert!(stream == reference::compress(&data, level));
-        let deflate_new = best_of(5, || deflate_compress(black_box(&data), level));
-        let deflate_ref = best_of(3, || reference::compress(black_box(&data), level));
-        let inflate_new = best_of(9, || inflate(black_box(&stream)));
-        let inflate_ref = best_of(9, || reference::inflate(black_box(&stream)));
+        let (deflate_new, deflate_ref) = best_of_each(
+            4,
+            || deflate_compress(black_box(&data), level),
+            || reference::compress(black_box(&data), level),
+        );
+        let (inflate_new, inflate_ref) = best_of_each(
+            9,
+            || inflate(black_box(&stream)),
+            || reference::inflate(black_box(&stream)),
+        );
         println!(
             "{name} ({} B, {level:?}): deflate {:.1} MB/s, reference {:.1} MB/s, ratio {:.2}x; \
              inflate {:.0} MB/s, reference {:.0} MB/s, ratio {:.2}x",
@@ -534,10 +553,13 @@ fn deflate_inflate_speed() {
             mb / inflate_ref,
             inflate_ref / inflate_new,
         );
-        assert!(deflate_ref / deflate_new >= 2.0, "{name}: deflate below 2x");
         assert!(
-            inflate_ref / inflate_new >= 1.5,
-            "{name}: inflate below 1.5x"
+            deflate_ref / deflate_new >= 1.7,
+            "{name}: deflate below 1.7x"
+        );
+        assert!(
+            inflate_ref / inflate_new >= 1.3,
+            "{name}: inflate below 1.3x"
         );
     }
 }

@@ -156,9 +156,13 @@ pub fn decode_deepcam_into(
     op: Op,
     out: &mut [F16],
 ) -> Result<(KernelStats, f64), CodecError> {
+    let view = enc.view();
     let width = enc.width as usize;
     if out.len() != enc.n_values() {
         return Err(CodecError::Inconsistent("output slice length mismatch"));
+    }
+    if width == 0 {
+        return Err(CodecError::Corrupt("zero-width lines"));
     }
     let mut stats = KernelStats::default();
 
@@ -168,9 +172,9 @@ pub fn decode_deepcam_into(
 
         // Timing part: account the SIMT cost of this line's task.
         let mut ctx = WarpCtx::new();
-        let payload = line_payload(enc, idx);
+        let (mode, payload) = view.line(idx)?;
         let warp_chunks = width.div_ceil(WARP_SIZE) as u64;
-        match enc.lines[idx].mode {
+        match mode {
             LineMode::Constant => {
                 // One broadcast + coalesced stores.
                 ctx.alu(1 + op_cost(op));
@@ -276,11 +280,6 @@ fn op_cost(op: Op) -> u64 {
     }
 }
 
-fn line_payload(enc: &EncodedDeepCam, idx: usize) -> &[u8] {
-    let l = &enc.lines[idx];
-    &enc.payload[l.offset as usize..(l.offset + l.len) as usize]
-}
-
 fn delta_header(payload: &[u8]) -> (u64, u64) {
     if payload.len() < 4 {
         return (0, 0);
@@ -343,6 +342,59 @@ mod tests {
         assert_eq!(out, want);
         let mut wrong = vec![F16::ZERO; want.len() + 1];
         assert!(decode_deepcam_into(&gpu, &denc, Op::Identity, &mut wrong).is_err());
+    }
+
+    /// Every field of `EncodedDeepCam` is public: a directory that
+    /// points outside the payload, or is the wrong length, or lines of
+    /// no width, are typed errors from the line kernel too.
+    #[test]
+    fn deepcam_kernel_rejects_hand_built_samples_without_panicking() {
+        use sciml_codec::deepcam::LineMeta;
+        let gpu = Gpu::new(GpuSpec::V100);
+        let line = |offset: u32, len: u32| LineMeta {
+            mode: LineMode::Constant,
+            offset,
+            len,
+        };
+        let sample = |width: u32, lines: Vec<LineMeta>| EncodedDeepCam {
+            width,
+            height: 2,
+            channels: 1,
+            lines,
+            payload: vec![0u8; 8],
+            mask: vec![],
+        };
+        let mut out = [F16::ZERO; 8];
+        decode_deepcam_into(
+            &gpu,
+            &sample(4, vec![line(0, 4), line(4, 4)]),
+            Op::Identity,
+            &mut out,
+        )
+        .expect("the honest sample decodes");
+        for bad in [line(6, 4), line(u32::MAX, 2)] {
+            assert_eq!(
+                decode_deepcam_into(
+                    &gpu,
+                    &sample(4, vec![line(0, 4), bad]),
+                    Op::Identity,
+                    &mut out
+                )
+                .map(|_| ()),
+                Err(CodecError::Inconsistent("line payload out of range"))
+            );
+        }
+        for lines in [vec![line(0, 4)], vec![line(0, 4); 3]] {
+            assert!(matches!(
+                decode_deepcam_into(&gpu, &sample(4, lines), Op::Identity, &mut out),
+                Err(CodecError::Inconsistent(_))
+            ));
+        }
+        assert_eq!(
+            decode_deepcam_into(&gpu, &sample(0, vec![line(0, 4); 2]), Op::Identity, &mut [])
+                .map(|_| ()),
+            Err(CodecError::Corrupt("zero-width lines"))
+        );
     }
 
     #[test]

@@ -305,27 +305,45 @@ impl DecoderPlugin for DeepCamGzip {
     }
 }
 
-/// CPU plugin: differential codec decoded with one rayon task per line.
+/// CPU plugin: differential codec, decoded in place from the bytes as
+/// they were fetched. One thread a sample: the decode pool runs
+/// `decode_threads` samples at once, so a plugin never forks inside one.
 pub struct DeepCamPluginCpu {
     /// Fused operator applied at emission.
     pub op: Op,
 }
 
+/// Runs `f` over a view of a wire blob: borrowed from `bytes` where
+/// they are wire v1, over an owned sample where they are v2 (a packed
+/// payload needs a buffer of its own).
+fn with_deepcam_view<R>(
+    bytes: &[u8],
+    f: impl FnOnce(&dc::DeepCamView<'_>) -> Result<R>,
+) -> Result<R> {
+    match dc::DeepCamView::parse(bytes)? {
+        Some(view) => f(&view),
+        None => f(&dc::EncodedDeepCam::from_bytes(bytes)?.view()),
+    }
+}
+
+/// The plugin's steady state: a parsed view into a tensor slot.
+fn deepcam_view_into(view: &dc::DeepCamView<'_>, op: Op, out: &mut [F16]) -> Result<Label> {
+    dc::decode_view_into(view, op, out)?;
+    // lint:allow(no_alloc_hot_loop): the label leaves with the batch; copying it out is the sample's one allocation
+    Ok(Label::Mask(view.mask.to_vec()))
+}
+
 impl DecoderPlugin for DeepCamPluginCpu {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        let mask = enc.mask.clone();
-        let data = dc::decode_parallel(&enc, self.op)?;
-        Ok(DecodedSample {
-            data,
-            label: Label::Mask(mask),
+        with_deepcam_view(bytes, |view| {
+            let mut data = vec![F16::ZERO; view.n_values()];
+            let label = deepcam_view_into(view, self.op, &mut data)?;
+            Ok(DecodedSample { data, label })
         })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        dc::decode_parallel_into(&enc, self.op, out)?;
-        Ok(Label::Mask(enc.mask))
+        with_deepcam_view(bytes, |view| deepcam_view_into(view, self.op, out))
     }
 
     fn name(&self) -> &'static str {
@@ -537,6 +555,44 @@ mod tests {
         assert_eq!(cpu.data, gpu.data);
         assert_eq!(cpu.label, Label::Mask(s.mask.clone()));
         assert_same_shape(&base, &cpu).unwrap();
+    }
+
+    /// The 36 bytes that used to kill a decode thread at
+    /// `chunks_mut(0)`, and the packed wire form through the same two
+    /// methods.
+    #[test]
+    fn deepcam_plugins_reject_zero_dimensions_and_take_both_wire_versions() {
+        let mut blob = b"DCMX".to_vec();
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&[0u8; 12 + 16]);
+        assert_eq!(blob.len(), 36);
+        let cpu = DeepCamPluginCpu { op: Op::Identity };
+        let gpu = DeepCamPluginGpu::new(Gpu::new(GpuSpec::A100), Op::Identity);
+        let plugins: [&dyn DecoderPlugin; 2] = [&cpu, &gpu];
+        for plugin in plugins {
+            for result in [
+                plugin.decode(&blob).map(|_| ()),
+                plugin.decode_into(&blob, &mut []).map(|_| ()),
+                plugin.decode_into(&blob, &mut [F16::ZERO; 8]).map(|_| ()),
+            ] {
+                let err = result.expect_err(plugin.name());
+                assert!(err.to_string().contains("zero-width lines"), "{err}");
+            }
+        }
+
+        let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(1);
+        let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
+        let (v1, v2) = (enc.to_bytes(), enc.to_bytes_packed());
+        assert_eq!((v1[4], v2[4]), (1, 2), "one blob of each wire version");
+        let want = cpu.decode(&v1).unwrap();
+        assert_eq!(want.label, Label::Mask(s.mask.clone()));
+        assert_eq!(cpu.decode(&v2).unwrap(), want);
+        for bytes in [&v1, &v2] {
+            let mut out = vec![F16::ONE; want.data.len()];
+            assert_eq!(cpu.decode_into(bytes, &mut out).unwrap(), want.label);
+            assert_eq!(out, want.data);
+            assert!(cpu.decode_into(bytes, &mut out[1..]).is_err());
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub use sciml_simd::{
 /// One decode kernel's resolved dispatch path on this host.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelPath {
-    /// Kernel identity (`cosmo_gather`, `deepcam_line`, …).
+    /// Kernel identity (`cosmo_gather`, `half_narrow`, …).
     pub kernel: Kernel,
     /// The workload/stage the kernel serves, for display.
     pub stage: &'static str,
@@ -38,7 +38,6 @@ pub fn kernel_plan() -> Vec<KernelPath> {
             kernel,
             stage: match kernel {
                 Kernel::CosmoGather => "CosmoFlow LUT decode",
-                Kernel::DeepcamLine => "DeepCAM delta decode",
                 Kernel::HalfNarrow => "F32\u{2192}F16 emission",
                 Kernel::HalfWiden => "F16\u{2192}F32 load",
                 Kernel::OpLog1p => "per-element log1p",
@@ -55,10 +54,6 @@ fn strategy(kernel: Kernel, level: SimdLevel) -> &'static str {
         (Kernel::CosmoGather, SimdLevel::Avx2) => "8-voxel row gather + in-register transpose",
         (Kernel::CosmoGather, SimdLevel::Sse42) => "4-voxel row gather + in-register transpose",
         (Kernel::CosmoGather, SimdLevel::Neon) => "4-voxel gather via vld4 deinterleave",
-        (Kernel::DeepcamLine, SimdLevel::Avx2) => "8-code integer bit-assembly per segment",
-        (Kernel::DeepcamLine, SimdLevel::Sse42 | SimdLevel::Neon) => {
-            "4-code integer bit-assembly per segment"
-        }
         (Kernel::HalfNarrow, SimdLevel::Avx2) => "F16C vcvtps2ph, 8 lanes",
         (Kernel::HalfNarrow, SimdLevel::Sse42 | SimdLevel::Neon) => {
             "integer round-to-nearest-even narrow, 4 lanes"

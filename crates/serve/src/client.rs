@@ -10,8 +10,8 @@
 //! [`PipelineError::Remote`]/[`PipelineError::Timeout`].
 
 use crate::protocol::{
-    read_message, write_message, DatasetEntry, ErrorCode, Message, ProtocolError, StatsSnapshot,
-    PROTOCOL_VERSION,
+    read_message, read_sample_into, write_message, DatasetEntry, ErrorCode, Message, ProtocolError,
+    StatsSnapshot, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use sciml_obs::{Counter, MetricsRegistry, TraceContext};
@@ -95,19 +95,42 @@ impl Conn {
         read_message(&mut self.stream).map_err(protocol_to_pipeline)
     }
 
-    /// One request/response exchange. A request issued under an active
-    /// trace context is wrapped in [`Message::Traced`] so the server's
-    /// child spans join the caller's trace.
-    fn call(&mut self, msg: &Message) -> Result<Message, PipelineError> {
+    /// Sends one request. Issued under an active trace context it is
+    /// wrapped in [`Message::Traced`] so the server's child spans join
+    /// the caller's trace.
+    fn request(&mut self, msg: &Message) -> Result<(), PipelineError> {
         match TraceContext::current() {
             Some(ctx) => self.send(&Message::Traced {
                 trace_id: ctx.trace_id,
                 parent_span: ctx.span_id,
                 inner: Box::new(msg.clone()),
-            })?,
-            None => self.send(msg)?,
+            }),
+            None => self.send(msg),
         }
+    }
+
+    /// One request/response exchange.
+    fn call(&mut self, msg: &Message) -> Result<Message, PipelineError> {
+        self.request(msg)?;
         self.recv()
+    }
+
+    /// A one-index `FetchSamples` exchange whose sample lands in `buf`
+    /// straight off the socket. Any reply but that one sample is an
+    /// error here, so the connection that carried it is not pooled
+    /// again.
+    fn fetch_sample_into(
+        &mut self,
+        request: &Message,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), PipelineError> {
+        self.request(request)?;
+        match read_sample_into(&mut self.stream, buf).map_err(protocol_to_pipeline)? {
+            None => Ok(()),
+            Some(Message::Error { code, detail }) => Err(server_error(code, detail)),
+            Some(Message::Samples(payloads)) => Err(payload_count_mismatch(payloads.len(), 1)),
+            Some(other) => Err(unexpected_reply(&other)),
+        }
     }
 }
 
@@ -148,6 +171,10 @@ impl std::error::Error for ServerError {}
 
 fn server_error(code: ErrorCode, detail: String) -> PipelineError {
     PipelineError::Remote(Box::new(ServerError { code, detail }))
+}
+
+fn payload_count_mismatch(got: usize, asked: usize) -> PipelineError {
+    PipelineError::Remote(format!("server returned {got} payloads for {asked} indices").into())
 }
 
 fn unexpected_reply(msg: &Message) -> PipelineError {
@@ -339,14 +366,7 @@ impl RemoteSource {
         match self.call(&request)? {
             Message::Samples(payloads) => {
                 if payloads.len() != indices.len() {
-                    return Err(PipelineError::Remote(
-                        format!(
-                            "server returned {} payloads for {} indices",
-                            payloads.len(),
-                            indices.len()
-                        )
-                        .into(),
-                    ));
+                    return Err(payload_count_mismatch(payloads.len(), indices.len()));
                 }
                 let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
                 self.read.fetch_add(bytes, Ordering::Relaxed);
@@ -373,10 +393,19 @@ impl RemoteSource {
         }
     }
 
-    /// Runs one request/response with retry-with-backoff. A connection
-    /// that saw any failure is discarded, never pooled again — the
-    /// framing may be desynchronized.
+    /// Runs one request/response with retry-with-backoff.
     fn call(&self, msg: &Message) -> Result<Message, PipelineError> {
+        self.with_retry(|conn| conn.call(msg))
+    }
+
+    /// Runs `exchange` on a pooled or fresh connection, with
+    /// retry-with-backoff. A connection that saw any failure is
+    /// discarded, never pooled again — the framing may be
+    /// desynchronized.
+    fn with_retry<R>(
+        &self,
+        mut exchange: impl FnMut(&mut Conn) -> Result<R, PipelineError>,
+    ) -> Result<R, PipelineError> {
         let mut backoff = self.cfg.initial_backoff;
         let mut last_err = None;
         for attempt in 0..self.cfg.max_attempts.max(1) {
@@ -386,7 +415,7 @@ impl RemoteSource {
                 backoff = backoff.saturating_mul(2);
             }
             match self.checkout() {
-                Ok(mut conn) => match conn.call(msg) {
+                Ok(mut conn) => match exchange(&mut conn) {
                     Ok(reply) => {
                         self.checkin(conn);
                         return Ok(reply);
@@ -433,12 +462,12 @@ impl SampleSource for RemoteSource {
     }
 
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
-        // The decoded reply already owns the sample: move it in
-        // instead of copying it over the caller's old contents.
-        *buf = self
-            .fetch_batch(&[idx as u64])?
-            .pop()
-            .ok_or_else(|| PipelineError::Remote("server returned an empty batch".into()))?;
+        let request = Message::FetchSamples {
+            name: self.name.clone(),
+            indices: vec![idx as u64],
+        };
+        self.with_retry(|conn| conn.fetch_sample_into(&request, buf))?;
+        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -474,6 +503,113 @@ mod tests {
         let batch = src.fetch_batch(&[0, 5]).unwrap();
         assert_eq!(batch, vec![vec![0u8; 32], vec![5u8; 32]]);
         server.shutdown();
+    }
+
+    #[test]
+    fn fetch_into_is_fetch_batch_byte_for_byte_on_a_dirty_buffer() {
+        let big: Vec<u8> = (0..70_000u32).map(|i| (i * 13 + i / 255) as u8).collect();
+        let samples = vec![big, Vec::new(), vec![1, 2, 3]];
+        let server = ServeBuilder::new()
+            .dataset("demo", Arc::new(VecSource::new(samples.clone())))
+            .bind("127.0.0.1:0")
+            .unwrap();
+        let src = RemoteSource::connect(server.local_addr().to_string(), "demo").unwrap();
+        let mut buf = vec![0xEE; 4096];
+        let mut read = 0;
+        for (idx, want) in samples.iter().enumerate() {
+            src.fetch_into(idx, &mut buf).unwrap();
+            assert_eq!(&buf, want, "sample {idx}");
+            assert_eq!(
+                src.fetch_batch(&[idx as u64]).unwrap(),
+                std::slice::from_ref(want)
+            );
+            read += 2 * want.len() as u64;
+            assert_eq!(src.bytes_read(), read);
+        }
+        // One connection carried all of it.
+        assert_eq!(src.pool.lock().len(), 1);
+        // A refused index is the server's typed error, at once, and the
+        // connection that carried it is not pooled again.
+        let err = src.fetch_into(99, &mut buf).expect_err("out of range");
+        assert_eq!(server_code(&err), Some(ErrorCode::IndexOutOfRange));
+        assert!(buf.is_empty());
+        assert_eq!((src.retries(), src.pool.lock().len()), (0, 0));
+        server.shutdown();
+    }
+
+    /// A peer that greets properly and answers every request with the
+    /// frame `reply` builds; the closure ends it like
+    /// [`spawn_refusing_server`]'s.
+    fn spawn_scripted_server(
+        reply: impl Fn() -> Vec<u8> + Send + 'static,
+    ) -> (String, impl FnOnce() -> usize) {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let mut answered = 0;
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                let Ok(Message::Hello { version }) = read_message(&mut stream) else {
+                    break;
+                };
+                write_message(&mut stream, &Message::HelloAck { version }).unwrap();
+                while let Ok(request) = read_message(&mut stream) {
+                    let frame = match request {
+                        Message::Manifest { .. } => {
+                            crate::protocol::encode_frame(&Message::ManifestReply { len: 4 })
+                        }
+                        _ => reply(),
+                    };
+                    stream.write_all(&frame).unwrap();
+                    answered += 1;
+                }
+            }
+            answered
+        });
+        let stop_addr = addr.clone();
+        (addr, move || {
+            drop(TcpStream::connect(stop_addr).unwrap());
+            handle.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn a_corrupt_or_miscounted_sample_reply_is_an_error_and_an_empty_buffer() {
+        use crate::protocol::encode_frame;
+        let cfg = ClientConfig {
+            max_attempts: 2,
+            initial_backoff: Duration::from_millis(1),
+            ..ClientConfig::default()
+        };
+        type Reply = fn() -> Vec<u8>;
+        let replies: [(&str, Reply); 3] = [
+            ("CRC mismatch", || {
+                let mut frame = encode_frame(&Message::Samples(vec![vec![7; 500]]));
+                frame[100] ^= 1;
+                frame
+            }),
+            ("2 payloads for 1 indices", || {
+                encode_frame(&Message::Samples(vec![vec![7; 5], vec![8; 5]]))
+            }),
+            ("unexpected server reply", || {
+                encode_frame(&Message::ManifestReply { len: 1 })
+            }),
+        ];
+        for (what, reply) in replies {
+            let (addr, stop) = spawn_scripted_server(reply);
+            let src = RemoteSource::connect_with(addr, "demo", cfg.clone()).unwrap();
+            let mut buf = vec![0xEE; 4096];
+            let err = src.fetch_into(0, &mut buf).expect_err(what);
+            assert!(err.to_string().contains(what), "{what}: {err}");
+            assert!(buf.is_empty(), "{what}");
+            // Wire-level failures are retried on a fresh connection,
+            // and none of those connections is pooled.
+            assert_eq!((src.retries(), src.pool.lock().len()), (1, 0), "{what}");
+            drop(src);
+            // The manifest, then one answer per attempt.
+            assert_eq!(stop(), 3, "{what}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! Tags 0x0A, 0x0C and 0x0E belonged to retired replies and stay
 //! unassigned.
 
-use sciml_compress::crc32::crc32;
+use sciml_compress::crc32::{crc32, Crc32};
 use sciml_obs::HistogramSnapshot;
 use sciml_store::{ClusterPlan, EncodingChoice, ShardAssignment, ShardPlan};
 use std::fmt;
@@ -737,25 +737,105 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), ProtocolEr
     Ok(())
 }
 
-/// Reads one frame from a stream, enforcing the size limit before
-/// allocating and the CRC before parsing.
-pub fn read_message(r: &mut impl Read) -> Result<Message, ProtocolError> {
+/// A frame's length prefix, checked against [`MAX_FRAME_BYTES`] before
+/// anything is sized from it.
+fn read_frame_len(r: &mut impl Read) -> Result<usize, ProtocolError> {
     let mut head = [0u8; 4];
     r.read_exact(&mut head)?;
     let len = u32::from_le_bytes(head);
     if len > MAX_FRAME_BYTES {
         return Err(ProtocolError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    Ok(len as usize)
+}
+
+/// A frame's CRC trailer against the CRC of the payload just read.
+fn check_trailer(r: &mut impl Read, computed: u32) -> Result<(), ProtocolError> {
     let mut trailer = [0u8; 4];
     r.read_exact(&mut trailer)?;
     let stored = u32::from_le_bytes(trailer);
-    let computed = crc32(&payload);
     if stored != computed {
         return Err(ProtocolError::BadCrc { computed, stored });
     }
+    Ok(())
+}
+
+/// The rest of a frame whose `len`-byte payload starts with `have`
+/// (bytes already taken off the stream): CRC checked, then parsed.
+fn read_rest_of_message(
+    r: &mut impl Read,
+    have: &[u8],
+    len: usize,
+) -> Result<Message, ProtocolError> {
+    let mut payload = vec![0u8; len];
+    let (head, rest) = payload.split_at_mut(have.len());
+    head.copy_from_slice(have);
+    r.read_exact(rest)?;
+    check_trailer(r, crc32(&payload))?;
     Message::from_payload(&payload)
+}
+
+/// Reads one frame from a stream, enforcing the size limit before
+/// allocating and the CRC before parsing.
+pub fn read_message(r: &mut impl Read) -> Result<Message, ProtocolError> {
+    let len = read_frame_len(r)?;
+    read_rest_of_message(r, &[], len)
+}
+
+/// Bytes of a `Samples` payload before the first sample's own: tag,
+/// count, length.
+const ONE_SAMPLE_PREFIX: usize = 9;
+
+/// Reads the reply to a one-index [`Message::FetchSamples`], landing the
+/// sample in `buf` (replacing its contents) straight off the stream: no
+/// frame-sized buffer between, no zero-fill, the CRC folded over the
+/// bytes where they lie and checked before returning. `Ok(None)` is
+/// that sample; any other reply — another tag, a sample count other
+/// than one, a sample length that disagrees with the frame's — is read
+/// whole and parsed by [`Message::from_payload`] like every frame, and
+/// comes back as `Ok(Some(message))` or its error. `buf` is left empty
+/// unless the result is `Ok(None)`.
+pub fn read_sample_into(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+) -> Result<Option<Message>, ProtocolError> {
+    buf.clear();
+    let reply = read_sample_reply(r, buf);
+    if !matches!(reply, Ok(None)) {
+        buf.clear();
+    }
+    reply
+}
+
+fn read_sample_reply(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+) -> Result<Option<Message>, ProtocolError> {
+    let len = read_frame_len(r)?;
+    let mut prefix = [0u8; ONE_SAMPLE_PREFIX];
+    let have = len.min(ONE_SAMPLE_PREFIX);
+    r.read_exact(&mut prefix[..have])?;
+    let one_sample = have == ONE_SAMPLE_PREFIX
+        && prefix[0] == tags::SAMPLES
+        && le_u32_at(&prefix, 1) == 1
+        && le_u32_at(&prefix, 5) as usize == len - ONE_SAMPLE_PREFIX;
+    if !one_sample {
+        return read_rest_of_message(r, &prefix[..have], len).map(Some);
+    }
+    let body = len - ONE_SAMPLE_PREFIX;
+    // Exactly: a recycled buffer a few bytes short would otherwise
+    // double, and samples of one dataset are all about one size.
+    buf.reserve_exact(body);
+    // `read_to_end` fills spare capacity in place; the limit stops it
+    // at the trailer.
+    if r.by_ref().take(body as u64).read_to_end(buf)? != body {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    let mut crc = Crc32::new();
+    crc.update(&prefix);
+    crc.update(buf);
+    check_trailer(r, crc.finalize())?;
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -903,6 +983,87 @@ mod tests {
             if matches!(msg, Message::Samples(_)) {
                 assert_eq!(frame.capacity(), frame.len(), "bulk reply sized up front");
             }
+        }
+    }
+
+    /// A recycled reader buffer: 4 KiB of another sample's bytes.
+    fn dirty_buf() -> Vec<u8> {
+        vec![0xEE; 4096]
+    }
+
+    #[test]
+    fn one_sample_lands_in_the_callers_buffer_as_read_message_parses_it() {
+        let big: Vec<u8> = (0..70_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        for sample in [big, Vec::new(), vec![9], vec![0; ONE_SAMPLE_PREFIX]] {
+            let frame = encode_frame(&Message::Samples(vec![sample.clone()]));
+            let Message::Samples(parsed) = read_message(&mut &frame[..]).unwrap() else {
+                panic!("not a Samples reply");
+            };
+            let mut buf = dirty_buf();
+            let mut stream = &frame[..];
+            assert!(read_sample_into(&mut stream, &mut buf).unwrap().is_none());
+            assert_eq!(vec![buf.clone()], parsed, "{} bytes", sample.len());
+            assert!(stream.is_empty(), "the whole frame and no more was read");
+            // Cut anywhere, it is an error and the buffer is empty.
+            for cut in (0..frame.len()).step_by(frame.len() / 40 + 1) {
+                assert!(read_sample_into(&mut &frame[..cut], &mut buf).is_err());
+                assert!(buf.is_empty(), "cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_damaged_or_lying_sample_reply_is_typed_and_clears_the_buffer() {
+        let sample = vec![0x5A; 3000];
+        let frame = encode_frame(&Message::Samples(vec![sample.clone()]));
+        // One payload bit, the prefix, the trailer: all under the CRC.
+        for at in [4 + ONE_SAMPLE_PREFIX + 1234, 5, frame.len() - 2] {
+            let mut bad = frame.clone();
+            bad[at] ^= 0x10;
+            let mut buf = dirty_buf();
+            assert!(
+                matches!(
+                    read_sample_into(&mut &bad[..], &mut buf),
+                    Err(ProtocolError::BadCrc { .. })
+                ),
+                "flip at {at}"
+            );
+            assert!(buf.is_empty(), "flip at {at}");
+        }
+        // A sample length that disagrees with the frame's, under a CRC
+        // that vouches for it: the frame parser's error, not a short or
+        // long read.
+        for lie in [2999u32, 3001, 0, u32::MAX] {
+            let mut payload = Message::Samples(vec![sample.clone()]).to_payload();
+            payload[5..9].copy_from_slice(&lie.to_le_bytes());
+            let bad = raw_frame(&payload);
+            let mut buf = dirty_buf();
+            let want = Message::from_payload(&payload).unwrap_err();
+            let got = read_sample_into(&mut &bad[..], &mut buf).unwrap_err();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "len {lie}");
+            assert!(buf.is_empty(), "len {lie}");
+        }
+        // An oversized frame is refused before anything is reserved.
+        let mut buf = dirty_buf();
+        let huge = (MAX_FRAME_BYTES + 1).to_le_bytes();
+        assert!(matches!(
+            read_sample_into(&mut &huge[..], &mut buf),
+            Err(ProtocolError::Oversized(_))
+        ));
+        assert!(buf.is_empty() && buf.capacity() == 4096);
+    }
+
+    #[test]
+    fn any_other_reply_comes_back_parsed() {
+        for msg in all_messages() {
+            if matches!(&msg, Message::Samples(p) if p.len() == 1) {
+                continue;
+            }
+            let frame = encode_frame(&msg);
+            let mut buf = dirty_buf();
+            let got = read_sample_into(&mut &frame[..], &mut buf).unwrap();
+            assert_eq!(got, Some(msg));
+            assert!(buf.is_empty());
         }
     }
 

@@ -247,8 +247,6 @@ pub fn arch_level() -> SimdLevel {
 pub enum Kernel {
     /// CosmoFlow dense-LUT gather (per chunk).
     CosmoGather,
-    /// DeepCAM per-line differential decode (per line).
-    DeepcamLine,
     /// Bulk F32→F16 narrowing (per slice call).
     HalfNarrow,
     /// Bulk F16→F32 widening (per slice call).
@@ -259,9 +257,8 @@ pub enum Kernel {
 }
 
 /// All kernel families, in counter-table order.
-pub const ALL_KERNELS: [Kernel; 5] = [
+pub const ALL_KERNELS: [Kernel; 4] = [
     Kernel::CosmoGather,
-    Kernel::DeepcamLine,
     Kernel::HalfNarrow,
     Kernel::HalfWiden,
     Kernel::OpLog1p,
@@ -272,7 +269,6 @@ impl Kernel {
     pub fn name(self) -> &'static str {
         match self {
             Kernel::CosmoGather => "cosmo_gather",
-            Kernel::DeepcamLine => "deepcam_line",
             Kernel::HalfNarrow => "half_narrow",
             Kernel::HalfWiden => "half_widen",
             Kernel::OpLog1p => "op_log1p",
@@ -282,17 +278,16 @@ impl Kernel {
     fn index(self) -> usize {
         match self {
             Kernel::CosmoGather => 0,
-            Kernel::DeepcamLine => 1,
-            Kernel::HalfNarrow => 2,
-            Kernel::HalfWiden => 3,
-            Kernel::OpLog1p => 4,
+            Kernel::HalfNarrow => 1,
+            Kernel::HalfWiden => 2,
+            Kernel::OpLog1p => 3,
         }
     }
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static DISPATCH: [[AtomicU64; 4]; 5] = [[ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4]];
+static DISPATCH: [[AtomicU64; 4]; 4] = [[ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4]];
 
 /// Records one dispatch of `kernel` through the `level` path. Relaxed;
 /// a few nanoseconds against kernels that run for microseconds.
