@@ -212,10 +212,14 @@ impl EncodedDeepCam {
         let header = WireHeader::parse(data, &mut pos)?;
         let section = wire_section(data, &mut pos)?;
         let payload = if header.version == VERSION_PACKED {
-            sciml_pack::unpack(section).map_err(|e| match e {
-                sciml_pack::PackError::Truncated => CodecError::Truncated,
-                _ => CodecError::Corrupt("packed payload section corrupt"),
-            })?
+            let mut payload = Vec::new();
+            sciml_pack::unpack_into(section, &mut payload, header.max_payload_len()).map_err(
+                |e| match e {
+                    sciml_pack::PackError::Truncated => CodecError::Truncated,
+                    _ => CodecError::Corrupt("packed payload section corrupt"),
+                },
+            )?;
+            payload
         } else {
             section.to_vec()
         };
@@ -316,6 +320,20 @@ impl<'a> WireHeader<'a> {
             channels,
             directory,
         })
+    }
+
+    /// The longest payload the line formats can describe for these
+    /// dimensions: a delta line of one-value segments, every code an
+    /// escape (4 bytes of counts, then an 8-byte header, a code and a
+    /// 4-byte literal a value). What a packed payload section may claim
+    /// to unpack to, whatever its own header says.
+    fn max_payload_len(&self) -> usize {
+        let n_lines = self.directory.len() / DIR_ENTRY_BYTES;
+        // `parse` held the value count to 2³⁰.
+        n_lines
+            .saturating_mul(self.width as usize)
+            .saturating_mul(13)
+            .saturating_add(n_lines.saturating_mul(4))
     }
 }
 
@@ -703,6 +721,33 @@ mod tests {
         let mut bad = v2.clone();
         bad[20 + 9 + 8 + 10] ^= 0x40;
         assert!(EncodedDeepCam::from_bytes(&bad).is_err());
+    }
+
+    /// A wire-v2 blob whose payload section is a bare pack header, CRC
+    /// valid, declaring 2^24 chunks and a terabyte (the stream of
+    /// `sciml_pack`'s own regression test): 69 bytes from any server.
+    #[test]
+    fn packed_wire_section_that_declares_a_terabyte_is_a_typed_error() {
+        const PACK_HEADER: [u8; 24] = [
+            83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
+        ];
+        let mut blob = MAGIC.to_vec();
+        blob.extend_from_slice(&VERSION_PACKED.to_le_bytes());
+        for dim in [4u32, 1, 1] {
+            blob.extend_from_slice(&dim.to_le_bytes());
+        }
+        blob.push(LineMode::RawF32.code());
+        blob.extend_from_slice(&0u32.to_le_bytes());
+        blob.extend_from_slice(&16u32.to_le_bytes());
+        blob.extend_from_slice(&(PACK_HEADER.len() as u64).to_le_bytes());
+        blob.extend_from_slice(&PACK_HEADER);
+        blob.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(blob.len(), 69);
+        assert!(matches!(DeepCamView::parse(&blob), Ok(None)));
+        assert!(matches!(
+            EncodedDeepCam::from_bytes(&blob),
+            Err(CodecError::Corrupt("packed payload section corrupt"))
+        ));
     }
 
     #[test]

@@ -75,6 +75,13 @@ pub enum PackError {
         /// CRC computed over the received bytes.
         computed: u32,
     },
+    /// The header declares more decoded bytes than the caller allows.
+    TooLarge {
+        /// Decoded length the stream header declares.
+        raw_len: u64,
+        /// The caller's limit.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for PackError {
@@ -88,6 +95,10 @@ impl fmt::Display for PackError {
             PackError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "packed stream checksum mismatch (stored {stored:08x}, computed {computed:08x})"
+            ),
+            PackError::TooLarge { raw_len, limit } => write!(
+                f,
+                "packed stream declares {raw_len} decoded bytes, over the limit of {limit}"
             ),
         }
     }
@@ -148,9 +159,34 @@ pub fn pack(data: &[u8], elem_width: u8) -> Result<Vec<u8>, PackError> {
     Ok(out)
 }
 
+/// Smallest chunk the format can hold: its fixed fields and CRC around
+/// empty sections (see `chunk.rs`). A stream of `n` chunks is at least
+/// `n` times this long.
+const MIN_CHUNK_LEN: usize = 20;
+
 /// Decompresses a stream produced by [`pack`], returning the original
-/// bytes. All failure modes are typed; no input can cause a panic.
+/// bytes. All failure modes are typed; no input can cause a panic, and
+/// the output is sized only once the stream is long enough to hold the
+/// chunks its header declares (see [`unpack_into`]).
 pub fn unpack(data: &[u8]) -> Result<Vec<u8>, PackError> {
+    let mut out = Vec::new();
+    unpack_into(data, &mut out, usize::MAX)?;
+    Ok(out)
+}
+
+/// [`unpack`] into a caller-provided buffer, replacing its contents,
+/// for a stream the caller expects to decode to at most `limit` bytes.
+///
+/// The header is read from bytes only a CRC has vouched for, so nothing
+/// is sized from it until it is bounded twice: a declared length over
+/// `limit` is [`PackError::TooLarge`], and a chunk count the rest of
+/// `data` is too short to hold is [`PackError::Truncated`] — a chunk of
+/// at least 20 bytes decodes to at most [`CHUNK_VALUES`] values,
+/// which bounds the declared length by the input's own. Chunks are
+/// decoded one at a time through a scratch of at most one chunk's
+/// values, so a buffer with `raw_len` capacity is never reallocated. On
+/// error the contents of `out` are unspecified.
+pub fn unpack_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), PackError> {
     let header = data.get(..HEADER_LEN).ok_or(PackError::Truncated)?;
     if header[..4] != MAGIC {
         return Err(PackError::BadMagic);
@@ -178,10 +214,18 @@ pub fn unpack(data: &[u8]) -> Result<Vec<u8>, PackError> {
         return Err(PackError::Corrupt("tail longer than element width"));
     }
     let n_chunks = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
-    let raw_len = u64::from_le_bytes([
+    let declared = u64::from_le_bytes([
         header[12], header[13], header[14], header[15], header[16], header[17], header[18],
         header[19],
-    ]) as usize;
+    ]);
+    if declared > limit as u64 {
+        return Err(PackError::TooLarge {
+            raw_len: declared,
+            limit: limit as u64,
+        });
+    }
+    // Fits: it is no larger than `limit`.
+    let raw_len = declared as usize;
 
     let max = max_value_for_width(elem_width);
     let w = elem_width as usize;
@@ -192,30 +236,39 @@ pub fn unpack(data: &[u8]) -> Result<Vec<u8>, PackError> {
     if raw_len % w != tail_len % w || expected_values.div_ceil(CHUNK_VALUES) != n_chunks {
         return Err(PackError::Corrupt("chunk count inconsistent with length"));
     }
+    if n_chunks > (data.len() - HEADER_LEN) / MIN_CHUNK_LEN {
+        return Err(PackError::Truncated);
+    }
 
-    let mut values: Vec<u32> = Vec::with_capacity(expected_values);
+    out.clear();
+    out.reserve(raw_len);
+    let mut values: Vec<u32> = Vec::with_capacity(expected_values.min(CHUNK_VALUES));
+    let mut decoded = 0usize;
     let mut pos = HEADER_LEN;
     for _ in 0..n_chunks {
+        values.clear();
         chunk::decode_chunk(data, &mut pos, max, &mut values)?;
+        decoded += values.len();
+        if decoded > expected_values {
+            return Err(PackError::Corrupt("decoded value count mismatch"));
+        }
+        if w == 1 {
+            out.extend(values.iter().map(|&v| v as u8));
+        } else {
+            for &v in &values {
+                out.extend_from_slice(&(v as u16).to_le_bytes());
+            }
+        }
     }
-    if values.len() != expected_values {
+    if decoded != expected_values {
         return Err(PackError::Corrupt("decoded value count mismatch"));
     }
     let tail = data.get(pos..pos + tail_len).ok_or(PackError::Truncated)?;
     if pos + tail_len != data.len() {
         return Err(PackError::Corrupt("trailing garbage after stream"));
     }
-
-    let mut out = Vec::with_capacity(raw_len);
-    if w == 1 {
-        out.extend(values.iter().map(|&v| v as u8));
-    } else {
-        for &v in &values {
-            out.extend_from_slice(&(v as u16).to_le_bytes());
-        }
-    }
     out.extend_from_slice(tail);
-    Ok(out)
+    Ok(())
 }
 
 /// Compressed size of `data` under [`pack`] without keeping the output —
@@ -290,6 +343,66 @@ mod tests {
         let crc = sciml_compress::crc32::crc32(&p[..HEADER_LEN - 4]);
         p[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(unpack(&p), Err(PackError::BadVersion(99)));
+    }
+
+    /// A bare stream header with a valid CRC and no body.
+    fn bare_header(width: u8, tail: u8, n_chunks: u32, raw_len: u64) -> Vec<u8> {
+        let mut h = MAGIC.to_vec();
+        h.extend_from_slice(&[VERSION, width, tail, 0]);
+        h.extend_from_slice(&n_chunks.to_le_bytes());
+        h.extend_from_slice(&raw_len.to_le_bytes());
+        let crc = sciml_compress::crc32::crc32(&h);
+        h.extend_from_slice(&crc.to_le_bytes());
+        h
+    }
+
+    #[test]
+    fn header_that_declares_a_terabyte_is_refused_before_anything_is_sized() {
+        // 24 bytes, consistent with themselves: 2^24 chunks of 2^16
+        // one-byte values. Sizing the value buffer from them asked the
+        // allocator for 4 TiB and aborted the process.
+        let hostile = bare_header(1, 0, 1 << 24, 1 << 40);
+        // The literal the codec, plugin and store regression tests embed.
+        assert_eq!(
+            hostile,
+            [83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151]
+        );
+        assert_eq!(unpack(&hostile), Err(PackError::Truncated));
+        let mut out = Vec::new();
+        assert_eq!(
+            unpack_into(&hostile, &mut out, 4096),
+            Err(PackError::TooLarge {
+                raw_len: 1 << 40,
+                limit: 4096
+            })
+        );
+        assert_eq!(out.capacity(), 0, "nothing reserved");
+        // One chunk's worth of header over a body too short for it.
+        let one = bare_header(2, 0, 1, 2 * CHUNK_VALUES as u64);
+        assert_eq!(unpack(&one), Err(PackError::Truncated));
+    }
+
+    #[test]
+    fn unpack_into_reuses_the_buffer_and_holds_the_limit() {
+        let data: Vec<u8> = (0..(CHUNK_VALUES * 2 + 101))
+            .map(|i| (i % 251) as u8)
+            .collect();
+        for width in [1u8, 2] {
+            let p = pack(&data, width).unwrap();
+            // Dirty, exactly large enough: same allocation afterwards.
+            let mut out = vec![0xEE; data.len()];
+            let (ptr, cap) = (out.as_ptr(), out.capacity());
+            unpack_into(&p, &mut out, data.len()).unwrap();
+            assert_eq!(out, data);
+            assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap));
+            assert_eq!(
+                unpack_into(&p, &mut out, data.len() - 1),
+                Err(PackError::TooLarge {
+                    raw_len: data.len() as u64,
+                    limit: data.len() as u64 - 1
+                })
+            );
+        }
     }
 
     #[test]

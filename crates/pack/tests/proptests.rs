@@ -6,7 +6,7 @@
 //! silently wrong decode.
 
 use proptest::prelude::*;
-use sciml_pack::{pack, unpack, PackError, CHUNK_VALUES};
+use sciml_pack::{pack, unpack, unpack_into, PackError, CHUNK_VALUES};
 
 fn widths() -> impl Strategy<Value = u8> {
     prop_oneof![Just(1u8), Just(2u8)]
@@ -90,6 +90,41 @@ proptest! {
     #[test]
     fn garbage_input_never_panics(data in prop::collection::vec(any::<u8>(), 0..2048)) {
         let _ = unpack(&data);
+    }
+
+    /// A header whose three size fields say anything at all, CRC valid,
+    /// over a body far too short for most of them: an error or a decode
+    /// within the limit, and never a buffer sized from the header alone.
+    #[test]
+    fn header_size_fields_never_size_a_buffer(
+        width in widths(),
+        tail in 0u8..2,
+        n_chunks in prop_oneof![0u32..4, any::<u32>()],
+        raw_len in prop_oneof![0u64..(1 << 18), any::<u64>()],
+        body in prop::collection::vec(any::<u8>(), 0..64),
+        limit in prop_oneof![0usize..(1 << 18), Just(usize::MAX)],
+    ) {
+        let mut stream = b"SPAK".to_vec();
+        stream.extend_from_slice(&[1, width, tail, 0]);
+        stream.extend_from_slice(&n_chunks.to_le_bytes());
+        stream.extend_from_slice(&raw_len.to_le_bytes());
+        let crc = sciml_compress::crc32::crc32(&stream);
+        stream.extend_from_slice(&crc.to_le_bytes());
+        stream.extend_from_slice(&body);
+
+        let mut out = Vec::new();
+        let result = unpack_into(&stream, &mut out, limit);
+        // 64 body bytes hold at most three chunks.
+        let justified = (3 * CHUNK_VALUES * 2 + 1).min(limit).max(8);
+        prop_assert!(out.capacity() <= justified, "reserved {}", out.capacity());
+        match result {
+            Ok(()) => {
+                prop_assert_eq!(out.len() as u64, raw_len);
+                prop_assert!(out.len() <= limit);
+            }
+            Err(PackError::TooLarge { .. }) => prop_assert!(raw_len > limit as u64),
+            Err(_) => {}
+        }
     }
 
     #[test]

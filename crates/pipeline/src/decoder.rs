@@ -580,6 +580,31 @@ mod tests {
             }
         }
 
+        // A wire-v2 blob whose packed section is 24 bytes declaring a
+        // terabyte (`sciml_pack`'s regression stream): sized from, it
+        // aborted the process.
+        let mut hostile = b"DCMX".to_vec();
+        for field in [2u32, 4, 1, 1] {
+            hostile.extend_from_slice(&field.to_le_bytes());
+        }
+        hostile.extend_from_slice(&[1, 0, 0, 0, 0, 16, 0, 0, 0]);
+        hostile.extend_from_slice(&24u64.to_le_bytes());
+        hostile.extend_from_slice(&[
+            83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
+        ]);
+        hostile.extend_from_slice(&0u64.to_le_bytes());
+        for plugin in plugins {
+            for result in [
+                plugin.decode(&hostile).map(|_| ()),
+                plugin
+                    .decode_into(&hostile, &mut [F16::ZERO; 4])
+                    .map(|_| ()),
+            ] {
+                let err = result.expect_err(plugin.name());
+                assert!(err.to_string().contains("packed payload"), "{err}");
+            }
+        }
+
         let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(1);
         let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
         let (v1, v2) = (enc.to_bytes(), enc.to_bytes_packed());

@@ -11,8 +11,8 @@
 
 use crate::batch::{Batch, Label};
 use crate::decoder::DecoderPlugin;
-use crate::pool::BufferPool;
-use crate::source::SampleSource;
+use crate::pool::{BufferPool, PooledBytes};
+use crate::source::{SampleSource, Stored};
 use crate::stats::PipelineStats;
 use crate::{PipelineError, Result};
 use crossbeam_channel as channel;
@@ -251,6 +251,117 @@ fn decode_into_slot(
     }
 }
 
+/// One sample between a reader and a decode thread: its place in the
+/// schedule, the bytes the source left in a pool buffer, and — when
+/// those are an entry as stored — what finishes them.
+struct Fetched {
+    epoch: usize,
+    pos: usize,
+    idx: usize,
+    bytes: PooledBytes,
+    stored: Option<Stored>,
+}
+
+/// One decode thread.
+struct DecodeWorker {
+    plugin: Arc<dyn DecoderPlugin>,
+    stats: Arc<PipelineStats>,
+    tracer: Arc<Tracer>,
+    assembler: Arc<Assembler>,
+    cfg: PipelineConfig,
+}
+
+impl DecodeWorker {
+    /// A decode thread's whole item: every transformation of the
+    /// sample's bytes. An entry that arrived as stored is unpacked into
+    /// `raw`, this thread's buffer, and its own goes back to the pool;
+    /// then the plugin decodes into the sample's batch slot. A failed
+    /// unpack is the source's typed error, as if the reader had met it.
+    fn decode_item(
+        &self,
+        item: Fetched,
+        batch_id: usize,
+        slot: usize,
+        raw: &mut Vec<u8>,
+    ) -> Result<(Arc<BatchBuild>, Label)> {
+        let bytes = item.bytes;
+        let bytes: &[u8] = match item.stored {
+            Some(Stored {
+                unpack: Some(unpack),
+                raw_len,
+                ..
+            }) => {
+                let _span = self.tracer.span("pipeline", "unpack");
+                self.stats
+                    .unpack_ns
+                    .time(|| unpack(&bytes, raw, raw_len as usize))
+                    .inspect_err(|_| self.stats.fetch_errors.inc())?;
+                drop(bytes); // recycle the fetch buffer promptly
+                raw
+            }
+            _ => &bytes,
+        };
+        decode_into_slot(
+            &*self.plugin,
+            bytes,
+            &self.assembler,
+            item.epoch,
+            batch_id,
+            slot,
+        )
+        .inspect_err(|_| self.stats.decode_errors.inc())
+    }
+
+    /// Decodes items until the queue closes or the run ends in an
+    /// error, sending each batch this thread completes.
+    fn run(self, raw_rx: channel::Receiver<Fetched>, batch_tx: channel::Sender<Result<Batch>>) {
+        // One sample-sized buffer kept for the run: where entries that
+        // arrive as stored are unpacked.
+        let mut raw = Vec::new();
+        while let Ok(item) = raw_rx.recv() {
+            let (epoch, idx) = (item.epoch, item.idx);
+            let batch_id = item.pos / self.cfg.batch_size;
+            let slot = item.pos % self.cfg.batch_size;
+            let decoded = {
+                let _span = self.tracer.span("pipeline", "decode");
+                self.stats
+                    .decode_ns
+                    .time(|| self.decode_item(item, batch_id, slot, &mut raw))
+            };
+            let (build, label) = match decoded {
+                Ok(v) => v,
+                Err(e) => {
+                    let _ = batch_tx.send(Err(e));
+                    return;
+                }
+            };
+            let completed = {
+                let mut meta = build.meta.lock();
+                meta.labels[slot] = Some(label);
+                meta.indices[slot] = idx;
+                meta.filled += 1;
+                meta.filled == build.expected
+            };
+            if completed {
+                self.assembler.remove(epoch, batch_id);
+                if self.cfg.drop_remainder && build.expected < self.cfg.batch_size {
+                    // Epoch tail under drop_remainder: never emitted;
+                    // the tensor returns to the pool when the build
+                    // drops.
+                    continue;
+                }
+                let _span = self.tracer.span("pipeline", "batch");
+                let batch = build.finish();
+                self.stats.batches.inc();
+                if batch_tx.send(Ok(batch)).is_err() {
+                    return;
+                }
+                self.stats.batch_depth.set(batch_tx.len() as i64);
+            }
+        }
+    }
+}
+
 /// A running pipeline: iterate [`Pipeline::next_batch`] until `None`.
 pub struct Pipeline {
     rx: Option<channel::Receiver<Result<Batch>>>,
@@ -312,9 +423,8 @@ impl Pipeline {
         // `prefetch` undecoded samples and lets decoders run batches
         // ahead of a stalled reader, opening extra batch tensors. The
         // prefetch window proper is the decoded-batch queue below.
-        let (raw_tx, raw_rx) = channel::bounded::<(usize, usize, usize, crate::pool::PooledBytes)>(
-            cfg.prefetch.min(cfg.decode_threads).max(1),
-        );
+        let (raw_tx, raw_rx) =
+            channel::bounded::<Fetched>(cfg.prefetch.min(cfg.decode_threads).max(1));
         // Stage 3: assembled batches to the consumer. There is no
         // batcher thread: decode workers write samples into their batch
         // slot in place, and whichever worker completes a batch sends it.
@@ -347,7 +457,9 @@ impl Pipeline {
             }));
         }
 
-        // Reader threads: fetch bytes into recycled buffers.
+        // Reader threads: fetch bytes into recycled buffers, as the
+        // source holds them — a reader waits on I/O and checks what it
+        // read; the decode pool transforms it.
         for _ in 0..cfg.reader_threads {
             let idx_rx = idx_rx.clone();
             let raw_tx = raw_tx.clone();
@@ -358,19 +470,29 @@ impl Pipeline {
             let pool = Arc::clone(&pool);
             workers.push(std::thread::spawn(move || {
                 while let Ok((epoch, pos, idx)) = idx_rx.recv() {
-                    let mut buf = pool.checkout_bytes();
+                    let mut bytes = pool.checkout_bytes();
                     // Each fetch roots a fresh trace: a remote source
                     // sees the installed context and propagates it over
                     // the wire, so server-side spans join this trace.
                     let fetched = {
                         let _span = tracer.span_root("pipeline", "fetch");
-                        stats.fetch_ns.time(|| source.fetch_into(idx, &mut buf))
+                        stats
+                            .fetch_ns
+                            .time(|| source.fetch_stored_into(idx, &mut bytes))
                     };
                     match fetched {
-                        Ok(()) => {
-                            stats.bytes.add(buf.len() as u64);
+                        Ok(stored) => {
+                            let len = stored.map_or(bytes.len() as u64, |s| u64::from(s.raw_len));
+                            stats.bytes.add(len);
                             stats.samples.inc();
-                            if raw_tx.send((epoch, pos, idx, buf)).is_err() {
+                            let item = Fetched {
+                                epoch,
+                                pos,
+                                idx,
+                                bytes,
+                                stored,
+                            };
+                            if raw_tx.send(item).is_err() {
                                 return;
                             }
                             stats.raw_depth.set(raw_tx.len() as i64);
@@ -389,60 +511,20 @@ impl Pipeline {
         drop(idx_rx);
         drop(raw_tx);
 
-        // Decoder threads: decode straight into the sample's slot of its
-        // pooled batch tensor, then send the batch if it just completed.
+        // Decoder threads: unpack what arrived as stored, decode straight
+        // into the sample's slot of its pooled batch tensor, then send
+        // the batch if it just completed.
         for _ in 0..cfg.decode_threads {
             let raw_rx = raw_rx.clone();
             let batch_tx = batch_tx.clone();
-            let plugin = Arc::clone(&plugin);
-            let stats = Arc::clone(&stats);
-            let tracer = Arc::clone(&tracer);
-            let assembler = Arc::clone(&assembler);
-            let cfg = cfg.clone();
-            workers.push(std::thread::spawn(move || {
-                while let Ok((epoch, pos, idx, bytes)) = raw_rx.recv() {
-                    let batch_id = pos / cfg.batch_size;
-                    let slot = pos % cfg.batch_size;
-                    let decoded = {
-                        let _span = tracer.span("pipeline", "decode");
-                        stats.decode_ns.time(|| {
-                            decode_into_slot(&*plugin, &bytes, &assembler, epoch, batch_id, slot)
-                        })
-                    };
-                    drop(bytes); // recycle the fetch buffer promptly
-                    let (build, label) = match decoded {
-                        Ok(v) => v,
-                        Err(e) => {
-                            stats.decode_errors.inc();
-                            let _ = batch_tx.send(Err(e));
-                            return;
-                        }
-                    };
-                    let completed = {
-                        let mut meta = build.meta.lock();
-                        meta.labels[slot] = Some(label);
-                        meta.indices[slot] = idx;
-                        meta.filled += 1;
-                        meta.filled == build.expected
-                    };
-                    if completed {
-                        assembler.remove(epoch, batch_id);
-                        if cfg.drop_remainder && build.expected < cfg.batch_size {
-                            // Epoch tail under drop_remainder: never
-                            // emitted; the tensor returns to the pool
-                            // when the build drops.
-                            continue;
-                        }
-                        let _span = tracer.span("pipeline", "batch");
-                        let batch = build.finish();
-                        stats.batches.inc();
-                        if batch_tx.send(Ok(batch)).is_err() {
-                            return;
-                        }
-                        stats.batch_depth.set(batch_tx.len() as i64);
-                    }
-                }
-            }));
+            let worker = DecodeWorker {
+                plugin: Arc::clone(&plugin),
+                stats: Arc::clone(&stats),
+                tracer: Arc::clone(&tracer),
+                assembler: Arc::clone(&assembler),
+                cfg: cfg.clone(),
+            };
+            workers.push(std::thread::spawn(move || worker.run(raw_rx, batch_tx)));
         }
         drop(raw_rx);
         drop(batch_tx);
@@ -693,6 +775,136 @@ mod tests {
             err.to_string().contains("injected fetch failure"),
             "typed source error, got: {err}"
         );
+        let snap = tel.registry.snapshot();
+        assert_eq!(snap.counter("pipeline.fetch_errors"), 1);
+        assert_eq!(snap.counter("pipeline.decode_errors"), 0);
+    }
+
+    /// Hands every sample over as stored — each byte one higher than in
+    /// the sample — and notes which threads fetch and which unpack.
+    struct StoredFormSource {
+        inner: Arc<VecSource>,
+    }
+
+    static FETCHED_ON: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+    static UNPACKED_ON: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+
+    fn unpack_minus_one(stored: &[u8], out: &mut Vec<u8>, raw_len: usize) -> crate::Result<()> {
+        UNPACKED_ON.lock().push(std::thread::current().id());
+        if stored.len() != raw_len {
+            return Err(sciml_data::DataError::Format("stored entry lies about its length").into());
+        }
+        out.clear();
+        out.extend(stored.iter().map(|b| b.wrapping_sub(1)));
+        Ok(())
+    }
+
+    impl crate::source::SampleSource for StoredFormSource {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> crate::Result<()> {
+            self.inner.fetch_into(idx, buf)
+        }
+
+        fn fetch_stored_into(
+            &self,
+            idx: usize,
+            buf: &mut Vec<u8>,
+        ) -> crate::Result<Option<Stored>> {
+            FETCHED_ON.lock().push(std::thread::current().id());
+            self.inner.fetch_into(idx, buf)?;
+            buf.iter_mut().for_each(|b| *b = b.wrapping_add(1));
+            Ok(Some(Stored {
+                encoding: 0,
+                // An eighth sample's entry lies about its length.
+                raw_len: buf.len() as u32 + u32::from(idx == 7),
+                crc32: 0,
+                unpack: Some(unpack_minus_one),
+            }))
+        }
+
+        fn bytes_read(&self) -> u64 {
+            self.inner.bytes_read()
+        }
+    }
+
+    #[test]
+    fn stored_entries_are_unpacked_on_decode_threads_only() {
+        let tel = sciml_obs::Telemetry::new();
+        let plain = tiny_dataset(7);
+        let cfg = PipelineConfig {
+            batch_size: 7,
+            reader_threads: 2,
+            decode_threads: 2,
+            epochs: 3,
+            ..Default::default()
+        };
+        let plugin = || Arc::new(CosmoPluginCpu { op: Op::Log1p });
+        let want = Pipeline::launch(plain.clone(), plugin(), cfg.clone())
+            .unwrap()
+            .collect_all()
+            .unwrap()
+            .0;
+        let p = Pipeline::launch_with(
+            Arc::new(StoredFormSource { inner: plain }),
+            plugin(),
+            cfg,
+            tel.clone(),
+        )
+        .unwrap();
+        let (got, stats) = p.collect_all().unwrap();
+
+        // The same tensors, sample for sample.
+        let by_index = |batches: &[Batch]| {
+            let mut samples: Vec<(usize, usize, Vec<F16>)> = batches
+                .iter()
+                .flat_map(|b| {
+                    (0..b.len()).map(move |i| (b.epoch, b.indices[i], b.sample(i).to_vec()))
+                })
+                .collect();
+            samples.sort_by_key(|&(epoch, idx, _)| (epoch, idx));
+            samples
+        };
+        assert_eq!(by_index(&got), by_index(&want));
+
+        let (fetched_on, unpacked_on) = (FETCHED_ON.lock().clone(), UNPACKED_ON.lock().clone());
+        assert_eq!((fetched_on.len(), unpacked_on.len()), (21, 21));
+        assert!(
+            unpacked_on.iter().all(|t| !fetched_on.contains(t)),
+            "an unpack ran on a reader thread"
+        );
+        assert_eq!(stats.unpack_ns.count(), 21);
+        assert_eq!(stats.decode_ns.count(), 21);
+        // Each unpack span sits inside a decode span of its thread.
+        let events = tel.tracer.events();
+        let decodes: Vec<_> = events.iter().filter(|e| e.name == "decode").collect();
+        let unpacks: Vec<_> = events.iter().filter(|e| e.name == "unpack").collect();
+        assert_eq!(unpacks.len(), 21);
+        for u in unpacks {
+            assert!(
+                decodes.iter().any(|d| d.tid == u.tid
+                    && d.start_ns <= u.start_ns
+                    && u.start_ns + u.dur_ns <= d.start_ns + d.dur_ns),
+                "unpack span outside every decode span"
+            );
+        }
+
+        // An eighth sample, whose entry lies: the unpack's typed error
+        // ends the run from the decode thread, booked as a fetch error.
+        let tel = sciml_obs::Telemetry::disabled();
+        let p = Pipeline::launch_with(
+            Arc::new(StoredFormSource {
+                inner: tiny_dataset(8),
+            }),
+            plugin(),
+            PipelineConfig::default(),
+            tel.clone(),
+        )
+        .unwrap();
+        let err = p.collect_all().expect_err("the lying entry must surface");
+        assert!(err.to_string().contains("lies about its length"), "{err}");
         let snap = tel.registry.snapshot();
         assert_eq!(snap.counter("pipeline.fetch_errors"), 1);
         assert_eq!(snap.counter("pipeline.decode_errors"), 0);

@@ -36,17 +36,46 @@ pub trait SampleSource: Send + Sync {
     /// source that receives an owned sample may move it in instead.
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()>;
 
-    /// Sample `idx` in the form the source holds it on disk, integrity
-    /// already checked, or `None` when the source has no stored form
-    /// (the default). A copy that keeps the encoding — staging a packed
-    /// store — takes these bytes as they are instead of decoding and
-    /// encoding them again.
-    fn fetch_stored(&self, _idx: usize) -> Result<Option<StoredSample>> {
+    /// Fetches sample `idx` into `buf` as the source holds it, leaving
+    /// any transformation of the bytes to the caller's thread. `Some`
+    /// means `buf` holds the entry as stored, integrity already
+    /// checked, and [`Stored::unpack`] turns it into the sample;
+    /// `None` (the provided default, after a plain
+    /// [`SampleSource::fetch_into`]) means `buf` holds the sample.
+    /// Advances [`SampleSource::bytes_read`] by the sample's decoded
+    /// length either way.
+    ///
+    /// The pipeline's readers call this, so that they only wait on I/O
+    /// and the decode pool does the inflating; a copy that keeps the
+    /// encoding — staging a packed store — takes the stored bytes as
+    /// they are.
+    fn fetch_stored_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<Option<Stored>> {
+        self.fetch_into(idx, buf)?;
         Ok(None)
     }
 
     /// Total bytes read so far (for data-movement accounting).
     fn bytes_read(&self) -> u64;
+}
+
+/// Turns an entry's stored bytes into the sample: `(stored, out,
+/// raw_len)`, replacing the contents of `out` with exactly `raw_len`
+/// bytes or failing. A plain function of its arguments, so any thread
+/// can run it without a handle on the source.
+pub type Unpack = fn(&[u8], &mut Vec<u8>, usize) -> Result<()>;
+
+/// What a source's index records about an entry it handed over as
+/// stored ([`SampleSource::fetch_stored_into`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Stored {
+    /// Payload-encoding byte of the `.sshard` footer index.
+    pub encoding: u8,
+    /// Length of the sample once decoded.
+    pub raw_len: u32,
+    /// CRC-32 of the stored bytes.
+    pub crc32: u32,
+    /// Decodes the stored bytes; `None` where they are the sample.
+    pub unpack: Option<Unpack>,
 }
 
 /// One sample as a packed store holds it: the stored bytes and what the
@@ -79,8 +108,8 @@ impl<S: SampleSource + ?Sized> SampleSource for Arc<S> {
         (**self).fetch_into(idx, buf)
     }
 
-    fn fetch_stored(&self, idx: usize) -> Result<Option<StoredSample>> {
-        (**self).fetch_stored(idx)
+    fn fetch_stored_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<Option<Stored>> {
+        (**self).fetch_stored_into(idx, buf)
     }
 
     fn bytes_read(&self) -> u64 {

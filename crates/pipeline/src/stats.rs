@@ -20,17 +20,24 @@ pub struct PipelineStats {
     registry: Arc<MetricsRegistry>,
     /// Per-sample fetch latency, nanoseconds (`pipeline.fetch_ns`).
     pub fetch_ns: Arc<Histogram>,
-    /// Per-sample decode latency, nanoseconds (`pipeline.decode_ns`).
+    /// Per-sample time of a decode thread's whole item, nanoseconds
+    /// (`pipeline.decode_ns`): the unpack of an entry that arrived as
+    /// stored, then the plugin.
     pub decode_ns: Arc<Histogram>,
+    /// The unpack alone, one record per entry that arrived as stored,
+    /// nanoseconds (`pipeline.unpack_ns`); inside `decode_ns`.
+    pub unpack_ns: Arc<Histogram>,
     /// Consumer wait per batch, nanoseconds (`pipeline.wait_ns`).
     pub wait_ns: Arc<Histogram>,
     /// Samples fetched (`pipeline.samples`).
     pub samples: Arc<Counter>,
     /// Batches delivered (`pipeline.batches`).
     pub batches: Arc<Counter>,
-    /// Bytes fetched from the source (`pipeline.bytes`).
+    /// Decoded bytes of the samples fetched from the source
+    /// (`pipeline.bytes`).
     pub bytes: Arc<Counter>,
-    /// Source fetches that returned an error (`pipeline.fetch_errors`).
+    /// Source fetches that returned an error, on the reader or in the
+    /// unpack that finishes them (`pipeline.fetch_errors`).
     pub fetch_errors: Arc<Counter>,
     /// Decoder invocations that returned an error
     /// (`pipeline.decode_errors`).
@@ -68,6 +75,7 @@ impl PipelineStats {
             registry: Arc::clone(registry),
             fetch_ns: registry.histogram("pipeline.fetch_ns"),
             decode_ns: registry.histogram("pipeline.decode_ns"),
+            unpack_ns: registry.histogram("pipeline.unpack_ns"),
             wait_ns: registry.histogram("pipeline.wait_ns"),
             samples: registry.counter("pipeline.samples"),
             batches: registry.counter("pipeline.batches"),

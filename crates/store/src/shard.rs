@@ -32,7 +32,7 @@ use crate::{Result, StoreError};
 use rayon::prelude::*;
 use sciml_compress::crc32::{crc32, Crc32};
 use sciml_compress::Level;
-use sciml_pipeline::source::{SampleSource, StoredSample};
+use sciml_pipeline::source::{SampleSource, Stored, StoredSample};
 use std::fs::{self, File};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -411,11 +411,50 @@ pub fn pack_store(
     Ok(manifest)
 }
 
+/// The unpack half of a fetch: decodes `stored`, an entry's bytes as
+/// [`ShardReader::read_into`] left them, into `out`, replacing its
+/// contents. A function of its arguments alone, so it runs on whichever
+/// thread has the time. `raw_len`, from the index, is the capacity `out`
+/// is given and a hard limit on what either decoder may produce — an
+/// entry that lies about its size is a typed error, not an allocation —
+/// and the length the result must have.
+pub fn unpack_entry(
+    encoding: PayloadEncoding,
+    stored: &[u8],
+    out: &mut Vec<u8>,
+    raw_len: usize,
+) -> Result<()> {
+    out.clear();
+    match encoding {
+        PayloadEncoding::Raw => out.extend_from_slice(stored),
+        PayloadEncoding::Gzip => {
+            out.reserve(raw_len);
+            sciml_compress::gzip_decompress_into(stored, out, raw_len)?;
+        }
+        PayloadEncoding::Pack => sciml_pack::unpack_into(stored, out, raw_len)?,
+    }
+    if out.len() != raw_len {
+        return Err(StoreError::Malformed("decompressed length mismatch"));
+    }
+    Ok(())
+}
+
+/// [`unpack_entry`] for a gzip entry, as the function a [`Stored`]
+/// carries to the thread that runs it.
+fn unpack_gzip(stored: &[u8], out: &mut Vec<u8>, raw_len: usize) -> sciml_pipeline::Result<()> {
+    Ok(unpack_entry(PayloadEncoding::Gzip, stored, out, raw_len)?)
+}
+
+/// [`unpack_entry`] for a pack entry.
+fn unpack_pack(stored: &[u8], out: &mut Vec<u8>, raw_len: usize) -> sciml_pipeline::Result<()> {
+    Ok(unpack_entry(PayloadEncoding::Pack, stored, out, raw_len)?)
+}
+
 thread_local! {
-    /// Stored bytes of the gzip entry a fetch is inflating. Fetching
-    /// threads are long-lived readers, so each keeps one buffer the
-    /// size of its largest entry instead of allocating and zeroing one
-    /// per fetch.
+    /// Stored bytes of the gzip or pack entry a
+    /// [`ShardReader::fetch_into`] is unpacking. Fetching threads are
+    /// long-lived, so each keeps one buffer the size of its largest
+    /// entry instead of allocating and zeroing one per fetch.
     static STORED_SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -630,56 +669,41 @@ impl ShardReader {
     }
 
     /// [`ShardReader::fetch`] into a caller-provided buffer, replacing
-    /// its contents. A raw entry is read and CRC-checked in `buf`
-    /// itself, and a gzip entry is read into the calling thread's
-    /// scratch and inflated straight into `buf` with the index's
-    /// `raw_len` as both its capacity and a hard limit, so a recycled
-    /// buffer is never reallocated and an entry that lies about its
-    /// size is a typed error, not an allocation. On error the contents
-    /// of `buf` are unspecified.
+    /// its contents: the read of [`ShardReader::read_into`], then — for
+    /// a gzip or pack entry, read into the calling thread's scratch
+    /// instead — [`unpack_entry`] into `buf`, whose capacity is the
+    /// index's `raw_len` and is never exceeded, so a recycled buffer is
+    /// never reallocated. On error the contents of `buf` are
+    /// unspecified.
     pub fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         let entry = self.entry(idx)?;
-        let raw_len = entry.raw_len as usize;
-        let stored_len = entry.stored_len as usize;
-        match entry.encoding {
-            PayloadEncoding::Raw => {
-                buf.resize(stored_len, 0);
-                return self.read_stored(idx, entry, buf);
-            }
-            PayloadEncoding::Gzip => STORED_SCRATCH.with(|scratch| {
-                let mut stored = scratch.borrow_mut();
-                stored.resize(stored_len, 0);
-                self.read_stored(idx, entry, &mut stored)?;
-                buf.clear();
-                buf.reserve(raw_len);
-                sciml_compress::gzip_decompress_into(&stored, buf, raw_len)?;
-                Ok::<(), StoreError>(())
-            })?,
-            PayloadEncoding::Pack => {
-                buf.resize(stored_len, 0);
-                self.read_stored(idx, entry, buf)?;
-                *buf = sciml_pack::unpack(buf)?;
-            }
+        if entry.encoding == PayloadEncoding::Raw {
+            return self.read_stored(idx, entry, buf);
         }
-        if buf.len() != raw_len {
-            return Err(StoreError::Malformed("decompressed length mismatch"));
-        }
-        Ok(())
+        STORED_SCRATCH.with(|scratch| {
+            let mut stored = scratch.borrow_mut();
+            self.read_stored(idx, entry, &mut stored)?;
+            unpack_entry(entry.encoding, &stored, buf, entry.raw_len as usize)
+        })
     }
 
-    /// Local sample `idx` as the shard stores it — the bytes, checked
-    /// against the index CRC but not decoded, with the encoding, raw
-    /// length and CRC the index records for them. [`assemble_shard`]
-    /// takes such entries as they are.
-    pub fn read_entry(&self, idx: usize) -> Result<StoredSample> {
+    /// The read half of a fetch: local sample `idx` as the shard stores
+    /// it — `pread` into `buf`, replacing its contents, and the check
+    /// against the index CRC — with what the index records about it and
+    /// the [`unpack_entry`] that finishes it. [`assemble_shard`] takes
+    /// such an entry as it is.
+    pub fn read_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<Stored> {
         let entry = self.entry(idx)?;
-        let mut stored = vec![0u8; entry.stored_len as usize];
-        self.read_stored(idx, entry, &mut stored)?;
-        Ok(StoredSample {
+        self.read_stored(idx, entry, buf)?;
+        Ok(Stored {
             encoding: entry.encoding.as_byte(),
             raw_len: entry.raw_len,
             crc32: entry.crc32,
-            stored,
+            unpack: match entry.encoding {
+                PayloadEncoding::Raw => None,
+                PayloadEncoding::Gzip => Some(unpack_gzip),
+                PayloadEncoding::Pack => Some(unpack_pack),
+            },
         })
     }
 
@@ -691,9 +715,11 @@ impl ShardReader {
         })
     }
 
-    /// Reads `entry`'s stored bytes into `stored` (already sized to
-    /// `stored_len`) and checks them against the index CRC.
-    fn read_stored(&self, idx: usize, entry: &IndexEntry, stored: &mut [u8]) -> Result<()> {
+    /// Reads `entry`'s stored bytes into `stored`, replacing its
+    /// contents, and checks them against the index CRC: the one read
+    /// every entry point shares.
+    fn read_stored(&self, idx: usize, entry: &IndexEntry, stored: &mut Vec<u8>) -> Result<()> {
+        stored.resize(entry.stored_len as usize, 0);
         self.file.read_exact_at(stored, entry.offset).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 StoreError::Truncated("shard body")
@@ -716,7 +742,6 @@ impl ShardReader {
     pub fn verify(&self) -> Result<()> {
         let mut stored = Vec::new();
         for (idx, entry) in self.index.iter().enumerate() {
-            stored.resize(entry.stored_len as usize, 0);
             self.read_stored(idx, entry, &mut stored)?;
         }
         Ok(())
@@ -887,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn read_entry_returns_the_stored_bytes_the_writer_was_given() {
+    fn read_then_unpack_is_fetch_and_returns_what_the_writer_was_given() {
         let dir = tmp_dir("entry");
         for choice in [
             EncodingChoice::Raw,
@@ -898,13 +923,117 @@ mod tests {
             let written = entries(&samples(), choice);
             let meta = write_shard(&dir, 0, &written, 0, choice).unwrap();
             let r = ShardReader::open(dir.join(&meta.file)).unwrap();
-            for (i, want) in written.iter().enumerate() {
-                assert_eq!(&r.read_entry(i).unwrap(), want, "{choice} entry {i}");
+            let (mut buf, mut out) = (vec![0xEE; 50], vec![0xEE; 5000]);
+            for (i, (want, sample)) in written.iter().zip(samples()).enumerate() {
+                let got = r.read_into(i, &mut buf).unwrap();
+                assert_eq!(
+                    (got.encoding, got.raw_len, got.crc32, &buf),
+                    (want.encoding, want.raw_len, want.crc32, &want.stored),
+                    "{choice} entry {i}"
+                );
+                let encoding = PayloadEncoding::from_byte(got.encoding).unwrap();
+                assert_eq!(got.unpack.is_none(), encoding == PayloadEncoding::Raw);
+                unpack_entry(encoding, &buf, &mut out, sample.len()).unwrap();
+                assert_eq!(out, sample, "{choice} entry {i}");
+                if let Some(unpack) = got.unpack {
+                    out.fill(0xEE);
+                    unpack(&buf, &mut out, sample.len()).unwrap();
+                    assert_eq!(out, sample, "{choice} entry {i}");
+                }
             }
             assert!(matches!(
-                r.read_entry(written.len()),
+                r.read_into(written.len(), &mut buf),
                 Err(StoreError::OutOfRange { .. })
             ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_encoding_decodes_into_the_buffer_it_was_given() {
+        // The pack arm used to replace the caller's buffer with a fresh
+        // vector every fetch.
+        let dir = tmp_dir("recycle");
+        let sample: Vec<u8> = (0..40_000u32).map(|i| (i / 97) as u8).collect();
+        for choice in [
+            EncodingChoice::Raw,
+            EncodingChoice::Gzip,
+            EncodingChoice::Pack,
+        ] {
+            let written = entries(std::slice::from_ref(&sample), choice);
+            let meta = write_shard(&dir, 0, &written, 0, choice).unwrap();
+            let r = ShardReader::open(dir.join(&meta.file)).unwrap();
+            assert_eq!(r.encoding(0).map(|e| e.name()), Some(choice.name()));
+            let mut buf = Vec::new();
+            r.fetch_into(0, &mut buf).unwrap();
+            assert_eq!(buf, sample);
+            let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+            buf.fill(0xEE);
+            r.fetch_into(0, &mut buf).unwrap();
+            assert_eq!(buf, sample);
+            assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap), "{choice}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn entries_that_lie_under_a_valid_crc_are_typed_errors() {
+        // Each entry's index CRC is right, so the read passes and the
+        // unpack must catch it, reserving nothing beyond `raw_len`.
+        let dir = tmp_dir("hostile");
+        let honest = vec![7u8; 4096];
+        let gz = sciml_compress::gzip_compress(&honest, Level::Fast);
+        let mut corrupt_body = gz.clone();
+        corrupt_body[gz.len() / 2] ^= 0x10;
+        // 2^24 chunks and a terabyte, in a pack header whose own CRC is
+        // right (`sciml_pack`'s regression stream).
+        let pack_header = vec![
+            83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
+        ];
+        let gzip = PayloadEncoding::Gzip.as_byte();
+        let hostile = [
+            (gzip, 4096, corrupt_body),
+            (gzip, 4095, gz.clone()),
+            (gzip, 4097, gz),
+            (PayloadEncoding::Pack.as_byte(), 64, pack_header),
+        ]
+        .map(|(encoding, raw_len, stored)| StoredSample {
+            encoding,
+            raw_len,
+            crc32: crc32(&stored),
+            stored,
+        });
+        let meta = write_shard(&dir, 0, &hostile, 0, EncodingChoice::Auto).unwrap();
+        let r = ShardReader::open(dir.join(&meta.file)).unwrap();
+        r.verify().unwrap();
+        let mut stored = Vec::new();
+        for (i, entry) in hostile.iter().enumerate() {
+            let mut out = Vec::new();
+            let err = r.fetch_into(i, &mut out).unwrap_err();
+            let want = match i {
+                0 => matches!(err, StoreError::Compression(_)),
+                1 => matches!(
+                    err,
+                    StoreError::Compression(sciml_compress::Error::OutputLimit)
+                ),
+                2 => matches!(err, StoreError::Malformed(_)),
+                _ => matches!(
+                    err,
+                    StoreError::Pack(sciml_pack::PackError::TooLarge { limit: 64, .. })
+                ),
+            };
+            assert!(want, "entry {i}: {err:?}");
+            assert!(out.capacity() <= entry.raw_len as usize, "entry {i}");
+            // The deferred form of the same fetch: the read succeeds,
+            // the entry's own unpack fails.
+            let got = r.read_into(i, &mut stored).unwrap();
+            assert_eq!(stored, entry.stored);
+            let unpack = got.unpack.expect("not raw");
+            let err = unpack(&stored, &mut out, got.raw_len as usize).unwrap_err();
+            assert!(
+                matches!(err, sciml_pipeline::PipelineError::Storage(_)),
+                "entry {i}: {err:?}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

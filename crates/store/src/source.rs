@@ -7,7 +7,7 @@ use crate::shard::{file_crc32, PayloadEncoding, ShardReader};
 use crate::stager::Shared;
 use crate::{Result, StoreError};
 use sciml_obs::{Counter, Histogram, Telemetry};
-use sciml_pipeline::source::{SampleSource, StoredSample};
+use sciml_pipeline::source::{SampleSource, Stored};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -116,14 +116,23 @@ impl ShardSource {
         let started = Instant::now();
         let (reader, local) = self.locate(idx)?;
         reader.fetch_into(local, buf)?;
-        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.account(started, buf.len() as u64, reader.encoding(local));
+        Ok(())
+    }
+
+    /// Books one entry read since `started`: `raw_len` decoded bytes
+    /// into `bytes_read`, the `store.fetch.*` instruments, and the
+    /// entry's `store.decode.*` counter — at read time, whichever
+    /// thread unpacks it later.
+    fn account(&self, started: Instant, raw_len: u64, encoding: Option<PayloadEncoding>) {
+        self.read.fetch_add(raw_len, Ordering::Relaxed);
         if let Some(h) = &self.fetch_us {
             h.record(started.elapsed().as_micros() as u64);
         }
         if let Some(c) = &self.fetches {
             c.inc();
         }
-        if let (Some(decoded), Some(enc)) = (&self.decoded, reader.encoding(local)) {
+        if let (Some(decoded), Some(enc)) = (&self.decoded, encoding) {
             let slot = match enc {
                 PayloadEncoding::Raw => &decoded[0],
                 PayloadEncoding::Gzip => &decoded[1],
@@ -131,7 +140,6 @@ impl ShardSource {
             };
             slot.inc();
         }
-        Ok(())
     }
 
     /// Verifies the whole store: each shard file's CRC against the
@@ -163,12 +171,16 @@ impl SampleSource for ShardSource {
         Ok(self.fetch_verified_into(idx, buf)?)
     }
 
-    fn fetch_stored(&self, idx: usize) -> sciml_pipeline::Result<Option<StoredSample>> {
+    fn fetch_stored_into(
+        &self,
+        idx: usize,
+        buf: &mut Vec<u8>,
+    ) -> sciml_pipeline::Result<Option<Stored>> {
+        let started = Instant::now();
         let (reader, local) = self.locate(idx)?;
-        let entry = reader.read_entry(local)?;
-        self.read
-            .fetch_add(entry.stored.len() as u64, Ordering::Relaxed);
-        Ok(Some(entry))
+        let stored = reader.read_into(local, buf)?;
+        self.account(started, u64::from(stored.raw_len), reader.encoding(local));
+        Ok(Some(stored))
     }
 
     fn bytes_read(&self) -> u64 {
@@ -215,6 +227,27 @@ impl StagingSource {
     /// [`StagingSource::fetch_verified`] into a caller-provided buffer,
     /// replacing its contents.
     fn fetch_verified_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
+        self.route(
+            idx,
+            buf,
+            |reader, local, buf| reader.fetch_into(local, buf),
+            |backing, buf| backing.fetch_into(idx, buf),
+        )?;
+        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Runs one fetch of global sample `idx` where it can be served:
+    /// `staged` against the local reader of a staged shard, with the
+    /// sample's index in it, else `fall_through` against the backing
+    /// source.
+    fn route<T>(
+        &self,
+        idx: usize,
+        buf: &mut Vec<u8>,
+        staged: impl FnOnce(&ShardReader, usize, &mut Vec<u8>) -> Result<T>,
+        fall_through: impl FnOnce(&dyn SampleSource, &mut Vec<u8>) -> sciml_pipeline::Result<T>,
+    ) -> Result<T> {
         let total = self.shared.total_samples() as usize;
         let shard = self
             .shared
@@ -224,20 +257,17 @@ impl StagingSource {
             let started = Instant::now();
             let reader = self.shared.reader(shard)?;
             let local = idx as u64 - self.shared.plans[shard].first;
-            reader.fetch_into(local as usize, buf)?;
+            let got = staged(&reader, local as usize, buf)?;
             self.shared
                 .metrics
                 .fetch_us
                 .record(started.elapsed().as_micros() as u64);
             self.shared.metrics.local_hits.inc();
+            Ok(got)
         } else {
             self.shared.metrics.fallthrough.inc();
-            self.backing
-                .fetch_into(idx, buf)
-                .map_err(StoreError::Backing)?;
+            fall_through(&*self.backing, buf).map_err(StoreError::Backing)
         }
-        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        Ok(())
     }
 }
 
@@ -248,6 +278,25 @@ impl SampleSource for StagingSource {
 
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
         Ok(self.fetch_verified_into(idx, buf)?)
+    }
+
+    /// A staged shard answers from its local reader; anything else is
+    /// the backing's own answer, so a fall-through to a packed origin
+    /// is handed over as stored too.
+    fn fetch_stored_into(
+        &self,
+        idx: usize,
+        buf: &mut Vec<u8>,
+    ) -> sciml_pipeline::Result<Option<Stored>> {
+        let stored = self.route(
+            idx,
+            buf,
+            |reader, local, buf| reader.read_into(local, buf).map(Some),
+            |backing, buf| backing.fetch_stored_into(idx, buf),
+        )?;
+        let raw_len = stored.map_or(buf.len() as u64, |s| u64::from(s.raw_len));
+        self.read.fetch_add(raw_len, Ordering::Relaxed);
+        Ok(stored)
     }
 
     fn bytes_read(&self) -> u64 {
@@ -330,24 +379,52 @@ mod tests {
 
     #[test]
     fn staging_source_mixes_local_and_fallthrough() {
-        let dir = tmp_dir("mix");
         let samples = blobs(12);
-        let backing: Arc<dyn SampleSource> = Arc::new(VecSource::new(samples.clone()));
-        let stager = Stager::new(
-            Arc::clone(&backing),
-            plan_by_count(12, 4),
-            &dir,
-            StagerConfig::default(),
-        )
-        .unwrap();
-        // Stage only the first of three shards.
-        assert_eq!(stager.stage_one().unwrap(), Some(0));
-        let src = stager.source();
-        for (i, want) in samples.iter().enumerate() {
-            assert_eq!(&SampleSource::fetch(&src, i).unwrap(), want, "sample {i}");
+        let origin_dir = tmp_dir("mix_origin");
+        let gzip = PackConfig {
+            target_shard_bytes: 1500,
+            encoding: crate::EncodingChoice::Gzip,
+            ..PackConfig::default()
+        };
+        pack_store(&VecSource::new(samples.clone()), &origin_dir, gzip).unwrap();
+        let origin: Arc<dyn SampleSource> = Arc::new(ShardSource::open(&origin_dir).unwrap());
+        // A source with no stored form, and a gzip store: a fall-through
+        // to the second hands over the origin's entry as stored.
+        for (tag, backing) in [
+            ("mix_vec", Arc::new(VecSource::new(samples.clone())) as _),
+            ("mix_gzip", origin),
+        ] {
+            let dir = tmp_dir(tag);
+            let stager = Stager::new(
+                Arc::clone(&backing),
+                plan_by_count(12, 4),
+                &dir,
+                StagerConfig::default(),
+            )
+            .unwrap();
+            // Stage only the first of three shards.
+            assert_eq!(stager.stage_one().unwrap(), Some(0));
+            let src = stager.source();
+            let (mut buf, mut raw) = (Vec::new(), Vec::new());
+            for (i, want) in samples.iter().enumerate() {
+                assert_eq!(&SampleSource::fetch(&src, i).unwrap(), want, "sample {i}");
+                let stored = src.fetch_stored_into(i, &mut buf).unwrap();
+                assert_eq!(stored.is_some(), i < 4 || tag == "mix_gzip", "sample {i}");
+                let got = match stored.and_then(|s| s.unpack) {
+                    Some(unpack) => {
+                        unpack(&buf, &mut raw, want.len()).unwrap();
+                        &raw
+                    }
+                    None => &buf,
+                };
+                assert_eq!(got, want, "{tag}: stored form of sample {i}");
+            }
+            assert_eq!(src.local_hits(), 8);
+            assert_eq!(src.fallthroughs(), 16);
+            let total: u64 = samples.iter().map(|s| s.len() as u64).sum();
+            assert_eq!(src.bytes_read(), 2 * total);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        assert_eq!(src.local_hits(), 4);
-        assert_eq!(src.fallthroughs(), 8);
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&origin_dir).ok();
     }
 }

@@ -27,7 +27,7 @@ use crate::{Result, StoreError};
 use parking_lot::{Condvar, Mutex};
 use sciml_compress::Level;
 use sciml_obs::{Counter, Gauge, Histogram, MetricsRegistry, Telemetry};
-use sciml_pipeline::source::{SampleSource, StoredSample};
+use sciml_pipeline::source::{SampleSource, Stored, StoredSample};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -159,7 +159,7 @@ pub struct StagerConfig {
     /// Payload encoding for staged shards. `None` mirrors each plan's
     /// encoding (what the exporting store was packed with): a backing
     /// that offers its stored entries
-    /// ([`SampleSource::fetch_stored`]) has them copied as they are,
+    /// ([`SampleSource::fetch_stored_into`]) has them copied as they are,
     /// any other is fetched and encoded under the plan's policy. `Some`
     /// overrides the policy for every shard, so every entry is fetched
     /// and encoded again.
@@ -570,10 +570,12 @@ impl Stager {
     }
 
     /// The entries of one planned shard, and how many of them are the
-    /// backing's own stored bytes. Mirroring (no configured override) a
-    /// backing that has a stored form takes each entry as it is — no
-    /// inflate, no trial, no deflate — provided `encoding` could have
-    /// produced it; everything else is fetched decoded and encoded
+    /// backing's own stored bytes. Each is read from the backing once
+    /// ([`SampleSource::fetch_stored_into`]). Mirroring (no configured
+    /// override), an entry that arrives as stored is taken as it is —
+    /// no inflate, no trial, no deflate — provided `encoding` could
+    /// have produced it; everything else is unpacked from the bytes
+    /// just read, where they are not the sample already, and encoded
     /// here.
     fn shard_entries(
         &self,
@@ -584,26 +586,38 @@ impl Stager {
         let backing = &self.inner.backing;
         let mut entries = Vec::with_capacity(plan.count as usize);
         let mut verbatim = 0u64;
+        // Stays with this loop when an entry is unpacked out of it; any
+        // other entry leaves with the buffer it was read into.
+        let mut buf = Vec::new();
+        let admitted = |s: &Stored| {
+            config.encoding.is_none()
+                && PayloadEncoding::from_byte(s.encoding)
+                    .is_some_and(|stored| encoding.admits(stored))
+        };
         for idx in plan.first..plan.first + plan.count {
-            let idx = idx as usize;
-            let stored = if config.encoding.is_none() {
-                let entry = backing.fetch_stored(idx).map_err(StoreError::Backing)?;
-                entry.filter(|e| {
-                    PayloadEncoding::from_byte(e.encoding)
-                        .is_some_and(|stored| encoding.admits(stored))
-                })
-            } else {
-                None
-            };
+            let stored = backing
+                .fetch_stored_into(idx as usize, &mut buf)
+                .map_err(StoreError::Backing)?;
             entries.push(match stored {
-                Some(entry) => {
+                Some(s) if admitted(&s) => {
                     verbatim += 1;
-                    entry
+                    StoredSample {
+                        encoding: s.encoding,
+                        raw_len: s.raw_len,
+                        crc32: s.crc32,
+                        stored: std::mem::take(&mut buf),
+                    }
                 }
-                None => {
-                    let raw = backing.fetch(idx).map_err(StoreError::Backing)?;
+                Some(Stored {
+                    unpack: Some(unpack),
+                    raw_len,
+                    ..
+                }) => {
+                    let mut raw = Vec::new();
+                    unpack(&buf, &mut raw, raw_len as usize).map_err(StoreError::Backing)?;
                     encode_entry(raw, encoding, config.level)?
                 }
+                _ => encode_entry(std::mem::take(&mut buf), encoding, config.level)?,
             });
         }
         Ok((entries, verbatim))

@@ -3,7 +3,7 @@
 //! store staged from stored entries or re-encoded, are the files the
 //! one-thread, decode-and-encode-again writer produced. Plus the
 //! contract of the read that makes verbatim staging possible:
-//! `SampleSource::fetch_stored`.
+//! `SampleSource::fetch_stored_into`.
 
 mod reference;
 
@@ -186,15 +186,37 @@ fn replanned_and_overridden_staging_is_what_the_sequential_writer_staged() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&origin_dir).ok();
 
-    // An override re-encodes everything, stored form or not.
+    // An override re-encodes everything, stored form or not — from one
+    // read of each backing entry, which `bytes_read` counts decoded.
+    let blob_bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
+    for stored_as in [EncodingChoice::Gzip, EncodingChoice::Pack] {
+        let (origin_dir, store) = origin("override_packed", &blobs, stored_as);
+        let plans = store.manifest().plans();
+        let groups: Vec<usize> = plans.iter().map(|p| p.count as usize).collect();
+        let (dir, progress) = run(store.clone(), plans, Some(EncodingChoice::Raw), "unpacked");
+        assert_eq!(
+            (progress.verbatim_entries, progress.reencoded_entries),
+            (0, 8)
+        );
+        assert_eq!(
+            store.bytes_read(),
+            blob_bytes,
+            "{stored_as}: each entry once"
+        );
+        let want = reference::store_of(&blobs, &groups, EncodingChoice::Raw, Level::Fast);
+        assert_store_is(&dir, &want, "raw over a packed store");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&origin_dir).ok();
+    }
     let (origin_dir, store) = origin("override_origin", &blobs, EncodingChoice::Raw);
     let plans = store.manifest().plans();
     let groups: Vec<usize> = plans.iter().map(|p| p.count as usize).collect();
-    let (dir, progress) = run(store, plans, Some(EncodingChoice::Gzip), "override");
+    let (dir, progress) = run(store.clone(), plans, Some(EncodingChoice::Gzip), "override");
     assert_eq!(
         (progress.verbatim_entries, progress.reencoded_entries),
         (0, 8)
     );
+    assert_eq!(store.bytes_read(), blob_bytes, "each entry once");
     let want = reference::store_of(&blobs, &groups, EncodingChoice::Gzip, Level::Fast);
     assert_store_is(&dir, &want, "gzip over raw");
     std::fs::remove_dir_all(&dir).ok();
@@ -209,11 +231,12 @@ fn replanned_and_overridden_staging_is_what_the_sequential_writer_staged() {
             ..p
         })
         .collect();
-    let (dir, progress) = run(store, plans, None, "disagree");
+    let (dir, progress) = run(store.clone(), plans, None, "disagree");
     assert_eq!(
         (progress.verbatim_entries, progress.reencoded_entries),
         (0, 8)
     );
+    assert_eq!(store.bytes_read(), blob_bytes, "each entry once");
     let want = reference::store_of(&blobs, &[4, 4], EncodingChoice::Gzip, Level::Fast);
     assert_store_is(&dir, &want, "gzip plan over raw store");
     std::fs::remove_dir_all(&dir).ok();
@@ -238,33 +261,51 @@ fn only_a_packed_store_offers_stored_entries() {
     let (origin_dir, store) = origin("contract", &blobs, EncodingChoice::Auto);
 
     // Through the concrete type, the `Arc<S>` forwarder and a trait
-    // object: the same entry, which decodes to the sample.
+    // object: the same entry in the caller's buffer, which its own
+    // `unpack` — and the decoder named by its encoding byte — turn into
+    // the sample.
     let as_arc: Arc<ShardSource> = store.clone();
     let as_dyn: Arc<dyn SampleSource> = store.clone();
+    let nested = Arc::new(as_dyn.clone());
+    let views: [&dyn SampleSource; 4] = [&*store, &as_arc, &as_dyn, &nested];
+    let mut direct = Vec::new();
+    let mut buf = vec![0xEE; 64];
+    let mut raw = Vec::new();
     for (i, blob) in blobs.iter().enumerate() {
-        let direct = ShardSource::fetch_stored(&store, i).unwrap().unwrap();
-        assert_eq!(
-            SampleSource::fetch_stored(&as_arc, i).unwrap().as_ref(),
-            Some(&direct)
-        );
-        assert_eq!(as_dyn.fetch_stored(i).unwrap().as_ref(), Some(&direct));
-        assert_eq!(
-            Arc::new(as_dyn.clone()).fetch_stored(i).unwrap(),
-            Some(direct.clone())
-        );
+        let entry = ShardSource::fetch_stored_into(&store, i, &mut direct)
+            .unwrap()
+            .unwrap();
+        assert_eq!(entry.raw_len as usize, blob.len());
+        assert_eq!(entry.crc32, sciml_compress::crc32::crc32(&direct));
+        for view in views {
+            let got = view.fetch_stored_into(i, &mut buf).unwrap().unwrap();
+            assert_eq!(
+                (got.encoding, got.raw_len, got.crc32, &buf),
+                (entry.encoding, entry.raw_len, entry.crc32, &direct)
+            );
+        }
 
-        assert_eq!(direct.raw_len as usize, blob.len());
-        assert_eq!(direct.crc32, sciml_compress::crc32::crc32(&direct.stored));
-        let decoded = match PayloadEncoding::from_byte(direct.encoding).unwrap() {
-            PayloadEncoding::Raw => direct.stored,
-            PayloadEncoding::Gzip => sciml_compress::gzip_decompress(&direct.stored).unwrap(),
-            PayloadEncoding::Pack => sciml_pack::unpack(&direct.stored).unwrap(),
+        let decoded = match PayloadEncoding::from_byte(entry.encoding).unwrap() {
+            PayloadEncoding::Raw => direct.clone(),
+            PayloadEncoding::Gzip => sciml_compress::gzip_decompress(&direct).unwrap(),
+            PayloadEncoding::Pack => sciml_pack::unpack(&direct).unwrap(),
         };
         assert_eq!(&decoded, blob);
+        match entry.unpack {
+            Some(unpack) => {
+                unpack(&direct, &mut raw, blob.len()).unwrap();
+                assert_eq!(&raw, blob);
+            }
+            None => assert_eq!(entry.encoding, PayloadEncoding::Raw.as_byte()),
+        }
     }
-    assert!(store.fetch_stored(blobs.len()).is_err(), "out of range");
+    assert!(
+        store.fetch_stored_into(blobs.len(), &mut buf).is_err(),
+        "out of range"
+    );
 
-    // Sources with no stored form say so.
+    // Sources with no stored form hand over the sample and say so; the
+    // staging view answers for whichever store serves the fetch.
     let vec = VecSource::new(blobs.clone());
     let files_dir = tmp_dir("contract_files");
     let files = DirSource::write_all(&files_dir, &blobs).unwrap();
@@ -276,12 +317,21 @@ fn only_a_packed_store_offers_stored_entries() {
         StagerConfig::default(),
     )
     .unwrap();
-    stager.run().unwrap();
     let staging = stager.source();
-    for i in 0..blobs.len() {
-        assert_eq!(vec.fetch_stored(i).unwrap(), None);
-        assert_eq!(files.fetch_stored(i).unwrap(), None);
-        assert_eq!(staging.fetch_stored(i).unwrap(), None);
+    for staged in [false, true] {
+        for (i, blob) in blobs.iter().enumerate() {
+            assert!(vec.fetch_stored_into(i, &mut buf).unwrap().is_none());
+            assert_eq!(&buf, blob);
+            assert!(files.fetch_stored_into(i, &mut buf).unwrap().is_none());
+            assert_eq!(&buf, blob);
+            let entry = staging.fetch_stored_into(i, &mut buf).unwrap().unwrap();
+            store.fetch_stored_into(i, &mut direct).unwrap();
+            assert_eq!((entry.raw_len as usize, &buf), (blob.len(), &direct));
+        }
+        let n = blobs.len() as u64;
+        let want = if staged { (n, n) } else { (0, n) };
+        assert_eq!((staging.local_hits(), staging.fallthroughs()), want);
+        stager.run().unwrap();
     }
     for dir in [origin_dir, files_dir, staging_dir] {
         std::fs::remove_dir_all(&dir).ok();

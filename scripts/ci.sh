@@ -126,6 +126,21 @@ cargo test --release -q -p sciml-codec --lib -- deepcam::decode_differential::
 cargo test --release -q -p sciml-codec --lib -- \
     --ignored --exact deepcam::decode_differential::decode_speed --nocapture
 
+stage "unpack placement (one reader, the decode pool inflates)"
+# A reader thread reads and CRC-checks a stored entry; a decode thread
+# inflates it. Nothing but this stage notices if the inflate moves back:
+# a gzip store of 16 x 512 KiB low-ratio samples behind one reader must
+# read at least 1.4x faster with two decode threads than with one
+# (interleaved, best of seven; measured 1.85x), asserted only when the
+# control row — two bare threads inflating the same blobs at 1.7x one or
+# better — says both vCPUs were there, printed as skipped otherwise.
+# Prints the two-decoder run's own account (`pipeline.fetch_ns` /
+# `unpack_ns` / `decode_ns` p50 and the sampler's bottleneck) and checks
+# that `pipeline.unpack_ns` counts every sample of the gzip store and
+# none of a raw one.
+cargo test --release -q --test unpack_placement -- \
+    --ignored --exact decode_pool_inflates_what_one_reader_reads --nocapture
+
 stage "baseline op speed (and all 2^32 arguments of the bulk log1p at every tier)"
 # `Op::Log1p.narrow_into` is one safe loop the compiler vectorises once
 # per tier; nothing but this stage notices if it stops. The timing test

@@ -132,11 +132,20 @@ fn platform_profile_sizes_match_real_sample_shapes() {
 
 /// The `SampleSource` contract, checked on one source: `fetch_into`
 /// replaces the contents of a dirty, longer, recycled buffer with
-/// exactly what `fetch` returns; each call advances `bytes_read()` by
-/// the sample's length, once; an out-of-range index is a typed error.
-fn check_source_contract(name: &str, src: &dyn SampleSource, want: &[Vec<u8>]) {
+/// exactly what `fetch` returns; `fetch_stored_into` leaves either that
+/// (`None`) or the entry as stored, CRC-checked, with the `unpack` that
+/// turns it into that — `Some` exactly where `has_stored_form`; each
+/// call advances `bytes_read()` by the sample's decoded length, once;
+/// an out-of-range index is a typed error.
+fn check_source_contract(
+    name: &str,
+    src: &dyn SampleSource,
+    want: &[Vec<u8>],
+    has_stored_form: bool,
+) {
     assert_eq!(src.len(), want.len(), "{name}");
     let mut buf = Vec::new();
+    let mut unpacked = Vec::new();
     for (i, sample) in want.iter().enumerate() {
         buf.clear();
         buf.resize(4096, 0xEE);
@@ -156,23 +165,55 @@ fn check_source_contract(name: &str, src: &dyn SampleSource, want: &[Vec<u8>]) {
             sample.len() as u64,
             "{name}: {i}"
         );
+
+        buf.clear();
+        buf.resize(4096, 0xEE);
+        let before = src.bytes_read();
+        let stored = src
+            .fetch_stored_into(i, &mut buf)
+            .unwrap_or_else(|e| panic!("{name}: fetch_stored_into({i}): {e}"));
+        assert_eq!(stored.is_some(), has_stored_form, "{name}: {i}");
+        if let Some(s) = stored {
+            assert_eq!(s.raw_len as usize, sample.len(), "{name}: {i}");
+            assert_eq!(s.crc32, sciml_compress::crc32::crc32(&buf), "{name}: {i}");
+        }
+        let got = match stored.and_then(|s| s.unpack) {
+            Some(unpack) => {
+                unpacked.clear();
+                unpacked.resize(4096, 0xEE);
+                unpack(&buf, &mut unpacked, sample.len()).unwrap();
+                &unpacked
+            }
+            None => &buf,
+        };
+        assert_eq!(got, sample, "{name}: fetch_stored_into({i})");
+        assert_eq!(
+            src.bytes_read() - before,
+            sample.len() as u64,
+            "{name}: {i}, decoded bytes whatever the stored form"
+        );
     }
-    let before = src.bytes_read();
-    let err = src
-        .fetch_into(want.len(), &mut buf)
+    for stored_form in [false, true] {
+        let before = src.bytes_read();
+        let err = if stored_form {
+            src.fetch_stored_into(want.len(), &mut buf).map(|_| ())
+        } else {
+            src.fetch_into(want.len(), &mut buf)
+        }
         .expect_err("index == len must be refused");
-    assert!(
-        matches!(
-            err,
-            PipelineError::Source(_) | PipelineError::Storage(_) | PipelineError::Remote(_)
-        ),
-        "{name}: {err:?}"
-    );
-    assert_eq!(
-        src.bytes_read(),
-        before,
-        "{name}: a refused fetch reads nothing"
-    );
+        assert!(
+            matches!(
+                err,
+                PipelineError::Source(_) | PipelineError::Storage(_) | PipelineError::Remote(_)
+            ),
+            "{name}: {err:?}"
+        );
+        assert_eq!(
+            src.bytes_read(),
+            before,
+            "{name}: a refused fetch reads nothing"
+        );
+    }
 }
 
 /// Every source implements the one data method the same way.
@@ -189,18 +230,19 @@ fn every_source_honours_the_fetch_into_contract() {
     let vec_source = || Arc::new(VecSource::new(samples.clone())) as Arc<dyn SampleSource>;
     let root = std::env::temp_dir().join(format!("sciml_contract_{}", std::process::id()));
 
-    check_source_contract("VecSource", &VecSource::new(samples.clone()), &samples);
+    let vec = VecSource::new(samples.clone());
+    check_source_contract("VecSource", &vec, &samples, false);
 
     let dir = DirSource::write_all(root.join("dir"), &samples).unwrap();
-    check_source_contract("DirSource", &dir, &samples);
+    check_source_contract("DirSource", &dir, &samples, false);
 
     let cache = MemoryCacheSource::new(vec_source(), u64::MAX);
     let n = samples.len() as u64;
-    check_source_contract("MemoryCacheSource, cold", &cache, &samples);
-    // Per index one miss then one hit; the refused index is a miss.
-    assert_eq!((cache.hits(), cache.misses()), (n, n + 1));
-    check_source_contract("MemoryCacheSource, warm", &cache, &samples);
-    assert_eq!((cache.hits(), cache.misses()), (3 * n, n + 2));
+    check_source_contract("MemoryCacheSource, cold", &cache, &samples, false);
+    // Per index one miss then two hits; a refused index is a miss.
+    assert_eq!((cache.hits(), cache.misses()), (2 * n, n + 2));
+    check_source_contract("MemoryCacheSource, warm", &cache, &samples, false);
+    assert_eq!((cache.hits(), cache.misses()), (5 * n, n + 4));
 
     let pack = PackConfig {
         target_shard_bytes: 1500,
@@ -209,23 +251,38 @@ fn every_source_honours_the_fetch_into_contract() {
     };
     let manifest = pack_store(&VecSource::new(samples.clone()), &root.join("store"), pack).unwrap();
     assert!(manifest.shards.len() > 1);
-    let store = ShardSource::open(root.join("store")).unwrap();
-    check_source_contract("ShardSource", &store, &samples);
+    let store = Arc::new(ShardSource::open(root.join("store")).unwrap());
+    check_source_contract("ShardSource", &*store, &samples, true);
+    // The `Arc<S>` forwarder hands the stored form on, as a trait
+    // object too; a cache holds decoded samples and says so.
+    let shared: Arc<dyn SampleSource> = store.clone();
+    check_source_contract("Arc<ShardSource>", &store, &samples, true);
+    check_source_contract("Arc<dyn SampleSource>", &shared, &samples, true);
+    let cache = MemoryCacheSource::new(shared.clone(), u64::MAX);
+    check_source_contract("MemoryCacheSource over a store", &cache, &samples, false);
 
-    for (name, stage_all) in [
-        ("StagingSource, falling through", false),
-        ("StagingSource, staged", true),
+    // A staged shard answers from its local copy; a fall-through is the
+    // backing's own answer.
+    for (name, backing, stage_all, has_stored_form) in [
+        ("StagingSource, falling through", vec_source(), false, false),
+        (
+            "StagingSource, falling through to a store",
+            shared,
+            false,
+            true,
+        ),
+        ("StagingSource, staged", vec_source(), true, true),
     ] {
         let stager = Stager::new(
-            vec_source(),
+            backing,
             manifest.plans(),
-            root.join(format!("staged_{stage_all}")),
+            root.join(format!("staged_{stage_all}_{has_stored_form}")),
             StagerConfig::default(),
         )
         .unwrap();
         while stage_all && stager.stage_one().unwrap().is_some() {}
         let src = stager.source();
-        check_source_contract(name, &src, &samples);
+        check_source_contract(name, &src, &samples, has_stored_form);
         let (local, fell) = (src.local_hits(), src.fallthroughs());
         assert_eq!((local == 0, fell == 0), (!stage_all, stage_all), "{name}");
     }
@@ -236,9 +293,9 @@ fn every_source_honours_the_fetch_into_contract() {
         .unwrap();
     let addr = server.local_addr().to_string();
     let remote = RemoteSource::connect(addr.clone(), "demo").unwrap();
-    check_source_contract("RemoteSource", &remote, &samples);
+    check_source_contract("RemoteSource", &remote, &samples, false);
     let cluster = ClusterSource::connect(addr, "demo").unwrap();
-    check_source_contract("ClusterSource", &cluster, &samples);
+    check_source_contract("ClusterSource", &cluster, &samples, false);
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
