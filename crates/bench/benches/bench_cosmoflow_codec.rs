@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use sciml_bench::bench_cosmo_sample;
 use sciml_codec::cosmoflow as cf;
 use sciml_codec::Op;
+use sciml_half::F16;
 
 fn bench(c: &mut Criterion) {
     let sample = bench_cosmo_sample();
@@ -23,8 +24,15 @@ fn bench(c: &mut Criterion) {
     g.bench_function("decode_fused_log1p", |b| {
         b.iter(|| cf::decode(&encoded, Op::Log1p).unwrap())
     });
-    g.bench_function("decode_fused_parallel", |b| {
-        b.iter(|| cf::decode_parallel(&encoded, Op::Log1p).unwrap())
+    // What the pipeline's plugin does per sample: wire bytes, borrowed,
+    // into a recycled tensor slot.
+    let wire = encoded.to_bytes();
+    let mut slot = vec![F16::ZERO; sample.counts.len()];
+    g.bench_function("decode_from_wire", |b| {
+        b.iter(|| {
+            let view = cf::CosmoView::parse(&wire).unwrap();
+            cf::decode_view_into(&view, Op::Log1p, &mut slot).unwrap()
+        })
     });
     g.bench_function("baseline_per_voxel_log1p", |b| {
         b.iter(|| cf::baseline_preprocess(&sample, Op::Log1p))

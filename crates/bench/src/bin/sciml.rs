@@ -417,7 +417,7 @@ fn bench_decode(args: &[String]) -> Result<(), String> {
                 "cosmoflow fused log1p decode",
                 n,
                 Box::new(move || {
-                    cf::decode_parallel(&enc, Op::Log1p).expect("decode");
+                    cf::decode(&enc, Op::Log1p).expect("decode");
                 }),
             )
         }

@@ -5,40 +5,31 @@
 //! tensor with a pure gather. The gather writes all four channel slots
 //! of a voxel from one table row — fusing the storage→training-layout
 //! transpose into the decompression, as §X describes.
+//!
+//! One implementation, over a [`CosmoView`], and one level of
+//! parallelism: a caller that wants both cores busy decodes two samples
+//! at once (the pipeline's decode pool does), it never forks inside
+//! one. Every sample the generators, the benchmark and the examples
+//! make is one chunk (64³ is 5 436 groups of a 65 536-group key space),
+//! so a fork over chunks had nothing to split.
 
-use super::{EncodedCosmo, KeyWidth};
+use super::{CosmoView, EncodedCosmo, Table};
 use crate::ops::{Op, OpCounter};
 use crate::CodecError;
-use rayon::prelude::*;
 use sciml_data::cosmoflow::N_REDSHIFTS;
 use sciml_half::F16;
+use std::cell::RefCell;
 
 /// Decodes with the fused operator into channel-major FP16.
 pub fn decode(enc: &EncodedCosmo, op: Op) -> Result<Vec<F16>, CodecError> {
     let mut out = vec![F16::ZERO; enc.voxels() * N_REDSHIFTS];
-    decode_impl(enc, op, None, false, &mut out)?;
+    decode_into(enc, op, &mut out)?;
     Ok(out)
 }
 
-/// [`decode`] into a caller-provided slice, which must be exactly
-/// `voxels × N_REDSHIFTS` long (a typed error otherwise, never a
-/// panic). Every slot is written; callers may pass recycled buffers.
+/// [`decode_view_into`] over an owned sample.
 pub fn decode_into(enc: &EncodedCosmo, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
-    decode_impl(enc, op, None, false, out)
-}
-
-/// Decode with rayon parallelism across chunks (one task per chunk, the
-/// unit the paper's localized tables create).
-pub fn decode_parallel(enc: &EncodedCosmo, op: Op) -> Result<Vec<F16>, CodecError> {
-    let mut out = vec![F16::ZERO; enc.voxels() * N_REDSHIFTS];
-    decode_impl(enc, op, None, true, &mut out)?;
-    Ok(out)
-}
-
-/// [`decode_parallel`] into a caller-provided slice (same length
-/// contract as [`decode_into`]).
-pub fn decode_parallel_into(enc: &EncodedCosmo, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
-    decode_impl(enc, op, None, true, out)
+    decode_view_into(&enc.view(), op, out)
 }
 
 /// Decode while counting operator applications (to verify the fusion
@@ -49,177 +40,157 @@ pub fn decode_with_counter(
     counter: &OpCounter,
 ) -> Result<Vec<F16>, CodecError> {
     let mut out = vec![F16::ZERO; enc.voxels() * N_REDSHIFTS];
-    decode_impl(enc, op, Some(counter), false, &mut out)?;
+    decode_counted(&enc.view(), op, Some(counter), &mut out)?;
     Ok(out)
 }
 
-fn decode_impl(
-    enc: &EncodedCosmo,
-    op: Op,
-    counter: Option<&OpCounter>,
-    parallel: bool,
-    out: &mut [F16],
-) -> Result<(), CodecError> {
-    let voxels = enc.voxels();
-    let covered: u64 = enc.chunks.iter().map(|c| c.n_voxels as u64).sum();
-    if covered != voxels as u64 {
-        return Err(CodecError::Inconsistent("chunks do not cover grid"));
-    }
-    if out.len() != voxels * N_REDSHIFTS {
-        return Err(CodecError::Inconsistent("output slice length mismatch"));
-    }
+/// Decodes a full sample into a caller-provided slice, which must be
+/// exactly [`CosmoView::n_values`] long (a typed error otherwise, never
+/// a panic). Every slot is written; callers may pass recycled buffers.
+pub fn decode_view_into(view: &CosmoView<'_>, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
+    decode_counted(view, op, None, out)
+}
 
-    // Split the output into per-channel slices so chunk tasks can write
-    // disjoint column ranges without aliasing.
-    let mut channels: Vec<&mut [F16]> = out.chunks_mut(voxels).collect();
+/// Localized chunks have tight count ranges; 2^15 entries (128 KiB of
+/// scratch) is far beyond any real chunk but still cheap.
+const DENSE_RANGE_MAX: usize = 1 << 15;
 
-    let decode_chunk = |chunk: &super::CosmoChunk,
-                        start: usize,
-                        chans: &mut [&mut [F16]]|
-     -> Result<(), CodecError> {
-        // Fused op on the *unique count values* of this chunk (§V-B:
-        // "complex preprocessing operations … are applied to the unique
-        // set of values within the sample" — hundreds of applications
-        // instead of millions). The memo is a flat LUT indexed directly
-        // by count value over the chunk's [lo, hi] range — no hashing,
-        // no searching — with a sorted-run sweep as the fallback when
-        // the value range is too wide to materialize.
-        let apply = |count: u16| -> F16 {
-            let x = count as f32;
-            let y = match counter {
-                Some(c) => c.apply(op, x),
-                None => op.apply(x),
-            };
-            F16::from_f32(y)
-        };
-        // lint:allow(no_alloc_hot_loop): per-chunk unique-value LUT (§V-B); bounded by table size, amortized over millions of voxels
-        let mut lut: Vec<[F16; N_REDSHIFTS]> = vec![[F16::ZERO; N_REDSHIFTS]; chunk.table.len()];
+/// What a chunk's decode builds before its gather. A decode thread is
+/// long-lived and its chunks are of a size, so each keeps one set grown
+/// to its largest chunk instead of allocating and zeroing one per chunk.
+struct Scratch {
+    /// The chunk's table with the operator applied, one row a group.
+    lut: Vec<[F16; N_REDSHIFTS]>,
+    /// Dense memo over the chunk's `[lo, hi]` count range.
+    memo: Vec<Option<F16>>,
+    /// `(count, lut slot)` pairs of the wide-range fallback.
+    entries: Vec<(u16, u32)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            lut: Vec::new(),
+            memo: Vec::new(),
+            entries: Vec::new(),
+        })
+    };
+}
+
+impl Scratch {
+    /// Fills `lut` with the fused op on the *unique count values* of
+    /// one chunk's table (§V-B: "complex preprocessing operations … are
+    /// applied to the unique set of values within the sample" —
+    /// hundreds of applications instead of millions), one row a group.
+    /// The memo is a flat LUT indexed directly by count value over the
+    /// chunk's `[lo, hi]` range — no hashing, no searching — with a
+    /// sorted-run sweep as the fallback when the value range is too
+    /// wide to materialize.
+    fn fill_lut(&mut self, table: Table<'_>, apply: impl Fn(u16) -> F16) {
+        let Self { lut, memo, entries } = self;
+        lut.clear();
         let (mut lo, mut hi) = (u16::MAX, u16::MIN);
-        for g in &chunk.table {
-            for &c in g {
+        table.for_each(|g| {
+            for c in g {
                 lo = lo.min(c);
                 hi = hi.max(c);
             }
-        }
-        // Localized chunks have tight count ranges; 2^15 entries (96 KiB
-        // of scratch) is far beyond any real chunk but still cheap.
-        const DENSE_RANGE_MAX: usize = 1 << 15;
-        if chunk.table.is_empty() {
-            // Nothing to map; an empty table with voxels is caught by
-            // the key-range check below.
+        });
+        if lo > hi {
+            // No groups, nothing to map: a chunk with voxels and no
+            // table failed the key-range check before it got here.
         } else if ((hi - lo) as usize) < DENSE_RANGE_MAX {
-            let range = (hi - lo) as usize + 1;
-            // lint:allow(no_alloc_hot_loop): per-chunk dense memo, capped at 2^15 entries
-            let mut memo = vec![F16::ZERO; range];
-            // lint:allow(no_alloc_hot_loop): per-chunk dense memo, capped at 2^15 entries
-            let mut seen = vec![false; range];
-            for (gi, g) in chunk.table.iter().enumerate() {
-                for (z, &c) in g.iter().enumerate() {
-                    let o = (c - lo) as usize;
-                    if !seen[o] {
-                        seen[o] = true;
-                        memo[o] = apply(c);
-                    }
-                    lut[gi][z] = memo[o];
-                }
-            }
+            memo.clear();
+            memo.resize((hi - lo) as usize + 1, None);
+            table.for_each(|g| {
+                lut.push(g.map(|c| *memo[(c - lo) as usize].get_or_insert_with(|| apply(c))));
+            });
         } else {
             // Wide-range fallback: sort (value, slot) pairs and sweep
             // equal-value runs, applying the op once per run.
-            // lint:allow(no_alloc_hot_loop): wide-range fallback, once per chunk and bounded by table size
-            let mut entries: Vec<(u16, u32)> = Vec::with_capacity(chunk.table.len() * N_REDSHIFTS);
-            for (gi, g) in chunk.table.iter().enumerate() {
-                for (z, &count) in g.iter().enumerate() {
-                    entries.push((count, (gi * N_REDSHIFTS + z) as u32));
+            entries.clear();
+            table.for_each(|g| {
+                for count in g {
+                    entries.push((count, entries.len() as u32));
                 }
-            }
+            });
             entries.sort_unstable();
-            let mut i = 0;
-            while i < entries.len() {
-                let count = entries[i].0;
-                let h = apply(count);
-                while i < entries.len() && entries[i].0 == count {
-                    let slot = entries[i].1 as usize;
-                    lut[slot / N_REDSHIFTS][slot % N_REDSHIFTS] = h;
-                    i += 1;
+            lut.resize(table.len(), [F16::ZERO; N_REDSHIFTS]);
+            for run in entries.chunk_by(|a, b| a.0 == b.0) {
+                let h = apply(run[0].0);
+                for &(_, slot) in run {
+                    lut[slot as usize / N_REDSHIFTS][slot as usize % N_REDSHIFTS] = h;
                 }
             }
-        }
-        let n = chunk.n_voxels as usize;
-        if chunk.keys.len() != n * chunk.key_width.bytes() {
-            return Err(CodecError::Corrupt("key payload size"));
-        }
-        // Validate every key up front with a vectorizable max-scan, so
-        // the gather below needs no per-voxel fallible branch.
-        let max_key = match chunk.key_width {
-            KeyWidth::U8 => chunk.keys.iter().copied().max().map(usize::from),
-            KeyWidth::U16 => chunk
-                .keys
-                .chunks_exact(2)
-                .map(|b| u16::from_le_bytes([b[0], b[1]]) as usize)
-                .max(),
-        };
-        if max_key.is_some_and(|m| m >= lut.len()) {
-            return Err(CodecError::Corrupt("key out of table range"));
-        }
-        // Single-pass gather: one key decode per voxel, one LUT row
-        // copy, four channel writes — dispatched across the runtime
-        // SIMD tiers (scalar keeps the zipped bounds-check-free loop;
-        // the vector paths transpose rows to planar in registers). The
-        // up-front max-key validation above is the safety contract the
-        // unchecked vector indexing relies on.
-        if let [c0, c1, c2, c3] = chans {
-            super::gather::gather_into(
-                chunk.key_width,
-                &chunk.keys,
-                &lut,
-                &mut c0[start..start + n],
-                &mut c1[start..start + n],
-                &mut c2[start..start + n],
-                &mut c3[start..start + n],
-            );
-        } else {
-            for v in 0..n {
-                let row = &lut[chunk.key(v)];
-                for (z, chan) in chans.iter_mut().enumerate() {
-                    chan[start + v] = row[z];
-                }
-            }
-        }
-        Ok(())
-    };
-
-    if parallel && enc.chunks.len() > 1 {
-        // Parallelize across chunks: each task owns a disjoint column
-        // range of all four channels. Split the channel slices by chunk.
-        let mut per_chunk: Vec<Vec<&mut [F16]>> = (0..enc.chunks.len())
-            .map(|_| Vec::new()) // lint:allow(no_alloc_hot_loop): per-decode slice scaffolding for the parallel split
-            .collect();
-        for chan in channels.drain(..) {
-            let mut rest = chan;
-            for (ci, c) in enc.chunks.iter().enumerate() {
-                let (head, tail) = rest.split_at_mut(c.n_voxels as usize);
-                per_chunk[ci].push(head);
-                rest = tail;
-            }
-        }
-        enc.chunks
-            .par_iter()
-            .zip(per_chunk.par_iter_mut())
-            .try_for_each(|(chunk, chans)| {
-                // Start is 0 within the pre-split slices.
-                decode_chunk(chunk, 0, chans)
-            })?;
-    } else {
-        // Chunk start offsets only matter on this path; the parallel
-        // branch pre-splits the channels instead.
-        let mut start = 0usize;
-        for chunk in &enc.chunks {
-            decode_chunk(chunk, start, &mut channels)?;
-            start += chunk.n_voxels as usize;
         }
     }
-    Ok(())
+}
+
+fn decode_counted(
+    view: &CosmoView<'_>,
+    op: Op,
+    counter: Option<&OpCounter>,
+    out: &mut [F16],
+) -> Result<(), CodecError> {
+    // No parser lets one through, but the fields of an owned sample
+    // are public.
+    if view.grid == 0 {
+        return Err(CodecError::Corrupt("zero grid"));
+    }
+    let voxels = view.voxels();
+    let mut covered = 0u64;
+    for chunk in view.chunks() {
+        covered += chunk?.n_voxels as u64;
+    }
+    if covered != voxels as u64 {
+        return Err(CodecError::Inconsistent("chunks do not cover grid"));
+    }
+    if out.len() != view.n_values() {
+        return Err(CodecError::Inconsistent("output slice length mismatch"));
+    }
+    let apply = |count: u16| -> F16 {
+        let x = count as f32;
+        let y = match counter {
+            Some(c) => c.apply(op, x),
+            None => op.apply(x),
+        };
+        F16::from_f32(y)
+    };
+    // The four channel planes: a chunk writes the same voxel range of
+    // each.
+    let (c0, rest) = out.split_at_mut(voxels);
+    let (c1, rest) = rest.split_at_mut(voxels);
+    let (c2, c3) = rest.split_at_mut(voxels);
+
+    SCRATCH.with_borrow_mut(|scratch| {
+        let mut start = 0usize;
+        view.chunks().try_for_each(|chunk| {
+            let chunk = chunk?;
+            // Every key up front, so the gather below needs no
+            // per-voxel fallible branch.
+            chunk.check_keys()?;
+            scratch.fill_lut(chunk.table, apply);
+            // Single-pass gather: one key decode per voxel, one LUT row
+            // copy, four channel writes — dispatched across the runtime
+            // SIMD tiers (scalar keeps the zipped bounds-check-free
+            // loop; the vector paths transpose rows to planar in
+            // registers). `check_keys` above is the safety contract the
+            // unchecked vector indexing relies on: `fill_lut` left one
+            // row a group of the table it checked against.
+            let end = start + chunk.n_voxels as usize;
+            super::gather::gather_into(
+                chunk.key_width,
+                chunk.keys,
+                &scratch.lut,
+                &mut c0[start..end],
+                &mut c1[start..end],
+                &mut c2[start..end],
+                &mut c3[start..end],
+            );
+            start = end;
+            Ok(())
+        })
+    })
 }
 
 /// Losslessly reconstructs the original u16 counts (channel-major).
@@ -302,8 +273,6 @@ mod tests {
         let mut out = vec![F16::ONE; want.len()];
         decode_into(&e, Op::Log1p, &mut out).unwrap();
         assert_eq!(out, want);
-        decode_parallel_into(&e, Op::Log1p, &mut out).unwrap();
-        assert_eq!(out, want);
         // Short and oversized slices: typed error, no panic, no write.
         for bad in [want.len() - 1, want.len() + 1, 0] {
             let mut wrong = vec![F16::ZERO; bad];
@@ -312,16 +281,6 @@ mod tests {
                 Err(CodecError::Inconsistent(_))
             ));
         }
-    }
-
-    #[test]
-    fn parallel_decode_matches_sequential() {
-        let s = small();
-        let e = encode(&s);
-        assert_eq!(
-            decode(&e, Op::Log1p).unwrap(),
-            decode_parallel(&e, Op::Log1p).unwrap()
-        );
     }
 
     #[test]

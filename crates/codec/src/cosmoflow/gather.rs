@@ -8,10 +8,11 @@
 //! interleaved→planar transpose in registers instead of four scattered
 //! u16 stores per voxel.
 //!
-//! Caller contract (upheld by `decode_impl`, which validates the max
-//! key against the LUT length before dispatching): every key indexes
-//! inside `lut`, and all four destination slices have exactly one slot
-//! per key. The kernels rely on this to skip per-voxel bounds checks.
+//! Caller contract (upheld by `decode_view_into`, which validates the
+//! max key against the table length before dispatching): every key
+//! indexes inside `lut`, and all four destination slices have exactly
+//! one slot per key. The kernels rely on this to skip per-voxel bounds
+//! checks.
 
 use sciml_data::cosmoflow::N_REDSHIFTS;
 use sciml_half::F16;
@@ -28,7 +29,7 @@ const _: () = assert!(N_REDSHIFTS == 4 && std::mem::size_of::<[F16; N_REDSHIFTS]
 ///
 /// # Panics
 /// Debug-asserts the caller contract (key count matches destination
-/// lengths); release builds rely on `decode_impl`'s validation.
+/// lengths); release builds rely on `decode_view_into`'s validation.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn gather_into(
     key_width: KeyWidth,

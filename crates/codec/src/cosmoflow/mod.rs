@@ -25,9 +25,14 @@ mod decode;
 mod encode;
 mod gather;
 
-pub use decode::{
-    decode, decode_counts, decode_into, decode_parallel, decode_parallel_into, decode_with_counter,
-};
+#[cfg(test)]
+#[path = "tests/decode_differential.rs"]
+mod decode_differential;
+#[cfg(test)]
+#[path = "tests/reference_decode.rs"]
+mod reference_decode;
+
+pub use decode::{decode, decode_counts, decode_into, decode_view_into, decode_with_counter};
 pub use encode::{
     baseline_preprocess, baseline_preprocess_into, baseline_preprocess_with,
     baseline_preprocess_with_counter, encode,
@@ -66,6 +71,14 @@ impl KeyWidth {
             1 => Ok(KeyWidth::U8),
             2 => Ok(KeyWidth::U16),
             _ => Err(CodecError::Corrupt("bad key width")),
+        }
+    }
+
+    /// Groups a table may hold: the key space.
+    fn max_groups(self) -> usize {
+        match self {
+            KeyWidth::U8 => 256,
+            KeyWidth::U16 => 65536,
         }
     }
 }
@@ -114,9 +127,9 @@ const MAGIC: &[u8; 4] = b"CFLX";
 const VERSION: u32 = 1;
 
 impl EncodedCosmo {
-    /// Voxels per channel.
+    /// Voxels per channel (saturating, like [`CosmoView::voxels`]).
     pub fn voxels(&self) -> usize {
-        (self.grid as usize).pow(3)
+        voxels_of(self.grid)
     }
 
     /// Total unique groups across chunks.
@@ -168,8 +181,176 @@ impl EncodedCosmo {
         out
     }
 
-    /// Parses the wire format, validating chunk coverage and key ranges.
+    /// Parses the wire format into an owned sample: [`CosmoView::parse`]'s
+    /// checks, then every chunk's key range, then the copies. A blob
+    /// that is only decoded can stay borrowed.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
+        let view = CosmoView::parse(data)?;
+        // Grown as chunks are read, never reserved from the header's
+        // count.
+        let mut chunks = Vec::new();
+        for chunk in view.chunks() {
+            let chunk = chunk?;
+            chunk.check_keys()?;
+            let mut table = Vec::with_capacity(chunk.table.len());
+            chunk.table.for_each(|g| table.push(g));
+            chunks.push(CosmoChunk {
+                n_voxels: chunk.n_voxels,
+                key_width: chunk.key_width,
+                table,
+                keys: chunk.keys.to_vec(),
+            });
+        }
+        Ok(EncodedCosmo {
+            grid: view.grid,
+            label: view.label,
+            chunks,
+        })
+    }
+
+    /// The sample as the decoder reads it, borrowed.
+    pub fn view(&self) -> CosmoView<'_> {
+        CosmoView {
+            grid: self.grid,
+            label: self.label,
+            chunks: Chunks::Owned(&self.chunks),
+        }
+    }
+}
+
+/// Wire bytes of one table group.
+const GROUP_BYTES: usize = 2 * N_REDSHIFTS;
+
+/// `grid³`, saturating where it overflows `usize`: a count no chunk
+/// list or buffer can match.
+fn voxels_of(grid: u32) -> usize {
+    (grid as usize).saturating_pow(3)
+}
+
+/// Reads the chunk at `*pos` where it lies: fixed fields, table, keys.
+/// The keys are sized, not read: [`ChunkView::check_keys`].
+fn wire_chunk<'a>(data: &'a [u8], pos: &mut usize) -> Result<ChunkView<'a>, CodecError> {
+    let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
+    let n_voxels = crate::wire::le_u32(take(pos, 4)?);
+    let key_width = KeyWidth::from_code(take(pos, 1)?[0])?;
+    let n_groups = crate::wire::le_u32(take(pos, 4)?) as usize;
+    if n_groups == 0 || n_groups > key_width.max_groups() {
+        return Err(CodecError::Corrupt("group count vs key width"));
+    }
+    let table = take(pos, n_groups * GROUP_BYTES)?;
+    let key_bytes = (n_voxels as usize)
+        .checked_mul(key_width.bytes())
+        .ok_or(CodecError::Truncated)?;
+    let keys = take(pos, key_bytes)?;
+    Ok(ChunkView {
+        n_voxels,
+        key_width,
+        table: Table::Wire(table),
+        keys,
+    })
+}
+
+/// A chunk's lookup table: the wire's eight bytes a group, or a
+/// [`CosmoChunk`]'s parsed groups.
+#[derive(Debug, Clone, Copy)]
+enum Table<'a> {
+    /// Wire form, a whole number of groups ([`wire_chunk`] sized it).
+    Wire(&'a [u8]),
+    Groups(&'a [[u16; N_REDSHIFTS]]),
+}
+
+impl Table<'_> {
+    /// Groups in the table.
+    fn len(self) -> usize {
+        match self {
+            Table::Wire(bytes) => bytes.len() / GROUP_BYTES,
+            Table::Groups(groups) => groups.len(),
+        }
+    }
+
+    /// Calls `f` with every group in key order.
+    fn for_each(self, mut f: impl FnMut([u16; N_REDSHIFTS])) {
+        match self {
+            Table::Wire(bytes) => {
+                for g in bytes.chunks_exact(GROUP_BYTES) {
+                    f(std::array::from_fn(|z| crate::wire::le_u16(&g[2 * z..])));
+                }
+            }
+            Table::Groups(groups) => groups.iter().for_each(|&g| f(g)),
+        }
+    }
+}
+
+/// One chunk as the decoder reads it: the table and the keys lent from
+/// the wire blob or the [`CosmoChunk`] that holds them.
+#[derive(Debug, Clone, Copy)]
+struct ChunkView<'a> {
+    n_voxels: u32,
+    key_width: KeyWidth,
+    table: Table<'a>,
+    keys: &'a [u8],
+}
+
+impl ChunkView<'_> {
+    /// The one key-range check, and the contract the gather's unchecked
+    /// indexing relies on: the keys are one a voxel and the largest of
+    /// them indexes inside the table. A vectorizable max-scan, so the
+    /// gather needs no per-voxel fallible branch.
+    fn check_keys(&self) -> Result<(), CodecError> {
+        let n = self.n_voxels as usize;
+        if n.checked_mul(self.key_width.bytes()) != Some(self.keys.len()) {
+            return Err(CodecError::Corrupt("key payload size"));
+        }
+        // Folded in the key's own width: the shape the compiler turns
+        // into a vector max.
+        let max_key = match self.key_width {
+            KeyWidth::U8 => self.keys.iter().copied().fold(0, u8::max) as usize,
+            KeyWidth::U16 => self
+                .keys
+                .chunks_exact(2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]]))
+                .fold(0, u16::max) as usize,
+        };
+        if n > 0 && max_key >= self.table.len() {
+            return Err(CodecError::Corrupt("key out of table range"));
+        }
+        Ok(())
+    }
+}
+
+/// A view's chunk list: the wire's chunks back to back, or an
+/// [`EncodedCosmo`]'s parsed ones.
+#[derive(Debug, Clone, Copy)]
+enum Chunks<'a> {
+    /// Wire form: `n` chunks, each read through by [`CosmoView::parse`].
+    Wire {
+        n: usize,
+        bytes: &'a [u8],
+    },
+    Owned(&'a [CosmoChunk]),
+}
+
+/// An encoded CosmoFlow sample borrowed from the bytes that hold it:
+/// what the decoder reads, whether those are a wire blob as it arrived
+/// ([`CosmoView::parse`]) or an [`EncodedCosmo`]
+/// ([`EncodedCosmo::view`]). Nothing is copied and nothing allocated.
+#[derive(Debug, Clone, Copy)]
+pub struct CosmoView<'a> {
+    /// Grid edge length.
+    pub grid: u32,
+    /// Regression label (Ωm, σ8, n_s, h) — carried losslessly.
+    pub label: [f32; 4],
+    chunks: Chunks<'a>,
+}
+
+impl<'a> CosmoView<'a> {
+    /// Parses a wire blob in place: every structural check — magic,
+    /// version, grid limits, each chunk's fixed fields and room for its
+    /// table and keys, trailing bytes, coverage — and nothing sized
+    /// from a header field. The keys are lent unread; their range is
+    /// [`decode_view_into`]'s to check (and `from_bytes`'s, for owned
+    /// callers).
+    pub fn parse(data: &'a [u8]) -> Result<Self, CodecError> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
         if take(&mut pos, 4)? != MAGIC {
@@ -179,68 +360,87 @@ impl EncodedCosmo {
             return Err(CodecError::Corrupt("unsupported version"));
         }
         let grid = crate::wire::le_u32(take(&mut pos, 4)?);
-        if grid as u64 > 4096 {
+        if grid > 4096 {
             return Err(CodecError::Corrupt("implausible grid"));
+        }
+        // Whatever the chunk count: the decoder cuts its output into
+        // channel planes of `grid³`.
+        if grid == 0 {
+            return Err(CodecError::Corrupt("zero grid"));
         }
         let mut label = [0f32; 4];
         for l in &mut label {
             *l = crate::wire::le_f32(take(&mut pos, 4)?);
         }
-        let n_chunks = crate::wire::le_u32(take(&mut pos, 4)?) as usize;
-        let mut chunks = Vec::with_capacity(n_chunks.min(1 << 20));
+        let n = crate::wire::le_u32(take(&mut pos, 4)?) as usize;
+        let bytes = data.get(pos..).ok_or(CodecError::Truncated)?;
+        // A chunk is at least seventeen bytes, so a count the blob
+        // cannot hold ends this loop at the blob's end.
         let mut covered = 0u64;
-        for _ in 0..n_chunks {
-            let n_voxels = crate::wire::le_u32(take(&mut pos, 4)?);
-            let key_width = KeyWidth::from_code(take(&mut pos, 1)?[0])?;
-            let n_groups = crate::wire::le_u32(take(&mut pos, 4)?) as usize;
-            let max_groups = match key_width {
-                KeyWidth::U8 => 256,
-                KeyWidth::U16 => 65536,
-            };
-            if n_groups == 0 || n_groups > max_groups {
-                return Err(CodecError::Corrupt("group count vs key width"));
-            }
-            let table_bytes = take(&mut pos, n_groups * 2 * N_REDSHIFTS)?;
-            let table: Vec<[u16; N_REDSHIFTS]> = table_bytes
-                .chunks_exact(2 * N_REDSHIFTS)
-                .map(|g| {
-                    let mut arr = [0u16; N_REDSHIFTS];
-                    for (i, a) in arr.iter_mut().enumerate() {
-                        *a = u16::from_le_bytes([g[2 * i], g[2 * i + 1]]);
-                    }
-                    arr
-                })
-                .collect();
-            let key_bytes = (n_voxels as usize)
-                .checked_mul(key_width.bytes())
-                .ok_or(CodecError::Truncated)?;
-            let keys = take(&mut pos, key_bytes)?.to_vec();
-            let chunk = CosmoChunk {
-                n_voxels,
-                key_width,
-                table,
-                keys,
-            };
-            for i in 0..n_voxels as usize {
-                if chunk.key(i) >= chunk.table.len() {
-                    return Err(CodecError::Corrupt("key out of table range"));
-                }
-            }
-            covered += n_voxels as u64;
-            chunks.push(chunk);
+        for _ in 0..n {
+            covered += wire_chunk(data, &mut pos)?.n_voxels as u64;
         }
         if pos != data.len() {
             return Err(CodecError::Inconsistent("trailing bytes"));
         }
-        let enc = EncodedCosmo {
-            grid,
-            label,
-            chunks,
-        };
-        if covered != enc.voxels() as u64 {
+        if covered != voxels_of(grid) as u64 {
             return Err(CodecError::Inconsistent("chunks do not cover grid"));
         }
-        Ok(enc)
+        Ok(Self {
+            grid,
+            label,
+            chunks: Chunks::Wire { n, bytes },
+        })
+    }
+
+    /// Voxels per channel (saturating: see [`CosmoView::n_values`]).
+    pub fn voxels(&self) -> usize {
+        voxels_of(self.grid)
+    }
+
+    /// Total values the decoded sample holds. Saturates where a
+    /// hand-built grid overflows `usize`: a count no buffer can match.
+    pub fn n_values(&self) -> usize {
+        self.voxels().saturating_mul(N_REDSHIFTS)
+    }
+
+    /// The chunks in voxel order. A parsed view's were read through
+    /// once already, so its items are `Ok`.
+    fn chunks(&self) -> ChunkIter<'a> {
+        ChunkIter {
+            chunks: self.chunks,
+            pos: 0,
+        }
+    }
+}
+
+/// [`CosmoView::chunks`]: what is left of the list, and how far into
+/// the wire bytes the next chunk lies.
+struct ChunkIter<'a> {
+    chunks: Chunks<'a>,
+    pos: usize,
+}
+
+impl<'a> Iterator for ChunkIter<'a> {
+    type Item = Result<ChunkView<'a>, CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.chunks {
+            Chunks::Wire { n, bytes } => {
+                *n = n.checked_sub(1)?;
+                Some(wire_chunk(bytes, &mut self.pos))
+            }
+            Chunks::Owned(owned) => {
+                let (chunk, rest) = owned.split_first()?;
+                *owned = rest;
+                Some(Ok(ChunkView {
+                    n_voxels: chunk.n_voxels,
+                    key_width: chunk.key_width,
+                    table: Table::Groups(&chunk.table),
+                    keys: &chunk.keys,
+                }))
+            }
+        }
     }
 }
 

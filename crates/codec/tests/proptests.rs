@@ -150,16 +150,18 @@ proptest! {
         );
     }
 
-    /// CosmoFlow's parallel decode always equals its sequential decode;
-    /// a DeepCAM sample decodes the same owned and as a view parsed
-    /// from its wire bytes.
+    /// A sample of either codec decodes the same owned and as a view
+    /// parsed from its wire bytes.
     #[test]
-    fn parallel_equals_sequential(s in cosmo_sample(), d in deepcam_sample()) {
+    fn parsed_view_equals_owned(s in cosmo_sample(), d in deepcam_sample()) {
         let e = cf::encode(&s);
-        prop_assert_eq!(
-            cf::decode(&e, Op::Log1p).unwrap(),
-            cf::decode_parallel(&e, Op::Log1p).unwrap()
-        );
+        let want = cf::decode(&e, Op::Log1p).unwrap();
+        let bytes = e.to_bytes();
+        let view = cf::CosmoView::parse(&bytes).unwrap();
+        let mut out = vec![F16::ONE; want.len()];
+        cf::decode_view_into(&view, Op::Log1p, &mut out).unwrap();
+        prop_assert_eq!(&out, &want);
+        prop_assert_eq!(view.label, e.label);
         let (ed, _) = dc::encode(&d, &dc::EncoderConfig::default());
         let want = dc::decode(&ed, Op::Identity).unwrap();
         let bytes = ed.to_bytes();
@@ -174,22 +176,19 @@ proptest! {
     #[test]
     fn from_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = cf::EncodedCosmo::from_bytes(&bytes);
+        let _ = cf::CosmoView::parse(&bytes);
         let _ = dc::EncodedDeepCam::from_bytes(&bytes);
         let _ = dc::DeepCamView::parse(&bytes);
     }
 
     /// In-place decode into a dirty recycled buffer is byte-identical
-    /// to the allocating decode, for both codecs (and both of
-    /// CosmoFlow's paths).
+    /// to the allocating decode, for both codecs.
     #[test]
     fn decode_into_equals_decode(s in cosmo_sample(), d in deepcam_sample()) {
         let e = cf::encode(&s);
         let want = cf::decode(&e, Op::Log1p).unwrap();
         let mut out = vec![F16::ONE; want.len()]; // dirty, as if recycled
         cf::decode_into(&e, Op::Log1p, &mut out).unwrap();
-        prop_assert_eq!(&out, &want);
-        out.fill(F16::ONE);
-        cf::decode_parallel_into(&e, Op::Log1p, &mut out).unwrap();
         prop_assert_eq!(&out, &want);
 
         let (ed, _) = dc::encode(&d, &dc::EncoderConfig::default());
@@ -216,7 +215,7 @@ proptest! {
             Err(CodecError::Inconsistent(_))
         ));
         prop_assert!(matches!(
-            cf::decode_parallel_into(&e, Op::Log1p, &mut out),
+            cf::decode_view_into(&e.view(), Op::Log1p, &mut out),
             Err(CodecError::Inconsistent(_))
         ));
 
@@ -231,8 +230,8 @@ proptest! {
     }
 
     /// Every forced SIMD tier decodes byte-identically to the forced
-    /// scalar tier — both codecs, arbitrary fused op, CosmoFlow's serial
-    /// and parallel paths, hostile values (NaN payloads, subnormals,
+    /// scalar tier — both codecs, arbitrary fused op, CosmoFlow owned
+    /// and from its wire bytes, hostile values (NaN payloads, subnormals,
     /// infinities) and tail-leaving widths. This is the dispatch
     /// layer's core contract: `SCIML_SIMD=scalar` output is the
     /// reference, and no vector tier may deviate from it by a bit.
@@ -243,6 +242,7 @@ proptest! {
         op in any_op(),
     ) {
         let e = cf::encode(&s);
+        let bytes = e.to_bytes();
         let (ed, _) = dc::encode(&d, &dc::EncoderConfig::default());
         let (want_c, want_d) = {
             let _g = force(Some(SimdLevel::Scalar));
@@ -253,8 +253,8 @@ proptest! {
             prop_assert_eq!(&cf::decode(&e, op).unwrap(), &want_c, "cosmo tier {:?}", lvl);
             prop_assert_eq!(&dc::decode(&ed, op).unwrap(), &want_d, "deepcam tier {:?}", lvl);
             let mut out = vec![F16::ONE; want_c.len()];
-            cf::decode_parallel_into(&e, op, &mut out).unwrap();
-            prop_assert_eq!(&out, &want_c, "cosmo parallel tier {:?}", lvl);
+            cf::decode_view_into(&cf::CosmoView::parse(&bytes).unwrap(), op, &mut out).unwrap();
+            prop_assert_eq!(&out, &want_c, "cosmo parsed view tier {:?}", lvl);
         }
     }
 
@@ -316,10 +316,20 @@ proptest! {
                 blob[at..at + 4].copy_from_slice(&v.to_le_bytes());
             }
         }
-        if let Ok(parsed) = cf::EncodedCosmo::from_bytes(&blob) {
-            if parsed.voxels() != 0 {
-                prop_assert!(cf::decode_into(&parsed, Op::Log1p, &mut []).is_err());
+        // The borrowed parser gives the owned one's answer; a bad key
+        // is the one thing it leaves to the decoder.
+        let owned = cf::EncodedCosmo::from_bytes(&blob);
+        match (cf::CosmoView::parse(&blob), &owned) {
+            (Ok(view), Ok(parsed)) => prop_assert_eq!(view.n_values(), parsed.voxels() * 4),
+            (Ok(view), Err(e)) => {
+                let mut out = vec![F16::ZERO; view.n_values()];
+                prop_assert_eq!(cf::decode_view_into(&view, Op::Log1p, &mut out), Err(e.clone()));
             }
+            (Err(e), _) => prop_assert_eq!(owned.as_ref().err(), Some(&e)),
+        }
+        if let Ok(parsed) = owned {
+            prop_assert!(parsed.voxels() != 0, "a sample of no voxels parsed");
+            prop_assert!(cf::decode_into(&parsed, Op::Log1p, &mut []).is_err());
         }
     }
 

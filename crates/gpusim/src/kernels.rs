@@ -40,6 +40,11 @@ pub fn decode_cosmo_into(
     op: Op,
     out: &mut [F16],
 ) -> Result<(KernelStats, f64), CodecError> {
+    // The CPU decoder's answer: no parser lets one through, but the
+    // fields of an owned sample are public.
+    if enc.grid == 0 {
+        return Err(CodecError::Corrupt("zero grid"));
+    }
     let voxels = enc.voxels();
     let covered: u64 = enc.chunks.iter().map(|c| c.n_voxels as u64).sum();
     if covered != voxels as u64 {
@@ -308,6 +313,25 @@ mod tests {
         assert_eq!(out, cf::decode(&enc, Op::Log1p).unwrap());
         assert!(stats.cycles > 0 && stats.tasks > 0);
         assert!(time > 0.0 && time < 1.0, "{time}");
+    }
+
+    /// A hand-built sample of no grid gets the CPU decoder's answer,
+    /// not an empty tensor.
+    #[test]
+    fn cosmo_zero_grid_is_rejected_like_the_cpu_decoder() {
+        let enc = cf::EncodedCosmo {
+            grid: 0,
+            label: [0.0; 4],
+            chunks: vec![],
+        };
+        let gpu = Gpu::new(GpuSpec::V100);
+        let cpu = cf::decode(&enc, Op::Log1p).unwrap_err();
+        assert_eq!(cpu, CodecError::Corrupt("zero grid"));
+        assert_eq!(decode_cosmo(&gpu, &enc, Op::Log1p).unwrap_err(), cpu);
+        assert_eq!(
+            decode_cosmo_into(&gpu, &enc, Op::Log1p, &mut []).unwrap_err(),
+            cpu
+        );
     }
 
     #[test]

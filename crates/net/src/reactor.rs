@@ -394,6 +394,20 @@ impl Conn {
         self.outbuf.len() - self.outstart
     }
 
+    /// Queues an encoded frame behind whatever is still unflushed. With
+    /// nothing unflushed — a reply to a client that reads as fast as it
+    /// asks — the frame becomes the outbound buffer as it is: a sample
+    /// is megabytes, and copying each one here is a `memcpy` on the one
+    /// thread every connection shares.
+    fn queue_frame(&mut self, frame: Vec<u8>) {
+        if self.out_backlog() == 0 {
+            self.outbuf = frame;
+            self.outstart = 0;
+        } else {
+            self.outbuf.extend_from_slice(&frame);
+        }
+    }
+
     fn is_settled(&self) -> bool {
         self.pending.is_empty()
             && !self.in_flight
@@ -684,7 +698,7 @@ impl EventLoop {
         match self.service.frame_error_frame(id, &err) {
             Some(bytes) => {
                 if let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) {
-                    conn.outbuf.extend_from_slice(&bytes);
+                    conn.queue_frame(bytes);
                     conn.close_after_flush = true;
                     conn.read_paused = true;
                     conn.pending.clear();
@@ -739,7 +753,7 @@ impl EventLoop {
                 conn.in_flight = false;
                 conn.last_activity = Instant::now();
                 if let Some(bytes) = c.reply.frame {
-                    conn.outbuf.extend_from_slice(&bytes);
+                    conn.queue_frame(bytes);
                 }
                 if c.reply.close {
                     conn.close_after_flush = true;

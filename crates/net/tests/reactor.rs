@@ -161,6 +161,50 @@ fn pipelined_frames_reply_in_order() {
 }
 
 #[test]
+fn pipelined_replies_keep_their_order_through_an_outbound_backlog() {
+    // A reply to a connection with nothing unflushed becomes its
+    // outbound buffer; one that finds a backlog is appended to it. 24
+    // distinct 1 MiB frames to a client that reads none of them until
+    // 16 have been handled — more than loopback's socket buffers hold,
+    // so the later replies met a backlog — must come back whole and in
+    // order, and so must the small frame after them, which finds the
+    // buffer empty again.
+    const FRAMES: usize = 24;
+    let (handle, svc) = spawn_echo(ReactorConfig::default(), Duration::ZERO);
+    let mut c = TcpStream::connect(handle.local_addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let frames: Vec<Vec<u8>> = (0..FRAMES)
+        .map(|i| {
+            let body: Vec<u8> = (0..1usize << 20).map(|j| (i * 31 + j) as u8).collect();
+            frame(&body)
+        })
+        .collect();
+    let mut writer = c.try_clone().unwrap();
+    std::thread::scope(|t| {
+        // On a thread of its own: the reactor stops reading requests
+        // while 16 MiB of replies are unflushed.
+        t.spawn(|| {
+            for f in &frames {
+                writer.write_all(f).unwrap();
+            }
+        });
+        while svc.handled.load(Ordering::SeqCst) < 16 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (i, f) in frames.iter().enumerate() {
+            let got = read_frame(&mut c).unwrap();
+            assert!(&got == f, "reply {i} damaged or out of order");
+        }
+    });
+    let small = frame(b"after-the-backlog");
+    c.write_all(&small).unwrap();
+    assert_eq!(read_frame(&mut c).unwrap(), small);
+    assert_eq!(svc.handled.load(Ordering::SeqCst), FRAMES as u64 + 1);
+    drop(c);
+    handle.shutdown();
+}
+
+#[test]
 fn pipelined_burst_beyond_pending_cap_does_not_deadlock() {
     // A single write burst larger than max_pending_frames fills the
     // pending queue before anything is dispatched, pausing reads with

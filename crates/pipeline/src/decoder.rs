@@ -155,26 +155,30 @@ impl DecoderPlugin for CosmoGzip {
     }
 }
 
-/// CPU plugin: custom LUT encoding with fused op, decoded in parallel.
+/// CPU plugin: custom LUT encoding with fused op, decoded in place from
+/// the bytes as they were fetched. One thread a sample, like
+/// [`DeepCamPluginCpu`].
 pub struct CosmoPluginCpu {
     /// Preprocessing operator (fused into the table).
     pub op: Op,
 }
 
+/// The plugin's steady state: a parsed view into a tensor slot.
+fn cosmo_view_into(view: &cf::CosmoView<'_>, op: Op, out: &mut [F16]) -> Result<Label> {
+    cf::decode_view_into(view, op, out)?;
+    Ok(Label::Cosmo(view.label))
+}
+
 impl DecoderPlugin for CosmoPluginCpu {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let enc = cf::EncodedCosmo::from_bytes(bytes)?;
-        let data = cf::decode_parallel(&enc, self.op)?;
-        Ok(DecodedSample {
-            data,
-            label: Label::Cosmo(enc.label),
-        })
+        let view = cf::CosmoView::parse(bytes)?;
+        let mut data = vec![F16::ZERO; view.n_values()];
+        let label = cosmo_view_into(&view, self.op, &mut data)?;
+        Ok(DecodedSample { data, label })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let enc = cf::EncodedCosmo::from_bytes(bytes)?;
-        cf::decode_parallel_into(&enc, self.op, out)?;
-        Ok(Label::Cosmo(enc.label))
+        cosmo_view_into(&cf::CosmoView::parse(bytes)?, self.op, out)
     }
 
     fn name(&self) -> &'static str {
@@ -618,6 +622,58 @@ mod tests {
             assert_eq!(out, want.data);
             assert!(cpu.decode_into(bytes, &mut out[1..]).is_err());
         }
+    }
+
+    /// The 32 bytes that used to kill a decode thread at
+    /// `chunks_mut(0)` — `CFLX`, version 1, grid 0, a label, no chunks —
+    /// and keys that name no group under a header that is valid, which
+    /// the CPU plugin's borrowed view leaves to its decoder.
+    #[test]
+    fn cosmo_plugins_reject_a_zero_grid_and_keys_out_of_table_range() {
+        let mut blob = b"CFLX".to_vec();
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&[0u8; 4 + 16 + 4]);
+        assert_eq!(blob.len(), 32);
+        let cpu = CosmoPluginCpu { op: Op::Log1p };
+        let gpu = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), Op::Log1p);
+        let plugins: [&dyn DecoderPlugin; 2] = [&cpu, &gpu];
+        for plugin in plugins {
+            for result in [
+                plugin.decode(&blob).map(|_| ()),
+                plugin.decode_into(&blob, &mut []).map(|_| ()),
+                plugin.decode_into(&blob, &mut [F16::ZERO; 8]).map(|_| ()),
+            ] {
+                let err = result.expect_err(plugin.name());
+                assert!(err.to_string().contains("zero grid"), "{err}");
+            }
+        }
+
+        let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
+        let enc = cf::encode(&s);
+        let chunk = &enc.chunks[0];
+        assert_eq!(chunk.key_width, cf::KeyWidth::U16);
+        let bytes = enc.to_bytes();
+        let want = cpu.decode(&bytes).unwrap();
+        let mut out = vec![F16::ONE; want.data.len()];
+        for bad in [chunk.table.len() as u16, u16::MAX] {
+            for at in [bytes.len() - chunk.keys.len(), bytes.len() - 2] {
+                let mut hostile = bytes.clone();
+                hostile[at..at + 2].copy_from_slice(&bad.to_le_bytes());
+                for plugin in plugins {
+                    for result in [
+                        plugin.decode(&hostile).map(|_| ()),
+                        plugin.decode_into(&hostile, &mut out).map(|_| ()),
+                    ] {
+                        let err = result.expect_err(plugin.name());
+                        assert!(err.to_string().contains("key out of table range"), "{err}");
+                    }
+                }
+            }
+        }
+        // And the blob they were made from still decodes, into the slot
+        // the failed decodes left dirty.
+        assert_eq!(cpu.decode_into(&bytes, &mut out).unwrap(), want.label);
+        assert_eq!(out, want.data);
     }
 
     #[test]

@@ -126,6 +126,21 @@ cargo test --release -q -p sciml-codec --lib -- deepcam::decode_differential::
 cargo test --release -q -p sciml-codec --lib -- \
     --ignored --exact deepcam::decode_differential::decode_speed --nocapture
 
+stage "cosmo decode speed (and the full decode differential, release mode)"
+# The CosmoFlow decoder over a borrowed view against the frozen owned
+# parse + per-chunk-allocating decode: the generated samples, a forced
+# multi-chunk sample, both LUT branches, every truncation and 20 000
+# random headers through all three parsers (the build that ships).
+# Then the timing test beside them, same alternating form: wire bytes
+# to tensor on the benchmark's 64^3 sample. What the view saves is all
+# in front of the gather — the key copy, the table copy, a scalar key
+# check — and nothing but this stage notices if one of them comes
+# back: fails below 1.7x the frozen path (measured: 2.2-2.6x, 205 us
+# against 465-535 us; with the max-scan left scalar, 1.2-1.4x).
+cargo test --release -q -p sciml-codec --lib -- cosmoflow::decode_differential::
+cargo test --release -q -p sciml-codec --lib -- \
+    --ignored --exact cosmoflow::decode_differential::decode_speed --nocapture
+
 stage "unpack placement (one reader, the decode pool inflates)"
 # A reader thread reads and CRC-checks a stored entry; a decode thread
 # inflates it. Nothing but this stage notices if the inflate moves back:
