@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
     let mut out = vec![F16::ZERO; encoded.n_values()];
     g.bench_function("decode_from_wire", |b| {
         b.iter(|| {
-            let view = dc::DeepCamView::parse(&wire).unwrap().expect("wire v1");
+            let view = dc::DeepCamView::parse(&wire).unwrap();
             dc::decode_view_into(&view, Op::Identity, &mut out).unwrap();
             view.mask.to_vec()
         })

@@ -12,8 +12,8 @@ fn bench(c: &mut Criterion) {
 
     for spec in [GpuSpec::V100, GpuSpec::A100] {
         let gpu = Gpu::new(spec);
-        let (_, _, t_cosmo) = decode_cosmo(&gpu, &cosmo, Op::Log1p).unwrap();
-        let (_, _, t_cam) = decode_deepcam(&gpu, &cam, Op::Identity).unwrap();
+        let (_, _, t_cosmo) = decode_cosmo(&gpu, &cosmo.view(), Op::Log1p).unwrap();
+        let (_, _, t_cam) = decode_deepcam(&gpu, &cam.view(), Op::Identity).unwrap();
         println!(
             "simulated {} decode: cosmoflow {:.1}us, deepcam {:.1}us",
             spec.name,
@@ -26,10 +26,10 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("gpusim");
     g.sample_size(10);
     g.bench_function("simulate_cosmo_decode", |b| {
-        b.iter(|| decode_cosmo(&gpu, &cosmo, Op::Log1p).unwrap())
+        b.iter(|| decode_cosmo(&gpu, &cosmo.view(), Op::Log1p).unwrap())
     });
     g.bench_function("simulate_deepcam_decode", |b| {
-        b.iter(|| decode_deepcam(&gpu, &cam, Op::Identity).unwrap())
+        b.iter(|| decode_deepcam(&gpu, &cam.view(), Op::Identity).unwrap())
     });
     g.finish();
 }

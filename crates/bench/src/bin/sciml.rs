@@ -14,9 +14,9 @@
 //!             [--decode cosmo|deepcam [--batch B] [--epochs E] [--pool-capacity N]]
 //!             [--metrics-out FILE] [--trace-out FILE] [--metrics-text FILE|-]
 //!             [--watch SECS] [--watch-iters N] [--attribution-out FILE]
-//! sciml pack --dir DIR --n N --out DIR [--shard-mb M] [--encoding raw|gzip|pack|auto]
+//! sciml pack --dir DIR --n N --out DIR [--shard-mb M] [--encoding raw|gzip|auto]
 //! sciml stage (--addr HOST:PORT [--name D] | --addrs A,B,C [--name D] | --dir DIR [--n N])
-//!             --out DIR [--per-shard K] [--workers W] [--encoding raw|gzip|pack|auto]
+//!             --out DIR [--per-shard K] [--workers W] [--encoding raw|gzip|auto]
 //!             # --dir: a packed store (it holds a store.manifest) or N per-sample files
 //! sciml cluster-plan (--nodes A,B,C --n N [--per-shard K] [--replication R] | --addr HOST:PORT [--name D])
 //! sciml soak --addr HOST:PORT [--name D] [--conns N] [--fetches K]
@@ -731,11 +731,10 @@ fn fetch(args: &[String]) -> Result<(), String> {
         }
         // Per-entry payload-encoding decode counters (zero unless the
         // server reads a packed store).
-        let decoded = s.decoded_raw + s.decoded_gzip + s.decoded_pack;
-        if decoded > 0 {
+        if s.decoded_raw + s.decoded_gzip > 0 {
             println!(
-                "  store decodes: {} raw / {} gzip / {} pack",
-                s.decoded_raw, s.decoded_gzip, s.decoded_pack
+                "  store decodes: {} raw / {} gzip",
+                s.decoded_raw, s.decoded_gzip
             );
         }
         // Client-side SIMD decode-kernel dispatches (the pooled decode
@@ -942,13 +941,10 @@ fn pack(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--encoding raw|gzip|pack|auto`; `None` when the flag is absent.
+/// Parses `--encoding raw|gzip|auto`; `None` when the flag is absent.
 fn encoding_flag(args: &[String]) -> Result<Option<EncodingChoice>, String> {
     flag(args, "--encoding")
-        .map(|name| {
-            name.parse()
-                .map_err(|_| format!("--encoding {name}: expected raw, gzip, pack, or auto"))
-        })
+        .map(|name| name.parse().map_err(|e| format!("--encoding: {e}")))
         .transpose()
 }
 

@@ -1,10 +1,10 @@
-//! Shared LSB-first bit I/O.
+//! DEFLATE's bit reader and writer.
 //!
-//! Both compression stacks in the workspace pack bits starting from the
-//! least-significant bit of each byte: DEFLATE (`sciml-compress`)
-//! mandates it, and the chunked numeric compressor (`sciml-pack`)
-//! adopts the same convention so the two can share one bit reader and
-//! writer instead of carrying near-duplicate implementations.
+//! DEFLATE (`sciml-compress`) packs bits starting from the
+//! least-significant bit of each byte; this crate is that reader and
+//! writer. (It is a crate of its own because the retired range-coder
+//! compressor in `crates/pack` — a leaf kept for the benchmark's probe —
+//! reads bits the same way.)
 //!
 //! Huffman codes are written most-significant-code-bit first, which in
 //! this representation means the code must be bit-reversed before
@@ -17,8 +17,7 @@ use std::fmt;
 
 /// Failures of the bit reader: the only thing that can go wrong at this
 /// layer is running off the end of the stream. Callers map this into
-/// their own error vocabulary (`sciml_compress::Error::UnexpectedEof`,
-/// `sciml_pack::PackError::Truncated`).
+/// their own error vocabulary (`sciml_compress::Error::UnexpectedEof`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BitIoError {
     /// Stream ended before the requested bits were available.

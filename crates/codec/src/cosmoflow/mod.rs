@@ -59,6 +59,15 @@ impl KeyWidth {
         }
     }
 
+    /// Key number `i` of `keys` (panics past their end).
+    #[inline]
+    fn read(self, keys: &[u8], i: usize) -> usize {
+        match self {
+            KeyWidth::U8 => keys[i] as usize,
+            KeyWidth::U16 => u16::from_le_bytes([keys[2 * i], keys[2 * i + 1]]) as usize,
+        }
+    }
+
     fn code(self) -> u8 {
         match self {
             KeyWidth::U8 => 1,
@@ -100,10 +109,7 @@ impl CosmoChunk {
     /// Reads key number `i`.
     #[inline]
     pub fn key(&self, i: usize) -> usize {
-        match self.key_width {
-            KeyWidth::U8 => self.keys[i] as usize,
-            KeyWidth::U16 => u16::from_le_bytes([self.keys[2 * i], self.keys[2 * i + 1]]) as usize,
-        }
+        self.key_width.read(&self.keys, i)
     }
 
     /// Encoded size of the chunk in bytes (header + table + keys).
@@ -281,17 +287,40 @@ impl Table<'_> {
     }
 }
 
-/// One chunk as the decoder reads it: the table and the keys lent from
-/// the wire blob or the [`CosmoChunk`] that holds them.
+/// One chunk as a decoder reads it ([`CosmoView::chunks`]): the table
+/// and the keys lent from the wire blob or the [`CosmoChunk`] that
+/// holds them.
 #[derive(Debug, Clone, Copy)]
-struct ChunkView<'a> {
-    n_voxels: u32,
-    key_width: KeyWidth,
+pub struct ChunkView<'a> {
+    /// Voxels covered by this chunk (flat, contiguous range).
+    pub n_voxels: u32,
+    /// Width of one key.
+    pub key_width: KeyWidth,
     table: Table<'a>,
-    keys: &'a [u8],
+    /// Keys, little-endian, lent unread. A parsed view's are
+    /// `n_voxels * key_width.bytes()` long; an owned sample's are
+    /// whatever its public field holds.
+    pub keys: &'a [u8],
 }
 
 impl ChunkView<'_> {
+    /// Groups in the chunk's table.
+    pub fn table_len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Calls `f` with every table group in key order.
+    pub fn for_each_group(&self, f: impl FnMut([u16; N_REDSHIFTS])) {
+        self.table.for_each(f)
+    }
+
+    /// Reads key number `i` (panics past the end of `keys`, like
+    /// [`CosmoChunk::key`]).
+    #[inline]
+    pub fn key(&self, i: usize) -> usize {
+        self.key_width.read(self.keys, i)
+    }
+
     /// The one key-range check, and the contract the gather's unchecked
     /// indexing relies on: the keys are one a voxel and the largest of
     /// them indexes inside the table. A vectorizable max-scan, so the
@@ -406,7 +435,7 @@ impl<'a> CosmoView<'a> {
 
     /// The chunks in voxel order. A parsed view's were read through
     /// once already, so its items are `Ok`.
-    fn chunks(&self) -> ChunkIter<'a> {
+    pub fn chunks(&self) -> impl Iterator<Item = Result<ChunkView<'a>, CodecError>> {
         ChunkIter {
             chunks: self.chunks,
             pos: 0,

@@ -43,18 +43,6 @@ pub fn decode_into(enc: &EncodedDeepCam, op: Op, out: &mut [F16]) -> Result<(), 
     decode_view_into(&enc.view(), op, out)
 }
 
-/// Decodes line `idx` of an owned sample into `dst` (length = width).
-/// This is the unit of independence the per-line directory exists for;
-/// the GPU simulator calls it one warp-task at a time.
-pub fn decode_line_into(
-    enc: &EncodedDeepCam,
-    idx: usize,
-    op: Op,
-    dst: &mut [F16],
-) -> Result<(), CodecError> {
-    decode_view_line_into(&enc.view(), idx, op, dst)
-}
-
 /// Decodes a full sample into a caller-provided slice, which must be
 /// exactly [`DeepCamView::n_values`] long (a typed error otherwise,
 /// never a panic). Every slot is written; callers may pass recycled
@@ -70,12 +58,15 @@ pub fn decode_view_into(view: &DeepCamView<'_>, op: Op, out: &mut [F16]) -> Resu
         return Err(CodecError::Corrupt("zero-width lines"));
     }
     for (idx, chunk) in out.chunks_mut(width).enumerate() {
-        decode_view_line_into(view, idx, op, chunk)?;
+        decode_line_into(view, idx, op, chunk)?;
     }
     Ok(())
 }
 
-fn decode_view_line_into(
+/// Decodes line `idx` into `dst` (length = width). This is the unit of
+/// independence the per-line directory exists for; the GPU simulator
+/// calls it one warp-task at a time.
+pub fn decode_line_into(
     view: &DeepCamView<'_>,
     idx: usize,
     op: Op,
@@ -380,6 +371,6 @@ mod tests {
     fn decode_line_into_checks_width() {
         let (_, e) = roundtrip_sample();
         let mut short = vec![F16::ZERO; 3];
-        assert!(decode_line_into(&e, 0, Op::Identity, &mut short).is_err());
+        assert!(decode_line_into(&e.view(), 0, Op::Identity, &mut short).is_err());
     }
 }

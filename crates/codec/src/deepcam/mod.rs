@@ -120,14 +120,10 @@ pub struct EncodedDeepCam {
 }
 
 const MAGIC: &[u8; 4] = b"DCMX";
-/// Wire version 1: directory + raw payload bytes.
+/// The one wire version: directory + raw payload bytes. (2 carried the
+/// payload section through the retired range coder, `crates/pack`; it
+/// is refused like any other.)
 const VERSION: u32 = 1;
-/// Wire version 2: the payload section travels through `sciml_pack`
-/// as a second-stage squeeze over the differential code bytes (the
-/// delta codes are heavily skewed toward `CODE_ZERO` and small
-/// magnitudes, which the pack entropy stage exploits). The directory
-/// and mask are unchanged.
-const VERSION_PACKED: u32 = 2;
 /// Wire bytes of one directory entry: mode, offset, length.
 const DIR_ENTRY_BYTES: usize = 9;
 
@@ -162,32 +158,13 @@ impl EncodedDeepCam {
         self.raw_bytes() as f64 / self.encoded_bytes() as f64
     }
 
-    /// Serializes to the wire format (version 1, raw payload).
+    /// Serializes to the wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.serialize(&self.payload, VERSION)
-    }
-
-    /// Serializes with the payload section squeezed through
-    /// [`sciml_pack`] (version 2). The differential code bytes are
-    /// heavily skewed (mostly [`CODE_ZERO`] and small magnitudes), so
-    /// the pack entropy stage buys a second compression factor on top
-    /// of the per-line delta coding. Falls back to the version-1 form
-    /// whenever packing does not shrink the payload, so the result is
-    /// never larger than [`EncodedDeepCam::to_bytes`].
-    pub fn to_bytes_packed(&self) -> Vec<u8> {
-        match sciml_pack::pack(&self.payload, 1) {
-            Ok(packed) if packed.len() < self.payload.len() => {
-                self.serialize(&packed, VERSION_PACKED)
-            }
-            _ => self.to_bytes(),
-        }
-    }
-
-    fn serialize(&self, payload: &[u8], version: u32) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(32 + self.lines.len() * 9 + payload.len() + self.mask.len());
+        let mut out = Vec::with_capacity(
+            32 + self.lines.len() * DIR_ENTRY_BYTES + self.payload.len() + self.mask.len(),
+        );
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.width.to_le_bytes());
         out.extend_from_slice(&self.height.to_le_bytes());
         out.extend_from_slice(&self.channels.to_le_bytes());
@@ -196,47 +173,32 @@ impl EncodedDeepCam {
             out.extend_from_slice(&l.offset.to_le_bytes());
             out.extend_from_slice(&l.len.to_le_bytes());
         }
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
+        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&self.payload);
         out.extend_from_slice(&(self.mask.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.mask);
         out
     }
 
-    /// Parses the wire format into an owned sample, validating the
-    /// directory. Wire version 2 needs this form: its payload section
-    /// is unpacked into a buffer of its own. A version-1 blob that is
-    /// only decoded can stay borrowed: [`DeepCamView::parse`].
+    /// Parses the wire format into an owned sample:
+    /// [`DeepCamView::parse`], then the copies. A blob that is only
+    /// decoded can stay borrowed.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
-        let mut pos = 0usize;
-        let header = WireHeader::parse(data, &mut pos)?;
-        let section = wire_section(data, &mut pos)?;
-        let payload = if header.version == VERSION_PACKED {
-            let mut payload = Vec::new();
-            sciml_pack::unpack_into(section, &mut payload, header.max_payload_len()).map_err(
-                |e| match e {
-                    sciml_pack::PackError::Truncated => CodecError::Truncated,
-                    _ => CodecError::Corrupt("packed payload section corrupt"),
-                },
-            )?;
-            payload
-        } else {
-            section.to_vec()
+        let view = DeepCamView::parse(data)?;
+        let lines = match view.directory {
+            Directory::Wire(d) => d
+                .chunks_exact(DIR_ENTRY_BYTES)
+                .map(dir_entry)
+                .collect::<Result<Vec<_>, _>>()?,
+            Directory::Lines(l) => l.to_vec(),
         };
-        let mask = wire_section(data, &mut pos)?.to_vec();
-        check_line_ranges(header.directory, payload.len())?;
-        let lines = header
-            .directory
-            .chunks_exact(DIR_ENTRY_BYTES)
-            .map(dir_entry)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
-            width: header.width,
-            height: header.height,
-            channels: header.channels,
+            width: view.width,
+            height: view.height,
+            channels: view.channels,
             lines,
-            payload,
-            mask,
+            payload: view.payload.to_vec(),
+            mask: view.mask.to_vec(),
         })
     }
 
@@ -262,25 +224,66 @@ fn dir_entry(e: &[u8]) -> Result<LineMeta, CodecError> {
     })
 }
 
-/// The fixed fields and the directory of a wire blob, checked in the
-/// order every parser reports them: magic, version, dimension limits,
-/// room for the directory, then each entry's mode.
-struct WireHeader<'a> {
-    version: u32,
-    width: u32,
-    height: u32,
-    channels: u32,
-    directory: &'a [u8],
+/// A length-prefixed wire section (payload or mask).
+fn wire_section<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
+    let len = crate::wire::wire_len(crate::wire::take(data, pos, 8)?)?;
+    crate::wire::take(data, pos, len)
 }
 
-impl<'a> WireHeader<'a> {
-    fn parse(data: &'a [u8], pos: &mut usize) -> Result<Self, CodecError> {
+/// Every directory entry's range against the payload it indexes: the
+/// whole directory before any line is decoded.
+fn check_line_ranges(directory: &[u8], payload_len: usize) -> Result<(), CodecError> {
+    for e in directory.chunks_exact(DIR_ENTRY_BYTES) {
+        let l = dir_entry(e)?;
+        let end = (l.offset as usize)
+            .checked_add(l.len as usize)
+            .ok_or(CodecError::Corrupt("line range overflow"))?;
+        if end > payload_len {
+            return Err(CodecError::Inconsistent("line payload out of range"));
+        }
+    }
+    Ok(())
+}
+
+/// A view's line directory: the wire's nine bytes a line, or an
+/// [`EncodedDeepCam`]'s parsed entries.
+#[derive(Debug, Clone, Copy)]
+enum Directory<'a> {
+    /// Wire form; every mode byte was checked by [`DeepCamView::parse`].
+    Wire(&'a [u8]),
+    Lines(&'a [LineMeta]),
+}
+
+/// An encoded DeepCAM sample borrowed from the bytes that hold it: what
+/// the decoder reads, whether those are a wire blob as it arrived
+/// ([`DeepCamView::parse`]) or an [`EncodedDeepCam`]
+/// ([`EncodedDeepCam::view`]). Nothing is copied and nothing allocated.
+#[derive(Debug, Clone, Copy)]
+pub struct DeepCamView<'a> {
+    /// Image width (values per line).
+    pub width: u32,
+    /// Image height (lines per channel).
+    pub height: u32,
+    /// Channel count.
+    pub channels: u32,
+    directory: Directory<'a>,
+    payload: &'a [u8],
+    /// Losslessly carried label mask (may be empty).
+    pub mask: &'a [u8],
+}
+
+impl<'a> DeepCamView<'a> {
+    /// Parses a wire blob in place, checking in the order the errors
+    /// are reported: magic, version, dimension limits, room for the
+    /// directory, each entry's mode, the two sections, then every
+    /// line's range.
+    pub fn parse(data: &'a [u8]) -> Result<Self, CodecError> {
+        let pos = &mut 0usize;
         let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
         if take(pos, 4)? != MAGIC {
             return Err(CodecError::Corrupt("bad magic"));
         }
-        let version = crate::wire::le_u32(take(pos, 4)?);
-        if version != VERSION && version != VERSION_PACKED {
+        if crate::wire::le_u32(take(pos, 4)?) != VERSION {
             return Err(CodecError::Corrupt("unsupported version"));
         }
         let width = crate::wire::le_u32(take(pos, 4)?);
@@ -313,100 +316,17 @@ impl<'a> WireHeader<'a> {
         for e in directory.chunks_exact(DIR_ENTRY_BYTES) {
             dir_entry(e)?;
         }
+        let payload = wire_section(data, pos)?;
+        let mask = wire_section(data, pos)?;
+        check_line_ranges(directory, payload.len())?;
         Ok(Self {
-            version,
             width,
             height,
             channels,
-            directory,
-        })
-    }
-
-    /// The longest payload the line formats can describe for these
-    /// dimensions: a delta line of one-value segments, every code an
-    /// escape (4 bytes of counts, then an 8-byte header, a code and a
-    /// 4-byte literal a value). What a packed payload section may claim
-    /// to unpack to, whatever its own header says.
-    fn max_payload_len(&self) -> usize {
-        let n_lines = self.directory.len() / DIR_ENTRY_BYTES;
-        // `parse` held the value count to 2³⁰.
-        n_lines
-            .saturating_mul(self.width as usize)
-            .saturating_mul(13)
-            .saturating_add(n_lines.saturating_mul(4))
-    }
-}
-
-/// A length-prefixed wire section (payload or mask).
-fn wire_section<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
-    let len = crate::wire::wire_len(crate::wire::take(data, pos, 8)?)?;
-    crate::wire::take(data, pos, len)
-}
-
-/// Every directory entry's range against the payload it indexes: the
-/// whole directory before any line is decoded.
-fn check_line_ranges(directory: &[u8], payload_len: usize) -> Result<(), CodecError> {
-    for e in directory.chunks_exact(DIR_ENTRY_BYTES) {
-        let l = dir_entry(e)?;
-        let end = (l.offset as usize)
-            .checked_add(l.len as usize)
-            .ok_or(CodecError::Corrupt("line range overflow"))?;
-        if end > payload_len {
-            return Err(CodecError::Inconsistent("line payload out of range"));
-        }
-    }
-    Ok(())
-}
-
-/// A view's line directory: the wire's nine bytes a line, or an
-/// [`EncodedDeepCam`]'s parsed entries.
-#[derive(Debug, Clone, Copy)]
-enum Directory<'a> {
-    /// Wire form; every mode byte was checked by [`WireHeader::parse`].
-    Wire(&'a [u8]),
-    Lines(&'a [LineMeta]),
-}
-
-/// An encoded DeepCAM sample borrowed from the bytes that hold it: what
-/// the decoder reads, whether those are a wire blob as it arrived
-/// ([`DeepCamView::parse`]) or an [`EncodedDeepCam`]
-/// ([`EncodedDeepCam::view`]). Nothing is copied and nothing allocated.
-#[derive(Debug, Clone, Copy)]
-pub struct DeepCamView<'a> {
-    /// Image width (values per line).
-    pub width: u32,
-    /// Image height (lines per channel).
-    pub height: u32,
-    /// Channel count.
-    pub channels: u32,
-    directory: Directory<'a>,
-    payload: &'a [u8],
-    /// Losslessly carried label mask (may be empty).
-    pub mask: &'a [u8],
-}
-
-impl<'a> DeepCamView<'a> {
-    /// Parses a wire blob in place, with [`EncodedDeepCam::from_bytes`]'s
-    /// checks in its order and the same errors. `Ok(None)` is wire
-    /// version 2: its payload is packed and only `from_bytes` can hold
-    /// the unpacked form.
-    pub fn parse(data: &'a [u8]) -> Result<Option<Self>, CodecError> {
-        let mut pos = 0usize;
-        let header = WireHeader::parse(data, &mut pos)?;
-        if header.version == VERSION_PACKED {
-            return Ok(None);
-        }
-        let payload = wire_section(data, &mut pos)?;
-        let mask = wire_section(data, &mut pos)?;
-        check_line_ranges(header.directory, payload.len())?;
-        Ok(Some(Self {
-            width: header.width,
-            height: header.height,
-            channels: header.channels,
-            directory: Directory::Wire(header.directory),
+            directory: Directory::Wire(directory),
             payload,
             mask,
-        }))
+        })
     }
 
     /// Total number of lines. Saturates where the dimensions overflow
@@ -642,97 +562,17 @@ mod tests {
         );
     }
 
+    /// What wire version 2 used to carry: a payload section that is a
+    /// bare `SPAK` header (`crates/pack`), CRC valid, declaring 2^24
+    /// chunks and a terabyte. 69 bytes from any server, refused at the
+    /// version field.
     #[test]
-    fn packed_wire_roundtrips_and_shrinks_skewed_payloads() {
-        // A delta payload dominated by CODE_ZERO, like real DeepCAM
-        // difference streams.
-        let mut payload = vec![CODE_ZERO; 4000];
-        for (i, b) in payload.iter_mut().enumerate() {
-            if i % 17 == 0 {
-                *b = (i % 7) as u8 + 1;
-            }
-        }
-        let len = payload.len() as u32;
-        let e = EncodedDeepCam {
-            width: 1000,
-            height: 1,
-            channels: 1,
-            lines: vec![LineMeta {
-                mode: LineMode::Delta,
-                offset: 0,
-                len,
-            }],
-            payload,
-            mask: vec![9, 9],
-        };
-        let v1 = e.to_bytes();
-        let v2 = e.to_bytes_packed();
-        assert!(
-            v2.len() < v1.len(),
-            "pack stage must shrink: {} vs {}",
-            v2.len(),
-            v1.len()
-        );
-        assert_eq!(EncodedDeepCam::from_bytes(&v2).unwrap(), e);
-        // Incompressible payloads fall back to the v1 form byte for byte.
-        let mut state = 0x1234_5678u32;
-        let noise: Vec<u8> = (0..997)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 17;
-                state ^= state << 5;
-                (state >> 24) as u8
-            })
-            .collect();
-        let noisy = EncodedDeepCam {
-            payload: noise,
-            lines: vec![LineMeta {
-                mode: LineMode::RawF32,
-                offset: 0,
-                len: 997,
-            }],
-            ..e
-        };
-        assert_eq!(noisy.to_bytes_packed(), noisy.to_bytes());
-    }
-
-    #[test]
-    fn packed_wire_rejects_corruption() {
-        let e = EncodedDeepCam {
-            width: 512,
-            height: 1,
-            channels: 1,
-            lines: vec![LineMeta {
-                mode: LineMode::Delta,
-                offset: 0,
-                len: 2048,
-            }],
-            payload: vec![CODE_ZERO; 2048],
-            mask: vec![],
-        };
-        let v2 = e.to_bytes_packed();
-        assert_ne!(v2[4], 1, "payload this skewed must take the packed path");
-        for cut in 0..v2.len() {
-            assert!(EncodedDeepCam::from_bytes(&v2[..cut]).is_err(), "cut {cut}");
-        }
-        // Flip a byte inside the packed payload section (it starts at
-        // 20-byte header + 9-byte directory + 8-byte length): the pack
-        // CRCs catch it and it surfaces as a typed error.
-        let mut bad = v2.clone();
-        bad[20 + 9 + 8 + 10] ^= 0x40;
-        assert!(EncodedDeepCam::from_bytes(&bad).is_err());
-    }
-
-    /// A wire-v2 blob whose payload section is a bare pack header, CRC
-    /// valid, declaring 2^24 chunks and a terabyte (the stream of
-    /// `sciml_pack`'s own regression test): 69 bytes from any server.
-    #[test]
-    fn packed_wire_section_that_declares_a_terabyte_is_a_typed_error() {
+    fn wire_v2_is_an_unsupported_version_whatever_its_payload_declares() {
         const PACK_HEADER: [u8; 24] = [
             83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
         ];
         let mut blob = MAGIC.to_vec();
-        blob.extend_from_slice(&VERSION_PACKED.to_le_bytes());
+        blob.extend_from_slice(&2u32.to_le_bytes());
         for dim in [4u32, 1, 1] {
             blob.extend_from_slice(&dim.to_le_bytes());
         }
@@ -743,11 +583,9 @@ mod tests {
         blob.extend_from_slice(&PACK_HEADER);
         blob.extend_from_slice(&0u64.to_le_bytes());
         assert_eq!(blob.len(), 69);
-        assert!(matches!(DeepCamView::parse(&blob), Ok(None)));
-        assert!(matches!(
-            EncodedDeepCam::from_bytes(&blob),
-            Err(CodecError::Corrupt("packed payload section corrupt"))
-        ));
+        let unsupported = CodecError::Corrupt("unsupported version");
+        assert_eq!(DeepCamView::parse(&blob).err(), Some(unsupported.clone()));
+        assert_eq!(EncodedDeepCam::from_bytes(&blob), Err(unsupported));
     }
 
     #[test]

@@ -266,7 +266,7 @@ fn generated_samples_decode_to_the_reference_bits() {
             let what = format!("width {width} seed {seed}");
             assert_same_sample(&enc, &what);
             let bytes = enc.to_bytes();
-            let view = DeepCamView::parse(&bytes).unwrap().expect("wire v1");
+            let view = DeepCamView::parse(&bytes).unwrap();
             let mut got = vec![F16::ONE; enc.n_values()];
             let mut want = vec![F16::ZERO; enc.n_values()];
             super::decode_view_into(&view, Op::Identity, &mut got).unwrap();
@@ -398,12 +398,12 @@ fn hand_built_directories_out_of_range_are_typed_errors() {
         let mut out = [F16::ZERO; 8];
         assert_eq!(decode_into(&enc, Op::Identity, &mut out), out_of_range);
         assert_eq!(
-            decode_line_into(&enc, 1, Op::Identity, &mut out[..4]),
+            decode_line_into(&enc.view(), 1, Op::Identity, &mut out[..4]),
             out_of_range
         );
         assert_eq!(enc.view().line(1).map(|_| ()), out_of_range);
         // The good line of the same sample still decodes.
-        decode_line_into(&enc, 0, Op::Identity, &mut out[..4]).unwrap();
+        decode_line_into(&enc.view(), 0, Op::Identity, &mut out[..4]).unwrap();
     }
     // A directory of the wrong length, either way.
     for lines in [vec![line(0, 4)], vec![line(0, 4); 3], vec![]] {
@@ -414,7 +414,7 @@ fn hand_built_directories_out_of_range_are_typed_errors() {
         ));
         assert_eq!(decode_into(&enc, Op::Identity, &mut out), wrong_length);
         assert_eq!(
-            decode_line_into(&enc, 0, Op::Identity, &mut out[..4]),
+            decode_line_into(&enc.view(), 0, Op::Identity, &mut out[..4]),
             wrong_length
         );
     }
@@ -459,19 +459,19 @@ fn zero_width_samples_are_rejected_at_parse_and_at_decode() {
     }
     // No lines of a real width is a sample of nothing, as before.
     let bytes = blob(5, 0, 0);
-    let view = DeepCamView::parse(&bytes).unwrap().unwrap();
+    let view = DeepCamView::parse(&bytes).unwrap();
     super::decode_view_into(&view, Op::Identity, &mut []).unwrap();
 }
 
-/// Parses `data` both ways; they must agree on accept and on the error.
+/// Parses `data` as a view, as an owned sample and with the frozen
+/// parser; all three must agree on accept and on the error.
 #[track_caller]
 fn assert_parsers_agree(data: &[u8], what: &str) {
-    let owned = EncodedDeepCam::from_bytes(data);
+    let want = reference_decode::from_bytes(data);
+    assert_eq!(EncodedDeepCam::from_bytes(data), want, "{what}: owned");
     match DeepCamView::parse(data) {
-        // Wire v2: the header passed and `from_bytes` has the last word.
-        Ok(None) => assert_eq!(data[4], 2, "{what}: only v2 is left to from_bytes"),
-        Ok(Some(view)) => {
-            let owned = owned.unwrap_or_else(|e| panic!("{what}: view parsed, owned {e:?}"));
+        Ok(view) => {
+            let owned = want.unwrap_or_else(|e| panic!("{what}: view parsed, frozen {e:?}"));
             assert_eq!(
                 (view.width, view.height, view.channels),
                 (owned.width, owned.height, owned.channels),
@@ -489,7 +489,7 @@ fn assert_parsers_agree(data: &[u8], what: &str) {
             }
             assert!(view.line(owned.lines.len()).is_err(), "{what}");
         }
-        Err(e) => assert_eq!(owned, Err(e), "{what}"),
+        Err(e) => assert_eq!(want, Err(e), "{what}"),
     }
 }
 
@@ -503,7 +503,14 @@ fn view_parse_is_from_bytes_on_every_truncation_and_header() {
     })
     .generate(3);
     let (enc, _) = encode(&sample, &EncoderConfig::default());
-    for (name, blob) in [("v1", enc.to_bytes()), ("v2", enc.to_bytes_packed())] {
+    // The sample as it is written, and under the retired version 2.
+    let mut v2 = enc.to_bytes();
+    v2[4] = 2;
+    assert_eq!(
+        DeepCamView::parse(&v2).err(),
+        Some(CodecError::Corrupt("unsupported version"))
+    );
+    for (name, blob) in [("v1", enc.to_bytes()), ("v2", v2)] {
         assert_parsers_agree(&blob, name);
         for cut in 0..blob.len() {
             assert_parsers_agree(&blob[..cut], &format!("{name} cut {cut}"));

@@ -7,11 +7,17 @@
 //! is handed over, so the tests compare the FP32 line itself and not
 //! only its FP16 rounding.
 //!
+//! And the owned wire parser as it stood before `from_bytes` became
+//! [`super::DeepCamView::parse`] plus a copy-out: the header, the two
+//! sections, then every line's range. One edit: wire version 2 (a
+//! payload section squeezed by the retired range coder) is refused at
+//! the version field like any other.
+//!
 //! Test-only (`#[cfg(test)]` in `mod.rs`): nothing outside the tests may
 //! call into it. Do not "fix" or speed up anything here — a change to
 //! this file changes what "the same bits" means.
 
-use super::{decode_code, EncodedDeepCam, LineMode, CODE_ESCAPE};
+use super::{decode_code, EncodedDeepCam, LineMeta, LineMode, CODE_ESCAPE};
 use crate::{CodecError, Op};
 use sciml_half::F16;
 use std::cell::Cell;
@@ -30,6 +36,74 @@ fn with_scratch<R>(width: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
         let r = f(&mut buf);
         slot.set(buf);
         r
+    })
+}
+
+/// Parses the wire format into an owned sample, validating the
+/// directory.
+pub(super) fn from_bytes(data: &[u8]) -> Result<EncodedDeepCam, CodecError> {
+    let mut pos = 0usize;
+    let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
+    if take(&mut pos, 4)? != b"DCMX" {
+        return Err(CodecError::Corrupt("bad magic"));
+    }
+    if crate::wire::le_u32(take(&mut pos, 4)?) != 1 {
+        return Err(CodecError::Corrupt("unsupported version"));
+    }
+    let width = crate::wire::le_u32(take(&mut pos, 4)?);
+    let height = crate::wire::le_u32(take(&mut pos, 4)?);
+    let channels = crate::wire::le_u32(take(&mut pos, 4)?);
+    let n_lines = (channels as usize)
+        .checked_mul(height as usize)
+        .ok_or(CodecError::Corrupt("line count overflow"))?;
+    if n_lines > 1 << 28 {
+        return Err(CodecError::Corrupt("implausible line count"));
+    }
+    match (n_lines as u64).checked_mul(width as u64) {
+        Some(n) if n <= 1 << 30 => {}
+        _ => return Err(CodecError::Corrupt("implausible element count")),
+    }
+    if width == 0 {
+        return Err(CodecError::Corrupt("zero-width lines"));
+    }
+    if n_lines > (data.len() - pos) / 9 {
+        return Err(CodecError::Truncated);
+    }
+    let dir_entry = |e: &[u8]| {
+        Ok(LineMeta {
+            mode: LineMode::from_code(e[0])?,
+            offset: crate::wire::le_u32(&e[1..5]),
+            len: crate::wire::le_u32(&e[5..9]),
+        })
+    };
+    let directory = take(&mut pos, n_lines * 9)?;
+    for e in directory.chunks_exact(9) {
+        dir_entry(e)?;
+    }
+    let section = |pos: &mut usize| {
+        let len = crate::wire::wire_len(crate::wire::take(data, pos, 8)?)?;
+        crate::wire::take(data, pos, len)
+    };
+    let payload = section(&mut pos)?.to_vec();
+    let mask = section(&mut pos)?.to_vec();
+    let mut lines = Vec::new();
+    for e in directory.chunks_exact(9) {
+        let l = dir_entry(e)?;
+        let end = (l.offset as usize)
+            .checked_add(l.len as usize)
+            .ok_or(CodecError::Corrupt("line range overflow"))?;
+        if end > payload.len() {
+            return Err(CodecError::Inconsistent("line payload out of range"));
+        }
+        lines.push(l);
+    }
+    Ok(EncodedDeepCam {
+        width,
+        height,
+        channels,
+        lines,
+        payload,
+        mask,
     })
 }
 

@@ -2,13 +2,16 @@
 //! allocator for is bounded by the bytes it was handed, whatever the
 //! grid, the chunk count, the group count or the voxel count claim.
 //! (`n_chunks = u32::MAX` in a 32-byte blob used to reserve 58 MB of
-//! chunk list before the first read failed.)
+//! chunk list before the first read failed.) Nor does a `DCMX` blob
+//! of the retired wire version 2, whose payload section once declared
+//! its own unpacked size.
 //!
 //! Alone in this file because it measures allocation with a global
 //! allocator of its own.
 
 use proptest::prelude::*;
 use sciml_codec::cosmoflow::{CosmoView, EncodedCosmo};
+use sciml_codec::deepcam::{DeepCamView, EncodedDeepCam};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -117,4 +120,36 @@ fn a_chunk_count_of_u32_max_reserves_nothing() {
     let (result, requested) = requested_by(|| EncodedCosmo::from_bytes(data));
     assert_eq!(result, Err(sciml_codec::CodecError::Truncated));
     assert_eq!(requested, 0, "requested {requested} bytes");
+}
+
+/// 69 bytes: a `DCMX` header of wire version 2 over a payload section
+/// that is a `SPAK` header (`crates/pack`), its own CRC right, declaring
+/// 2^24 chunks and a terabyte. Refused at the version field, before
+/// anything after it is read.
+#[test]
+fn a_retired_dcmx_version_reserves_nothing() {
+    const PACK_HEADER: [u8; 24] = [
+        83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
+    ];
+    let mut data = b"DCMX".to_vec();
+    for field in [2u32, 4, 1, 1] {
+        data.extend_from_slice(&field.to_le_bytes());
+    }
+    data.push(1); // one raw-f32 line: offset 0, 16 bytes
+    data.extend_from_slice(&0u32.to_le_bytes());
+    data.extend_from_slice(&16u32.to_le_bytes());
+    data.extend_from_slice(&(PACK_HEADER.len() as u64).to_le_bytes());
+    data.extend_from_slice(&PACK_HEADER);
+    data.extend_from_slice(&0u64.to_le_bytes());
+    assert_eq!(data.len(), 69);
+    let unsupported = sciml_codec::CodecError::Corrupt("unsupported version");
+    let (view, requested) = requested_by(|| DeepCamView::parse(&data).map(|_| ()));
+    assert_eq!(view, Err(unsupported.clone()));
+    assert_eq!(
+        requested, 0,
+        "the borrowed parse requested {requested} bytes"
+    );
+    let (owned, requested) = requested_by(|| EncodedDeepCam::from_bytes(&data));
+    assert_eq!(owned, Err(unsupported));
+    assert_eq!(requested, 0, "from_bytes requested {requested} bytes");
 }

@@ -165,7 +165,7 @@ proptest! {
         let (ed, _) = dc::encode(&d, &dc::EncoderConfig::default());
         let want = dc::decode(&ed, Op::Identity).unwrap();
         let bytes = ed.to_bytes();
-        let view = dc::DeepCamView::parse(&bytes).unwrap().expect("wire v1");
+        let view = dc::DeepCamView::parse(&bytes).unwrap();
         let mut out = vec![F16::ONE; want.len()];
         dc::decode_view_into(&view, Op::Identity, &mut out).unwrap();
         prop_assert_eq!(&out, &want);
@@ -290,7 +290,6 @@ proptest! {
         let owned = dc::EncodedDeepCam::from_bytes(&blob);
         match dc::DeepCamView::parse(&blob) {
             Ok(view) => {
-                let view = view.expect("wire v1");
                 let parsed = owned.as_ref().expect("view parsed");
                 prop_assert_eq!(view.n_values(), parsed.n_values());
                 prop_assert_eq!(view.mask, &parsed.mask[..]);

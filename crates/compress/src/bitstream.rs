@@ -1,7 +1,6 @@
 //! LSB-first bit I/O, as DEFLATE requires.
 //!
-//! The implementation lives in the shared `sciml-bitio` crate so the
-//! chunked numeric compressor (`sciml-pack`) can reuse it; this module
+//! The implementation lives in the `sciml-bitio` crate; this module
 //! re-exports it under the historical path and maps its EOF error into
 //! [`crate::Error`] so decode paths keep using `?` unchanged.
 

@@ -2,8 +2,8 @@
 
 use crate::warp::{KernelStats, MemSpace, WarpCtx, WARP_SIZE};
 use crate::Gpu;
-use sciml_codec::cosmoflow::EncodedCosmo;
-use sciml_codec::deepcam::{decode_line_into, EncodedDeepCam, LineMode};
+use sciml_codec::cosmoflow::CosmoView;
+use sciml_codec::deepcam::{decode_line_into, DeepCamView, LineMode};
 use sciml_codec::{CodecError, Op};
 use sciml_data::cosmoflow::N_REDSHIFTS;
 use sciml_half::F16;
@@ -23,11 +23,11 @@ use sciml_half::F16;
 /// unique values only" saving shows up in cycle counts.
 pub fn decode_cosmo(
     gpu: &Gpu,
-    enc: &EncodedCosmo,
+    view: &CosmoView<'_>,
     op: Op,
 ) -> Result<(Vec<F16>, KernelStats, f64), CodecError> {
-    let mut out = vec![F16::ZERO; enc.voxels() * N_REDSHIFTS];
-    let (stats, time) = decode_cosmo_into(gpu, enc, op, &mut out)?;
+    let mut out = vec![F16::ZERO; view.n_values()];
+    let (stats, time) = decode_cosmo_into(gpu, view, op, &mut out)?;
     Ok((out, stats, time))
 }
 
@@ -36,28 +36,32 @@ pub fn decode_cosmo(
 /// panic). Every slot is written; callers may pass recycled buffers.
 pub fn decode_cosmo_into(
     gpu: &Gpu,
-    enc: &EncodedCosmo,
+    view: &CosmoView<'_>,
     op: Op,
     out: &mut [F16],
 ) -> Result<(KernelStats, f64), CodecError> {
     // The CPU decoder's answer: no parser lets one through, but the
     // fields of an owned sample are public.
-    if enc.grid == 0 {
+    if view.grid == 0 {
         return Err(CodecError::Corrupt("zero grid"));
     }
-    let voxels = enc.voxels();
-    let covered: u64 = enc.chunks.iter().map(|c| c.n_voxels as u64).sum();
+    let voxels = view.voxels();
+    let mut covered = 0u64;
+    for chunk in view.chunks() {
+        covered += chunk?.n_voxels as u64;
+    }
     if covered != voxels as u64 {
         return Err(CodecError::Inconsistent("chunks do not cover grid"));
     }
-    if out.len() != voxels * N_REDSHIFTS {
+    if out.len() != view.n_values() {
         return Err(CodecError::Inconsistent("output slice length mismatch"));
     }
     let mut stats = KernelStats::default();
 
     let mut start = 0usize;
-    for chunk in &enc.chunks {
-        let table_bytes = (chunk.table.len() * 2 * N_REDSHIFTS) as u64;
+    for chunk in view.chunks() {
+        let chunk = chunk?;
+        let table_bytes = (chunk.table_len() * 2 * N_REDSHIFTS) as u64;
         let table_space = if table_bytes <= gpu.spec.shared_bytes {
             MemSpace::Shared
         } else if table_bytes <= gpu.spec.l2_bytes {
@@ -67,8 +71,9 @@ pub fn decode_cosmo_into(
         };
 
         // Phase 1: fused operator on unique table entries.
-        let mut lut: Vec<[F16; N_REDSHIFTS]> = Vec::with_capacity(chunk.table.len());
-        for rows in chunk.table.chunks(WARP_SIZE) {
+        let mut lut: Vec<[F16; N_REDSHIFTS]> = Vec::with_capacity(chunk.table_len());
+        chunk.for_each_group(|g| lut.push(g.map(|c| F16::from_f32(op.apply(c as f32)))));
+        for rows in lut.chunks(WARP_SIZE) {
             let mut ctx = WarpCtx::new();
             // Load 8B rows (coalesced: consecutive), apply op (a few ALU
             // ops per channel incl. the transcendental), store back.
@@ -77,13 +82,6 @@ pub fn decode_cosmo_into(
             ctx.access(&addrs, MemSpace::Dram); // first touch streams from DRAM
             ctx.alu(4 * op_cost(op)); // 4 channels
             ctx.access(&addrs, table_space); // write decoded rows
-            for g in rows {
-                let mut row = [F16::ZERO; N_REDSHIFTS];
-                for (z, &c) in g.iter().enumerate() {
-                    row[z] = F16::from_f32(op.apply(c as f32));
-                }
-                lut.push(row);
-            }
             stats.absorb(ctx.finish());
         }
 
@@ -144,26 +142,25 @@ pub fn decode_cosmo_into(
 /// and the f16 stores — the paper's hierarchical assignment.
 pub fn decode_deepcam(
     gpu: &Gpu,
-    enc: &EncodedDeepCam,
+    view: &DeepCamView<'_>,
     op: Op,
 ) -> Result<(Vec<F16>, KernelStats, f64), CodecError> {
-    let mut out = vec![F16::ZERO; enc.n_values()];
-    let (stats, time) = decode_deepcam_into(gpu, enc, op, &mut out)?;
+    let mut out = vec![F16::ZERO; view.n_values()];
+    let (stats, time) = decode_deepcam_into(gpu, view, op, &mut out)?;
     Ok((out, stats, time))
 }
 
 /// [`decode_deepcam`] writing into a caller-provided slice, which must
-/// be exactly [`EncodedDeepCam::n_values`] long (same contract as
+/// be exactly [`DeepCamView::n_values`] long (same contract as
 /// [`decode_cosmo_into`]).
 pub fn decode_deepcam_into(
     gpu: &Gpu,
-    enc: &EncodedDeepCam,
+    view: &DeepCamView<'_>,
     op: Op,
     out: &mut [F16],
 ) -> Result<(KernelStats, f64), CodecError> {
-    let view = enc.view();
-    let width = enc.width as usize;
-    if out.len() != enc.n_values() {
+    let width = view.width as usize;
+    if out.len() != view.n_values() {
         return Err(CodecError::Inconsistent("output slice length mismatch"));
     }
     if width == 0 {
@@ -173,7 +170,7 @@ pub fn decode_deepcam_into(
 
     for (idx, dst) in out.chunks_mut(width).enumerate() {
         // Functional part: identical to the CPU decoder by construction.
-        decode_line_into(enc, idx, op, dst)?;
+        decode_line_into(view, idx, op, dst)?;
 
         // Timing part: account the SIMT cost of this line's task.
         let mut ctx = WarpCtx::new();
@@ -252,10 +249,10 @@ pub fn decode_deepcam_into(
 /// slightly from the fused path (the op sees FP16-rounded inputs).
 pub fn decode_cosmo_unfused(
     gpu: &Gpu,
-    enc: &EncodedCosmo,
+    view: &CosmoView<'_>,
     op: Op,
 ) -> Result<(Vec<F16>, KernelStats, f64), CodecError> {
-    let (mut out, mut stats, _) = decode_cosmo(gpu, enc, Op::Identity)?;
+    let (mut out, mut stats, _) = decode_cosmo(gpu, view, Op::Identity)?;
     let n = out.len();
     for w0 in (0..n).step_by(WARP_SIZE) {
         let lanes = (n - w0).min(WARP_SIZE);
@@ -309,7 +306,7 @@ mod tests {
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
         let enc = cf::encode(&s);
         let gpu = Gpu::new(GpuSpec::V100);
-        let (out, stats, time) = decode_cosmo(&gpu, &enc, Op::Log1p).unwrap();
+        let (out, stats, time) = decode_cosmo(&gpu, &enc.view(), Op::Log1p).unwrap();
         assert_eq!(out, cf::decode(&enc, Op::Log1p).unwrap());
         assert!(stats.cycles > 0 && stats.tasks > 0);
         assert!(time > 0.0 && time < 1.0, "{time}");
@@ -327,9 +324,9 @@ mod tests {
         let gpu = Gpu::new(GpuSpec::V100);
         let cpu = cf::decode(&enc, Op::Log1p).unwrap_err();
         assert_eq!(cpu, CodecError::Corrupt("zero grid"));
-        assert_eq!(decode_cosmo(&gpu, &enc, Op::Log1p).unwrap_err(), cpu);
+        assert_eq!(decode_cosmo(&gpu, &enc.view(), Op::Log1p).unwrap_err(), cpu);
         assert_eq!(
-            decode_cosmo_into(&gpu, &enc, Op::Log1p, &mut []).unwrap_err(),
+            decode_cosmo_into(&gpu, &enc.view(), Op::Log1p, &mut []).unwrap_err(),
             cpu
         );
     }
@@ -339,7 +336,7 @@ mod tests {
         let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
         let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
         let gpu = Gpu::new(GpuSpec::V100);
-        let (out, stats, time) = decode_deepcam(&gpu, &enc, Op::Identity).unwrap();
+        let (out, stats, time) = decode_deepcam(&gpu, &enc.view(), Op::Identity).unwrap();
         assert_eq!(out, dc::decode(&enc, Op::Identity).unwrap());
         assert!(stats.divergent_steps == 0); // single-chain diverge has no extra
         assert!(stats.longest_task_cycles > 0);
@@ -351,21 +348,21 @@ mod tests {
         let gpu = Gpu::new(GpuSpec::V100);
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
         let enc = cf::encode(&s);
-        let (want, _, _) = decode_cosmo(&gpu, &enc, Op::Log1p).unwrap();
+        let (want, _, _) = decode_cosmo(&gpu, &enc.view(), Op::Log1p).unwrap();
         let mut out = vec![F16::ONE; want.len()];
-        decode_cosmo_into(&gpu, &enc, Op::Log1p, &mut out).unwrap();
+        decode_cosmo_into(&gpu, &enc.view(), Op::Log1p, &mut out).unwrap();
         assert_eq!(out, want);
         let mut wrong = vec![F16::ZERO; want.len() - 1];
-        assert!(decode_cosmo_into(&gpu, &enc, Op::Log1p, &mut wrong).is_err());
+        assert!(decode_cosmo_into(&gpu, &enc.view(), Op::Log1p, &mut wrong).is_err());
 
         let d = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
         let (denc, _) = dc::encode(&d, &dc::EncoderConfig::default());
-        let (want, _, _) = decode_deepcam(&gpu, &denc, Op::Identity).unwrap();
+        let (want, _, _) = decode_deepcam(&gpu, &denc.view(), Op::Identity).unwrap();
         let mut out = vec![F16::ONE; want.len()];
-        decode_deepcam_into(&gpu, &denc, Op::Identity, &mut out).unwrap();
+        decode_deepcam_into(&gpu, &denc.view(), Op::Identity, &mut out).unwrap();
         assert_eq!(out, want);
         let mut wrong = vec![F16::ZERO; want.len() + 1];
-        assert!(decode_deepcam_into(&gpu, &denc, Op::Identity, &mut wrong).is_err());
+        assert!(decode_deepcam_into(&gpu, &denc.view(), Op::Identity, &mut wrong).is_err());
     }
 
     /// Every field of `EncodedDeepCam` is public: a directory that
@@ -380,7 +377,7 @@ mod tests {
             offset,
             len,
         };
-        let sample = |width: u32, lines: Vec<LineMeta>| EncodedDeepCam {
+        let sample = |width: u32, lines: Vec<LineMeta>| dc::EncodedDeepCam {
             width,
             height: 2,
             channels: 1,
@@ -391,7 +388,7 @@ mod tests {
         let mut out = [F16::ZERO; 8];
         decode_deepcam_into(
             &gpu,
-            &sample(4, vec![line(0, 4), line(4, 4)]),
+            &sample(4, vec![line(0, 4), line(4, 4)]).view(),
             Op::Identity,
             &mut out,
         )
@@ -400,7 +397,7 @@ mod tests {
             assert_eq!(
                 decode_deepcam_into(
                     &gpu,
-                    &sample(4, vec![line(0, 4), bad]),
+                    &sample(4, vec![line(0, 4), bad]).view(),
                     Op::Identity,
                     &mut out
                 )
@@ -410,13 +407,18 @@ mod tests {
         }
         for lines in [vec![line(0, 4)], vec![line(0, 4); 3]] {
             assert!(matches!(
-                decode_deepcam_into(&gpu, &sample(4, lines), Op::Identity, &mut out),
+                decode_deepcam_into(&gpu, &sample(4, lines).view(), Op::Identity, &mut out),
                 Err(CodecError::Inconsistent(_))
             ));
         }
         assert_eq!(
-            decode_deepcam_into(&gpu, &sample(0, vec![line(0, 4); 2]), Op::Identity, &mut [])
-                .map(|_| ()),
+            decode_deepcam_into(
+                &gpu,
+                &sample(0, vec![line(0, 4); 2]).view(),
+                Op::Identity,
+                &mut []
+            )
+            .map(|_| ()),
             Err(CodecError::Corrupt("zero-width lines"))
         );
     }
@@ -425,8 +427,8 @@ mod tests {
     fn a100_decodes_faster_than_v100() {
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(1);
         let enc = cf::encode(&s);
-        let (_, _, tv) = decode_cosmo(&Gpu::new(GpuSpec::V100), &enc, Op::Log1p).unwrap();
-        let (_, _, ta) = decode_cosmo(&Gpu::new(GpuSpec::A100), &enc, Op::Log1p).unwrap();
+        let (_, _, tv) = decode_cosmo(&Gpu::new(GpuSpec::V100), &enc.view(), Op::Log1p).unwrap();
+        let (_, _, ta) = decode_cosmo(&Gpu::new(GpuSpec::A100), &enc.view(), Op::Log1p).unwrap();
         assert!(ta <= tv, "A100 {ta} vs V100 {tv}");
     }
 
@@ -438,7 +440,7 @@ mod tests {
         // should be far below 1ms on the small grid.
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(2);
         let enc = cf::encode(&s);
-        let (_, _, t) = decode_cosmo(&Gpu::new(GpuSpec::V100), &enc, Op::Log1p).unwrap();
+        let (_, _, t) = decode_cosmo(&Gpu::new(GpuSpec::V100), &enc.view(), Op::Log1p).unwrap();
         assert!(t < 1e-3, "decode took {t}s");
     }
 
@@ -461,8 +463,8 @@ mod tests {
         assert_eq!(st1.delta_lines, 1);
         let (e2, st2) = dc::encode(&mk(constant), &dc::EncoderConfig::default());
         assert_eq!(st2.constant_lines, 1);
-        let (_, s1, _) = decode_deepcam(&gpu, &e1, Op::Identity).unwrap();
-        let (_, s2, _) = decode_deepcam(&gpu, &e2, Op::Identity).unwrap();
+        let (_, s1, _) = decode_deepcam(&gpu, &e1.view(), Op::Identity).unwrap();
+        let (_, s2, _) = decode_deepcam(&gpu, &e2.view(), Op::Identity).unwrap();
         assert!(
             s1.longest_task_cycles > 4 * s2.longest_task_cycles,
             "delta {} vs constant {}",
@@ -476,9 +478,9 @@ mod tests {
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(4);
         let enc = cf::encode(&s);
         let gpu = Gpu::new(GpuSpec::V100);
-        let (fused, fused_stats, fused_t) = decode_cosmo(&gpu, &enc, Op::Log1p).unwrap();
+        let (fused, fused_stats, fused_t) = decode_cosmo(&gpu, &enc.view(), Op::Log1p).unwrap();
         let (unfused, unfused_stats, unfused_t) =
-            decode_cosmo_unfused(&gpu, &enc, Op::Log1p).unwrap();
+            decode_cosmo_unfused(&gpu, &enc.view(), Op::Log1p).unwrap();
         // Cost: the extra per-voxel pass dominates.
         assert!(unfused_stats.cycles > fused_stats.cycles);
         assert!(unfused_stats.dram_bytes > fused_stats.dram_bytes);
@@ -502,8 +504,8 @@ mod tests {
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(3);
         let enc = cf::encode(&s);
         let gpu = Gpu::new(GpuSpec::V100);
-        let (_, st_id, _) = decode_cosmo(&gpu, &enc, Op::Identity).unwrap();
-        let (_, st_log, _) = decode_cosmo(&gpu, &enc, Op::Log1p).unwrap();
+        let (_, st_id, _) = decode_cosmo(&gpu, &enc.view(), Op::Identity).unwrap();
+        let (_, st_log, _) = decode_cosmo(&gpu, &enc.view(), Op::Log1p).unwrap();
         let extra = st_log.cycles - st_id.cycles;
         let table_tasks = enc
             .chunks

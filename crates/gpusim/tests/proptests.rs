@@ -46,9 +46,9 @@ proptest! {
         let (denc, _) = dc::encode(&d, &dc::EncoderConfig::default());
         for spec in [GpuSpec::V100, GpuSpec::A100] {
             let gpu = Gpu::new(spec);
-            let (cosmo_dev, _, _) = decode_cosmo(&gpu, &cenc, Op::Log1p).unwrap();
+            let (cosmo_dev, _, _) = decode_cosmo(&gpu, &cenc.view(), Op::Log1p).unwrap();
             prop_assert_eq!(cosmo_dev, cf::decode(&cenc, Op::Log1p).unwrap());
-            let (cam_dev, _, _) = decode_deepcam(&gpu, &denc, Op::Identity).unwrap();
+            let (cam_dev, _, _) = decode_deepcam(&gpu, &denc.view(), Op::Identity).unwrap();
             prop_assert_eq!(cam_dev, dc::decode(&denc, Op::Identity).unwrap());
         }
     }
@@ -58,8 +58,8 @@ proptest! {
     #[test]
     fn sim_time_is_physical(s in cosmo_sample()) {
         let enc = cf::encode(&s);
-        let (_, sv, tv) = decode_cosmo(&Gpu::new(GpuSpec::V100), &enc, Op::Log1p).unwrap();
-        let (_, sa, ta) = decode_cosmo(&Gpu::new(GpuSpec::A100), &enc, Op::Log1p).unwrap();
+        let (_, sv, tv) = decode_cosmo(&Gpu::new(GpuSpec::V100), &enc.view(), Op::Log1p).unwrap();
+        let (_, sa, ta) = decode_cosmo(&Gpu::new(GpuSpec::A100), &enc.view(), Op::Log1p).unwrap();
         prop_assert!(tv.is_finite() && tv > 0.0);
         prop_assert!(ta <= tv * 1.0001);
         // Same kernel, same work: identical functional counters.

@@ -8,7 +8,7 @@ use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
 use sciml_compress::Level;
 use sciml_data::serialize;
-use sciml_gpusim::{decode_cosmo, decode_deepcam, Gpu};
+use sciml_gpusim::{decode_cosmo_into, decode_deepcam_into, Gpu};
 use sciml_half::F16;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,26 +211,25 @@ impl CosmoPluginGpu {
     pub fn device_seconds(&self) -> f64 {
         self.device_ns.load(Ordering::Relaxed) as f64 * 1e-9
     }
+
+    fn decode_view_into(&self, view: &cf::CosmoView<'_>, out: &mut [F16]) -> Result<Label> {
+        let (_, time) = decode_cosmo_into(&self.gpu, view, self.op, out)?;
+        self.device_ns
+            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
+        Ok(Label::Cosmo(view.label))
+    }
 }
 
 impl DecoderPlugin for CosmoPluginGpu {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let enc = cf::EncodedCosmo::from_bytes(bytes)?;
-        let (data, _, time) = decode_cosmo(&self.gpu, &enc, self.op)?;
-        self.device_ns
-            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
-        Ok(DecodedSample {
-            data,
-            label: Label::Cosmo(enc.label),
-        })
+        let view = cf::CosmoView::parse(bytes)?;
+        let mut data = vec![F16::ZERO; view.n_values()];
+        let label = self.decode_view_into(&view, &mut data)?;
+        Ok(DecodedSample { data, label })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let enc = cf::EncodedCosmo::from_bytes(bytes)?;
-        let (_, time) = sciml_gpusim::decode_cosmo_into(&self.gpu, &enc, self.op, out)?;
-        self.device_ns
-            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
-        Ok(Label::Cosmo(enc.label))
+        self.decode_view_into(&cf::CosmoView::parse(bytes)?, out)
     }
 
     fn name(&self) -> &'static str {
@@ -317,19 +316,6 @@ pub struct DeepCamPluginCpu {
     pub op: Op,
 }
 
-/// Runs `f` over a view of a wire blob: borrowed from `bytes` where
-/// they are wire v1, over an owned sample where they are v2 (a packed
-/// payload needs a buffer of its own).
-fn with_deepcam_view<R>(
-    bytes: &[u8],
-    f: impl FnOnce(&dc::DeepCamView<'_>) -> Result<R>,
-) -> Result<R> {
-    match dc::DeepCamView::parse(bytes)? {
-        Some(view) => f(&view),
-        None => f(&dc::EncodedDeepCam::from_bytes(bytes)?.view()),
-    }
-}
-
 /// The plugin's steady state: a parsed view into a tensor slot.
 fn deepcam_view_into(view: &dc::DeepCamView<'_>, op: Op, out: &mut [F16]) -> Result<Label> {
     dc::decode_view_into(view, op, out)?;
@@ -339,15 +325,14 @@ fn deepcam_view_into(view: &dc::DeepCamView<'_>, op: Op, out: &mut [F16]) -> Res
 
 impl DecoderPlugin for DeepCamPluginCpu {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        with_deepcam_view(bytes, |view| {
-            let mut data = vec![F16::ZERO; view.n_values()];
-            let label = deepcam_view_into(view, self.op, &mut data)?;
-            Ok(DecodedSample { data, label })
-        })
+        let view = dc::DeepCamView::parse(bytes)?;
+        let mut data = vec![F16::ZERO; view.n_values()];
+        let label = deepcam_view_into(&view, self.op, &mut data)?;
+        Ok(DecodedSample { data, label })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        with_deepcam_view(bytes, |view| deepcam_view_into(view, self.op, out))
+        deepcam_view_into(&dc::DeepCamView::parse(bytes)?, self.op, out)
     }
 
     fn name(&self) -> &'static str {
@@ -379,27 +364,25 @@ impl DeepCamPluginGpu {
     pub fn device_seconds(&self) -> f64 {
         self.device_ns.load(Ordering::Relaxed) as f64 * 1e-9
     }
+
+    fn decode_view_into(&self, view: &dc::DeepCamView<'_>, out: &mut [F16]) -> Result<Label> {
+        let (_, time) = decode_deepcam_into(&self.gpu, view, self.op, out)?;
+        self.device_ns
+            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
+        Ok(Label::Mask(view.mask.to_vec()))
+    }
 }
 
 impl DecoderPlugin for DeepCamPluginGpu {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        let mask = enc.mask.clone();
-        let (data, _, time) = decode_deepcam(&self.gpu, &enc, self.op)?;
-        self.device_ns
-            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
-        Ok(DecodedSample {
-            data,
-            label: Label::Mask(mask),
-        })
+        let view = dc::DeepCamView::parse(bytes)?;
+        let mut data = vec![F16::ZERO; view.n_values()];
+        let label = self.decode_view_into(&view, &mut data)?;
+        Ok(DecodedSample { data, label })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        let (_, time) = sciml_gpusim::decode_deepcam_into(&self.gpu, &enc, self.op, out)?;
-        self.device_ns
-            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
-        Ok(Label::Mask(enc.mask))
+        self.decode_view_into(&dc::DeepCamView::parse(bytes)?, out)
     }
 
     fn name(&self) -> &'static str {
@@ -562,31 +545,17 @@ mod tests {
     }
 
     /// The 36 bytes that used to kill a decode thread at
-    /// `chunks_mut(0)`, and the packed wire form through the same two
-    /// methods.
+    /// `chunks_mut(0)`, and the retired wire version 2 through the same
+    /// two methods.
     #[test]
-    fn deepcam_plugins_reject_zero_dimensions_and_take_both_wire_versions() {
+    fn deepcam_plugins_reject_zero_dimensions_and_the_retired_wire_version() {
         let mut blob = b"DCMX".to_vec();
         blob.extend_from_slice(&1u32.to_le_bytes());
         blob.extend_from_slice(&[0u8; 12 + 16]);
         assert_eq!(blob.len(), 36);
-        let cpu = DeepCamPluginCpu { op: Op::Identity };
-        let gpu = DeepCamPluginGpu::new(Gpu::new(GpuSpec::A100), Op::Identity);
-        let plugins: [&dyn DecoderPlugin; 2] = [&cpu, &gpu];
-        for plugin in plugins {
-            for result in [
-                plugin.decode(&blob).map(|_| ()),
-                plugin.decode_into(&blob, &mut []).map(|_| ()),
-                plugin.decode_into(&blob, &mut [F16::ZERO; 8]).map(|_| ()),
-            ] {
-                let err = result.expect_err(plugin.name());
-                assert!(err.to_string().contains("zero-width lines"), "{err}");
-            }
-        }
-
-        // A wire-v2 blob whose packed section is 24 bytes declaring a
-        // terabyte (`sciml_pack`'s regression stream): sized from, it
-        // aborted the process.
+        // A wire-v2 blob whose payload section is 24 bytes of `SPAK`
+        // header (`crates/pack`) declaring a terabyte: sized from, it
+        // aborted the process; now nothing past the version is read.
         let mut hostile = b"DCMX".to_vec();
         for field in [2u32, 4, 1, 1] {
             hostile.extend_from_slice(&field.to_le_bytes());
@@ -597,30 +566,25 @@ mod tests {
             83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
         ]);
         hostile.extend_from_slice(&0u64.to_le_bytes());
-        for plugin in plugins {
-            for result in [
-                plugin.decode(&hostile).map(|_| ()),
-                plugin
-                    .decode_into(&hostile, &mut [F16::ZERO; 4])
-                    .map(|_| ()),
-            ] {
-                let err = result.expect_err(plugin.name());
-                assert!(err.to_string().contains("packed payload"), "{err}");
-            }
-        }
+        assert_eq!(hostile.len(), 69);
 
-        let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(1);
-        let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
-        let (v1, v2) = (enc.to_bytes(), enc.to_bytes_packed());
-        assert_eq!((v1[4], v2[4]), (1, 2), "one blob of each wire version");
-        let want = cpu.decode(&v1).unwrap();
-        assert_eq!(want.label, Label::Mask(s.mask.clone()));
-        assert_eq!(cpu.decode(&v2).unwrap(), want);
-        for bytes in [&v1, &v2] {
-            let mut out = vec![F16::ONE; want.data.len()];
-            assert_eq!(cpu.decode_into(bytes, &mut out).unwrap(), want.label);
-            assert_eq!(out, want.data);
-            assert!(cpu.decode_into(bytes, &mut out[1..]).is_err());
+        let cpu = DeepCamPluginCpu { op: Op::Identity };
+        let gpu = DeepCamPluginGpu::new(Gpu::new(GpuSpec::A100), Op::Identity);
+        let plugins: [&dyn DecoderPlugin; 2] = [&cpu, &gpu];
+        for (bytes, verdict) in [
+            (&blob, "zero-width lines"),
+            (&hostile, "unsupported version"),
+        ] {
+            for plugin in plugins {
+                for result in [
+                    plugin.decode(bytes).map(|_| ()),
+                    plugin.decode_into(bytes, &mut []).map(|_| ()),
+                    plugin.decode_into(bytes, &mut [F16::ZERO; 4]).map(|_| ()),
+                ] {
+                    let err = result.expect_err(plugin.name());
+                    assert!(err.to_string().contains(verdict), "{err}");
+                }
+            }
         }
     }
 

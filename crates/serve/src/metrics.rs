@@ -23,7 +23,6 @@ pub struct ServerMetrics {
     /// stats replies.
     decoded_raw: Arc<Counter>,
     decoded_gzip: Arc<Counter>,
-    decoded_pack: Arc<Counter>,
     /// Per-request handling latency, nanoseconds (`serve.request_ns`).
     pub request_latency: Arc<Histogram>,
     /// Connections currently open (`serve.conn.active`).
@@ -56,7 +55,6 @@ impl ServerMetrics {
             bytes_sent: registry.counter("serve.bytes_sent"),
             decoded_raw: registry.counter("store.decode.raw"),
             decoded_gzip: registry.counter("store.decode.gzip"),
-            decoded_pack: registry.counter("store.decode.pack"),
             request_latency: registry.histogram("serve.request_ns"),
             conn_active: registry.gauge("serve.conn.active"),
             conn_accepted: registry.counter("serve.conn.accepted"),
@@ -106,7 +104,6 @@ impl ServerMetrics {
             request_ns: latency.sum,
             decoded_raw: self.decoded_raw.get(),
             decoded_gzip: self.decoded_gzip.get(),
-            decoded_pack: self.decoded_pack.get(),
             latency,
         }
     }

@@ -160,8 +160,6 @@ pub struct StatsSnapshot {
     pub decoded_raw: u64,
     /// Store payloads decoded from gzip entries.
     pub decoded_gzip: u64,
-    /// Store payloads decoded from pack entries.
-    pub decoded_pack: u64,
     /// Request-latency distribution (nanoseconds).
     pub latency: HistogramSnapshot,
 }
@@ -231,7 +229,7 @@ pub enum Message {
     },
     /// Server reply to [`Message::ShardManifest`]: the staging plan
     /// with each shard's payload-encoding byte, so a stager reproduces
-    /// the server store's raw/gzip/pack choice.
+    /// the server store's raw/gzip/auto choice.
     ShardManifestReply(Vec<ShardPlan>),
     /// Request wrapper: carries the client's distributed-trace context
     /// so the server records its spans into the same trace. Wraps
@@ -429,7 +427,7 @@ impl Message {
                     s.request_ns,
                     s.decoded_raw,
                     s.decoded_gzip,
-                    s.decoded_pack,
+                    0, // the retired pack counter's slot, kept until v8
                 ] {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
@@ -541,8 +539,10 @@ impl Message {
                 request_ns: r.u64()?,
                 decoded_raw: r.u64()?,
                 decoded_gzip: r.u64()?,
-                decoded_pack: r.u64()?,
-                latency: read_latency(&mut r)?,
+                latency: {
+                    r.u64()?; // the retired pack counter's slot, unread
+                    read_latency(&mut r)?
+                },
             }),
             tags::TRACED => {
                 let trace_id = r.u64()?;
@@ -885,7 +885,6 @@ mod tests {
                 request_ns: 7,
                 decoded_raw: 8,
                 decoded_gzip: 9,
-                decoded_pack: 10,
                 latency: {
                     let h = sciml_obs::Histogram::new();
                     for v in [100u64, 250, 1_000_000, 1_000_001] {
@@ -912,7 +911,7 @@ mod tests {
                     first: 0,
                     count: 128,
                     bytes: 1 << 20,
-                    encoding: EncodingChoice::Pack,
+                    encoding: EncodingChoice::Auto,
                 },
                 ShardPlan {
                     id: 1,
@@ -935,7 +934,7 @@ mod tests {
                             first: 0,
                             count: 128,
                             bytes: 1 << 20,
-                            encoding: EncodingChoice::Pack,
+                            encoding: EncodingChoice::Auto,
                         },
                         replicas: vec![1, 0],
                     },
@@ -1301,19 +1300,24 @@ mod tests {
     /// commit, so everything v7 did not change is that v6 byte for
     /// byte. Each must still be what some entry of `all_messages()`
     /// encodes to; the tag byte ties it to its message.
+    ///
+    /// Three captures carry a value of the retired pack encoding — the
+    /// stats frame's pack decode counter (10) and policy byte 2 in both
+    /// manifests. Their hex stays as captured; the third column is the
+    /// one byte today's encoder writes differently (offset, captured,
+    /// written), so every other byte of the layout is still held to the
+    /// capture.
     #[test]
     fn golden_wire_vectors() {
-        let frames: Vec<String> = all_messages()
-            .iter()
-            .map(|m| encode_frame(m).iter().map(|b| format!("{b:02x}")).collect())
-            .collect();
+        let frames: Vec<Vec<u8>> = all_messages().iter().map(encode_frame).collect();
         let golden = [
-            ("Hello{7}", "03000000010700e225c2b1"),
-            ("Stats", "01000000092957deab"),
+            ("Hello{7}", "03000000010700e225c2b1", None),
+            ("Stats", "01000000092957deab", None),
             (
                 "Traced{FetchSamples}",
                 "35000000110df0ad0befbeaddef0debc9a78563412070500636f736d6f\
                  030000000700000000000000080000000000000009000000000000001322bfa7",
+                None,
             ),
             (
                 "StatsReply, every field set",
@@ -1322,12 +1326,14 @@ mod tests {
                  00080000000000000009000000000000000a00000000000000df851e0000\
                  000000640000000000000041420f00000000000300000024000100000000\
                  0000002f0001000000000000008f00020000000000000030cc36d0",
+                Some((77, 10, 0)),
             ),
             (
                 "ShardManifestReply, two shards",
                 "3f0000001002000000000000000000000000000000800000000000000000\
                  001000000000000201000000800000000000000064000000000000000000\
                  00000000000001e8ba0125",
+                Some((37, 2, 3)),
             ),
             (
                 "ClusterManifestReply",
@@ -1335,13 +1341,35 @@ mod tests {
                  2e302e313a37343032020002000000000000000000000000000000800000\
                  000000000000001000000000000202000100000001000000800000000000\
                  00004000000000000000000200000000000000020000000100d112dddd",
+                Some((73, 2, 3)),
             ),
         ];
-        for (name, hex) in golden {
-            assert!(
-                frames.iter().any(|f| f == hex),
-                "{name} changed on the wire"
-            );
+        for (name, hex, retired) in golden {
+            let mut frame: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            if let Some((at, captured, written)) = retired {
+                // As captured: the stats frame still parses, its retired
+                // slot skipped; a manifest naming the retired policy is
+                // a typed error.
+                match decode_frame(&frame) {
+                    Ok((msg, _)) => {
+                        assert!(matches!(msg, Message::StatsReply(_)), "{name}");
+                        assert!(all_messages().contains(&msg), "{name}");
+                    }
+                    Err(e) => assert!(
+                        matches!(e, ProtocolError::Malformed("unknown shard encoding byte")),
+                        "{name}: {e:?}"
+                    ),
+                }
+                assert_eq!(frame[at], captured, "{name}");
+                frame[at] = written;
+                let body = frame.len() - 4;
+                let crc = crc32(&frame[4..body]);
+                frame[body..].copy_from_slice(&crc.to_le_bytes());
+            }
+            assert!(frames.contains(&frame), "{name} changed on the wire");
         }
     }
 

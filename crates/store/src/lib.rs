@@ -13,7 +13,7 @@
 //!   `sciml_compress::crc32`). Readers use positioned reads, so
 //!   concurrent fetches share one file descriptor without a seek lock.
 //!   The writer is two halves: `encode_entry` (one sample → one stored
-//!   entry, per-entry raw / gzip / pack) and `assemble_shard` (entries →
+//!   entry, per-entry raw or gzip) and `assemble_shard` (entries →
 //!   file image); packing and staging both end in the second.
 //! * [`manifest`] — the store manifest (`store.manifest`, one line per
 //!   shard: sample range, byte size, whole-file CRC) and the staging
@@ -101,8 +101,6 @@ pub enum StoreError {
     },
     /// A gzip-compressed payload failed to decompress.
     Compression(sciml_compress::Error),
-    /// A pack-compressed payload failed to decode.
-    Pack(sciml_pack::PackError),
     /// A shard file named by the manifest is missing.
     MissingShard(PathBuf),
     /// The staging retry budget was exhausted; carries the last error.
@@ -140,7 +138,6 @@ impl fmt::Display for StoreError {
                 "entry of {len} bytes exceeds the shard index's 32-bit length field"
             ),
             StoreError::Compression(e) => write!(f, "shard decompression failed: {e}"),
-            StoreError::Pack(e) => write!(f, "shard pack decode failed: {e}"),
             StoreError::MissingShard(p) => write!(f, "shard file missing: {}", p.display()),
             StoreError::RetriesExhausted(e) => write!(f, "staging retries exhausted: {e}"),
             StoreError::Backing(e) => write!(f, "backing source error: {e}"),
@@ -153,7 +150,6 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io(e) => Some(e),
             StoreError::Compression(e) => Some(e),
-            StoreError::Pack(e) => Some(e),
             StoreError::RetriesExhausted(e) => Some(e.as_ref()),
             StoreError::Backing(e) => Some(e),
             _ => None,
@@ -170,12 +166,6 @@ impl From<std::io::Error> for StoreError {
 impl From<sciml_compress::Error> for StoreError {
     fn from(e: sciml_compress::Error) -> Self {
         StoreError::Compression(e)
-    }
-}
-
-impl From<sciml_pack::PackError> for StoreError {
-    fn from(e: sciml_pack::PackError) -> Self {
-        StoreError::Pack(e)
     }
 }
 

@@ -372,7 +372,7 @@ mod tests {
                     count: 3,
                     bytes: 120,
                     crc32: 0xDEAD_BEEF,
-                    encoding: EncodingChoice::Pack,
+                    encoding: EncodingChoice::Auto,
                 },
                 ShardMeta {
                     id: 1,
@@ -401,6 +401,8 @@ mod tests {
         for bad in [
             "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000\n",
             "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000 zstd\n",
+            // The retired policy, as `sciml pack --encoding pack` wrote it.
+            "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000 pack\n",
         ] {
             assert!(matches!(
                 StoreManifest::parse(bad),

@@ -20,10 +20,11 @@
 //! All integers are little-endian. There is one format version, 2 (any
 //! other number in the header is a typed `BadVersion`); the header
 //! flags are written as zero and not read. Each footer-index entry
-//! carries an encoding byte — raw, gzip, or pack ([`sciml_pack`]) — so a
-//! single shard can mix encodings: the [`EncodingChoice::Auto`] policy
-//! trial-encodes a sample slice of each payload and keeps whichever
-//! encoding wins. Compression is per-sample (not whole-shard) so positioned reads stay
+//! carries an encoding byte — 0 raw, 1 gzip; 2 was `crates/pack` and is
+//! now a typed error like every other value — so a single shard can mix
+//! encodings: the [`EncodingChoice::Auto`] policy gzips a sample slice
+//! of each payload and gzips the payload if the slice shrank.
+//! Compression is per-sample (not whole-shard) so positioned reads stay
 //! valid, and each entry's CRC-32 covers the *stored* bytes, so
 //! integrity checks never need to decompress.
 
@@ -47,7 +48,7 @@ const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 21;
 const TRAILER_LEN: usize = 24;
 
-/// Bytes of a payload trial-encoded when auto-selecting an encoding.
+/// Bytes of a payload trial-gzipped when auto-selecting an encoding.
 const TRIAL_SAMPLE_BYTES: usize = 8192;
 
 /// How one stored payload is encoded, as recorded in its footer-index
@@ -58,8 +59,6 @@ pub enum PayloadEncoding {
     Raw,
     /// Stored bytes are a gzip member ([`sciml_compress`]).
     Gzip,
-    /// Stored bytes are a packed stream ([`sciml_pack`]).
-    Pack,
 }
 
 impl PayloadEncoding {
@@ -68,7 +67,6 @@ impl PayloadEncoding {
         match self {
             PayloadEncoding::Raw => 0,
             PayloadEncoding::Gzip => 1,
-            PayloadEncoding::Pack => 2,
         }
     }
 
@@ -77,7 +75,6 @@ impl PayloadEncoding {
         match b {
             0 => Some(PayloadEncoding::Raw),
             1 => Some(PayloadEncoding::Gzip),
-            2 => Some(PayloadEncoding::Pack),
             _ => None,
         }
     }
@@ -87,7 +84,6 @@ impl PayloadEncoding {
         match self {
             PayloadEncoding::Raw => "raw",
             PayloadEncoding::Gzip => "gzip",
-            PayloadEncoding::Pack => "pack",
         }
     }
 }
@@ -100,42 +96,38 @@ pub enum EncodingChoice {
     Raw,
     /// Gzip every payload.
     Gzip,
-    /// Pack every payload with [`sciml_pack`].
-    Pack,
-    /// Trial-encode a sample slice of each payload and keep the winner
-    /// (falling back to raw when nothing shrinks it).
+    /// Gzip a payload whose leading sample slice gzip shrinks, store
+    /// the rest raw.
     Auto,
 }
 
 impl EncodingChoice {
-    /// Lower-case name (`raw` / `gzip` / `pack` / `auto`).
+    /// Lower-case name (`raw` / `gzip` / `auto`).
     pub fn name(self) -> &'static str {
         match self {
             EncodingChoice::Raw => "raw",
             EncodingChoice::Gzip => "gzip",
-            EncodingChoice::Pack => "pack",
             EncodingChoice::Auto => "auto",
         }
     }
 
     /// Whether this policy can produce an entry stored as `stored`
-    /// (`Auto` resolves per entry, to any of them).
+    /// (`Auto` resolves per entry, to either).
     pub fn admits(self, stored: PayloadEncoding) -> bool {
         matches!(
             (self, stored),
             (EncodingChoice::Auto, _)
                 | (EncodingChoice::Raw, PayloadEncoding::Raw)
                 | (EncodingChoice::Gzip, PayloadEncoding::Gzip)
-                | (EncodingChoice::Pack, PayloadEncoding::Pack)
         )
     }
 
-    /// Wire byte used by the serve protocol's shard-manifest reply.
+    /// Wire byte used by the serve protocol's shard-manifest reply
+    /// (2 was the retired pack policy and is not reused).
     pub fn as_byte(self) -> u8 {
         match self {
             EncodingChoice::Raw => 0,
             EncodingChoice::Gzip => 1,
-            EncodingChoice::Pack => 2,
             EncodingChoice::Auto => 3,
         }
     }
@@ -145,7 +137,6 @@ impl EncodingChoice {
         match b {
             0 => Some(EncodingChoice::Raw),
             1 => Some(EncodingChoice::Gzip),
-            2 => Some(EncodingChoice::Pack),
             3 => Some(EncodingChoice::Auto),
             _ => None,
         }
@@ -159,10 +150,9 @@ impl std::str::FromStr for EncodingChoice {
         match s {
             "raw" => Ok(EncodingChoice::Raw),
             "gzip" => Ok(EncodingChoice::Gzip),
-            "pack" => Ok(EncodingChoice::Pack),
             "auto" => Ok(EncodingChoice::Auto),
             other => Err(format!(
-                "unknown encoding {other:?} (expected raw|gzip|pack|auto)"
+                "unknown encoding {other:?} (expected raw|gzip|auto)"
             )),
         }
     }
@@ -182,7 +172,8 @@ pub struct EncodingCounts {
     pub raw: usize,
     /// Entries stored gzip-compressed.
     pub gzip: usize,
-    /// Entries stored pack-compressed.
+    /// Always 0: `benchmark/src/probes.rs` reads it for
+    /// `store.auto_pack_share`, and only a benchmark PR may edit that.
     pub pack: usize,
 }
 
@@ -192,7 +183,6 @@ impl EncodingCounts {
         match enc {
             PayloadEncoding::Raw => self.raw += 1,
             PayloadEncoding::Gzip => self.gzip += 1,
-            PayloadEncoding::Pack => self.pack += 1,
         }
     }
 
@@ -200,13 +190,12 @@ impl EncodingCounts {
     pub fn merge(&mut self, other: EncodingCounts) {
         self.raw += other.raw;
         self.gzip += other.gzip;
-        self.pack += other.pack;
     }
 }
 
 impl std::fmt::Display for EncodingCounts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "raw={} gzip={} pack={}", self.raw, self.gzip, self.pack)
+        write!(f, "raw={} gzip={}", self.raw, self.gzip)
     }
 }
 
@@ -237,54 +226,40 @@ impl Default for PackConfig {
     }
 }
 
-/// Trial-packs the sample slice of `raw` at element widths 1 and 2 and
-/// returns the width that packs smaller, with the size it reached.
-/// Packing only fails on an invalid width, which cannot happen here.
-fn pack_trial(raw: &[u8]) -> Option<(u8, usize)> {
-    let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
-    let w1 = sciml_pack::packed_len(sample, 1).ok()?;
-    let w2 = sciml_pack::packed_len(sample, 2).ok()?;
-    Some(if w2 < w1 { (2, w2) } else { (1, w1) })
-}
-
 /// Resolves the configured choice for one payload and encodes it.
-/// `Auto` trial-encodes a sample slice with gzip and pack, keeps the
-/// winner, and falls back to raw when nothing actually shrinks the
-/// payload.
+/// `Auto` gzips a sample slice and, if that shrank, the payload; it
+/// falls back to raw when the full payload does not shrink.
 fn encode_payload(
     raw: Vec<u8>,
     choice: EncodingChoice,
     level: Level,
 ) -> (PayloadEncoding, Vec<u8>) {
-    let pack_at = |width: u8| sciml_pack::pack(&raw, width).ok();
-    let encoded = match choice {
+    let gzip = |bytes: &[u8]| sciml_compress::gzip_compress(bytes, level);
+    let stored = match choice {
         EncodingChoice::Raw => None,
-        EncodingChoice::Gzip => Some((
-            PayloadEncoding::Gzip,
-            sciml_compress::gzip_compress(&raw, level),
-        )),
-        EncodingChoice::Pack => pack_trial(&raw)
-            .and_then(|(width, _)| pack_at(width))
-            .map(|p| (PayloadEncoding::Pack, p)),
+        EncodingChoice::Gzip => Some(gzip(&raw)),
         EncodingChoice::Auto => {
             let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
-            let gz_trial = sciml_compress::gzip_compress(sample, level).len();
-            let winner = match pack_trial(&raw) {
-                Some((width, pk_trial)) if pk_trial < gz_trial.min(sample.len()) => {
-                    pack_at(width).map(|p| (PayloadEncoding::Pack, p))
-                }
-                _ if gz_trial < sample.len() => Some((
-                    PayloadEncoding::Gzip,
-                    sciml_compress::gzip_compress(&raw, level),
-                )),
-                _ => None,
-            };
-            // The trial slice can flatter an encoding the full payload
-            // defeats; keep the entry raw in that case.
-            winner.filter(|(_, stored)| stored.len() < raw.len())
+            let trial = gzip(sample);
+            if trial.len() >= sample.len() {
+                None
+            } else {
+                // A trial over the whole payload is the entry itself.
+                let stored = if sample.len() == raw.len() {
+                    trial
+                } else {
+                    gzip(&raw)
+                };
+                // The trial slice can flatter a payload the full encode
+                // does not shrink; keep the entry raw in that case.
+                (stored.len() < raw.len()).then_some(stored)
+            }
         }
     };
-    encoded.unwrap_or((PayloadEncoding::Raw, raw))
+    match stored {
+        Some(stored) => (PayloadEncoding::Gzip, stored),
+        None => (PayloadEncoding::Raw, raw),
+    }
 }
 
 /// A length as the footer index stores it. The index has 32 bits for
@@ -415,7 +390,7 @@ pub fn pack_store(
 /// [`ShardReader::read_into`] left them, into `out`, replacing its
 /// contents. A function of its arguments alone, so it runs on whichever
 /// thread has the time. `raw_len`, from the index, is the capacity `out`
-/// is given and a hard limit on what either decoder may produce — an
+/// is given and a hard limit on what inflate may produce — an
 /// entry that lies about its size is a typed error, not an allocation —
 /// and the length the result must have.
 pub fn unpack_entry(
@@ -431,7 +406,6 @@ pub fn unpack_entry(
             out.reserve(raw_len);
             sciml_compress::gzip_decompress_into(stored, out, raw_len)?;
         }
-        PayloadEncoding::Pack => sciml_pack::unpack_into(stored, out, raw_len)?,
     }
     if out.len() != raw_len {
         return Err(StoreError::Malformed("decompressed length mismatch"));
@@ -445,13 +419,8 @@ fn unpack_gzip(stored: &[u8], out: &mut Vec<u8>, raw_len: usize) -> sciml_pipeli
     Ok(unpack_entry(PayloadEncoding::Gzip, stored, out, raw_len)?)
 }
 
-/// [`unpack_entry`] for a pack entry.
-fn unpack_pack(stored: &[u8], out: &mut Vec<u8>, raw_len: usize) -> sciml_pipeline::Result<()> {
-    Ok(unpack_entry(PayloadEncoding::Pack, stored, out, raw_len)?)
-}
-
 thread_local! {
-    /// Stored bytes of the gzip or pack entry a
+    /// Stored bytes of the gzip entry a
     /// [`ShardReader::fetch_into`] is unpacking. Fetching threads are
     /// long-lived, so each keeps one buffer the size of its largest
     /// entry instead of allocating and zeroing one per fetch.
@@ -660,8 +629,8 @@ impl ShardReader {
         self.index_offset + (self.index.len() * ENTRY_LEN + TRAILER_LEN) as u64
     }
 
-    /// Fetches local sample `idx`, verifying its CRC (and decoding
-    /// gzip- or pack-stored entries).
+    /// Fetches local sample `idx`, verifying its CRC (and inflating a
+    /// gzip-stored entry).
     pub fn fetch(&self, idx: usize) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         self.fetch_into(idx, &mut buf)?;
@@ -670,7 +639,7 @@ impl ShardReader {
 
     /// [`ShardReader::fetch`] into a caller-provided buffer, replacing
     /// its contents: the read of [`ShardReader::read_into`], then — for
-    /// a gzip or pack entry, read into the calling thread's scratch
+    /// a gzip entry, read into the calling thread's scratch
     /// instead — [`unpack_entry`] into `buf`, whose capacity is the
     /// index's `raw_len` and is never exceeded, so a recycled buffer is
     /// never reallocated. On error the contents of `buf` are
@@ -702,7 +671,6 @@ impl ShardReader {
             unpack: match entry.encoding {
                 PayloadEncoding::Raw => None,
                 PayloadEncoding::Gzip => Some(unpack_gzip),
-                PayloadEncoding::Pack => Some(unpack_pack),
             },
         })
     }
@@ -864,29 +832,28 @@ mod tests {
     }
 
     #[test]
-    fn shard_roundtrip_pack_and_auto() {
-        let dir = tmp_dir("pack");
-        for (tag, choice) in [(0u32, EncodingChoice::Pack), (1, EncodingChoice::Auto)] {
-            let meta = write_shard(&dir, tag, &entries(&samples(), choice), 0, choice).unwrap();
-            assert_eq!(meta.encoding, choice);
-            let r = ShardReader::open(dir.join(&meta.file)).unwrap();
-            let mut buf = vec![0xEE; 4096];
-            for (i, want) in samples().iter().enumerate() {
-                assert_eq!(&r.fetch(i).unwrap(), want, "{choice} sample {i}");
-                r.fetch_into(i, &mut buf).unwrap();
-                assert_eq!(&buf, want, "{choice} fetch_into sample {i}");
-            }
-            r.verify().unwrap();
-            let counts = r.encoding_counts();
-            assert_eq!(counts.raw + counts.gzip + counts.pack, samples().len());
+    fn shard_roundtrip_auto() {
+        let dir = tmp_dir("auto");
+        let written = entries(&samples(), EncodingChoice::Auto);
+        let meta = write_shard(&dir, 0, &written, 0, EncodingChoice::Auto).unwrap();
+        assert_eq!(meta.encoding, EncodingChoice::Auto);
+        let r = ShardReader::open(dir.join(&meta.file)).unwrap();
+        let mut buf = vec![0xEE; 4096];
+        for (i, want) in samples().iter().enumerate() {
+            assert_eq!(&r.fetch(i).unwrap(), want, "sample {i}");
+            r.fetch_into(i, &mut buf).unwrap();
+            assert_eq!(&buf, want, "fetch_into sample {i}");
         }
-        // Auto must store the long repetitive payload compressed, and
-        // pick raw for the incompressible 0..=255 ramp... which pack's
-        // delta stage actually squeezes too — so just check auto never
-        // stores a payload larger than raw would.
-        let auto = assemble_shard(&entries(&samples(), EncodingChoice::Auto), 0).unwrap();
-        let plain = assemble_shard(&entries(&samples(), EncodingChoice::Raw), 0).unwrap();
-        assert!(auto.len() <= plain.len());
+        r.verify().unwrap();
+        // The runs gzip, the empty sample and the 0..=255 ramp stay raw.
+        let counts = r.encoding_counts();
+        assert_eq!((counts.raw, counts.gzip, counts.pack), (2, 2, 0));
+        // Every payload here is shorter than the trial slice, so each
+        // gzip entry is its trial's output: the bytes `Gzip` stores.
+        let gzip = entries(&samples(), EncodingChoice::Gzip);
+        for i in [0, 3] {
+            assert_eq!(written[i], gzip[i], "sample {i}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -917,7 +884,6 @@ mod tests {
         for choice in [
             EncodingChoice::Raw,
             EncodingChoice::Gzip,
-            EncodingChoice::Pack,
             EncodingChoice::Auto,
         ] {
             let written = entries(&samples(), choice);
@@ -951,15 +917,9 @@ mod tests {
 
     #[test]
     fn every_encoding_decodes_into_the_buffer_it_was_given() {
-        // The pack arm used to replace the caller's buffer with a fresh
-        // vector every fetch.
         let dir = tmp_dir("recycle");
         let sample: Vec<u8> = (0..40_000u32).map(|i| (i / 97) as u8).collect();
-        for choice in [
-            EncodingChoice::Raw,
-            EncodingChoice::Gzip,
-            EncodingChoice::Pack,
-        ] {
+        for choice in [EncodingChoice::Raw, EncodingChoice::Gzip] {
             let written = entries(std::slice::from_ref(&sample), choice);
             let meta = write_shard(&dir, 0, &written, 0, choice).unwrap();
             let r = ShardReader::open(dir.join(&meta.file)).unwrap();
@@ -985,17 +945,11 @@ mod tests {
         let gz = sciml_compress::gzip_compress(&honest, Level::Fast);
         let mut corrupt_body = gz.clone();
         corrupt_body[gz.len() / 2] ^= 0x10;
-        // 2^24 chunks and a terabyte, in a pack header whose own CRC is
-        // right (`sciml_pack`'s regression stream).
-        let pack_header = vec![
-            83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
-        ];
         let gzip = PayloadEncoding::Gzip.as_byte();
         let hostile = [
             (gzip, 4096, corrupt_body),
             (gzip, 4095, gz.clone()),
             (gzip, 4097, gz),
-            (PayloadEncoding::Pack.as_byte(), 64, pack_header),
         ]
         .map(|(encoding, raw_len, stored)| StoredSample {
             encoding,
@@ -1016,11 +970,7 @@ mod tests {
                     err,
                     StoreError::Compression(sciml_compress::Error::OutputLimit)
                 ),
-                2 => matches!(err, StoreError::Malformed(_)),
-                _ => matches!(
-                    err,
-                    StoreError::Pack(sciml_pack::PackError::TooLarge { limit: 64, .. })
-                ),
+                _ => matches!(err, StoreError::Malformed(_)),
             };
             assert!(want, "entry {i}: {err:?}");
             assert!(out.capacity() <= entry.raw_len as usize, "entry {i}");
@@ -1036,6 +986,47 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_retired_encoding_is_refused_by_name_and_by_byte() {
+        let err = "pack".parse::<EncodingChoice>().unwrap_err();
+        assert!(err.contains("raw|gzip|auto"), "{err}");
+        assert_eq!(EncodingChoice::from_byte(2), None);
+
+        // What encoding byte 2 used to select: a `SPAK` header
+        // (`crates/pack`), its own CRC right, declaring 2^24 chunks and
+        // a terabyte.
+        let pack_header = vec![
+            83, 80, 65, 75, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 52, 137, 49, 151,
+        ];
+        let mut entry = StoredSample {
+            encoding: 2,
+            raw_len: 64,
+            crc32: crc32(&pack_header),
+            stored: pack_header,
+        };
+        assert_eq!(PayloadEncoding::from_byte(2), None);
+        assert!(matches!(
+            assemble_shard(std::slice::from_ref(&entry), 0),
+            Err(StoreError::Malformed(_))
+        ));
+        // No writer produces such a shard any more, so patch one: the
+        // byte in the index, and the index CRC made right again.
+        entry.encoding = PayloadEncoding::Gzip.as_byte();
+        let mut image = assemble_shard(&[entry], 0).unwrap();
+        let trailer = image.len() - TRAILER_LEN;
+        let index = trailer - ENTRY_LEN;
+        image[index + ENTRY_LEN - 1] = 2;
+        let index_crc = crc32(&image[index..trailer]);
+        image[trailer + 16..trailer + 20].copy_from_slice(&index_crc.to_le_bytes());
+        let path = tmp_dir("retired").join("byte2.sshard");
+        std::fs::write(&path, &image).unwrap();
+        assert!(matches!(
+            ShardReader::open(&path),
+            Err(StoreError::Malformed("unknown payload encoding byte"))
+        ));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]

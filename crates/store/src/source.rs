@@ -26,11 +26,11 @@ pub struct ShardSource {
     read: AtomicU64,
     fetch_us: Option<Arc<Histogram>>,
     fetches: Option<Arc<Counter>>,
-    /// Per-encoding decode counters (`store.decode.{raw,gzip,pack}`),
+    /// Per-encoding decode counters (`store.decode.{raw,gzip}`),
     /// indexed by [`PayloadEncoding`] discriminant order. On a serving
     /// node these share the registry with `ServerMetrics`, which lifts
     /// them into stats replies.
-    decoded: Option<[Arc<Counter>; 3]>,
+    decoded: Option<[Arc<Counter>; 2]>,
 }
 
 impl ShardSource {
@@ -74,7 +74,6 @@ impl ShardSource {
                 [
                     t.registry.counter("store.decode.raw"),
                     t.registry.counter("store.decode.gzip"),
-                    t.registry.counter("store.decode.pack"),
                 ]
             }),
         })
@@ -136,7 +135,6 @@ impl ShardSource {
             let slot = match enc {
                 PayloadEncoding::Raw => &decoded[0],
                 PayloadEncoding::Gzip => &decoded[1],
-                PayloadEncoding::Pack => &decoded[2],
             };
             slot.inc();
         }
@@ -370,9 +368,7 @@ mod tests {
         assert_eq!(snap.counter("store.fetch.samples"), 4);
         assert_eq!(snap.histogram("store.fetch.latency_us").unwrap().count, 4);
         // Every fetch lands in exactly one per-encoding decode counter.
-        let decoded = snap.counter("store.decode.raw")
-            + snap.counter("store.decode.gzip")
-            + snap.counter("store.decode.pack");
+        let decoded = snap.counter("store.decode.raw") + snap.counter("store.decode.gzip");
         assert_eq!(decoded, 4);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -32,7 +32,6 @@ fn encodings() -> impl Strategy<Value = EncodingChoice> {
     prop_oneof![
         Just(EncodingChoice::Raw),
         Just(EncodingChoice::Gzip),
-        Just(EncodingChoice::Pack),
         Just(EncodingChoice::Auto),
     ]
 }

@@ -5,7 +5,10 @@
 //! bytes verbatim may not change a byte of a shard file or a manifest.
 //!
 //! Do not "fix" or speed up anything here — a change to this file
-//! changes what "the same bytes" means.
+//! changes what "the same bytes" means. (The pack-encoding arms left
+//! with the encoding; what remains is the parent's code for every entry
+//! it did not store as pack, including `Auto`'s trial deflate followed
+//! by a full one.)
 
 use sciml_compress::crc32::crc32;
 use sciml_compress::Level;
@@ -19,31 +22,17 @@ const ENTRY_LEN: usize = 21;
 const TRAILER_LEN: usize = 24;
 const TRIAL_SAMPLE_BYTES: usize = 8192;
 
-fn pack_trial(raw: &[u8]) -> Option<(u8, usize)> {
-    let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
-    let w1 = sciml_pack::packed_len(sample, 1).ok()?;
-    let w2 = sciml_pack::packed_len(sample, 2).ok()?;
-    Some(if w2 < w1 { (2, w2) } else { (1, w1) })
-}
-
 fn encode_payload(raw: &[u8], choice: EncodingChoice, level: Level) -> (PayloadEncoding, Vec<u8>) {
-    let pack_at = |width: u8| sciml_pack::pack(raw, width).ok();
     let encoded = match choice {
         EncodingChoice::Raw => None,
         EncodingChoice::Gzip => Some((
             PayloadEncoding::Gzip,
             sciml_compress::gzip_compress(raw, level),
         )),
-        EncodingChoice::Pack => pack_trial(raw)
-            .and_then(|(width, _)| pack_at(width))
-            .map(|p| (PayloadEncoding::Pack, p)),
         EncodingChoice::Auto => {
             let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
             let gz_trial = sciml_compress::gzip_compress(sample, level).len();
-            let winner = match pack_trial(raw) {
-                Some((width, pk_trial)) if pk_trial < gz_trial.min(sample.len()) => {
-                    pack_at(width).map(|p| (PayloadEncoding::Pack, p))
-                }
+            let winner = match () {
                 _ if gz_trial < sample.len() => Some((
                     PayloadEncoding::Gzip,
                     sciml_compress::gzip_compress(raw, level),

@@ -21,10 +21,9 @@ use sciml_store::{
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const CHOICES: [EncodingChoice; 4] = [
+const CHOICES: [EncodingChoice; 3] = [
     EncodingChoice::Raw,
     EncodingChoice::Gzip,
-    EncodingChoice::Pack,
     EncodingChoice::Auto,
 ];
 
@@ -65,6 +64,17 @@ fn cosmo_blobs(n: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Compressible payloads around the length of an `Auto` trial slice
+/// (8192): at or under it the trial's output is the stored entry.
+fn short_blobs(n: usize) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|i| {
+            let len = [100, 8191, 8192, 8193, 3000][i % 5];
+            (0..len).map(|j| (i + j / 37) as u8).collect()
+        })
+        .collect()
+}
+
 /// Every shard file and the manifest of `dir` against `want`.
 #[track_caller]
 fn assert_store_is(dir: &Path, want: &reference::Store, what: &str) {
@@ -78,7 +88,11 @@ fn assert_store_is(dir: &Path, want: &reference::Store, what: &str) {
 
 #[test]
 fn packed_stores_are_the_sequential_writers_bytes() {
-    for (set, blobs) in [("deepcam", deepcam_blobs(10)), ("cosmo", cosmo_blobs(10))] {
+    for (set, blobs) in [
+        ("deepcam", deepcam_blobs(10)),
+        ("cosmo", cosmo_blobs(10)),
+        ("short", short_blobs(10)),
+    ] {
         for per_shard in [1usize, 2, 5] {
             // A shard closes on the entry that brings it to the target.
             let target: u64 = blobs[..per_shard].iter().map(|b| b.len() as u64).sum();
@@ -189,25 +203,19 @@ fn replanned_and_overridden_staging_is_what_the_sequential_writer_staged() {
     // An override re-encodes everything, stored form or not — from one
     // read of each backing entry, which `bytes_read` counts decoded.
     let blob_bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
-    for stored_as in [EncodingChoice::Gzip, EncodingChoice::Pack] {
-        let (origin_dir, store) = origin("override_packed", &blobs, stored_as);
-        let plans = store.manifest().plans();
-        let groups: Vec<usize> = plans.iter().map(|p| p.count as usize).collect();
-        let (dir, progress) = run(store.clone(), plans, Some(EncodingChoice::Raw), "unpacked");
-        assert_eq!(
-            (progress.verbatim_entries, progress.reencoded_entries),
-            (0, 8)
-        );
-        assert_eq!(
-            store.bytes_read(),
-            blob_bytes,
-            "{stored_as}: each entry once"
-        );
-        let want = reference::store_of(&blobs, &groups, EncodingChoice::Raw, Level::Fast);
-        assert_store_is(&dir, &want, "raw over a packed store");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&origin_dir).ok();
-    }
+    let (origin_dir, store) = origin("override_packed", &blobs, EncodingChoice::Gzip);
+    let plans = store.manifest().plans();
+    let groups: Vec<usize> = plans.iter().map(|p| p.count as usize).collect();
+    let (dir, progress) = run(store.clone(), plans, Some(EncodingChoice::Raw), "unpacked");
+    assert_eq!(
+        (progress.verbatim_entries, progress.reencoded_entries),
+        (0, 8)
+    );
+    assert_eq!(store.bytes_read(), blob_bytes, "each entry once");
+    let want = reference::store_of(&blobs, &groups, EncodingChoice::Raw, Level::Fast);
+    assert_store_is(&dir, &want, "raw over a gzip store");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&origin_dir).ok();
     let (origin_dir, store) = origin("override_origin", &blobs, EncodingChoice::Raw);
     let plans = store.manifest().plans();
     let groups: Vec<usize> = plans.iter().map(|p| p.count as usize).collect();
@@ -288,7 +296,6 @@ fn only_a_packed_store_offers_stored_entries() {
         let decoded = match PayloadEncoding::from_byte(entry.encoding).unwrap() {
             PayloadEncoding::Raw => direct.clone(),
             PayloadEncoding::Gzip => sciml_compress::gzip_decompress(&direct).unwrap(),
-            PayloadEncoding::Pack => sciml_pack::unpack(&direct).unwrap(),
         };
         assert_eq!(&decoded, blob);
         match entry.unpack {

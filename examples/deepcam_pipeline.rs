@@ -44,7 +44,7 @@ fn main() {
     // CPU decode and simulated-GPU decode must agree bit for bit.
     let cpu = dc::decode(&enc, Op::Identity).expect("cpu decode");
     let gpu = Gpu::new(GpuSpec::V100);
-    let (dev, kstats, t) = decode_deepcam(&gpu, &enc, Op::Identity).expect("gpu decode");
+    let (dev, kstats, t) = decode_deepcam(&gpu, &enc.view(), Op::Identity).expect("gpu decode");
     assert_eq!(cpu, dev, "GPU kernel must match the CPU decoder");
     println!(
         "\nsimulated V100 decode: {:.1} us ({} warp tasks, {} cycles, {} B DRAM)",

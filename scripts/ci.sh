@@ -28,7 +28,7 @@ stage() {
 
 finish() {
     stage_end
-    rm -rf "${obs_dir:-}" "${store_dir:-}" "${tel_dir:-}"
+    rm -rf "${obs_dir:-}" "${store_dir:-}" "${tel_dir:-}" "${bench_dir:-}"
     if [[ ${#STAGE_NAMES[@]} -gt 0 ]]; then
         echo
         echo "stage wall times:"
@@ -200,7 +200,13 @@ sciml() { cargo run --release -q -p sciml-bench --bin sciml -- "$@"; }
 # stage it through the server, and check the staged copy is itself a
 # complete CRC-clean store whose decoded samples round-trip.
 sciml gen cosmo --out "$store_dir/data" --n 8 --grid 16
-sciml pack --dir "$store_dir/data" --n 8 --out "$store_dir/packed" --shard-mb 1 --encoding pack
+sciml pack --dir "$store_dir/data" --n 8 --out "$store_dir/packed" --shard-mb 1 --encoding gzip
+# The retired encoding is refused by name, with the list of what is left.
+if pack_err="$(sciml pack --dir "$store_dir/data" --n 8 --out "$store_dir/refused" --encoding pack 2>&1)" ||
+    [[ "$pack_err" != *"raw|gzip|auto"* ]]; then
+    echo "ERROR: \`sciml pack --encoding pack\` did not fail naming raw|gzip|auto: $pack_err" >&2
+    exit 1
+fi
 sciml verify-store "$store_dir/packed"
 sciml serve --store "$store_dir/packed" --addr 127.0.0.1:7979 &
 serve_pid=$!
@@ -263,7 +269,7 @@ sciml fetch --addr 127.0.0.1:7981 --all --decode cosmo \
 # The live scrape must parse and expose the serve / store / obs
 # families with the traffic we just generated.
 sciml scrape --addr 127.0.0.1:9091 \
-    --require serve_requests,serve_request_ns,store_decode_pack,obs_trace_dropped_spans
+    --require serve_requests,serve_request_ns,store_decode_gzip,obs_trace_dropped_spans
 sciml fetch --addr 127.0.0.1:7981 --shutdown
 wait "$serve_pid" || true
 # Both per-process traces merge into one timeline, and everything the
@@ -298,11 +304,6 @@ wait "$serve_pid" || true
 sciml cluster-plan --nodes 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
     --n 256 --per-shard 32 --replication 2
 
-stage "compression shootout bench (raw vs gzip vs pack)"
-# Emits results/BENCH_compress_ratio.json: per-workload compression
-# ratio and decode throughput for each payload encoding.
-cargo bench -q -p sciml-bench --bench bench_compress
-
 stage "simd-matrix (codec + half suites at every supported tier)"
 # The dispatcher honors SCIML_SIMD, so the same test binaries prove
 # bit-exactness of the scalar, SSE4.2, and (where present) AVX2/NEON
@@ -315,9 +316,12 @@ done
 sciml cpu-features
 
 stage "decode thread-scaling bench (per kernel x ISA)"
-# Emits results/BENCH_decode_scaling.json: per-thread decode throughput,
-# scaling efficiency, and each vector tier's speedup over scalar.
-cargo bench -q -p sciml-bench --bench bench_decode_scaling
+# Per-thread decode throughput, scaling efficiency, and each vector
+# tier's speedup over scalar. The snapshot goes to a temp dir: the
+# tracked results/BENCH_decode_scaling.json is a recorded run, and a CI
+# run leaves `git status` clean.
+bench_dir="$(mktemp -d)"
+SCIML_BENCH_OUT_DIR="$bench_dir" cargo bench -q -p sciml-bench --bench bench_decode_scaling
 
 stage_end
 echo "==> CI OK"

@@ -27,14 +27,14 @@ fn gpu_sim_matches_cpu_decoders_on_both_codecs() {
 
     for spec in [GpuSpec::V100, GpuSpec::A100] {
         let gpu = Gpu::new(spec);
-        let (cosmo_dev, _, _) = decode_cosmo(&gpu, &cenc, Op::Log1p).unwrap();
+        let (cosmo_dev, _, _) = decode_cosmo(&gpu, &cenc.view(), Op::Log1p).unwrap();
         assert_eq!(
             cosmo_dev,
             cf::decode(&cenc, Op::Log1p).unwrap(),
             "{}",
             spec.name
         );
-        let (cam_dev, _, _) = decode_deepcam(&gpu, &denc, Op::Identity).unwrap();
+        let (cam_dev, _, _) = decode_deepcam(&gpu, &denc.view(), Op::Identity).unwrap();
         assert_eq!(
             cam_dev,
             dc::decode(&denc, Op::Identity).unwrap(),
