@@ -1,5 +1,17 @@
-//! DEFLATE compressor: tokenizes with LZ77, then emits stored, fixed-
-//! Huffman, or dynamic-Huffman blocks, whichever is cheapest per block.
+//! DEFLATE compressor: tokenizes with LZ77, then emits each block
+//! Huffman-coded — fixed or dynamic, whichever is smaller — where that
+//! saves at least an eighth of the block's stored size
+//! (`MIN_SAVING_DIVISOR`), and as stored chunks where it does not.
+//!
+//! The reader pays for every coded block symbol by symbol and copies a
+//! stored one at memcpy speed, so a block that coding barely shrinks
+//! (DeepCAM's differential payload: 1.06x) costs every later read a full
+//! Huffman decode for a few per cent of the bytes. The rule is taken per
+//! block, so the compressible parts of the same stream (the label mask,
+//! the line directory) stay coded; data that compresses well — every
+//! block of the CosmoFlow gzip baseline — is written exactly as a
+//! smallest-bits chooser would write it. Either way the stream is plain
+//! RFC 1951, and the tokens are the matcher's whatever the block type.
 
 use crate::bitstream::BitWriter;
 use crate::huffman::{canonical_codes, code_lengths, stream_codes};
@@ -81,6 +93,11 @@ pub(crate) const CLC_ORDER: [usize; 19] = [
 
 /// End-of-block symbol.
 pub(crate) const EOB: usize = 256;
+
+/// A block is Huffman-coded only when that saves at least one part in
+/// this many of its stored size (an eighth, 12.5 %: the rule ZFS applies
+/// per record); otherwise it is written stored.
+const MIN_SAVING_DIVISOR: usize = 8;
 
 /// Length code index (0..=28) of every match length; entries below 3
 /// are unused.
@@ -258,8 +275,10 @@ impl Frequencies {
     }
 }
 
-/// Writes whichever of stored / fixed / dynamic encodes this chunk in the
-/// fewest bits.
+/// Writes this chunk fixed- or dynamic-coded, whichever takes fewer
+/// bits, if that saves at least an eighth of its stored size
+/// (`MIN_SAVING_DIVISOR`); stored otherwise, which is what the reader
+/// copies instead of decoding.
 fn write_best_block(
     w: &mut BitWriter,
     tokens: &[Token],
@@ -290,7 +309,8 @@ fn write_best_block(
         .map(|hdr| hdr + raw.len() * 8 + 7)
         .unwrap_or(usize::MAX);
 
-    if stored_bits < dynamic_bits && stored_bits < fixed_bits {
+    let coded_bits = fixed_bits.min(dynamic_bits);
+    if coded_bits > stored_bits - stored_bits / MIN_SAVING_DIVISOR {
         write_stored_chunks(w, raw, final_block);
     } else if fixed_bits <= dynamic_bits {
         w.write_bits(final_block as u32, 1);

@@ -13,8 +13,9 @@
 //! * canonical, length-limited Huffman coding via package-merge
 //!   ([`huffman`]);
 //! * greedy hash-chain LZ77 matching with lazy evaluation ([`lz77`]);
-//! * a DEFLATE block writer choosing stored / fixed / dynamic blocks
-//!   ([`deflate`]) and a full inflater ([`fn@inflate`]);
+//! * a DEFLATE block writer that Huffman-codes a block (fixed or
+//!   dynamic) where that saves an eighth of it and stores it where it
+//!   does not ([`deflate`]), and a full inflater ([`fn@inflate`]);
 //! * gzip member framing ([`gzip`]) and zlib framing with Adler-32
 //!   ([`zlib`]) — the two compression types `TFRecordOptions` accepts.
 //!

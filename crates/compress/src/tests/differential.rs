@@ -5,6 +5,19 @@
 //! change may not change a token. Every `Level` must emit the stream the
 //! reference emits, byte for byte, and every stream the reference
 //! accepts must inflate to the same bytes.
+//!
+//! A *policy* change is a different thing, and there has been one: which
+//! block type a given run of tokens is written as. `deflate` codes a
+//! block only where that saves an eighth of its stored size, because a
+//! reader pays for coded bytes and not for stored ones; the tokens, the
+//! code lengths and the bits of each block type are what they were, and
+//! the frozen reader inflates every stream. The oracle follows the
+//! policy, not the other way round: `reference::compress` takes the same
+//! rule through a test-only parameter, so the byte-identity tests below
+//! still pin every token and every code of the production compressor,
+//! and `reference::compress_smallest` is the chooser the oracle was
+//! frozen with, kept for the tests that need incompressible data
+//! Huffman-coded. Section (e) tests the rule itself.
 
 use crate::{deflate_compress, gzip_compress, huffman, inflate, lz77, reference, Error, Level};
 use proptest::prelude::*;
@@ -223,7 +236,11 @@ proptest! {
 // ------------------------------------------------------ (b) golden digests
 
 /// Lengths and FNV-1a digests of six streams, recorded from the
-/// implementation that is now `reference` before anything was changed.
+/// implementation that is now `reference` before anything was changed —
+/// but for the DeepCAM row, re-recorded when blocks that coding cannot
+/// shrink by an eighth became stored blocks (574 533 B: 485 166 B as the
+/// smallest-bits stream, whose digest the oracle's old chooser still
+/// gives). The other five hold no block the rule treats differently.
 #[test]
 fn golden_digests_of_six_streams() {
     let golden: [(&str, Level, usize, u64); 6] = [
@@ -231,13 +248,19 @@ fn golden_digests_of_six_streams() {
         ("text", Level::Default, 6490, 0xFE9CF5F4E4EF8742),
         ("lcg noise 200 KB", Level::Fast, 154562, 0xA094822A34AF7E5A),
         ("stored 70 KB", Level::Default, 70015, 0x7D0050D45197D02C),
-        ("deepcam blob", Level::Fast, 485166, 0x7FB903A76234A6DF),
+        ("deepcam blob", Level::Fast, 511884, 0xEBB891DF78EE4E09),
         ("cosmo payload", Level::Default, 180768, 0x9FBF28D1BC51C8EC),
     ];
     for (name, level, len, digest) in golden {
         let out = deflate_compress(&input(name), level);
         assert_eq!((out.len(), fnv1a(&out)), (len, digest), "{name}");
     }
+    let smallest = reference::compress_smallest(&input("deepcam blob"), Level::Fast);
+    assert_eq!(
+        (smallest.len(), fnv1a(&smallest)),
+        (485166, 0x7FB903A76234A6DF),
+        "deepcam blob, smallest-bits chooser"
+    );
 }
 
 #[test]
@@ -489,77 +512,311 @@ fn gzip_member(stream: &[u8], len: usize) -> Vec<u8> {
     gz
 }
 
-// -------------------------------------------------------------- (e) speed
+// ------------------------------------------------------- (e) the block rule
 
-/// Guards the point of the rewrite: on the two payloads the benchmark
-/// deflates and inflates, at the levels it uses, the hot loops must stay
-/// at least 1.7x (deflate) and 1.3x (inflate) faster than the loops they
-/// replaced. The two sides are timed turn and turn about, best of each:
-/// this host's second vCPU comes and goes, and a gate that times one
-/// side and then the other measures that as well. The floors sit under
-/// the spread recorded on untouched code (1.90–2.8x and 1.46–1.8x: see
-/// CHANGES.md, PRs 14, 17 and 18), not on it. Timing test, so
-/// `scripts/ci.sh` runs it alone, in release mode:
+/// Bytes of `n` input bytes written as stored blocks and nothing else:
+/// five of header per 65 535, and one for the bits in front of the first.
+fn stored_len(n: usize) -> usize {
+    n + 5 * n.div_ceil(65535).max(1) + 1
+}
+
+/// BTYPE of the first block of a raw stream: 0 stored, 1 fixed, 2 dynamic.
+fn first_block_type(stream: &[u8]) -> u8 {
+    (stream[0] >> 1) & 3
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Coding never costs more than storing (the inputs are one block
+    /// each: under 32 Ki tokens), and both readers get the input back.
+    #[test]
+    fn random_structured_input_never_grows_past_stored(data in structured_bytes()) {
+        for level in LEVELS {
+            let out = deflate_compress(&data, level);
+            prop_assert!(out.len() <= stored_len(data.len()), "{level:?}: {}", out.len());
+            prop_assert!(inflate(&out).as_deref() == Ok(&data[..]));
+            prop_assert!(reference::inflate(&out).as_deref() == Ok(&data[..]));
+        }
+    }
+}
+
+/// 8 KiB with no matches in it, the first `six` bytes drawn from 64
+/// values and the rest from 128: coding saves between an eighth (less
+/// the code's header) and a quarter, and more the larger `six` is.
+fn mixed_width_noise(six: usize) -> Vec<u8> {
+    let mut data = lcg(six, 41, 6);
+    data.extend(lcg(8192 - six, 43, 7));
+    data
+}
+
+/// Walks the saving across one eighth in steps of 64 six-bit bytes. The
+/// smallest-bits stream of the same block is its coded form (coding
+/// always beats storing here), so its length is the coded cost to within
+/// the last byte's padding, measured without the rule: wherever that
+/// puts the block clear of the threshold, the block type must agree.
+#[test]
+fn a_block_is_coded_from_a_saving_of_one_eighth_up() {
+    let stored_bits = 5 * 8 + 8192 * 8 + 7;
+    let threshold = stored_bits - stored_bits / 8;
+    let mut seen = [0usize; 2];
+    let mut closest = [usize::MAX; 2];
+    for six in (0..=8192).step_by(64) {
+        let data = mixed_width_noise(six);
+        let smallest = reference::compress_smallest(&data, Level::Fastest);
+        assert_ne!(
+            first_block_type(&smallest),
+            0,
+            "six {six}: coding beats storing"
+        );
+        let coded_bits_at_most = smallest.len() * 8;
+        let out = deflate_compress(&data, Level::Fastest);
+        assert!(inflate(&out).as_deref() == Ok(&data[..]), "six {six}");
+        let coded = first_block_type(&out) != 0;
+        if coded_bits_at_most <= threshold {
+            assert!(
+                coded && out == smallest,
+                "six {six}: saves an eighth, must be coded"
+            );
+        } else if coded_bits_at_most - 7 > threshold {
+            assert!(
+                !coded,
+                "six {six}: saves less than an eighth, must be stored"
+            );
+            assert_eq!(out.len(), stored_len(data.len()) - 1, "six {six}");
+            assert_eq!(&out[..5], [1, 0, 0x20, 0xFF, 0xDF], "six {six}");
+            assert_eq!(&out[5..], &data[..], "six {six}");
+        }
+        seen[coded as usize] += 1;
+        let miss = coded_bits_at_most.abs_diff(threshold);
+        closest[coded as usize] = closest[coded as usize].min(miss);
+    }
+    assert!(
+        seen[0] > 0 && seen[1] > 0,
+        "stored {} coded {}",
+        seen[0],
+        seen[1]
+    );
+    // "Just" either side: within a quarter of a per cent of the block.
+    assert!(
+        closest[0] < stored_bits / 400,
+        "stored, {} bits off",
+        closest[0]
+    );
+    assert!(
+        closest[1] < stored_bits / 400,
+        "coded, {} bits off",
+        closest[1]
+    );
+}
+
+/// 64 KB regions, incompressible and compressible in turn. A block ends
+/// where 32 Ki tokens do, not where a region does, so the stored blocks
+/// the noise comes out as run a little way into the text after it, and
+/// the coded block that follows opens with matches whose source is that
+/// text: the window runs across block types, in the writer and in both
+/// readers.
+#[test]
+fn a_match_in_a_coded_block_reaches_back_into_stored_bytes() {
+    const REGION: usize = 65536;
+    let mut data = Vec::new();
+    for round in 0..2 {
+        data.extend(lcg(REGION, 70 + round, 8));
+        data.extend(text().iter().cycle().take(REGION));
+    }
+    let level = Level::Fast;
+    let out = deflate_compress(&data, level);
+    assert!(out == reference::compress(&data, level));
+    assert!(inflate(&out).as_deref() == Ok(&data[..]));
+    assert!(reference::inflate(&out).as_deref() == Ok(&data[..]));
+    let mut sized = Vec::new();
+    assert_eq!(
+        crate::inflate::inflate_into(&out, &mut sized, data.len()),
+        Ok(out.len())
+    );
+    assert!(sized == data);
+    // Both noise regions cost their length, the rest next to nothing.
+    assert!(
+        out.len() > 2 * REGION && out.len() < 2 * REGION + REGION / 2,
+        "{}",
+        out.len()
+    );
+
+    // The stream opens with stored blocks (byte-aligned, so they can be
+    // walked without a decoder) holding the input verbatim.
+    let (mut at, mut stored_to) = (0, 0);
+    while first_block_type(&out[at..]) == 0 {
+        let len = u16::from_le_bytes([out[at + 1], out[at + 2]]) as usize;
+        assert_eq!(
+            &out[at + 5..at + 5 + len],
+            &data[stored_to..stored_to + len]
+        );
+        at += 5 + len;
+        stored_to += len;
+    }
+    assert!(
+        (REGION..REGION + REGION / 8).contains(&stored_to),
+        "{stored_to}"
+    );
+    // The coded block that follows holds a match that starts in it and
+    // copies from before it.
+    let mut pos = 0;
+    let reaches_back = lz77::tokenize(&data, level.max_chain(), level.good_enough(), level.lazy())
+        .iter()
+        .any(|t| {
+            let start = pos;
+            match *t {
+                lz77::Token::Literal(_) => pos += 1,
+                lz77::Token::Match { len, .. } => pos += len as usize,
+            }
+            matches!(*t, lz77::Token::Match { dist, .. }
+                if start >= stored_to && start - (dist as usize) < stored_to)
+        });
+    assert!(reaches_back);
+}
+
+/// Every stream the compressor now writes is read by the reader the
+/// oracle was frozen with: the inputs of (a), at every level they are
+/// compared at.
+#[test]
+fn the_frozen_reader_inflates_every_stream() {
+    let large = large_inputs().iter().cloned();
+    for (name, data) in small_inputs().into_iter().chain(large) {
+        for level in LEVELS {
+            if cfg!(debug_assertions) && data.len() > 500_000 && level != Level::Fast {
+                continue;
+            }
+            let out = deflate_compress(&data, level);
+            assert!(
+                reference::inflate(&out).as_deref() == Ok(&data[..]),
+                "{name} at {level:?}"
+            );
+        }
+    }
+}
+
+// -------------------------------------------------------------- (f) speed
+
+/// Guards the point of the rewrite and of the block rule, on the two
+/// payloads the benchmark deflates and inflates, at the levels it uses.
+/// Every row of the table in the body times a fast side against a slow
+/// one, turn and turn about, best of each — this host's second vCPU
+/// comes and goes, and a gate that times one side and then the other
+/// measures that as well — and fails below the row's floor:
+///
+/// * the hot loops stay at least 1.7x (deflate) and 1.3x (inflate) faster
+///   than the loops they replaced; the floors sit under the spread
+///   recorded on untouched code (1.90–2.8x and 1.46–1.8x: see CHANGES.md,
+///   PRs 14, 17 and 18), not on it. The DeepCAM inflate row times the
+///   *smallest-bits* stream of the blob, where the Huffman loops do the
+///   work; the stream `deflate` now writes is mostly stored blocks, which
+///   both readers copy alike.
+/// * that stream — the one every `Auto` entry of the ingest workload is
+///   read back from — inflates at least 3x faster than the smallest-bits
+///   stream of the same bytes (measured 4.8x): the reason its blocks are
+///   stored.
+///
+/// Timing test, so `scripts/ci.sh` runs it alone, in release mode:
 /// `cargo test --release -p sciml-compress --lib -- --ignored deflate_inflate_speed`.
 #[test]
 #[ignore = "timing; run by scripts/ci.sh in release mode"]
 fn deflate_inflate_speed() {
     use std::hint::black_box;
     use std::time::Instant;
-    /// Best time of `new` and of `reference` over `rounds` alternating
-    /// runs.
-    fn best_of_each<A, B>(
-        rounds: usize,
-        mut new: impl FnMut() -> A,
-        mut reference: impl FnMut() -> B,
-    ) -> (f64, f64) {
+    /// Best time of `fast` and of `slow` over `rounds` alternating runs.
+    fn best_of_each(rounds: usize, fast: &dyn Fn(), slow: &dyn Fn()) -> (f64, f64) {
         let mut best = (f64::INFINITY, f64::INFINITY);
         for _ in 0..rounds {
             let t0 = Instant::now();
-            black_box(new());
+            fast();
             best.0 = best.0.min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
-            black_box(reference());
+            slow();
             best.1 = best.1.min(t0.elapsed().as_secs_f64());
         }
         best
     }
-    for (name, level) in [
-        ("deepcam blob", Level::Fast),
-        ("cosmo payload", Level::Default),
-    ] {
-        let data = input(name);
-        let mb = data.len() as f64 / 1e6;
-        let stream = deflate_compress(&data, level);
-        assert!(stream == reference::compress(&data, level));
-        let (deflate_new, deflate_ref) = best_of_each(
+    let blob = input("deepcam blob");
+    let blob_stream = deflate_compress(&blob, Level::Fast);
+    assert!(blob_stream == reference::compress(&blob, Level::Fast));
+    let blob_smallest = reference::compress_smallest(&blob, Level::Fast);
+    assert!(inflate(&blob_smallest).as_deref() == Ok(&blob[..]));
+    let cosmo = input("cosmo payload");
+    let cosmo_stream = deflate_compress(&cosmo, Level::Default);
+    assert!(cosmo_stream == reference::compress(&cosmo, Level::Default));
+
+    // (what, payload bytes, rounds, floor, fast side, slow side)
+    type Side<'a> = &'a dyn Fn();
+    let table: [(&str, usize, usize, f64, Side, Side); 5] = [
+        (
+            "deepcam blob, deflate Fast: new / reference",
+            blob.len(),
             4,
-            || deflate_compress(black_box(&data), level),
-            || reference::compress(black_box(&data), level),
-        );
-        let (inflate_new, inflate_ref) = best_of_each(
+            1.7,
+            &|| drop(black_box(deflate_compress(black_box(&blob), Level::Fast))),
+            &|| {
+                drop(black_box(reference::compress(
+                    black_box(&blob),
+                    Level::Fast,
+                )))
+            },
+        ),
+        (
+            "deepcam blob, inflate of the smallest-bits stream: new / reference",
+            blob.len(),
             9,
-            || inflate(black_box(&stream)),
-            || reference::inflate(black_box(&stream)),
-        );
+            1.3,
+            &|| drop(black_box(inflate(black_box(&blob_smallest)))),
+            &|| drop(black_box(reference::inflate(black_box(&blob_smallest)))),
+        ),
+        (
+            "deepcam blob, inflate: the stream deflate writes / the smallest-bits stream",
+            blob.len(),
+            9,
+            3.0,
+            &|| drop(black_box(inflate(black_box(&blob_stream)))),
+            &|| drop(black_box(inflate(black_box(&blob_smallest)))),
+        ),
+        (
+            "cosmo payload, deflate Default: new / reference",
+            cosmo.len(),
+            4,
+            1.7,
+            &|| {
+                drop(black_box(deflate_compress(
+                    black_box(&cosmo),
+                    Level::Default,
+                )))
+            },
+            &|| {
+                drop(black_box(reference::compress(
+                    black_box(&cosmo),
+                    Level::Default,
+                )))
+            },
+        ),
+        (
+            "cosmo payload, inflate: new / reference",
+            cosmo.len(),
+            9,
+            1.3,
+            &|| drop(black_box(inflate(black_box(&cosmo_stream)))),
+            &|| drop(black_box(reference::inflate(black_box(&cosmo_stream)))),
+        ),
+    ];
+    let mut failed = Vec::new();
+    for (what, bytes, rounds, floor, fast, slow) in table {
+        let (t_fast, t_slow) = best_of_each(rounds, fast, slow);
+        let mb = bytes as f64 / 1e6;
         println!(
-            "{name} ({} B, {level:?}): deflate {:.1} MB/s, reference {:.1} MB/s, ratio {:.2}x; \
-             inflate {:.0} MB/s, reference {:.0} MB/s, ratio {:.2}x",
-            data.len(),
-            mb / deflate_new,
-            mb / deflate_ref,
-            deflate_ref / deflate_new,
-            mb / inflate_new,
-            mb / inflate_ref,
-            inflate_ref / inflate_new,
+            "{what}: {:.1} MB/s against {:.1} MB/s, ratio {:.2}x (floor {floor}x)",
+            mb / t_fast,
+            mb / t_slow,
+            t_slow / t_fast,
         );
-        assert!(
-            deflate_ref / deflate_new >= 1.7,
-            "{name}: deflate below 1.7x"
-        );
-        assert!(
-            inflate_ref / inflate_new >= 1.3,
-            "{name}: inflate below 1.3x"
-        );
+        if t_slow / t_fast < floor {
+            failed.push(what);
+        }
     }
+    assert!(failed.is_empty(), "below the floor: {failed:?}");
 }

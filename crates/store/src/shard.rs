@@ -23,7 +23,11 @@
 //! carries an encoding byte — 0 raw, 1 gzip; 2 was `crates/pack` and is
 //! now a typed error like every other value — so a single shard can mix
 //! encodings: the [`EncodingChoice::Auto`] policy gzips a sample slice
-//! of each payload and gzips the payload if the slice shrank.
+//! of each payload and gzips the payload if the slice shrank — which,
+//! since DEFLATE codes a block only where that saves an eighth of it
+//! and stores it otherwise, means "if coding the head saves an eighth".
+//! A gzip entry is a gzip member whose incompressible blocks are stored
+//! blocks: the bytes themselves, which a read copies instead of decoding.
 //! Compression is per-sample (not whole-shard) so positioned reads stay
 //! valid, and each entry's CRC-32 covers the *stored* bytes, so
 //! integrity checks never need to decompress.
@@ -96,8 +100,8 @@ pub enum EncodingChoice {
     Raw,
     /// Gzip every payload.
     Gzip,
-    /// Gzip a payload whose leading sample slice gzip shrinks, store
-    /// the rest raw.
+    /// Gzip a payload whose leading sample slice gzip shrinks — coding
+    /// it saves an eighth — and store the rest raw.
     Auto,
 }
 
@@ -229,6 +233,19 @@ impl Default for PackConfig {
 /// Resolves the configured choice for one payload and encodes it.
 /// `Auto` gzips a sample slice and, if that shrank, the payload; it
 /// falls back to raw when the full payload does not shrink.
+///
+/// What "shrank" means is decided a layer down: `sciml_compress` writes
+/// a DEFLATE block Huffman-coded only where that saves an eighth of its
+/// stored size, and stored otherwise. A slice is one block, so the
+/// trial comes out shorter than the slice exactly when coding the head
+/// saves an eighth; a head that saves less is five bytes of block
+/// header and eighteen of gzip framing longer, and the entry stays raw.
+/// (Before the block rule any shrink of the head, however small, sent
+/// the whole payload through gzip.) A payload that passes is gzipped
+/// block by block under the same rule: the blocks that pay are coded,
+/// the rest are stored blocks a read copies at memcpy speed, and if
+/// none paid the member is longer than the payload and the last check
+/// keeps the entry raw.
 fn encode_payload(
     raw: Vec<u8>,
     choice: EncodingChoice,
@@ -855,6 +872,64 @@ mod tests {
             assert_eq!(written[i], gzip[i], "sample {i}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `n` bytes with nothing for a matcher to find: the top `bits`
+    /// bits of each step of a 64-bit LCG.
+    fn noise(n: usize, seed: u64, bits: u32) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> (64 - bits)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn auto_gzips_where_the_head_saves_an_eighth() {
+        let auto = |raw: &[u8]| encode_payload(raw.to_vec(), EncodingChoice::Auto, Level::Fast);
+        let runs = vec![42u8; 16 << 10];
+
+        // The DCMX shape, a compressible head on an incompressible
+        // body: gzip, smaller than raw by most of the head, the body in
+        // stored blocks — the member ends on the payload's last bytes.
+        let dcmx = [&runs[..], &noise(100 << 10, 1, 8)].concat();
+        let (encoding, stored) = auto(&dcmx);
+        assert_eq!(encoding, PayloadEncoding::Gzip);
+        assert!(stored.len() < dcmx.len() - (12 << 10), "{}", stored.len());
+        assert!(stored.len() > 100 << 10, "{}", stored.len());
+        let tail = stored.len() - 8;
+        assert_eq!(stored[tail - 1000..tail], dcmx[dcmx.len() - 1000..]);
+        let mut out = Vec::new();
+        unpack_entry(encoding, &stored, &mut out, dcmx.len()).unwrap();
+        assert_eq!(out, dcmx);
+
+        // A head that saves less than an eighth (seven-bit noise: an
+        // eighth less its code's header) keeps the entry raw, whatever
+        // follows it; six-bit noise saves a quarter and is gzipped.
+        let seven = [&noise(TRIAL_SAMPLE_BYTES, 2, 7)[..], &runs[..]].concat();
+        assert_eq!(auto(&seven), (PayloadEncoding::Raw, seven.clone()));
+        let six = [&noise(TRIAL_SAMPLE_BYTES, 2, 6)[..], &runs[..]].concat();
+        assert_eq!(auto(&six).0, PayloadEncoding::Gzip);
+
+        // Nothing compressible: raw. Everything compressible: gzip.
+        let full = noise(100 << 10, 3, 8);
+        assert_eq!(auto(&full), (PayloadEncoding::Raw, full.clone()));
+        let (encoding, stored) = auto(&runs);
+        assert_eq!(encoding, PayloadEncoding::Gzip);
+        assert!(stored.len() < 200, "{}", stored.len());
+
+        // A head that passes in front of a body that does not pay for
+        // it: the head's block runs on into the noise and saves a
+        // sixteenth, every block is stored, the member comes out longer
+        // than the payload, and the last check demotes the entry.
+        let thin = [&noise(TRIAL_SAMPLE_BYTES, 4, 6)[..], &full[..]].concat();
+        let trial = sciml_compress::gzip_compress(&thin[..TRIAL_SAMPLE_BYTES], Level::Fast);
+        assert!(trial.len() < TRIAL_SAMPLE_BYTES, "{}", trial.len());
+        assert_eq!(auto(&thin), (PayloadEncoding::Raw, thin.clone()));
     }
 
     #[test]

@@ -15,8 +15,8 @@ use sciml_pipeline::source::{DirSource, VecSource};
 use sciml_pipeline::SampleSource;
 use sciml_store::manifest::plan_by_count;
 use sciml_store::{
-    pack_store, EncodingChoice, PackConfig, PayloadEncoding, ShardSource, Stager, StagerConfig,
-    MANIFEST_FILE,
+    encode_entry, pack_store, EncodingChoice, PackConfig, PayloadEncoding, ShardSource, Stager,
+    StagerConfig, MANIFEST_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -75,6 +75,55 @@ fn short_blobs(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// `n` bytes of a 64-bit LCG, the top `bits` bits of each step: nothing
+/// for a matcher to find, and `8 - bits` eighths for an entropy coder.
+fn noise(n: usize, seed: u64, bits: u32) -> Vec<u8> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> (64 - bits)) as u8
+        })
+        .collect()
+}
+
+/// A slow ramp: long runs, a few per cent of its size once deflated.
+fn ramp(n: usize) -> Vec<u8> {
+    (0..n).map(|j| (j / 37) as u8).collect()
+}
+
+/// The four shapes `Auto` rules on, with its verdict for each.
+fn verdict_blobs() -> [(&'static str, Vec<u8>, PayloadEncoding); 4] {
+    [
+        // The DCMX shape: a mask and a directory that deflate well in
+        // front of a payload that does not.
+        (
+            "head compressible, body not",
+            [ramp(16 << 10), noise(200 << 10, 11, 8)].concat(),
+            PayloadEncoding::Gzip,
+        ),
+        // Seven-bit noise saves an eighth less its code's header. The
+        // entry would shrink 20-fold; the trial does not look that far.
+        (
+            "head saves under an eighth",
+            [noise(8 << 10, 12, 7), vec![0u8; 200 << 10]].concat(),
+            PayloadEncoding::Raw,
+        ),
+        (
+            "nothing compressible",
+            noise(200 << 10, 13, 8),
+            PayloadEncoding::Raw,
+        ),
+        (
+            "everything compressible",
+            ramp(200 << 10),
+            PayloadEncoding::Gzip,
+        ),
+    ]
+}
+
 /// Every shard file and the manifest of `dir` against `want`.
 #[track_caller]
 fn assert_store_is(dir: &Path, want: &reference::Store, what: &str) {
@@ -117,6 +166,85 @@ fn packed_stores_are_the_sequential_writers_bytes() {
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
+    }
+}
+
+/// What `Auto` makes of each shape now that a DEFLATE block is coded
+/// only where that saves an eighth: the trial asks whether the head
+/// does, and an entry that is gzipped is the entry `Gzip` writes (its
+/// incompressible blocks stored: `shard.rs`'s unit test looks inside).
+#[test]
+fn auto_rules_on_the_head_and_its_gzip_entry_is_the_gzip_entry() {
+    for (what, blob, verdict) in verdict_blobs() {
+        let entry = encode_entry(blob.clone(), EncodingChoice::Auto, Level::Fast).unwrap();
+        assert_eq!(
+            PayloadEncoding::from_byte(entry.encoding),
+            Some(verdict),
+            "{what}"
+        );
+        let gzip = encode_entry(blob.clone(), EncodingChoice::Gzip, Level::Fast).unwrap();
+        match verdict {
+            PayloadEncoding::Raw => assert!(entry.stored == blob, "{what}"),
+            PayloadEncoding::Gzip => {
+                assert!(entry.stored.len() < blob.len(), "{what}");
+                assert!(
+                    entry == gzip,
+                    "{what}: an Auto gzip entry is the Gzip entry"
+                );
+            }
+        }
+        assert_eq!(
+            sciml_compress::gzip_decompress(&gzip.stored).as_deref(),
+            Ok(&blob[..]),
+            "{what}"
+        );
+    }
+}
+
+/// Digests recorded from the parent of the change that made a block's
+/// type depend on what coding it saves: CRC-32 over a store's shard
+/// files, in order, and its manifest. The rule reaches no store written
+/// under `Raw`, and none under `Gzip` or `Auto` whose payloads save an
+/// eighth in every block — the CosmoFlow codec's output, short runs, a
+/// ramp. (DeepCAM payloads are what it was made for; their stores are
+/// held to the sequential writer above, which deflates as `pack_store`
+/// does, not to a recording.)
+#[test]
+fn stores_the_block_rule_does_not_reach_are_the_parents_files() {
+    use EncodingChoice::{Auto, Gzip, Raw};
+    let ramps: Vec<Vec<u8>> = (0..4).map(|i| ramp((150 << 10) + 1000 * i)).collect();
+    let sets = [
+        ("deepcam", deepcam_blobs(10)),
+        ("cosmo", cosmo_blobs(10)),
+        ("short", short_blobs(10)),
+        ("ramps", ramps),
+    ];
+    let recorded = [
+        ("deepcam", Raw, 0xE738B907),
+        ("cosmo", Raw, 0x1AA672DA),
+        ("cosmo", Gzip, 0x5953BFB7),
+        ("cosmo", Auto, 0x70EC75B4),
+        ("short", Raw, 0xE35EF715),
+        ("short", Gzip, 0x7F713877),
+        ("short", Auto, 0xC01C70ED),
+        ("ramps", Raw, 0x13A8CB74),
+        ("ramps", Gzip, 0x0E5842EA),
+        ("ramps", Auto, 0xD0A4C1E4),
+    ];
+    for (set, encoding, want) in recorded {
+        let blobs = &sets.iter().find(|(name, _)| *name == set).unwrap().1;
+        let (dir, store) = origin("recorded", blobs, encoding);
+        let mut all = Vec::new();
+        for meta in &store.manifest().shards {
+            all.extend(std::fs::read(dir.join(&meta.file)).unwrap());
+        }
+        all.extend(std::fs::read(dir.join(MANIFEST_FILE)).unwrap());
+        assert_eq!(
+            sciml_compress::crc32::crc32(&all),
+            want,
+            "{set} under {encoding}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -101,12 +101,23 @@ stage "deflate/inflate speed (and the full differential matrix, release mode)"
 # thin their input matrix in debug builds; here they run in full: byte
 # identity of both benchmark payloads at all four levels, and every
 # overlapping copy at every distance from the end of the output. Then
-# the timing test beside them: prints both implementations' MB/s on a
-# DeepCAM blob (Fast) and a CosmoFlow payload (Default), the two sides
-# timed turn and turn about, and fails below 1.7x deflate / 1.3x inflate
-# over the reference (measured in this harness: 2.8x and 3.1x deflate,
-# 1.5x and 1.8x inflate; the floors sit under the spread recorded on
-# untouched code, 1.90x and 1.46x at the lowest).
+# the timing test beside them, whose rows and floors are one table in
+# its body (`differential::deflate_inflate_speed`): each row times a
+# fast side against a slow one turn and turn about, best of each,
+# prints both rates, and the test fails naming every row under its
+# floor. On a DeepCAM blob (Fast) and a CosmoFlow payload (Default):
+#
+#   row                                                floor  measured
+#   deflate, new / frozen reference (both payloads)     1.7x  2.2-3.3x
+#   inflate, new / frozen reference                     1.3x  1.5-2.0x
+#   deepcam blob: inflate of the stream deflate now
+#     writes / of its smallest-bits stream              3.0x  4.8-7.3x
+#
+# The DeepCAM inflate row of the second kind times the smallest-bits
+# stream (`reference::compress_smallest`): the stream deflate writes
+# for that blob is mostly stored blocks, which both readers copy alike.
+# The third row is the reason it is: a block that coding cannot shrink
+# by an eighth is stored, and a stored block is read at memcpy speed.
 cargo test --release -q -p sciml-compress --lib -- differential::
 cargo test --release -q -p sciml-compress --lib -- \
     --ignored --exact differential::deflate_inflate_speed --nocapture
