@@ -12,6 +12,21 @@
 //! block of the CosmoFlow gzip baseline — is written exactly as a
 //! smallest-bits chooser would write it. Either way the stream is plain
 //! RFC 1951, and the tokens are the matcher's whatever the block type.
+//!
+//! The writer does not search what it is going to store. A block is
+//! tokenized `PROBE_TOKENS` (1 024) tokens at a time first, and those are
+//! judged by the same rule. Where they pay, the block is tokenized on to
+//! `TOKENS_PER_BLOCK` (32 Ki) and written as above. Where they do not,
+//! the probe and the `MIN_SAVING_DIVISOR − 1` = 7 times as many bytes
+//! after it are stored, the matcher skipping those without a search
+//! (`Matcher::skip`). Seven is the divisor's complement: where data does
+//! not pay, one byte in eight is searched, so the search costs an eighth
+//! of what it did there — the saving the rule asks of coding — and data
+//! that would have paid after a failed probe is stored for seven probes'
+//! length at most (≈ 7 KB) before the next probe finds it. Skipped bytes
+//! still enter the hash chains, so a later match can reach back into
+//! them and a searched position gets the token it always got; a stream
+//! in which no probe fails is the one written before probing.
 
 use crate::bitstream::BitWriter;
 use crate::huffman::{canonical_codes, code_lengths, stream_codes};
@@ -98,6 +113,15 @@ pub(crate) const EOB: usize = 256;
 /// this many of its stored size (an eighth, 12.5 %: the rule ZFS applies
 /// per record); otherwise it is written stored.
 const MIN_SAVING_DIVISOR: usize = 8;
+
+/// Tokens per block, so each gets its own adaptive code: 32 Ki keeps
+/// the header overhead negligible.
+const TOKENS_PER_BLOCK: usize = 32 * 1024;
+
+/// Tokens of a block that are judged by the eighth rule before the rest
+/// of it is searched; where they fail, they and `MIN_SAVING_DIVISOR − 1`
+/// times as many bytes after them are stored unsearched.
+const PROBE_TOKENS: usize = 1024;
 
 /// Length code index (0..=28) of every match length; entries below 3
 /// are unused.
@@ -214,17 +238,26 @@ pub(crate) fn compress_into(w: &mut BitWriter, data: &[u8], level: Level) {
         write_stored_block(w, &[], true);
         return;
     }
-    // Split the token stream into blocks so each gets its own adaptive
-    // code. 32Ki tokens per block keeps header overhead negligible.
-    const TOKENS_PER_BLOCK: usize = 32 * 1024;
     let mut matcher = Matcher::new(data, level.max_chain(), level.good_enough(), level.lazy());
     let mut tokens = Vec::with_capacity(TOKENS_PER_BLOCK);
-    let mut rest = data;
+    let mut rest = Vec::with_capacity(TOKENS_PER_BLOCK - PROBE_TOKENS);
     while !matcher.is_done() {
-        matcher.next_tokens(&mut tokens, TOKENS_PER_BLOCK);
+        let start = matcher.position();
+        matcher.next_tokens(&mut tokens, PROBE_TOKENS);
+        let probe = Frequencies::count(&tokens);
+        if coding_that_pays(&probe).is_none() {
+            // Store the probe and seven times as many bytes after it
+            // unsearched: where the data does not pay, one byte in
+            // `MIN_SAVING_DIVISOR` is searched.
+            matcher.skip((MIN_SAVING_DIVISOR - 1) * probe.raw_len);
+            let raw = &data[start..matcher.position()];
+            write_stored_chunks(w, raw, matcher.is_done());
+            continue;
+        }
+        matcher.next_tokens(&mut rest, TOKENS_PER_BLOCK - tokens.len());
+        tokens.extend_from_slice(&rest);
         let freq = Frequencies::count(&tokens);
-        let (raw, after) = rest.split_at(freq.raw_len);
-        rest = after;
+        let raw = &data[start..start + freq.raw_len];
         write_best_block(w, &tokens, &freq, raw, matcher.is_done());
     }
 }
@@ -273,12 +306,105 @@ impl Frequencies {
             .sum::<usize>();
         lit + dist
     }
+
+    /// A floor under the bits of the chunk as a dynamic block: the
+    /// header's fixed fields (block type, three counts, at least four
+    /// code-length-code lengths), the extra bits, and the entropy of
+    /// each alphabet, which no prefix code beats.
+    fn dynamic_bits_at_least(&self) -> f64 {
+        fn entropy_bits(counts: &[u32]) -> f64 {
+            let total = counts.iter().map(|&c| c as f64).sum::<f64>();
+            counts
+                .iter()
+                .filter(|&&c| c > 0)
+                .map(|&c| c as f64 * (total / c as f64).log2())
+                .sum()
+        }
+        let extra_bits = self.body_cost(&[0; 288], &[0; 30]);
+        (3 + 14 + 3 * 4 + extra_bits) as f64 + entropy_bits(&self.lit) + entropy_bits(&self.dist)
+    }
 }
 
-/// Writes this chunk fixed- or dynamic-coded, whichever takes fewer
-/// bits, if that saves at least an eighth of its stored size
-/// (`MIN_SAVING_DIVISOR`); stored otherwise, which is what the reader
-/// copies instead of decoding.
+/// A chunk's dynamic Huffman code and the header that sends it.
+struct DynamicCode {
+    lit_lens: Vec<u8>,
+    dist_lens: Vec<u8>,
+    clc_stream: Vec<(usize, u16, u8)>,
+    clc_lens: [u8; 19],
+    hlit: usize,
+    hdist: usize,
+}
+
+impl DynamicCode {
+    fn new(freq: &Frequencies) -> Self {
+        let lit_lens = code_lengths(&freq.lit, 15);
+        let dist_lens = code_lengths(&freq.dist, 15);
+        let (clc_stream, clc_lens, hlit, hdist) = build_header(&lit_lens, &dist_lens);
+        DynamicCode {
+            lit_lens,
+            dist_lens,
+            clc_stream,
+            clc_lens,
+            hlit,
+            hdist,
+        }
+    }
+
+    /// Bits of the chunk as a dynamic block, header included.
+    fn bits(&self, freq: &Frequencies) -> usize {
+        let header_bits = 14
+            + 3 * clc_count(&self.clc_lens)
+            + self
+                .clc_stream
+                .iter()
+                .map(|&(sym, _len_of_extra, extra_bits)| {
+                    self.clc_lens[sym] as usize + extra_bits as usize
+                })
+                .sum::<usize>();
+        3 + header_bits + freq.body_cost(&self.lit_lens, &self.dist_lens)
+    }
+}
+
+/// How a chunk is coded where coding it pays.
+enum Coding {
+    Fixed,
+    Dynamic(DynamicCode),
+}
+
+/// Fixed or dynamic coding, whichever takes fewer bits, if that saves at
+/// least an eighth of the chunk's stored size (`MIN_SAVING_DIVISOR`);
+/// `None`, store it, otherwise. The one rule for a block and for the
+/// probe that opens it.
+fn coding_that_pays(freq: &Frequencies) -> Option<Coding> {
+    // Stored blocks carry at most 65535 bytes each.
+    let stored_bits = freq
+        .raw_len
+        .div_ceil(65535)
+        .max(1)
+        .checked_mul(5 * 8)
+        .map(|hdr| hdr + freq.raw_len * 8 + 7)
+        .unwrap_or(usize::MAX);
+    let limit = stored_bits - stored_bits / MIN_SAVING_DIVISOR;
+    let fixed_bits = 3 + freq.body_cost(&FIXED_LITLEN_LENGTHS, &FIXED_DIST_LENGTHS);
+    // Where even a dynamic code's floor is over the limit, the code
+    // need not be built: the usual verdict on data that does not pay.
+    if fixed_bits > limit && freq.dynamic_bits_at_least() > limit as f64 + 1.0 {
+        return None;
+    }
+    let code = DynamicCode::new(freq);
+    let dynamic_bits = code.bits(freq);
+    if fixed_bits.min(dynamic_bits) > limit {
+        None
+    } else if fixed_bits <= dynamic_bits {
+        Some(Coding::Fixed)
+    } else {
+        Some(Coding::Dynamic(code))
+    }
+}
+
+/// Writes this chunk as [`coding_that_pays`] says: fixed- or
+/// dynamic-coded, or stored, which is what the reader copies instead of
+/// decoding.
 fn write_best_block(
     w: &mut BitWriter,
     tokens: &[Token],
@@ -286,47 +412,25 @@ fn write_best_block(
     raw: &[u8],
     final_block: bool,
 ) {
-    let dyn_lit_lens = code_lengths(&freq.lit, 15);
-    let dyn_dist_lens = code_lengths(&freq.dist, 15);
-    let (clc_stream, clc_lens, hlit, hdist) = build_header(&dyn_lit_lens, &dyn_dist_lens);
-
-    let header_bits = 14
-        + 3 * clc_count(&clc_lens)
-        + clc_stream
-            .iter()
-            .map(|&(sym, _len_of_extra, extra_bits)| clc_lens[sym] as usize + extra_bits as usize)
-            .sum::<usize>();
-    let dynamic_bits = 3 + header_bits + freq.body_cost(&dyn_lit_lens, &dyn_dist_lens);
-
-    let fixed_bits = 3 + freq.body_cost(&FIXED_LITLEN_LENGTHS, &FIXED_DIST_LENGTHS);
-
-    // Stored blocks carry at most 65535 bytes each.
-    let stored_bits = raw
-        .len()
-        .div_ceil(65535)
-        .max(1)
-        .checked_mul(5 * 8)
-        .map(|hdr| hdr + raw.len() * 8 + 7)
-        .unwrap_or(usize::MAX);
-
-    let coded_bits = fixed_bits.min(dynamic_bits);
-    if coded_bits > stored_bits - stored_bits / MIN_SAVING_DIVISOR {
-        write_stored_chunks(w, raw, final_block);
-    } else if fixed_bits <= dynamic_bits {
-        w.write_bits(final_block as u32, 1);
-        w.write_bits(0b01, 2);
-        let (lit_codes, dist_codes) = fixed_codes();
-        write_body(w, tokens, lit_codes, dist_codes);
-    } else {
-        w.write_bits(final_block as u32, 1);
-        w.write_bits(0b10, 2);
-        write_dynamic_header(w, &clc_stream, &clc_lens, hlit, hdist);
-        write_body(
-            w,
-            tokens,
-            &stream_codes(&dyn_lit_lens),
-            &stream_codes(&dyn_dist_lens),
-        );
+    match coding_that_pays(freq) {
+        None => write_stored_chunks(w, raw, final_block),
+        Some(Coding::Fixed) => {
+            w.write_bits(final_block as u32, 1);
+            w.write_bits(0b01, 2);
+            let (lit_codes, dist_codes) = fixed_codes();
+            write_body(w, tokens, lit_codes, dist_codes);
+        }
+        Some(Coding::Dynamic(code)) => {
+            w.write_bits(final_block as u32, 1);
+            w.write_bits(0b10, 2);
+            write_dynamic_header(w, &code.clc_stream, &code.clc_lens, code.hlit, code.hdist);
+            write_body(
+                w,
+                tokens,
+                &stream_codes(&code.lit_lens),
+                &stream_codes(&code.dist_lens),
+            );
+        }
     }
 }
 

@@ -15,7 +15,11 @@
 //! * greedy hash-chain LZ77 matching with lazy evaluation ([`lz77`]);
 //! * a DEFLATE block writer that Huffman-codes a block (fixed or
 //!   dynamic) where that saves an eighth of it and stores it where it
-//!   does not ([`deflate`]), and a full inflater ([`fn@inflate`]);
+//!   does not ([`deflate`]) — judging a block's first 1 024 tokens
+//!   before it searches the rest, and storing a probe that fails with
+//!   seven times its length after it unsearched, so that data which
+//!   does not pay is searched one byte in eight — and a full inflater
+//!   ([`fn@inflate`]);
 //! * gzip member framing ([`gzip`]) and zlib framing with Adler-32
 //!   ([`zlib`]) — the two compression types `TFRecordOptions` accepts.
 //!

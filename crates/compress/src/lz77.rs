@@ -105,6 +105,34 @@ impl<'a> Matcher<'a> {
         self.pos >= self.data.len() && self.held.is_none()
     }
 
+    /// The first input byte that no token handed out so far stands for.
+    pub(crate) fn position(&self) -> usize {
+        match self.held {
+            Some(Token::Match { len, .. }) => self.pos - len as usize,
+            Some(Token::Literal(_)) => self.pos - 1,
+            None => self.pos,
+        }
+    }
+
+    /// Moves [`position`](Self::position) on by `len` bytes (to the end
+    /// of the input at most) without searching them: they are entered
+    /// into the chains, so a later match can still reach back into them,
+    /// but get no tokens. A held lazy token is dropped; its bytes were
+    /// entered when it was found, and the move never stops short of them.
+    ///
+    /// Every position is entered whether it is searched or skipped, so
+    /// the chains at a position do not depend on how the matcher got
+    /// there, and a search after a skip finds what it would have found.
+    pub(crate) fn skip(&mut self, len: usize) {
+        let to = self.position().saturating_add(len).min(self.data.len());
+        self.held = None;
+        // `Fastest` never reads its chains.
+        if self.max_chain > 0 {
+            self.insert(self.pos, to);
+        }
+        self.pos = self.pos.max(to);
+    }
+
     /// The hash of position `i` and the head of its chain, or `None`
     /// with fewer than three bytes left to hash.
     #[inline]

@@ -6,10 +6,14 @@
 //! Test-only (`#[cfg(test)]` in `lib.rs`): nothing outside `mod tests`
 //! blocks may call into it. Do not "fix" or speed up anything here — a
 //! change to this file changes what "the same bytes" means. The one
-//! thing that is a parameter is which block type a run of tokens is
-//! written as ([`BlockPolicy`]): that is the compressor's policy, not
-//! its arithmetic, and [`compress_smallest`] still gives the stream this
-//! file was frozen with.
+//! thing that is a parameter is the compressor's policy, not its
+//! arithmetic ([`BlockPolicy`]): which block type a run of tokens is
+//! written as, and whether a block's first tokens are judged before the
+//! rest is searched. For the latter the tokenizer's loop can stop and
+//! resume, and skip ahead by entering positions into its chains without
+//! searching them ([`Tokenizer`]); [`compress_unprobed`] gives the stream
+//! before probing and [`compress_smallest`] the stream this file was
+//! frozen with.
 
 use crate::lz77::{Token, MAX_MATCH, MIN_MATCH, WINDOW};
 use crate::{Error, Level};
@@ -224,22 +228,57 @@ pub fn tokenize(data: &[u8], max_chain: usize, good_enough: usize, lazy: bool) -
         tokens.extend(data.iter().map(|&b| Token::Literal(b)));
         return tokens;
     }
+    Tokenizer::new(data, max_chain, good_enough, lazy).tokens(&mut tokens, usize::MAX);
+    tokens
+}
 
+/// [`tokenize`]'s loop with its state kept between calls, so that it
+/// can stop after so many tokens and resume, or move on without
+/// searching ([`Tokenizer::skip_to`]).
+pub struct Tokenizer<'a> {
+    data: &'a [u8],
+    max_chain: usize,
+    good_enough: usize,
+    lazy: bool,
     // head[h] = most recent position with hash h; prev[i] = previous
     // position with the same hash as i. Positions offset by +1 so 0 means
     // "none".
-    let mut head = vec![0u32; HASH_SIZE];
-    let mut prev = vec![0u32; n];
+    head: Vec<u32>,
+    prev: Vec<u32>,
+    /// Every position before this one is in the chains.
+    i: usize,
+}
 
-    let insert = |head: &mut [u32], prev: &mut [u32], data: &[u8], i: usize| {
+impl<'a> Tokenizer<'a> {
+    /// Starts at position 0.
+    pub fn new(data: &'a [u8], max_chain: usize, good_enough: usize, lazy: bool) -> Self {
+        Tokenizer {
+            data,
+            max_chain,
+            good_enough,
+            lazy,
+            head: vec![0u32; HASH_SIZE],
+            prev: vec![0u32; data.len()],
+            i: 0,
+        }
+    }
+
+    /// The next position to tokenize.
+    pub fn position(&self) -> usize {
+        self.i
+    }
+
+    fn insert(&mut self, i: usize) {
+        let data = self.data;
         if i + MIN_MATCH <= data.len() {
             let h = hash3(data, i);
-            prev[i] = head[h];
-            head[h] = (i + 1) as u32;
+            self.prev[i] = self.head[h];
+            self.head[h] = (i + 1) as u32;
         }
-    };
+    }
 
-    let best_match = |head: &[u32], prev: &[u32], i: usize| -> (usize, usize) {
+    fn best_match(&self, i: usize) -> (usize, usize) {
+        let (data, head, prev, n) = (self.data, &self.head, &self.prev, self.data.len());
         if i + MIN_MATCH > n {
             return (0, 0);
         }
@@ -247,7 +286,7 @@ pub fn tokenize(data: &[u8], max_chain: usize, good_enough: usize, lazy: bool) -
         let mut cand = head[h] as usize;
         let mut best_len = 0;
         let mut best_dist = 0;
-        let mut chain = max_chain;
+        let mut chain = self.max_chain;
         let window_floor = i.saturating_sub(WINDOW);
         while cand > 0 && chain > 0 {
             let c = cand - 1;
@@ -258,7 +297,7 @@ pub fn tokenize(data: &[u8], max_chain: usize, good_enough: usize, lazy: bool) -
             if l > best_len {
                 best_len = l;
                 best_dist = i - c;
-                if l >= good_enough || l == MAX_MATCH {
+                if l >= self.good_enough || l == MAX_MATCH {
                     break;
                 }
             }
@@ -270,56 +309,70 @@ pub fn tokenize(data: &[u8], max_chain: usize, good_enough: usize, lazy: bool) -
         } else {
             (0, 0)
         }
-    };
+    }
 
-    let mut i = 0;
-    while i < n {
-        let (len, dist) = best_match(&head, &prev, i);
-        if len == 0 {
-            tokens.push(Token::Literal(data[i]));
-            insert(&mut head, &mut prev, data, i);
-            i += 1;
-            continue;
-        }
-        if lazy && i + 1 < n {
-            // Peek at the next position: if it has a strictly longer
-            // match, emit this byte as a literal instead.
-            insert(&mut head, &mut prev, data, i);
-            let (next_len, next_dist) = best_match(&head, &prev, i + 1);
-            if next_len > len {
+    /// Appends tokens to `tokens` until it holds at least `max` (one
+    /// more when the last step is a deferred match) or the input ends.
+    pub fn tokens(&mut self, tokens: &mut Vec<Token>, max: usize) {
+        let (data, n, lazy) = (self.data, self.data.len(), self.lazy);
+        let mut i = self.i;
+        while i < n && tokens.len() < max {
+            let (len, dist) = self.best_match(i);
+            if len == 0 {
                 tokens.push(Token::Literal(data[i]));
+                self.insert(i);
                 i += 1;
-                // Emit the deferred match now.
-                tokens.push(Token::Match {
-                    len: next_len as u16,
-                    dist: next_dist as u16,
-                });
-                for k in i..(i + next_len).min(n) {
-                    insert(&mut head, &mut prev, data, k);
-                }
-                i += next_len;
                 continue;
             }
-            tokens.push(Token::Match {
-                len: len as u16,
-                dist: dist as u16,
-            });
-            for k in (i + 1)..(i + len).min(n) {
-                insert(&mut head, &mut prev, data, k);
+            if lazy && i + 1 < n {
+                // Peek at the next position: if it has a strictly longer
+                // match, emit this byte as a literal instead.
+                self.insert(i);
+                let (next_len, next_dist) = self.best_match(i + 1);
+                if next_len > len {
+                    tokens.push(Token::Literal(data[i]));
+                    i += 1;
+                    // Emit the deferred match now.
+                    tokens.push(Token::Match {
+                        len: next_len as u16,
+                        dist: next_dist as u16,
+                    });
+                    for k in i..(i + next_len).min(n) {
+                        self.insert(k);
+                    }
+                    i += next_len;
+                    continue;
+                }
+                tokens.push(Token::Match {
+                    len: len as u16,
+                    dist: dist as u16,
+                });
+                for k in (i + 1)..(i + len).min(n) {
+                    self.insert(k);
+                }
+                i += len;
+            } else {
+                tokens.push(Token::Match {
+                    len: len as u16,
+                    dist: dist as u16,
+                });
+                for k in i..(i + len).min(n) {
+                    self.insert(k);
+                }
+                i += len;
             }
-            i += len;
-        } else {
-            tokens.push(Token::Match {
-                len: len as u16,
-                dist: dist as u16,
-            });
-            for k in i..(i + len).min(n) {
-                insert(&mut head, &mut prev, data, k);
-            }
-            i += len;
         }
+        self.i = i;
     }
-    tokens
+
+    /// Enters every position up to `to` into the chains without
+    /// searching any of them, and resumes there.
+    pub fn skip_to(&mut self, to: usize) {
+        for k in self.i..to.min(self.data.len()) {
+            self.insert(k);
+        }
+        self.i = self.i.max(to.min(self.data.len()));
+    }
 }
 
 // ---------------------------------------------------------------- huffman
@@ -653,12 +706,13 @@ pub fn fixed_dist_lengths() -> Vec<u8> {
     vec![5u8; 30]
 }
 
-/// Which block type [`write_best_block`] picks. The tokens, the code
-/// lengths and the bits of each block type are frozen; which type a
-/// block gets is the compressor's *policy*, and the oracle takes it as a
-/// parameter so that a policy change moves here by one line and nothing
-/// else in this file.
-#[derive(Clone, Copy)]
+/// Which block type [`write_best_block`] picks, and whether a block is
+/// probed first. The tokens, the code lengths and the bits of each block
+/// type are frozen; which type a block gets, and which bytes are searched
+/// at all, is the compressor's *policy*, and the oracle takes it as a
+/// parameter so that a policy change moves here and nowhere else in this
+/// file.
+#[derive(Clone, Copy, PartialEq)]
 enum BlockPolicy {
     /// Stored / fixed / dynamic, whichever is fewest bits: the chooser
     /// this file was frozen with.
@@ -666,12 +720,27 @@ enum BlockPolicy {
     /// Fixed or dynamic, whichever is fewer bits, if that saves at least
     /// an eighth of the stored size; stored otherwise.
     SaveAnEighth,
+    /// `SaveAnEighth`, after the block's first [`PROBE_TOKENS`] tokens
+    /// have been judged by the same rule: where they fail, they and
+    /// seven times as many bytes after them are stored unsearched.
+    ProbeFirst,
 }
 
-/// Compresses `data` into a raw DEFLATE stream under the block policy
+/// Tokens per block.
+const TOKENS_PER_BLOCK: usize = 32 * 1024;
+/// Tokens a [`BlockPolicy::ProbeFirst`] block is judged on first.
+const PROBE_TOKENS: usize = 1024;
+
+/// Compresses `data` into a raw DEFLATE stream under the policy
 /// `deflate::compress` ships: a block is coded only where that saves an
-/// eighth.
+/// eighth, and its first tokens are judged before the rest is searched.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
+    compress_with(data, level, BlockPolicy::ProbeFirst)
+}
+
+/// Compresses `data` with every byte searched and the eighth rule
+/// applied to whole blocks: the stream before blocks were probed.
+pub fn compress_unprobed(data: &[u8], level: Level) -> Vec<u8> {
     compress_with(data, level, BlockPolicy::SaveAnEighth)
 }
 
@@ -682,31 +751,51 @@ pub fn compress_smallest(data: &[u8], level: Level) -> Vec<u8> {
     compress_with(data, level, BlockPolicy::Smallest)
 }
 
-fn compress_with(data: &[u8], level: Level, policy: BlockPolicy) -> Vec<u8> {
-    let tokens = tokenize(data, level.max_chain(), level.good_enough(), level.lazy());
-    let mut w = BitWriter::new();
+/// Input bytes `tokens` stand for.
+fn raw_len(tokens: &[Token]) -> usize {
+    tokens
+        .iter()
+        .map(|t| match t {
+            Token::Literal(_) => 1,
+            Token::Match { len, .. } => *len as usize,
+        })
+        .sum()
+}
 
-    // Split the token stream into blocks so each gets its own adaptive
-    // code. 32Ki tokens per block keeps header overhead negligible.
-    const TOKENS_PER_BLOCK: usize = 32 * 1024;
-    if tokens.is_empty() {
+fn compress_with(data: &[u8], level: Level, policy: BlockPolicy) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    if data.is_empty() {
         write_stored_block(&mut w, &[], true);
         return w.finish();
     }
-    let nblocks = tokens.len().div_ceil(TOKENS_PER_BLOCK);
-    let mut data_pos = 0usize;
-    for (bi, chunk) in tokens.chunks(TOKENS_PER_BLOCK).enumerate() {
-        let final_block = bi == nblocks - 1;
-        let raw_len: usize = chunk
-            .iter()
-            .map(|t| match t {
-                Token::Literal(_) => 1,
-                Token::Match { len, .. } => *len as usize,
-            })
-            .sum();
-        let raw = &data[data_pos..data_pos + raw_len];
-        data_pos += raw_len;
-        write_best_block(&mut w, chunk, raw, final_block, policy);
+    let n = data.len();
+    let (chain, good, lazy) = (level.max_chain(), level.good_enough(), level.lazy());
+    let mut tokenizer = Tokenizer::new(data, chain, good, lazy);
+    // Split the token stream into blocks so each gets its own adaptive
+    // code. A block that ends between the two tokens of a deferred match
+    // leaves the second for the next.
+    let mut carry = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let mut tokens = std::mem::take(&mut carry);
+        if policy == BlockPolicy::ProbeFirst {
+            tokenizer.tokens(&mut tokens, PROBE_TOKENS);
+            let probe = &tokens[..tokens.len().min(PROBE_TOKENS)];
+            let probe_len = raw_len(probe);
+            if !plan(probe, probe_len).saves_an_eighth() {
+                let end = (start + 8 * probe_len).min(n).max(tokenizer.position());
+                tokenizer.skip_to(end);
+                write_stored_chunks(&mut w, &data[start..end], end == n);
+                start = end;
+                continue;
+            }
+        }
+        tokenizer.tokens(&mut tokens, TOKENS_PER_BLOCK);
+        carry = tokens.split_off(tokens.len().min(TOKENS_PER_BLOCK));
+        let len = raw_len(&tokens);
+        let raw = &data[start..start + len];
+        write_best_block(&mut w, &tokens, raw, start + len == n, policy);
+        start += len;
     }
     w.finish()
 }
@@ -745,14 +834,28 @@ fn body_cost(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> usize {
     bits
 }
 
-/// Writes this chunk as the block type `policy` picks.
-fn write_best_block(
-    w: &mut BitWriter,
-    tokens: &[Token],
-    raw: &[u8],
-    final_block: bool,
-    policy: BlockPolicy,
-) {
+/// A chunk's dynamic code and its cost in bits each way.
+struct Plan {
+    dyn_lit_lens: Vec<u8>,
+    dyn_dist_lens: Vec<u8>,
+    clc_stream: Vec<(usize, u16, u8)>,
+    clc_lens: [u8; 19],
+    hlit: usize,
+    hdist: usize,
+    dynamic_bits: usize,
+    fixed_bits: usize,
+    stored_bits: usize,
+}
+
+impl Plan {
+    /// Fixed or dynamic, whichever is fewer bits, saves at least an
+    /// eighth of the stored size.
+    fn saves_an_eighth(&self) -> bool {
+        self.fixed_bits.min(self.dynamic_bits) <= self.stored_bits - self.stored_bits / 8
+    }
+}
+
+fn plan(tokens: &[Token], raw_len: usize) -> Plan {
     let (lit_freq, dist_freq) = frequencies(tokens);
     let dyn_lit_lens = code_lengths(&lit_freq, 15);
     let dyn_dist_lens = code_lengths(&dist_freq, 15);
@@ -766,34 +869,52 @@ fn write_best_block(
             .sum::<usize>();
     let dynamic_bits = 3 + header_bits + body_cost(tokens, &dyn_lit_lens, &dyn_dist_lens);
 
-    let fixed_lit = fixed_litlen_lengths();
-    let fixed_dist = fixed_dist_lengths();
-    let fixed_bits = 3 + body_cost(tokens, &fixed_lit, &fixed_dist);
+    let fixed_bits = 3 + body_cost(tokens, &fixed_litlen_lengths(), &fixed_dist_lengths());
 
     // Stored blocks carry at most 65535 bytes each.
-    let stored_bits = raw
-        .len()
+    let stored_bits = raw_len
         .div_ceil(65535)
         .max(1)
         .checked_mul(5 * 8)
-        .map(|hdr| hdr + raw.len() * 8 + 7)
+        .map(|hdr| hdr + raw_len * 8 + 7)
         .unwrap_or(usize::MAX);
+    Plan {
+        dyn_lit_lens,
+        dyn_dist_lens,
+        clc_stream,
+        clc_lens,
+        hlit,
+        hdist,
+        dynamic_bits,
+        fixed_bits,
+        stored_bits,
+    }
+}
 
+/// Writes this chunk as the block type `policy` picks.
+fn write_best_block(
+    w: &mut BitWriter,
+    tokens: &[Token],
+    raw: &[u8],
+    final_block: bool,
+    policy: BlockPolicy,
+) {
+    let p = plan(tokens, raw.len());
     let store = match policy {
-        BlockPolicy::Smallest => stored_bits < dynamic_bits && stored_bits < fixed_bits,
-        BlockPolicy::SaveAnEighth => fixed_bits.min(dynamic_bits) > stored_bits - stored_bits / 8,
+        BlockPolicy::Smallest => p.stored_bits < p.dynamic_bits && p.stored_bits < p.fixed_bits,
+        BlockPolicy::SaveAnEighth | BlockPolicy::ProbeFirst => !p.saves_an_eighth(),
     };
     if store {
         write_stored_chunks(w, raw, final_block);
-    } else if fixed_bits <= dynamic_bits {
+    } else if p.fixed_bits <= p.dynamic_bits {
         w.write_bits(final_block as u32, 1);
         w.write_bits(0b01, 2);
-        write_body(w, tokens, &fixed_lit, &fixed_dist);
+        write_body(w, tokens, &fixed_litlen_lengths(), &fixed_dist_lengths());
     } else {
         w.write_bits(final_block as u32, 1);
         w.write_bits(0b10, 2);
-        write_dynamic_header(w, &clc_stream, &clc_lens, hlit, hdist);
-        write_body(w, tokens, &dyn_lit_lens, &dyn_dist_lens);
+        write_dynamic_header(w, &p.clc_stream, &p.clc_lens, p.hlit, p.hdist);
+        write_body(w, tokens, &p.dyn_lit_lens, &p.dyn_dist_lens);
     }
 }
 
