@@ -1,11 +1,30 @@
-//! DeepCAM encoder: per-line mode selection and segmented delta coding.
+//! DeepCAM encoder: per-line mode selection and segmented delta coding,
+//! sixteen lines at a time.
+//!
+//! Inside a delta line every value is coded against the *reconstructed*
+//! one before it, so a line is one dependent chain of float operations;
+//! the lines themselves are independent. A channel is therefore encoded
+//! in groups of [`LANES`] lines, one line to a lane:
+//!
+//! 1. **Pass 1**, line by line: the constant test, then segmentation on
+//!    the true deltas, which also writes each value's segment base
+//!    exponent ([`HEAD`] at a segment's first value) into a
+//!    position-major row the group shares.
+//! 2. **Pass 2**, the quantiser (`lockstep.rs`): the group's lanes step
+//!    through their positions together at the active SIMD tier.
+//! 3. Line by line again: the payload, or the raw fallback.
+//!
+//! The bytes and statistics are the line-at-a-time encoder's
+//! (`tests/differential.rs` against `tests/reference.rs`, at every tier).
 
+use super::lockstep::{self, HEAD, LANES};
 use super::{
     decode_code, exp2i, EncodedDeepCam, LineMeta, LineMode, Segment, CODE_ESCAPE, CODE_ZERO,
     EXP_WINDOW,
 };
 use rayon::prelude::*;
 use sciml_data::deepcam::DeepCamSample;
+use sciml_simd::{record, Kernel};
 
 /// Tunables of the encoder.
 #[derive(Debug, Clone, Copy)]
@@ -50,16 +69,6 @@ pub struct EncodeStats {
     pub zero_codes: usize,
 }
 
-/// Working storage of one channel's encode, reused by every line: the
-/// current line's segments, codes and escaped literals.
-#[derive(Default)]
-struct Scratch {
-    segments: Vec<Segment>,
-    /// One code per non-head value, segment-concatenated.
-    codes: Vec<u8>,
-    literals: Vec<f32>,
-}
-
 /// Encodes a sample, returning the encoded form and statistics.
 ///
 /// Lines are independent, so the channels are encoded on the worker
@@ -99,30 +108,36 @@ pub fn encode(sample: &DeepCamSample, cfg: &EncoderConfig) -> (EncodedDeepCam, E
 
 /// Encodes the lines of channel `c`: their directory entries (offsets
 /// from the channel's own first byte), payload and statistics.
-fn encode_channel(
+pub(super) fn encode_channel(
     sample: &DeepCamSample,
     c: usize,
     cfg: &EncoderConfig,
 ) -> (Vec<LineMeta>, Vec<u8>, EncodeStats) {
+    let level = lockstep::tier();
+    record(Kernel::DeepcamEncode, level);
     let mut lines = Vec::with_capacity(sample.height);
     // A delta line costs at least a byte per value.
     let mut payload = Vec::with_capacity(sample.height * sample.width);
     let mut stats = EncodeStats::default();
-    let mut scratch = Scratch::default();
-    for y in 0..sample.height {
-        let offset = payload.len() as u32;
-        let mode = encode_line(
-            sample.line(c, y),
-            cfg,
-            &mut payload,
-            &mut stats,
-            &mut scratch,
-        );
-        lines.push(LineMeta {
-            mode,
-            offset,
-            len: payload.len() as u32 - offset,
-        });
+    let mut group = Group::new(sample.width, cfg);
+    for first in (0..sample.height).step_by(LANES) {
+        let n = (sample.height - first).min(LANES);
+        // The spare lanes of a last, short group read its last line and
+        // are masked.
+        let rows: [&[f32]; LANES] = std::array::from_fn(|l| sample.line(c, first + l.min(n - 1)));
+        let active = group.pass1(&rows[..n], cfg);
+        if active != 0 {
+            lockstep::lockstep(level, &rows, &group.bases, &mut group.codes, active, cfg);
+        }
+        for (lane, line) in rows[..n].iter().enumerate() {
+            let offset = payload.len() as u32;
+            let mode = group.write(lane, line, &mut payload, &mut stats);
+            lines.push(LineMeta {
+                mode,
+                offset,
+                len: payload.len() as u32 - offset,
+            });
+        }
     }
     (lines, payload, stats)
 }
@@ -140,65 +155,229 @@ impl EncodeStats {
     }
 }
 
-/// Encodes one line, appending its payload and returning the chosen mode.
-fn encode_line(
-    line: &[f32],
-    cfg: &EncoderConfig,
-    payload: &mut Vec<u8>,
-    stats: &mut EncodeStats,
-    scratch: &mut Scratch,
-) -> LineMode {
-    debug_assert!(!line.is_empty());
-    // Constant line: bitwise-identical values.
-    if line.iter().all(|v| v.to_bits() == line[0].to_bits()) {
-        payload.extend_from_slice(&line[0].to_le_bytes());
-        stats.constant_lines += 1;
-        return LineMode::Constant;
+/// What pass 1 made of a lane's line.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    Constant,
+    Raw,
+    /// A delta line whose segments are `Group::segments[first..end]`.
+    Delta {
+        first: usize,
+        end: usize,
+    },
+}
+
+/// Working storage of one channel's encode, reused by every group.
+struct Group {
+    width: usize,
+    plans: [Plan; LANES],
+    /// Every delta lane's segments, lane after lane.
+    segments: Vec<Segment>,
+    /// Pass 1's exponent of each delta of the line in hand.
+    exps: Vec<i32>,
+    /// The base exponent of every value, position-major: lane `l`'s
+    /// value `j` at `j * LANES + l`, [`HEAD`] at segment heads.
+    bases: Vec<i8>,
+    /// Pass 2's code of every value, lane-major: lane `l`'s value `j` at
+    /// `l * width + j` (nothing meaningful at heads).
+    codes: Vec<u8>,
+}
+
+impl Group {
+    fn new(width: usize, cfg: &EncoderConfig) -> Self {
+        Self {
+            width,
+            plans: [Plan::Raw; LANES],
+            // The most segments pass 1 lets a whole group have.
+            segments: Vec::with_capacity(LANES * (width / cfg.min_values_per_segment).max(1)),
+            exps: vec![0; width],
+            bases: vec![0; width * LANES],
+            codes: vec![0; width * LANES],
+        }
     }
 
-    match delta_encode(line, cfg, scratch) {
-        Some(zero_codes) if scratch.encoded_len() < line.len() * 4 => {
-            stats.delta_lines += 1;
-            stats.segments += scratch.segments.len();
-            stats.literals += scratch.literals.len();
-            stats.zero_codes += zero_codes;
-            scratch.write(payload);
-            LineMode::Delta
+    /// Pass 1 over a group's lines, one to a lane; returns the mask of
+    /// the delta lanes.
+    fn pass1(&mut self, rows: &[&[f32]], cfg: &EncoderConfig) -> u16 {
+        self.segments.clear();
+        let mut active = 0u16;
+        for (lane, line) in rows.iter().enumerate() {
+            self.plans[lane] = if line.iter().all(|v| v.to_bits() == line[0].to_bits()) {
+                Plan::Constant
+            } else {
+                let first = self.segments.len();
+                if self.segment(lane, line, cfg) {
+                    active |= 1 << lane;
+                    Plan::Delta {
+                        first,
+                        end: self.segments.len(),
+                    }
+                } else {
+                    self.segments.truncate(first);
+                    Plan::Raw
+                }
+            };
         }
-        _ => {
-            payload.reserve(line.len() * 4);
-            for v in line {
-                payload.extend_from_slice(&v.to_le_bytes());
+        active
+    }
+
+    /// Pass 1 of one line in lane `lane`: appends its segments, split on
+    /// true-delta exponent windows, and writes the lane's column of
+    /// `bases`. False when the line goes raw — a non-finite value after
+    /// the first, or more segments than `cfg` allows (abrupt
+    /// transitions) — with what it appended left for the caller to drop.
+    fn segment(&mut self, lane: usize, line: &[f32], cfg: &EncoderConfig) -> bool {
+        // Every delta's [`exponent_of`], `i32::MAX` for none, first: a
+        // loop without branches (zero deltas would make them
+        // unpredictable) that vectorises, which leaves the window loop
+        // below a min and a max.
+        let Group {
+            segments,
+            exps,
+            bases,
+            ..
+        } = self;
+        let exps = &mut exps[..line.len() - 1];
+        let mut finite = true;
+        for ((&x, &prev), e) in line[1..].iter().zip(line).zip(exps.iter_mut()) {
+            finite &= x.is_finite();
+            let bits = (x - prev).to_bits();
+            let field = ((bits >> 23) & 0xFF) as i32;
+            let counted = bits << 1 != 0 && field != 0xFF;
+            *e = if counted {
+                field.max(1) - 127
+            } else {
+                i32::MAX
+            };
+        }
+        if !finite {
+            // Non-finite data: bail to raw.
+            return false;
+        }
+        let first = segments.len();
+        let max_segments = (line.len() / cfg.min_values_per_segment).max(1);
+        // `lo > hi` is the window of a segment that has seen no non-zero
+        // delta yet.
+        let mut start = 0usize;
+        let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+        for (j, &e) in (1..).zip(exps.iter()) {
+            let new_lo = lo.min(e);
+            let new_hi = hi.max(if e == i32::MAX { i32::MIN } else { e });
+            // Exponents lie in -126..=127, so the window is all a segment
+            // must fit; an empty one (`lo > hi`) wraps to 1.
+            if new_hi.wrapping_sub(new_lo) <= EXP_WINDOW && j - start < u16::MAX as usize {
+                (lo, hi) = (new_lo, new_hi);
+            } else {
+                // The new segment's head is line[j]; its deltas start at
+                // j+1.
+                if segments.len() - first == max_segments {
+                    return false;
+                }
+                close_segment(segments, bases, lane, line, start..j, lo);
+                start = j;
+                (lo, hi) = (i32::MAX, i32::MIN);
             }
-            stats.raw_lines += 1;
-            LineMode::RawF32
         }
+        if segments.len() - first == max_segments {
+            return false;
+        }
+        close_segment(segments, bases, lane, line, start..line.len(), lo);
+        true
+    }
+
+    /// Appends lane `lane`'s `line` to `payload` in the mode pass 1
+    /// chose, or raw where its delta form says too many literals or is
+    /// no smaller than the raw line.
+    fn write(
+        &self,
+        lane: usize,
+        line: &[f32],
+        payload: &mut Vec<u8>,
+        stats: &mut EncodeStats,
+    ) -> LineMode {
+        match self.plans[lane] {
+            Plan::Constant => {
+                payload.extend_from_slice(&line[0].to_le_bytes());
+                stats.constant_lines += 1;
+                return LineMode::Constant;
+            }
+            Plan::Delta { first, end } => {
+                let codes = &self.codes[lane * self.width..][..self.width];
+                if write_delta(line, &self.segments[first..end], codes, payload, stats) {
+                    return LineMode::Delta;
+                }
+            }
+            Plan::Raw => {}
+        }
+        payload.reserve(line.len() * 4);
+        for v in line {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        stats.raw_lines += 1;
+        LineMode::RawF32
     }
 }
 
-impl Scratch {
-    /// Bytes [`Scratch::write`] appends for the line it holds.
-    fn encoded_len(&self) -> usize {
-        4 + self.segments.len() * 8 + self.codes.len() + self.literals.len() * 4
+/// Appends a delta line — `u16 n_segments | u16 n_literals | segment
+/// headers (f32 head, u16 count, i8 base_exp, u8 pad) | codes | literal
+/// f32s` — from its segments and its lane's code row, unless it needs
+/// more literals than the count holds or is no smaller than raw.
+fn write_delta(
+    line: &[f32],
+    segments: &[Segment],
+    codes: &[u8],
+    payload: &mut Vec<u8>,
+    stats: &mut EncodeStats,
+) -> bool {
+    // A segment's codes follow its head.
+    let code_runs = || {
+        segments.iter().scan(0usize, |start, s| {
+            let run = *start + 1..*start + s.count as usize;
+            *start += s.count as usize;
+            Some(run)
+        })
+    };
+    let (mut zero_codes, mut literals) = (0usize, 0usize);
+    for run in code_runs() {
+        let (zeros, escapes) = codes[run].iter().fold((0u32, 0u32), |(z, e), &c| {
+            (
+                z + u32::from(c == CODE_ZERO),
+                e + u32::from(c == CODE_ESCAPE),
+            )
+        });
+        zero_codes += zeros as usize;
+        literals += escapes as usize;
     }
-
-    /// Wire layout: `u16 n_segments | u16 n_literals | segment headers
-    /// (f32 head, u16 count, i8 base_exp, u8 pad) | codes | literal f32s`.
-    fn write(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
-        out.extend_from_slice(&(self.segments.len() as u16).to_le_bytes());
-        out.extend_from_slice(&(self.literals.len() as u16).to_le_bytes());
-        for s in &self.segments {
-            out.extend_from_slice(&s.head.to_le_bytes());
-            out.extend_from_slice(&s.count.to_le_bytes());
-            out.push(s.base_exp as u8);
-            out.push(0);
-        }
-        out.extend_from_slice(&self.codes);
-        for l in &self.literals {
-            out.extend_from_slice(&l.to_le_bytes());
+    let len = 4 + segments.len() * 8 + (line.len() - segments.len()) + literals * 4;
+    if literals > u16::MAX as usize || len >= line.len() * 4 {
+        return false;
+    }
+    payload.reserve(len);
+    payload.extend_from_slice(&(segments.len() as u16).to_le_bytes());
+    payload.extend_from_slice(&(literals as u16).to_le_bytes());
+    for s in segments {
+        payload.extend_from_slice(&s.head.to_le_bytes());
+        payload.extend_from_slice(&s.count.to_le_bytes());
+        payload.push(s.base_exp as u8);
+        payload.push(0);
+    }
+    for run in code_runs() {
+        payload.extend_from_slice(&codes[run]);
+    }
+    if literals > 0 {
+        for run in code_runs() {
+            for (x, &c) in line[run.clone()].iter().zip(&codes[run]) {
+                if c == CODE_ESCAPE {
+                    payload.extend_from_slice(&x.to_le_bytes());
+                }
+            }
         }
     }
+    stats.delta_lines += 1;
+    stats.segments += segments.len();
+    stats.literals += literals;
+    stats.zero_codes += zero_codes;
+    true
 }
 
 /// Exponent of |v| as floor(log2), clamped to the i8 range the wire
@@ -219,92 +398,40 @@ fn exponent_of(v: f32) -> Option<i32> {
     }
 }
 
-/// Two-pass delta encoding of `line` into `scratch`. Pass 1 segments
-/// the line on true-delta exponent windows; pass 2 quantizes against
-/// the *reconstructed* previous value (mirroring the decoder) and
-/// escapes when drift or range force it. Returns the number of
-/// zero-delta codes, or `None` if the line produces too many segments
-/// or literals (abrupt-transition fallback).
-fn delta_encode(line: &[f32], cfg: &EncoderConfig, scratch: &mut Scratch) -> Option<usize> {
-    let Scratch {
-        segments,
-        codes,
-        literals,
-    } = scratch;
-    segments.clear();
-    codes.clear();
-    literals.clear();
-    let max_segments = (line.len() / cfg.min_values_per_segment).max(1);
-
-    // Pass 1: segmentation on true deltas. `lo > hi` is the window of a
-    // segment that has seen no non-zero delta yet.
-    let mut start = 0usize;
-    let (mut lo, mut hi) = (i32::MAX, i32::MIN);
-    let base_exp = |lo: i32| (if lo == i32::MAX { 0 } else { lo }).clamp(-128, 127) as i8;
-    for j in 1..line.len() {
-        if !line[j].is_finite() {
-            // Non-finite data: bail to raw.
-            return None;
-        }
-        let (new_lo, new_hi) = match exponent_of(line[j] - line[j - 1]) {
-            None => (lo, hi),
-            Some(e) => (lo.min(e), hi.max(e)),
-        };
-        let fits =
-            new_lo > new_hi || (new_hi - new_lo <= EXP_WINDOW && (-128..=127).contains(&new_lo));
-        if fits && j - start < u16::MAX as usize {
-            (lo, hi) = (new_lo, new_hi);
-        } else {
-            // The new segment's head is line[j]; its deltas start at j+1.
-            if segments.len() == max_segments {
-                return None;
-            }
-            segments.push(Segment {
-                head: line[start],
-                count: (j - start) as u16,
-                base_exp: base_exp(lo),
-            });
-            start = j;
-            (lo, hi) = (i32::MAX, i32::MIN);
-        }
-    }
-    if segments.len() == max_segments {
-        return None;
-    }
+/// Appends the segment `line[range]` of lane `lane`, whose smallest
+/// delta exponent is `lo` (`i32::MAX`: none was non-zero), and marks its
+/// values in the lane's column of `bases`.
+fn close_segment(
+    segments: &mut Vec<Segment>,
+    bases: &mut [i8],
+    lane: usize,
+    line: &[f32],
+    range: std::ops::Range<usize>,
+    lo: i32,
+) {
+    let base_exp = (if lo == i32::MAX { 0 } else { lo }).clamp(-128, 127) as i8;
+    debug_assert_ne!(base_exp, HEAD);
     segments.push(Segment {
-        head: line[start],
-        count: (line.len() - start) as u16,
-        base_exp: base_exp(lo),
+        head: line[range.start],
+        count: range.len() as u16,
+        base_exp,
     });
-
-    // Pass 2: quantize with reconstruction mirror.
-    let mut zero_codes = 0usize;
-    let mut rest = line;
-    for seg in segments.iter() {
-        let (values, tail) = rest.split_at(seg.count as usize);
-        rest = tail;
-        let mut prev = seg.head;
-        for &x in &values[1..] {
-            let (code, recon) = quantize(x - prev, prev, x, seg.base_exp, cfg);
-            if code == CODE_ESCAPE {
-                if literals.len() == u16::MAX as usize {
-                    return None;
-                }
-                literals.push(x);
-            }
-            zero_codes += usize::from(code == CODE_ZERO);
-            codes.push(code);
-            prev = recon;
-        }
+    let mut column = bases[range.start * LANES + lane..range.end * LANES]
+        .iter_mut()
+        .step_by(LANES);
+    if let Some(head) = column.next() {
+        *head = HEAD;
     }
-    Some(zero_codes)
+    for b in column {
+        *b = base_exp;
+    }
 }
 
 /// Quantizes delta `d` (from reconstructed `prev` toward true `x`)
 /// against `base_exp`. Returns the code byte and the reconstructed value
 /// the decoder will produce.
 #[inline]
-fn quantize(d: f32, prev: f32, x: f32, base_exp: i8, cfg: &EncoderConfig) -> (u8, f32) {
+pub(super) fn quantize(d: f32, prev: f32, x: f32, base_exp: i8, cfg: &EncoderConfig) -> (u8, f32) {
     let Some(code) = quantize_code(d, base_exp) else {
         return (CODE_ESCAPE, x);
     };

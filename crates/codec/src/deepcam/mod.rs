@@ -24,6 +24,7 @@
 
 mod decode;
 mod encode;
+mod lockstep;
 
 #[cfg(test)]
 #[path = "tests/decode_differential.rs"]

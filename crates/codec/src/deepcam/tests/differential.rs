@@ -5,8 +5,8 @@
 //! branch; the integer quantiser must match the float one on every
 //! mantissa.
 
-use super::encode::{code_delta, quantize_code};
-use super::{decode_code, encode, reference, EncoderConfig, CODE_ESCAPE, CODE_ZERO};
+use super::encode::{code_delta, encode_channel, quantize_code};
+use super::{decode_code, encode, exp2i, reference, EncoderConfig, CODE_ESCAPE, CODE_ZERO};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig, DeepCamSample};
 
 fn one_channel(lines: &[Vec<f32>]) -> DeepCamSample {
@@ -299,3 +299,321 @@ fn code_delta_is_decode_code_for_every_code_and_base() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The lockstep shape: a channel is encoded sixteen lines at a time, one
+// line to a lane. Every case below runs at every SIMD tier this host
+// has, under the default configuration and the three others
+// `generated_samples_encode_to_the_reference_bytes` uses.
+// ---------------------------------------------------------------------
+
+/// The default configuration and the three non-default ones of
+/// `generated_samples_encode_to_the_reference_bytes`.
+fn lockstep_cfgs() -> Vec<EncoderConfig> {
+    let mut cfgs = vec![EncoderConfig::default()];
+    for (tol, floor, per_segment) in [(0.0, 1e-6, 8), (0.002, 0.01, 2), (0.5, 10.0, 64)] {
+        cfgs.push(EncoderConfig {
+            escape_rel_tol: tol,
+            abs_floor: floor,
+            min_values_per_segment: per_segment,
+        });
+    }
+    cfgs
+}
+
+/// [`assert_same`] under every configuration of [`lockstep_cfgs`], at
+/// every tier this host can run.
+#[track_caller]
+fn assert_same_everywhere(sample: &DeepCamSample, what: &str) {
+    for level in sciml_simd::supported_levels() {
+        let _tier = sciml_simd::force(Some(level));
+        for cfg in lockstep_cfgs() {
+            assert_same(sample, &cfg, &format!("{what}, {} {cfg:?}", level.name()));
+        }
+    }
+}
+
+/// A line of `width` values whose every delta is small and smooth, so
+/// that it is a delta line at every configuration.
+fn smooth_line(width: usize, salt: u64) -> Vec<f32> {
+    (0..width)
+        .map(|i| 250.0 + (i as f32 * 0.07 + salt as f32).sin() * 3.0 + salt as f32)
+        .collect()
+}
+
+/// Each of `hand_built_lines_encode_to_the_reference_bytes`' kinds of
+/// line at every lane of a full group, the other fifteen lanes smooth
+/// delta lines: a lane carries nothing into its neighbours.
+#[test]
+fn every_kind_of_line_at_every_lane_of_a_group() {
+    let n = 96usize;
+    let mut state = 0x1A9E_u64;
+    let random: Vec<u32> = (0..n).map(|_| lcg(&mut state) as u32).collect();
+    let kinds: Vec<(&str, Vec<f32>)> = vec![
+        ("constant", vec![3.5; n]),
+        ("constant nan", vec![f32::NAN; n]),
+        ("smooth", smooth_line(n, 9)),
+        (
+            "nan head",
+            (0..n)
+                .map(|i| if i == 0 { f32::NAN } else { i as f32 * 0.5 })
+                .collect(),
+        ),
+        (
+            "+inf mid-line",
+            (0..n)
+                .map(|i| if i == 50 { f32::INFINITY } else { i as f32 })
+                .collect(),
+        ),
+        (
+            "subnormal deltas",
+            (0..n)
+                .map(|i| f32::from_bits(i as u32 * 0x1_2345))
+                .collect(),
+        ),
+        (
+            "exponent swings",
+            (0..n)
+                .map(|i| match i % 4 {
+                    0 | 2 => 0.0,
+                    1 => 256.0,
+                    _ => 0.5,
+                })
+                .collect(),
+        ),
+        (
+            "overflowing delta",
+            (0..n)
+                .map(|i| if i % 2 == 0 { 3e38 } else { -3e38 })
+                .collect(),
+        ),
+        (
+            "near f32::MAX",
+            (0..n)
+                .map(|i| f32::MAX * (0.5 + i as f32 / 256.0))
+                .collect(),
+        ),
+        (
+            "random bits",
+            random.iter().map(|&b| f32::from_bits(b)).collect(),
+        ),
+        ("sign flips", (0..n).map(|i| [1.0, -1.0][i % 2]).collect()),
+    ];
+    for (name, line) in &kinds {
+        for lane in 0..16 {
+            let mut lines: Vec<Vec<f32>> = (0..16).map(|l| smooth_line(n, l)).collect();
+            lines[lane] = line.clone();
+            assert_same_everywhere(&one_channel(&lines), &format!("{name} in lane {lane}"));
+        }
+    }
+}
+
+/// Full groups, a short last group and groups of one, at widths that are
+/// one value, a block of four and a remainder, and the benchmark's.
+#[test]
+fn every_group_shape() {
+    for height in [1usize, 15, 16, 17, 33, 191] {
+        for width in [1usize, 2, 9, 288] {
+            let generator = ClimateGenerator::new(DeepCamConfig {
+                width,
+                height,
+                channels: 2,
+                seed: 0x10C5 + height as u64,
+                ..DeepCamConfig::test_small()
+            });
+            assert_same_everywhere(
+                &generator.generate(width as u64),
+                &format!("{height} lines of {width}"),
+            );
+        }
+    }
+}
+
+/// Sixteen lines at the widths around the literal-overflow flip: lanes
+/// go raw for too many literals beside lanes that stay delta lines.
+#[test]
+fn a_group_at_the_literal_overflow_flip() {
+    let cfg = EncoderConfig {
+        escape_rel_tol: 0.0,
+        abs_floor: 1.0,
+        min_values_per_segment: 8,
+    };
+    let (bad, good) = (33.0 / 32768.0, 1.5 / 1024.0);
+    let flip_line = |width: usize| -> Vec<f32> {
+        let mut x = 1.0f32;
+        (0..width)
+            .map(|j| {
+                if j > 0 {
+                    let k = (j - 1) % 20;
+                    let step = if k < 14 { bad } else { good };
+                    x += if k % 2 == 0 { step } else { -step };
+                }
+                x
+            })
+            .collect()
+    };
+    // The flip `literal_overflow_matches_the_reference` finds.
+    let flip = encode(&one_channel(&[flip_line(93_620)]), &cfg).1;
+    let width = if flip.raw_lines == 1 { 93_600 } else { 93_640 };
+    for offset in [0usize, 20, 40] {
+        let w = width + offset;
+        let lines: Vec<Vec<f32>> = (0..16)
+            .map(|l| {
+                if l % 3 == 0 {
+                    smooth_line(w, l as u64)
+                } else {
+                    flip_line(w)
+                }
+            })
+            .collect();
+        for level in sciml_simd::supported_levels() {
+            let _tier = sciml_simd::force(Some(level));
+            assert_same(
+                &one_channel(&lines),
+                &cfg,
+                &format!("width {w}, {}", level.name()),
+            );
+        }
+    }
+}
+
+/// The steps pass 2 leaves to the scalar quantiser, in lanes 0, 7 and 15
+/// and on the value just before a segment head: a subnormal delta at base
+/// exponent −126, and deltas whose code exponent `base + e_off` passes
+/// 127 — one that rounds up past 2^127 in a segment of base 121, and the
+/// infinite delta after it, which only an infinite tolerance lets through
+/// to the next step; and the infinite delta after a head of −∞.
+#[test]
+fn slow_lanes_at_the_edges_of_a_group() {
+    let n = 64usize;
+    // Tiny normal steps, then a subnormal one: a segment of base −126.
+    let subnormal = |at: usize| -> Vec<f32> {
+        (0..n)
+            .map(|i| {
+                let base = f32::from_bits(0x0080_0000 + i as u32 * 0x10_0000);
+                if i == at {
+                    f32::from_bits(base.to_bits() - 3)
+                } else {
+                    base
+                }
+            })
+            .collect()
+    };
+    // Deltas of 2^121..2^123 keep the base at 121; at `at` a step rounds
+    // up past 2^127.
+    let huge = |at: usize| -> Vec<f32> {
+        let mut x = -f32::MAX;
+        (0..n)
+            .map(|i| {
+                let d = if i == at {
+                    f32::from_bits(0x7F7F_FFFF)
+                } else {
+                    exp2i(121 + (i % 3) as i32)
+                };
+                if i > 0 {
+                    x = (x + d).min(f32::MAX);
+                }
+                x
+            })
+            .collect()
+    };
+    let infinite_head = |_: usize| -> Vec<f32> {
+        let mut line = huge(n);
+        line[0] = f32::NEG_INFINITY;
+        line
+    };
+    let mut cfgs = lockstep_cfgs();
+    cfgs.push(EncoderConfig {
+        escape_rel_tol: f32::INFINITY,
+        ..EncoderConfig::default()
+    });
+    type Line<'a> = &'a dyn Fn(usize) -> Vec<f32>;
+    let cases: [(&str, Line); 3] = [
+        ("subnormal", &subnormal),
+        ("huge", &huge),
+        ("infinite head", &infinite_head),
+    ];
+    for (name, line) in cases {
+        // Mid-line, and where a head follows: an exponent swing at
+        // `at + 1` closes the segment there.
+        for at in [20usize, 40] {
+            let mut slow = line(at);
+            if at == 40 {
+                let x = slow[at];
+                slow[at + 1] = if x.abs() > 1e30 {
+                    x - x * 2e-6
+                } else {
+                    x + 1e30
+                };
+            }
+            for lane in [0usize, 7, 15] {
+                let mut lines: Vec<Vec<f32>> = (0..16).map(|l| smooth_line(n, l)).collect();
+                lines[lane] = slow.clone();
+                let sample = one_channel(&lines);
+                for level in sciml_simd::supported_levels() {
+                    let _tier = sciml_simd::force(Some(level));
+                    for cfg in &cfgs {
+                        let what = format!("{name} at {at} in lane {lane}, {}", level.name());
+                        assert_same(&sample, cfg, &format!("{what} {cfg:?}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Release-only timing gate (ci.sh "deepcam codec speed"): the lockstep
+/// encoder's gain rests on sixteen chains in flight with the tolerance
+/// test off them, which a refactor can lose without failing any other
+/// test. One thread — the channels one after the other, as
+/// [`reference::encode`] runs them — on the ingest workload's
+/// 288×192×8 shape; alternating runs, best of each side. Fails below
+/// 3.5× the frozen reference (the line-at-a-time encoder this replaced
+/// read 2.8×).
+#[test]
+#[ignore = "timing; run in release from scripts/ci.sh"]
+fn encode_speed() {
+    use std::hint::black_box;
+    use std::time::Instant;
+    let sample = ClimateGenerator::new(DeepCamConfig {
+        width: 288,
+        height: 192,
+        channels: 8,
+        seed: 20220530,
+        ..DeepCamConfig::default()
+    })
+    .generate(0);
+    let cfg = EncoderConfig::default();
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut new, mut old) = (f64::MAX, f64::MAX);
+    for _ in 0..15 {
+        new = new.min(time(&mut || {
+            for c in 0..sample.channels {
+                black_box(encode_channel(black_box(&sample), c, &cfg));
+            }
+        }));
+        old = old.min(time(&mut || {
+            black_box(reference::encode(black_box(&sample), &cfg));
+        }));
+    }
+    let values = sample.data.len() as f64;
+    println!(
+        "deepcam encode 288x192x8, one thread: lockstep {:.2} ms ({:.1} ns/value), frozen reference {:.2} ms ({:.1} ns/value), {:.2}x",
+        new * 1e3,
+        new * 1e9 / values,
+        old * 1e3,
+        old * 1e9 / values,
+        old / new
+    );
+    assert!(
+        old / new >= ENCODE_SPEED_FLOOR,
+        "lockstep encode only {:.2}x the frozen reference (floor {ENCODE_SPEED_FLOOR}x)",
+        old / new
+    );
+}
+
+const ENCODE_SPEED_FLOOR: f64 = 3.5;

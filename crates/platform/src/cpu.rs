@@ -41,6 +41,7 @@ pub fn kernel_plan() -> Vec<KernelPath> {
                 Kernel::HalfNarrow => "F32\u{2192}F16 emission",
                 Kernel::HalfWiden => "F16\u{2192}F32 load",
                 Kernel::OpLog1p => "per-element log1p",
+                Kernel::DeepcamEncode => "DeepCAM encode",
             },
             level: lvl,
             strategy: strategy(kernel, lvl),
@@ -66,6 +67,9 @@ fn strategy(kernel: Kernel, level: SimdLevel) -> &'static str {
         (Kernel::OpLog1p, SimdLevel::Sse42 | SimdLevel::Neon) => {
             "scalar source auto-vectorised, 4 lanes"
         }
+        (Kernel::DeepcamEncode, SimdLevel::Avx2) => "16 lines in lockstep, 2 vectors of 8 lanes",
+        (Kernel::DeepcamEncode, SimdLevel::Sse42) => "16 lines in lockstep, 4 vectors of 4 lanes",
+        (Kernel::DeepcamEncode, SimdLevel::Neon) => "scalar reference loop",
     }
 }
 

@@ -254,14 +254,17 @@ pub enum Kernel {
     /// Bulk in-place `log1p` of the per-element operator (per slice
     /// call).
     OpLog1p,
+    /// DeepCAM encoder's lockstep quantiser (per channel).
+    DeepcamEncode,
 }
 
 /// All kernel families, in counter-table order.
-pub const ALL_KERNELS: [Kernel; 4] = [
+pub const ALL_KERNELS: [Kernel; 5] = [
     Kernel::CosmoGather,
     Kernel::HalfNarrow,
     Kernel::HalfWiden,
     Kernel::OpLog1p,
+    Kernel::DeepcamEncode,
 ];
 
 impl Kernel {
@@ -272,6 +275,7 @@ impl Kernel {
             Kernel::HalfNarrow => "half_narrow",
             Kernel::HalfWiden => "half_widen",
             Kernel::OpLog1p => "op_log1p",
+            Kernel::DeepcamEncode => "deepcam_encode",
         }
     }
 
@@ -281,13 +285,16 @@ impl Kernel {
             Kernel::HalfNarrow => 1,
             Kernel::HalfWiden => 2,
             Kernel::OpLog1p => 3,
+            Kernel::DeepcamEncode => 4,
         }
     }
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static DISPATCH: [[AtomicU64; 4]; 4] = [[ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4]];
+#[allow(clippy::declare_interior_mutable_const)]
+const ZERO_ROW: [AtomicU64; 4] = [ZERO; 4];
+static DISPATCH: [[AtomicU64; 4]; ALL_KERNELS.len()] = [ZERO_ROW; ALL_KERNELS.len()];
 
 /// Records one dispatch of `kernel` through the `level` path. Relaxed;
 /// a few nanoseconds against kernels that run for microseconds.

@@ -12,9 +12,14 @@
 //! shard 1 shard_000001.sshard 32 32 80104 11223344
 //! ```
 //!
+//! The manifest is written whole under a temporary name and renamed over
+//! the canonical one, so a reader finds the old manifest or the new one.
+//!
 //! **Staging journal** (`staging.journal`), appended as shards
-//! complete; replayed on restart, and every claimed shard is
-//! CRC-verified against the file on disk before being trusted:
+//! complete, one write a line; replayed on restart, and every claimed
+//! shard is CRC-verified against the file on disk before being trusted.
+//! A last line without its newline is what a stager killed mid-append
+//! leaves: it is dropped, and its shard staged again.
 //!
 //! ```text
 //! sciml-staging v1
@@ -30,6 +35,9 @@ use std::path::{Path, PathBuf};
 
 /// File name of the store manifest inside a packed store directory.
 pub const MANIFEST_FILE: &str = "store.manifest";
+
+/// Where [`StoreManifest::write_to`] writes before it renames.
+const MANIFEST_TMP_FILE: &str = "store.manifest.tmp";
 
 /// File name of the staging journal inside a staging directory.
 pub const JOURNAL_FILE: &str = "staging.journal";
@@ -223,9 +231,15 @@ impl StoreManifest {
         Ok(Self { shards })
     }
 
-    /// Writes the manifest into `dir` as [`MANIFEST_FILE`].
+    /// Writes the manifest into `dir` as [`MANIFEST_FILE`]: whole under
+    /// a temporary name, then renamed over the canonical one, so a reader
+    /// — or a run killed mid-write — finds the old manifest or the new
+    /// one, never a prefix. A temporary file a killed run left behind is
+    /// overwritten.
     pub fn write_to(&self, dir: &Path) -> Result<()> {
-        fs::write(dir.join(MANIFEST_FILE), self.to_text())?;
+        let tmp = dir.join(MANIFEST_TMP_FILE);
+        fs::write(&tmp, self.to_text())?;
+        fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
         Ok(())
     }
 
@@ -254,8 +268,10 @@ pub struct JournalEntry {
 
 /// The append-only staging journal: which shards are already staged.
 ///
-/// Completed shards are appended (and flushed) one line at a time, so a
-/// killed stager loses at most the shard it was working on. On resume,
+/// Completed shards are appended (and flushed) one line at a time, each
+/// in one write, so a killed stager loses at most the shard it was
+/// working on — and leaves at most a torn last line, which is dropped on
+/// open. On resume,
 /// [`StagingJournal::replay`] re-verifies every claimed shard file's
 /// CRC against disk and silently drops entries that no longer hold —
 /// those shards are simply staged again.
@@ -276,11 +292,12 @@ impl StagingJournal {
         out
     }
 
-    /// Parses the journal text format. Unknown or malformed lines are
-    /// an error (a corrupt journal must not be half-trusted); an empty
-    /// or missing body is fine.
+    /// Parses the journal text format. A last line without its newline
+    /// is a torn append, and is dropped; any other unknown or malformed
+    /// line is an error (a corrupt journal must not be half-trusted). An
+    /// empty or missing body is fine.
     pub fn parse(text: &str) -> Result<Vec<JournalEntry>> {
-        let mut lines = text.lines();
+        let mut lines = complete_lines(text).lines();
         match lines.next() {
             Some(l) if l.trim() == JOURNAL_HEADER => {}
             Some(other) => {
@@ -317,7 +334,21 @@ impl StagingJournal {
         fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
         let entries = match fs::read_to_string(&path) {
-            Ok(text) => Self::parse(&text)?,
+            Ok(text) => {
+                let kept = complete_lines(&text);
+                let entries = Self::parse(kept)?;
+                if kept.is_empty() {
+                    // Killed before even the header was whole.
+                    fs::write(&path, format!("{JOURNAL_HEADER}\n"))?;
+                } else if kept.len() < text.len() {
+                    // Cut the torn line, so the next append starts a
+                    // line of its own.
+                    let f = fs::OpenOptions::new().write(true).open(&path)?;
+                    f.set_len(kept.len() as u64)?;
+                    f.sync_data()?;
+                }
+                entries
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 fs::write(&path, format!("{JOURNAL_HEADER}\n"))?;
                 Vec::new()
@@ -334,8 +365,9 @@ impl StagingJournal {
 
     /// Appends one completed-shard record and flushes it to disk.
     pub fn append(&mut self, entry: JournalEntry) -> Result<()> {
+        let line = format!("done {} {:08x}\n", entry.id, entry.crc32);
         let mut f = fs::OpenOptions::new().append(true).open(&self.path)?;
-        writeln!(f, "done {} {:08x}", entry.id, entry.crc32)?;
+        f.write_all(line.as_bytes())?;
         f.sync_data()?;
         self.entries.push(entry);
         Ok(())
@@ -356,6 +388,11 @@ impl StagingJournal {
             .copied()
             .collect()
     }
+}
+
+/// `text` up to and including its last newline: its complete lines.
+fn complete_lines(text: &str) -> &str {
+    &text[..text.rfind('\n').map_or(0, |i| i + 1)]
 }
 
 #[cfg(test)]
@@ -481,6 +518,76 @@ mod tests {
         let trusted = j.replay(&dir, |id| format!("s{id}"));
         assert_eq!(trusted.len(), 1);
         assert_eq!(trusted[0].id, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_parse_drops_a_torn_last_line_and_nothing_else() {
+        let whole = "sciml-staging v1\ndone 1 0000000a\ndone 2 0000000b\n";
+        let both = vec![
+            JournalEntry { id: 1, crc32: 0xA },
+            JournalEntry { id: 2, crc32: 0xB },
+        ];
+        assert_eq!(StagingJournal::parse(whole).unwrap(), both);
+        // Every cut of the last line, newline included, drops it whole.
+        let last = whole.len() - "done 2 0000000b\n".len();
+        for cut in last..whole.len() {
+            assert_eq!(
+                StagingJournal::parse(&whole[..cut]).unwrap(),
+                both[..1],
+                "cut {cut}"
+            );
+        }
+        // A torn header is no journal yet.
+        assert!(StagingJournal::parse("sciml-stag").unwrap().is_empty());
+        // A malformed line that did end is still an error, last or not.
+        for bad in [
+            "sciml-staging v1\ndone 2\n",
+            "sciml-staging v1\ndone 1 0000000a\ndone 2 0000000g\n",
+            "sciml-staging v1\ndone 1 0000000a\ngarbage\ndone 2 0000000b\n",
+            "sciml-stag\ndone 1 0000000a\n",
+        ] {
+            assert!(StagingJournal::parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// Every state a `write_to` killed mid-write can leave — the new text
+    /// cut anywhere under the temporary name, beside the old manifest —
+    /// loads as the old manifest; the finished write loads as the new one
+    /// and leaves no temporary file.
+    #[test]
+    fn manifest_is_replaced_never_rewritten_in_place() {
+        let dir = std::env::temp_dir().join(format!(
+            "sciml_manifest_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = demo_manifest();
+        let mut new = demo_manifest();
+        new.shards[1].crc32 = 0x0BAD_F00D;
+        new.shards.push(ShardMeta {
+            id: 2,
+            file: "shard_000002.sshard".into(),
+            first: 5,
+            count: 1,
+            bytes: 40,
+            crc32: 7,
+            encoding: EncodingChoice::Gzip,
+        });
+        old.write_to(&dir).unwrap();
+        let tmp = dir.join(MANIFEST_TMP_FILE);
+        let text = new.to_text();
+        for cut in 0..=text.len() {
+            std::fs::write(&tmp, &text[..cut]).unwrap();
+            assert_eq!(StoreManifest::load_from(&dir).unwrap(), old, "cut {cut}");
+        }
+        // A leftover from a killed run is overwritten, then renamed away.
+        std::fs::write(&tmp, "sciml-store v1\nshard 0 trunc").unwrap();
+        new.write_to(&dir).unwrap();
+        assert_eq!(StoreManifest::load_from(&dir).unwrap(), new);
+        assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

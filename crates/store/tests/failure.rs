@@ -311,3 +311,69 @@ fn garbage_shard_file_rejected() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A stager killed mid-append leaves its journal cut anywhere. Cut a
+/// three-entry journal at every byte: a new stager opens the directory
+/// every time, trusts exactly the lines that ended, stages exactly the
+/// shards the rest no longer covers, and leaves a journal whole again.
+#[test]
+fn torn_journal_resumes_at_every_cut() {
+    let (origin_dir, samples) = packed_store("torn_origin", 9);
+    let origin = Arc::new(ShardSource::open(&origin_dir).unwrap());
+    let plans = origin.manifest().plans();
+    assert_eq!(plans.len(), 3, "three shards, three journal lines");
+    let config = StagerConfig::default();
+    let full = tmp_dir("torn_full");
+    let stager = Stager::new(origin.clone(), plans.clone(), &full, config).unwrap();
+    while stager.stage_one().unwrap().is_some() {}
+    drop(stager);
+    let journal = std::fs::read(full.join("staging.journal")).unwrap();
+    let staged: Vec<(String, Vec<u8>)> = (0..3)
+        .map(|id| {
+            let name = format!("shard_{id:06}.sshard");
+            let bytes = std::fs::read(full.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect();
+
+    let dir = tmp_dir("torn_resume");
+    for cut in 0..=journal.len() {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in &staged {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let kept = &journal[..cut];
+        std::fs::write(dir.join("staging.journal"), kept).unwrap();
+        // The ids on the lines that ended.
+        let whole = &kept[..kept.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)];
+        let covered: Vec<u32> = String::from_utf8_lossy(whole)
+            .lines()
+            .filter_map(|l| l.strip_prefix("done "))
+            .map(|l| l.split(' ').next().unwrap().parse().unwrap())
+            .collect();
+
+        let stager = Stager::new(origin.clone(), plans.clone(), &dir, config)
+            .unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        assert_eq!(stager.progress().staged_shards, covered.len(), "cut {cut}");
+        let mut restaged = Vec::new();
+        while let Some(id) = stager.stage_one().unwrap() {
+            restaged.push(id);
+        }
+        restaged.sort_unstable();
+        let missing: Vec<u32> = (0..3).filter(|id| !covered.contains(id)).collect();
+        assert_eq!(restaged, missing, "cut {cut}");
+        assert!(stager.progress().complete(), "cut {cut}");
+        drop(stager);
+
+        let reopened = sciml_store::StagingJournal::open(&dir).unwrap();
+        let mut ids: Vec<u32> = reopened.entries().iter().map(|e| e.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 2], "cut {cut}: the journal is whole again");
+        let store = ShardSource::open(&dir).unwrap();
+        assert_eq!(store.verify().unwrap(), samples.len() as u64, "cut {cut}");
+    }
+    for d in [&origin_dir, &full, &dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+}
