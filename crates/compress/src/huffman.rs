@@ -221,7 +221,7 @@ pub fn kind(entry: u32) -> Kind {
 /// stream (in stream order, i.e. bit-reversed canonical codes) and
 /// answers every codeword that short in one load; it is an array in the
 /// table itself, sized to stay in L1 (2048 entries for literal/length
-/// codes, 256 for distances). A longer codeword's primary entry points
+/// codes, 1024 for distances). A longer codeword's primary entry points
 /// at a second-level table indexed by the bits that follow. Either way
 /// the entry found carries everything the decoder needs — codeword
 /// length, kind, and the literal byte or the length/distance base with

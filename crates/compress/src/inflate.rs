@@ -2,9 +2,14 @@
 //!
 //! A block's symbols are decoded by two loops over the same
 //! [`DecodeTable`]s. The **fast loop** runs while at least 8 input bytes
-//! and 274 (`MAX_MATCH + 16`) output bytes remain: under those margins a
+//! and 290 (`MAX_MATCH + 32`) output bytes remain: under those margins a
 //! refill is one eight-byte load, no symbol can run out of input, and a
-//! match may be copied in eight-byte steps that overshoot its end. The
+//! match may be copied in wide steps that overshoot its end — sixteen
+//! bytes a step where the distance allows it, so a match of up to 32
+//! bytes is two unconditional steps and no loop. Once a match's distance
+//! is read, the next symbol's table entry is loaded before the match is
+//! copied, so the lookup overlaps the stores instead of waiting behind
+//! them; distance codes of up to 10 bits take one table load. The
 //! **careful loop** decodes one symbol at a time with every check, and
 //! takes over for the tail of the input and of a sized output.
 
@@ -16,17 +21,20 @@ use crate::huffman::{code_bits, entry, extra_bits, kind, value, DecodeTable, Kin
 use crate::lz77::MAX_MATCH;
 use crate::Error;
 
-/// Primary-level sizes of the three decode tables (11, 8 and 7 index
-/// bits). 2048 + 256 four-byte entries stay in L1 beside the window
-/// being copied from; no code-length code is longer than 7 bits.
+/// Primary-level sizes of the three decode tables (11, 10 and 7 index
+/// bits). 2048 + 1024 four-byte entries stay in L1 beside the window
+/// being copied from; a CosmoFlow payload's distance codes run past 8
+/// bits often enough to pay for filling the larger distance table once
+/// a block; no code-length code is longer than 7 bits.
 type LitLenTable = DecodeTable<{ 1 << 11 }>;
-type DistTable = DecodeTable<{ 1 << 8 }>;
+type DistTable = DecodeTable<{ 1 << 10 }>;
 type CodeLenTable = DecodeTable<{ 1 << 7 }>;
 
-/// Output bytes the fast loop wants ahead of it: one iteration writes
-/// at most three literals or one match, and the wide copy of a match
-/// may write up to fifteen bytes past its end.
-const FAST_OUT_MARGIN: usize = MAX_MATCH + 16;
+/// Output bytes the fast loop wants ahead of it: between two checks it
+/// writes at most three literals, or two and a match, and the wide copy
+/// of a match writes at most `MAX_MATCH + 30` bytes (the match rounded
+/// up to whole 32-byte steps).
+const FAST_OUT_MARGIN: usize = MAX_MATCH + 32;
 
 /// Decompresses a raw DEFLATE stream into bytes.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, Error> {
@@ -160,25 +168,48 @@ fn store8(buf: &mut [u8], at: usize, word: u64) {
     buf[at..at + 8].copy_from_slice(&word.to_le_bytes());
 }
 
+/// Copies sixteen bytes from `from` to `at`: one vector load and store.
+#[inline]
+fn copy16(buf: &mut [u8], from: usize, at: usize) {
+    let mut chunk = [0u8; 16];
+    chunk.copy_from_slice(&buf[from..from + 16]);
+    buf[at..at + 16].copy_from_slice(&chunk);
+}
+
 /// How far to advance after stamping an eight-byte pattern of period
 /// `dist`: the most whole periods eight bytes hold, so the phase never
 /// shifts.
 const PATTERN_STEP: [usize; 8] = [0, 8, 8, 6, 8, 5, 6, 7];
 
-/// Appends a match to `buf` at `at` in eight-byte steps: sixteen bytes
-/// straight away (most matches are no longer), then the rest. Writes
-/// up to fifteen bytes past the end of the match; the caller guarantees
-/// `1 <= dist <= at` and `at + len + 15 <= buf.len()`.
+/// Appends a match to `buf` at `at` in steps that may run past its end.
+/// A distance of sixteen or more moves sixteen bytes a step: two steps
+/// straight away (most matches are no longer), then two a round. Each
+/// step reads bytes that lie wholly before the ones it writes,
+/// overlapping match or not, so a step never reads what it is writing.
+/// A distance of 8 to 15 moves eight bytes a step, and a shorter one
+/// stamps its pattern. Writes fewer than `len + 32` bytes and at most
+/// `MAX_MATCH + 30`; the caller guarantees `1 <= dist <= at` and
+/// `at + MAX_MATCH + 30 <= buf.len()`.
 #[inline]
 fn copy_match_wide(buf: &mut [u8], at: usize, dist: usize, len: usize) {
     let from = at - dist;
-    if dist >= 8 {
-        // Each step reads eight bytes that lie wholly before the eight
-        // it writes, overlapping match or not.
+    if dist >= 16 {
+        copy16(buf, from, at);
+        copy16(buf, from + 16, at + 16);
+        let mut k = 32;
+        while k < len {
+            copy16(buf, from + k, at + k);
+            copy16(buf, from + k + 16, at + k + 16);
+            k += 32;
+        }
+    } else if dist >= 8 {
+        // A sixteen-byte read would reach into the bytes it writes.
         store8(buf, at, load8(buf, from));
         store8(buf, at + 8, load8(buf, from + 8));
-        for k in (16..len).step_by(8) {
+        let mut k = 16;
+        while k < len {
             store8(buf, at + k, load8(buf, from + k));
+            k += 8;
         }
     } else {
         // The match repeats the last `dist` bytes: lay that pattern
@@ -188,8 +219,11 @@ fn copy_match_wide(buf: &mut [u8], at: usize, dist: usize, len: usize) {
         pattern |= pattern << period;
         pattern |= pattern.checked_shl(2 * period).unwrap_or(0);
         pattern |= pattern.checked_shl(4 * period).unwrap_or(0);
-        for k in (0..len).step_by(PATTERN_STEP[dist]) {
+        let step = PATTERN_STEP[dist];
+        let mut k = 0;
+        while k < len {
             store8(buf, at + k, pattern);
+            k += step;
         }
     }
 }
@@ -301,7 +335,9 @@ const BAD_DIST: Error = Error::Corrupt("distance code out of range");
 /// A word refill leaves at least 56 bits buffered, and the longest
 /// symbol — a 15-bit length code with 5 extra bits and a 15-bit
 /// distance code with 13 — takes 48, so nothing in here can run out of
-/// input and nothing checks for it.
+/// input and nothing checks for it. A refill only adds bits above the
+/// ones buffered, so an entry looked up before it is still the entry
+/// of the next symbol after it.
 #[inline]
 fn fast_loop(
     r: &mut BitReader<'_>,
@@ -311,11 +347,13 @@ fn fast_loop(
 ) -> Result<bool, Error> {
     let buf = sink.buf.as_mut_slice();
     let mut at = sink.len;
+    if buf.len() - at < FAST_OUT_MARGIN || !r.refill_word() {
+        return Ok(false);
+    }
+    // The next symbol's entry, looked up on a refilled buffer with the
+    // margins checked since.
+    let mut e = lit.lookup(r.buffer());
     let done = loop {
-        if buf.len() - at < FAST_OUT_MARGIN || !r.refill_word() {
-            break Ok(false);
-        }
-        let mut e = lit.lookup(r.buffer());
         if kind(e) == Kind::Literal {
             // Up to three literals on one refill (3 x 15 bits), each
             // next entry loaded before the byte is stored.
@@ -334,6 +372,10 @@ fn fast_loop(
                 }
             }
             if run == 3 {
+                if buf.len() - at < FAST_OUT_MARGIN || !r.refill_word() {
+                    break Ok(false);
+                }
+                e = lit.lookup(r.buffer());
                 continue;
             }
             // `e` is what follows the literals, and needs more bits
@@ -366,8 +408,15 @@ fn fast_loop(
         if distance > at - sink.start {
             break Err(Error::Corrupt("distance beyond output start"));
         }
+        // Look the next symbol up first, so that its load does not wait
+        // behind the copy's stores; it goes unused if a margin fails.
+        let refilled = r.refill_word();
+        e = lit.lookup(r.buffer());
         copy_match_wide(buf, at, distance, len);
         at += len;
+        if buf.len() - at < FAST_OUT_MARGIN || !refilled {
+            break Ok(false);
+        }
     };
     sink.len = at;
     done
@@ -463,6 +512,26 @@ mod tests {
             inflate(&bytes),
             Err(Error::Corrupt("distance beyond output start"))
         ));
+    }
+
+    /// A wide copy at every distance up to 64 and every length, into a
+    /// buffer that ends where the fast loop's margin ends after two
+    /// literals: every byte of the match is the byte `dist` before it,
+    /// and nothing is written past the buffer (that would panic).
+    #[test]
+    fn a_wide_copy_is_the_match_and_stays_inside_the_margin() {
+        let at = 64;
+        for dist in 1..=at {
+            for len in 3..=MAX_MATCH {
+                let mut buf: Vec<u8> = (0..at as u8).map(|i| i.wrapping_mul(37)).collect();
+                buf.resize(at + FAST_OUT_MARGIN - 2, 0xEE);
+                copy_match_wide(&mut buf, at, dist, len);
+                assert!(
+                    (at..at + len).all(|k| buf[k] == buf[k - dist]),
+                    "dist {dist} len {len}"
+                );
+            }
+        }
     }
 
     #[test]
