@@ -168,14 +168,13 @@ fn main() {
         &mut entries,
     );
 
-    // DeepCAM: per-line differential decode (codes -> prefix sums ->
-    // F16). The line loop has one source and no dispatch, so one tier:
-    // the detected one, which its narrowing runs at.
+    // DeepCAM: differential decode (codes -> prefix sums -> F16), sixteen
+    // lines in lockstep at avx2, line by line at the other tiers.
     let (dcam, _) = deepcam::encode(&bench_deepcam_sample(), &deepcam::EncoderConfig::default());
     let dcam_elems = dcam.n_values();
     sweep(
         "deepcam_decode",
-        &[chosen],
+        &tiers,
         dcam_elems,
         || {
             let enc = &dcam;

@@ -1,33 +1,78 @@
 //! DeepCAM decoder: per-line independent reconstruction, FP32 compute,
 //! FP16 emission, optional fused affine preprocessing.
 //!
-//! One implementation, over a [`DeepCamView`], and one level of
-//! parallelism: a caller that wants both cores busy decodes two samples
-//! at once (the pipeline's decode pool does), it never forks inside
-//! one. A sample is 2–3 ms of work; two thread spawns a sample cost
-//! more than the second core returns.
+//! One level of parallelism: a caller that wants both cores busy decodes
+//! two samples at once (the pipeline's decode pool does), it never forks
+//! inside one. A sample is 1–3 ms of work; two thread spawns a sample
+//! cost more than the second core returns.
+//!
+//! Inside one thread, a sample's lines are decoded sixteen at a time at
+//! the avx2 tier (`decode_lockstep.rs`), one line to a lane, in two
+//! passes:
+//!
+//! 1. **Pass 1**, line by line, off any chain: the checks of
+//!    [`decode_line_into`]; each delta segment's codes to their deltas
+//!    ([`decode_lockstep::delta_line`]), its escapes to their literals;
+//!    and everything that is a value rather than a delta — heads,
+//!    literals, segments outside the `CODE_BITS` window (by
+//!    [`decode_code`]'s float path), constant and raw lines — marked as a
+//!    chain reset.
+//! 2. **Pass 2**, the sixteen prefix chains stepped together
+//!    ([`decode_lockstep::prefix`]); then [`Op::narrow_into`] finishes
+//!    each line.
+//!
+//! At every other tier, on aarch64, and for a sample of fewer than
+//! sixteen lines, the lines go one at a time through
+//! [`reconstruct_delta_line`], the canonical form. Every way emits the
+//! same bits and reports the first failing line's error.
 
+use super::decode_lockstep::{self, Tier, OVERRUN};
+use super::lockstep::LANES;
 use super::{decode_code, DeepCamView, EncodedDeepCam, LineMode, CODE_ESCAPE, CODE_ZERO};
 use crate::{CodecError, Op};
 use sciml_half::F16;
+use sciml_simd::{record, Kernel, SimdLevel};
 use std::cell::Cell;
+use std::slice::ChunksExact;
 
-thread_local! {
-    /// Per-thread f32 line buffer: reconstruction runs in FP32, then
-    /// [`Op::narrow_into`] applies the fused operator and emits FP16 in
-    /// bulk — no per-line allocation.
-    static LINE_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+/// A decode thread's FP32 working storage, reused by every sample:
+/// reconstruction runs in FP32, then [`Op::narrow_into`] applies the
+/// fused operator and emits FP16 in bulk — nothing allocated per line.
+/// Nothing in it is zeroed per sample: whatever reaches the output was
+/// written first, and a group's resets are cleared per group.
+#[derive(Default)]
+struct Scratch {
+    /// One line's values, or a group's sixteen rows.
+    rows: Vec<[f32; 4]>,
+    /// A group's chain resets, one lane bitmask a position.
+    resets: Vec<u32>,
 }
 
-/// Runs `f` with an f32 scratch slice of `width` values, which `f`
-/// must overwrite whole before reading: it holds the last line's.
-fn with_scratch<R>(width: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    LINE_SCRATCH.with(|slot| {
-        let mut buf = slot.take();
-        buf.resize(width, 0.0);
-        let r = f(&mut buf);
-        slot.set(buf);
+thread_local! {
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            rows: Vec::new(),
+            resets: Vec::new(),
+        })
+    };
+}
+
+/// Runs `f` with the thread's [`Scratch`].
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|slot| {
+        let mut scratch = slot.take();
+        let r = f(&mut scratch);
+        slot.set(scratch);
         r
+    })
+}
+
+/// Runs `f` with an f32 line of `width` values, which `f` must overwrite
+/// whole before reading.
+fn with_line<R>(width: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    with_scratch(|s| {
+        s.rows.resize(width.div_ceil(4), [0.0; 4]);
+        f(&mut s.rows.as_flattened_mut()[..width])
     })
 }
 
@@ -57,8 +102,176 @@ pub fn decode_view_into(view: &DeepCamView<'_>, op: Op, out: &mut [F16]) -> Resu
     if width == 0 {
         return Err(CodecError::Corrupt("zero-width lines"));
     }
-    for (idx, chunk) in out.chunks_mut(width).enumerate() {
+    match decode_lockstep::tier() {
+        // A group's scratch is sixteen lines, which must not outgrow the
+        // sample: a width is bounded only through the element count.
+        Some(tier) if view.n_lines() >= LANES => {
+            record(Kernel::DeepcamDecode, tier.level());
+            decode_groups(view, op, out, tier)
+        }
+        _ => {
+            record(Kernel::DeepcamDecode, SimdLevel::Scalar);
+            decode_lines(view, op, out)
+        }
+    }
+}
+
+/// Every tier but avx2, and a sample of fewer than sixteen lines:
+/// `out`'s lines one at a time.
+pub(super) fn decode_lines(
+    view: &DeepCamView<'_>,
+    op: Op,
+    out: &mut [F16],
+) -> Result<(), CodecError> {
+    for (idx, chunk) in out.chunks_mut(view.width as usize).enumerate() {
         decode_line_into(view, idx, op, chunk)?;
+    }
+    Ok(())
+}
+
+/// The avx2 tier: `out`'s lines sixteen at a time, in the two passes
+/// the module describes. Takes what [`decode_view_into`] checked: `out`
+/// is the sample's length, and the width is not zero.
+pub(super) fn decode_groups(
+    view: &DeepCamView<'_>,
+    op: Op,
+    out: &mut [F16],
+    tier: Tier,
+) -> Result<(), CodecError> {
+    let width = view.width as usize;
+    // In blocks of four values: a row holds its line and a pass-1 step's
+    // overrun past the line's last code.
+    let stride = (width + OVERRUN).div_ceil(4);
+    with_scratch(|s| {
+        s.rows.resize(LANES * stride, [0.0; 4]);
+        // Pass 2 steps four positions at a time.
+        s.resets.resize(width.next_multiple_of(4), 0);
+        for (group, lines) in out.chunks_mut(LANES * width).enumerate() {
+            s.resets.fill(0);
+            let rows = s.rows.chunks_exact_mut(stride);
+            for (lane, row) in rows.take(lines.len() / width).enumerate() {
+                let idx = group * LANES + lane;
+                pass1(view, idx, tier, row.as_flattened_mut(), lane, &mut s.resets)?;
+            }
+            decode_lockstep::prefix(tier, &mut s.rows, stride, &s.resets);
+            for (row, dst) in s
+                .rows
+                .chunks_exact_mut(stride)
+                .zip(lines.chunks_exact_mut(width))
+            {
+                op.narrow_into(&mut row.as_flattened_mut()[..width], dst);
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Pass 1 of line `idx` in lane `lane` of a group: its values and deltas
+/// into `row` (its width, then [`OVERRUN`] slots), its chain resets into
+/// bit `lane` of `resets`. Errors as [`decode_line_into`]'s.
+fn pass1(
+    view: &DeepCamView<'_>,
+    idx: usize,
+    tier: Tier,
+    row: &mut [f32],
+    lane: usize,
+    resets: &mut [u32],
+) -> Result<(), CodecError> {
+    let width = view.width as usize;
+    match Line::read(view, idx)? {
+        Line::Constant(v) => row[..width].fill(v),
+        Line::Raw(payload) => raw_values(payload, &mut row[..width]),
+        Line::Delta(payload) => {
+            return decode_lockstep::delta_line(tier, payload, row, width, lane, resets)
+        }
+    }
+    for word in &mut resets[..width] {
+        *word |= 1 << lane;
+    }
+    Ok(())
+}
+
+/// Line `idx` of a sample by its mode, the payload's size checked where
+/// the mode fixes it: the first step of both ways to decode a line.
+enum Line<'a> {
+    Constant(f32),
+    /// The line's width in little-endian f32s.
+    Raw(&'a [u8]),
+    Delta(&'a [u8]),
+}
+
+impl<'a> Line<'a> {
+    fn read(view: &DeepCamView<'a>, idx: usize) -> Result<Self, CodecError> {
+        let (mode, payload) = view.line(idx)?;
+        match mode {
+            LineMode::Constant if payload.len() != 4 => {
+                Err(CodecError::Corrupt("constant line payload size"))
+            }
+            LineMode::Constant => Ok(Line::Constant(crate::wire::le_f32(payload))),
+            LineMode::RawF32 if payload.len() != view.width as usize * 4 => {
+                Err(CodecError::Corrupt("raw line payload size"))
+            }
+            LineMode::RawF32 => Ok(Line::Raw(payload)),
+            LineMode::Delta => Ok(Line::Delta(payload)),
+        }
+    }
+}
+
+/// A raw line's payload into `vals`.
+fn raw_values(payload: &[u8], vals: &mut [f32]) {
+    for (v, chunk) in vals.iter_mut().zip(payload.chunks_exact(4)) {
+        *v = crate::wire::le_f32(chunk);
+    }
+}
+
+/// [`pass1`] of a delta line of `width` values: the checks and the walk
+/// of [`reconstruct_delta_line`], with the chain left to pass 2.
+/// `deltas` is a tier's code→delta step; each tier's
+/// [`decode_lockstep::delta_line`] compiles this walk around its own.
+#[inline(always)]
+pub(super) fn delta_pass1(
+    payload: &[u8],
+    row: &mut [f32],
+    width: usize,
+    lane: usize,
+    resets: &mut [u32],
+    mut deltas: impl FnMut(&[u8], usize, i8, &mut [f32]) -> bool,
+) -> Result<(), CodecError> {
+    let line = DeltaLine::parse(payload, width)?;
+    let mut codes = line.codes;
+    let mut literals = line.literals.chunks_exact(4);
+    let mut at = 0usize;
+    for h in line.headers.chunks_exact(8) {
+        let head = crate::wire::le_f32(&h[0..4]);
+        let count = crate::wire::le_u16(&h[4..6]) as usize;
+        let base_exp = h[6] as i8;
+        let (seg_codes, n) = (&codes[..count - 1], count - 1);
+        row[at] = head;
+        resets[at] |= 1 << lane;
+        let slots = at + 1..at + count;
+        if (-126..=120).contains(&base_exp) {
+            let out = &mut row[at + 1..][..n.next_multiple_of(OVERRUN)];
+            if deltas(codes, n, base_exp, out) {
+                for (j, &code) in slots.zip(seg_codes) {
+                    if code == CODE_ESCAPE {
+                        row[j] = next_literal(&mut literals)?;
+                        resets[j] |= 1 << lane;
+                    }
+                }
+            }
+        } else {
+            // The chain runs here, and pass 2 copies its values.
+            let seg = &mut row[slots.clone()];
+            segment(head, base_exp, seg_codes, &mut literals, seg)?;
+            for word in &mut resets[slots] {
+                *word |= 1 << lane;
+            }
+        }
+        codes = &codes[n..];
+        at += count;
+    }
+    if literals.next().is_some() {
+        return Err(CodecError::Inconsistent("unused literals"));
     }
     Ok(())
 }
@@ -76,30 +289,20 @@ pub fn decode_line_into(
     if dst.len() != width {
         return Err(CodecError::Inconsistent("destination width mismatch"));
     }
-    let (mode, payload) = view.line(idx)?;
-    match mode {
-        LineMode::Constant => {
-            if payload.len() != 4 {
-                return Err(CodecError::Corrupt("constant line payload size"));
-            }
-            let v = crate::wire::le_f32(payload);
+    match Line::read(view, idx)? {
+        Line::Constant(v) => {
             let h = F16::from_f32(op.apply(v));
             dst.fill(h);
             Ok(())
         }
-        LineMode::RawF32 => {
-            if payload.len() != width * 4 {
-                return Err(CodecError::Corrupt("raw line payload size"));
-            }
-            with_scratch(width, |vals| {
-                for (v, chunk) in vals.iter_mut().zip(payload.chunks_exact(4)) {
-                    *v = crate::wire::le_f32(chunk);
-                }
+        Line::Raw(payload) => {
+            with_line(width, |vals| {
+                raw_values(payload, vals);
                 op.narrow_into(vals, dst);
             });
             Ok(())
         }
-        LineMode::Delta => with_scratch(width, |vals| {
+        Line::Delta(payload) => with_line(width, |vals| {
             reconstruct_delta_line(payload, vals)?;
             op.narrow_into(vals, dst);
             Ok(())
@@ -126,53 +329,75 @@ const CODE_BITS: [u32; 256] = {
     t
 };
 
+/// A delta line's payload — `u16 n_segments | u16 n_literals | segment
+/// headers (f32 head, u16 count, i8 base_exp, u8 pad) | codes | literal
+/// f32s` — with its lengths checked against the line's width.
+struct DeltaLine<'a> {
+    headers: &'a [u8],
+    /// The codes, then the rest of the payload: a vector step may read
+    /// past a segment's codes.
+    codes: &'a [u8],
+    literals: &'a [u8],
+}
+
+impl<'a> DeltaLine<'a> {
+    /// Checks, in the order their errors are reported: the header, room
+    /// for the segment headers, no empty segment, the segments' counts
+    /// adding up to `width`, then the payload's length.
+    fn parse(payload: &'a [u8], width: usize) -> Result<Self, CodecError> {
+        if payload.len() < 4 {
+            return Err(CodecError::Corrupt("delta line header"));
+        }
+        let n_segments = crate::wire::le_u16(&payload[0..2]) as usize;
+        let n_literals = crate::wire::le_u16(&payload[2..4]) as usize;
+        let headers_end = 4 + n_segments * 8;
+        if payload.len() < headers_end {
+            return Err(CodecError::Corrupt("segment headers truncated"));
+        }
+        let headers = &payload[4..headers_end];
+        // Headers are re-read by the decode walk rather than staged in a
+        // scratch vector — this runs once per line of every sample, so it
+        // must not allocate.
+        let mut total = 0usize;
+        for h in headers.chunks_exact(8) {
+            let count = crate::wire::le_u16(&h[4..6]) as usize;
+            if count == 0 {
+                return Err(CodecError::Corrupt("empty segment"));
+            }
+            total += count;
+        }
+        if total != width {
+            return Err(CodecError::Inconsistent("segment counts != width"));
+        }
+        let codes_end = headers_end + width - n_segments;
+        if payload.len() != codes_end + n_literals * 4 {
+            return Err(CodecError::Corrupt("delta line payload size"));
+        }
+        Ok(Self {
+            headers,
+            codes: &payload[headers_end..],
+            literals: &payload[codes_end..],
+        })
+    }
+}
+
 /// Reconstructs a delta line in FP32 into `vals` (one slot a value of
 /// the line), walking its payload: segment headers, then codes, then
-/// the literal side array. The one loop that decodes delta lines.
+/// the literal side array. The per-line loop, and the canonical form of
+/// the lockstep one.
 ///
 /// The prefix sum is a chain of dependent FP adds and nothing in it
 /// can be skipped, so it is the floor (two thirds of this function's
-/// time); a code becomes its delta inside the same loop by one table
-/// load and one integer add, which overlap with the adds as long as
-/// they stay off the chain and free of data-dependent branches (zero
-/// codes are common and unordered: the bias is masked off for them,
-/// not branched around).
+/// time); a code becomes its delta inside the same loop ([`segment`]'s)
+/// by one table load and one integer add, which overlap with the adds as
+/// long as they stay off the chain and free of data-dependent branches
+/// (zero codes are common and unordered: the bias is masked off for
+/// them, not branched around).
 pub(super) fn reconstruct_delta_line(payload: &[u8], vals: &mut [f32]) -> Result<(), CodecError> {
-    let width = vals.len();
-    if payload.len() < 4 {
-        return Err(CodecError::Corrupt("delta line header"));
-    }
-    let n_segments = crate::wire::le_u16(&payload[0..2]) as usize;
-    let n_literals = crate::wire::le_u16(&payload[2..4]) as usize;
-    let headers_end = 4 + n_segments * 8;
-    if payload.len() < headers_end {
-        return Err(CodecError::Corrupt("segment headers truncated"));
-    }
-    let headers = &payload[4..headers_end];
-
-    // Validation pass over the headers: total values covered must equal
-    // the width (codes = width - n_segments). Headers are re-read in the
-    // decode pass below rather than staged in a scratch vector — this
-    // runs once per line of every sample, so it must not allocate.
-    let mut total = 0usize;
-    for h in headers.chunks_exact(8) {
-        let count = crate::wire::le_u16(&h[4..6]) as usize;
-        if count == 0 {
-            return Err(CodecError::Corrupt("empty segment"));
-        }
-        total += count;
-    }
-    if total != width {
-        return Err(CodecError::Inconsistent("segment counts != width"));
-    }
-    let n_codes = width - n_segments;
-    let codes_end = headers_end + n_codes;
-    let literals_end = codes_end + n_literals * 4;
-    if payload.len() != literals_end {
-        return Err(CodecError::Corrupt("delta line payload size"));
-    }
-    let mut codes = &payload[headers_end..codes_end];
-    let mut literals = payload[codes_end..literals_end].chunks_exact(4);
+    let line = DeltaLine::parse(payload, vals.len())?;
+    let mut codes = line.codes;
+    let mut literals = line.literals.chunks_exact(4);
+    let headers = line.headers;
 
     let mut rest = vals;
     for h in headers.chunks_exact(8) {
@@ -183,33 +408,55 @@ pub(super) fn reconstruct_delta_line(payload: &[u8], vals: &mut [f32]) -> Result
         let (seg, later) = rest.split_at_mut(count);
         codes = later_codes;
         rest = later;
-        // Outside this window the bit identity does not hold
-        // (subnormal or overflowing deltas: never encoded for real
-        // data, reachable by a hostile payload).
-        let in_window = (-126..=120).contains(&base_exp);
-        let bias = ((base_exp as i32) << 23) as u32;
-        let mut prev = head;
         seg[0] = head;
-        for (slot, &code) in seg[1..].iter_mut().zip(seg_codes) {
-            let v = if code == CODE_ESCAPE {
-                match literals.next() {
-                    Some(l) => crate::wire::le_f32(l),
-                    None => return Err(CodecError::Corrupt("literal index out of range")),
-                }
-            } else if in_window {
-                // A zero code still adds: `-0.0 + 0.0` is `+0.0`.
-                let not_zero = ((code != CODE_ZERO) as u32).wrapping_neg();
-                let bits = CODE_BITS[code as usize].wrapping_add(bias & not_zero);
-                prev + f32::from_bits(bits)
-            } else {
-                prev + decode_code(code, base_exp).unwrap_or(0.0)
-            };
-            *slot = v;
-            prev = v;
-        }
+        segment(head, base_exp, seg_codes, &mut literals, &mut seg[1..])?;
     }
     if literals.next().is_some() {
         return Err(CodecError::Inconsistent("unused literals"));
+    }
+    Ok(())
+}
+
+/// The value of a delta line's next escape.
+#[inline(always)]
+fn next_literal(literals: &mut ChunksExact<'_, u8>) -> Result<f32, CodecError> {
+    literals
+        .next()
+        .map(crate::wire::le_f32)
+        .ok_or(CodecError::Corrupt("literal index out of range"))
+}
+
+/// A segment's values after `head` into `slots`, one a code: the code's
+/// delta added to the value before it, an escape replaced by its literal.
+/// The per-line loop runs every segment here, pass 1 only those outside
+/// the `CODE_BITS` window.
+#[inline(always)]
+fn segment(
+    head: f32,
+    base_exp: i8,
+    codes: &[u8],
+    literals: &mut ChunksExact<'_, u8>,
+    slots: &mut [f32],
+) -> Result<(), CodecError> {
+    // Outside this window the bit identity does not hold (subnormal or
+    // overflowing deltas: never encoded for real data, reachable by a
+    // hostile payload).
+    let in_window = (-126..=120).contains(&base_exp);
+    let bias = ((base_exp as i32) << 23) as u32;
+    let mut prev = head;
+    for (slot, &code) in slots.iter_mut().zip(codes) {
+        let v = if code == CODE_ESCAPE {
+            next_literal(literals)?
+        } else if in_window {
+            // A zero code still adds: `-0.0 + 0.0` is `+0.0`.
+            let not_zero = ((code != CODE_ZERO) as u32).wrapping_neg();
+            let bits = CODE_BITS[code as usize].wrapping_add(bias & not_zero);
+            prev + f32::from_bits(bits)
+        } else {
+            prev + decode_code(code, base_exp).unwrap_or(0.0)
+        };
+        *slot = v;
+        prev = v;
     }
     Ok(())
 }

@@ -177,17 +177,34 @@ fn scalar(
     }
 }
 
-/// Loads both vector tiers share.
+/// Loads, stores and transposes both vector tiers share, the decoder's
+/// (`decode_lockstep.rs`) as well.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(super) mod x86 {
     use core::arch::x86_64::*;
 
     /// Four consecutive values of a row.
     #[inline]
     #[target_feature(enable = "sse4.2")]
-    pub(super) fn load4(v: &[f32; 4]) -> __m128 {
+    pub(in crate::deepcam) fn load4(v: &[f32; 4]) -> __m128 {
         // SAFETY: `v` is four readable f32s; the load is unaligned.
         unsafe { _mm_loadu_ps(v.as_ptr()) }
+    }
+
+    /// Four consecutive values of a row, stored.
+    #[inline]
+    #[target_feature(enable = "sse4.2")]
+    pub(in crate::deepcam) fn store4(v: &mut [f32; 4], x: __m128) {
+        // SAFETY: `v` is four writable f32s; the store is unaligned.
+        unsafe { _mm_storeu_ps(v.as_mut_ptr(), x) }
+    }
+
+    /// Eight consecutive values of a row, stored.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(in crate::deepcam) fn store8(v: &mut [f32; 8], x: __m256) {
+        // SAFETY: `v` is eight writable f32s; the store is unaligned.
+        unsafe { _mm256_storeu_ps(v.as_mut_ptr(), x) }
     }
 
     /// The group's sixteen base exponents at one position.
@@ -197,6 +214,25 @@ mod x86 {
         // SAFETY: `column` is sixteen readable bytes; the load is
         // unaligned.
         unsafe { _mm_loadu_si128(column.as_ptr().cast()) }
+    }
+
+    /// Eight rows' values at four positions, one vector a position, and
+    /// back (the transpose is its own inverse): rows `i` and `i + 4`
+    /// share a register, and each 128-bit half transposes as in
+    /// [`super::sse42`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(in crate::deepcam) fn transpose8(r: [__m256; 4]) -> [__m256; 4] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t2 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        [
+            _mm256_shuffle_ps::<0x44>(t0, t1),
+            _mm256_shuffle_ps::<0xEE>(t0, t1),
+            _mm256_shuffle_ps::<0x44>(t2, t3),
+            _mm256_shuffle_ps::<0xEE>(t2, t3),
+        ]
     }
 }
 
@@ -407,7 +443,7 @@ mod sse42 {
 /// twice the width, line for line.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::x86::{load16, load4};
+    use super::x86::{load16, load4, transpose8};
     use super::{settle, step, EncoderConfig, EXP_WINDOW, HEAD, LANES};
     use core::arch::x86_64::*;
 
@@ -422,24 +458,12 @@ mod avx2 {
         ]
     }
 
-    /// Eight rows' values at four positions, one vector a position: rows
-    /// `i` and `i + 4` share a register, and each 128-bit half transposes
-    /// as in [`super::sse42`].
+    /// Eight rows' values at four positions, one vector a position.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn transpose(b: &[&[[f32; 4]]], jb: usize) -> [__m256; 4] {
         let pair = |i: usize| _mm256_set_m128(load4(&b[i + 4][jb]), load4(&b[i][jb]));
-        let r = [pair(0), pair(1), pair(2), pair(3)];
-        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
-        let t1 = _mm256_unpacklo_ps(r[2], r[3]);
-        let t2 = _mm256_unpackhi_ps(r[0], r[1]);
-        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
-        [
-            _mm256_shuffle_ps::<0x44>(t0, t1),
-            _mm256_shuffle_ps::<0xEE>(t0, t1),
-            _mm256_shuffle_ps::<0x44>(t2, t3),
-            _mm256_shuffle_ps::<0xEE>(t2, t3),
-        ]
+        transpose8([pair(0), pair(1), pair(2), pair(3)])
     }
 
     /// [`super::sse42`]'s `step4` for eight lanes.

@@ -23,6 +23,7 @@
 //! so quantization drift is accounted, and escapes bound the error.
 
 mod decode;
+mod decode_lockstep;
 mod encode;
 mod lockstep;
 

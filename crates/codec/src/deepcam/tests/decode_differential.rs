@@ -1,13 +1,20 @@
-//! The one-pass decoder against [`super::reference_decode`], the
-//! two-pass decoder it replaced, under the rule the rewrite was made
-//! under: a speed change may not change a bit. Delta lines are compared
-//! as FP32 (the line before narrowing), whole samples as the FP16 they
-//! emit; a payload the reference rejects must be rejected with the same
-//! error. Runs under every `SCIML_SIMD` tier in the ci simd-matrix: the
-//! decoder has one source, so the tiers can only differ in the narrowing
-//! kernels, which this holds still as well.
+//! The decoder against [`super::reference_decode`], the two-pass decoder
+//! it replaced, under the rule every rewrite since was made under: a
+//! speed change may not change a bit. Delta lines are compared as FP32
+//! (the line before narrowing), whole samples as the FP16 they emit under
+//! each of the four operators; a payload the reference rejects must be
+//! rejected with the same error, and in a sample, the first failing
+//! line's.
+//!
+//! A sample is decoded every way the host can: the per-line loop, and
+//! sixteen lines at a time at avx2 where the CPU has it
+//! (`decode_lockstep.rs`), each called directly rather than through the
+//! process-wide tier override, which concurrent tests share. The ci
+//! simd-matrix runs the suite under every `SCIML_SIMD` tier as well, which
+//! moves the narrowing kernels.
 
-use super::decode::reconstruct_delta_line;
+use super::decode::{decode_groups, decode_lines, reconstruct_delta_line};
+use super::decode_lockstep::{self, Tier};
 use super::{
     decode_into, decode_line_into, encode, reference_decode, DeepCamView, EncodedDeepCam,
     EncoderConfig, LineMeta, LineMode, CODE_ESCAPE, CODE_ZERO,
@@ -66,35 +73,114 @@ fn assert_same_line(payload: &[u8], width: usize, what: &str) {
     }
 }
 
+/// [`assert_same_line`], then the line as a sample of its own through
+/// every decoder, a group of one lane at the vector tier.
 #[track_caller]
 fn assert_same_segments(segments: &[Seg<'_>], literals: &[f32], what: &str) {
-    assert_same_line(&delta_payload(segments, literals), width_of(segments), what);
+    let (payload, width) = (delta_payload(segments, literals), width_of(segments));
+    assert_same_line(&payload, width, what);
+    assert_same_sample(&sample_of(width, &[(LineMode::Delta, payload)]), what);
 }
 
-/// Both decoders over one owned sample, FP16 out, under each operator.
-#[track_caller]
-fn assert_same_sample(enc: &EncodedDeepCam, what: &str) {
-    let ops = [
+/// The four operators.
+fn ops() -> [Op; 4] {
+    [
         Op::Identity,
         Op::Normalize {
             scale: 0.05,
             offset: 270.0,
         },
         Op::Log1p,
-    ];
-    for op in ops {
-        let mut got = vec![F16::ONE; enc.n_values()];
-        let mut want = vec![F16::ZERO; enc.n_values()];
-        decode_into(enc, op, &mut got).unwrap();
-        reference_decode::decode_into(enc, op, &mut want).unwrap();
-        assert!(
-            got.iter()
-                .zip(&want)
-                .all(|(g, w)| g.to_bits() == w.to_bits()
-                    || (g.to_f32().is_nan() && w.to_f32().is_nan())),
-            "{what}: {op:?}"
-        );
+        Op::Log1pNormalize {
+            scale: 2.0,
+            offset: 1.0,
+        },
+    ]
+}
+
+/// Every way this host decodes a sample: the per-line loop (`None`), and
+/// the groups at the vector tier, if its CPU has it.
+fn decoders() -> Vec<Option<Tier>> {
+    std::iter::once(None)
+        .chain(decode_lockstep::cpu_tier().map(Some))
+        .collect()
+}
+
+/// `enc` into `out` the way `decoder` names.
+fn decode_with(
+    decoder: Option<Tier>,
+    enc: &EncodedDeepCam,
+    op: Op,
+    out: &mut [F16],
+) -> Result<(), CodecError> {
+    match decoder {
+        None => decode_lines(&enc.view(), op, out),
+        Some(tier) => decode_groups(&enc.view(), op, out, tier),
     }
+}
+
+/// Every decoder over one owned sample against the reference, FP16 out,
+/// under each operator: the same bits (NaN by class) or the same error.
+#[track_caller]
+fn assert_same_sample(enc: &EncodedDeepCam, what: &str) {
+    for op in ops() {
+        let mut want = vec![F16::ZERO; enc.n_values()];
+        let w = reference_decode::decode_into(enc, op, &mut want);
+        for decoder in decoders() {
+            // Dirty output: every slot must be written.
+            let mut got = vec![F16::ONE; enc.n_values()];
+            let g = decode_with(decoder, enc, op, &mut got);
+            let what = format!("{what}: {decoder:?} {op:?}");
+            assert_eq!(g, w, "{what}");
+            if w.is_ok() {
+                let diff = got.iter().zip(&want).position(|(g, w)| {
+                    g.to_bits() != w.to_bits() && !(g.to_f32().is_nan() && w.to_f32().is_nan())
+                });
+                assert!(diff.is_none(), "{what}: value {diff:?}");
+            }
+        }
+    }
+}
+
+/// A one-channel sample of `width`-value lines from their modes and
+/// payloads, laid out one after another.
+fn sample_of(width: usize, lines: &[(LineMode, Vec<u8>)]) -> EncodedDeepCam {
+    let mut payload = Vec::new();
+    let mut directory = Vec::new();
+    for (mode, bytes) in lines {
+        directory.push(LineMeta {
+            mode: *mode,
+            offset: payload.len() as u32,
+            len: bytes.len() as u32,
+        });
+        payload.extend_from_slice(bytes);
+    }
+    EncodedDeepCam {
+        width: width as u32,
+        height: lines.len() as u32,
+        channels: 1,
+        lines: directory,
+        payload,
+        mask: vec![],
+    }
+}
+
+/// A delta line of `width` values, one segment of small steps.
+fn smooth_delta(width: usize, salt: u8) -> (LineMode, Vec<u8>) {
+    let codes: Vec<u8> = (0..width - 1)
+        .map(|i| 0x10 | ((i as u8 ^ salt) & 0x9F))
+        .collect();
+    let payload = delta_payload(&[(250.0 + salt as f32, -4, &codes)], &[]);
+    (LineMode::Delta, payload)
+}
+
+fn raw(values: &[f32]) -> (LineMode, Vec<u8>) {
+    let bytes = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    (LineMode::RawF32, bytes)
+}
+
+fn constant(v: f32) -> (LineMode, Vec<u8>) {
+    (LineMode::Constant, v.to_le_bytes().to_vec())
 }
 
 fn lcg(state: &mut u64) -> u64 {
@@ -210,54 +296,196 @@ fn escapes_first_last_and_adjacent() {
 }
 
 /// Constant and raw lines, which do not pass through the delta loop but
-/// do pass through the view.
+/// do pass through the view: three lines, fewer than a group, through
+/// every decoder and through the public `decode_into`.
 #[test]
 fn constant_and_raw_lines() {
-    let width = 5usize;
-    let raw: Vec<u8> = [1.0f32, -0.0, f32::NAN, 65504.0, 1e-8]
-        .iter()
-        .flat_map(|v| v.to_le_bytes())
-        .collect();
-    let mut payload = 3.5f32.to_le_bytes().to_vec();
-    payload.extend_from_slice(&raw);
-    payload.extend_from_slice(&f32::NEG_INFINITY.to_le_bytes());
-    let enc = EncodedDeepCam {
-        width: width as u32,
-        height: 3,
-        channels: 1,
-        lines: vec![
-            LineMeta {
-                mode: LineMode::Constant,
-                offset: 0,
-                len: 4,
-            },
-            LineMeta {
-                mode: LineMode::RawF32,
-                offset: 4,
-                len: 20,
-            },
-            LineMeta {
-                mode: LineMode::Constant,
-                offset: 24,
-                len: 4,
-            },
+    let enc = sample_of(
+        5,
+        &[
+            constant(3.5),
+            raw(&[1.0, -0.0, f32::NAN, 65504.0, 1e-8]),
+            constant(f32::NEG_INFINITY),
         ],
-        payload,
-        mask: vec![],
-    };
+    );
     assert_same_sample(&enc, "constant / raw / constant");
+    for op in ops() {
+        let mut got = vec![F16::ONE; enc.n_values()];
+        let mut want = vec![F16::ZERO; enc.n_values()];
+        decode_into(&enc, op, &mut got).unwrap();
+        reference_decode::decode_into(&enc, op, &mut want).unwrap();
+        assert!(
+            got.iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()
+                    || (g.to_f32().is_nan() && w.to_f32().is_nan())),
+            "constant / raw / constant: decode_into {op:?}"
+        );
+    }
+    // A constant or raw payload one f32 too short or too long, as the
+    // second line of three and in lane 9 of eighteen: the reference's
+    // error, from every decoder.
+    let bad = [
+        (LineMode::Constant, vec![0u8; 0]),
+        (LineMode::Constant, vec![0u8; 8]),
+        (LineMode::RawF32, vec![0u8; 16]),
+        (LineMode::RawF32, vec![0u8; 24]),
+    ];
+    for (k, line) in bad.into_iter().enumerate() {
+        let mut lines = vec![constant(1.0), line, smooth_delta(5, 3)];
+        assert_same_sample(&sample_of(5, &lines), &format!("bad size {k}"));
+        lines.resize_with(18, || smooth_delta(5, 7));
+        lines.swap(1, 9);
+        assert_same_sample(&sample_of(5, &lines), &format!("bad size {k}, lane 9"));
+    }
+}
+
+/// Groups that mix constant, raw and delta lines, at widths around a
+/// pass-2 block of four (and its tail) and a pass-1 step of eight: every
+/// position of a constant or raw line restarts its lane's chain, and the
+/// delta lanes beside them carry on.
+#[test]
+fn groups_mixing_constant_raw_and_delta_lines() {
+    let specials = [
+        1.0f32,
+        -0.0,
+        f32::NAN,
+        65504.0,
+        1e-8,
+        f32::NEG_INFINITY,
+        -3.5,
+    ];
+    for width in [1usize, 3, 4, 5, 7, 8, 9] {
+        // Eighteen lines: a full group, then two.
+        let lines: Vec<(LineMode, Vec<u8>)> = (0..18)
+            .map(|i| match i % 3 {
+                0 => constant(specials[i % specials.len()]),
+                1 => raw(&(0..width)
+                    .map(|j| specials[(i + j) % 7])
+                    .collect::<Vec<_>>()),
+                _ => smooth_delta(width, i as u8),
+            })
+            .collect();
+        assert_same_sample(&sample_of(width, &lines), &format!("width {width}"));
+        // The same lines, every kind in every lane.
+        for shift in 1..3 {
+            let mut rotated = lines.clone();
+            rotated.rotate_left(shift);
+            assert_same_sample(
+                &sample_of(width, &rotated),
+                &format!("width {width} +{shift}"),
+            );
+        }
+    }
+}
+
+/// Escapes at a line's first and at its last coded position, and both,
+/// in different lanes of a group, the other lanes smooth; in one segment
+/// and in the last of three, at widths that end a pass-1 step exactly, one
+/// short and one over.
+#[test]
+fn escapes_at_a_lines_first_and_last_code_in_different_lanes() {
+    let e = CODE_ESCAPE;
+    for width in [9usize, 16, 17, 18, 288] {
+        let n = width - 1;
+        let mut first = vec![0x21u8; n];
+        first[0] = e;
+        let mut last = vec![0xA3u8; n];
+        last[n - 1] = e;
+        let mut both = vec![CODE_ZERO; n];
+        (both[0], both[n - 1]) = (e, e);
+        let escaped = [(first, 1usize), (last, 1), (both, 2)];
+        for lanes in [[0usize, 1, 15], [15, 7, 0], [3, 8, 12]] {
+            let mut lines: Vec<_> = (0..16).map(|l| smooth_delta(width, l as u8)).collect();
+            for ((codes, k), &lane) in escaped.iter().zip(&lanes) {
+                let lits: Vec<f32> = (0..*k).map(|i| -7.5 + i as f32).collect();
+                lines[lane] = (LineMode::Delta, delta_payload(&[(1.0, -2, codes)], &lits));
+            }
+            // The same escapes in the last of three segments.
+            let mut tail = vec![0x42u8; width - 5];
+            tail[0] = e;
+            tail[width - 6] = e;
+            let segments: [Seg<'_>; 3] = [(3.0, 0, &[0x11]), (4.0, -1, &[0x91]), (5.0, 1, &tail)];
+            lines[lanes[0] ^ 4] = (LineMode::Delta, delta_payload(&segments, &[9.0, -9.0]));
+            assert_same_sample(
+                &sample_of(width, &lines),
+                &format!("width {width} lanes {lanes:?}"),
+            );
+        }
+    }
+}
+
+/// One lane whose line has a segment outside the `CODE_BITS` window, at
+/// each edge and beyond: pass 1 runs its chain itself and pass 2 copies
+/// the values, next to lanes it steps.
+#[test]
+fn a_lane_with_a_segment_outside_the_window() {
+    let codes: Vec<u8> = (0..23u8)
+        .map(|i| [0x01, 0x7E, 0x80, 0xFE, CODE_ZERO, CODE_ESCAPE][i as usize % 6] ^ (i & 0x10))
+        .collect();
+    let escapes = codes.iter().filter(|&&c| c == CODE_ESCAPE).count();
+    let lits: Vec<f32> = (0..escapes).map(|i| 0.5 + i as f32).collect();
+    for base in [-128i8, -127, -126, 120, 121, 127] {
+        for lane in [0usize, 6, 15] {
+            let width = 2 * (codes.len() + 1);
+            let mut lines: Vec<_> = (0..17).map(|l| smooth_delta(width, l as u8)).collect();
+            let head = 1.5 * super::exp2i(base as i32 + 3);
+            let segments: [Seg<'_>; 2] = [(head, base, &codes), (2.0, 0, &codes)];
+            lines[lane] = (
+                LineMode::Delta,
+                delta_payload(&segments, &[lits.clone(), lits.clone()].concat()),
+            );
+            assert_same_sample(
+                &sample_of(width, &lines),
+                &format!("base {base} lane {lane}"),
+            );
+        }
+    }
+}
+
+/// `−0.0` and NaN heads, quiet and signalling, at a line's start and in
+/// the middle, each followed by zero codes (a `−0.0` running value under
+/// a zero code comes out `+0.0`) and small steps, in every lane.
+#[test]
+fn negative_zero_and_nan_heads_in_every_lane() {
+    let heads = [
+        -0.0f32,
+        f32::NAN,
+        f32::from_bits(0x7FA0_0001),
+        f32::from_bits(0xFFC0_0055),
+    ];
+    let codes = [CODE_ZERO, CODE_ZERO, 0x35, 0xB5, CODE_ZERO, 0x01, 0x80];
+    let width = 2 * (codes.len() + 1);
+    for (k, &head) in heads.iter().enumerate() {
+        for lane in 0..16 {
+            let mut lines: Vec<_> = (0..16).map(|l| smooth_delta(width, l as u8)).collect();
+            let segments: [Seg<'_>; 2] = if lane % 2 == 0 {
+                [(head, 0, &codes), (1.0, -3, &codes)]
+            } else {
+                [(1.0, -3, &codes), (head, 0, &codes)]
+            };
+            lines[lane] = (LineMode::Delta, delta_payload(&segments, &[]));
+            lines[(lane + 5) % 16] = (
+                LineMode::Delta,
+                delta_payload(&[(-0.0, 4, &codes), (head, -9, &codes)], &[]),
+            );
+            assert_same_sample(&sample_of(width, &lines), &format!("head {k} lane {lane}"));
+        }
+    }
 }
 
 /// The generated samples of the encoder's differential suite, decoded:
-/// through the owned sample, and through a view parsed from their wire
-/// bytes.
+/// through the owned sample every way, and through a view parsed from
+/// their wire bytes. Eighteen and thirty-three lines, so a sample's last
+/// group is short; widths from one value to the paper's, across a pass-2
+/// block of four and a pass-1 step of eight.
 #[test]
 fn generated_samples_decode_to_the_reference_bits() {
-    for width in [1usize, 7, 8, 9, 288, 1152] {
+    for width in [1usize, 3, 4, 5, 7, 8, 9, 288, 1152] {
         for seed in 0..32u64 {
             let generator = ClimateGenerator::new(DeepCamConfig {
                 width,
-                height: 6,
+                height: [6, 11][seed as usize % 2],
                 channels: 3,
                 seed: 0xDCA0 + seed,
                 ..DeepCamConfig::test_small()
@@ -374,6 +602,31 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// One hostile payload among fifteen valid lines of a group, in any
+    /// lane, then with a line after it in the group that fails in its
+    /// own way: every decoder returns the reference's answer — its bits,
+    /// or the first failing line's error — and none panics.
+    #[test]
+    fn a_hostile_line_in_a_group_gets_the_reference_answer(
+        line in hostile_line(),
+        lane in 0usize..16,
+        later in 1usize..16,
+        more in 0usize..3,
+    ) {
+        let width = line.width.max(1);
+        let mut lines: Vec<_> = (0..16 + more).map(|l| smooth_delta(width, l as u8)).collect();
+        lines[lane] = (LineMode::Delta, line.payload);
+        assert_same_sample(&sample_of(width, &lines), "hostile line in a group");
+        if lane + later < 16 {
+            lines[lane + later] = (LineMode::Constant, vec![0; 3]);
+            assert_same_sample(&sample_of(width, &lines), "and a failing line after it");
+        }
+    }
+}
+
 /// A sample whose directory is hand-built to point outside its payload
 /// (every field of [`EncodedDeepCam`] is public): a typed error where
 /// the range is used, not a slice-index panic.
@@ -457,10 +710,13 @@ fn zero_width_samples_are_rejected_at_parse_and_at_decode() {
         );
         assert_eq!(super::decode(&enc, Op::Identity), Err(zero_width.clone()));
     }
-    // No lines of a real width is a sample of nothing, as before.
-    let bytes = blob(5, 0, 0);
-    let view = DeepCamView::parse(&bytes).unwrap();
-    super::decode_view_into(&view, Op::Identity, &mut []).unwrap();
+    // No lines of a real width is a sample of nothing, as before; nor of
+    // a width no group's scratch may be sized from.
+    for width in [5, 1 << 30, u32::MAX] {
+        let bytes = blob(width, 0, 1);
+        let view = DeepCamView::parse(&bytes).unwrap();
+        super::decode_view_into(&view, Op::Identity, &mut []).unwrap();
+    }
 }
 
 /// Parses `data` as a view, as an owned sample and with the frozen
@@ -547,20 +803,19 @@ fn view_parse_is_from_bytes_on_every_truncation_and_header() {
     }
 }
 
-/// Release-only timing gate (ci.sh "deepcam decode speed"): the fused
-/// loop's gain rests on the compiler keeping the code→delta step off
-/// the FP-add chain and free of data-dependent branches, which a
-/// refactor can lose without failing any other test. Alternating runs,
-/// best of each side.
+/// Release-only timing gate (ci.sh "deepcam codec speed"), one thread on
+/// a 576×384×8 sample, alternating runs, best of each side; the host's
+/// tier throughout, narrowing included. Two ratios, each of which a
+/// refactor can lose without failing any other test:
 ///
-/// The floor is against the frozen reference, whose first pass is the
-/// scalar `decode_code` loop (the vector kernels went with `simd.rs`):
-/// measured 3.9–4.8× here (1.7 against 7.9 ms in a quiet window, both
-/// twice that in a noisy one). The AVX2 two-pass decoder this replaced
-/// ran the sample in 3.3 ms, 2.4× on this scale, so the 3× floor is
-/// "at least 1.25× the decoder it replaced"; a second pass over the
-/// line or a mispredicting loop reads 2×. (A form that branches on
-/// zero codes reads 3.9–4.2×: inside the host's spread, not gated.)
+/// * `decode_into` against the per-line loop: the lockstep gain rests on
+///   pass 1 staying off the chains and pass 2 stepping sixteen of them
+///   together. Fails below 1.2× at avx2 (measured 1.27–1.36×); at every
+///   other tier the two are one loop, and it prints "skipped".
+/// * `decode_into` against the frozen reference, whose first pass is the
+///   scalar `decode_code` loop: fails below 3×. The per-line loop alone
+///   reads 3.9–4.8× that at avx2; a second pass over the line or a
+///   mispredicting loop in it reads 2×.
 #[test]
 #[ignore = "timing; run in release from scripts/ci.sh"]
 fn decode_speed() {
@@ -579,29 +834,48 @@ fn decode_speed() {
         f();
         t.elapsed().as_secs_f64()
     };
-    let (mut new, mut old) = (f64::MAX, f64::MAX);
+    let (mut new, mut lines, mut old) = (f64::MAX, f64::MAX, f64::MAX);
     for _ in 0..15 {
         new = new.min(time(&mut || {
             decode_into(&enc, Op::Identity, &mut out).unwrap()
+        }));
+        lines = lines.min(time(&mut || {
+            super::decode::decode_lines(&enc.view(), Op::Identity, &mut out).unwrap()
         }));
         old = old.min(time(&mut || {
             reference_decode::decode_into(&enc, Op::Identity, &mut out).unwrap()
         }));
     }
     let melem = enc.n_values() as f64 / 1e6;
+    let tier = sciml_simd::arch_level();
     println!(
-        "deepcam decode_into 576x384x8: fused {:.2} ms ({:.0} Melem/s), frozen two-pass {:.2} ms ({:.0} Melem/s), {:.2}x",
+        "deepcam decode_into 576x384x8 at {}: {:.2} ms ({:.0} Melem/s), per-line loop {:.2} ms ({:.0} Melem/s), frozen two-pass {:.2} ms ({:.0} Melem/s); {:.2}x per-line, {:.2}x frozen",
+        tier.name(),
         new * 1e3,
         melem / new,
+        lines * 1e3,
+        melem / lines,
         old * 1e3,
         melem / old,
+        lines / new,
         old / new
     );
     assert!(
         old / new >= DECODE_SPEED_FLOOR,
-        "fused decode only {:.2}x the frozen reference (floor {DECODE_SPEED_FLOOR}x)",
+        "decode only {:.2}x the frozen reference (floor {DECODE_SPEED_FLOOR}x)",
         old / new
+    );
+    if decode_lockstep::tier().is_none() {
+        println!("lockstep over per-line floor: skipped at {}", tier.name());
+        return;
+    }
+    assert!(
+        lines / new >= LOCKSTEP_SPEED_FLOOR,
+        "lockstep decode only {:.2}x the per-line loop at {} (floor {LOCKSTEP_SPEED_FLOOR}x)",
+        lines / new,
+        tier.name()
     );
 }
 
 const DECODE_SPEED_FLOOR: f64 = 3.0;
+const LOCKSTEP_SPEED_FLOOR: f64 = 1.2;

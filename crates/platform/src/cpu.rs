@@ -42,6 +42,7 @@ pub fn kernel_plan() -> Vec<KernelPath> {
                 Kernel::HalfWiden => "F16\u{2192}F32 load",
                 Kernel::OpLog1p => "per-element log1p",
                 Kernel::DeepcamEncode => "DeepCAM encode",
+                Kernel::DeepcamDecode => "DeepCAM decode",
             },
             level: lvl,
             strategy: strategy(kernel, lvl),
@@ -70,6 +71,8 @@ fn strategy(kernel: Kernel, level: SimdLevel) -> &'static str {
         (Kernel::DeepcamEncode, SimdLevel::Avx2) => "16 lines in lockstep, 2 vectors of 8 lanes",
         (Kernel::DeepcamEncode, SimdLevel::Sse42) => "16 lines in lockstep, 4 vectors of 4 lanes",
         (Kernel::DeepcamEncode, SimdLevel::Neon) => "scalar reference loop",
+        (Kernel::DeepcamDecode, SimdLevel::Avx2) => "16 lines in lockstep, 2 vectors of 8 lanes",
+        (Kernel::DeepcamDecode, SimdLevel::Sse42 | SimdLevel::Neon) => "scalar reference loop",
     }
 }
 

@@ -256,15 +256,19 @@ pub enum Kernel {
     OpLog1p,
     /// DeepCAM encoder's lockstep quantiser (per channel).
     DeepcamEncode,
+    /// DeepCAM decoder's lockstep prefix, or the scalar per-line loop
+    /// (per sample).
+    DeepcamDecode,
 }
 
 /// All kernel families, in counter-table order.
-pub const ALL_KERNELS: [Kernel; 5] = [
+pub const ALL_KERNELS: [Kernel; 6] = [
     Kernel::CosmoGather,
     Kernel::HalfNarrow,
     Kernel::HalfWiden,
     Kernel::OpLog1p,
     Kernel::DeepcamEncode,
+    Kernel::DeepcamDecode,
 ];
 
 impl Kernel {
@@ -276,6 +280,7 @@ impl Kernel {
             Kernel::HalfWiden => "half_widen",
             Kernel::OpLog1p => "op_log1p",
             Kernel::DeepcamEncode => "deepcam_encode",
+            Kernel::DeepcamDecode => "deepcam_decode",
         }
     }
 
@@ -286,6 +291,7 @@ impl Kernel {
             Kernel::HalfWiden => 2,
             Kernel::OpLog1p => 3,
             Kernel::DeepcamEncode => 4,
+            Kernel::DeepcamDecode => 5,
         }
     }
 }

@@ -350,8 +350,9 @@ pub fn write_shard(
 ) -> Result<ShardMeta> {
     let bytes = assemble_shard(entries, base)?;
     let file = shard_file_name(id);
-    // Write to a temp name then rename, so a crash never leaves a
-    // half-written file under the canonical name.
+    // Write to a temp name then rename, so a killed process never leaves
+    // a half-written file under the canonical name. Nothing is synced, so
+    // a lost node still can.
     let tmp = dir.join(format!(".{file}.tmp"));
     fs::write(&tmp, &bytes)?;
     fs::rename(&tmp, dir.join(&file))?;
