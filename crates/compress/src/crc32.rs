@@ -255,6 +255,60 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finalize()
 }
 
+/// The reflected polynomial, as the kernels use it.
+const POLY: u32 = 0xEDB8_8320;
+
+/// `a(x) · b(x) mod P(x)`, both in the reflected representation (the
+/// top bit is x⁰). zlib's `multmodp`, bounded to the 32 bits of `a`.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0u32;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    p
+}
+
+/// `X2N[k]` = x^(2^k) mod P(x). The multiplicative order of x divides
+/// 2³² − 1, so the powers repeat with period 32 in `k`.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    t[0] = 1 << 30; // x¹
+    let mut k = 1;
+    while k < 32 {
+        t[k] = multmodp(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// x^(8·n) mod P(x): the operator that shifts a CRC past `n` zero bytes.
+fn x8nmodp(mut n: u64) -> u32 {
+    let mut p = 1u32 << 31; // x⁰
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC-32 of `a ‖ b` from `crc_a` = `crc32(a)`, `crc_b` =
+/// `crc32(b)` and `len_b` = `b.len()`, without reading either: zlib's
+/// `crc32_combine`. The cost is a few hundred shifts whatever the
+/// lengths, so a frame can carry the CRC of a payload whose parts were
+/// each checksummed once, where they were read.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    multmodp(x8nmodp(len_b), crc_a) ^ crc_b
+}
+
 /// The "masked CRC" transform used by the TFRecord format
 /// (`((crc >> 15) | (crc << 17)) + 0xa282ead8`, on CRC-32; the real
 /// format uses CRC-32C but the masking and framing are identical, and we
@@ -425,6 +479,58 @@ mod tests {
             c.update(rest);
             prop_assert_eq!(c.finalize(), crc32_slicing8(INIT, &data) ^ INIT);
             prop_assert_eq!(c.finalize(), crc32_reference(&data));
+        }
+    }
+
+    /// 4 MiB and a ragged tail of noise, made once: long enough that a
+    /// combine spans lengths past 2²² bytes.
+    fn long_noise() -> &'static [u8] {
+        use std::sync::OnceLock;
+        static NOISE: OnceLock<Vec<u8>> = OnceLock::new();
+        NOISE.get_or_init(|| noise((4 << 20) + 4099))
+    }
+
+    #[test]
+    fn combine_matches_zlib_and_the_edges() {
+        // zlib: crc32_combine(crc32("1234"), crc32("56789"), 5).
+        assert_eq!(
+            crc32_combine(crc32(b"1234"), crc32(b"56789"), 5),
+            0xCBF4_3926
+        );
+        let data = long_noise();
+        let whole = crc32(data);
+        // An empty second half leaves the first CRC as it is; an empty
+        // first half gives the second.
+        assert_eq!(crc32_combine(whole, 0, 0), whole);
+        assert_eq!(crc32_combine(0, whole, data.len() as u64), whole);
+        // Both halves past 2 MiB, and a second half past 4 MiB.
+        for split in [data.len() / 2, 3, 4096] {
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                whole,
+                "split {split}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any cut of any window of the long buffer: the combined CRC
+        /// of the two halves is the CRC of the window.
+        #[test]
+        fn combining_two_halves_gives_the_crc_of_the_whole(
+            start in 0usize..4096,
+            len in 0usize..(4 << 20) + 3,
+            cut in 0.0f64..=1.0,
+        ) {
+            let window = &long_noise()[start..start + len];
+            let (a, b) = window.split_at((len as f64 * cut) as usize);
+            prop_assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32(window)
+            );
         }
     }
 

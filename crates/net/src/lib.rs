@@ -19,9 +19,9 @@
 //! * [`reactor`] — the event loop itself: non-blocking accept with
 //!   admission control, per-connection state machines (read-frame →
 //!   dispatch → write-with-backpressure), a worker pool running the
-//!   [`Service`] callback, bounded outbound buffers,
-//!   idle timeouts, and graceful drain (stop accepting, finish
-//!   in-flight, flush, then close).
+//!   [`Service`] callback, bounded outbound queues of reply
+//!   [`Piece`]s written with `writev`, idle timeouts, and graceful
+//!   drain (stop accepting, finish in-flight, flush, then close).
 //!
 //! `sciml-serve` plugs its protocol in as a [`reactor::Service`]; this
 //! crate knows nothing about datasets or messages beyond the frame
@@ -34,4 +34,6 @@ pub mod poller;
 pub mod reactor;
 
 pub use frame::{FrameError, Framing, HEADER_BYTES, TRAILER_BYTES};
-pub use reactor::{ConnId, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply, Service};
+pub use reactor::{
+    ConnId, Piece, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply, Service,
+};

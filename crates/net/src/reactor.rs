@@ -7,15 +7,21 @@
 //!             │     │                                                         │
 //!  readable ─►│ read ─► frame split ─► pending queue ─► dispatch (1 in flight)│──► job channel
 //!             │                                              ▲                │        │
-//!  writable ─►│ flush ◄── outbound buffer ◄── completions ◄──┘ (waker)        │◄── worker pool
+//!  writable ─►│ writev ◄── outbound pieces ◄── completions ◄─┘ (waker)        │◄── worker pool
 //!             └───────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! A reply is a list of [`Piece`]s — a few header bytes carried inline,
+//! a buffer the reply owns, or one it shares with the service (a cache
+//! entry) — and a connection's outbound side is one queue of them,
+//! written front to back with `writev`. No reply is copied into a
+//! connection buffer, whether or not one is already unflushed before it.
 //!
 //! Invariants the loop maintains per connection:
 //!
 //! * at most one request is dispatched at a time (replies are written
 //!   in request order; a pipelining client queues in `pending`);
-//! * reading pauses when `pending` or the outbound buffer exceed their
+//! * reading pauses when `pending` or the outbound queue exceed their
 //!   caps — inbound backpressure falls through to the kernel socket
 //!   buffer and, eventually, the client;
 //! * the next request is not dispatched while more than
@@ -34,7 +40,7 @@ use crate::frame::{FrameError, Framing};
 use crate::poller::{fd_of, wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
 use sciml_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,10 +49,88 @@ use std::time::{Duration, Instant};
 /// Stable identifier of one accepted connection (never reused).
 pub type ConnId = u64;
 
+/// Bytes a [`Piece`] carries inline: room for a frame header or trailer.
+const INLINE_BYTES: usize = 22;
+
+/// One piece of an outbound frame: a run of bytes written after the
+/// piece before it. Small runs (a header, a CRC trailer) live in the
+/// piece itself; a large one is a buffer the piece owns or shares, and
+/// goes to the socket from where it lies.
+pub struct Piece(PieceKind);
+
+enum PieceKind {
+    Inline { len: u8, bytes: [u8; INLINE_BYTES] },
+    Owned(Vec<u8>),
+    Shared(Arc<dyn AsRef<[u8]> + Send + Sync>),
+}
+
+impl Piece {
+    /// A piece holding a copy of `bytes`: inline up to 22 bytes,
+    /// otherwise in a buffer of its own.
+    pub fn copy_of(bytes: &[u8]) -> Piece {
+        let mut inline = [0u8; INLINE_BYTES];
+        match inline.get_mut(..bytes.len()) {
+            Some(head) => {
+                head.copy_from_slice(bytes);
+                Piece(PieceKind::Inline {
+                    len: bytes.len() as u8,
+                    bytes: inline,
+                })
+            }
+            None => Piece(PieceKind::Owned(bytes.to_vec())),
+        }
+    }
+
+    /// A piece sharing `bytes` with whoever else holds them: an
+    /// `Arc<Vec<u8>>` coerces to the argument without an allocation.
+    pub fn shared(bytes: Arc<dyn AsRef<[u8]> + Send + Sync>) -> Piece {
+        Piece(PieceKind::Shared(bytes))
+    }
+
+    /// The piece's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            PieceKind::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            PieceKind::Owned(v) => v,
+            PieceKind::Shared(s) => (**s).as_ref(),
+        }
+    }
+
+    /// Length of the piece in bytes.
+    pub fn len(&self) -> usize {
+        self.as_bytes().len()
+    }
+
+    /// True for a piece of no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// A buffer the piece takes over.
+impl From<Vec<u8>> for Piece {
+    fn from(bytes: Vec<u8>) -> Piece {
+        Piece(PieceKind::Owned(bytes))
+    }
+}
+
+impl std::fmt::Debug for Piece {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kind = match self.0 {
+            PieceKind::Inline { .. } => "inline",
+            PieceKind::Owned(_) => "owned",
+            PieceKind::Shared(_) => "shared",
+        };
+        write!(f, "Piece({kind}, {} bytes)", self.len())
+    }
+}
+
 /// What the service wants done after handling one frame.
+#[derive(Debug)]
 pub struct Reply {
-    /// Frame to write back (already encoded), if any.
-    pub frame: Option<Vec<u8>>,
+    /// The frame to write back, as the pieces written one after the
+    /// other; empty for no reply.
+    pub frame: Vec<Piece>,
     /// Close the connection once the reply has been flushed.
     pub close: bool,
     /// Begin graceful drain of the whole reactor after this reply.
@@ -54,28 +138,33 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// Reply with `bytes` and keep the connection open.
-    pub fn send(bytes: Vec<u8>) -> Reply {
+    /// Reply with the frame gathered from `pieces`, keep the connection
+    /// open.
+    pub fn gather(pieces: Vec<Piece>) -> Reply {
         Reply {
-            frame: Some(bytes),
+            frame: pieces,
             close: false,
             shutdown: false,
         }
     }
 
+    /// Reply with `bytes` and keep the connection open.
+    pub fn send(bytes: Vec<u8>) -> Reply {
+        Reply::gather(vec![Piece::from(bytes)])
+    }
+
     /// Reply with `bytes`, then close this connection.
     pub fn send_close(bytes: Vec<u8>) -> Reply {
         Reply {
-            frame: Some(bytes),
             close: true,
-            shutdown: false,
+            ..Reply::send(bytes)
         }
     }
 
     /// Close without replying.
     pub fn close() -> Reply {
         Reply {
-            frame: None,
+            frame: Vec::new(),
             close: true,
             shutdown: false,
         }
@@ -381,30 +470,93 @@ struct Conn {
     instart: usize,
     pending: VecDeque<Vec<u8>>,
     in_flight: bool,
-    outbuf: Vec<u8>,
-    outstart: usize,
+    /// Outbound pieces, front first: every queued reply, none copied.
+    out: VecDeque<Piece>,
+    /// Bytes of the front piece already written.
+    out_start: usize,
+    /// Bytes queued in `out` and not yet written.
+    out_bytes: usize,
     close_after_flush: bool,
     rejected: bool,
     read_paused: bool,
     last_activity: Instant,
 }
 
+/// Most pieces one `writev` takes (Linux's `IOV_MAX` is 1024).
+const MAX_IOV: usize = 64;
+
 impl Conn {
-    fn out_backlog(&self) -> usize {
-        self.outbuf.len() - self.outstart
+    /// A connection with `out` queued and nothing else.
+    fn new(id: ConnId, stream: TcpStream, interest: Interest, out: Option<Piece>) -> Conn {
+        let mut conn = Conn {
+            id,
+            stream,
+            interest,
+            inbuf: Vec::new(),
+            instart: 0,
+            pending: VecDeque::new(),
+            in_flight: false,
+            out: VecDeque::new(),
+            out_start: 0,
+            out_bytes: 0,
+            close_after_flush: false,
+            rejected: false,
+            read_paused: false,
+            last_activity: Instant::now(),
+        };
+        conn.queue(out);
+        conn
     }
 
-    /// Queues an encoded frame behind whatever is still unflushed. With
-    /// nothing unflushed — a reply to a client that reads as fast as it
-    /// asks — the frame becomes the outbound buffer as it is: a sample
-    /// is megabytes, and copying each one here is a `memcpy` on the one
-    /// thread every connection shares.
-    fn queue_frame(&mut self, frame: Vec<u8>) {
-        if self.out_backlog() == 0 {
-            self.outbuf = frame;
-            self.outstart = 0;
-        } else {
-            self.outbuf.extend_from_slice(&frame);
+    fn out_backlog(&self) -> usize {
+        self.out_bytes
+    }
+
+    /// Queues reply pieces behind whatever is still unflushed.
+    fn queue(&mut self, pieces: impl IntoIterator<Item = Piece>) {
+        for piece in pieces {
+            self.out_bytes += piece.len();
+            self.out.push_back(piece);
+        }
+    }
+
+    /// Writes as much of the queue as the socket takes in one `writev`
+    /// of up to [`MAX_IOV`] non-empty pieces, the front one from
+    /// `out_start` on, and drops what was written. `Ok(0)` with bytes
+    /// queued means the peer is gone.
+    fn write_some(&mut self) -> io::Result<usize> {
+        let mut slices = [IoSlice::new(&[]); MAX_IOV];
+        let mut n = 0;
+        let mut skip = self.out_start;
+        for piece in &self.out {
+            if n == MAX_IOV {
+                break;
+            }
+            let bytes = piece.as_bytes().get(skip..).unwrap_or_default();
+            skip = 0;
+            if !bytes.is_empty() {
+                slices[n] = IoSlice::new(bytes);
+                n += 1;
+            }
+        }
+        let written = self.stream.write_vectored(&slices[..n])?;
+        self.advance(written);
+        Ok(written)
+    }
+
+    /// Drops `written` bytes off the front of the queue, and every piece
+    /// they finish (empty ones included).
+    fn advance(&mut self, mut written: usize) {
+        self.out_bytes -= written;
+        while let Some(front) = self.out.front() {
+            let left = front.len() - self.out_start;
+            if written < left {
+                self.out_start += written;
+                return;
+            }
+            written -= left;
+            self.out.pop_front();
+            self.out_start = 0;
         }
     }
 
@@ -522,19 +674,10 @@ impl EventLoop {
             let id = self.next_id;
             self.next_id += 1;
             let conn = Conn {
-                id,
-                stream,
-                interest: Interest::WRITE,
-                inbuf: Vec::new(),
-                instart: 0,
-                pending: VecDeque::new(),
-                in_flight: false,
-                outbuf: bytes,
-                outstart: 0,
                 close_after_flush: true,
                 rejected: true,
                 read_paused: true,
-                last_activity: Instant::now(),
+                ..Conn::new(id, stream, Interest::WRITE, Some(Piece::from(bytes)))
             };
             if self
                 .poller
@@ -557,21 +700,7 @@ impl EventLoop {
         let slot = self.alloc_slot();
         let id = self.next_id;
         self.next_id += 1;
-        let conn = Conn {
-            id,
-            stream,
-            interest: Interest::READ,
-            inbuf: Vec::new(),
-            instart: 0,
-            pending: VecDeque::new(),
-            in_flight: false,
-            outbuf: Vec::new(),
-            outstart: 0,
-            close_after_flush: false,
-            rejected: false,
-            read_paused: false,
-            last_activity: Instant::now(),
-        };
+        let conn = Conn::new(id, stream, Interest::READ, None);
         if self
             .poller
             .register(fd_of(&conn.stream), TOKEN_BASE + slot, conn.interest)
@@ -698,7 +827,7 @@ impl EventLoop {
         match self.service.frame_error_frame(id, &err) {
             Some(bytes) => {
                 if let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) {
-                    conn.queue_frame(bytes);
+                    conn.queue(Some(Piece::from(bytes)));
                     conn.close_after_flush = true;
                     conn.read_paused = true;
                     conn.pending.clear();
@@ -752,9 +881,7 @@ impl EventLoop {
                 };
                 conn.in_flight = false;
                 conn.last_activity = Instant::now();
-                if let Some(bytes) = c.reply.frame {
-                    conn.queue_frame(bytes);
-                }
+                conn.queue(c.reply.frame);
                 if c.reply.close {
                     conn.close_after_flush = true;
                 }
@@ -778,15 +905,12 @@ impl EventLoop {
                 if conn.out_backlog() == 0 {
                     break;
                 }
-                match conn.stream.write(&conn.outbuf[conn.outstart..]) {
+                match conn.write_some() {
                     Ok(0) => {
                         should_close = true;
                         break;
                     }
-                    Ok(n) => {
-                        conn.outstart += n;
-                        conn.last_activity = Instant::now();
-                    }
+                    Ok(_) => conn.last_activity = Instant::now(),
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -796,8 +920,9 @@ impl EventLoop {
                 }
             }
             if !should_close && conn.out_backlog() == 0 {
-                conn.outbuf.clear();
-                conn.outstart = 0;
+                // Empty pieces may still be queued; nothing is owed.
+                conn.out.clear();
+                conn.out_start = 0;
                 if conn.close_after_flush {
                     should_close = true;
                 }
@@ -807,23 +932,23 @@ impl EventLoop {
             self.close_conn(slot);
             return;
         }
-        self.sync_interest(slot);
+        self.sync_read_pause(slot);
         self.maybe_dispatch(slot);
         self.maybe_close_drained(slot);
     }
 
+    /// Pauses or resumes reading by the caps, then syncs the interest.
+    /// Runs after anything that moves `pending` or the outbound backlog
+    /// — a flush included: a connection paused by its backlog with
+    /// nothing pending has no completion coming to resume it.
     fn sync_read_pause(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) else {
             return;
         };
-        if conn.rejected || conn.close_after_flush {
-            return;
-        }
-        let want_pause = self.draining
-            || conn.pending.len() >= self.cfg.max_pending_frames
-            || conn.out_backlog() > self.cfg.max_outbound_bytes;
-        if want_pause != conn.read_paused {
-            conn.read_paused = want_pause;
+        if !conn.rejected && !conn.close_after_flush {
+            conn.read_paused = self.draining
+                || conn.pending.len() >= self.cfg.max_pending_frames
+                || conn.out_backlog() > self.cfg.max_outbound_bytes;
         }
         self.sync_interest(slot);
     }
@@ -926,5 +1051,85 @@ impl EventLoop {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_piece_is_inline_up_to_its_capacity_and_owned_past_it() {
+        for len in [0, 1, 13, INLINE_BYTES, INLINE_BYTES + 1, 4096] {
+            let bytes: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5A).collect();
+            let piece = Piece::copy_of(&bytes);
+            assert_eq!(piece.as_bytes(), &bytes[..]);
+            assert_eq!((piece.len(), piece.is_empty()), (len, len == 0));
+            let kind = format!("{piece:?}");
+            assert_eq!(kind.contains("inline"), len <= INLINE_BYTES, "{kind}");
+        }
+        let shared: Arc<Vec<u8>> = Arc::new(vec![7; 100]);
+        let piece = Piece::shared(shared.clone());
+        assert_eq!(piece.as_bytes().as_ptr(), shared.as_ptr(), "not copied");
+    }
+
+    /// A connection over a loopback pair, its outbound queue holding
+    /// pieces of these lengths (each byte its offset in the whole).
+    fn queued(lens: &[usize]) -> (Conn, Vec<u8>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(1, stream, Interest::WRITE, None);
+        let mut whole = Vec::new();
+        for &len in lens {
+            let bytes: Vec<u8> = (whole.len()..whole.len() + len).map(|i| i as u8).collect();
+            whole.extend_from_slice(&bytes);
+            conn.queue(Some(Piece::from(bytes)));
+        }
+        (conn, whole, peer)
+    }
+
+    /// What is still queued, front piece from `out_start` on.
+    fn unwritten(conn: &Conn) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (i, piece) in conn.out.iter().enumerate() {
+            let skip = if i == 0 { conn.out_start } else { 0 };
+            out.extend_from_slice(&piece.as_bytes()[skip..]);
+        }
+        out
+    }
+
+    #[test]
+    fn advancing_the_queue_by_any_split_keeps_the_rest_in_place() {
+        let lens = [0, 13, 0, 0, 100, 1, 0, 4];
+        let total: usize = lens.iter().sum();
+        for first in 0..=total {
+            for second in 0..=total - first {
+                let (mut conn, whole, _peer) = queued(&lens);
+                conn.advance(first);
+                assert_eq!(unwritten(&conn), whole[first..], "after {first}");
+                conn.advance(second);
+                let done = first + second;
+                assert_eq!(conn.out_backlog(), total - done);
+                assert_eq!(unwritten(&conn), whole[done..], "after {first} + {second}");
+                // A finished piece is never left at the front.
+                assert!(conn.out.front().is_none_or(|p| p.len() > conn.out_start));
+            }
+        }
+    }
+
+    #[test]
+    fn write_some_sends_the_queue_in_order() {
+        let (mut conn, whole, mut peer) = queued(&[0, 5, 0, 70_000, 13, 0]);
+        conn.advance(3);
+        let mut sent = 0;
+        while conn.out_backlog() > 0 {
+            sent += conn.write_some().unwrap();
+        }
+        assert_eq!(sent, whole.len() - 3);
+        drop(conn);
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        assert_eq!(got, whole[3..]);
     }
 }

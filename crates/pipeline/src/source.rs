@@ -2,6 +2,7 @@
 
 use crate::Result;
 use parking_lot::Mutex;
+use sciml_compress::crc32::crc32;
 use sciml_data::DataError;
 use sciml_obs::{Counter, MetricsRegistry};
 use std::fs;
@@ -236,9 +237,49 @@ pub struct MemoryCacheSource<S> {
 }
 
 struct CacheState {
-    entries: Vec<Option<Arc<Vec<u8>>>>,
+    entries: Vec<Option<Resident>>,
     /// Sum of the lengths of the resident entries.
     bytes: u64,
+}
+
+/// One resident sample and the CRC-32 taken when it was read.
+#[derive(Clone)]
+struct Resident {
+    bytes: Arc<Vec<u8>>,
+    crc32: u32,
+}
+
+/// A sample as [`MemoryCacheSource::fetch_checked`] hands it out whole.
+#[derive(Debug, Clone)]
+pub struct CheckedSample {
+    /// The sample's bytes.
+    pub bytes: SampleBytes,
+    /// CRC-32 of `bytes` as they were read from the source below the
+    /// cache: verified there for a raw stored entry, computed once after
+    /// the read otherwise. A resident entry keeps it, so whoever sends
+    /// the bytes on can check them against it without the cache doing
+    /// the pass again.
+    pub crc32: u32,
+}
+
+/// Where the bytes of a [`CheckedSample`] live.
+#[derive(Debug, Clone)]
+pub enum SampleBytes {
+    /// A resident entry, shared with the cache.
+    Resident(Arc<Vec<u8>>),
+    /// The buffer this fetch read into; the cache had no room for it.
+    Read(Vec<u8>),
+}
+
+impl std::ops::Deref for SampleBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            SampleBytes::Resident(shared) => shared,
+            SampleBytes::Read(own) => own,
+        }
+    }
 }
 
 impl<S: SampleSource> MemoryCacheSource<S> {
@@ -286,6 +327,75 @@ impl<S: SampleSource> MemoryCacheSource<S> {
     pub fn resident_bytes(&self) -> u64 {
         self.state.lock().bytes
     }
+
+    /// Sample `idx` whole, without copying it: on a hit the resident
+    /// entry itself, on a miss the buffer the source below filled —
+    /// moved into the cache when it fits — each with the CRC-32 of its
+    /// bytes ([`CheckedSample::crc32`]).
+    pub fn fetch_checked(&self, idx: usize) -> Result<CheckedSample> {
+        // The lock covers the slot lookup only.
+        let hit = self.state.lock().entries.get(idx).and_then(Clone::clone);
+        let sample = match hit {
+            Some(Resident { bytes, crc32 }) => {
+                self.hits.inc();
+                CheckedSample {
+                    bytes: SampleBytes::Resident(bytes),
+                    crc32,
+                }
+            }
+            None => {
+                self.misses.inc();
+                self.read_and_admit(idx)?
+            }
+        };
+        self.read
+            .fetch_add(sample.bytes.len() as u64, Ordering::Relaxed);
+        Ok(sample)
+    }
+
+    /// A miss: reads sample `idx` as the source below stores it, so a
+    /// raw entry arrives with the CRC its read was checked against, and
+    /// offers the buffer for admission.
+    fn read_and_admit(&self, idx: usize) -> Result<CheckedSample> {
+        let mut buf = Vec::new();
+        let crc32 = match self.inner.fetch_stored_into(idx, &mut buf)? {
+            Some(Stored {
+                unpack: None,
+                crc32,
+                ..
+            }) => crc32,
+            Some(Stored {
+                unpack: Some(unpack),
+                raw_len,
+                ..
+            }) => {
+                let mut raw = Vec::new();
+                unpack(&buf, &mut raw, raw_len as usize)?;
+                buf = raw;
+                crc32(&buf)
+            }
+            None => crc32(&buf),
+        };
+        // Concurrent misses of one index all arrive here; the slot and
+        // the byte count change together under the lock, so only the
+        // first is admitted — by moving the buffer into the entry.
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let len = buf.len() as u64;
+        let bytes = match st.entries.get_mut(idx) {
+            Some(slot) if slot.is_none() && st.bytes + len <= self.capacity_bytes => {
+                let bytes = Arc::new(buf);
+                *slot = Some(Resident {
+                    bytes: Arc::clone(&bytes),
+                    crc32,
+                });
+                st.bytes += len;
+                SampleBytes::Resident(bytes)
+            }
+            _ => SampleBytes::Read(buf),
+        };
+        Ok(CheckedSample { bytes, crc32 })
+    }
 }
 
 impl<S: SampleSource> SampleSource for MemoryCacheSource<S> {
@@ -294,32 +404,9 @@ impl<S: SampleSource> SampleSource for MemoryCacheSource<S> {
     }
 
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
-        // The lock covers the slot lookup only; the copy runs on a
-        // handle to the entry.
-        let hit = self.state.lock().entries.get(idx).and_then(Clone::clone);
-        if let Some(hit) = hit {
-            self.hits.inc();
-            buf.clear();
-            buf.extend_from_slice(&hit);
-        } else {
-            self.misses.inc();
-            self.inner.fetch_into(idx, buf)?;
-            // Concurrent misses of one index all arrive here; the slot
-            // and the byte count change together under the lock, so
-            // only the first is admitted. The copy under the lock is
-            // paid once per resident sample, never again once full.
-            let mut guard = self.state.lock();
-            let st = &mut *guard;
-            let len = buf.len() as u64;
-            match st.entries.get_mut(idx) {
-                Some(slot) if slot.is_none() && st.bytes + len <= self.capacity_bytes => {
-                    *slot = Some(Arc::new(buf.clone()));
-                    st.bytes += len;
-                }
-                _ => {}
-            }
-        }
-        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        let sample = self.fetch_checked(idx)?;
+        buf.clear();
+        buf.extend_from_slice(&sample.bytes);
         Ok(())
     }
 
@@ -339,7 +426,111 @@ mod tests {
     /// Sum of the lengths of the entries actually resident.
     fn resident_sum<S>(c: &MemoryCacheSource<S>) -> u64 {
         let st = c.state.lock();
-        st.entries.iter().flatten().map(|e| e.len() as u64).sum()
+        st.entries
+            .iter()
+            .flatten()
+            .map(|e| e.bytes.len() as u64)
+            .sum()
+    }
+
+    /// A source that hands every sample over as stored: the bytes
+    /// reversed (to be turned back by `unpack`) when `packed`, else as
+    /// they are with the CRC `crc32` says.
+    struct StoredForm {
+        inner: VecSource,
+        packed: bool,
+        crc32: fn(&[u8]) -> u32,
+    }
+
+    fn reverse(stored: &[u8], out: &mut Vec<u8>, raw_len: usize) -> Result<()> {
+        out.clear();
+        out.extend(stored.iter().rev());
+        if out.len() != raw_len {
+            return Err(DataError::Format("length").into());
+        }
+        Ok(())
+    }
+
+    impl SampleSource for StoredForm {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
+            self.inner.fetch_into(idx, buf)
+        }
+
+        fn fetch_stored_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<Option<Stored>> {
+            self.inner.fetch_into(idx, buf)?;
+            if self.packed {
+                buf.reverse();
+            }
+            Ok(Some(Stored {
+                encoding: u8::from(self.packed),
+                raw_len: buf.len() as u32,
+                crc32: (self.crc32)(buf),
+                unpack: self.packed.then_some(reverse as Unpack),
+            }))
+        }
+
+        fn bytes_read(&self) -> u64 {
+            self.inner.bytes_read()
+        }
+    }
+
+    #[test]
+    fn a_checked_fetch_shares_the_entry_and_carries_the_crc_of_the_read() {
+        let samples = blobs();
+        // Plain bytes: one CRC after the read. Capacity for 0 and 1.
+        let c = MemoryCacheSource::new(VecSource::new(samples.clone()), 30);
+        for round in 0..2 {
+            for (i, want) in samples.iter().enumerate() {
+                let got = c.fetch_checked(i).unwrap();
+                assert_eq!(&*got.bytes, &want[..], "round {round}, {i}");
+                assert_eq!(got.crc32, crc32(want));
+                assert_eq!(matches!(got.bytes, SampleBytes::Resident(_)), i < 2);
+            }
+        }
+        // The entry itself, the same allocation on every hit.
+        let (a, b) = (c.fetch_checked(1).unwrap(), c.fetch_checked(1).unwrap());
+        let (SampleBytes::Resident(a), SampleBytes::Resident(b)) = (a.bytes, b.bytes) else {
+            panic!("sample 1 is resident");
+        };
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((c.hits(), c.misses()), (4, 8));
+        assert_eq!(c.bytes_read(), 2 * 150 + 2 * 20);
+
+        // A raw stored entry comes with the CRC its read vouched for —
+        // the cache does not compute another, so a wrong one stays
+        // wrong, hit or miss. A packed one is unpacked, then CRC'd.
+        let liar = MemoryCacheSource::new(
+            StoredForm {
+                inner: VecSource::new(samples.clone()),
+                packed: false,
+                crc32: |_| 0xDEAD_BEEF,
+            },
+            u64::MAX,
+        );
+        let packed = MemoryCacheSource::new(
+            StoredForm {
+                inner: VecSource::new(samples.clone()),
+                packed: true,
+                crc32,
+            },
+            u64::MAX,
+        );
+        for _ in 0..2 {
+            for (i, want) in samples.iter().enumerate() {
+                let got = liar.fetch_checked(i).unwrap();
+                assert_eq!((&*got.bytes, got.crc32), (&want[..], 0xDEAD_BEEF));
+                let got = packed.fetch_checked(i).unwrap();
+                assert_eq!((&*got.bytes, got.crc32), (&want[..], crc32(want)));
+                let mut buf = vec![0xEE; 7];
+                packed.fetch_into(i, &mut buf).unwrap();
+                assert_eq!(&buf, want);
+            }
+        }
+        assert_eq!(packed.resident_bytes(), 150);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! [`PipelineError::Remote`]/[`PipelineError::Timeout`].
 
 use crate::protocol::{
-    read_message, read_sample_into, write_message, DatasetEntry, ErrorCode, Message, ProtocolError,
-    StatsSnapshot, PROTOCOL_VERSION,
+    read_message, read_sample_into, write_fetch_one, write_message, DatasetEntry, ErrorCode,
+    Message, ProtocolError, StatsSnapshot, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use sciml_obs::{Counter, MetricsRegistry, TraceContext};
 use sciml_pipeline::{PipelineError, SampleSource};
 use sciml_store::ShardPlan;
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,6 +55,9 @@ impl Default for ClientConfig {
 /// One pooled connection, past its `Hello` exchange.
 struct Conn {
     stream: TcpStream,
+    /// The last one-index fetch request's frame: each fetch rewrites it
+    /// in place.
+    request: Vec<u8>,
 }
 
 impl Conn {
@@ -70,7 +73,10 @@ impl Conn {
             .set_write_timeout(Some(cfg.write_timeout))
             .map_err(io_to_pipeline)?;
         let _ = stream.set_nodelay(true);
-        let mut conn = Self { stream };
+        let mut conn = Self {
+            stream,
+            request: Vec::new(),
+        };
         conn.send(&Message::Hello {
             version: PROTOCOL_VERSION,
         })?;
@@ -115,16 +121,22 @@ impl Conn {
         self.recv()
     }
 
-    /// A one-index `FetchSamples` exchange whose sample lands in `buf`
-    /// straight off the socket. Any reply but that one sample is an
-    /// error here, so the connection that carried it is not pooled
-    /// again.
+    /// A one-index `FetchSamples` exchange for sample `idx` of `name`:
+    /// the request is written from the connection's own buffer (in a
+    /// `Traced` envelope under a current trace context), the sample
+    /// lands in `buf` straight off the socket. Any reply but that one
+    /// sample is an error here, so the connection that carried it is
+    /// not pooled again.
     fn fetch_sample_into(
         &mut self,
-        request: &Message,
+        name: &str,
+        idx: u64,
         buf: &mut Vec<u8>,
     ) -> Result<(), PipelineError> {
-        self.request(request)?;
+        write_fetch_one(&mut self.request, name, idx, TraceContext::current());
+        self.stream
+            .write_all(&self.request)
+            .map_err(io_to_pipeline)?;
         match read_sample_into(&mut self.stream, buf).map_err(protocol_to_pipeline)? {
             None => Ok(()),
             Some(Message::Error { code, detail }) => Err(server_error(code, detail)),
@@ -462,11 +474,7 @@ impl SampleSource for RemoteSource {
     }
 
     fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
-        let request = Message::FetchSamples {
-            name: self.name.clone(),
-            indices: vec![idx as u64],
-        };
-        self.with_retry(|conn| conn.fetch_sample_into(&request, buf))?;
+        self.with_retry(|conn| conn.fetch_sample_into(&self.name, idx as u64, buf))?;
         self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         Ok(())
     }

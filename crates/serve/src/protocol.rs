@@ -22,8 +22,9 @@
 //! Tags 0x0A, 0x0C and 0x0E belonged to retired replies and stay
 //! unassigned.
 
-use sciml_compress::crc32::{crc32, Crc32};
-use sciml_obs::HistogramSnapshot;
+use sciml_compress::crc32::{crc32, crc32_combine, Crc32};
+use sciml_net::Piece;
+use sciml_obs::{HistogramSnapshot, TraceContext};
 use sciml_store::{ClusterPlan, EncodingChoice, ShardAssignment, ShardPlan};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -295,6 +296,22 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+fn put_fetch_samples(out: &mut Vec<u8>, name: &str, indices: &[u64]) {
+    out.push(tags::FETCH_SAMPLES);
+    put_str(out, name);
+    out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
+    for idx in indices {
+        out.extend_from_slice(&idx.to_le_bytes());
+    }
+}
+
+/// A `Traced` envelope up to the wrapped request, which follows it.
+fn put_traced_head(out: &mut Vec<u8>, trace_id: u64, parent_span: u64) {
+    out.push(tags::TRACED);
+    out.extend_from_slice(&trace_id.to_le_bytes());
+    out.extend_from_slice(&parent_span.to_le_bytes());
+}
+
 /// Sparse latency histogram: scalar fields then (bucket index, count)
 /// pairs.
 fn put_latency(out: &mut Vec<u8>, latency: &HistogramSnapshot) {
@@ -355,18 +372,9 @@ fn read_shard_plan(r: &mut Reader<'_>) -> Result<ShardPlan, ProtocolError> {
 impl Message {
     /// Serializes the payload (tag + body, no frame envelope).
     pub fn to_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload_size_hint());
+        let mut out = Vec::new();
         self.write_payload(&mut out);
         out
-    }
-
-    /// Capacity to reserve before [`Message::write_payload`]: exact for
-    /// the bulk `Samples` reply, a small constant for control messages.
-    fn payload_size_hint(&self) -> usize {
-        match self {
-            Message::Samples(payloads) => 5 + payloads.iter().map(|p| 4 + p.len()).sum::<usize>(),
-            _ => 16,
-        }
     }
 
     /// Appends the payload (tag + body, no frame envelope) to `out`, so
@@ -398,14 +406,7 @@ impl Message {
                 out.push(tags::MANIFEST_REPLY);
                 out.extend_from_slice(&len.to_le_bytes());
             }
-            Message::FetchSamples { name, indices } => {
-                out.push(tags::FETCH_SAMPLES);
-                put_str(out, name);
-                out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-                for idx in indices {
-                    out.extend_from_slice(&idx.to_le_bytes());
-                }
-            }
+            Message::FetchSamples { name, indices } => put_fetch_samples(out, name, indices),
             Message::Samples(payloads) => {
                 out.push(tags::SAMPLES);
                 out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
@@ -438,9 +439,7 @@ impl Message {
                 parent_span,
                 inner,
             } => {
-                out.push(tags::TRACED);
-                out.extend_from_slice(&trace_id.to_le_bytes());
-                out.extend_from_slice(&parent_span.to_le_bytes());
+                put_traced_head(out, *trace_id, *parent_span);
                 inner.write_payload(out);
             }
             Message::ShardManifest { name, per_shard } => {
@@ -688,16 +687,116 @@ impl<'a> Reader<'a> {
 
 /// Serializes a message into a complete frame (length + payload + CRC).
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    // Built in place — length placeholder, payload, CRC — so a bulk
-    // `Samples` reply is serialised and allocated once.
-    let mut frame = Vec::with_capacity(msg.payload_size_hint() + 8);
-    frame.extend_from_slice(&[0u8; 4]);
-    msg.write_payload(&mut frame);
-    let (head, payload) = frame.split_at_mut(4);
+    let mut frame = Vec::new();
+    frame_into(&mut frame, |out| msg.write_payload(out));
+    frame
+}
+
+/// Builds a frame in `out`, replacing its contents: a length
+/// placeholder, the payload `write_payload` appends, the length patched,
+/// the CRC appended — one buffer, written once.
+fn frame_into(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(&[0u8; 4]);
+    write_payload(out);
+    let (head, payload) = out.split_at_mut(4);
     head.copy_from_slice(&(payload.len() as u32).to_le_bytes());
     let crc = crc32(payload);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Writes the frame of a one-index [`Message::FetchSamples`] for sample
+/// `idx` of `name` into `out`, replacing its contents — wrapped in
+/// [`Message::Traced`] under `trace` — byte for byte what
+/// [`encode_frame`] writes for that message, without building it: a
+/// client that fetches sample by sample reuses one buffer per
+/// connection.
+pub(crate) fn write_fetch_one(
+    out: &mut Vec<u8>,
+    name: &str,
+    idx: u64,
+    trace: Option<TraceContext>,
+) {
+    frame_into(out, |out| {
+        if let Some(ctx) = trace {
+            put_traced_head(out, ctx.trace_id, ctx.span_id);
+        }
+        put_fetch_samples(out, name, &[idx]);
+    });
+}
+
+/// A [`Message::Samples`] reply built as the pieces it is written from:
+/// [`encode_frame`]'s bytes, but each sample is its own piece — a buffer
+/// the reply takes over or shares — and is neither copied nor read. The
+/// frame CRC is combined ([`crc32_combine`]) from the CRC-32 each sample
+/// comes with and the few header bytes between them.
+#[derive(Debug)]
+pub(crate) struct SamplesFrame {
+    /// Header placeholder, then samples with each later sample's length
+    /// between them.
+    pieces: Vec<Piece>,
+    count: u32,
+    first_len: u32,
+    /// Bytes of the payload after the first sample's length, and their
+    /// CRC (0, the CRC of nothing, to start).
+    rest_len: u64,
+    rest_crc: u32,
+}
+
+impl SamplesFrame {
+    /// An empty reply, with room for `samples` samples.
+    pub(crate) fn with_capacity(samples: usize) -> SamplesFrame {
+        let mut pieces = Vec::with_capacity(2 * samples + 1);
+        pieces.push(Piece::copy_of(&[]));
+        SamplesFrame {
+            pieces,
+            count: 0,
+            first_len: 0,
+            rest_len: 0,
+            rest_crc: 0,
+        }
+    }
+
+    /// Appends one sample: `bytes`, whose CRC-32 is `crc` — trusted,
+    /// not recomputed; the client's frame check is what catches a wrong
+    /// one.
+    pub(crate) fn push(&mut self, bytes: Piece, crc: u32) {
+        let len = bytes.len() as u32;
+        if self.count == 0 {
+            self.first_len = len;
+        } else {
+            let len_bytes = len.to_le_bytes();
+            self.append_crc(crc32(&len_bytes), 4);
+            self.pieces.push(Piece::copy_of(&len_bytes));
+        }
+        self.append_crc(crc, u64::from(len));
+        self.pieces.push(bytes);
+        self.count += 1;
+    }
+
+    fn append_crc(&mut self, crc: u32, len: u64) {
+        self.rest_crc = crc32_combine(self.rest_crc, crc, len);
+        self.rest_len += len;
+    }
+
+    /// The frame's pieces, header and CRC trailer in place.
+    pub(crate) fn finish(mut self) -> Vec<Piece> {
+        // `len | tag | count | len₀`; no `len₀` in a reply of none.
+        let mut head = [0u8; 4 + ONE_SAMPLE_PREFIX];
+        let head_len = if self.count == 0 { 9 } else { 13 };
+        let payload_len = (head_len - 4) as u64 + self.rest_len;
+        head[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        head[4] = tags::SAMPLES;
+        head[5..9].copy_from_slice(&self.count.to_le_bytes());
+        head[9..].copy_from_slice(&self.first_len.to_le_bytes());
+        let head = &head[..head_len];
+        let crc = crc32_combine(crc32(&head[4..]), self.rest_crc, self.rest_len);
+        if let Some(first) = self.pieces.first_mut() {
+            *first = Piece::copy_of(head);
+        }
+        self.pieces.push(Piece::copy_of(&crc.to_le_bytes()));
+        self.pieces
+    }
 }
 
 /// Little-endian u32 at `at` (caller has already bounds-checked; plain
@@ -979,9 +1078,92 @@ mod tests {
             want.extend_from_slice(&crc32(&payload).to_le_bytes());
             let frame = encode_frame(&msg);
             assert_eq!(frame, want, "{msg:?}");
-            if matches!(msg, Message::Samples(_)) {
-                assert_eq!(frame.capacity(), frame.len(), "bulk reply sized up front");
+        }
+    }
+
+    /// The bytes a list of pieces writes, one after the other.
+    fn concat(pieces: &[Piece]) -> Vec<u8> {
+        pieces.iter().flat_map(|p| p.as_bytes()).copied().collect()
+    }
+
+    #[test]
+    fn a_gathered_samples_frame_is_encode_frame_byte_for_byte() {
+        let big: Vec<u8> = (0..70_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        let sets: Vec<Vec<Vec<u8>>> = vec![
+            vec![],
+            vec![Vec::new()],
+            vec![vec![9]],
+            vec![big.clone()],
+            vec![vec![1, 2, 3], Vec::new(), vec![0xFF; 300]],
+            vec![Vec::new(), Vec::new(), big.clone()],
+            vec![big.clone(), vec![0; ONE_SAMPLE_PREFIX], big],
+        ];
+        for samples in sets {
+            let mut frame = SamplesFrame::with_capacity(samples.len());
+            for (i, s) in samples.iter().enumerate() {
+                // Every way a sample arrives: owned, shared, inline.
+                let piece = match i % 3 {
+                    0 => Piece::from(s.clone()),
+                    1 => Piece::shared(std::sync::Arc::new(s.clone())),
+                    _ => Piece::copy_of(s),
+                };
+                frame.push(piece, crc32(s));
             }
+            let pieces = frame.finish();
+            // Header, samples, the lengths between them, trailer.
+            let want_pieces = (2 * samples.len() + 1).max(2);
+            assert_eq!(pieces.len(), want_pieces, "{} samples", samples.len());
+            let want = encode_frame(&Message::Samples(samples.clone()));
+            assert!(concat(&pieces) == want, "{} samples", samples.len());
+        }
+    }
+
+    #[test]
+    fn a_gathered_frame_carries_the_crc_it_was_given() {
+        // One sample under a CRC its bytes do not have: every byte of
+        // the frame as `encode_frame` writes it but the trailer, which
+        // the frame check then refuses.
+        let sample = vec![0x5A; 3000];
+        let mut frame = SamplesFrame::with_capacity(1);
+        frame.push(Piece::from(sample.clone()), crc32(&sample) ^ 1);
+        let got = concat(&frame.finish());
+        let want = encode_frame(&Message::Samples(vec![sample]));
+        let body = want.len() - 4;
+        assert_eq!(got[..body], want[..body]);
+        assert_ne!(got[body..], want[body..]);
+        assert!(matches!(
+            decode_frame(&got),
+            Err(ProtocolError::BadCrc { .. })
+        ));
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_sample_into(&mut &got[..], &mut buf),
+            Err(ProtocolError::BadCrc { .. })
+        ));
+    }
+
+    #[test]
+    fn a_one_index_fetch_is_written_as_encode_frame_writes_it() {
+        let mut out = vec![0xEE; 100];
+        for (name, idx) in [
+            ("cosmo", 0u64),
+            ("", u64::MAX),
+            ("deepcam_plugin_remote", 7),
+        ] {
+            let fetch = Message::FetchSamples {
+                name: name.into(),
+                indices: vec![idx],
+            };
+            write_fetch_one(&mut out, name, idx, None);
+            assert_eq!(out, encode_frame(&fetch));
+            let ctx = TraceContext::root();
+            write_fetch_one(&mut out, name, idx, Some(ctx));
+            let traced = Message::Traced {
+                trace_id: ctx.trace_id,
+                parent_span: ctx.span_id,
+                inner: Box::new(fetch),
+            };
+            assert_eq!(out, encode_frame(&traced));
         }
     }
 

@@ -16,7 +16,7 @@ use crate::metrics::ServerMetrics;
 use crate::protocol::{
     decode_frame, encode_frame, ErrorCode, Message, StatsSnapshot, MAX_FRAME_BYTES,
 };
-use crate::session::{process_message, Disposition, SessionState};
+use crate::session::{process_message, SessionState};
 use sciml_net::reactor::{ConnId, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply};
 use sciml_net::FrameError;
 use sciml_obs::{Counter, MetricsRegistry, Telemetry, Tracer};
@@ -249,8 +249,8 @@ impl ServeBuilder {
 }
 
 /// Glue between the reactor and the protocol session state machine:
-/// decodes frames, runs [`process_message`], encodes the reply, and
-/// maps [`Disposition`] onto the reactor's [`Reply`] actions.
+/// decodes frames and hands each to [`process_message`], which builds
+/// the reactor's [`Reply`].
 struct ScimlService {
     inner: Arc<Inner>,
     /// Per-connection session state. The reactor dispatches at most
@@ -277,15 +277,7 @@ impl sciml_net::Service for ScimlService {
             }
         };
         let mut state = session.lock();
-        match process_message(&self.inner, &mut state, request) {
-            Disposition::Reply(reply) => Reply::send(encode_frame(&reply)),
-            Disposition::ReplyThenClose(reply) => Reply::send_close(encode_frame(&reply)),
-            Disposition::ReplyThenShutdown(reply) => Reply {
-                frame: Some(encode_frame(&reply)),
-                close: false,
-                shutdown: true,
-            },
-        }
+        process_message(&self.inner, &mut state, request)
     }
 
     fn reject_frame(&self, draining: bool) -> Option<Vec<u8>> {

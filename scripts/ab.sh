@@ -15,8 +15,11 @@
 # change first in odd ones, so that a host that drifts over the session
 # weighs on both sides alike.
 #
-# A run's row holds every end-to-end metric the benchmark prints, and
-# failed/attempted operations. With --trace the runs are traced
+# A run's row holds every end-to-end metric the benchmark prints,
+# failed/attempted operations, and the pair's control row: before each
+# pair the `inflate_control` example (built from the working tree) times
+# two bare threads against one inflating fixed gzip blobs, about 1.9
+# where both vCPUs are there. With --trace the runs are traced
 # (`--trace 1`) and the row holds the per-layer metrics named instead.
 # After each workload and seed comes one line per metric: the parent's
 # and the change's median (first-third quartile), the change against the
@@ -89,6 +92,10 @@ for side in parent change; do
     cargo build --release --offline --quiet \
         --manifest-path "$work/$side/benchmark/Cargo.toml" --target-dir "$work/target-$side"
 done
+echo "ab.sh: building the control row" >&2
+cargo build --release --offline --quiet --example inflate_control \
+    --manifest-path "$work/change/Cargo.toml" --target-dir "$work/target-control"
+control_bin="$work/target-control/release/examples/inflate_control"
 
 traced=0
 [[ -n "$trace" ]] && traced=1
@@ -171,6 +178,7 @@ IFS=',' read -r -a seed_list <<<"$seeds"
 for seed in "${seed_list[@]}"; do
     for workload in "${workloads[@]}"; do
         : >"$work/rows"
+        low_control=""
         columns=""
         [[ -n "$trace" ]] && columns="${trace//,/ }"
         echo
@@ -178,6 +186,10 @@ for seed in "${seed_list[@]}"; do
         for ((pair = 0; pair < pairs; pair++)); do
             order=(parent change)
             ((pair % 2 == 1)) && order=(change parent)
+            control="$("$control_bin" | awk '{ print $2 }')"
+            if awk -v c="$control" 'BEGIN { exit !(c < 1.7) }'; then
+                low_control+=" $pair ($control)"
+            fi
             for side in "${order[@]}"; do
                 result="$(run_one "$side" "$workload" "$seed")"
                 if [[ -z "$columns" ]]; then
@@ -185,7 +197,7 @@ for seed in "${seed_list[@]}"; do
                     columns="${columns% }"
                 fi
                 if ((pair == 0)) && [[ "$side" == "${order[0]}" ]]; then
-                    echo "$(printf '%4s %-6s' pair side)$(printf ' %18s' $columns) failed/attempted"
+                    echo "$(printf '%4s %-6s' pair side)$(printf ' %18s' $columns) failed/attempted control"
                 fi
                 row="$(printf '%4d %-6s' "$pair" "$side")"
                 for metric in $columns; do
@@ -194,9 +206,10 @@ for seed in "${seed_list[@]}"; do
                     row+="$(printf ' %18s' "${value:-nan}")"
                     [[ -n "$line" ]] && echo "$pair $side $line" >>"$work/rows"
                 done
-                echo "$row $(awk '$1 == "failed" { print $2 }' <<<"$result")"
+                echo "$row $(awk '$1 == "failed" { print $2 }' <<<"$result") $control"
             done
         done
         summarise "$columns"
+        echo "  pairs with the control under 1.7 (second vCPU away):${low_control:- none}"
     done
 done

@@ -153,7 +153,8 @@ fn zeroed_regions_never_panic() {
 mod wire {
     use sciml_compress::crc32::crc32;
     use sciml_serve::protocol::{
-        decode_frame, encode_frame, read_message, Message, ProtocolError, MAX_FRAME_BYTES,
+        decode_frame, encode_frame, read_message, ErrorCode, Message, ProtocolError,
+        MAX_FRAME_BYTES,
     };
     use sciml_serve::PROTOCOL_VERSION;
 
@@ -235,6 +236,75 @@ mod wire {
                 Err(ProtocolError::Oversized(l)) if l == len
             ));
         }
+    }
+
+    /// A shard entry damaged on disk is caught where the server reads it
+    /// — against the index CRC — and reaches the client as a typed
+    /// `SourceError`, not retried and never delivered; the entries
+    /// around it are served as before, through the cache and past it.
+    #[test]
+    fn corrupted_shard_entry_is_a_server_source_error() {
+        use sciml_pipeline::source::VecSource;
+        use sciml_pipeline::{PipelineError, SampleSource};
+        use sciml_serve::{ClientConfig, RemoteSource, ServeBuilder, ServerConfig, ServerError};
+        use sciml_store::{pack_store, EncodingChoice, PackConfig, ShardSource};
+        use std::sync::Arc;
+
+        let dir = std::env::temp_dir().join(format!("sciml_corrupt_entry_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let samples: Vec<Vec<u8>> = (0..4u8).map(|i| vec![0xA0 + i; 1000]).collect();
+        let pack = PackConfig {
+            encoding: EncodingChoice::Raw,
+            ..PackConfig::default()
+        };
+        let manifest = pack_store(&VecSource::new(samples.clone()), &dir, pack).unwrap();
+        // Flip one byte in the middle of sample 2's run of 0xA2.
+        let path = dir.join(&manifest.shards[0].file);
+        let mut shard = std::fs::read(&path).unwrap();
+        let at = shard
+            .windows(1000)
+            .position(|w| w == &samples[2][..])
+            .unwrap()
+            + 500;
+        shard[at] ^= 0x01;
+        std::fs::write(&path, shard).unwrap();
+
+        for cache_bytes in [0, u64::MAX] {
+            let server = ServeBuilder::new()
+                .config(ServerConfig {
+                    cache_bytes,
+                    ..ServerConfig::default()
+                })
+                .dataset_store("ds", Arc::new(ShardSource::open(&dir).unwrap()))
+                .bind("127.0.0.1:0")
+                .expect("bind");
+            let cfg = ClientConfig {
+                initial_backoff: std::time::Duration::from_millis(1),
+                ..ClientConfig::default()
+            };
+            let remote = RemoteSource::connect_with(server.local_addr().to_string(), "ds", cfg)
+                .expect("connect");
+            for _ in 0..2 {
+                let mut buf = vec![0xEE; 16];
+                let err = remote.fetch_into(2, &mut buf).expect_err("damaged entry");
+                let PipelineError::Remote(inner) = &err else {
+                    panic!("{err:?}");
+                };
+                let code = inner.downcast_ref::<ServerError>().map(|e| e.code);
+                assert_eq!(code, Some(ErrorCode::SourceError), "{err}");
+                assert!(buf.is_empty());
+                for i in [0, 1, 3] {
+                    assert_eq!(remote.fetch(i).unwrap(), samples[i], "sample {i}");
+                }
+            }
+            assert_eq!(
+                remote.retries(),
+                0,
+                "a server-reported error is not retried"
+            );
+            server.shutdown();
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A live server answers a corrupt frame with a typed error frame

@@ -15,6 +15,7 @@ use sciml_pipeline::source::VecSource;
 use sciml_pipeline::{
     DecodedSample, DecoderPlugin, Label, Pipeline, PipelineConfig, PipelineError, SampleSource,
 };
+use sciml_repro::control::{low_ratio_samples, InflateControl, CONTROL_FLOOR};
 use sciml_store::{
     pack_store, write_shard, EncodingChoice, PackConfig, PayloadEncoding, ShardSource, StoreError,
     StoreManifest, StoredSample,
@@ -312,24 +313,6 @@ fn entries_that_lie_under_a_valid_crc_end_the_run_with_the_stores_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Low-ratio blobs, the shape of an encoded DeepCAM sample: six random
-/// bits a byte, so deflate emits mostly literals for a ratio near 1.3.
-fn low_ratio_samples(n: usize, len: usize) -> Vec<Vec<u8>> {
-    let mut x = 0x2545_F491_4F6C_DD1Du64;
-    (0..n)
-        .map(|_| {
-            (0..len)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    (x >> 58) as u8
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Wall seconds of `epochs` epochs through a pipeline of one reader and
 /// `decoders` decode threads, with the registry it recorded into and
 /// the sampler's verdict.
@@ -394,29 +377,9 @@ fn decode_pool_inflates_what_one_reader_reads() {
     let raw = Arc::new(ShardSource::open(&stores[1].1).unwrap());
 
     // Control row: the same inflates on bare threads.
-    let blobs: Vec<Vec<u8>> = samples
-        .iter()
-        .map(|s| sciml_compress::gzip_compress(s, Level::Fast))
-        .collect();
-    let ratio = samples[0].len() as f64 / blobs[0].len() as f64;
-    let inflate_all = |threads: usize| {
-        let started = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for part in blobs.chunks(N / threads) {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for _ in 0..EPOCHS {
-                        for blob in part {
-                            out.clear();
-                            sciml_compress::gzip_decompress_into(blob, &mut out, 512 << 10)
-                                .unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        started.elapsed().as_secs_f64()
-    };
+    let control = InflateControl::over(&samples, EPOCHS);
+    let ratio = samples[0].len() as f64
+        / sciml_compress::gzip_compress(&samples[0], Level::Fast).len() as f64;
 
     let (mut one, mut two, mut bare_one, mut bare_two) = (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
     let mut account = None;
@@ -427,8 +390,8 @@ fn decode_pool_inflates_what_one_reader_reads() {
             two = wall;
             account = Some((tel, report));
         }
-        bare_one = bare_one.min(inflate_all(1));
-        bare_two = bare_two.min(inflate_all(2));
+        bare_one = bare_one.min(control.inflate_all(1));
+        bare_two = bare_two.min(control.inflate_all(2));
     }
     let (tel, report) = account.expect("seven runs");
     let snap = tel.registry.snapshot();
@@ -474,7 +437,7 @@ fn decode_pool_inflates_what_one_reader_reads() {
         .map(|h| h.count);
     assert_eq!(raw_unpacks, Some(0), "a raw entry is not unpacked");
 
-    if bare_one / bare_two >= 1.7 {
+    if bare_one / bare_two >= CONTROL_FLOOR {
         assert!(
             one / two >= 1.4,
             "a second decode thread bought {:.2}x behind one reader (floor 1.4x)",
