@@ -12,9 +12,9 @@
 //! produces on a decode-heavy workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_bench::snapshot::{bench_out_dir, write_snapshot};
 use sciml_codec::Op;
-use sciml_core::api::{DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_obs::{
     pipeline_stages, AttributionReport, BenchEntry, PipelineSampler, SamplerConfig, Telemetry,

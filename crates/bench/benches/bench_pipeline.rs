@@ -2,11 +2,13 @@
 //! real on this host (a miniature, measured analogue of Figs. 10–11).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::Op;
-use sciml_core::api::{build_pipeline, DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_gpusim::GpuSpec;
-use sciml_pipeline::PipelineConfig;
+use sciml_pipeline::source::VecSource;
+use sciml_pipeline::{Pipeline, PipelineConfig};
+use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut gen_cfg = CosmoFlowConfig::test_small();
@@ -29,8 +31,8 @@ fn bench(c: &mut Criterion) {
         let blobs = builder.build(n, format);
         g.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, _| {
             b.iter(|| {
-                let pipeline = build_pipeline(
-                    blobs.clone(),
+                let pipeline = Pipeline::launch(
+                    Arc::new(VecSource::new(blobs.clone())),
                     builder.plugin(format, gpu, Op::Log1p),
                     PipelineConfig {
                         batch_size: 4,

@@ -1,11 +1,11 @@
 //! Zero-copy pipeline benchmarks: pooled in-place decode versus the
 //! per-sample-alloc baseline, for both workloads, measured in the same
 //! process over the same dataset. The baseline wraps the real plugin so
-//! only `decode` is visible — the pipeline then takes its default
-//! decode-then-copy fallback with pooling disabled, which is exactly
-//! what every sample paid before `decode_into` existed: one zeroed
-//! tensor allocation, one decode, one memcpy into the batch. The
-//! pooled path decodes straight into a recycled batch tensor.
+//! its `decode_into` is the allocating `decode` plus a copy, run with
+//! pooling disabled, which is exactly what every sample paid before
+//! `decode_into` existed: one zeroed tensor allocation, one decode, one
+//! memcpy into the batch. The pooled path decodes straight into a
+//! recycled batch tensor.
 //!
 //! A second microbench isolates the cosmo chunk-table strategy change:
 //! the dense value-range memo (a flat array indexed by `count - lo`)
@@ -13,24 +13,23 @@
 //! `HashMap<u16, F16>` memo it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_bench::snapshot::write_snapshot;
 use sciml_codec::cosmoflow as cf;
-use sciml_codec::Op;
-use sciml_core::api::{DatasetBuilder, EncodedFormat};
+use sciml_codec::{CodecError, Op};
 use sciml_data::cosmoflow::{CosmoFlowConfig, N_REDSHIFTS};
 use sciml_data::deepcam::DeepCamConfig;
 use sciml_half::F16;
 use sciml_obs::BenchEntry;
 use sciml_pipeline::decoder::{CosmoPluginCpu, DecodedSample, DeepCamPluginCpu};
 use sciml_pipeline::source::VecSource;
-use sciml_pipeline::{DecoderPlugin, Pipeline, PipelineConfig};
+use sciml_pipeline::{DecoderPlugin, Label, Pipeline, PipelineConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hides everything but the allocating `decode`, so the pipeline falls
-/// back to the default decode-then-copy path: the per-sample-alloc
-/// baseline.
+/// Decodes through the allocating `decode` and copies the result into
+/// the slot: the per-sample-alloc baseline.
 struct AllocOnly<P>(P);
 
 impl<P: DecoderPlugin> DecoderPlugin for AllocOnly<P> {
@@ -40,6 +39,15 @@ impl<P: DecoderPlugin> DecoderPlugin for AllocOnly<P> {
 
     fn decode(&self, bytes: &[u8]) -> sciml_pipeline::Result<DecodedSample> {
         self.0.decode(bytes)
+    }
+
+    fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> sciml_pipeline::Result<Label> {
+        let d = self.0.decode(bytes)?;
+        if d.data.len() != out.len() {
+            return Err(CodecError::Inconsistent("output slice length mismatch").into());
+        }
+        out.copy_from_slice(&d.data);
+        Ok(d.label)
     }
 }
 

@@ -3,8 +3,8 @@
 //! different fetch batch sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_bench::snapshot::{histogram_entries, write_snapshot};
-use sciml_core::api::{DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_obs::{BenchEntry, MetricsRegistry};
 use sciml_pipeline::source::VecSource;

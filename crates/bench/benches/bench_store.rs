@@ -11,8 +11,8 @@
 //! the layout and integrity components separable.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_bench::snapshot::{histogram_entries, write_snapshot};
-use sciml_core::api::{DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_obs::{BenchEntry, Histogram};
 use sciml_pipeline::source::DirSource;

@@ -12,11 +12,11 @@
 //! quick runs. Throughput figures (8–12) come from the platform model
 //! and are size-independent.
 
+use sciml_bench::convergence::{cosmoflow_convergence, deepcam_convergence, ConvergenceConfig};
 use sciml_codec::cosmoflow as cf;
 use sciml_codec::deepcam as dc;
 use sciml_codec::ops::OpCounter;
 use sciml_codec::{ErrorStats, Op};
-use sciml_core::convergence::{cosmoflow_convergence, deepcam_convergence, ConvergenceConfig};
 use sciml_data::cosmoflow::{sample_stats, CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;

@@ -27,10 +27,10 @@
 //! sciml lint [--path DIR] [--json] [--require r=N]  # run the in-repo static analyzer
 //! ```
 
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::cosmoflow as cf;
 use sciml_codec::deepcam as dc;
 use sciml_codec::{ErrorStats, Op};
-use sciml_core::api::{DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_data::deepcam::DeepCamConfig;
 use sciml_data::serialize;

@@ -1,5 +1,15 @@
-//! Shared helpers for the criterion benches.
+//! The repo's tools: the `sciml` and `figures` binaries, the criterion
+//! benches, and what they share with the root examples and tests.
+//!
+//! * [`dataset`] — generate a synthetic dataset in any of the paper's
+//!   on-disk formats, and pick the decoder plugin that reads it;
+//! * [`convergence`] — the Fig. 6 / Fig. 7 experiments: train the
+//!   miniature models on FP32 baseline inputs versus FP16 decoded inputs
+//!   under an identical schedule and compare loss trajectories;
+//! * the mid-size samples the benches time, and [`snapshot`].
 
+pub mod convergence;
+pub mod dataset;
 pub mod snapshot;
 
 use sciml_data::cosmoflow::{CosmoFlowConfig, CosmoSample, UniverseGenerator};

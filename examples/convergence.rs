@@ -6,7 +6,7 @@
 //! cargo run --release --example convergence
 //! ```
 
-use sciml_core::convergence::{cosmoflow_convergence, deepcam_convergence, ConvergenceConfig};
+use sciml_bench::convergence::{cosmoflow_convergence, deepcam_convergence, ConvergenceConfig};
 
 fn main() {
     let cfg = ConvergenceConfig::paper_scaled();

@@ -6,13 +6,15 @@
 //! cargo run --release --example cosmoflow_pipeline
 //! ```
 
-use sciml_core::api::{build_pipeline, DatasetBuilder, EncodedFormat};
-use sciml_core::codec::cosmoflow as cf;
-use sciml_core::codec::ops::OpCounter;
-use sciml_core::codec::Op;
-use sciml_core::data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
-use sciml_core::gpusim::GpuSpec;
-use sciml_core::pipeline::PipelineConfig;
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
+use sciml_codec::cosmoflow as cf;
+use sciml_codec::ops::OpCounter;
+use sciml_codec::Op;
+use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
+use sciml_gpusim::GpuSpec;
+use sciml_pipeline::source::VecSource;
+use sciml_pipeline::{Pipeline, PipelineConfig};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -42,8 +44,8 @@ fn main() {
         let bytes: usize = blobs.iter().map(Vec::len).sum();
         let plugin = builder.plugin(format, gpu, Op::Log1p);
         let t0 = Instant::now();
-        let pipeline = build_pipeline(
-            blobs,
+        let pipeline = Pipeline::launch(
+            Arc::new(VecSource::new(blobs)),
             plugin,
             PipelineConfig {
                 batch_size: 4,

@@ -7,14 +7,16 @@
 //! cargo run --release --example deepcam_pipeline
 //! ```
 
-use sciml_core::api::{build_pipeline, DatasetBuilder, EncodedFormat};
-use sciml_core::codec::deepcam as dc;
-use sciml_core::codec::{ErrorStats, Op};
-use sciml_core::data::deepcam::{ClimateGenerator, DeepCamConfig};
-use sciml_core::gpusim::{decode_deepcam, Gpu, GpuSpec};
-use sciml_core::half::slice::widen;
-use sciml_core::pipeline::batch::Label;
-use sciml_core::pipeline::PipelineConfig;
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
+use sciml_codec::deepcam as dc;
+use sciml_codec::{ErrorStats, Op};
+use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
+use sciml_gpusim::{decode_deepcam, Gpu, GpuSpec};
+use sciml_half::slice::widen;
+use sciml_pipeline::batch::Label;
+use sciml_pipeline::source::VecSource;
+use sciml_pipeline::{Pipeline, PipelineConfig};
+use std::sync::Arc;
 
 fn main() {
     let gen_cfg = DeepCamConfig {
@@ -67,8 +69,8 @@ fn main() {
     let builder = DatasetBuilder::deepcam(DeepCamConfig::test_small());
     let blobs = builder.build(8, EncodedFormat::Custom);
     let plugin = builder.plugin(EncodedFormat::Custom, Some(GpuSpec::A100), Op::Identity);
-    let pipeline = build_pipeline(
-        blobs,
+    let pipeline = Pipeline::launch(
+        Arc::new(VecSource::new(blobs)),
         plugin,
         PipelineConfig {
             batch_size: 2,

@@ -10,14 +10,15 @@
 //! Open the trace in `chrome://tracing` or <https://ui.perfetto.dev>:
 //! fetch/decode/batch spans appear on each worker thread's row.
 
-use sciml_core::api::{build_pipeline_observed, DatasetBuilder, EncodedFormat};
-use sciml_core::codec::Op;
-use sciml_core::data::cosmoflow::CosmoFlowConfig;
-use sciml_core::obs::json;
-use sciml_core::pipeline::PipelineConfig;
-use sciml_core::prelude::Telemetry;
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
+use sciml_codec::Op;
+use sciml_data::cosmoflow::CosmoFlowConfig;
+use sciml_obs::{json, Telemetry};
+use sciml_pipeline::source::VecSource;
+use sciml_pipeline::{Pipeline, PipelineConfig};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn flag(args: &[String], name: &str) -> Option<PathBuf> {
     args.iter()
@@ -40,8 +41,8 @@ fn main() {
     let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
 
     let telemetry = Telemetry::new();
-    let pipeline = build_pipeline_observed(
-        encoded,
+    let pipeline = Pipeline::launch_with(
+        Arc::new(VecSource::new(encoded)),
         plugin,
         PipelineConfig {
             batch_size: 4,

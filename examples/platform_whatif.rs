@@ -8,7 +8,7 @@
 //! cargo run --release --example platform_whatif
 //! ```
 
-use sciml_core::platform::{
+use sciml_platform::{
     BandwidthCurve, EpochModel, ExperimentConfig, Format, PlatformSpec, WorkloadProfile,
 };
 

@@ -5,10 +5,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sciml_core::api::{build_pipeline, DatasetBuilder, EncodedFormat};
-use sciml_core::codec::Op;
-use sciml_core::data::cosmoflow::CosmoFlowConfig;
-use sciml_core::pipeline::PipelineConfig;
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
+use sciml_codec::Op;
+use sciml_data::cosmoflow::CosmoFlowConfig;
+use sciml_pipeline::source::VecSource;
+use sciml_pipeline::{Pipeline, PipelineConfig};
+use std::sync::Arc;
 
 fn main() {
     // 1. A small synthetic universe set (32³ voxels, 4 redshifts each).
@@ -31,8 +33,8 @@ fn main() {
     // 3. Run the DALI-like pipeline with the CPU decoder plugin: decode
     //    is fused with the log1p preprocessing and emits FP16.
     let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
-    let pipeline = build_pipeline(
-        encoded,
+    let pipeline = Pipeline::launch(
+        Arc::new(VecSource::new(encoded)),
         plugin,
         PipelineConfig {
             batch_size: 4,

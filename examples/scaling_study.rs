@@ -7,10 +7,8 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use sciml_core::platform::calibrate::{
-    calibrated_profile, localhost_spec, measure_cosmoflow_rates,
-};
-use sciml_core::platform::{
+use sciml_platform::calibrate::{calibrated_profile, localhost_spec, measure_cosmoflow_rates};
+use sciml_platform::{
     scaling, EpochModel, ExperimentConfig, Format, PlatformSpec, WorkloadProfile,
 };
 

@@ -17,13 +17,13 @@
 //!
 //! The example is self-validating: any mismatch panics.
 
-use sciml_core::api::{DatasetBuilder, EncodedFormat};
-use sciml_core::data::cosmoflow::CosmoFlowConfig;
-use sciml_core::prelude::{MetricsRegistry, Telemetry};
-use sciml_core::store::{pack_store, PackConfig, ShardSource, Stager, StagerConfig};
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
+use sciml_data::cosmoflow::CosmoFlowConfig;
+use sciml_obs::{MetricsRegistry, Telemetry, Tracer};
 use sciml_pipeline::source::VecSource;
 use sciml_pipeline::SampleSource;
 use sciml_serve::{RemoteSource, ServeBuilder, ServerConfig};
+use sciml_store::{pack_store, PackConfig, ShardSource, Stager, StagerConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -71,7 +71,7 @@ fn main() {
     let registry = MetricsRegistry::new();
     let telemetry = Telemetry {
         registry: Arc::clone(&registry),
-        tracer: sciml_core::prelude::Tracer::disabled(),
+        tracer: Tracer::disabled(),
     };
     let remote = RemoteSource::connect(server.local_addr().to_string(), "cosmo").expect("connect");
     let plans = remote.shard_manifest(0).expect("shard manifest");

@@ -224,8 +224,8 @@ cargo run --release -p sciml-bench --bin sciml -- validate-json \
 
 stage "pooled-pipeline smoke (zero-copy vs per-sample-alloc checksums)"
 # Pooling on vs off must produce byte-identical batches for both
-# workloads; the example exits nonzero on any divergence.
-cargo run --release --example zero_copy
+# workloads, in release mode as well as in the debug unit run.
+cargo test --release -q -p sciml-pipeline --test zero_copy
 
 stage "store pack -> stage -> fetch smoke"
 store_dir="$(mktemp -d)"

@@ -1,8 +1,8 @@
 //! End-to-end integration tests spanning the whole stack:
 //! generate → serialize → store → load → decode → train.
 
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::Op;
-use sciml_core::api::{build_pipeline, DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_data::deepcam::DeepCamConfig;
 use sciml_gpusim::GpuSpec;
@@ -31,8 +31,8 @@ fn all_cosmo_variants_deliver_identical_tensors() {
     ] {
         let blobs = b.build(n, format);
         let plugin = b.plugin(format, gpu, Op::Log1p);
-        let p = build_pipeline(
-            blobs,
+        let p = Pipeline::launch(
+            Arc::new(VecSource::new(blobs)),
             plugin,
             PipelineConfig {
                 batch_size: 2,
@@ -72,8 +72,8 @@ fn deepcam_masks_survive_the_full_path() {
     let b = DatasetBuilder::deepcam(cfg);
     let blobs = b.build(4, EncodedFormat::Custom);
     let plugin = b.plugin(EncodedFormat::Custom, None, Op::Identity);
-    let p = build_pipeline(
-        blobs,
+    let p = Pipeline::launch(
+        Arc::new(VecSource::new(blobs)),
         plugin,
         PipelineConfig {
             batch_size: 2,
@@ -153,8 +153,8 @@ fn train_on_pipeline_output_end_to_end() {
     let mut opt = Sgd::new(1e-3, 0.9);
     let mut losses = Vec::new();
     for _epoch in 0..3 {
-        let p = build_pipeline(
-            blobs.clone(),
+        let p = Pipeline::launch(
+            Arc::new(VecSource::new(blobs.clone())),
             Arc::clone(&plugin),
             PipelineConfig {
                 batch_size: 2,

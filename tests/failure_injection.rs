@@ -3,14 +3,16 @@
 //! codec, at worst as decoded garbage) — never as panics, hangs, or
 //! out-of-bounds access.
 
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::cosmoflow as cf;
 use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
-use sciml_core::api::{build_pipeline, DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
-use sciml_pipeline::PipelineConfig;
+use sciml_pipeline::source::VecSource;
+use sciml_pipeline::{Pipeline, PipelineConfig};
+use std::sync::Arc;
 
 fn cosmo_bytes() -> Vec<u8> {
     let mut cfg = CosmoFlowConfig::test_small();
@@ -96,8 +98,8 @@ fn pipeline_surfaces_midstream_corruption() {
     // container.
     blobs[3][9] ^= 0xFF;
     let plugin = b.plugin(EncodedFormat::Custom, None, Op::Log1p);
-    let mut p = build_pipeline(
-        blobs,
+    let mut p = Pipeline::launch(
+        Arc::new(VecSource::new(blobs)),
         plugin,
         PipelineConfig {
             batch_size: 2,

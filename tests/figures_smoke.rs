@@ -66,7 +66,7 @@ fn headline_speedups_hold() {
 
 #[test]
 fn convergence_smoke() {
-    use sciml_core::convergence::{cosmoflow_convergence, ConvergenceConfig};
+    use sciml_bench::convergence::{cosmoflow_convergence, ConvergenceConfig};
     let cfg = ConvergenceConfig::test_small();
     let run = cosmoflow_convergence(&cfg, 0);
     assert_eq!(run.base.epoch_losses.len(), cfg.epochs);

@@ -1,9 +1,9 @@
 //! Loopback integration tests for the disaggregated serving tier: a
 //! real TCP server on 127.0.0.1 behind a real multi-threaded pipeline.
 
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::Op;
 use sciml_compress::crc32::crc32;
-use sciml_core::api::{DatasetBuilder, EncodedFormat};
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_pipeline::source::{Stored, VecSource};
 use sciml_pipeline::{Pipeline, PipelineConfig, PipelineError, SampleSource};

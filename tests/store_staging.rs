@@ -1,9 +1,14 @@
 //! Integration tests for the packed-store staging tier: resumable
-//! staging over a real journal on disk, and whole-shard staging through
-//! a real loopback TCP server.
+//! staging over a real journal on disk, whole-shard staging through a
+//! real loopback TCP server, and a pipeline training through the staging
+//! view while workers stage.
 
+use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
+use sciml_codec::Op;
+use sciml_data::cosmoflow::CosmoFlowConfig;
+use sciml_obs::Telemetry;
 use sciml_pipeline::source::VecSource;
-use sciml_pipeline::SampleSource;
+use sciml_pipeline::{Pipeline, PipelineConfig, SampleSource};
 use sciml_serve::{RemoteSource, ServeBuilder, ServerConfig};
 use sciml_store::manifest::plan_by_count;
 use sciml_store::{pack_store, PackConfig, ShardSource, Stager, StagerConfig};
@@ -194,4 +199,48 @@ fn staging_through_loopback_serve_matches_backing_bytes() {
     }
     std::fs::remove_dir_all(&store_dir).ok();
     std::fs::remove_dir_all(&staged_dir).ok();
+}
+
+/// A pipeline trains through `Stager::source()` while the workers stage:
+/// every sample arrives once, and the workers still drain every planned
+/// shard into the journaled directory.
+#[test]
+fn pipeline_trains_through_a_live_stager() {
+    let mut cfg = CosmoFlowConfig::test_small();
+    cfg.grid = 8;
+    let b = DatasetBuilder::cosmoflow(cfg);
+    let blobs = b.build(6, EncodedFormat::Custom);
+    let dir = tmp_dir("live");
+    let telemetry = Telemetry::new();
+    let stager = Stager::with_telemetry(
+        Arc::new(VecSource::new(blobs)),
+        plan_by_count(6, 2),
+        &dir,
+        StagerConfig::default(),
+        telemetry.clone(),
+    )
+    .unwrap();
+    stager.spawn_workers();
+    let p = Pipeline::launch_with(
+        Arc::new(stager.source()),
+        b.plugin(EncodedFormat::Custom, None, Op::Log1p),
+        PipelineConfig {
+            batch_size: 2,
+            epochs: 1,
+            ..Default::default()
+        },
+        telemetry.clone(),
+    )
+    .unwrap();
+    let (batches, stats) = p.collect_all().unwrap();
+    assert_eq!(batches.iter().map(|b| b.len()).sum::<usize>(), 6);
+    assert_eq!(stats.sample_count(), 6);
+    // Workers drain the three planned shards and exit on their own.
+    let progress = stager.join().unwrap();
+    assert!(progress.complete(), "staging finished: {progress:?}");
+    assert!(dir.join("staging.journal").is_file());
+    assert!(dir.join("shard_000000.sshard").is_file());
+    let snap = telemetry.registry.snapshot();
+    assert_eq!(snap.counter("store.staging.shards_staged"), 3);
+    std::fs::remove_dir_all(&dir).ok();
 }

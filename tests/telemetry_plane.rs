@@ -167,6 +167,12 @@ impl DecoderPlugin for SleepyPlugin {
             label: Label::Cosmo([0.0; 4]),
         })
     }
+
+    fn decode_into(&self, _bytes: &[u8], out: &mut [F16]) -> sciml_pipeline::Result<Label> {
+        std::thread::sleep(self.delay);
+        out.fill(F16::from_f32(0.0));
+        Ok(Label::Cosmo([0.0; 4]))
+    }
 }
 
 /// Source that burns a fixed wall-clock time per fetch.
