@@ -11,7 +11,6 @@
 //! the committed example of what `sciml fetch --attribution-out`
 //! produces on a decode-heavy workload.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_bench::snapshot::{bench_out_dir, write_snapshot};
 use sciml_codec::Op;
@@ -87,7 +86,7 @@ fn run_pipeline(blobs: &[Vec<u8>], instrumented: bool) -> RunStats {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // Paper-scale samples (64³×4 voxels → 2 MiB FP16 tensors), so the
     // per-sample span cost is amortized over realistic decode work
     // rather than measured against trivially small samples.
@@ -135,14 +134,4 @@ fn bench(c: &mut Criterion) {
         Ok(()) => println!("attribution report: {}", attribution.display()),
         Err(e) => eprintln!("attribution report not written: {e}"),
     }
-
-    // Criterion pair for local A/B runs.
-    let mut g = c.benchmark_group("obs_overhead");
-    g.sample_size(10);
-    g.bench_function("telemetry_on", |b| b.iter(|| run_pipeline(&blobs, true)));
-    g.bench_function("telemetry_off", |b| b.iter(|| run_pipeline(&blobs, false)));
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -33,18 +33,7 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all");
 
-    let t0 = std::time::Instant::now();
     run_target(target, full);
-    // Machine-readable run record next to the text output, so CI can
-    // track figure-regeneration cost across commits.
-    let label = format!("figures_{target}{}", if full { "_full" } else { "" });
-    match sciml_bench::snapshot::write_snapshot(
-        &label,
-        &sciml_bench::snapshot::duration_entries("wall", t0.elapsed()),
-    ) {
-        Ok(path) => println!("\nrun snapshot: {}", path.display()),
-        Err(e) => eprintln!("run snapshot not written: {e}"),
-    }
 }
 
 fn run_target(target: &str, full: bool) {

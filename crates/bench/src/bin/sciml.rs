@@ -6,7 +6,6 @@
 //! sciml inspect FILE...            # detect format by magic, print summary
 //! sciml verify FILE...             # parse + decode + integrity / error report
 //! sciml transcode FILE --out FILE  # baseline payload -> custom encoding
-//! sciml bench-decode FILE [--iters K]
 //! sciml serve (--dir DIR --n N | --store DIR) [--addr HOST:PORT] [--name NAME] [--cache-mb M]
 //!             [--max-conns N] [--cluster-nodes A,B,C [--replication R]]
 //!             [--metrics-out F] [--metrics-addr HOST:PORT] [--trace-out FILE]
@@ -24,17 +23,15 @@
 //! sciml validate-json FILE...      # check emitted metrics/trace files parse as JSON
 //! sciml trace-merge --out OUT IN...   # merge Chrome traces onto one timeline
 //! sciml scrape --addr HOST:PORT [--require fam1,fam2] [--out FILE]
-//! sciml lint [--path DIR] [--json] [--require r=N]  # run the in-repo static analyzer
 //! ```
 
 use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::cosmoflow as cf;
 use sciml_codec::deepcam as dc;
-use sciml_codec::{ErrorStats, Op};
+use sciml_codec::Op;
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_data::deepcam::DeepCamConfig;
 use sciml_data::serialize;
-use sciml_half::slice::widen;
 use sciml_obs::Telemetry;
 use sciml_pipeline::decoder::{CosmoPluginCpu, DeepCamPluginCpu};
 use sciml_pipeline::source::DirSource;
@@ -69,7 +66,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("inspect") => for_each_file(&args[1..], inspect),
         Some("verify") => for_each_file(&args[1..], verify),
         Some("transcode") => transcode(&args[1..]),
-        Some("bench-decode") => bench_decode(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("fetch") => fetch(&args[1..]),
         Some("pack") => pack(&args[1..]),
@@ -81,7 +77,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("trace-merge") => trace_merge(&args[1..]),
         Some("scrape") => scrape(&args[1..]),
         Some("cpu-features") => cpu_features(&args[1..]),
-        Some("lint") => lint(&args[1..]),
         Some("help") | None => {
             print_usage();
             Ok(())
@@ -98,7 +93,6 @@ fn print_usage() {
          inspect FILE...                               identify and summarize files\n  \
          verify FILE...                                decode + integrity report\n  \
          transcode FILE --out FILE                     baseline payload -> custom encoding\n  \
-         bench-decode FILE [--iters K]                 time repeated decodes\n  \
          serve (--dir DIR --n N | --store DIR)         serve an encoded dataset over TCP\n  \
          fetch --addr A [--name D] [--indices I,J]     fetch samples / stats from a server\n  \
          ..... --decode cosmo|deepcam [--pool-capacity N]  run a pooled decode pipeline over it\n  \
@@ -110,8 +104,7 @@ fn print_usage() {
          validate-json FILE...                         check metrics/trace JSON well-formedness\n  \
          trace-merge --out OUT IN...                   merge Chrome traces onto one timeline\n  \
          scrape --addr A [--require f1,f2] [--out F]   scrape + validate a metrics endpoint\n  \
-         cpu-features [--list]                         SIMD tier detection + per-kernel dispatch plan\n  \
-         lint [--path DIR] [--json] [--require r=N]    static-analysis gate (panics, effects, unsafe)\n\n\
+         cpu-features [--list]                         SIMD tier detection + per-kernel dispatch plan\n\n\
          telemetry flags (serve / fetch):\n  \
          --metrics-out FILE    write a metrics snapshot (JSONL) on exit\n  \
          --metrics-addr A      expose Prometheus-text metrics on A (serve)\n  \
@@ -400,52 +393,6 @@ fn transcode(args: &[String]) -> Result<(), String> {
         bytes.len(),
         encoded.len(),
         bytes.len() as f64 / encoded.len() as f64
-    );
-    Ok(())
-}
-
-fn bench_decode(args: &[String]) -> Result<(), String> {
-    let files = positional_files(args);
-    let input = files.first().ok_or("bench-decode needs an input file")?;
-    let iters: usize = flag_parse(args, "--iters", 20)?;
-    let bytes = std::fs::read(input).map_err(|e| format!("{input:?}: {e}"))?;
-    let (label, values, run): (&str, usize, Box<dyn Fn()>) = match detect(&bytes) {
-        Kind::CosmoCustom => {
-            let enc = cf::EncodedCosmo::from_bytes(&bytes).map_err(|e| e.to_string())?;
-            let n = enc.voxels() * 4;
-            (
-                "cosmoflow fused log1p decode",
-                n,
-                Box::new(move || {
-                    cf::decode(&enc, Op::Log1p).expect("decode");
-                }),
-            )
-        }
-        Kind::DeepCamCustom => {
-            let enc = dc::EncodedDeepCam::from_bytes(&bytes).map_err(|e| e.to_string())?;
-            let n = enc.n_values();
-            (
-                "deepcam decode",
-                n,
-                Box::new(move || {
-                    dc::decode(&enc, Op::Identity).expect("decode");
-                }),
-            )
-        }
-        _ => return Err("bench-decode expects a custom-encoded file".into()),
-    };
-    // Warmup.
-    run();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        run();
-    }
-    let dt = t0.elapsed().as_secs_f64() / iters as f64;
-    println!(
-        "{label}: {:.3} ms/decode, {:.0} Mvalues/s ({} iters)",
-        dt * 1e3,
-        values as f64 / dt / 1e6,
-        iters
     );
     Ok(())
 }
@@ -1288,89 +1235,6 @@ fn soak(args: &[String]) -> Result<(), String> {
 
 // -------------------------------------------------------------------
 
-/// Runs the in-repo static analyzer (`sciml-analyze`) over the repo at
-/// `--path` (default `.`) and prints the per-crate, per-rule violation
-/// table, or machine-readable JSON (`sciml.lint.report.v1`) with
-/// `--json`. Exits nonzero on any non-baselined violation, stale
-/// baseline entry, or exceeded `--require <rule>=<max>` bound,
-/// mirroring the CI `lint` stage.
-fn lint(args: &[String]) -> Result<(), String> {
-    let repo_root = PathBuf::from(flag(args, "--path").unwrap_or_else(|| ".".into()));
-    let config_path = flag(args, "--config")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root.join("lint.toml"));
-    let json = args.iter().any(|a| a == "--json");
-    // `--require no_panics=0,no_panics_transitive=0` gates on *total*
-    // per-rule counts (baselined included), like `scrape --require`.
-    let mut require: Vec<(String, usize)> = Vec::new();
-    if let Some(value) = flag(args, "--require") {
-        for part in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let (rule, max) = part
-                .split_once('=')
-                .ok_or_else(|| format!("--require expects <rule>=<max>, got `{part}`"))?;
-            let rule = rule.trim();
-            if !sciml_analyze::RULE_NAMES.contains(&rule) {
-                return Err(format!("--require: unknown rule `{rule}`"));
-            }
-            let max: usize = max
-                .trim()
-                .parse()
-                .map_err(|_| format!("--require: `{part}` needs an integer bound"))?;
-            require.push((rule.to_string(), max));
-        }
-    }
-
-    let cfg = sciml_analyze::Config::load(&config_path).map_err(|e| e.to_string())?;
-    let crates_dir = repo_root.join("crates");
-    let scan_roots: Vec<PathBuf> = if crates_dir.is_dir() {
-        let shims_dir = repo_root.join("shims");
-        if shims_dir.is_dir() {
-            vec![crates_dir, shims_dir]
-        } else {
-            vec![crates_dir]
-        }
-    } else {
-        vec![repo_root.clone()]
-    };
-    let outcome = sciml_analyze::lint_tree(&scan_roots, &repo_root, &cfg)
-        .map_err(|e| format!("scanning {}: {e}", repo_root.display()))?;
-
-    let report = sciml_analyze::Report::new(&outcome);
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.table());
-        let failures = report.failures();
-        if !failures.is_empty() {
-            print!("\n{failures}");
-        }
-    }
-    let mut require_failures = Vec::new();
-    for (rule, max) in &require {
-        let total: usize = outcome
-            .counts
-            .iter()
-            .filter(|((_, r), _)| r == rule)
-            .map(|(_, &c)| c)
-            .sum();
-        if total > *max {
-            require_failures.push(format!(
-                "--require {rule}={max} failed: {total} total violation(s)"
-            ));
-        }
-    }
-    for f in &require_failures {
-        eprintln!("sciml lint: {f}");
-    }
-    if outcome.is_green() && require_failures.is_empty() {
-        Ok(())
-    } else {
-        Err("lint violations found (see above; `sciml-lint --update-baseline` regenerates the grandfather baseline)".into())
-    }
-}
-
-// -------------------------------------------------------------------
-
 /// Parses a file with the std-only JSON parser, accepting either a
 /// single JSON document or JSONL (one document per line).
 fn validate_json(path: &Path) -> Result<(), String> {
@@ -1397,18 +1261,4 @@ fn validate_json(path: &Path) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Extra diagnostics used by `verify` on lossy DeepCAM files when the
-/// matching baseline file sits next to them (`<name>.h5` convention).
-#[allow(dead_code)]
-fn error_report(encoded: &dc::EncodedDeepCam, reference: &[f32]) -> String {
-    let decoded = dc::decode(encoded, Op::Identity).expect("decode");
-    let mut stats = ErrorStats::new(1.0);
-    stats.record_slices(&widen(&decoded), reference);
-    format!(
-        ">10% err: {:.3}% (near-zero share {:.0}%)",
-        100.0 * stats.frac_above_10pct(),
-        100.0 * stats.small_value_share()
-    )
 }

@@ -1,21 +1,18 @@
-//! Machine-readable perf snapshots for the bench/figures harness.
+//! Machine-readable snapshots for the two benches.
 //!
 //! Every run lands a `BENCH_<label>.json` file in the snapshot
 //! directory (`$SCIML_BENCH_OUT_DIR`, defaulting to `results/`), via
-//! the `sciml-obs` exporter — the same shape the criterion shim emits,
-//! so CI can diff bench output across commits regardless of which
-//! harness produced it.
+//! the `sciml-obs` exporter.
 
-use sciml_obs::{BenchEntry, HistogramSnapshot};
+use sciml_obs::BenchEntry;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Environment variable naming the snapshot directory.
 pub const BENCH_OUT_ENV: &str = "SCIML_BENCH_OUT_DIR";
 
 /// Snapshot directory: `$SCIML_BENCH_OUT_DIR` or the workspace-root
-/// `results/` (anchored at compile time — `cargo bench` and `cargo run`
-/// start in different working directories).
+/// `results/` (anchored at compile time, not at the working directory
+/// `cargo bench` starts a bench in).
 pub fn bench_out_dir() -> PathBuf {
     std::env::var(BENCH_OUT_ENV)
         .map(PathBuf::from)
@@ -29,44 +26,4 @@ pub fn bench_out_dir() -> PathBuf {
 /// Writes `BENCH_<label>.json` into [`bench_out_dir`].
 pub fn write_snapshot(label: &str, entries: &[BenchEntry]) -> std::io::Result<PathBuf> {
     sciml_obs::write_bench_snapshot(&bench_out_dir(), label, entries)
-}
-
-/// Entries summarizing one wall-clock duration under `prefix`.
-pub fn duration_entries(prefix: &str, elapsed: Duration) -> Vec<BenchEntry> {
-    vec![BenchEntry::new(
-        format!("{prefix}_ns"),
-        elapsed.as_nanos() as f64,
-        "ns",
-    )]
-}
-
-/// Entries summarizing a latency histogram: count, mean, and tails.
-pub fn histogram_entries(prefix: &str, h: &HistogramSnapshot) -> Vec<BenchEntry> {
-    vec![
-        BenchEntry::new(format!("{prefix}_count"), h.count as f64, "ops"),
-        BenchEntry::new(format!("{prefix}_mean_ns"), h.mean(), "ns"),
-        BenchEntry::new(format!("{prefix}_p50_ns"), h.percentile(0.50) as f64, "ns"),
-        BenchEntry::new(format!("{prefix}_p95_ns"), h.percentile(0.95) as f64, "ns"),
-        BenchEntry::new(format!("{prefix}_p99_ns"), h.percentile(0.99) as f64, "ns"),
-        BenchEntry::new(format!("{prefix}_max_ns"), h.max as f64, "ns"),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sciml_obs::Histogram;
-
-    #[test]
-    fn histogram_entries_cover_tails() {
-        let h = Histogram::new();
-        for v in [100u64, 200, 300, 10_000] {
-            h.record(v);
-        }
-        let entries = histogram_entries("req", &h.snapshot());
-        let names: Vec<&str> = entries.iter().map(|e| e.metric.as_str()).collect();
-        assert!(names.contains(&"req_p99_ns"));
-        assert!(names.contains(&"req_count"));
-        assert_eq!(entries[0].value, 4.0);
-    }
 }

@@ -185,7 +185,8 @@ mod tests {
         // than the per-voxel baseline — the paper's host-side win. Under
         // debug builds with the test suite running in parallel, wall
         // timing is noisy; allow generous slack (release builds show the
-        // full gap, see bench_cosmoflow_codec).
+        // full gap: `codec.cosmo_decode_melem_s` against
+        // `codec.cosmo_base_decode_melem_s` in `benchmark/`).
         assert!(
             r.decode_bps > r.preproc_bps * 0.3,
             "decode {:.0} vs preproc {:.0}",

@@ -34,9 +34,6 @@ pub struct ClusterSource {
     /// Fetches that fell over to another replica after a failure
     /// (`serve.client.failover`).
     failover_count: Arc<Counter>,
-    /// Rotate the starting replica per index instead of always reading
-    /// from the primary, spreading read load across replicas.
-    spread_reads: bool,
 }
 
 impl ClusterSource {
@@ -103,14 +100,7 @@ impl ClusterSource {
             read: AtomicU64::new(0),
             failover_count: registry.counter("serve.client.failover"),
             registry,
-            spread_reads: false,
         })
-    }
-
-    /// Rotates the starting replica per index (instead of always the
-    /// primary), spreading read load across a shard's replica set.
-    pub fn set_spread_reads(&mut self, on: bool) {
-        self.spread_reads = on;
     }
 
     /// The placement this source routes by.
@@ -184,14 +174,8 @@ impl SampleSource for ClusterSource {
             ));
         };
         let replicas = &assignment.replicas;
-        let start = if self.spread_reads {
-            idx % replicas.len().max(1)
-        } else {
-            0
-        };
         let mut last_err = None;
-        for k in 0..replicas.len() {
-            let r = replicas[(start + k) % replicas.len()];
+        for (k, &r) in replicas.iter().enumerate() {
             match self.node_source(r).and_then(|src| src.fetch_into(idx, buf)) {
                 Ok(()) => {
                     self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
@@ -303,20 +287,6 @@ mod tests {
             src.failovers()
         );
         for s in survivors {
-            s.shutdown();
-        }
-    }
-
-    #[test]
-    fn spread_reads_still_byte_identical() {
-        let addrs = reserve_addrs(3);
-        let servers = spawn_cluster(&addrs, 3);
-        let mut src = ClusterSource::connect(addrs[1].clone(), "demo").unwrap();
-        src.set_spread_reads(true);
-        for (i, expected) in samples().iter().enumerate() {
-            assert_eq!(&src.fetch(i).unwrap(), expected, "sample {i}");
-        }
-        for s in servers {
             s.shutdown();
         }
     }

@@ -41,6 +41,16 @@ finish() {
 }
 trap 'finish' EXIT
 
+# A CI run leaves the tree as it found it. Record every path `git status`
+# reports (tracked changes and untracked files) with a hash of its
+# contents; the last stage fails naming each path whose entry changed.
+tree_state() {
+    git status --porcelain --untracked-files=all | while IFS= read -r line; do
+        printf '%s %s\n' "$(git hash-object -- "${line:3}" 2>/dev/null || echo gone)" "$line"
+    done
+}
+tree_before="$(tree_state)"
+
 stage "cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -356,6 +366,13 @@ stage "decode thread-scaling bench (per kernel x ISA)"
 # run leaves `git status` clean.
 bench_dir="$(mktemp -d)"
 SCIML_BENCH_OUT_DIR="$bench_dir" cargo bench -q -p sciml-bench --bench bench_decode_scaling
+
+stage "clean tree (the run rewrote no file git sees)"
+if ! tree_changes="$(diff <(echo "$tree_before") <(tree_state))"; then
+    echo "ERROR: this CI run changed what git sees (< before, > after):" >&2
+    echo "$tree_changes" | grep '^[<>]' >&2
+    exit 1
+fi
 
 stage_end
 echo "==> CI OK"

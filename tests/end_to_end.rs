@@ -55,6 +55,12 @@ fn all_cosmo_variants_deliver_identical_tensors() {
             })
             .collect();
         samples.sort_by_key(|(idx, _)| *idx);
+        let indices: Vec<usize> = samples.iter().map(|(idx, _)| *idx).collect();
+        assert_eq!(
+            indices,
+            (0..n).collect::<Vec<_>>(),
+            "{format:?}: each sample once"
+        );
         per_variant.push(samples);
     }
     // Every variant must produce bit-identical FP16 tensors per sample.

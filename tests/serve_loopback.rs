@@ -116,9 +116,12 @@ fn remote_epoch_matches_local_and_hits_cache() {
     };
     let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
 
-    let local_pipeline =
-        Pipeline::launch(Arc::new(VecSource::new(blobs)), plugin.clone(), cfg.clone())
-            .expect("local pipeline");
+    let local_pipeline = Pipeline::launch(
+        Arc::new(VecSource::new(blobs.clone())),
+        plugin.clone(),
+        cfg.clone(),
+    )
+    .expect("local pipeline");
     let (local_batches, _) = local_pipeline.collect_all().expect("local epochs");
 
     let remote_pipeline = Pipeline::launch(remote.clone() as Arc<dyn SampleSource>, plugin, cfg)
@@ -149,6 +152,17 @@ fn remote_epoch_matches_local_and_hits_cache() {
     assert_eq!(stats.samples_served, 2 * n as u64);
     assert!(stats.bytes_sent > 0);
     assert!(stats.request_ns > 0);
+
+    // From the hot cache, a batched fetch answers every index it names,
+    // whatever the batch size.
+    let all: Vec<u64> = (0..n as u64).collect();
+    for size in [1, 4, n] {
+        let fetched: Vec<Vec<u8>> = all
+            .chunks(size)
+            .flat_map(|chunk| remote.fetch_batch(chunk).expect("batched fetch"))
+            .collect();
+        assert_eq!(fetched, blobs, "batches of {size}");
+    }
 
     server.shutdown();
 }
