@@ -728,7 +728,7 @@ fn fetch(args: &[String]) -> Result<(), String> {
     if metrics_out.is_some() || metrics_text.is_some() {
         // Lift the SIMD dispatch atomics into `codec.simd.*` gauges so
         // both export formats carry the kernel counters.
-        sciml_codec::telemetry::publish_simd_dispatch(&telemetry.registry);
+        sciml_obs::simd::publish(&telemetry.registry);
     }
     if let Some(out) = metrics_out {
         telemetry

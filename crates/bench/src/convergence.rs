@@ -17,9 +17,7 @@ use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_half::slice::widen;
 use sciml_minidnn::models::{cosmoflow_mini, crop_mask, deepcam_mini};
 use sciml_minidnn::optim::Sgd;
-use sciml_minidnn::train::{train_regression_val, train_segmentation_val, History, TrainConfig};
-#[cfg(test)]
-use sciml_minidnn::InputPath;
+use sciml_minidnn::train::{train_regression, train_segmentation, History, TrainConfig};
 
 /// Shared configuration of a convergence run.
 #[derive(Debug, Clone)]
@@ -133,7 +131,7 @@ pub fn cosmoflow_convergence(cfg: &ConvergenceConfig, seed: u64) -> ConvergenceR
         let (train_y, val_y) = labels.split_at(cfg.n_samples);
         let mut net = cosmoflow_mini(cfg.size, seed);
         let mut opt = Sgd::new(cfg.lr, 0.9);
-        train_regression_val(
+        train_regression(
             &mut net,
             &mut opt,
             train_x,
@@ -196,7 +194,7 @@ pub fn deepcam_convergence(cfg: &ConvergenceConfig, seed: u64) -> ConvergenceRun
         let (train_m, val_m) = masks.split_at(cfg.n_samples);
         let mut net = deepcam_mini(c, seed);
         let mut opt = Sgd::new(cfg.lr, 0.9);
-        train_segmentation_val(
+        train_segmentation(
             &mut net,
             &mut opt,
             train_x,
@@ -275,12 +273,5 @@ mod tests {
         let a = cosmoflow_convergence(&cfg, 1);
         let b = cosmoflow_convergence(&cfg, 2);
         assert_ne!(a.base.step_losses, b.base.step_losses);
-    }
-
-    /// The InputPath enum documents the two paths; make sure it is wired
-    /// the way the runs use it.
-    #[test]
-    fn input_paths_are_distinct() {
-        assert_ne!(InputPath::Fp32Base, InputPath::Fp16Decoded);
     }
 }

@@ -246,6 +246,14 @@ mod tests {
         // "convergence-identical" premise for CosmoFlow).
         let s = small();
         let e = encode(&s);
+        let gathers = || -> u64 {
+            sciml_simd::dispatch_counts()
+                .iter()
+                .filter(|(k, _, _)| *k == sciml_simd::Kernel::CosmoGather)
+                .map(|(_, _, n)| n)
+                .sum()
+        };
+        let gathers_before = gathers();
         for op in [
             Op::Identity,
             Op::Log1p,
@@ -262,6 +270,9 @@ mod tests {
             let base = baseline_preprocess(&s, op);
             assert_eq!(fused, base, "{op:?}");
         }
+        // Each decode counted its gather, at whatever tier this host runs
+        // (the counters `sciml_obs::simd::publish` exports).
+        assert!(gathers() > gathers_before);
     }
 
     #[test]

@@ -25,12 +25,10 @@ pub mod cosmoflow;
 pub mod deepcam;
 pub mod error_stats;
 pub mod ops;
-pub mod telemetry;
 pub(crate) mod wire;
 
 pub use error_stats::ErrorStats;
 pub use ops::Op;
-pub use telemetry::CodecTelemetry;
 
 use std::fmt;
 

@@ -217,14 +217,6 @@ impl Op {
             }
         }
     }
-
-    /// True when the operator is affine (`a*x + b`). Affine operators
-    /// commute with the differential decode's running sum, so the DeepCAM
-    /// decoder may apply them per emitted value without re-deriving
-    /// segment state.
-    pub fn is_affine(self) -> bool {
-        matches!(self, Op::Identity | Op::Normalize { .. })
-    }
 }
 
 /// Counts operator applications; used to verify the unique-value fusion
@@ -369,22 +361,6 @@ mod tests {
         };
         let x = 9.0f32;
         assert_eq!(op.apply(x), (log1p(x) - 1.0) * 2.0);
-    }
-
-    #[test]
-    fn affinity_classification() {
-        assert!(Op::Identity.is_affine());
-        assert!(Op::Normalize {
-            scale: 1.0,
-            offset: 0.0
-        }
-        .is_affine());
-        assert!(!Op::Log1p.is_affine());
-        assert!(!Op::Log1pNormalize {
-            scale: 1.0,
-            offset: 0.0
-        }
-        .is_affine());
     }
 
     #[test]

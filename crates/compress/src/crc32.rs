@@ -1,5 +1,5 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) for gzip
-//! trailers, TFRecord masked CRCs, and container integrity checks.
+//! trailers and container integrity checks.
 //!
 //! Two kernels compute the same function on the raw (un-inverted)
 //! register, `fn(state: u32, &[u8]) -> u32`, so an incremental
@@ -309,15 +309,6 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
     multmodp(x8nmodp(len_b), crc_a) ^ crc_b
 }
 
-/// The "masked CRC" transform used by the TFRecord format
-/// (`((crc >> 15) | (crc << 17)) + 0xa282ead8`, on CRC-32; the real
-/// format uses CRC-32C but the masking and framing are identical, and we
-/// apply the same function on both ends).
-pub fn masked_crc32(data: &[u8]) -> u32 {
-    let c = crc32(data);
-    c.rotate_right(15).wrapping_add(0xa282_ead8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,13 +523,6 @@ mod tests {
                 crc32(window)
             );
         }
-    }
-
-    #[test]
-    fn masked_crc_is_stable_and_distinct() {
-        let m = masked_crc32(b"123456789");
-        assert_eq!(m, masked_crc32(b"123456789"));
-        assert_ne!(m, crc32(b"123456789"));
     }
 
     #[test]

@@ -36,21 +36,6 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
     out
 }
 
-/// Decompresses a gzip file that may hold several concatenated members
-/// (the format `cat a.gz b.gz > ab.gz` produces, which real gunzip
-/// accepts), verifying every trailer.
-pub fn decompress_multi(data: &[u8]) -> Result<Vec<u8>, Error> {
-    let mut out = Vec::new();
-    let mut rest = data;
-    loop {
-        let consumed = decompress_member(rest, &mut out, usize::MAX)?;
-        rest = &rest[consumed..];
-        if rest.is_empty() {
-            return Ok(out);
-        }
-    }
-}
-
 /// Decompresses one member, appending its output to `out` (never
 /// beyond `limit` bytes in all), and returns the bytes consumed
 /// (header + deflate stream + trailer).
@@ -210,21 +195,9 @@ mod tests {
         for cut in 0..gz.len() {
             assert!(decompress(&gz[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn multi_member_concatenation_roundtrips() {
-        let a = compress(b"alpha ", Level::Default);
-        let b = compress(b"beta", Level::Best);
-        let mut cat = a.clone();
-        cat.extend_from_slice(&b);
-        assert_eq!(decompress_multi(&cat).unwrap(), b"alpha beta");
-        // Single-member API rejects the concatenation.
+        // A member with a second one after it is refused as well.
+        let cat = [gz.clone(), compress(b"beta", Level::Best)].concat();
         assert!(matches!(decompress(&cat), Err(Error::Corrupt(_))));
-        // Corruption in the second member is still caught.
-        let n = cat.len();
-        cat[n - 2] ^= 0x10;
-        assert!(decompress_multi(&cat).is_err());
     }
 
     #[test]

@@ -45,8 +45,7 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, Error> {
 
 /// Decompresses one DEFLATE stream, appending to `out`, and reports how
 /// many input bytes it consumed (the stream ends at a byte boundary
-/// after the final block) — needed to walk concatenated members in
-/// multi-member gzip files.
+/// after the final block) — where a gzip member's trailer begins.
 ///
 /// `out` never grows beyond `limit` bytes: a stream that would is
 /// [`Error::OutputLimit`]. Its capacity on entry is taken as the

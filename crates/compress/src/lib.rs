@@ -1,12 +1,14 @@
 //! From-scratch DEFLATE (RFC 1951) and gzip (RFC 1952) implementation.
 //!
 //! The paper's CosmoFlow baseline compares against **gzip-compressed
-//! TFRecords** ("the latest release of the dataset provides a compressed
+//! samples** ("the latest release of the dataset provides a compressed
 //! variant of the dataset using gzip, which reduces the required storage
 //! space by 5×") and shows that general-purpose decompression, which can
 //! only run on the host CPU, *slows the pipeline down* even though it
-//! shrinks the data. To reproduce that baseline without pulling in a
-//! compression dependency, this crate implements the whole stack:
+//! shrinks the data. Here that baseline is one gzip file per sample, and
+//! a store's gzip entries are single members too. To reproduce it
+//! without pulling in a compression dependency, this crate implements
+//! the whole stack:
 //!
 //! * an LSB-first bit reader/writer ([`bitstream`]);
 //! * CRC-32 (IEEE, reflected) for the gzip trailer ([`crc32`]);
@@ -20,8 +22,7 @@
 //!   seven times its length after it unsearched, so that data which
 //!   does not pay is searched one byte in eight — and a full inflater
 //!   ([`fn@inflate`]);
-//! * gzip member framing ([`gzip`]) and zlib framing with Adler-32
-//!   ([`zlib`]) — the two compression types `TFRecordOptions` accepts.
+//! * gzip member framing ([`gzip`]).
 //!
 //! The public entry points are [`gzip_compress`] / [`gzip_decompress`] and
 //! the raw [`deflate_compress`] / [`inflate()`].
@@ -33,8 +34,6 @@ pub mod gzip;
 pub mod huffman;
 pub mod inflate;
 pub mod lz77;
-pub mod stream;
-pub mod zlib;
 
 // Test-only: the implementation the hot loops replaced, and the tests
 // that hold the new ones to its output. In `tests/` so that tools that
@@ -136,16 +135,6 @@ pub fn gzip_compress(data: &[u8], level: Level) -> Vec<u8> {
     gzip::compress(data, level)
 }
 
-/// Compresses `data` into a zlib (RFC 1950) stream.
-pub fn zlib_compress(data: &[u8], level: Level) -> Vec<u8> {
-    zlib::compress(data, level)
-}
-
-/// Decompresses a zlib stream, verifying the Adler-32 trailer.
-pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
-    zlib::decompress(data)
-}
-
 /// Decompresses a single-member gzip file, verifying CRC-32 and length.
 pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
     gzip::decompress(data)
@@ -159,11 +148,6 @@ pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
 /// see no reallocation.
 pub fn gzip_decompress_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), Error> {
     gzip::decompress_into(data, out, limit)
-}
-
-/// Decompresses a gzip file with one or more concatenated members.
-pub fn gzip_decompress_multi(data: &[u8]) -> Result<Vec<u8>, Error> {
-    gzip::decompress_multi(data)
 }
 
 #[cfg(test)]

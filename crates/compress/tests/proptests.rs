@@ -76,32 +76,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Concatenating independently compressed members round-trips
-    /// through the multi-member decoder.
-    #[test]
-    fn multi_member_roundtrip(
-        parts in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..256), 1..5),
-    ) {
-        let mut cat = Vec::new();
-        let mut expect = Vec::new();
-        for p in &parts {
-            cat.extend_from_slice(&gzip_compress(p, Level::Fast));
-            expect.extend_from_slice(p);
-        }
-        prop_assert_eq!(sciml_compress::gzip_decompress_multi(&cat).unwrap(), expect);
-    }
-
-    /// zlib round-trips arbitrary data.
-    #[test]
-    fn zlib_roundtrip(data in prop::collection::vec(any::<u8>(), 0..4096), level in levels()) {
-        let z = sciml_compress::zlib_compress(&data, level);
-        prop_assert_eq!(sciml_compress::zlib_decompress(&z).unwrap(), data);
-    }
-}
-
 #[test]
 fn checksum_error_type_is_distinguishable() {
     let data = b"distinguish me".repeat(8);

@@ -155,8 +155,8 @@ impl CosmoSample {
         ]
     }
 
-    /// Size of the sample in raw f32 storage (what the TFRecord baseline
-    /// ships: counts widened to f32).
+    /// Size of the sample in raw f32 storage (what the uncompressed
+    /// baseline ships: counts widened to f32).
     pub fn raw_f32_bytes(&self) -> usize {
         self.counts.len() * 4
     }

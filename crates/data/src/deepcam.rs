@@ -304,36 +304,36 @@ fn wrap_dist(a: f32, b: f32, period: f32) -> f32 {
     d.min(period - d)
 }
 
-/// Mean absolute x-gradient vs y-gradient of a channel; the generator
-/// must produce smaller x-gradients (the property the codec exploits).
-pub fn gradient_anisotropy(sample: &DeepCamSample, channel: usize) -> (f32, f32) {
-    let (w, h) = (sample.width, sample.height);
-    let chan = sample.channel(channel);
-    let mut gx = 0f64;
-    let mut gy = 0f64;
-    let mut nx = 0u64;
-    let mut ny = 0u64;
-    for y in 0..h {
-        for x in 1..w {
-            gx += (chan[y * w + x] - chan[y * w + x - 1]).abs() as f64;
-            nx += 1;
-        }
-    }
-    for y in 1..h {
-        for x in 0..w {
-            gy += (chan[y * w + x] - chan[(y - 1) * w + x]).abs() as f64;
-            ny += 1;
-        }
-    }
-    ((gx / nx as f64) as f32, (gy / ny as f64) as f32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample() -> DeepCamSample {
         ClimateGenerator::new(DeepCamConfig::test_small()).generate(0)
+    }
+
+    /// Mean absolute x-gradient vs y-gradient of a channel; the generator
+    /// must produce smaller x-gradients (the property the codec exploits).
+    fn gradient_anisotropy(sample: &DeepCamSample, channel: usize) -> (f32, f32) {
+        let (w, h) = (sample.width, sample.height);
+        let chan = sample.channel(channel);
+        let mut gx = 0f64;
+        let mut gy = 0f64;
+        let mut nx = 0u64;
+        let mut ny = 0u64;
+        for y in 0..h {
+            for x in 1..w {
+                gx += (chan[y * w + x] - chan[y * w + x - 1]).abs() as f64;
+                nx += 1;
+            }
+        }
+        for y in 1..h {
+            for x in 0..w {
+                gy += (chan[y * w + x] - chan[(y - 1) * w + x]).abs() as f64;
+                ny += 1;
+            }
+        }
+        ((gx / nx as f64) as f32, (gy / ny as f64) as f32)
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl Dataset {
         }
     }
 
-    /// Element count implied by the shape.
-    pub fn elements(&self) -> u64 {
-        self.shape.iter().product()
-    }
-
     /// Decodes the payload as f32 values.
     pub fn as_f32(&self) -> Result<Vec<f32>> {
         if self.dtype != DType::F32 || !self.payload.len().is_multiple_of(4) {
@@ -125,21 +120,27 @@ impl Dataset {
         Ok(self
             .payload
             .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
     }
+}
 
-    /// Decodes the payload as u16 values.
-    pub fn as_u16(&self) -> Result<Vec<u16>> {
-        if self.dtype != DType::U16 || !self.payload.len().is_multiple_of(2) {
-            return Err(DataError::Format("dataset is not u16"));
-        }
-        Ok(self
-            .payload
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
+/// Payload bytes a dataset of `shape` and `dtype` holds, or `None` where
+/// that count does not fit a `usize`: a shape read from a file may
+/// multiply past 2^64.
+fn payload_len(shape: &[u64], dtype: DType) -> Option<usize> {
+    let elems = shape.iter().try_fold(1u64, |n, &d| n.checked_mul(d))?;
+    usize::try_from(elems).ok()?.checked_mul(dtype.size())
+}
+
+/// The next `N` bytes of an `h5lite` header at `*pos`, advancing it.
+fn take_array<const N: usize>(body: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    let bytes = body
+        .get(*pos..)
+        .and_then(|rest| rest.first_chunk::<N>())
+        .ok_or(DataError::Format("header overruns file"))?;
+    *pos += N;
+    Ok(*bytes)
 }
 
 /// Serializes datasets into an `h5lite` file image.
@@ -150,8 +151,7 @@ pub fn write(datasets: &[Dataset]) -> Result<Vec<u8>> {
     header.extend_from_slice(&(datasets.len() as u16).to_le_bytes());
     let mut offset = 0u64;
     for d in datasets {
-        let expected = d.elements() as usize * d.dtype.size();
-        if expected != d.payload.len() {
+        if payload_len(&d.shape, d.dtype) != Some(d.payload.len()) {
             return Err(DataError::Format("payload does not match shape"));
         }
         let name = d.name.as_bytes();
@@ -180,12 +180,10 @@ pub fn write(datasets: &[Dataset]) -> Result<Vec<u8>> {
 
 /// Parses an `h5lite` file image.
 pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
-    if data.len() < 12 {
+    let Some((body, crc_bytes)) = data.split_last_chunk::<4>().filter(|_| data.len() >= 12) else {
         return Err(DataError::Format("file too short"));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 4);
-    let want = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != want {
+    };
+    if crc32(body) != u32::from_le_bytes(*crc_bytes) {
         return Err(DataError::Checksum);
     }
     let mut pos = 0usize;
@@ -197,14 +195,14 @@ pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
         *pos += n;
         Ok(s)
     };
-    if take(&mut pos, 4)? != MAGIC {
+    if &take_array::<4>(body, &mut pos)? != MAGIC {
         return Err(DataError::Format("bad magic"));
     }
-    let version = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap());
+    let version = u16::from_le_bytes(take_array(body, &mut pos)?);
     if version != VERSION {
         return Err(DataError::Format("unsupported version"));
     }
-    let count = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
+    let count = u16::from_le_bytes(take_array(body, &mut pos)?) as usize;
 
     struct Entry {
         name: String,
@@ -215,17 +213,17 @@ pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
     }
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
+        let name_len = u16::from_le_bytes(take_array(body, &mut pos)?) as usize;
         let name = String::from_utf8(take(&mut pos, name_len)?.to_vec())
             .map_err(|_| DataError::Format("dataset name not utf-8"))?;
-        let dtype = DType::from_code(take(&mut pos, 1)?[0])?;
-        let ndim = take(&mut pos, 1)?[0] as usize;
-        let mut shape = Vec::with_capacity(ndim);
+        let [dtype, ndim] = take_array(body, &mut pos)?;
+        let dtype = DType::from_code(dtype)?;
+        let mut shape = Vec::with_capacity(ndim as usize);
         for _ in 0..ndim {
-            shape.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
+            shape.push(u64::from_le_bytes(take_array(body, &mut pos)?));
         }
-        let offset = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        let offset = u64::from_le_bytes(take_array(body, &mut pos)?);
+        let len = u64::from_le_bytes(take_array(body, &mut pos)?);
         entries.push(Entry {
             name,
             dtype,
@@ -245,9 +243,12 @@ pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
             if end > payload_region.len() {
                 return Err(DataError::Format("payload out of range"));
             }
-            let elems: u64 = e.shape.iter().product();
-            if elems as usize * e.dtype.size() != e.len as usize {
-                return Err(DataError::Format("payload does not match shape"));
+            match payload_len(&e.shape, e.dtype) {
+                None => return Err(DataError::Format("shape overflows")),
+                Some(n) if n as u64 != e.len => {
+                    return Err(DataError::Format("payload does not match shape"))
+                }
+                Some(_) => {}
             }
             Ok(Dataset {
                 name: e.name,
@@ -292,8 +293,36 @@ mod tests {
     #[test]
     fn u16_roundtrip() {
         let d = Dataset::from_u16("counts", &[4], &[0, 1, 65535, 42]);
-        let ds = read(&write(&[d]).unwrap()).unwrap();
-        assert_eq!(ds[0].as_u16().unwrap(), vec![0, 1, 65535, 42]);
+        let ds = read(&write(std::slice::from_ref(&d)).unwrap()).unwrap();
+        assert_eq!(ds, vec![d]);
+    }
+
+    /// A CRC-valid file whose `data` is f32 `[1, 2^63, 2]` and whose
+    /// `label` is u8 `[2^63, 2]`, both with empty payloads. Each shape
+    /// counts 2^64 elements, which a `u64` product wraps to 0 — an empty
+    /// payload's length.
+    const SHAPE_OVERFLOW: &[u8] = &[
+        b'H', b'5', b'L', b'T', 1, 0, 2, 0, // magic, version 1, 2 datasets
+        4, 0, b'd', b'a', b't', b'a', 0, 3, // "data", f32, rank 3
+        1, 0, 0, 0, 0, 0, 0, 0, // 1
+        0, 0, 0, 0, 0, 0, 0, 0x80, // 2^63
+        2, 0, 0, 0, 0, 0, 0, 0, // 2
+        0, 0, 0, 0, 0, 0, 0, 0, // payload offset
+        0, 0, 0, 0, 0, 0, 0, 0, // payload length
+        5, 0, b'l', b'a', b'b', b'e', b'l', 2, 2, // "label", u8, rank 2
+        0, 0, 0, 0, 0, 0, 0, 0x80, // 2^63
+        2, 0, 0, 0, 0, 0, 0, 0, // 2
+        0, 0, 0, 0, 0, 0, 0, 0, // payload offset
+        0, 0, 0, 0, 0, 0, 0, 0, // payload length
+        0x64, 0xc2, 0xa3, 0x25, // CRC-32 of all of the above
+    ];
+
+    #[test]
+    fn a_shape_that_overflows_is_a_format_error() {
+        assert!(matches!(
+            read(SHAPE_OVERFLOW),
+            Err(DataError::Format("shape overflows"))
+        ));
     }
 
     #[test]
@@ -325,7 +354,6 @@ mod tests {
         let bytes = sample_file();
         let ds = read(&bytes).unwrap();
         assert!(find(&ds, "label").unwrap().as_f32().is_err());
-        assert!(find(&ds, "data").unwrap().as_u16().is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Synthetic scientific datasets and storage containers.
+//! Synthetic scientific datasets and their per-sample file formats.
 //!
 //! The paper's encoders exploit statistical structure of two datasets we
 //! cannot redistribute: the CAM5 climate snapshots behind **DeepCAM** and
@@ -12,8 +12,6 @@
 //! * [`deepcam`] — 16-channel climate-like images that are smooth along
 //!   the x (longitude) direction with sparse sharp anomalies (cyclones,
 //!   atmospheric rivers) plus sensor noise, and segmentation label masks;
-//! * [`tfrecord`] — the TFRecord framing (length + masked CRCs) with an
-//!   optional whole-stream gzip variant, mirroring `TFRecordOptions`;
 //! * [`h5lite`] — a small self-describing binary container standing in
 //!   for the HDF5 files of the original DeepCAM dataset;
 //! * [`serialize`] — the raw on-disk layout of both sample types.
@@ -22,7 +20,6 @@ pub mod cosmoflow;
 pub mod deepcam;
 pub mod h5lite;
 pub mod serialize;
-pub mod tfrecord;
 
 use std::fmt;
 use std::io;
@@ -34,10 +31,8 @@ pub enum DataError {
     Io(io::Error),
     /// Structural problem in a container or sample encoding.
     Format(&'static str),
-    /// Record or payload checksum failed.
+    /// A container's checksum failed.
     Checksum,
-    /// A gzip-compressed stream failed to decode.
-    Compression(sciml_compress::Error),
 }
 
 impl fmt::Display for DataError {
@@ -46,7 +41,6 @@ impl fmt::Display for DataError {
             DataError::Io(e) => write!(f, "io error: {e}"),
             DataError::Format(what) => write!(f, "format error: {what}"),
             DataError::Checksum => write!(f, "checksum mismatch"),
-            DataError::Compression(e) => write!(f, "compression error: {e}"),
         }
     }
 }
@@ -56,12 +50,6 @@ impl std::error::Error for DataError {}
 impl From<io::Error> for DataError {
     fn from(e: io::Error) -> Self {
         DataError::Io(e)
-    }
-}
-
-impl From<sciml_compress::Error> for DataError {
-    fn from(e: sciml_compress::Error) -> Self {
-        DataError::Compression(e)
     }
 }
 

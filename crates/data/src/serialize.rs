@@ -1,18 +1,19 @@
 //! Baseline on-disk layouts for both sample types.
 //!
-//! These mirror what the real benchmarks read: CosmoFlow samples as
-//! TFRecord payloads carrying the voxel histogram widened to f32 (the
-//! uncompressed baseline the paper measures against), and DeepCAM samples
-//! as HDF5-style files with a `data` f32 dataset and a `label` mask.
+//! These mirror what the real benchmarks read, one file per sample:
+//! CosmoFlow samples as a `CFSM` payload carrying the voxel histogram
+//! widened to f32 (what a TFRecord record holds in the paper's
+//! uncompressed baseline), and DeepCAM samples as HDF5-style files with
+//! a `data` f32 dataset and a `label` mask.
 
 use crate::cosmoflow::{CosmoParams, CosmoSample, N_REDSHIFTS};
 use crate::deepcam::DeepCamSample;
-use crate::h5lite::{self, Dataset};
+use crate::h5lite::{self, DType, Dataset};
 use crate::{DataError, Result};
 
 const COSMO_MAGIC: &[u8; 4] = b"CFSM";
 
-/// Serializes a CosmoFlow sample to the baseline TFRecord payload:
+/// Serializes a CosmoFlow sample to the baseline's `CFSM` payload:
 /// magic, grid size, label, then all counts widened to little-endian f32
 /// (channel-major), exactly the tensor the baseline pipeline ships.
 pub fn cosmo_to_payload(sample: &CosmoSample) -> Vec<u8> {
@@ -154,22 +155,29 @@ pub fn deepcam_from_h5(bytes: &[u8]) -> Result<DeepCamSample> {
     let ds = h5lite::read(bytes)?;
     let data = h5lite::find(&ds, "data")?;
     let label = h5lite::find(&ds, "label")?;
-    if data.shape.len() != 3 || label.shape.len() != 2 {
+    let (&[c, h, w], &[label_h, label_w]) = (data.shape.as_slice(), label.shape.as_slice()) else {
         return Err(DataError::Format("unexpected dataset rank"));
-    }
-    let (c, h, w) = (
-        data.shape[0] as usize,
-        data.shape[1] as usize,
-        data.shape[2] as usize,
-    );
-    if label.shape[0] as usize != h || label.shape[1] as usize != w {
+    };
+    if (label_h, label_w) != (h, w) {
         return Err(DataError::Format("label shape mismatch"));
+    }
+    if label.dtype != DType::U8 {
+        return Err(DataError::Format("label is not u8"));
+    }
+    let values = data.as_f32()?;
+    let dim = |d: u64| usize::try_from(d).map_err(|_| DataError::Format("dimension overflows"));
+    let (c, h, w) = (dim(c)?, dim(h)?, dim(w)?);
+    let pixels = h.checked_mul(w);
+    if pixels != Some(label.payload.len())
+        || pixels.and_then(|p| p.checked_mul(c)) != Some(values.len())
+    {
+        return Err(DataError::Format("dataset size does not match its shape"));
     }
     Ok(DeepCamSample {
         width: w,
         height: h,
         channels: c,
-        data: data.as_f32()?,
+        data: values,
         mask: label.payload.clone(),
     })
 }
@@ -294,6 +302,45 @@ mod tests {
         let bytes = deepcam_to_h5(&s).unwrap();
         let back = deepcam_from_h5(&bytes).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// A file whose shapes agree but whose label is not one byte a pixel,
+    /// or whose data is not f32, is not a DeepCAM sample.
+    #[test]
+    fn deepcam_h5_requires_f32_data_and_a_u8_mask() {
+        let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
+        let (c, h, w) = (s.channels as u64, s.height as u64, s.width as u64);
+        let data = Dataset::from_f32("data", &[c, h, w], &s.data);
+        let mask_f32: Vec<f32> = s.mask.iter().map(|&m| m as f32).collect();
+        let mask_u16: Vec<u16> = s.mask.iter().map(|&m| m as u16).collect();
+        let data_u16: Vec<u16> = vec![0; s.data.len()];
+        for (what, datasets) in [
+            (
+                "f32 label",
+                [data.clone(), Dataset::from_f32("label", &[h, w], &mask_f32)],
+            ),
+            (
+                "u16 label",
+                [data.clone(), Dataset::from_u16("label", &[h, w], &mask_u16)],
+            ),
+            (
+                "u16 data",
+                [
+                    Dataset::from_u16("data", &[c, h, w], &data_u16),
+                    Dataset::from_u8("label", &[h, w], &s.mask),
+                ],
+            ),
+            (
+                "label of another shape",
+                [data.clone(), Dataset::from_u8("label", &[w, h], &s.mask)],
+            ),
+        ] {
+            let bytes = h5lite::write(&datasets).unwrap();
+            assert!(
+                matches!(deepcam_from_h5(&bytes), Err(DataError::Format(_))),
+                "{what}"
+            );
+        }
     }
 
     #[test]

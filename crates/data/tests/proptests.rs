@@ -6,7 +6,6 @@ use sciml_data::cosmoflow::{sample_stats, CosmoFlowConfig, CosmoParams, Universe
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::h5lite::{self, Dataset};
 use sciml_data::serialize;
-use sciml_data::tfrecord::{Compression, TfRecordReader, TfRecordWriter};
 
 fn cosmo_cfgs() -> impl Strategy<Value = CosmoFlowConfig> {
     (8usize..20, 2usize..20, 20f32..100.0, 0u16..3, any::<u64>()).prop_map(
@@ -89,23 +88,6 @@ proptest! {
         let s = ClimateGenerator::new(cfg).generate(idx);
         let bytes = serialize::deepcam_to_h5(&s).unwrap();
         prop_assert_eq!(serialize::deepcam_from_h5(&bytes).unwrap(), s);
-    }
-
-    /// TFRecord streams round-trip arbitrary record sets under every
-    /// compression mode.
-    #[test]
-    fn tfrecord_roundtrip_any_records(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 0..12),
-    ) {
-        for compression in [Compression::None, Compression::Gzip, Compression::Zlib] {
-            let mut w = TfRecordWriter::new();
-            for r in &records {
-                w.write_record(r);
-            }
-            let stream = w.finish(compression);
-            let mut reader = TfRecordReader::new(&stream, compression).unwrap();
-            prop_assert_eq!(reader.read_all().unwrap(), records.clone());
-        }
     }
 
     /// h5lite never panics on arbitrary bytes.

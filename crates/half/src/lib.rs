@@ -38,27 +38,14 @@ pub struct F16(pub u16);
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0x0000);
-    /// Negative zero.
-    pub const NEG_ZERO: F16 = F16(0x8000);
     /// One.
     pub const ONE: F16 = F16(0x3C00);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7C00);
-    /// Negative infinity.
-    pub const NEG_INFINITY: F16 = F16(0xFC00);
     /// A canonical quiet NaN.
     pub const NAN: F16 = F16(0x7E00);
     /// Largest finite value, 65504.
     pub const MAX: F16 = F16(0x7BFF);
-    /// Smallest positive normal value, 2^-14.
-    pub const MIN_POSITIVE: F16 = F16(0x0400);
-    /// Smallest positive subnormal value, 2^-24.
-    pub const MIN_POSITIVE_SUBNORMAL: F16 = F16(0x0001);
-    /// Machine epsilon (2^-10): difference between 1.0 and the next value.
-    pub const EPSILON: F16 = F16(0x1400);
-
-    /// Number of bytes in the wire representation.
-    pub const BYTES: usize = 2;
 
     /// Converts an `f32` with round-to-nearest-even.
     #[inline]
@@ -108,62 +95,16 @@ impl F16 {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
     }
 
-    /// True if the value is +inf or -inf.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        self.0 & 0x7FFF == 0x7C00
-    }
-
     /// True if the value is neither infinite nor NaN.
     #[inline]
     pub fn is_finite(self) -> bool {
         self.0 & 0x7C00 != 0x7C00
     }
 
-    /// True for nonzero values with a zero exponent field (subnormals).
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & 0x7C00) == 0 && (self.0 & 0x03FF) != 0
-    }
-
-    /// Sign bit as a bool (true = negative, including -0.0 and NaNs with
-    /// the sign bit set).
-    #[inline]
-    pub fn is_sign_negative(self) -> bool {
-        self.0 & 0x8000 != 0
-    }
-
     /// Absolute value (clears the sign bit).
     #[inline]
     pub fn abs(self) -> F16 {
         F16(self.0 & 0x7FFF)
-    }
-
-    /// Distance in units-in-the-last-place between two finite values.
-    ///
-    /// Uses the standard monotone integer mapping of IEEE floats: negative
-    /// values map below zero so the distance across zero is meaningful.
-    /// Returns `u32::MAX` if either value is NaN.
-    pub fn ulp_distance(self, other: F16) -> u32 {
-        if self.is_nan() || other.is_nan() {
-            return u32::MAX;
-        }
-        fn key(v: F16) -> i32 {
-            let b = v.0;
-            if b & 0x8000 != 0 {
-                -((b & 0x7FFF) as i32)
-            } else {
-                (b & 0x7FFF) as i32
-            }
-        }
-        (key(self) - key(other)).unsigned_abs()
-    }
-
-    /// Relative error of `self` as an approximation of the exact `f32`
-    /// reference value. Zero reference with zero value gives 0; zero
-    /// reference with nonzero value gives infinity.
-    pub fn relative_error(self, reference: f32) -> f32 {
-        relative_error(self.to_f32(), reference)
     }
 }
 
@@ -223,39 +164,23 @@ mod tests {
         assert_eq!(F16::ZERO.to_f32(), 0.0);
         assert_eq!(F16::ONE.to_f32(), 1.0);
         assert_eq!(F16::MAX.to_f32(), 65504.0);
-        assert_eq!(F16::MIN_POSITIVE.to_f32(), 6.103_515_6e-5);
-        assert_eq!(F16::MIN_POSITIVE_SUBNORMAL.to_f32(), 5.960_464_5e-8);
         assert!(F16::NAN.is_nan());
-        assert!(F16::INFINITY.is_infinite());
-        assert!(F16::NEG_INFINITY.is_infinite());
-        assert!(F16::NEG_INFINITY.is_sign_negative());
+        assert_eq!(F16::INFINITY.to_f32(), f32::INFINITY);
     }
 
     #[test]
     fn classification() {
         assert!(F16::ZERO.is_zero());
-        assert!(F16::NEG_ZERO.is_zero());
-        assert!(F16::from_f32(1e-6).is_subnormal());
+        assert!(F16::from_f32(-0.0).is_zero());
         assert!(F16::ONE.is_finite());
         assert!(!F16::INFINITY.is_finite());
         assert!(!F16::NAN.is_finite());
-        assert!(!F16::ONE.is_subnormal());
-        assert!(!F16::ZERO.is_subnormal());
     }
 
     #[test]
     fn abs_clears_sign() {
         assert_eq!(F16::from_f32(-2.5).abs().to_f32(), 2.5);
-        assert_eq!(F16::NEG_ZERO.abs(), F16::ZERO);
-    }
-
-    #[test]
-    fn ulp_distance_basics() {
-        assert_eq!(F16::ONE.ulp_distance(F16::ONE), 0);
-        assert_eq!(F16::ONE.ulp_distance(F16(0x3C01)), 1);
-        // across zero: +min_subnormal and -min_subnormal are 2 apart
-        assert_eq!(F16::MIN_POSITIVE_SUBNORMAL.ulp_distance(F16(0x8001)), 2);
-        assert_eq!(F16::NAN.ulp_distance(F16::ONE), u32::MAX);
+        assert_eq!(F16::from_f32(-0.0).abs(), F16::ZERO);
     }
 
     #[test]

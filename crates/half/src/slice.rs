@@ -81,19 +81,6 @@ pub fn from_le_bytes(bytes: &[u8]) -> Option<Vec<F16>> {
     )
 }
 
-/// Maximum ULP distance between two half slices; `u32::MAX` on NaN or
-/// length mismatch.
-pub fn max_ulp_distance(a: &[F16], b: &[F16]) -> u32 {
-    if a.len() != b.len() {
-        return u32::MAX;
-    }
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| x.ulp_distance(*y))
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,15 +120,5 @@ mod tests {
         assert_eq!(bytes.len(), 6);
         assert_eq!(from_le_bytes(&bytes).unwrap(), halves);
         assert!(from_le_bytes(&bytes[..5]).is_none());
-    }
-
-    #[test]
-    fn max_ulp() {
-        let a = narrow(&[1.0, 2.0]);
-        let mut b = a.clone();
-        assert_eq!(max_ulp_distance(&a, &b), 0);
-        b[1] = F16(b[1].0 + 3);
-        assert_eq!(max_ulp_distance(&a, &b), 3);
-        assert_eq!(max_ulp_distance(&a, &a[..1]), u32::MAX);
     }
 }

@@ -114,7 +114,7 @@ proptest! {
     #[test]
     fn sign_preserved(v in any::<f32>()) {
         prop_assume!(!v.is_nan());
-        prop_assert_eq!(F16::from_f32(v).is_sign_negative(), v.is_sign_negative());
+        prop_assert_eq!(F16::from_f32(v).to_bits() & 0x8000 != 0, v.is_sign_negative());
     }
 
     /// Widened addition then rounding equals F16 Add operator.

@@ -55,13 +55,6 @@ impl Sequential {
             l.visit_params(f);
         }
     }
-
-    /// Total trainable parameters.
-    pub fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p, _| n += p.len());
-        n
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -215,84 +208,6 @@ impl Layer for Flatten {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         grad_out.clone().reshape(&self.in_shape)
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-}
-
-// ---------------------------------------------------------------------
-
-/// Inverted dropout with its own deterministic RNG stream.
-///
-/// The paper attributes part of CosmoFlow's run-to-run convergence
-/// variance to "internal DNN processing, such as random weight
-/// drop-offs" (§VIII-A); this layer reproduces that source of
-/// stochasticity under seed control so base-vs-decoded comparisons can
-/// hold it fixed or vary it deliberately.
-pub struct Dropout {
-    /// Probability of zeroing an activation.
-    p: f32,
-    rng: StdRng,
-    mask: Vec<f32>,
-    /// Training mode: when false the layer is the identity.
-    pub training: bool,
-}
-
-impl Dropout {
-    /// New dropout layer with drop probability `p` and its own seed.
-    pub fn new(p: f32, seed: u64) -> Self {
-        use rand::SeedableRng;
-        assert!((0.0..1.0).contains(&p), "p must be in [0, 1)");
-        Self {
-            p,
-            rng: StdRng::seed_from_u64(seed),
-            mask: Vec::new(),
-            training: true,
-        }
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        if !self.training || self.p == 0.0 {
-            self.mask.clear();
-            return input.clone();
-        }
-        use rand::Rng;
-        let keep = 1.0 - self.p;
-        self.mask = (0..input.len())
-            .map(|_| {
-                if self.rng.gen::<f32>() < keep {
-                    1.0 / keep // inverted scaling keeps expectations equal
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        Tensor {
-            shape: input.shape.clone(),
-            data: input
-                .data
-                .iter()
-                .zip(&self.mask)
-                .map(|(&v, &m)| v * m)
-                .collect(),
-        }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        if self.mask.is_empty() {
-            return grad_out.clone();
-        }
-        Tensor {
-            shape: grad_out.shape.clone(),
-            data: grad_out
-                .data
-                .iter()
-                .zip(&self.mask)
-                .map(|(&g, &m)| g * m)
-                .collect(),
-        }
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
@@ -769,42 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_scales_and_masks_deterministically() {
-        let mut d = Dropout::new(0.5, 42);
-        let x = Tensor::from_vec(&[1, 8], vec![1.0; 8]);
-        let y = d.forward(&x);
-        // Inverted dropout: survivors are scaled by 1/keep = 2.0.
-        assert!(y.data.iter().all(|&v| v == 0.0 || v == 2.0));
-        assert!(y.data.contains(&0.0));
-        assert!(y.data.contains(&2.0));
-        // Gradient routes through the same mask.
-        let g = d.backward(&Tensor::from_vec(&[1, 8], vec![1.0; 8]));
-        assert_eq!(g.data, y.data);
-        // Same seed reproduces the same masks.
-        let mut d2 = Dropout::new(0.5, 42);
-        assert_eq!(d2.forward(&x).data, y.data);
-    }
-
-    #[test]
-    fn dropout_eval_mode_is_identity() {
-        let mut d = Dropout::new(0.5, 1);
-        d.training = false;
-        let x = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.forward(&x), x);
-        let g = Tensor::from_vec(&[2, 2], vec![0.5; 4]);
-        assert_eq!(d.backward(&g), g);
-    }
-
-    #[test]
-    fn dropout_preserves_expectation() {
-        let mut d = Dropout::new(0.3, 7);
-        let x = Tensor::from_vec(&[1, 10_000], vec![1.0; 10_000]);
-        let y = d.forward(&x);
-        let mean = y.mean();
-        assert!((mean - 1.0).abs() < 0.05, "{mean}");
-    }
-
-    #[test]
     fn sequential_composes_and_counts_params() {
         let mut rng = Tensor::rng(6);
         let mut net = Sequential::new(vec![
@@ -816,6 +695,8 @@ mod tests {
         let y = net.forward(&x);
         assert_eq!(y.shape, vec![5, 2]);
         net.backward(&Tensor::from_vec(&y.shape, vec![1.0; y.len()]));
-        assert_eq!(net.param_count(), 8 * 4 + 4 + 4 * 2 + 2);
+        let mut params = 0;
+        net.visit_params(&mut |p, _| params += p.len());
+        assert_eq!(params, 8 * 4 + 4 + 4 * 2 + 2);
     }
 }

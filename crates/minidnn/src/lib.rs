@@ -12,34 +12,20 @@
 //!   hand-written backprop, and [`layers::Sequential`] to compose them;
 //! * [`loss`] — MSE (CosmoFlow's parameter regression) and softmax
 //!   cross-entropy over pixels (DeepCAM's segmentation);
-//! * [`optim`] — SGD with momentum and Adam;
+//! * [`optim`] — SGD with momentum;
 //! * [`models`] — the scaled-down CosmoFlow and DeepCAM networks;
-//! * [`train`] — the training loop with a fixed learning schedule and
-//!   FP32/FP16 input paths.
+//! * [`train`] — one training loop per task, each with a fixed learning
+//!   schedule (linear warmup, then constant) and an optional validation
+//!   set.
 //!
 //! Determinism: every weight init and shuffle takes an explicit seed, so
 //! base-vs-decoded runs differ *only* in their input bytes.
 
 pub mod layers;
 pub mod loss;
-pub mod metrics;
 pub mod models;
 pub mod optim;
-pub mod schedule;
-pub mod telemetry;
 pub mod tensor;
 pub mod train;
 
-pub use telemetry::TrainTelemetry;
 pub use tensor::Tensor;
-
-/// Input numeric path: the baseline feeds FP32 samples, the decoded path
-/// feeds FP16 (widened at the framework boundary, as mixed-precision
-/// engines do).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputPath {
-    /// FP32 samples straight from storage.
-    Fp32Base,
-    /// FP16 samples produced by a decoder plugin.
-    Fp16Decoded,
-}

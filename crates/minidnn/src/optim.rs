@@ -1,4 +1,5 @@
-//! Optimizers: SGD with momentum, and Adam.
+//! The optimizer interface and SGD with momentum, the optimizer both
+//! convergence runs train with.
 
 use crate::layers::Sequential;
 use crate::tensor::Tensor;
@@ -8,10 +9,8 @@ pub trait Optimizer {
     /// One update step over every parameter of the network.
     fn step(&mut self, net: &mut Sequential);
 
-    /// Current learning rate (after schedule adjustments).
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by warmup/decay schedules).
+    /// Overrides the learning rate (the training loops' warmup sets it
+    /// every step).
     fn set_learning_rate(&mut self, lr: f32);
 }
 
@@ -53,81 +52,6 @@ impl Optimizer for Sgd {
         });
     }
 
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam optimizer (the CosmoFlow reference uses SGD; Adam is provided
-/// for the DeepCAM-style schedule and ablations).
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// New Adam optimizer with standard betas.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Sequential) {
-        self.t += 1;
-        let (b1, b2) = (self.beta1, self.beta2);
-        let bc1 = 1.0 - b1.powi(self.t as i32);
-        let bc2 = 1.0 - b2.powi(self.t as i32);
-        let lr = self.lr;
-        let eps = self.eps;
-        let mut i = 0;
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        net.visit_params(&mut |p, g| {
-            if ms.len() == i {
-                ms.push(Tensor::zeros(&p.shape));
-                vs.push(Tensor::zeros(&p.shape));
-            }
-            let m = &mut ms[i];
-            let v = &mut vs[i];
-            for (((mv, vv), pv), gv) in m
-                .data
-                .iter_mut()
-                .zip(&mut v.data)
-                .zip(&mut p.data)
-                .zip(&g.data)
-            {
-                *mv = b1 * *mv + (1.0 - b1) * gv;
-                *vv = b2 * *vv + (1.0 - b2) * gv * gv;
-                let mhat = *mv / bc1;
-                let vhat = *vv / bc2;
-                *pv -= lr * mhat / (vhat.sqrt() + eps);
-            }
-            g.zero();
-            i += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
@@ -163,12 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_linear_problem() {
-        let mut opt = Adam::new(0.05);
-        assert!(quadratic_fit(&mut opt) < 1e-3);
-    }
-
-    #[test]
     fn step_zeroes_gradients() {
         let mut rng = Tensor::rng(2);
         let mut net = Sequential::new(vec![Box::new(Dense::new(2, 1, &mut rng))]);
@@ -179,13 +97,5 @@ mod tests {
         let mut opt = Sgd::new(0.1, 0.0);
         opt.step(&mut net);
         net.visit_params(&mut |_, g| assert!(g.data.iter().all(|&v| v == 0.0)));
-    }
-
-    #[test]
-    fn learning_rate_is_settable() {
-        let mut opt = Sgd::new(0.1, 0.9);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

@@ -4,13 +4,10 @@
 use crate::layers::Sequential;
 use crate::loss::{mse, softmax_cross_entropy};
 use crate::optim::Optimizer;
-use crate::telemetry::TrainTelemetry;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sciml_half::F16;
-use std::time::Instant;
 
 /// Training-schedule parameters ("we merely used the same learning
 /// schedule — warmup, learning rate — for both classes of samples").
@@ -56,15 +53,10 @@ impl History {
     pub fn final_loss(&self) -> f32 {
         *self.epoch_losses.last().unwrap_or(&f32::NAN)
     }
-
-    /// Final epoch's validation loss.
-    pub fn final_val_loss(&self) -> f32 {
-        *self.val_losses.last().unwrap_or(&f32::NAN)
-    }
 }
 
 /// Forward-only mean MSE over a sample set (no gradient, no update).
-pub fn evaluate_regression(
+fn evaluate_regression(
     net: &mut Sequential,
     samples: &[Vec<f32>],
     input_shape: &[usize],
@@ -84,7 +76,7 @@ pub fn evaluate_regression(
 }
 
 /// Forward-only mean pixel cross-entropy over a sample set.
-pub fn evaluate_segmentation(
+fn evaluate_segmentation(
     net: &mut Sequential,
     samples: &[Vec<f32>],
     input_shape: &[usize],
@@ -105,12 +97,6 @@ pub fn evaluate_segmentation(
     (sum / samples.len().max(1) as f64) as f32
 }
 
-/// Simulates the mixed-precision input boundary: rounds every value
-/// through FP16 (what the decoded-sample path feeds the framework).
-pub fn fp16_roundtrip(values: &[f32]) -> Vec<f32> {
-    values.iter().map(|&v| F16::from_f32(v).to_f32()).collect()
-}
-
 fn lr_at(cfg: &TrainConfig, step: usize) -> f32 {
     if step < cfg.warmup_steps {
         cfg.base_lr * (step + 1) as f32 / cfg.warmup_steps as f32
@@ -128,7 +114,11 @@ fn epoch_order(cfg: &TrainConfig, epoch: usize, n: usize) -> Vec<usize> {
 
 /// Trains a regression network (CosmoFlow-mini): `samples[i]` is a
 /// flattened input of shape `input_shape`, `labels[i]` the 4-parameter
-/// target.
+/// target. A held-out `validation` set, when given, is evaluated after
+/// every epoch (the paper tracked validation loss too: "the same
+/// behavior is also seen in the loss function of the validation
+/// samples").
+#[allow(clippy::type_complexity)]
 pub fn train_regression(
     net: &mut Sequential,
     opt: &mut dyn Optimizer,
@@ -136,71 +126,7 @@ pub fn train_regression(
     input_shape: &[usize],
     labels: &[[f32; 4]],
     cfg: &TrainConfig,
-) -> History {
-    train_regression_val(net, opt, samples, input_shape, labels, cfg, None)
-}
-
-/// [`train_regression`] with an optional held-out validation set,
-/// evaluated after every epoch (the paper tracked validation loss too:
-/// "the same behavior is also seen in the loss function of the
-/// validation samples").
-#[allow(clippy::type_complexity)]
-pub fn train_regression_val(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    labels: &[[f32; 4]],
-    cfg: &TrainConfig,
     validation: Option<(&[Vec<f32>], &[[f32; 4]])>,
-) -> History {
-    train_regression_impl(
-        net,
-        opt,
-        samples,
-        input_shape,
-        labels,
-        cfg,
-        validation,
-        None,
-    )
-}
-
-/// [`train_regression_val`] recording every optimizer step into
-/// `telemetry` (`train.steps`, `train.samples`, `train.step_ns`).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn train_regression_observed(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    labels: &[[f32; 4]],
-    cfg: &TrainConfig,
-    validation: Option<(&[Vec<f32>], &[[f32; 4]])>,
-    telemetry: &TrainTelemetry,
-) -> History {
-    train_regression_impl(
-        net,
-        opt,
-        samples,
-        input_shape,
-        labels,
-        cfg,
-        validation,
-        Some(telemetry),
-    )
-}
-
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn train_regression_impl(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    labels: &[[f32; 4]],
-    cfg: &TrainConfig,
-    validation: Option<(&[Vec<f32>], &[[f32; 4]])>,
-    telemetry: Option<&TrainTelemetry>,
 ) -> History {
     assert_eq!(samples.len(), labels.len(), "sample/label count mismatch");
     let per_sample: usize = input_shape.iter().product();
@@ -223,14 +149,10 @@ fn train_regression_impl(
             let x = Tensor::from_vec(&shape, data);
             let y = Tensor::from_vec(&[chunk.len(), 4], target);
             opt.set_learning_rate(lr_at(cfg, step));
-            let step_start = telemetry.map(|_| Instant::now());
             let pred = net.forward(&x);
             let (l, g) = mse(&pred, &y);
             net.backward(&g);
             opt.step(net);
-            if let (Some(tel), Some(start)) = (telemetry, step_start) {
-                tel.record_step(chunk.len() as u64, start.elapsed());
-            }
             history.step_losses.push(l);
             epoch_sum += l as f64;
             epoch_batches += 1;
@@ -250,8 +172,9 @@ fn train_regression_impl(
 
 /// Trains a segmentation network (DeepCAM-mini): `samples[i]` is a
 /// flattened `[C, H, W]` input, `masks[i]` the per-pixel class ids
-/// already cropped to the logits' spatial size.
-#[allow(clippy::too_many_arguments)]
+/// already cropped to the logits' spatial size. A held-out `validation`
+/// set, when given, is evaluated after every epoch.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub fn train_segmentation(
     net: &mut Sequential,
     opt: &mut dyn Optimizer,
@@ -260,73 +183,7 @@ pub fn train_segmentation(
     masks: &[Vec<u8>],
     classes: usize,
     cfg: &TrainConfig,
-) -> History {
-    train_segmentation_val(net, opt, samples, input_shape, masks, classes, cfg, None)
-}
-
-/// [`train_segmentation`] with an optional held-out validation set.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn train_segmentation_val(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    masks: &[Vec<u8>],
-    classes: usize,
-    cfg: &TrainConfig,
     validation: Option<(&[Vec<f32>], &[Vec<u8>])>,
-) -> History {
-    train_segmentation_impl(
-        net,
-        opt,
-        samples,
-        input_shape,
-        masks,
-        classes,
-        cfg,
-        validation,
-        None,
-    )
-}
-
-/// [`train_segmentation_val`] recording every optimizer step into
-/// `telemetry` (`train.steps`, `train.samples`, `train.step_ns`).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn train_segmentation_observed(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    masks: &[Vec<u8>],
-    classes: usize,
-    cfg: &TrainConfig,
-    validation: Option<(&[Vec<f32>], &[Vec<u8>])>,
-    telemetry: &TrainTelemetry,
-) -> History {
-    train_segmentation_impl(
-        net,
-        opt,
-        samples,
-        input_shape,
-        masks,
-        classes,
-        cfg,
-        validation,
-        Some(telemetry),
-    )
-}
-
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn train_segmentation_impl(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    masks: &[Vec<u8>],
-    classes: usize,
-    cfg: &TrainConfig,
-    validation: Option<(&[Vec<f32>], &[Vec<u8>])>,
-    telemetry: Option<&TrainTelemetry>,
 ) -> History {
     assert_eq!(samples.len(), masks.len(), "sample/mask count mismatch");
     let per_sample: usize = input_shape.iter().product();
@@ -347,7 +204,6 @@ fn train_segmentation_impl(
             }
             let x = Tensor::from_vec(&shape, data);
             opt.set_learning_rate(lr_at(cfg, step));
-            let step_start = telemetry.map(|_| Instant::now());
             let logits = net.forward(&x);
             // Flatten spatial dims: [B, classes, P].
             let b = chunk.len();
@@ -356,9 +212,6 @@ fn train_segmentation_impl(
             let (l, g) = softmax_cross_entropy(&logits, &labels, classes);
             net.backward(&g);
             opt.step(net);
-            if let (Some(tel), Some(start)) = (telemetry, step_start) {
-                tel.record_step(chunk.len() as u64, start.elapsed());
-            }
             history.step_losses.push(l);
             epoch_sum += l as f64;
             epoch_batches += 1;
@@ -410,7 +263,7 @@ mod tests {
             warmup_steps: 4,
             shuffle_seed: 1,
         };
-        let h = train_regression(&mut net, &mut opt, &xs, &[4, 12, 12, 12], &ys, &cfg);
+        let h = train_regression(&mut net, &mut opt, &xs, &[4, 12, 12, 12], &ys, &cfg, None);
         assert_eq!(h.epoch_losses.len(), 5);
         assert_eq!(h.step_losses.len(), 5 * 4);
         assert!(
@@ -447,7 +300,7 @@ mod tests {
             warmup_steps: 3,
             shuffle_seed: 2,
         };
-        let hist = train_segmentation(&mut net, &mut opt, &xs, &[c, h_, w], &ms, 3, &cfg);
+        let hist = train_segmentation(&mut net, &mut opt, &xs, &[c, h_, w], &ms, 3, &cfg, None);
         assert!(
             hist.final_loss() < hist.epoch_losses[0] * 0.9,
             "{:?}",
@@ -469,7 +322,7 @@ mod tests {
             warmup_steps: 4,
             shuffle_seed: 1,
         };
-        let h = train_regression_val(
+        let h = train_regression(
             &mut net,
             &mut opt,
             train_x,
@@ -480,7 +333,7 @@ mod tests {
         );
         assert_eq!(h.val_losses.len(), 5);
         // Validation loss on the same distribution should also fall.
-        assert!(h.final_val_loss() < h.val_losses[0], "{:?}", h.val_losses);
+        assert!(h.val_losses[4] < h.val_losses[0], "{:?}", h.val_losses);
     }
 
     #[test]
@@ -495,17 +348,9 @@ mod tests {
             &[4, 12, 12, 12],
             &ys,
             &TrainConfig::default(),
+            None,
         );
         assert!(h.val_losses.is_empty());
-    }
-
-    #[test]
-    fn fp16_roundtrip_changes_little() {
-        let vals = vec![0.1f32, 100.0, -3.5, 0.0];
-        let r = fp16_roundtrip(&vals);
-        for (a, b) in vals.iter().zip(&r) {
-            assert!((a - b).abs() <= a.abs() * 0.001 + 1e-6);
-        }
     }
 
     #[test]
@@ -515,44 +360,9 @@ mod tests {
         let run = || {
             let mut net = cosmoflow_mini(12, 7);
             let mut opt = Sgd::new(1e-3, 0.9);
-            train_regression(&mut net, &mut opt, &xs, &[4, 12, 12, 12], &ys, &cfg)
+            train_regression(&mut net, &mut opt, &xs, &[4, 12, 12, 12], &ys, &cfg, None)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn observed_training_matches_history_and_counts_steps() {
-        let (xs, ys) = toy_regression_data(4);
-        let cfg = TrainConfig::default();
-        let plain = {
-            let mut net = cosmoflow_mini(12, 7);
-            let mut opt = Sgd::new(1e-3, 0.9);
-            train_regression(&mut net, &mut opt, &xs, &[4, 12, 12, 12], &ys, &cfg)
-        };
-        let tel = TrainTelemetry::default();
-        let observed = {
-            let mut net = cosmoflow_mini(12, 7);
-            let mut opt = Sgd::new(1e-3, 0.9);
-            train_regression_observed(
-                &mut net,
-                &mut opt,
-                &xs,
-                &[4, 12, 12, 12],
-                &ys,
-                &cfg,
-                None,
-                &tel,
-            )
-        };
-        assert_eq!(plain, observed, "telemetry must not perturb training");
-        assert_eq!(tel.steps() as usize, observed.step_losses.len());
-        assert_eq!(tel.samples() as usize, xs.len() * cfg.epochs);
-        let snap = tel.registry().snapshot();
-        assert_eq!(
-            snap.histogram("train.step_ns").unwrap().count,
-            tel.steps(),
-            "one latency record per step"
-        );
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Read + write interest.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
     /// Neither direction (keeps the registration alive for errors).
     pub const NONE: Interest = Interest {
         readable: false,
@@ -655,7 +650,14 @@ mod tests {
         let (mut server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
         poller
-            .register(fd_of(&server_side), 9, Interest::BOTH)
+            .register(
+                fd_of(&server_side),
+                9,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
             .unwrap();
         client.write_all(b"ping").unwrap();
         let mut saw_read = false;

@@ -108,17 +108,11 @@ impl Tracer {
         })
     }
 
-    /// Disabled tracer: spans are free, nothing is recorded. Can be
-    /// enabled later with [`Tracer::set_enabled`].
+    /// Disabled tracer: spans are free, nothing is recorded.
     pub fn disabled() -> Arc<Self> {
         let t = Self::new(1024);
         t.enabled.store(false, Ordering::Relaxed);
         t
-    }
-
-    /// Turns recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether spans currently record.
@@ -129,13 +123,6 @@ impl Tracer {
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock time of the tracer's epoch, nanoseconds since the
-    /// Unix epoch. `trace-merge` uses it to align timelines recorded in
-    /// different processes.
-    pub fn epoch_unix_ns(&self) -> u64 {
-        self.epoch_unix_ns
     }
 
     /// Opens a span; it records when the guard drops. When the tracer
@@ -372,9 +359,6 @@ mod tests {
         let tracer = Tracer::disabled();
         drop(tracer.span("test", "ignored"));
         assert!(tracer.events().is_empty());
-        tracer.set_enabled(true);
-        drop(tracer.span("test", "kept"));
-        assert_eq!(tracer.events().len(), 1);
     }
 
     #[test]

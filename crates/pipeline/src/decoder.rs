@@ -11,7 +11,6 @@ use sciml_data::serialize;
 use sciml_gpusim::{decode_cosmo_into, decode_deepcam_into, Gpu};
 use sciml_half::F16;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A decoded, preprocessed, FP16 sample ready for batching.
 ///
@@ -90,7 +89,7 @@ fn with_inflated<R>(bytes: &[u8], limit: usize, f: impl FnOnce(&[u8]) -> Result<
     })
 }
 
-/// Baseline: uncompressed f32 TFRecord payload, per-voxel op on the CPU.
+/// Baseline: uncompressed f32 `CFSM` payload, per-voxel op on the CPU.
 pub struct CosmoBaseline {
     /// Preprocessing operator (the benchmark uses `Log1p`).
     pub op: Op,
@@ -173,36 +172,22 @@ impl DecoderPlugin for CosmoPluginCpu {
     }
 }
 
-/// GPU plugin: the same encoding decoded on the SIMT simulator; the
-/// simulated device time accumulates for the platform model.
+/// GPU plugin: the same encoding decoded on the SIMT simulator.
 pub struct CosmoPluginGpu {
     /// Simulated device.
     pub gpu: Gpu,
     /// Preprocessing operator (fused).
     pub op: Op,
-    /// Accumulated simulated device nanoseconds.
-    pub device_ns: AtomicU64,
 }
 
 impl CosmoPluginGpu {
     /// Creates a GPU plugin over a simulated device.
     pub fn new(gpu: Gpu, op: Op) -> Self {
-        Self {
-            gpu,
-            op,
-            device_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Simulated device time spent decoding, in seconds.
-    pub fn device_seconds(&self) -> f64 {
-        self.device_ns.load(Ordering::Relaxed) as f64 * 1e-9
+        Self { gpu, op }
     }
 
     fn decode_view_into(&self, view: &cf::CosmoView<'_>, out: &mut [F16]) -> Result<Label> {
-        let (_, time) = decode_cosmo_into(&self.gpu, view, self.op, out)?;
-        self.device_ns
-            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
+        decode_cosmo_into(&self.gpu, view, self.op, out)?;
         Ok(Label::Cosmo(view.label))
     }
 }
@@ -333,29 +318,16 @@ pub struct DeepCamPluginGpu {
     pub gpu: Gpu,
     /// Fused operator.
     pub op: Op,
-    /// Accumulated simulated device nanoseconds.
-    pub device_ns: AtomicU64,
 }
 
 impl DeepCamPluginGpu {
     /// Creates a GPU plugin over a simulated device.
     pub fn new(gpu: Gpu, op: Op) -> Self {
-        Self {
-            gpu,
-            op,
-            device_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Simulated device time spent decoding, in seconds.
-    pub fn device_seconds(&self) -> f64 {
-        self.device_ns.load(Ordering::Relaxed) as f64 * 1e-9
+        Self { gpu, op }
     }
 
     fn decode_view_into(&self, view: &dc::DeepCamView<'_>, out: &mut [F16]) -> Result<Label> {
-        let (_, time) = decode_deepcam_into(&self.gpu, view, self.op, out)?;
-        self.device_ns
-            .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
+        decode_deepcam_into(&self.gpu, view, self.op, out)?;
         Ok(Label::Mask(view.mask.to_vec()))
     }
 }
@@ -619,15 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_plugins_accumulate_device_time() {
-        let (_, _, enc) = cosmo_payloads();
-        let plugin = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), Op::Log1p);
-        plugin.decode(&enc).unwrap();
-        plugin.decode(&enc).unwrap();
-        assert!(plugin.device_seconds() > 0.0);
-    }
-
-    #[test]
     fn corrupt_bytes_error_cleanly() {
         assert!(CosmoBaseline { op: Op::Log1p }.decode(b"junk").is_err());
         assert!(CosmoGzip { op: Op::Log1p }.decode(b"junk").is_err());
@@ -638,5 +601,32 @@ mod tests {
         assert!(DeepCamPluginCpu { op: Op::Identity }
             .decode(b"junk")
             .is_err());
+    }
+
+    /// An h5lite image whose `data` is f32 `[1, 2^63, 2]` and whose
+    /// `label` is u8 `[2^63, 2]`, both empty and under a valid CRC: each
+    /// shape's element count wraps to 0 in a `u64`, so unchecked it
+    /// would parse as a sample 2^63 lines high with no values, and
+    /// decode into an empty slot.
+    #[test]
+    fn deepcam_baseline_rejects_a_shape_that_overflows() {
+        const SHAPE_OVERFLOW: &[u8] = &[
+            b'H', b'5', b'L', b'T', 1, 0, 2, 0, // magic, version 1, 2 datasets
+            4, 0, b'd', b'a', b't', b'a', 0, 3, // "data", f32, rank 3
+            1, 0, 0, 0, 0, 0, 0, 0, // 1
+            0, 0, 0, 0, 0, 0, 0, 0x80, // 2^63
+            2, 0, 0, 0, 0, 0, 0, 0, // 2
+            0, 0, 0, 0, 0, 0, 0, 0, // payload offset
+            0, 0, 0, 0, 0, 0, 0, 0, // payload length
+            5, 0, b'l', b'a', b'b', b'e', b'l', 2, 2, // "label", u8, rank 2
+            0, 0, 0, 0, 0, 0, 0, 0x80, // 2^63
+            2, 0, 0, 0, 0, 0, 0, 0, // 2
+            0, 0, 0, 0, 0, 0, 0, 0, // payload offset
+            0, 0, 0, 0, 0, 0, 0, 0, // payload length
+            0x64, 0xc2, 0xa3, 0x25, // CRC-32 of all of the above
+        ];
+        let plugin = DeepCamBaseline { op: Op::Identity };
+        assert!(plugin.decode_into(SHAPE_OVERFLOW, &mut []).is_err());
+        assert!(plugin.decode(SHAPE_OVERFLOW).is_err());
     }
 }

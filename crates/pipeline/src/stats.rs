@@ -102,11 +102,6 @@ impl PipelineStats {
         self.decode_ns.sum() as f64 * 1e-9
     }
 
-    /// Seconds the consumer spent blocked on the pipeline.
-    pub fn wait_seconds(&self) -> f64 {
-        self.wait_ns.sum() as f64 * 1e-9
-    }
-
     /// Samples delivered.
     pub fn sample_count(&self) -> u64 {
         self.samples.get()
@@ -120,16 +115,6 @@ impl PipelineStats {
     /// Bytes fetched from the source.
     pub fn byte_count(&self) -> u64 {
         self.bytes.get()
-    }
-
-    /// Fetch errors observed.
-    pub fn fetch_error_count(&self) -> u64 {
-        self.fetch_errors.get()
-    }
-
-    /// Decode errors observed.
-    pub fn decode_error_count(&self) -> u64 {
-        self.decode_errors.get()
     }
 }
 

@@ -13,10 +13,8 @@
 use crate::spec::{BandwidthCurve, PlatformSpec};
 use crate::workload::WorkloadProfile;
 use sciml_codec::cosmoflow as cf;
-use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
-use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
 use sciml_gpusim::GpuSpec;
 use std::time::Instant;
@@ -84,63 +82,6 @@ pub fn measure_cosmoflow_rates(grid: usize) -> HostRates {
     }
 }
 
-/// Measures DeepCAM-path rates at a reduced image size.
-pub fn measure_deepcam_rates(width: usize, height: usize, channels: usize) -> HostRates {
-    let cfg = DeepCamConfig {
-        width,
-        height,
-        channels,
-        ..DeepCamConfig::default()
-    };
-    let s = ClimateGenerator::new(cfg).generate(0);
-    let h5 = serialize::deepcam_to_h5(&s).expect("serialize");
-    let gz = sciml_compress::gzip_compress(&h5, sciml_compress::Level::Default);
-    let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
-    let raw_bytes = s.raw_f32_bytes() as f64;
-    let op = Op::Normalize {
-        scale: 0.05,
-        offset: 0.0,
-    };
-
-    let time = |mut f: Box<dyn FnMut()>| -> f64 {
-        f();
-        let t0 = Instant::now();
-        let mut iters = 0u32;
-        while t0.elapsed().as_secs_f64() < 0.03 {
-            f();
-            iters += 1;
-        }
-        t0.elapsed().as_secs_f64() / iters.max(1) as f64
-    };
-
-    let t_pre = {
-        let h5 = h5.clone();
-        time(Box::new(move || {
-            let mut s = serialize::deepcam_from_h5(&h5).expect("parse");
-            let mut out = vec![sciml_half::F16::ZERO; s.data.len()];
-            op.narrow_into(&mut s.data, &mut out);
-        }))
-    };
-    let t_inf = {
-        let gz = gz.clone();
-        time(Box::new(move || {
-            let _ = sciml_compress::gzip_decompress(&gz).expect("inflate");
-        }))
-    };
-    let t_dec = {
-        let enc = enc.clone();
-        time(Box::new(move || {
-            let _ = dc::decode(&enc, op).expect("decode");
-        }))
-    };
-
-    HostRates {
-        preproc_bps: raw_bytes / t_pre,
-        inflate_bps: raw_bytes / t_inf,
-        decode_bps: raw_bytes / t_dec,
-    }
-}
-
 /// Builds a workload profile whose host-side costs come from local
 /// measurements (scaled to full-sample raw sizes); storage sizes and
 /// device-side constants stay paper-anchored.
@@ -193,12 +134,6 @@ mod tests {
             r.decode_bps,
             r.preproc_bps
         );
-    }
-
-    #[test]
-    fn deepcam_rates_are_positive() {
-        let r = measure_deepcam_rates(96, 64, 2);
-        assert!(r.preproc_bps > 0.0 && r.inflate_bps > 0.0 && r.decode_bps > 0.0);
     }
 
     #[test]

@@ -356,11 +356,6 @@ impl RemoteSource {
         stats_of(self.call(&Message::Stats)?)
     }
 
-    /// Asks the server to shut down; returns its final stats.
-    pub fn shutdown_server(&self) -> Result<StatsSnapshot, PipelineError> {
-        stats_of(self.call(&Message::Shutdown)?)
-    }
-
     /// Shuts down the server at `addr` without binding to any dataset
     /// (connecting via [`RemoteSource::connect`] would fail when the
     /// dataset name is unknown, which a shutdown caller may not know).

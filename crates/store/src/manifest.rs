@@ -282,16 +282,6 @@ pub struct StagingJournal {
 }
 
 impl StagingJournal {
-    /// Serializes entries to the journal text format.
-    pub fn to_text(entries: &[JournalEntry]) -> String {
-        let mut out = String::from(JOURNAL_HEADER);
-        out.push('\n');
-        for e in entries {
-            out.push_str(&format!("done {} {:08x}\n", e.id, e.crc32));
-        }
-        out
-    }
-
     /// Parses the journal text format. A last line without its newline
     /// is a torn append, and is dropped; any other unknown or malformed
     /// line is an error (a corrupt journal must not be half-trusted). An

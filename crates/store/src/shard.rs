@@ -509,7 +509,6 @@ pub struct ShardReader {
     file: PositionedFile,
     base: u64,
     index: Vec<IndexEntry>,
-    index_offset: u64,
 }
 
 /// Little-endian u64 at the start of `b` (panic-free: copies exactly
@@ -602,7 +601,6 @@ impl ShardReader {
             file,
             base,
             index,
-            index_offset,
         })
     }
 
@@ -614,13 +612,6 @@ impl ShardReader {
     /// Global index of the shard's first sample.
     pub fn base(&self) -> u64 {
         self.base
-    }
-
-    /// Whether any payload in the shard is stored gzip-compressed.
-    pub fn is_gzip(&self) -> bool {
-        self.index
-            .iter()
-            .any(|e| e.encoding == PayloadEncoding::Gzip)
     }
 
     /// Payload encoding of local sample `idx`.
@@ -640,11 +631,6 @@ impl ShardReader {
     /// Raw (decoded) length of local sample `idx`.
     pub fn raw_len(&self, idx: usize) -> Option<u32> {
         self.index.get(idx).map(|e| e.raw_len)
-    }
-
-    /// Bytes the shard file occupies on disk.
-    pub fn file_bytes(&self) -> u64 {
-        self.index_offset + (self.index.len() * ENTRY_LEN + TRAILER_LEN) as u64
     }
 
     /// Fetches local sample `idx`, verifying its CRC (and inflating a
@@ -808,7 +794,7 @@ mod tests {
         let r = ShardReader::open(dir.join(&meta.file)).unwrap();
         assert_eq!(r.count(), 4);
         assert_eq!(r.base(), 7);
-        assert!(!r.is_gzip());
+        assert_eq!(r.encoding_counts().gzip, 0);
         // A recycled buffer, longer and then shorter than the entry.
         let mut buf = vec![0xEE; 1000];
         for (i, want) in samples().iter().enumerate() {
@@ -817,7 +803,8 @@ mod tests {
             assert_eq!(&buf, want, "fetch_into sample {i}");
         }
         r.verify().unwrap();
-        assert_eq!(r.file_bytes(), meta.bytes);
+        let on_disk = std::fs::metadata(dir.join(&meta.file)).unwrap().len();
+        assert_eq!(on_disk, meta.bytes);
         assert!(matches!(
             r.fetch(4),
             Err(StoreError::OutOfRange { idx: 4, len: 4 })
@@ -837,7 +824,7 @@ mod tests {
         )
         .unwrap();
         let r = ShardReader::open(dir.join(&meta.file)).unwrap();
-        assert!(r.is_gzip());
+        assert!(r.encoding_counts().gzip > 0);
         for (i, want) in samples().iter().enumerate() {
             assert_eq!(&r.fetch(i).unwrap(), want, "sample {i}");
             assert_eq!(r.raw_len(i).unwrap() as usize, want.len());

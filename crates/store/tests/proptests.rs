@@ -119,14 +119,19 @@ proptest! {
         prop_assert_eq!(parsed, manifest);
     }
 
-    /// Journal text serialization parses back to the same entries.
+    /// The journal's text — its header, then one `done ID CRC` line per
+    /// completed shard, as `StagingJournal::append` writes it — parses
+    /// back to the same entries.
     #[test]
     fn journal_text_roundtrip(
         raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..32),
     ) {
         let entries: Vec<JournalEntry> =
             raw.iter().map(|&(id, crc32)| JournalEntry { id, crc32 }).collect();
-        let text = StagingJournal::to_text(&entries);
+        let mut text = String::from("sciml-staging v1\n");
+        for e in &entries {
+            text.push_str(&format!("done {} {:08x}\n", e.id, e.crc32));
+        }
         prop_assert_eq!(StagingJournal::parse(&text).unwrap(), entries);
     }
 

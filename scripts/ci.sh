@@ -28,7 +28,10 @@ stage() {
 
 finish() {
     stage_end
-    rm -rf "${obs_dir:-}" "${store_dir:-}" "${tel_dir:-}" "${bench_dir:-}"
+    if [[ -n "${bench_lock:-}" ]]; then
+        cp "$bench_lock" benchmark/Cargo.lock
+    fi
+    rm -rf "${obs_dir:-}" "${store_dir:-}" "${tel_dir:-}" "${bench_dir:-}" "${bench_lock:-}"
     if [[ ${#STAGE_NAMES[@]} -gt 0 ]]; then
         echo
         echo "stage wall times:"
@@ -59,6 +62,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 stage "cargo build --release"
 cargo build --workspace --release
+
+stage "benchmark builds against the tree (cargo check, its lock put back)"
+# Nothing else here compiles `benchmark/`, so a library change that
+# breaks it would surface only when the benchmark is run. The benchmark
+# is its own workspace, and building it rewrites `benchmark/Cargo.lock`
+# (stale since `sciml-store` took the rayon shim; only a change to the
+# benchmark itself may commit that file), so the lock is saved first and
+# put back afterwards — by the exit trap too, should the check fail.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark-check
+cp "$bench_lock" benchmark/Cargo.lock
 
 stage "sciml-lint (token rules + call-graph effects + unsafe inventory)"
 # Scans crates/ AND shims/ (the shim layer carries its own waivers).

@@ -135,7 +135,9 @@ fn training_on_plugin_decoded_deepcam_tracks_training_on_the_originals() {
         let mut net = deepcam_mini(channels, 5);
         let mut opt = Sgd::new(schedule.base_lr, 0.9);
         let shape = [channels, height, width];
-        train_segmentation(&mut net, &mut opt, inputs, &shape, &masks, 3, &schedule)
+        train_segmentation(
+            &mut net, &mut opt, inputs, &shape, &masks, 3, &schedule, None,
+        )
     };
     let (base, from_plugin) = (train(&originals), train(&decoded));
     for (what, run) in [("originals", &base), ("decoded", &from_plugin)] {
