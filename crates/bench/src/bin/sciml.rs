@@ -14,9 +14,10 @@
 //!             [--metrics-out FILE] [--trace-out FILE] [--metrics-text FILE|-]
 //!             [--watch SECS] [--watch-iters N] [--attribution-out FILE]
 //! sciml pack --dir DIR --n N --out DIR [--shard-mb M] [--encoding raw|gzip|auto]
-//! sciml stage (--addr HOST:PORT [--name D] | --addrs A,B,C [--name D] | --dir DIR [--n N])
-//!             --out DIR [--per-shard K] [--workers W] [--encoding raw|gzip|auto]
-//!             # --dir: a packed store (it holds a store.manifest) or N per-sample files
+//! sciml stage (--addr A[,B,...] [--name D] | --dir DIR [--n N [--per-shard K]])
+//!             --out DIR [--workers W] [--encoding raw|gzip|auto]
+//!             # --addr: seeds tried in turn; --dir: a packed store (it holds a
+//!             # store.manifest) or N per-sample files
 //! sciml cluster-plan (--nodes A,B,C --n N [--per-shard K] [--replication R] | --addr HOST:PORT [--name D])
 //! sciml soak --addr HOST:PORT [--name D] [--conns N] [--fetches K]
 //! sciml verify-store DIR           # CRC-check every shard + sample of a packed store
@@ -97,7 +98,7 @@ fn print_usage() {
          fetch --addr A [--name D] [--indices I,J]     fetch samples / stats from a server\n  \
          ..... --decode cosmo|deepcam [--pool-capacity N]  run a pooled decode pipeline over it\n  \
          pack --dir DIR --n N --out DIR                pack per-file samples into .sshard shards\n  \
-         stage (--addr A | --addrs A,B,C | --dir DIR [--n N]) --out DIR  stage a dataset (server, packed store, or N files) into a local packed copy\n  \
+         stage (--addr A[,B,...] | --dir DIR [--n N]) --out DIR  stage a dataset (server, packed store, or N files) into a local packed copy\n  \
          verify-store DIR                              CRC-check every shard of a packed store\n  \
          cluster-plan (--nodes A,B,C --n N | --addr A) print consistent-hash shard placement + balance\n  \
          soak --addr A [--conns N] [--fetches K]       hold N concurrent connections, fetch, report tails\n  \
@@ -904,21 +905,17 @@ fn stage(args: &[String]) -> Result<(), String> {
     let encoding = encoding_flag(args)?;
 
     let (backing, plans): (Arc<dyn SampleSource>, Vec<sciml_store::ShardPlan>) =
-        if let Some(list) = flag(args, "--addrs") {
-            // Cluster staging: dial the first reachable seed, learn the
-            // placement from its ClusterManifest reply, and stage through
-            // a replica-failover source — a node dying mid-stage costs
-            // retries, not the run.
+        if let Some(list) = flag(args, "--addr") {
+            // Each entry is a seed, tried in turn. The first that answers
+            // describes the dataset — its shards and their placement, a
+            // server without cluster config being a cluster of one — and
+            // staging goes through a replica-failover source: a node
+            // dying mid-stage costs retries, not the run.
             let name = flag(args, "--name").unwrap_or_else(|| "default".into());
-            let seeds: Vec<&str> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
             let mut src = None;
-            let mut last_err = String::from("--addrs list is empty");
-            for seed in &seeds {
-                match ClusterSource::connect(seed.to_string(), &name) {
+            let mut last_err = String::from("--addr list is empty");
+            for seed in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+                match ClusterSource::connect(seed, &name) {
                     Ok(s) => {
                         src = Some(s);
                         break;
@@ -926,32 +923,20 @@ fn stage(args: &[String]) -> Result<(), String> {
                     Err(e) => last_err = format!("{seed}: {e}"),
                 }
             }
-            let src = src.ok_or(format!("no cluster seed reachable ({last_err})"))?;
+            let src = src.ok_or(format!("no seed reachable ({last_err})"))?;
             let plan = src.plan();
             let plans: Vec<sciml_store::ShardPlan> = plan.shards.iter().map(|a| a.plan).collect();
             println!(
-            "staging '{name}' from a {}-node cluster (replication {}): {} samples in {} shard(s)",
-            plan.nodes.len(),
-            plan.replication,
-            src.len(),
-            plans.len()
-        );
-            (Arc::new(src), plans)
-        } else if let Some(addr) = flag(args, "--addr") {
-            let name = flag(args, "--name").unwrap_or_else(|| "default".into());
-            let src = RemoteSource::connect(&addr, &name).map_err(|e| e.to_string())?;
-            // Ask the server for its shard partitioning so staging fetches
-            // line up with the store layout (or a synthesized plan).
-            let plans = src.shard_manifest(per_shard).map_err(|e| e.to_string())?;
-            println!(
-                "staging '{name}' from {addr}: {} samples in {} shard(s)",
+                "staging '{name}' from {} node(s) (replication {}): {} samples in {} shard(s)",
+                plan.nodes.len(),
+                plan.replication,
                 src.len(),
                 plans.len()
             );
             (Arc::new(src), plans)
         } else {
             let dir = flag(args, "--dir")
-                .ok_or("--addr HOST:PORT, --addrs A,B,C, or --dir DIR required")?;
+                .ok_or("--addr HOST:PORT[,HOST:PORT...] or --dir DIR required")?;
             if Path::new(&dir).join(sciml_store::MANIFEST_FILE).exists() {
                 // A packed store: stage it shard for shard, by its own
                 // manifest.
@@ -1051,7 +1036,7 @@ fn cluster_plan(args: &[String]) -> Result<(), String> {
     let plan: ClusterPlan = if let Some(addr) = flag(args, "--addr") {
         let name = flag(args, "--name").unwrap_or_else(|| "default".into());
         let src = RemoteSource::connect(&addr, &name).map_err(|e| e.to_string())?;
-        src.cluster_topology().map_err(|e| e.to_string())?
+        src.plan().clone()
     } else if let Some(list) = flag(args, "--nodes") {
         let nodes: Vec<String> = list
             .split(',')

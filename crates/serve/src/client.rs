@@ -10,13 +10,13 @@
 //! [`PipelineError::Remote`]/[`PipelineError::Timeout`].
 
 use crate::protocol::{
-    read_message, read_sample_into, write_fetch_one, write_message, DatasetEntry, ErrorCode,
-    Message, ProtocolError, StatsSnapshot, PROTOCOL_VERSION,
+    read_message, read_sample_into, write_fetch_one, write_message, ErrorCode, Message,
+    ProtocolError, StatsSnapshot, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use sciml_obs::{Counter, MetricsRegistry, TraceContext};
 use sciml_pipeline::{PipelineError, SampleSource};
-use sciml_store::ShardPlan;
+use sciml_store::{ClusterPlan, ShardPlan};
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,10 +222,26 @@ fn is_transient(e: &PipelineError) -> bool {
     }
 }
 
+/// The plan a `ManifestReply` carries, placed and checked. A server
+/// without cluster config names no node, so every shard goes on `addr`,
+/// the address dialled, with replication 1. Every remote plan passes
+/// the one [`ClusterPlan::validate`] here.
+fn placed_plan(mut plan: ClusterPlan, addr: &str) -> Result<ClusterPlan, PipelineError> {
+    if plan.nodes.is_empty() {
+        let plans: Vec<ShardPlan> = plan.shards.iter().map(|a| a.plan).collect();
+        plan = ClusterPlan::assign(&plans, &[addr.to_string()], 1);
+    }
+    plan.validate()
+        .map_err(|e| PipelineError::Remote(Box::new(e)))?;
+    Ok(plan)
+}
+
 /// A [`SampleSource`] served over the wire.
 pub struct RemoteSource {
     addr: String,
     name: String,
+    /// The dataset's placed shard plan, from the connect's `Manifest`.
+    plan: ClusterPlan,
     len: usize,
     cfg: ClientConfig,
     pool: Mutex<Vec<Conn>>,
@@ -240,8 +256,9 @@ pub struct RemoteSource {
 }
 
 impl RemoteSource {
-    /// Connects to `addr`, validates that `dataset` exists, and caches
-    /// its length.
+    /// Connects to `addr` and asks for `dataset`'s description: its
+    /// shard plan, placed ([`RemoteSource::plan`]), whose end is the
+    /// source's length.
     pub fn connect(
         addr: impl Into<String>,
         dataset: impl Into<String>,
@@ -270,6 +287,11 @@ impl RemoteSource {
         let mut source = Self {
             addr: addr.into(),
             name: dataset.into(),
+            plan: ClusterPlan {
+                nodes: Vec::new(),
+                replication: 0,
+                shards: Vec::new(),
+            },
             len: 0,
             cfg,
             pool: Mutex::new(Vec::new()),
@@ -282,19 +304,25 @@ impl RemoteSource {
         let reply = source.call(&Message::Manifest {
             name: source.name.clone(),
         })?;
-        match reply {
-            Message::ManifestReply { len } => {
-                source.len = len as usize;
-                Ok(source)
-            }
-            Message::Error { code, detail } => Err(server_error(code, detail)),
-            other => Err(unexpected_reply(&other)),
-        }
+        let plan = match reply {
+            Message::ManifestReply(plan) => placed_plan(plan, &source.addr)?,
+            Message::Error { code, detail } => return Err(server_error(code, detail)),
+            other => return Err(unexpected_reply(&other)),
+        };
+        source.len = usize::try_from(plan.total_samples()).map_err(|_| {
+            PipelineError::Remote(format!("{} samples overflow usize", plan.total_samples()).into())
+        })?;
+        source.plan = plan;
+        Ok(source)
     }
 
-    /// Dataset name this source fetches from.
-    pub fn dataset(&self) -> &str {
-        &self.name
+    /// The dataset's shard plan as the connect received it, placed: on
+    /// the configured cluster's nodes, or all on the address dialled.
+    /// Its shards tile `[0, len)`; feed it to a `sciml_store::Stager` to
+    /// fetch in the server's shard-aligned ranges, or let a
+    /// [`crate::cluster::ClusterSource`] route by it.
+    pub fn plan(&self) -> &ClusterPlan {
+        &self.plan
     }
 
     /// Retries performed so far (transient-failure recoveries).
@@ -305,50 +333,6 @@ impl RemoteSource {
     /// The registry holding this client's `client.*` counters.
     pub fn metrics_registry(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.registry)
-    }
-
-    /// Lists all datasets registered on the server.
-    pub fn list(&self) -> Result<Vec<DatasetEntry>, PipelineError> {
-        match self.call(&Message::ListDatasets)? {
-            Message::DatasetList(entries) => Ok(entries),
-            Message::Error { code, detail } => Err(server_error(code, detail)),
-            other => Err(unexpected_reply(&other)),
-        }
-    }
-
-    /// Fetches this dataset's shard partitioning for staging.
-    ///
-    /// A store-backed dataset returns its real on-disk shard
-    /// boundaries; any other dataset gets a plan synthesized from
-    /// `per_shard` samples per shard (0 = server's choice). Feed the
-    /// result to a `sciml_store::Stager` so whole shards are fetched
-    /// in server-aligned ranges; each plan carries the shard's payload
-    /// encoding.
-    pub fn shard_manifest(&self, per_shard: u64) -> Result<Vec<ShardPlan>, PipelineError> {
-        match self.call(&Message::ShardManifest {
-            name: self.name.clone(),
-            per_shard,
-        })? {
-            Message::ShardManifestReply(plans) => Ok(plans),
-            Message::Error { code, detail } => Err(server_error(code, detail)),
-            other => Err(unexpected_reply(&other)),
-        }
-    }
-
-    /// Fetches the cluster placement for this dataset: the node
-    /// list and each shard's replica set, primary first. A server not
-    /// running in cluster mode answers with a single-node plan naming
-    /// itself, so callers can treat every server uniformly. Feed the
-    /// result to a [`crate::cluster::ClusterSource`] for shard-routed
-    /// fetches with replica failover.
-    pub fn cluster_topology(&self) -> Result<sciml_store::ClusterPlan, PipelineError> {
-        match self.call(&Message::ClusterManifest {
-            name: self.name.clone(),
-        })? {
-            Message::ClusterManifestReply(plan) => Ok(plan),
-            Message::Error { code, detail } => Err(server_error(code, detail)),
-            other => Err(unexpected_reply(&other)),
-        }
     }
 
     /// Fetches the server-side stats snapshot.
@@ -499,8 +483,13 @@ mod tests {
     #[test]
     fn connects_and_fetches() {
         let server = spawn_server();
-        let src = RemoteSource::connect(server.local_addr().to_string(), "demo").unwrap();
+        let addr = server.local_addr().to_string();
+        let src = RemoteSource::connect(addr.clone(), "demo").unwrap();
         assert_eq!(src.len(), 6);
+        // No cluster config: every shard is placed on the address dialled.
+        let plan = src.plan();
+        assert_eq!((&plan.nodes[..], plan.replication), (&[addr][..], 1));
+        assert!(plan.shards.iter().all(|a| a.replicas == [0]));
         assert_eq!(src.fetch(4).unwrap(), vec![4u8; 32]);
         assert_eq!(src.bytes_read(), 32);
         let batch = src.fetch_batch(&[0, 5]).unwrap();
@@ -540,10 +529,17 @@ mod tests {
         server.shutdown();
     }
 
-    /// A peer that greets properly and answers every request with the
-    /// frame `reply` builds; the closure ends it like
-    /// [`spawn_refusing_server`]'s.
+    /// The description of a plain four-sample dataset, as a server
+    /// without cluster config sends it.
+    fn four_samples() -> ClusterPlan {
+        ClusterPlan::assign(&sciml_store::manifest::plan_by_count(4, 64), &[], 1)
+    }
+
+    /// A peer that greets properly, answers `Manifest` with `manifest`
+    /// and every other request with the frame `reply` builds; the
+    /// closure ends it like [`spawn_refusing_server`]'s.
     fn spawn_scripted_server(
+        manifest: ClusterPlan,
         reply: impl Fn() -> Vec<u8> + Send + 'static,
     ) -> (String, impl FnOnce() -> usize) {
         use std::io::Write;
@@ -560,7 +556,7 @@ mod tests {
                 while let Ok(request) = read_message(&mut stream) {
                     let frame = match request {
                         Message::Manifest { .. } => {
-                            crate::protocol::encode_frame(&Message::ManifestReply { len: 4 })
+                            crate::protocol::encode_frame(&Message::ManifestReply(manifest.clone()))
                         }
                         _ => reply(),
                     };
@@ -596,11 +592,11 @@ mod tests {
                 encode_frame(&Message::Samples(vec![vec![7; 5], vec![8; 5]]))
             }),
             ("unexpected server reply", || {
-                encode_frame(&Message::ManifestReply { len: 1 })
+                encode_frame(&Message::ManifestReply(four_samples()))
             }),
         ];
         for (what, reply) in replies {
-            let (addr, stop) = spawn_scripted_server(reply);
+            let (addr, stop) = spawn_scripted_server(four_samples(), reply);
             let src = RemoteSource::connect_with(addr, "demo", cfg.clone()).unwrap();
             let mut buf = vec![0xEE; 4096];
             let err = src.fetch_into(0, &mut buf).expect_err(what);
@@ -612,6 +608,45 @@ mod tests {
             drop(src);
             // The manifest, then one answer per attempt.
             assert_eq!(stop(), 3, "{what}");
+        }
+    }
+
+    #[test]
+    fn a_plan_that_does_not_tile_is_a_typed_connect_error() {
+        let half = 1u64 << 63;
+        for (what, shards) in [
+            ("first u64::MAX", vec![(u64::MAX, 1)]),
+            ("ends past u64::MAX", vec![(0, half), (half, half)]),
+        ] {
+            let mut plan = four_samples();
+            plan.shards = shards
+                .into_iter()
+                .enumerate()
+                .map(|(id, (first, count))| sciml_store::ShardAssignment {
+                    plan: ShardPlan {
+                        id: id as u32,
+                        first,
+                        count,
+                        bytes: 0,
+                        encoding: sciml_store::EncodingChoice::Raw,
+                    },
+                    replicas: Vec::new(),
+                })
+                .collect();
+            let (addr, stop) = spawn_scripted_server(plan, Vec::new);
+            let err = RemoteSource::connect(addr, "demo").expect_err(what);
+            let PipelineError::Remote(inner) = &err else {
+                panic!("{what}: {err}");
+            };
+            assert!(
+                matches!(
+                    inner.downcast_ref(),
+                    Some(sciml_store::StoreError::Manifest(_))
+                ),
+                "{what}: {err}"
+            );
+            // Refused once, not retried.
+            assert_eq!(stop(), 1, "{what}");
         }
     }
 

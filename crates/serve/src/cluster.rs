@@ -1,12 +1,13 @@
 //! Cluster-aware client: shard-routed fetches with replica failover.
 //!
-//! A [`ClusterSource`] dials one seed node, asks it for the dataset's
+//! A [`ClusterSource`] dials one seed node, takes the dataset's
 //! [`ClusterPlan`] (node list + per-shard replica sets, computed by
-//! consistent hashing on the server side), and then routes every fetch
-//! to the shard's primary replica. When a replica fails — connect
-//! refused, timeout, corrupt reply — the fetch falls over to the next
-//! replica in the set and the `serve.client.failover` counter ticks, so
-//! a dying node costs retries, not an epoch. Per-node connections are
+//! consistent hashing on the server side) from the seed's connect, and
+//! then routes every fetch to the shard's primary replica. When a
+//! replica fails — connect refused, timeout, corrupt reply — the fetch
+//! falls over to the next replica in the set and the
+//! `serve.client.failover` counter ticks, so a dying node costs
+//! retries, not an epoch. Per-node connections are
 //! pooled by the underlying [`RemoteSource`]s and re-dialed lazily
 //! after a failure.
 
@@ -37,27 +38,25 @@ pub struct ClusterSource {
 }
 
 impl ClusterSource {
-    /// Dials `seed` (any cluster member), fetches the cluster topology
-    /// for `dataset`, and prepares routed access to every node.
+    /// Dials `seed` (any cluster member; a server without cluster
+    /// config is a cluster of one), takes `dataset`'s placement from
+    /// that connect, and prepares routed access to every node.
     pub fn connect(
         seed: impl Into<String>,
         dataset: impl Into<String>,
     ) -> Result<Self, PipelineError> {
-        Self::connect_with(seed, dataset, ClientConfig::default())
+        Self::connect_with_registry(
+            seed,
+            dataset,
+            ClientConfig::default(),
+            MetricsRegistry::new(),
+        )
     }
 
     /// [`ClusterSource::connect`] with explicit client tuning (applied
-    /// to the seed dial and every per-node connection).
-    pub fn connect_with(
-        seed: impl Into<String>,
-        dataset: impl Into<String>,
-        cfg: ClientConfig,
-    ) -> Result<Self, PipelineError> {
-        Self::connect_with_registry(seed, dataset, cfg, MetricsRegistry::new())
-    }
-
-    /// [`ClusterSource::connect_with`], registering the client's
-    /// counters (including `serve.client.failover`) in `registry`.
+    /// to the seed dial and every per-node connection), registering the
+    /// client's counters (including `serve.client.failover`) in
+    /// `registry`.
     pub fn connect_with_registry(
         seed: impl Into<String>,
         dataset: impl Into<String>,
@@ -72,17 +71,9 @@ impl ClusterSource {
             cfg.clone(),
             Arc::clone(&registry),
         )?);
-        let plan = seed_source.cluster_topology()?;
-        plan.validate()
-            .map_err(|e| PipelineError::Remote(format!("invalid cluster plan: {e}").into()))?;
-        // Shards partition [0, len): the dataset length is the highest
-        // shard end (the seed's manifest length covers empty plans).
-        let len = plan
-            .shards
-            .iter()
-            .map(|a| a.plan.first + a.plan.count)
-            .max()
-            .unwrap_or(seed_source.len() as u64) as usize;
+        // Validated by the seed's connect: its shards tile [0, len).
+        let plan = seed_source.plan().clone();
+        let len = seed_source.len();
         let nodes: Vec<Mutex<Option<Arc<RemoteSource>>>> = plan
             .nodes
             .iter()
@@ -264,7 +255,13 @@ mod tests {
             read_timeout: std::time::Duration::from_secs(2),
             ..ClientConfig::default()
         };
-        let src = ClusterSource::connect_with(addrs[0].clone(), "demo", cfg).unwrap();
+        let src = ClusterSource::connect_with_registry(
+            addrs[0].clone(),
+            "demo",
+            cfg,
+            MetricsRegistry::new(),
+        )
+        .unwrap();
         // Kill the primary of the shard covering index 0; replication 2
         // guarantees the other node holds a replica of every shard.
         let primary = src.plan().locate(0).unwrap().replicas[0] as usize;

@@ -19,8 +19,8 @@
 //! opens with `Hello` carrying exactly that number; any other number is
 //! answered with an `Error{VersionMismatch}` frame and a close. Any
 //! change to a tag or a body bumps the number; there is no negotiation.
-//! Tags 0x0A, 0x0C and 0x0E belonged to retired replies and stay
-//! unassigned.
+//! Tags 0x03, 0x04, 0x0A, 0x0C, 0x0D, 0x0E, 0x10, 0x13 and 0x14 belonged
+//! to retired messages and stay unassigned.
 
 use sciml_compress::crc32::{crc32, crc32_combine, Crc32};
 use sciml_net::Piece;
@@ -32,7 +32,7 @@ use std::io::{self, Read, Write};
 /// The one protocol version. Both ends must carry exactly this number
 /// in [`Message::Hello`] / [`Message::HelloAck`]; any change to a tag
 /// or a message body bumps it.
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Hard ceiling on a frame payload (64 MiB). Large enough for a batch
 /// of encoded samples, small enough to bound per-connection memory.
@@ -165,15 +165,6 @@ pub struct StatsSnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// One dataset row in a [`Message::DatasetList`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DatasetEntry {
-    /// Registered name.
-    pub name: String,
-    /// Number of samples.
-    pub len: u64,
-}
-
 /// Every message of the protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -187,20 +178,19 @@ pub enum Message {
         /// The server's protocol version.
         version: u16,
     },
-    /// Client request for the dataset table.
-    ListDatasets,
-    /// Server reply: registered datasets.
-    DatasetList(Vec<DatasetEntry>),
-    /// Client request for one dataset's shape.
+    /// Client request for a dataset's description.
     Manifest {
         /// Dataset name.
         name: String,
     },
-    /// Server reply to [`Message::Manifest`].
-    ManifestReply {
-        /// Number of samples in the dataset.
-        len: u64,
-    },
+    /// Server reply to [`Message::Manifest`]: the dataset's shards —
+    /// a packed store's own, or runs of a fixed sample count — each
+    /// with its payload encoding, placed on the configured cluster's
+    /// nodes (replica indices into the node list, primary first). A
+    /// server without cluster config sends an empty node list and empty
+    /// replica sets: its bind address may not be one a client can dial,
+    /// so the client places every shard on the address it dialled.
+    ManifestReply(ClusterPlan),
     /// Client request for a batch of encoded samples.
     FetchSamples {
         /// Dataset name.
@@ -216,22 +206,6 @@ pub enum Message {
     /// counters, per-encoding store decode counters and the sparse
     /// request-latency histogram.
     StatsReply(StatsSnapshot),
-    /// Client request for a dataset's shard partitioning, so a
-    /// stager can copy shard-sized sample ranges instead of issuing
-    /// per-sample fetches. `per_shard` is the client's preferred
-    /// samples-per-shard for datasets the server has to partition on
-    /// the fly (0 = server default); a server backed by a packed store
-    /// replies with the store's real shard boundaries instead.
-    ShardManifest {
-        /// Dataset name.
-        name: String,
-        /// Preferred samples per synthesized shard (0 = server default).
-        per_shard: u64,
-    },
-    /// Server reply to [`Message::ShardManifest`]: the staging plan
-    /// with each shard's payload-encoding byte, so a stager reproduces
-    /// the server store's raw/gzip/auto choice.
-    ShardManifestReply(Vec<ShardPlan>),
     /// Request wrapper: carries the client's distributed-trace context
     /// so the server records its spans into the same trace. Wraps
     /// exactly one non-`Traced` request message.
@@ -243,20 +217,6 @@ pub enum Message {
         /// The wrapped request.
         inner: Box<Message>,
     },
-    /// Client request for a dataset's cluster placement: the node
-    /// list and each shard's consistent-hash replica set. A server not
-    /// running in cluster mode answers with a single-node plan naming
-    /// itself, so clients can treat every server uniformly.
-    ClusterManifest {
-        /// Dataset name.
-        name: String,
-    },
-    /// Server reply to [`Message::ClusterManifest`]: the full placement,
-    /// replica indices referring into the node list (primary first).
-    /// The placement is also recomputable from
-    /// the node list alone (the hash ring is deterministic); the wire
-    /// copy spares clients a dependency on ring parameters.
-    ClusterManifestReply(ClusterPlan),
     /// Client request to stop the server (loopback/admin use).
     Shutdown,
     /// Server-reported failure.
@@ -271,21 +231,15 @@ pub enum Message {
 mod tags {
     pub const HELLO: u8 = 0x01;
     pub const HELLO_ACK: u8 = 0x02;
-    pub const LIST_DATASETS: u8 = 0x03;
-    pub const DATASET_LIST: u8 = 0x04;
     pub const MANIFEST: u8 = 0x05;
     pub const MANIFEST_REPLY: u8 = 0x06;
     pub const FETCH_SAMPLES: u8 = 0x07;
     pub const SAMPLES: u8 = 0x08;
     pub const STATS: u8 = 0x09;
     pub const SHUTDOWN: u8 = 0x0B;
-    pub const SHARD_MANIFEST: u8 = 0x0D;
     pub const ERROR: u8 = 0x0F;
-    pub const SHARD_MANIFEST_REPLY: u8 = 0x10;
     pub const TRACED: u8 = 0x11;
     pub const STATS_REPLY: u8 = 0x12;
-    pub const CLUSTER_MANIFEST: u8 = 0x13;
-    pub const CLUSTER_MANIFEST_REPLY: u8 = 0x14;
 }
 
 // ------------------------------------------------------------- encoding
@@ -389,22 +343,25 @@ impl Message {
                 out.push(tags::HELLO_ACK);
                 out.extend_from_slice(&version.to_le_bytes());
             }
-            Message::ListDatasets => out.push(tags::LIST_DATASETS),
-            Message::DatasetList(entries) => {
-                out.push(tags::DATASET_LIST);
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for e in entries {
-                    put_str(out, &e.name);
-                    out.extend_from_slice(&e.len.to_le_bytes());
-                }
-            }
             Message::Manifest { name } => {
                 out.push(tags::MANIFEST);
                 put_str(out, name);
             }
-            Message::ManifestReply { len } => {
+            Message::ManifestReply(plan) => {
                 out.push(tags::MANIFEST_REPLY);
-                out.extend_from_slice(&len.to_le_bytes());
+                out.extend_from_slice(&(plan.nodes.len() as u16).to_le_bytes());
+                for node in &plan.nodes {
+                    put_str(out, node);
+                }
+                out.extend_from_slice(&plan.replication.to_le_bytes());
+                out.extend_from_slice(&(plan.shards.len() as u32).to_le_bytes());
+                for a in &plan.shards {
+                    put_shard_plan(out, &a.plan);
+                    out.extend_from_slice(&(a.replicas.len() as u16).to_le_bytes());
+                    for idx in &a.replicas {
+                        out.extend_from_slice(&idx.to_le_bytes());
+                    }
+                }
             }
             Message::FetchSamples { name, indices } => put_fetch_samples(out, name, indices),
             Message::Samples(payloads) => {
@@ -428,7 +385,6 @@ impl Message {
                     s.request_ns,
                     s.decoded_raw,
                     s.decoded_gzip,
-                    0, // the retired pack counter's slot, kept until v8
                 ] {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
@@ -441,38 +397,6 @@ impl Message {
             } => {
                 put_traced_head(out, *trace_id, *parent_span);
                 inner.write_payload(out);
-            }
-            Message::ShardManifest { name, per_shard } => {
-                out.push(tags::SHARD_MANIFEST);
-                put_str(out, name);
-                out.extend_from_slice(&per_shard.to_le_bytes());
-            }
-            Message::ShardManifestReply(plans) => {
-                out.push(tags::SHARD_MANIFEST_REPLY);
-                out.extend_from_slice(&(plans.len() as u32).to_le_bytes());
-                for p in plans {
-                    put_shard_plan(out, p);
-                }
-            }
-            Message::ClusterManifest { name } => {
-                out.push(tags::CLUSTER_MANIFEST);
-                put_str(out, name);
-            }
-            Message::ClusterManifestReply(plan) => {
-                out.push(tags::CLUSTER_MANIFEST_REPLY);
-                out.extend_from_slice(&(plan.nodes.len() as u16).to_le_bytes());
-                for node in &plan.nodes {
-                    put_str(out, node);
-                }
-                out.extend_from_slice(&plan.replication.to_le_bytes());
-                out.extend_from_slice(&(plan.shards.len() as u32).to_le_bytes());
-                for a in &plan.shards {
-                    put_shard_plan(out, &a.plan);
-                    out.extend_from_slice(&(a.replicas.len() as u16).to_le_bytes());
-                    for idx in &a.replicas {
-                        out.extend_from_slice(&idx.to_le_bytes());
-                    }
-                }
             }
             Message::Shutdown => out.push(tags::SHUTDOWN),
             Message::Error { code, detail } => {
@@ -490,19 +414,44 @@ impl Message {
         let msg = match tag {
             tags::HELLO => Message::Hello { version: r.u16()? },
             tags::HELLO_ACK => Message::HelloAck { version: r.u16()? },
-            tags::LIST_DATASETS => Message::ListDatasets,
-            tags::DATASET_LIST => {
-                let count = r.u32()? as usize;
-                let mut entries = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let name = r.string()?;
-                    let len = r.u64()?;
-                    entries.push(DatasetEntry { name, len });
-                }
-                Message::DatasetList(entries)
-            }
             tags::MANIFEST => Message::Manifest { name: r.string()? },
-            tags::MANIFEST_REPLY => Message::ManifestReply { len: r.u64()? },
+            tags::MANIFEST_REPLY => {
+                let node_count = r.u16()? as usize;
+                let mut nodes = Vec::with_capacity(node_count.min(1024));
+                for _ in 0..node_count {
+                    nodes.push(r.string()?);
+                }
+                let replication = r.u16()?;
+                let shard_count = r.u32()? as usize;
+                // Each shard is at least a plan plus a u16 replica
+                // count. Division form, as in `read_latency`.
+                if shard_count > r.remaining() / (SHARD_PLAN_BYTES + 2) {
+                    return Err(ProtocolError::Malformed(
+                        "shard assignment count exceeds payload length",
+                    ));
+                }
+                let mut shards = Vec::with_capacity(shard_count);
+                for _ in 0..shard_count {
+                    let plan = read_shard_plan(&mut r)?;
+                    let replica_count = r.u16()? as usize;
+                    let mut replicas = Vec::with_capacity(replica_count.min(64));
+                    for _ in 0..replica_count {
+                        let idx = r.u16()?;
+                        if idx as usize >= node_count {
+                            return Err(ProtocolError::Malformed(
+                                "replica index out of node range",
+                            ));
+                        }
+                        replicas.push(idx);
+                    }
+                    shards.push(ShardAssignment { plan, replicas });
+                }
+                Message::ManifestReply(ClusterPlan {
+                    nodes,
+                    replication,
+                    shards,
+                })
+            }
             tags::FETCH_SAMPLES => {
                 let name = r.string()?;
                 let count = r.u32()? as usize;
@@ -538,10 +487,7 @@ impl Message {
                 request_ns: r.u64()?,
                 decoded_raw: r.u64()?,
                 decoded_gzip: r.u64()?,
-                latency: {
-                    r.u64()?; // the retired pack counter's slot, unread
-                    read_latency(&mut r)?
-                },
+                latency: read_latency(&mut r)?,
             }),
             tags::TRACED => {
                 let trace_id = r.u64()?;
@@ -562,63 +508,6 @@ impl Message {
                     parent_span,
                     inner: Box::new(inner),
                 }
-            }
-            tags::SHARD_MANIFEST => {
-                let name = r.string()?;
-                let per_shard = r.u64()?;
-                Message::ShardManifest { name, per_shard }
-            }
-            tags::SHARD_MANIFEST_REPLY => {
-                let count = r.u32()? as usize;
-                // Division form, as in `read_latency`.
-                if count > r.remaining() / SHARD_PLAN_BYTES {
-                    return Err(ProtocolError::Malformed(
-                        "shard plan count exceeds payload length",
-                    ));
-                }
-                let mut plans = Vec::with_capacity(count);
-                for _ in 0..count {
-                    plans.push(read_shard_plan(&mut r)?);
-                }
-                Message::ShardManifestReply(plans)
-            }
-            tags::CLUSTER_MANIFEST => Message::ClusterManifest { name: r.string()? },
-            tags::CLUSTER_MANIFEST_REPLY => {
-                let node_count = r.u16()? as usize;
-                let mut nodes = Vec::with_capacity(node_count.min(1024));
-                for _ in 0..node_count {
-                    nodes.push(r.string()?);
-                }
-                let replication = r.u16()?;
-                let shard_count = r.u32()? as usize;
-                // Each shard is at least a plan plus a u16 replica
-                // count. Division form, as in `read_latency`.
-                if shard_count > r.remaining() / (SHARD_PLAN_BYTES + 2) {
-                    return Err(ProtocolError::Malformed(
-                        "shard assignment count exceeds payload length",
-                    ));
-                }
-                let mut shards = Vec::with_capacity(shard_count);
-                for _ in 0..shard_count {
-                    let plan = read_shard_plan(&mut r)?;
-                    let replica_count = r.u16()? as usize;
-                    let mut replicas = Vec::with_capacity(replica_count.min(64));
-                    for _ in 0..replica_count {
-                        let idx = r.u16()?;
-                        if idx as usize >= node_count {
-                            return Err(ProtocolError::Malformed(
-                                "replica index out of node range",
-                            ));
-                        }
-                        replicas.push(idx);
-                    }
-                    shards.push(ShardAssignment { plan, replicas });
-                }
-                Message::ClusterManifestReply(ClusterPlan {
-                    nodes,
-                    replication,
-                    shards,
-                })
             }
             tags::SHUTDOWN => Message::Shutdown,
             tags::ERROR => {
@@ -951,23 +840,11 @@ mod tests {
 
     fn all_messages() -> Vec<Message> {
         vec![
-            Message::Hello { version: 7 },
-            Message::HelloAck { version: 7 },
-            Message::ListDatasets,
-            Message::DatasetList(vec![
-                DatasetEntry {
-                    name: "cosmo".into(),
-                    len: 1024,
-                },
-                DatasetEntry {
-                    name: "deepcam".into(),
-                    len: 77,
-                },
-            ]),
+            Message::Hello { version: 8 },
+            Message::HelloAck { version: 8 },
             Message::Manifest {
                 name: "cosmo".into(),
             },
-            Message::ManifestReply { len: 1024 },
             Message::FetchSamples {
                 name: "cosmo".into(),
                 indices: vec![0, 5, 1023, 5],
@@ -1000,30 +877,7 @@ mod tests {
                     indices: vec![7, 8, 9],
                 }),
             },
-            Message::ShardManifest {
-                name: "cosmo".into(),
-                per_shard: 128,
-            },
-            Message::ShardManifestReply(vec![
-                ShardPlan {
-                    id: 0,
-                    first: 0,
-                    count: 128,
-                    bytes: 1 << 20,
-                    encoding: EncodingChoice::Auto,
-                },
-                ShardPlan {
-                    id: 1,
-                    first: 128,
-                    count: 100,
-                    bytes: 0,
-                    encoding: EncodingChoice::Gzip,
-                },
-            ]),
-            Message::ClusterManifest {
-                name: "cosmo".into(),
-            },
-            Message::ClusterManifestReply(ClusterPlan {
+            Message::ManifestReply(ClusterPlan {
                 nodes: vec!["127.0.0.1:7401".into(), "127.0.0.1:7402".into()],
                 replication: 2,
                 shards: vec![
@@ -1048,6 +902,21 @@ mod tests {
                         replicas: vec![0, 1],
                     },
                 ],
+            }),
+            // What a server without cluster config sends.
+            Message::ManifestReply(ClusterPlan {
+                nodes: Vec::new(),
+                replication: 1,
+                shards: vec![ShardAssignment {
+                    plan: ShardPlan {
+                        id: 0,
+                        first: 0,
+                        count: 100,
+                        bytes: 0,
+                        encoding: EncodingChoice::Gzip,
+                    },
+                    replicas: Vec::new(),
+                }],
             }),
             Message::Shutdown,
             Message::Error {
@@ -1301,9 +1170,11 @@ mod tests {
     #[test]
     fn unknown_and_retired_tags_rejected() {
         // 0x0A, 0x0C and 0x0E carried the retired v1/v2 stats replies
-        // and the v3 shard-manifest reply; a valid CRC does not revive
-        // them.
-        for tag in [0xEEu8, 0x0A, 0x0C, 0x0E] {
+        // and the v3 shard-manifest reply; 0x03/0x04 (the dataset
+        // table), 0x0D/0x10 (the shard manifest) and 0x13/0x14 (the
+        // cluster manifest) left in v8, when `Manifest` took over. A
+        // valid CRC does not revive them.
+        for tag in [0xEEu8, 0x0A, 0x0C, 0x0E, 0x03, 0x04, 0x0D, 0x10, 0x13, 0x14] {
             assert!(matches!(
                 decode_frame(&raw_frame(&[tag, 0, 0])),
                 Err(ProtocolError::UnknownTag(t)) if t == tag
@@ -1325,15 +1196,22 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn cluster_reply_replica_out_of_range_rejected() {
-        // Hand-build a one-node plan whose shard claims replica index 5.
-        let mut payload = vec![tags::CLUSTER_MANIFEST_REPLY];
+    /// A `ManifestReply` payload up to its first shard: one node,
+    /// replication 1, `shards` claimed.
+    fn manifest_reply_head(shards: u32) -> Vec<u8> {
+        let mut payload = vec![tags::MANIFEST_REPLY];
         payload.extend_from_slice(&1u16.to_le_bytes()); // node count
         payload.extend_from_slice(&4u16.to_le_bytes());
         payload.extend_from_slice(b"addr");
         payload.extend_from_slice(&1u16.to_le_bytes()); // replication
-        payload.extend_from_slice(&1u32.to_le_bytes()); // shard count
+        payload.extend_from_slice(&shards.to_le_bytes());
+        payload
+    }
+
+    #[test]
+    fn manifest_reply_replica_out_of_range_rejected() {
+        // A one-node plan whose shard claims replica index 5.
+        let mut payload = manifest_reply_head(1);
         payload.extend_from_slice(&0u32.to_le_bytes()); // id
         payload.extend_from_slice(&0u64.to_le_bytes()); // first
         payload.extend_from_slice(&1u64.to_le_bytes()); // count
@@ -1348,14 +1226,10 @@ mod tests {
     }
 
     #[test]
-    fn cluster_reply_shard_count_beyond_payload_rejected() {
-        let mut payload = vec![tags::CLUSTER_MANIFEST_REPLY];
-        payload.extend_from_slice(&1u16.to_le_bytes());
-        payload.extend_from_slice(&4u16.to_le_bytes());
-        payload.extend_from_slice(b"addr");
-        payload.extend_from_slice(&1u16.to_le_bytes());
-        payload.extend_from_slice(&100_000u32.to_le_bytes()); // absurd shard count
-        payload.extend_from_slice(&[0u8; 32]);
+    fn manifest_reply_shard_count_beyond_payload_rejected() {
+        // 50 000 shards claimed, room for one.
+        let mut payload = manifest_reply_head(50_000);
+        payload.extend_from_slice(&[0u8; SHARD_PLAN_BYTES + 2]);
         assert!(matches!(
             decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed(_))
@@ -1363,16 +1237,11 @@ mod tests {
     }
 
     #[test]
-    fn cluster_reply_shard_count_overflow_rejected() {
+    fn manifest_reply_shard_count_overflow_rejected() {
         // shard_count = u32::MAX: `count * 31` would wrap usize on
         // 32-bit targets and bypass the bound check, so the decoder
         // must use an overflow-free comparison and reject outright.
-        let mut payload = vec![tags::CLUSTER_MANIFEST_REPLY];
-        payload.extend_from_slice(&1u16.to_le_bytes());
-        payload.extend_from_slice(&4u16.to_le_bytes());
-        payload.extend_from_slice(b"addr");
-        payload.extend_from_slice(&1u16.to_le_bytes());
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut payload = manifest_reply_head(u32::MAX);
         payload.extend_from_slice(&[0u8; 32]);
         assert!(matches!(
             decode_frame(&raw_frame(&payload)),
@@ -1381,22 +1250,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_count_beyond_payload_rejected() {
-        let mut payload = vec![tags::SHARD_MANIFEST_REPLY];
-        payload.extend_from_slice(&50_000u32.to_le_bytes());
-        payload.extend_from_slice(&[0u8; SHARD_PLAN_BYTES]); // room for one entry only
-        assert!(matches!(
-            decode_frame(&raw_frame(&payload)),
-            Err(ProtocolError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn shard_reply_unknown_encoding_byte_rejected() {
-        let mut payload = vec![tags::SHARD_MANIFEST_REPLY];
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&[0u8; 28]);
+    fn manifest_reply_unknown_encoding_byte_rejected() {
+        let mut payload = manifest_reply_head(1);
+        payload.extend_from_slice(&[0u8; SHARD_PLAN_BYTES - 1]);
         payload.push(0xEE); // not a valid EncodingChoice byte
+        payload.extend_from_slice(&0u16.to_le_bytes()); // replica count
         assert!(matches!(
             decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed("unknown shard encoding byte"))
@@ -1446,7 +1304,7 @@ mod tests {
     #[test]
     fn bucket_count_beyond_payload_rejected() {
         let mut payload = vec![tags::STATS_REPLY];
-        payload.extend_from_slice(&[0u8; 80]); // 10 counters
+        payload.extend_from_slice(&[0u8; 72]); // 9 counters
         payload.extend_from_slice(&[0u8; 24]); // sum/min/max
         payload.extend_from_slice(&100_000u32.to_le_bytes());
         payload.extend_from_slice(&[0u8; 20]);
@@ -1461,7 +1319,7 @@ mod tests {
         // Two pairs for bucket 0 whose counts sum past u64::MAX, plus a
         // second full bucket so the total overflows too.
         let mut payload = vec![tags::STATS_REPLY];
-        payload.extend_from_slice(&[0u8; 80]);
+        payload.extend_from_slice(&[0u8; 72]);
         payload.extend_from_slice(&[0u8; 24]);
         payload.extend_from_slice(&3u32.to_le_bytes());
         for (idx, n) in [(0u16, u64::MAX), (0, 1), (1, u64::MAX)] {
@@ -1476,81 +1334,49 @@ mod tests {
         assert_eq!(s.latency.count, u64::MAX);
     }
 
-    /// Hex of `encode_frame`. `Hello` and `StatsReply` were captured at
-    /// v7 (the number itself, and the eviction counter leaving the
-    /// body); the other four are the capture from the last six-version
-    /// commit, so everything v7 did not change is that v6 byte for
-    /// byte. Each must still be what some entry of `all_messages()`
-    /// encodes to; the tag byte ties it to its message.
-    ///
-    /// Three captures carry a value of the retired pack encoding — the
-    /// stats frame's pack decode counter (10) and policy byte 2 in both
-    /// manifests. Their hex stays as captured; the third column is the
-    /// one byte today's encoder writes differently (offset, captured,
-    /// written), so every other byte of the layout is still held to the
-    /// capture.
+    /// Hex of `encode_frame`, captured at v8. `Traced{FetchSamples}`
+    /// and `Stats` are byte for byte their v6 and v7 captures; v8
+    /// changed the `Hello` number, dropped the stats reply's retired
+    /// pack slot and gave `ManifestReply` the placed plan. Each must
+    /// still be what some entry of `all_messages()` encodes to; the tag
+    /// byte ties it to its message.
     #[test]
     fn golden_wire_vectors() {
         let frames: Vec<Vec<u8>> = all_messages().iter().map(encode_frame).collect();
         let golden = [
-            ("Hello{7}", "03000000010700e225c2b1", None),
-            ("Stats", "01000000092957deab", None),
+            ("Hello{8}", "030000000108002d395a36"),
+            ("Stats", "01000000092957deab"),
             (
                 "Traced{FetchSamples}",
                 "35000000110df0ad0befbeaddef0debc9a78563412070500636f736d6f\
                  030000000700000000000000080000000000000009000000000000001322bfa7",
-                None,
             ),
             (
                 "StatsReply, every field set",
-                "8b0000001201000000000000000200000000000000030000000000000004\
+                "830000001201000000000000000200000000000000030000000000000004\
                  000000000000000500000000000000060000000000000007000000000000\
-                 00080000000000000009000000000000000a00000000000000df851e0000\
-                 000000640000000000000041420f00000000000300000024000100000000\
-                 0000002f0001000000000000008f00020000000000000030cc36d0",
-                Some((77, 10, 0)),
+                 0008000000000000000900000000000000df851e00000000006400000000\
+                 00000041420f000000000003000000240001000000000000002f00010000\
+                 00000000008f0002000000000000000c90909c",
             ),
             (
-                "ShardManifestReply, two shards",
-                "3f0000001002000000000000000000000000000000800000000000000000\
-                 001000000000000201000000800000000000000064000000000000000000\
-                 00000000000001e8ba0125",
-                Some((37, 2, 3)),
-            ),
-            (
-                "ClusterManifestReply",
-                "6f0000001402000e003132372e302e302e313a373430310e003132372e30\
+                "ManifestReply, two nodes",
+                "6f0000000602000e003132372e302e302e313a373430310e003132372e30\
                  2e302e313a37343032020002000000000000000000000000000000800000\
-                 000000000000001000000000000202000100000001000000800000000000\
-                 00004000000000000000000200000000000000020000000100d112dddd",
-                Some((73, 2, 3)),
+                 000000000000001000000000000302000100000001000000800000000000\
+                 00004000000000000000000200000000000000020000000100ce104957",
+            ),
+            (
+                "ManifestReply, no cluster",
+                "280000000600000100010000000000000000000000000000006400000000\
+                 00000000000000000000000100009fa1dd70",
             ),
         ];
-        for (name, hex, retired) in golden {
-            let mut frame: Vec<u8> = (0..hex.len())
+        for (name, hex) in golden {
+            let frame: Vec<u8> = (0..hex.len())
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
                 .collect();
-            if let Some((at, captured, written)) = retired {
-                // As captured: the stats frame still parses, its retired
-                // slot skipped; a manifest naming the retired policy is
-                // a typed error.
-                match decode_frame(&frame) {
-                    Ok((msg, _)) => {
-                        assert!(matches!(msg, Message::StatsReply(_)), "{name}");
-                        assert!(all_messages().contains(&msg), "{name}");
-                    }
-                    Err(e) => assert!(
-                        matches!(e, ProtocolError::Malformed("unknown shard encoding byte")),
-                        "{name}: {e:?}"
-                    ),
-                }
-                assert_eq!(frame[at], captured, "{name}");
-                frame[at] = written;
-                let body = frame.len() - 4;
-                let crc = crc32(&frame[4..body]);
-                frame[body..].copy_from_slice(&crc.to_le_bytes());
-            }
             assert!(frames.contains(&frame), "{name} changed on the wire");
         }
     }

@@ -22,7 +22,8 @@ use sciml_net::FrameError;
 use sciml_obs::{Counter, MetricsRegistry, Telemetry, Tracer};
 use sciml_pipeline::source::MemoryCacheSource;
 use sciml_pipeline::SampleSource;
-use sciml_store::{ShardPlan, ShardSource};
+use sciml_store::manifest::plan_by_count;
+use sciml_store::{ClusterPlan, ShardPlan, ShardSource};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -72,13 +73,20 @@ pub struct ClusterConfig {
     pub replication: u16,
 }
 
-/// One registered dataset: its name, hot-cached source, and (when it is
-/// backed by a packed store) its real shard boundaries.
+/// Samples per shard of the plan a dataset without a packed-store
+/// manifest is described by.
+const DEFAULT_PLAN_PER_SHARD: u64 = 64;
+
+/// One registered dataset: its hot-cached source and the description a
+/// `Manifest` reply sends.
 pub(crate) struct Dataset {
     pub(crate) cache: MemoryCacheSource<Arc<dyn SampleSource>>,
-    /// Shard partitioning exported to staging clients. `None` means the
-    /// server synthesizes one by sample count on request.
-    pub(crate) plans: Option<Vec<ShardPlan>>,
+    /// The dataset's shards — a packed store's own, else runs of
+    /// [`DEFAULT_PLAN_PER_SHARD`] samples — placed on the cluster's
+    /// nodes. Without cluster config it names no node: the bind address
+    /// may be `0.0.0.0`, which no other host can dial, so the client
+    /// places every shard on the address it dialled.
+    pub(crate) plan: ClusterPlan,
 }
 
 pub(crate) struct Inner {
@@ -93,9 +101,6 @@ pub(crate) struct Inner {
     /// handle with an enabled one. Traced requests open a
     /// `serve/request` span linked to the client's trace.
     pub(crate) tracer: Arc<Tracer>,
-    /// Cluster placement config; `None` means single-node answers to
-    /// `ClusterManifest`.
-    pub(crate) cluster: Option<ClusterConfig>,
     pub(crate) local_addr: SocketAddr,
 }
 
@@ -108,7 +113,7 @@ impl Inner {
 }
 
 /// A dataset registered with the builder: its source plus the shard
-/// plan to report over `ShardManifest`, if the source has a real one.
+/// plan a `Manifest` reply reports, if the source has a real one.
 type RegisteredSource = (Arc<dyn SampleSource>, Option<Vec<ShardPlan>>);
 
 /// Builder: register datasets, then [`ServeBuilder::bind`].
@@ -144,14 +149,6 @@ impl ServeBuilder {
         self
     }
 
-    /// Registers the server's `serve.*` instruments in `registry`
-    /// instead of a private one, so server metrics share a snapshot
-    /// with whatever else the process records.
-    pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
     /// Uses `telemetry`'s registry *and* tracer. With an enabled
     /// tracer, Traced requests record `serve/request` spans linked
     /// into the requesting client's trace, and per-sample `serve/fetch`
@@ -162,10 +159,10 @@ impl ServeBuilder {
         self
     }
 
-    /// Declares this server a member of a cluster: `ClusterManifest`
-    /// replies place shards across `nodes` by consistent hashing with
-    /// the given replication factor. Every member must be configured
-    /// with the same node list.
+    /// Declares this server a member of a cluster: `Manifest` replies
+    /// place shards across `nodes` by consistent hashing with the given
+    /// replication factor. Every member must be configured with the
+    /// same node list.
     pub fn cluster(mut self, cluster: ClusterConfig) -> Self {
         self.cluster = Some(cluster);
         self
@@ -178,24 +175,13 @@ impl ServeBuilder {
         self
     }
 
-    /// Registers `source` with an explicit shard partitioning, returned
-    /// verbatim to staging clients that send a `ShardManifest` request.
-    pub fn dataset_with_plans(
-        mut self,
-        name: impl Into<String>,
-        source: Arc<dyn SampleSource>,
-        plans: Vec<ShardPlan>,
-    ) -> Self {
-        self.sources.insert(name.into(), (source, Some(plans)));
-        self
-    }
-
     /// Registers a packed shard store as a dataset, exporting its real
     /// shard boundaries so staging clients fetch whole shards and their
     /// requests line up with the store's on-disk layout.
-    pub fn dataset_store(self, name: impl Into<String>, store: Arc<ShardSource>) -> Self {
+    pub fn dataset_store(mut self, name: impl Into<String>, store: Arc<ShardSource>) -> Self {
         let plans = store.manifest().plans();
-        self.dataset_with_plans(name, store, plans)
+        self.sources.insert(name.into(), (store, Some(plans)));
+        self
     }
 
     /// Binds `addr` and spawns the reactor. Pass port 0 to let
@@ -205,12 +191,19 @@ impl ServeBuilder {
         let local_addr = listener.local_addr()?;
         let cache_bytes = self.config.cache_bytes;
         let registry = self.registry.unwrap_or_default();
+        let (nodes, replication) = match &self.cluster {
+            Some(c) => (&c.nodes[..], c.replication),
+            None => (&[][..], 1),
+        };
         let datasets = self
             .sources
             .into_iter()
             .map(|(name, (source, plans))| {
+                let plans = plans
+                    .unwrap_or_else(|| plan_by_count(source.len() as u64, DEFAULT_PLAN_PER_SHARD));
+                let plan = ClusterPlan::assign(&plans, nodes, replication);
                 let cache = MemoryCacheSource::with_registry(source, cache_bytes, &registry);
-                (name, Dataset { cache, plans })
+                (name, Dataset { cache, plan })
             })
             .collect();
         let inner = Arc::new(Inner {
@@ -219,7 +212,6 @@ impl ServeBuilder {
             cache_misses: registry.counter("pipeline.cache.memory.misses"),
             metrics: ServerMetrics::with_registry(&registry),
             tracer: self.tracer.unwrap_or_else(Tracer::disabled),
-            cluster: self.cluster,
             local_addr,
         });
 
@@ -339,7 +331,7 @@ impl ServerHandle {
     }
 
     /// The registry holding this server's `serve.*` instruments (the
-    /// one passed to [`ServeBuilder::registry`], or a private one).
+    /// one [`ServeBuilder::telemetry`] passed, or a private one).
     pub fn metrics_registry(&self) -> Arc<MetricsRegistry> {
         self.inner.metrics.registry()
     }
@@ -396,6 +388,15 @@ mod tests {
         s
     }
 
+    /// The plan a `Manifest` request for `name` is answered with.
+    fn manifest(c: &mut TcpStream, name: &str) -> ClusterPlan {
+        write_message(c, &Message::Manifest { name: name.into() }).unwrap();
+        match read_message(c).unwrap() {
+            Message::ManifestReply(plan) => plan,
+            other => panic!("expected a manifest reply, got {other:?}"),
+        }
+    }
+
     #[test]
     fn serves_manifest_and_samples() {
         let server = ServeBuilder::new()
@@ -404,13 +405,7 @@ mod tests {
             .unwrap();
         let mut c = client(server.local_addr());
 
-        write_message(&mut c, &Message::ListDatasets).unwrap();
-        let Message::DatasetList(list) = read_message(&mut c).unwrap() else {
-            panic!("expected dataset list");
-        };
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].name, "demo");
-        assert_eq!(list[0].len, 8);
+        assert_eq!(manifest(&mut c, "demo").total_samples(), 8);
 
         write_message(
             &mut c,
@@ -597,49 +592,25 @@ mod tests {
     }
 
     #[test]
-    fn shard_manifest_synthesized_for_plain_dataset() {
+    fn manifest_synthesizes_a_plan_for_a_plain_dataset() {
+        let samples: Vec<Vec<u8>> = (0..150u8).map(|i| vec![i; 4]).collect();
         let server = ServeBuilder::new()
-            .dataset("demo", demo_source())
+            .dataset("demo", Arc::new(VecSource::new(samples)))
             .bind("127.0.0.1:0")
             .unwrap();
         let mut c = client(server.local_addr());
-        write_message(
-            &mut c,
-            &Message::ShardManifest {
-                name: "demo".into(),
-                per_shard: 3,
-            },
-        )
-        .unwrap();
-        let Message::ShardManifestReply(plans) = read_message(&mut c).unwrap() else {
-            panic!("expected a shard manifest reply");
-        };
-        assert_eq!(plans.len(), 3);
-        assert_eq!(plans.iter().map(|p| p.count).sum::<u64>(), 8);
-        assert_eq!(plans[2].first, 6);
-        assert_eq!(plans[2].count, 2);
-
-        // per_shard 0 means "server's choice": one shard here, since the
-        // default chunk exceeds the dataset.
-        write_message(
-            &mut c,
-            &Message::ShardManifest {
-                name: "demo".into(),
-                per_shard: 0,
-            },
-        )
-        .unwrap();
-        let Message::ShardManifestReply(plans) = read_message(&mut c).unwrap() else {
-            panic!("expected a shard manifest reply");
-        };
-        assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].count, 8);
+        let plan = manifest(&mut c, "demo");
+        let runs: Vec<(u64, u64)> = plan
+            .shards
+            .iter()
+            .map(|a| (a.plan.first, a.plan.count))
+            .collect();
+        assert_eq!(runs, [(0, 64), (64, 64), (128, 22)]);
 
         write_message(
             &mut c,
-            &Message::ShardManifest {
+            &Message::Manifest {
                 name: "nope".into(),
-                per_shard: 0,
             },
         )
         .unwrap();
@@ -654,8 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_manifest_reports_real_store_plans() {
-        use sciml_pipeline::source::VecSource;
+    fn manifest_reports_real_store_plans() {
         use sciml_store::{pack_store, PackConfig};
 
         let dir = std::env::temp_dir().join(format!(
@@ -682,19 +652,11 @@ mod tests {
             .bind("127.0.0.1:0")
             .unwrap();
         let mut c = client(server.local_addr());
-        // per_shard is ignored for store-backed datasets: the real
-        // on-disk boundaries win.
-        write_message(
-            &mut c,
-            &Message::ShardManifest {
-                name: "packed".into(),
-                per_shard: 1,
-            },
-        )
-        .unwrap();
-        let Message::ShardManifestReply(plans) = read_message(&mut c).unwrap() else {
-            panic!("expected a shard manifest reply");
-        };
+        let plans: Vec<ShardPlan> = manifest(&mut c, "packed")
+            .shards
+            .iter()
+            .map(|a| a.plan)
+            .collect();
         assert_eq!(plans, expected);
         server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -702,10 +664,11 @@ mod tests {
 
     #[test]
     fn shared_registry_exposes_server_metrics() {
-        let reg = MetricsRegistry::new();
+        let telemetry = Telemetry::disabled();
+        let reg = Arc::clone(&telemetry.registry);
         let server = ServeBuilder::new()
             .dataset("demo", demo_source())
-            .registry(Arc::clone(&reg))
+            .telemetry(&telemetry)
             .bind("127.0.0.1:0")
             .unwrap();
         let mut c = client(server.local_addr());
@@ -729,32 +692,22 @@ mod tests {
     }
 
     #[test]
-    fn cluster_manifest_without_config_names_self() {
+    fn manifest_without_cluster_config_names_no_node() {
         let server = ServeBuilder::new()
             .dataset("demo", demo_source())
             .bind("127.0.0.1:0")
             .unwrap();
         let mut c = client(server.local_addr());
-        write_message(
-            &mut c,
-            &Message::ClusterManifest {
-                name: "demo".into(),
-            },
-        )
-        .unwrap();
-        let Message::ClusterManifestReply(plan) = read_message(&mut c).unwrap() else {
-            panic!("expected cluster manifest reply");
-        };
-        assert_eq!(plan.nodes, vec![server.local_addr().to_string()]);
-        assert_eq!(plan.replication, 1);
+        let plan = manifest(&mut c, "demo");
+        assert!(plan.nodes.is_empty(), "{:?}", plan.nodes);
+        assert_eq!(plan.total_samples(), 8);
         assert!(!plan.shards.is_empty());
-        assert!(plan.shards.iter().all(|a| a.replicas == vec![0]));
-        plan.validate().expect("single-node plan is valid");
+        assert!(plan.shards.iter().all(|a| a.replicas.is_empty()));
         server.shutdown();
     }
 
     #[test]
-    fn cluster_manifest_reports_configured_placement() {
+    fn manifest_reports_configured_placement() {
         let nodes = vec![
             "10.0.0.1:7000".to_string(),
             "10.0.0.2:7000".to_string(),
@@ -768,24 +721,14 @@ mod tests {
             })
             .bind("127.0.0.1:0")
             .unwrap();
-        let mut c = client(server.local_addr());
-        write_message(
-            &mut c,
-            &Message::ClusterManifest {
-                name: "demo".into(),
-            },
-        )
-        .unwrap();
-        let Message::ClusterManifestReply(plan) = read_message(&mut c).unwrap() else {
-            panic!("expected cluster manifest reply");
-        };
+        let plan = manifest(&mut client(server.local_addr()), "demo");
         assert_eq!(plan.nodes, nodes);
         assert_eq!(plan.replication, 2);
         plan.validate().expect("plan is valid");
         // Placement must match a locally computed one (deterministic
         // ring), so any member answers identically.
         let plans: Vec<ShardPlan> = plan.shards.iter().map(|a| a.plan).collect();
-        let local = sciml_store::ClusterPlan::assign(&plans, &nodes, 2);
+        let local = ClusterPlan::assign(&plans, &nodes, 2);
         assert_eq!(plan, local);
         server.shutdown();
     }

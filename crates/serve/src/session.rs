@@ -5,20 +5,12 @@
 //! check, the trace-context unwrap, request dispatch, building the
 //! reply's frame, and request accounting live here.
 
-use crate::protocol::{
-    encode_frame, DatasetEntry, ErrorCode, Message, SamplesFrame, PROTOCOL_VERSION,
-};
+use crate::protocol::{encode_frame, ErrorCode, Message, SamplesFrame, PROTOCOL_VERSION};
 use crate::server::Inner;
 use sciml_net::{Piece, Reply};
 use sciml_pipeline::source::SampleBytes;
 use sciml_pipeline::SampleSource;
-use sciml_store::manifest::plan_by_count;
-use sciml_store::ClusterPlan;
 use std::time::Instant;
-
-/// Samples per synthesized shard when a client asks for a staging plan
-/// without a preference and the dataset has no packed-store manifest.
-const DEFAULT_PLAN_PER_SHARD: u64 = 64;
 
 /// State of one connection: the first message must be a `Hello`
 /// carrying [`PROTOCOL_VERSION`].
@@ -129,41 +121,10 @@ fn fetch_samples(inner: &Inner, name: &str, indices: &[u64]) -> Result<Vec<Piece
 /// The reply to every request but `FetchSamples` and `Shutdown`.
 fn respond(inner: &Inner, request: Message) -> Message {
     match request {
-        Message::ListDatasets => Message::DatasetList(
-            inner
-                .datasets
-                .iter()
-                .map(|(name, ds)| DatasetEntry {
-                    name: name.clone(),
-                    len: ds.cache.len() as u64,
-                })
-                .collect(),
-        ),
         Message::Manifest { name } => match inner.datasets.get(&name) {
-            Some(ds) => Message::ManifestReply {
-                len: ds.cache.len() as u64,
-            },
+            Some(ds) => Message::ManifestReply(ds.plan.clone()),
             None => unknown_dataset(&name),
         },
-        Message::ShardManifest { name, per_shard } => {
-            match dataset_plans(inner, &name, per_shard) {
-                Some(plans) => Message::ShardManifestReply(plans),
-                None => unknown_dataset(&name),
-            }
-        }
-        Message::ClusterManifest { name } => {
-            let Some(plans) = dataset_plans(inner, &name, 0) else {
-                return unknown_dataset(&name);
-            };
-            // Without cluster config the server is a cluster of one:
-            // every shard's sole replica is this node, so clients can
-            // treat all servers uniformly.
-            let (nodes, replication) = match &inner.cluster {
-                Some(c) => (c.nodes.clone(), c.replication),
-                None => (vec![inner.local_addr.to_string()], 1),
-            };
-            Message::ClusterManifestReply(ClusterPlan::assign(&plans, &nodes, replication))
-        }
         Message::Stats => Message::StatsReply(inner.stats()),
         // Client-bound messages arriving at the server.
         other => Message::Error {
@@ -171,24 +132,6 @@ fn respond(inner: &Inner, request: Message) -> Message {
             detail: format!("unexpected message: {other:?}"),
         },
     }
-}
-
-/// The shard partitioning exported for `name`: the store's real plans
-/// when it has them, else one synthesized by sample count. `None` when
-/// the dataset does not exist.
-fn dataset_plans(inner: &Inner, name: &str, per_shard: u64) -> Option<Vec<sciml_store::ShardPlan>> {
-    let ds = inner.datasets.get(name)?;
-    Some(match &ds.plans {
-        Some(plans) => plans.clone(),
-        None => {
-            let per = if per_shard == 0 {
-                DEFAULT_PLAN_PER_SHARD
-            } else {
-                per_shard
-            };
-            plan_by_count(ds.cache.len() as u64, per)
-        }
-    })
 }
 
 fn unknown_dataset(name: &str) -> Message {

@@ -20,6 +20,7 @@
 //! a source of truth.
 
 use crate::manifest::ShardPlan;
+use crate::{Result, StoreError};
 
 /// Default number of virtual points each node contributes to the ring.
 pub const DEFAULT_VNODES: usize = 64;
@@ -148,20 +149,8 @@ impl ClusterPlan {
     /// Computes the placement of `plans` across `nodes` with the given
     /// replication factor using [`DEFAULT_VNODES`] virtual points.
     pub fn assign(plans: &[ShardPlan], nodes: &[String], replication: u16) -> ClusterPlan {
-        Self::assign_with_vnodes(plans, nodes, replication, DEFAULT_VNODES)
-    }
-
-    /// [`ClusterPlan::assign`] with an explicit virtual-point count
-    /// (placement changes with `vnodes`; all members of a cluster must
-    /// agree on it).
-    pub fn assign_with_vnodes(
-        plans: &[ShardPlan],
-        nodes: &[String],
-        replication: u16,
-        vnodes: usize,
-    ) -> ClusterPlan {
         let replication = (replication.max(1) as usize).min(nodes.len().max(1)) as u16;
-        let ring = HashRing::new(nodes, vnodes);
+        let ring = HashRing::new(nodes, DEFAULT_VNODES);
         let shards = plans
             .iter()
             .map(|p| ShardAssignment {
@@ -178,33 +167,47 @@ impl ClusterPlan {
 
     /// Validates internal consistency: non-empty node list, every
     /// replica index in range, replica sets distinct and exactly
-    /// `replication` long. Returns a description of the first
-    /// violation.
-    pub fn validate(&self) -> Result<(), String> {
+    /// `replication` long, and shards that tile `[0, len)` — in sample
+    /// order, each non-empty, the last ending at or before `u64::MAX`.
+    /// The first violation is a [`StoreError::Manifest`].
+    pub fn validate(&self) -> Result<()> {
+        let invalid = |what: String| Err(StoreError::Manifest(format!("cluster plan: {what}")));
         if self.nodes.is_empty() {
-            return Err("cluster has no nodes".to_string());
+            return invalid("no nodes".to_string());
         }
         let mut seen = std::collections::BTreeSet::new();
         for node in &self.nodes {
             if node.is_empty() {
-                return Err("empty node address".to_string());
+                return invalid("empty node address".to_string());
             }
             if !seen.insert(node) {
-                return Err(format!("duplicate node address {node}"));
+                return invalid(format!("duplicate node address {node}"));
             }
         }
         if self.replication == 0 || self.replication as usize > self.nodes.len() {
-            return Err(format!(
+            return invalid(format!(
                 "replication {} out of range for {} nodes",
                 self.replication,
                 self.nodes.len()
             ));
         }
+        let mut end = 0u64;
         for a in &self.shards {
+            let ShardPlan {
+                id, first, count, ..
+            } = a.plan;
+            if first != end || count == 0 {
+                return invalid(format!(
+                    "shard {id} holds {count} samples from {first}, not a non-empty run from {end}"
+                ));
+            }
+            let Some(next) = first.checked_add(count) else {
+                return invalid(format!("shard {id} ends past u64::MAX"));
+            };
+            end = next;
             if a.replicas.len() != self.replication as usize {
-                return Err(format!(
-                    "shard {} has {} replicas, expected {}",
-                    a.plan.id,
+                return invalid(format!(
+                    "shard {id} has {} replicas, expected {}",
                     a.replicas.len(),
                     self.replication
                 ));
@@ -212,17 +215,23 @@ impl ClusterPlan {
             let mut distinct = std::collections::BTreeSet::new();
             for &r in &a.replicas {
                 if r as usize >= self.nodes.len() {
-                    return Err(format!(
-                        "shard {} replica index {r} out of range",
-                        a.plan.id
-                    ));
+                    return invalid(format!("shard {id} replica index {r} out of range"));
                 }
                 if !distinct.insert(r) {
-                    return Err(format!("shard {} repeats replica {r}", a.plan.id));
+                    return invalid(format!("shard {id} repeats replica {r}"));
                 }
             }
         }
         Ok(())
+    }
+
+    /// Samples the plan covers: where its last shard ends (0 for none).
+    /// A [`validate`](ClusterPlan::validate)d plan tiles exactly
+    /// `[0, total_samples)`.
+    pub fn total_samples(&self) -> u64 {
+        self.shards
+            .last()
+            .map_or(0, |a| a.plan.first.saturating_add(a.plan.count))
     }
 
     /// Per-node load: (primary shard count, total replica shard count,
@@ -244,11 +253,13 @@ impl ClusterPlan {
     }
 
     /// Replica set (primary first) for the shard covering global
-    /// sample `index`, or `None` when no shard covers it.
+    /// sample `index`, or `None` when no shard covers it. A binary
+    /// search over shards in sample order, as a
+    /// [`validate`](ClusterPlan::validate)d plan has them.
     pub fn locate(&self, index: u64) -> Option<&ShardAssignment> {
-        self.shards
-            .iter()
-            .find(|a| index >= a.plan.first && index < a.plan.first + a.plan.count)
+        let after = self.shards.partition_point(|a| a.plan.first <= index);
+        let a = self.shards.get(after.checked_sub(1)?)?;
+        (index - a.plan.first < a.plan.count).then_some(a)
     }
 }
 
@@ -365,6 +376,53 @@ mod tests {
     }
 
     #[test]
+    fn validate_requires_shards_that_tile_from_zero() {
+        let good = ClusterPlan::assign(&plan_by_count(10, 4), &nodes(2), 1);
+        assert!(good.validate().is_ok());
+        assert_eq!(good.total_samples(), 10);
+        let broken = |edit: fn(&mut [ShardAssignment])| {
+            let mut plan = good.clone();
+            edit(&mut plan.shards);
+            plan.validate()
+        };
+        for (what, edit) in [
+            (
+                "gap",
+                (|s| s[1].plan.first += 1) as fn(&mut [ShardAssignment]),
+            ),
+            ("overlap", |s| s[1].plan.first -= 1),
+            ("not from 0", |s| s[0].plan.first = 1),
+            ("empty shard", |s| s[2].plan.count = 0),
+            ("out of order", |s| s.swap(0, 1)),
+            ("end past u64::MAX", |s| s[2].plan.count = u64::MAX),
+        ] {
+            assert!(
+                matches!(broken(edit), Err(StoreError::Manifest(_))),
+                "{what}"
+            );
+        }
+        let wrapped = ClusterPlan {
+            nodes: nodes(1),
+            replication: 1,
+            shards: [(0, 1u64 << 63), (1u64 << 63, 1u64 << 63)]
+                .into_iter()
+                .enumerate()
+                .map(|(id, (first, count))| ShardAssignment {
+                    plan: ShardPlan {
+                        id: id as u32,
+                        first,
+                        count,
+                        bytes: 0,
+                        encoding: crate::EncodingChoice::Raw,
+                    },
+                    replicas: vec![0],
+                })
+                .collect(),
+        };
+        assert!(matches!(wrapped.validate(), Err(StoreError::Manifest(_))));
+    }
+
+    #[test]
     fn locate_finds_covering_shard() {
         let plans = plan_by_count(100, 32);
         let plan = ClusterPlan::assign(&plans, &nodes(3), 2);
@@ -372,5 +430,16 @@ mod tests {
         assert_eq!(plan.locate(33).map(|a| a.plan.id), Some(1));
         assert_eq!(plan.locate(99).map(|a| a.plan.id), Some(3));
         assert!(plan.locate(100).is_none());
+        assert!(plan.locate(u64::MAX).is_none());
+        // Every index, against the linear scan it replaces.
+        for index in 0..101 {
+            let scan = plan
+                .shards
+                .iter()
+                .find(|a| index >= a.plan.first && index < a.plan.first + a.plan.count);
+            assert_eq!(plan.locate(index), scan, "index {index}");
+        }
+        let empty = ClusterPlan::assign(&[], &nodes(1), 1);
+        assert!(empty.locate(0).is_none());
     }
 }

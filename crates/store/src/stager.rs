@@ -258,21 +258,24 @@ impl Stager {
         telemetry: Telemetry,
     ) -> Result<Self> {
         let dir: PathBuf = staging_dir.into();
-        let planned: u64 = plans.iter().map(|p| p.count).sum();
+        // Plans may come off the wire: every sum is checked, and the
+        // backing's length bounds every shard before anything is sized.
+        let mut planned = 0u64;
+        for p in &plans {
+            if p.first != planned || p.count == 0 {
+                return Err(StoreError::Manifest(
+                    "staging plan must be contiguous from sample 0 with non-empty shards".into(),
+                ));
+            }
+            planned = p.first.checked_add(p.count).ok_or_else(|| {
+                StoreError::Manifest(format!("staging plan shard {} ends past u64::MAX", p.id))
+            })?;
+        }
         if planned != backing.len() as u64 {
             return Err(StoreError::Manifest(format!(
                 "staging plan covers {planned} samples but backing source has {}",
                 backing.len()
             )));
-        }
-        let mut expect = 0u64;
-        for p in &plans {
-            if p.first != expect || p.count == 0 {
-                return Err(StoreError::Manifest(
-                    "staging plan must be contiguous from sample 0 with non-empty shards".into(),
-                ));
-            }
-            expect += p.count;
         }
 
         let journal = StagingJournal::open(&dir)?;
@@ -506,7 +509,7 @@ impl Stager {
     fn acquire_budget(&self, bytes: u64) -> bool {
         let inner = &self.inner;
         let mut inflight = inner.inflight_bytes.lock();
-        while *inflight > 0 && *inflight + bytes > inner.config.max_inflight_bytes {
+        while *inflight > 0 && inflight.saturating_add(bytes) > inner.config.max_inflight_bytes {
             if inner.stop.load(Ordering::Relaxed) {
                 return false;
             }
@@ -515,7 +518,7 @@ impl Stager {
         if inner.stop.load(Ordering::Relaxed) {
             return false;
         }
-        *inflight += bytes;
+        *inflight = inflight.saturating_add(bytes);
         true
     }
 
@@ -584,7 +587,9 @@ impl Stager {
     ) -> Result<(Vec<StoredSample>, u64)> {
         let config = &self.inner.config;
         let backing = &self.inner.backing;
-        let mut entries = Vec::with_capacity(plan.count as usize);
+        // Grown, not sized from the plan's count: a source's length can
+        // be a remote claim.
+        let mut entries = Vec::new();
         let mut verbatim = 0u64;
         // Stays with this loop when an entry is unpacked out of it; any
         // other entry leaves with the buffer it was read into.
@@ -726,6 +731,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, StoreError::Manifest(_)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_plan_whose_sum_wraps_is_a_typed_error() {
+        // Two shards of 2^63 sum to 2^64, which wraps to the backing's
+        // length of 0: refused before anything is sized from a count.
+        let dir = tmp_dir("wrap");
+        let half = 1u64 << 63;
+        let plans = [(0, half), (half, half)]
+            .into_iter()
+            .enumerate()
+            .map(|(id, (first, count))| ShardPlan {
+                id: id as u32,
+                first,
+                count,
+                bytes: 0,
+                encoding: EncodingChoice::Raw,
+            })
+            .collect();
+        let err = Stager::new(backing(0), plans, &dir, StagerConfig::default()).unwrap_err();
+        assert!(matches!(err, StoreError::Manifest(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -74,7 +74,7 @@ fn main() {
         tracer: Tracer::disabled(),
     };
     let remote = RemoteSource::connect(server.local_addr().to_string(), "cosmo").expect("connect");
-    let plans = remote.shard_manifest(0).expect("shard manifest");
+    let plans: Vec<_> = remote.plan().shards.iter().map(|a| a.plan).collect();
     assert_eq!(plans, manifest.plans(), "server exports real boundaries");
     let stager = Stager::with_telemetry(
         Arc::new(remote),

@@ -273,7 +273,11 @@ for _ in $(seq 50); do
     if sciml fetch --addr 127.0.0.1:7979 --indices 0 >/dev/null 2>&1; then break; fi
     sleep 0.2
 done
-sciml stage --addr 127.0.0.1:7979 --out "$store_dir/staged" --workers 2
+# The first seed is dead: staging falls back to the next one.
+sciml stage --addr 127.0.0.1:1,127.0.0.1:7979 --out "$store_dir/staged" --workers 2
+# A server without cluster config names no node; the client places
+# every shard on the address it dialled.
+sciml cluster-plan --addr 127.0.0.1:7979
 sciml verify-store "$store_dir/staged"
 sciml fetch --addr 127.0.0.1:7979 --all --stats
 sciml fetch --addr 127.0.0.1:7979 --shutdown

@@ -206,8 +206,8 @@ mod wire {
     /// so it reaches the parser) is `UnknownTag`.
     #[test]
     fn unknown_tags_rejected() {
-        // 0x15 is the first tag past the assigned range (0x13/0x14 are
-        // the ClusterManifest request/reply pair).
+        // 0x15 is the first tag past any ever assigned (0x13/0x14 were
+        // the retired cluster-manifest pair).
         for tag in [0x00u8, 0x15, 0x42, 0xEE, 0xFF] {
             let payload = vec![tag];
             let mut frame = Vec::new();

@@ -259,16 +259,15 @@ fn other_versions_are_refused_and_admitted_connections_speak_everything() {
     let request = Message::Traced {
         trace_id: 1,
         parent_span: 2,
-        inner: Box::new(Message::ClusterManifest {
+        inner: Box::new(Message::Manifest {
             name: "cosmo".into(),
         }),
     };
-    protocol::write_message(&mut stream, &request).expect("traced cluster manifest");
-    match protocol::read_message(&mut stream).expect("cluster reply") {
-        Message::ClusterManifestReply(plan) => {
-            assert_eq!(plan.nodes, vec![server.local_addr().to_string()]);
-        }
-        other => panic!("expected the cluster manifest, got {other:?}"),
+    protocol::write_message(&mut stream, &request).expect("traced manifest");
+    match protocol::read_message(&mut stream).expect("manifest reply") {
+        // No cluster config: the plan names no node.
+        Message::ManifestReply(plan) => assert!(plan.nodes.is_empty(), "{plan:?}"),
+        other => panic!("expected the manifest, got {other:?}"),
     }
     server.shutdown();
 }

@@ -170,7 +170,7 @@ fn staging_through_loopback_serve_matches_backing_bytes() {
         .expect("bind loopback");
 
     let remote = RemoteSource::connect(server.local_addr().to_string(), "packed").expect("connect");
-    let plans = remote.shard_manifest(0).expect("shard manifest");
+    let plans: Vec<_> = remote.plan().shards.iter().map(|a| a.plan).collect();
     assert_eq!(
         plans,
         manifest.plans(),
