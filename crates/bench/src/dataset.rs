@@ -7,10 +7,8 @@ use sciml_codec::Op;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
-use sciml_gpusim::{Gpu, GpuSpec};
 use sciml_pipeline::decoder::{
-    CosmoBaseline, CosmoGzip, CosmoPluginCpu, CosmoPluginGpu, DeepCamBaseline, DeepCamGzip,
-    DeepCamPluginCpu, DeepCamPluginGpu,
+    CosmoBaseline, CosmoGzip, CosmoPluginCpu, DeepCamBaseline, DeepCamGzip, DeepCamPluginCpu,
 };
 use sciml_pipeline::DecoderPlugin;
 use std::sync::Arc;
@@ -22,7 +20,7 @@ pub enum EncodedFormat {
     Base,
     /// gzip-compressed baseline layout.
     Gzip,
-    /// The custom domain-specific encoding (used by both plugin modes).
+    /// The custom domain-specific encoding (the CPU plugin's input).
     Custom,
 }
 
@@ -108,26 +106,15 @@ impl DatasetBuilder {
         }
     }
 
-    /// The decoder plugin matching a (format, device) combination.
-    pub fn plugin(
-        &self,
-        format: EncodedFormat,
-        gpu: Option<GpuSpec>,
-        op: Op,
-    ) -> Arc<dyn DecoderPlugin> {
-        match (self.workload, format, gpu) {
-            (Workload::CosmoFlow, EncodedFormat::Base, _) => Arc::new(CosmoBaseline { op }),
-            (Workload::CosmoFlow, EncodedFormat::Gzip, _) => Arc::new(CosmoGzip { op }),
-            (Workload::CosmoFlow, EncodedFormat::Custom, None) => Arc::new(CosmoPluginCpu { op }),
-            (Workload::CosmoFlow, EncodedFormat::Custom, Some(spec)) => {
-                Arc::new(CosmoPluginGpu::new(Gpu::new(spec), op))
-            }
-            (Workload::DeepCam, EncodedFormat::Base, _) => Arc::new(DeepCamBaseline { op }),
-            (Workload::DeepCam, EncodedFormat::Gzip, _) => Arc::new(DeepCamGzip { op }),
-            (Workload::DeepCam, EncodedFormat::Custom, None) => Arc::new(DeepCamPluginCpu { op }),
-            (Workload::DeepCam, EncodedFormat::Custom, Some(spec)) => {
-                Arc::new(DeepCamPluginGpu::new(Gpu::new(spec), op))
-            }
+    /// The decoder plugin that reads `format`.
+    pub fn plugin(&self, format: EncodedFormat, op: Op) -> Arc<dyn DecoderPlugin> {
+        match (self.workload, format) {
+            (Workload::CosmoFlow, EncodedFormat::Base) => Arc::new(CosmoBaseline { op }),
+            (Workload::CosmoFlow, EncodedFormat::Gzip) => Arc::new(CosmoGzip { op }),
+            (Workload::CosmoFlow, EncodedFormat::Custom) => Arc::new(CosmoPluginCpu { op }),
+            (Workload::DeepCam, EncodedFormat::Base) => Arc::new(DeepCamBaseline { op }),
+            (Workload::DeepCam, EncodedFormat::Gzip) => Arc::new(DeepCamGzip { op }),
+            (Workload::DeepCam, EncodedFormat::Custom) => Arc::new(DeepCamPluginCpu { op }),
         }
     }
 }
@@ -146,7 +133,7 @@ mod tests {
         ] {
             let blobs = b.build(2, format);
             assert_eq!(blobs.len(), 2);
-            let plugin = b.plugin(format, None, Op::Log1p);
+            let plugin = b.plugin(format, Op::Log1p);
             let d = plugin.decode(&blobs[0]).unwrap();
             assert_eq!(d.data.len(), 32 * 32 * 32 * 4);
         }
@@ -161,10 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn deepcam_gpu_plugin_through_builder() {
+    fn deepcam_plugin_through_builder() {
         let b = DatasetBuilder::deepcam(DeepCamConfig::test_small());
         let blobs = b.build(1, EncodedFormat::Custom);
-        let plugin = b.plugin(EncodedFormat::Custom, Some(GpuSpec::A100), Op::Identity);
+        let plugin = b.plugin(EncodedFormat::Custom, Op::Identity);
         let d = plugin.decode(&blobs[0]).unwrap();
         assert_eq!(d.data.len(), 144 * 96 * 4);
     }

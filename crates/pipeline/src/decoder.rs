@@ -1,5 +1,7 @@
-//! Decoder plugins: baseline, gzip-baseline, CPU plugin, GPU plugin —
-//! for each of the two workloads. These are the six bars of Figs. 8/10.
+//! Decoder plugins: baseline, gzip-baseline and CPU plugin, for each of
+//! the two workloads — one plugin per format. The paper's GPU plugin
+//! decodes the CPU plugin's format on the device; its §VI kernels are
+//! reproduced, off the data path, in `sciml_platform::gpusim`.
 
 use crate::batch::Label;
 use crate::Result;
@@ -8,7 +10,6 @@ use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
 use sciml_compress::Level;
 use sciml_data::serialize;
-use sciml_gpusim::{decode_cosmo_into, decode_deepcam_into, Gpu};
 use sciml_half::F16;
 use std::cell::RefCell;
 
@@ -172,43 +173,6 @@ impl DecoderPlugin for CosmoPluginCpu {
     }
 }
 
-/// GPU plugin: the same encoding decoded on the SIMT simulator.
-pub struct CosmoPluginGpu {
-    /// Simulated device.
-    pub gpu: Gpu,
-    /// Preprocessing operator (fused).
-    pub op: Op,
-}
-
-impl CosmoPluginGpu {
-    /// Creates a GPU plugin over a simulated device.
-    pub fn new(gpu: Gpu, op: Op) -> Self {
-        Self { gpu, op }
-    }
-
-    fn decode_view_into(&self, view: &cf::CosmoView<'_>, out: &mut [F16]) -> Result<Label> {
-        decode_cosmo_into(&self.gpu, view, self.op, out)?;
-        Ok(Label::Cosmo(view.label))
-    }
-}
-
-impl DecoderPlugin for CosmoPluginGpu {
-    fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let view = cf::CosmoView::parse(bytes)?;
-        let mut data = vec![F16::ZERO; view.n_values()];
-        let label = self.decode_view_into(&view, &mut data)?;
-        Ok(DecodedSample { data, label })
-    }
-
-    fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        self.decode_view_into(&cf::CosmoView::parse(bytes)?, out)
-    }
-
-    fn name(&self) -> &'static str {
-        "cosmo-plugin-gpu"
-    }
-}
-
 // ---------------------------------------------------------------------
 // DeepCAM plugins
 // ---------------------------------------------------------------------
@@ -312,50 +276,12 @@ impl DecoderPlugin for DeepCamPluginCpu {
     }
 }
 
-/// GPU plugin: differential codec on the SIMT simulator.
-pub struct DeepCamPluginGpu {
-    /// Simulated device.
-    pub gpu: Gpu,
-    /// Fused operator.
-    pub op: Op,
-}
-
-impl DeepCamPluginGpu {
-    /// Creates a GPU plugin over a simulated device.
-    pub fn new(gpu: Gpu, op: Op) -> Self {
-        Self { gpu, op }
-    }
-
-    fn decode_view_into(&self, view: &dc::DeepCamView<'_>, out: &mut [F16]) -> Result<Label> {
-        decode_deepcam_into(&self.gpu, view, self.op, out)?;
-        Ok(Label::Mask(view.mask.to_vec()))
-    }
-}
-
-impl DecoderPlugin for DeepCamPluginGpu {
-    fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let view = dc::DeepCamView::parse(bytes)?;
-        let mut data = vec![F16::ZERO; view.n_values()];
-        let label = self.decode_view_into(&view, &mut data)?;
-        Ok(DecodedSample { data, label })
-    }
-
-    fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        self.decode_view_into(&dc::DeepCamView::parse(bytes)?, out)
-    }
-
-    fn name(&self) -> &'static str {
-        "deepcam-plugin-gpu"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PipelineError;
     use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
     use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
-    use sciml_gpusim::GpuSpec;
     use sciml_simd::{force, supported_levels};
 
     /// One sample as the three CosmoFlow formats: raw payload, gzip,
@@ -390,18 +316,11 @@ mod tests {
                 let base = CosmoBaseline { op }.decode(&raw).unwrap();
                 let gzip = CosmoGzip { op }.decode(&gz).unwrap();
                 let cpu = CosmoPluginCpu { op }.decode(&enc).unwrap();
-                let gpu = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), op)
-                    .decode(&enc)
-                    .unwrap();
                 assert_eq!(base.data.len(), grid * grid * grid * 4);
                 assert_eq!(base, gzip, "grid {grid} at {lvl:?}");
                 assert_eq!(
                     base.data, cpu.data,
                     "fused CPU plugin must be bit-identical (grid {grid} at {lvl:?})"
-                );
-                assert_eq!(
-                    base.data, gpu.data,
-                    "GPU plugin must be bit-identical (grid {grid} at {lvl:?})"
                 );
                 assert_eq!(base.label, cpu.label);
                 let scalar = scalar.get_or_insert(base);
@@ -486,10 +405,6 @@ mod tests {
         let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
         let bytes = enc.to_bytes();
         let cpu = DeepCamPluginCpu { op }.decode(&bytes).unwrap();
-        let gpu = DeepCamPluginGpu::new(Gpu::new(GpuSpec::A100), op)
-            .decode(&bytes)
-            .unwrap();
-        assert_eq!(cpu.data, gpu.data);
         assert_eq!(cpu.label, Label::Mask(s.mask.clone()));
         assert_eq!(base.data.len(), cpu.data.len());
     }
@@ -518,22 +433,18 @@ mod tests {
         hostile.extend_from_slice(&0u64.to_le_bytes());
         assert_eq!(hostile.len(), 69);
 
-        let cpu = DeepCamPluginCpu { op: Op::Identity };
-        let gpu = DeepCamPluginGpu::new(Gpu::new(GpuSpec::A100), Op::Identity);
-        let plugins: [&dyn DecoderPlugin; 2] = [&cpu, &gpu];
+        let plugin = DeepCamPluginCpu { op: Op::Identity };
         for (bytes, verdict) in [
             (&blob, "zero-width lines"),
             (&hostile, "unsupported version"),
         ] {
-            for plugin in plugins {
-                for result in [
-                    plugin.decode(bytes).map(|_| ()),
-                    plugin.decode_into(bytes, &mut []).map(|_| ()),
-                    plugin.decode_into(bytes, &mut [F16::ZERO; 4]).map(|_| ()),
-                ] {
-                    let err = result.expect_err(plugin.name());
-                    assert!(err.to_string().contains(verdict), "{err}");
-                }
+            for result in [
+                plugin.decode(bytes).map(|_| ()),
+                plugin.decode_into(bytes, &mut []).map(|_| ()),
+                plugin.decode_into(bytes, &mut [F16::ZERO; 4]).map(|_| ()),
+            ] {
+                let err = result.expect_err(plugin.name());
+                assert!(err.to_string().contains(verdict), "{err}");
             }
         }
     }
@@ -549,17 +460,13 @@ mod tests {
         blob.extend_from_slice(&[0u8; 4 + 16 + 4]);
         assert_eq!(blob.len(), 32);
         let cpu = CosmoPluginCpu { op: Op::Log1p };
-        let gpu = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), Op::Log1p);
-        let plugins: [&dyn DecoderPlugin; 2] = [&cpu, &gpu];
-        for plugin in plugins {
-            for result in [
-                plugin.decode(&blob).map(|_| ()),
-                plugin.decode_into(&blob, &mut []).map(|_| ()),
-                plugin.decode_into(&blob, &mut [F16::ZERO; 8]).map(|_| ()),
-            ] {
-                let err = result.expect_err(plugin.name());
-                assert!(err.to_string().contains("zero grid"), "{err}");
-            }
+        for result in [
+            cpu.decode(&blob).map(|_| ()),
+            cpu.decode_into(&blob, &mut []).map(|_| ()),
+            cpu.decode_into(&blob, &mut [F16::ZERO; 8]).map(|_| ()),
+        ] {
+            let err = result.expect_err(cpu.name());
+            assert!(err.to_string().contains("zero grid"), "{err}");
         }
 
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
@@ -573,14 +480,12 @@ mod tests {
             for at in [bytes.len() - chunk.keys.len(), bytes.len() - 2] {
                 let mut hostile = bytes.clone();
                 hostile[at..at + 2].copy_from_slice(&bad.to_le_bytes());
-                for plugin in plugins {
-                    for result in [
-                        plugin.decode(&hostile).map(|_| ()),
-                        plugin.decode_into(&hostile, &mut out).map(|_| ()),
-                    ] {
-                        let err = result.expect_err(plugin.name());
-                        assert!(err.to_string().contains("key out of table range"), "{err}");
-                    }
+                for result in [
+                    cpu.decode(&hostile).map(|_| ()),
+                    cpu.decode_into(&hostile, &mut out).map(|_| ()),
+                ] {
+                    let err = result.expect_err(cpu.name());
+                    assert!(err.to_string().contains("key out of table range"), "{err}");
                 }
             }
         }

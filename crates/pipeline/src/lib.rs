@@ -7,9 +7,9 @@
 //!
 //! * [`source`] — where encoded bytes come from: in-memory, a directory
 //!   of files, or a fill-once host-memory cache over either;
-//! * [`decoder`] — the plugin interface plus the eight concrete plugins
-//!   the evaluation uses (baseline / gzip / CPU-plugin / GPU-plugin, for
-//!   each of CosmoFlow and DeepCAM);
+//! * [`decoder`] — the plugin interface plus the six concrete plugins
+//!   the evaluation uses (baseline / gzip / CPU plugin, for each of
+//!   CosmoFlow and DeepCAM);
 //! * [`pipeline`] — reader threads → bounded prefetch queue → decoder
 //!   pool → batcher, with per-stage wall-time instrumentation;
 //! * [`batch`] — the FP16 batches handed to the training loop.

@@ -9,11 +9,9 @@ use sciml_codec::Op;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
-use sciml_gpusim::{Gpu, GpuSpec};
 use sciml_half::F16;
 use sciml_pipeline::decoder::{
-    CosmoBaseline, CosmoGzip, CosmoPluginCpu, CosmoPluginGpu, DeepCamBaseline, DeepCamGzip,
-    DeepCamPluginCpu, DeepCamPluginGpu,
+    CosmoBaseline, CosmoGzip, CosmoPluginCpu, DeepCamBaseline, DeepCamGzip, DeepCamPluginCpu,
 };
 use sciml_pipeline::source::VecSource;
 use sciml_pipeline::{DecoderPlugin, Pipeline, PipelineConfig};
@@ -49,7 +47,7 @@ fn tiny_blobs(n: usize) -> Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All eight plugins, arbitrary generator seeds, sample shapes that
+    /// All six plugins, arbitrary generator seeds, sample shapes that
     /// leave vector tails. The two DeepCAM baselines run every operator
     /// over data with NaN and ±∞ planted in it, so every arm of
     /// `Op::narrow_into` is reached through a plugin and held to the
@@ -79,8 +77,6 @@ proptest! {
         let gz = CosmoGzip::compress_payload(&raw);
         prop_assert_eq!(&assert_decode_into_is_decode(&CosmoGzip { op }, &gz), &base);
         prop_assert_eq!(&assert_decode_into_is_decode(&CosmoPluginCpu { op }, &enc), &base);
-        let gpu = CosmoPluginGpu::new(Gpu::new(GpuSpec::V100), op);
-        prop_assert_eq!(&assert_decode_into_is_decode(&gpu, &enc), &base);
 
         let mut d = ClimateGenerator::new(DeepCamConfig {
             width,
@@ -93,9 +89,7 @@ proptest! {
         let (enc, _) = dc::encode(&d, &dc::EncoderConfig::default());
         let enc = enc.to_bytes();
         for op in [Op::Identity, Op::Normalize { scale, offset }] {
-            let cpu = assert_decode_into_is_decode(&DeepCamPluginCpu { op }, &enc);
-            let gpu = DeepCamPluginGpu::new(Gpu::new(GpuSpec::A100), op);
-            prop_assert_eq!(&assert_decode_into_is_decode(&gpu, &enc), &cpu);
+            assert_decode_into_is_decode(&DeepCamPluginCpu { op }, &enc);
         }
         for (at, what) in planted {
             let at = at % d.data.len();

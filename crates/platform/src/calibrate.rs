@@ -10,13 +10,13 @@
 //! platform_whatif.rs`-style studies and validated by smoke tests only
 //! (wall-clock measurements are not asserted against tight bounds).
 
+use crate::gpusim::GpuSpec;
 use crate::spec::{BandwidthCurve, PlatformSpec};
 use crate::workload::WorkloadProfile;
 use sciml_codec::cosmoflow as cf;
 use sciml_codec::Op;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::serialize;
-use sciml_gpusim::GpuSpec;
 use std::time::Instant;
 
 /// Measured single-core rates on the local host (bytes of *raw-sample

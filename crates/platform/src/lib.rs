@@ -10,14 +10,19 @@
 //!   the size-dependent pageable host→device bandwidth curves;
 //! * [`workload`] — per-sample costs for each workload × format (raw
 //!   baseline, gzip, CPU plugin, GPU plugin), anchored to real encoder
-//!   output sizes and to decode timings from the real codecs and the
-//!   SIMT simulator;
+//!   output sizes, to decode timings from the real codecs, and to the
+//!   paper's stated GPU decode shares (§IX);
 //! * [`epoch`] — the steady-state epoch model: storage tier selection
 //!   from dataset size vs memory/NVMe capacity, per-stage times, pipeline
 //!   overlap (throughput = 1 / bottleneck stage), and the stage
 //!   breakdowns behind Figs. 9 and 12;
 //! * [`figures`] — one function per paper figure/table producing the
 //!   exact series the `figures` binary prints.
+//! * [`gpusim`] — the §VI GPU decoder reproduced on a SIMT warp
+//!   simulator: bit-exact kernels with cycle counts, and [`GpuSpec`],
+//!   the Table I device parameters the model runs on.
+//!
+//! [`GpuSpec`]: gpusim::GpuSpec
 //!
 //! Absolute numbers are modeled; EXPERIMENTS.md reports them against the
 //! paper's and the claims defended are the shapes (speedup factors,
@@ -27,6 +32,7 @@ pub mod calibrate;
 pub mod cpu;
 pub mod epoch;
 pub mod figures;
+pub mod gpusim;
 pub mod scaling;
 pub mod spec;
 pub mod workload;

@@ -1,6 +1,6 @@
 //! Platform specifications (Table I) and bandwidth curves (§IX-A).
 
-use sciml_gpusim::GpuSpec;
+use crate::gpusim::GpuSpec;
 
 const GB: f64 = 1e9;
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;

@@ -11,11 +11,11 @@ use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::deepcam as dc;
 use sciml_codec::{ErrorStats, Op};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
-use sciml_gpusim::{decode_deepcam, Gpu, GpuSpec};
 use sciml_half::slice::widen;
 use sciml_pipeline::batch::Label;
 use sciml_pipeline::source::VecSource;
 use sciml_pipeline::{Pipeline, PipelineConfig};
+use sciml_platform::gpusim::{decode_deepcam, GpuSpec};
 use std::sync::Arc;
 
 fn main() {
@@ -45,8 +45,8 @@ fn main() {
 
     // CPU decode and simulated-GPU decode must agree bit for bit.
     let cpu = dc::decode(&enc, Op::Identity).expect("cpu decode");
-    let gpu = Gpu::new(GpuSpec::V100);
-    let (dev, kstats, t) = decode_deepcam(&gpu, &enc.view(), Op::Identity).expect("gpu decode");
+    let (dev, kstats, t) =
+        decode_deepcam(&GpuSpec::V100, &enc.view(), Op::Identity).expect("gpu decode");
     assert_eq!(cpu, dev, "GPU kernel must match the CPU decoder");
     println!(
         "\nsimulated V100 decode: {:.1} us ({} warp tasks, {} cycles, {} B DRAM)",
@@ -68,7 +68,7 @@ fn main() {
     // Pipeline with masks: labels travel losslessly.
     let builder = DatasetBuilder::deepcam(DeepCamConfig::test_small());
     let blobs = builder.build(8, EncodedFormat::Custom);
-    let plugin = builder.plugin(EncodedFormat::Custom, Some(GpuSpec::A100), Op::Identity);
+    let plugin = builder.plugin(EncodedFormat::Custom, Op::Identity);
     let pipeline = Pipeline::launch(
         Arc::new(VecSource::new(blobs)),
         plugin,

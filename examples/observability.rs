@@ -38,7 +38,7 @@ fn main() {
     // concurrent workers.
     let builder = DatasetBuilder::cosmoflow(CosmoFlowConfig::test_small());
     let encoded = builder.build(24, EncodedFormat::Custom);
-    let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
+    let plugin = builder.plugin(EncodedFormat::Custom, Op::Log1p);
 
     let telemetry = Telemetry::new();
     let pipeline = Pipeline::launch_with(

@@ -32,7 +32,7 @@ fn main() {
 
     // 3. Run the DALI-like pipeline with the CPU decoder plugin: decode
     //    is fused with the log1p preprocessing and emits FP16.
-    let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
+    let plugin = builder.plugin(EncodedFormat::Custom, Op::Log1p);
     let pipeline = Pipeline::launch(
         Arc::new(VecSource::new(encoded)),
         plugin,

@@ -63,6 +63,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo build --release"
 cargo build --workspace --release
 
+stage "the model stays off the data path (no sciml-platform under a loader crate)"
+# `sciml-platform` is the performance model and the §VI GPU simulator;
+# neither has a place on a sample's path. The output is captured before
+# it is searched, so an early-exiting grep cannot hide a match.
+for crate in sciml-pipeline sciml-store sciml-serve sciml-net; do
+    deps="$(cargo tree --offline -e normal -p "$crate" --prefix none)"
+    if grep -q '^sciml-platform ' <<<"$deps"; then
+        echo "ERROR: $crate depends on sciml-platform (cargo tree -e normal -p $crate)" >&2
+        exit 1
+    fi
+done
+
 stage "benchmark builds against the tree (cargo check, its lock put back)"
 # Nothing else here compiles `benchmark/`, so a library change that
 # breaks it would surface only when the benchmark is run. The benchmark

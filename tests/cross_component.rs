@@ -7,9 +7,9 @@ use sciml_codec::Op;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
-use sciml_gpusim::{decode_cosmo, decode_deepcam, Gpu, GpuSpec};
 use sciml_pipeline::source::{DirSource, MemoryCacheSource, VecSource};
 use sciml_pipeline::{PipelineError, SampleSource};
+use sciml_platform::gpusim::{decode_cosmo, decode_deepcam, GpuSpec};
 use sciml_serve::{ClusterSource, RemoteSource, ServeBuilder};
 use sciml_store::{pack_store, EncodingChoice, PackConfig, ShardSource, Stager, StagerConfig};
 use std::sync::Arc;
@@ -24,21 +24,20 @@ fn gpu_sim_matches_cpu_decoders_on_both_codecs() {
     let ds = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
     let (denc, _) = dc::encode(&ds, &dc::EncoderConfig::default());
 
-    for spec in [GpuSpec::V100, GpuSpec::A100] {
-        let gpu = Gpu::new(spec);
+    for gpu in [GpuSpec::V100, GpuSpec::A100] {
         let (cosmo_dev, _, _) = decode_cosmo(&gpu, &cenc.view(), Op::Log1p).unwrap();
         assert_eq!(
             cosmo_dev,
             cf::decode(&cenc, Op::Log1p).unwrap(),
             "{}",
-            spec.name
+            gpu.name
         );
         let (cam_dev, _, _) = decode_deepcam(&gpu, &denc.view(), Op::Identity).unwrap();
         assert_eq!(
             cam_dev,
             dc::decode(&denc, Op::Identity).unwrap(),
             "{}",
-            spec.name
+            gpu.name
         );
     }
 }

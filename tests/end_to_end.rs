@@ -5,7 +5,6 @@ use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::Op;
 use sciml_data::cosmoflow::CosmoFlowConfig;
 use sciml_data::deepcam::DeepCamConfig;
-use sciml_gpusim::GpuSpec;
 use sciml_pipeline::batch::Label;
 use sciml_pipeline::source::{DirSource, MemoryCacheSource, VecSource};
 use sciml_pipeline::{Pipeline, PipelineConfig};
@@ -23,14 +22,13 @@ fn all_cosmo_variants_deliver_identical_tensors() {
     let b = cosmo_builder();
     let n = 6;
     let mut per_variant: Vec<Vec<(usize, Vec<sciml_half::F16>)>> = Vec::new();
-    for (format, gpu) in [
-        (EncodedFormat::Base, None),
-        (EncodedFormat::Gzip, None),
-        (EncodedFormat::Custom, None),
-        (EncodedFormat::Custom, Some(GpuSpec::V100)),
+    for format in [
+        EncodedFormat::Base,
+        EncodedFormat::Gzip,
+        EncodedFormat::Custom,
     ] {
         let blobs = b.build(n, format);
-        let plugin = b.plugin(format, gpu, Op::Log1p);
+        let plugin = b.plugin(format, Op::Log1p);
         let p = Pipeline::launch(
             Arc::new(VecSource::new(blobs)),
             plugin,
@@ -77,7 +75,7 @@ fn deepcam_masks_survive_the_full_path() {
 
     let b = DatasetBuilder::deepcam(cfg);
     let blobs = b.build(4, EncodedFormat::Custom);
-    let plugin = b.plugin(EncodedFormat::Custom, None, Op::Identity);
+    let plugin = b.plugin(EncodedFormat::Custom, Op::Identity);
     let p = Pipeline::launch(
         Arc::new(VecSource::new(blobs)),
         plugin,
@@ -107,7 +105,7 @@ fn pipeline_reads_from_disk_directory_source() {
     let src = DirSource::write_all(&dir, &blobs).unwrap();
     let p = Pipeline::launch(
         Arc::new(src),
-        b.plugin(EncodedFormat::Custom, None, Op::Log1p),
+        b.plugin(EncodedFormat::Custom, Op::Log1p),
         PipelineConfig {
             batch_size: 2,
             epochs: 2,
@@ -129,7 +127,7 @@ fn staged_source_serves_second_epoch_from_cache() {
     let staged_ref = Arc::clone(&staged);
     let p = Pipeline::launch(
         staged,
-        b.plugin(EncodedFormat::Custom, None, Op::Log1p),
+        b.plugin(EncodedFormat::Custom, Op::Log1p),
         PipelineConfig {
             batch_size: 2,
             epochs: 3,
@@ -154,7 +152,7 @@ fn train_on_pipeline_output_end_to_end() {
 
     let b = cosmo_builder();
     let blobs = b.build(8, EncodedFormat::Custom);
-    let plugin = b.plugin(EncodedFormat::Custom, None, Op::Log1p);
+    let plugin = b.plugin(EncodedFormat::Custom, Op::Log1p);
     let mut net = cosmoflow_mini(16, 0);
     let mut opt = Sgd::new(1e-3, 0.9);
     let mut losses = Vec::new();

@@ -97,7 +97,7 @@ fn pipeline_surfaces_midstream_corruption() {
     // Corrupt the grid field of sample 3 so decode sees an inconsistent
     // container.
     blobs[3][9] ^= 0xFF;
-    let plugin = b.plugin(EncodedFormat::Custom, None, Op::Log1p);
+    let plugin = b.plugin(EncodedFormat::Custom, Op::Log1p);
     let mut p = Pipeline::launch(
         Arc::new(VecSource::new(blobs)),
         plugin,

@@ -114,7 +114,7 @@ fn remote_epoch_matches_local_and_hits_cache() {
         seed: 42,
         ..PipelineConfig::default()
     };
-    let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
+    let plugin = builder.plugin(EncodedFormat::Custom, Op::Log1p);
 
     let local_pipeline = Pipeline::launch(
         Arc::new(VecSource::new(blobs.clone())),
@@ -186,7 +186,7 @@ fn remote_single_threaded_run_is_batch_identical() {
         seed: 7,
         ..PipelineConfig::default()
     };
-    let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
+    let plugin = builder.plugin(EncodedFormat::Custom, Op::Log1p);
 
     let (local_batches, _) =
         Pipeline::launch(Arc::new(VecSource::new(blobs)), plugin.clone(), cfg.clone())
@@ -587,7 +587,7 @@ fn remote_epoch_over_an_auto_store_matches_local() {
         seed: 11,
         ..PipelineConfig::default()
     };
-    let plugin = builder.plugin(EncodedFormat::Custom, None, Op::Log1p);
+    let plugin = builder.plugin(EncodedFormat::Custom, Op::Log1p);
     let (local, _) = Pipeline::launch(store as Arc<dyn SampleSource>, plugin.clone(), cfg.clone())
         .expect("local pipeline")
         .collect_all()

@@ -223,7 +223,7 @@ fn pipeline_trains_through_a_live_stager() {
     stager.spawn_workers();
     let p = Pipeline::launch_with(
         Arc::new(stager.source()),
-        b.plugin(EncodedFormat::Custom, None, Op::Log1p),
+        b.plugin(EncodedFormat::Custom, Op::Log1p),
         PipelineConfig {
             batch_size: 2,
             epochs: 1,
