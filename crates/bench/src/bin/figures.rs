@@ -180,7 +180,6 @@ fn fig6(full: bool) {
             epochs: 10,
             batch: 2,
             lr: 2e-3,
-            seed: 1,
         }
     } else {
         ConvergenceConfig::paper_scaled()
@@ -217,7 +216,6 @@ fn fig7(full: bool) {
             epochs: 10,
             batch: 2,
             lr: 1.5e-3,
-            seed: 1,
         }
     } else {
         ConvergenceConfig::paper_scaled()

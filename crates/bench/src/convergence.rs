@@ -1,23 +1,36 @@
 //! Convergence-preservation experiments (paper Figs. 6 and 7).
 //!
 //! Both figures compare training-loss trajectories when the model is fed
-//! **base** samples (FP32 straight from storage, preprocessed per value)
-//! versus **decoded** samples (through the real codec, FP16 emission,
-//! fused preprocessing). Everything else — weight init, shuffle order,
-//! learning schedule, optimizer — is held identical, so any divergence
-//! is attributable to the input encoding alone, which is exactly the
-//! paper's experimental design ("we merely used the same learning
-//! schedule … for both classes of samples").
+//! **base** samples (the FP32 originals, preprocessed per value) versus
+//! **decoded** samples. The decoded arm reads the custom encoding through
+//! the shipped loader: the blobs are packed into a shard store
+//! (`EncodingChoice::Auto`) and a [`Pipeline`] over a [`ShardSource`]
+//! delivers them, so read, CRC, unpack and the CPU plugin's fused FP16
+//! decode are all on the path. One loader pass steps both nets: each
+//! batch's tensor trains one, and the originals gathered at the batch's
+//! [`Batch::indices`](sciml_pipeline::Batch::indices) train the other.
+//! Weight init, sample order, learning schedule and optimizer are held
+//! identical, so any divergence is attributable to the input encoding
+//! alone, which is exactly the paper's experimental design ("we merely
+//! used the same learning schedule … for both classes of samples").
 
-use sciml_codec::cosmoflow as cf;
-use sciml_codec::deepcam as dc;
+use crate::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::Op;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_half::slice::widen;
+use sciml_minidnn::layers::Sequential;
+use sciml_minidnn::loss::{mse, softmax_cross_entropy};
 use sciml_minidnn::models::{cosmoflow_mini, crop_mask, deepcam_mini};
 use sciml_minidnn::optim::Sgd;
-use sciml_minidnn::train::{train_regression, train_segmentation, History, TrainConfig};
+use sciml_minidnn::train::{History, TrainConfig, Trainer};
+use sciml_minidnn::Tensor;
+use sciml_pipeline::source::VecSource;
+use sciml_pipeline::{Label, Pipeline, PipelineConfig, SampleSource};
+use sciml_store::{pack_store, EncodingChoice, PackConfig, ShardSource};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Shared configuration of a convergence run.
 #[derive(Debug, Clone)]
@@ -32,8 +45,6 @@ pub struct ConvergenceConfig {
     pub batch: usize,
     /// Base learning rate.
     pub lr: f32,
-    /// Weight-init / shuffle seed.
-    pub seed: u64,
 }
 
 impl ConvergenceConfig {
@@ -45,7 +56,6 @@ impl ConvergenceConfig {
             epochs: 3,
             batch: 2,
             lr: 1e-3,
-            seed: 1,
         }
     }
 
@@ -58,8 +68,13 @@ impl ConvergenceConfig {
             epochs: 8,
             batch: 2,
             lr: 1.5e-3,
-            seed: 1,
         }
+    }
+
+    /// Training samples plus the held-out ones: a quarter of the
+    /// training size, drawn from the indices after the training set's.
+    fn total(&self) -> u64 {
+        (self.n_samples + (self.n_samples / 4).max(1)) as u64
     }
 }
 
@@ -88,6 +103,7 @@ impl ConvergenceRun {
 ///
 /// The decoded path runs the real LUT codec with the fused `log1p` and
 /// FP16 emission; the base path applies `log1p` per voxel in FP32.
+/// `seed` seeds the weight init and the loader's shuffle.
 pub fn cosmoflow_convergence(cfg: &ConvergenceConfig, seed: u64) -> ConvergenceRun {
     let gen_cfg = CosmoFlowConfig {
         grid: cfg.size,
@@ -96,60 +112,34 @@ pub fn cosmoflow_convergence(cfg: &ConvergenceConfig, seed: u64) -> ConvergenceR
         background: 1,
         seed: 77,
     };
-    let g = UniverseGenerator::new(gen_cfg);
-    // Held-out validation shard: a quarter of the training size, drawn
-    // from disjoint universe indices.
-    let n_val = (cfg.n_samples / 4).max(1);
-    let total = cfg.n_samples + n_val;
-    let mut base_inputs = Vec::with_capacity(total);
-    let mut decoded_inputs = Vec::with_capacity(total);
-    let mut labels = Vec::with_capacity(total);
-    for i in 0..total as u64 {
-        let s = g.generate(i);
-        labels.push(s.label.as_array());
-        // Base: per-voxel op in FP32, no rounding.
-        base_inputs.push(
-            s.counts
-                .iter()
-                .map(|&c| Op::Log1p.apply(c as f32))
-                .collect::<Vec<f32>>(),
-        );
-        // Decoded: the real fused FP16 path.
-        let enc = cf::encode(&s);
-        decoded_inputs.push(widen(&cf::decode(&enc, Op::Log1p).expect("decode")));
-    }
-    let shape = [4usize, cfg.size, cfg.size, cfg.size];
-    let train_cfg = TrainConfig {
-        batch: cfg.batch,
-        epochs: cfg.epochs,
-        base_lr: cfg.lr,
-        warmup_steps: 4,
-        shuffle_seed: seed,
+    let op = Op::Log1p;
+    let g = UniverseGenerator::new(gen_cfg.clone());
+    let originals: Vec<_> = (0..cfg.total())
+        .map(|i| {
+            let s = g.generate(i);
+            // Base: per-voxel op in FP32, no rounding.
+            let input = s.counts.iter().map(|&c| op.apply(c as f32)).collect();
+            (input, Label::Cosmo(s.label.as_array()))
+        })
+        .collect();
+    let shape = [4, cfg.size, cfg.size, cfg.size];
+    let loss = |pred: &Tensor, labels: &[Label]| {
+        let target = labels.iter().flat_map(|l| match l {
+            Label::Cosmo(y) => *y,
+            Label::Mask(_) => unreachable!("a CosmoFlow sample carries parameters"),
+        });
+        let target = Tensor::from_vec(&[labels.len(), 4], target.collect());
+        mse(pred, &target)
     };
-    let run = |inputs: &[Vec<f32>]| {
-        let (train_x, val_x) = inputs.split_at(cfg.n_samples);
-        let (train_y, val_y) = labels.split_at(cfg.n_samples);
-        let mut net = cosmoflow_mini(cfg.size, seed);
-        let mut opt = Sgd::new(cfg.lr, 0.9);
-        train_regression(
-            &mut net,
-            &mut opt,
-            train_x,
-            &shape,
-            train_y,
-            &train_cfg,
-            Some((val_x, val_y)),
-        )
-    };
-    ConvergenceRun {
-        base: run(&base_inputs),
-        decoded: run(&decoded_inputs),
-    }
+    let builder = DatasetBuilder::cosmoflow(gen_cfg);
+    let net = || cosmoflow_mini(cfg.size, seed);
+    compare(&builder, op, &originals, &shape, cfg, seed, net, loss)
 }
 
 /// Fig. 6: DeepCAM segmentation, base vs decoded inputs.
 ///
-/// The decoded path runs the real (lossy) differential codec.
+/// The decoded path runs the real (lossy) differential codec. `seed`
+/// seeds the weight init and the loader's shuffle.
 pub fn deepcam_convergence(cfg: &ConvergenceConfig, seed: u64) -> ConvergenceRun {
     let (w, h, c) = (cfg.size * 3, cfg.size * 2, 4);
     let gen_cfg = DeepCamConfig {
@@ -161,92 +151,156 @@ pub fn deepcam_convergence(cfg: &ConvergenceConfig, seed: u64) -> ConvergenceRun
         noise: 2.5e-3,
         seed: 99,
     };
-    let g = ClimateGenerator::new(gen_cfg);
     // Normalize channel families to unit-ish scale so the tiny network
     // trains; the op is affine, hence fused in the decoded path.
     let op = Op::Normalize {
         scale: 0.01,
         offset: 0.0,
     };
-    let n_val = (cfg.n_samples / 4).max(1);
-    let total = cfg.n_samples + n_val;
-    let mut base_inputs = Vec::with_capacity(total);
-    let mut decoded_inputs = Vec::with_capacity(total);
-    let mut masks = Vec::with_capacity(total);
-    for i in 0..total as u64 {
-        let s = g.generate(i);
-        // Logit crop: two 3×3 valid convs trim 2 px per side.
-        masks.push(crop_mask(&s.mask, w, h, 2));
-        base_inputs.push(s.data.iter().map(|&v| op.apply(v)).collect::<Vec<f32>>());
-        let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
-        decoded_inputs.push(widen(&dc::decode(&enc, op).expect("decode")));
+    let g = ClimateGenerator::new(gen_cfg.clone());
+    let originals: Vec<_> = (0..cfg.total())
+        .map(|i| {
+            let s = g.generate(i);
+            let input = s.data.iter().map(|&v| op.apply(v)).collect();
+            (input, Label::Mask(s.mask))
+        })
+        .collect();
+    let loss = |logits: &Tensor, labels: &[Label]| {
+        let masks: Vec<u8> = labels
+            .iter()
+            .flat_map(|l| match l {
+                // Logit crop: two 3×3 valid convs trim 2 px per side.
+                Label::Mask(m) => crop_mask(m, w, h, 2),
+                Label::Cosmo(_) => unreachable!("a DeepCAM sample carries a mask"),
+            })
+            .collect();
+        softmax_cross_entropy(logits, &masks, 3)
+    };
+    let builder = DatasetBuilder::deepcam(gen_cfg);
+    let net = || deepcam_mini(c, seed);
+    compare(&builder, op, &originals, &[c, h, w], cfg, seed, net, loss)
+}
+
+/// Samples and their labels, by dataset index.
+type Samples = [(Vec<f32>, Label)];
+
+/// A directory under the system temp dir, removed on drop.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
-    let shape = [c, h, w];
-    let train_cfg = TrainConfig {
-        batch: cfg.batch,
-        epochs: cfg.epochs,
+}
+
+/// Trains one net on `originals` (the FP32 inputs with the op applied
+/// per value) and one on what the loader decodes from the same samples'
+/// custom encoding, batch by batch in lockstep, and evaluates both on
+/// the held-out samples after every epoch. `loss` maps a net's output
+/// and the batch's labels to the loss and its gradient.
+#[allow(clippy::too_many_arguments)]
+fn compare(
+    builder: &DatasetBuilder,
+    op: Op,
+    originals: &Samples,
+    shape: &[usize],
+    cfg: &ConvergenceConfig,
+    seed: u64,
+    net: impl Fn() -> Sequential,
+    loss: impl Fn(&Tensor, &[Label]) -> (f32, Tensor),
+) -> ConvergenceRun {
+    let n = cfg.n_samples;
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = TempDir(
+        std::env::temp_dir().join(format!("sciml_convergence_{}_{id}", std::process::id())),
+    );
+    let blobs = builder.build(originals.len(), EncodedFormat::Custom);
+    let plugin = builder.plugin(EncodedFormat::Custom, op);
+    let store = |name: &str, blobs: &[Vec<u8>]| -> Arc<dyn SampleSource> {
+        let path = dir.0.join(name);
+        let pack = PackConfig {
+            encoding: EncodingChoice::Auto,
+            ..PackConfig::default()
+        };
+        pack_store(&VecSource::new(blobs.to_vec()), &path, pack).expect("pack the store");
+        Arc::new(ShardSource::open(&path).expect("open the store"))
+    };
+    let (train, val) = (store("train", &blobs[..n]), store("val", &blobs[n..]));
+
+    // The held-out tensors: one loader epoch, each sample placed at its
+    // index.
+    let mut val_decoded = originals[n..].to_vec();
+    let mut loader = Pipeline::launch(val, Arc::clone(&plugin), PipelineConfig::default())
+        .expect("launch the validation loader");
+    while let Some(batch) = loader.next_batch().expect("validation batch") {
+        for (k, (&i, label)) in batch.indices.iter().zip(&batch.labels).enumerate() {
+            assert_eq!(label, &val_decoded[i].1, "label of held-out sample {i}");
+            val_decoded[i].0 = widen(batch.sample(k));
+        }
+    }
+    let loss = &loss;
+    let mut one = vec![1];
+    one.extend_from_slice(shape);
+    let end_epoch = |t: &mut Trainer, val: &Samples| {
+        let samples = val.iter().map(|(x, label)| {
+            let x = Tensor::from_vec(&one, x.clone());
+            (x, move |out: &Tensor| {
+                loss(out, std::slice::from_ref(label))
+            })
+        });
+        let val_loss = t.evaluate(samples);
+        t.end_epoch(Some(val_loss));
+    };
+
+    let schedule = TrainConfig {
         base_lr: cfg.lr,
         warmup_steps: 4,
-        shuffle_seed: seed,
     };
-    let run = |inputs: &[Vec<f32>]| {
-        let (train_x, val_x) = inputs.split_at(cfg.n_samples);
-        let (train_m, val_m) = masks.split_at(cfg.n_samples);
-        let mut net = deepcam_mini(c, seed);
-        let mut opt = Sgd::new(cfg.lr, 0.9);
-        train_segmentation(
-            &mut net,
-            &mut opt,
-            train_x,
-            &shape,
-            train_m,
-            3,
-            &train_cfg,
-            Some((val_x, val_m)),
-        )
+    let trainer = || Trainer::new(net(), Sgd::new(cfg.lr, 0.9), schedule.clone());
+    let (mut base, mut decoded) = (trainer(), trainer());
+    // One reader and one decoder: SGD depends on batch order, and with
+    // more workers batches arrive in completion order. With one of each
+    // they arrive in the seeded shuffle's order, epoch by epoch.
+    let loader_cfg = PipelineConfig {
+        batch_size: cfg.batch,
+        reader_threads: 1,
+        decode_threads: 1,
+        epochs: cfg.epochs,
+        seed,
+        ..PipelineConfig::default()
     };
+    let mut loader = Pipeline::launch(train, plugin, loader_cfg).expect("launch the loader");
+    let mut epoch = 0;
+    while let Some(batch) = loader.next_batch().expect("training batch") {
+        if batch.epoch != epoch {
+            end_epoch(&mut base, &originals[n..]);
+            end_epoch(&mut decoded, &val_decoded);
+            epoch = batch.epoch;
+        }
+        let mut gathered = Vec::with_capacity(batch.data.len());
+        for (&i, label) in batch.indices.iter().zip(&batch.labels) {
+            assert_eq!(label, &originals[i].1, "label of sample {i}");
+            gathered.extend_from_slice(&originals[i].0);
+        }
+        let mut batch_shape = vec![batch.len()];
+        batch_shape.extend_from_slice(shape);
+        let x = Tensor::from_vec(&batch_shape, gathered);
+        base.step(&x, |out| loss(out, &batch.labels));
+        let x = Tensor::from_vec(&batch_shape, widen(&batch.data));
+        decoded.step(&x, |out| loss(out, &batch.labels));
+    }
+    end_epoch(&mut base, &originals[n..]);
+    end_epoch(&mut decoded, &val_decoded);
     ConvergenceRun {
-        base: run(&base_inputs),
-        decoded: run(&decoded_inputs),
+        base: base.history,
+        decoded: decoded.history,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cosmoflow_decoded_matches_base_convergence() {
-        let cfg = ConvergenceConfig::test_small();
-        let run = cosmoflow_convergence(&cfg, 3);
-        assert_eq!(run.base.epoch_losses.len(), cfg.epochs);
-        // Losses must decrease and the two paths must track each other.
-        assert!(run.base.final_loss() < run.base.epoch_losses[0]);
-        assert!(run.decoded.final_loss() < run.decoded.epoch_losses[0]);
-        let scale = run.base.epoch_losses[0].abs().max(1e-6);
-        assert!(
-            run.max_epoch_gap() / scale < 0.15,
-            "gap {} of {scale} ({:?} vs {:?})",
-            run.max_epoch_gap(),
-            run.base.epoch_losses,
-            run.decoded.epoch_losses
-        );
-    }
-
-    #[test]
-    fn deepcam_decoded_matches_base_convergence_despite_lossy_codec() {
-        let cfg = ConvergenceConfig::test_small();
-        let run = deepcam_convergence(&cfg, 5);
-        assert!(run.base.final_loss() < run.base.epoch_losses[0]);
-        let scale = run.base.epoch_losses[0].abs().max(1e-6);
-        assert!(
-            run.max_epoch_gap() / scale < 0.15,
-            "gap {} ({:?} vs {:?})",
-            run.max_epoch_gap(),
-            run.base.epoch_losses,
-            run.decoded.epoch_losses
-        );
-    }
 
     #[test]
     fn validation_losses_track_between_paths_too() {
@@ -273,5 +327,8 @@ mod tests {
         let a = cosmoflow_convergence(&cfg, 1);
         let b = cosmoflow_convergence(&cfg, 2);
         assert_ne!(a.base.step_losses, b.base.step_losses);
+        let again = cosmoflow_convergence(&cfg, 1);
+        assert_eq!(a.base, again.base);
+        assert_eq!(a.decoded, again.decoded);
     }
 }

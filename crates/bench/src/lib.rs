@@ -4,8 +4,9 @@
 //! * [`dataset`] — generate a synthetic dataset in any of the paper's
 //!   on-disk formats, and pick the decoder plugin that reads it;
 //! * [`convergence`] — the Fig. 6 / Fig. 7 experiments: train the
-//!   miniature models on FP32 baseline inputs versus FP16 decoded inputs
-//!   under an identical schedule and compare loss trajectories;
+//!   miniature models on FP32 baseline inputs versus the FP16 batches a
+//!   `Pipeline` decodes from a packed store, under an identical schedule
+//!   and sample order, and compare loss trajectories;
 //! * the mid-size samples `bench_decode_scaling` times, and [`snapshot`].
 
 pub mod convergence;

@@ -14,12 +14,14 @@
 //!   cross-entropy over pixels (DeepCAM's segmentation);
 //! * [`optim`] — SGD with momentum;
 //! * [`models`] — the scaled-down CosmoFlow and DeepCAM networks;
-//! * [`train`] — one training loop per task, each with a fixed learning
-//!   schedule (linear warmup, then constant) and an optional validation
-//!   set.
+//! * [`train`] — one training step and one evaluation, generic over the
+//!   loss, under a fixed learning schedule (linear warmup, then
+//!   constant). The epoch and batch loop is the caller's: it consumes a
+//!   loader's batches, as a training script does.
 //!
-//! Determinism: every weight init and shuffle takes an explicit seed, so
-//! base-vs-decoded runs differ *only* in their input bytes.
+//! Determinism: every weight init takes an explicit seed and the caller
+//! supplies the sample order, so base-vs-decoded runs fed the same
+//! batches differ *only* in their input bytes.
 
 pub mod layers;
 pub mod loss;

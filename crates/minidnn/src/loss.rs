@@ -20,8 +20,10 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
 
 /// Pixel-wise softmax cross-entropy (DeepCAM segmentation).
 ///
-/// `logits: [B, CLASSES, P]`, `labels: [B, P]` of class ids.
-/// Returns `(mean loss, dL/dlogits)`.
+/// `logits: [B, CLASSES, …]` over `P` pixels of spatial dims (a conv
+/// head's `[B, CLASSES, H, W]` as it is), `labels: [B, P]` of class
+/// ids. Returns `(mean loss, dL/dlogits)`, the gradient in `logits`'
+/// shape.
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[u8], classes: usize) -> (f32, Tensor) {
     let b = logits.shape[0];
     debug_assert_eq!(logits.shape[1], classes);

@@ -1,18 +1,7 @@
-//! The optimizer interface and SGD with momentum, the optimizer both
-//! convergence runs train with.
+//! SGD with momentum, the optimizer both convergence runs train with.
 
 use crate::layers::Sequential;
 use crate::tensor::Tensor;
-
-/// Optimizer interface: applies accumulated gradients and zeroes them.
-pub trait Optimizer {
-    /// One update step over every parameter of the network.
-    fn step(&mut self, net: &mut Sequential);
-
-    /// Overrides the learning rate (the training loops' warmup sets it
-    /// every step).
-    fn set_learning_rate(&mut self, lr: f32);
-}
 
 /// SGD with classical momentum.
 pub struct Sgd {
@@ -30,10 +19,10 @@ impl Sgd {
             velocity: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Sequential) {
+    /// One update step over every parameter of the network: applies the
+    /// accumulated gradients and zeroes them.
+    pub fn step(&mut self, net: &mut Sequential) {
         let mut i = 0;
         let lr = self.lr;
         let mu = self.momentum;
@@ -52,7 +41,9 @@ impl Optimizer for Sgd {
         });
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (the trainer's warmup sets it every
+    /// step).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -63,7 +54,7 @@ mod tests {
     use crate::layers::{Dense, Sequential};
     use crate::loss::mse;
 
-    fn quadratic_fit(optimizer: &mut dyn Optimizer) -> f32 {
+    fn quadratic_fit(optimizer: &mut Sgd) -> f32 {
         // Fit y = 2x with a single linear unit.
         let mut rng = Tensor::rng(1);
         let mut net = Sequential::new(vec![Box::new(Dense::new(1, 1, &mut rng))]);

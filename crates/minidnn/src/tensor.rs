@@ -78,15 +78,6 @@ impl Tensor {
         self.data.fill(0.0);
     }
 
-    /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.data.iter().sum::<f32>() / self.data.len() as f32
-        }
-    }
-
     /// Deterministic seeded RNG helper for initializers.
     pub fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -102,13 +93,13 @@ mod tests {
         let t = Tensor::zeros(&[2, 3, 4]);
         assert_eq!(t.len(), 24);
         assert!(!t.is_empty());
-        assert_eq!(t.mean(), 0.0);
+        assert!(t.data.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn from_vec_checks_shape() {
         let t = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.mean(), 2.5);
+        assert_eq!((t.shape, t.data[3]), (vec![2, 2], 4.0));
     }
 
     #[test]

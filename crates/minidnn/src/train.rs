@@ -1,40 +1,24 @@
-//! Training loops with a fixed learning schedule, for the Fig. 6/7
-//! convergence-preservation experiments.
+//! One training step and one evaluation under a fixed learning
+//! schedule, for the Fig. 6/7 convergence-preservation experiments.
+//!
+//! Both are generic over the loss: the caller passes the function from
+//! the net's output to the loss and its gradient ([`crate::loss::mse`]
+//! against a target, [`crate::loss::softmax_cross_entropy`] against a
+//! mask). The epoch and batch loop belongs to the caller, as it does in
+//! a training script that consumes a data loader's batches.
 
 use crate::layers::Sequential;
-use crate::loss::{mse, softmax_cross_entropy};
-use crate::optim::Optimizer;
+use crate::optim::Sgd;
 use crate::tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Training-schedule parameters ("we merely used the same learning
 /// schedule — warmup, learning rate — for both classes of samples").
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
-    /// Samples per step.
-    pub batch: usize,
-    /// Full passes over the sample set.
-    pub epochs: usize,
     /// Base learning rate after warmup.
     pub base_lr: f32,
     /// Linear warmup steps from 0 to `base_lr`.
     pub warmup_steps: usize,
-    /// Shuffle seed (per-epoch shuffles derive from it).
-    pub shuffle_seed: u64,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self {
-            batch: 2,
-            epochs: 4,
-            base_lr: 1e-3,
-            warmup_steps: 8,
-            shuffle_seed: 0,
-        }
-    }
 }
 
 /// Loss history of a run.
@@ -55,48 +39,6 @@ impl History {
     }
 }
 
-/// Forward-only mean MSE over a sample set (no gradient, no update).
-fn evaluate_regression(
-    net: &mut Sequential,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    labels: &[[f32; 4]],
-) -> f32 {
-    let mut sum = 0f64;
-    for (x, y) in samples.iter().zip(labels) {
-        let mut shape = vec![1usize];
-        shape.extend_from_slice(input_shape);
-        let xt = Tensor::from_vec(&shape, x.clone());
-        let yt = Tensor::from_vec(&[1, 4], y.to_vec());
-        let pred = net.forward(&xt);
-        let (l, _) = mse(&pred, &yt);
-        sum += l as f64;
-    }
-    (sum / samples.len().max(1) as f64) as f32
-}
-
-/// Forward-only mean pixel cross-entropy over a sample set.
-fn evaluate_segmentation(
-    net: &mut Sequential,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    masks: &[Vec<u8>],
-    classes: usize,
-) -> f32 {
-    let mut sum = 0f64;
-    for (x, m) in samples.iter().zip(masks) {
-        let mut shape = vec![1usize];
-        shape.extend_from_slice(input_shape);
-        let xt = Tensor::from_vec(&shape, x.clone());
-        let logits = net.forward(&xt);
-        let p = logits.len() / classes;
-        let logits = logits.reshape(&[1, classes, p]);
-        let (l, _) = softmax_cross_entropy(&logits, m, classes);
-        sum += l as f64;
-    }
-    (sum / samples.len().max(1) as f64) as f32
-}
-
 fn lr_at(cfg: &TrainConfig, step: usize) -> f32 {
     if step < cfg.warmup_steps {
         cfg.base_lr * (step + 1) as f32 / cfg.warmup_steps as f32
@@ -105,136 +47,86 @@ fn lr_at(cfg: &TrainConfig, step: usize) -> f32 {
     }
 }
 
-fn epoch_order(cfg: &TrainConfig, epoch: usize, n: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed.wrapping_add(epoch as u64));
-    order.shuffle(&mut rng);
-    order
+/// A network in training: its optimizer, its schedule and the losses
+/// recorded so far.
+pub struct Trainer {
+    net: Sequential,
+    opt: Sgd,
+    cfg: TrainConfig,
+    /// Losses recorded so far.
+    pub history: History,
+    /// First step of the open epoch.
+    epoch_start: usize,
 }
 
-/// Trains a regression network (CosmoFlow-mini): `samples[i]` is a
-/// flattened input of shape `input_shape`, `labels[i]` the 4-parameter
-/// target. A held-out `validation` set, when given, is evaluated after
-/// every epoch (the paper tracked validation loss too: "the same
-/// behavior is also seen in the loss function of the validation
-/// samples").
-#[allow(clippy::type_complexity)]
-pub fn train_regression(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    labels: &[[f32; 4]],
-    cfg: &TrainConfig,
-    validation: Option<(&[Vec<f32>], &[[f32; 4]])>,
-) -> History {
-    assert_eq!(samples.len(), labels.len(), "sample/label count mismatch");
-    let per_sample: usize = input_shape.iter().product();
-    let mut history = History::default();
-    let mut step = 0usize;
-    for epoch in 0..cfg.epochs {
-        let order = epoch_order(cfg, epoch, samples.len());
-        let mut epoch_sum = 0f64;
-        let mut epoch_batches = 0usize;
-        for chunk in order.chunks(cfg.batch) {
-            let mut shape = vec![chunk.len()];
-            shape.extend_from_slice(input_shape);
-            let mut data = Vec::with_capacity(chunk.len() * per_sample);
-            let mut target = Vec::with_capacity(chunk.len() * 4);
-            for &i in chunk {
-                assert_eq!(samples[i].len(), per_sample, "sample shape mismatch");
-                data.extend_from_slice(&samples[i]);
-                target.extend_from_slice(&labels[i]);
-            }
-            let x = Tensor::from_vec(&shape, data);
-            let y = Tensor::from_vec(&[chunk.len(), 4], target);
-            opt.set_learning_rate(lr_at(cfg, step));
-            let pred = net.forward(&x);
-            let (l, g) = mse(&pred, &y);
-            net.backward(&g);
-            opt.step(net);
-            history.step_losses.push(l);
-            epoch_sum += l as f64;
-            epoch_batches += 1;
-            step += 1;
-        }
-        history
-            .epoch_losses
-            .push((epoch_sum / epoch_batches.max(1) as f64) as f32);
-        if let Some((vx, vy)) = validation {
-            history
-                .val_losses
-                .push(evaluate_regression(net, vx, input_shape, vy));
+impl Trainer {
+    /// A trainer at step 0.
+    pub fn new(net: Sequential, opt: Sgd, cfg: TrainConfig) -> Self {
+        Self {
+            net,
+            opt,
+            cfg,
+            history: History::default(),
+            epoch_start: 0,
         }
     }
-    history
-}
 
-/// Trains a segmentation network (DeepCAM-mini): `samples[i]` is a
-/// flattened `[C, H, W]` input, `masks[i]` the per-pixel class ids
-/// already cropped to the logits' spatial size. A held-out `validation`
-/// set, when given, is evaluated after every epoch.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn train_segmentation(
-    net: &mut Sequential,
-    opt: &mut dyn Optimizer,
-    samples: &[Vec<f32>],
-    input_shape: &[usize],
-    masks: &[Vec<u8>],
-    classes: usize,
-    cfg: &TrainConfig,
-    validation: Option<(&[Vec<f32>], &[Vec<u8>])>,
-) -> History {
-    assert_eq!(samples.len(), masks.len(), "sample/mask count mismatch");
-    let per_sample: usize = input_shape.iter().product();
-    let mut history = History::default();
-    let mut step = 0usize;
-    for epoch in 0..cfg.epochs {
-        let order = epoch_order(cfg, epoch, samples.len());
-        let mut epoch_sum = 0f64;
-        let mut epoch_batches = 0usize;
-        for chunk in order.chunks(cfg.batch) {
-            let mut shape = vec![chunk.len()];
-            shape.extend_from_slice(input_shape);
-            let mut data = Vec::with_capacity(chunk.len() * per_sample);
-            let mut labels: Vec<u8> = Vec::new();
-            for &i in chunk {
-                data.extend_from_slice(&samples[i]);
-                labels.extend_from_slice(&masks[i]);
-            }
-            let x = Tensor::from_vec(&shape, data);
-            opt.set_learning_rate(lr_at(cfg, step));
-            let logits = net.forward(&x);
-            // Flatten spatial dims: [B, classes, P].
-            let b = chunk.len();
-            let p = logits.len() / (b * classes);
-            let logits = logits.reshape(&[b, classes, p]);
-            let (l, g) = softmax_cross_entropy(&logits, &labels, classes);
-            net.backward(&g);
-            opt.step(net);
-            history.step_losses.push(l);
-            epoch_sum += l as f64;
-            epoch_batches += 1;
-            step += 1;
-        }
-        history
-            .epoch_losses
-            .push((epoch_sum / epoch_batches.max(1) as f64) as f32);
-        if let Some((vx, vm)) = validation {
-            history
-                .val_losses
-                .push(evaluate_segmentation(net, vx, input_shape, vm, classes));
-        }
+    /// One optimizer step on the batch `x` at the schedule's learning
+    /// rate; `loss` maps the net's output to the loss and its gradient.
+    pub fn step(&mut self, x: &Tensor, loss: impl FnOnce(&Tensor) -> (f32, Tensor)) {
+        let step = self.history.step_losses.len();
+        self.opt.set_learning_rate(lr_at(&self.cfg, step));
+        let (l, g) = loss(&self.net.forward(x));
+        self.net.backward(&g);
+        self.opt.step(&mut self.net);
+        self.history.step_losses.push(l);
     }
-    history
+
+    /// Forward-only mean loss over `samples`, one at a time (no
+    /// gradient, no update). Each sample comes with its own loss, as in
+    /// [`Trainer::step`]. The paper tracked a held-out set too: "the
+    /// same behavior is also seen in the loss function of the
+    /// validation samples".
+    pub fn evaluate<L>(&mut self, samples: impl IntoIterator<Item = (Tensor, L)>) -> f32
+    where
+        L: FnOnce(&Tensor) -> (f32, Tensor),
+    {
+        let (mut sum, mut n) = (0f64, 0usize);
+        for (x, loss) in samples {
+            sum += loss(&self.net.forward(&x)).0 as f64;
+            n += 1;
+        }
+        (sum / n.max(1) as f64) as f32
+    }
+
+    /// Closes an epoch: records the mean loss of its steps and, when
+    /// given, its validation loss.
+    pub fn end_epoch(&mut self, val_loss: Option<f32>) {
+        let steps = &self.history.step_losses[self.epoch_start..];
+        let sum: f64 = steps.iter().map(|&l| l as f64).sum();
+        self.history
+            .epoch_losses
+            .push((sum / steps.len().max(1) as f64) as f32);
+        self.history.val_losses.extend(val_loss);
+        self.epoch_start = self.history.step_losses.len();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::{mse, softmax_cross_entropy};
     use crate::models::{cosmoflow_mini, deepcam_mini};
-    use crate::optim::Sgd;
     use rand::Rng;
+
+    const SHAPE: [usize; 4] = [4, 12, 12, 12];
+
+    /// Samples stacked into one `[n, shape…]` batch.
+    fn stack(xs: &[Vec<f32>], shape: &[usize]) -> Tensor {
+        let mut batch = vec![xs.len()];
+        batch.extend_from_slice(shape);
+        Tensor::from_vec(&batch, xs.concat())
+    }
 
     fn toy_regression_data(n: usize) -> (Vec<Vec<f32>>, Vec<[f32; 4]>) {
         let mut rng = Tensor::rng(3);
@@ -251,19 +143,42 @@ mod tests {
         (xs, ys)
     }
 
+    fn regressor(seed: u64) -> Trainer {
+        let cfg = TrainConfig {
+            base_lr: 2e-3,
+            warmup_steps: 4,
+        };
+        Trainer::new(cosmoflow_mini(12, seed), Sgd::new(2e-3, 0.9), cfg)
+    }
+
+    /// Inputs and their regression targets.
+    type Set<'a> = (&'a [Vec<f32>], &'a [[f32; 4]]);
+
+    /// `epochs` in-order passes of two-sample steps, each closed with
+    /// the loss over `validation` when given.
+    fn fit_regression(t: &mut Trainer, (xs, ys): Set, epochs: usize, validation: Option<Set>) {
+        let target = |ys: &[[f32; 4]]| Tensor::from_vec(&[ys.len(), 4], ys.concat());
+        for _ in 0..epochs {
+            for (x, y) in xs.chunks(2).zip(ys.chunks(2)) {
+                let y = target(y);
+                t.step(&stack(x, &SHAPE), |out| mse(out, &y));
+            }
+            let val = validation.map(|(vx, vy)| {
+                t.evaluate(vx.chunks(1).zip(vy.chunks(1)).map(|(x, y)| {
+                    let y = target(y);
+                    (stack(x, &SHAPE), move |out: &Tensor| mse(out, &y))
+                }))
+            });
+            t.end_epoch(val);
+        }
+    }
+
     #[test]
     fn regression_loss_decreases() {
         let (xs, ys) = toy_regression_data(8);
-        let mut net = cosmoflow_mini(12, 0);
-        let mut opt = Sgd::new(2e-3, 0.9);
-        let cfg = TrainConfig {
-            batch: 2,
-            epochs: 5,
-            base_lr: 2e-3,
-            warmup_steps: 4,
-            shuffle_seed: 1,
-        };
-        let h = train_regression(&mut net, &mut opt, &xs, &[4, 12, 12, 12], &ys, &cfg, None);
+        let mut t = regressor(0);
+        fit_regression(&mut t, (&xs, &ys), 5, None);
+        let h = &t.history;
         assert_eq!(h.epoch_losses.len(), 5);
         assert_eq!(h.step_losses.len(), 5 * 4);
         assert!(
@@ -282,25 +197,25 @@ mod tests {
         for _ in 0..6 {
             let x: Vec<f32> = (0..c * w * h_).map(|_| rng.gen_range(-1.0..1.0)).collect();
             // Mask correlated with channel 0 sign, cropped 2 px per side.
-            let mut m = Vec::new();
-            for y in 2..h_ - 2 {
-                for xx in 2..w - 2 {
-                    m.push(if x[y * w + xx] > 0.0 { 1u8 } else { 0 });
-                }
-            }
+            let pixels = (2..h_ - 2).flat_map(|y| (2..w - 2).map(move |xx| y * w + xx));
+            ms.push(pixels.map(|i| u8::from(x[i] > 0.0)).collect::<Vec<u8>>());
             xs.push(x);
-            ms.push(m);
         }
-        let mut net = deepcam_mini(c, 0);
-        let mut opt = Sgd::new(0.05, 0.9);
         let cfg = TrainConfig {
-            batch: 2,
-            epochs: 6,
             base_lr: 0.05,
             warmup_steps: 3,
-            shuffle_seed: 2,
         };
-        let hist = train_segmentation(&mut net, &mut opt, &xs, &[c, h_, w], &ms, 3, &cfg, None);
+        let mut t = Trainer::new(deepcam_mini(c, 0), Sgd::new(0.05, 0.9), cfg);
+        for _ in 0..6 {
+            for (x, m) in xs.chunks(2).zip(ms.chunks(2)) {
+                let m = m.concat();
+                t.step(&stack(x, &[c, h_, w]), |logits| {
+                    softmax_cross_entropy(logits, &m, 3)
+                });
+            }
+            t.end_epoch(None);
+        }
+        let hist = &t.history;
         assert!(
             hist.final_loss() < hist.epoch_losses[0] * 0.9,
             "{:?}",
@@ -313,24 +228,9 @@ mod tests {
         let (xs, ys) = toy_regression_data(10);
         let (train_x, val_x) = xs.split_at(8);
         let (train_y, val_y) = ys.split_at(8);
-        let mut net = cosmoflow_mini(12, 0);
-        let mut opt = Sgd::new(2e-3, 0.9);
-        let cfg = TrainConfig {
-            batch: 2,
-            epochs: 5,
-            base_lr: 2e-3,
-            warmup_steps: 4,
-            shuffle_seed: 1,
-        };
-        let h = train_regression(
-            &mut net,
-            &mut opt,
-            train_x,
-            &[4, 12, 12, 12],
-            train_y,
-            &cfg,
-            Some((val_x, val_y)),
-        );
+        let mut t = regressor(0);
+        fit_regression(&mut t, (train_x, train_y), 5, Some((val_x, val_y)));
+        let h = &t.history;
         assert_eq!(h.val_losses.len(), 5);
         // Validation loss on the same distribution should also fall.
         assert!(h.val_losses[4] < h.val_losses[0], "{:?}", h.val_losses);
@@ -339,28 +239,18 @@ mod tests {
     #[test]
     fn no_validation_leaves_val_losses_empty() {
         let (xs, ys) = toy_regression_data(4);
-        let mut net = cosmoflow_mini(12, 0);
-        let mut opt = Sgd::new(1e-3, 0.9);
-        let h = train_regression(
-            &mut net,
-            &mut opt,
-            &xs,
-            &[4, 12, 12, 12],
-            &ys,
-            &TrainConfig::default(),
-            None,
-        );
-        assert!(h.val_losses.is_empty());
+        let mut t = regressor(0);
+        fit_regression(&mut t, (&xs, &ys), 4, None);
+        assert!(t.history.val_losses.is_empty());
     }
 
     #[test]
     fn identical_inputs_identical_history() {
         let (xs, ys) = toy_regression_data(4);
-        let cfg = TrainConfig::default();
         let run = || {
-            let mut net = cosmoflow_mini(12, 7);
-            let mut opt = Sgd::new(1e-3, 0.9);
-            train_regression(&mut net, &mut opt, &xs, &[4, 12, 12, 12], &ys, &cfg, None)
+            let mut t = regressor(7);
+            fit_regression(&mut t, (&xs, &ys), 4, None);
+            t.history
         };
         assert_eq!(run(), run());
     }
@@ -370,7 +260,6 @@ mod tests {
         let cfg = TrainConfig {
             warmup_steps: 4,
             base_lr: 1.0,
-            ..Default::default()
         };
         assert_eq!(lr_at(&cfg, 0), 0.25);
         assert_eq!(lr_at(&cfg, 3), 1.0);

@@ -29,7 +29,10 @@ pub struct Batch {
     pub labels: Vec<Label>,
     /// Dataset indices of the samples (for exactly-once accounting).
     pub indices: Vec<usize>,
-    /// Epoch this batch belongs to.
+    /// Epoch this batch belongs to. Batches arrive in completion order,
+    /// so with more than one reader or decode thread the epochs of
+    /// consecutive batches can interleave (see
+    /// [`crate::Pipeline::next_batch`]).
     pub epoch: usize,
 }
 

@@ -540,6 +540,12 @@ impl Pipeline {
     }
 
     /// Blocks for the next batch; `Ok(None)` when the run is complete.
+    ///
+    /// Batches arrive in completion order. With one reader and one
+    /// decode thread that is the shuffled order, epoch by epoch (each
+    /// batch's samples in slot order). With more than one of either, a
+    /// batch can overtake the one before it, and a batch of epoch
+    /// `e + 1` can arrive before the last batch of epoch `e`.
     pub fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.finished {
             return Ok(None);
@@ -679,7 +685,7 @@ mod tests {
     #[test]
     fn shuffling_differs_between_epochs_and_is_seeded() {
         let cfg = PipelineConfig {
-            batch_size: 16,
+            batch_size: 5,
             epochs: 2,
             reader_threads: 1,
             decode_threads: 1,
@@ -687,12 +693,23 @@ mod tests {
             ..Default::default()
         };
         let (batches, _) = run(16, cfg.clone());
-        let e0: Vec<usize> = batches[0].indices.clone();
-        let e1: Vec<usize> = batches[1].indices.clone();
-        assert_ne!(e0, e1, "epoch shuffles must differ");
+        let delivered = |batches: &[Batch]| -> Vec<usize> {
+            batches.iter().flat_map(|b| b.indices.clone()).collect()
+        };
+        let shuffle = |epoch: u64| {
+            let mut order: Vec<usize> = (0..16).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(42 + epoch));
+            order
+        };
+        assert_ne!(shuffle(0), shuffle(1), "epoch shuffles must differ");
+        // One reader and one decoder deliver the (seed + epoch) shuffle in
+        // order, epoch by epoch; the Figs 6-7 convergence runs train on it.
+        assert_eq!(delivered(&batches), [shuffle(0), shuffle(1)].concat());
+        let epochs: Vec<usize> = batches.iter().map(|b| b.epoch).collect();
+        assert_eq!(epochs, [0, 0, 0, 0, 1, 1, 1, 1]);
         // Same seed reproduces the same order with single-threaded stages.
         let (batches2, _) = run(16, cfg);
-        assert_eq!(batches2[0].indices, e0);
+        assert_eq!(delivered(&batches2), delivered(&batches));
     }
 
     #[test]

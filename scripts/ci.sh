@@ -63,7 +63,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo build --release"
 cargo build --workspace --release
 
-stage "the model stays off the data path (no sciml-platform under a loader crate)"
+stage "the model stays off the data path (no sciml-platform under a loader crate; the trainer is a model library)"
 # `sciml-platform` is the performance model and the §VI GPU simulator;
 # neither has a place on a sample's path. The output is captured before
 # it is searched, so an early-exiting grep cannot hide a match.
@@ -74,6 +74,14 @@ for crate in sciml-pipeline sciml-store sciml-serve sciml-net; do
         exit 1
     fi
 done
+# `sciml-minidnn` takes `Tensor`s and knows no loader, codec or store:
+# the convergence harness in `sciml-bench` feeds it. Its own line is the
+# tree's first; any other `sciml-` line is a dependency.
+deps="$(cargo tree --offline -e normal -p sciml-minidnn --prefix none | tail -n +2)"
+if grep -q '^sciml-' <<<"$deps"; then
+    echo "ERROR: sciml-minidnn depends on a sciml- crate (cargo tree -e normal -p sciml-minidnn)" >&2
+    exit 1
+fi
 
 stage "benchmark builds against the tree (cargo check, its lock put back)"
 # Nothing else here compiles `benchmark/`, so a library change that

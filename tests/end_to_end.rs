@@ -147,15 +147,19 @@ fn train_on_pipeline_output_end_to_end() {
     // the delivered FP16 batches: the full consumer path.
     use sciml_minidnn::loss::mse;
     use sciml_minidnn::models::cosmoflow_mini;
-    use sciml_minidnn::optim::{Optimizer, Sgd};
+    use sciml_minidnn::optim::Sgd;
+    use sciml_minidnn::train::{TrainConfig, Trainer};
     use sciml_minidnn::Tensor;
 
     let b = cosmo_builder();
     let blobs = b.build(8, EncodedFormat::Custom);
     let plugin = b.plugin(EncodedFormat::Custom, Op::Log1p);
-    let mut net = cosmoflow_mini(16, 0);
-    let mut opt = Sgd::new(1e-3, 0.9);
-    let mut losses = Vec::new();
+    // A constant rate: no warmup.
+    let schedule = TrainConfig {
+        base_lr: 1e-3,
+        warmup_steps: 0,
+    };
+    let mut trainer = Trainer::new(cosmoflow_mini(16, 0), Sgd::new(1e-3, 0.9), schedule);
     for _epoch in 0..3 {
         let p = Pipeline::launch(
             Arc::new(VecSource::new(blobs.clone())),
@@ -168,7 +172,6 @@ fn train_on_pipeline_output_end_to_end() {
         )
         .unwrap();
         let (batches, _) = p.collect_all().unwrap();
-        let mut sum = 0.0f32;
         for batch in &batches {
             let data: Vec<f32> = batch.data.iter().map(|h| h.to_f32()).collect();
             let x = Tensor::from_vec(&[batch.len(), 4, 16, 16, 16], data);
@@ -183,16 +186,10 @@ fn train_on_pipeline_output_end_to_end() {
                     })
                     .collect(),
             );
-            let pred = net.forward(&x);
-            let (l, g) = mse(&pred, &y);
-            net.backward(&g);
-            opt.step(&mut net);
-            sum += l;
+            trainer.step(&x, |pred| mse(pred, &y));
         }
-        losses.push(sum / batches.len() as f32);
+        trainer.end_epoch(None);
     }
-    assert!(
-        losses.last().unwrap() < losses.first().unwrap(),
-        "{losses:?}"
-    );
+    let losses = &trainer.history.epoch_losses;
+    assert!(trainer.history.final_loss() < losses[0], "{losses:?}");
 }

@@ -65,16 +65,6 @@ fn headline_speedups_hold() {
 }
 
 #[test]
-fn convergence_smoke() {
-    use sciml_bench::convergence::{cosmoflow_convergence, ConvergenceConfig};
-    let cfg = ConvergenceConfig::test_small();
-    let run = cosmoflow_convergence(&cfg, 0);
-    assert_eq!(run.base.epoch_losses.len(), cfg.epochs);
-    assert!(run.base.final_loss().is_finite());
-    assert!(run.decoded.final_loss().is_finite());
-}
-
-#[test]
 fn table1_renders() {
     let t = pfig::table1();
     assert!(t.lines().count() >= 10);

@@ -7,15 +7,13 @@
 //!   zero".
 //! * The CosmoFlow encoding is lossless: the plugin's fused decode is the
 //!   tensor the baseline's per-voxel preprocessing produces.
-//! * Figs 6–7: training on decoded samples converges as training on the
-//!   originals does, under one learning schedule.
+//! * Figs 6–7: training on samples the loader decodes converges as
+//!   training on the originals does, under one learning schedule.
 
+use sciml_bench::convergence::{cosmoflow_convergence, deepcam_convergence, ConvergenceConfig};
 use sciml_codec::{cosmoflow as cf, deepcam as dc, ErrorStats, Op};
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
-use sciml_minidnn::models::{crop_mask, deepcam_mini};
-use sciml_minidnn::optim::Sgd;
-use sciml_minidnn::train::{train_segmentation, TrainConfig};
 use sciml_pipeline::decoder::{CosmoPluginCpu, DeepCamPluginCpu};
 use sciml_pipeline::{DecoderPlugin, Label};
 
@@ -88,73 +86,60 @@ fn cosmoflow_plugin_decode_is_the_baselines_tensor_bit_for_bit() {
 
 /// Figs 6–7 (§VIII-A): "we merely used the same learning schedule … for
 /// both classes of samples" and the loss curves lie on top of each other.
-/// The same seeded DeepCAM-mini segmentation run twice, on the FP32
-/// originals through the per-value op and on what `DeepCamPluginCpu`
-/// decodes from the lossy encoding with the op fused; weights, shuffle
-/// order and schedule are identical, so any gap is the encoding's.
+/// The convergence harness trains the same seeded net twice, on the FP32
+/// originals through the per-value op and on what the loader delivers:
+/// the lossy encoding packed into a shard store and decoded by
+/// `DeepCamPluginCpu` with the op fused. Weights, sample order and
+/// schedule are identical, so any gap is the encoding's. The harness
+/// also asserts that every label the loader delivers is the original's.
 #[test]
 fn training_on_plugin_decoded_deepcam_tracks_training_on_the_originals() {
-    let (width, height, channels) = (36, 24, 4);
-    let generator = ClimateGenerator::new(DeepCamConfig {
-        width,
-        height,
-        channels,
-        cyclones: 1,
-        rivers: 1,
-        noise: 2.5e-3,
-        seed: 99,
-    });
-    // Channel families to unit-ish scale; affine, so the plugin fuses it.
-    let op = Op::Normalize {
-        scale: 0.01,
-        offset: 0.0,
-    };
-    let plugin = DeepCamPluginCpu { op };
-    let (mut originals, mut decoded, mut masks) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..8 {
-        let sample = generator.generate(i);
-        let blob = dc::encode(&sample, &dc::EncoderConfig::default())
-            .0
-            .to_bytes();
-        let out = plugin.decode(&blob).unwrap();
-        assert_eq!(out.label, Label::Mask(sample.mask.clone()));
-        decoded.push(out.data.iter().map(|v| v.to_f32()).collect::<Vec<f32>>());
-        originals.push(sample.data.iter().map(|&v| op.apply(v)).collect());
-        // Two valid 3x3 convolutions trim two pixels a side.
-        masks.push(crop_mask(&sample.mask, width, height, 2));
-    }
-    assert_ne!(decoded, originals, "a lossless run measures nothing");
-    let schedule = TrainConfig {
-        batch: 2,
+    // A 36×24×4 image, 8 samples, two a step.
+    let cfg = ConvergenceConfig {
         epochs: 4,
-        base_lr: 1e-3,
-        warmup_steps: 4,
-        shuffle_seed: 5,
+        ..ConvergenceConfig::test_small()
     };
-    let train = |inputs: &[Vec<f32>]| {
-        let mut net = deepcam_mini(channels, 5);
-        let mut opt = Sgd::new(schedule.base_lr, 0.9);
-        let shape = [channels, height, width];
-        train_segmentation(
-            &mut net, &mut opt, inputs, &shape, &masks, 3, &schedule, None,
-        )
-    };
-    let (base, from_plugin) = (train(&originals), train(&decoded));
-    for (what, run) in [("originals", &base), ("decoded", &from_plugin)] {
+    let run = deepcam_convergence(&cfg, 5);
+    assert_ne!(
+        run.base.step_losses, run.decoded.step_losses,
+        "a lossless run measures nothing"
+    );
+    for (what, history) in [("originals", &run.base), ("decoded", &run.decoded)] {
         assert!(
-            run.final_loss() < run.epoch_losses[0],
+            history.final_loss() < history.epoch_losses[0],
             "{what}: the loss does not fall: {:?}",
-            run.epoch_losses
+            history.epoch_losses
         );
     }
     // Tolerance: the final losses within 0.5 % of each other (measured:
     // 0.001 %; both fall by about a third over the four epochs).
-    let gap = (base.final_loss() - from_plugin.final_loss()).abs() / base.final_loss();
+    let (base, decoded) = (run.base.final_loss(), run.decoded.final_loss());
+    let gap = (base - decoded).abs() / base;
     assert!(
         gap <= 0.005,
         "final losses {:?} and {:?} are {:.3} % apart",
-        base.epoch_losses,
-        from_plugin.epoch_losses,
+        run.base.epoch_losses,
+        run.decoded.epoch_losses,
         gap * 100.0
+    );
+}
+
+/// Fig 7 (§VIII-A): the lossless CosmoFlow encoding, read through the
+/// loader, trains as the originals do: both losses fall, and no epoch's
+/// mean loss differs by 15 % of the first epoch's.
+#[test]
+fn training_on_plugin_decoded_cosmoflow_tracks_training_on_the_originals() {
+    let cfg = ConvergenceConfig::test_small();
+    let run = cosmoflow_convergence(&cfg, 3);
+    assert_eq!(run.base.epoch_losses.len(), cfg.epochs);
+    assert!(run.base.final_loss() < run.base.epoch_losses[0]);
+    assert!(run.decoded.final_loss() < run.decoded.epoch_losses[0]);
+    let scale = run.base.epoch_losses[0].abs().max(1e-6);
+    assert!(
+        run.max_epoch_gap() / scale < 0.15,
+        "gap {} of {scale} ({:?} vs {:?})",
+        run.max_epoch_gap(),
+        run.base.epoch_losses,
+        run.decoded.epoch_losses
     );
 }
