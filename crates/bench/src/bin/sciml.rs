@@ -787,36 +787,35 @@ fn trace_merge(args: &[String]) -> Result<(), String> {
 /// `--list` prints just the supported tier names, one per line — the
 /// form the CI `simd-matrix` stage iterates.
 fn cpu_features(args: &[String]) -> Result<(), String> {
-    use sciml_platform::cpu;
     if args.iter().any(|a| a == "--list") {
-        for l in cpu::supported_levels() {
+        for l in sciml_simd::supported_levels() {
             println!("{}", l.name());
         }
         return Ok(());
     }
-    println!("detected tier:   {}", cpu::detected_level().name());
+    println!("detected tier:   {}", sciml_simd::detected_level().name());
     println!(
         "supported tiers: {}",
-        cpu::supported_levels()
+        sciml_simd::supported_levels()
             .iter()
             .map(|l| l.name())
             .collect::<Vec<_>>()
             .join(", ")
     );
-    match cpu::env_request() {
-        None => println!("{}:      unset", cpu::SIMD_ENV),
-        Some(raw) => match cpu::env_level() {
-            Some(lvl) => println!("{}={raw} -> {}", cpu::SIMD_ENV, lvl.name()),
+    match sciml_simd::env_request() {
+        None => println!("{}:      unset", sciml_simd::SIMD_ENV),
+        Some(raw) => match sciml_simd::env_level() {
+            Some(lvl) => println!("{}={raw} -> {}", sciml_simd::SIMD_ENV, lvl.name()),
             None => println!(
                 "{}={raw} -> unrecognized value, detection wins",
-                cpu::SIMD_ENV
+                sciml_simd::SIMD_ENV
             ),
         },
     }
-    println!("active tier:     {}", cpu::active_level().name());
+    println!("active tier:     {}", sciml_simd::active_level().name());
     println!("crc32 kernel:    {}", sciml_compress::crc32::kernel_name());
     println!("kernel paths:");
-    for p in cpu::kernel_plan() {
+    for p in sciml_simd::kernel_plan() {
         println!(
             "  {:<13} {:<22} {:<7} {}",
             p.kernel.name(),

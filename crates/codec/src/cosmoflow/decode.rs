@@ -174,19 +174,23 @@ fn decode_counted(
             // copy, four channel writes — dispatched across the runtime
             // SIMD tiers (scalar keeps the zipped bounds-check-free
             // loop; the vector paths transpose rows to planar in
-            // registers). `check_keys` above is the safety contract the
-            // unchecked vector indexing relies on: `fill_lut` left one
-            // row a group of the table it checked against.
+            // registers).
             let end = start + chunk.n_voxels as usize;
-            super::gather::gather_into(
-                chunk.key_width,
-                chunk.keys,
-                &scratch.lut,
-                &mut c0[start..end],
-                &mut c1[start..end],
-                &mut c2[start..end],
-                &mut c3[start..end],
-            );
+            // SAFETY: `check_keys` above found every key < the table's
+            // length, and `fill_lut` left one row a group of that table.
+            unsafe {
+                super::gather::gather_into(
+                    chunk.key_width,
+                    chunk.keys,
+                    &scratch.lut,
+                    [
+                        &mut c0[start..end],
+                        &mut c1[start..end],
+                        &mut c2[start..end],
+                        &mut c3[start..end],
+                    ],
+                )
+            };
             start = end;
             Ok(())
         })

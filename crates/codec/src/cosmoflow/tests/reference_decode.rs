@@ -186,15 +186,20 @@ pub(super) fn decode_into(
             return Err(CodecError::Corrupt("key out of table range"));
         }
         if let [c0, c1, c2, c3] = chans {
-            super::gather::gather_into(
-                chunk.key_width,
-                &chunk.keys,
-                &lut,
-                &mut c0[start..start + n],
-                &mut c1[start..start + n],
-                &mut c2[start..start + n],
-                &mut c3[start..start + n],
-            );
+            // SAFETY: every key was checked < lut.len() just above.
+            unsafe {
+                super::gather::gather_into(
+                    chunk.key_width,
+                    &chunk.keys,
+                    &lut,
+                    [
+                        &mut c0[start..start + n],
+                        &mut c1[start..start + n],
+                        &mut c2[start..start + n],
+                        &mut c3[start..start + n],
+                    ],
+                )
+            };
         } else {
             for v in 0..n {
                 let row = &lut[chunk.key(v)];

@@ -21,8 +21,9 @@
 //!    ([`decode_lockstep::prefix`]); then [`Op::narrow_into`] finishes
 //!    each line.
 //!
-//! At every other tier, on aarch64, and for a sample of fewer than
-//! sixteen lines, the lines go one at a time through
+//! At every other tier (a host without the x86-64 tiers runs the scalar
+//! one), and for a sample of fewer than sixteen lines, the lines go one
+//! at a time through
 //! [`reconstruct_delta_line`], the canonical form. Every way emits the
 //! same bits and reports the first failing line's error.
 

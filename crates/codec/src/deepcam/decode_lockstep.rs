@@ -14,10 +14,10 @@
 //! reading the rows four positions at a time and transposing them in
 //! registers, as the encoder's pass 2 (`lockstep.rs`) does, and
 //! transposing the results back in place. Everywhere else — the scalar
-//! and sse4.2 tiers, aarch64 — [`tier`] finds none and the decoder runs
-//! the fused loop line by line. (A four-lane sse4.2 form measured
-//! 0.99–1.10× that loop on a 576×384×8 sample, its integer narrowing
-//! being half of either side, so it was not kept.)
+//! and sse4.2 tiers, and any host without them — [`tier`] finds none
+//! and the decoder runs the fused loop line by line. (A four-lane sse4.2
+//! form measured 0.99–1.10× that loop on a 576×384×8 sample, its
+//! integer narrowing being half of either side, so it was not kept.)
 //!
 //! A group's layout, which `decode.rs` builds: `rows`, sixteen rows of
 //! `stride` blocks of four values (lane `l`'s position `j` at block
@@ -28,7 +28,7 @@
 
 use super::lockstep::LANES;
 use crate::CodecError;
-use sciml_simd::{arch_level, SimdLevel};
+use sciml_simd::{active_level, SimdLevel};
 
 /// The most values a pass-1 step writes past a segment's last code: a
 /// row holds this many slots beyond its line.
@@ -58,10 +58,10 @@ impl Tier {
 }
 
 /// The vector tier the host runs, if it runs one: only at avx2, which
-/// `arch_level` returns only where the probe verified it (a forced
+/// `active_level` returns only where the probe verified it (a forced
 /// level is clamped to what the CPU has).
 pub(super) fn tier() -> Option<Tier> {
-    match arch_level() {
+    match active_level() {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => Some(Tier(Kind::Avx2)),
         _ => None,
@@ -91,7 +91,7 @@ pub(super) fn delta_line(
     match tier.0 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: a `Tier` is made only where the probe verified avx2 on
-        // this CPU (`tier` from `arch_level`, `cpu_tier` from
+        // this CPU (`tier` from `active_level`, `cpu_tier` from
         // `is_supported`), and only inside this module.
         Kind::Avx2 => unsafe { avx2::delta_line(payload, row, width, lane, resets) },
     }

@@ -24,7 +24,7 @@ use super::{
 };
 use rayon::prelude::*;
 use sciml_data::deepcam::DeepCamSample;
-use sciml_simd::{record, Kernel};
+use sciml_simd::{active_level, record, Kernel};
 
 /// Tunables of the encoder.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +113,7 @@ pub(super) fn encode_channel(
     c: usize,
     cfg: &EncoderConfig,
 ) -> (Vec<LineMeta>, Vec<u8>, EncodeStats) {
-    let level = lockstep::tier();
+    let level = active_level();
     record(Kernel::DeepcamEncode, level);
     let mut lines = Vec::with_capacity(sample.height);
     // A delta line costs at least a byte per value.

@@ -29,7 +29,7 @@
 
 use super::encode::{quantize, EncoderConfig};
 use super::{CODE_ESCAPE, CODE_ZERO, EXP_WINDOW};
-use sciml_simd::{arch_level, SimdLevel};
+use sciml_simd::SimdLevel;
 
 /// Lines a group encodes together, one to a lane.
 pub(super) const LANES: usize = 16;
@@ -38,16 +38,8 @@ pub(super) const LANES: usize = 16;
 /// Never a base: pass 1's are delta exponents, -126 or above, or 0.
 pub(super) const HEAD: i8 = i8::MIN;
 
-/// The tier [`lockstep`] runs at: the host's, or the scalar one where no
-/// vector kernel exists (aarch64).
-pub(super) fn tier() -> SimdLevel {
-    match arch_level() {
-        SimdLevel::Neon => SimdLevel::Scalar,
-        level => level,
-    }
-}
-
-/// Pass 2 of one group at `level` (from [`tier`]).
+/// Pass 2 of one group at `level`, which must be a tier this CPU runs:
+/// the one caller, `encode_channel`, passes `active_level()`.
 pub(super) fn lockstep(
     level: SimdLevel,
     rows: &[&[f32]; LANES],
@@ -58,12 +50,12 @@ pub(super) fn lockstep(
 ) {
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `arch_level` returns Avx2 only when the probe (or a
-        // clamped override) verified avx2 on this CPU.
+        // SAFETY: `level` is `active_level()`, which is Avx2 only where
+        // the probe verified avx2 on this CPU.
         SimdLevel::Avx2 => unsafe { avx2::lockstep(rows, bases, codes, active, cfg) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Sse42 from `arch_level` implies the probe detected
-        // sse4.2 on this CPU.
+        // SAFETY: `level` is `active_level()`, which is Sse42 only where
+        // the probe detected sse4.2 on this CPU.
         SimdLevel::Sse42 => unsafe { sse42::lockstep(rows, bases, codes, active, cfg) },
         _ => scalar(rows, bases, codes, active, cfg),
     }

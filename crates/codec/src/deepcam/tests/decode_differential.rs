@@ -847,7 +847,7 @@ fn decode_speed() {
         }));
     }
     let melem = enc.n_values() as f64 / 1e6;
-    let tier = sciml_simd::arch_level();
+    let tier = sciml_simd::active_level();
     println!(
         "deepcam decode_into 576x384x8 at {}: {:.2} ms ({:.0} Melem/s), per-line loop {:.2} ms ({:.0} Melem/s), frozen two-pass {:.2} ms ({:.0} Melem/s); {:.2}x per-line, {:.2}x frozen",
         tier.name(),

@@ -28,7 +28,7 @@
 
 use sciml_half::slice::{narrow_affine_into, narrow_into};
 use sciml_half::F16;
-use sciml_simd::{arch_level, record, Kernel, SimdLevel};
+use sciml_simd::{active_level, record, Kernel, SimdLevel};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// ln 2 in two parts, the high one short enough that `k · LN2_HI` is
@@ -141,20 +141,18 @@ pub(crate) const CHUNK: usize = 4096;
 /// `log1p` in place, then `finish` (a `sciml-half` narrowing kernel),
 /// chunk by chunk at the active SIMD tier.
 fn log1p_narrow(vals: &mut [f32], dst: &mut [F16], finish: impl Fn(&[f32], &mut [F16])) {
-    let lvl = arch_level();
+    let lvl = active_level();
     record(Kernel::OpLog1p, lvl);
     for (v, d) in vals.chunks_mut(CHUNK).zip(dst.chunks_mut(CHUNK)) {
         match lvl {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `arch_level` returns Avx2 only when the probe (or
-            // a clamped override) verified avx2 on this CPU.
+            // SAFETY: `active_level` returns Avx2 only where the probe
+            // verified avx2 on this CPU.
             SimdLevel::Avx2 => unsafe { log1p_in_place_avx2(v) },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: Sse42 from `arch_level` implies the probe
+            // SAFETY: Sse42 from `active_level` implies the probe
             // detected sse4.2 on this CPU.
             SimdLevel::Sse42 => unsafe { log1p_in_place_sse42(v) },
-            // NEON is baseline on aarch64, so the plain loop is
-            // already that tier's.
             _ => log1p_in_place(v),
         }
         finish(v, d);

@@ -11,21 +11,24 @@
 //! * **AVX2 tier** uses the F16C hardware conversions (`vcvtps2ph` /
 //!   `vcvtph2ps` with round-to-nearest), which implement exactly the
 //!   scalar semantics above.
-//! * **SSE4.2 / NEON tiers** use the classic integer+magic-float
-//!   algorithm (Giesen-style `float_to_half_fast3_rtne`), modified to
-//!   preserve NaN payload top bits and force the quiet bit like the
-//!   scalar path does.
+//! * **SSE4.2 tier** uses the classic integer+magic-float algorithm
+//!   (Giesen-style `float_to_half_fast3_rtne`), modified to preserve NaN
+//!   payload top bits and force the quiet bit like the scalar path does.
 //! * Tails shorter than the vector width and the **scalar tier** run the
 //!   scalar conversion loop, so `SCIML_SIMD=scalar` output is byte-for-
-//!   byte the pre-dispatch behavior.
+//!   byte the pre-dispatch behavior. Any host without the x86-64 tiers,
+//!   aarch64 included, runs the scalar tier.
 //!
+//! The vector kernels are safe `#[target_feature]` fns over eight-value
+//! chunks of both slices, so unequal lengths cannot overrun; the typed
+//! loads and stores below are the only `unsafe` besides the dispatch.
 //! Dispatch is decided per slice call via [`sciml_simd::active_level`]
 //! and recorded in the shared dispatch counters so observability can
 //! tell which path actually ran.
 
 use crate::convert::{f16_bits_from_f32, f32_from_f16_bits};
 use crate::F16;
-use sciml_simd::{arch_level as chosen_level, record, Kernel, SimdLevel};
+use sciml_simd::{active_level, record, Kernel, SimdLevel};
 
 #[inline]
 fn narrow_scalar(src: &[f32], dst: &mut [F16]) {
@@ -51,20 +54,17 @@ fn widen_scalar(src: &[F16], dst: &mut [f32]) {
 /// Bulk `f32 -> f16`, dispatched. Caller guarantees equal lengths.
 pub(crate) fn narrow_dispatch(src: &[f32], dst: &mut [F16]) {
     debug_assert_eq!(src.len(), dst.len());
-    let lvl = chosen_level();
+    let lvl = active_level();
     record(Kernel::HalfNarrow, lvl);
     match lvl {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `chosen_level` returns Avx2 only when the probe (or a
-        // clamped override) verified avx2+f16c+sse4.2 on this CPU.
+        // SAFETY: `active_level` returns Avx2 only where the probe
+        // verified avx2+f16c+sse4.2 on this CPU.
         SimdLevel::Avx2 => unsafe { x86::narrow_avx2(src, dst) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Sse42 from `chosen_level` implies sse4.2 (and thus
-        // sse2..sse4.1) was detected on this CPU.
+        // SAFETY: Sse42 from `active_level` implies the probe detected
+        // sse4.2 (and thus sse2..sse4.1) on this CPU.
         SimdLevel::Sse42 => unsafe { x86::narrow_sse(src, dst) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe { neon::narrow_neon(src, dst) },
         _ => narrow_scalar(src, dst),
     }
 }
@@ -75,19 +75,15 @@ pub(crate) fn narrow_dispatch(src: &[f32], dst: &mut [F16]) {
 /// equal lengths.
 pub(crate) fn narrow_affine_dispatch(src: &[f32], scale: f32, offset: f32, dst: &mut [F16]) {
     debug_assert_eq!(src.len(), dst.len());
-    let lvl = chosen_level();
+    let lvl = active_level();
     record(Kernel::HalfNarrow, lvl);
     match lvl {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `chosen_level` returns Avx2 only when the probe (or a
-        // clamped override) verified avx2+f16c+sse4.2 on this CPU.
+        // SAFETY: as in `narrow_dispatch`, the probe verified avx2+f16c.
         SimdLevel::Avx2 => unsafe { x86::narrow_affine_avx2(src, scale, offset, dst) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Sse42 from `chosen_level` implies sse4.2 was detected.
+        // SAFETY: as in `narrow_dispatch`, the probe verified sse4.2.
         SimdLevel::Sse42 => unsafe { x86::narrow_affine_sse(src, scale, offset, dst) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe { neon::narrow_affine_neon(src, scale, offset, dst) },
         _ => narrow_affine_scalar(src, scale, offset, dst),
     }
 }
@@ -96,19 +92,15 @@ pub(crate) fn narrow_affine_dispatch(src: &[f32], scale: f32, offset: f32, dst: 
 /// lengths.
 pub(crate) fn widen_dispatch(src: &[F16], dst: &mut [f32]) {
     debug_assert_eq!(src.len(), dst.len());
-    let lvl = chosen_level();
+    let lvl = active_level();
     record(Kernel::HalfWiden, lvl);
     match lvl {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `chosen_level` returns Avx2 only when the probe (or a
-        // clamped override) verified avx2+f16c+sse4.2 on this CPU.
+        // SAFETY: as in `narrow_dispatch`, the probe verified avx2+f16c.
         SimdLevel::Avx2 => unsafe { x86::widen_avx2(src, dst) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Sse42 from `chosen_level` implies sse4.2 was detected.
+        // SAFETY: as in `narrow_dispatch`, the probe verified sse4.2.
         SimdLevel::Sse42 => unsafe { x86::widen_sse(src, dst) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe { neon::widen_neon(src, dst) },
         _ => widen_scalar(src, dst),
     }
 }
@@ -119,6 +111,62 @@ mod x86 {
     use crate::F16;
     use core::arch::x86_64::*;
 
+    /// Eight values, loaded.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load8(v: &[f32; 8]) -> __m256 {
+        // SAFETY: `v` is eight readable f32s; the load is unaligned.
+        unsafe { _mm256_loadu_ps(v.as_ptr()) }
+    }
+
+    /// Eight values, stored.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store8(v: &mut [f32; 8], x: __m256) {
+        // SAFETY: `v` is eight writable f32s; the store is unaligned.
+        unsafe { _mm256_storeu_ps(v.as_mut_ptr(), x) }
+    }
+
+    /// Eight values as two vectors of four.
+    #[inline]
+    #[target_feature(enable = "sse4.2")]
+    fn load4x2(v: &[f32; 8]) -> [__m128; 2] {
+        // SAFETY: `v` is eight readable f32s, four at each pointer; the
+        // loads are unaligned.
+        unsafe { [_mm_loadu_ps(v.as_ptr()), _mm_loadu_ps(v.as_ptr().add(4))] }
+    }
+
+    /// Two vectors of four values, stored as eight.
+    #[inline]
+    #[target_feature(enable = "sse4.2")]
+    fn store4x2(v: &mut [f32; 8], x: [__m128; 2]) {
+        // SAFETY: `v` is eight writable f32s, four at each pointer; the
+        // stores are unaligned.
+        unsafe {
+            _mm_storeu_ps(v.as_mut_ptr(), x[0]);
+            _mm_storeu_ps(v.as_mut_ptr().add(4), x[1]);
+        }
+    }
+
+    /// Eight halves, loaded as one 16-byte vector.
+    #[inline]
+    #[target_feature(enable = "sse4.2")]
+    fn load_halves(v: &[F16; 8]) -> __m128i {
+        // SAFETY: `F16` is repr(transparent) over u16, so `v` is sixteen
+        // readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_si128(v.as_ptr().cast()) }
+    }
+
+    /// Eight halves, stored from one 16-byte vector.
+    #[inline]
+    #[target_feature(enable = "sse4.2")]
+    fn store_halves(v: &mut [F16; 8], x: __m128i) {
+        // SAFETY: `F16` is repr(transparent) over u16, so `v` is sixteen
+        // writable bytes, and every bit pattern is a valid `F16`; the
+        // store is unaligned.
+        unsafe { _mm_storeu_si128(v.as_mut_ptr().cast(), x) }
+    }
+
     /// `f16 := round_to_nearest_even(f32)` for 8 lanes via F16C. The
     /// hardware instruction matches `f16_bits_from_f32` exactly: RTNE,
     /// subnormal generation, 65520 overflow threshold, f32 subnormals
@@ -126,64 +174,41 @@ mod x86 {
     /// the half subnormal tie at 2^-25, so both produce signed zero),
     /// and NaNs quieted with the top 9 payload bits kept.
     #[target_feature(enable = "avx2,f16c")]
-    pub(super) unsafe fn narrow_avx2(src: &[f32], dst: &mut [F16]) {
-        let n = src.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); unaligned
-            // load/store intrinsics have no alignment requirement, and
-            // `F16` is repr(transparent) over u16 so 8 lanes fill 16
-            // bytes of dst exactly.
-            unsafe {
-                let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), h);
-            }
-            i += 8;
+    pub(super) fn narrow_avx2(src: &[f32], dst: &mut [F16]) {
+        let (src8, src_tail) = src.as_chunks::<8>();
+        let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+        for (s, d) in src8.iter().zip(dst8) {
+            store_halves(d, _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(load8(s)));
         }
-        narrow_scalar(&src[i..], &mut dst[i..]);
+        narrow_scalar(src_tail, dst_tail);
     }
 
     /// Fused affine + narrow for 8 lanes (same IEEE sub/mul as scalar,
     /// then the F16C conversion).
     #[target_feature(enable = "avx2,f16c")]
-    pub(super) unsafe fn narrow_affine_avx2(src: &[f32], scale: f32, offset: f32, dst: &mut [F16]) {
-        let n = src.len();
+    pub(super) fn narrow_affine_avx2(src: &[f32], scale: f32, offset: f32, dst: &mut [F16]) {
         let off = _mm256_set1_ps(offset);
         let sc = _mm256_set1_ps(scale);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); unaligned
-            // intrinsics, dst writes are 16 bytes of valid F16 slots.
-            unsafe {
-                let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                let y = _mm256_mul_ps(_mm256_sub_ps(v, off), sc);
-                let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(y);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), h);
-            }
-            i += 8;
+        let (src8, src_tail) = src.as_chunks::<8>();
+        let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+        for (s, d) in src8.iter().zip(dst8) {
+            let y = _mm256_mul_ps(_mm256_sub_ps(load8(s), off), sc);
+            store_halves(d, _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(y));
         }
-        narrow_affine_scalar(&src[i..], scale, offset, &mut dst[i..]);
+        narrow_affine_scalar(src_tail, scale, offset, dst_tail);
     }
 
     /// Exact `f16 -> f32` widening for 8 lanes via F16C. `vcvtph2ps` is
     /// exact and quiets signaling NaNs while preserving the payload —
     /// identical to `f32_from_f16_bits`.
     #[target_feature(enable = "avx2,f16c")]
-    pub(super) unsafe fn widen_avx2(src: &[F16], dst: &mut [f32]) {
-        let n = src.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); unaligned
-            // intrinsics; 8 F16 lanes read 16 bytes of valid src.
-            unsafe {
-                let h = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
-                let v = _mm256_cvtph_ps(h);
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), v);
-            }
-            i += 8;
+    pub(super) fn widen_avx2(src: &[F16], dst: &mut [f32]) {
+        let (src8, src_tail) = src.as_chunks::<8>();
+        let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+        for (s, d) in src8.iter().zip(dst8) {
+            store8(d, _mm256_cvtph_ps(load_halves(s)));
         }
-        widen_scalar(&src[i..], &mut dst[i..]);
+        widen_scalar(src_tail, dst_tail);
     }
 
     // ----- SSE tier: integer + magic-float conversion ----------------
@@ -209,7 +234,7 @@ mod x86 {
     /// Narrows 4 f32 lanes to 4 u16-valued u32 lanes (sign applied).
     #[inline]
     #[target_feature(enable = "sse4.2")]
-    unsafe fn narrow4_sse(v: __m128) -> __m128i {
+    fn narrow4_sse(v: __m128) -> __m128i {
         let bits = _mm_castps_si128(v);
         let sign = _mm_and_si128(bits, _mm_set1_epi32(SIGN32));
         let a = _mm_andnot_si128(_mm_set1_epi32(SIGN32), bits);
@@ -245,7 +270,7 @@ mod x86 {
     /// quiet bit forced on nonzero mantissas, matching scalar.
     #[inline]
     #[target_feature(enable = "sse4.2")]
-    unsafe fn widen4_sse(h32: __m128i) -> __m128 {
+    fn widen4_sse(h32: __m128i) -> __m128 {
         let sign = _mm_slli_epi32::<16>(_mm_and_si128(h32, _mm_set1_epi32(0x8000)));
         let em = _mm_slli_epi32::<13>(_mm_and_si128(h32, _mm_set1_epi32(0x7FFF)));
         let exp = _mm_and_si128(em, _mm_set1_epi32(0x0F80_0000));
@@ -276,191 +301,48 @@ mod x86 {
         _mm_castsi128_ps(_mm_or_si128(res, sign))
     }
 
+    /// Narrows both halves of eight lanes and packs them into eight u16s;
+    /// both 4-lane results hold u16 values, so the unsigned pack is exact.
+    #[inline]
     #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn narrow_sse(src: &[f32], dst: &mut [F16]) {
-        let n = src.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); unaligned
-            // load/store intrinsics; both 4-lane results hold u16
-            // values so the unsigned pack is exact.
-            unsafe {
-                let lo = narrow4_sse(_mm_loadu_ps(src.as_ptr().add(i)));
-                let hi = narrow4_sse(_mm_loadu_ps(src.as_ptr().add(i + 4)));
-                let packed = _mm_packus_epi32(lo, hi);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), packed);
-            }
-            i += 8;
-        }
-        narrow_scalar(&src[i..], &mut dst[i..]);
+    fn narrow8_sse(v: [__m128; 2]) -> __m128i {
+        _mm_packus_epi32(narrow4_sse(v[0]), narrow4_sse(v[1]))
     }
 
     #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn narrow_affine_sse(src: &[f32], scale: f32, offset: f32, dst: &mut [F16]) {
-        let n = src.len();
+    pub(super) fn narrow_sse(src: &[f32], dst: &mut [F16]) {
+        let (src8, src_tail) = src.as_chunks::<8>();
+        let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+        for (s, d) in src8.iter().zip(dst8) {
+            store_halves(d, narrow8_sse(load4x2(s)));
+        }
+        narrow_scalar(src_tail, dst_tail);
+    }
+
+    #[target_feature(enable = "sse4.2")]
+    pub(super) fn narrow_affine_sse(src: &[f32], scale: f32, offset: f32, dst: &mut [F16]) {
         let off = _mm_set1_ps(offset);
         let sc = _mm_set1_ps(scale);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); unaligned
-            // load/store intrinsics; packed lanes hold u16 values.
-            unsafe {
-                let a = _mm_mul_ps(_mm_sub_ps(_mm_loadu_ps(src.as_ptr().add(i)), off), sc);
-                let b = _mm_mul_ps(_mm_sub_ps(_mm_loadu_ps(src.as_ptr().add(i + 4)), off), sc);
-                let packed = _mm_packus_epi32(narrow4_sse(a), narrow4_sse(b));
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast::<__m128i>(), packed);
-            }
-            i += 8;
+        let (src8, src_tail) = src.as_chunks::<8>();
+        let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+        for (s, d) in src8.iter().zip(dst8) {
+            let y = load4x2(s).map(|v| _mm_mul_ps(_mm_sub_ps(v, off), sc));
+            store_halves(d, narrow8_sse(y));
         }
-        narrow_affine_scalar(&src[i..], scale, offset, &mut dst[i..]);
+        narrow_affine_scalar(src_tail, scale, offset, dst_tail);
     }
 
     #[target_feature(enable = "sse4.2")]
-    pub(super) unsafe fn widen_sse(src: &[F16], dst: &mut [f32]) {
-        let n = src.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); the 16-byte load
-            // covers 8 valid F16 lanes; stores are unaligned.
-            unsafe {
-                let h8 = _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>());
-                let lo = widen4_sse(_mm_cvtepu16_epi32(h8));
-                let hi = widen4_sse(_mm_cvtepu16_epi32(_mm_srli_si128::<8>(h8)));
-                _mm_storeu_ps(dst.as_mut_ptr().add(i), lo);
-                _mm_storeu_ps(dst.as_mut_ptr().add(i + 4), hi);
-            }
-            i += 8;
+    pub(super) fn widen_sse(src: &[F16], dst: &mut [f32]) {
+        let (src8, src_tail) = src.as_chunks::<8>();
+        let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+        for (s, d) in src8.iter().zip(dst8) {
+            let h8 = load_halves(s);
+            let lo = widen4_sse(_mm_cvtepu16_epi32(h8));
+            let hi = widen4_sse(_mm_cvtepu16_epi32(_mm_srli_si128::<8>(h8)));
+            store4x2(d, [lo, hi]);
         }
-        widen_scalar(&src[i..], &mut dst[i..]);
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{narrow_affine_scalar, narrow_scalar, widen_scalar};
-    use crate::F16;
-    use core::arch::aarch64::*;
-
-    // Same integer + magic-float algorithm as the SSE tier (see the
-    // comment block there); NEON has unsigned compares so the masks use
-    // them directly.
-
-    #[inline]
-    #[target_feature(enable = "neon")]
-    unsafe fn narrow4_neon(v: float32x4_t) -> uint32x4_t {
-        let bits = vreinterpretq_u32_f32(v);
-        let sign = vandq_u32(bits, vdupq_n_u32(0x8000_0000));
-        let a = vbicq_u32(bits, vdupq_n_u32(0x8000_0000));
-
-        let is_big = vcgeq_u32(a, vdupq_n_u32(0x4780_0000));
-        let is_nan = vcgtq_u32(a, vdupq_n_u32(0x7F80_0000));
-        let payload = vorrq_u32(
-            vdupq_n_u32(0x0200),
-            vandq_u32(vshrq_n_u32::<13>(a), vdupq_n_u32(0x01FF)),
-        );
-        let big = vorrq_u32(vdupq_n_u32(0x7C00), vandq_u32(is_nan, payload));
-
-        let is_small = vcltq_u32(a, vdupq_n_u32(0x3880_0000));
-        let magic = vreinterpretq_f32_u32(vdupq_n_u32(126 << 23));
-        let small_f = vaddq_f32(vreinterpretq_f32_u32(a), magic);
-        let small = vsubq_u32(vreinterpretq_u32_f32(small_f), vdupq_n_u32(126 << 23));
-
-        let odd = vandq_u32(vshrq_n_u32::<13>(a), vdupq_n_u32(1));
-        let rebias = (((15 - 127) << 23) as u32).wrapping_add(0xFFF);
-        let adj = vaddq_u32(a, vdupq_n_u32(rebias));
-        let norm = vshrq_n_u32::<13>(vaddq_u32(adj, odd));
-
-        let res = vbslq_u32(is_small, small, norm);
-        let res = vbslq_u32(is_big, big, res);
-        vorrq_u32(res, vshrq_n_u32::<16>(sign))
-    }
-
-    #[inline]
-    #[target_feature(enable = "neon")]
-    unsafe fn widen4_neon(h32: uint32x4_t) -> float32x4_t {
-        let sign = vshlq_n_u32::<16>(vandq_u32(h32, vdupq_n_u32(0x8000)));
-        let em = vshlq_n_u32::<13>(vandq_u32(h32, vdupq_n_u32(0x7FFF)));
-        let exp = vandq_u32(em, vdupq_n_u32(0x0F80_0000));
-
-        let adjusted = vaddq_u32(em, vdupq_n_u32(((127 - 15) << 23) as u32));
-
-        let is_infnan = vceqq_u32(exp, vdupq_n_u32(0x0F80_0000));
-        let mant = vandq_u32(em, vdupq_n_u32(0x007F_E000));
-        let has_mant = vandq_u32(is_infnan, vmvnq_u32(vceqq_u32(mant, vdupq_n_u32(0))));
-        let infnan = vorrq_u32(
-            vaddq_u32(adjusted, vdupq_n_u32(((128 - 16) << 23) as u32)),
-            vandq_u32(has_mant, vdupq_n_u32(0x0040_0000)),
-        );
-
-        let is_zero_exp = vceqq_u32(exp, vdupq_n_u32(0));
-        let sub_bias = vdupq_n_u32(0x3880_0000);
-        let sub_f = vsubq_f32(
-            vreinterpretq_f32_u32(vaddq_u32(em, sub_bias)),
-            vreinterpretq_f32_u32(sub_bias),
-        );
-        let subn = vreinterpretq_u32_f32(sub_f);
-
-        let res = vbslq_u32(is_zero_exp, subn, adjusted);
-        let res = vbslq_u32(is_infnan, infnan, res);
-        vreinterpretq_f32_u32(vorrq_u32(res, sign))
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn narrow_neon(src: &[f32], dst: &mut [F16]) {
-        let n = src.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); NEON loads and
-            // stores are alignment-free; both 4-lane results hold u16
-            // values so the truncating narrow is exact.
-            unsafe {
-                let lo = narrow4_neon(vld1q_f32(src.as_ptr().add(i)));
-                let hi = narrow4_neon(vld1q_f32(src.as_ptr().add(i + 4)));
-                let packed = vcombine_u16(vmovn_u32(lo), vmovn_u32(hi));
-                vst1q_u16(dst.as_mut_ptr().add(i).cast::<u16>(), packed);
-            }
-            i += 8;
-        }
-        narrow_scalar(&src[i..], &mut dst[i..]);
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn narrow_affine_neon(src: &[f32], scale: f32, offset: f32, dst: &mut [F16]) {
-        let n = src.len();
-        let off = vdupq_n_f32(offset);
-        let sc = vdupq_n_f32(scale);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); alignment-free
-            // NEON memory ops; packed lanes hold u16 values.
-            unsafe {
-                let a = vmulq_f32(vsubq_f32(vld1q_f32(src.as_ptr().add(i)), off), sc);
-                let b = vmulq_f32(vsubq_f32(vld1q_f32(src.as_ptr().add(i + 4)), off), sc);
-                let packed = vcombine_u16(vmovn_u32(narrow4_neon(a)), vmovn_u32(narrow4_neon(b)));
-                vst1q_u16(dst.as_mut_ptr().add(i).cast::<u16>(), packed);
-            }
-            i += 8;
-        }
-        narrow_affine_scalar(&src[i..], scale, offset, &mut dst[i..]);
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn widen_neon(src: &[F16], dst: &mut [f32]) {
-        let n = src.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= src.len() == dst.len(); the 16-byte load
-            // covers 8 valid F16 lanes; alignment-free NEON memory ops.
-            unsafe {
-                let h8 = vld1q_u16(src.as_ptr().add(i).cast::<u16>());
-                let lo = widen4_neon(vmovl_u16(vget_low_u16(h8)));
-                let hi = widen4_neon(vmovl_u16(vget_high_u16(h8)));
-                vst1q_f32(dst.as_mut_ptr().add(i), lo);
-                vst1q_f32(dst.as_mut_ptr().add(i + 4), hi);
-            }
-            i += 8;
-        }
-        widen_scalar(&src[i..], &mut dst[i..]);
+        widen_scalar(src_tail, dst_tail);
     }
 }
 

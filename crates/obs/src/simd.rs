@@ -48,7 +48,7 @@ mod tests {
     #[test]
     fn publish_is_consistent_and_overwrites() {
         let reg = MetricsRegistry::new();
-        record(Kernel::HalfWiden, sciml_simd::arch_level());
+        record(Kernel::HalfWiden, sciml_simd::active_level());
         publish(&reg);
         let snap = reg.snapshot();
         let total = snap.gauge("codec.simd.dispatch_total");

@@ -29,7 +29,6 @@
 //! orderings, staging/caching effects).
 
 pub mod calibrate;
-pub mod cpu;
 pub mod epoch;
 pub mod figures;
 pub mod gpusim;

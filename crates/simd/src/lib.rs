@@ -7,9 +7,9 @@
 //! dependency-free substrate they dispatch through:
 //!
 //! * [`detected_level`] — a cached, one-time probe of what the host CPU
-//!   supports (`is_x86_feature_detected!` on x86-64, NEON is baseline on
-//!   aarch64).
-//! * `SCIML_SIMD=scalar|sse42|avx2|neon` — an environment override so
+//!   supports (`is_x86_feature_detected!` on x86-64). The vector tiers
+//!   are x86-64's; any other host, aarch64 included, runs the scalar one.
+//! * `SCIML_SIMD=scalar|sse42|avx2` — an environment override so
 //!   tests and CI can force every tier. Forcing a tier the host cannot
 //!   run clamps to [`SimdLevel::Scalar`] (never an illegal-instruction
 //!   crash); an unrecognized value is ignored.
@@ -22,17 +22,17 @@
 //! * [`record`] / [`dispatch_counts`] — relaxed per-(kernel, level)
 //!   counters so `sciml fetch --stats` and the Prometheus scrape can
 //!   show which path actually ran (`codec.simd.*`).
+//! * [`kernel_plan`] — every kernel's path at the active tier, which
+//!   `sciml cpu-features` prints.
 //!
-//! The public façade for tools lives in `sciml_platform::cpu`; kernels
-//! in `sciml-half` and `sciml-codec` link this crate directly because
-//! the platform crate sits *above* them in the dependency graph.
+//! Every dispatch site matches on [`active_level`], which names only a
+//! tier this CPU runs: the probe's, or a request clamped to it.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// An ISA tier a kernel can be compiled for. Ordered from least to most
-/// capable within an architecture; `Neon` is the aarch64 tier and never
-/// coexists with the x86 tiers on one host.
+/// An ISA tier a kernel can be compiled for, from least to most
+/// capable; each implies the ones before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
     /// Portable scalar Rust — the canonical semantics every vector path
@@ -42,17 +42,10 @@ pub enum SimdLevel {
     Sse42,
     /// x86-64 AVX2 + F16C (hardware F32↔F16 conversion).
     Avx2,
-    /// aarch64 Advanced SIMD (baseline on all aarch64 hosts).
-    Neon,
 }
 
 /// All tiers, in probe order (most capable last).
-pub const ALL_LEVELS: [SimdLevel; 4] = [
-    SimdLevel::Scalar,
-    SimdLevel::Sse42,
-    SimdLevel::Avx2,
-    SimdLevel::Neon,
-];
+pub const ALL_LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse42, SimdLevel::Avx2];
 
 impl SimdLevel {
     /// Stable lowercase name (the `SCIML_SIMD` vocabulary).
@@ -61,7 +54,6 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Sse42 => "sse42",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Neon => "neon",
         }
     }
 
@@ -71,18 +63,16 @@ impl SimdLevel {
             "scalar" => Some(SimdLevel::Scalar),
             "sse42" | "sse4.2" | "sse4" => Some(SimdLevel::Sse42),
             "avx2" => Some(SimdLevel::Avx2),
-            "neon" => Some(SimdLevel::Neon),
             _ => None,
         }
     }
 
-    /// Dense index for counter tables.
+    /// Dense index for counter tables, in capability order.
     pub fn index(self) -> usize {
         match self {
             SimdLevel::Scalar => 0,
             SimdLevel::Sse42 => 1,
             SimdLevel::Avx2 => 2,
-            SimdLevel::Neon => 3,
         }
     }
 
@@ -109,11 +99,7 @@ fn probe() -> SimdLevel {
         }
         SimdLevel::Scalar
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        SimdLevel::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         SimdLevel::Scalar
     }
@@ -125,16 +111,26 @@ pub fn detected_level() -> SimdLevel {
     *DETECTED.get_or_init(probe)
 }
 
+/// The support rule: a CPU whose probe found `detected` runs the
+/// `requested` tier's kernels when that tier is at most as capable (the
+/// avx2 probe requires sse4.2, and scalar runs anywhere).
+fn runs_on(requested: SimdLevel, detected: SimdLevel) -> bool {
+    requested.index() <= detected.index()
+}
+
 /// Whether the host can execute kernels of this tier.
 pub fn is_supported(level: SimdLevel) -> bool {
-    match level {
-        SimdLevel::Scalar => true,
-        // On each architecture the probe returns the top supported tier
-        // and the tiers below it are implied (AVX2 probe requires
-        // SSE4.2; NEON is baseline aarch64).
-        SimdLevel::Sse42 => matches!(detected_level(), SimdLevel::Sse42 | SimdLevel::Avx2),
-        SimdLevel::Avx2 => detected_level() == SimdLevel::Avx2,
-        SimdLevel::Neon => detected_level() == SimdLevel::Neon,
+    runs_on(level, detected_level())
+}
+
+/// `level` if the host runs it, else `Scalar`: what a request for a
+/// tier resolves to (deterministic and safe, never an illegal
+/// instruction).
+fn clamp(level: SimdLevel) -> SimdLevel {
+    if is_supported(level) {
+        level
+    } else {
+        SimdLevel::Scalar
     }
 }
 
@@ -164,14 +160,7 @@ pub fn env_request() -> Option<&'static str> {
 /// `None` and detection wins.
 pub fn env_level() -> Option<SimdLevel> {
     static PARSED: OnceLock<Option<SimdLevel>> = OnceLock::new();
-    *PARSED.get_or_init(|| {
-        let lvl = SimdLevel::from_name(env_request()?)?;
-        Some(if is_supported(lvl) {
-            lvl
-        } else {
-            SimdLevel::Scalar
-        })
-    })
+    *PARSED.get_or_init(|| SimdLevel::from_name(env_request()?).map(clamp))
 }
 
 // In-process override: 0 = none, otherwise level index + 1. A process
@@ -196,21 +185,16 @@ impl Drop for ForceGuard {
 pub fn force(level: Option<SimdLevel>) -> ForceGuard {
     let val = match level {
         None => 0,
-        Some(l) => {
-            let l = if is_supported(l) {
-                l
-            } else {
-                SimdLevel::Scalar
-            };
-            l.index() as u8 + 1
-        }
+        Some(l) => clamp(l).index() as u8 + 1,
     };
     let prev = FORCED.swap(val, Ordering::Relaxed);
     ForceGuard { prev }
 }
 
 /// The tier kernels should dispatch to *right now*: in-process force,
-/// else `SCIML_SIMD`, else hardware detection.
+/// else `SCIML_SIMD`, else hardware detection. Both overrides are
+/// clamped, so this is always a tier the host runs, and a dispatch site
+/// may call that tier's `#[target_feature]` kernels on its word.
 #[inline]
 pub fn active_level() -> SimdLevel {
     let forced = FORCED.load(Ordering::Relaxed);
@@ -222,23 +206,6 @@ pub fn active_level() -> SimdLevel {
     match env_level() {
         Some(l) => l,
         None => detected_level(),
-    }
-}
-
-/// [`active_level`] clamped to the tiers this *architecture* has
-/// kernels for — e.g. a (clamp-bypassing) forced `neon` on x86-64
-/// resolves to `Scalar` here. Kernel dispatch sites use this so the
-/// level they record is the level that actually ran.
-#[inline]
-pub fn arch_level() -> SimdLevel {
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => SimdLevel::Avx2,
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse42 => SimdLevel::Sse42,
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => SimdLevel::Neon,
-        _ => SimdLevel::Scalar,
     }
 }
 
@@ -299,8 +266,8 @@ impl Kernel {
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
 #[allow(clippy::declare_interior_mutable_const)]
-const ZERO_ROW: [AtomicU64; 4] = [ZERO; 4];
-static DISPATCH: [[AtomicU64; 4]; ALL_KERNELS.len()] = [ZERO_ROW; ALL_KERNELS.len()];
+const ZERO_ROW: [AtomicU64; ALL_LEVELS.len()] = [ZERO; ALL_LEVELS.len()];
+static DISPATCH: [[AtomicU64; ALL_LEVELS.len()]; ALL_KERNELS.len()] = [ZERO_ROW; ALL_KERNELS.len()];
 
 /// Records one dispatch of `kernel` through the `level` path. Relaxed;
 /// a few nanoseconds against kernels that run for microseconds.
@@ -328,9 +295,68 @@ pub fn level_total(level: SimdLevel) -> u64 {
         .sum()
 }
 
+/// One decode kernel's resolved dispatch path on this host.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelPath {
+    /// Kernel identity (`cosmo_gather`, `half_narrow`, …).
+    pub kernel: Kernel,
+    /// The workload/stage the kernel serves, for display.
+    pub stage: &'static str,
+    /// Tier the dispatcher will select for it right now.
+    pub level: SimdLevel,
+    /// Human description of the vector strategy at that tier.
+    pub strategy: &'static str,
+}
+
+/// The dispatch plan for every decode kernel at the [`active_level`]
+/// (env override and force guards included): the level that will run.
+pub fn kernel_plan() -> Vec<KernelPath> {
+    let lvl = active_level();
+    ALL_KERNELS
+        .iter()
+        .map(|&kernel| KernelPath {
+            kernel,
+            stage: match kernel {
+                Kernel::CosmoGather => "CosmoFlow LUT decode",
+                Kernel::HalfNarrow => "F32\u{2192}F16 emission",
+                Kernel::HalfWiden => "F16\u{2192}F32 load",
+                Kernel::OpLog1p => "per-element log1p",
+                Kernel::DeepcamEncode => "DeepCAM encode",
+                Kernel::DeepcamDecode => "DeepCAM decode",
+            },
+            level: lvl,
+            strategy: strategy(kernel, lvl),
+        })
+        .collect()
+}
+
+fn strategy(kernel: Kernel, level: SimdLevel) -> &'static str {
+    match (kernel, level) {
+        (_, SimdLevel::Scalar) => "scalar reference loop",
+        (Kernel::CosmoGather, SimdLevel::Avx2) => "8-voxel row gather + in-register transpose",
+        (Kernel::CosmoGather, SimdLevel::Sse42) => "4-voxel row gather + in-register transpose",
+        (Kernel::HalfNarrow, SimdLevel::Avx2) => "F16C vcvtps2ph, 8 lanes",
+        (Kernel::HalfNarrow, SimdLevel::Sse42) => "integer round-to-nearest-even narrow, 4 lanes",
+        (Kernel::HalfWiden, SimdLevel::Avx2) => "F16C vcvtph2ps, 8 lanes",
+        (Kernel::HalfWiden, SimdLevel::Sse42) => "integer exponent rebias widen, 4 lanes",
+        (Kernel::OpLog1p, SimdLevel::Avx2) => "scalar source auto-vectorised, 8 lanes",
+        (Kernel::OpLog1p, SimdLevel::Sse42) => "scalar source auto-vectorised, 4 lanes",
+        (Kernel::DeepcamEncode, SimdLevel::Avx2) => "16 lines in lockstep, 2 vectors of 8 lanes",
+        (Kernel::DeepcamEncode, SimdLevel::Sse42) => "16 lines in lockstep, 4 vectors of 4 lanes",
+        (Kernel::DeepcamDecode, SimdLevel::Avx2) => "16 lines in lockstep, 2 vectors of 8 lanes",
+        (Kernel::DeepcamDecode, SimdLevel::Sse42) => "scalar reference loop",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Held by every test that forces a tier or reads the active one:
+    /// the override is process-wide, and guards dropped out of order
+    /// would leave a stale force behind.
+    static FORCING: Mutex<()> = Mutex::new(());
 
     #[test]
     fn names_roundtrip() {
@@ -353,6 +379,7 @@ mod tests {
 
     #[test]
     fn force_guard_overrides_and_restores() {
+        let _serial = FORCING.lock().unwrap_or_else(|e| e.into_inner());
         let baseline = active_level();
         {
             let _g = force(Some(SimdLevel::Scalar));
@@ -363,10 +390,21 @@ mod tests {
 
     #[test]
     fn forcing_unsupported_clamps_to_scalar() {
-        // On any single host at least one tier is unsupported (Neon on
-        // x86, Avx2 on aarch64).
-        let unsupported = ALL_LEVELS.iter().copied().find(|&l| !is_supported(l));
-        if let Some(l) = unsupported {
+        let _serial = FORCING.lock().unwrap_or_else(|e| e.into_inner());
+        // The rule for a CPU without each vector tier, whatever this
+        // host has.
+        use SimdLevel::*;
+        assert!(runs_on(Scalar, Scalar));
+        assert!(!runs_on(Sse42, Scalar));
+        assert!(!runs_on(Avx2, Scalar));
+        assert!(runs_on(Scalar, Sse42));
+        assert!(runs_on(Sse42, Sse42));
+        assert!(!runs_on(Avx2, Sse42));
+        for &l in &ALL_LEVELS {
+            assert!(runs_on(l, Avx2));
+        }
+        // And the clamp on this host's own unsupported tiers.
+        for l in ALL_LEVELS.into_iter().filter(|&l| !is_supported(l)) {
             let _g = force(Some(l));
             assert_eq!(active_level(), SimdLevel::Scalar);
         }
@@ -380,5 +418,26 @@ mod tests {
         assert!(level_total(SimdLevel::Scalar) >= before + 2);
         let counts = dispatch_counts();
         assert_eq!(counts.len(), ALL_KERNELS.len() * ALL_LEVELS.len());
+    }
+
+    #[test]
+    fn plan_covers_every_kernel_at_one_level() {
+        let _serial = FORCING.lock().unwrap_or_else(|e| e.into_inner());
+        let plan = kernel_plan();
+        assert_eq!(plan.len(), ALL_KERNELS.len());
+        for p in &plan {
+            assert_eq!(p.level, active_level());
+            assert!(!p.strategy.is_empty() && !p.stage.is_empty());
+        }
+    }
+
+    #[test]
+    fn forced_scalar_plan_reports_scalar_strategies() {
+        let _serial = FORCING.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = force(Some(SimdLevel::Scalar));
+        for p in kernel_plan() {
+            assert_eq!(p.level, SimdLevel::Scalar);
+            assert_eq!(p.strategy, "scalar reference loop");
+        }
     }
 }

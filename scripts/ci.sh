@@ -389,14 +389,46 @@ sciml cluster-plan --nodes 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
 
 stage "simd-matrix (codec + half suites at every supported tier)"
 # The dispatcher honors SCIML_SIMD, so the same test binaries prove
-# bit-exactness of the scalar, SSE4.2, and (where present) AVX2/NEON
-# kernels. `cpu-features --list` names only the tiers this host can
-# execute, so the matrix is exact on any machine.
+# bit-exactness of the scalar, SSE4.2 and (where present) AVX2 kernels;
+# a host without the x86-64 tiers runs only the scalar one.
+# `cpu-features --list` names only the tiers this host can execute, so
+# the matrix is exact on any machine.
 for tier in $(sciml cpu-features --list); do
     echo "    -- SCIML_SIMD=$tier"
     SCIML_SIMD="$tier" cargo test -q -p sciml-codec -p sciml-half -p sciml-pipeline
 done
 sciml cpu-features
+
+stage "sanitizers (ASan + LSan over every crate holding unsafe; half + codec at every tier)"
+# The differential suites hold the kernels to their scalar forms, but in
+# an ordinary build an out-of-bounds load silently reads the
+# neighbouring heap. This runs the suites of every crate with a site in
+# lint.toml's unsafe inventory under AddressSanitizer (LeakSanitizer is
+# part of it on x86-64 Linux), and the reactor's poller through
+# `tests/serve_reactor.rs`. `--target` keeps the sanitizer flag off
+# build scripts and proc macros, and target/asan keeps the instrumented
+# artifacts apart. opt-level 2 (debug assertions stay on) runs the
+# codec suite in ~11 s against ~115 s unoptimised.
+asan_target=x86_64-unknown-linux-gnu
+if ! cargo +nightly --version >/dev/null 2>&1; then
+    echo "ERROR: the sanitizer stage needs a nightly toolchain (cargo +nightly); none is installed" >&2
+    exit 1
+fi
+asan_rt="$(rustc +nightly --print sysroot)/lib/rustlib/$asan_target/lib"
+if ! compgen -G "$asan_rt/*rt.asan*" >/dev/null; then
+    echo "ERROR: the nightly toolchain has no AddressSanitizer runtime in $asan_rt" >&2
+    exit 1
+fi
+asan_test() {
+    RUSTFLAGS="-Zsanitizer=address" ASAN_OPTIONS="detect_leaks=1" CARGO_PROFILE_DEV_OPT_LEVEL=2 \
+        cargo +nightly test --offline -q --target "$asan_target" --target-dir target/asan "$@"
+}
+for tier in $(sciml cpu-features --list); do
+    echo "    -- SCIML_SIMD=$tier"
+    SCIML_SIMD="$tier" asan_test -p sciml-half -p sciml-codec --tests
+done
+asan_test -p sciml-compress -p sciml-net -p sciml-pipeline -p sciml-store --tests
+asan_test -p sciml-repro --test serve_reactor
 
 stage "decode thread-scaling bench (per kernel x ISA)"
 # Per-thread decode throughput, scaling efficiency, and each vector
