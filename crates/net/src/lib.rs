@@ -7,15 +7,15 @@
 //! stack and a scheduler slot on each. This crate provides the
 //! event-driven alternative with zero external dependencies:
 //!
-//! * [`poller`] — level-triggered readiness backends: epoll on Linux
-//!   (via direct `extern "C"` declarations; std already links libc),
-//!   portable `poll(2)` on other Unixes, and a timed-scan degraded
-//!   mode elsewhere. One [`Poller`](poller::Poller) API over all
-//!   three, plus the loop-wakeup channel.
+//! * [`poller`] — the level-triggered readiness
+//!   [`Poller`](poller::Poller): Linux epoll, via direct `extern "C"`
+//!   declarations (std already links libc), plus the loop-wakeup
+//!   channel. Linux is the serving tier's platform; no other target
+//!   builds this crate.
 //! * [`frame`] — frame-boundary detection for the length-prefixed wire
-//!   layout (`[len u32 LE][payload][crc32 LE]`). The reactor splits
-//!   streams into frames; CRC checks and message parsing stay in the
-//!   service layer.
+//!   layout (`[len u32 LE][payload][crc32 LE]`) and the payload cap,
+//!   [`MAX_PAYLOAD`]. The reactor splits streams into frames; CRC
+//!   checks and message parsing stay in the service layer.
 //! * [`reactor`] — the event loop itself: non-blocking accept with
 //!   admission control, per-connection state machines (read-frame →
 //!   dispatch → write-with-backpressure), a worker pool running the
@@ -33,7 +33,7 @@ pub mod frame;
 pub mod poller;
 pub mod reactor;
 
-pub use frame::{FrameError, Framing, HEADER_BYTES, TRAILER_BYTES};
+pub use frame::{FrameError, HEADER_BYTES, MAX_PAYLOAD, TRAILER_BYTES};
 pub use reactor::{
     ConnId, Piece, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply, Service,
 };

@@ -36,12 +36,13 @@
 //! work finish and flush, and everything is force-closed at
 //! `drain_timeout`.
 
-use crate::frame::{FrameError, Framing};
-use crate::poller::{fd_of, wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
+use crate::frame::{frame_len, FrameError};
+use crate::poller::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
 use sciml_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -211,17 +212,12 @@ pub struct ReactorConfig {
     /// Hard bound on graceful drain before remaining connections are
     /// force-closed.
     pub drain_timeout: Duration,
-    /// Maximum accepted frame payload (the wire protocol's cap).
-    pub max_frame_bytes: u32,
     /// Parsed-but-undispatched frames buffered per connection before
     /// reading pauses.
     pub max_pending_frames: usize,
     /// Unflushed outbound bytes per connection before the next request
     /// is held back.
     pub max_outbound_bytes: usize,
-    /// Use the portable `poll(2)` backend even where epoll exists
-    /// (tests / A-B comparison).
-    pub force_poll_fallback: bool,
 }
 
 impl Default for ReactorConfig {
@@ -231,10 +227,8 @@ impl Default for ReactorConfig {
             max_connections: 1024,
             idle_timeout: Duration::from_secs(60),
             drain_timeout: Duration::from_secs(5),
-            max_frame_bytes: 64 << 20,
             max_pending_frames: 32,
             max_outbound_bytes: 16 << 20,
-            force_poll_fallback: false,
         }
     }
 }
@@ -297,7 +291,6 @@ pub struct ReactorHandle {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     shared: Arc<Shared>,
-    backend: &'static str,
     loop_thread: Option<std::thread::JoinHandle<()>>,
     worker_threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -306,11 +299,6 @@ impl ReactorHandle {
     /// Address the listener is bound to.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Poller backend in use (`"epoll"`, `"poll"`, `"degraded-scan"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
     }
 
     /// Starts graceful drain without waiting for it to finish.
@@ -367,16 +355,10 @@ impl Reactor {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let mut poller = if cfg.force_poll_fallback {
-            Poller::new_fallback()?
-        } else {
-            Poller::new()?
-        };
-        let backend = poller.backend();
+        let mut poller = Poller::new()?;
         let (waker, wake_rx) = wake_pair()?;
-        poller.register(fd_of(&listener), TOKEN_LISTENER, Interest::READ)?;
-        #[cfg(unix)]
-        poller.register(wake_rx.fd(), TOKEN_WAKE, Interest::READ)?;
+        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
 
         let shared = Arc::new(Shared {
             completions: parking_lot::Mutex::new(Vec::new()),
@@ -416,15 +398,11 @@ impl Reactor {
         } else {
             (cfg.idle_timeout / 4).clamp(Duration::from_millis(10), Duration::from_secs(1))
         };
-        let framing = Framing {
-            max_payload: cfg.max_frame_bytes,
-        };
         let mut ev_loop = EventLoop {
             poller,
             listener,
             wake_rx,
             service,
-            framing,
             jobs: job_tx,
             shared: Arc::clone(&shared),
             shutdown: Arc::clone(&shutdown),
@@ -450,7 +428,6 @@ impl Reactor {
             local_addr,
             shutdown,
             shared,
-            backend,
             loop_thread: Some(loop_thread),
             worker_threads,
         })
@@ -458,7 +435,6 @@ impl Reactor {
 }
 
 const TOKEN_LISTENER: usize = 0;
-#[cfg_attr(not(unix), allow(dead_code))]
 const TOKEN_WAKE: usize = 1;
 const TOKEN_BASE: usize = 2;
 
@@ -573,7 +549,6 @@ struct EventLoop {
     listener: TcpListener,
     wake_rx: WakeReceiver,
     service: Arc<dyn Service>,
-    framing: Framing,
     jobs: crossbeam_channel::Sender<Job>,
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
@@ -681,7 +656,7 @@ impl EventLoop {
             };
             if self
                 .poller
-                .register(fd_of(&conn.stream), TOKEN_BASE + slot, conn.interest)
+                .register(conn.stream.as_raw_fd(), TOKEN_BASE + slot, conn.interest)
                 .is_err()
             {
                 self.thawing.push(slot);
@@ -703,7 +678,7 @@ impl EventLoop {
         let conn = Conn::new(id, stream, Interest::READ, None);
         if self
             .poller
-            .register(fd_of(&conn.stream), TOKEN_BASE + slot, conn.interest)
+            .register(conn.stream.as_raw_fd(), TOKEN_BASE + slot, conn.interest)
             .is_err()
         {
             self.thawing.push(slot);
@@ -773,7 +748,6 @@ impl EventLoop {
     /// Splits buffered bytes into complete frames. Returns `false` when
     /// the connection was closed.
     fn extract_frames(&mut self, slot: usize) -> bool {
-        let framing = self.framing;
         loop {
             let mut frame_err: Option<FrameError> = None;
             let frame = {
@@ -781,7 +755,7 @@ impl EventLoop {
                     return false;
                 };
                 let buf = &conn.inbuf[conn.instart..];
-                match framing.frame_len(buf) {
+                match frame_len(buf) {
                     Ok(None) => None,
                     Ok(Some(total)) if buf.len() >= total => {
                         let frame = buf[..total].to_vec();
@@ -962,7 +936,7 @@ impl EventLoop {
             writable: conn.out_backlog() > 0,
         };
         if want != conn.interest {
-            let fd = fd_of(&conn.stream);
+            let fd = conn.stream.as_raw_fd();
             conn.interest = want;
             let _ = self.poller.reregister(fd, TOKEN_BASE + slot, want);
         }
@@ -986,7 +960,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.take()) else {
             return;
         };
-        let _ = self.poller.deregister(fd_of(&conn.stream));
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
         self.by_id.remove(&conn.id);
         self.open -= 1;
         if !conn.rejected {

@@ -1,10 +1,9 @@
-//! End-to-end reactor tests over real loopback sockets, on both the
-//! default (epoll on Linux) and forced-`poll(2)` backends.
+//! End-to-end reactor tests over real loopback sockets.
 
 use sciml_net::reactor::{
     ConnId, Piece, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply, Service,
 };
-use sciml_net::FrameError;
+use sciml_net::{FrameError, MAX_PAYLOAD};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,8 +166,11 @@ fn spawn_service(cfg: ReactorConfig, svc: Arc<EchoService>) -> (ReactorHandle, A
     (handle, svc)
 }
 
-fn echo_roundtrip(cfg: ReactorConfig, gather: bool) {
-    let (handle, svc) = spawn_service(cfg, EchoService::with(Duration::ZERO, gather));
+fn echo_roundtrip(gather: bool) {
+    let (handle, svc) = spawn_service(
+        ReactorConfig::default(),
+        EchoService::with(Duration::ZERO, gather),
+    );
     let mut conns: Vec<TcpStream> = (0..8)
         .map(|_| TcpStream::connect(handle.local_addr()).unwrap())
         .collect();
@@ -187,33 +189,17 @@ fn echo_roundtrip(cfg: ReactorConfig, gather: bool) {
 }
 
 #[test]
-fn echo_roundtrip_default_backend() {
-    echo_roundtrip(ReactorConfig::default(), false);
+fn plain_echo_roundtrip() {
+    echo_roundtrip(false);
 }
 
 #[test]
-fn echo_roundtrip_poll_fallback() {
-    let cfg = ReactorConfig {
-        force_poll_fallback: true,
-        ..ReactorConfig::default()
-    };
-    echo_roundtrip(cfg, false);
-}
-
-#[test]
-fn gathered_echo_roundtrip_on_both_backends() {
-    for force_poll_fallback in [false, true] {
-        let cfg = ReactorConfig {
-            force_poll_fallback,
-            ..ReactorConfig::default()
-        };
-        echo_roundtrip(cfg, true);
-    }
+fn gathered_echo_roundtrip() {
+    echo_roundtrip(true);
 }
 
 /// Shrinks a socket's receive buffer, so that the peer's writes stall
 /// after a few KiB and resume in small steps.
-#[cfg(target_os = "linux")]
 fn shrink_receive_buffer(stream: &TcpStream, bytes: i32) {
     use std::os::fd::AsRawFd;
     extern "C" {
@@ -226,9 +212,6 @@ fn shrink_receive_buffer(stream: &TcpStream, bytes: i32) {
     let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &bytes, 4) };
     assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
 }
-
-#[cfg(not(target_os = "linux"))]
-fn shrink_receive_buffer(_stream: &TcpStream, _bytes: i32) {}
 
 /// Reads one frame in `step`-byte reads, pausing now and then, so the
 /// server's `writev`s land short and mid-piece.
@@ -263,24 +246,18 @@ fn gathered_replies_reassemble_through_a_small_receive_buffer() {
     // Multi-piece replies to a client whose receive buffer is 64 KiB
     // and that reads 1 500 bytes at a time: the server's writes stop
     // and restart at arbitrary offsets inside and between pieces.
-    for force_poll_fallback in [false, true] {
-        let cfg = ReactorConfig {
-            force_poll_fallback,
-            ..ReactorConfig::default()
-        };
-        let (handle, svc) = spawn_gathering_echo(cfg);
-        let mut c = TcpStream::connect(handle.local_addr()).unwrap();
-        shrink_receive_buffer(&c, 64 << 10);
-        c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        for (seed, len) in [(0, 3 << 20), (1, 0), (2, 5), (3, 70_001)] {
-            let f = numbered_frame(seed, len);
-            c.write_all(&f).unwrap();
-            assert!(read_frame_slowly(&mut c, 1500) == f, "reply {seed} damaged");
-        }
-        assert_eq!(svc.handled.load(Ordering::SeqCst), 4);
-        drop(c);
-        handle.shutdown();
+    let (handle, svc) = spawn_gathering_echo(ReactorConfig::default());
+    let mut c = TcpStream::connect(handle.local_addr()).unwrap();
+    shrink_receive_buffer(&c, 64 << 10);
+    c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    for (seed, len) in [(0, 3 << 20), (1, 0), (2, 5), (3, 70_001)] {
+        let f = numbered_frame(seed, len);
+        c.write_all(&f).unwrap();
+        assert!(read_frame_slowly(&mut c, 1500) == f, "reply {seed} damaged");
     }
+    assert_eq!(svc.handled.load(Ordering::SeqCst), 4);
+    drop(c);
+    handle.shutdown();
 }
 
 #[test]
@@ -605,14 +582,11 @@ fn idle_connections_are_reaped() {
 
 #[test]
 fn oversized_frame_gets_error_frame_then_close() {
-    let cfg = ReactorConfig {
-        max_frame_bytes: 1024,
-        ..ReactorConfig::default()
-    };
-    let (handle, _svc) = spawn_echo(cfg, Duration::ZERO);
+    let (handle, _svc) = spawn_echo(ReactorConfig::default(), Duration::ZERO);
     let mut c = TcpStream::connect(handle.local_addr()).unwrap();
     c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    c.write_all(&(4096u32).to_le_bytes()).unwrap();
+    // Only the prefix is judged, so no body follows it.
+    c.write_all(&(MAX_PAYLOAD + 1).to_le_bytes()).unwrap();
     assert_eq!(read_frame(&mut c).unwrap(), frame(b"TOO-BIG"));
     let mut rest = Vec::new();
     c.read_to_end(&mut rest).unwrap();

@@ -23,15 +23,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Client tuning knobs.
+/// Client tuning knobs. There is no connect timeout of its own: a
+/// connect waits as long as the OS lets it, and a failed one uses up a
+/// retry attempt like any other failure.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Socket read timeout per response.
     pub read_timeout: Duration,
     /// Socket write timeout per request.
     pub write_timeout: Duration,
-    /// Connect timeout is approximated by the OS default; failed
-    /// connects consume retry attempts like any other failure.
     /// Total attempts per operation (1 initial + retries).
     pub max_attempts: u32,
     /// Backoff before the first retry; doubles each retry.

@@ -36,7 +36,8 @@ pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Hard ceiling on a frame payload (64 MiB). Large enough for a batch
 /// of encoded samples, small enough to bound per-connection memory.
-pub const MAX_FRAME_BYTES: u32 = 64 << 20;
+/// The reactor splits inbound frames against the same cap.
+pub const MAX_FRAME_BYTES: u32 = sciml_net::MAX_PAYLOAD;
 
 /// Protocol-level failures. Every decode path returns one of these —
 /// corruption never panics and never hangs.

@@ -13,9 +13,7 @@
 //! clients) are served from DRAM without touching the backing tier.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{
-    decode_frame, encode_frame, ErrorCode, Message, StatsSnapshot, MAX_FRAME_BYTES,
-};
+use crate::protocol::{decode_frame, encode_frame, ErrorCode, Message, StatsSnapshot};
 use crate::session::{process_message, SessionState};
 use sciml_net::reactor::{ConnId, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply};
 use sciml_net::FrameError;
@@ -220,7 +218,6 @@ impl ServeBuilder {
             max_connections: self.config.max_connections,
             idle_timeout: self.config.read_timeout,
             drain_timeout: self.config.drain_timeout,
-            max_frame_bytes: MAX_FRAME_BYTES,
             ..ReactorConfig::default()
         };
         // The reactor bumps the same Arc'd instruments ServerMetrics

@@ -40,6 +40,7 @@ use sciml_compress::Level;
 use sciml_pipeline::source::{SampleSource, Stored, StoredSample};
 use std::fs::{self, File};
 use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// File extension of packed shard files.
@@ -455,49 +456,6 @@ struct IndexEntry {
     encoding: PayloadEncoding,
 }
 
-/// A file handle that supports concurrent positioned reads.
-///
-/// On Unix this is `pread(2)` on a shared descriptor — no seek lock, so
-/// reader threads never serialize on the file position. Elsewhere it
-/// degrades to a mutex-guarded seek + read.
-#[derive(Debug)]
-struct PositionedFile {
-    #[cfg(unix)]
-    file: File,
-    #[cfg(not(unix))]
-    file: parking_lot::Mutex<File>,
-}
-
-impl PositionedFile {
-    fn new(file: File) -> Self {
-        #[cfg(unix)]
-        {
-            Self { file }
-        }
-        #[cfg(not(unix))]
-        {
-            Self {
-                file: parking_lot::Mutex::new(file),
-            }
-        }
-    }
-
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)
-        }
-        #[cfg(not(unix))]
-        {
-            use std::io::{Read, Seek, SeekFrom};
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(offset))?;
-            f.read_exact(buf)
-        }
-    }
-}
-
 /// Random-access reader over one `.sshard` file.
 ///
 /// Opening validates the header, trailer, and footer-index CRC up
@@ -506,7 +464,9 @@ impl PositionedFile {
 #[derive(Debug)]
 pub struct ShardReader {
     path: PathBuf,
-    file: PositionedFile,
+    /// Read with `pread(2)`: no seek lock, so reader threads never
+    /// serialize on the file position.
+    file: File,
     base: u64,
     index: Vec<IndexEntry>,
 }
@@ -541,7 +501,6 @@ impl ShardReader {
         if (file_len as usize) < HEADER_LEN + TRAILER_LEN {
             return Err(StoreError::Truncated("shard file"));
         }
-        let file = PositionedFile::new(file);
 
         let mut header = [0u8; HEADER_LEN];
         file.read_exact_at(&mut header, 0)?;

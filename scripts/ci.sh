@@ -83,6 +83,25 @@ if grep -q '^sciml-' <<<"$deps"; then
     exit 1
 fi
 
+stage "every normal dependency is named in its crate's code"
+# A `[dependencies]` line nothing uses still builds, links and stays in
+# every lock file. Each key (`-` read as `_`) must occur as a word in
+# the crate's `src/` or `build.rs`; a test-only one is a dev-dependency.
+unused=0
+for manifest in crates/*/Cargo.toml; do
+    dir="$(dirname "$manifest")"
+    code=("$dir/src")
+    [[ -f "$dir/build.rs" ]] && code+=("$dir/build.rs")
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]"); next }
+                      on && /^[A-Za-z0-9_-]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        if ! grep -rqw -- "${dep//-/_}" "${code[@]}"; then
+            echo "ERROR: $(basename "$dir") ($manifest) declares dependency $dep, which its src/ and build.rs never name" >&2
+            unused=1
+        fi
+    done
+done
+[[ $unused -eq 0 ]]
+
 stage "benchmark builds against the tree (cargo check, its lock put back)"
 # Nothing else here compiles `benchmark/`, so a library change that
 # breaks it would surface only when the benchmark is run. The benchmark
