@@ -117,17 +117,23 @@ pub struct EncodedDeepCam {
     pub lines: Vec<LineMeta>,
     /// Concatenated line payloads.
     pub payload: Vec<u8>,
-    /// Losslessly carried label mask (may be empty).
+    /// Losslessly carried label mask, one class a pixel (`width ×
+    /// height` bytes, or empty). The wire run-length codes it.
     pub mask: Vec<u8>,
 }
 
 const MAGIC: &[u8; 4] = b"DCMX";
-/// The one wire version: directory + raw payload bytes. (2 carried the
-/// payload section through the retired range coder, `crates/pack`; it
-/// is refused like any other.)
-const VERSION: u32 = 1;
+/// The one wire version: directory, raw payload bytes, and the label
+/// mask as runs. (1 carried the mask a byte a pixel; 2 carried the
+/// payload section through the retired range coder, `crates/pack`;
+/// both are refused like any other.)
+const VERSION: u32 = 3;
 /// Wire bytes of one directory entry: mode, offset, length.
 const DIR_ENTRY_BYTES: usize = 9;
+/// Wire bytes of one mask run: the class, then how many pixels (u16).
+const MASK_RUN_BYTES: usize = 3;
+/// Pixels one mask run covers at most; a longer run is split.
+const MAX_MASK_RUN: usize = u16::MAX as usize;
 
 impl EncodedDeepCam {
     /// Total number of lines. Saturates where the header's dimensions
@@ -142,10 +148,10 @@ impl EncodedDeepCam {
         self.view().n_values()
     }
 
-    /// Size of the encoded representation (directory + payload), i.e.
-    /// what travels through the storage/memory hierarchy. The mask is
-    /// excluded: labels ship separately and losslessly in both the
-    /// baseline and the optimized path.
+    /// Size of the encoded image (directory + payload + header). The
+    /// mask rides in the same blob, run-length coded, but is excluded:
+    /// the paper's compression ratio counts the image, and both the
+    /// baseline and this path carry the labels losslessly.
     pub fn encoded_bytes(&self) -> usize {
         self.lines.len() * DIR_ENTRY_BYTES + self.payload.len() + 16
     }
@@ -162,8 +168,11 @@ impl EncodedDeepCam {
 
     /// Serializes to the wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let runs = mask_runs(&self.mask);
         let mut out = Vec::with_capacity(
-            32 + self.lines.len() * DIR_ENTRY_BYTES + self.payload.len() + self.mask.len(),
+            36 + self.lines.len() * DIR_ENTRY_BYTES
+                + self.payload.len()
+                + runs.clone().count() * MASK_RUN_BYTES,
         );
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -177,8 +186,14 @@ impl EncodedDeepCam {
         }
         out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&(self.mask.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.mask);
+        let mask_len_at = out.len();
+        out.extend_from_slice(&0u64.to_le_bytes());
+        for (class, len) in runs {
+            out.push(class);
+            out.extend_from_slice(&(len as u16).to_le_bytes());
+        }
+        let mask_len = (out.len() - mask_len_at - 8) as u64;
+        out[mask_len_at..mask_len_at + 8].copy_from_slice(&mask_len.to_le_bytes());
         out
     }
 
@@ -194,13 +209,15 @@ impl EncodedDeepCam {
                 .collect::<Result<Vec<_>, _>>()?,
             Directory::Lines(l) => l.to_vec(),
         };
+        let mut mask = Vec::new();
+        view.expand_mask_into(&mut mask);
         Ok(Self {
             width: view.width,
             height: view.height,
             channels: view.channels,
             lines,
             payload: view.payload.to_vec(),
-            mask: view.mask.to_vec(),
+            mask,
         })
     }
 
@@ -212,9 +229,17 @@ impl EncodedDeepCam {
             channels: self.channels,
             directory: Directory::Lines(&self.lines),
             payload: &self.payload,
-            mask: &self.mask,
+            mask: Mask::Pixels(&self.mask),
         }
     }
+}
+
+/// `mask` as `(class, pixels)` runs of at most [`MAX_MASK_RUN`]
+/// pixels, in pixel order.
+fn mask_runs(mask: &[u8]) -> impl Iterator<Item = (u8, usize)> + Clone + '_ {
+    mask.chunk_by(|a, b| a == b)
+        .flat_map(|run| run.chunks(MAX_MASK_RUN))
+        .map(|run| (run[0], run.len()))
 }
 
 /// One wire directory entry (caller passes [`DIR_ENTRY_BYTES`] bytes).
@@ -230,6 +255,32 @@ fn dir_entry(e: &[u8]) -> Result<LineMeta, CodecError> {
 fn wire_section<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
     let len = crate::wire::wire_len(crate::wire::take(data, pos, 8)?)?;
     crate::wire::take(data, pos, len)
+}
+
+/// The wire mask section's runs against the image: whole runs, none
+/// empty, summing to no pixel or to one a pixel. Summed before anything
+/// is sized from them, stopping at the first run past the image.
+fn check_mask_runs(section: &[u8], pixels: u64) -> Result<(), CodecError> {
+    if !section.len().is_multiple_of(MASK_RUN_BYTES) {
+        return Err(CodecError::Corrupt("mask section is not whole runs"));
+    }
+    let mut covered = 0u64;
+    for run in section.chunks_exact(MASK_RUN_BYTES) {
+        let len = u16::from_le_bytes([run[1], run[2]]);
+        if len == 0 {
+            return Err(CodecError::Corrupt("zero-length mask run"));
+        }
+        covered = covered
+            .checked_add(u64::from(len))
+            .filter(|&c| c <= pixels)
+            .ok_or(CodecError::Inconsistent("mask runs exceed width × height"))?;
+    }
+    if covered != 0 && covered != pixels {
+        return Err(CodecError::Inconsistent(
+            "mask runs short of width × height",
+        ));
+    }
+    Ok(())
 }
 
 /// Every directory entry's range against the payload it indexes: the
@@ -256,6 +307,15 @@ enum Directory<'a> {
     Lines(&'a [LineMeta]),
 }
 
+/// A view's label mask: the wire's runs, or an [`EncodedDeepCam`]'s
+/// pixels.
+#[derive(Debug, Clone, Copy)]
+enum Mask<'a> {
+    /// Wire form; [`DeepCamView::parse`] checked every run.
+    Runs(&'a [u8]),
+    Pixels(&'a [u8]),
+}
+
 /// An encoded DeepCAM sample borrowed from the bytes that hold it: what
 /// the decoder reads, whether those are a wire blob as it arrived
 /// ([`DeepCamView::parse`]) or an [`EncodedDeepCam`]
@@ -270,15 +330,14 @@ pub struct DeepCamView<'a> {
     pub channels: u32,
     directory: Directory<'a>,
     payload: &'a [u8],
-    /// Losslessly carried label mask (may be empty).
-    pub mask: &'a [u8],
+    mask: Mask<'a>,
 }
 
 impl<'a> DeepCamView<'a> {
     /// Parses a wire blob in place, checking in the order the errors
     /// are reported: magic, version, dimension limits, room for the
-    /// directory, each entry's mode, the two sections, then every
-    /// line's range.
+    /// directory, each entry's mode, the two sections, every line's
+    /// range, then the mask's runs.
     pub fn parse(data: &'a [u8]) -> Result<Self, CodecError> {
         let pos = &mut 0usize;
         let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
@@ -321,14 +380,37 @@ impl<'a> DeepCamView<'a> {
         let payload = wire_section(data, pos)?;
         let mask = wire_section(data, pos)?;
         check_line_ranges(directory, payload.len())?;
+        check_mask_runs(mask, u64::from(width) * u64::from(height))?;
         Ok(Self {
             width,
             height,
             channels,
             directory: Directory::Wire(directory),
             payload,
-            mask,
+            mask: Mask::Runs(mask),
         })
+    }
+
+    /// The label mask as `(class, pixels)` runs in pixel order: none
+    /// for a sample without one, else covering `width × height`.
+    pub fn mask_runs(&self) -> impl Iterator<Item = (u8, usize)> + 'a {
+        let (wire, pixels): (&[u8], &[u8]) = match self.mask {
+            Mask::Runs(wire) => (wire, &[]),
+            Mask::Pixels(pixels) => (&[], pixels),
+        };
+        wire.chunks_exact(MASK_RUN_BYTES)
+            .map(|run| (run[0], usize::from(u16::from_le_bytes([run[1], run[2]]))))
+            .chain(mask_runs(pixels))
+    }
+
+    /// Expands the label mask into `out`, replacing its contents: one
+    /// class a pixel, or nothing.
+    pub fn expand_mask_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(self.mask_runs().map(|(_, len)| len).sum());
+        for (class, len) in self.mask_runs() {
+            out.resize(out.len() + len, class);
+        }
     }
 
     /// Total number of lines. Saturates where the dimensions overflow
@@ -453,7 +535,7 @@ mod tests {
                 len: 16,
             }],
             payload: vec![0u8; 16],
-            mask: vec![1, 2],
+            mask: vec![1, 2, 2, 0],
         };
         let bytes = e.to_bytes();
         assert_eq!(EncodedDeepCam::from_bytes(&bytes).unwrap(), e);
@@ -466,6 +548,86 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(EncodedDeepCam::from_bytes(&bad).is_err());
+        // Version 1, the mask a byte a pixel, is refused by number.
+        let mut v1 = bytes.clone();
+        v1[4] = 1;
+        assert_eq!(
+            EncodedDeepCam::from_bytes(&v1),
+            Err(CodecError::Corrupt("unsupported version"))
+        );
+    }
+
+    /// A sample of 256 × 512 pixels, one constant line a row, carrying
+    /// `mask`.
+    fn masked(mask: Vec<u8>) -> EncodedDeepCam {
+        EncodedDeepCam {
+            width: 256,
+            height: 512,
+            channels: 1,
+            lines: (0..512)
+                .map(|i| LineMeta {
+                    mode: LineMode::Constant,
+                    offset: 4 * i,
+                    len: 4,
+                })
+                .collect(),
+            payload: vec![0u8; 4 * 512],
+            mask,
+        }
+    }
+
+    #[test]
+    fn mask_runs_longer_than_a_u16_are_split_and_round_trip() {
+        let pixels = 256 * 512;
+        let mask = [
+            vec![0u8; 65_535],
+            vec![1; 65_536],
+            vec![2; pixels - 131_071],
+        ]
+        .concat();
+        let e = masked(mask);
+        let bytes = e.to_bytes();
+        let view = DeepCamView::parse(&bytes).unwrap();
+        assert_eq!(
+            view.mask_runs().collect::<Vec<_>>(),
+            [(0, 65_535), (1, 65_535), (1, 1), (2, 1)]
+        );
+        // Four runs of three bytes behind the section's length.
+        assert_eq!(bytes.len(), 20 + 512 * 9 + 8 + 4 * 512 + 8 + 4 * 3);
+        let mut out = vec![9; 7];
+        view.expand_mask_into(&mut out);
+        assert!(out == e.mask);
+        assert_eq!(EncodedDeepCam::from_bytes(&bytes).unwrap(), e);
+        // The owned sample's view gives the same runs.
+        assert!(e.view().mask_runs().eq(view.mask_runs()));
+        // One run of each length, alone.
+        for len in [65_535, 65_536] {
+            let e = masked([vec![3u8; len], vec![4; pixels - len]].concat());
+            assert_eq!(EncodedDeepCam::from_bytes(&e.to_bytes()).unwrap(), e);
+        }
+    }
+
+    #[test]
+    fn a_mask_is_one_class_a_pixel_or_nothing() {
+        let pixels = 256 * 512;
+        assert_eq!(
+            EncodedDeepCam::from_bytes(&masked(vec![]).to_bytes()).unwrap(),
+            masked(vec![])
+        );
+        for (len, verdict) in [
+            (1, "mask runs short of width × height"),
+            (pixels - 1, "mask runs short of width × height"),
+            (pixels + 1, "mask runs exceed width × height"),
+        ] {
+            let bytes = masked(vec![0; len]).to_bytes();
+            let err = CodecError::Inconsistent(verdict);
+            assert_eq!(
+                EncodedDeepCam::from_bytes(&bytes),
+                Err(err.clone()),
+                "{len}"
+            );
+            assert_eq!(DeepCamView::parse(&bytes).err(), Some(err), "{len}");
+        }
     }
 
     /// Header + a one-line directory + `payload_len`, then 20 bytes.

@@ -500,7 +500,9 @@ fn generated_samples_decode_to_the_reference_bits() {
             super::decode_view_into(&view, Op::Identity, &mut got).unwrap();
             reference_decode::decode_into(&enc, Op::Identity, &mut want).unwrap();
             assert!(got == want, "{what}: parsed view");
-            assert_eq!(view.mask, &enc.mask[..], "{what}: mask");
+            let mut mask = Vec::new();
+            view.expand_mask_into(&mut mask);
+            assert_eq!(mask, enc.mask, "{what}: mask");
         }
     }
 }
@@ -674,13 +676,13 @@ fn hand_built_directories_out_of_range_are_typed_errors() {
 }
 
 /// The 36-byte blob that used to kill a decode thread at
-/// `chunks_mut(0)`: `DCMX`, version 1, all three dimensions zero, an
-/// empty payload and mask. And its sibling with lines of no channel.
+/// `chunks_mut(0)`: `DCMX`, all three dimensions zero, an empty payload
+/// and mask. And its sibling with lines of no channel.
 #[test]
 fn zero_width_samples_are_rejected_at_parse_and_at_decode() {
     let blob = |width: u32, height: u32, channels: u32| {
         let mut b = b"DCMX".to_vec();
-        for field in [1, width, height, channels] {
+        for field in [3, width, height, channels] {
             b.extend_from_slice(&field.to_le_bytes());
         }
         b.extend_from_slice(&[0u8; 16]);
@@ -733,7 +735,9 @@ fn assert_parsers_agree(data: &[u8], what: &str) {
                 (owned.width, owned.height, owned.channels),
                 "{what}"
             );
-            assert_eq!(view.mask, &owned.mask[..], "{what}");
+            let mut mask = vec![0xEE];
+            view.expand_mask_into(&mut mask);
+            assert_eq!(mask, owned.mask, "{what}");
             for (idx, l) in owned.lines.iter().enumerate() {
                 let (mode, bytes) = view.line(idx).unwrap();
                 assert_eq!(mode, l.mode, "{what}: line {idx}");
@@ -766,7 +770,7 @@ fn view_parse_is_from_bytes_on_every_truncation_and_header() {
         DeepCamView::parse(&v2).err(),
         Some(CodecError::Corrupt("unsupported version"))
     );
-    for (name, blob) in [("v1", enc.to_bytes()), ("v2", v2)] {
+    for (name, blob) in [("v3", enc.to_bytes()), ("v2", v2)] {
         assert_parsers_agree(&blob, name);
         for cut in 0..blob.len() {
             assert_parsers_agree(&blob[..cut], &format!("{name} cut {cut}"));
@@ -787,7 +791,7 @@ fn view_parse_is_from_bytes_on_every_truncation_and_header() {
     let mut state = 0x4EAD_u64;
     for round in 0..20_000 {
         let mut blob = b"DCMX".to_vec();
-        blob.extend_from_slice(&(1 + (lcg(&mut state) % 2) as u32).to_le_bytes());
+        blob.extend_from_slice(&(2 + (lcg(&mut state) % 2) as u32).to_le_bytes());
         for _ in 0..3 {
             let field = match lcg(&mut state) % 4 {
                 0 => lcg(&mut state) as u32,

@@ -9,9 +9,12 @@
 //!
 //! And the owned wire parser as it stood before `from_bytes` became
 //! [`super::DeepCamView::parse`] plus a copy-out: the header, the two
-//! sections, then every line's range. One edit: wire version 2 (a
+//! sections, then every line's range. Two edits: wire version 2 (a
 //! payload section squeezed by the retired range coder) is refused at
-//! the version field like any other.
+//! the version field like any other; and the one version is 3, whose
+//! mask section is `(class u8, pixels u16)` runs, checked after the
+//! line ranges — whole runs, none empty, covering no pixel or every
+//! one of `width × height` — and only then expanded.
 //!
 //! Test-only (`#[cfg(test)]` in `mod.rs`): nothing outside the tests may
 //! call into it. Do not "fix" or speed up anything here — a change to
@@ -47,7 +50,7 @@ pub(super) fn from_bytes(data: &[u8]) -> Result<EncodedDeepCam, CodecError> {
     if take(&mut pos, 4)? != b"DCMX" {
         return Err(CodecError::Corrupt("bad magic"));
     }
-    if crate::wire::le_u32(take(&mut pos, 4)?) != 1 {
+    if crate::wire::le_u32(take(&mut pos, 4)?) != 3 {
         return Err(CodecError::Corrupt("unsupported version"));
     }
     let width = crate::wire::le_u32(take(&mut pos, 4)?);
@@ -85,7 +88,7 @@ pub(super) fn from_bytes(data: &[u8]) -> Result<EncodedDeepCam, CodecError> {
         crate::wire::take(data, pos, len)
     };
     let payload = section(&mut pos)?.to_vec();
-    let mask = section(&mut pos)?.to_vec();
+    let mask_runs = section(&mut pos)?;
     let mut lines = Vec::new();
     for e in directory.chunks_exact(9) {
         let l = dir_entry(e)?;
@@ -96,6 +99,30 @@ pub(super) fn from_bytes(data: &[u8]) -> Result<EncodedDeepCam, CodecError> {
             return Err(CodecError::Inconsistent("line payload out of range"));
         }
         lines.push(l);
+    }
+    if !mask_runs.len().is_multiple_of(3) {
+        return Err(CodecError::Corrupt("mask section is not whole runs"));
+    }
+    let run_len = |r: &[u8]| u16::from_le_bytes([r[1], r[2]]) as u64;
+    let pixels = width as u64 * height as u64;
+    let mut total = 0u64;
+    for r in mask_runs.chunks_exact(3) {
+        if run_len(r) == 0 {
+            return Err(CodecError::Corrupt("zero-length mask run"));
+        }
+        total += run_len(r);
+        if total > pixels {
+            return Err(CodecError::Inconsistent("mask runs exceed width × height"));
+        }
+    }
+    if total != 0 && total != pixels {
+        return Err(CodecError::Inconsistent(
+            "mask runs short of width × height",
+        ));
+    }
+    let mut mask = Vec::with_capacity(total as usize);
+    for r in mask_runs.chunks_exact(3) {
+        mask.extend(std::iter::repeat_n(r[0], run_len(r) as usize));
     }
     Ok(EncodedDeepCam {
         width,

@@ -4,7 +4,8 @@
 //! (`n_chunks = u32::MAX` in a 32-byte blob used to reserve 58 MB of
 //! chunk list before the first read failed.) Nor does a `DCMX` blob
 //! of the retired wire version 2, whose payload section once declared
-//! its own unpacked size.
+//! its own unpacked size, nor a version 3 mask section whose runs do not
+//! cover the image one class a pixel.
 //!
 //! Alone in this file because it measures allocation with a global
 //! allocator of its own.
@@ -152,4 +153,98 @@ fn a_retired_dcmx_version_reserves_nothing() {
     let (owned, requested) = requested_by(|| EncodedDeepCam::from_bytes(&data));
     assert_eq!(owned, Err(unsupported));
     assert_eq!(requested, 0, "from_bytes requested {requested} bytes");
+}
+
+/// A version 3 `DCMX` blob of `lines` constant lines of `width` values
+/// (one channel), whose mask section is `mask`: the runs as given, so a
+/// row can claim what an encoder would never write.
+fn dcmx(width: u32, lines: u32, mask: &[u8]) -> Vec<u8> {
+    let mut data = b"DCMX".to_vec();
+    for field in [3, width, lines, 1] {
+        data.extend_from_slice(&field.to_le_bytes());
+    }
+    for _ in 0..lines {
+        data.push(0); // constant: the one f32 at offset 0
+        data.extend_from_slice(&0u32.to_le_bytes());
+        data.extend_from_slice(&4u32.to_le_bytes());
+    }
+    data.extend_from_slice(&4u64.to_le_bytes());
+    data.extend_from_slice(&1.5f32.to_le_bytes());
+    data.extend_from_slice(&(mask.len() as u64).to_le_bytes());
+    data.extend_from_slice(mask);
+    data
+}
+
+/// `(class, pixels)` runs as the wire writes them.
+fn runs(runs: &[(u8, u16)]) -> Vec<u8> {
+    runs.iter()
+        .flat_map(|&(class, len)| [[class].as_slice(), &len.to_le_bytes()].concat())
+        .collect()
+}
+
+/// Mask sections that are not one class a pixel of a 4 × 2 image, and
+/// one run under a header that claims 2³⁰ values: each a typed error
+/// from both parsers, with nothing allocated — the runs are summed
+/// before anything is sized from them.
+#[test]
+fn hostile_mask_runs_are_typed_errors_that_reserve_nothing() {
+    let exceed = sciml_codec::CodecError::Inconsistent("mask runs exceed width × height");
+    let short = sciml_codec::CodecError::Inconsistent("mask runs short of width × height");
+    let rows = [
+        (
+            "past width × height",
+            dcmx(4, 2, &runs(&[(0, 5), (1, 4)])),
+            exceed.clone(),
+        ),
+        (
+            "one run past it",
+            dcmx(4, 2, &runs(&[(2, u16::MAX)])),
+            exceed,
+        ),
+        (
+            "short of width × height",
+            dcmx(4, 2, &runs(&[(0, 5), (1, 2)])),
+            short.clone(),
+        ),
+        (
+            "a zero-length run",
+            dcmx(4, 2, &runs(&[(0, 4), (1, 0), (0, 4)])),
+            sciml_codec::CodecError::Corrupt("zero-length mask run"),
+        ),
+        (
+            "a section of 3k + 1 bytes",
+            dcmx(4, 2, &[runs(&[(0, 8)]), vec![0]].concat()),
+            sciml_codec::CodecError::Corrupt("mask section is not whole runs"),
+        ),
+        (
+            "three bytes under 2^30 values",
+            dcmx(1 << 20, 1 << 10, &runs(&[(1, u16::MAX)])),
+            short,
+        ),
+    ];
+    for (what, data, err) in rows {
+        let (view, requested) = requested_by(|| DeepCamView::parse(&data).map(|_| ()));
+        assert_eq!(view, Err(err.clone()), "{what}");
+        assert_eq!(
+            requested, 0,
+            "{what}: the borrowed parse requested {requested} bytes"
+        );
+        let (owned, requested) = requested_by(|| EncodedDeepCam::from_bytes(&data));
+        assert_eq!(owned, Err(err), "{what}");
+        assert_eq!(
+            requested, 0,
+            "{what}: from_bytes requested {requested} bytes"
+        );
+    }
+    // The same blob with runs that cover the image parses, and the
+    // owned parse asks for the pixels it expands into, not more.
+    let data = dcmx(4, 2, &runs(&[(0, 5), (1, 3)]));
+    let (view, requested) = requested_by(|| DeepCamView::parse(&data).map(|_| ()));
+    assert_eq!((view, requested), (Ok(()), 0));
+    let (owned, requested) = requested_by(|| EncodedDeepCam::from_bytes(&data));
+    assert_eq!(owned.unwrap().mask, [0, 0, 0, 0, 0, 1, 1, 1]);
+    assert!(
+        requested <= 2 * 9 + 4 + 8 + 64,
+        "requested {requested} bytes"
+    );
 }

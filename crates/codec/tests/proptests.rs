@@ -169,7 +169,9 @@ proptest! {
         let mut out = vec![F16::ONE; want.len()];
         dc::decode_view_into(&view, Op::Identity, &mut out).unwrap();
         prop_assert_eq!(&out, &want);
-        prop_assert_eq!(view.mask, &ed.mask[..]);
+        let mut mask = Vec::new();
+        view.expand_mask_into(&mut mask);
+        prop_assert_eq!(mask, ed.mask);
     }
 
     /// Parsing arbitrary garbage must never panic.
@@ -292,7 +294,9 @@ proptest! {
             Ok(view) => {
                 let parsed = owned.as_ref().expect("view parsed");
                 prop_assert_eq!(view.n_values(), parsed.n_values());
-                prop_assert_eq!(view.mask, &parsed.mask[..]);
+                let mut mask = Vec::new();
+                view.expand_mask_into(&mut mask);
+                prop_assert_eq!(&mask, &parsed.mask);
             }
             Err(e) => prop_assert_eq!(owned.as_ref().err(), Some(&e)),
         }

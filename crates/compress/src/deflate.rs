@@ -111,8 +111,10 @@ pub(crate) const EOB: usize = 256;
 
 /// A block is Huffman-coded only when that saves at least one part in
 /// this many of its stored size (an eighth, 12.5 %: the rule ZFS applies
-/// per record); otherwise it is written stored.
-const MIN_SAVING_DIVISOR: usize = 8;
+/// per record); otherwise it is written stored. `sciml-store` takes the
+/// same rule per entry: a gzip member is kept only where it saves an
+/// eighth of the payload.
+pub const MIN_SAVING_DIVISOR: usize = 8;
 
 /// Tokens per block, so each gets its own adaptive code: 32 Ki keeps
 /// the header overhead negligible.

@@ -255,8 +255,10 @@ pub struct DeepCamPluginCpu {
 /// The plugin's steady state: a parsed view into a tensor slot.
 fn deepcam_view_into(view: &dc::DeepCamView<'_>, op: Op, out: &mut [F16]) -> Result<Label> {
     dc::decode_view_into(view, op, out)?;
-    // lint:allow(no_alloc_hot_loop): the label leaves with the batch; copying it out is the sample's one allocation
-    Ok(Label::Mask(view.mask.to_vec()))
+    // lint:allow(no_alloc_hot_loop): the label leaves with the batch; expanding its runs is the sample's one allocation
+    let mut mask = Vec::new();
+    view.expand_mask_into(&mut mask);
+    Ok(Label::Mask(mask))
 }
 
 impl DecoderPlugin for DeepCamPluginCpu {
@@ -415,7 +417,7 @@ mod tests {
     #[test]
     fn deepcam_plugins_reject_zero_dimensions_and_the_retired_wire_version() {
         let mut blob = b"DCMX".to_vec();
-        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&3u32.to_le_bytes());
         blob.extend_from_slice(&[0u8; 12 + 16]);
         assert_eq!(blob.len(), 36);
         // A wire-v2 blob whose payload section is 24 bytes of `SPAK`

@@ -22,12 +22,14 @@
 //! flags are written as zero and not read. Each footer-index entry
 //! carries an encoding byte — 0 raw, 1 gzip; 2 was `crates/pack` and is
 //! now a typed error like every other value — so a single shard can mix
-//! encodings: the [`EncodingChoice::Auto`] policy gzips a sample slice
-//! of each payload and gzips the payload if the slice shrank — which,
-//! since DEFLATE codes a block only where that saves an eighth of it
-//! and stores it otherwise, means "if coding the head saves an eighth".
-//! A gzip entry is a gzip member whose incompressible blocks are stored
-//! blocks: the bytes themselves, which a read copies instead of decoding.
+//! encodings: the [`EncodingChoice::Auto`] policy gzips a slice from the
+//! middle of each payload and, if that saved an eighth of the slice,
+//! the payload, and keeps the member only if it saves an eighth of the
+//! payload (`sciml_compress::deflate::MIN_SAVING_DIVISOR`, the rule
+//! DEFLATE applies per block). An entry that gzip barely shrinks costs
+//! an inflate on every read for a few per cent of its bytes, so it is
+//! stored raw: a DeepCAM blob, whose differential payload does not
+//! compress, is raw; a CosmoFlow blob is gzip.
 //! Compression is per-sample (not whole-shard) so positioned reads stay
 //! valid, and each entry's CRC-32 covers the *stored* bytes, so
 //! integrity checks never need to decompress.
@@ -53,7 +55,8 @@ const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 21;
 const TRAILER_LEN: usize = 24;
 
-/// Bytes of a payload trial-gzipped when auto-selecting an encoding.
+/// Bytes of a payload trial-gzipped when auto-selecting an encoding,
+/// taken from its middle.
 const TRIAL_SAMPLE_BYTES: usize = 8192;
 
 /// How one stored payload is encoded, as recorded in its footer-index
@@ -101,8 +104,8 @@ pub enum EncodingChoice {
     Raw,
     /// Gzip every payload.
     Gzip,
-    /// Gzip a payload whose leading sample slice gzip shrinks — coding
-    /// it saves an eighth — and store the rest raw.
+    /// Gzip a payload where that saves an eighth of it, judged first on
+    /// a slice from its middle, and store the rest raw.
     Auto,
 }
 
@@ -232,21 +235,17 @@ impl Default for PackConfig {
 }
 
 /// Resolves the configured choice for one payload and encodes it.
-/// `Auto` gzips a sample slice and, if that shrank, the payload; it
-/// falls back to raw when the full payload does not shrink.
 ///
-/// What "shrank" means is decided a layer down: `sciml_compress` writes
-/// a DEFLATE block Huffman-coded only where that saves an eighth of its
-/// stored size, and stored otherwise. A slice is one block, so the
-/// trial comes out shorter than the slice exactly when coding the head
-/// saves an eighth; a head that saves less is five bytes of block
-/// header and eighteen of gzip framing longer, and the entry stays raw.
-/// (Before the block rule any shrink of the head, however small, sent
-/// the whole payload through gzip.) A payload that passes is gzipped
-/// block by block under the same rule: the blocks that pay are coded,
-/// the rest are stored blocks a read copies at memcpy speed, and if
-/// none paid the member is longer than the payload and the last check
-/// keeps the entry raw.
+/// `Auto` gzips [`TRIAL_SAMPLE_BYTES`] from the middle of the payload
+/// and, where that saves an eighth of the slice, the whole payload,
+/// which it keeps if that saves an eighth of the payload too. The
+/// middle, because the head and the tail of a sample are its
+/// structured metadata (a DCMX header and line directory compress 2.4×
+/// in front of a payload that does not compress at all), the least
+/// representative part of it. A payload no longer than the slice is its
+/// own trial: one deflate. A trial that flatters its payload costs one
+/// wasted deflate at write; a member kept for a small saving would cost
+/// an inflate on every read.
 fn encode_payload(
     raw: Vec<u8>,
     choice: EncodingChoice,
@@ -257,20 +256,14 @@ fn encode_payload(
         EncodingChoice::Raw => None,
         EncodingChoice::Gzip => Some(gzip(&raw)),
         EncodingChoice::Auto => {
-            let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
+            let sample = trial_slice(&raw);
             let trial = gzip(sample);
-            if trial.len() >= sample.len() {
+            if !saves_an_eighth(trial.len(), sample.len()) {
                 None
+            } else if sample.len() == raw.len() {
+                Some(trial)
             } else {
-                // A trial over the whole payload is the entry itself.
-                let stored = if sample.len() == raw.len() {
-                    trial
-                } else {
-                    gzip(&raw)
-                };
-                // The trial slice can flatter a payload the full encode
-                // does not shrink; keep the entry raw in that case.
-                (stored.len() < raw.len()).then_some(stored)
+                Some(gzip(&raw)).filter(|stored| saves_an_eighth(stored.len(), raw.len()))
             }
         }
     };
@@ -278,6 +271,17 @@ fn encode_payload(
         Some(stored) => (PayloadEncoding::Gzip, stored),
         None => (PayloadEncoding::Raw, raw),
     }
+}
+
+/// The [`TRIAL_SAMPLE_BYTES`] at the middle of `raw`, or all of it.
+fn trial_slice(raw: &[u8]) -> &[u8] {
+    let start = raw.len().saturating_sub(TRIAL_SAMPLE_BYTES) / 2;
+    &raw[start..raw.len().min(start + TRIAL_SAMPLE_BYTES)]
+}
+
+/// Whether `stored` bytes in place of `raw` save at least an eighth.
+fn saves_an_eighth(stored: usize, raw: usize) -> bool {
+    stored <= raw - raw / sciml_compress::deflate::MIN_SAVING_DIVISOR
 }
 
 /// A length as the footer index stores it. The index has 32 bits for
@@ -835,48 +839,78 @@ mod tests {
             .collect()
     }
 
+    /// `Auto`'s decisions, one row a shape: the payload, the encoding it
+    /// gets, and how many deflates it took to decide.
     #[test]
-    fn auto_gzips_where_the_head_saves_an_eighth() {
-        let auto = |raw: &[u8]| encode_payload(raw.to_vec(), EncodingChoice::Auto, Level::Fast);
-        let runs = vec![42u8; 16 << 10];
-
-        // The DCMX shape, a compressible head on an incompressible
-        // body: gzip, smaller than raw by most of the head, the body in
-        // stored blocks — the member ends on the payload's last bytes.
-        let dcmx = [&runs[..], &noise(100 << 10, 1, 8)].concat();
-        let (encoding, stored) = auto(&dcmx);
-        assert_eq!(encoding, PayloadEncoding::Gzip);
-        assert!(stored.len() < dcmx.len() - (12 << 10), "{}", stored.len());
-        assert!(stored.len() > 100 << 10, "{}", stored.len());
-        let tail = stored.len() - 8;
-        assert_eq!(stored[tail - 1000..tail], dcmx[dcmx.len() - 1000..]);
-        let mut out = Vec::new();
-        unpack_entry(encoding, &stored, &mut out, dcmx.len()).unwrap();
-        assert_eq!(out, dcmx);
-
-        // A head that saves less than an eighth (seven-bit noise: an
-        // eighth less its code's header) keeps the entry raw, whatever
-        // follows it; six-bit noise saves a quarter and is gzipped.
-        let seven = [&noise(TRIAL_SAMPLE_BYTES, 2, 7)[..], &runs[..]].concat();
-        assert_eq!(auto(&seven), (PayloadEncoding::Raw, seven.clone()));
-        let six = [&noise(TRIAL_SAMPLE_BYTES, 2, 6)[..], &runs[..]].concat();
-        assert_eq!(auto(&six).0, PayloadEncoding::Gzip);
-
-        // Nothing compressible: raw. Everything compressible: gzip.
-        let full = noise(100 << 10, 3, 8);
-        assert_eq!(auto(&full), (PayloadEncoding::Raw, full.clone()));
-        let (encoding, stored) = auto(&runs);
-        assert_eq!(encoding, PayloadEncoding::Gzip);
-        assert!(stored.len() < 200, "{}", stored.len());
-
-        // A head that passes in front of a body that does not pay for
-        // it: the head's block runs on into the noise and saves a
-        // sixteenth, every block is stored, the member comes out longer
-        // than the payload, and the last check demotes the entry.
-        let thin = [&noise(TRIAL_SAMPLE_BYTES, 4, 6)[..], &full[..]].concat();
-        let trial = sciml_compress::gzip_compress(&thin[..TRIAL_SAMPLE_BYTES], Level::Fast);
-        assert!(trial.len() < TRIAL_SAMPLE_BYTES, "{}", trial.len());
-        assert_eq!(auto(&thin), (PayloadEncoding::Raw, thin.clone()));
+    fn auto_keeps_gzip_where_the_member_saves_an_eighth() {
+        let ramp = |n: usize| (0..n).map(|j| (j / 37) as u8).collect::<Vec<u8>>();
+        let noise8 = |n: usize, seed: u64| noise(n, seed, 8);
+        let rows: [(&str, Vec<u8>, PayloadEncoding, usize); 5] = [
+            // The DCMX shape: a header and directory that compress in
+            // front of a differential payload that does not.
+            (
+                "compressible head, incompressible body",
+                [ramp(16 << 10), noise8(100 << 10, 1)].concat(),
+                PayloadEncoding::Raw,
+                1,
+            ),
+            (
+                "incompressible head, compressible body",
+                [noise8(16 << 10, 2), ramp(100 << 10)].concat(),
+                PayloadEncoding::Gzip,
+                2,
+            ),
+            // The middle slice pays; the member, an eighth of a ramp in
+            // noise, saves a twelfth.
+            (
+                "member saves less than an eighth",
+                [noise8(46 << 10, 3), ramp(8 << 10), noise8(46 << 10, 4)].concat(),
+                PayloadEncoding::Raw,
+                2,
+            ),
+            (
+                "member saves at least an eighth",
+                [noise8(30 << 10, 5), ramp(40 << 10), noise8(30 << 10, 6)].concat(),
+                PayloadEncoding::Gzip,
+                2,
+            ),
+            (
+                "payload no longer than the slice",
+                ramp(TRIAL_SAMPLE_BYTES),
+                PayloadEncoding::Gzip,
+                1,
+            ),
+        ];
+        for (what, raw, want, deflates) in rows {
+            // What the policy was shown: the slice, then the payload.
+            let sample = trial_slice(&raw);
+            assert_eq!(sample.len(), raw.len().min(TRIAL_SAMPLE_BYTES), "{what}");
+            let trial = sciml_compress::gzip_compress(sample, Level::Fast);
+            let full = sciml_compress::gzip_compress(&raw, Level::Fast);
+            let judged = if !saves_an_eighth(trial.len(), sample.len()) {
+                1
+            } else {
+                1 + usize::from(sample.len() < raw.len())
+            };
+            assert_eq!(judged, deflates, "{what}: deflates");
+            let (encoding, stored) = encode_payload(raw.clone(), EncodingChoice::Auto, Level::Fast);
+            assert_eq!(encoding, want, "{what}");
+            match want {
+                PayloadEncoding::Raw => assert!(stored == raw, "{what}"),
+                PayloadEncoding::Gzip => {
+                    assert!(stored == full, "{what}: the Gzip member");
+                    assert!(saves_an_eighth(stored.len(), raw.len()), "{what}");
+                }
+            }
+            let mut out = Vec::new();
+            unpack_entry(encoding, &stored, &mut out, raw.len()).unwrap();
+            assert!(out == raw, "{what}: round trip");
+        }
+        // The rule at its edge: an eighth saved is enough, a byte less
+        // is not.
+        assert!(saves_an_eighth(7000, 8000));
+        assert!(!saves_an_eighth(7001, 8000));
+        assert!(!saves_an_eighth(20, 0));
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! changes what "the same bytes" means. (The pack-encoding arms left
 //! with the encoding; what remains is the parent's code for every entry
 //! it did not store as pack, including `Auto`'s trial deflate followed
-//! by a full one.)
+//! by a full one. `Auto`'s verdict is the policy's, not the writer's:
+//! when the trial moved from the head to the middle of a payload and a
+//! member came to be kept only where it saves an eighth, the `Auto`
+//! arm took that rule and nothing else.)
 
 use sciml_compress::crc32::crc32;
 use sciml_compress::Level;
@@ -30,16 +33,18 @@ fn encode_payload(raw: &[u8], choice: EncodingChoice, level: Level) -> (PayloadE
             sciml_compress::gzip_compress(raw, level),
         )),
         EncodingChoice::Auto => {
-            let sample = &raw[..raw.len().min(TRIAL_SAMPLE_BYTES)];
+            let pays = |stored: usize, raw: usize| stored <= raw - raw / 8;
+            let start = raw.len().saturating_sub(TRIAL_SAMPLE_BYTES) / 2;
+            let sample = &raw[start..raw.len().min(start + TRIAL_SAMPLE_BYTES)];
             let gz_trial = sciml_compress::gzip_compress(sample, level).len();
             let winner = match () {
-                _ if gz_trial < sample.len() => Some((
+                _ if pays(gz_trial, sample.len()) => Some((
                     PayloadEncoding::Gzip,
                     sciml_compress::gzip_compress(raw, level),
                 )),
                 _ => None,
             };
-            winner.filter(|(_, stored)| stored.len() < raw.len())
+            winner.filter(|(_, stored)| pays(stored.len(), raw.len()))
         }
     };
     encoded.unwrap_or_else(|| (PayloadEncoding::Raw, raw.to_vec()))

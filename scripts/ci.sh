@@ -294,6 +294,16 @@ cargo test --release -q -p sciml-pipeline --test zero_copy
 stage "store pack -> stage -> fetch smoke"
 store_dir="$(mktemp -d)"
 sciml() { cargo run --release -q -p sciml-bench --bin sciml -- "$@"; }
+# `verify-store DIR` passes and prints the encoding census CENSUS.
+verify_census() {
+    local out
+    out="$(sciml verify-store "$1")"
+    echo "$out"
+    if [[ "$out" != *"payload encodings: $2"* ]]; then
+        echo "ERROR: $1: expected \`payload encodings: $2\`" >&2
+        exit 1
+    fi
+}
 # Pack a tiny synthetic dataset, verify it, serve it over loopback,
 # stage it through the server, and check the staged copy is itself a
 # complete CRC-clean store whose decoded samples round-trip.
@@ -306,6 +316,10 @@ if pack_err="$(sciml pack --dir "$store_dir/data" --n 8 --out "$store_dir/refuse
     exit 1
 fi
 sciml verify-store "$store_dir/packed"
+# `Auto` keeps a gzip member where it saves an eighth of the entry: every
+# CosmoFlow payload does.
+sciml pack --dir "$store_dir/data" --n 8 --out "$store_dir/auto" --shard-mb 1 --encoding auto
+verify_census "$store_dir/auto" "raw=0 gzip=8"
 sciml serve --store "$store_dir/packed" --addr 127.0.0.1:7979 &
 serve_pid=$!
 for _ in $(seq 50); do
@@ -344,6 +358,9 @@ stage "ingest smoke (gen -> pack auto -> stage the packed store -> verify, shard
 # are) and the copy must verify as a store of its own.
 sciml gen deepcam --out "$store_dir/dc" --n 8 --width 288 --height 192 --channels 4
 sciml pack --dir "$store_dir/dc" --n 8 --out "$store_dir/dc_packed" --shard-mb 1 --encoding auto
+# `Auto` stores every DeepCAM entry raw: its differential payload does not
+# compress, so no gzip member saves an eighth and no read inflates.
+verify_census "$store_dir/dc_packed" "raw=8 gzip=0"
 sciml stage --dir "$store_dir/dc_packed" --out "$store_dir/dc_staged" --workers 2
 sciml verify-store "$store_dir/dc_staged"
 for f in "$store_dir"/dc_packed/shard_*.sshard "$store_dir/dc_packed/store.manifest"; do
