@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn boundary_stops_traversal() {
         let w = ws(&[(
-            "crates/net/src/reactor.rs",
+            "crates/serve/src/reactor.rs",
             "pub fn run() { step(); dispatch(); }\n\
              fn step() {}\n\
              fn dispatch() { blocking_send(); }\n\

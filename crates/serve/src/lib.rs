@@ -11,18 +11,29 @@
 //! network → training node.
 //!
 //! Layout:
-//! * [`protocol`] — wire frames (`[len][payload][crc32]`), message
-//!   codec, typed [`protocol::ProtocolError`]s for every corruption;
-//! * [`server`] — `sciml-net` reactor glue, admission control,
-//!   per-dataset fill-once DRAM hot cache, counters;
+//! * [`protocol`] — wire frames (`[len][payload][crc32]`), the one
+//!   frame-length check, message codec, typed
+//!   [`protocol::ProtocolError`]s for every corruption;
+//! * `poller` — level-triggered epoll and the loop's wake-up channel;
+//! * `reactor` — the event loop: admission control, per-connection
+//!   state machines each owning its session, worker-pool dispatch,
+//!   `writev` of gathered replies, idle reaping, graceful drain;
+//! * `session` — the per-connection protocol state machine the
+//!   reactor's workers run;
+//! * [`server`] — builder and handle: datasets, per-dataset fill-once
+//!   DRAM hot cache, reactor configuration;
 //! * [`client`] — pooled, retrying `RemoteSource`;
-//! * [`metrics`] — server-side latency/throughput counters;
+//! * [`cluster`] — replica-failover `ClusterSource` over a placed plan;
+//! * [`metrics`] — server-side latency/throughput and `serve.conn.*`
+//!   connection counters;
 //! * [`scrape`] — Prometheus-text metrics exposition endpoint.
 
 pub mod client;
 pub mod cluster;
 pub mod metrics;
+mod poller;
 pub mod protocol;
+mod reactor;
 pub mod scrape;
 pub mod server;
 mod session;

@@ -25,18 +25,26 @@ pub struct ServerMetrics {
     decoded_gzip: Arc<Counter>,
     /// Per-request handling latency, nanoseconds (`serve.request_ns`).
     pub request_latency: Arc<Histogram>,
-    /// Connections currently open (`serve.conn.active`).
-    pub conn_active: Arc<Gauge>,
+    /// The connection lifecycle, which the reactor records.
+    pub(crate) conn: ConnMetrics,
+}
+
+/// Connection-lifecycle instruments (`serve.conn.*`): the reactor
+/// records into them, the stats reply reads `rejected_busy`.
+#[derive(Debug, Clone)]
+pub(crate) struct ConnMetrics {
     /// Connections admitted over the server's lifetime
     /// (`serve.conn.accepted`).
-    pub conn_accepted: Arc<Counter>,
+    pub(crate) accepted: Arc<Counter>,
     /// Connections turned away with a typed busy/draining frame
     /// (`serve.conn.rejected_busy`); the wire snapshot's
     /// `rejected_connections` reads it.
-    pub conn_rejected_busy: Arc<Counter>,
+    pub(crate) rejected_busy: Arc<Counter>,
     /// Connections closed by graceful drain after their in-flight
     /// replies completed (`serve.conn.drained`).
-    pub conn_drained: Arc<Counter>,
+    pub(crate) drained: Arc<Counter>,
+    /// Connections currently open (`serve.conn.active`).
+    pub(crate) active: Arc<Gauge>,
 }
 
 impl Default for ServerMetrics {
@@ -56,10 +64,12 @@ impl ServerMetrics {
             decoded_raw: registry.counter("store.decode.raw"),
             decoded_gzip: registry.counter("store.decode.gzip"),
             request_latency: registry.histogram("serve.request_ns"),
-            conn_active: registry.gauge("serve.conn.active"),
-            conn_accepted: registry.counter("serve.conn.accepted"),
-            conn_rejected_busy: registry.counter("serve.conn.rejected_busy"),
-            conn_drained: registry.counter("serve.conn.drained"),
+            conn: ConnMetrics {
+                accepted: registry.counter("serve.conn.accepted"),
+                rejected_busy: registry.counter("serve.conn.rejected_busy"),
+                drained: registry.counter("serve.conn.drained"),
+                active: registry.gauge("serve.conn.active"),
+            },
         }
     }
 
@@ -87,7 +97,7 @@ impl ServerMetrics {
 
     /// Connections rejected so far.
     pub fn rejected_connections(&self) -> u64 {
-        self.conn_rejected_busy.get()
+        self.conn.rejected_busy.get()
     }
 
     /// Builds the wire snapshot; cache counters come from the caller
@@ -100,7 +110,7 @@ impl ServerMetrics {
             bytes_sent: self.bytes_sent.get(),
             cache_hits,
             cache_misses,
-            rejected_connections: self.conn_rejected_busy.get(),
+            rejected_connections: self.conn.rejected_busy.get(),
             request_ns: latency.sum,
             decoded_raw: self.decoded_raw.get(),
             decoded_gzip: self.decoded_gzip.get(),
@@ -119,7 +129,7 @@ mod tests {
         m.record_request(Duration::from_nanos(500));
         m.record_request(Duration::from_nanos(700));
         m.record_samples(4, 4096);
-        m.conn_rejected_busy.inc();
+        m.conn.rejected_busy.inc();
         let s = m.snapshot(10, 2);
         assert_eq!(s.requests, 2);
         assert_eq!(s.request_ns, 1200);
@@ -147,10 +157,10 @@ mod tests {
     fn connection_lifecycle_instruments_are_registered() {
         let reg = MetricsRegistry::new();
         let m = ServerMetrics::with_registry(&reg);
-        m.conn_accepted.inc();
-        m.conn_active.add(1);
-        m.conn_drained.inc();
-        m.conn_rejected_busy.inc();
+        m.conn.accepted.inc();
+        m.conn.active.add(1);
+        m.conn.drained.inc();
+        m.conn.rejected_busy.inc();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.conn.accepted"), 1);
         assert_eq!(snap.gauge("serve.conn.active"), 1);

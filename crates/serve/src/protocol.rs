@@ -22,8 +22,8 @@
 //! Tags 0x03, 0x04, 0x0A, 0x0C, 0x0D, 0x0E, 0x10, 0x13 and 0x14 belonged
 //! to retired messages and stay unassigned.
 
+use crate::reactor::Piece;
 use sciml_compress::crc32::{crc32, crc32_combine, Crc32};
-use sciml_net::Piece;
 use sciml_obs::{HistogramSnapshot, TraceContext};
 use sciml_store::{ClusterPlan, EncodingChoice, ShardAssignment, ShardPlan};
 use std::fmt;
@@ -36,8 +36,9 @@ pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Hard ceiling on a frame payload (64 MiB). Large enough for a batch
 /// of encoded samples, small enough to bound per-connection memory.
-/// The reactor splits inbound frames against the same cap.
-pub const MAX_FRAME_BYTES: u32 = sciml_net::MAX_PAYLOAD;
+/// One check holds every frame to it, the server's inbound ones and
+/// those the stream readers take.
+pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
 /// Protocol-level failures. Every decode path returns one of these —
 /// corruption never panics and never hangs.
@@ -245,8 +246,11 @@ mod tags {
 
 // ------------------------------------------------------------- encoding
 
+/// A `u16`-length-prefixed string. A longer one keeps its first
+/// `u16::MAX` bytes, cut back to a char boundary, so the prefix always
+/// tells the bytes that follow.
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "name too long for the wire");
+    let s = &s[..s.floor_char_boundary(usize::from(u16::MAX))];
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
@@ -325,6 +329,23 @@ fn read_shard_plan(r: &mut Reader<'_>) -> Result<ShardPlan, ProtocolError> {
 }
 
 impl Message {
+    /// The message's kind: its variant's name, without its body.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Message::Hello { .. } => "Hello",
+            Message::HelloAck { .. } => "HelloAck",
+            Message::Manifest { .. } => "Manifest",
+            Message::ManifestReply(_) => "ManifestReply",
+            Message::FetchSamples { .. } => "FetchSamples",
+            Message::Samples(_) => "Samples",
+            Message::Stats => "Stats",
+            Message::StatsReply(_) => "StatsReply",
+            Message::Traced { .. } => "Traced",
+            Message::Shutdown => "Shutdown",
+            Message::Error { .. } => "Error",
+        }
+    }
+
     /// Serializes the payload (tag + body, no frame envelope).
     pub fn to_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -695,22 +716,32 @@ fn le_u32_at(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
-/// Parses one complete frame from a byte slice, returning the message
-/// and the number of bytes consumed.
-pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), ProtocolError> {
-    if buf.len() < 4 {
-        return Err(ProtocolError::Truncated);
-    }
-    let len = le_u32_at(buf, 0);
+/// Total on-wire size of the frame whose length prefix starts `buf`:
+/// prefix, payload and CRC trailer. The prefix is held to
+/// [`MAX_FRAME_BYTES`] here, before anything is sized from it; `Ok(None)`
+/// means the prefix is not complete yet. The one check of the envelope:
+/// the reactor splits its inbound bytes with it, and [`decode_frame`]
+/// and the stream readers call it too.
+pub(crate) fn frame_len(buf: &[u8]) -> Result<Option<usize>, ProtocolError> {
+    let Some(&prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME_BYTES {
         return Err(ProtocolError::Oversized(len));
     }
-    let total = 4 + len as usize + 4;
+    Ok(Some(4 + len as usize + 4))
+}
+
+/// Parses one complete frame from a byte slice, returning the message
+/// and the number of bytes consumed.
+pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), ProtocolError> {
+    let total = frame_len(buf)?.ok_or(ProtocolError::Truncated)?;
     if buf.len() < total {
         return Err(ProtocolError::Truncated);
     }
-    let payload = &buf[4..4 + len as usize];
-    let stored = le_u32_at(buf, 4 + len as usize);
+    let payload = &buf[4..total - 4];
+    let stored = le_u32_at(buf, total - 4);
     let computed = crc32(payload);
     if stored != computed {
         return Err(ProtocolError::BadCrc { computed, stored });
@@ -726,16 +757,13 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), ProtocolEr
     Ok(())
 }
 
-/// A frame's length prefix, checked against [`MAX_FRAME_BYTES`] before
-/// anything is sized from it.
+/// The payload length a frame's prefix declares, checked by
+/// [`frame_len`] before anything is sized from it.
 fn read_frame_len(r: &mut impl Read) -> Result<usize, ProtocolError> {
-    let mut head = [0u8; 4];
-    r.read_exact(&mut head)?;
-    let len = u32::from_le_bytes(head);
-    if len > MAX_FRAME_BYTES {
-        return Err(ProtocolError::Oversized(len));
-    }
-    Ok(len as usize)
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let total = frame_len(&prefix)?.ok_or(ProtocolError::Truncated)?;
+    Ok(total - 8)
 }
 
 /// A frame's CRC trailer against the CRC of the payload just read.
@@ -934,6 +962,39 @@ mod tests {
             let (decoded, consumed) = decode_frame(&frame).expect("roundtrip");
             assert_eq!(decoded, msg);
             assert_eq!(consumed, frame.len());
+            assert_eq!(frame_len(&frame).ok(), Some(Some(frame.len())));
+        }
+        // A complete prefix is enough: the rest need not have arrived.
+        for (head, total) in [
+            (&[5, 0, 0, 0, 1, 2][..], 4 + 5 + 4),
+            (&[0, 0, 0, 0][..], 8),
+            (
+                &MAX_FRAME_BYTES.to_le_bytes()[..],
+                4 + MAX_FRAME_BYTES as usize + 4,
+            ),
+        ] {
+            assert_eq!(frame_len(head).ok(), Some(Some(total)), "{head:?}");
+        }
+    }
+
+    #[test]
+    fn an_over_long_string_is_cut_to_fit_its_prefix() {
+        // 'é' is two bytes: the cut at u16::MAX falls inside one and
+        // moves back to the boundary before it.
+        for (detail, kept) in [
+            ("é".repeat(40_000), usize::from(u16::MAX) - 1),
+            ("x".repeat(70_000), usize::from(u16::MAX)),
+            ("x".repeat(usize::from(u16::MAX)), usize::from(u16::MAX)),
+        ] {
+            let msg = Message::Error {
+                code: ErrorCode::BadRequest,
+                detail: detail.clone(),
+            };
+            let Ok((Message::Error { detail: got, .. }, _)) = decode_frame(&encode_frame(&msg))
+            else {
+                panic!("{}-byte detail did not round-trip", detail.len());
+            };
+            assert_eq!(got, detail[..kept]);
         }
     }
 
@@ -1127,6 +1188,9 @@ mod tests {
                     decode_frame(&frame[..cut]).is_err(),
                     "cut {cut} of {msg:?} did not error"
                 );
+                // Short of a whole prefix, the reactor waits for more.
+                let want = (cut >= 4).then_some(frame.len());
+                assert_eq!(frame_len(&frame[..cut]).ok(), Some(want));
             }
         }
     }
@@ -1160,6 +1224,14 @@ mod tests {
             decode_frame(&frame),
             Err(ProtocolError::Oversized(_))
         ));
+        // The cap itself is a frame; one byte past it is not, judged
+        // on the prefix alone.
+        for len in [MAX_FRAME_BYTES + 1, u32::MAX] {
+            assert!(matches!(
+                frame_len(&len.to_le_bytes()),
+                Err(ProtocolError::Oversized(n)) if n == len
+            ));
+        }
         // Streaming path too.
         let mut cursor = std::io::Cursor::new(frame);
         assert!(matches!(

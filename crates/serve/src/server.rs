@@ -1,28 +1,26 @@
-//! Dataset server on the `sciml-net` readiness reactor.
+//! Dataset server on the crate's readiness reactor (`crate::reactor`).
 //!
-//! One event loop multiplexes every connection over epoll (`poll(2)`
-//! elsewhere), a small worker pool runs request handling through the
-//! session state machine (`crate::session`), connections beyond the
-//! admission limit get a typed `Busy` frame, and graceful drain
-//! finishes in-flight replies before closing. Connection count scales
-//! independently of thread count, which is what a training fleet
-//! holding thousands of mostly-idle sockets needs.
+//! One event loop multiplexes every connection over epoll, a small
+//! worker pool runs request handling through the session state machine
+//! (`crate::session`) with the connection's own session, connections
+//! beyond the admission limit get a typed `Busy` frame, and graceful
+//! drain finishes in-flight replies before closing. Connection count
+//! scales independently of thread count, which is what a training
+//! fleet holding thousands of mostly-idle sockets needs.
 //!
 //! Each registered dataset is wrapped in a [`MemoryCacheSource`] hot
 //! cache, so repeat fetches (second epochs, overlapping shards across
 //! clients) are served from DRAM without touching the backing tier.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{decode_frame, encode_frame, ErrorCode, Message, StatsSnapshot};
-use crate::session::{process_message, SessionState};
-use sciml_net::reactor::{ConnId, Reactor, ReactorConfig, ReactorHandle, ReactorMetrics, Reply};
-use sciml_net::FrameError;
+use crate::protocol::StatsSnapshot;
+use crate::reactor::{self, ReactorConfig, ReactorHandle};
 use sciml_obs::{Counter, MetricsRegistry, Telemetry, Tracer};
 use sciml_pipeline::source::MemoryCacheSource;
 use sciml_pipeline::SampleSource;
 use sciml_store::manifest::plan_by_count;
 use sciml_store::{ClusterPlan, ShardPlan, ShardSource};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -220,83 +218,9 @@ impl ServeBuilder {
             drain_timeout: self.config.drain_timeout,
             ..ReactorConfig::default()
         };
-        // The reactor bumps the same Arc'd instruments ServerMetrics
-        // registered, so they show up as the `serve.conn.*` families.
-        let metrics = ReactorMetrics {
-            accepted: Arc::clone(&inner.metrics.conn_accepted),
-            rejected_busy: Arc::clone(&inner.metrics.conn_rejected_busy),
-            drained: Arc::clone(&inner.metrics.conn_drained),
-            active: Arc::clone(&inner.metrics.conn_active),
-        };
-        let service = Arc::new(ScimlService {
-            inner: Arc::clone(&inner),
-            sessions: parking_lot::Mutex::new(HashMap::new()),
-        });
-        let reactor = Reactor::spawn(listener, service, cfg, metrics)?;
+        let conn_metrics = inner.metrics.conn.clone();
+        let reactor = reactor::spawn(listener, Arc::clone(&inner), cfg, conn_metrics)?;
         Ok(ServerHandle { inner, reactor })
-    }
-}
-
-/// Glue between the reactor and the protocol session state machine:
-/// decodes frames and hands each to [`process_message`], which builds
-/// the reactor's [`Reply`].
-struct ScimlService {
-    inner: Arc<Inner>,
-    /// Per-connection session state. The reactor dispatches at most
-    /// one frame per connection at a time, so each entry's lock is
-    /// uncontended; the map lock is held only for lookup/insert.
-    sessions: parking_lot::Mutex<HashMap<ConnId, Arc<parking_lot::Mutex<SessionState>>>>,
-}
-
-impl sciml_net::Service for ScimlService {
-    fn handle(&self, conn: ConnId, frame_bytes: Vec<u8>) -> Reply {
-        let Some(session) = self.sessions.lock().get(&conn).cloned() else {
-            // Unknown connection (already disconnected): nothing to say.
-            return Reply::close();
-        };
-        let request = match decode_frame(&frame_bytes) {
-            Ok((msg, _)) => msg,
-            // Wire corruption: answer with a typed frame, then drop the
-            // connection (framing may be unrecoverable after garbage).
-            Err(e) => {
-                return Reply::send_close(encode_frame(&Message::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: format!("protocol error: {e}"),
-                }))
-            }
-        };
-        let mut state = session.lock();
-        process_message(&self.inner, &mut state, request)
-    }
-
-    fn reject_frame(&self, draining: bool) -> Option<Vec<u8>> {
-        let detail = if draining {
-            "server is draining"
-        } else {
-            "server at its connection admission limit"
-        };
-        Some(encode_frame(&Message::Error {
-            code: ErrorCode::Busy,
-            detail: detail.into(),
-        }))
-    }
-
-    fn frame_error_frame(&self, _conn: ConnId, err: &FrameError) -> Option<Vec<u8>> {
-        Some(encode_frame(&Message::Error {
-            code: ErrorCode::BadRequest,
-            detail: format!("protocol error: {err}"),
-        }))
-    }
-
-    fn connected(&self, conn: ConnId) {
-        self.sessions.lock().insert(
-            conn,
-            Arc::new(parking_lot::Mutex::new(SessionState::default())),
-        );
-    }
-
-    fn disconnected(&self, conn: ConnId) {
-        self.sessions.lock().remove(&conn);
     }
 }
 
@@ -358,8 +282,9 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_message, write_message, PROTOCOL_VERSION};
+    use crate::protocol::{read_message, write_message, ErrorCode, Message, PROTOCOL_VERSION};
     use sciml_pipeline::source::VecSource;
+    use std::io::{Read, Write};
     use std::net::TcpStream;
 
     fn demo_source() -> Arc<dyn SampleSource> {
@@ -537,7 +462,6 @@ mod tests {
         let mut c = client(server.local_addr());
         // A frame with a valid envelope but unknown tag.
         let payload = [0xEEu8];
-        use std::io::Write as _;
         c.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
         c.write_all(&payload).unwrap();
         c.write_all(&sciml_compress::crc32::crc32(&payload).to_le_bytes())
@@ -550,6 +474,117 @@ mod tests {
                 ..
             }
         ));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_bound_message_gets_a_parseable_bad_request() {
+        let server = ServeBuilder::new()
+            .dataset("demo", demo_source())
+            .bind("127.0.0.1:0")
+            .unwrap();
+        let mut c = client(server.local_addr());
+        // A ~100 KB body: far past what a `u16`-prefixed detail can say.
+        let samples = Message::Samples(vec![vec![0x5A; 100_000]]);
+        write_message(&mut c, &samples).unwrap();
+        match read_message(&mut c).unwrap() {
+            Message::Error {
+                code: ErrorCode::BadRequest,
+                detail,
+            } => assert_eq!(detail, "unexpected message: Samples"),
+            other => panic!("expected a BadRequest, got {other:?}"),
+        }
+        // The connection and the server both go on answering.
+        assert_eq!(manifest(&mut c, "demo").total_samples(), 8);
+        assert_eq!(
+            manifest(&mut client(server.local_addr()), "demo").total_samples(),
+            8
+        );
+        server.shutdown();
+    }
+
+    /// One sample whose fetch meets the test at the barrier twice: once
+    /// as it starts, and again before it returns.
+    struct GatedSource(Arc<std::sync::Barrier>);
+
+    impl SampleSource for GatedSource {
+        fn len(&self) -> usize {
+            1
+        }
+
+        fn fetch_into(&self, _idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
+            self.0.wait();
+            self.0.wait();
+            buf.clear();
+            buf.extend_from_slice(b"gated");
+            Ok(())
+        }
+
+        fn bytes_read(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Waits up to 10 s for `done`.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn a_session_travels_with_its_connection_not_its_slot() {
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let server = ServeBuilder::new()
+            .dataset("gated", Arc::new(GatedSource(Arc::clone(&gate))))
+            .bind("127.0.0.1:0")
+            .unwrap();
+        let registry = server.metrics_registry();
+        let conns = || {
+            let snap = registry.snapshot();
+            (
+                snap.counter("serve.conn.accepted"),
+                snap.gauge("serve.conn.active"),
+            )
+        };
+        // A greets, asks for the sample, and hangs up while a worker
+        // holds its session.
+        let mut a = client(server.local_addr());
+        let fetch = Message::FetchSamples {
+            name: "gated".into(),
+            indices: vec![0],
+        };
+        write_message(&mut a, &fetch).unwrap();
+        gate.wait();
+        drop(a);
+        wait_for("A closed", || conns() == (1, 0));
+        // B is admitted into the one slot there is to reuse, A's, while
+        // A's request is still running.
+        let mut b = TcpStream::connect(server.local_addr()).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        wait_for("B admitted", || conns() == (2, 1));
+        // A's completion, a greeted session and a `Samples` reply, comes
+        // back to B's slot and must be dropped there. The loop applies
+        // a completion within moments of its count; the pause lets it
+        // land before B speaks.
+        gate.wait();
+        wait_for("A's request handled", || server.requests() == 1);
+        std::thread::sleep(Duration::from_millis(50));
+        // B never said Hello: its own new session says so, and nothing
+        // of A's reaches it.
+        write_message(&mut b, &Message::Stats).unwrap();
+        match read_message(&mut b).unwrap() {
+            Message::Error {
+                code: ErrorCode::BadRequest,
+                detail,
+            } => assert_eq!(detail, "first message must be Hello"),
+            other => panic!("B got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        b.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "{} more bytes reached B", rest.len());
         server.shutdown();
     }
 

@@ -1,13 +1,16 @@
 //! Per-connection protocol state machine.
 //!
-//! The reactor's [`Service`](sciml_net::Service) callback funnels every
-//! decoded request through [`process_message`]: the `Hello` version
-//! check, the trace-context unwrap, request dispatch, building the
-//! reply's frame, and request accounting live here.
+//! The server is the reactor's [`Service`]: each frame is decoded and
+//! run through [`process_message`] with the connection's
+//! [`SessionState`]. The `Hello` version check, the trace-context
+//! unwrap, request dispatch, building the reply's frame, and request
+//! accounting live here.
 
-use crate::protocol::{encode_frame, ErrorCode, Message, SamplesFrame, PROTOCOL_VERSION};
+use crate::protocol::{
+    decode_frame, encode_frame, ErrorCode, Message, SamplesFrame, PROTOCOL_VERSION,
+};
+use crate::reactor::{Piece, Reply, Service};
 use crate::server::Inner;
-use sciml_net::{Piece, Reply};
 use sciml_pipeline::source::SampleBytes;
 use sciml_pipeline::SampleSource;
 use std::time::Instant;
@@ -17,7 +20,23 @@ use std::time::Instant;
 #[derive(Debug, Default)]
 pub(crate) struct SessionState {
     /// Whether that `Hello` has been received and acknowledged.
-    pub(crate) greeted: bool,
+    greeted: bool,
+}
+
+impl Service for Inner {
+    type Session = SessionState;
+
+    fn handle(&self, state: &mut SessionState, frame: Vec<u8>) -> Reply {
+        match decode_frame(&frame) {
+            Ok((request, _)) => process_message(self, state, request),
+            // Wire corruption: answer with a typed frame, then drop the
+            // connection (framing may be unrecoverable after garbage).
+            Err(e) => Reply::send_close(encode_frame(&Message::Error {
+                code: ErrorCode::BadRequest,
+                detail: format!("protocol error: {e}"),
+            })),
+        }
+    }
 }
 
 /// Runs one request through the session state machine and returns the
@@ -25,7 +44,7 @@ pub(crate) struct SessionState {
 /// not counted as a request; everything after `Hello` records into
 /// `serve.requests` / `serve.request_ns`, which covers building the
 /// whole reply frame.
-pub(crate) fn process_message(inner: &Inner, state: &mut SessionState, request: Message) -> Reply {
+fn process_message(inner: &Inner, state: &mut SessionState, request: Message) -> Reply {
     if !state.greeted {
         return match request {
             Message::Hello { version } if version == PROTOCOL_VERSION => {
@@ -126,10 +145,11 @@ fn respond(inner: &Inner, request: Message) -> Message {
             None => unknown_dataset(&name),
         },
         Message::Stats => Message::StatsReply(inner.stats()),
-        // Client-bound messages arriving at the server.
+        // Client-bound messages arriving at the server, named by kind:
+        // a body (a `Samples` batch) can be far longer than a detail.
         other => Message::Error {
             code: ErrorCode::BadRequest,
-            detail: format!("unexpected message: {other:?}"),
+            detail: format!("unexpected message: {}", other.kind()),
         },
     }
 }

@@ -67,7 +67,7 @@ stage "the model stays off the data path (no sciml-platform under a loader crate
 # `sciml-platform` is the performance model and the §VI GPU simulator;
 # neither has a place on a sample's path. The output is captured before
 # it is searched, so an early-exiting grep cannot hide a match.
-for crate in sciml-pipeline sciml-store sciml-serve sciml-net; do
+for crate in sciml-pipeline sciml-store sciml-serve; do
     deps="$(cargo tree --offline -e normal -p "$crate" --prefix none)"
     if grep -q '^sciml-platform ' <<<"$deps"; then
         echo "ERROR: $crate depends on sciml-platform (cargo tree -e normal -p $crate)" >&2
@@ -440,8 +440,9 @@ stage "sanitizers (ASan + LSan over every crate holding unsafe; half + codec at 
 # an ordinary build an out-of-bounds load silently reads the
 # neighbouring heap. This runs the suites of every crate with a site in
 # lint.toml's unsafe inventory under AddressSanitizer (LeakSanitizer is
-# part of it on x86-64 Linux), and the reactor's poller through
-# `tests/serve_reactor.rs`. `--target` keeps the sanitizer flag off
+# part of it on x86-64 Linux): `sciml-serve`'s lib tests hold the
+# poller and the reactor's loopback suite, and `tests/serve_reactor.rs`
+# drains a real server. `--target` keeps the sanitizer flag off
 # build scripts and proc macros, and target/asan keeps the instrumented
 # artifacts apart. opt-level 2 (debug assertions stay on) runs the
 # codec suite in ~11 s against ~115 s unoptimised.
@@ -463,7 +464,8 @@ for tier in $(sciml cpu-features --list); do
     echo "    -- SCIML_SIMD=$tier"
     SCIML_SIMD="$tier" asan_test -p sciml-half -p sciml-codec --tests
 done
-asan_test -p sciml-compress -p sciml-net -p sciml-pipeline -p sciml-store --tests
+asan_test -p sciml-compress -p sciml-pipeline -p sciml-store --tests
+asan_test -p sciml-serve --lib
 asan_test -p sciml-repro --test serve_reactor
 
 stage "decode thread-scaling bench (per kernel x ISA)"
