@@ -1,79 +1,41 @@
 //! sciml-lint — static analysis gate for the sciml workspace.
 //!
 //! ```text
-//! sciml-lint [--path <dir>] [--config <lint.toml>] [--json]
-//!            [--require <rule>=<max>[,...]] [--update-baseline]
-//!            [--quiet]
+//! sciml-lint [--path <dir>] [--config <lint.toml>] [--update-inventory]
 //! ```
 //!
 //! Walks `<path>/crates` *and* `<path>/shims` (or `<path>` itself when
-//! it is not a repo root) and exits non-zero on any non-baselined
-//! violation or stale baseline entry. `--update-baseline` rewrites the
-//! generated sections of `lint.toml` — the violation baseline and the
-//! unsafe inventory — to match reality and exits 0. `--require`
-//! additionally gates on *total* per-rule counts (baselined included),
-//! mirroring `sciml scrape --require`.
+//! it is not a repo root), prints every violation, and exits 1 if there
+//! is any. `--update-inventory` writes the unsafe inventory beside the
+//! config (`lint.unsafe.toml` for `lint.toml`) whole, from the sites the
+//! tree holds now, and exits 0. Exit status 2 is a usage, config or I/O
+//! error.
 
-use sciml_analyze::{lint_tree, Config, Outcome, Report, RULE_NAMES};
+use sciml_analyze::config::{inventory_path, render_inventory};
+use sciml_analyze::{lint_tree, Config, Violation};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+usage: sciml-lint [--path <dir>] [--config <lint.toml>] [--update-inventory]
+
+  --path <dir>          repo root to scan (default .)
+  --config <file>       hand-written config (default <dir>/lint.toml); the
+                        unsafe inventory is the .unsafe.toml file beside it
+  --update-inventory    rewrite the unsafe inventory from the tree and exit";
 
 struct Args {
     path: PathBuf,
     config: Option<PathBuf>,
-    json: bool,
-    update_baseline: bool,
-    quiet: bool,
-    require: Vec<(String, usize)>,
+    update_inventory: bool,
 }
 
-/// Parses one `--require` value: comma-separated `<rule>=<max>` pairs.
-fn parse_require(value: &str, out: &mut Vec<(String, usize)>) -> Result<(), String> {
-    for part in value.split(',').filter(|s| !s.is_empty()) {
-        let (rule, max) = part
-            .split_once('=')
-            .ok_or_else(|| format!("--require expects <rule>=<max>, got `{part}`"))?;
-        let rule = rule.trim();
-        if !RULE_NAMES.contains(&rule) {
-            return Err(format!("--require: unknown rule `{rule}`"));
-        }
-        let max: usize = max
-            .trim()
-            .parse()
-            .map_err(|_| format!("--require: `{part}` needs an integer bound"))?;
-        out.push((rule.to_string(), max));
-    }
-    Ok(())
-}
-
-/// Checks `--require` bounds against total per-rule counts. Returns
-/// failure messages (empty = pass).
-fn check_require(outcome: &Outcome, require: &[(String, usize)]) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (rule, max) in require {
-        let total: usize = outcome
-            .counts
-            .iter()
-            .filter(|((_, r), _)| r == rule)
-            .map(|(_, &c)| c)
-            .sum();
-        if total > *max {
-            failures.push(format!(
-                "--require {rule}={max} failed: {total} total violation(s)"
-            ));
-        }
-    }
-    failures
-}
-
-fn parse_args() -> Result<Args, String> {
+/// `Ok(None)` is `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         path: PathBuf::from("."),
         config: None,
-        json: false,
-        update_baseline: false,
-        quiet: false,
-        require: Vec::new(),
+        update_inventory: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -84,29 +46,21 @@ fn parse_args() -> Result<Args, String> {
             "--config" => {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config needs a value")?));
             }
-            "--json" => args.json = true,
-            "--update-baseline" => args.update_baseline = true,
-            "--quiet" | "-q" => args.quiet = true,
-            "--require" => {
-                let value = it.next().ok_or("--require needs <rule>=<max>")?;
-                parse_require(&value, &mut args.require)?;
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: sciml-lint [--path <dir>] [--config <lint.toml>] [--json] \
-                            [--require <rule>=<max>[,...]] [--update-baseline] [--quiet]"
-                        .into(),
-                )
-            }
+            "--update-inventory" => args.update_inventory = true,
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);
@@ -147,41 +101,43 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.update_baseline {
-        let entries = outcome.as_baseline();
-        if let Err(e) =
-            Config::update_baseline_file(&config_path, &entries, &outcome.unsafe_entries)
-        {
-            eprintln!("sciml-lint: writing {}: {e}", config_path.display());
+    if args.update_inventory {
+        let path = inventory_path(&config_path);
+        if let Err(e) = std::fs::write(&path, render_inventory(&outcome.unsafe_entries)) {
+            eprintln!("sciml-lint: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
-        if !args.quiet {
-            println!(
-                "baseline updated: {} entr{}, {} unsafe site(s) inventoried in {}",
-                entries.len(),
-                if entries.len() == 1 { "y" } else { "ies" },
-                outcome.unsafe_entries.len(),
-                config_path.display()
-            );
-        }
+        println!(
+            "{} unsafe site(s) inventoried in {}",
+            outcome.unsafe_entries.len(),
+            path.display()
+        );
         return ExitCode::SUCCESS;
     }
 
-    let report = Report::new(&outcome);
-    if args.json {
-        println!("{}", report.json());
-    } else if !args.quiet {
-        print!("{}", report.table());
-        let failures = report.failures();
-        if !failures.is_empty() {
-            print!("\n{failures}");
+    for Violation {
+        file,
+        line,
+        rule,
+        token,
+    } in &outcome.violations
+    {
+        // An inventory finding is cleared by review and regeneration (its
+        // token says so); `lint:allow` does not waive it.
+        if *rule == "unsafe_inventory" {
+            println!("{file}:{line}: [{rule}] {token}");
+        } else {
+            println!(
+                "{file}:{line}: [{rule}] `{token}` — annotate `// lint:allow({rule}): <reason>` or fix"
+            );
         }
     }
-    let require_failures = check_require(&outcome, &args.require);
-    for f in &require_failures {
-        eprintln!("sciml-lint: {f}");
-    }
-    if outcome.is_green() && require_failures.is_empty() {
+    println!(
+        "{} file(s) scanned, {} violation(s)",
+        outcome.files_scanned,
+        outcome.violations.len()
+    );
+    if outcome.is_green() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,35 +1,17 @@
-//! `lint.toml` parsing: rule configuration plus the grandfather
-//! baseline, in a deliberately small TOML subset (sections, string /
-//! integer / string-array values) so the analyzer stays std-only.
+//! `lint.toml` parsing, in a deliberately small TOML subset (sections,
+//! string / string-array / bool values) so the analyzer stays std-only.
 //!
-//! The baseline lives between `# BEGIN GENERATED BASELINE` /
-//! `# END GENERATED BASELINE` markers and is rewritten in place by
-//! `sciml-lint --update-baseline`; everything outside the markers is
-//! hand-maintained configuration and survives regeneration verbatim.
+//! The configuration is two files. `lint.toml` is hand-written: the
+//! `[lint]` section and one `[rule.<name>]` section per graph rule. The
+//! unsafe inventory beside it ([`inventory_path`]: `lint.unsafe.toml`
+//! for `lint.toml`) is a list of `[[unsafe]]` tables that
+//! `sciml-lint --update-inventory` writes whole; a missing inventory
+//! file is an empty inventory.
 
+use crate::effects::GRAPH_RULES;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
-
-/// Marker opening the generated baseline section.
-pub const BASELINE_BEGIN: &str = "# BEGIN GENERATED BASELINE (sciml-lint --update-baseline)";
-/// Marker closing the generated baseline section.
-pub const BASELINE_END: &str = "# END GENERATED BASELINE";
-/// Marker opening the generated unsafe-inventory section.
-pub const UNSAFE_BEGIN: &str = "# BEGIN GENERATED UNSAFE INVENTORY (sciml-lint --update-baseline)";
-/// Marker closing the generated unsafe-inventory section.
-pub const UNSAFE_END: &str = "# END GENERATED UNSAFE INVENTORY";
-
-/// One grandfathered (file, rule) violation count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Repo-relative file path (forward slashes).
-    pub file: String,
-    /// Rule name.
-    pub rule: String,
-    /// Number of violations grandfathered in this file.
-    pub count: usize,
-}
+use std::path::{Path, PathBuf};
 
 /// Root / boundary configuration for one graph rule
 /// (`[rule.<name>]` section).
@@ -42,9 +24,8 @@ pub struct RuleCfg {
     pub boundaries: Vec<String>,
 }
 
-/// One recorded unsafe site in the generated inventory
-/// (`[[unsafe]]` table between the inventory markers).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// One recorded unsafe site (an `[[unsafe]]` table of the inventory).
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct UnsafeEntry {
     /// Repo-relative file path.
     pub file: String,
@@ -58,7 +39,7 @@ pub struct UnsafeEntry {
     pub safety: bool,
 }
 
-/// Parsed `lint.toml`.
+/// The parsed configuration: `lint.toml` plus its unsafe inventory.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Crates whose non-test code must be panic-free (`no_panics`).
@@ -66,14 +47,11 @@ pub struct Config {
     /// Paths (repo-relative prefixes) designated as decode inner loops
     /// for the `no_instant` rule.
     pub instant_paths: Vec<String>,
-    /// Grandfathered violations: `(file, rule) -> count`.
-    pub baseline: BTreeMap<(String, String), usize>,
     /// Graph-rule roots/boundaries, keyed by rule name.
     pub rules: BTreeMap<String, RuleCfg>,
-    /// The committed unsafe inventory. `None` means the config has no
-    /// inventory section yet and the ratchet is not enforced (so unit
-    /// fixtures and fresh repos don't instantly fail).
-    pub unsafe_inventory: Option<Vec<UnsafeEntry>>,
+    /// The committed unsafe inventory: every non-test unsafe site the
+    /// tree may hold.
+    pub unsafe_inventory: Vec<UnsafeEntry>,
 }
 
 impl Default for Config {
@@ -88,14 +66,13 @@ impl Default for Config {
                 "crates/compress/src".into(),
                 "crates/pipeline/src/pipeline.rs".into(),
             ],
-            baseline: BTreeMap::new(),
             rules: BTreeMap::new(),
-            unsafe_inventory: None,
+            unsafe_inventory: Vec::new(),
         }
     }
 }
 
-/// A `lint.toml` parse failure with its line number.
+/// A parse failure with its line number.
 #[derive(Debug)]
 pub struct ConfigError {
     /// 1-indexed line.
@@ -106,286 +83,197 @@ pub struct ConfigError {
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lint.toml:{}: {}", self.line, self.message)
+        write!(f, "{}: {}", self.line, self.message)
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-enum Section {
-    None,
-    Lint,
-    Baseline,
-    Rule(String),
-    Unsafe,
-    Unknown,
+fn err(line: usize, message: String) -> ConfigError {
+    ConfigError { line, message }
+}
+
+/// One meaningful line: a section header or a `key = value` pair.
+enum Line<'a> {
+    Header(&'a str),
+    Pair(&'a str, &'a str),
+}
+
+/// The non-blank, non-comment lines of `text`, numbered from 1.
+fn lines(text: &str) -> impl Iterator<Item = (usize, Result<Line<'_>, ConfigError>)> {
+    text.lines()
+        .enumerate()
+        .map(|(idx, raw)| (idx + 1, raw.trim()))
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(lineno, line)| {
+            let parsed = if line.starts_with('[') {
+                Ok(Line::Header(line))
+            } else {
+                match line.split_once('=') {
+                    Some((key, value)) => Ok(Line::Pair(key.trim(), value.trim())),
+                    None => Err(err(lineno, format!("expected `key = value`, got `{line}`"))),
+                }
+            };
+            (lineno, parsed)
+        })
 }
 
 impl Config {
-    /// Parses `lint.toml` text.
+    /// Parses hand-written `lint.toml` text: a `[lint]` section and
+    /// `[rule.<name>]` sections for the graph rules. Any other section
+    /// is an error, so a leftover `[[baseline]]`, an `[[unsafe]]` table
+    /// outside the inventory file or a misspelled rule is never
+    /// silently ignored.
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
-        let mut cfg = Config {
-            baseline: BTreeMap::new(),
-            ..Config::default()
-        };
-        let mut section = Section::None;
-        let mut cur: Option<BaselineEntry> = None;
-        let mut cur_unsafe: Option<UnsafeEntry> = None;
-        let finish = |cur: &mut Option<BaselineEntry>,
-                      cur_unsafe: &mut Option<UnsafeEntry>,
-                      cfg: &mut Config,
-                      line: usize|
-         -> Result<(), ConfigError> {
-            if let Some(e) = cur.take() {
-                if e.file.is_empty() || e.rule.is_empty() {
-                    return Err(ConfigError {
-                        line,
-                        message: "baseline entry needs both `file` and `rule`".into(),
-                    });
+        let mut cfg = Config::default();
+        // `None` before the first header, then `Some(None)` in `[lint]`
+        // and `Some(Some(rule))` in `[rule.<rule>]`.
+        let mut section: Option<Option<String>> = None;
+        for (lineno, line) in lines(text) {
+            let (key, value) = match line? {
+                Line::Header("[lint]") => {
+                    section = Some(None);
+                    continue;
                 }
-                cfg.baseline.insert((e.file, e.rule), e.count);
-            }
-            if let Some(e) = cur_unsafe.take() {
-                if e.file.is_empty() || e.kind.is_empty() || e.hash.is_empty() {
-                    return Err(ConfigError {
-                        line,
-                        message: "unsafe entry needs `file`, `kind`, and `hash`".into(),
-                    });
-                }
-                cfg.unsafe_inventory.get_or_insert_with(Vec::new).push(e);
-            }
-            Ok(())
-        };
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line == UNSAFE_BEGIN {
-                // An (even empty) inventory section turns the ratchet
-                // on: "no unsafe recorded" then means "no unsafe
-                // allowed", not "not enforced".
-                cfg.unsafe_inventory.get_or_insert_with(Vec::new);
-                continue;
-            }
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[[baseline]]" {
-                finish(&mut cur, &mut cur_unsafe, &mut cfg, lineno)?;
-                section = Section::Baseline;
-                cur = Some(BaselineEntry {
-                    file: String::new(),
-                    rule: String::new(),
-                    count: 0,
-                });
-                continue;
-            }
-            if line == "[[unsafe]]" {
-                finish(&mut cur, &mut cur_unsafe, &mut cfg, lineno)?;
-                section = Section::Unsafe;
-                cur_unsafe = Some(UnsafeEntry {
-                    file: String::new(),
-                    kind: String::new(),
-                    context: String::new(),
-                    hash: String::new(),
-                    safety: false,
-                });
-                continue;
-            }
-            if line.starts_with('[') {
-                finish(&mut cur, &mut cur_unsafe, &mut cfg, lineno)?;
-                section = if line == "[lint]" {
-                    Section::Lint
-                } else if let Some(rule) = line
-                    .strip_prefix("[rule.")
-                    .and_then(|s| s.strip_suffix(']'))
-                {
+                Line::Header(header) => {
+                    let Some(rule) = header
+                        .strip_prefix("[rule.")
+                        .and_then(|s| s.strip_suffix(']'))
+                    else {
+                        return Err(err(lineno, format!("unknown section `{header}`")));
+                    };
+                    // A misspelled rule would leave its roots unchecked.
+                    if !GRAPH_RULES.iter().any(|&(name, _)| name == rule) {
+                        return Err(err(lineno, format!("no graph rule `{rule}` in `{header}`")));
+                    }
                     cfg.rules.entry(rule.to_string()).or_default();
-                    Section::Rule(rule.to_string())
-                } else {
-                    Section::Unknown
-                };
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ConfigError {
-                    line: lineno,
-                    message: format!("expected `key = value`, got `{line}`"),
-                });
+                    section = Some(Some(rule.to_string()));
+                    continue;
+                }
+                Line::Pair(key, value) => (key, value),
             };
-            let key = key.trim();
-            let value = value.trim();
-            match section {
-                Section::Lint => match key {
+            match &section {
+                None => return Err(err(lineno, "key before any section header".into())),
+                Some(None) => match key {
                     "hot_path_crates" => cfg.hot_path_crates = parse_string_array(value, lineno)?,
                     "instant_paths" => cfg.instant_paths = parse_string_array(value, lineno)?,
-                    _ => {
-                        return Err(ConfigError {
-                            line: lineno,
-                            message: format!("unknown [lint] key `{key}`"),
-                        })
-                    }
+                    _ => return Err(err(lineno, format!("unknown [lint] key `{key}`"))),
                 },
-                Section::Baseline => {
-                    let entry = cur.as_mut().ok_or(ConfigError {
-                        line: lineno,
-                        message: "baseline key outside [[baseline]]".into(),
-                    })?;
-                    match key {
-                        "file" => entry.file = parse_string(value, lineno)?,
-                        "rule" => entry.rule = parse_string(value, lineno)?,
-                        "count" => {
-                            entry.count = value.parse().map_err(|_| ConfigError {
-                                line: lineno,
-                                message: format!("count must be an integer, got `{value}`"),
-                            })?
-                        }
-                        _ => {
-                            return Err(ConfigError {
-                                line: lineno,
-                                message: format!("unknown [[baseline]] key `{key}`"),
-                            })
-                        }
-                    }
-                }
-                Section::Rule(ref rule) => {
+                Some(Some(rule)) => {
                     let entry = cfg.rules.entry(rule.clone()).or_default();
                     match key {
                         "roots" => entry.roots = parse_string_array(value, lineno)?,
                         "boundaries" => entry.boundaries = parse_string_array(value, lineno)?,
-                        _ => {
-                            return Err(ConfigError {
-                                line: lineno,
-                                message: format!("unknown [rule.{rule}] key `{key}`"),
-                            })
-                        }
+                        _ => return Err(err(lineno, format!("unknown [rule.{rule}] key `{key}`"))),
                     }
-                }
-                Section::Unsafe => {
-                    let entry = cur_unsafe.as_mut().ok_or(ConfigError {
-                        line: lineno,
-                        message: "unsafe key outside [[unsafe]]".into(),
-                    })?;
-                    match key {
-                        "file" => entry.file = parse_string(value, lineno)?,
-                        "kind" => entry.kind = parse_string(value, lineno)?,
-                        "context" => entry.context = parse_string(value, lineno)?,
-                        "hash" => entry.hash = parse_string(value, lineno)?,
-                        "safety" => {
-                            entry.safety = match value {
-                                "true" => true,
-                                "false" => false,
-                                _ => {
-                                    return Err(ConfigError {
-                                        line: lineno,
-                                        message: format!(
-                                            "safety must be true or false, got `{value}`"
-                                        ),
-                                    })
-                                }
-                            }
-                        }
-                        _ => {
-                            return Err(ConfigError {
-                                line: lineno,
-                                message: format!("unknown [[unsafe]] key `{key}`"),
-                            })
-                        }
-                    }
-                }
-                Section::Unknown => {}
-                Section::None => {
-                    return Err(ConfigError {
-                        line: lineno,
-                        message: "key before any section header".into(),
-                    })
                 }
             }
         }
-        finish(&mut cur, &mut cur_unsafe, &mut cfg, text.lines().count())?;
         Ok(cfg)
     }
 
-    /// Loads `lint.toml` from `path`; a missing file yields the default
-    /// configuration with an empty baseline.
-    pub fn load(path: &Path) -> Result<Self, ConfigError> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Self::parse(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Config::default()),
-            Err(e) => Err(ConfigError {
-                line: 0,
-                message: format!("reading {}: {e}", path.display()),
-            }),
-        }
-    }
-
-    /// Serializes `entries` as the generated baseline section body.
-    pub fn render_baseline(entries: &[BaselineEntry]) -> String {
-        let mut out = String::new();
-        for e in entries {
-            out.push_str(&format!(
-                "\n[[baseline]]\nfile = \"{}\"\nrule = \"{}\"\ncount = {}\n",
-                e.file, e.rule, e.count
-            ));
-        }
-        out
-    }
-
-    /// Serializes `entries` as the generated unsafe-inventory body.
-    pub fn render_unsafe(entries: &[UnsafeEntry]) -> String {
-        let mut out = String::new();
-        for e in entries {
-            out.push_str(&format!(
-                "\n[[unsafe]]\nfile = \"{}\"\nkind = \"{}\"\ncontext = \"{}\"\nhash = \"{}\"\nsafety = {}\n",
-                e.file, e.kind, e.context, e.hash, e.safety
-            ));
-        }
-        out
-    }
-
-    /// Rewrites the marker-delimited generated sections of `lint.toml`
-    /// at `path` — the violation baseline and the unsafe inventory —
-    /// creating the file (markers included) if absent. Returns the new
-    /// file text.
-    pub fn update_baseline_file(
-        path: &Path,
-        entries: &[BaselineEntry],
-        unsafe_entries: &[UnsafeEntry],
-    ) -> std::io::Result<String> {
-        let existing = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => format!(
-                "# sciml-lint configuration (see docs/ARCHITECTURE.md §4f and §4k)\n\n{}\n{}\n\n{}\n{}\n",
-                BASELINE_BEGIN, BASELINE_END, UNSAFE_BEGIN, UNSAFE_END
-            ),
-            Err(e) => return Err(e),
+    /// Loads `lint.toml` from `path` and the inventory beside it. A
+    /// missing `lint.toml` yields the default configuration, and a
+    /// missing inventory an empty one. Errors name the file and line.
+    pub fn load(path: &Path) -> Result<Self, String> {
+        let mut cfg = match read_optional(path)? {
+            Some(text) => Self::parse(&text).map_err(|e| format!("{}:{e}", path.display()))?,
+            None => Config::default(),
         };
-        let text = replace_section(
-            &existing,
-            BASELINE_BEGIN,
-            BASELINE_END,
-            &Self::render_baseline(entries),
-        );
-        let text = replace_section(
-            &text,
-            UNSAFE_BEGIN,
-            UNSAFE_END,
-            &Self::render_unsafe(unsafe_entries),
-        );
-        std::fs::write(path, &text)?;
-        Ok(text)
+        let inventory = inventory_path(path);
+        if let Some(text) = read_optional(&inventory)? {
+            cfg.unsafe_inventory =
+                parse_inventory(&text).map_err(|e| format!("{}:{e}", inventory.display()))?;
+        }
+        Ok(cfg)
     }
 }
 
-/// Replaces the text between `begin` and `end` markers with `body`,
-/// appending a fresh marker pair when the text has none.
-fn replace_section(existing: &str, begin: &str, end: &str, body: &str) -> String {
-    match (existing.find(begin), existing.find(end)) {
-        (Some(b), Some(e)) if b < e => {
-            let after_begin = b + begin.len();
-            format!("{}{}\n{}", &existing[..after_begin], body, &existing[e..])
-        }
-        _ => format!("{}\n\n{}\n{}{}\n", existing.trim_end(), begin, body, end),
+fn read_optional(path: &Path) -> Result<Option<String>, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("reading {}: {e}", path.display())),
     }
+}
+
+/// The generated inventory file that belongs to the config at
+/// `config`: `lint.toml` → `lint.unsafe.toml`, in the same directory.
+pub fn inventory_path(config: &Path) -> PathBuf {
+    config.with_extension("unsafe.toml")
+}
+
+/// Parses inventory text: `[[unsafe]]` tables, each with `file`,
+/// `kind` and `hash` (`context` and `safety` may be left out).
+pub fn parse_inventory(text: &str) -> Result<Vec<UnsafeEntry>, ConfigError> {
+    let mut out = Vec::new();
+    let mut cur: Option<(usize, UnsafeEntry)> = None;
+    let finish = |cur: Option<(usize, UnsafeEntry)>, out: &mut Vec<UnsafeEntry>| {
+        if let Some((line, e)) = cur {
+            if e.file.is_empty() || e.kind.is_empty() || e.hash.is_empty() {
+                return Err(err(
+                    line,
+                    "unsafe entry needs `file`, `kind`, and `hash`".into(),
+                ));
+            }
+            out.push(e);
+        }
+        Ok(())
+    };
+    for (lineno, line) in lines(text) {
+        match line? {
+            Line::Header("[[unsafe]]") => {
+                finish(cur.take(), &mut out)?;
+                cur = Some((lineno, UnsafeEntry::default()));
+            }
+            Line::Header(header) => {
+                return Err(err(lineno, format!("unknown section `{header}`")));
+            }
+            Line::Pair(key, value) => {
+                let Some((_, entry)) = cur.as_mut() else {
+                    return Err(err(lineno, "key outside [[unsafe]]".into()));
+                };
+                match key {
+                    "file" => entry.file = parse_string(value, lineno)?,
+                    "kind" => entry.kind = parse_string(value, lineno)?,
+                    "context" => entry.context = parse_string(value, lineno)?,
+                    "hash" => entry.hash = parse_string(value, lineno)?,
+                    "safety" => {
+                        entry.safety = match value {
+                            "true" => true,
+                            "false" => false,
+                            _ => {
+                                return Err(err(
+                                    lineno,
+                                    format!("safety must be true or false, got `{value}`"),
+                                ))
+                            }
+                        }
+                    }
+                    _ => return Err(err(lineno, format!("unknown [[unsafe]] key `{key}`"))),
+                }
+            }
+        }
+    }
+    finish(cur, &mut out)?;
+    Ok(out)
+}
+
+/// The whole text of an inventory file recording `entries`.
+pub fn render_inventory(entries: &[UnsafeEntry]) -> String {
+    let mut out = String::from(
+        "# Unsafe inventory for sciml-lint's `unsafe_inventory` rule (see\n\
+         # docs/ARCHITECTURE.md §4k). Generated whole by\n\
+         # `sciml-lint --update-inventory`: review a new or edited unsafe\n\
+         # site, then regenerate; do not edit by hand.\n",
+    );
+    for e in entries {
+        out.push_str(&format!(
+            "\n[[unsafe]]\nfile = \"{}\"\nkind = \"{}\"\ncontext = \"{}\"\nhash = \"{}\"\nsafety = {}\n",
+            e.file, e.kind, e.context, e.hash, e.safety
+        ));
+    }
+    out
 }
 
 fn parse_string(value: &str, line: usize) -> Result<String, ConfigError> {
@@ -393,20 +281,20 @@ fn parse_string(value: &str, line: usize) -> Result<String, ConfigError> {
     if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
         Ok(v[1..v.len() - 1].to_string())
     } else {
-        Err(ConfigError {
+        Err(err(
             line,
-            message: format!("expected a quoted string, got `{value}`"),
-        })
+            format!("expected a quoted string, got `{value}`"),
+        ))
     }
 }
 
 fn parse_string_array(value: &str, line: usize) -> Result<Vec<String>, ConfigError> {
     let v = value.trim();
     let Some(inner) = v.strip_prefix('[').and_then(|s| s.strip_suffix(']')) else {
-        return Err(ConfigError {
+        return Err(err(
             line,
-            message: format!("expected an array of strings, got `{value}`"),
-        });
+            format!("expected an array of strings, got `{value}`"),
+        ));
     };
     inner
         .split(',')
@@ -427,67 +315,47 @@ mod tests {
 [lint]
 hot_path_crates = ["codec", "pipeline"]
 instant_paths = ["crates/codec/src"]
-
-# BEGIN GENERATED BASELINE (sciml-lint --update-baseline)
-[[baseline]]
-file = "crates/serve/src/server.rs"
-rule = "no_panics"
-count = 3
-
-[[baseline]]
-file = "crates/codec/src/lib.rs"
-rule = "safety_comment"
-count = 1
-# END GENERATED BASELINE
 "#;
         let cfg = Config::parse(text).unwrap();
         assert_eq!(cfg.hot_path_crates, vec!["codec", "pipeline"]);
-        assert_eq!(
-            cfg.baseline
-                .get(&("crates/serve/src/server.rs".into(), "no_panics".into())),
-            Some(&3)
-        );
-        assert_eq!(cfg.baseline.len(), 2);
+        assert_eq!(cfg.instant_paths, vec!["crates/codec/src"]);
+        assert!(cfg.unsafe_inventory.is_empty());
+    }
+
+    #[test]
+    fn a_baseline_section_is_an_error_that_names_it() {
+        let text = "[lint]\nhot_path_crates = [\"codec\"]\n\n[[baseline]]\n\
+                    file = \"crates/codec/src/lib.rs\"\nrule = \"no_panics\"\ncount = 1\n";
+        let err = Config::parse(text).unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("[[baseline]]"), "{err}");
+    }
+
+    #[test]
+    fn unsafe_tables_belong_in_the_inventory_file() {
+        let text = "[[unsafe]]\nfile = \"a.rs\"\nkind = \"block\"\nhash = \"00\"\n";
+        assert!(Config::parse(text)
+            .unwrap_err()
+            .message
+            .contains("[[unsafe]]"));
+        assert_eq!(parse_inventory(text).unwrap().len(), 1);
+        assert!(parse_inventory("[lint]\n").is_err());
     }
 
     #[test]
     fn missing_field_is_an_error() {
-        let text = "[[baseline]]\nfile = \"x.rs\"\ncount = 1\n";
-        assert!(Config::parse(text).is_err());
+        // An entry without a `hash` is named by its header's line.
+        let text = "[[unsafe]]\nfile = \"a.rs\"\nkind = \"block\"\nhash = \"00\"\n\n\
+                    [[unsafe]]\nfile = \"x.rs\"\nkind = \"block\"\n";
+        let err = parse_inventory(text).unwrap_err();
+        assert_eq!(err.line, 6);
+        assert!(err.message.contains("`hash`"));
     }
 
     #[test]
     fn bad_syntax_reports_line() {
         let err = Config::parse("[lint]\nhot_path_crates = nope\n").unwrap_err();
         assert_eq!(err.line, 2);
-    }
-
-    #[test]
-    fn baseline_roundtrip_through_markers() {
-        let dir = std::env::temp_dir().join(format!("lint-cfg-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lint.toml");
-        let entries = vec![BaselineEntry {
-            file: "crates/a/src/lib.rs".into(),
-            rule: "no_panics".into(),
-            count: 2,
-        }];
-        Config::update_baseline_file(&path, &entries, &[]).unwrap();
-        let cfg = Config::load(&path).unwrap();
-        assert_eq!(
-            cfg.baseline
-                .get(&("crates/a/src/lib.rs".into(), "no_panics".into())),
-            Some(&2)
-        );
-        // Hand-written config outside the markers survives an update.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text = format!("[lint]\nhot_path_crates = [\"codec\"]\n{text}");
-        std::fs::write(&path, &text).unwrap();
-        Config::update_baseline_file(&path, &[], &[]).unwrap();
-        let cfg = Config::load(&path).unwrap();
-        assert_eq!(cfg.hot_path_crates, vec!["codec"]);
-        assert!(cfg.baseline.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -503,25 +371,25 @@ count = 1
             cfg.rules["no_blocking_in_reactor"].boundaries,
             vec!["reactor.rs:maybe_dispatch"]
         );
-        let err = Config::parse("[rule.x]\nnope = [\"y\"]\n").unwrap_err();
-        assert!(err.message.contains("unknown [rule.x] key"));
+        let err = Config::parse("[rule.no_alloc_hot_loop]\nnope = [\"y\"]\n").unwrap_err();
+        assert!(err.message.contains("unknown [rule.no_alloc_hot_loop] key"));
+        // A misspelled rule is an error, not a section whose roots are
+        // never walked.
+        let err = Config::parse("[rule.no_panic_transitive]\nroots = [\"a.rs:f\"]\n").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("no_panic_transitive"), "{err}");
     }
 
     #[test]
-    fn unsafe_inventory_roundtrip_and_empty_semantics() {
-        // No section at all: the ratchet is off.
-        assert!(Config::parse("[lint]\nhot_path_crates = []\n")
-            .unwrap()
-            .unsafe_inventory
-            .is_none());
-        // An empty marker pair turns it on with zero recorded sites.
-        let text = format!("{UNSAFE_BEGIN}\n{UNSAFE_END}\n");
-        let cfg = Config::parse(&text).unwrap();
-        assert_eq!(cfg.unsafe_inventory.as_deref(), Some(&[] as &[UnsafeEntry]));
-
+    fn inventory_roundtrips_beside_its_config() {
         let dir = std::env::temp_dir().join(format!("lint-unsafe-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("lint.toml");
+        std::fs::write(&path, "[lint]\nhot_path_crates = [\"codec\"]\n").unwrap();
+        assert_eq!(inventory_path(&path), dir.join("lint.unsafe.toml"));
+        // No inventory file: an empty inventory, not an unenforced one.
+        assert!(Config::load(&path).unwrap().unsafe_inventory.is_empty());
+
         let entries = vec![UnsafeEntry {
             file: "crates/simd/src/gather.rs".into(),
             kind: "block".into(),
@@ -529,9 +397,10 @@ count = 1
             hash: "00ff00ff00ff00ff".into(),
             safety: true,
         }];
-        Config::update_baseline_file(&path, &[], &entries).unwrap();
+        std::fs::write(inventory_path(&path), render_inventory(&entries)).unwrap();
         let cfg = Config::load(&path).unwrap();
-        assert_eq!(cfg.unsafe_inventory.as_deref(), Some(entries.as_slice()));
+        assert_eq!(cfg.hot_path_crates, vec!["codec"]);
+        assert_eq!(cfg.unsafe_inventory, entries);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

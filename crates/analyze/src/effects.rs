@@ -23,48 +23,17 @@ use crate::graph::{EffectKind, Workspace};
 use crate::rules::Violation;
 use std::collections::HashMap;
 
-/// One reported effect chain (for the JSON report).
-#[derive(Debug, Clone)]
-pub struct Chain {
-    /// The rule that fired.
-    pub rule: &'static str,
-    /// File of the root function.
-    pub root_file: String,
-    /// Declaration line of the root function.
-    pub root_line: usize,
-    /// Function names from the root to the offending function.
-    pub path: Vec<String>,
-    /// The offending token.
-    pub token: String,
-    /// File containing the token.
-    pub site_file: String,
-    /// Line of the token.
-    pub site_line: usize,
-}
-
-impl Chain {
-    /// The human rendering used as the violation token.
-    pub fn render(&self) -> String {
-        format!(
-            "{} [{} at {}:{}]",
-            self.path.join(" -> "),
-            self.token,
-            self.site_file,
-            self.site_line
-        )
-    }
-}
-
-const GRAPH_RULES: &[(&str, EffectKind)] = &[
+/// The graph rules and the effect each one looks for; `lint.toml` may
+/// configure these and no others.
+pub(crate) const GRAPH_RULES: &[(&str, EffectKind)] = &[
     ("no_panics_transitive", EffectKind::Panic),
     ("no_alloc_hot_loop", EffectKind::Alloc),
     ("no_blocking_in_reactor", EffectKind::Block),
 ];
 
 /// Evaluates every configured graph rule against the workspace.
-pub fn evaluate(ws: &Workspace, cfg: &Config) -> (Vec<Violation>, Vec<Chain>) {
+pub fn evaluate(ws: &Workspace, cfg: &Config) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut chains = Vec::new();
     for &(rule, kind) in GRAPH_RULES {
         let Some(rule_cfg) = cfg.rules.get(rule) else {
             continue;
@@ -86,19 +55,11 @@ pub fn evaluate(ws: &Workspace, cfg: &Config) -> (Vec<Violation>, Vec<Chain>) {
                 continue;
             }
             for root in roots {
-                walk_root(
-                    ws,
-                    rule,
-                    kind,
-                    root,
-                    &is_boundary,
-                    &mut violations,
-                    &mut chains,
-                );
+                walk_root(ws, rule, kind, root, &is_boundary, &mut violations);
             }
         }
     }
-    (violations, chains)
+    violations
 }
 
 fn walk_root(
@@ -108,7 +69,6 @@ fn walk_root(
     root: usize,
     is_boundary: &dyn Fn(usize) -> bool,
     violations: &mut Vec<Violation>,
-    chains: &mut Vec<Chain>,
 ) {
     // BFS with parent pointers for chain reconstruction.
     let mut parent: HashMap<usize, usize> = HashMap::new();
@@ -128,22 +88,18 @@ fn walk_root(
                 at = p;
             }
             path.reverse();
-            let chain = Chain {
-                rule,
-                root_file: ws.nodes[root].file.clone(),
-                root_line: ws.nodes[root].decl_line,
-                path,
-                token: effect.token.clone(),
-                site_file: ws.nodes[u].file.clone(),
-                site_line: effect.line,
-            };
             violations.push(Violation {
-                file: chain.root_file.clone(),
-                line: chain.root_line,
+                file: ws.nodes[root].file.clone(),
+                line: ws.nodes[root].decl_line,
                 rule,
-                token: chain.render(),
+                token: format!(
+                    "{} [{} at {}:{}]",
+                    path.join(" -> "),
+                    effect.token,
+                    ws.nodes[u].file,
+                    effect.line
+                ),
             });
-            chains.push(chain);
         }
         for call in &ws.nodes[u].calls {
             if call.waived.contains(rule) {
@@ -205,18 +161,13 @@ mod tests {
              fn lut_get() { panic!(\"bad index\") }\n",
         )]);
         let cfg = cfg_with("no_panics_transitive", &["decode.rs:decode_into"], &[]);
-        let (violations, chains) = evaluate(&w, &cfg);
+        let violations = evaluate(&w, &cfg);
         assert_eq!(violations.len(), 1);
-        assert_eq!(chains.len(), 1);
+        // The token is the whole edge path, then the effect and its site.
         assert_eq!(
-            chains[0].path,
-            vec!["decode_into", "gather_rows", "lut_get"]
-        );
-        assert_eq!(chains[0].token, "panic!");
-        assert_eq!(chains[0].site_line, 3);
-        assert!(violations[0].token.contains(
+            violations[0].token,
             "decode_into -> gather_rows -> lut_get [panic! at crates/c/src/decode.rs:3]"
-        ));
+        );
         // The violation is attributed to the root's declaration.
         assert_eq!(violations[0].file, "crates/c/src/decode.rs");
         assert_eq!(violations[0].line, 1);
@@ -232,14 +183,18 @@ mod tests {
              fn blocking_send() { ch.recv(); }\n",
         )]);
         let cfg = cfg_with("no_blocking_in_reactor", &["reactor.rs:run"], &[]);
-        let (violations, _) = evaluate(&w, &cfg);
+        let violations = evaluate(&w, &cfg);
         assert_eq!(violations.len(), 1);
+        assert_eq!(
+            violations[0].token,
+            "run -> dispatch -> blocking_send [.recv() at crates/serve/src/reactor.rs:4]"
+        );
         let cfg = cfg_with(
             "no_blocking_in_reactor",
             &["reactor.rs:run"],
             &["reactor.rs:dispatch"],
         );
-        let (violations, _) = evaluate(&w, &cfg);
+        let violations = evaluate(&w, &cfg);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -251,7 +206,7 @@ mod tests {
              slow_path();\n}\nfn slow_path() { let v = Vec::new(); }\n",
         )]);
         let cfg = cfg_with("no_alloc_hot_loop", &["lib.rs:hot"], &[]);
-        let (violations, _) = evaluate(&w, &cfg);
+        let violations = evaluate(&w, &cfg);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -259,7 +214,7 @@ mod tests {
     fn unmatched_root_is_a_violation() {
         let w = ws(&[("crates/c/src/lib.rs", "fn f() {}\n")]);
         let cfg = cfg_with("no_panics_transitive", &["lib.rs:not_there"], &[]);
-        let (violations, _) = evaluate(&w, &cfg);
+        let violations = evaluate(&w, &cfg);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].token.contains("matched no function"));
     }
@@ -272,8 +227,6 @@ mod tests {
              fn widen(buf: &mut [u8]) { for b in buf { *b += 1 } }\n",
         )]);
         let cfg = cfg_with("no_panics_transitive", &["lib.rs:decode_into"], &[]);
-        let (violations, chains) = evaluate(&w, &cfg);
-        assert!(violations.is_empty());
-        assert!(chains.is_empty());
+        assert!(evaluate(&w, &cfg).is_empty());
     }
 }

@@ -1,25 +1,26 @@
 //! sciml-analyze — in-repo correctness tooling for the sciml stack.
 //!
-//! Two halves (see `docs/ARCHITECTURE.md` §4f):
+//! Two halves (see `docs/ARCHITECTURE.md` §4f and §4k):
 //!
 //! * **`sciml-lint`** (this crate, plus the `sciml-lint` binary): a
-//!   std-only static-analysis pass over `crates/` built on a small
-//!   comment/string/raw-string-aware Rust [`lexer`]. Enforced
-//!   [`rules`]: `no_panics` (no `unwrap`/`expect`/`panic!` family in
-//!   non-test hot-path code), `safety_comment` (every `unsafe` block
-//!   or impl carries a `// SAFETY:` justification), `no_std_sync`
+//!   std-only static-analysis pass over `crates/` and `shims/` built on
+//!   a small comment/string/raw-string-aware Rust [`lexer`]. Four token
+//!   [`rules`] run per line: `no_panics` (no `unwrap`/`expect`/`panic!`
+//!   family in non-test hot-path code), `safety_comment` (every `unsafe`
+//!   block or impl carries a `// SAFETY:` justification), `no_std_sync`
 //!   (lock types go through `shims/parking_lot`, which is where the
 //!   lockcheck instrumentation lives), `no_instant` (no raw
 //!   `Instant::now()` in designated decode inner loops — timing goes
-//!   through `sciml-obs`). Violations are waived in place with
-//!   `// lint:allow(<rule>): <reason>` or grandfathered per
-//!   (file, rule) in `lint.toml`'s generated baseline.
+//!   through `sciml-obs`). Three [`effects`] rules walk the workspace
+//!   call [`graph`] from `lint.toml`'s roots, and `unsafe_inventory`
+//!   holds every unsafe site to the generated inventory beside
+//!   `lint.toml` ([`config::inventory_path`]). A violation is waived in
+//!   place with `// lint:allow(<rule>): <reason>`, or fixed.
 //! * **the lock-order detector** in `parking_lot::lockcheck`
 //!   (`--cfg lockcheck`), whose statistics `sciml-obs` republishes as
 //!   `analyze.lockcheck.*`.
 //!
-//! The CI gate is [`Outcome::is_green`]: zero non-baselined violations
-//! *and* zero stale baseline entries, so the baseline can only shrink.
+//! The CI gate is [`Outcome::is_green`]: no violation of any rule.
 
 #![deny(missing_docs)]
 
@@ -28,73 +29,30 @@ pub mod effects;
 pub mod graph;
 pub mod items;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 
-pub use config::{BaselineEntry, Config, RuleCfg, UnsafeEntry};
-pub use effects::Chain;
-pub use report::Report;
-pub use rules::{baselineable, FileContext, Violation, RULE_NAMES};
+pub use config::{Config, RuleCfg, UnsafeEntry};
+pub use rules::{FileContext, Violation, RULE_NAMES};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Result of linting a tree against a config + baseline.
+/// Result of linting a tree against a config.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Violations not covered by the baseline (CI-failing).
-    pub new_violations: Vec<Violation>,
-    /// Baseline entries whose file now has *fewer* violations than
-    /// recorded: the baseline is stale and must be tightened
-    /// (CI-failing, by design — ratchet only moves down).
-    pub stale: Vec<StaleEntry>,
-    /// Violations absorbed by the baseline.
-    pub suppressed: usize,
-    /// Every raw violation (for `--update-baseline` and reporting),
-    /// keyed `(file, rule) -> count`.
-    pub counts: BTreeMap<(String, String), usize>,
+    /// Every violation found; any one fails the gate.
+    pub violations: Vec<Violation>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Effect chains behind the graph-rule violations.
-    pub chains: Vec<Chain>,
     /// The unsafe inventory of the scanned tree as it exists *now*
-    /// (what `--update-baseline` writes).
+    /// (what `--update-inventory` writes).
     pub unsafe_entries: Vec<UnsafeEntry>,
 }
 
-/// One baseline entry that no longer matches reality.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaleEntry {
-    /// File the entry refers to.
-    pub file: String,
-    /// Rule name.
-    pub rule: String,
-    /// Count recorded in the baseline.
-    pub baselined: usize,
-    /// Count actually found now.
-    pub actual: usize,
-}
-
 impl Outcome {
-    /// The CI gate: no new violations, no stale baseline.
+    /// The CI gate: no violations.
     pub fn is_green(&self) -> bool {
-        self.new_violations.is_empty() && self.stale.is_empty()
-    }
-
-    /// The baselineable violation set re-expressed as baseline entries.
-    /// Graph-rule and inventory violations are deliberately excluded:
-    /// they cannot be grandfathered, only fixed or waived in place.
-    pub fn as_baseline(&self) -> Vec<BaselineEntry> {
-        self.counts
-            .iter()
-            .filter(|(_, &count)| count > 0)
-            .filter(|((_, rule), _)| baselineable(rule))
-            .map(|((file, rule), &count)| BaselineEntry {
-                file: file.clone(),
-                rule: rule.clone(),
-                count,
-            })
-            .collect()
+        self.violations.is_empty()
     }
 }
 
@@ -119,9 +77,7 @@ pub fn lint_tree(roots: &[PathBuf], repo_root: &Path, cfg: &Config) -> std::io::
         let rel = rel_path(repo_root, &path);
         let ctx = file_context(&rel, cfg);
         outcome.files_scanned += 1;
-        for v in rules::scan_file(&text, &ctx) {
-            outcome.new_violations.push(v);
-        }
+        outcome.violations.extend(rules::scan_file(&text, &ctx));
         sources.push((rel, text));
     }
 
@@ -131,77 +87,37 @@ pub fn lint_tree(roots: &[PathBuf], repo_root: &Path, cfg: &Config) -> std::io::
     // effect tokens detect at the call site), but every scanned file
     // is inventoried for unsafe sites.
     let ws = graph::Workspace::build(&sources);
-    let (graph_violations, chains) = effects::evaluate(&ws, cfg);
-    outcome.new_violations.extend(graph_violations);
-    outcome.chains = chains;
-
-    outcome.unsafe_entries = current_inventory(&ws);
-    if let Some(recorded) = &cfg.unsafe_inventory {
-        outcome.new_violations.extend(inventory_diff(&ws, recorded));
-    }
-
-    for v in &outcome.new_violations {
-        *outcome
-            .counts
-            .entry((v.file.clone(), v.rule.to_string()))
-            .or_default() += 1;
-    }
-
-    // Apply the baseline: per (file, rule), the first `count`
-    // violations are grandfathered; extras are new. Fewer than `count`
-    // means the baseline is stale.
-    let mut remaining: BTreeMap<(String, String), usize> =
-        cfg.baseline.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    outcome.new_violations.retain(|v| {
-        let key = (v.file.clone(), v.rule.to_string());
-        match remaining.get_mut(&key) {
-            Some(budget) if *budget > 0 => {
-                *budget -= 1;
-                outcome.suppressed += 1;
-                false
-            }
-            _ => true,
-        }
-    });
-    for ((file, rule), &baselined) in &cfg.baseline {
-        let actual = outcome
-            .counts
-            .get(&(file.clone(), rule.clone()))
-            .copied()
-            .unwrap_or(0);
-        if actual < baselined {
-            outcome.stale.push(StaleEntry {
-                file: file.clone(),
-                rule: rule.clone(),
-                baselined,
-                actual,
-            });
-        }
-    }
+    outcome.violations.extend(effects::evaluate(&ws, cfg));
+    let sites = unsafe_sites(&ws);
+    outcome
+        .violations
+        .extend(inventory_diff(&sites, &cfg.unsafe_inventory));
+    outcome.unsafe_entries = sites.into_iter().map(|(entry, _)| entry).collect();
+    outcome.unsafe_entries.sort();
     Ok(outcome)
 }
 
-/// The scanned tree's non-test unsafe sites as inventory entries.
-/// Test-code unsafe (inside `#[cfg(test)]` or `tests/` files) is
-/// excluded: it churns with test edits and is not part of the
-/// production unsafe surface the ratchet protects.
-fn current_inventory(ws: &graph::Workspace) -> Vec<UnsafeEntry> {
+/// The scanned tree's non-test unsafe sites as inventory entries, each
+/// with its line. Test-code unsafe (inside `#[cfg(test)]` or `tests/`
+/// files) is excluded: it churns with test edits and is not part of the
+/// production unsafe surface the inventory protects.
+fn unsafe_sites(ws: &graph::Workspace) -> Vec<(UnsafeEntry, usize)> {
     let mut out = Vec::new();
     for f in &ws.files {
         for (site, hash) in f.unsafe_sites.iter().zip(&f.unsafe_hashes) {
             if f.test_file || site.is_test {
                 continue;
             }
-            out.push(UnsafeEntry {
+            let entry = UnsafeEntry {
                 file: f.rel.clone(),
                 kind: site.kind.name().to_string(),
                 context: site.context.clone(),
                 hash: hash.clone(),
                 safety: site.safety_comment,
-            });
+            };
+            out.push((entry, site.line));
         }
     }
-    out.sort();
     out
 }
 
@@ -209,57 +125,35 @@ fn current_inventory(ws: &graph::Workspace) -> Vec<UnsafeEntry> {
 /// inventory: unrecorded sites and entries that no longer match both
 /// fail as `unsafe_inventory` violations until the inventory is
 /// regenerated (and the diff reviewed).
-fn inventory_diff(ws: &graph::Workspace, recorded: &[UnsafeEntry]) -> Vec<Violation> {
-    type Key = (String, String, String, String, bool);
-    let key = |e: &UnsafeEntry| -> Key {
-        (
-            e.file.clone(),
-            e.kind.clone(),
-            e.context.clone(),
-            e.hash.clone(),
-            e.safety,
-        )
-    };
-    let mut budget: BTreeMap<Key, usize> = BTreeMap::new();
+fn inventory_diff(sites: &[(UnsafeEntry, usize)], recorded: &[UnsafeEntry]) -> Vec<Violation> {
+    let mut budget: BTreeMap<&UnsafeEntry, usize> = BTreeMap::new();
     for e in recorded {
-        *budget.entry(key(e)).or_default() += 1;
+        *budget.entry(e).or_default() += 1;
     }
     let mut out = Vec::new();
-    for f in &ws.files {
-        for (site, hash) in f.unsafe_sites.iter().zip(&f.unsafe_hashes) {
-            if f.test_file || site.is_test {
-                continue;
-            }
-            let k = (
-                f.rel.clone(),
-                site.kind.name().to_string(),
-                site.context.clone(),
-                hash.clone(),
-                site.safety_comment,
-            );
-            match budget.get_mut(&k) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => out.push(Violation {
-                    file: f.rel.clone(),
-                    line: site.line,
-                    rule: "unsafe_inventory",
-                    token: format!(
-                        "unrecorded or edited unsafe {} in `{}` — review it, then run `sciml-lint --update-baseline`",
-                        site.kind.name(),
-                        site.context
-                    ),
-                }),
-            }
+    for (site, line) in sites {
+        match budget.get_mut(site) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => out.push(Violation {
+                file: site.file.clone(),
+                line: *line,
+                rule: "unsafe_inventory",
+                token: format!(
+                    "unrecorded or edited unsafe {} in `{}` — review it, then run `sciml-lint --update-inventory`",
+                    site.kind, site.context
+                ),
+            }),
         }
     }
-    for ((file, kind, context, _, _), n) in budget {
+    for (e, n) in budget {
         if n > 0 {
             out.push(Violation {
-                file,
+                file: e.file.clone(),
                 line: 0,
                 rule: "unsafe_inventory",
                 token: format!(
-                    "inventory records {n} unsafe {kind} site(s) in `{context}` that no longer exist as recorded — run `sciml-lint --update-baseline`"
+                    "inventory records {n} unsafe {} site(s) in `{}` that no longer exist as recorded — run `sciml-lint --update-inventory`",
+                    e.kind, e.context
                 ),
             });
         }
@@ -334,36 +228,22 @@ mod tests {
     }
 
     #[test]
-    fn baseline_absorbs_then_flags_extras_and_staleness() {
-        let dir = tmp_repo("base");
+    fn every_token_rule_violation_fails_the_gate() {
+        let dir = tmp_repo("token");
         write(
             &dir,
             "crates/codec/src/lib.rs",
             "fn f(x: Option<u8>) { x.unwrap(); }\nfn g(x: Option<u8>) { x.unwrap(); }\n",
         );
-        let mut cfg = Config::default();
-
-        // Exact baseline: green.
-        cfg.baseline
-            .insert(("crates/codec/src/lib.rs".into(), "no_panics".into()), 2);
-        let out = lint_tree(&[dir.join("crates")], &dir, &cfg).unwrap();
-        assert!(out.is_green(), "{:?}", out.new_violations);
-        assert_eq!(out.suppressed, 2);
-
-        // Baseline smaller than reality: the extra violation fails.
-        cfg.baseline
-            .insert(("crates/codec/src/lib.rs".into(), "no_panics".into()), 1);
-        let out = lint_tree(&[dir.join("crates")], &dir, &cfg).unwrap();
-        assert_eq!(out.new_violations.len(), 1);
-
-        // Baseline larger than reality: stale, also fails.
-        cfg.baseline
-            .insert(("crates/codec/src/lib.rs".into(), "no_panics".into()), 3);
-        let out = lint_tree(&[dir.join("crates")], &dir, &cfg).unwrap();
-        assert!(out.new_violations.is_empty());
-        assert_eq!(out.stale.len(), 1);
-        assert_eq!(out.stale[0].actual, 2);
+        let out = lint_tree(&[dir.join("crates")], &dir, &Config::default()).unwrap();
         assert!(!out.is_green());
+        assert_eq!(out.violations.len(), 2);
+        assert!(out.violations.iter().all(|v| v.rule == "no_panics"));
+        // Nothing in a config can absorb them: the grandfather section
+        // that once could is now a parse error.
+        let text = "[lint]\nhot_path_crates = [\"codec\"]\n[[baseline]]\n\
+                    file = \"crates/codec/src/lib.rs\"\nrule = \"no_panics\"\ncount = 2\n";
+        assert!(Config::parse(text).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -377,26 +257,32 @@ mod tests {
     }
 
     #[test]
-    fn as_baseline_roundtrips_counts() {
-        let dir = tmp_repo("round");
+    fn the_inventory_is_a_multiset_of_non_test_sites() {
+        let dir = tmp_repo("inventory");
+        let site = "fn head(xs: &[u8]) -> u8 {\n    // SAFETY: caller passes a non-empty slice.\n    unsafe { *xs.as_ptr() }\n}\n";
         write(
             &dir,
-            "crates/store/src/lib.rs",
-            "fn f(x: Option<u8>) { x.unwrap(); panic!(\"x\") }\n",
+            "crates/obs/src/lib.rs",
+            &format!("{site}{}", site.replace("head", "tail")),
         );
-        let out = lint_tree(&[dir.join("crates")], &dir, &Config::default()).unwrap();
-        assert_eq!(out.new_violations.len(), 2);
-        let entries = out.as_baseline();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].count, 2);
-        // Feeding the generated baseline back turns CI green.
+        write(&dir, "crates/obs/tests/t.rs", site);
         let mut cfg = Config::default();
-        for e in &entries {
-            cfg.baseline
-                .insert((e.file.clone(), e.rule.clone()), e.count);
-        }
         let out = lint_tree(&[dir.join("crates")], &dir, &cfg).unwrap();
-        assert!(out.is_green());
+        // An empty inventory allows no unsafe site; test files are not
+        // inventoried.
+        assert_eq!(out.violations.len(), 2, "{:?}", out.violations);
+        assert_eq!(out.unsafe_entries.len(), 2);
+
+        cfg.unsafe_inventory = out.unsafe_entries.clone();
+        assert!(lint_tree(&[dir.join("crates")], &dir, &cfg)
+            .unwrap()
+            .is_green());
+
+        // A recorded site that is gone is stale, and fails too.
+        cfg.unsafe_inventory.push(cfg.unsafe_inventory[0].clone());
+        let out = lint_tree(&[dir.join("crates")], &dir, &cfg).unwrap();
+        assert_eq!(out.violations.len(), 1);
+        assert!(out.violations[0].token.contains("no longer exist"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,16 +8,14 @@
 //! ```
 //!
 //! on the offending line (trailing comment) or in the comment block
-//! immediately above it; the reason is mandatory. Violations that
-//! predate the lint live in `lint.toml`'s generated baseline instead.
+//! immediately above it; the reason is mandatory.
 
 use crate::lexer::{lex, Lexed};
 use std::collections::{HashMap, HashSet};
 
-/// Names of all rules, in report order. The first four are token
-/// rules (line-local, baselineable); the last four are the graph and
-/// inventory rules added by lint v2, which can be waived in place but
-/// never grandfathered.
+/// Names of all rules. The first four are the line-local token rules
+/// of [`scan_file`]; the last four are the graph rules of
+/// [`crate::effects`] and the unsafe-inventory check.
 pub const RULE_NAMES: [&str; 8] = [
     "no_panics",
     "safety_comment",
@@ -28,17 +26,6 @@ pub const RULE_NAMES: [&str; 8] = [
     "no_blocking_in_reactor",
     "unsafe_inventory",
 ];
-
-/// Whether violations of `rule` may be grandfathered in the generated
-/// baseline. Graph-reachability and inventory rules deliberately are
-/// not: a transitive panic chain or an unrecorded unsafe site must be
-/// fixed or waived in place, not absorbed.
-pub fn baselineable(rule: &str) -> bool {
-    matches!(
-        rule,
-        "no_panics" | "safety_comment" | "no_std_sync" | "no_instant"
-    )
-}
 
 /// One rule violation at a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,9 +54,8 @@ pub struct FileContext {
     pub test_file: bool,
 }
 
-/// Scans one file, returning every violation (before baseline and
-/// annotation filtering is applied by the caller — annotations are
-/// already honored here).
+/// Scans one file, returning every violation of the token rules that
+/// no `lint:allow` annotation waives.
 pub fn scan_file(text: &str, ctx: &FileContext) -> Vec<Violation> {
     let lexed = lex(text);
     let n = lexed.line_count();

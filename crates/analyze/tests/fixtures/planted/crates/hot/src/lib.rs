@@ -23,6 +23,6 @@ fn lut_get(i: usize) -> f32 {
 
 pub fn head(xs: &[f32]) -> f32 {
     // SAFETY: caller guarantees a non-empty slice. (This site is
-    // deliberately NOT recorded in the inventory above.)
+    // deliberately NOT recorded in the fixture's inventory.)
     unsafe { *xs.as_ptr() }
 }

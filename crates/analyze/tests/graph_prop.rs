@@ -84,19 +84,20 @@ fn planted_fixture_fails_with_full_chain() {
 
     assert!(!outcome.is_green(), "planted fixture must fail the gate");
     let chain = outcome
-        .chains
+        .violations
         .iter()
-        .find(|c| c.rule == "no_panics_transitive")
+        .find(|v| v.rule == "no_panics_transitive")
         .expect("transitive panic chain reported");
-    assert_eq!(chain.path, ["decode_into", "gather_rows", "lut_get"]);
-    assert_eq!(chain.token, "panic!");
-    assert_eq!(chain.site_file, "crates/hot/src/lib.rs");
+    assert_eq!(
+        chain.token,
+        "decode_into -> gather_rows -> lut_get [panic! at crates/hot/src/lib.rs:19]"
+    );
     assert!(
         outcome
-            .new_violations
+            .violations
             .iter()
             .any(|v| v.rule == "unsafe_inventory" && v.file == "crates/hot/src/lib.rs"),
-        "unrecorded unsafe block must trip the ratchet; got {:?}",
-        outcome.new_violations
+        "unrecorded unsafe block must trip the inventory; got {:?}",
+        outcome.violations
     );
 }

@@ -187,7 +187,10 @@ impl StoreManifest {
             None => return Err(StoreError::Manifest("empty manifest".into())),
         }
         let mut shards = Vec::new();
+        // Both running sums are checked here, once, so `locate`,
+        // `total_samples` and `total_bytes` never wrap on what parsed.
         let mut expect_first = 0u64;
+        let mut total_bytes = 0u64;
         for (lineno, line) in lines.enumerate() {
             let line = line.trim();
             if line.is_empty() {
@@ -217,7 +220,12 @@ impl StoreManifest {
             if count == 0 {
                 return Err(err("empty shard"));
             }
-            expect_first = first + count;
+            expect_first = first
+                .checked_add(count)
+                .ok_or_else(|| err("sample range passes 2^64"))?;
+            total_bytes = total_bytes
+                .checked_add(bytes)
+                .ok_or_else(|| err("total byte size passes 2^64"))?;
             shards.push(ShardMeta {
                 id,
                 file,
@@ -452,13 +460,59 @@ mod tests {
     #[test]
     fn manifest_rejects_gaps_and_bad_headers() {
         assert!(StoreManifest::parse("nonsense\n").is_err());
-        let gap =
-            "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000\nshard 1 b.sshard 5 2 10 00000000\n";
-        assert!(StoreManifest::parse(gap).is_err());
-        let sparse_id = "sciml-store v1\nshard 2 a.sshard 0 2 10 00000000\n";
-        assert!(StoreManifest::parse(sparse_id).is_err());
-        let empty_shard = "sciml-store v1\nshard 0 a.sshard 0 0 10 00000000\n";
-        assert!(StoreManifest::parse(empty_shard).is_err());
+        // Each line is well formed but for the one fault it names.
+        let cases = [
+            (
+                "sciml-store v1\nshard 0 a.sshard 0 2 10 00000000 raw\n\
+                 shard 1 b.sshard 5 2 10 00000000 raw\n",
+                "contiguous",
+            ),
+            (
+                "sciml-store v1\nshard 2 a.sshard 0 2 10 00000000 raw\n",
+                "dense",
+            ),
+            (
+                "sciml-store v1\nshard 0 a.sshard 0 0 10 00000000 raw\n",
+                "empty shard",
+            ),
+        ];
+        for (text, fault) in cases {
+            match StoreManifest::parse(text) {
+                Err(StoreError::Manifest(m)) => assert!(m.contains(fault), "{m}"),
+                other => panic!("{fault}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sample_ranges_that_wrap_are_errors() {
+        // Shard 0 ends at 2^64 - 1, so shard 1's range would end past
+        // 2^64; unchecked, it wrapped and `locate` lost shard 0's samples.
+        let max = u64::MAX;
+        let text = format!(
+            "sciml-store v1\nshard 0 a.sshard 0 {max} 10 00000000 raw\n\
+             shard 1 b.sshard {max} 1 10 00000000 raw\n"
+        );
+        match StoreManifest::parse(&text) {
+            Err(StoreError::Manifest(m)) => assert!(m.contains("sample range"), "{m}"),
+            other => panic!("wrapping sample range accepted: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn byte_sizes_that_wrap_are_errors() {
+        // Unchecked, this parsed and `total_bytes` (which
+        // `sciml verify-store` prints) overflowed.
+        let max = u64::MAX;
+        let text = format!(
+            "sciml-store v1\nshard 0 a.sshard 0 1 {max} 00000000 raw\n\
+             shard 1 b.sshard 1 1 {max} 00000000 raw\n"
+        );
+        match StoreManifest::parse(&text) {
+            Err(StoreError::Manifest(m)) => assert!(m.contains("byte size"), "{m}"),
+            Err(other) => panic!("unexpected error: {other}"),
+            Ok(m) => panic!("wrapping byte total accepted: {}", m.total_bytes()),
+        }
     }
 
     #[test]

@@ -554,7 +554,8 @@ impl ShardReader {
                 encoding: PayloadEncoding::from_byte(entry[20])
                     .ok_or(StoreError::Malformed("unknown payload encoding byte"))?,
             };
-            if e.offset < HEADER_LEN as u64 || e.offset + e.stored_len as u64 > index_offset {
+            let end = e.offset.checked_add(u64::from(e.stored_len));
+            if e.offset < HEADER_LEN as u64 || end.is_none_or(|end| end > index_offset) {
                 return Err(StoreError::Malformed("sample extent outside shard body"));
             }
             index.push(e);

@@ -3,6 +3,7 @@
 //! panic — truncated shards, corrupted footer indexes, bit-flipped
 //! payloads, and staging manifests whose backing source has vanished.
 
+use sciml_compress::crc32::crc32;
 use sciml_pipeline::source::{DirSource, VecSource};
 use sciml_pipeline::SampleSource;
 use sciml_store::manifest::plan_by_count;
@@ -84,8 +85,8 @@ fn corrupted_footer_index_rejected_at_open() {
     let reader = ShardReader::open(&path).unwrap();
     let entries = reader.count();
     drop(reader);
-    // Index region: 20 bytes per entry + 24-byte trailer at the end.
-    let index_start = original.len() - 24 - 20 * entries;
+    // Index region: 21 bytes per entry + 24-byte trailer at the end.
+    let index_start = original.len() - 24 - 21 * entries;
     for pos in (index_start..original.len()).step_by(7) {
         let mut bytes = original.clone();
         bytes[pos] ^= 0x10;
@@ -105,6 +106,33 @@ fn corrupted_footer_index_rejected_at_open() {
             ),
             "byte {pos}: unexpected error {err}"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An index entry whose extent wraps past 2^64, under a correct index
+/// CRC, is a malformed shard at open. Unchecked, the sum panicked `open`
+/// in a debug build; in release `open` accepted the shard and the read
+/// failed as an I/O error rather than as a store error.
+#[test]
+fn index_entry_whose_extent_wraps_is_malformed() {
+    let (dir, _) = packed_store("wrap", 2);
+    let path = shard_path(&dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let trailer = bytes.len() - 24;
+    let index = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+    // Entry 0's offset, then the index CRC recomputed over the result.
+    bytes[index..index + 8].copy_from_slice(&(u64::MAX - 10).to_le_bytes());
+    let crc = crc32(&bytes[index..trailer]);
+    bytes[trailer + 16..trailer + 20].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match ShardReader::open(&path) {
+        Err(StoreError::Malformed(what)) => assert_eq!(what, "sample extent outside shard body"),
+        Err(other) => panic!("unexpected error {other}"),
+        Ok(reader) => panic!(
+            "wrapping extent accepted; fetch: {:?}",
+            reader.fetch(0).err()
+        ),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

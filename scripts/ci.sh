@@ -116,10 +116,8 @@ cp "$bench_lock" benchmark/Cargo.lock
 
 stage "sciml-lint (token rules + call-graph effects + unsafe inventory)"
 # Scans crates/ AND shims/ (the shim layer carries its own waivers).
-# Fails on any non-baselined violation, on stale baseline entries
-# (fixed code whose grandfather budget was not ratcheted down), and on
-# any unsafe site missing from — or edited since — the generated
-# inventory in lint.toml.
+# Every violation of every rule fails, including any unsafe site missing
+# from — or edited since — the generated inventory, lint.unsafe.toml.
 cargo run --release -q -p sciml-analyze --bin sciml-lint -- --path .
 # One definition of the logarithm: `sciml_codec::ops::log1p`. A libm
 # `ln_1p` in product code would be a second one that differs from it by
@@ -138,16 +136,27 @@ if [[ -n "$libm_log1p" ]]; then
     exit 1
 fi
 
-stage "lint self-test (planted fixture must FAIL the gate)"
+stage "lint self-test (planted fixture must FAIL the gate, for the planted reasons)"
 # The fixture plants a 3-deep transitive panic chain and an unsafe
-# block that its (empty) inventory does not record; a zero exit here
-# means the gate has stopped gating.
-if cargo run --release -q -p sciml-analyze --bin sciml-lint -- \
+# block that its (empty) inventory does not record. Exit status 1 naming
+# both rules is a gate that gates; 0 means it has stopped gating, and 2
+# (a config or usage error) would fail for the wrong reason.
+planted_status=0
+planted_out="$(cargo run --release -q -p sciml-analyze --bin sciml-lint -- \
     --path crates/analyze/tests/fixtures/planted \
-    --config crates/analyze/tests/fixtures/planted/lint.toml >/dev/null 2>&1; then
-    echo "ERROR: planted lint fixture did not fail the gate" >&2
+    --config crates/analyze/tests/fixtures/planted/lint.toml 2>&1)" || planted_status=$?
+if [[ $planted_status -ne 1 ]]; then
+    echo "$planted_out" >&2
+    echo "ERROR: planted lint fixture exited $planted_status, not 1" >&2
     exit 1
 fi
+for rule in no_panics_transitive unsafe_inventory; do
+    if ! grep -q "\[$rule\]" <<<"$planted_out"; then
+        echo "$planted_out" >&2
+        echo "ERROR: planted lint fixture did not fail on $rule" >&2
+        exit 1
+    fi
+done
 
 stage "cargo test"
 cargo test --workspace -q
@@ -439,8 +448,8 @@ stage "sanitizers (ASan + LSan over every crate holding unsafe; half + codec at 
 # The differential suites hold the kernels to their scalar forms, but in
 # an ordinary build an out-of-bounds load silently reads the
 # neighbouring heap. This runs the suites of every crate with a site in
-# lint.toml's unsafe inventory under AddressSanitizer (LeakSanitizer is
-# part of it on x86-64 Linux): `sciml-serve`'s lib tests hold the
+# the unsafe inventory (lint.unsafe.toml) under AddressSanitizer
+# (LeakSanitizer is part of it on x86-64 Linux): `sciml-serve`'s lib tests hold the
 # poller and the reactor's loopback suite, and `tests/serve_reactor.rs`
 # drains a real server. `--target` keeps the sanitizer flag off
 # build scripts and proc macros, and target/asan keeps the instrumented
