@@ -1,29 +1,69 @@
 //! CosmoFlow encoder: per-sample (or per-chunk) localized lookup tables.
+//!
+//! A voxel's group, its four counts, is packed into a `u64` with
+//! channel 0 in the top 16 bits, so numeric order is the table's
+//! lexicographic order. The four channel planes are read as slices, and
+//! each voxel is looked up once in [`GroupTable`], a flat open-addressed
+//! table (linear probing, at most half full) that hands out ids in
+//! first-seen order; the id goes into a scratch list, one a voxel. A
+//! chunk closes before the group that would be its 65 537th unique one,
+//! or at `u32::MAX` voxels, the most its header can count. The chunk's
+//! unique groups are then sorted once, each id is mapped to its rank,
+//! and the ranks are written as the keys. The bytes are those of a
+//! `HashMap`-based encoder that hashed every voxel twice
+//! (`tests/reference_encode.rs`).
+//!
+//! The hash is a fixed multiply-shift, not a keyed one: its input is the
+//! writer's own sample. Nothing read from a store or a peer reaches it.
 
 use super::{CosmoChunk, EncodedCosmo, KeyWidth};
 use crate::ops::{Op, OpCounter, CHUNK};
 use sciml_data::cosmoflow::{CosmoSample, N_REDSHIFTS};
 use sciml_half::F16;
-use std::collections::HashMap;
 use std::convert::Infallible;
 
 /// Maximum groups a single chunk's table may hold (16-bit key space).
 const MAX_GROUPS: usize = 65536;
+
+/// Where a chunk closes: before its `groups + 1`th unique group, and
+/// at `voxels` voxels.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    groups: usize,
+    voxels: usize,
+}
+
+/// The wire's limits: a 16-bit key and a `u32` voxel count.
+const WIRE: Limits = Limits {
+    groups: MAX_GROUPS,
+    voxels: u32::MAX as usize,
+};
 
 /// Encodes a sample into keyed lookup tables.
 ///
 /// Voxels are walked in flat order; whenever the running table would
 /// exceed the 16-bit key space a chunk is closed and a fresh table
 /// started — the paper's "multiple lookup tables" scheme for large
-/// decompositions. Tables are sorted for deterministic output.
+/// decompositions — and a chunk also closes at `u32::MAX` voxels, the
+/// most its header can count. Tables are sorted for deterministic
+/// output.
 pub fn encode(sample: &CosmoSample) -> EncodedCosmo {
+    encode_within(sample, WIRE)
+}
+
+/// [`encode`] with chunks closed at `limits`.
+fn encode_within(sample: &CosmoSample, limits: Limits) -> EncodedCosmo {
+    assert!(limits.groups > 0 && limits.voxels > 0, "{limits:?}");
     let voxels = sample.voxels();
+    let planes: [&[u16]; N_REDSHIFTS] =
+        std::array::from_fn(|z| &sample.counts[z * voxels..(z + 1) * voxels]);
     let mut chunks = Vec::new();
     let mut start = 0usize;
     while start < voxels {
-        let (chunk, consumed) = encode_chunk(sample, start, voxels - start);
+        let end = voxels.min(start.saturating_add(limits.voxels));
+        let chunk = encode_chunk(planes.map(|p| &p[start..end]), limits.groups);
+        start += chunk.n_voxels as usize;
         chunks.push(chunk);
-        start += consumed;
     }
     EncodedCosmo {
         grid: sample.grid as u32,
@@ -32,58 +72,130 @@ pub fn encode(sample: &CosmoSample) -> EncodedCosmo {
     }
 }
 
-/// Builds one chunk starting at flat voxel `start`, covering at most
-/// `remaining` voxels. Returns the chunk and how many voxels it covers.
-fn encode_chunk(sample: &CosmoSample, start: usize, remaining: usize) -> (CosmoChunk, usize) {
-    // Pass 1: scan forward collecting unique groups until the table is
-    // full.
-    let mut first_seen: HashMap<[u16; N_REDSHIFTS], u32> = HashMap::new();
-    let mut consumed = 0usize;
-    while consumed < remaining {
-        let g = sample.group(start + consumed);
-        if !first_seen.contains_key(&g) {
-            if first_seen.len() == MAX_GROUPS {
-                break;
-            }
-            first_seen.insert(g, 0);
-        }
-        consumed += 1;
+/// A group's four counts as one key, channel 0 in the top bits.
+#[inline]
+fn pack(a: u16, b: u16, c: u16, d: u16) -> u64 {
+    (a as u64) << 48 | (b as u64) << 32 | (c as u64) << 16 | d as u64
+}
+
+/// The counts [`pack`] packed.
+fn unpack(key: u64) -> [u16; N_REDSHIFTS] {
+    std::array::from_fn(|z| (key >> (48 - 16 * z)) as u16)
+}
+
+/// Encodes the longest prefix of `planes` (one slice a channel, equally
+/// long) that holds at most `max_groups` unique groups.
+fn encode_chunk(planes: [&[u16]; N_REDSHIFTS], max_groups: usize) -> CosmoChunk {
+    let [p0, p1, p2, p3] = planes;
+    // No chunk meets more groups than it has voxels.
+    let mut table = GroupTable::new(p0.len().min(max_groups));
+    let mut ids = Vec::new();
+    for (((&a, &b), &c), &d) in p0.iter().zip(p1).zip(p2).zip(p3) {
+        let Some(id) = table.id_of(pack(a, b, c, d)) else {
+            break;
+        };
+        ids.push(id);
     }
 
-    // Deterministic table: lexicographic group order.
-    let mut table: Vec<[u16; N_REDSHIFTS]> = first_seen.keys().copied().collect();
-    table.sort_unstable();
-    for (i, g) in table.iter().enumerate() {
-        if let Some(slot) = first_seen.get_mut(g) {
-            *slot = i as u32;
-        }
+    // Deterministic table: lexicographic group order, and each
+    // first-seen id's rank in it.
+    let mut sorted: Vec<(u64, u16)> = table.keys.iter().copied().zip(0..=u16::MAX).collect();
+    sorted.sort_unstable();
+    let mut rank = vec![0u16; sorted.len()];
+    for (r, &(_, id)) in sorted.iter().enumerate() {
+        rank[usize::from(id)] = r as u16;
     }
-
-    let key_width = if table.len() <= 256 {
+    let key_width = if sorted.len() <= 256 {
         KeyWidth::U8
     } else {
         KeyWidth::U16
     };
+    let keys = match key_width {
+        KeyWidth::U8 => ids.iter().map(|&id| rank[usize::from(id)] as u8).collect(),
+        KeyWidth::U16 => {
+            let mut keys = vec![0u8; 2 * ids.len()];
+            for (k, &id) in keys.as_chunks_mut().0.iter_mut().zip(ids.iter()) {
+                *k = rank[usize::from(id)].to_le_bytes();
+            }
+            keys
+        }
+    };
+    CosmoChunk {
+        // At most `Limits::voxels`, which the wire's `u32` holds.
+        n_voxels: ids.len() as u32,
+        key_width,
+        table: sorted.iter().map(|&(key, _)| unpack(key)).collect(),
+        keys,
+    }
+}
 
-    // Pass 2: emit keys.
-    let mut keys = Vec::with_capacity(consumed * key_width.bytes());
-    for v in 0..consumed {
-        let idx = first_seen[&sample.group(start + v)];
-        match key_width {
-            KeyWidth::U8 => keys.push(idx as u8),
-            KeyWidth::U16 => keys.extend_from_slice(&(idx as u16).to_le_bytes()),
+/// A map from packed groups to ids handed out in first-seen order, up
+/// to a fixed number of groups: open addressing with linear probing
+/// over a power-of-two slot array at least twice that number. Every
+/// `u64` is a legal key, so a slot's emptiness is its id, never its
+/// key.
+struct GroupTable {
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the hash's top bits index a slot.
+    shift: u32,
+    /// The keys held, by id.
+    keys: Vec<u64>,
+    /// Keys the table may hold.
+    max: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: u64,
+    /// [`EMPTY`], or the id of `key`.
+    id: u32,
+}
+
+/// The id of a slot that holds no key: past every id a table hands out.
+const EMPTY: u32 = u32::MAX;
+
+impl GroupTable {
+    /// A table for up to `groups` keys (at most [`MAX_GROUPS`], so that
+    /// an id fits a `u16`).
+    fn new(groups: usize) -> Self {
+        assert!(groups <= MAX_GROUPS, "{groups} groups do not fit a u16 id");
+        let len = (2 * groups).next_power_of_two().max(2);
+        Self {
+            slots: vec![Slot { key: 0, id: EMPTY }; len],
+            shift: 64 - len.trailing_zeros(),
+            keys: Vec::with_capacity(groups),
+            max: groups,
         }
     }
 
-    (
-        CosmoChunk {
-            n_voxels: consumed as u32,
-            key_width,
-            table,
-            keys,
-        },
-        consumed,
-    )
+    /// The id of `key`, handing out the next one if it is new and the
+    /// table is not full; `None` where it is new and the table is.
+    #[inline]
+    fn id_of(&mut self, key: u64) -> Option<u16> {
+        let mask = self.slots.len() - 1;
+        // Fold the high half in, then multiply-shift: every key bit
+        // reaches the top bits that pick the slot.
+        let mut i = ((key ^ key >> 32).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.id == EMPTY {
+                if self.keys.len() == self.max {
+                    return None;
+                }
+                let id = self.keys.len() as u16;
+                *slot = Slot {
+                    key,
+                    id: u32::from(id),
+                };
+                self.keys.push(key);
+                return Some(id);
+            }
+            if slot.key == key {
+                return Some(slot.id as u16);
+            }
+            i = (i + 1) & mask;
+        }
+    }
 }
 
 /// The baseline's per-voxel pass over any source of counts: `fill(start,
@@ -237,6 +349,57 @@ mod tests {
         // Lossless even in the chunked regime.
         let back = super::super::decode_counts(&e).unwrap();
         assert_eq!(back, s.counts);
+    }
+
+    /// The chunking rule at limits a test can reach (a chunk of
+    /// `u32::MAX` voxels is a 32 GiB sample), against a direct model of
+    /// it: a chunk closes before the voxel whose group would be one too
+    /// many, and once it holds `limits.voxels` voxels.
+    #[test]
+    fn chunks_close_at_the_group_limit_and_at_the_voxel_limit() {
+        fn model(s: &CosmoSample, limits: Limits) -> Vec<u32> {
+            let mut lens = Vec::new();
+            let mut seen = std::collections::HashSet::new();
+            let mut len = 0;
+            for v in 0..s.voxels() {
+                let g = s.group(v);
+                if len == limits.voxels || (!seen.contains(&g) && seen.len() == limits.groups) {
+                    lens.push(len as u32);
+                    (len, seen) = (0, Default::default());
+                }
+                seen.insert(g);
+                len += 1;
+            }
+            lens.push(len as u32);
+            lens
+        }
+        let s = small();
+        for (groups, voxels) in [
+            (1, 1),
+            (1, usize::MAX),
+            (3, 5),
+            (40, 1000),
+            (256, 7),
+            (257, 4096),
+            (MAX_GROUPS, 4096),
+            (MAX_GROUPS, 4095),
+            (MAX_GROUPS, s.voxels() - 1),
+        ] {
+            let limits = Limits { groups, voxels };
+            let e = encode_within(&s, limits);
+            let lens: Vec<u32> = e.chunks.iter().map(|c| c.n_voxels).collect();
+            assert_eq!(lens, model(&s, limits), "{limits:?}");
+            assert!(
+                e.chunks.iter().all(|c| c.table.len() <= groups),
+                "{limits:?}"
+            );
+            assert_eq!(
+                super::super::decode_counts(&e).unwrap(),
+                s.counts,
+                "{limits:?}"
+            );
+        }
+        assert_eq!(encode(&s).chunks.len(), 1);
     }
 
     #[test]

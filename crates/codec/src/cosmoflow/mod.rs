@@ -29,8 +29,14 @@ mod gather;
 #[path = "tests/decode_differential.rs"]
 mod decode_differential;
 #[cfg(test)]
+#[path = "tests/encode_differential.rs"]
+mod encode_differential;
+#[cfg(test)]
 #[path = "tests/reference_decode.rs"]
 mod reference_decode;
+#[cfg(test)]
+#[path = "tests/reference_encode.rs"]
+mod reference_encode;
 
 pub use decode::{decode, decode_counts, decode_into, decode_view_into, decode_with_counter};
 pub use encode::{

@@ -459,7 +459,7 @@ fn view_parse_is_from_bytes_on_every_truncation_and_header() {
     assert!(parsed > ROUNDS / 20, "only {parsed} random headers parsed");
 }
 
-/// Release-only timing gate (ci.sh "cosmo decode speed"): wire bytes to
+/// Release-only timing gate (ci.sh "cosmo codec speed"): wire bytes to
 /// tensor through the view against the frozen `from_bytes` + decode, on
 /// the benchmark's 64³ sample. What the view saves is all outside the
 /// gather — the scalar key check, the 524 KB key copy, the table copy

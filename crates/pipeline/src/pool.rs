@@ -121,8 +121,11 @@ impl BufferPool {
         }
     }
 
-    /// Checks out a byte buffer (cleared; capacity is whatever its last
-    /// use grew it to, so steady-state fetches do not reallocate).
+    /// Checks out a byte buffer as its last use left it: length,
+    /// contents and capacity, so a steady-state fetch neither
+    /// reallocates nor zero-fills what it is about to overwrite. Every
+    /// [`SampleSource`](crate::SampleSource) fetch replaces the contents
+    /// of the buffer it is given; a miss is an empty vector.
     pub fn checkout_bytes(self: &Arc<Self>) -> PooledBytes {
         let reused = if self.capacity == 0 {
             None
@@ -130,10 +133,9 @@ impl BufferPool {
             self.bytes.lock().pop()
         };
         let data = match reused {
-            Some(mut v) => {
+            Some(v) => {
                 self.hits.inc();
                 self.resident_bytes.add(-(v.capacity() as i64));
-                v.clear();
                 v
             }
             None => {
@@ -324,7 +326,7 @@ mod tests {
         let cap = b.capacity();
         drop(b);
         let b = pool.checkout_bytes();
-        assert!(b.is_empty(), "recycled buffer must come back cleared");
+        assert_eq!(&b[..], [1, 2, 3, 4], "a recycled buffer keeps its length");
         assert!(b.capacity() >= cap, "capacity must be retained");
         assert_eq!(pool.hits(), 1);
     }

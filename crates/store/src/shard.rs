@@ -972,6 +972,36 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A fetch buffer recycled through the pipeline's pool comes back
+    /// as its last read left it, and the next read neither reallocates
+    /// it nor leaves a byte of the previous entry behind, whether that
+    /// entry was longer or shorter.
+    #[test]
+    fn a_recycled_pool_buffer_reads_exactly_each_entry_in_place() {
+        let dir = tmp_dir("pooled");
+        let long: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        let short = vec![0x5A; 700];
+        let written = entries(&[long.clone(), short.clone()], EncodingChoice::Raw);
+        let meta = write_shard(&dir, 0, &written, 0, EncodingChoice::Raw).unwrap();
+        let r = ShardReader::open(dir.join(&meta.file)).unwrap();
+        let pool = sciml_pipeline::BufferPool::new(1);
+        let mut buf = pool.checkout_bytes();
+        r.read_into(0, &mut buf).unwrap();
+        assert_eq!(*buf, long);
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        drop(buf);
+        // Longer before, shorter now; then shorter before, longer now.
+        for (idx, want, before) in [(1, &short, &long), (0, &long, &short)] {
+            let mut buf = pool.checkout_bytes();
+            assert_eq!(*buf, *before, "handed out as the last read left it");
+            r.read_into(idx, &mut buf).unwrap();
+            assert_eq!(*buf, *want, "entry {idx}");
+            assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap), "entry {idx}");
+        }
+        assert_eq!((pool.hits(), pool.misses()), (2, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn every_encoding_decodes_into_the_buffer_it_was_given() {
         let dir = tmp_dir("recycle");

@@ -233,20 +233,28 @@ cargo test --release -q -p sciml-codec --lib -- deepcam::differential:: deepcam:
 cargo test --release -q -p sciml-codec --lib -- --ignored --exact \
     deepcam::differential::encode_speed deepcam::decode_differential::decode_speed --nocapture
 
-stage "cosmo decode speed (and the full decode differential, release mode)"
-# The CosmoFlow decoder over a borrowed view against the frozen owned
-# parse + per-chunk-allocating decode: the generated samples, a forced
+stage "cosmo codec speed (and the full encode and decode differentials, release mode)"
+# Both CosmoFlow directions against their frozen references, in the
+# build that ships. Encode: the flat-table encoder against the HashMap
+# one, same chunks and same wire bytes, on the generated samples at
+# grids 4-64, a forced multi-chunk sample, a chunk of exactly 65 536
+# groups, tables of 256 and 257 groups and samples holding [u16::MAX; 4].
+# Decode: the view decoder against the frozen owned parse +
+# per-chunk-allocating decode: the generated samples, a forced
 # multi-chunk sample, both LUT branches, every truncation and 20 000
-# random headers through all three parsers (the build that ships).
-# Then the timing test beside them, same alternating form: wire bytes
-# to tensor on the benchmark's 64^3 sample. What the view saves is all
-# in front of the gather — the key copy, the table copy, a scalar key
-# check — and nothing but this stage notices if one of them comes
-# back: fails below 1.7x the frozen path (measured: 2.2-2.6x, 205 us
-# against 465-535 us; with the max-scan left scalar, 1.2-1.4x).
-cargo test --release -q -p sciml-codec --lib -- cosmoflow::decode_differential::
-cargo test --release -q -p sciml-codec --lib -- \
-    --ignored --exact cosmoflow::decode_differential::decode_speed --nocapture
+# random headers through all three parsers.
+# Then the two timing tests, same alternating form, best of each side,
+# on the benchmark's 64^3 sample. Encode, one thread: one probe a voxel
+# into a flat table of packed groups; fails below 3x the frozen
+# reference (measured 6.3-7.2x: 1.5-2.4 ms against 10-17 ms).
+# Decode, wire bytes to tensor: what the view saves is all in front of
+# the gather — the key copy, the table copy, a scalar key check — and
+# nothing but this stage notices if one of them comes back: fails below
+# 1.7x the frozen path (measured: 2.2-2.6x, 205 us against 465-535 us;
+# with the max-scan left scalar, 1.2-1.4x).
+cargo test --release -q -p sciml-codec --lib -- cosmoflow::encode_differential:: cosmoflow::decode_differential::
+cargo test --release -q -p sciml-codec --lib -- --ignored --exact \
+    cosmoflow::encode_differential::encode_speed cosmoflow::decode_differential::decode_speed --nocapture
 
 stage "unpack placement (one reader, the decode pool inflates)"
 # A reader thread reads and CRC-checks a stored entry; a decode thread

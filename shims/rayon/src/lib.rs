@@ -3,8 +3,8 @@
 //! Unlike a sequential stand-in, this shim performs *real* fork-join
 //! parallelism with `std::thread::scope`: the driving adapters
 //! (`for_each`, `try_for_each`, `map` + `collect`) split their items
-//! into per-thread chunks, run them on scoped threads, and reassemble
-//! results in order. There is no work stealing — items are partitioned
+//! into per-thread chunks, run the first on the calling thread and each
+//! other on a scoped thread, and reassemble results in order. There is no work stealing — items are partitioned
 //! statically — which is fine for the regular, even-sized workloads
 //! (lines, chunks, batch rows) this workspace parallelizes.
 
@@ -27,25 +27,37 @@ fn parallel_map<T: Send, U: Send, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     F: Fn(T) -> U + Sync,
 {
-    let threads = max_threads().min(items.len());
+    map_in_parts(items, f, max_threads())
+}
+
+/// [`parallel_map`] over at most `threads` parts: the calling thread
+/// runs the first, one scoped thread each of the others. A panic in
+/// any part panics the caller once every part has finished.
+fn map_in_parts<T: Send, U: Send, F>(items: Vec<T>, f: &F, threads: usize) -> Vec<U>
+where
+    F: Fn(T) -> U + Sync,
+{
+    let threads = threads.min(items.len());
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
     let n = items.len();
     let chunk = n.div_ceil(threads);
     let mut slots: Vec<Vec<U>> = Vec::with_capacity(threads);
-    // Partition the items up front; each scoped thread owns one part.
+    // Partition the items up front; each part is one thread's.
     let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
     let mut items = items;
     while !items.is_empty() {
         let rest = items.split_off(chunk.min(items.len()));
         parts.push(std::mem::replace(&mut items, rest));
     }
+    let mut parts = parts.into_iter();
+    let first = parts.next().unwrap_or_default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = parts
-            .into_iter()
             .map(|part| scope.spawn(move || part.into_iter().map(f).collect::<Vec<U>>()))
             .collect();
+        slots.push(first.into_iter().map(f).collect());
         for h in handles {
             slots.push(h.join().expect("rayon-shim worker panicked"));
         }
@@ -302,6 +314,36 @@ mod tests {
         let v = [10, 20, 30];
         let tagged: Vec<(usize, i32)> = v.par_iter().enumerate().map(|(i, &v)| (i, v)).collect();
         assert_eq!(tagged, vec![(0, 10), (1, 20), (2, 30)]);
+    }
+
+    #[test]
+    fn parts_keep_input_order_and_a_panicking_part_panics_the_caller() {
+        let items: Vec<usize> = (0..103).collect();
+        for threads in [1, 2, 7] {
+            let caller = std::thread::current().id();
+            let out = super::map_in_parts(
+                items.clone(),
+                &|i| (i * 3, std::thread::current().id()),
+                threads,
+            );
+            assert_eq!(
+                out.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
+                items.iter().map(|i| i * 3).collect::<Vec<_>>(),
+                "{threads} parts"
+            );
+            // The first part ran on the caller; each other part on a
+            // thread of its own.
+            let on: std::collections::HashSet<_> = out.iter().map(|&(_, t)| t).collect();
+            assert_eq!(out[0].1, caller, "{threads} parts");
+            assert_eq!(on.len(), threads, "{threads} parts");
+            // A panic in the caller's part and in a spawned one.
+            for bad in [0, 102] {
+                let r = std::panic::catch_unwind(|| {
+                    super::map_in_parts(items.clone(), &|i| assert_ne!(i, bad), threads)
+                });
+                assert!(r.is_err(), "{threads} parts, panic at {bad}");
+            }
+        }
     }
 
     #[test]
