@@ -9,10 +9,10 @@
 //! sciml serve (--dir DIR --n N | --store DIR) [--addr HOST:PORT] [--name NAME] [--cache-mb M]
 //!             [--max-conns N] [--cluster-nodes A,B,C [--replication R]]
 //!             [--metrics-out F] [--metrics-addr HOST:PORT] [--trace-out FILE]
-//! sciml fetch --addr HOST:PORT [--name NAME] [--indices I,J,K | --all] [--stats] [--shutdown]
+//! sciml fetch --addr HOST:PORT [--name NAME] [--indices I,J,K | --all] [--shutdown]
 //!             [--decode cosmo|deepcam [--batch B] [--epochs E] [--pool-capacity N]]
-//!             [--metrics-out FILE] [--trace-out FILE] [--metrics-text FILE|-]
-//!             [--watch SECS] [--watch-iters N] [--attribution-out FILE]
+//!             [--metrics-out FILE] [--trace-out FILE]
+//!             [--watch SECS] [--attribution-out FILE]
 //! sciml pack --dir DIR --n N --out DIR [--shard-mb M] [--encoding raw|gzip|auto]
 //! sciml stage (--addr A[,B,...] [--name D] | --dir DIR [--n N [--per-shard K]])
 //!             --out DIR [--workers W] [--encoding raw|gzip|auto]
@@ -21,7 +21,7 @@
 //! sciml cluster-plan (--nodes A,B,C --n N [--per-shard K] [--replication R] | --addr HOST:PORT [--name D])
 //! sciml soak --addr HOST:PORT [--name D] [--conns N] [--fetches K]
 //! sciml verify-store DIR           # CRC-check every shard + sample of a packed store
-//! sciml validate-json FILE...      # check emitted metrics/trace files parse as JSON
+//! sciml validate-json FILE...      # check emitted trace/report files parse as JSON
 //! sciml trace-merge --out OUT IN...   # merge Chrome traces onto one timeline
 //! sciml scrape --addr HOST:PORT [--require fam1,fam2] [--out FILE]
 //! ```
@@ -95,21 +95,20 @@ fn print_usage() {
          verify FILE...                                decode + integrity report\n  \
          transcode FILE --out FILE                     baseline payload -> custom encoding\n  \
          serve (--dir DIR --n N | --store DIR)         serve an encoded dataset over TCP\n  \
-         fetch --addr A [--name D] [--indices I,J]     fetch samples / stats from a server\n  \
+         fetch --addr A [--name D] [--indices I,J]     fetch samples from a server\n  \
          ..... --decode cosmo|deepcam [--pool-capacity N]  run a pooled decode pipeline over it\n  \
          pack --dir DIR --n N --out DIR                pack per-file samples into .sshard shards\n  \
          stage (--addr A[,B,...] | --dir DIR [--n N]) --out DIR  stage a dataset (server, packed store, or N files) into a local packed copy\n  \
          verify-store DIR                              CRC-check every shard of a packed store\n  \
          cluster-plan (--nodes A,B,C --n N | --addr A) print consistent-hash shard placement + balance\n  \
          soak --addr A [--conns N] [--fetches K]       hold N concurrent connections, fetch, report tails\n  \
-         validate-json FILE...                         check metrics/trace JSON well-formedness\n  \
+         validate-json FILE...                         check trace/report JSON well-formedness\n  \
          trace-merge --out OUT IN...                   merge Chrome traces onto one timeline\n  \
          scrape --addr A [--require f1,f2] [--out F]   scrape + validate a metrics endpoint\n  \
          cpu-features [--list]                         SIMD tier detection + per-kernel dispatch plan\n\n\
          telemetry flags (serve / fetch):\n  \
-         --metrics-out FILE    write a metrics snapshot (JSONL) on exit\n  \
-         --metrics-addr A      expose Prometheus-text metrics on A (serve)\n  \
-         --metrics-text FILE   dump Prometheus-text metrics, `-` = stdout (fetch)\n  \
+         --metrics-out FILE    write the Prometheus-text metrics exposition on exit\n  \
+         --metrics-addr A      serve the same exposition on A (serve; read it with scrape)\n  \
          --trace-out FILE      write a Chrome trace-event JSON file\n  \
          --watch SECS          live bottleneck line every SECS (fetch)\n  \
          --attribution-out F   write the bottleneck-attribution report (fetch)"
@@ -418,7 +417,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     } else {
         Telemetry::disabled()
     };
-    let registry = Arc::clone(&telemetry.registry);
     let mut builder = ServeBuilder::new()
         .config(ServerConfig {
             workers,
@@ -446,8 +444,8 @@ fn serve(args: &[String]) -> Result<(), String> {
 
     let desc = if let Some(store_dir) = flag(args, "--store") {
         // Opening with telemetry registers the store.decode.* counters
-        // in the shared registry, which the server lifts into stats
-        // replies and the scrape endpoint exposes.
+        // in the shared registry, which the scrape endpoint and
+        // --metrics-out expose.
         let store = ShardSource::open_with_telemetry(&store_dir, &telemetry)
             .map_err(|e| format!("open store {store_dir}: {e}"))?;
         let n = store.len();
@@ -493,9 +491,8 @@ fn serve(args: &[String]) -> Result<(), String> {
         scrape.shutdown();
     }
     if let Some(out) = metrics_out {
-        sciml_obs::write_metrics_file(&registry.snapshot(), Path::new(&out))
-            .map_err(|e| format!("write {out}: {e}"))?;
-        println!("metrics snapshot written to {out}");
+        std::fs::write(&out, telemetry.exposition()).map_err(|e| format!("write {out}: {e}"))?;
+        println!("metrics exposition written to {out}");
     }
     if let Some(out) = trace_out {
         telemetry
@@ -507,22 +504,42 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Flags `fetch` no longer reads, each with what took its place. `sciml`
+/// passes over flags a command does not read, so these must fail
+/// instead of silently doing nothing.
+const RETIRED_FETCH_FLAGS: [(&str, &str); 3] = [
+    (
+        "--stats",
+        "serve with --metrics-addr and read it with `sciml scrape`",
+    ),
+    (
+        "--metrics-text",
+        "--metrics-out, which writes the same exposition",
+    ),
+    (
+        "--watch-iters",
+        "`sciml scrape` against the server's --metrics-addr",
+    ),
+];
+
 fn fetch(args: &[String]) -> Result<(), String> {
+    if let Some((retired, instead)) = RETIRED_FETCH_FLAGS
+        .iter()
+        .find(|(f, _)| args.iter().any(|a| a == f))
+    {
+        return Err(format!("fetch {retired} is retired: use {instead}"));
+    }
     let addr = flag(args, "--addr").ok_or("--addr HOST:PORT required")?;
 
     // Shutdown needs no dataset, so don't demand a valid --name for it.
     if args.iter().any(|a| a == "--shutdown") {
-        let stats = RemoteSource::shutdown_at(&addr).map_err(|e| e.to_string())?;
-        println!(
-            "server shut down after {} requests, {} samples, {} bytes",
-            stats.requests, stats.samples_served, stats.bytes_sent
-        );
+        RemoteSource::shutdown_at(&addr).map_err(|e| e.to_string())?;
+        println!("server on {addr} acknowledged shutdown");
         return Ok(());
     }
 
     let name = flag(args, "--name").unwrap_or_else(|| "default".into());
     let metrics_out = flag(args, "--metrics-out");
-    let metrics_text = flag(args, "--metrics-text");
     let trace_out = flag(args, "--trace-out");
     let attribution_out = flag(args, "--attribution-out");
     let watch: f64 = flag_parse(args, "--watch", 0.0)?;
@@ -656,96 +673,9 @@ fn fetch(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if args.iter().any(|a| a == "--stats") {
-        let s = src.server_stats().map_err(|e| e.to_string())?;
-        println!(
-            "server stats: {} requests — latency p50 {:.1} µs / p95 {:.1} µs / p99 {:.1} µs / max {:.1} µs",
-            s.requests,
-            s.latency.percentile(0.50) as f64 / 1e3,
-            s.latency.percentile(0.95) as f64 / 1e3,
-            s.latency.percentile(0.99) as f64 / 1e3,
-            s.latency.max as f64 / 1e3,
-        );
-        println!(
-            "  {} samples, {} bytes sent, hot cache {} hits / {} misses, {} rejected connections",
-            s.samples_served, s.bytes_sent, s.cache_hits, s.cache_misses, s.rejected_connections
-        );
-        let lookups = s.cache_hits + s.cache_misses;
-        if lookups > 0 {
-            println!(
-                "  cache effectiveness: {:.1}% hit rate over {lookups} lookups",
-                100.0 * s.cache_hits as f64 / lookups as f64
-            );
-        }
-        // Per-entry payload-encoding decode counters (zero unless the
-        // server reads a packed store).
-        if s.decoded_raw + s.decoded_gzip > 0 {
-            println!(
-                "  store decodes: {} raw / {} gzip",
-                s.decoded_raw, s.decoded_gzip
-            );
-        }
-        // Client-side SIMD decode-kernel dispatches (the pooled decode
-        // pipeline runs in this process, not on the server).
-        let kernel_counts = sciml_simd::dispatch_counts();
-        if kernel_counts.iter().any(|&(_, _, n)| n > 0) {
-            let parts: Vec<String> = kernel_counts
-                .iter()
-                .filter(|&&(_, _, n)| n > 0)
-                .map(|(k, l, n)| format!("{}:{} {n}", k.name(), l.name()))
-                .collect();
-            println!(
-                "  decode kernels (tier {}): {}",
-                sciml_simd::active_level().name(),
-                parts.join(" / ")
-            );
-        }
-        // `--stats --watch SECS`: keep polling and print one compact
-        // line per tick showing request/sample movement.
-        if watch > 0.0 {
-            let iters: u64 = flag_parse(args, "--watch-iters", 5)?;
-            let mut prev = s;
-            for _ in 0..iters {
-                std::thread::sleep(std::time::Duration::from_secs_f64(watch));
-                let cur = src.server_stats().map_err(|e| e.to_string())?;
-                let lookups = (cur.cache_hits + cur.cache_misses)
-                    .saturating_sub(prev.cache_hits + prev.cache_misses);
-                let hit_rate = if lookups > 0 {
-                    100.0 * cur.cache_hits.saturating_sub(prev.cache_hits) as f64 / lookups as f64
-                } else {
-                    0.0
-                };
-                println!(
-                    "[obs] +{} req +{} samples +{} bytes | cache {hit_rate:.0}% | p95 {:.1} µs",
-                    cur.requests.saturating_sub(prev.requests),
-                    cur.samples_served.saturating_sub(prev.samples_served),
-                    cur.bytes_sent.saturating_sub(prev.bytes_sent),
-                    cur.latency.percentile(0.95) as f64 / 1e3,
-                );
-                prev = cur;
-            }
-        }
-    }
-    if metrics_out.is_some() || metrics_text.is_some() {
-        // Lift the SIMD dispatch atomics into `codec.simd.*` gauges so
-        // both export formats carry the kernel counters.
-        sciml_obs::simd::publish(&telemetry.registry);
-    }
     if let Some(out) = metrics_out {
-        telemetry
-            .write_metrics(Path::new(&out))
-            .map_err(|e| format!("write {out}: {e}"))?;
-        println!("client metrics written to {out}");
-    }
-    if let Some(out) = metrics_text {
-        telemetry.publish_trace_stats();
-        let text = sciml_obs::prometheus_text(&telemetry.registry.snapshot());
-        if out == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(&out, text).map_err(|e| format!("write {out}: {e}"))?;
-            println!("Prometheus-text metrics written to {out}");
-        }
+        std::fs::write(&out, telemetry.exposition()).map_err(|e| format!("write {out}: {e}"))?;
+        println!("client metrics exposition written to {out}");
     }
     if let Some(out) = trace_out {
         telemetry
@@ -1219,30 +1149,12 @@ fn soak(args: &[String]) -> Result<(), String> {
 
 // -------------------------------------------------------------------
 
-/// Parses a file with the std-only JSON parser, accepting either a
-/// single JSON document or JSONL (one document per line).
+/// Parses a file as one JSON document with the std-only JSON parser
+/// (a Chrome trace or an attribution report; metrics are Prometheus
+/// text, which `sciml scrape` checks).
 fn validate_json(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path:?}: {e}"))?;
-    match sciml_obs::json::parse(&text) {
-        Ok(_) => {
-            println!("{}: OK (single JSON document)", path.display());
-            return Ok(());
-        }
-        Err(_) => {
-            let mut docs = 0usize;
-            for (lineno, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                sciml_obs::json::parse(line)
-                    .map_err(|e| format!("{}:{}: {e}", path.display(), lineno + 1))?;
-                docs += 1;
-            }
-            if docs == 0 {
-                return Err(format!("{}: empty file", path.display()));
-            }
-            println!("{}: OK ({docs} JSONL document(s))", path.display());
-        }
-    }
+    sciml_obs::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("{}: OK", path.display());
     Ok(())
 }

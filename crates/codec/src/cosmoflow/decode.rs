@@ -275,7 +275,7 @@ mod tests {
             assert_eq!(fused, base, "{op:?}");
         }
         // Each decode counted its gather, at whatever tier this host runs
-        // (the counters `sciml_obs::simd::publish` exports).
+        // (the counters every metrics exposition carries as `codec.simd.*`).
         assert!(gathers() > gathers_before);
     }
 

@@ -1,64 +1,10 @@
-//! Snapshot exporters: registry → metrics JSONL, and named perf
-//! snapshots → `results/BENCH_*.json` machine-readable dumps.
+//! Bench snapshot exporter: named perf snapshots →
+//! `results/BENCH_*.json` machine-readable dumps. Registry metrics have
+//! one format, the Prometheus exposition ([`crate::Telemetry::exposition`]).
 
-use crate::histogram::HistogramSnapshot;
 use crate::json::escape;
-use crate::registry::{MetricValue, RegistrySnapshot};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-
-fn write_histogram_fields(out: &mut String, h: &HistogramSnapshot) {
-    let (min, max) = if h.count == 0 { (0, 0) } else { (h.min, h.max) };
-    out.push_str(&format!(
-        "\"count\":{},\"sum\":{},\"min\":{min},\"max\":{max},\"mean\":{:.1},\
-         \"p50\":{},\"p95\":{},\"p99\":{}",
-        h.count,
-        h.sum,
-        h.mean(),
-        h.percentile(0.50),
-        h.percentile(0.95),
-        h.percentile(0.99),
-    ));
-    out.push_str(",\"buckets\":[");
-    for (i, (idx, n)) in h.sparse().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{idx},{n}]"));
-    }
-    out.push(']');
-}
-
-/// One metric as a single JSON line (no trailing newline).
-pub fn metric_to_json(name: &str, value: &MetricValue) -> String {
-    let mut out = format!("{{\"name\":\"{}\",", escape(name));
-    match value {
-        MetricValue::Counter(v) => out.push_str(&format!("\"type\":\"counter\",\"value\":{v}")),
-        MetricValue::Gauge(v) => out.push_str(&format!("\"type\":\"gauge\",\"value\":{v}")),
-        MetricValue::Histogram(h) => {
-            out.push_str("\"type\":\"histogram\",");
-            write_histogram_fields(&mut out, h);
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// Writes a registry snapshot as JSONL: one metric per line, name
-/// order. Histogram lines carry count/sum/min/max/mean, p50/p95/p99,
-/// and sparse `[bucket, count]` pairs.
-pub fn write_metrics_jsonl(snapshot: &RegistrySnapshot, w: &mut impl Write) -> io::Result<()> {
-    for (name, value) in &snapshot.metrics {
-        writeln!(w, "{}", metric_to_json(name, value))?;
-    }
-    Ok(())
-}
-
-/// Convenience: [`write_metrics_jsonl`] straight to a file path.
-pub fn write_metrics_file(snapshot: &RegistrySnapshot, path: &Path) -> io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    write_metrics_jsonl(snapshot, &mut f)
-}
 
 /// One scalar result inside a bench snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,34 +68,6 @@ pub fn write_bench_snapshot(
 mod tests {
     use super::*;
     use crate::json;
-    use crate::registry::MetricsRegistry;
-
-    #[test]
-    fn jsonl_lines_are_valid_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c\"quoted").add(5);
-        reg.gauge("g").set(-1);
-        let h = reg.histogram("lat");
-        for v in [10u64, 20, 30, 40_000] {
-            h.record(v);
-        }
-        let mut buf = Vec::new();
-        write_metrics_jsonl(&reg.snapshot(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            json::parse(line).expect("each JSONL line parses");
-        }
-        let hist_line = lines
-            .iter()
-            .find(|l| l.contains("histogram"))
-            .expect("histogram line");
-        let v = json::parse(hist_line).unwrap();
-        assert_eq!(v.get("count").unwrap().as_f64(), Some(4.0));
-        assert!(v.get("p99").unwrap().as_f64().unwrap() > 1000.0);
-        assert!(!v.get("buckets").unwrap().as_array().unwrap().is_empty());
-    }
 
     #[test]
     fn bench_snapshot_writes_valid_json_file() {

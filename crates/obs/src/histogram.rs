@@ -163,8 +163,8 @@ impl Histogram {
     }
 }
 
-/// Immutable copy of a [`Histogram`], queryable for percentiles and
-/// serializable (sparse bucket pairs) for the wire or JSON.
+/// Immutable copy of a [`Histogram`], queryable for percentiles; the
+/// exposition renders its buckets as cumulative `_bucket` series.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Dense per-bucket counts (`NUM_BUCKETS` entries; empty means no
@@ -214,43 +214,12 @@ impl HistogramSnapshot {
             if cum >= target {
                 let (lo, hi) = bucket_bounds(idx);
                 let mid = lo + (hi - lo) / 2;
-                // Not `clamp`: a snapshot off the wire may carry
-                // min > max, which `clamp` panics on.
+                // Not `clamp`: the fields are public, so a snapshot
+                // may carry min > max, which `clamp` panics on.
                 return mid.max(self.min).min(self.max);
             }
         }
         self.max
-    }
-
-    /// Sparse `(bucket index, count)` pairs for compact serialization.
-    pub fn sparse(&self) -> Vec<(u16, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| (i as u16, n))
-            .collect()
-    }
-
-    /// Rebuilds a snapshot from [`HistogramSnapshot::sparse`] pairs
-    /// plus the scalar fields. Out-of-range indices are ignored; the
-    /// pairs may come off the wire, so repeated indices and the total
-    /// saturate instead of overflowing.
-    pub fn from_sparse(pairs: &[(u16, u64)], sum: u64, min: u64, max: u64) -> Self {
-        let mut counts = vec![0u64; NUM_BUCKETS];
-        for &(idx, n) in pairs {
-            if let Some(slot) = counts.get_mut(idx as usize) {
-                *slot = slot.saturating_add(n);
-            }
-        }
-        let count = counts.iter().fold(0u64, |acc, &n| acc.saturating_add(n));
-        Self {
-            counts,
-            count,
-            sum,
-            min,
-            max,
-        }
     }
 }
 
@@ -327,30 +296,6 @@ mod tests {
         assert_eq!(s.count, 200);
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 1099);
-    }
-
-    #[test]
-    fn sparse_roundtrip() {
-        let h = Histogram::new();
-        for v in [3u64, 3, 50, 7_000, 123_456_789] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let back = HistogramSnapshot::from_sparse(&s.sparse(), s.sum, s.min, s.max);
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn hostile_sparse_pairs_saturate_and_query_without_panic() {
-        // Repeated index, a total past u64::MAX, and min > max.
-        let pairs = [(0u16, u64::MAX), (0, 1), (3, 5), (4, u64::MAX)];
-        let s = HistogramSnapshot::from_sparse(&pairs, 0, 10, 5);
-        assert_eq!(s.counts[0], u64::MAX);
-        assert_eq!(s.count, u64::MAX);
-        assert_eq!(s.percentile(0.5), 5);
-        let tail = HistogramSnapshot::from_sparse(&pairs[2..], 0, 0, u64::MAX);
-        assert_eq!(tail.count, u64::MAX);
-        assert!(tail.percentile(0.99) >= 4);
     }
 
     #[test]

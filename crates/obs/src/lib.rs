@@ -11,12 +11,15 @@
 //!   thread id + wall-clock offsets; [`Tracer::write_chrome_trace`]
 //!   emits trace-event JSON viewable in `chrome://tracing` /
 //!   [Perfetto](https://ui.perfetto.dev). Near-zero cost when disabled.
-//! * [`export`] — snapshot writers: metrics JSONL dumps and
-//!   `results/BENCH_*.json` perf snapshots for the bench harness.
+//! * [`prom`] — the one metrics format: Prometheus text exposition,
+//!   plus the line parser the self-checks use.
+//! * [`export`] — `results/BENCH_*.json` perf snapshots for the bench
+//!   harness.
 //!
 //! [`Telemetry`] bundles a registry + tracer as the single handle the
 //! pipeline, codec, serving, and training tiers thread through their
-//! constructors.
+//! constructors. [`Telemetry::exposition`] is the one metrics read-out:
+//! the scrape endpoint and every `--metrics-out` file are its text.
 //!
 //! ```
 //! use sciml_obs::Telemetry;
@@ -49,10 +52,7 @@ pub mod simd;
 pub mod trace;
 
 pub use context::TraceContext;
-pub use export::{
-    bench_snapshot_json, metric_to_json, write_bench_snapshot, write_metrics_file,
-    write_metrics_jsonl, BenchEntry,
-};
+pub use export::{bench_snapshot_json, write_bench_snapshot, BenchEntry};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use merge::merge_chrome_traces;
 pub use prom::{parse_prometheus, prometheus_text, write_prometheus};
@@ -97,22 +97,20 @@ impl Telemetry {
         }
     }
 
-    /// Copies the tracer's dropped-span count into the registry as the
-    /// `obs.trace.dropped_spans` gauge, so silent span loss shows up in
-    /// every snapshot and scrape.
-    pub fn publish_trace_stats(&self) {
+    /// The one metrics read-out. Refreshes the three derived families
+    /// first — `obs.trace.dropped_spans` from the tracer,
+    /// `analyze.lockcheck.*` from the lock-order detector (in
+    /// `--cfg lockcheck` builds) and `codec.simd.*` from the kernel
+    /// dispatch counters — then renders the whole registry as
+    /// Prometheus text. The scrape endpoint and every `--metrics-out`
+    /// file are this text.
+    pub fn exposition(&self) -> String {
         self.registry
             .gauge("obs.trace.dropped_spans")
             .set(i64::try_from(self.tracer.dropped()).unwrap_or(i64::MAX));
-    }
-
-    /// Writes the current metrics snapshot as JSONL to `path`. In
-    /// `--cfg lockcheck` builds the snapshot first absorbs the
-    /// lock-order detector's `analyze.lockcheck.*` gauges.
-    pub fn write_metrics(&self, path: &std::path::Path) -> std::io::Result<()> {
         lockcheck::publish(&self.registry);
-        self.publish_trace_stats();
-        export::write_metrics_file(&self.registry.snapshot(), path)
+        simd::publish(&self.registry);
+        prometheus_text(&self.registry.snapshot())
     }
 
     /// Writes the retained trace as Chrome trace-event JSON to `path`.
@@ -125,5 +123,36 @@ impl Telemetry {
 impl Default for Telemetry {
     fn default() -> Self {
         Self::disabled()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_read_out_carries_every_derived_family() {
+        let tel = Telemetry {
+            registry: MetricsRegistry::new(),
+            tracer: Tracer::new(2),
+        };
+        tel.registry.counter("demo.events").add(3);
+        for _ in 0..5 {
+            let _span = tel.tracer.span("demo", "work");
+        }
+        let text = tel.exposition();
+        let parsed = parse_prometheus(&text).expect("valid exposition");
+        assert_eq!(parsed.samples_named("demo_events")[0].value, "3");
+        assert_eq!(parsed.kind("obs_trace_dropped_spans"), Some("gauge"));
+        assert_eq!(
+            parsed.samples_named("obs_trace_dropped_spans")[0].value,
+            tel.tracer.dropped().to_string()
+        );
+        assert!(tel.tracer.dropped() > 0);
+        assert_eq!(parsed.kind("codec_simd_dispatch_total"), Some("gauge"));
+        assert_eq!(
+            parsed.kind("analyze_lockcheck_acquisitions").is_some(),
+            parking_lot::lockcheck::enabled()
+        );
     }
 }

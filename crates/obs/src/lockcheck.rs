@@ -4,9 +4,9 @@
 //! In `--cfg lockcheck` builds the detector accumulates global
 //! statistics (sites seen, ordering edges, detected cycles); this
 //! module publishes them as `analyze.lockcheck.*` gauges so they ride
-//! along in every metrics snapshot/JSONL export. In normal builds
-//! [`publish`] is a no-op — `parking_lot::lockcheck::enabled()` is
-//! `const false` and the whole body folds away.
+//! along in every exposition ([`crate::Telemetry::exposition`]). In
+//! normal builds `publish` is a no-op — `parking_lot::lockcheck::enabled()`
+//! is `const false` and the whole body folds away.
 
 use crate::registry::MetricsRegistry;
 
@@ -16,7 +16,7 @@ pub const PREFIX: &str = "analyze.lockcheck";
 /// Publishes the detector's current statistics into `registry` as
 /// `analyze.lockcheck.{sites,edges,cycles,acquisitions,same_site_nesting}`
 /// gauges. No-op (registers nothing) when the detector is compiled out.
-pub fn publish(registry: &MetricsRegistry) {
+pub(crate) fn publish(registry: &MetricsRegistry) {
     if !parking_lot::lockcheck::enabled() {
         return;
     }

@@ -14,8 +14,8 @@
 //! visible in one line.
 //!
 //! The report is the structured signal ROADMAP's self-tuning controller
-//! will consume; today it feeds `sciml fetch --stats --watch` and
-//! `results/BENCH_obs_attribution.json`.
+//! will consume; today it feeds `sciml fetch --decode … --watch`,
+//! `--attribution-out` and `results/BENCH_obs_attribution.json`.
 
 use crate::registry::{MetricsRegistry, RegistrySnapshot};
 use crate::trace::Tracer;
@@ -240,7 +240,7 @@ impl AttributionReport {
         s
     }
 
-    /// One human-readable status line for `--stats --watch`.
+    /// One human-readable status line for `sciml fetch --watch`.
     pub fn live_line(&self) -> String {
         let mut s = format!(
             "[obs] bottleneck={} conf={:.2}",

@@ -1,8 +1,8 @@
 //! Publishes the process-wide SIMD decode-kernel dispatch counters
 //! into a metrics registry, following the [`crate::lockcheck`] pattern:
-//! hot paths bump plain atomics in `sciml-simd`; export points call
-//! [`publish`] to lift them into `codec.simd.*` gauges right before a
-//! snapshot or scrape.
+//! hot paths bump plain atomics in `sciml-simd`;
+//! [`crate::Telemetry::exposition`] calls `publish` to lift them into
+//! `codec.simd.*` gauges right before it renders.
 
 use crate::registry::MetricsRegistry;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// - `codec.simd.level.<level>` — per-tier totals across kernels
 ///   (always emitted, so dashboards get a stable series);
 /// - `codec.simd.dispatch_total` — grand total, host-independent.
-pub fn publish(registry: &Arc<MetricsRegistry>) {
+pub(crate) fn publish(registry: &Arc<MetricsRegistry>) {
     // One read of the atomics; totals derive from the same snapshot so
     // the published gauges are mutually consistent even while decodes
     // keep running on other threads.

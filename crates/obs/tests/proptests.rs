@@ -85,17 +85,6 @@ proptest! {
         prop_assert!(p <= max, "percentile {p} above true max {max}");
     }
 
-    #[test]
-    fn sparse_roundtrip_preserves_distribution(
-        values in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
-        let snap = build(&values).snapshot();
-        let rebuilt = sciml_obs::HistogramSnapshot::from_sparse(
-            &snap.sparse(), snap.sum, snap.min, snap.max);
-        prop_assert_eq!(rebuilt.counts, snap.counts);
-        prop_assert_eq!(rebuilt.count, snap.count);
-    }
-
     /// Any registry contents — counters, gauges (negative included),
     /// and a histogram of arbitrary values — survive the trip through
     /// [`prometheus_text`] and back through the strict line parser:

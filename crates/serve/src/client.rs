@@ -11,7 +11,7 @@
 
 use crate::protocol::{
     read_message, read_sample_into, write_fetch_one, write_message, ErrorCode, Message,
-    ProtocolError, StatsSnapshot, PROTOCOL_VERSION,
+    ProtocolError, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
 use sciml_obs::{Counter, MetricsRegistry, TraceContext};
@@ -193,15 +193,6 @@ fn unexpected_reply(msg: &Message) -> PipelineError {
     PipelineError::Remote(format!("unexpected server reply: {msg:?}").into())
 }
 
-/// The snapshot out of a reply to `Stats` or `Shutdown`.
-fn stats_of(reply: Message) -> Result<StatsSnapshot, PipelineError> {
-    match reply {
-        Message::StatsReply(s) => Ok(s),
-        Message::Error { code, detail } => Err(server_error(code, detail)),
-        other => Err(unexpected_reply(&other)),
-    }
-}
-
 /// The code of a server-reported failure, `None` for anything else.
 fn server_code(e: &PipelineError) -> Option<ErrorCode> {
     match e {
@@ -335,17 +326,17 @@ impl RemoteSource {
         Arc::clone(&self.registry)
     }
 
-    /// Fetches the server-side stats snapshot.
-    pub fn server_stats(&self) -> Result<StatsSnapshot, PipelineError> {
-        stats_of(self.call(&Message::Stats)?)
-    }
-
     /// Shuts down the server at `addr` without binding to any dataset
     /// (connecting via [`RemoteSource::connect`] would fail when the
     /// dataset name is unknown, which a shutdown caller may not know).
-    pub fn shutdown_at(addr: &str) -> Result<StatsSnapshot, PipelineError> {
+    /// Returns once the server has acknowledged; it drains after.
+    pub fn shutdown_at(addr: &str) -> Result<(), PipelineError> {
         let mut conn = Conn::open(addr, &ClientConfig::default())?;
-        stats_of(conn.call(&Message::Shutdown)?)
+        match conn.call(&Message::Shutdown)? {
+            Message::Shutdown => Ok(()),
+            Message::Error { code, detail } => Err(server_error(code, detail)),
+            other => Err(unexpected_reply(&other)),
+        }
     }
 
     /// Fetches a batch of samples in one round trip, in request order.
@@ -663,8 +654,8 @@ mod tests {
     #[test]
     fn shutdown_at_needs_no_dataset_name() {
         let server = spawn_server();
-        let stats = RemoteSource::shutdown_at(&server.local_addr().to_string()).expect("shutdown");
-        assert_eq!(stats.samples_served, 0);
+        RemoteSource::shutdown_at(&server.local_addr().to_string()).expect("shutdown");
+        assert_eq!(server.stats().samples_served, 0);
         server.join();
     }
 

@@ -25,8 +25,10 @@
 //! * [`client`] — pooled, retrying `RemoteSource`;
 //! * [`cluster`] — replica-failover `ClusterSource` over a placed plan;
 //! * [`metrics`] — server-side latency/throughput and `serve.conn.*`
-//!   connection counters;
-//! * [`scrape`] — Prometheus-text metrics exposition endpoint.
+//!   connection counters, and the in-process [`StatsSnapshot`];
+//! * [`scrape`] — Prometheus-text metrics exposition endpoint, the one
+//!   way server metrics leave the process: the wire protocol carries
+//!   samples and plans, not metrics.
 
 pub mod client;
 pub mod cluster;
@@ -40,6 +42,7 @@ mod session;
 
 pub use client::{ClientConfig, RemoteSource, ServerError};
 pub use cluster::ClusterSource;
-pub use protocol::{Message, ProtocolError, StatsSnapshot, PROTOCOL_VERSION};
+pub use metrics::StatsSnapshot;
+pub use protocol::{Message, ProtocolError, PROTOCOL_VERSION};
 pub use scrape::{scrape_once, spawn_scrape_listener, ScrapeHandle};
 pub use server::{ClusterConfig, ServeBuilder, ServerConfig, ServerHandle};

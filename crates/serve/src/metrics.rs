@@ -1,14 +1,40 @@
-//! Server-side metrics on the shared `sciml-obs` registry, snapshotted
-//! into the wire [`StatsSnapshot`] on demand.
+//! Server-side metrics on the shared `sciml-obs` registry. Out of
+//! process they are read from the scrape endpoint; in process,
+//! [`ServerMetrics::snapshot`] copies them into a [`StatsSnapshot`].
 //!
 //! Request handling time is a full latency histogram
-//! (`serve.request_ns`), so stats replies carry p50/p95/p99 tails
+//! (`serve.request_ns`), so a snapshot carries p50/p95/p99 tails
 //! beside the cumulative `request_ns` sum.
 
-use crate::protocol::StatsSnapshot;
-use sciml_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use sciml_obs::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The server's counters at one instant, as
+/// [`ServerHandle::stats`](crate::ServerHandle::stats) returns them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StatsSnapshot {
+    /// Requests served (all message kinds after `Hello`).
+    pub requests: u64,
+    /// Sample payloads shipped.
+    pub samples_served: u64,
+    /// Payload bytes shipped to clients.
+    pub bytes_sent: u64,
+    /// Hot-cache hits.
+    pub cache_hits: u64,
+    /// Hot-cache misses (fetches that went to the backing source).
+    pub cache_misses: u64,
+    /// Connections rejected at the admission limit.
+    pub rejected_connections: u64,
+    /// Cumulative request handling time, nanoseconds.
+    pub request_ns: u64,
+    /// Store payloads decoded from raw entries.
+    pub decoded_raw: u64,
+    /// Store payloads decoded from gzip entries.
+    pub decoded_gzip: u64,
+    /// Request-latency distribution (nanoseconds).
+    pub latency: HistogramSnapshot,
+}
 
 /// Instruments shared by every connection handler, registered under
 /// `serve.*` names.
@@ -20,7 +46,7 @@ pub struct ServerMetrics {
     bytes_sent: Arc<Counter>,
     /// Per-encoding store decode counters (`store.decode.*`) — bumped
     /// by the shard source when it shares this registry, surfaced in
-    /// stats replies.
+    /// [`StatsSnapshot`].
     decoded_raw: Arc<Counter>,
     decoded_gzip: Arc<Counter>,
     /// Per-request handling latency, nanoseconds (`serve.request_ns`).
@@ -30,14 +56,14 @@ pub struct ServerMetrics {
 }
 
 /// Connection-lifecycle instruments (`serve.conn.*`): the reactor
-/// records into them, the stats reply reads `rejected_busy`.
+/// records into them, [`StatsSnapshot`] reads `rejected_busy`.
 #[derive(Debug, Clone)]
 pub(crate) struct ConnMetrics {
     /// Connections admitted over the server's lifetime
     /// (`serve.conn.accepted`).
     pub(crate) accepted: Arc<Counter>,
     /// Connections turned away with a typed busy/draining frame
-    /// (`serve.conn.rejected_busy`); the wire snapshot's
+    /// (`serve.conn.rejected_busy`); the snapshot's
     /// `rejected_connections` reads it.
     pub(crate) rejected_busy: Arc<Counter>,
     /// Connections closed by graceful drain after their in-flight
@@ -100,7 +126,7 @@ impl ServerMetrics {
         self.conn.rejected_busy.get()
     }
 
-    /// Builds the wire snapshot; cache counters come from the caller
+    /// Builds the snapshot; cache counters come from the caller
     /// because they live on the per-dataset caches.
     pub fn snapshot(&self, cache_hits: u64, cache_misses: u64) -> StatsSnapshot {
         let latency = self.request_latency.snapshot();

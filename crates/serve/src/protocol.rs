@@ -19,12 +19,14 @@
 //! opens with `Hello` carrying exactly that number; any other number is
 //! answered with an `Error{VersionMismatch}` frame and a close. Any
 //! change to a tag or a body bumps the number; there is no negotiation.
-//! Tags 0x03, 0x04, 0x0A, 0x0C, 0x0D, 0x0E, 0x10, 0x13 and 0x14 belonged
-//! to retired messages and stay unassigned.
+//! Tags 0x03, 0x04, 0x09, 0x0A, 0x0C, 0x0D, 0x0E, 0x10, 0x12, 0x13 and
+//! 0x14 belonged to retired messages and stay unassigned. Server metrics
+//! do not travel on this protocol: they are read from the scrape
+//! endpoint ([`crate::scrape`]).
 
 use crate::reactor::Piece;
 use sciml_compress::crc32::{crc32, crc32_combine, Crc32};
-use sciml_obs::{HistogramSnapshot, TraceContext};
+use sciml_obs::TraceContext;
 use sciml_store::{ClusterPlan, EncodingChoice, ShardAssignment, ShardPlan};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -32,7 +34,7 @@ use std::io::{self, Read, Write};
 /// The one protocol version. Both ends must carry exactly this number
 /// in [`Message::Hello`] / [`Message::HelloAck`]; any change to a tag
 /// or a message body bumps it.
-pub const PROTOCOL_VERSION: u16 = 8;
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Hard ceiling on a frame payload (64 MiB). Large enough for a batch
 /// of encoded samples, small enough to bound per-connection memory.
@@ -142,31 +144,6 @@ impl ErrorCode {
     }
 }
 
-/// Server-side counters shipped in a [`Message::StatsReply`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Requests served (all message kinds after `Hello`).
-    pub requests: u64,
-    /// Sample payloads shipped.
-    pub samples_served: u64,
-    /// Payload bytes shipped to clients.
-    pub bytes_sent: u64,
-    /// Hot-cache hits.
-    pub cache_hits: u64,
-    /// Hot-cache misses (fetches that went to the backing source).
-    pub cache_misses: u64,
-    /// Connections rejected at the admission limit.
-    pub rejected_connections: u64,
-    /// Cumulative request handling time, nanoseconds.
-    pub request_ns: u64,
-    /// Store payloads decoded from raw entries.
-    pub decoded_raw: u64,
-    /// Store payloads decoded from gzip entries.
-    pub decoded_gzip: u64,
-    /// Request-latency distribution (nanoseconds).
-    pub latency: HistogramSnapshot,
-}
-
 /// Every message of the protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -202,12 +179,6 @@ pub enum Message {
     },
     /// Server reply: one payload per requested index, same order.
     Samples(Vec<Vec<u8>>),
-    /// Client request for server counters.
-    Stats,
-    /// Server reply to [`Message::Stats`] and [`Message::Shutdown`]:
-    /// counters, per-encoding store decode counters and the sparse
-    /// request-latency histogram.
-    StatsReply(StatsSnapshot),
     /// Request wrapper: carries the client's distributed-trace context
     /// so the server records its spans into the same trace. Wraps
     /// exactly one non-`Traced` request message.
@@ -219,7 +190,9 @@ pub enum Message {
         /// The wrapped request.
         inner: Box<Message>,
     },
-    /// Client request to stop the server (loopback/admin use).
+    /// Client request to stop the server (loopback/admin use). The
+    /// server acknowledges it with a `Shutdown` frame of its own, then
+    /// drains.
     Shutdown,
     /// Server-reported failure.
     Error {
@@ -237,11 +210,9 @@ mod tags {
     pub const MANIFEST_REPLY: u8 = 0x06;
     pub const FETCH_SAMPLES: u8 = 0x07;
     pub const SAMPLES: u8 = 0x08;
-    pub const STATS: u8 = 0x09;
     pub const SHUTDOWN: u8 = 0x0B;
     pub const ERROR: u8 = 0x0F;
     pub const TRACED: u8 = 0x11;
-    pub const STATS_REPLY: u8 = 0x12;
 }
 
 // ------------------------------------------------------------- encoding
@@ -269,41 +240,6 @@ fn put_traced_head(out: &mut Vec<u8>, trace_id: u64, parent_span: u64) {
     out.push(tags::TRACED);
     out.extend_from_slice(&trace_id.to_le_bytes());
     out.extend_from_slice(&parent_span.to_le_bytes());
-}
-
-/// Sparse latency histogram: scalar fields then (bucket index, count)
-/// pairs.
-fn put_latency(out: &mut Vec<u8>, latency: &HistogramSnapshot) {
-    let pairs = latency.sparse();
-    out.extend_from_slice(&latency.sum.to_le_bytes());
-    out.extend_from_slice(&latency.min.to_le_bytes());
-    out.extend_from_slice(&latency.max.to_le_bytes());
-    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for (idx, n) in pairs {
-        out.extend_from_slice(&idx.to_le_bytes());
-        out.extend_from_slice(&n.to_le_bytes());
-    }
-}
-
-fn read_latency(r: &mut Reader<'_>) -> Result<HistogramSnapshot, ProtocolError> {
-    let sum = r.u64()?;
-    let min = r.u64()?;
-    let max = r.u64()?;
-    let count = r.u32()? as usize;
-    // Each pair is 2 + 8 bytes. Division form: `count * 10` could
-    // overflow usize on 32-bit targets (count is attacker-controlled).
-    if count > r.remaining() / 10 {
-        return Err(ProtocolError::Malformed(
-            "bucket count exceeds payload length",
-        ));
-    }
-    let mut pairs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let idx = r.u16()?;
-        let n = r.u64()?;
-        pairs.push((idx, n));
-    }
-    Ok(HistogramSnapshot::from_sparse(&pairs, sum, min, max))
 }
 
 /// Wire size of one [`ShardPlan`]: 4 + 8 + 8 + 8 + 1.
@@ -338,8 +274,6 @@ impl Message {
             Message::ManifestReply(_) => "ManifestReply",
             Message::FetchSamples { .. } => "FetchSamples",
             Message::Samples(_) => "Samples",
-            Message::Stats => "Stats",
-            Message::StatsReply(_) => "StatsReply",
             Message::Traced { .. } => "Traced",
             Message::Shutdown => "Shutdown",
             Message::Error { .. } => "Error",
@@ -394,24 +328,6 @@ impl Message {
                     out.extend_from_slice(p);
                 }
             }
-            Message::Stats => out.push(tags::STATS),
-            Message::StatsReply(s) => {
-                out.push(tags::STATS_REPLY);
-                for field in [
-                    s.requests,
-                    s.samples_served,
-                    s.bytes_sent,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.rejected_connections,
-                    s.request_ns,
-                    s.decoded_raw,
-                    s.decoded_gzip,
-                ] {
-                    out.extend_from_slice(&field.to_le_bytes());
-                }
-                put_latency(out, &s.latency);
-            }
             Message::Traced {
                 trace_id,
                 parent_span,
@@ -446,7 +362,8 @@ impl Message {
                 let replication = r.u16()?;
                 let shard_count = r.u32()? as usize;
                 // Each shard is at least a plan plus a u16 replica
-                // count. Division form, as in `read_latency`.
+                // count. Division form: `count * 31` could overflow
+                // usize on 32-bit targets (the count is the peer's).
                 if shard_count > r.remaining() / (SHARD_PLAN_BYTES + 2) {
                     return Err(ProtocolError::Malformed(
                         "shard assignment count exceeds payload length",
@@ -477,7 +394,7 @@ impl Message {
             tags::FETCH_SAMPLES => {
                 let name = r.string()?;
                 let count = r.u32()? as usize;
-                // Division form, as in `read_latency`.
+                // Division form, as for the shard count above.
                 if count > r.remaining() / 8 {
                     return Err(ProtocolError::Malformed(
                         "index count exceeds payload length",
@@ -498,19 +415,6 @@ impl Message {
                 }
                 Message::Samples(payloads)
             }
-            tags::STATS => Message::Stats,
-            tags::STATS_REPLY => Message::StatsReply(StatsSnapshot {
-                requests: r.u64()?,
-                samples_served: r.u64()?,
-                bytes_sent: r.u64()?,
-                cache_hits: r.u64()?,
-                cache_misses: r.u64()?,
-                rejected_connections: r.u64()?,
-                request_ns: r.u64()?,
-                decoded_raw: r.u64()?,
-                decoded_gzip: r.u64()?,
-                latency: read_latency(&mut r)?,
-            }),
             tags::TRACED => {
                 let trace_id = r.u64()?;
                 let parent_span = r.u64()?;
@@ -869,8 +773,8 @@ mod tests {
 
     fn all_messages() -> Vec<Message> {
         vec![
-            Message::Hello { version: 8 },
-            Message::HelloAck { version: 8 },
+            Message::Hello { version: 9 },
+            Message::HelloAck { version: 9 },
             Message::Manifest {
                 name: "cosmo".into(),
             },
@@ -879,25 +783,6 @@ mod tests {
                 indices: vec![0, 5, 1023, 5],
             },
             Message::Samples(vec![vec![1, 2, 3], vec![], vec![0xFF; 300]]),
-            Message::Stats,
-            Message::StatsReply(StatsSnapshot {
-                requests: 1,
-                samples_served: 2,
-                bytes_sent: 3,
-                cache_hits: 4,
-                cache_misses: 5,
-                rejected_connections: 6,
-                request_ns: 7,
-                decoded_raw: 8,
-                decoded_gzip: 9,
-                latency: {
-                    let h = sciml_obs::Histogram::new();
-                    for v in [100u64, 250, 1_000_000, 1_000_001] {
-                        h.record(v);
-                    }
-                    h.snapshot()
-                },
-            }),
             Message::Traced {
                 trace_id: 0xDEAD_BEEF_0BAD_F00D,
                 parent_span: 0x1234_5678_9ABC_DEF0,
@@ -1245,9 +1130,13 @@ mod tests {
         // 0x0A, 0x0C and 0x0E carried the retired v1/v2 stats replies
         // and the v3 shard-manifest reply; 0x03/0x04 (the dataset
         // table), 0x0D/0x10 (the shard manifest) and 0x13/0x14 (the
-        // cluster manifest) left in v8, when `Manifest` took over. A
-        // valid CRC does not revive them.
-        for tag in [0xEEu8, 0x0A, 0x0C, 0x0E, 0x03, 0x04, 0x0D, 0x10, 0x13, 0x14] {
+        // cluster manifest) left in v8, when `Manifest` took over;
+        // 0x09/0x12 (`Stats` and its reply) left in v9, when server
+        // metrics moved to the scrape endpoint alone. A valid CRC does
+        // not revive them.
+        for tag in [
+            0xEEu8, 0x0A, 0x0C, 0x0E, 0x03, 0x04, 0x0D, 0x10, 0x13, 0x14, 0x09, 0x12,
+        ] {
             assert!(matches!(
                 decode_frame(&raw_frame(&[tag, 0, 0])),
                 Err(ProtocolError::UnknownTag(t)) if t == tag
@@ -1339,7 +1228,7 @@ mod tests {
         let inner = Message::Traced {
             trace_id: 1,
             parent_span: 2,
-            inner: Box::new(Message::Stats),
+            inner: Box::new(Message::Shutdown),
         };
         let outer = Message::Traced {
             trace_id: 3,
@@ -1357,7 +1246,7 @@ mod tests {
             payload.push(tags::TRACED);
             payload.extend_from_slice(&[0u8; 16]);
         }
-        payload.push(tags::STATS);
+        payload.push(tags::SHUTDOWN);
         assert!(matches!(
             decode_frame(&raw_frame(&payload)),
             Err(ProtocolError::Malformed("nested trace context"))
@@ -1374,63 +1263,22 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn bucket_count_beyond_payload_rejected() {
-        let mut payload = vec![tags::STATS_REPLY];
-        payload.extend_from_slice(&[0u8; 72]); // 9 counters
-        payload.extend_from_slice(&[0u8; 24]); // sum/min/max
-        payload.extend_from_slice(&100_000u32.to_le_bytes());
-        payload.extend_from_slice(&[0u8; 20]);
-        assert!(matches!(
-            decode_frame(&raw_frame(&payload)),
-            Err(ProtocolError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn hostile_bucket_counts_saturate() {
-        // Two pairs for bucket 0 whose counts sum past u64::MAX, plus a
-        // second full bucket so the total overflows too.
-        let mut payload = vec![tags::STATS_REPLY];
-        payload.extend_from_slice(&[0u8; 72]);
-        payload.extend_from_slice(&[0u8; 24]);
-        payload.extend_from_slice(&3u32.to_le_bytes());
-        for (idx, n) in [(0u16, u64::MAX), (0, 1), (1, u64::MAX)] {
-            payload.extend_from_slice(&idx.to_le_bytes());
-            payload.extend_from_slice(&n.to_le_bytes());
-        }
-        let (msg, _) = decode_frame(&raw_frame(&payload)).expect("decodes");
-        let Message::StatsReply(s) = msg else {
-            panic!("unexpected {msg:?}");
-        };
-        assert_eq!(s.latency.counts[0], u64::MAX);
-        assert_eq!(s.latency.count, u64::MAX);
-    }
-
-    /// Hex of `encode_frame`, captured at v8. `Traced{FetchSamples}`
-    /// and `Stats` are byte for byte their v6 and v7 captures; v8
-    /// changed the `Hello` number, dropped the stats reply's retired
-    /// pack slot and gave `ManifestReply` the placed plan. Each must
-    /// still be what some entry of `all_messages()` encodes to; the tag
-    /// byte ties it to its message.
+    /// Hex of `encode_frame`, captured at v9. `Traced{FetchSamples}`
+    /// and both `ManifestReply` frames are byte for byte their v8
+    /// captures; v9 changed the `Hello` number, retired `Stats` and its
+    /// reply, and made `Shutdown` the server's acknowledgement too.
+    /// Each must still be what some entry of `all_messages()` encodes
+    /// to; the tag byte ties it to its message.
     #[test]
     fn golden_wire_vectors() {
         let frames: Vec<Vec<u8>> = all_messages().iter().map(encode_frame).collect();
         let golden = [
-            ("Hello{8}", "030000000108002d395a36"),
-            ("Stats", "01000000092957deab"),
+            ("Hello{9}", "030000000109006c08412f"),
+            ("Shutdown", "010000000b0536d045"),
             (
                 "Traced{FetchSamples}",
                 "35000000110df0ad0befbeaddef0debc9a78563412070500636f736d6f\
                  030000000700000000000000080000000000000009000000000000001322bfa7",
-            ),
-            (
-                "StatsReply, every field set",
-                "830000001201000000000000000200000000000000030000000000000004\
-                 000000000000000500000000000000060000000000000007000000000000\
-                 0008000000000000000900000000000000df851e00000000006400000000\
-                 00000041420f000000000003000000240001000000000000002f00010000\
-                 00000000008f0002000000000000000c90909c",
             ),
             (
                 "ManifestReply, two nodes",

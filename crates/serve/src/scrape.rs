@@ -4,13 +4,13 @@
 //! One background thread, one request per connection, `HTTP/1.0` with
 //! `Connection: close` — exactly enough protocol for a Prometheus
 //! scraper, `curl`, or the `sciml scrape` self-checker, with no HTTP
-//! library. Every request gets a fresh snapshot of the whole registry
-//! (counters, gauges, histograms as cumulative buckets) with the
-//! tracer's dropped-span gauge refreshed first, regardless of path, so
-//! misconfigured scrape paths still return data rather than a 404
-//! no one looks at.
+//! library. Every request, whatever its path, gets the one metrics
+//! read-out, [`Telemetry::exposition`]: the whole registry (counters,
+//! gauges, histograms as cumulative buckets) with the derived families
+//! refreshed first, so misconfigured scrape paths still return data
+//! rather than a 404 no one looks at.
 
-use sciml_obs::{prometheus_text, Telemetry};
+use sciml_obs::Telemetry;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,10 +81,7 @@ fn serve_scrape(mut stream: TcpStream, telemetry: &Telemetry) {
             Err(_) => break,
         }
     }
-    telemetry.publish_trace_stats();
-    sciml_obs::lockcheck::publish(&telemetry.registry);
-    sciml_obs::simd::publish(&telemetry.registry);
-    let body = prometheus_text(&telemetry.registry.snapshot());
+    let body = telemetry.exposition();
     let response = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         body.len(),
@@ -171,8 +168,20 @@ mod tests {
         assert_eq!(parsed.samples_named("serve_requests")[0].value, "3");
         assert_eq!(parsed.kind("serve_request_ns"), Some("histogram"));
         assert_eq!(parsed.samples_named("serve_request_ns_count")[0].value, "1");
-        // The dropped-span gauge is refreshed into every scrape.
-        assert_eq!(parsed.kind("obs_trace_dropped_spans"), Some("gauge"));
+        // The body is the one read-out, derived families included: on a
+        // registry nothing records into between the two, `exposition()`
+        // byte for byte. (Under `--cfg lockcheck` every lock taken moves
+        // the detector's gauges, so their lines are left out there.)
+        for family in ["obs_trace_dropped_spans", "codec_simd_dispatch_total"] {
+            assert_eq!(parsed.kind(family), Some("gauge"), "{family}");
+        }
+        let steady = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| !l.contains("analyze_lockcheck"))
+                .map(str::to_owned)
+                .collect()
+        };
+        assert_eq!(steady(&body), steady(&telemetry.exposition()));
         // Second scrape sees counter movement.
         telemetry.registry.counter("serve.requests").add(2);
         let body = scrape_once(&addr.to_string()).unwrap();

@@ -12,8 +12,7 @@
 //! cache, so repeat fetches (second epochs, overlapping shards across
 //! clients) are served from DRAM without touching the backing tier.
 
-use crate::metrics::ServerMetrics;
-use crate::protocol::StatsSnapshot;
+use crate::metrics::{ServerMetrics, StatsSnapshot};
 use crate::reactor::{self, ReactorConfig, ReactorHandle};
 use sciml_obs::{Counter, MetricsRegistry, Telemetry, Tracer};
 use sciml_pipeline::source::MemoryCacheSource;
@@ -88,7 +87,7 @@ pub(crate) struct Dataset {
 pub(crate) struct Inner {
     pub(crate) datasets: BTreeMap<String, Dataset>,
     /// Shared `pipeline.cache.memory.*` counters every dataset cache
-    /// feeds, read directly for stats replies (summing per-dataset
+    /// feeds, read directly for [`StatsSnapshot`]s (summing per-dataset
     /// views of the same shared counters would multiply-count).
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
@@ -101,7 +100,7 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// The wire snapshot: server counters plus the shared cache totals.
+    /// Server counters plus the shared cache totals.
     pub(crate) fn stats(&self) -> StatsSnapshot {
         self.metrics
             .snapshot(self.cache_hits.get(), self.cache_misses.get())
@@ -246,7 +245,9 @@ impl ServerHandle {
         self.inner.metrics.rejected_connections()
     }
 
-    /// Current stats snapshot, identical to a wire `Stats` request.
+    /// Current stats snapshot: the `serve.*` counters and the shared
+    /// cache totals, read in process. Another process reads the same
+    /// numbers from the scrape endpoint.
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats()
     }
@@ -574,7 +575,13 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         // B never said Hello: its own new session says so, and nothing
         // of A's reaches it.
-        write_message(&mut b, &Message::Stats).unwrap();
+        write_message(
+            &mut b,
+            &Message::Manifest {
+                name: "gated".into(),
+            },
+        )
+        .unwrap();
         match read_message(&mut b).unwrap() {
             Message::Error {
                 code: ErrorCode::BadRequest,
@@ -609,10 +616,7 @@ mod tests {
             };
             assert_eq!(s.len(), 8);
         }
-        write_message(&mut c, &Message::Stats).unwrap();
-        let Message::StatsReply(stats) = read_message(&mut c).unwrap() else {
-            panic!("expected a stats reply");
-        };
+        let stats = server.stats();
         assert_eq!(stats.cache_misses, 8);
         assert_eq!(stats.cache_hits, 8);
         assert_eq!(stats.samples_served, 16);

@@ -84,11 +84,11 @@ fn process_message(inner: &Inner, state: &mut SessionState, request: Message) ->
             Ok(pieces) => Reply::gather(pieces),
             Err(error) => Reply::send(encode_frame(&error)),
         },
-        // Acknowledge with the final counters; the reactor begins its
-        // drain after the reply is on the wire.
+        // Acknowledge in kind; the reactor begins its drain after the
+        // reply is on the wire.
         Message::Shutdown => Reply {
             shutdown: true,
-            ..Reply::send(encode_frame(&Message::StatsReply(inner.stats())))
+            ..Reply::send(encode_frame(&Message::Shutdown))
         },
         other => Reply::send(encode_frame(&respond(inner, other))),
     };
@@ -144,7 +144,6 @@ fn respond(inner: &Inner, request: Message) -> Message {
             Some(ds) => Message::ManifestReply(ds.plan.clone()),
             None => unknown_dataset(&name),
         },
-        Message::Stats => Message::StatsReply(inner.stats()),
         // Client-bound messages arriving at the server, named by kind:
         // a body (a `Samples` batch) can be far longer than a detail.
         other => Message::Error {

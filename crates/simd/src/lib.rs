@@ -20,8 +20,8 @@
 //!   bit-exact, so concurrent tests can only change *which* kernel runs,
 //!   never what it produces.
 //! * [`record`] / [`dispatch_counts`] — relaxed per-(kernel, level)
-//!   counters so `sciml fetch --stats` and the Prometheus scrape can
-//!   show which path actually ran (`codec.simd.*`).
+//!   counters so every metrics exposition (a scrape, a `--metrics-out`
+//!   file) can show which path actually ran (`codec.simd.*`).
 //! * [`kernel_plan`] — every kernel's path at the active tier, which
 //!   `sciml cpu-features` prints.
 //!

@@ -164,11 +164,11 @@ pub struct StagerConfig {
     /// overrides the policy for every shard, so every entry is fetched
     /// and encoded again.
     pub encoding: Option<EncodingChoice>,
-    /// Compression effort for gzip-encoded payloads. Applies only to
-    /// entries the stager encodes itself; an entry copied as stored
-    /// keeps the effort it was packed with.
-    pub level: Level,
 }
+
+/// Compression effort for the gzip payloads the stager encodes itself;
+/// an entry copied as stored keeps the effort it was packed with.
+const STAGE_LEVEL: Level = Level::Fast;
 
 impl Default for StagerConfig {
     fn default() -> Self {
@@ -178,7 +178,6 @@ impl Default for StagerConfig {
             max_retries: 3,
             retry_backoff: Duration::from_millis(10),
             encoding: None,
-            level: Level::Fast,
         }
     }
 }
@@ -620,9 +619,9 @@ impl Stager {
                 }) => {
                     let mut raw = Vec::new();
                     unpack(&buf, &mut raw, raw_len as usize).map_err(StoreError::Backing)?;
-                    encode_entry(raw, encoding, config.level)?
+                    encode_entry(raw, encoding, STAGE_LEVEL)?
                 }
-                _ => encode_entry(std::mem::take(&mut buf), encoding, config.level)?,
+                _ => encode_entry(std::mem::take(&mut buf), encoding, STAGE_LEVEL)?,
             });
         }
         Ok((entries, verbatim))

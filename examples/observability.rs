@@ -1,10 +1,11 @@
 //! Observability demo: run the loading pipeline with the unified
-//! telemetry layer enabled, then dump the metrics snapshot (JSONL) and
-//! a Chrome trace-event file with per-stage worker spans.
+//! telemetry layer enabled, then dump the metrics exposition
+//! (Prometheus text, the same read-out a scrape returns) and a Chrome
+//! trace-event file with per-stage worker spans.
 //!
 //! ```text
 //! cargo run --example observability -- --trace-out /tmp/trace.json \
-//!     --metrics-out /tmp/metrics.jsonl
+//!     --metrics-out /tmp/metrics.prom
 //! ```
 //!
 //! Open the trace in `chrome://tracing` or <https://ui.perfetto.dev>:
@@ -13,7 +14,7 @@
 use sciml_bench::dataset::{DatasetBuilder, EncodedFormat};
 use sciml_codec::Op;
 use sciml_data::cosmoflow::CosmoFlowConfig;
-use sciml_obs::{json, Telemetry};
+use sciml_obs::{json, parse_prometheus, Telemetry};
 use sciml_pipeline::source::VecSource;
 use sciml_pipeline::{Pipeline, PipelineConfig};
 use std::collections::BTreeSet;
@@ -31,7 +32,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let trace_out = flag(&args, "--trace-out").unwrap_or_else(|| "/tmp/sciml_trace.json".into());
     let metrics_out =
-        flag(&args, "--metrics-out").unwrap_or_else(|| "/tmp/sciml_metrics.jsonl".into());
+        flag(&args, "--metrics-out").unwrap_or_else(|| "/tmp/sciml_metrics.prom".into());
 
     // A small encoded dataset and an observed pipeline over it: two
     // reader and two decoder threads, so the trace shows genuinely
@@ -77,38 +78,42 @@ fn main() {
         decode.max as f64 / 1e3,
     );
 
-    telemetry
-        .write_metrics(&metrics_out)
-        .expect("write metrics");
+    std::fs::write(&metrics_out, telemetry.exposition()).expect("write metrics");
     telemetry.write_trace(&trace_out).expect("write trace");
     println!("metrics: {}", metrics_out.display());
     println!("trace:   {}", trace_out.display());
 
-    // Self-check both files: the trace must be well-formed JSON with
-    // spans from all pipeline stages across at least two worker threads.
-    validate_metrics(&metrics_out);
+    // Self-check both files: the exposition must carry the decode
+    // histogram's series and the derived families, and the trace must
+    // be well-formed JSON with spans from all pipeline stages across at
+    // least two worker threads.
+    validate_metrics(&metrics_out, decode.count);
     validate_trace(&trace_out);
     println!("validated: trace + metrics are well-formed");
 }
 
-fn validate_metrics(path: &Path) {
+fn validate_metrics(path: &Path, decodes: u64) {
     let text = std::fs::read_to_string(path).expect("read metrics");
-    let mut saw_decode = false;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let doc = json::parse(line).expect("metrics line must be valid JSON");
-        if let Some(name) = doc.get("name").and_then(|v| v.as_str()) {
-            if name == "pipeline.decode_ns" {
-                saw_decode = true;
-                for key in ["p50", "p95", "p99"] {
-                    assert!(
-                        doc.get(key).and_then(|v| v.as_f64()).is_some(),
-                        "decode histogram line missing {key}"
-                    );
-                }
-            }
-        }
+    let parsed = parse_prometheus(&text).expect("metrics must be a valid exposition");
+    assert_eq!(parsed.kind("pipeline_decode_ns"), Some("histogram"));
+    let buckets = parsed.samples_named("pipeline_decode_ns_bucket");
+    assert!(
+        buckets.len() >= 2,
+        "decode histogram needs a finite bucket and +Inf"
+    );
+    let inf = buckets.last().expect("+Inf bucket");
+    assert_eq!(inf.le.as_deref(), Some("+Inf"));
+    let count = &parsed.samples_named("pipeline_decode_ns_count")[0].value;
+    assert_eq!(inf.value, *count, "+Inf bucket equals _count");
+    assert_eq!(*count, decodes.to_string());
+    let sum: u64 = parsed.samples_named("pipeline_decode_ns_sum")[0]
+        .value
+        .parse()
+        .expect("integer _sum");
+    assert!(sum > 0, "decode time was recorded");
+    for family in ["obs_trace_dropped_spans", "codec_simd_dispatch_total"] {
+        assert_eq!(parsed.kind(family), Some("gauge"), "{family} missing");
     }
-    assert!(saw_decode, "metrics dump must include pipeline.decode_ns");
 }
 
 fn validate_trace(path: &Path) {

@@ -229,8 +229,11 @@ stage "deepcam codec speed (and the full encode and decode differentials, releas
 # host, most runs 1.26-1.38x), and prints "skipped" at every other tier,
 # where both are that loop; and below 3x the frozen scalar two-pass
 # reference (measured 5.1-6.6x at avx2).
+# One test thread: libtest would otherwise run the two timing tests at
+# once, each taking a vCPU from the other on a 2-vCPU host, and a ratio
+# read while the other test runs measures the neighbour, not the code.
 cargo test --release -q -p sciml-codec --lib -- deepcam::differential:: deepcam::decode_differential::
-cargo test --release -q -p sciml-codec --lib -- --ignored --exact \
+cargo test --release -q -p sciml-codec --lib -- --ignored --exact --test-threads=1 \
     deepcam::differential::encode_speed deepcam::decode_differential::decode_speed --nocapture
 
 stage "cosmo codec speed (and the full encode and decode differentials, release mode)"
@@ -252,8 +255,10 @@ stage "cosmo codec speed (and the full encode and decode differentials, release 
 # nothing but this stage notices if one of them comes back: fails below
 # 1.7x the frozen path (measured: 2.2-2.6x, 205 us against 465-535 us;
 # with the max-scan left scalar, 1.2-1.4x).
+# One test thread, for the reason given in the DeepCAM stage: the two
+# timing tests must not share the host's two vCPUs with each other.
 cargo test --release -q -p sciml-codec --lib -- cosmoflow::encode_differential:: cosmoflow::decode_differential::
-cargo test --release -q -p sciml-codec --lib -- --ignored --exact \
+cargo test --release -q -p sciml-codec --lib -- --ignored --exact --test-threads=1 \
     cosmoflow::encode_differential::encode_speed cosmoflow::decode_differential::decode_speed --nocapture
 
 stage "unpack placement (one reader, the decode pool inflates)"
@@ -297,11 +302,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 stage "observability smoke"
 obs_dir="$(mktemp -d)"
+# The example checks its own exposition with the line parser: the
+# pipeline_decode_ns `_bucket` / `_sum` / `_count` series and the
+# derived obs / codec.simd families.
 cargo run --release --example observability -- \
-    --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.jsonl"
-# The emitted trace and metrics must parse as JSON / JSONL.
-cargo run --release -p sciml-bench --bin sciml -- validate-json \
-    "$obs_dir/trace.json" "$obs_dir/metrics.jsonl"
+    --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.prom"
+# The emitted trace must parse as JSON.
+cargo run --release -p sciml-bench --bin sciml -- validate-json "$obs_dir/trace.json"
 
 stage "pooled-pipeline smoke (zero-copy vs per-sample-alloc checksums)"
 # Pooling on vs off must produce byte-identical batches for both
@@ -337,7 +344,7 @@ sciml verify-store "$store_dir/packed"
 # CosmoFlow payload does.
 sciml pack --dir "$store_dir/data" --n 8 --out "$store_dir/auto" --shard-mb 1 --encoding auto
 verify_census "$store_dir/auto" "raw=0 gzip=8"
-sciml serve --store "$store_dir/packed" --addr 127.0.0.1:7979 &
+sciml serve --store "$store_dir/packed" --addr 127.0.0.1:7979 --metrics-addr 127.0.0.1:9093 &
 serve_pid=$!
 for _ in $(seq 50); do
     if sciml fetch --addr 127.0.0.1:7979 --indices 0 >/dev/null 2>&1; then break; fi
@@ -349,7 +356,9 @@ sciml stage --addr 127.0.0.1:1,127.0.0.1:7979 --out "$store_dir/staged" --worker
 # every shard on the address it dialled.
 sciml cluster-plan --addr 127.0.0.1:7979
 sciml verify-store "$store_dir/staged"
-sciml fetch --addr 127.0.0.1:7979 --all --stats
+# Server numbers are read from its scrape endpoint, not the wire.
+sciml fetch --addr 127.0.0.1:7979 --all
+sciml scrape --addr 127.0.0.1:9093 --require serve_requests,serve_samples_served,serve_bytes_sent
 sciml fetch --addr 127.0.0.1:7979 --shutdown
 wait "$serve_pid" || true
 # Serve the staged copy and pull every sample back out: the bytes must
@@ -386,10 +395,24 @@ done
 
 stage "telemetry plane smoke (traced fetch, scrape, merged trace, attribution)"
 tel_dir="$(mktemp -d)"
-# Serve the packed store with server-side tracing and a Prometheus
-# scrape endpoint alongside the wire port.
+# `require_families FILE f1,f2,...`: FILE is an exposition declaring
+# every named family.
+require_families() {
+    local fam
+    for fam in ${2//,/ }; do
+        if ! grep -q "^# TYPE $fam " "$1"; then
+            echo "ERROR: $1: metric family \`$fam\` missing" >&2
+            exit 1
+        fi
+    done
+    echo "$1: OK ($2)"
+}
+# Serve the packed store with server-side tracing, a Prometheus scrape
+# endpoint alongside the wire port, and the same exposition written on
+# exit.
 sciml serve --store "$store_dir/packed" --addr 127.0.0.1:7981 \
-    --metrics-addr 127.0.0.1:9091 --trace-out "$tel_dir/server_trace.json" &
+    --metrics-addr 127.0.0.1:9091 --trace-out "$tel_dir/server_trace.json" \
+    --metrics-out "$tel_dir/server_metrics.prom" &
 serve_pid=$!
 for _ in $(seq 50); do
     if sciml fetch --addr 127.0.0.1:7981 --indices 0 >/dev/null 2>&1; then break; fi
@@ -400,7 +423,7 @@ done
 # sampler writes the final bottleneck-attribution report.
 sciml fetch --addr 127.0.0.1:7981 --all --decode cosmo \
     --trace-out "$tel_dir/client_trace.json" \
-    --metrics-text "$tel_dir/client_metrics.prom" \
+    --metrics-out "$tel_dir/client_metrics.prom" \
     --attribution-out "$tel_dir/attribution.json"
 # The live scrape must parse and expose the serve / store / obs
 # families with the traffic we just generated.
@@ -408,6 +431,12 @@ sciml scrape --addr 127.0.0.1:9091 \
     --require serve_requests,serve_request_ns,store_decode_gzip,obs_trace_dropped_spans
 sciml fetch --addr 127.0.0.1:7981 --shutdown
 wait "$serve_pid" || true
+# Both processes' --metrics-out files are the one read-out: the derived
+# families ride along with each side's own.
+require_families "$tel_dir/client_metrics.prom" \
+    client_fetch_ns,pipeline_decode_ns,obs_trace_dropped_spans,codec_simd_dispatch_total
+require_families "$tel_dir/server_metrics.prom" \
+    serve_requests,store_decode_gzip,obs_trace_dropped_spans,codec_simd_dispatch_total
 # Both per-process traces merge into one timeline, and everything the
 # plane emitted is well-formed JSON.
 sciml trace-merge --out "$tel_dir/merged_trace.json" \

@@ -341,7 +341,7 @@ mod wire {
         )
         .unwrap();
         let _ = read_message(&mut c).unwrap();
-        let payload = Message::Stats.to_payload();
+        let payload = Message::Manifest { name: "ds".into() }.to_payload();
         c.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
         c.write_all(&payload).unwrap();
         c.write_all(&0xDEADBEEFu32.to_le_bytes()).unwrap(); // wrong CRC
@@ -367,10 +367,10 @@ mod wire {
             read_message(&mut c2).unwrap(),
             Message::HelloAck { .. }
         ));
-        write_message(&mut c2, &Message::Stats).unwrap();
+        write_message(&mut c2, &Message::Manifest { name: "ds".into() }).unwrap();
         assert!(matches!(
             read_message(&mut c2).unwrap(),
-            Message::StatsReply(_)
+            Message::ManifestReply(_)
         ));
         server.shutdown();
     }

@@ -142,7 +142,7 @@ fn remote_epoch_matches_local_and_hits_cache() {
     );
 
     // Epoch 1 misses (cold), epoch 2 hits the server-side hot cache.
-    let stats = remote.server_stats().expect("stats");
+    let stats = server.stats();
     assert_eq!(stats.cache_misses, n as u64, "first epoch should miss");
     assert!(
         stats.cache_hits >= n as u64,
@@ -419,13 +419,7 @@ fn gathered_replies_are_encode_frame_byte_for_byte() {
                 raw_call(&mut c, &request) == encode_frame(&Message::Samples(want)),
                 "{name} {indices:?}"
             );
-            let Message::StatsReply(stats) =
-                sciml_serve::protocol::decode_frame(&raw_call(&mut c, &Message::Stats))
-                    .unwrap()
-                    .0
-            else {
-                panic!("stats");
-            };
+            let stats = server.stats();
             cache = (cache.0 + hits, cache.1 + misses);
             assert_eq!(
                 (stats.cache_hits, stats.cache_misses),
@@ -539,7 +533,7 @@ fn a_sample_under_a_wrong_crc_reaches_the_client_as_bad_crc() {
         }
         // Three attempts each, both ways of asking.
         assert_eq!(remote.retries(), 2 * 2 * samples.len() as u64);
-        let stats = remote.server_stats().expect("stats");
+        let stats = server.stats();
         if cache_bytes > 0 {
             assert_eq!(stats.cache_misses, samples.len() as u64, "then resident");
         }
@@ -597,7 +591,7 @@ fn remote_epoch_over_an_auto_store_matches_local() {
         .collect_all()
         .expect("remote epochs");
     assert_eq!(per_sample(&local), per_sample(&over_wire));
-    let stats = remote.server_stats().expect("stats");
+    let stats = server.stats();
     assert!(
         stats.cache_hits > 0 && stats.cache_misses > n as u64,
         "{stats:?}"
