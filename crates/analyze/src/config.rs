@@ -361,15 +361,15 @@ instant_paths = ["crates/codec/src"]
     #[test]
     fn parses_rule_sections() {
         let text = "[rule.no_panics_transitive]\nroots = [\"decode.rs:decode_into\"]\n\n\
-                    [rule.no_blocking_in_reactor]\nroots = [\"reactor.rs:run\"]\nboundaries = [\"reactor.rs:maybe_dispatch\"]\n";
+                    [rule.no_alloc_hot_loop]\nroots = [\"decode.rs:run\"]\nboundaries = [\"decode.rs:report\"]\n";
         let cfg = Config::parse(text).unwrap();
         assert_eq!(
             cfg.rules["no_panics_transitive"].roots,
             vec!["decode.rs:decode_into"]
         );
         assert_eq!(
-            cfg.rules["no_blocking_in_reactor"].boundaries,
-            vec!["reactor.rs:maybe_dispatch"]
+            cfg.rules["no_alloc_hot_loop"].boundaries,
+            vec!["decode.rs:report"]
         );
         let err = Config::parse("[rule.no_alloc_hot_loop]\nnope = [\"y\"]\n").unwrap_err();
         assert!(err.message.contains("unknown [rule.no_alloc_hot_loop] key"));

@@ -73,8 +73,6 @@ pub enum EffectKind {
     Panic,
     /// Heap construction (`Vec::new`, `to_vec`, `format!`, …).
     Alloc,
-    /// Blocking syscalls and lock acquisition.
-    Block,
 }
 
 impl EffectKind {
@@ -83,7 +81,6 @@ impl EffectKind {
         match self {
             EffectKind::Panic => "no_panics_transitive",
             EffectKind::Alloc => "no_alloc_hot_loop",
-            EffectKind::Block => "no_blocking_in_reactor",
         }
     }
 }
@@ -91,7 +88,7 @@ impl EffectKind {
 /// One effect token found directly inside a function body.
 #[derive(Debug, Clone)]
 pub struct LocalEffect {
-    /// Panic / Alloc / Block.
+    /// Panic / Alloc.
     pub kind: EffectKind,
     /// The offending token, e.g. `.unwrap()` or `Vec::new(`.
     pub token: String,
@@ -248,9 +245,6 @@ impl Workspace {
                 }
                 for token in alloc_tokens(line_text) {
                     push(EffectKind::Alloc, token);
-                }
-                for token in blocking_tokens(line_text) {
-                    push(EffectKind::Block, token);
                 }
             }
         }
@@ -477,34 +471,6 @@ pub fn alloc_tokens(code: &str) -> Vec<String> {
     token_scan(code, TOKENS)
 }
 
-/// Blocking-syscall / lock tokens on a code-masked line. `.accept()` /
-/// `.recv()`-style entries match only the zero-argument spelling, so
-/// nonblocking reactor reads (`read(&mut buf)`) never fire.
-pub fn blocking_tokens(code: &str) -> Vec<String> {
-    const TOKENS: &[&str] = &[
-        "thread::sleep(",
-        ".lock()",
-        ".recv()",
-        ".recv_timeout(",
-        ".wait(",
-        ".wait_timeout(",
-        "File::open(",
-        "File::create(",
-        "OpenOptions::new(",
-        "fs::read(",
-        "fs::read_to_string(",
-        "fs::write(",
-        "fs::create_dir",
-        "fs::remove_file(",
-        "TcpStream::connect(",
-        ".accept()",
-        ".read_to_end(",
-        ".read_to_string(",
-        ".join()",
-    ];
-    token_scan(code, TOKENS)
-}
-
 fn token_scan(code: &str, tokens: &[&str]) -> Vec<String> {
     let mut out = Vec::new();
     for tok in tokens {
@@ -655,14 +621,12 @@ mod tests {
             "crates/a/src/lib.rs",
             "fn f(x: Option<u8>) {\n    let v = Vec::new();\n    x.unwrap();\n    \
              // lint:allow(no_alloc_hot_loop): one-time header scratch\n    let w = data.to_vec();\n    \
-             m.lock();\n    let _ = (v, w);\n}\n",
+             let _ = (v, w);\n}\n",
         )]);
         let n = node(&w, "f");
         let kinds: Vec<EffectKind> = n.effects.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EffectKind::Panic));
         assert!(kinds.contains(&EffectKind::Alloc));
-        // `.lock()` needs the () form — `m.lock();` has it.
-        assert!(kinds.contains(&EffectKind::Block));
         // The waived to_vec is gone; Vec::new stays.
         let allocs: Vec<&str> = n
             .effects
@@ -689,15 +653,6 @@ mod tests {
         let code = lexed.code_text();
         let calls = extract_calls(&code, &lexed);
         assert!(calls.iter().any(|c| c.name == "parse"));
-    }
-
-    #[test]
-    fn blocking_tokens_spare_nonblocking_reads() {
-        assert!(blocking_tokens("sock.read(&mut buf)").is_empty());
-        assert!(!blocking_tokens("rx.recv()").is_empty());
-        assert!(!blocking_tokens("std::thread::sleep(d)").is_empty());
-        assert!(blocking_tokens("parts.join(\",\")").is_empty());
-        assert!(!blocking_tokens("handle.join()").is_empty());
     }
 
     #[test]

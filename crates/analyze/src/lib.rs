@@ -83,7 +83,7 @@ pub fn lint_tree(roots: &[PathBuf], repo_root: &Path, cfg: &Config) -> std::io::
 
     // Phase two: call graph + effect rules + unsafe inventory. Only
     // `crates/` files become graph nodes (the shims mimic external
-    // crates; their blocking/alloc internals are exactly what the
+    // crates; their panic/alloc internals are exactly what the
     // effect tokens detect at the call site), but every scanned file
     // is inventoried for unsafe sites.
     let ws = graph::Workspace::build(&sources);

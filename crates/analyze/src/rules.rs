@@ -14,16 +14,15 @@ use crate::lexer::{lex, Lexed};
 use std::collections::{HashMap, HashSet};
 
 /// Names of all rules. The first four are the line-local token rules
-/// of [`scan_file`]; the last four are the graph rules of
+/// of [`scan_file`]; the last three are the graph rules of
 /// [`crate::effects`] and the unsafe-inventory check.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 7] = [
     "no_panics",
     "safety_comment",
     "no_std_sync",
     "no_instant",
     "no_panics_transitive",
     "no_alloc_hot_loop",
-    "no_blocking_in_reactor",
     "unsafe_inventory",
 ];
 

@@ -61,7 +61,83 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags each command reads, space-separated: those that take a
+/// value, then those that take none. Any other `--flag` is an error, so
+/// that a misspelled or retired flag cannot be passed over in silence.
+const FLAGS: [(&str, &str, &str); 15] = [
+    (
+        "gen",
+        "--out --n --seed --format --grid --width --height --channels",
+        "",
+    ),
+    ("inspect", "", ""),
+    ("verify", "", ""),
+    ("transcode", "--out", ""),
+    (
+        "serve",
+        "--dir --n --store --addr --name --cache-mb --workers --max-conns \
+         --cluster-nodes --replication --metrics-out --metrics-addr --trace-out",
+        "",
+    ),
+    (
+        "fetch",
+        "--addr --name --indices --out --decode --batch --epochs --pool-capacity \
+         --metrics-out --trace-out --watch --attribution-out",
+        "--all --shutdown",
+    ),
+    ("pack", "--dir --n --out --shard-mb --encoding", ""),
+    (
+        "stage",
+        "--addr --name --dir --n --per-shard --out --workers --encoding",
+        "",
+    ),
+    ("verify-store", "", ""),
+    (
+        "cluster-plan",
+        "--nodes --n --per-shard --replication --addr --name",
+        "",
+    ),
+    ("soak", "--addr --name --conns --fetches", ""),
+    ("validate-json", "", ""),
+    ("trace-merge", "--out", ""),
+    ("scrape", "--addr --require --out", ""),
+    ("cpu-features", "", "--list"),
+];
+
+/// Fails on the first `--flag` in `args` that `command` does not read,
+/// naming the flags it does (a retired `fetch` flag names its
+/// replacement instead).
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let Some(&(_, values, switches)) = FLAGS.iter().find(|(c, ..)| *c == command) else {
+        return Ok(());
+    };
+    let lists = |flags: &str, arg: &str| flags.split_whitespace().any(|f| f == arg);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if lists(values, arg) {
+            args.next();
+        } else if arg.starts_with("--") && !lists(switches, arg) {
+            if let Some((_, instead)) = RETIRED_FETCH_FLAGS
+                .iter()
+                .find(|(f, _)| command == "fetch" && f == arg)
+            {
+                return Err(format!("fetch {arg} is retired: use {instead}"));
+            }
+            let known = format!("{values} {switches}");
+            let known = match known.trim() {
+                "" => "no flags",
+                known => known,
+            };
+            return Err(format!("{command} does not take {arg} (it takes {known})"));
+        }
+    }
+    Ok(())
+}
+
 fn run(args: &[String]) -> Result<(), String> {
+    if let Some(command) = args.first() {
+        check_flags(command, &args[1..])?;
+    }
     match args.first().map(String::as_str) {
         Some("gen") => gen(&args[1..]),
         Some("inspect") => for_each_file(&args[1..], inspect),
@@ -140,7 +216,7 @@ fn positional_files(args: &[String]) -> Vec<PathBuf> {
             continue;
         }
         if a.starts_with("--") {
-            // All our flags take a value.
+            // The commands with positional files take no switches.
             skip = args.get(i + 1).is_some();
             continue;
         }
@@ -504,9 +580,8 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Flags `fetch` no longer reads, each with what took its place. `sciml`
-/// passes over flags a command does not read, so these must fail
-/// instead of silently doing nothing.
+/// Flags `fetch` no longer reads, each with what took its place:
+/// [`check_flags`] names it instead of the flags `fetch` takes.
 const RETIRED_FETCH_FLAGS: [(&str, &str); 3] = [
     (
         "--stats",
@@ -523,12 +598,6 @@ const RETIRED_FETCH_FLAGS: [(&str, &str); 3] = [
 ];
 
 fn fetch(args: &[String]) -> Result<(), String> {
-    if let Some((retired, instead)) = RETIRED_FETCH_FLAGS
-        .iter()
-        .find(|(f, _)| args.iter().any(|a| a == f))
-    {
-        return Err(format!("fetch {retired} is retired: use {instead}"));
-    }
     let addr = flag(args, "--addr").ok_or("--addr HOST:PORT required")?;
 
     // Shutdown needs no dataset, so don't demand a valid --name for it.
@@ -1023,7 +1092,7 @@ fn cluster_plan(args: &[String]) -> Result<(), String> {
 /// same time* (a barrier gates the fetch phase on every socket being
 /// admitted), then runs `--fetches` single-sample requests per
 /// connection and reports the latency tail. The CI soak stage runs this
-/// at 512+ connections against the reactor engine.
+/// at 512 connections, a server thread each.
 fn soak(args: &[String]) -> Result<(), String> {
     use sciml_serve::protocol as proto;
 

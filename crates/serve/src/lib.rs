@@ -14,14 +14,14 @@
 //! * [`protocol`] — wire frames (`[len][payload][crc32]`), the one
 //!   frame-length check, message codec, typed
 //!   [`protocol::ProtocolError`]s for every corruption;
-//! * `poller` — level-triggered epoll and the loop's wake-up channel;
-//! * `reactor` — the event loop: admission control, per-connection
-//!   state machines each owning its session, worker-pool dispatch,
-//!   `writev` of gathered replies, idle reaping, graceful drain;
-//! * `session` — the per-connection protocol state machine the
-//!   reactor's workers run;
+//! * `engine` — an accept thread and a thread per connection:
+//!   admission control, the `workers` bound on requests in flight,
+//!   `writev` of gathered replies, socket timeouts as the idle reaper,
+//!   graceful drain;
+//! * `session` — the per-connection protocol state machine each
+//!   connection thread runs;
 //! * [`server`] — builder and handle: datasets, per-dataset fill-once
-//!   DRAM hot cache, reactor configuration;
+//!   DRAM hot cache, engine configuration;
 //! * [`client`] — pooled, retrying `RemoteSource`;
 //! * [`cluster`] — replica-failover `ClusterSource` over a placed plan;
 //! * [`metrics`] — server-side latency/throughput and `serve.conn.*`
@@ -32,10 +32,9 @@
 
 pub mod client;
 pub mod cluster;
+mod engine;
 pub mod metrics;
-mod poller;
 pub mod protocol;
-mod reactor;
 pub mod scrape;
 pub mod server;
 mod session;

@@ -51,11 +51,11 @@ pub struct ServerMetrics {
     decoded_gzip: Arc<Counter>,
     /// Per-request handling latency, nanoseconds (`serve.request_ns`).
     pub request_latency: Arc<Histogram>,
-    /// The connection lifecycle, which the reactor records.
+    /// The connection lifecycle, which the engine records.
     pub(crate) conn: ConnMetrics,
 }
 
-/// Connection-lifecycle instruments (`serve.conn.*`): the reactor
+/// Connection-lifecycle instruments (`serve.conn.*`): the engine
 /// records into them, [`StatsSnapshot`] reads `rejected_busy`.
 #[derive(Debug, Clone)]
 pub(crate) struct ConnMetrics {

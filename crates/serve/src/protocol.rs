@@ -24,7 +24,7 @@
 //! do not travel on this protocol: they are read from the scrape
 //! endpoint ([`crate::scrape`]).
 
-use crate::reactor::Piece;
+use crate::engine::Piece;
 use sciml_compress::crc32::{crc32, crc32_combine, Crc32};
 use sciml_obs::TraceContext;
 use sciml_store::{ClusterPlan, EncodingChoice, ShardAssignment, ShardPlan};
@@ -624,7 +624,7 @@ fn le_u32_at(buf: &[u8], at: usize) -> u32 {
 /// prefix, payload and CRC trailer. The prefix is held to
 /// [`MAX_FRAME_BYTES`] here, before anything is sized from it; `Ok(None)`
 /// means the prefix is not complete yet. The one check of the envelope:
-/// the reactor splits its inbound bytes with it, and [`decode_frame`]
+/// the serve engine sizes each inbound frame with it, and [`decode_frame`]
 /// and the stream readers call it too.
 pub(crate) fn frame_len(buf: &[u8]) -> Result<Option<usize>, ProtocolError> {
     let Some(&prefix) = buf.first_chunk::<4>() else {
@@ -1073,7 +1073,7 @@ mod tests {
                     decode_frame(&frame[..cut]).is_err(),
                     "cut {cut} of {msg:?} did not error"
                 );
-                // Short of a whole prefix, the reactor waits for more.
+                // Short of a whole prefix, a reader waits for more.
                 let want = (cut >= 4).then_some(frame.len());
                 assert_eq!(frame_len(&frame[..cut]).ok(), Some(want));
             }

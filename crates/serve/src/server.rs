@@ -1,19 +1,18 @@
-//! Dataset server on the crate's readiness reactor (`crate::reactor`).
+//! Dataset server on the crate's serve engine (`crate::engine`).
 //!
-//! One event loop multiplexes every connection over epoll, a small
-//! worker pool runs request handling through the session state machine
-//! (`crate::session`) with the connection's own session, connections
-//! beyond the admission limit get a typed `Busy` frame, and graceful
-//! drain finishes in-flight replies before closing. Connection count
-//! scales independently of thread count, which is what a training
-//! fleet holding thousands of mostly-idle sockets needs.
+//! Each admitted connection gets a thread of its own that runs its
+//! requests through the session state machine (`crate::session`), at
+//! most `workers` of them at once; connections beyond the admission
+//! limit get a typed `Busy` frame, and graceful drain finishes in-flight
+//! replies before closing. A training node's loader holds a handful of
+//! connections per server, so a thread each is what that traffic needs.
 //!
 //! Each registered dataset is wrapped in a [`MemoryCacheSource`] hot
 //! cache, so repeat fetches (second epochs, overlapping shards across
 //! clients) are served from DRAM without touching the backing tier.
 
+use crate::engine::{self, Engine};
 use crate::metrics::{ServerMetrics, StatsSnapshot};
-use crate::reactor::{self, ReactorConfig, ReactorHandle};
 use sciml_obs::{Counter, MetricsRegistry, Telemetry, Tracer};
 use sciml_pipeline::source::MemoryCacheSource;
 use sciml_pipeline::SampleSource;
@@ -28,15 +27,16 @@ use std::time::Duration;
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads handling requests.
+    /// Requests handled at once, over all connections.
     pub workers: usize,
     /// Hard cap on connections held at once; beyond it new connections
     /// get a `Busy` error frame.
     pub max_connections: usize,
     /// Per-dataset DRAM hot-cache capacity in bytes.
     pub cache_bytes: u64,
-    /// Idle-connection timeout. Keeps a dead client from pinning a
-    /// connection slot forever.
+    /// Read and write timeout of every connection: one idle, stalled
+    /// mid-frame or not reading its reply this long is closed, so a
+    /// dead client cannot pin a connection forever.
     pub read_timeout: Duration,
     /// Hard bound on graceful drain before remaining connections are
     /// force-closed.
@@ -179,7 +179,7 @@ impl ServeBuilder {
         self
     }
 
-    /// Binds `addr` and spawns the reactor. Pass port 0 to let
+    /// Binds `addr` and starts the engine. Pass port 0 to let
     /// the OS pick; the bound address is on the handle.
     pub fn bind(self, addr: impl Into<String>) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr.into())?;
@@ -210,23 +210,16 @@ impl ServeBuilder {
             local_addr,
         });
 
-        let cfg = ReactorConfig {
-            workers: self.config.workers.max(1),
-            max_connections: self.config.max_connections,
-            idle_timeout: self.config.read_timeout,
-            drain_timeout: self.config.drain_timeout,
-            ..ReactorConfig::default()
-        };
         let conn_metrics = inner.metrics.conn.clone();
-        let reactor = reactor::spawn(listener, Arc::clone(&inner), cfg, conn_metrics)?;
-        Ok(ServerHandle { inner, reactor })
+        let engine = engine::spawn(listener, Arc::clone(&inner), &self.config, conn_metrics)?;
+        Ok(ServerHandle { inner, engine })
     }
 }
 
-/// Running server. Dropping the handle drains and joins the reactor.
+/// Running server. Dropping the handle drains and joins the engine.
 pub struct ServerHandle {
     inner: Arc<Inner>,
-    reactor: ReactorHandle,
+    engine: Engine<Inner>,
 }
 
 impl ServerHandle {
@@ -264,19 +257,19 @@ impl ServerHandle {
     /// [`ServerHandle::shutdown`] or drop the handle to wait for
     /// completion.
     pub fn begin_drain(&self) {
-        self.reactor.begin_drain();
+        self.engine.begin_drain();
     }
 
     /// Stops accepting, drains in-flight work, and joins all threads.
     pub fn shutdown(self) {
-        self.reactor.shutdown();
+        self.engine.shutdown();
     }
 
     /// Blocks until the server stops — i.e. until a client sends a wire
     /// `Shutdown` (or the handle is shut down from another thread).
     /// Used by `sciml serve`.
     pub fn join(self) {
-        self.reactor.join();
+        self.engine.join();
     }
 }
 
@@ -536,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn a_session_travels_with_its_connection_not_its_slot() {
+    fn a_closed_connections_session_never_reaches_the_next_one() {
         let gate = Arc::new(std::sync::Barrier::new(2));
         let server = ServeBuilder::new()
             .dataset("gated", Arc::new(GatedSource(Arc::clone(&gate))))
@@ -550,8 +543,8 @@ mod tests {
                 snap.gauge("serve.conn.active"),
             )
         };
-        // A greets, asks for the sample, and hangs up while a worker
-        // holds its session.
+        // A greets, asks for the sample, and hangs up while its request
+        // is being handled.
         let mut a = client(server.local_addr());
         let fetch = Message::FetchSamples {
             name: "gated".into(),
@@ -560,21 +553,16 @@ mod tests {
         write_message(&mut a, &fetch).unwrap();
         gate.wait();
         drop(a);
-        wait_for("A closed", || conns() == (1, 0));
-        // B is admitted into the one slot there is to reuse, A's, while
-        // A's request is still running.
+        // B is admitted while A's request is still running.
         let mut b = TcpStream::connect(server.local_addr()).unwrap();
         b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        wait_for("B admitted", || conns() == (2, 1));
-        // A's completion, a greeted session and a `Samples` reply, comes
-        // back to B's slot and must be dropped there. The loop applies
-        // a completion within moments of its count; the pause lets it
-        // land before B speaks.
+        wait_for("B admitted", || conns() == (2, 2));
+        // A's request ends, its reply finds no reader, and A closes.
         gate.wait();
-        wait_for("A's request handled", || server.requests() == 1);
-        std::thread::sleep(Duration::from_millis(50));
+        wait_for("A closed", || conns() == (2, 1));
+        assert_eq!(server.requests(), 1);
         // B never said Hello: its own new session says so, and nothing
-        // of A's reaches it.
+        // of A's greeted session or reply reaches it.
         write_message(
             &mut b,
             &Message::Manifest {
@@ -592,6 +580,75 @@ mod tests {
         let mut rest = Vec::new();
         b.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "{} more bytes reached B", rest.len());
+        server.shutdown();
+    }
+
+    /// Every fetch sleeps, counting how many run at once.
+    #[derive(Default)]
+    struct SleepySource {
+        running: std::sync::atomic::AtomicUsize,
+        peak: std::sync::atomic::AtomicUsize,
+    }
+
+    impl SampleSource for SleepySource {
+        fn len(&self) -> usize {
+            8
+        }
+
+        fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
+            use std::sync::atomic::Ordering::SeqCst;
+            let now = self.running.fetch_add(1, SeqCst) + 1;
+            self.peak.fetch_max(now, SeqCst);
+            std::thread::sleep(Duration::from_millis(100));
+            self.running.fetch_sub(1, SeqCst);
+            buf.clear();
+            buf.push(idx as u8);
+            Ok(())
+        }
+
+        fn bytes_read(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn one_worker_handles_one_request_at_a_time_over_all_connections() {
+        let source = Arc::new(SleepySource::default());
+        let server = ServeBuilder::new()
+            .config(ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            })
+            .dataset("sleepy", Arc::clone(&source) as Arc<dyn SampleSource>)
+            .bind("127.0.0.1:0")
+            .unwrap();
+        let addr = server.local_addr();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let fetchers: Vec<_> = (0..2u64)
+            .map(|c| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut s = client(addr);
+                    start.wait();
+                    for i in 0..2 {
+                        let fetch = Message::FetchSamples {
+                            name: "sleepy".into(),
+                            indices: vec![2 * c + i],
+                        };
+                        write_message(&mut s, &fetch).unwrap();
+                        let Message::Samples(got) = read_message(&mut s).unwrap() else {
+                            panic!("expected samples");
+                        };
+                        assert_eq!(got, vec![vec![(2 * c + i) as u8]]);
+                    }
+                })
+            })
+            .collect();
+        for f in fetchers {
+            f.join().unwrap();
+        }
+        assert_eq!(server.requests(), 4);
+        assert_eq!(source.peak.load(std::sync::atomic::Ordering::SeqCst), 1);
         server.shutdown();
     }
 

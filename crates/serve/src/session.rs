@@ -1,15 +1,15 @@
 //! Per-connection protocol state machine.
 //!
-//! The server is the reactor's [`Service`]: each frame is decoded and
+//! The server is the engine's [`Service`]: each frame is decoded and
 //! run through [`process_message`] with the connection's
 //! [`SessionState`]. The `Hello` version check, the trace-context
 //! unwrap, request dispatch, building the reply's frame, and request
 //! accounting live here.
 
+use crate::engine::{Piece, Reply, Service};
 use crate::protocol::{
     decode_frame, encode_frame, ErrorCode, Message, SamplesFrame, PROTOCOL_VERSION,
 };
-use crate::reactor::{Piece, Reply, Service};
 use crate::server::Inner;
 use sciml_pipeline::source::SampleBytes;
 use sciml_pipeline::SampleSource;
@@ -84,7 +84,7 @@ fn process_message(inner: &Inner, state: &mut SessionState, request: Message) ->
             Ok(pieces) => Reply::gather(pieces),
             Err(error) => Reply::send(encode_frame(&error)),
         },
-        // Acknowledge in kind; the reactor begins its drain after the
+        // Acknowledge in kind; the engine begins its drain after the
         // reply is on the wire.
         Message::Shutdown => Reply {
             shutdown: true,

@@ -444,7 +444,7 @@ sciml trace-merge --out "$tel_dir/merged_trace.json" \
 sciml validate-json "$tel_dir/merged_trace.json" "$tel_dir/attribution.json" \
     "$tel_dir/client_trace.json" "$tel_dir/server_trace.json"
 
-stage "reactor soak (512 concurrent connections + connection-lifecycle scrape)"
+stage "serve soak (512 concurrent connections + connection-lifecycle scrape)"
 # Raise the fd ceiling where permitted: 512 client sockets + 512 server
 # sockets + headroom live in this stage.
 ulimit -n 8192 2>/dev/null || true
@@ -456,7 +456,8 @@ for _ in $(seq 50); do
     sleep 0.2
 done
 # Hold 512 negotiated connections open simultaneously against the
-# reactor engine, fetch on every one, and require a clean close.
+# serve engine (a thread each), fetch on every one, and require a clean
+# close.
 sciml soak --addr 127.0.0.1:7982 --conns 512 --fetches 2
 # The connection-lifecycle families must be present and well-formed in
 # the Prometheus exposition after the soak.
@@ -486,9 +487,10 @@ stage "sanitizers (ASan + LSan over every crate holding unsafe; half + codec at 
 # an ordinary build an out-of-bounds load silently reads the
 # neighbouring heap. This runs the suites of every crate with a site in
 # the unsafe inventory (lint.unsafe.toml) under AddressSanitizer
-# (LeakSanitizer is part of it on x86-64 Linux): `sciml-serve`'s lib tests hold the
-# poller and the reactor's loopback suite, and `tests/serve_reactor.rs`
-# drains a real server. `--target` keeps the sanitizer flag off
+# (LeakSanitizer is part of it on x86-64 Linux). `sciml-serve` holds no
+# unsafe site, but LeakSanitizer guards its drain: its lib tests hold
+# the engine's loopback suite, and `tests/serve_engine.rs` drains a real
+# server. `--target` keeps the sanitizer flag off
 # build scripts and proc macros, and target/asan keeps the instrumented
 # artifacts apart. opt-level 2 (debug assertions stay on) runs the
 # codec suite in ~11 s against ~115 s unoptimised.
@@ -512,7 +514,7 @@ for tier in $(sciml cpu-features --list); do
 done
 asan_test -p sciml-compress -p sciml-pipeline -p sciml-store --tests
 asan_test -p sciml-serve --lib
-asan_test -p sciml-repro --test serve_reactor
+asan_test -p sciml-repro --test serve_engine
 
 stage "decode thread-scaling bench (per kernel x ISA)"
 # Per-thread decode throughput, scaling efficiency, and each vector

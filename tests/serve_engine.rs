@@ -1,5 +1,5 @@
-//! Reactor integration tests on a real loopback TCP server: graceful
-//! drain with requests in flight, and the one-version greeting.
+//! Serve-engine integration tests on a real loopback TCP server:
+//! graceful drain with requests in flight, and the one-version greeting.
 
 use sciml_pipeline::SampleSource;
 use sciml_serve::protocol::{self, ErrorCode, Message};
@@ -114,9 +114,9 @@ fn drain_completes_inflight_replies_and_refuses_new_connections() {
 
     // A new connection during drain is turned away with the typed
     // draining error before it sends a single byte. A connect that
-    // races the drain flag into the same event-loop batch can be
-    // admitted and then immediately closed as idle (EOF) — also a
-    // refusal, but retry until the typed frame itself is observed.
+    // reaches the listener as drain ends can be closed unanswered (EOF)
+    // — also a refusal, but retry until the typed frame itself is
+    // observed.
     let mut reject = None;
     for _ in 0..10 {
         let mut late = TcpStream::connect(addr).expect("connect during drain");
@@ -171,7 +171,7 @@ fn drain_completes_inflight_replies_and_refuses_new_connections() {
     );
 }
 
-/// Draining an idle reactor finishes promptly: `begin_drain` followed
+/// Draining an idle server finishes promptly: `begin_drain` followed
 /// by `join` returns without waiting out the drain timeout.
 #[test]
 fn drain_of_idle_server_returns_quickly() {
