@@ -4,13 +4,16 @@
 //! figures -- <target> [--full]
 //!
 //! targets: table1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//!          errors ratios all
+//!          errors ratios scaling all
 //! ```
 //!
 //! `--full` uses paper-scale sample sizes (128³ CosmoFlow grids,
 //! 1152×768×16 DeepCAM images) where the default uses reduced sizes for
 //! quick runs. Throughput figures (8–12) come from the platform model
-//! and are size-independent.
+//! and are size-independent. A target prints to stdout only, and prints
+//! the same bytes on every run: `results/figures/<target>.txt`, and
+//! `results/figures/<target>_full.txt` for `--full`, is its committed
+//! output, which `scripts/ci.sh` regenerates and holds to the tree.
 
 use sciml_bench::convergence::{cosmoflow_convergence, deepcam_convergence, ConvergenceConfig};
 use sciml_codec::cosmoflow as cf;
@@ -22,59 +25,65 @@ use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
 use sciml_half::slice::widen;
 use sciml_platform::figures as pfig;
+use sciml_platform::gpusim::{self, GpuSpec};
 use sciml_platform::{scaling, Format, PlatformSpec, WorkloadProfile};
+
+/// A target's name and its run; `true` asks for paper scale.
+type Target = (&'static str, fn(bool));
+
+/// Every target, in `all`'s order.
+const TARGETS: &[Target] = &[
+    ("table1", |_| table1()),
+    ("fig4", |_| fig4()),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", |_| fig8()),
+    ("fig9", |_| fig9()),
+    ("fig10", |_| fig10()),
+    ("fig11", |_| fig11()),
+    ("fig12", |_| fig12()),
+    ("errors", errors),
+    ("ratios", ratios),
+    ("scaling", |_| scaling_sweep()),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    let target = args
+    let rest: Vec<&str> = args
         .iter()
-        .find(|a| !a.starts_with("--"))
         .map(String::as_str)
-        .unwrap_or("all");
-
-    run_target(target, full);
-}
-
-fn run_target(target: &str, full: bool) {
-    match target {
-        "table1" => table1(),
-        "fig4" => fig4(),
-        "fig5" => fig5(full),
-        "fig6" => fig6(full),
-        "fig7" => fig7(full),
-        "fig8" => fig8(),
-        "fig9" => fig9(),
-        "fig10" => fig10(),
-        "fig11" => fig11(),
-        "fig12" => fig12(),
-        "errors" => errors(full),
-        "ratios" => ratios(full),
-        "scaling" => scaling_sweep(),
-        "all" => {
-            table1();
-            fig4();
-            fig5(full);
-            fig6(full);
-            fig7(full);
-            fig8();
-            fig9();
-            fig10();
-            fig11();
-            fig12();
-            errors(full);
-            ratios(full);
-            scaling_sweep();
+        .filter(|a| *a != "--full")
+        .collect();
+    let runs: Vec<fn(bool)> = match rest[..] {
+        ["all"] => TARGETS.iter().map(|t| t.1).collect(),
+        [name] => TARGETS
+            .iter()
+            .filter(|t| t.0 == name)
+            .map(|t| t.1)
+            .collect(),
+        _ => Vec::new(),
+    };
+    if runs.is_empty() {
+        let names: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
+        eprintln!(
+            "usage: figures <target> [--full], not `figures {}`\ntargets: {} all",
+            args.join(" "),
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
+    for (i, run) in runs.iter().enumerate() {
+        if i > 0 {
+            println!();
         }
-        other => {
-            eprintln!("unknown target: {other}");
-            std::process::exit(2);
-        }
+        run(full);
     }
 }
 
 fn header(title: &str) {
-    println!("\n=== {title} ===");
+    println!("=== {title} ===");
 }
 
 fn table1() {
@@ -330,9 +339,43 @@ fn print_breakdown(rows: &[pfig::BreakdownRow]) {
     }
 }
 
+/// The `gpusim` decode kernel's time on one paper-scale sample (seed 0,
+/// sample 0) beside the model's GPU decode bar, one line per GPU. The
+/// bar stays the paper's measured share (`gpu_decode_v100_s`); the
+/// simulator counts cycles, so its times are the same on every host.
+fn gpu_decode_beside_model(
+    sample: &str,
+    workload: &WorkloadProfile,
+    kernel: impl Fn(&GpuSpec) -> f64,
+) {
+    println!("\nGPU decode of one paper-scale {sample}: gpusim kernel vs the model's bar");
+    println!(
+        "{:<6} {:>14} {:>12} {:>10}",
+        "gpu", "simulated us", "model us", "model/sim"
+    );
+    for gpu in [GpuSpec::V100, GpuSpec::A100] {
+        let (sim, model) = (kernel(&gpu), workload.gpu_decode_s(&gpu));
+        println!(
+            "{:<6} {:>14.1} {:>12.1} {:>9.2}x",
+            gpu.name,
+            sim * 1e6,
+            model * 1e6,
+            model / sim
+        );
+    }
+}
+
 fn fig9() {
     header("Fig 9: DeepCAM time breakdown (small set, batch 4)");
     print_breakdown(&pfig::fig9());
+    let s = ClimateGenerator::new(DeepCamConfig::default()).generate(0);
+    let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
+    let sample = format!("DeepCAM sample ({}x{}x{})", s.channels, s.height, s.width);
+    gpu_decode_beside_model(&sample, &WorkloadProfile::deepcam(), |gpu| {
+        gpusim::decode_deepcam(gpu, &enc.view(), Op::Identity)
+            .expect("decode")
+            .2
+    });
 }
 
 fn fig10() {
@@ -353,6 +396,14 @@ fn fig11() {
 fn fig12() {
     header("Fig 12: CosmoFlow time breakdown (small set, batch 4)");
     print_breakdown(&pfig::fig12());
+    let s = UniverseGenerator::new(CosmoFlowConfig::default()).generate(0);
+    let enc = cf::encode(&s);
+    let sample = format!("CosmoFlow sample (grid {}, log1p)", s.grid);
+    gpu_decode_beside_model(&sample, &WorkloadProfile::cosmoflow(), |gpu| {
+        gpusim::decode_cosmo(gpu, &enc.view(), Op::Log1p)
+            .expect("decode")
+            .2
+    });
 }
 
 /// Extension: multi-node scaling sweep (beyond the paper's single-node
@@ -390,7 +441,8 @@ fn scaling_sweep() {
     }
 }
 
-/// §V-A error statistics of the lossy DeepCAM codec.
+/// §V-A error statistics of the lossy DeepCAM codec, and the share above
+/// 10 % error and the ratio across a sweep of the escape tolerance.
 fn errors(full: bool) {
     header("DeepCAM lossy-codec error statistics (paper: ~3% above 10% error)");
     let cfg = if full {
@@ -404,14 +456,34 @@ fn errors(full: bool) {
         }
     };
     let g = ClimateGenerator::new(cfg);
-    let mut stats = ErrorStats::new(1.0);
     let n = if full { 4 } else { 8 };
+    let default = dc::EncoderConfig::default();
+    let mut tols = vec![0.005, 0.02, 0.05, 0.1];
+    // The block below reads the default, so a default off these points
+    // joins the sweep (and moves the committed output) rather than panics.
+    if !tols.contains(&default.escape_rel_tol) {
+        tols.push(default.escape_rel_tol);
+        tols.sort_by(f32::total_cmp);
+    }
+    // One run a tolerance: (its error stats, its encoded bytes).
+    let mut runs = vec![(ErrorStats::new(1.0), 0usize); tols.len()];
+    let mut raw_bytes = 0;
     for i in 0..n {
         let s = g.generate(i);
-        let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
-        let out = dc::decode(&enc, Op::Identity).expect("decode");
-        stats.record_slices(&widen(&out), &s.data);
+        raw_bytes += s.raw_f32_bytes();
+        for (&escape_rel_tol, (stats, bytes)) in tols.iter().zip(&mut runs) {
+            let cfg = dc::EncoderConfig {
+                escape_rel_tol,
+                ..default
+            };
+            let (enc, _) = dc::encode(&s, &cfg);
+            *bytes += enc.encoded_bytes();
+            let out = dc::decode(&enc, Op::Identity).expect("decode");
+            stats.record_slices(&widen(&out), &s.data);
+        }
     }
+    let at_default = tols.iter().position(|&t| t == default.escape_rel_tol);
+    let stats = &runs[at_default.expect("default tolerance is swept")].0;
     println!("values compared: {}", stats.total);
     println!(
         "fraction with rel err > 10%: {:.3}%",
@@ -426,6 +498,21 @@ fn errors(full: bool) {
         sciml_codec::error_stats::BUCKETS
     );
     println!("{:?}", stats.buckets);
+
+    println!("\nescape-tolerance sweep (EncoderConfig::escape_rel_tol):");
+    println!("{:>9} {:>12} {:>8}", "tolerance", "> 10% share", "ratio");
+    for (tol, (stats, bytes)) in tols.iter().zip(&runs) {
+        println!(
+            "{tol:>9} {:>11.3}% {:>8.3}{}",
+            100.0 * stats.frac_above_10pct(),
+            raw_bytes as f64 / *bytes as f64,
+            if *tol == default.escape_rel_tol {
+                "  (default)"
+            } else {
+                ""
+            }
+        );
+    }
 }
 
 /// §V-B compression ratios measured on the synthetic datasets, plus the

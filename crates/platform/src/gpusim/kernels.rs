@@ -435,33 +435,6 @@ mod tests {
         assert!(fused_err <= unfused_err, "{fused_err} vs {unfused_err}");
     }
 
-    /// The kernels at paper scale, on both specs: the times EXPERIMENTS.md
-    /// sets beside the model's `gpu_decode_v100_s` constants. Release only:
-    /// `cargo test --release -p sciml-platform --lib -- --ignored --exact
-    /// gpusim::kernels::tests::paper_scale_kernel_times --nocapture`.
-    #[test]
-    #[ignore]
-    fn paper_scale_kernel_times() {
-        let s = UniverseGenerator::new(CosmoFlowConfig::default()).generate(0);
-        let cenc = cf::encode(&s);
-        let d = ClimateGenerator::new(DeepCamConfig::default()).generate(0);
-        let (denc, _) = dc::encode(&d, &dc::EncoderConfig::default());
-        for gpu in [GpuSpec::V100, GpuSpec::A100] {
-            let (_, _, tc) = decode_cosmo(&gpu, &cenc.view(), Op::Log1p).unwrap();
-            let (_, _, td) = decode_deepcam(&gpu, &denc.view(), Op::Identity).unwrap();
-            println!(
-                "{}: CosmoFlow {}^3 {:.1} us, DeepCAM {}x{}x{} {:.1} us",
-                gpu.name,
-                s.grid,
-                tc * 1e6,
-                d.channels,
-                d.width,
-                d.height,
-                td * 1e6
-            );
-        }
-    }
-
     #[test]
     fn table_fusion_saves_cycles_vs_per_voxel_op() {
         // Decode with Log1p vs Identity: the op cost difference must be

@@ -28,7 +28,9 @@
 //! The simulator is a reproduction of §VI's design, not a stage of the
 //! data path: no decoder plugin runs it. Its bit-identity with the CPU
 //! decoders is tested here and in the workspace's `cross_component`
-//! suite; `examples/deepcam_pipeline.rs` prints a simulated kernel time.
+//! suite; `examples/deepcam_pipeline.rs` prints a simulated kernel time,
+//! and `figures fig9` / `fig12` print the kernel times on one
+//! paper-scale sample beside the platform model's GPU decode bar.
 
 mod kernels;
 mod warp;

@@ -524,6 +524,22 @@ stage "decode thread-scaling bench (per kernel x ISA)"
 bench_dir="$(mktemp -d)"
 SCIML_BENCH_OUT_DIR="$bench_dir" cargo bench -q -p sciml-bench --bench bench_decode_scaling
 
+stage "figures (every results/figures/ file rewritten from the binary)"
+# Each file under results/figures/ is one target's committed output:
+# `results/figures/<target>.txt` is `figures <target>`, and
+# `results/figures/<target>_full.txt` is `figures <target> --full`, so
+# the files are the list. Every target prints the
+# same bytes on every run; the clean-tree stage below names any file a
+# code change moved.
+for f in results/figures/*.txt; do
+    t="$(basename "$f" .txt)"
+    if [[ "$t" == *_full ]]; then
+        cargo run --release -q -p sciml-bench --bin figures -- "${t%_full}" --full > "$f"
+    else
+        cargo run --release -q -p sciml-bench --bin figures -- "$t" > "$f"
+    fi
+done
+
 stage "clean tree (the run rewrote no file git sees)"
 if ! tree_changes="$(diff <(echo "$tree_before") <(tree_state))"; then
     echo "ERROR: this CI run changed what git sees (< before, > after):" >&2

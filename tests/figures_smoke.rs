@@ -1,9 +1,11 @@
 //! Smoke tests for the figure-regeneration paths: every series the
 //! `figures` binary prints must be producible and carry the paper's
-//! headline shapes.
+//! headline shapes, and EXPERIMENTS.md's headline numbers must be the
+//! ones the committed outputs under `results/figures/` print.
 
 use sciml_platform::figures as pfig;
 use sciml_platform::Format;
+use std::path::Path;
 
 #[test]
 fn every_throughput_figure_is_complete_and_positive() {
@@ -68,4 +70,52 @@ fn headline_speedups_hold() {
 fn table1_renders() {
     let t = pfig::table1();
     assert!(t.lines().count() >= 10);
+}
+
+/// Every row of EXPERIMENTS.md's summary table names the
+/// `results/figures/` file it quotes, and each backticked span of its
+/// Reproduction column is printed in that file. ci.sh's figures stage
+/// holds the files to the code; this holds the table to the files.
+#[test]
+fn summary_table_quotes_its_figure_files() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let section = doc
+        .split("## Summary of the headline claims")
+        .nth(1)
+        .expect("EXPERIMENTS.md has a summary section");
+    let rows: Vec<&str> = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2) // the header and its rule
+        .collect();
+    assert!(rows.len() >= 6, "summary table has {} rows", rows.len());
+    let backticked = |cell: &str| -> Vec<String> {
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(String::from)
+            .collect()
+    };
+    for row in rows {
+        // | claim | reproduction | file | status |
+        let cells: Vec<&str> = row.split('|').collect();
+        assert_eq!(cells.len(), 6, "{row}");
+        let (quotes, file) = (backticked(cells[2]), backticked(cells[3]));
+        assert!(
+            file.len() == 1 && file[0].starts_with("results/figures/"),
+            "row names no results/figures/ file: {row}"
+        );
+        let printed = std::fs::read_to_string(root.join(&file[0]))
+            .unwrap_or_else(|e| panic!("{}: {e}", file[0]));
+        assert!(!quotes.is_empty(), "row quotes no number: {row}");
+        for q in quotes {
+            assert!(
+                printed.contains(&q),
+                "EXPERIMENTS.md quotes `{q}`, which {} does not print",
+                file[0]
+            );
+        }
+    }
 }
