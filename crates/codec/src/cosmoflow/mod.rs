@@ -33,10 +33,10 @@ mod decode_differential;
 mod encode_differential;
 #[cfg(test)]
 #[path = "tests/reference_decode.rs"]
-mod reference_decode;
+pub(crate) mod reference_decode;
 #[cfg(test)]
 #[path = "tests/reference_encode.rs"]
-mod reference_encode;
+pub(crate) mod reference_encode;
 
 pub use decode::{decode, decode_counts, decode_into, decode_view_into, decode_with_counter};
 pub use encode::{

@@ -458,72 +458,3 @@ fn view_parse_is_from_bytes_on_every_truncation_and_header() {
     }
     assert!(parsed > ROUNDS / 20, "only {parsed} random headers parsed");
 }
-
-/// Release-only timing gate (ci.sh "cosmo codec speed"): wire bytes to
-/// tensor through the view against the frozen `from_bytes` + decode, on
-/// the benchmark's 64³ sample. What the view saves is all outside the
-/// gather — the scalar key check, the 524 KB key copy, the table copy
-/// and three zeroed vectors a chunk — and nothing but this stage
-/// notices if an owned parse or a per-voxel check finds its way back
-/// into the plugin's path. Alternating runs, best of each side; the
-/// whole machine slows by 2× for minutes at a time, so read the ratio,
-/// not the µs.
-///
-/// Measured 2.2–2.6× (≈ 205 µs against 465–535 µs). The floor is set by
-/// the regression it has already caught once: a max-scan the compiler
-/// left scalar (an `Iterator::max` over keys widened to `usize`) costs
-/// 275 µs instead of 14 and reads 1.2–1.4×.
-#[test]
-#[ignore = "timing; run in release from scripts/ci.sh"]
-fn decode_speed() {
-    use std::time::Instant;
-    let sample = UniverseGenerator::new(CosmoFlowConfig {
-        grid: 64,
-        ..CosmoFlowConfig::default()
-    })
-    .generate(0);
-    let enc = encode(&sample);
-    assert_eq!(enc.chunks.len(), 1);
-    let bytes = enc.to_bytes();
-    let mut out = vec![F16::ZERO; enc.voxels() * N_REDSHIFTS];
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
-    let (mut new, mut old) = (f64::MAX, f64::MAX);
-    let (mut new_sum, mut old_sum) = (0.0, 0.0);
-    const ROUNDS: usize = 200;
-    for _ in 0..ROUNDS {
-        let t = time(&mut || {
-            let view = CosmoView::parse(std::hint::black_box(&bytes)).unwrap();
-            decode_view_into(&view, Op::Log1p, &mut out).unwrap();
-        });
-        new = new.min(t);
-        new_sum += t;
-        let t = time(&mut || {
-            let enc = reference_decode::from_bytes(std::hint::black_box(&bytes)).unwrap();
-            reference_decode::decode_into(&enc, Op::Log1p, None, &mut out).unwrap();
-        });
-        old = old.min(t);
-        old_sum += t;
-    }
-    println!(
-        "cosmo wire bytes -> tensor, 64^3 x 4 ({} groups, {} key bytes): view {:.0} us best / {:.0} mean, frozen from_bytes + decode {:.0} us best / {:.0} mean, {:.2}x on bests, {:.2}x on means",
-        enc.chunks[0].table.len(),
-        enc.chunks[0].keys.len(),
-        new * 1e6,
-        new_sum / ROUNDS as f64 * 1e6,
-        old * 1e6,
-        old_sum / ROUNDS as f64 * 1e6,
-        old / new,
-        old_sum / new_sum
-    );
-    assert!(
-        old / new >= DECODE_SPEED_FLOOR,
-        "view decode only {:.2}x the frozen owned path (floor {DECODE_SPEED_FLOOR}x)",
-        old / new
-    );
-}
-
-const DECODE_SPEED_FLOOR: f64 = 1.7;

@@ -171,48 +171,3 @@ fn the_extreme_groups_encode_to_the_reference_bytes() {
         .iter()
         .all(|c| c.table.last() == Some(&[u16::MAX; 4])));
 }
-
-/// Release-only timing gate (ci.sh "cosmo codec speed"): the flat-table
-/// encoder against the frozen `HashMap` one on the benchmark's 64³
-/// sample, one thread. Alternating runs, best of each side; the whole
-/// machine slows by 2× for minutes at a time, so read the ratio, not
-/// the ms. Fails below 3× the frozen reference.
-#[test]
-#[ignore = "timing; run in release from scripts/ci.sh"]
-fn encode_speed() {
-    use std::hint::black_box;
-    use std::time::Instant;
-    let sample = benchmark_sample(0);
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
-    let (mut new, mut old) = (f64::MAX, f64::MAX);
-    for _ in 0..15 {
-        new = new.min(time(&mut || {
-            black_box(encode(black_box(&sample)));
-        }));
-        old = old.min(time(&mut || {
-            black_box(reference_encode::encode(black_box(&sample)));
-        }));
-    }
-    let enc = encode(&sample);
-    let values = sample.counts.len() as f64;
-    println!(
-        "cosmo encode 64^3 x 4 ({} groups), one thread: flat table {:.2} ms ({:.0} Melem/s), frozen reference {:.2} ms ({:.0} Melem/s), {:.2}x",
-        enc.total_groups(),
-        new * 1e3,
-        values / new / 1e6,
-        old * 1e3,
-        values / old / 1e6,
-        old / new
-    );
-    assert!(
-        old / new >= ENCODE_SPEED_FLOOR,
-        "flat-table encode only {:.2}x the frozen reference (floor {ENCODE_SPEED_FLOOR}x)",
-        old / new
-    );
-}
-
-const ENCODE_SPEED_FLOOR: f64 = 3.0;

@@ -20,7 +20,7 @@ use sciml_data::cosmoflow::N_REDSHIFTS;
 use sciml_half::F16;
 
 /// Parses the wire format, validating chunk coverage and key ranges.
-pub(super) fn from_bytes(data: &[u8]) -> Result<EncodedCosmo, CodecError> {
+pub(crate) fn from_bytes(data: &[u8]) -> Result<EncodedCosmo, CodecError> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| crate::wire::take(data, pos, n);
     if take(&mut pos, 4)? != MAGIC {
@@ -96,7 +96,7 @@ pub(super) fn from_bytes(data: &[u8]) -> Result<EncodedCosmo, CodecError> {
 
 /// Decodes into `out`, exactly `voxels × N_REDSHIFTS` long. `grid` must
 /// not be zero: this decoder panics on it (`chunks_mut(0)`).
-pub(super) fn decode_into(
+pub(crate) fn decode_into(
     enc: &EncodedCosmo,
     op: Op,
     counter: Option<&OpCounter>,

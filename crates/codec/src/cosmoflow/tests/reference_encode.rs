@@ -16,7 +16,7 @@ use std::collections::HashMap;
 const MAX_GROUPS: usize = 65536;
 
 /// Encodes a sample into keyed lookup tables.
-pub(super) fn encode(sample: &CosmoSample) -> EncodedCosmo {
+pub(crate) fn encode(sample: &CosmoSample) -> EncodedCosmo {
     let voxels = sample.voxels();
     let mut chunks = Vec::new();
     let mut start = 0usize;

@@ -108,7 +108,7 @@ pub fn encode(sample: &DeepCamSample, cfg: &EncoderConfig) -> (EncodedDeepCam, E
 
 /// Encodes the lines of channel `c`: their directory entries (offsets
 /// from the channel's own first byte), payload and statistics.
-pub(super) fn encode_channel(
+pub(crate) fn encode_channel(
     sample: &DeepCamSample,
     c: usize,
     cfg: &EncoderConfig,

@@ -35,10 +35,14 @@ mod decode_differential;
 mod differential;
 #[cfg(test)]
 #[path = "tests/reference.rs"]
-mod reference;
+pub(crate) mod reference;
 #[cfg(test)]
 #[path = "tests/reference_decode.rs"]
-mod reference_decode;
+pub(crate) mod reference_decode;
+// One channel on the calling thread, for the speed floors (`encode`
+// forks the channels).
+#[cfg(test)]
+pub(crate) use encode::encode_channel;
 
 pub use decode::{decode, decode_into, decode_line_into, decode_view_into};
 pub use encode::{encode, EncodeStats, EncoderConfig};

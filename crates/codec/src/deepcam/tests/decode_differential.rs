@@ -806,80 +806,3 @@ fn view_parse_is_from_bytes_on_every_truncation_and_header() {
         assert_parsers_agree(&blob, &format!("header round {round}"));
     }
 }
-
-/// Release-only timing gate (ci.sh "deepcam codec speed"), one thread on
-/// a 576×384×8 sample, alternating runs, best of each side; the host's
-/// tier throughout, narrowing included. Two ratios, each of which a
-/// refactor can lose without failing any other test:
-///
-/// * `decode_into` against the per-line loop: the lockstep gain rests on
-///   pass 1 staying off the chains and pass 2 stepping sixteen of them
-///   together. Fails below 1.2× at avx2 (measured 1.27–1.36×); at every
-///   other tier the two are one loop, and it prints "skipped".
-/// * `decode_into` against the frozen reference, whose first pass is the
-///   scalar `decode_code` loop: fails below 3×. The per-line loop alone
-///   reads 3.9–4.8× that at avx2; a second pass over the line or a
-///   mispredicting loop in it reads 2×.
-#[test]
-#[ignore = "timing; run in release from scripts/ci.sh"]
-fn decode_speed() {
-    use std::time::Instant;
-    let sample = ClimateGenerator::new(DeepCamConfig {
-        width: 576,
-        height: 384,
-        channels: 8,
-        ..DeepCamConfig::default()
-    })
-    .generate(0);
-    let (enc, _) = encode(&sample, &EncoderConfig::default());
-    let mut out = vec![F16::ZERO; enc.n_values()];
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
-    let (mut new, mut lines, mut old) = (f64::MAX, f64::MAX, f64::MAX);
-    for _ in 0..15 {
-        new = new.min(time(&mut || {
-            decode_into(&enc, Op::Identity, &mut out).unwrap()
-        }));
-        lines = lines.min(time(&mut || {
-            super::decode::decode_lines(&enc.view(), Op::Identity, &mut out).unwrap()
-        }));
-        old = old.min(time(&mut || {
-            reference_decode::decode_into(&enc, Op::Identity, &mut out).unwrap()
-        }));
-    }
-    let melem = enc.n_values() as f64 / 1e6;
-    let tier = sciml_simd::active_level();
-    println!(
-        "deepcam decode_into 576x384x8 at {}: {:.2} ms ({:.0} Melem/s), per-line loop {:.2} ms ({:.0} Melem/s), frozen two-pass {:.2} ms ({:.0} Melem/s); {:.2}x per-line, {:.2}x frozen",
-        tier.name(),
-        new * 1e3,
-        melem / new,
-        lines * 1e3,
-        melem / lines,
-        old * 1e3,
-        melem / old,
-        lines / new,
-        old / new
-    );
-    assert!(
-        old / new >= DECODE_SPEED_FLOOR,
-        "decode only {:.2}x the frozen reference (floor {DECODE_SPEED_FLOOR}x)",
-        old / new
-    );
-    if decode_lockstep::tier().is_none() {
-        println!("lockstep over per-line floor: skipped at {}", tier.name());
-        return;
-    }
-    assert!(
-        lines / new >= LOCKSTEP_SPEED_FLOOR,
-        "lockstep decode only {:.2}x the per-line loop at {} (floor {LOCKSTEP_SPEED_FLOOR}x)",
-        lines / new,
-        tier.name()
-    );
-}
-
-const DECODE_SPEED_FLOOR: f64 = 3.0;
-const LOCKSTEP_SPEED_FLOOR: f64 = 1.2;

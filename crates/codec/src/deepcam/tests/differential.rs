@@ -5,7 +5,7 @@
 //! branch; the integer quantiser must match the float one on every
 //! mantissa.
 
-use super::encode::{code_delta, encode_channel, quantize_code};
+use super::encode::{code_delta, quantize_code};
 use super::{decode_code, encode, exp2i, reference, EncoderConfig, CODE_ESCAPE, CODE_ZERO};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig, DeepCamSample};
 
@@ -561,59 +561,3 @@ fn slow_lanes_at_the_edges_of_a_group() {
         }
     }
 }
-
-/// Release-only timing gate (ci.sh "deepcam codec speed"): the lockstep
-/// encoder's gain rests on sixteen chains in flight with the tolerance
-/// test off them, which a refactor can lose without failing any other
-/// test. One thread — the channels one after the other, as
-/// [`reference::encode`] runs them — on the ingest workload's
-/// 288×192×8 shape; alternating runs, best of each side. Fails below
-/// 3.5× the frozen reference (the line-at-a-time encoder this replaced
-/// read 2.8×).
-#[test]
-#[ignore = "timing; run in release from scripts/ci.sh"]
-fn encode_speed() {
-    use std::hint::black_box;
-    use std::time::Instant;
-    let sample = ClimateGenerator::new(DeepCamConfig {
-        width: 288,
-        height: 192,
-        channels: 8,
-        seed: 20220530,
-        ..DeepCamConfig::default()
-    })
-    .generate(0);
-    let cfg = EncoderConfig::default();
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
-    let (mut new, mut old) = (f64::MAX, f64::MAX);
-    for _ in 0..15 {
-        new = new.min(time(&mut || {
-            for c in 0..sample.channels {
-                black_box(encode_channel(black_box(&sample), c, &cfg));
-            }
-        }));
-        old = old.min(time(&mut || {
-            black_box(reference::encode(black_box(&sample), &cfg));
-        }));
-    }
-    let values = sample.data.len() as f64;
-    println!(
-        "deepcam encode 288x192x8, one thread: lockstep {:.2} ms ({:.1} ns/value), frozen reference {:.2} ms ({:.1} ns/value), {:.2}x",
-        new * 1e3,
-        new * 1e9 / values,
-        old * 1e3,
-        old * 1e9 / values,
-        old / new
-    );
-    assert!(
-        old / new >= ENCODE_SPEED_FLOOR,
-        "lockstep encode only {:.2}x the frozen reference (floor {ENCODE_SPEED_FLOOR}x)",
-        old / new
-    );
-}
-
-const ENCODE_SPEED_FLOOR: f64 = 3.5;

@@ -14,7 +14,7 @@ use super::{
 use sciml_data::deepcam::DeepCamSample;
 
 /// Encodes a sample, returning the encoded form and statistics.
-pub(super) fn encode(sample: &DeepCamSample, cfg: &EncoderConfig) -> (EncodedDeepCam, EncodeStats) {
+pub(crate) fn encode(sample: &DeepCamSample, cfg: &EncoderConfig) -> (EncodedDeepCam, EncodeStats) {
     let width = sample.width;
     let mut lines = Vec::with_capacity(sample.channels * sample.height);
     let mut payload = Vec::new();

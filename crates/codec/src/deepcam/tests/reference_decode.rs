@@ -136,7 +136,7 @@ pub(super) fn from_bytes(data: &[u8]) -> Result<EncodedDeepCam, CodecError> {
 
 /// Decodes a sample into `out`, exactly [`EncodedDeepCam::n_values`]
 /// long.
-pub(super) fn decode_into(enc: &EncodedDeepCam, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
+pub(crate) fn decode_into(enc: &EncodedDeepCam, op: Op, out: &mut [F16]) -> Result<(), CodecError> {
     let width = enc.width as usize;
     if out.len() != enc.n_values() {
         return Err(CodecError::Inconsistent("output slice length mismatch"));

@@ -27,6 +27,12 @@ pub mod error_stats;
 pub mod ops;
 pub(crate) mod wire;
 
+// Test-only: the crate's speed floors, which time the decoders and
+// encoders against their frozen references.
+#[cfg(test)]
+#[path = "tests/speed.rs"]
+mod speed;
+
 pub use error_stats::ErrorStats;
 pub use ops::Op;
 

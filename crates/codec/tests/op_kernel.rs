@@ -4,14 +4,14 @@
 //! holds by construction (the tiers are one source compiled three
 //! times) and is proven here anyway; the second rests on the optimiser,
 //! so its loss must fail a build rather than show up as a benchmark
-//! regression someone has to explain.
+//! regression someone has to explain: it is a row of the crate's speed
+//! floors (`src/tests/speed.rs`).
 
 use proptest::prelude::*;
 use sciml_codec::ops::log1p;
 use sciml_codec::Op;
 use sciml_half::F16;
-use sciml_simd::{detected_level, force, supported_levels, SimdLevel};
-use std::time::Instant;
+use sciml_simd::{force, supported_levels, SimdLevel};
 
 /// Bit equality, except that any NaN equals any NaN.
 fn same(a: F16, b: F16) -> bool {
@@ -183,54 +183,5 @@ fn all_f32_bit_patterns_at_every_tier() {
                 }
             });
         }
-    }
-}
-
-/// The bulk kernel against the loop it replaced, on 2²⁰ counts.
-#[test]
-#[ignore = "timing: release mode, run by scripts/ci.sh"]
-fn bulk_log1p_speed() {
-    const N: usize = 1 << 20;
-    let src: Vec<f32> = (0..N).map(|i| (i * 7919 % 65536) as f32).collect();
-    let mut vals = src.clone();
-    let mut out = vec![F16::ZERO; N];
-    let best = |f: &mut dyn FnMut()| {
-        (0..7)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::MAX, f64::min)
-    };
-    let bulk = best(&mut || {
-        vals.copy_from_slice(&src);
-        Op::Log1p.narrow_into(&mut vals, &mut out);
-        std::hint::black_box(&out);
-    });
-    let mut reference = vec![F16::ZERO; N];
-    // `black_box` on each argument keeps the optimiser from merging
-    // the iterations into the very loop under test.
-    let per_element = best(&mut || {
-        for (o, &x) in reference.iter_mut().zip(&src) {
-            *o = F16::from_f32(log1p(std::hint::black_box(x)));
-        }
-        std::hint::black_box(&reference);
-    });
-    assert_eq!(out, reference);
-    let ratio = per_element / bulk;
-    let tier = detected_level();
-    println!(
-        "Op::Log1p.narrow_into at {}: {:.2} ns/value, per-element {:.2} ns/value, {ratio:.1}x",
-        tier.name(),
-        bulk / N as f64 * 1e9,
-        per_element / N as f64 * 1e9,
-    );
-    // Below sse42 the scalar F16 conversion is most of the call.
-    if matches!(tier, SimdLevel::Sse42 | SimdLevel::Avx2) {
-        assert!(
-            ratio >= 5.0,
-            "bulk log1p only {ratio:.1}x the per-element loop"
-        );
     }
 }

@@ -1121,54 +1121,35 @@ fn a_skip_to_or_past_the_end_leaves_the_matcher_done() {
 
 // -------------------------------------------------------------- (g) speed
 
-/// Guards the point of the rewrite, of the block rule and of the probe,
-/// on the two payloads the benchmark deflates and inflates, at the
-/// levels it uses.
-/// Every row of the table in the body times a fast side against a slow
-/// one, turn and turn about, best of each — this host's second vCPU
-/// comes and goes, and a gate that times one side and then the other
-/// measures that as well — and fails below the row's floor:
+/// The crate's speed floors, one table timed by `sciml_simd::speed`
+/// (each side on the loader's threads at once, the median of
+/// side-by-side timings). Release only: `cargo test --release -p sciml-compress --lib
+/// -- --ignored --exact differential::speed_floors --nocapture`.
 ///
-/// * the hot loops stay at least 1.7x (deflate) and 1.3x (inflate) faster
-///   than the loops they replaced; the floors sit under the spread
-///   recorded on untouched code (1.90–2.8x and 1.46–1.8x: see CHANGES.md,
-///   PRs 14, 17 and 18), not on it. The DeepCAM inflate row times the
-///   *smallest-bits* stream of the blob, where the Huffman loops do the
-///   work; the stream `deflate` now writes is mostly stored blocks, which
-///   both readers copy alike. That row is bound by literals; the
-///   CosmoFlow inflate row is bound by matches, which the fast loop
-///   copies sixteen bytes a step, and its floor is 2.5x (measured
-///   2.9–3.2x).
-/// * that stream — the one every `Auto` entry of the ingest workload is
-///   read back from — inflates at least 3x faster than the smallest-bits
-///   stream of the same bytes (measured 4.8x): the reason its blocks are
-///   stored.
-/// * deflating that blob costs less than half of searching it once
-///   (`lz77::tokenize` at `Fast`'s parameters; measured 2.5–2.8x, and
-///   1.93–1.96x before failing probes were ruled out on the entropy
-///   floor): the probe stores what does not pay after searching one
-///   byte in eight.
-///
-/// Timing test, so `scripts/ci.sh` runs it alone, in release mode:
-/// `cargo test --release -p sciml-compress --lib -- --ignored deflate_inflate_speed`.
+/// * crc32: where PCLMULQDQ is detected, the dispatched `crc32` must
+///   stay 4x slicing-by-8, or a fall-back has gone silent (measured
+///   ≈ 14x).
+/// * The rewritten hot loops against the frozen reference, on the two
+///   payloads the benchmark deflates and inflates, at the levels it
+///   uses: deflate 1.7x, inflate 1.3x on the DeepCAM blob and 2.5x on the
+///   CosmoFlow payload. The DeepCAM inflate row times the blob's
+///   *smallest-bits* stream, where the Huffman loops do the work: the
+///   stream `deflate` writes for it is mostly stored blocks, which both
+///   readers copy alike. That row is bound by literals; the CosmoFlow one
+///   by matches, which the fast loop copies sixteen bytes a step.
+/// * Why the blob's blocks are stored: the stream `deflate` writes, the
+///   one every `Auto` entry of the ingest workload is read back from,
+///   inflates 3x faster than the smallest-bits stream of the same bytes.
+/// * Why its bytes are not searched either: deflating the blob costs
+///   less than half of one `lz77::tokenize` of it at `Fast`'s
+///   parameters, because a block whose first 1 024 tokens do not pay is
+///   stored with seven times as many bytes after them unsearched.
 #[test]
-#[ignore = "timing; run by scripts/ci.sh in release mode"]
-fn deflate_inflate_speed() {
+#[ignore = "timing; release mode, run by scripts/ci.sh"]
+fn speed_floors() {
+    use crate::crc32::{crc32, crc32_slicing8, has_clmul, kernel_name};
+    use sciml_simd::speed::{floors, Row, Shape};
     use std::hint::black_box;
-    use std::time::Instant;
-    /// Best time of `fast` and of `slow` over `rounds` alternating runs.
-    fn best_of_each(rounds: usize, fast: &dyn Fn(), slow: &dyn Fn()) -> (f64, f64) {
-        let mut best = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..rounds {
-            let t0 = Instant::now();
-            fast();
-            best.0 = best.0.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            slow();
-            best.1 = best.1.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    }
     let blob = input("deepcam blob");
     let blob_stream = deflate_compress(&blob, Level::Fast);
     assert!(blob_stream == reference::compress(&blob, Level::Fast));
@@ -1177,64 +1158,59 @@ fn deflate_inflate_speed() {
     let cosmo = input("cosmo payload");
     let cosmo_stream = deflate_compress(&cosmo, Level::Default);
     assert!(cosmo_stream == reference::compress(&cosmo, Level::Default));
-
-    // (what, payload bytes, rounds, floor, fast side, slow side)
-    type Side<'a> = &'a dyn Fn();
-    let fast = (
-        Level::Fast.max_chain(),
-        Level::Fast.good_enough(),
-        Level::Fast.lazy(),
-    );
-    let table: [(&str, usize, usize, f64, Side, Side); 6] = [
+    let fast = Level::Fast;
+    let (chain, good, lazy) = (fast.max_chain(), fast.good_enough(), fast.lazy());
+    let rows: [Row; 7] = [
         (
-            "deepcam blob, deflate Fast: new / reference",
-            blob.len(),
-            4,
-            1.7,
-            &|| drop(black_box(deflate_compress(black_box(&blob), Level::Fast))),
+            "crc32 over the deepcam blob: dispatched / slicing-by-8",
+            4.0,
+            has_clmul(),
             &|| {
-                drop(black_box(reference::compress(
-                    black_box(&blob),
-                    Level::Fast,
-                )))
+                black_box(crc32(black_box(&blob)));
+            },
+            &|| {
+                black_box(crc32_slicing8(!0, black_box(&blob)));
             },
         ),
         (
+            "deepcam blob, deflate Fast: new / reference",
+            1.7,
+            true,
+            &|| drop(black_box(deflate_compress(black_box(&blob), fast))),
+            &|| drop(black_box(reference::compress(black_box(&blob), fast))),
+        ),
+        (
             "deepcam blob, inflate of the smallest-bits stream: new / reference",
-            blob.len(),
-            9,
             1.3,
+            true,
             &|| drop(black_box(inflate(black_box(&blob_smallest)))),
             &|| drop(black_box(reference::inflate(black_box(&blob_smallest)))),
         ),
         (
             "deepcam blob, inflate: the stream deflate writes / the smallest-bits stream",
-            blob.len(),
-            9,
             3.0,
+            true,
             &|| drop(black_box(inflate(black_box(&blob_stream)))),
             &|| drop(black_box(inflate(black_box(&blob_smallest)))),
         ),
         (
             "deepcam blob: deflate Fast / lz77::tokenize at Fast's parameters",
-            blob.len(),
-            4,
             2.0,
-            &|| drop(black_box(deflate_compress(black_box(&blob), Level::Fast))),
+            true,
+            &|| drop(black_box(deflate_compress(black_box(&blob), fast))),
             &|| {
                 drop(black_box(lz77::tokenize(
                     black_box(&blob),
-                    fast.0,
-                    fast.1,
-                    fast.2,
+                    chain,
+                    good,
+                    lazy,
                 )))
             },
         ),
         (
             "cosmo payload, deflate Default: new / reference",
-            cosmo.len(),
-            4,
             1.7,
+            true,
             &|| {
                 drop(black_box(deflate_compress(
                     black_box(&cosmo),
@@ -1250,26 +1226,11 @@ fn deflate_inflate_speed() {
         ),
         (
             "cosmo payload, inflate: new / reference",
-            cosmo.len(),
-            9,
             2.5,
+            true,
             &|| drop(black_box(inflate(black_box(&cosmo_stream)))),
             &|| drop(black_box(reference::inflate(black_box(&cosmo_stream)))),
         ),
     ];
-    let mut failed = Vec::new();
-    for (what, bytes, rounds, floor, fast, slow) in table {
-        let (t_fast, t_slow) = best_of_each(rounds, fast, slow);
-        let mb = bytes as f64 / 1e6;
-        println!(
-            "{what}: {:.1} MB/s against {:.1} MB/s, ratio {:.2}x (floor {floor}x)",
-            mb / t_fast,
-            mb / t_slow,
-            t_slow / t_fast,
-        );
-        if t_slow / t_fast < floor {
-            failed.push(what);
-        }
-    }
-    assert!(failed.is_empty(), "below the floor: {failed:?}");
+    floors(Shape::Loader, kernel_name(), &rows);
 }

@@ -109,6 +109,8 @@ pub fn localhost_spec(cores: u32) -> PlatformSpec {
         h2d: BandwidthCurve::from_mb_gbs(&[(4.0, 4.0), (64.0, 8.0)]),
         cpu_cores: cores,
         cpu_freq_ghz: 2.4,
+        // The host rates are measured here, stack and all.
+        tuned_host_stack: true,
     }
 }
 

@@ -131,7 +131,7 @@ impl EpochModel {
         // worker count and by this GPU's core share), scaled by the
         // platform clock and the workload's stack efficiency there.
         let workers = p.cores_per_gpu().min(w.max_workers as f64);
-        let host_rate = workers * p.host_rate_factor() * w.host_efficiency(p.name);
+        let host_rate = workers * p.host_rate_factor() * w.host_efficiency(p);
         let host_s = w.host_1core_s(cfg.format) / host_rate;
 
         // Host→device transfer: one batch moves batch × bytes; pageable

@@ -60,6 +60,10 @@ pub struct GpuSpec {
     pub fp32_tflops: f64,
     /// Peak tensor-core throughput in FLOP/s.
     pub tensor_tflops: f64,
+    /// Training-step time relative to a V100's. Mixed-precision training
+    /// does not scale with tensor FLOPs: the paper observes ≈ 2.2× A100
+    /// over V100 (§IX).
+    pub step_scale: f64,
 }
 
 impl GpuSpec {
@@ -74,6 +78,7 @@ impl GpuSpec {
         mem_capacity: 16 * 1024 * 1024 * 1024,
         fp32_tflops: 15.7e12,
         tensor_tflops: 120.0e12,
+        step_scale: 1.0,
     };
 
     /// NVIDIA A100 (Cori-A100 nodes).
@@ -87,6 +92,7 @@ impl GpuSpec {
         mem_capacity: 40 * 1024 * 1024 * 1024,
         fp32_tflops: 19.5e12,
         tensor_tflops: 312.0e12,
+        step_scale: 1.0 / 2.2,
     };
 
     /// Aggregate warp-instruction throughput in instructions/second

@@ -71,6 +71,10 @@ pub struct PlatformSpec {
     pub cpu_cores: u32,
     /// CPU clock in GHz (Table I) — scales host-side software rates.
     pub cpu_freq_ghz: f64,
+    /// Whether the node's framework stack is as tuned as Cori's. Where it
+    /// is not (§IX-A: Summit), each workload's host rate is scaled by its
+    /// [`crate::workload::WorkloadProfile::untuned_stack_efficiency`].
+    pub tuned_host_stack: bool,
 }
 
 impl PlatformSpec {
@@ -91,6 +95,7 @@ impl PlatformSpec {
             h2d: BandwidthCurve::from_mb_gbs(&[(4.0, 12.0), (16.0, 18.0), (64.0, 24.0)]),
             cpu_cores: 42,
             cpu_freq_ghz: 3.1,
+            tuned_host_stack: false,
         }
     }
 
@@ -108,6 +113,7 @@ impl PlatformSpec {
             h2d: BandwidthCurve::from_mb_gbs(&[(4.0, 4.0), (16.0, 6.0), (64.0, 8.0)]),
             cpu_cores: 40,
             cpu_freq_ghz: 2.4,
+            tuned_host_stack: true,
         }
     }
 
@@ -128,6 +134,7 @@ impl PlatformSpec {
             h2d: BandwidthCurve::from_mb_gbs(&[(4.0, 6.0), (16.0, 7.0), (64.0, 8.0)]),
             cpu_cores: 128,
             cpu_freq_ghz: 2.25,
+            tuned_host_stack: true,
         }
     }
 

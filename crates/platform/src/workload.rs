@@ -11,6 +11,7 @@
 //! [`host_rate_factor`]: crate::spec::PlatformSpec::host_rate_factor
 
 use crate::gpusim::GpuSpec;
+use crate::spec::PlatformSpec;
 
 #[cfg(test)]
 const MB: f64 = 1e6;
@@ -87,11 +88,12 @@ pub struct WorkloadProfile {
     /// `tf.data` pipeline scales across all available cores; the PyTorch
     /// reference DeepCAM pins `num_workers` per rank.
     pub max_workers: usize,
-    /// Host software efficiency of this workload's stack on Summit
-    /// relative to Cori (§IX-A: "the level of optimization for the
-    /// software stack appears to be lower for Summit"; the TF/opence
-    /// stack suffers more than the PyTorch one).
-    pub summit_host_efficiency: f64,
+    /// Host software efficiency of this workload's stack on a platform
+    /// whose stack is less tuned than Cori's
+    /// ([`PlatformSpec::tuned_host_stack`]; §IX-A: "the level of
+    /// optimization for the software stack appears to be lower for
+    /// Summit"; the TF/opence stack suffers more than the PyTorch one).
+    pub untuned_stack_efficiency: f64,
 }
 
 impl WorkloadProfile {
@@ -118,7 +120,7 @@ impl WorkloadProfile {
             step_batch_overhead: 0.35,
             allreduce_jitter_s: 1.5e-3,
             max_workers: 64,
-            summit_host_efficiency: 0.33,
+            untuned_stack_efficiency: 0.33,
         }
     }
 
@@ -146,7 +148,7 @@ impl WorkloadProfile {
             step_batch_overhead: 0.5,
             allreduce_jitter_s: 8e-3,
             max_workers: 4,
-            summit_host_efficiency: 0.75,
+            untuned_stack_efficiency: 0.75,
         }
     }
 
@@ -182,11 +184,7 @@ impl WorkloadProfile {
 
     /// Training-step seconds per sample at a batch size on a GPU.
     pub fn step_s(&self, gpu: &GpuSpec, batch: usize) -> f64 {
-        let scale = GpuSpec::V100.tensor_tflops / gpu.tensor_tflops;
-        // Mixed-precision training does not scale perfectly with tensor
-        // FLOPs; the paper observes ≈2.2× A100 over V100.
-        let eff_scale = if gpu.name == "A100" { 1.0 / 2.2 } else { scale };
-        self.step_v100_s * eff_scale * (1.0 + self.step_batch_overhead / batch as f64)
+        self.step_v100_s * gpu.step_scale * (1.0 + self.step_batch_overhead / batch as f64)
     }
 
     /// GPU decode seconds per sample for the GPU plugin.
@@ -201,11 +199,11 @@ impl WorkloadProfile {
     }
 
     /// Host stack efficiency of this workload on the given platform.
-    pub fn host_efficiency(&self, platform_name: &str) -> f64 {
-        if platform_name == "Summit" {
-            self.summit_host_efficiency
-        } else {
+    pub fn host_efficiency(&self, platform: &PlatformSpec) -> f64 {
+        if platform.tuned_host_stack {
             1.0
+        } else {
+            self.untuned_stack_efficiency
         }
     }
 }
@@ -274,11 +272,20 @@ mod tests {
     }
 
     #[test]
-    fn summit_efficiency_applies_only_to_summit() {
+    fn stack_efficiency_applies_only_to_summit() {
+        let (summit, cori) = (PlatformSpec::summit(), PlatformSpec::cori_v100());
         let c = WorkloadProfile::cosmoflow();
-        assert_eq!(c.host_efficiency("Summit"), 0.33);
-        assert_eq!(c.host_efficiency("Cori-V100"), 1.0);
+        assert_eq!(c.host_efficiency(&summit), 0.33);
+        assert_eq!(c.host_efficiency(&cori), 1.0);
+        assert_eq!(c.host_efficiency(&PlatformSpec::cori_a100()), 1.0);
         let d = WorkloadProfile::deepcam();
-        assert!(d.host_efficiency("Summit") > c.host_efficiency("Summit"));
+        assert!(d.host_efficiency(&summit) > c.host_efficiency(&summit));
+    }
+
+    #[test]
+    fn step_scale_is_the_papers_a100_speed_up() {
+        let c = WorkloadProfile::cosmoflow();
+        let ratio = c.step_s(&GpuSpec::V100, 4) / c.step_s(&GpuSpec::A100, 4);
+        assert!((ratio - 2.2).abs() < 1e-9, "{ratio}");
     }
 }

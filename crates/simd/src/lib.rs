@@ -24,12 +24,16 @@
 //!   file) can show which path actually ran (`codec.simd.*`).
 //! * [`kernel_plan`] — every kernel's path at the active tier, which
 //!   `sciml cpu-features` prints.
+//! * [`speed`] — the one timing of a fast side against a slow one that
+//!   every crate's `speed_floors` table goes through.
 //!
 //! Every dispatch site matches on [`active_level`], which names only a
 //! tier this CPU runs: the probe's, or a request clamped to it.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
+
+pub mod speed;
 
 /// An ISA tier a kernel can be compiled for, from least to most
 /// capable; each implies the ones before it.

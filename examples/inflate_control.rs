@@ -1,6 +1,6 @@
 //! Prints the host control row: one thread's time over two's to inflate
-//! a fixed set of gzip blobs, best of five each (see
-//! `sciml_repro::control`). About 1.9 where both vCPUs of a two-vCPU
+//! a fixed set of gzip blobs, timed as a scaling row of
+//! `sciml_simd::speed` (see `sciml_repro::control`). About 1.9 where both vCPUs of a two-vCPU
 //! host are there; under 1.7 the second was away, and a benchmark run
 //! made then says little about the code.
 //!
@@ -12,7 +12,7 @@
 use sciml_repro::control::InflateControl;
 
 fn main() {
-    let (ratio, one, two) = InflateControl::new().ratio(5);
+    let (ratio, one, two) = InflateControl::new().ratio();
     println!(
         "control {ratio:.2} (1 thread {:.1} ms, 2 threads {:.1} ms)",
         one * 1e3,

@@ -161,133 +161,46 @@ done
 stage "cargo test"
 cargo test --workspace -q
 
-stage "crc32 kernel (no silent fall-back where PCLMULQDQ is detected)"
-# A release-mode timing test inside crc32.rs, the one place both
-# kernels can be called directly: prints kernel_name() and both rates,
-# and fails when PCLMULQDQ is detected but one-shot crc32 over 2 MiB is
-# not at least 4x the slicing-by-8 kernel (measured: ~15x).
-cargo test --release -q -p sciml-compress --lib -- \
-    --ignored --exact crc32::tests::crc32_kernel_speed --nocapture
-
-stage "deflate/inflate speed (and the full differential matrix, release mode)"
-# The differential tests against the frozen reference implementation
-# thin their input matrix in debug builds; here they run in full: byte
-# identity of both benchmark payloads at all four levels, and every
-# overlapping copy at every distance from the end of the output. Then
-# the timing test beside them, whose rows and floors are one table in
-# its body (`differential::deflate_inflate_speed`): each row times a
-# fast side against a slow one turn and turn about, best of each,
-# prints both rates, and the test fails naming every row under its
-# floor. On a DeepCAM blob (Fast) and a CosmoFlow payload (Default):
-#
-#   row                                                floor  measured
-#   deflate, new / frozen reference: deepcam blob       1.7x  9.4-9.7x
-#                                    cosmo payload      1.7x  3.2-3.3x
-#   inflate, new / frozen reference: deepcam blob       1.3x  1.5-1.6x
-#                                    cosmo payload      2.5x  2.9-3.2x
-#   deepcam blob: inflate of the stream deflate now
-#     writes / of its smallest-bits stream              3.0x  4.8-8.3x
-#   deepcam blob: deflate / lz77::tokenize of the
-#     same blob at Fast's parameters                    2.0x  2.5-2.8x
-#
-# The DeepCAM inflate row times the smallest-bits stream
-# (`reference::compress_smallest`): the stream deflate writes for that
-# blob is mostly stored blocks, which both readers copy alike.
-# The third row is the reason it is: a block that coding cannot shrink
-# by an eighth is stored, and a stored block is read at memcpy speed.
-# The last row is why its bytes are not searched either: a block whose
-# first 1 024 tokens do not pay is stored with seven times as many bytes
-# after them unsearched, so deflating the blob costs less than one
-# search of it. (The first DeepCAM row read 2.2-3.3x before the probe
-# landed; the frozen reference probes too, but judges each probe with
-# its cloning package-merge where deflate rules most out on a bound.)
-# The DeepCAM inflate row is bound by literals, the CosmoFlow one by
-# matches, so only the CosmoFlow row shows how matches are copied; its
-# floor sits below the measured range by what the host's noise takes.
+stage "release differentials (full matrices, all 2^32 arguments of the bulk log1p)"
+# The differential suites thin their inputs in debug builds; here they
+# run in full, in the build that ships, at every tier this host has.
+# Deflate / inflate against the frozen reference: byte identity of both
+# benchmark payloads at all four levels, every overlapping copy at every
+# distance from the end of the output.
 cargo test --release -q -p sciml-compress --lib -- differential::
-cargo test --release -q -p sciml-compress --lib -- \
-    --ignored --exact differential::deflate_inflate_speed --nocapture
-
-stage "deepcam codec speed (and the full encode and decode differentials, release mode)"
-# Both DeepCAM directions against their frozen references, in the build
-# that ships, at every tier this host has: the lockstep encoder against
-# the line-at-a-time one (generated samples, hand-built lines at every
-# lane of a group, every group shape, the literal-overflow flip, the slow
-# lanes), the lockstep decoder and the per-line loop against the
-# two-pass one (every code at every base exponent, groups mixing line
-# modes, escapes and window edges in chosen lanes, a hostile line among
-# fifteen valid ones, the generated samples).
-# Then the two timing tests, same alternating form, best of each side.
-# Encode, one thread on the ingest workload's 288x192x8 shape: sixteen
-# lines step together with the tolerance test off their chains, and
-# nothing but this stage notices if a refactor puts it back on; fails
-# below 3.5x the frozen reference (measured 4.7-7.0x at avx2, 3.8-3.9x
-# at sse4.2; the line-at-a-time encoder it replaced read 2.1-2.3x).
-# Decode, one thread on a 576x384x8 sample: sixteen lines step their
-# prefix chains together with the code->delta step off them. Fails below
-# 1.2x the per-line loop at avx2 (measured 1.20-1.47x on a noisy 2-vCPU
-# host, most runs 1.26-1.38x), and prints "skipped" at every other tier,
-# where both are that loop; and below 3x the frozen scalar two-pass
-# reference (measured 5.1-6.6x at avx2).
-# One test thread: libtest would otherwise run the two timing tests at
-# once, each taking a vCPU from the other on a 2-vCPU host, and a ratio
-# read while the other test runs measures the neighbour, not the code.
+# DeepCAM against its frozen references: the lockstep encoder against
+# the line-at-a-time one, the lockstep decoder and the per-line loop
+# against the two-pass one (generated samples, every lane of a group,
+# every code at every base exponent, hostile lines among valid ones).
 cargo test --release -q -p sciml-codec --lib -- deepcam::differential:: deepcam::decode_differential::
-cargo test --release -q -p sciml-codec --lib -- --ignored --exact --test-threads=1 \
-    deepcam::differential::encode_speed deepcam::decode_differential::decode_speed --nocapture
-
-stage "cosmo codec speed (and the full encode and decode differentials, release mode)"
-# Both CosmoFlow directions against their frozen references, in the
-# build that ships. Encode: the flat-table encoder against the HashMap
-# one, same chunks and same wire bytes, on the generated samples at
-# grids 4-64, a forced multi-chunk sample, a chunk of exactly 65 536
-# groups, tables of 256 and 257 groups and samples holding [u16::MAX; 4].
-# Decode: the view decoder against the frozen owned parse +
-# per-chunk-allocating decode: the generated samples, a forced
-# multi-chunk sample, both LUT branches, every truncation and 20 000
-# random headers through all three parsers.
-# Then the two timing tests, same alternating form, best of each side,
-# on the benchmark's 64^3 sample. Encode, one thread: one probe a voxel
-# into a flat table of packed groups; fails below 3x the frozen
-# reference (measured 6.3-7.2x: 1.5-2.4 ms against 10-17 ms).
-# Decode, wire bytes to tensor: what the view saves is all in front of
-# the gather — the key copy, the table copy, a scalar key check — and
-# nothing but this stage notices if one of them comes back: fails below
-# 1.7x the frozen path (measured: 2.2-2.6x, 205 us against 465-535 us;
-# with the max-scan left scalar, 1.2-1.4x).
-# One test thread, for the reason given in the DeepCAM stage: the two
-# timing tests must not share the host's two vCPUs with each other.
+# CosmoFlow: the flat-table encoder against the HashMap one, the view
+# decoder against the frozen owned parse (forced multi-chunk samples,
+# both LUT branches, every truncation, 20 000 random headers).
 cargo test --release -q -p sciml-codec --lib -- cosmoflow::encode_differential:: cosmoflow::decode_differential::
-cargo test --release -q -p sciml-codec --lib -- --ignored --exact --test-threads=1 \
-    cosmoflow::encode_differential::encode_speed cosmoflow::decode_differential::decode_speed --nocapture
-
-stage "unpack placement (one reader, the decode pool inflates)"
-# A reader thread reads and CRC-checks a stored entry; a decode thread
-# inflates it. Nothing but this stage notices if the inflate moves back:
-# a gzip store of 16 x 512 KiB low-ratio samples behind one reader must
-# read at least 1.4x faster with two decode threads than with one
-# (interleaved, best of seven; measured 1.85x), asserted only when the
-# control row — two bare threads inflating the same blobs at 1.7x one or
-# better — says both vCPUs were there, printed as skipped otherwise.
-# Prints the two-decoder run's own account (`pipeline.fetch_ns` /
-# `unpack_ns` / `decode_ns` p50 and the sampler's bottleneck) and checks
-# that `pipeline.unpack_ns` counts every sample of the gzip store and
-# none of a raw one.
-cargo test --release -q --test unpack_placement -- \
-    --ignored --exact decode_pool_inflates_what_one_reader_reads --nocapture
-
-stage "baseline op speed (and all 2^32 arguments of the bulk log1p at every tier)"
-# `Op::Log1p.narrow_into` is one safe loop the compiler vectorises once
-# per tier; nothing but this stage notices if it stops. The timing test
-# prints ns/value for the bulk kernel and for the per-element loop it
-# replaced on 2^20 counts and fails below 5x where sse4.2 or better is
-# detected (measured: ~12x at avx2, ~6x compiled at the SSE2 baseline).
-# Then every f32 bit pattern through the kernel under every supported
+# Every f32 bit pattern through the bulk log1p under every supported
 # tier against `F16::from_f32(ops::log1p(x))`, on both cores (~55 s).
 cargo test --release -q -p sciml-codec --test op_kernel -- \
-    --ignored --exact bulk_log1p_speed --nocapture
-cargo test --release -q -p sciml-codec --test op_kernel -- \
     --ignored --exact all_f32_bit_patterns_at_every_tier
+
+stage "speed floors (every crate's table, after the host's control row)"
+# Each crate with a speed claim keeps it in one `#[ignore]` test named
+# `speed_floors`: a table of (what, floor, applies, fast, slow) rows, each
+# floor and its reason stated once, there. `sciml_simd::speed` times
+# every row one way (fast and slow side by side in rounds filling half a
+# second, the median of slow / fast, a kernel on both vCPUs at once as
+# the decode pool runs it), prints one line a row and fails naming every
+# row under its floor. The control row
+# comes first, as in scripts/ab.sh, so a failing row can be read against
+# the host's state: under 1.7 the second vCPU was away.
+cargo run --release -q --example inflate_control
+floors_failed=0
+cargo test --release -q -p sciml-compress --lib -- \
+    --ignored --exact differential::speed_floors --nocapture || floors_failed=1
+cargo test --release -q -p sciml-codec --lib -- \
+    --ignored --exact speed::speed_floors --nocapture || floors_failed=1
+cargo test --release -q --test unpack_placement -- \
+    --ignored --exact speed_floors --nocapture || floors_failed=1
+[[ $floors_failed -eq 0 ]]
 
 stage "lockcheck-test (lock-order inversion detector enabled)"
 # Rebuilds the parking_lot shim with the dynamic ABBA detector compiled

@@ -2,9 +2,9 @@
 //! checks its CRC, a decode thread inflates it. Pipelines over packed
 //! stores of every encoding deliver what a direct fetch and decode
 //! deliver; an entry that lies under a valid CRC ends the run with the
-//! store's typed error from the decode thread; and, release-only from
-//! `scripts/ci.sh`, a second decode thread makes a gzip store read
-//! faster behind one reader.
+//! store's typed error from the decode thread; and, in the root speed
+//! floors (release-only, from `scripts/ci.sh`), a second decode thread
+//! makes a gzip store read faster behind one reader.
 
 use sciml_compress::crc32::crc32;
 use sciml_compress::Level;
@@ -16,6 +16,7 @@ use sciml_pipeline::{
     DecodedSample, DecoderPlugin, Label, Pipeline, PipelineConfig, PipelineError, SampleSource,
 };
 use sciml_repro::control::{low_ratio_samples, InflateControl, CONTROL_FLOOR};
+use sciml_simd::speed::{floors, Row, Shape};
 use sciml_store::{
     pack_store, write_shard, EncodingChoice, PackConfig, PayloadEncoding, ShardSource, StoreError,
     StoreManifest, StoredSample,
@@ -313,23 +314,9 @@ fn entries_that_lie_under_a_valid_crc_end_the_run_with_the_stores_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Wall seconds of `epochs` epochs through a pipeline of one reader and
-/// `decoders` decode threads, with the registry it recorded into and
-/// the sampler's verdict.
-fn timed_run(
-    store: &Arc<ShardSource>,
-    decoders: usize,
-    epochs: usize,
-) -> (f64, Telemetry, sciml_obs::sampler::AttributionReport) {
-    let tel = Telemetry::disabled();
-    let sampler = PipelineSampler::spawn(
-        Arc::clone(&tel.registry),
-        Arc::clone(&tel.tracer),
-        SamplerConfig {
-            stages: pipeline_stages(1, decoders as u64),
-            ..SamplerConfig::default()
-        },
-    );
+/// `epochs` epochs through a pipeline of one reader and `decoders`
+/// decode threads, recording into `tel`.
+fn run(store: &Arc<ShardSource>, decoders: usize, epochs: usize, tel: &Telemetry) {
     let cfg = PipelineConfig {
         batch_size: 4,
         reader_threads: 1,
@@ -337,27 +324,26 @@ fn timed_run(
         epochs,
         ..PipelineConfig::default()
     };
-    let started = std::time::Instant::now();
     let p = Pipeline::launch_with(store.clone(), Arc::new(BytesPlugin), cfg, tel.clone()).unwrap();
     let (batches, _) = p.collect_all().unwrap();
-    let wall = started.elapsed().as_secs_f64();
     assert_eq!(
         batches.iter().map(|b| b.len()).sum::<usize>(),
         epochs * store.len()
     );
-    (wall, tel, sampler.stop())
 }
 
-/// The placement, timed (`scripts/ci.sh`, "unpack placement"): behind
-/// one reader, a gzip store must read at least 1.4x faster with two
-/// decode threads than with one — interleaved, best of seven — when the
+/// The root speed floors (`scripts/ci.sh`, "speed floors"): the
+/// placement, as a scaling row of `sciml_simd::speed`. Behind one
+/// reader, a gzip store of 16 × 512 KiB low-ratio samples must read at
+/// least 1.4x faster with two decode threads than with one, where the
 /// control row says both vCPUs were there: two bare threads inflating
-/// the same blobs at 1.7x one thread or better. Otherwise the row is
-/// printed as skipped. Prints the pipeline's own account of the
-/// two-decoder run.
+/// the same blobs at [`CONTROL_FLOOR`] times one thread or better.
+/// Otherwise the row is skipped. First it prints the pipeline's own
+/// account of a two-decoder run, and checks that `pipeline.unpack_ns`
+/// counts every sample of the gzip store and none of a raw one.
 #[test]
-#[ignore = "timing: release mode, run by scripts/ci.sh"]
-fn decode_pool_inflates_what_one_reader_reads() {
+#[ignore = "timing; release mode, run by scripts/ci.sh"]
+fn speed_floors() {
     const N: usize = 16;
     const EPOCHS: usize = 4;
     let samples = low_ratio_samples(N, 512 << 10);
@@ -376,38 +362,26 @@ fn decode_pool_inflates_what_one_reader_reads() {
     let gzip = Arc::new(ShardSource::open(&stores[0].1).unwrap());
     let raw = Arc::new(ShardSource::open(&stores[1].1).unwrap());
 
-    // Control row: the same inflates on bare threads.
-    let control = InflateControl::over(&samples, EPOCHS);
-    let ratio = samples[0].len() as f64
-        / sciml_compress::gzip_compress(&samples[0], Level::Fast).len() as f64;
-
-    let (mut one, mut two, mut bare_one, mut bare_two) = (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
-    let mut account = None;
-    for _ in 0..7 {
-        one = one.min(timed_run(&gzip, 1, EPOCHS).0);
-        let (wall, tel, report) = timed_run(&gzip, 2, EPOCHS);
-        if wall < two {
-            two = wall;
-            account = Some((tel, report));
-        }
-        bare_one = bare_one.min(control.inflate_all(1));
-        bare_two = bare_two.min(control.inflate_all(2));
-    }
-    let (tel, report) = account.expect("seven runs");
+    let tel = Telemetry::disabled();
+    let sampler = PipelineSampler::spawn(
+        Arc::clone(&tel.registry),
+        Arc::clone(&tel.tracer),
+        SamplerConfig {
+            stages: pipeline_stages(1, 2),
+            ..SamplerConfig::default()
+        },
+    );
+    run(&gzip, 2, EPOCHS, &tel);
+    let report = sampler.stop();
     let snap = tel.registry.snapshot();
     let p50_us = |name: &str| {
         snap.histogram(name)
             .map_or(0.0, |h| h.percentile(0.5) as f64 / 1e3)
     };
-    let fetched = (EPOCHS * N) as u64;
+    let ratio = samples[0].len() as f64
+        / sciml_compress::gzip_compress(&samples[0], Level::Fast).len() as f64;
     println!(
-        "gzip store, {N} x 512 KiB at ratio {ratio:.2}, 1 reader: 1 decoder {:.1} ms, 2 decoders {:.1} ms, {:.2}x",
-        one * 1e3,
-        two * 1e3,
-        one / two
-    );
-    println!(
-        "  2 decoders: fetch p50 {:.0} us, unpack p50 {:.0} us, decode p50 {:.0} us; bottleneck {} ({})",
+        "gzip store, {N} x 512 KiB at ratio {ratio:.2}, 1 reader, 2 decoders: fetch p50 {:.0} us, unpack p50 {:.0} us, decode p50 {:.0} us; bottleneck {} ({})",
         p50_us("pipeline.fetch_ns"),
         p50_us("pipeline.unpack_ns"),
         p50_us("pipeline.decode_ns"),
@@ -419,17 +393,12 @@ fn decode_pool_inflates_what_one_reader_reads() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!(
-        "  control: inflate on 1 thread {:.1} ms, on 2 threads {:.1} ms, {:.2}x",
-        bare_one * 1e3,
-        bare_two * 1e3,
-        bare_one / bare_two
-    );
     assert_eq!(
         snap.histogram("pipeline.unpack_ns").map(|h| h.count),
-        Some(fetched)
+        Some((EPOCHS * N) as u64)
     );
-    let (_, raw_tel, _) = timed_run(&raw, 2, 1);
+    let raw_tel = Telemetry::disabled();
+    run(&raw, 2, 1, &raw_tel);
     let raw_unpacks = raw_tel
         .registry
         .snapshot()
@@ -437,15 +406,25 @@ fn decode_pool_inflates_what_one_reader_reads() {
         .map(|h| h.count);
     assert_eq!(raw_unpacks, Some(0), "a raw entry is not unpacked");
 
-    if bare_one / bare_two >= CONTROL_FLOOR {
-        assert!(
-            one / two >= 1.4,
-            "a second decode thread bought {:.2}x behind one reader (floor 1.4x)",
-            one / two
-        );
-    } else {
-        println!("  skipped: the control row says the second vCPU was not there");
-    }
+    let (control, one, two) = InflateControl::new().ratio();
+    println!(
+        "control {control:.2} (1 thread {:.1} ms, 2 threads {:.1} ms)",
+        one * 1e3,
+        two * 1e3
+    );
+    let quiet = Telemetry::disabled();
+    let rows: [Row; 1] = [(
+        "gzip store behind 1 reader: 2 decode threads / 1",
+        1.4,
+        control >= CONTROL_FLOOR,
+        &|| run(&gzip, 2, EPOCHS, &quiet),
+        &|| run(&gzip, 1, EPOCHS, &quiet),
+    )];
+    floors(
+        Shape::Scaling,
+        &format!("control {control:.2}, under {CONTROL_FLOOR}"),
+        &rows,
+    );
     for (_, dir) in stores {
         std::fs::remove_dir_all(&dir).ok();
     }
