@@ -15,7 +15,7 @@ const FCOMMENT: u8 = 1 << 4;
 
 /// The most a DEFLATE stream can expand: a 258-byte match costs at
 /// least two bits.
-const MAX_EXPANSION: usize = 1032;
+pub const MAX_EXPANSION: usize = 1032;
 
 /// Compresses `data` into a single gzip member (no name, zero mtime,
 /// "unknown" OS — deterministic output for a given input and level).
@@ -36,9 +36,9 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
     out
 }
 
-/// Decompresses one member, appending its output to `out` (never
-/// beyond `limit` bytes in all), and returns the bytes consumed
-/// (header + deflate stream + trailer).
+/// Decompresses one member into `out`, replacing its contents (never
+/// beyond `limit` bytes), and returns the bytes consumed (header +
+/// deflate stream + trailer).
 fn decompress_member(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<usize, Error> {
     let body_start = parse_header(data)?;
     // The length field at the very end is this member's own when the
@@ -48,23 +48,28 @@ fn decompress_member(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<usi
     if let Some(&isize_field) = data.last_chunk::<4>() {
         let hint = (u32::from_le_bytes(isize_field) as usize)
             .min(data.len().saturating_mul(MAX_EXPANSION))
-            .min(limit.saturating_sub(out.len()));
-        out.reserve(hint);
+            .min(limit);
+        out.reserve(hint.saturating_sub(out.len()));
     }
-    let start = out.len();
-    let body_consumed = inflate::inflate_into(&data[body_start..], out, limit)?;
+    let body_consumed = inflate::inflate_over(&data[body_start..], out, 0, limit)?;
     let trailer_start = body_start + body_consumed;
-    let &[c0, c1, c2, c3, l0, l1, l2, l3] = data
-        .get(trailer_start..)
-        .and_then(|t| t.first_chunk::<8>())
-        .ok_or(Error::UnexpectedEof)?;
-    let want_crc = u32::from_le_bytes([c0, c1, c2, c3]);
-    let want_len = u32::from_le_bytes([l0, l1, l2, l3]);
-    let member = &out[start..];
-    if crc32(member) != want_crc || member.len() as u32 != want_len {
+    let (want_crc, want_len) = trailer(data, trailer_start)?;
+    if crc32(out) != want_crc || out.len() as u32 != want_len {
         return Err(Error::ChecksumMismatch);
     }
     Ok(trailer_start + 8)
+}
+
+/// The CRC-32 and ISIZE of the trailer at `at`.
+fn trailer(data: &[u8], at: usize) -> Result<(u32, u32), Error> {
+    let &[c0, c1, c2, c3, l0, l1, l2, l3] = data
+        .get(at..)
+        .and_then(|t| t.first_chunk::<8>())
+        .ok_or(Error::UnexpectedEof)?;
+    Ok((
+        u32::from_le_bytes([c0, c1, c2, c3]),
+        u32::from_le_bytes([l0, l1, l2, l3]),
+    ))
 }
 
 /// Parses a member header, returning the offset of the deflate body.
@@ -131,12 +136,58 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
 /// [`decompress`] into a caller's buffer, replacing its contents, with
 /// a hard limit on the output: a member that inflates to more than
 /// `limit` bytes is [`Error::OutputLimit`], found before `out` has grown
-/// past `limit`. A buffer with `limit` bytes of capacity is never
-/// reallocated. On error the contents of `out` are unspecified.
+/// past `limit`. The buffer's length on entry is room the output
+/// overwrites, so a buffer reused from a longer member is neither
+/// zero-filled again nor reallocated, and one with `limit` bytes of
+/// capacity is never reallocated. On error the contents of `out` are
+/// unspecified.
 pub fn decompress_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), Error> {
-    out.clear();
     let consumed = decompress_member(data, out, limit)?;
     if consumed != data.len() {
+        return Err(Error::Corrupt("trailing bytes after gzip member"));
+    }
+    Ok(())
+}
+
+/// Decompresses a single-member gzip file through a window on the
+/// stack, handing its output to `emit` a run at a time, in order, and
+/// checking CRC-32 and ISIZE as the runs go by. A member whose trailer
+/// declares more than `limit` bytes is [`Error::OutputLimit`] before
+/// anything is inflated (a valid member inflates to at least that
+/// many), and one that would emit more than `limit` is refused before
+/// it does. `emit` has seen every byte when the trailer is checked, so
+/// a consumer that keeps what it was given must not trust it until this
+/// returns `Ok`.
+pub(crate) fn decompress_chunks(
+    data: &[u8],
+    limit: usize,
+    emit: &mut inflate::Emit<'_>,
+) -> Result<(), Error> {
+    let body_start = parse_header(data)?;
+    if let Some(&isize_field) = data.last_chunk::<4>() {
+        if u32::from_le_bytes(isize_field) as usize > limit {
+            return Err(Error::OutputLimit);
+        }
+    }
+    let mut crc = Crc32::new();
+    let mut len = 0usize;
+    let mut window = [0u8; inflate::WINDOW_BUF];
+    let body_consumed = inflate::inflate_chunks(
+        &data[body_start..],
+        &mut window,
+        limit,
+        &mut |run: &[u8]| {
+            crc.update(run);
+            len += run.len();
+            emit(run)
+        },
+    )?;
+    let trailer_start = body_start + body_consumed;
+    let (want_crc, want_len) = trailer(data, trailer_start)?;
+    if crc.finalize() != want_crc || len as u32 != want_len {
+        return Err(Error::ChecksumMismatch);
+    }
+    if trailer_start + 8 != data.len() {
         return Err(Error::Corrupt("trailing bytes after gzip member"));
     }
     Ok(())
@@ -198,6 +249,40 @@ mod tests {
         // A member with a second one after it is refused as well.
         let cat = [gz.clone(), compress(b"beta", Level::Best)].concat();
         assert!(matches!(decompress(&cat), Err(Error::Corrupt(_))));
+    }
+
+    /// A reused buffer's length is room: a member inflates over it in
+    /// place, neither reallocated nor zero-filled first, and the buffer
+    /// ends at the member's last byte.
+    #[test]
+    fn decompress_into_overwrites_a_reused_buffer_in_place() {
+        let long: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let short = b"a shorter member".repeat(50);
+        let mut out = Vec::with_capacity(long.len());
+        let (ptr, cap) = (out.as_ptr(), out.capacity());
+        for data in [&long[..], &short[..], &long[..], &short[..]] {
+            decompress_into(&compress(data, Level::Fast), &mut out, long.len()).unwrap();
+            assert!(out == data, "{} bytes", data.len());
+            assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap));
+        }
+        // Room past the limit is not output: a member one byte over it is
+        // refused, and the buffer has not grown.
+        let mut out = vec![7u8; long.len() + 1000];
+        let (ptr, cap) = (out.as_ptr(), out.capacity());
+        let gz = compress(&long, Level::Fast);
+        assert_eq!(
+            decompress_into(&gz, &mut out, long.len() - 1),
+            Err(Error::OutputLimit)
+        );
+        assert!(out.len() < long.len());
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, cap));
+        // From an empty buffer, it grows no further than the limit.
+        let mut out = Vec::new();
+        assert_eq!(
+            decompress_into(&gz, &mut out, 4096),
+            Err(Error::OutputLimit)
+        );
+        assert!(out.capacity() <= 4096, "{}", out.capacity());
     }
 
     #[test]

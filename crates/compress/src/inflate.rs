@@ -12,13 +12,23 @@
 //! them; distance codes of up to 10 bits take one table load. The
 //! **careful loop** decodes one symbol at a time with every check, and
 //! takes over for the tail of the input and of a sized output.
+//!
+//! Both loops write into one `Sink`, which holds the output one of two
+//! ways. The **whole** sink is a vector that grows to the whole output
+//! ([`inflate`], the gzip members of a store). The **window** sink is a
+//! fixed buffer of `WINDOW_BUF` bytes: the last 32 KiB of output, which
+//! is all a DEFLATE distance can reach, and room after it. Where the
+//! whole sink would grow, the window sink hands the bytes it has not
+//! handed on yet to its consumer and slides its last 32 KiB to the
+//! front, so a consumer that reads its input once, front to back, never
+//! needs the whole output in memory.
 
 use crate::bitstream::BitReader;
 use crate::deflate::{
     CLC_ORDER, DIST_CODES, FIXED_DIST_LENGTHS, FIXED_LITLEN_LENGTHS, LENGTH_CODES,
 };
 use crate::huffman::{code_bits, entry, extra_bits, kind, value, DecodeTable, Kind};
-use crate::lz77::MAX_MATCH;
+use crate::lz77::{MAX_MATCH, WINDOW};
 use crate::Error;
 
 /// Primary-level sizes of the three decode tables (11, 10 and 7 index
@@ -36,6 +46,16 @@ type CodeLenTable = DecodeTable<{ 1 << 7 }>;
 /// up to whole 32-byte steps).
 const FAST_OUT_MARGIN: usize = MAX_MATCH + 32;
 
+/// Bytes of a window sink: 32 KiB of history and 96 KiB of room. A slide
+/// copies the history once for every 96 KiB of output, and a stored
+/// block (65 535 bytes at most) always fits the room after one.
+pub(crate) const WINDOW_BUF: usize = 128 << 10;
+
+const _: () = assert!(WINDOW_BUF >= WINDOW + u16::MAX as usize + FAST_OUT_MARGIN);
+
+/// A consumer of inflated output, a run at a time.
+pub(crate) type Emit<'a> = dyn FnMut(&[u8]) -> Result<(), Error> + 'a;
+
 /// Decompresses a raw DEFLATE stream into bytes.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, Error> {
     let mut out = Vec::with_capacity(data.len().saturating_mul(3));
@@ -52,15 +72,63 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, Error> {
 /// expected size, so a caller that reserved the right amount sees no
 /// reallocation. On error `out` holds what was decoded so far.
 pub(crate) fn inflate_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<usize, Error> {
+    let start = out.len();
+    inflate_over(data, out, start, limit)
+}
+
+/// [`inflate_into`] writing from `out[start]` on: the bytes of `out`
+/// past `start` are room the output overwrites, already initialized, so
+/// a buffer reused from a longer stream is not zero-filled again. `out`
+/// is cut to the end of the output; it grows only where the output
+/// passes its length, and never past `limit`.
+pub(crate) fn inflate_over(
+    data: &[u8],
+    out: &mut Vec<u8>,
+    start: usize,
+    limit: usize,
+) -> Result<usize, Error> {
+    debug_assert!(start <= out.len());
     let mut sink = Sink {
-        start: out.len(),
-        len: out.len(),
-        buf: out,
+        room: Room::Whole(out),
+        start,
+        len: start,
+        slid: 0,
         limit,
     };
     let result = inflate_blocks(data, &mut sink);
-    sink.buf.truncate(sink.len);
+    if let Room::Whole(out) = sink.room {
+        out.truncate(sink.len);
+    }
     result
+}
+
+/// Decompresses one DEFLATE stream through `window` (at least
+/// [`WINDOW_BUF`] bytes), handing its output to `emit` in order, a run
+/// at a time, and reports the input bytes consumed as [`inflate_into`]
+/// does. No more than `limit` bytes are emitted: a stream that would
+/// emit more is [`Error::OutputLimit`]. An error from `emit` ends the
+/// stream and is returned as it is.
+pub(crate) fn inflate_chunks(
+    data: &[u8],
+    window: &mut [u8],
+    limit: usize,
+    emit: &mut Emit<'_>,
+) -> Result<usize, Error> {
+    debug_assert!(window.len() >= WINDOW_BUF);
+    let mut sink = Sink {
+        room: Room::Window {
+            buf: window,
+            flushed: 0,
+            emit,
+        },
+        start: 0,
+        len: 0,
+        slid: 0,
+        limit,
+    };
+    let consumed = inflate_blocks(data, &mut sink)?;
+    sink.flush()?;
+    Ok(consumed)
 }
 
 fn inflate_blocks(data: &[u8], sink: &mut Sink<'_>) -> Result<usize, Error> {
@@ -91,36 +159,99 @@ fn inflate_blocks(data: &[u8], sink: &mut Sink<'_>) -> Result<usize, Error> {
     Ok(data.len() - r.bits_remaining() / 8)
 }
 
+/// Where a sink keeps its output.
+enum Room<'a> {
+    /// All of it, in a vector that grows: `buf[len..]` is room already
+    /// initialized for the fast loop to write into (cut off again when
+    /// the stream ends).
+    Whole(&'a mut Vec<u8>),
+    /// The last 32 KiB of it and the bytes not yet handed to `emit`
+    /// (`buf[flushed..len]`), in a fixed buffer.
+    Window {
+        buf: &'a mut [u8],
+        flushed: usize,
+        emit: &'a mut Emit<'a>,
+    },
+}
+
 /// The output under construction: `buf[start..len]` is this stream's
-/// output so far, `buf[len..]` is room already zero-filled for the fast
-/// loop to write into (cut off again when the stream ends).
+/// output that is still held, `buf[len..]` room.
 struct Sink<'a> {
-    buf: &'a mut Vec<u8>,
+    room: Room<'a>,
     /// Where this stream's output begins; distances reach no further.
     start: usize,
     len: usize,
+    /// Output bytes a window has slid out of its front.
+    slid: usize,
     limit: usize,
 }
 
 impl Sink<'_> {
+    /// The buffer the loops write into, cut where the limit ends it.
+    #[inline]
+    fn buf(&mut self) -> &mut [u8] {
+        let end = self.limit - self.slid;
+        let buf = match &mut self.room {
+            Room::Whole(buf) => buf.as_mut_slice(),
+            Room::Window { buf, .. } => buf,
+        };
+        let end = end.min(buf.len());
+        &mut buf[..end]
+    }
+
     /// Makes room for `n` more bytes, or fails if that passes the limit.
-    /// The first growth takes the capacity the caller reserved; later
-    /// ones double, and leave the fast loop its margin where the limit
-    /// allows.
+    /// A whole sink's first growth takes the capacity the caller
+    /// reserved; later ones double, and leave the fast loop its margin
+    /// where the limit allows. A window sink slides once fewer than
+    /// `n` and the margin are left.
     #[inline]
     fn reserve(&mut self, n: usize) -> Result<(), Error> {
         let need = self
             .len
             .checked_add(n)
-            .filter(|&need| need <= self.limit)
+            .filter(|&need| need <= self.limit - self.slid)
             .ok_or(Error::OutputLimit)?;
-        if need > self.buf.len() {
-            let target = need
-                .saturating_add(FAST_OUT_MARGIN)
-                .max(self.buf.capacity())
-                .max(self.buf.len().saturating_mul(2))
-                .min(self.limit);
-            self.buf.resize(target, 0);
+        match &mut self.room {
+            Room::Whole(buf) => {
+                if need > buf.len() {
+                    let target = need
+                        .saturating_add(FAST_OUT_MARGIN)
+                        .max(buf.capacity())
+                        .max(buf.len().saturating_mul(2))
+                        .min(self.limit);
+                    buf.resize(target, 0);
+                }
+            }
+            Room::Window { buf, .. } => {
+                if need.saturating_add(FAST_OUT_MARGIN) > buf.len() {
+                    self.slide()?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands a window's new bytes on, and moves its last 32 KiB of
+    /// output to the front.
+    fn slide(&mut self) -> Result<(), Error> {
+        self.flush()?;
+        if let Room::Window { buf, flushed, .. } = &mut self.room {
+            let keep = self.len.min(WINDOW);
+            buf.copy_within(self.len - keep..self.len, 0);
+            self.slid += self.len - keep;
+            self.len = keep;
+            *flushed = keep;
+        }
+        Ok(())
+    }
+
+    /// Hands a window's bytes that `emit` has not seen to it.
+    fn flush(&mut self) -> Result<(), Error> {
+        if let Room::Window { buf, flushed, emit } = &mut self.room {
+            if *flushed < self.len {
+                emit(&buf[*flushed..self.len])?;
+                *flushed = self.len;
+            }
         }
         Ok(())
     }
@@ -128,14 +259,16 @@ impl Sink<'_> {
     #[inline]
     fn push(&mut self, byte: u8) -> Result<(), Error> {
         self.reserve(1)?;
-        self.buf[self.len] = byte;
+        let at = self.len;
+        self.buf()[at] = byte;
         self.len += 1;
         Ok(())
     }
 
     fn extend(&mut self, bytes: &[u8]) -> Result<(), Error> {
         self.reserve(bytes.len())?;
-        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        let at = self.len;
+        self.buf()[at..at + bytes.len()].copy_from_slice(bytes);
         self.len += bytes.len();
         Ok(())
     }
@@ -147,8 +280,10 @@ impl Sink<'_> {
             return Err(Error::Corrupt("distance beyond output start"));
         }
         self.reserve(len)?;
-        for at in self.len..self.len + len {
-            self.buf[at] = self.buf[at - dist];
+        let at = self.len;
+        let buf = self.buf();
+        for at in at..at + len {
+            buf[at] = buf[at - dist];
         }
         self.len += len;
         Ok(())
@@ -344,8 +479,9 @@ fn fast_loop(
     dist: &DistTable,
     sink: &mut Sink<'_>,
 ) -> Result<bool, Error> {
-    let buf = sink.buf.as_mut_slice();
+    let start = sink.start;
     let mut at = sink.len;
+    let buf = sink.buf();
     if buf.len() - at < FAST_OUT_MARGIN || !r.refill_word() {
         return Ok(false);
     }
@@ -404,7 +540,7 @@ fn fast_loop(
         }
         r.skip(code_bits(d));
         let distance = (value(d) + take_extra(r, d)) as usize;
-        if distance > at - sink.start {
+        if distance > at - start {
             break Err(Error::Corrupt("distance beyond output start"));
         }
         // Look the next symbol up first, so that its load does not wait

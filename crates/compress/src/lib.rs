@@ -24,8 +24,10 @@
 //!   ([`fn@inflate`]);
 //! * gzip member framing ([`gzip`]).
 //!
-//! The public entry points are [`gzip_compress`] / [`gzip_decompress`] and
-//! the raw [`deflate_compress`] / [`inflate()`].
+//! The public entry points are [`gzip_compress`] / [`gzip_decompress`]
+//! (and [`gzip_decompress_chunks`], which inflates through a window for
+//! a consumer that reads the output once) and the raw
+//! [`deflate_compress`] / [`inflate()`].
 
 pub mod bitstream;
 pub mod crc32;
@@ -145,9 +147,38 @@ pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
 /// than `limit` bytes is [`Error::OutputLimit`], returned before `out`
 /// has grown past `limit`. Callers that know the size (a shard index's
 /// `raw_len`) pass it as both the buffer's capacity and the limit and
-/// see no reallocation.
+/// see no reallocation; the buffer's length on entry is room the output
+/// overwrites, so a reused buffer is not zero-filled again.
 pub fn gzip_decompress_into(data: &[u8], out: &mut Vec<u8>, limit: usize) -> Result<(), Error> {
     gzip::decompress_into(data, out, limit)
+}
+
+/// Decompresses a single-member gzip file through a 128 KiB window,
+/// handing the output to `consume` a run at a time, in order: a reader
+/// that parses its input front to back never holds the whole of it.
+/// CRC-32 and ISIZE are checked as the runs go by, and are known good
+/// only when this returns `Ok` — after `consume` has seen every byte.
+/// A member that declares or inflates to more than `limit` bytes is
+/// [`Error::OutputLimit`], found before more than `limit` bytes have
+/// been handed on. The first error `consume` returns ends the stream
+/// and is returned as it is.
+pub fn gzip_decompress_chunks<E: From<Error>>(
+    data: &[u8],
+    limit: usize,
+    mut consume: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut stopped = None;
+    let inflated = gzip::decompress_chunks(data, limit, &mut |run: &[u8]| {
+        consume(run).map_err(|e| {
+            stopped = Some(e);
+            // Never seen: `stopped` is returned in its place.
+            Error::Corrupt("the consumer stopped")
+        })
+    });
+    match stopped {
+        Some(e) => Err(e),
+        None => inflated.map_err(E::from),
+    }
 }
 
 #[cfg(test)]

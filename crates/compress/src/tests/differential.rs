@@ -1234,3 +1234,282 @@ fn speed_floors() {
     ];
     floors(Shape::Loader, kernel_name(), &rows);
 }
+
+// ------------------------------------------------------ (g) the window sink
+
+/// A member inflated through the window: what it returned, and the runs
+/// it handed on, in order.
+fn windowed(gz: &[u8], limit: usize) -> (Result<(), Error>, Vec<Vec<u8>>) {
+    let mut runs = Vec::new();
+    let result = crate::gzip_decompress_chunks(gz, limit, |run: &[u8]| {
+        runs.push(run.to_vec());
+        Ok::<(), Error>(())
+    });
+    (result, runs)
+}
+
+/// The window sink's answer is the whole sink's: the same bytes in
+/// non-empty runs of at most a window each, or the same error.
+fn assert_window_is_whole(gz: &[u8], what: &str) {
+    let whole = crate::gzip::decompress(gz);
+    let (result, runs) = windowed(gz, usize::MAX);
+    assert_eq!(
+        result,
+        whole.as_ref().map(|_| ()).map_err(Clone::clone),
+        "{what}"
+    );
+    if let Ok(whole) = whole {
+        assert!(
+            runs.iter()
+                .all(|r| !r.is_empty() && r.len() <= crate::inflate::WINDOW_BUF),
+            "{what}: run sizes {:?}",
+            runs.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+        assert!(runs.concat() == whole, "{what}: different bytes");
+    }
+}
+
+/// A fixed block of `tokens` after `prefix` literals — a token being a
+/// literal or a `(dist, len)` copy — and the bytes it inflates to.
+fn fixed_stream(prefix: &[u8], tokens: &[(u16, u16)]) -> (Vec<u8>, Vec<u8>) {
+    let mut block = FixedBlock::new();
+    let mut out = prefix.to_vec();
+    prefix.iter().for_each(|&b| block.litlen(b as u16));
+    for &(dist, len) in tokens {
+        if dist == 0 {
+            block.litlen(len);
+            out.push(len as u8);
+        } else {
+            block.copy(dist, len);
+            let from = out.len() - dist as usize;
+            (0..len as usize).for_each(|k| out.push(out[from + k]));
+        }
+    }
+    (block.finish(), out)
+}
+
+/// Stored, fixed and dynamic blocks, every level, both benchmark
+/// payloads in release builds.
+#[test]
+fn the_window_sink_emits_the_whole_sinks_bytes() {
+    let thin = cfg!(debug_assertions);
+    let mut seen = [false; 3];
+    let large = large_inputs().iter().filter(|_| !thin);
+    for (name, data) in small_inputs().iter().chain(large) {
+        for level in LEVELS {
+            if thin && data.len() > 100_000 && level != Level::Fast {
+                continue;
+            }
+            let gz = gzip_compress(data, level);
+            seen[first_block_type(&gz[10..]) as usize] = true;
+            assert_window_is_whole(&gz, &format!("{name} at {level:?}"));
+        }
+    }
+    let (stream, out) = fixed_stream(&text()[..300], &[(300, 258), (1, 100), (0, 7)]);
+    assert_eq!(first_block_type(&stream), 1);
+    seen[1] = true;
+    assert_window_is_whole(&gzip_member_of(&stream, &out), "fixed block");
+    assert_eq!(seen, [true; 3], "stored, fixed and dynamic blocks");
+}
+
+/// Copies from exactly 32 768 bytes back, the furthest DEFLATE reaches,
+/// at every offset against the slides: after 32 KiB of noise, copies of
+/// every length between runs of zero to two literals, for 700 KB —
+/// enough for six slides, each keeping exactly the bytes the next
+/// copies read. One byte less of output before the first copy, and it
+/// is corrupt in both sinks.
+#[test]
+fn a_distance_of_32_768_reaches_across_every_slide() {
+    let prefix = lcg(32_768, 3, 8);
+    let mut tokens = Vec::new();
+    let (mut k, mut produced) = (0u16, prefix.len());
+    while produced < 700_000 {
+        (0..k % 3).for_each(|j| tokens.push((0, (k + j) % 256)));
+        tokens.push((32_768, 3 + k % 256));
+        produced += (k % 3 + 3 + k % 256) as usize;
+        k += 1;
+    }
+    let (stream, out) = fixed_stream(&prefix, &tokens);
+    assert!(out.len() > 5 * crate::inflate::WINDOW_BUF, "{}", out.len());
+    let gz = gzip_member_of(&stream, &out);
+    assert!(crate::gzip::decompress(&gz).unwrap() == out);
+    assert_window_is_whole(&gz, "distance 32 768");
+
+    let mut block = FixedBlock::new();
+    prefix[1..].iter().for_each(|&b| block.litlen(b as u16));
+    block.copy(32_768, 3);
+    let gz = gzip_member_of(&block.finish(), &[]);
+    let beyond = Err(Error::Corrupt("distance beyond output start"));
+    assert_eq!(windowed(&gz, usize::MAX).0, beyond);
+    assert_window_is_whole(&gz, "distance past the start");
+}
+
+/// Random tokens — literals, and copies of every length from every
+/// distance the output so far allows — for 600 KB a seed: matches begin
+/// at every offset against a slide, and reach across it from every
+/// distance. Release builds run 24 seeds, debug builds 2.
+#[test]
+fn matches_straddle_the_slides_at_every_offset() {
+    let seeds = if cfg!(debug_assertions) { 2 } else { 24 };
+    for seed in 0..seeds {
+        let rand = lcg(3 * 200_000, 1000 + seed, 16);
+        let mut tokens = Vec::new();
+        let mut produced = 64usize;
+        for t in rand.chunks_exact(3) {
+            if produced > 600_000 {
+                break;
+            }
+            let (a, b, c) = (t[0] as usize, t[1] as usize, t[2] as usize);
+            if a < 64 {
+                tokens.push((0, b as u16));
+                produced += 1;
+            } else {
+                // Short distances often, then any up to the window.
+                let reach = produced.min(32_768);
+                let dist = if a < 160 {
+                    1 + (b * 256 + c) % 64
+                } else {
+                    1 + (b * 256 + c) * 131 % reach
+                };
+                let len = 3 + (a * 7 + c) % 256;
+                tokens.push((dist.min(reach) as u16, len as u16));
+                produced += len;
+            }
+        }
+        let (stream, out) = fixed_stream(&lcg(64, seed, 8), &tokens);
+        assert_window_is_whole(&gzip_member_of(&stream, &out), &format!("seed {seed}"));
+    }
+}
+
+/// Outputs from none and one byte to several windows: one that fits the
+/// window's first fill (all of it but the fast loop's margin) comes in
+/// one run, the whole output; one longer than the window in runs that
+/// slide.
+#[test]
+fn runs_from_one_byte_to_the_whole_output() {
+    let buf = crate::inflate::WINDOW_BUF;
+    let room = buf - crate::lz77::WINDOW;
+    let margin = crate::lz77::MAX_MATCH + 32;
+    let sizes = [0, 1, 2, 3, 289, 290, 291, room - 1, room, buf - margin];
+    let long = [buf, buf + 1, 2 * buf, 5 * buf + 17];
+    for len in sizes.into_iter().chain(long) {
+        let data = lcg(len, len as u64, 5);
+        let gz = gzip_compress(&data, Level::Fast);
+        let (result, runs) = windowed(&gz, usize::MAX);
+        assert_eq!(result, Ok(()), "{len} bytes");
+        assert!(runs.concat() == data, "{len} bytes");
+        let one_run = len > 0 && len <= buf - margin;
+        assert_eq!(
+            runs.len() == 1,
+            one_run,
+            "{len} bytes in {} runs",
+            runs.len()
+        );
+        assert_window_is_whole(&gz, &format!("{len} bytes"));
+    }
+}
+
+/// Every cut of a member whose output slides twice is an error, the
+/// whole sink's error: a fixed block of copies from every distance up
+/// to the window, 8 KB in for 330 KB out. Release builds cut at every
+/// byte, debug builds at every 61st and the last 64.
+#[test]
+fn every_truncation_of_a_windowed_member_is_the_whole_sinks_error() {
+    let thin = cfg!(debug_assertions);
+    let prefix = lcg(300, 5, 8);
+    let mut produced = prefix.len();
+    let tokens: Vec<(u16, u16)> = (0..2500usize)
+        .map(|k| {
+            let (dist, len) = (1 + k * 37 % produced.min(32_768), 3 + k % 256);
+            produced += len;
+            (dist as u16, len as u16)
+        })
+        .collect();
+    let (stream, out) = fixed_stream(&prefix, &tokens);
+    assert!(out.len() > 2 * crate::inflate::WINDOW_BUF);
+    let gz = gzip_member_of(&stream, &out);
+    assert_window_is_whole(&gz, "intact");
+    let n = gz.len();
+    for cut in (0..n).filter(|&c| !thin || c % 61 == 0 || c + 64 >= n) {
+        assert!(crate::gzip::decompress(&gz[..cut]).is_err(), "cut at {cut}");
+        assert_window_is_whole(&gz[..cut], &format!("cut at {cut}"));
+    }
+}
+
+/// A damaged trailer is the whole sink's `ChecksumMismatch`; a member
+/// over the limit is `OutputLimit` having handed on no more than the
+/// limit, whether its trailer says so (refused before inflating) or lies
+/// (refused at the limit); and a second member is refused.
+#[test]
+fn the_window_checks_the_trailer_the_limit_and_a_second_member() {
+    let data = lcg(300_000, 11, 4);
+    let gz = gzip_compress(&data, Level::Fast);
+    let n = gz.len();
+    for at in [n - 8, n - 5, n - 4, n - 1] {
+        let mut bad = gz.clone();
+        bad[at] ^= 0x01;
+        assert_eq!(
+            windowed(&bad, usize::MAX).0,
+            Err(Error::ChecksumMismatch),
+            "byte {at}"
+        );
+        assert_window_is_whole(&bad, &format!("byte {at}"));
+    }
+    for limit in [0, 1, 4096, data.len() - 1] {
+        let (result, runs) = windowed(&gz, limit);
+        assert_eq!(result, Err(Error::OutputLimit), "limit {limit}");
+        assert!(
+            runs.is_empty(),
+            "refused from the trailer, before inflating"
+        );
+        // ISIZE says 0: found only as the output passes the limit.
+        let mut lying = gz.clone();
+        lying[n - 4..].copy_from_slice(&0u32.to_le_bytes());
+        let (result, runs) = windowed(&lying, limit);
+        assert_eq!(result, Err(Error::OutputLimit), "lying, limit {limit}");
+        let emitted = runs.concat();
+        assert!(
+            emitted.len() <= limit && data.starts_with(&emitted),
+            "limit {limit}"
+        );
+    }
+    assert_eq!(windowed(&gz, data.len()).0, Ok(()));
+    let two = [gz.clone(), gzip_compress(b"second", Level::Fast)].concat();
+    assert_eq!(
+        windowed(&two, usize::MAX).0,
+        Err(Error::Corrupt("trailing bytes after gzip member"))
+    );
+    assert_window_is_whole(&two, "two members");
+}
+
+/// The consumer's error ends the stream where it is raised and comes
+/// back as it was.
+#[test]
+fn the_consumers_error_stops_the_stream() {
+    #[derive(Debug, PartialEq)]
+    enum Stop {
+        Here(usize),
+        Inflate(Error),
+    }
+    impl From<Error> for Stop {
+        fn from(e: Error) -> Self {
+            Stop::Inflate(e)
+        }
+    }
+    let data = lcg(1_000_000, 13, 4);
+    let gz = gzip_compress(&data, Level::Fast);
+    let mut calls = 0;
+    let result = crate::gzip_decompress_chunks(&gz, usize::MAX, |_: &[u8]| {
+        calls += 1;
+        if calls == 3 {
+            Err(Stop::Here(calls))
+        } else {
+            Ok(())
+        }
+    });
+    assert_eq!((result, calls), (Err(Stop::Here(3)), 3));
+    let mut bad = gz.clone();
+    bad[20] ^= 0xFF;
+    let result = crate::gzip_decompress_chunks(&bad, usize::MAX, |_: &[u8]| Ok::<(), Stop>(()));
+    assert!(matches!(result, Err(Stop::Inflate(_))), "{result:?}");
+}

@@ -178,18 +178,50 @@ pub fn write(datasets: &[Dataset]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Parses an `h5lite` file image.
-pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
-    let Some((body, crc_bytes)) = data.split_last_chunk::<4>().filter(|_| data.len() >= 12) else {
-        return Err(DataError::Format("file too short"));
-    };
-    if crc32(body) != u32::from_le_bytes(*crc_bytes) {
-        return Err(DataError::Checksum);
+/// One dataset's directory entry: its description and where its
+/// payload lies in the payload region.
+pub(crate) struct Entry {
+    pub(crate) name: String,
+    pub(crate) dtype: DType,
+    pub(crate) shape: Vec<u64>,
+    pub(crate) offset: u64,
+    pub(crate) len: u64,
+}
+
+impl Entry {
+    /// Where the payload lies in the payload region; not yet checked
+    /// against the region's length.
+    pub(crate) fn range(&self) -> Result<std::ops::Range<usize>> {
+        let start = self.offset as usize;
+        let end = start
+            .checked_add(self.len as usize)
+            .ok_or(DataError::Format("payload range overflow"))?;
+        Ok(start..end)
     }
+
+    /// Whether the payload's length is what the shape and type make it.
+    pub(crate) fn check_shape(&self) -> Result<()> {
+        match payload_len(&self.shape, self.dtype) {
+            None => Err(DataError::Format("shape overflows")),
+            Some(n) if n as u64 != self.len => {
+                Err(DataError::Format("payload does not match shape"))
+            }
+            Some(_) => Ok(()),
+        }
+    }
+}
+
+/// What [`directory`] says of a body that ends inside the directory.
+pub(crate) const HEADER_OVERRUNS: &str = "header overruns file";
+
+/// Parses the directory at the head of an `h5lite` body (the file
+/// without its CRC): the entries and the offset of the payload region.
+/// A body that ends inside it is a [`HEADER_OVERRUNS`] format error.
+pub(crate) fn directory(body: &[u8]) -> Result<(Vec<Entry>, usize)> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
         if *pos + n > body.len() {
-            return Err(DataError::Format("header overruns file"));
+            return Err(DataError::Format(HEADER_OVERRUNS));
         }
         let s = &body[*pos..*pos + n];
         *pos += n;
@@ -203,14 +235,6 @@ pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
         return Err(DataError::Format("unsupported version"));
     }
     let count = u16::from_le_bytes(take_array(body, &mut pos)?) as usize;
-
-    struct Entry {
-        name: String,
-        dtype: DType,
-        shape: Vec<u64>,
-        offset: u64,
-        len: u64,
-    }
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let name_len = u16::from_le_bytes(take_array(body, &mut pos)?) as usize;
@@ -232,29 +256,32 @@ pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
             len,
         });
     }
+    Ok((entries, pos))
+}
+
+/// Parses an `h5lite` file image.
+pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
+    let Some((body, crc_bytes)) = data.split_last_chunk::<4>().filter(|_| data.len() >= 12) else {
+        return Err(DataError::Format("file too short"));
+    };
+    if crc32(body) != u32::from_le_bytes(*crc_bytes) {
+        return Err(DataError::Checksum);
+    }
+    let (entries, pos) = directory(body)?;
     let payload_region = &body[pos..];
     entries
         .into_iter()
         .map(|e| {
-            let start = e.offset as usize;
-            let end = start
-                .checked_add(e.len as usize)
-                .ok_or(DataError::Format("payload range overflow"))?;
-            if end > payload_region.len() {
+            let range = e.range()?;
+            if range.end > payload_region.len() {
                 return Err(DataError::Format("payload out of range"));
             }
-            match payload_len(&e.shape, e.dtype) {
-                None => return Err(DataError::Format("shape overflows")),
-                Some(n) if n as u64 != e.len => {
-                    return Err(DataError::Format("payload does not match shape"))
-                }
-                Some(_) => {}
-            }
+            e.check_shape()?;
             Ok(Dataset {
                 name: e.name,
                 dtype: e.dtype,
                 shape: e.shape,
-                payload: payload_region[start..end].to_vec(),
+                payload: payload_region[range].to_vec(),
             })
         })
         .collect()

@@ -14,12 +14,16 @@
 //!   atmospheric rivers) plus sensor noise, and segmentation label masks;
 //! * [`h5lite`] — a small self-describing binary container standing in
 //!   for the HDF5 files of the original DeepCAM dataset;
-//! * [`serialize`] — the raw on-disk layout of both sample types.
+//! * [`serialize`] — the raw on-disk layout of both sample types;
+//! * [`stream`] — push-fed readers of those layouts, for a sample that
+//!   arrives a run at a time (the gzip baselines inflate through a
+//!   window) and is read once.
 
 pub mod cosmoflow;
 pub mod deepcam;
 pub mod h5lite;
 pub mod serialize;
+pub mod stream;
 
 use std::fmt;
 use std::io;

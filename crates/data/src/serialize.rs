@@ -13,6 +13,32 @@ use crate::{DataError, Result};
 
 const COSMO_MAGIC: &[u8; 4] = b"CFSM";
 
+/// Bytes of a `CFSM` header: magic, grid, four f32 label values.
+pub(crate) const COSMO_HEAD: usize = 24;
+
+/// Parses a `CFSM` header: the grid, the label and the values the body
+/// holds (`grid³ × N_REDSHIFTS`, whose bytes fit a `usize`).
+pub(crate) fn cosmo_head(head: &[u8; COSMO_HEAD]) -> Result<(usize, CosmoParams, usize)> {
+    if &head[0..4] != COSMO_MAGIC {
+        return Err(DataError::Format("bad cosmoflow payload header"));
+    }
+    let word = |i: usize| [head[i], head[i + 1], head[i + 2], head[i + 3]];
+    let grid = u32::from_le_bytes(word(4)) as usize;
+    let [omega_m, sigma8, n_s, h] = [8, 12, 16, 20].map(|i| f32::from_le_bytes(word(i)));
+    let n_values = grid
+        .checked_pow(3)
+        .and_then(|v| v.checked_mul(N_REDSHIFTS))
+        .filter(|n| n.checked_mul(4).is_some())
+        .ok_or(DataError::Format("grid size overflow"))?;
+    let label = CosmoParams {
+        omega_m,
+        sigma8,
+        n_s,
+        h,
+    };
+    Ok((grid, label, n_values))
+}
+
 /// Serializes a CosmoFlow sample to the baseline's `CFSM` payload:
 /// magic, grid size, label, then all counts widened to little-endian f32
 /// (channel-major), exactly the tensor the baseline pipeline ships.
@@ -48,7 +74,7 @@ pub struct CosmoPayload<'a> {
 /// everything else — fractions, negatives, 65 536 and up, ±∞, NaN — to a
 /// count that does not compare equal to it.
 #[inline]
-fn canonical_count(v: f32) -> (f32, bool) {
+pub(crate) fn canonical_count(v: f32) -> (f32, bool) {
     let c = v as u16 as f32;
     (c, c == v)
 }
@@ -57,30 +83,15 @@ impl<'a> CosmoPayload<'a> {
     /// Parses the header and checks the body's length against the grid.
     /// The values themselves are checked when they are read.
     pub fn parse(data: &'a [u8]) -> Result<Self> {
-        if data.len() < 24 || &data[0..4] != COSMO_MAGIC {
-            return Err(DataError::Format("bad cosmoflow payload header"));
-        }
-        let word = |i: usize| [data[i], data[i + 1], data[i + 2], data[i + 3]];
-        let grid = u32::from_le_bytes(word(4)) as usize;
-        let label = [8, 12, 16, 20].map(|i| f32::from_le_bytes(word(i)));
-        let expected = grid
-            .checked_pow(3)
-            .and_then(|v| v.checked_mul(N_REDSHIFTS * 4))
-            .ok_or(DataError::Format("grid size overflow"))?;
-        let body = &data[24..];
-        if body.len() != expected {
+        let head = data
+            .first_chunk::<COSMO_HEAD>()
+            .ok_or(DataError::Format("bad cosmoflow payload header"))?;
+        let (grid, label, n_values) = cosmo_head(head)?;
+        let body = &data[COSMO_HEAD..];
+        if Some(body.len()) != n_values.checked_mul(4) {
             return Err(DataError::Format("cosmoflow payload length mismatch"));
         }
-        Ok(Self {
-            grid,
-            label: CosmoParams {
-                omega_m: label[0],
-                sigma8: label[1],
-                n_s: label[2],
-                h: label[3],
-            },
-            body,
-        })
+        Ok(Self { grid, label, body })
     }
 
     /// Values in the body (`grid³ × N_REDSHIFTS`).
@@ -150,34 +161,50 @@ pub fn deepcam_to_h5(sample: &DeepCamSample) -> Result<Vec<u8>> {
     h5lite::write(&[data, label])
 }
 
-/// Parses the `h5lite` DeepCAM layout back into a sample.
-pub fn deepcam_from_h5(bytes: &[u8]) -> Result<DeepCamSample> {
-    let ds = h5lite::read(bytes)?;
-    let data = h5lite::find(&ds, "data")?;
-    let label = h5lite::find(&ds, "label")?;
-    let (&[c, h, w], &[label_h, label_w]) = (data.shape.as_slice(), label.shape.as_slice()) else {
+/// The checks that make an `h5lite` file's `data` and `label` datasets
+/// a DeepCAM sample, made on their descriptions — type, shape and
+/// payload bytes — so that a reader that has only the directory yet
+/// makes them too: `data` f32 `[C, H, W]`, `label` u8 `[H, W]`, and
+/// payloads of those sizes. Returns `(C, H, W)`.
+pub(crate) fn deepcam_dims(
+    data: (DType, &[u64], usize),
+    label: (DType, &[u64], usize),
+) -> Result<(usize, usize, usize)> {
+    let (&[c, h, w], &[label_h, label_w]) = (data.1, label.1) else {
         return Err(DataError::Format("unexpected dataset rank"));
     };
     if (label_h, label_w) != (h, w) {
         return Err(DataError::Format("label shape mismatch"));
     }
-    if label.dtype != DType::U8 {
+    if label.0 != DType::U8 {
         return Err(DataError::Format("label is not u8"));
     }
-    let values = data.as_f32()?;
+    if data.0 != DType::F32 || !data.2.is_multiple_of(4) {
+        return Err(DataError::Format("dataset is not f32"));
+    }
     let dim = |d: u64| usize::try_from(d).map_err(|_| DataError::Format("dimension overflows"));
     let (c, h, w) = (dim(c)?, dim(h)?, dim(w)?);
     let pixels = h.checked_mul(w);
-    if pixels != Some(label.payload.len())
-        || pixels.and_then(|p| p.checked_mul(c)) != Some(values.len())
-    {
+    if pixels != Some(label.2) || pixels.and_then(|p| p.checked_mul(c)) != Some(data.2 / 4) {
         return Err(DataError::Format("dataset size does not match its shape"));
     }
+    Ok((c, h, w))
+}
+
+/// Parses the `h5lite` DeepCAM layout back into a sample.
+pub fn deepcam_from_h5(bytes: &[u8]) -> Result<DeepCamSample> {
+    let ds = h5lite::read(bytes)?;
+    let data = h5lite::find(&ds, "data")?;
+    let label = h5lite::find(&ds, "label")?;
+    let (channels, height, width) = deepcam_dims(
+        (data.dtype, &data.shape, data.payload.len()),
+        (label.dtype, &label.shape, label.payload.len()),
+    )?;
     Ok(DeepCamSample {
-        width: w,
-        height: h,
-        channels: c,
-        data: values,
+        width,
+        height,
+        channels,
+        data: data.as_f32()?,
         mask: label.payload.clone(),
     })
 }

@@ -2,16 +2,23 @@
 //! the two workloads — one plugin per format. The paper's GPU plugin
 //! decodes the CPU plugin's format on the device; its §VI kernels are
 //! reproduced, off the data path, in `sciml_platform::gpusim`.
+//!
+//! The gzip baselines never hold an inflated payload: they inflate
+//! through a 128 KiB window on the decode thread's stack
+//! ([`sciml_compress::gzip_decompress_chunks`]) and feed each run to a
+//! push-fed reader of the payload's layout ([`sciml_data::stream`]),
+//! whose values the operator narrows straight into the tensor slot.
 
 use crate::batch::Label;
-use crate::Result;
+use crate::{PipelineError, Result};
 use sciml_codec::cosmoflow as cf;
 use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
 use sciml_compress::Level;
 use sciml_data::serialize;
+use sciml_data::stream::{CosmoPayloadReader, DeepCamH5Reader, ValueSink};
+use sciml_data::DataError;
 use sciml_half::F16;
-use std::cell::RefCell;
 
 /// A decoded, preprocessed, FP16 sample ready for batching.
 ///
@@ -68,26 +75,85 @@ fn cosmo_payload(bytes: &[u8], op: Op) -> Result<DecodedSample> {
     Ok(DecodedSample { data, label })
 }
 
-thread_local! {
-    /// The inflated payload of the gzip sample this thread is decoding.
-    /// Decode threads are long-lived, so each keeps one buffer the size
-    /// of its largest payload instead of allocating one per sample.
-    static INFLATED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+/// A [`ValueSink`] that applies the operator to each run of values a
+/// reader hands on and narrows it into its place in the tensor: the
+/// caller's slot, or else one of its own, made once the header says how
+/// long.
+struct Narrow<'a> {
+    op: Op,
+    slot: Option<&'a mut [F16]>,
+    owned: Vec<F16>,
+    /// The inflate limit: no valid stream holds more than a quarter of
+    /// it in values, so an owned tensor is never made larger.
+    limit: usize,
 }
 
-/// Inflates `bytes` into the calling thread's scratch and runs `f` on
-/// the payload. `limit` is the largest payload that could fill the
-/// caller's output: a stream that inflates past it is
-/// [`sciml_compress::Error::OutputLimit`] before the scratch has grown
-/// past it, so a gzip bomb costs an error and not its inflated size.
-fn with_inflated<R>(bytes: &[u8], limit: usize, f: impl FnOnce(&[u8]) -> Result<R>) -> Result<R> {
-    INFLATED.with(|scratch| {
-        let mut payload = scratch.borrow_mut();
-        payload.clear();
-        payload.reserve(limit);
-        sciml_compress::gzip_decompress_into(bytes, &mut payload, limit)?;
-        f(&payload)
-    })
+impl ValueSink for Narrow<'_> {
+    type Error = PipelineError;
+
+    fn begin(&mut self, n_values: usize) -> Result<()> {
+        match &self.slot {
+            Some(slot) if slot.len() != n_values => {
+                Err(sciml_codec::CodecError::Inconsistent("output slice length mismatch").into())
+            }
+            Some(_) => Ok(()),
+            None if n_values > self.limit / 4 => Err(sciml_compress::Error::OutputLimit.into()),
+            None => {
+                // lint:allow(no_alloc_hot_loop): `decode` only, a tensor of its own sized once from the header; `decode_into` writes the caller's slot
+                self.owned = vec![F16::ZERO; n_values];
+                Ok(())
+            }
+        }
+    }
+
+    fn fill(&mut self, start: usize, vals: &mut [f32]) -> Result<()> {
+        let tensor = match &mut self.slot {
+            Some(slot) => &mut **slot,
+            None => &mut self.owned[..],
+        };
+        let dst = tensor
+            .get_mut(start..start + vals.len())
+            .ok_or(DataError::Format("values past the header's count"))?;
+        self.op.narrow_into(vals, dst);
+        Ok(())
+    }
+}
+
+impl<'a> Narrow<'a> {
+    /// Into `slot`, inflating no more than `limit` bytes.
+    fn into_slot(op: Op, slot: &'a mut [F16], limit: usize) -> Self {
+        Narrow {
+            op,
+            slot: Some(slot),
+            owned: Vec::new(),
+            limit,
+        }
+    }
+
+    /// Into a tensor of its own, inflating no more than any stream of
+    /// `gz`'s length can.
+    fn owned(op: Op, gz: &[u8]) -> Self {
+        Narrow {
+            op,
+            slot: None,
+            owned: Vec::new(),
+            limit: gz.len().saturating_mul(sciml_compress::gzip::MAX_EXPANSION),
+        }
+    }
+
+    /// A `CFSM` payload, inflated from `gz`.
+    fn cosmo(&mut self, gz: &[u8]) -> Result<Label> {
+        let mut reader = CosmoPayloadReader::new();
+        sciml_compress::gzip_decompress_chunks(gz, self.limit, |run| reader.push(run, self))?;
+        Ok(Label::Cosmo(CosmoPayloadReader::finish(reader)?.as_array()))
+    }
+
+    /// An `h5lite` DeepCAM file, inflated from `gz`.
+    fn deepcam(&mut self, gz: &[u8]) -> Result<Label> {
+        let mut reader = DeepCamH5Reader::new(self.limit);
+        sciml_compress::gzip_decompress_chunks(gz, self.limit, |run| reader.push(run, self))?;
+        Ok(Label::Mask(DeepCamH5Reader::finish(reader)?))
+    }
 }
 
 /// Baseline: uncompressed f32 `CFSM` payload, per-voxel op on the CPU.
@@ -126,15 +192,18 @@ impl CosmoGzip {
 
 impl DecoderPlugin for CosmoGzip {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        cosmo_payload(&sciml_compress::gzip_decompress(bytes)?, self.op)
+        let mut sink = Narrow::owned(self.op, bytes);
+        let label = sink.cosmo(bytes)?;
+        Ok(DecodedSample {
+            data: sink.owned,
+            label,
+        })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
         // A payload that fills `out` is its header and one f32 a value.
         let limit = out.len().saturating_mul(4).saturating_add(24);
-        with_inflated(bytes, limit, |payload| {
-            cosmo_payload_into(&serialize::CosmoPayload::parse(payload)?, self.op, out)
-        })
+        Narrow::into_slot(self.op, out, limit).cosmo(bytes)
     }
 
     fn name(&self) -> &'static str {
@@ -223,8 +292,12 @@ const H5_HEADER_ALLOWANCE: usize = 4096;
 
 impl DecoderPlugin for DeepCamGzip {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let payload = sciml_compress::gzip_decompress(bytes)?;
-        DeepCamBaseline { op: self.op }.decode(&payload)
+        let mut sink = Narrow::owned(self.op, bytes);
+        let label = sink.deepcam(bytes)?;
+        Ok(DecodedSample {
+            data: sink.owned,
+            label,
+        })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
@@ -234,9 +307,7 @@ impl DecoderPlugin for DeepCamGzip {
             .len()
             .saturating_mul(5)
             .saturating_add(H5_HEADER_ALLOWANCE);
-        with_inflated(bytes, limit, |payload| {
-            DeepCamBaseline { op: self.op }.decode_into(payload, out)
-        })
+        Narrow::into_slot(self.op, out, limit).deepcam(bytes)
     }
 
     fn name(&self) -> &'static str {
@@ -409,6 +480,37 @@ mod tests {
         let cpu = DeepCamPluginCpu { op }.decode(&bytes).unwrap();
         assert_eq!(cpu.label, Label::Mask(s.mask.clone()));
         assert_eq!(base.data.len(), cpu.data.len());
+    }
+
+    /// The DeepCAM gzip baseline's windowed decode is the whole-payload
+    /// path's tensor and mask, bit for bit, at every SIMD tier and for
+    /// every operator.
+    #[test]
+    fn deepcam_gzip_is_the_baseline_at_every_tier() {
+        let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(1);
+        let h5 = serialize::deepcam_to_h5(&s).unwrap();
+        let gz = sciml_compress::gzip_compress(&h5, Level::Fast);
+        let normalize = Op::Normalize {
+            scale: 0.25,
+            offset: 3.0,
+        };
+        for lvl in supported_levels() {
+            let _g = force(Some(lvl));
+            for op in [Op::Identity, normalize, Op::Log1p] {
+                let base = DeepCamBaseline { op }.decode(&h5).unwrap();
+                let mut out = vec![F16::ONE; base.data.len()];
+                let label = DeepCamGzip { op }.decode_into(&gz, &mut out).unwrap();
+                let same = |a: &[F16], b: &[F16]| {
+                    a.iter()
+                        .map(|v| v.to_bits())
+                        .eq(b.iter().map(|v| v.to_bits()))
+                };
+                assert!(same(&out, &base.data), "{op:?} at {lvl:?}");
+                assert_eq!(label, base.label, "{op:?} at {lvl:?}");
+                let owned = DeepCamGzip { op }.decode(&gz).unwrap();
+                assert!(same(&owned.data, &base.data), "{op:?} at {lvl:?}");
+            }
+        }
     }
 
     /// The 36 bytes that used to kill a decode thread at

@@ -1,14 +1,17 @@
-//! The gzip baselines inflate with a limit taken from the slot they were
-//! asked to fill: a stream that inflates past the largest payload that
-//! slot could hold costs a typed error, not the memory it would inflate
-//! to. And a decode thread keeps one inflate buffer, not one per sample.
+//! The gzip baselines inflate through a window, with a limit taken from
+//! the slot they were asked to fill: a valid sample costs a decode
+//! thread no more heap than the window bound (and DeepCAM's label), and
+//! a stream that inflates past the largest payload the slot could hold
+//! costs a typed error, not the memory it would inflate to. And repeat
+//! decodes allocate nothing of the payload's size.
 //!
 //! Alone in this file because they measure allocation with a global
-//! allocator of its own; the two tests take turns at it.
+//! allocator of its own; the tests take turns at it.
 
 use sciml_codec::Op;
 use sciml_compress::Level;
 use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
+use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
 use sciml_half::F16;
 use sciml_pipeline::decoder::{CosmoGzip, DeepCamGzip};
@@ -55,6 +58,26 @@ fn requested_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, REQUESTED.load(Ordering::Relaxed) - before)
 }
 
+/// The most heap a gzip baseline's decode may ask for besides the label:
+/// the window's 128 KiB lives on the decode thread's stack, and the
+/// bound is twice that.
+const WINDOW_BOUND: usize = 256 << 10;
+
+/// What `plugin.decode_into(gz, out)` returned and the heap it asked for,
+/// on a thread of its own, so that nothing a thread keeps from an
+/// earlier decode is missed.
+fn decode_on_a_fresh_thread(
+    plugin: &dyn DecoderPlugin,
+    gz: &[u8],
+    out: &mut [F16],
+) -> (Result<sciml_pipeline::Label, PipelineError>, usize) {
+    std::thread::scope(|t| {
+        t.spawn(|| requested_by(|| plugin.decode_into(gz, out)))
+            .join()
+            .unwrap()
+    })
+}
+
 #[test]
 fn a_stream_inflating_past_the_slot_is_a_typed_error_not_an_allocation() {
     const ACTUAL: usize = 64 << 20;
@@ -63,19 +86,18 @@ fn a_stream_inflating_past_the_slot_is_a_typed_error_not_an_allocation() {
     // offered to a slot of 2 048 values.
     let bomb = sciml_compress::gzip_compress(&vec![0u8; ACTUAL], Level::Fast);
     assert!(bomb.len() < 128 << 10, "stream is {} bytes", bomb.len());
+    // The same stream under a trailer that says it is empty: it is found
+    // only by inflating, through the window.
+    let mut lying = bomb.clone();
+    let n = lying.len();
+    lying[n - 8..].copy_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0]);
     let mut out = vec![F16::ONE; 2048];
     let plugins: [(&dyn DecoderPlugin, usize); 2] = [
-        (&CosmoGzip { op: Op::Log1p }, 24 + 4 * out.len()),
-        (&DeepCamGzip { op: Op::Identity }, 5 * out.len() + 4096),
+        (&CosmoGzip { op: Op::Log1p }, WINDOW_BOUND),
+        (&DeepCamGzip { op: Op::Identity }, WINDOW_BOUND + out.len()),
     ];
     for (plugin, legitimate) in plugins {
-        // On a thread of its own, so the scratch starts empty and its
-        // first growth is part of what is counted.
-        let (result, requested) = std::thread::scope(|t| {
-            t.spawn(|| requested_by(|| plugin.decode_into(&bomb, &mut out)))
-                .join()
-                .unwrap()
-        });
+        let (result, requested) = decode_on_a_fresh_thread(plugin, &bomb, &mut out);
         assert!(
             matches!(
                 result,
@@ -90,6 +112,52 @@ fn a_stream_inflating_past_the_slot_is_a_typed_error_not_an_allocation() {
             requested < 2 * legitimate,
             "{} requested {requested} bytes for a {legitimate}-byte payload",
             plugin.name()
+        );
+        let (result, requested) = decode_on_a_fresh_thread(plugin, &lying, &mut out);
+        assert!(result.is_err(), "{}: lying trailer", plugin.name());
+        assert!(
+            requested < 2 * legitimate,
+            "{} requested {requested} bytes for a lying trailer",
+            plugin.name()
+        );
+    }
+}
+
+/// A valid sample of each baseline decodes within the same bound:
+/// nothing of the inflated payload's size is allocated.
+#[test]
+fn a_valid_sample_decodes_within_the_window_bound() {
+    let _turn = TURN.lock().unwrap();
+    let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
+    let raw = serialize::cosmo_to_payload(&s);
+    let cosmo = CosmoGzip::compress_payload(&raw);
+    let d = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
+    let h5 = serialize::deepcam_to_h5(&d).unwrap();
+    let deepcam = sciml_compress::gzip_compress(&h5, Level::Fast);
+    let cases: [(&dyn DecoderPlugin, &[u8], usize, usize); 2] = [
+        (
+            &CosmoGzip { op: Op::Log1p },
+            &cosmo,
+            s.counts.len(),
+            WINDOW_BOUND,
+        ),
+        (
+            &DeepCamGzip { op: Op::Identity },
+            &deepcam,
+            d.data.len(),
+            WINDOW_BOUND + d.mask.len(),
+        ),
+    ];
+    for (plugin, gz, n, legitimate) in cases {
+        let mut out = vec![F16::ONE; n];
+        let (result, requested) = decode_on_a_fresh_thread(plugin, gz, &mut out);
+        assert!(result.is_ok(), "{}: {result:?}", plugin.name());
+        assert_eq!(out, plugin.decode(gz).unwrap().data, "{}", plugin.name());
+        assert!(
+            requested < 2 * legitimate,
+            "{} requested {requested} bytes to decode a {}-byte payload",
+            plugin.name(),
+            4 * n
         );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! [`host_rate_factor`]: crate::spec::PlatformSpec::host_rate_factor
 
-use crate::gpusim::GpuSpec;
+use crate::gpusim::{GpuSpec, KernelStats};
 use crate::spec::PlatformSpec;
 
 #[cfg(test)]
@@ -74,9 +74,17 @@ pub struct WorkloadProfile {
     pub passthrough_1core_s: f64,
     /// GPU decode seconds per sample on a V100. Set so that decode takes
     /// the share of a batch-4 step the paper reports (§IX); not derived
-    /// from the SIMT simulator, whose kernels time differently
-    /// (EXPERIMENTS.md, "§VI — the simulated GPU decode at paper scale").
+    /// from the SIMT simulator, whose kernels leave out launch,
+    /// synchronisation and framework scheduling (EXPERIMENTS.md, "§VI —
+    /// the simulated GPU decode at paper scale").
     pub gpu_decode_v100_s: f64,
+    /// What the SIMT simulator counts for the GPU plugin's decode kernel
+    /// on one paper-scale sample (seed 0, sample 0, on a V100; `figures
+    /// fig9` / `fig12` run it). Other GPUs scale the V100 anchor by the
+    /// simulator's time for these counts over its V100 time: by memory
+    /// bandwidth where the kernel is memory-bound (CosmoFlow's LUT
+    /// gather), by issue rate where it is compute-bound (DeepCAM's).
+    pub gpu_decode_kernel: KernelStats,
     /// Training-step seconds per sample on a V100 at large batch.
     pub step_v100_s: f64,
     /// Per-batch step overhead: `step(batch) = step × (1 + c / batch)`.
@@ -116,6 +124,14 @@ impl WorkloadProfile {
             // §IX-B: decode is "less than 1% of the total processing
             // time of a sample" (0.6 % of `step_s(V100, 4)`).
             gpu_decode_v100_s: 60e-6,
+            gpu_decode_kernel: KernelStats {
+                cycles: 1_249_688,
+                dram_bytes: 21_098_176,
+                transactions: 1_168_312,
+                divergent_steps: 0,
+                longest_task_cycles: 48,
+                tasks: 66_031,
+            },
             step_v100_s: 9e-3,
             step_batch_overhead: 0.35,
             allreduce_jitter_s: 1.5e-3,
@@ -144,6 +160,14 @@ impl WorkloadProfile {
             // §IX-A: decode is "roughly 4% of the processing time"
             // (3.2 % of `step_s(V100, 4)`).
             gpu_decode_v100_s: 2.0e-3,
+            gpu_decode_kernel: KernelStats {
+                cycles: 43_402_831,
+                dram_bytes: 43_923_776,
+                transactions: 1_372_618,
+                divergent_steps: 0,
+                longest_task_cycles: 3_560,
+                tasks: 12_288,
+            },
             step_v100_s: 55e-3,
             step_batch_overhead: 0.5,
             allreduce_jitter_s: 8e-3,
@@ -187,10 +211,12 @@ impl WorkloadProfile {
         self.step_v100_s * gpu.step_scale * (1.0 + self.step_batch_overhead / batch as f64)
     }
 
-    /// GPU decode seconds per sample for the GPU plugin.
+    /// GPU decode seconds per sample for the GPU plugin: the V100
+    /// anchor, scaled by the simulator's time for the decode kernel on
+    /// `gpu` over its time on a V100.
     pub fn gpu_decode_s(&self, gpu: &GpuSpec) -> f64 {
-        let v100_rate = GpuSpec::V100.warp_issue_rate();
-        self.gpu_decode_v100_s * v100_rate / gpu.warp_issue_rate()
+        let kernel = &self.gpu_decode_kernel;
+        self.gpu_decode_v100_s * (gpu.kernel_time(kernel) / GpuSpec::V100.kernel_time(kernel))
     }
 
     /// Sanity helper: compression ratio of a format vs raw FP32.
@@ -269,6 +295,21 @@ mod tests {
         assert!(c.gpu_decode_s(&v) / c.step_s(&v, 4) < 0.01);
         let frac = d.gpu_decode_s(&v) / d.step_s(&v, 4);
         assert!((0.01..0.08).contains(&frac), "{frac}");
+    }
+
+    /// The A100's decode bar is the V100 anchor scaled as the simulator
+    /// scales the kernel: by memory bandwidth for CosmoFlow's LUT gather
+    /// (memory-bound), by issue rate for DeepCAM's decode (compute-bound).
+    #[test]
+    fn gpu_decode_scales_by_the_simulated_kernel() {
+        let (v, a) = (GpuSpec::V100, GpuSpec::A100);
+        let c = WorkloadProfile::cosmoflow();
+        let d = WorkloadProfile::deepcam();
+        assert_eq!(c.gpu_decode_s(&v), c.gpu_decode_v100_s);
+        let memory = v.mem_bw / a.mem_bw;
+        let issue = v.warp_issue_rate() / a.warp_issue_rate();
+        assert!((c.gpu_decode_s(&a) / c.gpu_decode_s(&v) - memory).abs() < 1e-12);
+        assert!((d.gpu_decode_s(&a) / d.gpu_decode_s(&v) - issue).abs() < 1e-12);
     }
 
     #[test]

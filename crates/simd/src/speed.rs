@@ -135,20 +135,82 @@ pub struct Reading {
 
 /// Times `fast` against `slow` in rounds, `fast` first in even rounds.
 pub fn compare(shape: Shape, fast: &dyn Side, slow: &dyn Side) -> Reading {
+    reading(&rounds(shape, fast, slow, None).0)
+}
+
+/// The host's control for a table whose rows need every vCPU: two sides
+/// whose `slow / fast` reads near the vCPU count where they are all
+/// there, and near 1 where one was taken away.
+pub struct Control<'a> {
+    /// What the control times.
+    pub what: &'a str,
+    /// The least `slow / fast` at which a round counts.
+    pub floor: f64,
+    /// The side that uses every vCPU.
+    pub fast: &'a dyn Side,
+    /// The side that uses one.
+    pub slow: &'a dyn Side,
+}
+
+/// How long a controlled row waits for rounds in which the control
+/// reads its floor before it fails.
+const PATIENCE: Duration = Duration::from_secs(60);
+
+/// Times a row's rounds: `fast` and `slow` side by side, and where there
+/// is a control, its two sides around them in the same round (`control
+/// fast, fast, slow, control slow` in even rounds, the reverse in odd
+/// ones). Returns the `(fast, slow)` timings of the rounds that count —
+/// all of them without a control, those in which the control read its
+/// floor with one — and how many rounds were timed. Rounds go on until
+/// at least [`ROUNDS`] count and they fill [`WINDOW`], or, with a
+/// control, until [`PATIENCE`] runs out.
+fn rounds(
+    shape: Shape,
+    fast: &dyn Side,
+    slow: &dyn Side,
+    control: Option<&Control>,
+) -> (Vec<(f64, f64)>, usize) {
     let started = Instant::now();
-    let mut rounds = Vec::new();
-    while rounds.len() < ROUNDS || started.elapsed() < WINDOW {
-        rounds.push(if rounds.len() % 2 == 0 {
+    let mut kept = Vec::new();
+    let mut timed = 0;
+    let control_fast = || control.map(|c| time(shape, c.fast));
+    let control_slow = || control.map(|c| time(shape, c.slow));
+    while kept.len() < ROUNDS || started.elapsed() < WINDOW {
+        if control.is_some() && started.elapsed() >= PATIENCE {
+            break;
+        }
+        let (f, s, cf, cs) = if timed % 2 == 0 {
+            let cf = control_fast();
             let f = time(shape, fast);
-            (f, time(shape, slow))
-        } else {
             let s = time(shape, slow);
-            (time(shape, fast), s)
-        });
+            (f, s, cf, control_slow())
+        } else {
+            let cs = control_slow();
+            let s = time(shape, slow);
+            let f = time(shape, fast);
+            (f, s, control_fast(), cs)
+        };
+        timed += 1;
+        let counts = match (control, cf, cs) {
+            (Some(c), Some(cf), Some(cs)) => cs / cf >= c.floor,
+            _ => true,
+        };
+        if counts {
+            kept.push((f, s));
+        }
     }
+    (kept, timed)
+}
+
+/// The medians of rounds' `(fast, slow)` timings and of their ratios
+/// (NaN where no round counted).
+fn reading(rounds: &[(f64, f64)]) -> Reading {
     let median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
-        (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0
+        match v.len() {
+            0 => f64::NAN,
+            n => (v[(n - 1) / 2] + v[n / 2]) / 2.0,
+        }
     };
     Reading {
         fast_s: median(rounds.iter().map(|r| r.0).collect()),
@@ -164,6 +226,19 @@ pub type Row<'a> = (&'a str, f64, bool, &'a dyn Side, &'a dyn Side);
 /// (`skipped at <at>` for the others), and fails after the last one,
 /// naming every row whose `slow / fast` is under its floor.
 pub fn floors(shape: Shape, at: &str, rows: &[Row]) {
+    table(shape, at, None, rows);
+}
+
+/// [`floors`] for rows that need every vCPU: `control` is timed in each
+/// of a row's rounds, beside its sides, and only the rounds in which it
+/// read its floor count. So a row asserts on every run, on the rounds
+/// the host was all there for, and fails — naming itself — only where
+/// the control reads under its floor for a minute of rounds.
+pub fn floors_controlled(shape: Shape, at: &str, control: &Control, rows: &[Row]) {
+    table(shape, at, Some(control), rows);
+}
+
+fn table(shape: Shape, at: &str, control: Option<&Control>, rows: &[Row]) {
     let sides = match shape {
         Shape::Loader => format!("each side on {} threads at once", loader_threads()),
         Shape::Scaling => "each side alone".to_string(),
@@ -173,19 +248,35 @@ pub fn floors(shape: Shape, at: &str, rows: &[Row]) {
         "speed floors: {sides}, median of {ROUNDS}+ rounds over {window} ms or more, \
          timings of {budget} ms or more"
     );
+    if let Some(c) = control {
+        println!(
+            "  a round counts where {} reads {}x or more in it",
+            c.what, c.floor
+        );
+    }
     let mut failed = Vec::new();
     for &(what, floor, applies, fast, slow) in rows {
         if !applies {
             println!("  {what}: skipped at {at} (floor {floor}x)");
             continue;
         }
+        let (kept, timed) = rounds(shape, fast, slow, control);
+        if kept.is_empty() {
+            println!("  {what}: no round of {timed} had the control at its floor (floor {floor}x)");
+            failed.push(what);
+            continue;
+        }
         let Reading {
             fast_s,
             slow_s,
             ratio,
-        } = compare(shape, fast, slow);
+        } = reading(&kept);
         let (f, s) = (fast_s * 1e3, slow_s * 1e3);
-        println!("  {what}: {f:.3} ms against {s:.3} ms, {ratio:.2}x (floor {floor}x)");
+        let counted = match control {
+            Some(_) => format!(", {} of {timed} rounds", kept.len()),
+            None => String::new(),
+        };
+        println!("  {what}: {f:.3} ms against {s:.3} ms, {ratio:.2}x (floor {floor}x{counted})");
         if ratio < floor {
             failed.push(what);
         }
@@ -303,6 +394,32 @@ mod tests {
                 ("one closure on both sides", 1.5, true, &spin, &spin),
             ],
         );
+    }
+
+    /// A control whose fast side is quick in every other timing of it
+    /// reads about 4x or more in the even rounds and 1x in the odd ones:
+    /// under a floor of 2 only the even rounds count, and the row still
+    /// gets its least rounds.
+    #[test]
+    fn a_controlled_row_counts_only_the_rounds_its_control_passes() {
+        let timings = AtomicUsize::new(0);
+        let control_fast = with(
+            || timings.fetch_add(1, Ordering::Relaxed).is_multiple_of(2),
+            |&mut quick: &mut bool| {
+                std::thread::sleep(Duration::from_millis(if quick { 1 } else { 8 }))
+            },
+        );
+        let control_slow = || std::thread::sleep(Duration::from_millis(8));
+        let control = Control {
+            what: "a sleeping control",
+            floor: 2.0,
+            fast: &control_fast,
+            slow: &control_slow,
+        };
+        let side = || std::thread::sleep(Duration::from_millis(1));
+        let (kept, timed) = rounds(Shape::Scaling, &side, &side, Some(&control));
+        assert!(kept.len() >= ROUNDS, "{} of {timed}", kept.len());
+        assert_eq!(kept.len(), timed.div_ceil(2), "{} of {timed}", kept.len());
     }
 
     #[test]

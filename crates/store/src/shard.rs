@@ -422,11 +422,15 @@ pub fn unpack_entry(
     out: &mut Vec<u8>,
     raw_len: usize,
 ) -> Result<()> {
-    out.clear();
     match encoding {
-        PayloadEncoding::Raw => out.extend_from_slice(stored),
+        PayloadEncoding::Raw => {
+            out.clear();
+            out.extend_from_slice(stored);
+        }
         PayloadEncoding::Gzip => {
-            out.reserve(raw_len);
+            // What `out` holds is room inflate overwrites, not zeros to
+            // write again.
+            out.reserve(raw_len.saturating_sub(out.len()));
             sciml_compress::gzip_decompress_into(stored, out, raw_len)?;
         }
     }

@@ -166,7 +166,9 @@ stage "release differentials (full matrices, all 2^32 arguments of the bulk log1
 # run in full, in the build that ships, at every tier this host has.
 # Deflate / inflate against the frozen reference: byte identity of both
 # benchmark payloads at all four levels, every overlapping copy at every
-# distance from the end of the output.
+# distance from the end of the output; and the window sink against the
+# whole one (24 seeds of random matches across the slides, every
+# truncation of a member that slides twice).
 cargo test --release -q -p sciml-compress --lib -- differential::
 # DeepCAM against its frozen references: the lockstep encoder against
 # the line-at-a-time one, the lockstep decoder and the per-line loop
@@ -191,7 +193,9 @@ stage "speed floors (every crate's table, after the host's control row)"
 # the decode pool runs it), prints one line a row and fails naming every
 # row under its floor. The control row
 # comes first, as in scripts/ab.sh, so a failing row can be read against
-# the host's state: under 1.7 the second vCPU was away.
+# the host's state: under 1.7 the second vCPU was away. The placement
+# row (unpack_placement) times the control in each of its own rounds and
+# counts only those that read 1.7 or more, so it asserts on every run.
 cargo run --release -q --example inflate_control
 floors_failed=0
 cargo test --release -q -p sciml-compress --lib -- \

@@ -5,8 +5,9 @@
 //! a measurement made while the second was taken away reads near 1×.
 //! A speed claim made from such a run is flagged, not averaged in: the
 //! placement row of the root speed floors (`tests/unpack_placement.rs`)
-//! is skipped below [`CONTROL_FLOOR`], and `scripts/ab.sh` runs the
-//! `inflate_control` example before every pair and lists the pairs
+//! times the control in each of its rounds and counts only the rounds
+//! in which it read [`CONTROL_FLOOR`] or more, and `scripts/ab.sh` runs
+//! the `inflate_control` example before every pair and lists the pairs
 //! under it, as `scripts/ci.sh` does before its speed floors.
 
 use sciml_simd::speed::{self, Shape};
@@ -55,7 +56,7 @@ impl InflateControl {
 
     /// `threads` threads inflate every blob four times, the blobs split
     /// evenly between them.
-    fn inflate_all(&self, threads: usize) {
+    pub fn inflate_all(&self, threads: usize) {
         std::thread::scope(|scope| {
             for part in self.blobs.chunks(self.blobs.len().div_ceil(threads)) {
                 scope.spawn(move || {

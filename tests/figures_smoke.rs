@@ -119,3 +119,24 @@ fn summary_table_quotes_its_figure_files() {
         }
     }
 }
+
+/// Below fig9's and fig12's breakdowns, the model's GPU decode bar
+/// stands in the same ratio to the simulated kernel at the A100 as at
+/// the V100: the model scales its V100 anchor as the simulator scales
+/// the kernel.
+#[test]
+fn the_gpu_decode_bar_keeps_its_ratio_to_the_simulator_on_both_gpus() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for file in ["results/figures/fig9.txt", "results/figures/fig12.txt"] {
+        let printed = std::fs::read_to_string(root.join(file)).expect(file);
+        let ratio = |gpu: &str| {
+            printed
+                .lines()
+                .find(|l| l.starts_with(gpu) && l.ends_with('x'))
+                .and_then(|l| l.split_whitespace().last())
+                .unwrap_or_else(|| panic!("{file} prints no {gpu} model/sim line"))
+                .to_string()
+        };
+        assert_eq!(ratio("V100 "), ratio("A100 "), "{file}");
+    }
+}
