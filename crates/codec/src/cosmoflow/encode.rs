@@ -20,7 +20,6 @@ use super::{CosmoChunk, EncodedCosmo, KeyWidth};
 use crate::ops::{Op, OpCounter, CHUNK};
 use sciml_data::cosmoflow::{CosmoSample, N_REDSHIFTS};
 use sciml_half::F16;
-use std::convert::Infallible;
 
 /// Maximum groups a single chunk's table may hold (16-bit key space).
 const MAX_GROUPS: usize = 65536;
@@ -198,35 +197,19 @@ impl GroupTable {
     }
 }
 
-/// The baseline's per-voxel pass over any source of counts: `fill(start,
-/// vals)` widens the counts from index `start` on into `vals` (4 096 of
-/// them at most, a chunk on the stack), and the operator and the FP16
-/// cast run over each chunk through [`Op::narrow_into`]. Every
-/// slot of `out` is written unless `fill` fails, whose error is
-/// returned as it is.
-pub fn baseline_preprocess_with<E>(
-    op: Op,
-    out: &mut [F16],
-    mut fill: impl FnMut(usize, &mut [f32]) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut vals = [0f32; CHUNK];
-    for (i, dst) in out.chunks_mut(CHUNK).enumerate() {
-        let vals = &mut vals[..dst.len()];
-        fill(i * CHUNK, vals)?;
-        op.narrow_into(vals, dst);
-    }
-    Ok(())
-}
-
-/// [`baseline_preprocess_with`] over a sample's counts; `out` is as
-/// long as they are.
+/// The baseline's per-voxel pass over a sample's counts: each chunk of
+/// [`CHUNK`] is widened to f32 on the stack, and the operator and the
+/// FP16 cast run over it through [`Op::narrow_into`]. `out` is as long
+/// as the counts.
 fn preprocess_counts(counts: &[u16], op: Op, out: &mut [F16]) {
-    let Ok(()) = baseline_preprocess_with(op, out, |start, vals| {
-        for (v, &c) in vals.iter_mut().zip(&counts[start..]) {
+    let mut vals = [0f32; CHUNK];
+    for (dst, src) in out.chunks_mut(CHUNK).zip(counts.chunks(CHUNK)) {
+        let vals = &mut vals[..dst.len()];
+        for (v, &c) in vals.iter_mut().zip(src) {
             *v = c as f32;
         }
-        Ok::<(), Infallible>(())
-    });
+        op.narrow_into(vals, dst);
+    }
 }
 
 /// The baseline preprocessing path: widen every count to f32, apply the

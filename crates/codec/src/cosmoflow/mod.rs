@@ -40,8 +40,7 @@ pub(crate) mod reference_encode;
 
 pub use decode::{decode, decode_counts, decode_into, decode_view_into, decode_with_counter};
 pub use encode::{
-    baseline_preprocess, baseline_preprocess_into, baseline_preprocess_with,
-    baseline_preprocess_with_counter, encode,
+    baseline_preprocess, baseline_preprocess_into, baseline_preprocess_with_counter, encode,
 };
 
 use crate::CodecError;

@@ -14,6 +14,11 @@
 //! Only the features the pipeline needs are implemented: named n-d
 //! datasets of f32/u16/u8 and whole-dataset reads. That matches how the
 //! benchmarks use HDF5 — one `data` and one `label` dataset per file.
+//!
+//! [`read`] is the container's generic reader, copying out every
+//! dataset (`sciml inspect` lists them with it). A DeepCAM sample is
+//! read by [`crate::stream::DeepCamH5Reader`] instead, which parses the
+//! same directory and streams the payload without a copy.
 
 use crate::{DataError, Result};
 use sciml_compress::crc32::crc32;
@@ -110,18 +115,6 @@ impl Dataset {
             shape: shape.to_vec(),
             payload: values.to_vec(),
         }
-    }
-
-    /// Decodes the payload as f32 values.
-    pub fn as_f32(&self) -> Result<Vec<f32>> {
-        if self.dtype != DType::F32 || !self.payload.len().is_multiple_of(4) {
-            return Err(DataError::Format("dataset is not f32"));
-        }
-        Ok(self
-            .payload
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
     }
 }
 
@@ -287,34 +280,25 @@ pub fn read(data: &[u8]) -> Result<Vec<Dataset>> {
         .collect()
 }
 
-/// Finds a dataset by name.
-pub fn find<'a>(datasets: &'a [Dataset], name: &str) -> Result<&'a Dataset> {
-    datasets
-        .iter()
-        .find(|d| d.name == name)
-        .ok_or(DataError::Format("dataset not found"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_file() -> Vec<u8> {
+    fn sample_datasets() -> [Dataset; 2] {
         let data = Dataset::from_f32("data", &[2, 3], &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let label = Dataset::from_u8("label", &[6], &[0, 1, 2, 0, 1, 2]);
-        write(&[data, label]).unwrap()
+        [data, label]
+    }
+
+    fn sample_file() -> Vec<u8> {
+        write(&sample_datasets()).unwrap()
     }
 
     #[test]
     fn roundtrip() {
-        let bytes = sample_file();
-        let ds = read(&bytes).unwrap();
-        assert_eq!(ds.len(), 2);
-        assert_eq!(
-            find(&ds, "data").unwrap().as_f32().unwrap(),
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        );
-        assert_eq!(find(&ds, "label").unwrap().payload, vec![0, 1, 2, 0, 1, 2]);
+        let ds = read(&sample_file()).unwrap();
+        assert_eq!(ds, sample_datasets());
+        assert_eq!(ds[0].payload[4..8], 2.0f32.to_le_bytes());
     }
 
     #[test]
@@ -374,20 +358,6 @@ mod tests {
     fn truncation_is_detected() {
         let bytes = sample_file();
         assert!(read(&bytes[..bytes.len() - 9]).is_err());
-    }
-
-    #[test]
-    fn wrong_dtype_access_fails() {
-        let bytes = sample_file();
-        let ds = read(&bytes).unwrap();
-        assert!(find(&ds, "label").unwrap().as_f32().is_err());
-    }
-
-    #[test]
-    fn missing_dataset() {
-        let bytes = sample_file();
-        let ds = read(&bytes).unwrap();
-        assert!(find(&ds, "nope").is_err());
     }
 
     #[test]

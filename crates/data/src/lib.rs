@@ -15,9 +15,9 @@
 //! * [`h5lite`] — a small self-describing binary container standing in
 //!   for the HDF5 files of the original DeepCAM dataset;
 //! * [`serialize`] — the raw on-disk layout of both sample types;
-//! * [`stream`] — push-fed readers of those layouts, for a sample that
-//!   arrives a run at a time (the gzip baselines inflate through a
-//!   window) and is read once.
+//! * [`stream`] — the one reader of each layout, push-fed: a sample's
+//!   bytes arrive whole (the uncompressed baselines) or a run at a time
+//!   (the gzip ones inflate through a window) and are read once.
 
 pub mod cosmoflow;
 pub mod deepcam;

@@ -9,6 +9,7 @@
 use crate::cosmoflow::{CosmoParams, CosmoSample, N_REDSHIFTS};
 use crate::deepcam::DeepCamSample;
 use crate::h5lite::{self, DType, Dataset};
+use crate::stream::{CosmoPayloadReader, DeepCamH5Reader, ValueSink, MORE_VALUES_THAN_INPUT};
 use crate::{DataError, Result};
 
 const COSMO_MAGIC: &[u8; 4] = b"CFSM";
@@ -55,19 +56,6 @@ pub fn cosmo_to_payload(sample: &CosmoSample) -> Vec<u8> {
     out
 }
 
-/// A baseline CosmoFlow payload with its header parsed and its body
-/// left where it is: the baseline decoders preprocess straight from
-/// these bytes, a chunk at a time, without a `Vec` of counts between.
-#[derive(Debug, Clone, Copy)]
-pub struct CosmoPayload<'a> {
-    /// Grid edge length.
-    pub grid: usize,
-    /// Regression label.
-    pub label: CosmoParams,
-    /// `grid³ × N_REDSHIFTS` little-endian f32, channel-major.
-    body: &'a [u8],
-}
-
 /// The count a payload value stands for, as the f32 the preprocessing
 /// operator sees, and whether the value was one: a u16 integer (`−0.0`
 /// counts as `0` and comes back `+0.0`). The saturating casts send
@@ -79,64 +67,54 @@ pub(crate) fn canonical_count(v: f32) -> (f32, bool) {
     (c, c == v)
 }
 
-impl<'a> CosmoPayload<'a> {
-    /// Parses the header and checks the body's length against the grid.
-    /// The values themselves are checked when they are read.
-    pub fn parse(data: &'a [u8]) -> Result<Self> {
-        let head = data
-            .first_chunk::<COSMO_HEAD>()
-            .ok_or(DataError::Format("bad cosmoflow payload header"))?;
-        let (grid, label, n_values) = cosmo_head(head)?;
-        let body = &data[COSMO_HEAD..];
-        if Some(body.len()) != n_values.checked_mul(4) {
-            return Err(DataError::Format("cosmoflow payload length mismatch"));
+/// A [`ValueSink`] that keeps every value a reader hands on, converted
+/// by `keep`: how the owned samples below get their values from the
+/// one reader of their layout. It sizes its `Vec` from the header only
+/// once the input's length has bounded the count.
+struct Keep<T> {
+    /// The most values the input can hold: a quarter of its bytes.
+    most: usize,
+    keep: fn(f32) -> T,
+    values: Vec<T>,
+}
+
+impl<T> Keep<T> {
+    fn new(input_len: usize, keep: fn(f32) -> T) -> Self {
+        Keep {
+            most: input_len / 4,
+            keep,
+            values: Vec::new(),
         }
-        Ok(Self { grid, label, body })
+    }
+}
+
+impl<T> ValueSink for Keep<T> {
+    type Error = DataError;
+
+    fn begin(&mut self, n_values: usize) -> Result<()> {
+        if n_values > self.most {
+            return Err(DataError::Format(MORE_VALUES_THAN_INPUT));
+        }
+        self.values.reserve_exact(n_values);
+        Ok(())
     }
 
-    /// Values in the body (`grid³ × N_REDSHIFTS`).
-    pub fn n_values(&self) -> usize {
-        self.body.len() / 4
-    }
-
-    /// Widens the counts from value `start` on into `vals`, checking
-    /// that each is a u16 integer. A range past the body's end is a
-    /// format error like a bad value, never a panic.
-    pub fn counts_into(&self, start: usize, vals: &mut [f32]) -> Result<()> {
-        let bytes = start
-            .checked_mul(4)
-            .and_then(|from| self.body.get(from..)?.get(..vals.len().checked_mul(4)?))
-            .ok_or(DataError::Format("count range outside payload"))?;
-        // One flag for the chunk instead of a branch per value, so the
-        // loop vectorises.
-        let mut all_counts = true;
-        for (o, b) in vals.iter_mut().zip(bytes.chunks_exact(4)) {
-            let (c, ok) = canonical_count(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-            *o = c;
-            all_counts &= ok;
-        }
-        if !all_counts {
-            return Err(DataError::Format("count not a u16 integer"));
-        }
+    fn fill(&mut self, _start: usize, vals: &mut [f32]) -> Result<()> {
+        self.values.extend(vals.iter().map(|&v| (self.keep)(v)));
         Ok(())
     }
 }
 
 /// Parses the baseline CosmoFlow payload back into a sample.
 pub fn cosmo_from_payload(data: &[u8]) -> Result<CosmoSample> {
-    let payload = CosmoPayload::parse(data)?;
-    let mut counts = Vec::with_capacity(payload.n_values());
-    let mut vals = [0f32; 4096];
-    while counts.len() < payload.n_values() {
-        let left = payload.n_values() - counts.len();
-        let vals = &mut vals[..left.min(4096)];
-        payload.counts_into(counts.len(), vals)?;
-        counts.extend(vals.iter().map(|&c| c as u16));
-    }
+    let mut counts = Keep::new(data.len(), |c| c as u16);
+    let mut reader = CosmoPayloadReader::new();
+    reader.push(data, &mut counts)?;
+    let (grid, label) = reader.finish()?;
     Ok(CosmoSample {
-        grid: payload.grid,
-        counts,
-        label: payload.label,
+        grid,
+        counts: counts.values,
+        label,
     })
 }
 
@@ -193,19 +171,16 @@ pub(crate) fn deepcam_dims(
 
 /// Parses the `h5lite` DeepCAM layout back into a sample.
 pub fn deepcam_from_h5(bytes: &[u8]) -> Result<DeepCamSample> {
-    let ds = h5lite::read(bytes)?;
-    let data = h5lite::find(&ds, "data")?;
-    let label = h5lite::find(&ds, "label")?;
-    let (channels, height, width) = deepcam_dims(
-        (data.dtype, &data.shape, data.payload.len()),
-        (label.dtype, &label.shape, label.payload.len()),
-    )?;
+    let mut data = Keep::new(bytes.len(), |v| v);
+    let mut reader = DeepCamH5Reader::new(bytes.len());
+    reader.push(bytes, &mut data)?;
+    let (mask, (channels, height, width)) = reader.finish()?;
     Ok(DeepCamSample {
         width,
         height,
         channels,
-        data: data.as_f32()?,
-        mask: label.payload.clone(),
+        data: data.values,
+        mask,
     })
 }
 
@@ -242,69 +217,26 @@ mod tests {
         assert!(cosmo_from_payload(&payload).is_err());
     }
 
-    /// A grid-1 payload (four values) with `v` as its second value.
-    fn payload_with(v: f32) -> Vec<u8> {
-        let mut payload = cosmo_to_payload(&CosmoSample {
-            grid: 1,
-            counts: vec![7, 0, 65535, 1],
-            label: CosmoParams::MEANS,
-        });
-        payload[28..32].copy_from_slice(&v.to_le_bytes());
-        payload
-    }
-
+    /// A header whose count the input cannot hold is refused before
+    /// anything is sized from it, by either layout.
     #[test]
-    fn both_payload_paths_accept_and_reject_the_same_values() {
-        for (v, count) in [(-0.0f32, 0u16), (0.0, 0), (65535.0, 65535), (3.0, 3)] {
-            let payload = payload_with(v);
-            let s = cosmo_from_payload(&payload).unwrap();
-            assert_eq!(s.counts, [7, count, 65535, 1]);
-            let mut vals = [f32::NAN; 4];
-            let view = CosmoPayload::parse(&payload).unwrap();
-            view.counts_into(0, &mut vals).unwrap();
-            // −0.0 reads as the count 0, whose f32 is +0.0.
-            assert_eq!(
-                vals.map(f32::to_bits),
-                [7.0, count as f32, 65535.0, 1.0].map(f32::to_bits)
-            );
-            let mut tail = [f32::NAN; 2];
-            view.counts_into(2, &mut tail).unwrap();
-            assert_eq!(tail, [65535.0, 1.0]);
-        }
-        let not_counts = [
-            65536.0f32,
-            0.5,
-            -1.0,
-            -0.5,
-            65535.5,
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::MIN_POSITIVE,
-        ];
-        for v in not_counts {
-            let payload = payload_with(v);
-            let is_count_error =
-                |e: DataError| matches!(e, DataError::Format("count not a u16 integer"));
-            assert!(is_count_error(cosmo_from_payload(&payload).unwrap_err()));
-            let view = CosmoPayload::parse(&payload).unwrap();
-            let mut vals = [0f32; 4];
-            assert!(is_count_error(view.counts_into(0, &mut vals).unwrap_err()));
-            // A chunk that does not hold the bad value is still good.
-            view.counts_into(2, &mut vals[..2]).unwrap();
-        }
-    }
-
-    #[test]
-    fn counts_into_outside_the_payload_is_an_error() {
-        let payload = payload_with(1.0);
-        let view = CosmoPayload::parse(&payload).unwrap();
-        assert_eq!(view.n_values(), 4);
-        let mut vals = [0f32; 4];
-        assert!(view.counts_into(1, &mut vals).is_err());
-        assert!(view.counts_into(5, &mut vals[..0]).is_err());
-        assert!(view.counts_into(usize::MAX, &mut vals[..1]).is_err());
-        view.counts_into(4, &mut vals[..0]).unwrap();
+    fn a_count_past_the_input_is_refused_before_anything_is_sized() {
+        let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
+        let head = &cosmo_to_payload(&s)[..COSMO_HEAD];
+        assert!(matches!(
+            cosmo_from_payload(head),
+            Err(DataError::Format(MORE_VALUES_THAN_INPUT))
+        ));
+        // A DeepCAM file cut to its directory, under a valid CRC.
+        let d = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
+        let h5 = deepcam_to_h5(&d).unwrap();
+        let mut dir = h5[..h5.len() - 4 - 4 * d.data.len() - d.mask.len()].to_vec();
+        let crc = sciml_compress::crc32::crc32(&dir);
+        dir.extend_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            deepcam_from_h5(&dir),
+            Err(DataError::Format(MORE_VALUES_THAN_INPUT))
+        ));
     }
 
     /// The check `cosmo_from_payload` made through libm's `truncf`

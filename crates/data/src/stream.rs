@@ -1,18 +1,20 @@
-//! Push-fed readers of the two baseline layouts, for a sample that
-//! arrives a run of bytes at a time — as a gzip baseline inflates it
-//! through a window — and is read once, front to back.
+//! The one reader of each baseline layout, push-fed: a sample's bytes
+//! arrive a run at a time — as a gzip baseline inflates them through a
+//! window — or all at once, as an uncompressed baseline has them, and
+//! are read once, front to back.
 //!
-//! [`CosmoPayloadReader`] reads a `CFSM` payload (the CosmoFlow gzip
-//! baseline) and [`DeepCamH5Reader`] an `h5lite` DeepCAM file (the
-//! DeepCAM one). Each hands the sample's values to a [`ValueSink`] in
+//! [`CosmoPayloadReader`] reads a `CFSM` payload (the CosmoFlow
+//! baselines) and [`DeepCamH5Reader`] an `h5lite` DeepCAM file (the
+//! DeepCAM ones). Each hands the sample's values to a [`ValueSink`] in
 //! runs of at most [`RUN`] as they arrive, and keeps no more of the
 //! stream than a value split over two runs, the `h5lite` directory and
-//! the label. They accept what [`serialize::CosmoPayload`] and
-//! [`serialize::deepcam_from_h5`] accept and hand on the same values;
-//! a damaged stream is an error from either, though not always the
-//! same one, since a reader finds what it finds first.
+//! the label. Every split of the same bytes into pushes reads the same:
+//! the same values, or an error, though a damaged stream's error may
+//! depend on the split, since a reader says what it finds first. The
+//! owned samples of [`serialize::cosmo_from_payload`] and
+//! [`serialize::deepcam_from_h5`] are these readers' values, collected.
 //!
-//! [`serialize::CosmoPayload`]: crate::serialize::CosmoPayload
+//! [`serialize::cosmo_from_payload`]: crate::serialize::cosmo_from_payload
 //! [`serialize::deepcam_from_h5`]: crate::serialize::deepcam_from_h5
 
 use crate::cosmoflow::CosmoParams;
@@ -25,6 +27,10 @@ use std::ops::Range;
 /// Values in one run: 16 KiB of f32, the operators' own chunk, so a run
 /// is still in L1 when the operator reads it.
 pub const RUN: usize = 4096;
+
+/// What a sink says of a header that declares more values than its
+/// input can hold: no sink sizes anything from such a header.
+pub const MORE_VALUES_THAN_INPUT: &str = "header declares more values than the input holds";
 
 /// Where a reader's values go: [`begin`](ValueSink::begin) once the
 /// header says how many there are, then [`fill`](ValueSink::fill) with
@@ -109,16 +115,17 @@ impl F32Runs {
 }
 
 /// A `CFSM` payload read as it streams in: the 24-byte header, then the
-/// counts, each checked to be a u16 integer as it is widened (the check
-/// [`CosmoPayload::counts_into`](crate::serialize::CosmoPayload::counts_into)
-/// makes). A reader is a few bytes and one run of scratch; keep it on
-/// the stack.
+/// counts, each checked to be a u16 integer as it is widened (`−0.0`
+/// reads as the count 0; fractions, negatives, 65 536 and up, ±∞ and
+/// NaN are errors). A reader is a few bytes and one run of scratch;
+/// keep it on the stack.
 pub struct CosmoPayloadReader {
     head: [u8; COSMO_HEAD],
     /// Bytes taken so far, header included.
     taken: usize,
-    /// The label and the body's length in bytes, once the header is in.
-    parsed: Option<(CosmoParams, usize)>,
+    /// The grid, the label and the body's length in bytes, once the
+    /// header is in.
+    parsed: Option<(usize, CosmoParams, usize)>,
     values: F32Runs,
 }
 
@@ -155,11 +162,11 @@ impl CosmoPayloadReader {
             if self.taken < COSMO_HEAD {
                 return Ok(());
             }
-            let (_, label, n_values) = cosmo_head(&self.head)?;
-            self.parsed = Some((label, 4 * n_values));
+            let (grid, label, n_values) = cosmo_head(&self.head)?;
+            self.parsed = Some((grid, label, 4 * n_values));
             sink.begin(n_values)?;
         }
-        let Some((_, body_len)) = self.parsed else {
+        let Some((_, _, body_len)) = self.parsed else {
             return Ok(());
         };
         self.taken += bytes.len();
@@ -175,11 +182,14 @@ impl CosmoPayloadReader {
             })
     }
 
-    /// Ends the payload: the label, if the header and every value came.
-    pub fn finish(self) -> Result<CosmoParams> {
+    /// Ends the payload: the grid and the label, if the header and every
+    /// value came.
+    pub fn finish(self) -> Result<(usize, CosmoParams)> {
         match self.parsed {
             None => Err(DataError::Format("bad cosmoflow payload header")),
-            Some((label, body_len)) if self.taken - COSMO_HEAD == body_len => Ok(label),
+            Some((grid, label, body_len)) if self.taken - COSMO_HEAD == body_len => {
+                Ok((grid, label))
+            }
             Some(_) => Err(DataError::Format("cosmoflow payload length mismatch")),
         }
     }
@@ -197,16 +207,17 @@ struct Layout {
     label: Range<usize>,
     /// The furthest any dataset's payload reaches into the region.
     reach: usize,
+    /// The sample's `(C, H, W)`.
+    dims: (usize, usize, usize),
 }
 
 /// An `h5lite` DeepCAM file read as it streams in: the directory from
-/// the head of the stream, checked as [`deepcam_from_h5`] checks it;
-/// the `data` values handed on as they arrive; the `label` collected;
-/// and the CRC of the whole checked at the end. The file's last four
-/// bytes are its CRC, so the reader holds back the last four it has
-/// been given until more come.
-///
-/// [`deepcam_from_h5`]: crate::serialize::deepcam_from_h5
+/// the head of the stream, every entry's range and shape checked and
+/// `data` / `label` held to a DeepCAM sample's types and shapes; the
+/// `data` values handed on as they arrive; the `label` collected; and
+/// the CRC of the whole checked at the end. The file's last four bytes
+/// are its CRC, so the reader holds back the last four it has been
+/// given until more come.
 pub struct DeepCamH5Reader {
     held: [u8; 4],
     n_held: usize,
@@ -224,7 +235,9 @@ pub struct DeepCamH5Reader {
 
 impl DeepCamH5Reader {
     /// A reader at the start of a file of at most `limit` bytes (the
-    /// most the label reserves before its bytes come).
+    /// most the label reserves before its bytes come): the input's
+    /// length where the whole file is in hand, the inflate limit where
+    /// it is inflated.
     pub fn new(limit: usize) -> Self {
         DeepCamH5Reader {
             held: [0; 4],
@@ -313,7 +326,7 @@ impl DeepCamH5Reader {
                 .ok_or(DataError::Format("dataset not found"))
         };
         let (data, label) = (find("data")?, find("label")?);
-        deepcam_dims(
+        let dims = deepcam_dims(
             (data.dtype, &data.shape, data.len as usize),
             (label.dtype, &label.shape, label.len as usize),
         )?;
@@ -322,6 +335,7 @@ impl DeepCamH5Reader {
             data: data.range()?,
             label: label.range()?,
             reach,
+            dims,
         };
         self.mask.reserve_exact(layout.label.len().min(self.limit));
         sink.begin(layout.data.len() / 4)?;
@@ -355,9 +369,9 @@ impl DeepCamH5Reader {
         )
     }
 
-    /// Ends the file: the label, if the directory and every payload came
-    /// and the CRC holds.
-    pub fn finish(self) -> Result<Vec<u8>> {
+    /// Ends the file: the label and the sample's `(C, H, W)`, if the
+    /// directory and every payload came and the CRC holds.
+    pub fn finish(self) -> Result<(Vec<u8>, (usize, usize, usize))> {
         if self.taken + self.n_held < 12 {
             return Err(DataError::Format("file too short"));
         }
@@ -368,7 +382,7 @@ impl DeepCamH5Reader {
         if layout.reach > self.taken - layout.region {
             return Err(DataError::Format("payload out of range"));
         }
-        Ok(self.mask)
+        Ok((self.mask, layout.dims))
     }
 }
 
@@ -378,7 +392,7 @@ mod tests {
     use crate::cosmoflow::{CosmoFlowConfig, CosmoSample, UniverseGenerator};
     use crate::deepcam::{ClimateGenerator, DeepCamConfig};
     use crate::h5lite::Dataset;
-    use crate::serialize::{self, CosmoPayload};
+    use crate::serialize;
 
     /// Every value in order, as one vector, and how many came in each
     /// `begin`.
@@ -403,7 +417,7 @@ mod tests {
     }
 
     /// `bytes` pushed in pieces of `piece` bytes.
-    fn cosmo_in_pieces(bytes: &[u8], piece: usize) -> Result<(CosmoParams, Collect)> {
+    fn cosmo_in_pieces(bytes: &[u8], piece: usize) -> Result<((usize, CosmoParams), Collect)> {
         let mut reader = CosmoPayloadReader::new();
         let mut sink = Collect::default();
         for run in bytes.chunks(piece.max(1)) {
@@ -412,7 +426,10 @@ mod tests {
         Ok((reader.finish()?, sink))
     }
 
-    fn deepcam_in_pieces(bytes: &[u8], piece: usize) -> Result<(Vec<u8>, Collect)> {
+    /// The label, the `(C, H, W)` and the values.
+    type DeepCamRead = ((Vec<u8>, (usize, usize, usize)), Collect);
+
+    fn deepcam_in_pieces(bytes: &[u8], piece: usize) -> Result<DeepCamRead> {
         let mut reader = DeepCamH5Reader::new(usize::MAX);
         let mut sink = Collect::default();
         for run in bytes.chunks(piece.max(1)) {
@@ -421,17 +438,23 @@ mod tests {
         Ok((reader.finish()?, sink))
     }
 
+    /// The `label` dataset's bytes, as the container's generic reader
+    /// finds them.
+    fn h5lite_label(bytes: &[u8]) -> Vec<u8> {
+        let datasets = h5lite::read(bytes).unwrap();
+        let label = datasets.into_iter().find(|d| d.name == "label").unwrap();
+        label.payload
+    }
+
     #[test]
     fn a_cosmo_payload_in_any_pieces_reads_as_the_whole_one() {
         let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(0);
         let payload = serialize::cosmo_to_payload(&s);
-        let whole = CosmoPayload::parse(&payload).unwrap();
-        let mut want = vec![0f32; whole.n_values()];
-        whole.counts_into(0, &mut want).unwrap();
+        let want: Vec<f32> = s.counts.iter().map(|&c| c as f32).collect();
         for piece in [1, 2, 3, 5, 23, 24, 25, 4096, 16 * 1024 + 3, payload.len()] {
-            let (label, got) = cosmo_in_pieces(&payload, piece).unwrap();
-            assert_eq!(label, s.label, "piece {piece}");
-            assert_eq!(got.begun, [whole.n_values()]);
+            let (head, got) = cosmo_in_pieces(&payload, piece).unwrap();
+            assert_eq!(head, (s.grid, s.label), "piece {piece}");
+            assert_eq!(got.begun, [s.counts.len()]);
             assert!(got.vals == want, "piece {piece}");
         }
     }
@@ -474,8 +497,9 @@ mod tests {
         let s = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
         let h5 = serialize::deepcam_to_h5(&s).unwrap();
         for piece in [1, 2, 3, 4, 5, 7, 99, 4096, h5.len() - 1, h5.len()] {
-            let (mask, got) = deepcam_in_pieces(&h5, piece).unwrap();
+            let ((mask, dims), got) = deepcam_in_pieces(&h5, piece).unwrap();
             assert_eq!(mask, s.mask, "piece {piece}");
+            assert_eq!(dims, (s.channels, s.height, s.width));
             assert_eq!(got.begun, [s.data.len()]);
             assert!(
                 got.vals
@@ -498,22 +522,22 @@ mod tests {
         let label = Dataset::from_u8("label", &[h, w], &s.mask);
         let extra = Dataset::from_u16("extra", &[3], &[1, 2, 3]);
         let reordered = h5lite::write(&[extra, label, data.clone()]).unwrap();
-        let (mask, got) = deepcam_in_pieces(&reordered, 13).unwrap();
+        let ((mask, _), got) = deepcam_in_pieces(&reordered, 13).unwrap();
         assert_eq!(mask, s.mask);
         assert_eq!(got.vals, s.data);
         // A label whose entry points at the data's first bytes.
         let mut shared =
             h5lite::write(&[data, Dataset::from_u8("label", &[h, w], &s.mask)]).unwrap();
-        let whole = serialize::deepcam_from_h5(&shared).unwrap();
+        let whole = h5lite_label(&shared);
         let at = shared.windows(5).position(|x| x == b"label").unwrap() + 5 + 2 + 16;
         shared[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
         let n = shared.len() - 4;
         let crc = sciml_compress::crc32::crc32(&shared[..n]);
         shared[n..].copy_from_slice(&crc.to_le_bytes());
-        let moved = serialize::deepcam_from_h5(&shared).unwrap();
-        assert_ne!(moved.mask, whole.mask);
-        let (mask, _) = deepcam_in_pieces(&shared, 1000).unwrap();
-        assert_eq!(mask, moved.mask);
+        let moved = h5lite_label(&shared);
+        assert_ne!(moved, whole);
+        let ((mask, _), _) = deepcam_in_pieces(&shared, 1000).unwrap();
+        assert_eq!(mask, moved);
     }
 
     #[test]

@@ -90,10 +90,18 @@ proptest! {
         prop_assert_eq!(serialize::deepcam_from_h5(&bytes).unwrap(), s);
     }
 
-    /// h5lite never panics on arbitrary bytes.
+    /// h5lite, and the readers under both baseline layouts, never panic
+    /// on arbitrary bytes: each gives a value or a typed error. The bytes
+    /// also go in behind each layout's magic, so that a header is read.
     #[test]
     fn h5lite_read_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = h5lite::read(&bytes);
+        let _ = serialize::deepcam_from_h5(&bytes);
+        let _ = serialize::cosmo_from_payload(&bytes);
+        let behind = |magic: &[u8]| [magic, &bytes[..]].concat();
+        let _ = h5lite::read(&behind(b"H5LT\x01\x00"));
+        let _ = serialize::deepcam_from_h5(&behind(b"H5LT\x01\x00"));
+        let _ = serialize::cosmo_from_payload(&behind(b"CFSM"));
     }
 
     /// h5lite round-trips arbitrary dataset collections.

@@ -3,11 +3,13 @@
 //! decodes the CPU plugin's format on the device; its §VI kernels are
 //! reproduced, off the data path, in `sciml_platform::gpusim`.
 //!
-//! The gzip baselines never hold an inflated payload: they inflate
-//! through a 128 KiB window on the decode thread's stack
-//! ([`sciml_compress::gzip_decompress_chunks`]) and feed each run to a
-//! push-fed reader of the payload's layout ([`sciml_data::stream`]),
-//! whose values the operator narrows straight into the tensor slot.
+//! Each baseline layout has one reader, push-fed ([`sciml_data::stream`]),
+//! whose values the operator narrows straight into the tensor slot. A
+//! baseline and its gzip twin differ only in how the layout's bytes
+//! reach that reader: the uncompressed baseline pushes its whole input
+//! at once, and the gzip one inflates it through a 128 KiB window on the
+//! decode thread's stack ([`sciml_compress::gzip_decompress_chunks`]),
+//! pushing each run. Neither holds a copy of the sample.
 
 use crate::batch::Label;
 use crate::{PipelineError, Result};
@@ -15,8 +17,7 @@ use sciml_codec::cosmoflow as cf;
 use sciml_codec::deepcam as dc;
 use sciml_codec::Op;
 use sciml_compress::Level;
-use sciml_data::serialize;
-use sciml_data::stream::{CosmoPayloadReader, DeepCamH5Reader, ValueSink};
+use sciml_data::stream::{CosmoPayloadReader, DeepCamH5Reader, ValueSink, MORE_VALUES_THAN_INPUT};
 use sciml_data::DataError;
 use sciml_half::F16;
 
@@ -48,31 +49,34 @@ pub trait DecoderPlugin: Send + Sync {
 }
 
 // ---------------------------------------------------------------------
-// CosmoFlow plugins
+// The baselines' one path: a feed, a layout's reader, the operator
 // ---------------------------------------------------------------------
 
-/// The baselines' path from an uncompressed payload to a tensor: the
-/// operator runs over the body a stack chunk at a time, each value
-/// checked as it is widened, with no `Vec` of counts between. `out`
-/// must be exactly the payload's value count.
-fn cosmo_payload_into(
-    payload: &serialize::CosmoPayload<'_>,
-    op: Op,
-    out: &mut [F16],
-) -> Result<Label> {
-    if out.len() != payload.n_values() {
-        return Err(sciml_codec::CodecError::Inconsistent("output slice length mismatch").into());
-    }
-    cf::baseline_preprocess_with(op, out, |start, vals| payload.counts_into(start, vals))?;
-    Ok(Label::Cosmo(payload.label.as_array()))
+/// How a layout's bytes reach its reader: the one difference between a
+/// baseline and its gzip twin.
+trait Feed {
+    /// Hands `push` every run of the layout's bytes, in order, and no
+    /// more than `limit` bytes in all.
+    fn runs(self, limit: usize, push: impl FnMut(&[u8]) -> Result<()>) -> Result<()>;
 }
 
-/// [`cosmo_payload_into`] a tensor of its own.
-fn cosmo_payload(bytes: &[u8], op: Op) -> Result<DecodedSample> {
-    let payload = serialize::CosmoPayload::parse(bytes)?;
-    let mut data = vec![F16::ZERO; payload.n_values()];
-    let label = cosmo_payload_into(&payload, op, &mut data)?;
-    Ok(DecodedSample { data, label })
+/// The uncompressed baselines' feed: the whole input, in one push (the
+/// sink's limit is its length).
+struct Whole<'a>(&'a [u8]);
+
+impl Feed for Whole<'_> {
+    fn runs(self, _limit: usize, mut push: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        push(self.0)
+    }
+}
+
+/// The gzip baselines' feed: the input inflated through the window.
+struct Gunzip<'a>(&'a [u8]);
+
+impl Feed for Gunzip<'_> {
+    fn runs(self, limit: usize, push: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        sciml_compress::gzip_decompress_chunks(self.0, limit, push)
+    }
 }
 
 /// A [`ValueSink`] that applies the operator to each run of values a
@@ -83,8 +87,9 @@ struct Narrow<'a> {
     op: Op,
     slot: Option<&'a mut [F16]>,
     owned: Vec<F16>,
-    /// The inflate limit: no valid stream holds more than a quarter of
-    /// it in values, so an owned tensor is never made larger.
+    /// The most bytes the feed hands on: no valid sample holds more than
+    /// a quarter of it in values, so an owned tensor is never made
+    /// larger.
     limit: usize,
 }
 
@@ -97,7 +102,9 @@ impl ValueSink for Narrow<'_> {
                 Err(sciml_codec::CodecError::Inconsistent("output slice length mismatch").into())
             }
             Some(_) => Ok(()),
-            None if n_values > self.limit / 4 => Err(sciml_compress::Error::OutputLimit.into()),
+            None if n_values > self.limit / 4 => {
+                Err(DataError::Format(MORE_VALUES_THAN_INPUT).into())
+            }
             None => {
                 // lint:allow(no_alloc_hot_loop): `decode` only, a tensor of its own sized once from the header; `decode_into` writes the caller's slot
                 self.owned = vec![F16::ZERO; n_values];
@@ -120,7 +127,7 @@ impl ValueSink for Narrow<'_> {
 }
 
 impl<'a> Narrow<'a> {
-    /// Into `slot`, inflating no more than `limit` bytes.
+    /// Into `slot`, reading no more than `limit` bytes.
     fn into_slot(op: Op, slot: &'a mut [F16], limit: usize) -> Self {
         Narrow {
             op,
@@ -130,31 +137,52 @@ impl<'a> Narrow<'a> {
         }
     }
 
-    /// Into a tensor of its own, inflating no more than any stream of
-    /// `gz`'s length can.
-    fn owned(op: Op, gz: &[u8]) -> Self {
+    /// Into a tensor of its own, reading no more than `limit` bytes.
+    fn owned(op: Op, limit: usize) -> Self {
         Narrow {
             op,
             slot: None,
             owned: Vec::new(),
-            limit: gz.len().saturating_mul(sciml_compress::gzip::MAX_EXPANSION),
+            limit,
         }
     }
 
-    /// A `CFSM` payload, inflated from `gz`.
-    fn cosmo(&mut self, gz: &[u8]) -> Result<Label> {
-        let mut reader = CosmoPayloadReader::new();
-        sciml_compress::gzip_decompress_chunks(gz, self.limit, |run| reader.push(run, self))?;
-        Ok(Label::Cosmo(CosmoPayloadReader::finish(reader)?.as_array()))
+    /// The tensor of its own that `read` decodes into, with the label.
+    fn decoded(mut self, read: impl FnOnce(&mut Self) -> Result<Label>) -> Result<DecodedSample> {
+        let label = read(&mut self)?;
+        Ok(DecodedSample {
+            data: self.owned,
+            label,
+        })
     }
 
-    /// An `h5lite` DeepCAM file, inflated from `gz`.
-    fn deepcam(&mut self, gz: &[u8]) -> Result<Label> {
+    /// A `CFSM` payload, its bytes handed over by `feed`.
+    fn cosmo(&mut self, feed: impl Feed) -> Result<Label> {
+        let mut reader = CosmoPayloadReader::new();
+        feed.runs(self.limit, |run| reader.push(run, self))?;
+        let (_, label) = CosmoPayloadReader::finish(reader)?;
+        Ok(Label::Cosmo(label.as_array()))
+    }
+
+    /// An `h5lite` DeepCAM file, its bytes handed over by `feed`.
+    fn deepcam(&mut self, feed: impl Feed) -> Result<Label> {
+        // lint:allow(no_alloc_hot_loop): two empty `Vec`s, which allocate nothing; the label the sample returns is reserved once, in `push`
         let mut reader = DeepCamH5Reader::new(self.limit);
-        sciml_compress::gzip_decompress_chunks(gz, self.limit, |run| reader.push(run, self))?;
-        Ok(Label::Mask(DeepCamH5Reader::finish(reader)?))
+        feed.runs(self.limit, |run| reader.push(run, self))?;
+        let (mask, _) = DeepCamH5Reader::finish(reader)?;
+        Ok(Label::Mask(mask))
     }
 }
+
+/// The most bytes a gzip baseline's owned `decode` inflates: as many as
+/// any stream of `gz`'s length can.
+fn inflate_limit(gz: &[u8]) -> usize {
+    gz.len().saturating_mul(sciml_compress::gzip::MAX_EXPANSION)
+}
+
+// ---------------------------------------------------------------------
+// CosmoFlow plugins
+// ---------------------------------------------------------------------
 
 /// Baseline: uncompressed f32 `CFSM` payload, per-voxel op on the CPU.
 pub struct CosmoBaseline {
@@ -164,11 +192,11 @@ pub struct CosmoBaseline {
 
 impl DecoderPlugin for CosmoBaseline {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        cosmo_payload(bytes, self.op)
+        Narrow::owned(self.op, bytes.len()).decoded(|sink| sink.cosmo(Whole(bytes)))
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        cosmo_payload_into(&serialize::CosmoPayload::parse(bytes)?, self.op, out)
+        Narrow::into_slot(self.op, out, bytes.len()).cosmo(Whole(bytes))
     }
 
     fn name(&self) -> &'static str {
@@ -192,18 +220,13 @@ impl CosmoGzip {
 
 impl DecoderPlugin for CosmoGzip {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let mut sink = Narrow::owned(self.op, bytes);
-        let label = sink.cosmo(bytes)?;
-        Ok(DecodedSample {
-            data: sink.owned,
-            label,
-        })
+        Narrow::owned(self.op, inflate_limit(bytes)).decoded(|sink| sink.cosmo(Gunzip(bytes)))
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
         // A payload that fills `out` is its header and one f32 a value.
         let limit = out.len().saturating_mul(4).saturating_add(24);
-        Narrow::into_slot(self.op, out, limit).cosmo(bytes)
+        Narrow::into_slot(self.op, out, limit).cosmo(Gunzip(bytes))
     }
 
     fn name(&self) -> &'static str {
@@ -255,24 +278,11 @@ pub struct DeepCamBaseline {
 
 impl DecoderPlugin for DeepCamBaseline {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let mut sample = serialize::deepcam_from_h5(bytes)?;
-        let mut data = vec![F16::ZERO; sample.data.len()];
-        self.op.narrow_into(&mut sample.data, &mut data);
-        Ok(DecodedSample {
-            data,
-            label: Label::Mask(sample.mask),
-        })
+        Narrow::owned(self.op, bytes.len()).decoded(|sink| sink.deepcam(Whole(bytes)))
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let mut sample = serialize::deepcam_from_h5(bytes)?;
-        if sample.data.len() != out.len() {
-            return Err(
-                sciml_codec::CodecError::Inconsistent("output slice length mismatch").into(),
-            );
-        }
-        self.op.narrow_into(&mut sample.data, out);
-        Ok(Label::Mask(sample.mask))
+        Narrow::into_slot(self.op, out, bytes.len()).deepcam(Whole(bytes))
     }
 
     fn name(&self) -> &'static str {
@@ -292,12 +302,7 @@ const H5_HEADER_ALLOWANCE: usize = 4096;
 
 impl DecoderPlugin for DeepCamGzip {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let mut sink = Narrow::owned(self.op, bytes);
-        let label = sink.deepcam(bytes)?;
-        Ok(DecodedSample {
-            data: sink.owned,
-            label,
-        })
+        Narrow::owned(self.op, inflate_limit(bytes)).decoded(|sink| sink.deepcam(Gunzip(bytes)))
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
@@ -307,7 +312,7 @@ impl DecoderPlugin for DeepCamGzip {
             .len()
             .saturating_mul(5)
             .saturating_add(H5_HEADER_ALLOWANCE);
-        Narrow::into_slot(self.op, out, limit).deepcam(bytes)
+        Narrow::into_slot(self.op, out, limit).deepcam(Gunzip(bytes))
     }
 
     fn name(&self) -> &'static str {
@@ -353,9 +358,22 @@ impl DecoderPlugin for DeepCamPluginCpu {
 mod tests {
     use super::*;
     use crate::PipelineError;
-    use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
+    use sciml_data::cosmoflow::{CosmoFlowConfig, CosmoParams, CosmoSample, UniverseGenerator};
     use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
+    use sciml_data::serialize;
     use sciml_simd::{force, supported_levels};
+
+    /// The reference every DeepCAM baseline is held to: the generator's
+    /// values narrowed directly, with no reader between.
+    fn narrowed(op: Op, data: &[f32]) -> Vec<F16> {
+        let mut out = vec![F16::ZERO; data.len()];
+        op.narrow_into(&mut data.to_vec(), &mut out);
+        out
+    }
+
+    fn bits(d: &[F16]) -> Vec<u16> {
+        d.iter().map(|v| v.to_bits()).collect()
+    }
 
     /// One sample as the three CosmoFlow formats: raw payload, gzip,
     /// plugin encoding.
@@ -378,15 +396,21 @@ mod tests {
         // chunks). Each family is also held to its own scalar output.
         let op = Op::Log1p;
         for grid in [5, 8, 48] {
-            let (raw, gz, enc) = cosmo_payloads_of(CosmoFlowConfig {
+            let cfg = CosmoFlowConfig {
                 grid,
                 halos: 6,
                 ..CosmoFlowConfig::test_small()
-            });
+            };
+            let s = UniverseGenerator::new(cfg.clone()).generate(0);
+            let (raw, gz, enc) = cosmo_payloads_of(cfg);
             let mut scalar: Option<DecodedSample> = None;
             for lvl in supported_levels() {
                 let _g = force(Some(lvl));
                 let base = CosmoBaseline { op }.decode(&raw).unwrap();
+                // A reference that is not the reader: the sample's
+                // counts through the per-voxel pass.
+                assert_eq!(base.data, cf::baseline_preprocess(&s, op), "{lvl:?}");
+                assert_eq!(base.label, Label::Cosmo(s.label.as_array()));
                 let gzip = CosmoGzip { op }.decode(&gz).unwrap();
                 let cpu = CosmoPluginCpu { op }.decode(&enc).unwrap();
                 assert_eq!(base.data.len(), grid * grid * grid * 4);
@@ -451,6 +475,58 @@ mod tests {
         ));
     }
 
+    /// A grid-1 payload (four values) with `v` as its second value.
+    fn payload_with(v: f32) -> Vec<u8> {
+        let mut payload = serialize::cosmo_to_payload(&CosmoSample {
+            grid: 1,
+            counts: vec![7, 0, 65535, 1],
+            label: CosmoParams::MEANS,
+        });
+        payload[28..32].copy_from_slice(&v.to_le_bytes());
+        payload
+    }
+
+    /// The owned sample and the baseline plugin take the same values as
+    /// counts and refuse the same ones.
+    #[test]
+    fn both_payload_paths_accept_and_reject_the_same_values() {
+        let plugin = CosmoBaseline { op: Op::Identity };
+        for (v, count) in [(-0.0f32, 0u16), (0.0, 0), (65535.0, 65535), (3.0, 3)] {
+            let payload = payload_with(v);
+            let s = serialize::cosmo_from_payload(&payload).unwrap();
+            assert_eq!(s.counts, [7, count, 65535, 1]);
+            let mut out = [F16::ONE; 4];
+            plugin.decode_into(&payload, &mut out).unwrap();
+            // −0.0 reads as the count 0, whose FP16 is +0.0.
+            assert_eq!(
+                bits(&out),
+                bits(&[7.0, count as f32, 65535.0, 1.0].map(F16::from_f32))
+            );
+        }
+        let not_counts = [
+            65536.0f32,
+            0.5,
+            -1.0,
+            -0.5,
+            65535.5,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ];
+        for v in not_counts {
+            let payload = payload_with(v);
+            let is_count_error =
+                |e: &DataError| matches!(e, DataError::Format("count not a u16 integer"));
+            let err = serialize::cosmo_from_payload(&payload).unwrap_err();
+            assert!(is_count_error(&err), "{v}: {err}");
+            match plugin.decode_into(&payload, &mut [F16::ONE; 4]) {
+                Err(PipelineError::Source(e)) if is_count_error(&e) => {}
+                other => panic!("{v}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn cosmo_encoded_is_smaller_than_raw_and_gzip_decodes_on_cpu_only() {
         let (raw, gz, enc) = cosmo_payloads();
@@ -474,6 +550,8 @@ mod tests {
             .decode(&sciml_compress::gzip_compress(&h5, Level::Default))
             .unwrap();
         assert_eq!(base, gz);
+        assert_eq!(bits(&base.data), bits(&narrowed(op, &s.data)));
+        assert_eq!(base.label, Label::Mask(s.mask.clone()));
 
         let (enc, _) = dc::encode(&s, &dc::EncoderConfig::default());
         let bytes = enc.to_bytes();
@@ -498,6 +576,9 @@ mod tests {
             let _g = force(Some(lvl));
             for op in [Op::Identity, normalize, Op::Log1p] {
                 let base = DeepCamBaseline { op }.decode(&h5).unwrap();
+                let want = narrowed(op, &s.data);
+                assert_eq!(bits(&base.data), bits(&want), "{op:?} at {lvl:?}");
+                assert_eq!(base.label, Label::Mask(s.mask.clone()));
                 let mut out = vec![F16::ONE; base.data.len()];
                 let label = DeepCamGzip { op }.decode_into(&gz, &mut out).unwrap();
                 let same = |a: &[F16], b: &[F16]| {

@@ -1,9 +1,11 @@
-//! The gzip baselines inflate through a window, with a limit taken from
-//! the slot they were asked to fill: a valid sample costs a decode
-//! thread no more heap than the window bound (and DeepCAM's label), and
-//! a stream that inflates past the largest payload the slot could hold
-//! costs a typed error, not the memory it would inflate to. And repeat
-//! decodes allocate nothing of the payload's size.
+//! The baselines read each layout through one push-fed reader, the gzip
+//! ones through an inflate window with a limit taken from the slot they
+//! were asked to fill: a valid sample costs a decode thread no more heap
+//! than the window bound (and DeepCAM's label) — the uncompressed
+//! baselines no more than the reader's `h5lite` directory (and the
+//! label) — and a stream that inflates past the largest payload the
+//! slot could hold costs a typed error, not the memory it would inflate
+//! to. And repeat decodes allocate nothing of the payload's size.
 //!
 //! Alone in this file because they measure allocation with a global
 //! allocator of its own; the tests take turns at it.
@@ -14,7 +16,7 @@ use sciml_data::cosmoflow::{CosmoFlowConfig, UniverseGenerator};
 use sciml_data::deepcam::{ClimateGenerator, DeepCamConfig};
 use sciml_data::serialize;
 use sciml_half::F16;
-use sciml_pipeline::decoder::{CosmoGzip, DeepCamGzip};
+use sciml_pipeline::decoder::{CosmoBaseline, CosmoGzip, DeepCamBaseline, DeepCamGzip};
 use sciml_pipeline::{DecoderPlugin, PipelineError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,6 +64,11 @@ fn requested_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
 /// the window's 128 KiB lives on the decode thread's stack, and the
 /// bound is twice that.
 const WINDOW_BOUND: usize = 256 << 10;
+
+/// The most heap an uncompressed baseline's decode may ask for besides
+/// the label: the `h5lite` reader's directory entries (two, a few
+/// hundred bytes in all), and nothing for a `CFSM` payload.
+const DIRECTORY_BOUND: usize = 4 << 10;
 
 /// What `plugin.decode_into(gz, out)` returned and the heap it asked for,
 /// on a thread of its own, so that nothing a thread keeps from an
@@ -123,8 +130,8 @@ fn a_stream_inflating_past_the_slot_is_a_typed_error_not_an_allocation() {
     }
 }
 
-/// A valid sample of each baseline decodes within the same bound:
-/// nothing of the inflated payload's size is allocated.
+/// A valid sample of each baseline decodes within its bound: nothing of
+/// the payload's size is allocated.
 #[test]
 fn a_valid_sample_decodes_within_the_window_bound() {
     let _turn = TURN.lock().unwrap();
@@ -134,7 +141,7 @@ fn a_valid_sample_decodes_within_the_window_bound() {
     let d = ClimateGenerator::new(DeepCamConfig::test_small()).generate(0);
     let h5 = serialize::deepcam_to_h5(&d).unwrap();
     let deepcam = sciml_compress::gzip_compress(&h5, Level::Fast);
-    let cases: [(&dyn DecoderPlugin, &[u8], usize, usize); 2] = [
+    let cases: [(&dyn DecoderPlugin, &[u8], usize, usize); 4] = [
         (
             &CosmoGzip { op: Op::Log1p },
             &cosmo,
@@ -146,6 +153,18 @@ fn a_valid_sample_decodes_within_the_window_bound() {
             &deepcam,
             d.data.len(),
             WINDOW_BOUND + d.mask.len(),
+        ),
+        (
+            &CosmoBaseline { op: Op::Log1p },
+            &raw,
+            s.counts.len(),
+            DIRECTORY_BOUND,
+        ),
+        (
+            &DeepCamBaseline { op: Op::Identity },
+            &h5,
+            d.data.len(),
+            DIRECTORY_BOUND + d.mask.len(),
         ),
     ];
     for (plugin, gz, n, legitimate) in cases {

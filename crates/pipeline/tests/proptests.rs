@@ -116,6 +116,35 @@ proptest! {
         }
     }
 
+    /// Arbitrary bytes through both uncompressed baselines, owned and
+    /// into a slot: a typed error or a value, never a panic. The bytes
+    /// also go in behind each layout's magic (and a small `CFSM` grid,
+    /// cut to its length where they are longer), so that a header is
+    /// read and values are checked.
+    #[test]
+    fn the_plain_baselines_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..400),
+        grid in 0u32..3,
+        slot in 0usize..64,
+    ) {
+        let mut out = vec![F16::ONE; slot];
+        let body = &bytes[..bytes.len().min(16 + 16 * grid.pow(3) as usize)];
+        let cosmo = [&b"CFSM"[..], &grid.to_le_bytes(), body].concat();
+        let deepcam = [&b"H5LT\x01\x00"[..], &bytes].concat();
+        let plugins: [(&dyn DecoderPlugin, &[u8]); 4] = [
+            (&CosmoBaseline { op: Op::Log1p }, &bytes),
+            (&CosmoBaseline { op: Op::Log1p }, &cosmo),
+            (&DeepCamBaseline { op: Op::Identity }, &bytes),
+            (&DeepCamBaseline { op: Op::Identity }, &deepcam),
+        ];
+        for (plugin, input) in plugins {
+            if let Ok(d) = plugin.decode(input) {
+                prop_assert!(d.data.len() <= input.len() / 4);
+            }
+            let _ = plugin.decode_into(input, &mut out);
+        }
+    }
+
     #[test]
     fn exactly_once_under_arbitrary_configs(
         n in 1usize..20,

@@ -458,9 +458,10 @@ for f in results/figures/*.txt; do
 done
 
 stage "clean tree (the run rewrote no file git sees)"
-if ! tree_changes="$(diff <(echo "$tree_before") <(tree_state))"; then
+tree_after="$(tree_state)"
+if [ "$tree_before" != "$tree_after" ]; then
     echo "ERROR: this CI run changed what git sees (< before, > after):" >&2
-    echo "$tree_changes" | grep '^[<>]' >&2
+    diff <(printf '%s' "$tree_before") <(printf '%s' "$tree_after") | grep '^[<>]' >&2
     exit 1
 fi
 
